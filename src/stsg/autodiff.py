@@ -40,6 +40,8 @@ __all__ = [
     "reshape",
     "transpose",
     "gather_rows",
+    "segment_sum",
+    "segment_log_softmax",
 ]
 
 
@@ -429,11 +431,65 @@ def gather_rows(a: Tensor, indices) -> Tensor:
             f"gather-rows: index out of range for {av.shape[0]} rows"
         )
     out = Tensor._wrap(av[idx])
+    _record(out, (a,), lambda g: (_segment_sum(g, idx, av.shape[0]),))
+    return out
+
+
+def _segment_reduce(ufunc, values: np.ndarray, ids: np.ndarray, n: int,
+                    empty: float) -> np.ndarray:
+    """ufunc-reduce the rows of `values` per segment id in [0, n); segments
+    without rows hold `empty`."""
+    out = np.full((n,) + values.shape[1:], empty)
+    if ids.size:
+        if np.any(ids[1:] < ids[:-1]):
+            order = np.argsort(ids, kind="stable")
+            ids, values = ids[order], values[order]
+        first = np.empty(ids.size, dtype=bool)
+        first[0] = True
+        np.not_equal(ids[1:], ids[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        out[ids[starts]] = ufunc.reduceat(values, starts, axis=0)
+    return out
+
+
+def _segment_sum(values: np.ndarray, ids: np.ndarray, n: int) -> np.ndarray:
+    if values.ndim == 1:
+        # sums in index order, like np.add.at, and faster on vectors
+        return np.bincount(ids, weights=values, minlength=n)
+    return _segment_reduce(np.add, values, ids, n, 0.0)
+
+
+def _segment_ids(kind: str, av: np.ndarray, segment_ids, n_segments: int) -> np.ndarray:
+    ids = np.asarray(segment_ids, dtype=np.intp)
+    if av.ndim < 1 or ids.shape != av.shape[:1]:
+        raise ShapeError(f"{kind}: need one segment id per row, got {ids.shape} for {av.shape}")
+    if ids.size and (ids.min() < 0 or ids.max() >= n_segments):
+        raise ContractError(f"{kind}: segment id out of range for {n_segments} segments")
+    return ids
+
+
+def segment_sum(a: Tensor, segment_ids, n_segments: int) -> Tensor:
+    """out[s] = sum of the rows of a whose segment id is s; zero for a segment without rows."""
+    av = a.data
+    ids = _segment_ids("segment-sum", av, segment_ids, n_segments)
+    out = Tensor._wrap(_segment_sum(av, ids, n_segments))
+    _record(out, (a,), lambda g: (g[ids],))
+    return out
+
+
+def segment_log_softmax(a: Tensor, segment_ids, n_segments: int) -> Tensor:
+    """log_softmax of a vector within each segment: the ragged rows of a
+    log_softmax(axis=1), each entry normalised over the entries sharing its id."""
+    av = a.data
+    ids = _segment_ids("segment-log-softmax", av, segment_ids, n_segments)
+    if av.ndim != 1:
+        raise ShapeError(f"segment-log-softmax: need a vector, got shape {av.shape}")
+    shifted = av - _segment_reduce(np.maximum, av, ids, n_segments, -np.inf)[ids]
+    out_arr = shifted - np.log(_segment_sum(np.exp(shifted), ids, n_segments)[ids])
+    out = Tensor._wrap(out_arr)
 
     def vjp(g):
-        z = np.zeros_like(av)
-        np.add.at(z, idx, g)
-        return (z,)
+        return (g - np.exp(out_arr) * _segment_sum(g, ids, n_segments)[ids],)
 
     _record(out, (a,), vjp)
     return out
@@ -459,6 +515,8 @@ _PRIMITIVES: dict[str, Callable] = {
     "reshape": reshape,
     "transpose": transpose,
     "gather-rows": gather_rows,
+    "segment-sum": segment_sum,
+    "segment-log-softmax": segment_log_softmax,
 }
 
 

@@ -26,7 +26,7 @@ from .config import (
     config_with,
     load_config,
 )
-from .errors import ConfigError, ContractError, DataFormatError, TrainingError
+from .errors import ConfigError, ContractError, DataFormatError, ShapeError, TrainingError
 from .featurebank import (
     BANK_VARIANTS,
     build_feature_bank,
@@ -521,10 +521,8 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.fn(args)
-    except (ConfigError, ContractError, DataFormatError, TrainingError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as e:
+    except (ConfigError, ContractError, DataFormatError, ShapeError, TrainingError,
+            FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -175,14 +175,41 @@ def load_checkpoint(path: str | Path) -> tuple[RunConfig, ModelParams, list[dict
     if not path.exists():
         raise DataFormatError(f"{path}: no such checkpoint")
     doc = _loads(path, 1, path.read_text())
-    if doc.get("kind") != "checkpoint":
+    if not isinstance(doc, dict) or doc.get("kind") != "checkpoint":
         raise DataFormatError(f"{path}: not a checkpoint file (field 'kind')")
     cfg = runconfig_from_flat(_field(doc, "config", path, 1))
+    gcn_layers = doc.get("gcn_layers", 2)
+    if not isinstance(gcn_layers, int) or gcn_layers < 1:
+        raise DataFormatError(f"{path}: field 'gcn_layers' must be a positive integer")
+    # the names and shapes the model of this config has
+    expected = {name: t.shape for name, t in
+                ModelParams.init(cfg.dims, seed=0, gcn_layers=gcn_layers).items()}
+    entries = _field(doc, "params", path, 1)
+    if not isinstance(entries, dict):
+        raise DataFormatError(f"{path}: field 'params' must be an object")
+    unknown = sorted(set(entries) - set(expected))
+    missing = [name for name in expected if name not in entries]
+    if unknown or missing:
+        raise DataFormatError(f"{path}: parameters do not match the config "
+                              f"(unknown {unknown}, missing {missing})")
     arrays = {}
-    for name, entry in _field(doc, "params", path, 1).items():
-        arr = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        arrays[name] = arr
-    params = ModelParams.from_arrays(cfg.dims, arrays, int(doc.get("gcn_layers", 2)))
+    for name, shape in expected.items():
+        entry = entries[name]
+        if not isinstance(entry, dict) or "shape" not in entry or "data" not in entry:
+            raise DataFormatError(f"{path}: parameter {name!r} needs fields 'shape' and 'data'")
+        if entry["shape"] != list(shape):
+            raise DataFormatError(f"{path}: parameter {name!r} has shape {entry['shape']}, "
+                                  f"expected {list(shape)}")
+        try:
+            arr = np.asarray(entry["data"], dtype=np.float64)
+        except (TypeError, ValueError):
+            raise DataFormatError(f"{path}: parameter {name!r} data is not a list of numbers") \
+                from None
+        if arr.shape != (int(np.prod(shape)),):
+            raise DataFormatError(f"{path}: parameter {name!r} has {arr.size} values, "
+                                  f"expected {int(np.prod(shape))}")
+        arrays[name] = arr.reshape(shape)
+    params = ModelParams.from_arrays(cfg.dims, arrays, gcn_layers)
     return cfg, params, doc.get("log", [])
 
 
@@ -215,6 +242,9 @@ def ranked_from_frame_json(frame: dict, path: Path, lineno: int) -> list[RankedT
     boxes = _field(frame, "boxes", path, lineno)
     labels = _field(frame, "labels", path, lineno)
     scores = _field(frame, "label_scores", path, lineno)
+    if len(labels) != len(boxes) or len(scores) != len(boxes):
+        raise DataFormatError(f"{path}:{lineno}: frame has {len(boxes)} boxes but "
+                              f"{len(labels)} labels and {len(scores)} label scores")
     out = []
     for entry in _field(frame, "triplets", path, lineno):
         i, j, p, score = int(entry[0]), int(entry[1]), int(entry[2]), float(entry[3])

@@ -149,24 +149,6 @@ class SceneSequence:
             raise ContractError("sequence: needs at least one frame")
 
 
-@dataclass
-class SpatialSceneGraph:
-    """Per-frame node set with connectivity, edge features and relation proposal."""
-
-    nodes: list[ObjectNode]
-    connectivity: np.ndarray        # (N, N), zero diagonal
-    edge_feats: np.ndarray          # (N, N, L) with L == H (edge feature = proposal row)
-    relation_dist: np.ndarray       # (N, N, H) in [0, 1]
-    updated_feats: np.ndarray | None = None   # (N, m) after message passing
-
-    @property
-    def n(self) -> int:
-        return len(self.nodes)
-
-    def node_matrix(self) -> np.ndarray:
-        return np.stack([o.node_feat for o in self.nodes]) if self.nodes else np.zeros((0, 0))
-
-
 @dataclass(frozen=True)
 class TemporalLink:
     """Selected cross-frame pair: previous node k -> current node j."""

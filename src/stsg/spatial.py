@@ -1,13 +1,16 @@
-"""Per-frame stage: pairwise relation proposal and GCN message passing.
+"""Within-frame stage: pairwise relation proposal and GCN message passing.
 
-The proposal scores every ordered pair with a two-layer perceptron on the
-concatenated node encodings; its output doubles as the edge features of
-the graph (L == H). Message passing follows
+Nodes of many frames are packed into one matrix, frame after frame, and
+every stage runs over all of them at once. The proposal scores every
+ordered pair (i, j), i != j, of nodes of the same frame with a two-layer
+perceptron on the concatenated node encodings; its output doubles as the
+edge features of the graph (L == H). Message passing follows
 
     updated_i = relu(nu_i + sum_j theta_ij (W_node nu_j + W_edge eps_ij) + bias)
 
-with theta fixed to 1 off the diagonal and 0 on it: the residual term
-already carries self-information.
+with theta fixed to 1 between distinct nodes of a frame and 0 otherwise (the
+residual term already carries self-information), so the theta-weighted sums
+are segment sums over the pair list.
 """
 
 from __future__ import annotations
@@ -16,94 +19,66 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ContractError
 from .params import ModelParams, linear
-from .scene import ObjectNode, SpatialSceneGraph
 
 
-def pair_indices(n_subj: int, n_obj: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row/col indices of all ordered pairs, subject-major."""
-    subj = np.repeat(np.arange(n_subj), n_obj)
-    obj = np.tile(np.arange(n_obj), n_subj)
-    return subj, obj
+def frame_pairs(sizes) -> tuple[np.ndarray, np.ndarray]:
+    """(subject, object) packed indices of every ordered pair i != j within a
+    frame, for frames of the given node counts packed one after another.
+
+    Subject-major within each frame, so the subjects never decrease.
+    """
+    sizes = np.asarray(sizes, dtype=np.intp)
+    n = int(sizes.sum())
+    start = np.repeat(np.cumsum(sizes) - sizes, sizes)       # frame offset of each node
+    local = np.arange(n) - start
+    per_subject = np.repeat(sizes - 1, sizes)                 # partners of each node
+    subj = np.repeat(np.arange(n), per_subject)
+    q = np.arange(len(subj)) - np.repeat(np.cumsum(per_subject) - per_subject, per_subject)
+    obj_local = q + (q >= local[subj])
+    return subj, start[subj] + obj_local
 
 
-def pairwise_scores(feats: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
-                    out_dim: int) -> Tensor:
-    """sigmoid(mlp(feat_i ++ feat_j)) for every ordered pair, diagonal zeroed.
+def pair_grid(values: np.ndarray, n: int) -> np.ndarray:
+    """One frame's (n * (n - 1), H) pair values as an (n, n, H) grid, zero diagonal."""
+    grid = np.zeros((n, n) + values.shape[1:])
+    grid[~np.eye(n, dtype=bool)] = values
+    return grid
 
-    Returns an (N, N, out_dim) tensor.
+
+def propose_relations(feats: Tensor, subj: np.ndarray, obj: np.ndarray,
+                      params: ModelParams) -> Tensor:
+    """Initial relation distribution: sigmoid(mlp(feat_i ++ feat_j)), (P, H)
+    for the P listed pairs."""
+    pairs = ad.concat([ad.gather_rows(feats, subj), ad.gather_rows(feats, obj)], axis=1)
+    hidden = ad.relu(linear(pairs, params["prop.w1"], params["prop.b1"]))
+    return ad.sigmoid(linear(hidden, params["prop.w2"], params["prop.b2"]))
+
+
+def gcn_layer(feats: Tensor, subj: np.ndarray, obj: np.ndarray, edge_feats: Tensor,
+              w_node: Tensor, w_edge: Tensor, bias: Tensor) -> Tensor:
+    """One propagation step; each pair (i, j) carries a message from j to i.
+
+    The bias sits inside the message, so a node without pairs reduces the
+    layer to relu(feats) regardless of parameter values.
     """
     n = feats.shape[0]
-    subj, obj = pair_indices(n, n)
-    pairs = ad.concat([ad.gather_rows(feats, subj), ad.gather_rows(feats, obj)], axis=1)
-    hidden = ad.relu(linear(pairs, w1, b1))
-    logits = linear(hidden, w2, b2)
-    probs = ad.reshape(ad.sigmoid(logits), (n, n, out_dim))
-    mask = np.ones((n, n, 1))
-    mask[np.arange(n), np.arange(n), 0] = 0.0
-    return ad.mul(probs, Tensor(mask))
-
-
-def propose_relations(feats: Tensor, params: ModelParams) -> Tensor:
-    """Initial relation distribution R: (N, N, H), R[i][i] = 0."""
-    if feats.shape[0] < 1:
-        raise ContractError("propose_relations: need at least one node")
-    return pairwise_scores(
-        feats, params["prop.w1"], params["prop.b1"], params["prop.w2"], params["prop.b2"],
-        params.dims.h,
-    )
-
-
-def full_connectivity(n: int) -> np.ndarray:
-    theta = np.ones((n, n))
-    np.fill_diagonal(theta, 0.0)
-    return theta
-
-
-def gcn_layer(feats: Tensor, theta: Tensor, edge_feats: Tensor,
-              w_node: Tensor, w_edge: Tensor, bias: Tensor) -> Tensor:
-    """One propagation step over the frame graph; returns updated (N, m) features.
-
-    The bias sits inside the theta-weighted message, so an empty neighborhood
-    reduces the layer to relu(feats) regardless of parameter values.
-    """
-    node_msg = ad.matmul(theta, linear(feats, w_node, bias))
-    # sum_j theta_ij eps_ij before the edge transform (linearity lets us
-    # aggregate first and apply w_edge once per node)
-    weighted = ad.mul(edge_feats, ad.reshape(theta, (*theta.shape, 1)))
-    edge_msg = ad.matmul(ad.reduce_sum(weighted, axis=1), w_edge)
+    node_msg = ad.segment_sum(ad.gather_rows(linear(feats, w_node, bias), obj), subj, n)
+    # sum_j eps_ij before the edge transform (linearity lets us aggregate
+    # first and apply w_edge once per node)
+    edge_msg = ad.matmul(ad.segment_sum(edge_feats, subj, n), w_edge)
     return ad.relu(ad.add(feats, ad.add(node_msg, edge_msg)))
 
 
-def gcn_propagate(feats: Tensor, theta: Tensor, edge_feats: Tensor,
+def gcn_propagate(feats: Tensor, subj: np.ndarray, obj: np.ndarray, edge_feats: Tensor,
                   params: ModelParams) -> Tensor:
     """Apply the configured stack of propagation layers sequentially."""
     out = feats
     for layer in range(params.gcn_layers):
         out = gcn_layer(
-            out, theta, edge_feats,
+            out, subj, obj, edge_feats,
             params[f"gcn.{layer}.w_node"],
             params[f"gcn.{layer}.w_edge"],
             params[f"gcn.{layer}.bias"],
         )
     return out
-
-
-def build_frame_graph(nodes: list[ObjectNode], params: ModelParams) -> SpatialSceneGraph:
-    """Value-level convenience: proposal + propagation with no tape active."""
-    if not nodes:
-        m = params.dims.m
-        return SpatialSceneGraph([], np.zeros((0, 0)), np.zeros((0, 0, params.dims.h)),
-                                 np.zeros((0, 0, params.dims.h)), np.zeros((0, m)))
-    feats = Tensor(np.stack([o.node_feat for o in nodes]))
-    relation = propose_relations(feats, params)
-    theta = Tensor(full_connectivity(len(nodes)))
-    updated = gcn_propagate(feats, theta, relation, params)
-    return SpatialSceneGraph(
-        nodes=nodes,
-        connectivity=theta.data,
-        edge_feats=relation.data,
-        relation_dist=relation.data,
-        updated_feats=updated.data,
-    )

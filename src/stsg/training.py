@@ -6,6 +6,11 @@ a factor of 5 (multiplier 0.2). Node classification supervises the label
 head in the gt-box and detection protocols. The link term supervises the
 relevance kernel: each node's softmax over its relevance to the previous
 frame's nodes is pulled towards the previous node of the same gt object.
+
+Training computes all three over a packed minibatch as one weighted sum
+(`batch_loss`). The per-frame loss functions (`relation_loss`,
+`node_loss`, their logit forms and `link_loss`) are the reference forms
+tests compare it against.
 """
 
 from __future__ import annotations
@@ -15,13 +20,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from . import blas
 from .autodiff import Tape, Tensor, backward
 from .config import RunConfig
 from .errors import ContractError, TrainingError
 from .params import ModelParams
 from .rng import RngStream
 from .scene import FrameRecord, SceneSequence, pairwise_iou
-from .temporal import FrameOutput, forward_sequence, to_predictions
+from .temporal import BatchOutput, FrameOutput, Packed, forward_batch, pack
 
 NEGATIVE_WEIGHT = 0.2  # no-relation terms down-weighted by a factor of 5
 IOU_MATCH = 0.5
@@ -153,6 +159,16 @@ def node_loss_from_logits(label_logits: Tensor, node_to_gt: dict[int, int],
     return ad.scale(ad.reduce_sum(picked), -1.0 / len(idx))
 
 
+def link_targets(node_to_gt: dict[int, int],
+                 prev_node_to_gt: dict[int, int]) -> list[tuple[int, int]]:
+    """(current node, previous node) pairs on the same gt object, one per
+    current node that has such a previous node (the lowest index wins)."""
+    target: dict[int, int] = {}
+    for k in sorted(prev_node_to_gt):
+        target.setdefault(prev_node_to_gt[k], k)
+    return [(j, target[gj]) for j, gj in sorted(node_to_gt.items()) if gj in target]
+
+
 def link_loss(gamma: Tensor, node_to_gt: dict[int, int],
               prev_node_to_gt: dict[int, int]) -> Tensor | None:
     """Mean cross-entropy of each row's softmax over gamma (N_t, N_prev)
@@ -161,10 +177,7 @@ def link_loss(gamma: Tensor, node_to_gt: dict[int, int],
     Rows without such a node are skipped (the lowest-index previous node
     wins when several match); None when no row has a target.
     """
-    target: dict[int, int] = {}
-    for k in sorted(prev_node_to_gt):
-        target.setdefault(prev_node_to_gt[k], k)
-    rows = [(j, target[gj]) for j, gj in sorted(node_to_gt.items()) if gj in target]
+    rows = link_targets(node_to_gt, prev_node_to_gt)
     if not rows:
         return None
     curr, prev = np.array(rows).T
@@ -173,49 +186,172 @@ def link_loss(gamma: Tensor, node_to_gt: dict[int, int],
     return ad.scale(ad.reduce_sum(picked), -1.0 / len(rows))
 
 
-def sequence_loss(sequence: SceneSequence, outputs: list[FrameOutput], mode: str,
-                  dims, lambda_node: float,
-                  lambda_link: float = LINK_WEIGHT) -> tuple[Tensor, LossReport]:
-    """Frame-averaged total loss; empty frames are skipped.
+# ---------------------------------------------------------------------------
+# the packed objective
 
-    Per frame: relation loss + lambda_node * node loss (sgcls, sgdet) +
-    lambda_link * link loss (frames with relevance scores).
+
+@dataclass
+class Targets:
+    """Data-only loss inputs of a packed batch.
+
+    Every weight carries the mean over its frame's terms, the mean over the
+    sequence's non-empty frames and the mean over the batch's sequences;
+    node and link weights are negative, so their log-probabilities add up
+    to a cross-entropy.
     """
-    terms = []
-    report = LossReport()
-    prev_map = None
-    for frame, out in zip(sequence.frames, outputs):
-        if out.n == 0:
+
+    rel_positive: np.ndarray   # (P * H,) relation slots; the rest are no-relation slots
+    rel_weight: np.ndarray     # (P * H,)
+    node_rows: np.ndarray      # packed node of each gt-matched node term
+    node_labels: np.ndarray    # its gt label
+    node_weight: np.ndarray
+    link_index: np.ndarray     # candidate link of each link term
+    link_weight: np.ndarray
+    n_positive: int = 0
+    n_negative: int = 0
+
+
+def loss_targets(sequence: SceneSequence, packed: Packed, h: int) -> Targets:
+    """The targets of one sequence's packed inputs.
+
+    Per frame: relation loss + node loss (sgcls, sgdet) + link loss (frames
+    with relevance scores), averaged over the non-empty frames.
+    """
+    rel_positive, rel_weight, node_rows, node_labels, node_weight = [], [], [], [], []
+    link_index, link_weight = [], []
+    n_pos_total = n_neg_total = 0
+    start = cand_start = 0
+    n_prev, prev_map, frames = 0, None, 0
+    for frame, nodes in zip(sequence.frames, packed.nodes):
+        n = len(nodes)
+        if n == 0:
+            n_prev = 0
             continue
-        pos_idx, neg_idx, node_map = relation_targets(frame, out, mode, dims.h)
-        rel, rep = relation_loss_from_logits(out.relation_logits, pos_idx, neg_idx)
-        report.n_positive += rep.n_positive
-        report.n_negative += rep.n_negative
-        report.relation_loss += rep.relation_loss
-        term = rel
-        if mode in ("sgcls", "sgdet") and lambda_node != 0.0:
-            nl = node_loss_from_logits(out.label_logits, node_map,
-                                       [o.label for o in frame.objects], dims.g)
-            report.node_loss += nl.item()
-            term = ad.add(term, ad.scale(nl, lambda_node))
-        if out.gamma is not None and lambda_link != 0.0:
-            ll = link_loss(out.gamma, node_map, prev_map)
-            if ll is not None:
-                report.link_loss += ll.item()
-                term = ad.add(term, ad.scale(ll, lambda_link))
-        prev_map = node_map
-        terms.append(term)
-    if not terms:
-        return Tensor(0.0), report
-    total = terms[0]
-    for t in terms[1:]:
-        total = ad.add(total, t)
-    total = ad.scale(total, 1.0 / len(terms))
-    report.relation_loss /= len(terms)
-    report.node_loss /= len(terms)
-    report.link_loss /= len(terms)
-    report.total = total.item()
+        frames += 1
+        pos, neg, node_map = relation_targets(frame, FrameOutput(nodes=nodes), packed.mode, h)
+        positive = np.zeros((n, n, h), dtype=bool)
+        positive.reshape(-1)[pos] = True
+        weight = np.zeros((n, n, h))
+        if len(pos):
+            weight.reshape(-1)[pos] = 1.0 / len(pos)
+        if len(neg):
+            weight.reshape(-1)[neg] = NEGATIVE_WEIGHT / len(neg)
+        off_diag = ~np.eye(n, dtype=bool)
+        rel_positive.append(positive[off_diag].reshape(-1))
+        rel_weight.append(weight[off_diag].reshape(-1))
+        n_pos_total += len(pos)
+        n_neg_total += len(neg)
+        if packed.mode in ("sgcls", "sgdet") and node_map:
+            idx = sorted(node_map)
+            node_rows.append(start + np.array(idx))
+            node_labels.append(np.array([frame.objects[node_map[i]].label for i in idx]))
+            node_weight.append(np.full(len(idx), -1.0 / len(idx)))
+        if packed.variant != "spatial" and n_prev:
+            rows = link_targets(node_map, prev_map)
+            if rows:
+                curr, prev = np.array(rows).T
+                link_index.append(cand_start + curr * n_prev + prev)
+                link_weight.append(np.full(len(rows), -1.0 / len(rows)))
+            cand_start += n * n_prev
+        start += n
+        n_prev, prev_map = n, node_map
+    scale = 1.0 / frames if frames else 0.0
+
+    def cat(arrays, dtype=np.float64):
+        return np.concatenate(arrays).astype(dtype) if arrays else np.zeros(0, dtype=dtype)
+
+    return Targets(
+        rel_positive=cat(rel_positive, bool), rel_weight=cat(rel_weight) * scale,
+        node_rows=cat(node_rows, np.intp), node_labels=cat(node_labels, np.intp),
+        node_weight=cat(node_weight) * scale,
+        link_index=cat(link_index, np.intp), link_weight=cat(link_weight) * scale,
+        n_positive=n_pos_total, n_negative=n_neg_total,
+    )
+
+
+def prepare(sequence: SceneSequence, mode: str, variant: str, dims) -> tuple[Packed, Targets]:
+    """Everything about one sequence that depends on the data, not the parameters."""
+    packed = pack(sequence, mode, variant, dims)
+    return packed, loss_targets(sequence, packed, dims.h)
+
+
+def join(items: list[tuple[Packed, Targets]]) -> tuple[Packed, Targets]:
+    """The packed inputs and targets of a batch of prepared sequences; the
+    batch loss is the mean of the sequences' losses."""
+    packs = [p for p, _ in items]
+    targets = [t for _, t in items]
+    node_off = np.cumsum([0] + [p.n_nodes for p in packs[:-1]])
+    cand_off = np.cumsum([0] + [len(p.cand_curr) for p in packs[:-1]])
+    scale = 1.0 / len(items)
+
+    def cat(name, offsets=None):
+        arrays = [getattr(t, name) for t in targets]
+        if offsets is not None:
+            arrays = [a + o for a, o in zip(arrays, offsets)]
+        return np.concatenate(arrays)
+
+    return Packed.join(packs), Targets(
+        rel_positive=cat("rel_positive"), rel_weight=cat("rel_weight") * scale,
+        node_rows=cat("node_rows", node_off), node_labels=cat("node_labels"),
+        node_weight=cat("node_weight") * scale,
+        link_index=cat("link_index", cand_off), link_weight=cat("link_weight") * scale,
+        n_positive=sum(t.n_positive for t in targets),
+        n_negative=sum(t.n_negative for t in targets),
+    )
+
+
+def batch_loss(packed: Packed, targets: Targets, out: BatchOutput, lambda_node: float,
+               lambda_link: float = LINK_WEIGHT) -> tuple[Tensor, LossReport]:
+    """The trained objective: one weighted sum of softplus relation terms and
+    log-softmax node and link terms over the whole batch.
+
+    -log(sigmoid(z)) = softplus(-z) and -log(1 - sigmoid(z)) = softplus(z),
+    and the log-softmax stays finite where a probability underflows to 0.
+    The link term's softmax runs over each node's candidate links.
+    """
+    t = targets
+    z = ad.reshape(out.relation_logits, (out.relation_logits.size,))
+    sign = np.where(t.rel_positive, -1.0, 1.0)
+    pieces = [ad.softplus(ad.mul(z, Tensor(sign)))]
+    n_rel = len(sign)
+    index, weight = [np.arange(n_rel)], [t.rel_weight]
+    offset = n_rel
+    use_node = out.label_logits is not None and lambda_node != 0.0 and len(t.node_rows) > 0
+    use_link = out.gamma is not None and lambda_link != 0.0 and len(t.link_index) > 0
+    if use_node:
+        n, g = out.label_logits.shape
+        pieces.append(ad.reshape(ad.log_softmax(out.label_logits, axis=1), (n * g,)))
+        index.append(offset + t.node_rows * g + t.node_labels)
+        weight.append(lambda_node * t.node_weight)
+        offset += n * g
+    if use_link:
+        pieces.append(ad.segment_log_softmax(out.gamma, packed.cand_curr, packed.n_nodes))
+        index.append(offset + t.link_index)
+        weight.append(lambda_link * t.link_weight)
+    if len(pieces) == 1:
+        picked = pieces[0]
+    else:
+        picked = ad.gather_rows(ad.concat(pieces), np.concatenate(index))
+    total = ad.dot(Tensor(np.concatenate(weight)), picked)
+
+    values = picked.data
+    n_node = len(t.node_rows) if use_node else 0
+    report = LossReport(
+        relation_loss=float(np.dot(t.rel_weight, values[:n_rel])),
+        node_loss=float(np.dot(t.node_weight, values[n_rel:n_rel + n_node])) if use_node else 0.0,
+        link_loss=float(np.dot(t.link_weight, values[n_rel + n_node:])) if use_link else 0.0,
+        total=total.item(), n_positive=t.n_positive, n_negative=t.n_negative,
+    )
     return total, report
+
+
+def sequence_loss(sequence: SceneSequence, params: ModelParams, mode: str, variant: str,
+                  k: int, lambda_node: float,
+                  lambda_link: float = LINK_WEIGHT) -> tuple[Tensor, LossReport]:
+    """The trained objective on a batch of one sequence."""
+    packed, targets = prepare(sequence, mode, variant, params.dims)
+    return batch_loss(packed, targets, forward_batch(packed, params, k), lambda_node,
+                      lambda_link)
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +407,7 @@ class Optimizer:
 def loss_value(sequence: SceneSequence, params: ModelParams, mode: str,
                variant: str, k: int, lambda_node: float,
                lambda_link: float = LINK_WEIGHT) -> float:
-    outputs = forward_sequence(sequence, params, mode, variant, k)
-    total, _ = sequence_loss(sequence, outputs, mode, params.dims, lambda_node, lambda_link)
+    total, _ = sequence_loss(sequence, params, mode, variant, k, lambda_node, lambda_link)
     return total.item()
 
 
@@ -289,9 +424,7 @@ def grad_check(sequence: SceneSequence, params: ModelParams, mode: str = "sgcls"
     tape = Tape()
     params.watch_all(tape)
     with tape:
-        outputs = forward_sequence(sequence, params, mode, variant, k)
-        total, _ = sequence_loss(sequence, outputs, mode, params.dims, lambda_node,
-                                 lambda_link)
+        total, _ = sequence_loss(sequence, params, mode, variant, k, lambda_node, lambda_link)
     grads = backward(tape, total)
     named = {name: grads[tensor].data for name, tensor in params.items()}
 
@@ -374,6 +507,7 @@ class TrainResult:
     log: list[EpochLog] = field(default_factory=list)
 
 
+@blas.one_thread()
 def train(dataset: list[SceneSequence], cfg: RunConfig,
           val: list[SceneSequence] | None = None,
           eval_fn=None) -> TrainResult:
@@ -388,21 +522,17 @@ def train(dataset: list[SceneSequence], cfg: RunConfig,
     opt = Optimizer(tc.optimizer, tc.learning_rate, tc.beta1, tc.beta2, tc.eps)
     log: list[EpochLog] = []
     order_rng = RngStream(tc.seed, stream=31)
+    prepared = [prepare(seq, tc.mode, tc.variant, cfg.dims) for seq in dataset]
     for epoch in range(tc.epochs):
         order = order_rng.permutation(len(dataset))
         epoch_losses = []
         for start in range(0, len(order), tc.batch_size):
-            batch = [dataset[i] for i in order[start:start + tc.batch_size]]
+            packed, targets = join([prepared[i] for i in order[start:start + tc.batch_size]])
             tape = Tape()
             params.watch_all(tape)
             with tape:
-                total = None
-                for seq in batch:
-                    outputs = forward_sequence(seq, params, tc.mode, tc.variant, tc.k)
-                    loss, _ = sequence_loss(seq, outputs, tc.mode, cfg.dims, tc.lambda_node,
-                                            LINK_WEIGHT)
-                    total = loss if total is None else ad.add(total, loss)
-                total = ad.scale(total, 1.0 / len(batch))
+                out = forward_batch(packed, params, tc.k)
+                total, _ = batch_loss(packed, targets, out, tc.lambda_node, LINK_WEIGHT)
             value = total.item()
             where = f"at epoch {epoch + 1}, batch {start // tc.batch_size + 1}"
             if not np.isfinite(value):

@@ -305,3 +305,44 @@ def test_split_streams_differ_and_are_reproducible():
     again = RngStream(5).split(0)
     assert RngStream(5).split(1).uniform() == RngStream(5).split(1).uniform()
     assert again.uniform() == RngStream(5).split(0).uniform()
+
+
+def test_segment_ops_match_references_and_finite_differences():
+    ids = np.array([2, 0, 2, 3, 0, 2])          # unsorted, segment 1 empty
+    x = RngStream(103, stream=1).normal_array((6, 3))
+    w = RngStream(103, stream=2).normal_array((4, 3))
+    want = np.zeros((4, 3))
+    np.add.at(want, ids, x)
+    np.testing.assert_allclose(ad.segment_sum(Tensor(x), ids, 4).data, want, rtol=0, atol=1e-15)
+
+    rows = np.array([0, 0, 0, 1, 1, 3])         # ragged rows of a log-softmax
+    z = RngStream(103, stream=3).normal_array(6) * 3.0
+    v = RngStream(103, stream=4).normal_array(6)
+    got = ad.segment_log_softmax(Tensor(z), rows, 4).data
+    for r in (0, 1, 3):
+        seg = z[rows == r]
+        np.testing.assert_allclose(got[rows == r], seg - np.log(np.sum(np.exp(seg))),
+                                   rtol=0, atol=1e-12)
+
+    def loss(a, b):
+        s = ad.reduce_sum(ad.mul(ad.segment_sum(a, ids, 4), Tensor(w)))
+        return ad.add(s, ad.dot(ad.segment_log_softmax(b, rows, 4), Tensor(v)))
+
+    ana = analytic_grads(loss, [x, z])
+    num = finite_diff(lambda a, b: loss(Tensor(a), Tensor(b)).item(), [x, z])
+    for a, n in zip(ana, num):
+        assert rel_err(a, n) < 1e-6
+
+
+def test_gather_rows_backward_scatter_adds():
+    a = RngStream(104).normal_array((5, 2))
+    idx = np.array([3, 1, 3, 3, 0])
+    g = RngStream(104, stream=1).normal_array((5, 2))
+    t = Tensor(a)
+    tape = Tape()
+    tape.watch(t)
+    with tape:
+        loss = ad.reduce_sum(ad.mul(ad.gather_rows(t, idx), Tensor(g)))
+    want = np.zeros((5, 2))
+    np.add.at(want, idx, g)
+    np.testing.assert_allclose(backward(tape, loss)[t].data, want, rtol=1e-15, atol=0)

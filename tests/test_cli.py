@@ -301,3 +301,92 @@ def test_bank_report(tmp_path, checkpoint_path, dataset_dir):
 def test_gradcheck_command(tiny_config_path):
     assert main(["gradcheck", "--config", str(tiny_config_path), "--variants", "sparse",
                  "--objects", "2", "--frames", "2", "--entries", "500"]) == 0
+
+
+# ---------------------------------------------------------------------------
+# malformed inputs end in `error: ...` and exit 1
+
+
+def _drop(key):
+    def mutate(params):
+        del params["rel.w"][key]
+    return mutate
+
+
+def _short_data(params):
+    params["rel.w"]["data"] = params["rel.w"]["data"][:-1]
+
+
+def _wrong_shape(params):
+    params["rel.w"]["shape"] = params["rel.w"]["shape"][::-1]
+
+
+def _unknown_name(params):
+    params["rel.extra"] = {"shape": [1], "data": [0.0]}
+
+
+def _missing_name(params):
+    del params["label.b"]
+
+
+@pytest.mark.parametrize("mutate", [_drop("data"), _drop("shape"), _short_data, _wrong_shape,
+                                    _unknown_name, _missing_name],
+                         ids=["no-data", "no-shape", "wrong-size", "wrong-shape",
+                              "unknown-name", "missing-name"])
+def test_malformed_checkpoint_is_an_error(tmp_path, checkpoint_path, dataset_dir, capsys,
+                                          mutate):
+    doc = json.loads(checkpoint_path.read_text())
+    mutate(doc["params"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["eval", "--ckpt", str(bad), "--data", str(dataset_dir)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("field", ["labels", "label_scores"])
+def test_prediction_frame_with_short_label_list_is_an_error(tmp_path, checkpoint_path,
+                                                            dataset_dir, capsys, field):
+    preds = tmp_path / "p.jsonl"
+    assert main(["infer", "--ckpt", str(checkpoint_path), "--data", str(dataset_dir),
+                 "--split", "val", "--mode", "sgdet", "--out", str(preds)]) == 0
+    lines = preds.read_text().splitlines()
+    record = json.loads(lines[1])
+    frame = next(f for f in record["frames"] if f["triplets"])
+    frame[field] = frame[field][:-1]
+    lines[1] = json.dumps(record)
+    preds.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["eval", "--preds", str(preds), "--data", str(dataset_dir),
+                 "--split", "val"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_shape_error_is_an_error(tmp_path, dataset_dir, capsys):
+    # a visual feature that is not a vector fails node encoding with ShapeError
+    data = tmp_path / "ds"
+    data.mkdir()
+    lines = (dataset_dir / "train.jsonl").read_text().splitlines()
+    record = json.loads(lines[1])
+    detection = record["frames"][0]["detections"][0]
+    detection["visual"] = [detection["visual"]]
+    lines[1] = json.dumps(record)
+    (data / "train.jsonl").write_text("\n".join(lines) + "\n")
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "m.json"),
+                 "--no-val"]) == 1
+    assert "error: encode_node" in capsys.readouterr().err
+
+
+def test_forward_sequence_outputs_serve_to_predictions(checkpoint_path, dataset_dir):
+    # the benchmark harness calls these two names with these arguments
+    from stsg import cli
+
+    cfg, params, _ = io.load_checkpoint(checkpoint_path)
+    _, seqs = io.load_split(dataset_dir, "test")
+    for variant, k in (("spatial", 1), ("sparse", 2), ("tracking", 1)):
+        outs = cli.forward_sequence(seqs[0], params, "sgdet", variant, k)
+        assert len(outs) == len(seqs[0].frames)
+        for out in outs:
+            assert out.n == len(out.nodes)
+            assert all(link.curr_index < out.n for link in out.links)
+        preds = cli.to_predictions(outs, cfg.dims)
+        assert [p.n for p in preds] == [out.n for out in outs]

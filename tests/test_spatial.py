@@ -6,12 +6,28 @@ from stsg.autodiff import Tensor
 from stsg.params import ModelParams
 from stsg.rng import RngStream
 from stsg.spatial import (
-    build_frame_graph,
-    full_connectivity,
+    frame_pairs,
     gcn_layer,
     gcn_propagate,
+    pair_grid,
     propose_relations,
 )
+
+
+def proposal_grid(feats, p):
+    """One frame's proposal as its (N, N, H) grid."""
+    subj, obj = frame_pairs([feats.shape[0]])
+    return pair_grid(propose_relations(Tensor(feats), subj, obj, p).data, feats.shape[0])
+
+
+def edges_of(theta):
+    """Pair list of a 0/1 connectivity matrix: (i, j) wherever theta[i, j] != 0."""
+    subj, obj = np.nonzero(theta)
+    return subj, obj
+
+
+def full_connectivity(n):
+    return 1.0 - np.eye(n)
 
 
 def numpy_proposal_oracle(feats, p):
@@ -46,22 +62,21 @@ def numpy_gcn_oracle(feats, theta, eps, layers):
 
 def test_zero_scorer_gives_half_everywhere_off_diagonal(dims):
     p = zero_params(dims)
-    feats = Tensor(RngStream(3).normal_array((4, dims.m)))
-    r = propose_relations(feats, p).data
+    r = proposal_grid(RngStream(3).normal_array((4, dims.m)), p)
     off = ~np.eye(4, dtype=bool)
     assert np.all(r[off] == 0.5)
     assert np.all(r[np.eye(4, dtype=bool)] == 0.0)
 
 
 def test_single_node_proposal_is_zero(dims, params):
-    r = propose_relations(Tensor(RngStream(4).normal_array((1, dims.m))), params).data
+    r = proposal_grid(RngStream(4).normal_array((1, dims.m)), params)
     assert r.shape == (1, 1, dims.h)
     assert np.all(r == 0.0)
 
 
 def test_proposal_matches_hand_evaluated_perceptron(dims, params):
     feats = RngStream(5).normal_array((2, dims.m))
-    got = propose_relations(Tensor(feats), params).data
+    got = proposal_grid(feats, params)
     want = numpy_proposal_oracle(feats, params)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -69,9 +84,9 @@ def test_proposal_matches_hand_evaluated_perceptron(dims, params):
 def test_gcn_empty_neighborhood_is_relu(dims, params):
     rng = RngStream(6)
     feats = rng.normal_array((3, dims.m))
-    theta = np.zeros((3, 3))
-    eps = rng.normal_array((3, 3, dims.h))
-    out = gcn_layer(Tensor(feats), Tensor(theta), Tensor(eps),
+    subj, obj = edges_of(np.zeros((3, 3)))
+    eps = rng.normal_array((0, dims.h))
+    out = gcn_layer(Tensor(feats), subj, obj, Tensor(eps),
                     params["gcn.0.w_node"], params["gcn.0.w_edge"], params["gcn.0.bias"]).data
     np.testing.assert_array_equal(out, np.maximum(feats, 0.0))
 
@@ -81,9 +96,9 @@ def test_gcn_two_node_identity_weights(dims):
     nu = np.zeros((2, m))
     nu[0, 0] = 1.0
     nu[1, 1] = 1.0
-    theta = np.array([[0.0, 1.0], [0.0, 0.0]])
-    eps = np.zeros((2, 2, dims.h))
-    out = gcn_layer(Tensor(nu), Tensor(theta), Tensor(eps),
+    subj, obj = edges_of(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    eps = np.zeros((1, dims.h))
+    out = gcn_layer(Tensor(nu), subj, obj, Tensor(eps),
                     Tensor(np.eye(m)), Tensor(np.zeros((dims.h, m))), Tensor(np.zeros(m))).data
     expected = np.zeros((2, m))
     expected[0, 0] = 1.0
@@ -96,14 +111,17 @@ def test_gcn_layer_permutation_equivariance(dims, params):
     rng = RngStream(7)
     n = 5
     feats = rng.normal_array((n, dims.m))
-    theta = np.abs(rng.normal_array((n, n)))
+    # a random graph: each ordered pair carries a message or not
+    theta = (rng.uniform_array((n, n)) < 0.6).astype(float)
     np.fill_diagonal(theta, 0.0)
     eps = rng.normal_array((n, n, dims.h))
-    base = gcn_layer(Tensor(feats), Tensor(theta), Tensor(eps),
+    subj, obj = edges_of(theta)
+    base = gcn_layer(Tensor(feats), subj, obj, Tensor(eps[subj, obj]),
                      params["gcn.0.w_node"], params["gcn.0.w_edge"], params["gcn.0.bias"]).data
     perm = rng.permutation(n)
-    shuffled = gcn_layer(Tensor(feats[perm]), Tensor(theta[np.ix_(perm, perm)]),
-                         Tensor(eps[np.ix_(perm, perm)]),
+    p_subj, p_obj = edges_of(theta[np.ix_(perm, perm)])
+    p_eps = eps[np.ix_(perm, perm)]
+    shuffled = gcn_layer(Tensor(feats[perm]), p_subj, p_obj, Tensor(p_eps[p_subj, p_obj]),
                          params["gcn.0.w_node"], params["gcn.0.w_edge"], params["gcn.0.bias"]).data
     np.testing.assert_allclose(shuffled, base[perm], rtol=0, atol=1e-12)
 
@@ -112,10 +130,10 @@ def test_propagate_single_layer_equals_layer(dims):
     p = ModelParams.init(dims, seed=2, gcn_layers=1)
     rng = RngStream(8)
     feats = rng.normal_array((3, dims.m))
-    theta = full_connectivity(3)
-    eps = rng.normal_array((3, 3, dims.h))
-    via_propagate = gcn_propagate(Tensor(feats), Tensor(theta), Tensor(eps), p).data
-    via_layer = gcn_layer(Tensor(feats), Tensor(theta), Tensor(eps),
+    subj, obj = frame_pairs([3])
+    eps = Tensor(rng.normal_array((3, 3, dims.h))[subj, obj])
+    via_propagate = gcn_propagate(Tensor(feats), subj, obj, eps, p).data
+    via_layer = gcn_layer(Tensor(feats), subj, obj, eps,
                           p["gcn.0.w_node"], p["gcn.0.w_edge"], p["gcn.0.bias"]).data
     np.testing.assert_array_equal(via_propagate, via_layer)
 
@@ -123,14 +141,13 @@ def test_propagate_single_layer_equals_layer(dims):
 def test_propagate_two_layers_is_composition(dims, params):
     rng = RngStream(9)
     feats = rng.normal_array((3, dims.m))
-    theta = full_connectivity(3)
-    eps = rng.normal_array((3, 3, dims.h))
-    t_feats, t_theta, t_eps = Tensor(feats), Tensor(theta), Tensor(eps)
-    once = gcn_layer(t_feats, t_theta, t_eps, params["gcn.0.w_node"],
+    subj, obj = frame_pairs([3])
+    t_feats, t_eps = Tensor(feats), Tensor(rng.normal_array((3, 3, dims.h))[subj, obj])
+    once = gcn_layer(t_feats, subj, obj, t_eps, params["gcn.0.w_node"],
                      params["gcn.0.w_edge"], params["gcn.0.bias"])
-    twice = gcn_layer(once, t_theta, t_eps, params["gcn.1.w_node"],
+    twice = gcn_layer(once, subj, obj, t_eps, params["gcn.1.w_node"],
                       params["gcn.1.w_edge"], params["gcn.1.bias"]).data
-    np.testing.assert_array_equal(gcn_propagate(t_feats, t_theta, t_eps, params).data, twice)
+    np.testing.assert_array_equal(gcn_propagate(t_feats, subj, obj, t_eps, params).data, twice)
 
 
 def test_propagate_matches_rederivation_oracle(dims, params):
@@ -138,7 +155,8 @@ def test_propagate_matches_rederivation_oracle(dims, params):
     feats = rng.normal_array((3, dims.m))
     theta = full_connectivity(3)
     eps = rng.normal_array((3, 3, dims.h))
-    got = gcn_propagate(Tensor(feats), Tensor(theta), Tensor(eps), params).data
+    subj, obj = frame_pairs([3])
+    got = gcn_propagate(Tensor(feats), subj, obj, Tensor(eps[subj, obj]), params).data
     layers = [
         (params[f"gcn.{i}.w_node"].data, params[f"gcn.{i}.w_edge"].data, params[f"gcn.{i}.bias"].data)
         for i in range(2)
@@ -147,16 +165,48 @@ def test_propagate_matches_rederivation_oracle(dims, params):
                                rtol=0, atol=1e-12)
 
 
+def spatial_stage(node_lists, params):
+    """Proposal and propagation over frames packed one after another."""
+    feats = [o.node_feat for nodes in node_lists for o in nodes]
+    feats = Tensor(np.stack(feats) if feats else np.zeros((0, params.dims.m)))
+    subj, obj = frame_pairs([len(nodes) for nodes in node_lists])
+    relation = propose_relations(feats, subj, obj, params)
+    return relation.data, gcn_propagate(feats, subj, obj, relation, params).data
+
+
 def test_outputs_finite_for_finite_inputs(dims, params):
     rng = RngStream(11)
     nodes = [random_object_node(rng, dims) for _ in range(4)]
-    graph = build_frame_graph(nodes, params)
-    assert np.all(np.isfinite(graph.updated_feats))
-    assert np.all(np.isfinite(graph.relation_dist))
-    assert np.all((graph.relation_dist >= 0) & (graph.relation_dist <= 1))
+    relation_dist, updated_feats = spatial_stage([nodes], params)
+    assert np.all(np.isfinite(updated_feats))
+    assert np.all(np.isfinite(relation_dist))
+    assert np.all((relation_dist >= 0) & (relation_dist <= 1))
 
 
-def test_build_frame_graph_empty(dims, params):
-    graph = build_frame_graph([], params)
-    assert graph.n == 0
-    assert graph.updated_feats.shape == (0, dims.m)
+def test_spatial_stage_without_nodes(dims, params):
+    relation_dist, updated_feats = spatial_stage([[]], params)
+    assert relation_dist.shape == (0, dims.h)
+    assert updated_feats.shape == (0, dims.m)
+
+
+def test_frame_pairs_are_the_off_diagonal_pairs_of_each_frame():
+    sizes = [3, 0, 1, 2]
+    subj, obj = frame_pairs(sizes)
+    want, start = [], 0
+    for n in sizes:
+        want += [(start + i, start + j) for i in range(n) for j in range(n) if i != j]
+        start += n
+    assert list(zip(subj.tolist(), obj.tolist())) == want
+
+
+def test_packed_frames_equal_frames_one_at_a_time(dims, params):
+    # no message crosses a frame boundary: packing frames changes no value
+    # beyond summation order
+    rng = RngStream(12)
+    frames = [[random_object_node(rng, dims) for _ in range(n)] for n in (3, 1, 0, 4)]
+    packed_rel, packed_upd = spatial_stage(frames, params)
+    rel = [spatial_stage([nodes], params) for nodes in frames]
+    np.testing.assert_allclose(packed_rel, np.concatenate([r for r, _ in rel]),
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(packed_upd, np.concatenate([u for _, u in rel]),
+                               rtol=0, atol=1e-12)

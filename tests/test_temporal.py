@@ -6,20 +6,24 @@ from stsg.autodiff import Tensor
 from stsg.errors import ContractError
 from stsg.rng import RngStream
 from stsg.scene import BoundingBox, ObjectNode
-from stsg.spatial import full_connectivity, gcn_propagate, propose_relations
+import stsg.autodiff as ad
+from stsg.spatial import frame_pairs, gcn_propagate, pair_grid, propose_relations
 from stsg.temporal import (
     CallCounter,
+    Packed,
     aggregate_links,
-    classify_relations,
-    encode_temporal,
     encode_temporal_pairs,
     frame_context,
+    frame_outputs,
+    forward_batch,
     forward_sequence,
     fuse,
+    pack,
+    relation_logits,
     relevance_scores,
     select_topk,
     to_predictions,
-    tracking_connections,
+    tracking_links,
 )
 
 
@@ -27,6 +31,29 @@ def make_node(x, y, label, g=4, c=2, score=1.0):
     dist = np.full(g, (1.0 - score) / (g - 1))
     dist[label] = score
     return ObjectNode(BoundingBox(x, y, 0.1, 0.1), dist, np.zeros(c))
+
+
+def forward_packed(sequences, params, mode, variant="sparse", k=1):
+    """Per-frame outputs of one packed forward pass over several sequences."""
+    packed = Packed.join([pack(seq, mode, variant, params.dims) for seq in sequences])
+    return frame_outputs(packed, forward_batch(packed, params, k))
+
+
+def classify_relations(fused, params):
+    """One frame's relation probabilities as an (N, N, H) grid, zero diagonal."""
+    n = fused.shape[0]
+    subj, obj = frame_pairs([n])
+    return pair_grid(ad.sigmoid(relation_logits(fused, subj, obj, params)).data, n)
+
+
+def tracking_connections(nodes_t, nodes_tm1):
+    """`tracking_links` on one frame pair, as a binary (N_t, N_prev) mask."""
+    nodes = nodes_t + nodes_tm1
+    boxes = np.stack([o.box.as_array() for o in nodes])
+    labels = np.array([o.label for o in nodes])
+    curr = np.repeat(np.arange(len(nodes_t)), len(nodes_tm1))
+    prev = len(nodes_t) + np.tile(np.arange(len(nodes_tm1)), len(nodes_t))
+    return tracking_links(boxes, labels, curr, prev).reshape(len(nodes_t), -1).astype(int)
 
 
 # ---------------------------------------------------------------------------
@@ -108,40 +135,58 @@ def test_topk_matches_stable_sort_oracle():
 # context, encoding, aggregation, fusion
 
 
+def one_frame(n):
+    return np.zeros(n, dtype=int)
+
+
 def test_frame_context_single_node():
     feats = Tensor([[1.0, 2.0, 3.0]])
-    np.testing.assert_array_equal(frame_context(feats).data, [1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(frame_context(feats, one_frame(1), 1).data[0], [1.0, 2.0, 3.0])
 
 
 def test_frame_context_midpoint():
     feats = Tensor([[1.0, 0.0], [0.0, 1.0]])
-    np.testing.assert_array_equal(frame_context(feats).data, [0.5, 0.5])
+    np.testing.assert_array_equal(frame_context(feats, one_frame(2), 1).data[0], [0.5, 0.5])
 
 
 def test_frame_context_matches_column_mean():
     arr = RngStream(24).normal_array((5, 7))
-    np.testing.assert_allclose(frame_context(Tensor(arr)).data, arr.mean(axis=0),
+    np.testing.assert_allclose(frame_context(Tensor(arr), one_frame(5), 1).data[0],
+                               arr.mean(axis=0), rtol=0, atol=1e-12)
+    # packed frames: one mean per frame
+    frames = np.array([0, 0, 1, 1, 1])
+    got = frame_context(Tensor(arr), frames, 2).data
+    np.testing.assert_allclose(got, [arr[:2].mean(axis=0), arr[2:].mean(axis=0)],
                                rtol=0, atol=1e-12)
 
 
 def test_frame_context_rejects_empty():
     with pytest.raises(ContractError):
-        frame_context(Tensor(np.zeros((0, 3))))
+        frame_context(Tensor(np.zeros((0, 3))), one_frame(0), 1)
+    with pytest.raises(ContractError):
+        frame_context(Tensor(np.zeros((2, 3))), np.array([0, 2]), 3)
+
+
+def encode_one(feat_j, feat_k, context, params):
+    """One (j, k) link encoded by the batched encoder."""
+    out = encode_temporal_pairs(Tensor(np.stack([feat_j, feat_k])), np.array([0]),
+                                np.array([1]), Tensor(context.reshape(1, -1)), params)
+    return out.data[0]
 
 
 def test_encode_temporal_zero_params_gives_zero(dims):
     p = zero_params(dims)
     rng = RngStream(25)
-    out = encode_temporal(Tensor(rng.normal_array(dims.m)), Tensor(rng.normal_array(dims.m)),
-                          Tensor(rng.normal_array(dims.m)), p)
+    out = encode_one(rng.normal_array(dims.m), rng.normal_array(dims.m),
+                     rng.normal_array(dims.m), p)
     assert out.shape == (dims.m,)
-    np.testing.assert_array_equal(out.data, np.zeros(dims.m))
+    np.testing.assert_array_equal(out, np.zeros(dims.m))
 
 
 def test_encode_temporal_matches_direct_substitution(dims, params):
     rng = RngStream(26)
     a, b, g = rng.normal_array(dims.m), rng.normal_array(dims.m), rng.normal_array(dims.m)
-    got = encode_temporal(Tensor(a), Tensor(b), Tensor(g), params).data
+    got = encode_one(a, b, g, params)
 
     def mlp(x, w1, b1, w2, b2):
         return np.maximum(x @ w1 + b1, 0.0) @ w2 + b2
@@ -205,7 +250,7 @@ def test_fuse_identities():
 def test_classify_zero_head_gives_half(dims):
     p = zero_params(dims)
     fused = Tensor(RngStream(28).normal_array((3, dims.m)))
-    probs = classify_relations(fused, p).data
+    probs = classify_relations(fused, p)
     off = ~np.eye(3, dtype=bool)
     assert np.all(probs[off] == 0.5)
     assert np.all(probs[~off] == 0.0)
@@ -213,13 +258,13 @@ def test_classify_zero_head_gives_half(dims):
 
 def test_classify_is_asymmetric(dims, params):
     fused = Tensor(RngStream(29).normal_array((2, dims.m)))
-    probs = classify_relations(fused, params).data
+    probs = classify_relations(fused, params)
     assert not np.allclose(probs[0, 1], probs[1, 0])
 
 
 def test_classify_matches_direct_substitution(dims, params):
     feats = RngStream(30).normal_array((2, dims.m))
-    got = classify_relations(Tensor(feats), params).data
+    got = classify_relations(Tensor(feats), params)
     w, b = params["rel.w"].data, params["rel.b"].data
     for i, j in [(0, 1), (1, 0)]:
         z = np.concatenate([feats[i], feats[j]]) @ w + b
@@ -252,24 +297,29 @@ def test_tracking_picks_nearest_center():
 # whole forward
 
 
+def spatial_stage(feats, params):
+    """One frame's proposal and GCN update."""
+    subj, obj = frame_pairs([feats.shape[0]])
+    proposal = propose_relations(feats, subj, obj, params)
+    return gcn_propagate(feats, subj, obj, proposal, params)
+
+
 def spatial_only_oracle(sequence, params, mode):
     """Compose the per-frame ops directly with no temporal stage."""
     from stsg.temporal import nodes_for_mode
-    import stsg.autodiff as ad
     from stsg.params import linear
 
     result = []
     for frame in sequence.frames:
         nodes = nodes_for_mode(frame, mode, params.dims.g)
         feats = Tensor(np.stack([o.node_feat for o in nodes]))
-        proposal = propose_relations(feats, params)
-        updated = gcn_propagate(feats, Tensor(full_connectivity(len(nodes))), proposal, params)
+        updated = spatial_stage(feats, params)
         probs = classify_relations(updated, params)
         if mode == "predcls":
             dists = np.stack([o.label_dist for o in nodes])
         else:
             dists = ad.softmax(linear(updated, params["label.w"], params["label.b"]), axis=-1).data
-        result.append((dists, probs.data, updated.data))
+        result.append((dists, probs, updated.data))
     return result
 
 
@@ -310,11 +360,11 @@ def test_forced_empty_links_equals_spatial_exactly(dims, params):
 
 
 def test_forward_matches_step_by_step_composition(dims, params):
-    import stsg.autodiff as ad
-
     rng = RngStream(34)
     seq = random_sequence(rng, dims, n_frames=3, n_min=2, n_max=3)
-    got = forward_sequence(seq, params, mode="sgcls", variant="sparse", k=1)
+    other = random_sequence(rng.split(1), dims, n_frames=2)
+    # seq's frames lead a packed batch that also holds another sequence
+    got = forward_packed([seq, other], params, mode="sgcls", variant="sparse", k=1)
 
     prev_updated = None
     prev_nodes = None
@@ -323,20 +373,22 @@ def test_forward_matches_step_by_step_composition(dims, params):
     for t, frame in enumerate(seq.frames):
         nodes = nodes_for_mode(frame, "sgcls", dims.g)
         feats = Tensor(np.stack([o.node_feat for o in nodes]))
-        proposal = propose_relations(feats, params)
-        updated = gcn_propagate(feats, Tensor(full_connectivity(len(nodes))), proposal, params)
+        updated = spatial_stage(feats, params)
+        n = len(nodes)
         if prev_updated is None:
             fused = updated
         else:
             gamma = relevance_scores(updated, prev_updated, params["temporal.phi"]).data
             eta = select_topk(gamma, 1)
             curr_idx, prev_idx = np.nonzero(eta)
-            ctx = frame_context(updated)
-            tau = encode_temporal_pairs(updated, prev_updated, curr_idx, prev_idx, ctx, params)
-            zeta = aggregate_links(Tensor(gamma[curr_idx, prev_idx]), tau, curr_idx, len(nodes))
+            ctx = frame_context(updated, one_frame(n), 1)
+            tau = encode_temporal_pairs(ad.concat([updated, prev_updated]), curr_idx,
+                                        n + prev_idx,
+                                        ad.gather_rows(ctx, one_frame(len(curr_idx))), params)
+            zeta = aggregate_links(Tensor(gamma[curr_idx, prev_idx]), tau, curr_idx, n)
             fused = fuse(updated, zeta)
         probs = classify_relations(fused, params)
-        np.testing.assert_allclose(got[t].relation_probs.data, probs.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got[t].relation_probs.data, probs, rtol=0, atol=1e-12)
         np.testing.assert_allclose(got[t].fused.data, fused.data, rtol=0, atol=1e-12)
         prev_updated, prev_nodes = updated, nodes
 
@@ -368,19 +420,43 @@ def test_empty_frame_breaks_chain(dims, params):
     assert preds[1].relation_probs.shape == (0, 0, dims.h)
 
 
+@pytest.mark.parametrize("variant", ["sparse", "dense", "tracking"])
+def test_packed_links_stay_within_a_sequence(dims, params, variant):
+    rng = RngStream(40)
+    gap = random_sequence(rng, dims, n_frames=3)
+    gap.frames[1].objects, gap.frames[1].triplets, gap.frames[1].detections = [], [], []
+    seqs = [gap, random_sequence(rng.split(1), dims, n_frames=2),
+            random_sequence(rng.split(2), dims, n_frames=2)]
+    for mode in ("predcls", "sgcls", "sgdet"):
+        packed = Packed.join([pack(seq, mode, variant, dims) for seq in seqs])
+        # every candidate joins a node to one of the frame right before it
+        assert np.all(packed.node_frame[packed.cand_curr]
+                      == packed.node_frame[packed.cand_prev] + 1)
+        outs = frame_outputs(packed, forward_batch(packed, params, 10))
+        # neither the frame after the gap nor the first frame of a sequence
+        # links back, though the frame packed before each has nodes
+        for t in (2, 3, 5):
+            assert outs[t].n > 0 and outs[t - 1 - (t == 2)].n > 0
+            assert outs[t].gamma is None and outs[t].links == []
+        if variant != "tracking":
+            for t in (4, 6):
+                assert len(outs[t].links) == outs[t].n * outs[t - 1].n
+
+
 def test_forward_permutation_equivariance(dims, params):
     rng = RngStream(37)
     for trial in range(5):
         seq = random_sequence(rng.split(trial), dims, n_frames=3, n_min=2, n_max=4)
-        base = forward_sequence(seq, params, mode="sgdet", variant="sparse", k=1)
+        other = random_sequence(rng.split(100 + trial), dims, n_frames=2)
+        base = forward_packed([seq, other], params, mode="sgdet", variant="sparse", k=1)
         perms = [rng.permutation(len(f.detections)) for f in seq.frames]
         import copy
 
         shuffled = copy.deepcopy(seq)
         for f, p in zip(shuffled.frames, perms):
             f.detections = [f.detections[i] for i in p]
-        out = forward_sequence(shuffled, params, mode="sgdet", variant="sparse", k=1)
-        for t, (a, b) in enumerate(zip(base, out)):
+        out = forward_packed([shuffled, other], params, mode="sgdet", variant="sparse", k=1)
+        for t, (a, b) in enumerate(zip(base[:len(perms)], out)):
             p = perms[t]
             np.testing.assert_allclose(b.fused.data, a.fused.data[p], rtol=0, atol=1e-12)
             np.testing.assert_allclose(b.relation_probs.data,

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,15 +15,26 @@ from stsg.params import ModelParams
 from stsg.rng import RngStream
 from stsg.synthgen import generate_scene, generate_split
 from stsg.scene import iou
-from stsg.temporal import FrameOutput, forward_sequence, nodes_for_mode
+from stsg.spatial import pair_grid
+from stsg.temporal import (
+    FrameOutput,
+    forward_batch,
+    forward_sequence,
+    frame_outputs,
+    nodes_for_mode,
+)
 from stsg.training import (
     LINK_WEIGHT,
     Optimizer,
+    batch_loss,
     grad_check,
+    join,
     link_loss,
     node_loss,
     node_loss_from_logits,
+    prepare,
     relation_loss,
+    relation_loss_from_logits,
     relation_targets,
     sequence_loss,
     train,
@@ -102,16 +114,15 @@ def test_node_loss_empty_match_is_zero():
 
 def test_predcls_total_is_relation_only(dims, params):
     seq = random_sequence(RngStream(41), dims, n_frames=2)
-    outs = forward_sequence(seq, params, "predcls", "sparse", 1)
-    total, report = sequence_loss(seq, outs, "predcls", dims, lambda_node=1.0, lambda_link=0.0)
+    total, report = sequence_loss(seq, params, "predcls", "sparse", 1, lambda_node=1.0,
+                                  lambda_link=0.0)
     assert report.node_loss == 0.0
     assert abs(total.item() - report.relation_loss) < 1e-12
 
 
 def test_predcls_trained_total_is_relation_plus_link(dims, params):
     seq = random_sequence(RngStream(41), dims, n_frames=2)
-    outs = forward_sequence(seq, params, "predcls", "sparse", 1)
-    total, report = sequence_loss(seq, outs, "predcls", dims, lambda_node=1.0)
+    total, report = sequence_loss(seq, params, "predcls", "sparse", 1, lambda_node=1.0)
     assert report.node_loss == 0.0 and report.link_loss > 0.0
     want = report.relation_loss + LINK_WEIGHT * report.link_loss
     assert abs(total.item() - want) < 1e-12
@@ -354,9 +365,10 @@ def test_link_loss_targets_the_same_gt_object():
 
 def test_sequence_loss_adds_link_term_only_when_weighted(dims, params):
     seq = random_sequence(RngStream(44), dims, n_frames=3)
-    outs = forward_sequence(seq, params, "sgcls", "sparse", 1)
-    base, base_rep = sequence_loss(seq, outs, "sgcls", dims, lambda_node=1.0, lambda_link=0.0)
-    weighted, rep = sequence_loss(seq, outs, "sgcls", dims, lambda_node=1.0, lambda_link=0.5)
+    base, base_rep = sequence_loss(seq, params, "sgcls", "sparse", 1, lambda_node=1.0,
+                                   lambda_link=0.0)
+    weighted, rep = sequence_loss(seq, params, "sgcls", "sparse", 1, lambda_node=1.0,
+                                  lambda_link=0.5)
     assert base_rep.link_loss == 0.0 and rep.link_loss > 0.0
     assert weighted.item() == pytest.approx(base.item() + 0.5 * rep.link_loss, abs=1e-12)
 
@@ -381,8 +393,7 @@ def test_relevance_kernel_gets_gradient_only_from_link_term(dims, variant):
         tape = Tape()
         params.watch_all(tape)
         with tape:
-            outs = forward_sequence(sample, params, "sgdet", variant, 1)
-            total, _ = sequence_loss(sample, outs, "sgdet", dims, 1.0, lambda_link=lam)
+            total, _ = sequence_loss(sample, params, "sgdet", variant, 1, 1.0, lambda_link=lam)
         phi_grads[lam] = backward(tape, total)[params["temporal.phi"]].data
     assert np.abs(phi_grads[0.0]).max() < 1e-12
     assert np.abs(phi_grads[1.0]).max() > 1e-6
@@ -425,3 +436,108 @@ def test_diverging_ablation_cell_stays_finite(monkeypatch, link_weight):
     assert all(np.isfinite(e.train_loss) for e in result.log)
     for name, t in result.params.items():
         assert np.all(np.isfinite(t.data)), name
+
+
+# ---------------------------------------------------------------------------
+# the packed minibatch objective
+
+
+def taped_batch_loss(sequences, params, mode, variant, k):
+    """Loss, per-parameter gradients and tape length of one packed training step."""
+    packed, targets = join([prepare(seq, mode, variant, params.dims) for seq in sequences])
+    tape = Tape()
+    params.watch_all(tape)
+    with tape:
+        total, _ = batch_loss(packed, targets, forward_batch(packed, params, k), 1.0)
+    grads = backward(tape, total)
+    return total.item(), {name: grads[t].data for name, t in params.items()}, len(tape)
+
+
+def seed7_sequences(count, frames=None):
+    cfg = RunConfig()
+    world = cfg.world if frames is None else replace(cfg.world, frames=frames)
+    return [_gen_one(cfg.dims, world, 7, i) for i in range(count)]
+
+
+@pytest.mark.parametrize("mode", ["predcls", "sgcls", "sgdet"])
+@pytest.mark.parametrize("variant", ["spatial", "sparse", "dense", "tracking"])
+def test_batch_loss_is_the_mean_of_sequence_losses(mode, variant):
+    dims = Dims()
+    params = ModelParams.init(dims, seed=0)
+    pair = seed7_sequences(2)
+    loss, grads, _ = taped_batch_loss(pair, params, mode, variant, 1)
+    singles = [taped_batch_loss([seq], params, mode, variant, 1) for seq in pair]
+    want = (singles[0][0] + singles[1][0]) / 2
+    assert abs(loss - want) <= 1e-12 * abs(want)
+    for name, g in grads.items():
+        ref = (singles[0][1][name] + singles[1][1][name]) / 2
+        assert np.linalg.norm(g - ref) <= 1e-12 * max(np.linalg.norm(ref), 1e-300), name
+
+
+def test_tape_records_per_step_do_not_depend_on_frame_count():
+    params = ModelParams.init(Dims(), seed=0)
+    for mode in ("predcls", "sgdet"):
+        for variant in ("spatial", "sparse", "dense", "tracking"):
+            records = {frames: taped_batch_loss(seed7_sequences(2, frames), params, mode,
+                                                variant, 1)[2]
+                       for frames in (8, 16)}
+            assert records[8] == records[16], (mode, variant, records)
+
+
+def reference_sequence_loss(sequence, params, mode, variant, k, lambda_node, lambda_link):
+    """The objective composed frame by frame from the reference per-frame losses."""
+    packed, _ = prepare(sequence, mode, variant, params.dims)
+    out = forward_batch(packed, params, k)
+    frames = frame_outputs(packed, out)
+    h = params.dims.h
+    terms, prev_map, start, pair_start = [], None, 0, 0
+    for frame, fo in zip(sequence.frames, frames):
+        n = fo.n
+        if n == 0:
+            continue
+        pos, neg, node_map = relation_targets(frame, fo, mode, h)
+        logits = pair_grid(out.relation_logits.data[pair_start:pair_start + n * (n - 1)], n)
+        term = relation_loss_from_logits(Tensor(logits), pos, neg)[0].item()
+        if mode != "predcls":
+            label_logits = Tensor(out.label_logits.data[start:start + n])
+            term += lambda_node * node_loss_from_logits(
+                label_logits, node_map, [o.label for o in frame.objects], params.dims.g).item()
+        if fo.gamma is not None:
+            ll = link_loss(fo.gamma, node_map, prev_map)
+            if ll is not None:
+                term += lambda_link * ll.item()
+        terms.append(term)
+        prev_map, start, pair_start = node_map, start + n, pair_start + n * (n - 1)
+    return sum(terms) / len(terms)
+
+
+@pytest.mark.parametrize("mode", ["predcls", "sgcls", "sgdet"])
+@pytest.mark.parametrize("variant", ["spatial", "sparse", "tracking"])
+def test_batch_loss_matches_per_frame_reference(mode, variant):
+    dims = Dims()
+    params = ModelParams.init(dims, seed=3)
+    for seq in seed7_sequences(3):
+        got, _ = sequence_loss(seq, params, mode, variant, 1, 1.0, 0.5)
+        want = reference_sequence_loss(seq, params, mode, variant, 1, 1.0, 0.5)
+        assert got.item() == pytest.approx(want, rel=1e-12)
+
+
+def test_train_calls_clip_gradients_once_per_optimizer_step(monkeypatch):
+    # the benchmark times a training step from one clip_gradients call to the next
+    cfg = tiny_cfg(epochs=2, batch_size=4)
+    data = tiny_dataset(cfg, count=6)
+    calls = {"clip": 0, "step": 0}
+    real_clip, real_step = stsg.training.clip_gradients, Optimizer.step
+
+    def clip(grads, max_norm):
+        calls["clip"] += 1
+        return real_clip(grads, max_norm)
+
+    def step(self, params, grads):
+        calls["step"] += 1
+        return real_step(self, params, grads)
+
+    monkeypatch.setattr(stsg.training, "clip_gradients", clip)
+    monkeypatch.setattr(Optimizer, "step", step)
+    train(data, cfg)
+    assert calls["clip"] == calls["step"] == 2 * 2
