@@ -20,7 +20,6 @@ __all__ = [
     "Tape",
     "backward",
     "constant",
-    "primitive",
     "matmul",
     "affine",
     "add",
@@ -493,40 +492,3 @@ def segment_log_softmax(a: Tensor, segment_ids, n_segments: int) -> Tensor:
 
     _record(out, (a,), vjp)
     return out
-
-
-_PRIMITIVES: dict[str, Callable] = {
-    "matmul": matmul,
-    "affine": affine,
-    "add": add,
-    "scale": scale,
-    "concat": lambda *ts, axis=0: concat(list(ts), axis=axis),
-    "relu": relu,
-    "sigmoid": sigmoid,
-    "mean": reduce_mean,
-    "elementwise-mul": mul,
-    "dot": dot,
-    "sum": reduce_sum,
-    "log": log,
-    "div": div,
-    "softplus": softplus,
-    "softmax": softmax,
-    "log-softmax": log_softmax,
-    "reshape": reshape,
-    "transpose": transpose,
-    "gather-rows": gather_rows,
-    "segment-sum": segment_sum,
-    "segment-log-softmax": segment_log_softmax,
-}
-
-
-def primitive(kind: str, *inputs, **attrs) -> Tensor:
-    """Apply a primitive by name; unknown kinds are a contract violation."""
-    fn = _PRIMITIVES.get(kind)
-    if fn is None:
-        raise ContractError(f"primitive: unknown op-kind {kind!r}")
-    return fn(*inputs, **attrs)
-
-
-def op_kinds() -> tuple[str, ...]:
-    return tuple(_PRIMITIVES)

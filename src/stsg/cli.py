@@ -105,14 +105,22 @@ def _resolve_config(args) -> RunConfig:
     return cfg
 
 
+def _serve(sequences, params: ModelParams, mode: str, variant: str, k: int, dims: Dims):
+    """(sequence, its per-frame predictions) for each sequence, in order.
+
+    `forward_sequence` and `to_predictions` are looked up in this module's
+    globals at each call, so a wrapper bound to those names sees every call.
+    """
+    for seq in sequences:
+        yield seq, to_predictions(forward_sequence(seq, params, mode, variant, k), dims)
+
+
 def _forward_frames(sequences, params: ModelParams, mode: str, variant: str,
                     k: int, dims: Dims, constraint: bool = False) -> list[FrameEval]:
     """Ranked predictions per frame; constraint=True ranks only the best
     triplet per pair, which serves with-constraint metrics alone."""
     frames: list[FrameEval] = []
-    for seq in sequences:
-        outs = forward_sequence(seq, params, mode, variant, k)
-        preds = to_predictions(outs, dims)
+    for seq, preds in _serve(sequences, params, mode, variant, k, dims):
         for pred, frame in zip(preds, seq.frames):
             frames.append(FrameEval(rank_triplets(pred, constraint=constraint),
                                     list(frame.triplets), list(frame.objects)))
@@ -240,18 +248,12 @@ def cmd_infer(args) -> int:
     mode = args.mode or cfg.train.mode
     variant = args.variant or cfg.train.variant
     k = args.k or cfg.train.k
-    records = []
-    for seq in seqs:
-        outs = forward_sequence(seq, params, mode, variant, k)
-        preds = to_predictions(outs, cfg.dims)
-        records.append({
-            "seq_seed": seq.seed,
-            "frames": [
-                io.frame_prediction_to_json(p, rank_triplets(p, constraint=False),
-                                            args.include_features)
-                for p in preds
-            ],
-        })
+    records = [
+        {"seq_seed": seq.seed,
+         "frames": [io.frame_prediction_to_json(p, rank_triplets(p, constraint=False),
+                                                args.include_features) for p in preds]}
+        for seq, preds in _serve(seqs, params, mode, variant, k, cfg.dims)
+    ]
     header = {"mode": mode, "variant": variant, "k": k, "split": args.split,
               "seed": cfg.train.seed, "include_features": bool(args.include_features),
               "config": cfg.to_flat_dict()}
@@ -376,15 +378,11 @@ def cmd_bank(args) -> int:
     if args.train_sequences:
         train_seqs = train_seqs[: args.train_sequences]
     mode = args.mode or cfg.train.mode
-    variant = cfg.train.variant
-    k = cfg.train.k
 
     def banks_for(seqs):
         banks = {v: [] for v in BANK_VARIANTS}
         labels = []
-        for seq in seqs:
-            outs = forward_sequence(seq, params, mode, variant, k)
-            preds = to_predictions(outs, cfg.dims)
+        for seq, preds in _serve(seqs, params, mode, cfg.train.variant, cfg.train.k, cfg.dims):
             for v in BANK_VARIANTS:
                 banks[v].append(build_feature_bank(preds, v, cfg.dims))
             labels.append(seq.event_labels)

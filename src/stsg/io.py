@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import RunConfig, parse_config_items
 from .errors import DataFormatError
-from .metrics import RankedTriplet
+from .metrics import RankedFrame
 from .params import ModelParams
 from .scene import BoundingBox, FrameRecord, GroundTruthObject, ObjectNode, SceneSequence
 from .temporal import FramePrediction
@@ -81,26 +81,33 @@ def sequence_to_json(seq: SceneSequence) -> dict:
     }
 
 
+def _box(record: dict, path: Path, lineno: int) -> BoundingBox:
+    box = _field(record, "box", path, lineno)
+    if not (isinstance(box, list) and len(box) == 4 and all(type(v) in (int, float) for v in box)):
+        raise DataFormatError(f"{path}:{lineno}: field 'box' must be 4 numbers, got {box!r}")
+    return BoundingBox(*box)
+
+
 def sequence_from_json(record: dict, path: Path, lineno: int) -> SceneSequence:
+    def floats(entry: dict, name: str) -> np.ndarray:
+        return np.asarray(_field(entry, name, path, lineno), dtype=np.float64)
+
     frames = []
     for frame in _field(record, "frames", path, lineno):
         objects = [
             GroundTruthObject(
-                box=BoundingBox(*o["box"]),
-                label=int(o["label"]),
-                visual_feat=np.asarray(o["visual"], dtype=np.float64),
+                box=_box(o, path, lineno),
+                label=int(_field(o, "label", path, lineno)),
+                visual_feat=floats(o, "visual"),
                 occluded=bool(o.get("occluded", False)),
                 detector_label_dist=None if o.get("det_label_dist") is None
-                else np.asarray(o["det_label_dist"], dtype=np.float64),
+                else floats(o, "det_label_dist"),
             )
             for o in _field(frame, "objects", path, lineno)
         ]
         detections = [
-            ObjectNode(
-                box=BoundingBox(*d["box"]),
-                label_dist=np.asarray(d["label_dist"], dtype=np.float64),
-                visual_feat=np.asarray(d["visual"], dtype=np.float64),
-            )
+            ObjectNode(box=_box(d, path, lineno), label_dist=floats(d, "label_dist"),
+                       visual_feat=floats(d, "visual"))
             for d in _field(frame, "detections", path, lineno)
         ]
         triplets = [tuple(int(x) for x in t) for t in _field(frame, "triplets", path, lineno)]
@@ -143,10 +150,9 @@ def load_split(data_dir: str | Path, split: str) -> tuple[dict, list[SceneSequen
             sequences.append(sequence_from_json(record, path, lineno))
     if header is None:
         raise DataFormatError(f"{path}: empty file")
-    if header["count"] != len(sequences):
-        raise DataFormatError(
-            f"{path}: header count {header['count']} != {len(sequences)} sequences"
-        )
+    count = _field(header, "count", path, 1)
+    if count != len(sequences):
+        raise DataFormatError(f"{path}: header count {count} != {len(sequences)} sequences")
     return header, sequences
 
 
@@ -223,13 +229,14 @@ def write_train_log(path: str | Path, cfg: RunConfig, log: list[dict]) -> None:
 # predictions
 
 
-def frame_prediction_to_json(pred: FramePrediction, ranked: list[RankedTriplet],
+def frame_prediction_to_json(pred: FramePrediction, ranked: RankedFrame,
                              include_features: bool) -> dict:
     record = {
-        "boxes": pred.boxes.tolist(),
-        "labels": np.argmax(pred.label_dists, axis=1).tolist() if pred.n else [],
+        "boxes": ranked.boxes.tolist(),
+        "labels": ranked.labels.tolist(),
         "label_scores": np.max(pred.label_dists, axis=1).tolist() if pred.n else [],
-        "triplets": [[t.subj_idx, t.obj_idx, t.predicate, t.score] for t in ranked],
+        "triplets": [list(t) for t in zip(ranked.subj.tolist(), ranked.obj.tolist(),
+                                           ranked.predicate.tolist(), ranked.score.tolist())],
     }
     if include_features:
         record["label_dists"] = pred.label_dists.tolist()
@@ -238,24 +245,42 @@ def frame_prediction_to_json(pred: FramePrediction, ranked: list[RankedTriplet],
     return record
 
 
-def ranked_from_frame_json(frame: dict, path: Path, lineno: int) -> list[RankedTriplet]:
-    boxes = _field(frame, "boxes", path, lineno)
-    labels = _field(frame, "labels", path, lineno)
-    scores = _field(frame, "label_scores", path, lineno)
-    if len(labels) != len(boxes) or len(scores) != len(boxes):
-        raise DataFormatError(f"{path}:{lineno}: frame has {len(boxes)} boxes but "
+def _number_rows(value, width: int, what: str, path: Path, lineno: int) -> np.ndarray:
+    """A list of `width`-number rows (or of numbers, for width 1) as a
+    (rows, width) float64 array."""
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or not isinstance(value, list) or arr.size != len(value) * width:
+        raise DataFormatError(f"{path}:{lineno}: {what} must be a list of "
+                              f"{'numbers' if width == 1 else f'{width}-number rows'}")
+    return arr.reshape(len(value), width)
+
+
+def ranked_from_frame_json(frame: dict, path: Path, lineno: int) -> RankedFrame:
+    def rows(name: str, width: int) -> np.ndarray:
+        return _number_rows(_field(frame, name, path, lineno), width, name, path, lineno)
+
+    boxes, labels, scores = rows("boxes", 4), rows("labels", 1), rows("label_scores", 1)
+    n = len(boxes)
+    if len(labels) != n or len(scores) != n:
+        raise DataFormatError(f"{path}:{lineno}: frame has {n} boxes but "
                               f"{len(labels)} labels and {len(scores)} label scores")
-    out = []
-    for entry in _field(frame, "triplets", path, lineno):
-        i, j, p, score = int(entry[0]), int(entry[1]), int(entry[2]), float(entry[3])
-        if not (0 <= i < len(boxes) and 0 <= j < len(boxes)):
-            raise DataFormatError(f"{path}:{lineno}: triplet references node {max(i, j)} "
-                                  f"but frame has {len(boxes)} nodes")
-        out.append(RankedTriplet(
-            subj_idx=i, obj_idx=j, subj_label=int(labels[i]), obj_label=int(labels[j]),
-            predicate=p, score=score, subj_box=tuple(boxes[i]), obj_box=tuple(boxes[j]),
-        ))
-    return out
+    triplets = rows("triplets", 4)
+    subj, obj, predicate = triplets[:, :3].astype(np.intp).T
+    outside = (subj < 0) | (subj >= n) | (obj < 0) | (obj >= n)
+    if outside.any():
+        t = np.flatnonzero(outside)[0]
+        raise DataFormatError(f"{path}:{lineno}: triplet references node {max(subj[t], obj[t])} "
+                              f"but frame has {n} nodes")
+    if (subj == obj).any():
+        t = np.flatnonzero(subj == obj)[0]
+        raise DataFormatError(f"{path}:{lineno}: triplet {t} has subject and object "
+                              f"both node {subj[t]}")
+    if not np.isfinite(triplets[:, 3]).all():
+        raise DataFormatError(f"{path}:{lineno}: triplet scores must be finite")
+    return RankedFrame(subj, obj, predicate, triplets[:, 3], labels[:, 0].astype(np.intp), boxes)
 
 
 def write_predictions(path: str | Path, header: dict, records: list[dict]) -> None:

@@ -6,230 +6,235 @@ ordered pair; no-constraint keeps up to six. Mean recall and relation AP
 evaluate the per-frame list capped at 50 triplets; plain recall@K does not
 cap. Detection-protocol matching requires label equality and both boxes at
 IoU >= 0.5 (an IoU of exactly 0.5 counts).
+
+A frame's ranked list is one `RankedFrame` of arrays. `constrained_view` is
+the only constraint rule and `match_frame` the only matching rule: greedy
+matching in rank order makes the top-k matches a prefix, so recall@K and mean
+recall@K for every K read one pass, and since a triplet only consumes gt of
+its own predicate, the detection-style pass over the first 50 triplets holds
+every class's AP hit flags.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import Dims
 from .errors import ContractError
-from .scene import FrameRecord, GroundTruthObject
+from .scene import GroundTruthObject, pairwise_iou
 from .temporal import FramePrediction
 
 IOU_THRESHOLD = 0.5
 NO_CONSTRAINT_PER_PAIR = 6
 FRAME_TRIPLET_CAP = 50
+RECALL_KS = (10, 20, 50)
 
 
-def box_iou(a: np.ndarray, b: np.ndarray) -> float:
-    """IoU of two (x, y, w, h) arrays."""
-    ix = max(0.0, min(a[0] + a[2], b[0] + b[2]) - max(a[0], b[0]))
-    iy = max(0.0, min(a[1] + a[3], b[1] + b[3]) - max(a[1], b[1]))
-    inter = ix * iy
-    union = a[2] * a[3] + b[2] * b[3] - inter
-    return inter / union if union > 0 else 0.0
+@dataclass(frozen=True, eq=False)
+class RankedFrame:
+    """One frame's triplets in rank order, plus the per-node argmax labels and
+    boxes the matcher reads. `len()` counts triplets; indexing selects
+    triplets (a slice keeps a prefix) and keeps the nodes."""
+
+    subj: np.ndarray        # (T,) node indices
+    obj: np.ndarray         # (T,)
+    predicate: np.ndarray   # (T,)
+    score: np.ndarray       # (T,) float64
+    labels: np.ndarray      # (N,) argmax label per node
+    boxes: np.ndarray       # (N, 4) (x, y, w, h)
+
+    def __len__(self) -> int:
+        return len(self.score)
+
+    def __getitem__(self, rows) -> RankedFrame:
+        return RankedFrame(self.subj[rows], self.obj[rows], self.predicate[rows],
+                           self.score[rows], self.labels, self.boxes)
 
 
-@dataclass(frozen=True)
-class RankedTriplet:
-    subj_idx: int
-    obj_idx: int
-    subj_label: int
-    obj_label: int
-    predicate: int
-    score: float
-    subj_box: tuple[float, float, float, float]
-    obj_box: tuple[float, float, float, float]
-
-    def __post_init__(self):
-        if self.subj_idx == self.obj_idx:
-            raise ContractError("triplet: subject and object must differ")
-        if not math.isfinite(self.score):
-            raise ContractError("triplet: score must be finite")
-
-
-def rank_triplets(pred: FramePrediction, constraint: bool,
-                  per_pair_cap: int = NO_CONSTRAINT_PER_PAIR,
-                  frame_cap: int | None = None) -> list[RankedTriplet]:
+def rank_triplets(pred: FramePrediction, constraint: bool) -> RankedFrame:
     """Globally sorted triplet list for one frame; ties break on (i, j, h).
 
-    Without the constraint each ordered pair keeps its per_pair_cap most
-    probable predicates (ties to the lower index), sorted by (-score, i, j,
-    predicate). With it each pair keeps only its best-ranked triplet: the
-    list equals `constrained_view` of the unconstrained one.
+    Without the constraint each ordered pair keeps its NO_CONSTRAINT_PER_PAIR
+    most probable predicates (ties to the lower index), sorted by (-score, i,
+    j, predicate). With it the list is `constrained_view` of every pair's
+    predicates ranked the same way.
     """
     n = pred.n
+    labels = np.argmax(pred.label_dists, axis=1) if n else np.zeros(0, dtype=np.intp)
     if n < 2:
-        return []
-    labels = np.argmax(pred.label_dists, axis=1).tolist()
+        empty = np.zeros(0, dtype=np.intp)
+        return RankedFrame(empty, empty, empty, np.zeros(0), labels, pred.boxes)
     label_scores = np.max(pred.label_dists, axis=1)
     h = pred.relation_probs.shape[2]
-    keep = h if constraint else min(per_pair_cap, h)
+    keep = h if constraint else min(NO_CONSTRAINT_PER_PAIR, h)
     subj, obj = np.nonzero(~np.eye(n, dtype=bool))     # subject-major pair order
     probs = pred.relation_probs[subj, obj]
     kept = np.argsort(-probs, axis=1, kind="stable")[:, :keep]
     scores = ((label_scores[subj] * label_scores[obj])[:, None]
               * np.take_along_axis(probs, kept, axis=1)).ravel()
+    if not np.isfinite(scores).all():
+        raise ContractError("rank_triplets: triplet scores must be finite")
     subj, obj, kept = np.repeat(subj, keep), np.repeat(obj, keep), kept.ravel()
     order = np.lexsort((kept, obj, subj, -scores))
-    if constraint:
-        _, first = np.unique((subj * n + obj)[order], return_index=True)
-        order = order[np.sort(first)]
-    order = order[:frame_cap]
-    boxes = [tuple(b) for b in pred.boxes]
-    return [
-        RankedTriplet(subj_idx=i, obj_idx=j, subj_label=labels[i], obj_label=labels[j],
-                      predicate=p, score=score, subj_box=boxes[i], obj_box=boxes[j])
-        for i, j, p, score in zip(subj[order].tolist(), obj[order].tolist(),
-                                  kept[order].tolist(), scores[order].tolist())
-    ]
+    ranked = RankedFrame(subj[order], obj[order], kept[order], scores[order], labels,
+                         pred.boxes)
+    return constrained_view(ranked) if constraint else ranked
 
 
-def constrained_view(ranked: list[RankedTriplet]) -> list[RankedTriplet]:
-    """Best predicate per ordered pair, preserving global rank order."""
-    seen: set[tuple[int, int]] = set()
-    out = []
-    for t in ranked:
-        key = (t.subj_idx, t.obj_idx)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(t)
-    return out
+def constrained_view(ranked: RankedFrame) -> RankedFrame:
+    """The with-constraint list: the first triplet of each ordered pair, in
+    rank order."""
+    _, first = np.unique(ranked.subj * len(ranked.labels) + ranked.obj, return_index=True)
+    return ranked[np.sort(first)]
 
 
 @dataclass
 class FrameEval:
     """One frame's ranked predictions plus its ground truth."""
 
-    ranked: list[RankedTriplet]
+    ranked: RankedFrame
     gt_triplets: list[tuple[int, int, int]]
     gt_objects: list[GroundTruthObject]
 
 
-def build_frame_eval(pred: FramePrediction, frame: FrameRecord) -> FrameEval:
-    return FrameEval(
-        ranked=rank_triplets(pred, constraint=False),
-        gt_triplets=list(frame.triplets),
-        gt_objects=list(frame.objects),
-    )
-
-
-def _matches_gt(t: RankedTriplet, gi: int, gj: int, p: int,
-                objects: list[GroundTruthObject], mode: str) -> bool:
-    if t.predicate != p:
-        return False
-    subj, obj = objects[gi], objects[gj]
+def compatibility(ranked: RankedFrame, gt_triplets, gt_objects, mode: str) -> np.ndarray:
+    """(triplets, gt triplets) bool matrix: equal predicate and labels, plus
+    equal node indices in predcls/sgcls or both boxes at IoU >= IOU_THRESHOLD
+    in sgdet."""
+    if not len(ranked) or not gt_triplets:
+        return np.zeros((len(ranked), len(gt_triplets)), dtype=bool)
+    gi, gj, gp = np.asarray(gt_triplets).T
+    gt_labels = np.array([o.label for o in gt_objects])
+    subj, obj = ranked.subj[:, None], ranked.obj[:, None]
+    compatible = ((ranked.predicate[:, None] == gp)
+                  & (ranked.labels[subj] == gt_labels[gi])
+                  & (ranked.labels[obj] == gt_labels[gj]))
     if mode in ("predcls", "sgcls"):
-        return (t.subj_idx == gi and t.obj_idx == gj
-                and t.subj_label == subj.label and t.obj_label == obj.label)
-    return (t.subj_label == subj.label and t.obj_label == obj.label
-            and box_iou(np.asarray(t.subj_box), subj.box.as_array()) >= IOU_THRESHOLD
-            and box_iou(np.asarray(t.obj_box), obj.box.as_array()) >= IOU_THRESHOLD)
+        return compatible & (subj == gi) & (obj == gj)
+    overlaps = pairwise_iou(ranked.boxes, np.stack([o.box.as_array() for o in gt_objects]))
+    overlaps = overlaps >= IOU_THRESHOLD
+    return compatible & overlaps[subj, gi] & overlaps[obj, gj]
 
 
-def match_frame(ranked: list[RankedTriplet], gt_triplets, gt_objects, mode: str) -> set[int]:
-    """Greedy matching in rank order; each gt triplet is consumed at most once."""
-    matched: set[int] = set()
-    for t in ranked:
-        for gi, (i, j, p) in enumerate(gt_triplets):
-            if gi in matched:
-                continue
-            if _matches_gt(t, i, j, p, gt_objects, mode):
-                matched.add(gi)
-                break
-    return matched
+def match_frame(ranked: RankedFrame, gt_triplets, gt_objects, mode: str) -> np.ndarray:
+    """Greedy matching in rank order: for each triplet, the index of the gt
+    triplet it consumes (the lowest-index compatible one still free), or -1."""
+    compatible = compatibility(ranked, gt_triplets, gt_objects, mode)
+    taken = np.full(len(ranked), -1)
+    free = np.ones(len(gt_triplets), dtype=bool)
+    for t in np.flatnonzero(compatible.any(axis=1)):
+        hits = np.flatnonzero(compatible[t] & free)
+        if len(hits):
+            taken[t] = hits[0]
+            free[hits[0]] = False
+    return taken
 
 
-def recall_at_k(frames: list[FrameEval], k: int, mode: str,
-                constraint: bool) -> float:
-    """Fraction of gt triplets recovered in the top-k list, averaged over frames."""
-    recalls = []
-    for fe in frames:
-        if not fe.gt_triplets:
-            continue
-        ranked = constrained_view(fe.ranked) if constraint else fe.ranked
-        matched = match_frame(ranked[:k], fe.gt_triplets, fe.gt_objects, mode)
-        recalls.append(len(matched) / len(fe.gt_triplets))
+def _passes(frames: list[FrameEval], depth: int, mode: str, constraint: bool):
+    """Each frame's (constrained) list cut to `depth`, and its matching pass."""
+    lists = [(constrained_view(fe.ranked) if constraint else fe.ranked)[:depth]
+             for fe in frames]
+    return lists, [match_frame(r, fe.gt_triplets, fe.gt_objects, mode)
+                   for r, fe in zip(lists, frames)]
+
+
+def _recall(frames: list[FrameEval], taken: list[np.ndarray], k: int) -> float:
+    recalls = [np.count_nonzero(t[:k] >= 0) / len(fe.gt_triplets)
+               for fe, t in zip(frames, taken) if fe.gt_triplets]
     return float(np.mean(recalls)) if recalls else 0.0
 
 
-def mean_recall(frames: list[FrameEval], k: int, mode: str,
-                constraint: bool, frame_cap: int = FRAME_TRIPLET_CAP) -> float:
-    """Per-predicate recall@k macro-averaged over classes present in the gt."""
+def _mean_recall(frames: list[FrameEval], taken: list[np.ndarray], k: int) -> float:
     per_class: dict[int, list[float]] = {}
-    for fe in frames:
+    for fe, t in zip(frames, taken):
         if not fe.gt_triplets:
             continue
-        ranked = constrained_view(fe.ranked) if constraint else fe.ranked
-        ranked = ranked[:frame_cap]
-        matched = match_frame(ranked[:k], fe.gt_triplets, fe.gt_objects, mode)
-        classes = {p for (_, _, p) in fe.gt_triplets}
-        for c in classes:
-            total = sum(1 for (_, _, p) in fe.gt_triplets if p == c)
-            got = sum(1 for gi in matched if fe.gt_triplets[gi][2] == c)
+        gt_pred = np.array([p for (_, _, p) in fe.gt_triplets])
+        top = t[:min(k, FRAME_TRIPLET_CAP)]
+        matched_pred = gt_pred[top[top >= 0]]
+        for c in {p for (_, _, p) in fe.gt_triplets}:
+            total = np.count_nonzero(gt_pred == c)
+            got = np.count_nonzero(matched_pred == c)
             per_class.setdefault(c, []).append(got / total)
     if not per_class:
         return 0.0
     return float(np.mean([np.mean(v) for v in per_class.values()]))
 
 
-def average_precision_from_flags(flags: list[int], n_pos: int) -> float:
+def recall_at_k(frames: list[FrameEval], k: int, mode: str,
+                constraint: bool) -> float:
+    """Fraction of gt triplets recovered in the top-k list, averaged over frames."""
+    return _recall(frames, _passes(frames, k, mode, constraint)[1], k)
+
+
+def mean_recall(frames: list[FrameEval], k: int, mode: str, constraint: bool) -> float:
+    """Per-predicate recall@k (of the first FRAME_TRIPLET_CAP triplets)
+    macro-averaged over classes present in the gt."""
+    depth = min(k, FRAME_TRIPLET_CAP)
+    return _mean_recall(frames, _passes(frames, depth, mode, constraint)[1], k)
+
+
+def average_precision_from_flags(flags, n_pos: int) -> float:
     """Exact precision-envelope integration over the PR staircase."""
     if n_pos == 0:
         return 0.0
-    tp = np.cumsum(flags, dtype=np.float64)
-    fp = np.cumsum([1 - f for f in flags], dtype=np.float64)
+    flags = np.asarray(flags, dtype=np.float64)
+    tp = np.cumsum(flags)
+    fp = np.cumsum(1.0 - flags)
     recall = tp / n_pos
     precision = tp / np.maximum(tp + fp, 1e-12)
     mrec = np.concatenate([[0.0], recall, [1.0]])
-    mpre = np.concatenate([[0.0], precision, [0.0]])
-    for i in range(len(mpre) - 2, -1, -1):
-        mpre[i] = max(mpre[i], mpre[i + 1])
+    mpre = np.maximum.accumulate(np.concatenate([[0.0], precision, [0.0]])[::-1])[::-1]
     steps = np.nonzero(mrec[1:] != mrec[:-1])[0]
     return float(np.sum((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1]))
 
 
-def relation_map(frames: list[FrameEval], weighted: bool, constraint: bool = False,
-                 frame_cap: int = FRAME_TRIPLET_CAP) -> float:
-    """Per-predicate AP over the corpus-wide score-sorted list.
+def _detection_passes(frames: list[FrameEval], lists: list[RankedFrame],
+                      taken: list[np.ndarray] | None = None):
+    """Each frame's first FRAME_TRIPLET_CAP triplets in (-score, subject,
+    object) order, the order in which the corpus-wide AP list visits them,
+    and their detection-style pass. A list from `rank_triplets` is already in
+    that order; `taken`, an sgdet pass over `lists`, then serves unchanged."""
+    out_lists, out_taken = [], []
+    for i, (r, fe) in enumerate(zip(lists, frames)):
+        r = r[:FRAME_TRIPLET_CAP]
+        order = np.lexsort((r.obj, r.subj, -r.score))
+        if taken is not None and (order == np.arange(len(r))).all():
+            t = taken[i][:FRAME_TRIPLET_CAP]
+        else:
+            r = r[order]
+            t = match_frame(r, fe.gt_triplets, fe.gt_objects, "sgdet")
+        out_lists.append(r)
+        out_taken.append(t)
+    return out_lists, out_taken
 
-    Matching is always detection style (labels plus IoU on both boxes);
-    classes absent from the gt are excluded from the mean.
-    """
-    pooled: dict[int, list[tuple[float, int, RankedTriplet]]] = {}
+
+def _class_aps(frames: list[FrameEval], lists: list[RankedFrame],
+               taken: list[np.ndarray]) -> tuple[dict[int, float], dict[int, int]]:
+    """Per-predicate AP over the corpus-wide list sorted by (-score, frame,
+    subject, object), from `_detection_passes`; and the gt count per predicate.
+    A triplet only consumes gt of its own predicate, so a frame's pass holds
+    the hit flags of every class."""
     gt_count: dict[int, int] = {}
-    for fi, fe in enumerate(frames):
+    for fe in frames:
         for (_, _, p) in fe.gt_triplets:
             gt_count[p] = gt_count.get(p, 0) + 1
-        ranked = constrained_view(fe.ranked) if constraint else fe.ranked
-        for t in ranked[:frame_cap]:
-            pooled.setdefault(t.predicate, []).append((t.score, fi, t))
-
-    aps: dict[int, float] = {}
+    frame = np.repeat(np.arange(len(lists)), [len(r) for r in lists])
+    pred, score, subj, obj = (np.concatenate([getattr(r, name) for r in lists] or [[]])
+                              for name in ("predicate", "score", "subj", "obj"))
+    hit = np.concatenate(taken or [[]]) >= 0
+    order = np.lexsort((obj, subj, frame, -score, pred))
+    pred, hit = pred[order], hit[order]
+    aps = {}
     for c, n_pos in sorted(gt_count.items()):
-        entries = pooled.get(c, [])
-        entries.sort(key=lambda e: (-e[0], e[1], e[2].subj_idx, e[2].obj_idx))
-        used: dict[int, set[int]] = {}
-        flags = []
-        for score, fi, t in entries:
-            fe = frames[fi]
-            taken = used.setdefault(fi, set())
-            hit = 0
-            for gi, (i, j, p) in enumerate(fe.gt_triplets):
-                if p != c or gi in taken:
-                    continue
-                if _matches_gt(t, i, j, p, fe.gt_objects, "sgdet"):
-                    taken.add(gi)
-                    hit = 1
-                    break
-            flags.append(hit)
-        aps[c] = average_precision_from_flags(flags, n_pos)
+        lo, hi = np.searchsorted(pred, [c, c + 1])
+        aps[c] = average_precision_from_flags(hit[lo:hi], n_pos)
+    return aps, gt_count
 
+
+def _mean_ap(aps: dict[int, float], gt_count: dict[int, int], weighted: bool) -> float:
     if not aps:
         return 0.0
     if not weighted:
@@ -238,16 +243,31 @@ def relation_map(frames: list[FrameEval], weighted: bool, constraint: bool = Fal
     return float(sum(gt_count[c] / total * aps[c] for c in aps))
 
 
-def evaluate(frames: list[FrameEval], mode: str, constraint: bool,
-             ks: tuple[int, ...] = (10, 20, 50)) -> dict:
-    """Full metric report for one corpus under one protocol."""
+def relation_map(frames: list[FrameEval], weighted: bool, constraint: bool = False) -> float:
+    """Per-predicate AP over the corpus-wide score-sorted list.
+
+    Matching is always detection style (labels plus IoU on both boxes);
+    classes absent from the gt are excluded from the mean.
+    """
+    lists = [constrained_view(fe.ranked) if constraint else fe.ranked for fe in frames]
+    return _mean_ap(*_class_aps(frames, *_detection_passes(frames, lists)), weighted)
+
+
+def evaluate(frames: list[FrameEval], mode: str, constraint: bool) -> dict:
+    """Full metric report for one corpus under one protocol: one matching pass
+    per frame for recall and mean recall at every K, which in sgdet also
+    serves relation AP; predcls and sgcls add a detection-style pass."""
+    depth = max(max(RECALL_KS), FRAME_TRIPLET_CAP)
+    lists, taken = _passes(frames, depth, mode, constraint)
     report = {"mode": mode, "constraint": constraint}
-    for k in ks:
-        report[f"recall@{k}"] = recall_at_k(frames, k, mode, constraint)
-    for k in ks:
-        report[f"mean_recall@{k}"] = mean_recall(frames, k, mode, constraint)
-    report["map_rel"] = relation_map(frames, weighted=False, constraint=constraint)
-    report["wmap_rel"] = relation_map(frames, weighted=True, constraint=constraint)
+    for k in RECALL_KS:
+        report[f"recall@{k}"] = _recall(frames, taken, k)
+    for k in RECALL_KS:
+        report[f"mean_recall@{k}"] = _mean_recall(frames, taken, k)
+    det = _detection_passes(frames, lists, taken if mode == "sgdet" else None)
+    aps, gt_count = _class_aps(frames, *det)
+    report["map_rel"] = _mean_ap(aps, gt_count, weighted=False)
+    report["wmap_rel"] = _mean_ap(aps, gt_count, weighted=True)
     return report
 
 

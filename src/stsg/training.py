@@ -26,8 +26,8 @@ from .config import RunConfig
 from .errors import ContractError, TrainingError
 from .params import ModelParams
 from .rng import RngStream
-from .scene import FrameRecord, SceneSequence, pairwise_iou
-from .temporal import BatchOutput, FrameOutput, Packed, forward_batch, pack
+from .scene import FrameRecord, ObjectNode, SceneSequence, pairwise_iou
+from .temporal import BatchOutput, Packed, forward_batch, pack
 
 NEGATIVE_WEIGHT = 0.2  # no-relation terms down-weighted by a factor of 5
 IOU_MATCH = 0.5
@@ -54,18 +54,18 @@ def _match_to_gt(nodes, objects) -> np.ndarray:
     return np.where(ious[np.arange(len(nodes)), best] >= IOU_MATCH, best, -1)
 
 
-def relation_targets(frame: FrameRecord, output: FrameOutput, mode: str,
+def relation_targets(frame: FrameRecord, nodes: list[ObjectNode], mode: str,
                      h: int) -> tuple[np.ndarray, np.ndarray, dict[int, int]]:
     """Positive/negative flat indices into the (N, N, H) grid plus node->gt map.
 
     Index-aligned in predcls/sgcls; sgdet matches each node to its highest-IoU
     gt object at the 0.5 threshold before transferring triplets.
     """
-    n = output.n
+    n = len(nodes)
     if mode in ("predcls", "sgcls"):
         gt = np.arange(n)
     else:
-        gt = _match_to_gt(output.nodes, frame.objects)
+        gt = _match_to_gt(nodes, frame.objects)
     node_to_gt = {i: int(g) for i, g in enumerate(gt) if g >= 0}
 
     n_obj = len(frame.objects)
@@ -228,7 +228,7 @@ def loss_targets(sequence: SceneSequence, packed: Packed, h: int) -> Targets:
             n_prev = 0
             continue
         frames += 1
-        pos, neg, node_map = relation_targets(frame, FrameOutput(nodes=nodes), packed.mode, h)
+        pos, neg, node_map = relation_targets(frame, nodes, packed.mode, h)
         positive = np.zeros((n, n, h), dtype=bool)
         positive.reshape(-1)[pos] = True
         weight = np.zeros((n, n, h))

@@ -7,7 +7,7 @@ true maximum.
 
 import numpy as np
 
-from stsg.metrics import FrameEval, _matches_gt, rank_triplets
+from stsg.metrics import FrameEval, compatibility, constrained_view, rank_triplets
 from stsg.scene import BoundingBox, GroundTruthObject
 from stsg.temporal import FramePrediction
 
@@ -75,11 +75,8 @@ def three_frame_fixture() -> list[FrameEval]:
 
 def exhaustive_max_matches(ranked, gt_triplets, gt_objects, mode) -> int:
     """Maximum number of gt triplets coverable by an injective assignment."""
-    compatible = []
-    for t in ranked:
-        row = [gi for gi, (i, j, p) in enumerate(gt_triplets)
-               if _matches_gt(t, i, j, p, gt_objects, mode)]
-        compatible.append(row)
+    compatible = [np.flatnonzero(row).tolist()
+                  for row in compatibility(ranked, gt_triplets, gt_objects, mode)]
 
     best = 0
 
@@ -100,8 +97,6 @@ def exhaustive_max_matches(ranked, gt_triplets, gt_objects, mode) -> int:
 
 
 def exhaustive_recall_at_k(frames, k, mode, constraint) -> float:
-    from stsg.metrics import constrained_view
-
     vals = []
     for fe in frames:
         if not fe.gt_triplets:

@@ -256,13 +256,6 @@ def test_shape_errors_name_op_and_shapes():
         ad.add(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))))
 
 
-def test_primitive_dispatch():
-    out = ad.primitive("relu", Tensor([-1.0, 1.0]))
-    np.testing.assert_array_equal(out.data, [0.0, 1.0])
-    with pytest.raises(ContractError):
-        ad.primitive("fft", Tensor([1.0]))
-
-
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=20, deadline=None)
 def test_tensor_roundtrip_preserves_values(seed):

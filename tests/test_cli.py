@@ -343,36 +343,97 @@ def test_malformed_checkpoint_is_an_error(tmp_path, checkpoint_path, dataset_dir
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def _corrupt_first_prediction(preds, edit) -> None:
+    """Apply `edit` to the first frame with triplets of a predictions file."""
+    lines = preds.read_text().splitlines()
+    record = json.loads(lines[1])
+    edit(next(f for f in record["frames"] if f["triplets"]))
+    lines[1] = json.dumps(record)
+    preds.write_text("\n".join(lines) + "\n")
+
+
 @pytest.mark.parametrize("field", ["labels", "label_scores"])
 def test_prediction_frame_with_short_label_list_is_an_error(tmp_path, checkpoint_path,
                                                             dataset_dir, capsys, field):
     preds = tmp_path / "p.jsonl"
     assert main(["infer", "--ckpt", str(checkpoint_path), "--data", str(dataset_dir),
                  "--split", "val", "--mode", "sgdet", "--out", str(preds)]) == 0
-    lines = preds.read_text().splitlines()
-    record = json.loads(lines[1])
-    frame = next(f for f in record["frames"] if f["triplets"])
-    frame[field] = frame[field][:-1]
-    lines[1] = json.dumps(record)
-    preds.write_text("\n".join(lines) + "\n")
+    _corrupt_first_prediction(preds, lambda frame: frame.update({field: frame[field][:-1]}))
     capsys.readouterr()
     assert main(["eval", "--preds", str(preds), "--data", str(dataset_dir),
                  "--split", "val"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_shape_error_is_an_error(tmp_path, dataset_dir, capsys):
-    # a visual feature that is not a vector fails node encoding with ShapeError
+def _set_self_pair(frame):
+    frame["triplets"][0][1] = frame["triplets"][0][0]
+
+
+def _set_nan_score(frame):
+    frame["triplets"][0][3] = float("nan")
+
+
+@pytest.mark.parametrize("edit", [_set_self_pair, _set_nan_score], ids=["self-pair", "nan-score"])
+def test_malformed_prediction_triplet_is_an_error(tmp_path, checkpoint_path, dataset_dir,
+                                                  capsys, edit):
+    preds = tmp_path / "p.jsonl"
+    assert main(["infer", "--ckpt", str(checkpoint_path), "--data", str(dataset_dir),
+                 "--split", "val", "--mode", "sgdet", "--out", str(preds)]) == 0
+    _corrupt_first_prediction(preds, edit)
+    capsys.readouterr()
+    assert main(["eval", "--preds", str(preds), "--data", str(dataset_dir),
+                 "--split", "val"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def _edited_train_split(tmp_path, dataset_dir, lineno, edit):
+    """A copy of the train split whose JSON line `lineno` (0 = header) went
+    through `edit`."""
     data = tmp_path / "ds"
     data.mkdir()
     lines = (dataset_dir / "train.jsonl").read_text().splitlines()
-    record = json.loads(lines[1])
-    detection = record["frames"][0]["detections"][0]
-    detection["visual"] = [detection["visual"]]
-    lines[1] = json.dumps(record)
+    record = json.loads(lines[lineno])
+    edit(record)
+    lines[lineno] = json.dumps(record)
     (data / "train.jsonl").write_text("\n".join(lines) + "\n")
-    assert main(["train", "--data", str(data), "--out", str(tmp_path / "m.json"),
-                 "--no-val"]) == 1
+    return data
+
+
+def _train(data, tmp_path) -> int:
+    return main(["train", "--data", str(data), "--out", str(tmp_path / "m.json"), "--no-val"])
+
+
+def test_dataset_header_without_count_is_an_error(tmp_path, dataset_dir, capsys):
+    data = _edited_train_split(tmp_path, dataset_dir, 0, lambda header: header.pop("count"))
+    assert _train(data, tmp_path) == 1
+    assert "missing field 'count'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("box", [None, [0.1, 0.1, 0.2], "0.1 0.1 0.2 0.2"],
+                         ids=["missing", "three-numbers", "string"])
+def test_malformed_dataset_box_is_an_error(tmp_path, dataset_dir, capsys, box):
+    def edit(record):
+        detection = record["frames"][0]["detections"][0]
+        if box is None:
+            del detection["box"]
+        else:
+            detection["box"] = box
+
+    data = _edited_train_split(tmp_path, dataset_dir, 1, edit)
+    capsys.readouterr()
+    assert _train(data, tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "train.jsonl:2" in err and "'box'" in err
+
+
+def test_shape_error_is_an_error(tmp_path, dataset_dir, capsys):
+    # a visual feature that is not a vector fails node encoding with ShapeError
+    def edit(record):
+        detection = record["frames"][0]["detections"][0]
+        detection["visual"] = [detection["visual"]]
+
+    data = _edited_train_split(tmp_path, dataset_dir, 1, edit)
+    assert _train(data, tmp_path) == 1
     assert "error: encode_node" in capsys.readouterr().err
 
 

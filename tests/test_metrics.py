@@ -1,24 +1,33 @@
 import numpy as np
 import pytest
 
-from fixtures import exhaustive_recall_at_k, three_frame_fixture, _pred, _gt, G, H
+from fixtures import (G, H, _gt, _pred, exhaustive_max_matches, exhaustive_recall_at_k,
+                      three_frame_fixture)
 from stsg.config import Dims
 from stsg.errors import ContractError
 from stsg.metrics import (
-    EfficiencyReport,
+    FRAME_TRIPLET_CAP,
+    NO_CONSTRAINT_PER_PAIR,
+    RECALL_KS,
     FrameEval,
-    RankedTriplet,
     average_precision_from_flags,
-    box_iou,
     constrained_view,
     count_params_flops,
     evaluate,
+    match_frame,
     mean_recall,
     rank_triplets,
     recall_at_k,
     relation_map,
 )
 from stsg.rng import RngStream
+from stsg.scene import pairwise_iou
+
+
+def rows(ranked):
+    """(subject, object, predicate, score) of each ranked triplet, in order."""
+    return list(zip(ranked.subj.tolist(), ranked.obj.tolist(), ranked.predicate.tolist(),
+                    ranked.score.tolist()))
 
 
 def random_frame_eval(rng, n=3, n_gt=2):
@@ -46,7 +55,7 @@ def random_frame_eval(rng, n=3, n_gt=2):
 
 def test_constraint_keeps_one_predicate_per_pair():
     fe = three_frame_fixture()[0]
-    pairs = [(t.subj_idx, t.obj_idx) for t in constrained_view(fe.ranked)]
+    pairs = [(i, j) for i, j, _, _ in rows(constrained_view(fe.ranked))]
     assert len(pairs) == len(set(pairs))
 
 
@@ -58,7 +67,7 @@ def test_no_constraint_keeps_at_most_six_per_pair():
     ranked = rank_triplets(pred, constraint=False)
     from collections import Counter
 
-    counts = Counter((t.subj_idx, t.obj_idx) for t in ranked)
+    counts = Counter((i, j) for i, j, _, _ in rows(ranked))
     assert max(counts.values()) <= 6
 
 
@@ -68,7 +77,7 @@ def test_ranking_matches_hand_sort():
     rel[1, 0] = [0.2, 0.8, 0.3]
     pred = _pred([[0.1, 0.1, 0.2, 0.2], [0.5, 0.5, 0.2, 0.2]], [0, 1], [1.0, 0.5], rel)
     ranked = rank_triplets(pred, constraint=False)
-    got = [(t.subj_idx, t.obj_idx, t.predicate, t.score) for t in ranked]
+    got = rows(ranked)
     want = [(0, 1, 0, 0.45), (1, 0, 1, 0.4), (0, 1, 2, 0.25), (1, 0, 2, 0.15),
             (1, 0, 0, 0.1), (0, 1, 1, 0.05)]
     for (gi, gj, gp, gs), (wi, wj, wp, ws) in zip(got, want):
@@ -76,7 +85,7 @@ def test_ranking_matches_hand_sort():
         assert abs(gs - ws) < 1e-12
 
 
-def loop_rank_triplets(pred, per_pair_cap=6):
+def loop_rank_triplets(pred):
     """Per-pair reference for the unconstrained `rank_triplets`."""
     labels = np.argmax(pred.label_dists, axis=1)
     label_scores = np.max(pred.label_dists, axis=1)
@@ -87,7 +96,7 @@ def loop_rank_triplets(pred, per_pair_cap=6):
             if i == j:
                 continue
             pair = pred.relation_probs[i, j]
-            for p in np.lexsort((np.arange(h), -pair))[:min(per_pair_cap, h)]:
+            for p in np.lexsort((np.arange(h), -pair))[:min(NO_CONSTRAINT_PER_PAIR, h)]:
                 out.append((i, j, int(labels[i]), int(labels[j]), int(p),
                             float(label_scores[i] * label_scores[j] * pair[p])))
     return sorted(out, key=lambda t: (-t[5], t[0], t[1], t[4]))
@@ -105,8 +114,9 @@ def test_ranking_matches_loop_reference():
         boxes = [[0.1 * i, 0.1 * i, 0.2, 0.2] for i in range(n)]
         pred = _pred(boxes, [rng.integer(G) for _ in range(n)],
                      [rng.uniform(0.3, 1.0) for _ in range(n)], rel)
-        got = [(t.subj_idx, t.obj_idx, t.subj_label, t.obj_label, t.predicate, t.score)
-               for t in rank_triplets(pred, constraint=False)]
+        ranked = rank_triplets(pred, constraint=False)
+        labels = ranked.labels.tolist()
+        got = [(i, j, labels[i], labels[j], p, s) for i, j, p, s in rows(ranked)]
         assert got == loop_rank_triplets(pred)
 
 
@@ -123,16 +133,19 @@ def test_constraint_ranking_equals_constrained_view():
         boxes = [[0.1 * i, 0.1 * i, 0.2, 0.2] for i in range(n)]
         pred = _pred(boxes, [rng.integer(G) for _ in range(n)],
                      [rng.uniform(0.3, 1.0) for _ in range(n)], rel)
-        want = constrained_view(rank_triplets(pred, constraint=False, per_pair_cap=h))
+        # h <= 6: the unconstrained list keeps every predicate of a pair
+        want = constrained_view(rank_triplets(pred, constraint=False))
         got = rank_triplets(pred, constraint=True)
-        assert [(t.subj_idx, t.obj_idx, t.predicate, t.score) for t in got] == \
-            [(t.subj_idx, t.obj_idx, t.predicate, t.score) for t in want]
-        assert rank_triplets(pred, constraint=True, frame_cap=3) == got[:3]
+        assert rows(got) == rows(want)
+        assert rows(got[:3]) == rows(got)[:3] and len(got[:3]) == min(3, len(got))
 
 
-def test_triplet_requires_distinct_endpoints():
-    with pytest.raises(ContractError):
-        RankedTriplet(0, 0, 1, 1, 0, 0.5, (0, 0, 1, 1), (0, 0, 1, 1))
+def test_ranking_rejects_non_finite_scores():
+    rel = np.zeros((2, 2, H))
+    rel[0, 1, 0] = np.nan
+    pred = _pred([[0.1, 0.1, 0.2, 0.2], [0.5, 0.5, 0.2, 0.2]], [0, 1], [1.0, 1.0], rel)
+    with pytest.raises(ContractError, match="finite"):
+        rank_triplets(pred, constraint=False)
 
 
 # ---------------------------------------------------------------------------
@@ -153,9 +166,10 @@ def test_recall_half_retrieval():
 
 def test_sgdet_iou_edge_counts_as_match():
     frames = three_frame_fixture()
-    subj = np.array(frames[1].ranked[0].subj_box)
+    ranked = frames[1].ranked
+    subj = ranked.boxes[ranked.subj[0]]
     gt_box = frames[1].gt_objects[0].box.as_array()
-    assert box_iou(subj, gt_box) == 0.5
+    assert pairwise_iou(subj[None], gt_box[None])[0, 0] == 0.5
     assert recall_at_k(frames[1:2], 10, "sgdet", constraint=False) == 1.0
 
 
@@ -266,6 +280,181 @@ def test_evaluate_report_shape():
     report = evaluate(three_frame_fixture(), "sgdet", constraint=True)
     for key in ("recall@10", "recall@20", "recall@50", "mean_recall@20", "map_rel", "wmap_rel"):
         assert key in report
+
+
+def scalar_iou(a, b):
+    ix = max(0.0, min(a[0] + a[2], b[0] + b[2]) - max(a[0], b[0]))
+    iy = max(0.0, min(a[1] + a[3], b[1] + b[3]) - max(a[1], b[1]))
+    inter = ix * iy
+    union = a[2] * a[3] + b[2] * b[3] - inter
+    return inter / union if union > 0 else 0.0
+
+
+def loop_compatible(t, gt, gt_objects, mode):
+    i, j, p, _, li, lj, bi, bj = t
+    gi, gj, gp = gt
+    if p != gp or li != gt_objects[gi].label or lj != gt_objects[gj].label:
+        return False
+    if mode in ("predcls", "sgcls"):
+        return (i, j) == (gi, gj)
+    return (scalar_iou(bi, gt_objects[gi].box.as_array()) >= 0.5
+            and scalar_iou(bj, gt_objects[gj].box.as_array()) >= 0.5)
+
+
+def loop_match(triplets, gt_triplets, gt_objects, mode):
+    matched = set()
+    for t in triplets:
+        for g, gt in enumerate(gt_triplets):
+            if g not in matched and loop_compatible(t, gt, gt_objects, mode):
+                matched.add(g)
+                break
+    return matched
+
+
+def loop_average_precision(flags, n_pos):
+    if n_pos == 0:
+        return 0.0
+    tp = np.cumsum(flags, dtype=np.float64)
+    fp = np.cumsum([1 - f for f in flags], dtype=np.float64)
+    mrec = np.concatenate([[0.0], tp / n_pos, [1.0]])
+    mpre = np.concatenate([[0.0], tp / np.maximum(tp + fp, 1e-12), [0.0]])
+    for i in range(len(mpre) - 2, -1, -1):
+        mpre[i] = max(mpre[i], mpre[i + 1])
+    steps = np.nonzero(mrec[1:] != mrec[:-1])[0]
+    return float(np.sum((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1]))
+
+
+def loop_evaluate(frames, mode, constraint):
+    """Per-triplet reference for `evaluate`: every metric from its own greedy
+    loops, relation AP over the corpus list sorted by (-score, frame, i, j)."""
+    lists = []
+    for fe in frames:
+        ranked = constrained_view(fe.ranked) if constraint else fe.ranked
+        labels, boxes = ranked.labels.tolist(), ranked.boxes.tolist()
+        lists.append([(i, j, p, s, labels[i], labels[j], boxes[i], boxes[j])
+                      for i, j, p, s in rows(ranked)])
+    scored = [(tl, fe) for tl, fe in zip(lists, frames) if fe.gt_triplets]
+    report = {"mode": mode, "constraint": constraint}
+    for k in RECALL_KS:
+        vals = [len(loop_match(tl[:k], fe.gt_triplets, fe.gt_objects, mode)) / len(fe.gt_triplets)
+                for tl, fe in scored]
+        report[f"recall@{k}"] = float(np.mean(vals)) if vals else 0.0
+    for k in RECALL_KS:
+        per_class = {}
+        for tl, fe in scored:
+            matched = loop_match(tl[:FRAME_TRIPLET_CAP][:k], fe.gt_triplets, fe.gt_objects, mode)
+            for c in {p for (_, _, p) in fe.gt_triplets}:
+                total = sum(1 for (_, _, p) in fe.gt_triplets if p == c)
+                got = sum(1 for g in matched if fe.gt_triplets[g][2] == c)
+                per_class.setdefault(c, []).append(got / total)
+        report[f"mean_recall@{k}"] = \
+            float(np.mean([np.mean(v) for v in per_class.values()])) if per_class else 0.0
+    pooled, gt_count = {}, {}
+    for fi, (tl, fe) in enumerate(zip(lists, frames)):
+        for (_, _, p) in fe.gt_triplets:
+            gt_count[p] = gt_count.get(p, 0) + 1
+        for t in tl[:FRAME_TRIPLET_CAP]:
+            pooled.setdefault(t[2], []).append((fi, t))
+    aps = {}
+    for c, n_pos in sorted(gt_count.items()):
+        used, flags = {}, []
+        for fi, t in sorted(pooled.get(c, []), key=lambda e: (-e[1][3], e[0], e[1][0], e[1][1])):
+            fe, taken, hit = frames[fi], used.setdefault(fi, set()), 0
+            for g, gt in enumerate(fe.gt_triplets):
+                if g not in taken and loop_compatible(t, gt, fe.gt_objects, "sgdet"):
+                    taken.add(g)
+                    hit = 1
+                    break
+            flags.append(hit)
+        aps[c] = loop_average_precision(flags, n_pos)
+    total = sum(gt_count.values())
+    report["map_rel"] = float(np.mean(list(aps.values()))) if aps else 0.0
+    report["wmap_rel"] = float(sum(gt_count[c] / total * aps[c] for c in aps)) if aps else 0.0
+    return report
+
+
+def random_corpus(rng, shuffle: bool):
+    """Frames of 1-4 gt objects from a small pool of boxes and labels (so
+    objects may coincide) and 0-5 detections, each a copy of a random object
+    (so several may match one object) with a jittered box and at times a
+    wrong label. Every other frame has label scores 1 and probabilities on a
+    0.1 grid, which ties scores within and across frames; with `shuffle` the
+    triplets are out of rank order, as a hand-written prediction file may be."""
+    frames = []
+    for f in range(6):
+        gt_objects = []
+        for _ in range(1 + rng.integer(4)):
+            w = 0.125 * (1 + rng.integer(2))
+            gt_objects.append(_gt(0.125 * rng.integer(2), 0.125 * rng.integer(2), w, w,
+                                  rng.integer(2)))
+        n, boxes, labels = rng.integer(6), [], []
+        for _ in range(n):
+            o = gt_objects[rng.integer(len(gt_objects))]
+            boxes.append([o.box.x + 0.0625 * rng.integer(2), o.box.y, o.box.w, o.box.h])
+            labels.append(o.label if rng.uniform() < 0.8 else rng.integer(G))
+        rel = rng.uniform_array((n, n, H), 0.0, 1.0)
+        label_scores = [rng.uniform(0.3, 1.0) for _ in range(n)]
+        if f % 2:
+            rel, label_scores = np.round(rel, 1), [1.0] * n
+        ranked = rank_triplets(_pred(boxes, labels, label_scores, rel), constraint=False)
+        if shuffle:
+            ranked = ranked[np.argsort([rng.uniform() for _ in range(len(ranked))])]
+        m = len(gt_objects)
+        triplets = {(rng.integer(m), rng.integer(m), rng.integer(H)) for _ in range(2 * m)}
+        frames.append(FrameEval(ranked, sorted(t for t in triplets if t[0] != t[1]), gt_objects))
+    return frames
+
+
+@pytest.mark.parametrize("shuffle", [False, True], ids=["rank-order", "shuffled"])
+def test_evaluate_matches_loop_reference(shuffle):
+    rng = RngStream(63)
+    for trial in range(40):
+        frames = random_corpus(rng.split(trial), shuffle)
+        for mode in ("predcls", "sgcls", "sgdet"):
+            for constraint in (False, True):
+                report = evaluate(frames, mode, constraint)
+                assert report == loop_evaluate(frames, mode, constraint), (trial, mode)
+                for k in RECALL_KS:
+                    assert report[f"recall@{k}"] == recall_at_k(frames, k, mode, constraint)
+                    assert report[f"mean_recall@{k}"] == mean_recall(frames, k, mode, constraint)
+                assert report["map_rel"] == relation_map(frames, False, constraint)
+                assert report["wmap_rel"] == relation_map(frames, True, constraint)
+
+
+def test_greedy_matches_form_a_prefix():
+    rng = RngStream(64)
+    for trial in range(40):
+        for fe in random_corpus(rng.split(trial), shuffle=trial % 2 == 1):
+            for mode in ("predcls", "sgdet"):
+                full = match_frame(fe.ranked, fe.gt_triplets, fe.gt_objects, mode)
+                for k in (0, 1, 5, 20):
+                    np.testing.assert_array_equal(
+                        match_frame(fe.ranked[:k], fe.gt_triplets, fe.gt_objects, mode), full[:k])
+
+
+def test_greedy_consumes_the_lowest_free_gt_index():
+    # detection 0 overlaps both gt subjects at IoU 0.6, detection 1 only the
+    # first (IoU 1 and 1/3); the top triplet takes gt 0, which leaves the
+    # second triplet nothing although an assignment covering both exists
+    gt_objects = [_gt(0.0, 0.0, 0.25, 0.25, 1), _gt(0.125, 0.0, 0.25, 0.25, 1),
+                  _gt(0.5, 0.5, 0.25, 0.25, 2)]
+    rel = np.zeros((3, 3, H))
+    rel[0, 2, 0], rel[1, 2, 0] = 0.9, 0.8
+    pred = _pred([[0.0625, 0.0, 0.25, 0.25], [0.0, 0.0, 0.25, 0.25], [0.5, 0.5, 0.25, 0.25]],
+                 [1, 1, 2], [1.0, 1.0, 1.0], rel)
+    ranked = rank_triplets(pred, constraint=True)
+    gt = [(0, 2, 0), (1, 2, 0)]
+    assert rows(ranked)[:2] == [(0, 2, 0, 0.9), (1, 2, 0, 0.8)]
+    assert match_frame(ranked, gt, gt_objects, "sgdet")[:2].tolist() == [0, -1]
+    assert exhaustive_max_matches(ranked[:2], gt, gt_objects, "sgdet") == 2
+
+
+def test_ap_envelope_matches_loop_reference():
+    rng = RngStream(65)
+    for _ in range(200):
+        flags = [int(rng.uniform() < 0.4) for _ in range(rng.integer(12))]
+        n_pos = sum(flags) + rng.integer(3)
+        assert average_precision_from_flags(flags, n_pos) == loop_average_precision(flags, n_pos)
 
 
 # ---------------------------------------------------------------------------

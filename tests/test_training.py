@@ -17,7 +17,6 @@ from stsg.synthgen import generate_scene, generate_split
 from stsg.scene import iou
 from stsg.spatial import pair_grid
 from stsg.temporal import (
-    FrameOutput,
     forward_batch,
     forward_sequence,
     frame_outputs,
@@ -132,7 +131,7 @@ def test_sgdet_targets_use_iou_matching(dims, params):
     seq = random_sequence(RngStream(42), dims, n_frames=1)
     frame = seq.frames[0]
     outs = forward_sequence(seq, params, "sgdet", "sparse", 1)
-    pos, neg, node_map = relation_targets(frame, outs[0], "sgdet", dims.h)
+    pos, neg, node_map = relation_targets(frame, outs[0].nodes, "sgdet", dims.h)
     # conftest detections copy gt boxes, so every node matches its own gt
     assert node_map == {i: i for i in range(len(frame.objects))}
     assert len(pos) == len(frame.triplets)
@@ -140,14 +139,14 @@ def test_sgdet_targets_use_iou_matching(dims, params):
     assert len(pos) + len(neg) == (n * n - n) * dims.h
 
 
-def loop_relation_targets(frame, output, mode, h):
+def loop_relation_targets(frame, nodes, mode, h):
     """Per-node, per-pair reference for `relation_targets`."""
-    n = output.n
+    n = len(nodes)
     if mode in ("predcls", "sgcls"):
         node_to_gt = {i: i for i in range(n)}
     else:
         node_to_gt = {}
-        for i, node in enumerate(output.nodes):
+        for i, node in enumerate(nodes):
             best, best_iou = -1, 0.0
             for gi, obj in enumerate(frame.objects):
                 v = iou(node.box, obj.box)
@@ -173,9 +172,9 @@ def test_relation_targets_match_loop_reference(dims):
         seq = generate_scene(dims, world, 500 + seed)
         for frame in seq.frames:
             for mode in ("predcls", "sgcls", "sgdet"):
-                out = FrameOutput(nodes=nodes_for_mode(frame, mode, dims.g))
-                pos, neg, node_map = relation_targets(frame, out, mode, dims.h)
-                want_pos, want_neg, want_map = loop_relation_targets(frame, out, mode, dims.h)
+                nodes = nodes_for_mode(frame, mode, dims.g)
+                pos, neg, node_map = relation_targets(frame, nodes, mode, dims.h)
+                want_pos, want_neg, want_map = loop_relation_targets(frame, nodes, mode, dims.h)
                 assert np.array_equal(pos, want_pos) and np.array_equal(neg, want_neg)
                 assert node_map == want_map
                 checked += 1
@@ -495,7 +494,7 @@ def reference_sequence_loss(sequence, params, mode, variant, k, lambda_node, lam
         n = fo.n
         if n == 0:
             continue
-        pos, neg, node_map = relation_targets(frame, fo, mode, h)
+        pos, neg, node_map = relation_targets(frame, fo.nodes, mode, h)
         logits = pair_grid(out.relation_logits.data[pair_start:pair_start + n * (n - 1)], n)
         term = relation_loss_from_logits(Tensor(logits), pos, neg)[0].item()
         if mode != "predcls":
