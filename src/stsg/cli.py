@@ -192,14 +192,18 @@ def _frames_from_prediction_file(preds_path: str, sequences) -> list[FrameEval]:
         )
     frames: list[FrameEval] = []
     for lineno, (record, seq) in enumerate(zip(records, sequences), start=2):
-        if int(record.get("seq_seed", -1)) != seq.seed:
+        seed = io._field(record, "seq_seed", path, lineno)
+        if type(seed) is not int:
+            raise DataFormatError(f"{path}:{lineno}: field 'seq_seed' must be an integer, "
+                                  f"got {seed!r}")
+        if seed != seq.seed:
             raise DataFormatError(
-                f"{path}:{lineno}: sequence seed {record.get('seq_seed')} does not match "
-                f"dataset seed {seq.seed}"
+                f"{path}:{lineno}: sequence seed {seed} does not match dataset seed {seq.seed}"
             )
         frame_records = io._field(record, "frames", path, lineno)
-        if len(frame_records) != len(seq.frames):
-            raise DataFormatError(f"{path}:{lineno}: frame count mismatch")
+        if not isinstance(frame_records, list) or len(frame_records) != len(seq.frames):
+            raise DataFormatError(f"{path}:{lineno}: field 'frames' must list the sequence's "
+                                  f"{len(seq.frames)} frames")
         for fr, frame in zip(frame_records, seq.frames):
             frames.append(FrameEval(io.ranked_from_frame_json(fr, path, lineno),
                                     list(frame.triplets), list(frame.objects)))

@@ -18,7 +18,7 @@ from .config import RunConfig, parse_config_items
 from .errors import DataFormatError
 from .metrics import RankedFrame
 from .params import ModelParams
-from .scene import BoundingBox, FrameRecord, GroundTruthObject, ObjectNode, SceneSequence
+from .scene import BoundingBox, FrameRecord, GroundTruthObject, SceneSequence, object_nodes
 from .temporal import FramePrediction
 
 SPLITS = ("train", "val", "test")
@@ -40,6 +40,9 @@ def _loads(path: Path, lineno: int, line: str) -> dict:
 
 
 def _field(record: dict, name: str, path: Path, lineno: int):
+    if not isinstance(record, dict):
+        raise DataFormatError(f"{path}:{lineno}: expected a JSON object with field {name!r}, "
+                              f"got {type(record).__name__}")
     if name not in record:
         raise DataFormatError(f"{path}:{lineno}: missing field {name!r}")
     return record[name]
@@ -81,9 +84,12 @@ def sequence_to_json(seq: SceneSequence) -> dict:
     }
 
 
+_NUMBER_TYPES = frozenset((int, float))
+
+
 def _box(record: dict, path: Path, lineno: int) -> BoundingBox:
     box = _field(record, "box", path, lineno)
-    if not (isinstance(box, list) and len(box) == 4 and all(type(v) in (int, float) for v in box)):
+    if not (isinstance(box, list) and len(box) == 4 and _NUMBER_TYPES.issuperset(map(type, box))):
         raise DataFormatError(f"{path}:{lineno}: field 'box' must be 4 numbers, got {box!r}")
     return BoundingBox(*box)
 
@@ -105,12 +111,11 @@ def sequence_from_json(record: dict, path: Path, lineno: int) -> SceneSequence:
             )
             for o in _field(frame, "objects", path, lineno)
         ]
-        detections = [
-            ObjectNode(box=_box(d, path, lineno), label_dist=floats(d, "label_dist"),
-                       visual_feat=floats(d, "visual"))
-            for d in _field(frame, "detections", path, lineno)
-        ]
-        triplets = [tuple(int(x) for x in t) for t in _field(frame, "triplets", path, lineno)]
+        dets = _field(frame, "detections", path, lineno)
+        detections = object_nodes([_box(d, path, lineno) for d in dets],
+                                  [_field(d, "label_dist", path, lineno) for d in dets],
+                                  [_field(d, "visual", path, lineno) for d in dets])
+        triplets = [tuple(map(int, t)) for t in _field(frame, "triplets", path, lineno)]
         frames.append(FrameRecord(objects=objects, triplets=triplets, detections=detections))
     return SceneSequence(
         frames=frames,
@@ -143,7 +148,7 @@ def load_split(data_dir: str | Path, split: str) -> tuple[dict, list[SceneSequen
                 continue
             record = _loads(path, lineno, line)
             if lineno == 1:
-                if record.get("kind") != "dataset-header":
+                if not isinstance(record, dict) or record.get("kind") != "dataset-header":
                     raise DataFormatError(f"{path}:1: missing dataset header record")
                 header = record
                 continue
@@ -302,7 +307,7 @@ def load_predictions(path: str | Path) -> tuple[dict, list[dict]]:
                 continue
             record = _loads(path, lineno, line)
             if lineno == 1:
-                if record.get("kind") != "predictions-header":
+                if not isinstance(record, dict) or record.get("kind") != "predictions-header":
                     raise DataFormatError(f"{path}:1: missing predictions header record")
                 header = record
                 continue

@@ -59,17 +59,28 @@ def overlap_fraction(inner: BoundingBox, outer: BoundingBox) -> float:
     return (ix * iy) / (inner.w * inner.h)
 
 
+def _node_rows(rows, name: str) -> np.ndarray:
+    """One vector per node as an (n, width) array."""
+    try:
+        out = np.array(rows, dtype=np.float64)
+    except (TypeError, ValueError):   # rows of different lengths, or not numbers
+        out = None
+    if out is None or out.ndim != 2:
+        got = "not numbers of one length" if out is None else f"of shape {out.shape[1:]}"
+        raise ShapeError(f"encode_node: label/visual must be vectors, got {name} rows {got}")
+    return out
+
+
+def _encode_rows(boxes: np.ndarray, labels: np.ndarray, visual: np.ndarray) -> np.ndarray:
+    if np.any(labels < 0) or np.any(np.abs(labels.sum(axis=1) - 1.0) > 1e-9):
+        raise ContractError("encode_node: label_dist must be a probability distribution")
+    return np.concatenate([boxes, labels, visual], axis=1)
+
+
 def encode_node(box: BoundingBox, label_dist: np.ndarray, visual_feat: np.ndarray) -> np.ndarray:
     """Concatenate [box | labels | visual]; output length 4 + G + C."""
-    label_dist = np.asarray(label_dist, dtype=np.float64)
-    visual_feat = np.asarray(visual_feat, dtype=np.float64)
-    if label_dist.ndim != 1 or visual_feat.ndim != 1:
-        raise ShapeError(
-            f"encode_node: label/visual must be vectors, got {label_dist.shape} and {visual_feat.shape}"
-        )
-    if np.any(label_dist < 0) or abs(float(label_dist.sum()) - 1.0) > 1e-9:
-        raise ContractError("encode_node: label_dist must be a probability distribution")
-    return np.concatenate([box.as_array(), label_dist, visual_feat])
+    return _encode_rows(box.as_array()[None], _node_rows([label_dist], "label"),
+                        _node_rows([visual_feat], "visual"))[0]
 
 
 def decode_node(feat: np.ndarray, g: int, c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -102,6 +113,22 @@ class ObjectNode:
         return float(np.max(self.label_dist))
 
 
+def object_nodes(boxes: list[BoundingBox], label_dists, visual_feats) -> list[ObjectNode]:
+    """One frame's nodes from one label vector and one visual vector per box.
+
+    The frame is encoded as one (n, m) matrix; a node's node_feat is its
+    row, and its label_dist and visual_feat are slices of that row.
+    """
+    if not boxes:
+        return []
+    labels = _node_rows(label_dists, "label")
+    feats = _encode_rows(np.array([(b.x, b.y, b.w, b.h) for b in boxes]), labels,
+                         _node_rows(visual_feats, "visual"))
+    visual_at = 4 + labels.shape[1]
+    return [ObjectNode(box, row[4:visual_at], row[visual_at:], row)
+            for box, row in zip(boxes, feats)]
+
+
 @dataclass(frozen=True)
 class GroundTruthObject:
     """Scripted object state for one frame (labels are exact, occlusion is known)."""
@@ -112,13 +139,15 @@ class GroundTruthObject:
     occluded: bool = False
     detector_label_dist: np.ndarray | None = None  # noisy labels used for gt-box protocols
 
-    def as_node(self, g: int, use_detector_labels: bool = False) -> ObjectNode:
-        if use_detector_labels and self.detector_label_dist is not None:
-            dist = self.detector_label_dist
-        else:
-            dist = np.zeros(g)
-            dist[self.label] = 1.0
-        return ObjectNode(self.box, np.asarray(dist, dtype=np.float64), self.visual_feat)
+
+def gt_nodes(objects: list[GroundTruthObject], g: int,
+             use_detector_labels: bool = False) -> list[ObjectNode]:
+    """One frame's gt objects as nodes (see object_nodes): one-hot labels, or
+    the detector's label distribution where requested and recorded."""
+    one_hot = np.eye(g)
+    dists = [o.detector_label_dist if use_detector_labels and o.detector_label_dist is not None
+             else one_hot[o.label] for o in objects]
+    return object_nodes([o.box for o in objects], dists, [o.visual_feat for o in objects])
 
 
 @dataclass

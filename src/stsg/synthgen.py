@@ -11,6 +11,8 @@ false positives so all three evaluation protocols are meaningful.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .config import EVENT_NAMES, Dims, NoiseConfig, WorldConfig
@@ -22,6 +24,7 @@ from .scene import (
     GroundTruthObject,
     ObjectNode,
     SceneSequence,
+    object_nodes,
     overlap_fraction,
 )
 
@@ -40,68 +43,66 @@ _PROTO_SEED = 90210
 _VISUAL_NOISE_SIGMA = 0.1
 
 
+@lru_cache(maxsize=None)
 def class_prototypes(g: int, c: int) -> np.ndarray:
-    """Fixed per-class visual anchors, unit rows, identical across runs."""
+    """Fixed per-class visual anchors, unit rows, identical across runs.
+
+    Computed once per (g, c); the returned table is read-only.
+    """
     raw = RngStream(_PROTO_SEED).normal_array((g, c))
-    return raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    protos = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    protos.flags.writeable = False
+    return protos
 
 
-def _clamp_corner(v: float, size: float) -> float:
-    return float(min(max(v, 0.01), max(0.01, 0.99 - size)))
+def _clamp_corners(corners: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    return np.minimum(np.maximum(corners, 0.01), np.maximum(0.01, 0.99 - sizes))
 
 
 def _box(corner: np.ndarray, size: np.ndarray) -> BoundingBox:
-    return BoundingBox(_clamp_corner(corner[0], size[0]),
-                       _clamp_corner(corner[1], size[1]),
-                       float(size[0]), float(size[1]))
+    return BoundingBox(*_clamp_corners(corner, size).tolist(), *size.tolist())
 
 
-def _centers(corners: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    return corners + sizes / 2.0
+def frame_triplets(boxes: np.ndarray) -> list[list[tuple[int, int, int]]]:
+    """Ground-truth triplets of each frame of an (f, n, 4) array of (x, y, w, h)
+    boxes, object i being the same object in every frame; sorted, no repeats.
 
+    Each predicate is a mask over (f, n, n) pair matrices: [t, i, j] is the
+    ordered pair (i, j) in frame t. Frame t's motion predicates compare it
+    with frame t - 1; frame 0 has no velocity and no previous holding.
+    """
+    x, y, w, h = np.moveaxis(boxes, -1, 0)                       # each (f, n)
 
-def _holding_pairs(boxes: list[BoundingBox], vels: np.ndarray) -> set[tuple[int, int]]:
-    held = set()
-    n = len(boxes)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if overlap_fraction(boxes[j], boxes[i]) >= HOLD_COVER and \
-                    float(np.max(np.abs(vels[i] - vels[j]))) <= COMOVE_TOL:
-                held.add((i, j))
-    return held
+    def pairwise(a: np.ndarray, op) -> np.ndarray:
+        return op(a[..., :, None], a[..., None, :])
 
+    # overlap of boxes i and j along each axis (symmetric, negative when apart)
+    x_overlap = pairwise(x + w, np.minimum) - pairwise(x, np.maximum)
+    y_overlap = pairwise(y + h, np.minimum) - pairwise(y, np.maximum)
+    # cover[t, i, j]: share of box i's area that box j covers
+    cover = (np.maximum(0.0, x_overlap) * np.maximum(0.0, y_overlap)) / (w * h)[..., :, None]
+    centres = np.stack([x + w / 2.0, y + h / 2.0], axis=-1)      # (f, n, 2)
+    dx, dy = pairwise(centres[..., 0], np.subtract), pairwise(centres[..., 1], np.subtract)
+    dist = np.hypot(dx, dy)
+    vel = np.zeros_like(centres)
+    vel[1:] = centres[1:] - centres[:-1]
+    speed_gap = np.abs(vel[..., :, None, :] - vel[..., None, :, :]).max(axis=-1)
 
-def _frame_triplets(boxes: list[BoundingBox], centers: np.ndarray,
-                    prev_centers: np.ndarray | None, vels: np.ndarray,
-                    held: set[tuple[int, int]],
-                    prev_held: set[tuple[int, int]]) -> list[tuple[int, int, int]]:
-    n = len(boxes)
-    triplets: list[tuple[int, int, int]] = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            bi, bj = boxes[i], boxes[j]
-            dist = float(np.hypot(*(centers[i] - centers[j])))
-            touching = overlap_fraction(bi, bj) > 0 or overlap_fraction(bj, bi) > 0
-            if touching or dist < NEAR_DIST:
-                triplets.append((i, j, NEAR))
-            if (i, j) in held:
-                triplets.append((i, j, HOLDING))
-            dx_overlap = min(bi.x + bi.w, bj.x + bj.w) - max(bi.x, bj.x)
-            dy = centers[j][1] - centers[i][1]
-            if dx_overlap > 0 and ABOVE_MIN_DY < dy < ABOVE_MAX_DY:
-                triplets.append((i, j, ABOVE))
-                triplets.append((j, i, BENEATH))
-            if prev_centers is not None and float(np.max(np.abs(vels[i]))) > MOVE_TOL:
-                prev_dist = float(np.hypot(*(prev_centers[i] - prev_centers[j])))
-                if dist < prev_dist - APPROACH_DECREASE:
-                    triplets.append((i, j, APPROACHING))
-            if (i, j) in prev_held and (i, j) not in held:
-                triplets.append((i, j, RELEASING))
-    return triplets
+    near = (cover > 0) | (cover.swapaxes(-1, -2) > 0) | (dist < NEAR_DIST)
+    # i holds j: j mostly inside i, both moving together
+    holding = (cover.swapaxes(-1, -2) >= HOLD_COVER) & (speed_gap <= COMOVE_TOL)
+    drop = dy.swapaxes(-1, -2)                    # [t, i, j]: how far j's centre is below i's
+    above = (x_overlap > 0) & (ABOVE_MIN_DY < drop) & (drop < ABOVE_MAX_DY)
+    approaching = np.zeros_like(near)
+    moving = np.abs(vel[1:]).max(axis=-1) > MOVE_TOL
+    approaching[1:] = moving[..., :, None] & (dist[1:] < dist[:-1] - APPROACH_DECREASE)
+    releasing = np.zeros_like(near)
+    releasing[1:] = holding[:-1] & ~holding[1:]
+
+    masks = np.stack([near, holding, above, above.swapaxes(-1, -2), approaching, releasing],
+                     axis=-1)
+    masks &= ~np.eye(x.shape[-1], dtype=bool)[:, :, None]
+    return [list(zip(*(a.tolist() for a in np.nonzero(frame)))) for frame in masks]
 
 
 def _noisy_label_dist(label: int, g: int, confusion: float, stream: RngStream) -> np.ndarray:
@@ -122,7 +123,9 @@ def simulate_detector(objects: list[GroundTruthObject], noise: NoiseConfig,
     dropped with miss_prob; survivors get jittered boxes and confused labels;
     false positives carry uniform label distributions."""
     protos = class_prototypes(dims.g, dims.c)
-    detections: list[ObjectNode] = []
+    boxes: list[BoundingBox] = []
+    dists: list[np.ndarray] = []
+    visuals: list[np.ndarray] = []
     for obj in objects:
         if obj.occluded:
             continue
@@ -130,17 +133,17 @@ def simulate_detector(objects: list[GroundTruthObject], noise: NoiseConfig,
             continue
         if noise.box_jitter_sigma > 0:
             # jitter hits the center and the size; corner is rebuilt after
-            dcx, dcy, dw, dh = stream.normal_array(4, 0.0, noise.box_jitter_sigma)
-            w = float(np.clip(obj.box.w + dw, 1e-3, 1.0))
-            h = float(np.clip(obj.box.h + dh, 1e-3, 1.0))
+            dcx, dcy, dw, dh = stream.normal_array(4, 0.0, noise.box_jitter_sigma).tolist()
+            w = min(1.0, max(1e-3, obj.box.w + dw))
+            h = min(1.0, max(1e-3, obj.box.h + dh))
             cx = obj.box.x + obj.box.w / 2.0 + dcx
             cy = obj.box.y + obj.box.h / 2.0 + dcy
-            box = BoundingBox(float(np.clip(cx - w / 2.0, 0.0, 1.0)),
-                              float(np.clip(cy - h / 2.0, 0.0, 1.0)), w, h)
+            boxes.append(BoundingBox(min(1.0, max(0.0, cx - w / 2.0)),
+                                     min(1.0, max(0.0, cy - h / 2.0)), w, h))
         else:
-            box = obj.box
-        dist = _noisy_label_dist(obj.label, dims.g, noise.label_confusion_prob, stream)
-        detections.append(ObjectNode(box, dist, obj.visual_feat))
+            boxes.append(obj.box)
+        dists.append(_noisy_label_dist(obj.label, dims.g, noise.label_confusion_prob, stream))
+        visuals.append(obj.visual_feat)
     n_fp = int(noise.false_positive_rate)
     frac = noise.false_positive_rate - n_fp
     if frac > 0 and stream.uniform() < frac:
@@ -148,11 +151,11 @@ def simulate_detector(objects: list[GroundTruthObject], noise: NoiseConfig,
     for _ in range(n_fp):
         w = stream.uniform(0.05, 0.2)
         h = stream.uniform(0.05, 0.2)
-        box = BoundingBox(stream.uniform(0.0, 1.0 - w), stream.uniform(0.0, 1.0 - h), w, h)
+        boxes.append(BoundingBox(stream.uniform(0.0, 1.0 - w), stream.uniform(0.0, 1.0 - h), w, h))
         cls = stream.integer(dims.g)
-        visual = protos[cls] + stream.normal_array(dims.c, 0.0, _VISUAL_NOISE_SIGMA)
-        detections.append(ObjectNode(box, np.full(dims.g, 1.0 / dims.g), visual))
-    return detections
+        visuals.append(protos[cls] + stream.normal_array(dims.c, 0.0, _VISUAL_NOISE_SIGMA))
+        dists.append(np.full(dims.g, 1.0 / dims.g))
+    return object_nodes(boxes, dists, visuals)
 
 
 def _plan_event(n: int, rng: RngStream) -> tuple[int, int, int]:
@@ -189,12 +192,12 @@ def generate_scene(dims: Dims, world: WorldConfig, seed: int) -> SceneSequence:
 
     corners = np.zeros((n, 2))
     corners[0] = [layout.uniform(0.02, 0.8), layout.uniform(0.02, 0.8)]
+    agent_box = _box(corners[0], sizes[0])
     for i in range(1, n):
         for _attempt in range(10):
             corners[i] = [layout.uniform(0.02, 0.98 - sizes[i][0]),
                           layout.uniform(0.02, 0.98 - sizes[i][1])]
-            inner = _box(corners[i], sizes[i])
-            if overlap_fraction(inner, _box(corners[0], sizes[0])) < 0.2:
+            if overlap_fraction(_box(corners[i], sizes[i]), agent_box) < 0.2:
                 break
 
     event, target, other = _plan_event(n, motion)
@@ -276,51 +279,37 @@ def generate_scene(dims: Dims, world: WorldConfig, seed: int) -> SceneSequence:
                     corners[0] = corners[0] + agent_drift
             corners[0] = np.clip(corners[0], 0.01, 0.99 - sizes[0])
             # free objects drift; the held object rides the agent
-            for i in range(1, n):
-                if i == holding:
-                    corners[i] = attach_corner(i)
-                elif event == 0 and i == target and t <= grasp_t:
-                    pass  # pick-up target waits in place
-                else:
-                    corners[i] = np.clip(corners[i] + drift[i], 0.01, 0.99 - sizes[i])
+            free = np.arange(n) > 0
+            if event == 0 and t <= grasp_t:
+                free[target] = False  # pick-up target waits in place
+            if holding is not None:
+                free[holding] = False
+                corners[holding] = attach_corner(holding)
+            corners[free] = np.clip(corners[free] + drift[free], 0.01, 0.99 - sizes[free])
         frame_corners[t] = corners
 
     # derive ground truth per frame
     protos = class_prototypes(dims.g, dims.c)
+    boxes = np.concatenate([_clamp_corners(frame_corners, sizes),
+                            np.broadcast_to(sizes, (f, n, 2))], axis=-1)
     frames: list[FrameRecord] = []
-    prev_centers = None
-    prev_held: set[tuple[int, int]] = set()
-    for t in range(f):
-        boxes = [_box(frame_corners[t, i], sizes[i]) for i in range(n)]
-        centers = np.array([b.center() for b in boxes])
-        vels = np.zeros((n, 2)) if prev_centers is None else centers - prev_centers
-        held = _holding_pairs(boxes, vels)
-        triplets = _frame_triplets(boxes, centers, prev_centers, vels, held, prev_held)
+    for t, (frame_boxes, triplets) in enumerate(zip(boxes.tolist(), frame_triplets(boxes))):
         objects = []
-        for i in range(n):
+        for i, box in enumerate(frame_boxes):
             visual = protos[classes[i]] + feat.normal_array(dims.c, 0.0, _VISUAL_NOISE_SIGMA)
             det_dist = _noisy_label_dist(int(classes[i]), dims.g,
                                          world.noise.label_confusion_prob, feat)
             objects.append(GroundTruthObject(
-                box=boxes[i], label=int(classes[i]), visual_feat=visual,
+                box=BoundingBox(*box), label=int(classes[i]), visual_feat=visual,
                 occluded=bool(occluded[t, i]), detector_label_dist=det_dist,
             ))
         det_stream = rng.split(100 + t)
         detections = simulate_detector(objects, world.noise, dims, det_stream)
-        record = FrameRecord(objects=objects, triplets=sorted(set(triplets)),
-                             detections=detections)
+        record = FrameRecord(objects=objects, triplets=triplets, detections=detections)
         record.validate(dims.h)
         frames.append(record)
-        prev_centers = centers
-        prev_held = held
 
     labels = np.zeros(len(EVENT_NAMES))
     labels[event] = 1.0
     return SceneSequence(frames=frames, event_labels=labels, seed=seed)
 
-
-def generate_split(dims: Dims, world: WorldConfig, base_seed: int,
-                   start: int, count: int) -> list[SceneSequence]:
-    """Sequences for a seed range; sequence i is generated from base_seed*10^6 + i."""
-    return [generate_scene(dims, world, base_seed * 1_000_000 + i)
-            for i in range(start, start + count)]

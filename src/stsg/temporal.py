@@ -22,7 +22,7 @@ from .autodiff import Tensor
 from .config import MODES, VARIANTS
 from .errors import ContractError
 from .params import ModelParams, linear, mlp2
-from .scene import FrameRecord, ObjectNode, SceneSequence, TemporalLink
+from .scene import FrameRecord, ObjectNode, SceneSequence, TemporalLink, gt_nodes
 from .spatial import frame_pairs, gcn_propagate, pair_grid, propose_relations
 
 DENOM_GUARD = 1e-8
@@ -173,9 +173,9 @@ def nodes_for_mode(frame: FrameRecord, mode: str, g: int) -> list[ObjectNode]:
     detector's label distributions; sgdet: simulated detections.
     """
     if mode == "predcls":
-        return [o.as_node(g) for o in frame.objects]
+        return gt_nodes(frame.objects, g)
     if mode == "sgcls":
-        return [o.as_node(g, use_detector_labels=True) for o in frame.objects]
+        return gt_nodes(frame.objects, g, use_detector_labels=True)
     if mode == "sgdet":
         return list(frame.detections)
     raise ContractError(f"mode: must be one of {MODES}, got {mode!r}")

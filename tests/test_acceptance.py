@@ -37,7 +37,7 @@ from stsg.metrics import (
 )
 from stsg.params import ModelParams
 from stsg.rng import RngStream
-from stsg.synthgen import generate_scene, generate_split
+from stsg.synthgen import generate_scene
 from stsg.temporal import (
     CallCounter,
     FramePrediction,

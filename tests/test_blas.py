@@ -6,7 +6,7 @@ from stsg import blas
 from stsg.config import RunConfig, TrainConfig
 from stsg.params import ModelParams
 from stsg.rng import RngStream
-from stsg.synthgen import generate_split
+from stsg.synthgen import generate_scene
 from stsg.training import train
 
 
@@ -37,7 +37,7 @@ def test_one_thread_keeps_the_product_of_a_packed_pair_layer():
 def test_training_and_serving_run_blas_on_one_thread(monkeypatch):
     cfg = RunConfig(train=TrainConfig(epochs=1, batch_size=2, seed=9, mode="sgdet",
                                       variant="sparse", k=1, sequences=0))
-    data = generate_split(cfg.dims, cfg.world, base_seed=1, start=0, count=2)
+    data = [generate_scene(cfg.dims, cfg.world, 1 * 1_000_000 + i) for i in range(2)]
     seen = []
     real = stsg.temporal.forward_batch
 

@@ -386,6 +386,40 @@ def test_malformed_prediction_triplet_is_an_error(tmp_path, checkpoint_path, dat
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def _record_array(records):
+    records[0] = [1, 2]
+
+
+def _record_number(records):
+    records[0] = 3
+
+
+def _seed_string(records):
+    records[0]["seq_seed"] = "x"
+
+
+def _seed_float(records):
+    records[0]["seq_seed"] = float(records[0]["seq_seed"])
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_record_array, "expected a JSON object"),
+    (_record_number, "expected a JSON object"),
+    (_seed_string, "'seq_seed' must be an integer"),
+    (_seed_float, "'seq_seed' must be an integer"),
+], ids=["record-array", "record-number", "seed-string", "seed-float"])
+def test_malformed_prediction_record_is_an_error(tmp_path, dataset_dir, capsys, edit, message):
+    _, seqs = io.load_split(dataset_dir, "test")
+    records = gt_prediction_records(seqs)
+    edit(records)
+    preds = tmp_path / "p.jsonl"
+    io.write_predictions(preds, {"mode": "sgdet", "config": {}}, records)
+    assert main(["eval", "--preds", str(preds), "--data", str(dataset_dir),
+                 "--split", "test"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "p.jsonl:2" in err and message in err
+
+
 def _edited_train_split(tmp_path, dataset_dir, lineno, edit):
     """A copy of the train split whose JSON line `lineno` (0 = header) went
     through `edit`."""
@@ -435,6 +469,28 @@ def test_shape_error_is_an_error(tmp_path, dataset_dir, capsys):
     data = _edited_train_split(tmp_path, dataset_dir, 1, edit)
     assert _train(data, tmp_path) == 1
     assert "error: encode_node" in capsys.readouterr().err
+
+
+def _short_label_dist(detection):
+    detection["label_dist"] = detection["label_dist"][:-1]
+
+
+def _label_dist_not_a_distribution(detection):
+    detection["label_dist"] = [0.5] * len(detection["label_dist"])
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_short_label_dist, "error: encode_node: label/visual must be vectors"),
+    (_label_dist_not_a_distribution, "error: encode_node: label_dist must be a probability"),
+], ids=["short-label-dist", "not-a-distribution"])
+def test_malformed_detection_labels_are_an_error(tmp_path, dataset_dir, capsys, edit, message):
+    def edit_record(record):
+        frame = next(f for f in record["frames"] if len(f["detections"]) > 1)
+        edit(frame["detections"][0])
+
+    data = _edited_train_split(tmp_path, dataset_dir, 1, edit_record)
+    assert _train(data, tmp_path) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_forward_sequence_outputs_serve_to_predictions(checkpoint_path, dataset_dir):

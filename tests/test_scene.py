@@ -12,6 +12,7 @@ from stsg.scene import (
     SceneSequence,
     decode_node,
     encode_node,
+    gt_nodes,
     iou,
     pairwise_iou,
 )
@@ -110,9 +111,9 @@ def test_gt_object_as_node_uses_requested_labels():
     gt = GroundTruthObject(BoundingBox(0, 0, 0.1, 0.1), label=2,
                            visual_feat=np.zeros(3),
                            detector_label_dist=np.array([0.1, 0.2, 0.7]))
-    onehot = gt.as_node(g=3)
+    onehot, = gt_nodes([gt], g=3)
     np.testing.assert_array_equal(onehot.label_dist, [0, 0, 1])
-    noisy = gt.as_node(g=3, use_detector_labels=True)
+    noisy, = gt_nodes([gt], g=3, use_detector_labels=True)
     np.testing.assert_array_equal(noisy.label_dist, [0.1, 0.2, 0.7])
 
 

@@ -13,7 +13,7 @@ from stsg.config import Dims, NoiseConfig, RunConfig, TrainConfig, WorldConfig, 
 from stsg.errors import TrainingError
 from stsg.params import ModelParams
 from stsg.rng import RngStream
-from stsg.synthgen import generate_scene, generate_split
+from stsg.synthgen import generate_scene
 from stsg.scene import iou
 from stsg.spatial import pair_grid
 from stsg.temporal import (
@@ -253,7 +253,8 @@ def tiny_cfg(**train_kw):
 
 
 def tiny_dataset(cfg, count=6):
-    return generate_split(cfg.dims, cfg.world, base_seed=1, start=0, count=count)
+    # sequences 0..count-1 of base seed 1, as `stsg gen --seed 1` numbers them
+    return [generate_scene(cfg.dims, cfg.world, 1 * 1_000_000 + i) for i in range(count)]
 
 
 def test_zero_learning_rate_keeps_parameters():
