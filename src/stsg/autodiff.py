@@ -5,10 +5,25 @@ itself so `backward` can replay the chain rule in reverse. The op set is
 deliberately small: exactly what the scene-graph pipeline and its losses
 need. Tensors are immutable values and safe to share; a Tape is single
 threaded, but independent tapes may run concurrently.
+
+Gathers and segment reductions take a `SegmentPlan`: an index list whose
+range is checked, and whose stable sort order and `reduceat` runs are
+found, once rather than on every forward and backward call. The packed
+batch builds its plans with the data (`temporal.pack`), and joins them
+without sorting again; a raw index list passed to an op becomes a plan at
+the call, so every scatter and reduction takes the same path. A plan finds
+its runs when a reduction first needs them: a forward pass without a tape
+gathers along many lists it never reduces over.
+
+`backward` returns one gradient per watched leaf. Model parameters are
+views of one flat vector (`params.ModelParams`), and training gathers
+these gradients into that vector's layout once per step, so the checks,
+the clip and the optimizer run on whole vectors.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -38,6 +53,8 @@ __all__ = [
     "log_softmax",
     "reshape",
     "transpose",
+    "SegmentPlan",
+    "segment_plan",
     "gather_rows",
     "segment_sum",
     "segment_log_softmax",
@@ -417,62 +434,130 @@ def transpose(a: Tensor) -> Tensor:
     return out
 
 
+class SegmentPlan:
+    """One index list, prepared once for gathers and segment reductions.
+
+    The ids lie in [0, n), checked when the plan is built. The runs that a
+    reduction needs -- the stable sort order of the ids (None when they are
+    already sorted), the `reduceat` start of each run of equal ids in that
+    order, and the segment of each run -- are found on the first call of
+    `runs()` and kept. A gather never needs them; its backward scatter over
+    rows and the segment reductions do. A plan reads as its id array
+    wherever numpy wants one.
+    """
+
+    __slots__ = ("ids", "n", "_runs")
+
+    def __init__(self, ids, n: int, kind: str = "segment-plan"):
+        ids = np.asarray(ids, dtype=np.intp)
+        if ids.ndim != 1:
+            raise ShapeError(f"{kind}: indices must be 1-D, got shape {ids.shape}")
+        if ids.size and (ids.min() < 0 or ids.max() >= n):
+            raise ContractError(f"{kind}: " + _OUT_OF_RANGE.get(kind, _OUT_OF_SEGMENTS).format(n=n))
+        self.ids, self.n, self._runs = ids, int(n), None
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __array__(self, dtype=None, copy=None):
+        return self.ids if dtype is None else self.ids.astype(dtype)
+
+    def runs(self) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+        """(order, starts, segments): reducing values[order] at starts gives
+        the reduction of each segment in segments."""
+        if self._runs is None:
+            ids, order = self.ids, None
+            if np.any(ids[1:] < ids[:-1]):
+                order = np.argsort(ids, kind="stable")
+                ids = ids[order]
+            first = np.empty(ids.size, dtype=bool)
+            first[:1] = True
+            np.not_equal(ids[1:], ids[:-1], out=first[1:])
+            starts = np.flatnonzero(first)
+            self._runs = (order, starts, ids[starts])
+        return self._runs
+
+    @classmethod
+    def join(cls, parts: Sequence["SegmentPlan"]) -> "SegmentPlan":
+        """The plan of the parts' lists concatenated, each part's ids offset by
+        the segments of the parts before it. Every id of a part lies below
+        the next part's, so the runs are concatenated, not sorted again."""
+        id_off = list(accumulate((p.n for p in parts), initial=0))
+        pos_off = list(accumulate((len(p.ids) for p in parts), initial=0))
+        runs = [p.runs() for p in parts]
+
+        def cat(arrays, offsets):
+            return np.concatenate([a + o if o else a for a, o in zip(arrays, offsets)])
+
+        order = None
+        if any(r[0] is not None for r in runs):
+            order = cat([np.arange(len(p.ids)) if r[0] is None else r[0]
+                         for p, r in zip(parts, runs)], pos_off)
+        plan = object.__new__(cls)
+        plan.ids, plan.n = cat([p.ids for p in parts], id_off), id_off[-1]
+        plan._runs = (order, cat([r[1] for r in runs], pos_off), cat([r[2] for r in runs], id_off))
+        return plan
+
+
+_OUT_OF_SEGMENTS = "segment id out of range for {n} segments"
+_OUT_OF_RANGE = {"gather-rows": "index out of range for {n} rows"}
+
+
+def segment_plan(indices, n: int, kind: str = "segment-plan") -> SegmentPlan:
+    """`indices` as a plan over n segments: a plan as it is, an index list planned."""
+    if not isinstance(indices, SegmentPlan):
+        return SegmentPlan(indices, n, kind)
+    if indices.n != n:
+        raise ContractError(f"{kind}: plan over {indices.n} segments, need {n}")
+    return indices
+
+
 def gather_rows(a: Tensor, indices) -> Tensor:
-    """Select rows along the leading axis; backward scatter-adds."""
+    """Select rows along the leading axis; backward scatter-adds.
+
+    `indices` is a SegmentPlan over the rows of a, or an index list."""
     av = a.data
     if av.ndim < 1:
         raise ShapeError("gather-rows: need at least 1-D input")
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ShapeError(f"gather-rows: indices must be 1-D, got shape {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= av.shape[0]):
-        raise ContractError(
-            f"gather-rows: index out of range for {av.shape[0]} rows"
-        )
-    out = Tensor._wrap(av[idx])
-    _record(out, (a,), lambda g: (_segment_sum(g, idx, av.shape[0]),))
+    plan = segment_plan(indices, av.shape[0], "gather-rows")
+    out = Tensor._wrap(av[plan.ids])
+    _record(out, (a,), lambda g: (_segment_sum(g, plan),))
     return out
 
 
-def _segment_reduce(ufunc, values: np.ndarray, ids: np.ndarray, n: int,
-                    empty: float) -> np.ndarray:
-    """ufunc-reduce the rows of `values` per segment id in [0, n); segments
+def _segment_reduce(ufunc, values: np.ndarray, plan: SegmentPlan, empty: float) -> np.ndarray:
+    """ufunc-reduce the rows of `values` per segment of the plan; segments
     without rows hold `empty`."""
-    out = np.full((n,) + values.shape[1:], empty)
-    if ids.size:
-        if np.any(ids[1:] < ids[:-1]):
-            order = np.argsort(ids, kind="stable")
-            ids, values = ids[order], values[order]
-        first = np.empty(ids.size, dtype=bool)
-        first[0] = True
-        np.not_equal(ids[1:], ids[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        out[ids[starts]] = ufunc.reduceat(values, starts, axis=0)
+    out = np.full((plan.n,) + values.shape[1:], empty)
+    if len(plan):
+        order, starts, segments = plan.runs()
+        if order is not None:
+            values = values[order]
+        out[segments] = ufunc.reduceat(values, starts, axis=0)
     return out
 
 
-def _segment_sum(values: np.ndarray, ids: np.ndarray, n: int) -> np.ndarray:
+def _segment_sum(values: np.ndarray, plan: SegmentPlan) -> np.ndarray:
     if values.ndim == 1:
         # sums in index order, like np.add.at, and faster on vectors
-        return np.bincount(ids, weights=values, minlength=n)
-    return _segment_reduce(np.add, values, ids, n, 0.0)
+        return np.bincount(plan.ids, weights=values, minlength=plan.n)
+    return _segment_reduce(np.add, values, plan, 0.0)
 
 
-def _segment_ids(kind: str, av: np.ndarray, segment_ids, n_segments: int) -> np.ndarray:
-    ids = np.asarray(segment_ids, dtype=np.intp)
+def _plan_per_row(kind: str, av: np.ndarray, segment_ids, n_segments: int) -> SegmentPlan:
+    ids = segment_ids.ids if isinstance(segment_ids, SegmentPlan) else np.asarray(segment_ids)
     if av.ndim < 1 or ids.shape != av.shape[:1]:
         raise ShapeError(f"{kind}: need one segment id per row, got {ids.shape} for {av.shape}")
-    if ids.size and (ids.min() < 0 or ids.max() >= n_segments):
-        raise ContractError(f"{kind}: segment id out of range for {n_segments} segments")
-    return ids
+    return segment_plan(segment_ids, n_segments, kind)
 
 
 def segment_sum(a: Tensor, segment_ids, n_segments: int) -> Tensor:
-    """out[s] = sum of the rows of a whose segment id is s; zero for a segment without rows."""
+    """out[s] = sum of the rows of a whose segment id is s; zero for a segment
+    without rows. `segment_ids` is a SegmentPlan or an id list."""
     av = a.data
-    ids = _segment_ids("segment-sum", av, segment_ids, n_segments)
-    out = Tensor._wrap(_segment_sum(av, ids, n_segments))
-    _record(out, (a,), lambda g: (g[ids],))
+    plan = _plan_per_row("segment-sum", av, segment_ids, n_segments)
+    out = Tensor._wrap(_segment_sum(av, plan))
+    _record(out, (a,), lambda g: (g[plan.ids],))
     return out
 
 
@@ -480,15 +565,16 @@ def segment_log_softmax(a: Tensor, segment_ids, n_segments: int) -> Tensor:
     """log_softmax of a vector within each segment: the ragged rows of a
     log_softmax(axis=1), each entry normalised over the entries sharing its id."""
     av = a.data
-    ids = _segment_ids("segment-log-softmax", av, segment_ids, n_segments)
+    plan = _plan_per_row("segment-log-softmax", av, segment_ids, n_segments)
     if av.ndim != 1:
         raise ShapeError(f"segment-log-softmax: need a vector, got shape {av.shape}")
-    shifted = av - _segment_reduce(np.maximum, av, ids, n_segments, -np.inf)[ids]
-    out_arr = shifted - np.log(_segment_sum(np.exp(shifted), ids, n_segments)[ids])
+    ids = plan.ids
+    shifted = av - _segment_reduce(np.maximum, av, plan, -np.inf)[ids]
+    out_arr = shifted - np.log(_segment_sum(np.exp(shifted), plan)[ids])
     out = Tensor._wrap(out_arr)
 
     def vjp(g):
-        return (g - np.exp(out_arr) * _segment_sum(g, ids, n_segments)[ids],)
+        return (g - np.exp(out_arr) * _segment_sum(g, plan)[ids],)
 
     _record(out, (a,), vjp)
     return out

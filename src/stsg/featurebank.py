@@ -101,7 +101,7 @@ def train_event_head(banks: list[FeatureBank], labels: np.ndarray, n_events: int
                          ad.log(ad.add(ones, ad.scale(probs, -1.0))))
             loss = ad.scale(ad.reduce_sum(ad.add(pos, neg)), -1.0 / probs.size)
         grads = backward(tape, loss)
-        head = opt.step_tensors({"head": head}, {"head": grads[head].data})["head"]
+        head = Tensor(opt.update(head.data, grads[head].data))
     return head
 
 

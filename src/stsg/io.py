@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, parse_config_items
+from .config import Dims, RunConfig, parse_config_items
 from .errors import DataFormatError
 from .metrics import RankedFrame
 from .params import ModelParams
@@ -94,7 +94,25 @@ def _box(record: dict, path: Path, lineno: int) -> BoundingBox:
     return BoundingBox(*box)
 
 
-def sequence_from_json(record: dict, path: Path, lineno: int) -> SceneSequence:
+def _index(value, bound: int, what: str, path: Path, lineno: int) -> int:
+    if type(value) is not int or not 0 <= value < bound:
+        raise DataFormatError(f"{path}:{lineno}: {what} must be an integer in [0, {bound}), "
+                              f"got {value!r}")
+    return value
+
+
+def _triplet(t, n_objects: int, h: int, path: Path, lineno: int) -> tuple[int, int, int]:
+    if not (isinstance(t, list) and len(t) == 3):
+        raise DataFormatError(f"{path}:{lineno}: a triplet must be [subject, object, "
+                              f"predicate], got {t!r}")
+    return (_index(t[0], n_objects, "triplet subject", path, lineno),
+            _index(t[1], n_objects, "triplet object", path, lineno),
+            _index(t[2], h, "triplet predicate", path, lineno))
+
+
+def sequence_from_json(record: dict, path: Path, lineno: int, dims: Dims) -> SceneSequence:
+    """One dataset record; object labels, triplet node indices and
+    predicates are range-checked against `dims` and each frame's objects."""
     def floats(entry: dict, name: str) -> np.ndarray:
         return np.asarray(_field(entry, name, path, lineno), dtype=np.float64)
 
@@ -103,7 +121,8 @@ def sequence_from_json(record: dict, path: Path, lineno: int) -> SceneSequence:
         objects = [
             GroundTruthObject(
                 box=_box(o, path, lineno),
-                label=int(_field(o, "label", path, lineno)),
+                label=_index(_field(o, "label", path, lineno), dims.g, "object label",
+                             path, lineno),
                 visual_feat=floats(o, "visual"),
                 occluded=bool(o.get("occluded", False)),
                 detector_label_dist=None if o.get("det_label_dist") is None
@@ -115,7 +134,8 @@ def sequence_from_json(record: dict, path: Path, lineno: int) -> SceneSequence:
         detections = object_nodes([_box(d, path, lineno) for d in dets],
                                   [_field(d, "label_dist", path, lineno) for d in dets],
                                   [_field(d, "visual", path, lineno) for d in dets])
-        triplets = [tuple(map(int, t)) for t in _field(frame, "triplets", path, lineno)]
+        triplets = [_triplet(t, len(objects), dims.h, path, lineno)
+                    for t in _field(frame, "triplets", path, lineno)]
         frames.append(FrameRecord(objects=objects, triplets=triplets, detections=detections))
     return SceneSequence(
         frames=frames,
@@ -151,8 +171,13 @@ def load_split(data_dir: str | Path, split: str) -> tuple[dict, list[SceneSequen
                 if not isinstance(record, dict) or record.get("kind") != "dataset-header":
                     raise DataFormatError(f"{path}:1: missing dataset header record")
                 header = record
+                # the dimensions the records were generated with
+                config = _field(header, "config", path, 1)
+                if not isinstance(config, dict):
+                    raise DataFormatError(f"{path}:1: field 'config' must be an object")
+                dims = runconfig_from_flat(config).dims
                 continue
-            sequences.append(sequence_from_json(record, path, lineno))
+            sequences.append(sequence_from_json(record, path, lineno, dims))
     if header is None:
         raise DataFormatError(f"{path}: empty file")
     count = _field(header, "count", path, 1)

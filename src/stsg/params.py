@@ -3,16 +3,25 @@
 All weights use the row-vector convention: a layer mapping a -> b is a
 matrix of shape (a, b) applied as `x @ W + bias`. Hidden widths of the
 two-layer perceptrons equal the node width m.
+
+The parameters live in one flat float64 vector; a `Layout` names the
+tensors, their shapes and their offsets in it, and each tensor is a
+read-only view of its slice. Gradients use the same layout
+(`Gradients`), so the finiteness check, the clip and the optimizer each
+work on one vector instead of looping over the tensors.
 """
 
 from __future__ import annotations
+
+import math
+from itertools import accumulate
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .config import Dims
-from .errors import ContractError
+from .errors import ContractError, ShapeError
 from .rng import RngStream
 
 
@@ -28,13 +37,51 @@ def _glorot(rng: RngStream, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.normal_array((fan_in, fan_out), 0.0, 1.0 / np.sqrt(fan_in))
 
 
-class ModelParams:
-    """All learned weights of the pipeline, keyed by dotted name."""
+class Layout:
+    """Names, shapes and offsets of named tensors stacked in one flat vector."""
 
-    def __init__(self, dims: Dims, tensors: dict[str, Tensor], gcn_layers: int):
+    __slots__ = ("names", "shapes", "offsets")
+
+    def __init__(self, shapes: dict[str, tuple[int, ...]]):
+        self.names = tuple(shapes)
+        self.shapes = tuple(tuple(s) for s in shapes.values())
+        self.offsets = tuple(accumulate((math.prod(s) for s in self.shapes), initial=0))
+
+    @property
+    def size(self) -> int:
+        return self.offsets[-1]
+
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Each tensor as a reshaped view of its slice of `flat`."""
+        if flat.shape != (self.size,):
+            raise ShapeError(f"params: flat vector of shape {flat.shape}, layout holds {self.size}")
+        return {name: flat[a:b].reshape(shape) for name, shape, a, b
+                in zip(self.names, self.shapes, self.offsets, self.offsets[1:])}
+
+    def flatten(self, arrays) -> np.ndarray:
+        """The flat vector of name -> array values (in layout order)."""
+        return np.concatenate([np.asarray(arrays[name], dtype=np.float64).reshape(-1)
+                               for name in self.names])
+
+
+def _frozen(flat: np.ndarray) -> np.ndarray:
+    """flat as a read-only float64 vector; an array that already is one is
+    frozen in place, not copied."""
+    flat = np.ascontiguousarray(flat, dtype=np.float64)
+    flat.setflags(write=False)
+    return flat
+
+
+class ModelParams:
+    """All learned weights of the pipeline, keyed by dotted name: read-only
+    views of one flat float64 vector, which the constructor freezes in place."""
+
+    def __init__(self, dims: Dims, layout: Layout, flat: np.ndarray, gcn_layers: int):
         self.dims = dims
         self.gcn_layers = gcn_layers
-        self._tensors = dict(tensors)
+        self.layout = layout
+        self.flat = _frozen(flat)
+        self._tensors = {name: Tensor._wrap(v) for name, v in layout.views(self.flat).items()}
 
     @classmethod
     def init(cls, dims: Dims, seed: int, gcn_layers: int = 2) -> "ModelParams":
@@ -66,7 +113,7 @@ class ModelParams:
         t["rel.b"] = np.zeros(h)
         t["label.w"] = _glorot(rng, m, g)
         t["label.b"] = np.zeros(g)
-        return cls(dims, {k: Tensor(v) for k, v in t.items()}, gcn_layers)
+        return cls.from_arrays(dims, t, gcn_layers)
 
     def __getitem__(self, name: str) -> Tensor:
         try:
@@ -75,7 +122,7 @@ class ModelParams:
             raise ContractError(f"params: unknown parameter {name!r}") from None
 
     def names(self) -> list[str]:
-        return list(self._tensors)
+        return list(self.layout.names)
 
     def items(self):
         return self._tensors.items()
@@ -83,17 +130,40 @@ class ModelParams:
     def watch_all(self, tape: Tape) -> None:
         tape.watch(*self._tensors.values())
 
-    def replaced(self, new_tensors: dict[str, Tensor]) -> "ModelParams":
-        merged = dict(self._tensors)
-        merged.update(new_tensors)
-        return ModelParams(self.dims, merged, self.gcn_layers)
+    def with_flat(self, flat: np.ndarray) -> "ModelParams":
+        """The same layout holding other values."""
+        return ModelParams(self.dims, self.layout, flat, self.gcn_layers)
 
     def as_arrays(self) -> dict[str, np.ndarray]:
         return {k: v.data for k, v in self._tensors.items()}
 
     @classmethod
     def from_arrays(cls, dims: Dims, arrays: dict[str, np.ndarray], gcn_layers: int) -> "ModelParams":
-        return cls(dims, {k: Tensor(v) for k, v in arrays.items()}, gcn_layers)
+        layout = Layout({k: np.shape(v) for k, v in arrays.items()})
+        return cls(dims, layout, layout.flatten(arrays), gcn_layers)
 
     def count(self) -> int:
-        return sum(v.size for v in self._tensors.values())
+        return self.layout.size
+
+
+class Gradients:
+    """Gradients of a scalar loss in the layout of its parameters: one flat
+    vector, with per-parameter views on demand."""
+
+    __slots__ = ("layout", "flat")
+
+    def __init__(self, layout: Layout, flat: np.ndarray):
+        self.layout = layout
+        self.flat = _frozen(flat)
+
+    @classmethod
+    def collect(cls, params: ModelParams, grads: dict[Tensor, Tensor]) -> "Gradients":
+        """The gradients `autodiff.backward` returned for every tensor of params."""
+        return cls(params.layout,
+                   np.concatenate([grads[t].data.reshape(-1) for _, t in params.items()]))
+
+    def items(self):
+        return self.layout.views(self.flat).items()
+
+    def scaled(self, factor: float) -> "Gradients":
+        return Gradients(self.layout, self.flat * factor)

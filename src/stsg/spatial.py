@@ -10,7 +10,8 @@ edge features of the graph (L == H). Message passing follows
 
 with theta fixed to 1 between distinct nodes of a frame and 0 otherwise (the
 residual term already carries self-information), so the theta-weighted sums
-are segment sums over the pair list.
+are segment sums over the pair list. The pair lists are segment plans
+(`autodiff.SegmentPlan`), so every layer reuses one sort of them.
 """
 
 from __future__ import annotations
@@ -46,8 +47,7 @@ def pair_grid(values: np.ndarray, n: int) -> np.ndarray:
     return grid
 
 
-def propose_relations(feats: Tensor, subj: np.ndarray, obj: np.ndarray,
-                      params: ModelParams) -> Tensor:
+def propose_relations(feats: Tensor, subj, obj, params: ModelParams) -> Tensor:
     """Initial relation distribution: sigmoid(mlp(feat_i ++ feat_j)), (P, H)
     for the P listed pairs."""
     pairs = ad.concat([ad.gather_rows(feats, subj), ad.gather_rows(feats, obj)], axis=1)
@@ -55,7 +55,7 @@ def propose_relations(feats: Tensor, subj: np.ndarray, obj: np.ndarray,
     return ad.sigmoid(linear(hidden, params["prop.w2"], params["prop.b2"]))
 
 
-def gcn_layer(feats: Tensor, subj: np.ndarray, obj: np.ndarray, edge_feats: Tensor,
+def gcn_layer(feats: Tensor, subj, obj, edge_feats: Tensor,
               w_node: Tensor, w_edge: Tensor, bias: Tensor) -> Tensor:
     """One propagation step; each pair (i, j) carries a message from j to i.
 
@@ -70,7 +70,7 @@ def gcn_layer(feats: Tensor, subj: np.ndarray, obj: np.ndarray, edge_feats: Tens
     return ad.relu(ad.add(feats, ad.add(node_msg, edge_msg)))
 
 
-def gcn_propagate(feats: Tensor, subj: np.ndarray, obj: np.ndarray, edge_feats: Tensor,
+def gcn_propagate(feats: Tensor, subj, obj, edge_feats: Tensor,
                   params: ModelParams) -> Tensor:
     """Apply the configured stack of propagation layers sequentially."""
     out = feats

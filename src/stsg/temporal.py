@@ -38,10 +38,10 @@ class CallCounter:
         self.count += int(n)
 
 
-def link_relevance(feats: Tensor, curr: np.ndarray, prev: np.ndarray, phi: Tensor,
+def link_relevance(feats: Tensor, curr, prev, phi: Tensor,
                    counter: CallCounter | None = None) -> Tensor:
     """gamma[c] = <phi(feat[curr[c]]), phi(feat[prev[c]])> for every candidate
-    link c, projecting each node once."""
+    link c, projecting each node once; curr and prev are plans or index lists."""
     proj = ad.matmul(feats, phi)
     if counter is not None:
         counter.add(feats.shape[0])
@@ -97,17 +97,17 @@ def tracking_links(boxes: np.ndarray, labels: np.ndarray, curr: np.ndarray,
     return mask
 
 
-def frame_context(feats: Tensor, node_frame: np.ndarray, n_frames: int) -> Tensor:
+def frame_context(feats: Tensor, node_frame, n_frames: int) -> Tensor:
     """(n_frames, m) mean of the GCN-updated node features of each frame;
-    undefined for a frame without nodes."""
-    counts = np.bincount(node_frame, minlength=n_frames)
+    undefined for a frame without nodes. node_frame is a plan or an id list."""
+    counts = np.bincount(np.asarray(node_frame), minlength=n_frames)
     if len(counts) != n_frames or np.any(counts == 0):
         raise ContractError("frame_context: empty frame has no context")
     return ad.div(ad.segment_sum(feats, node_frame, n_frames),
                   Tensor(counts.reshape(-1, 1).astype(np.float64)))
 
 
-def encode_temporal_pairs(feats: Tensor, curr_idx: np.ndarray, prev_idx: np.ndarray,
+def encode_temporal_pairs(feats: Tensor, curr_idx, prev_idx,
                           context: Tensor, params: ModelParams) -> Tensor:
     """Encode every selected (current j, previous k) link into an m-vector.
 
@@ -124,23 +124,26 @@ def encode_temporal_pairs(feats: Tensor, curr_idx: np.ndarray, prev_idx: np.ndar
                 params["temporal.ftau.w2"], params["temporal.ftau.b2"])
 
 
-def aggregate_links(gamma_sel: Tensor, tau: Tensor, curr_idx: np.ndarray,
+def aggregate_links(gamma_sel: Tensor, tau: Tensor, curr_idx,
                     n_curr: int) -> Tensor:
-    """Relevance-weighted mean of tau per current node.
+    """Relevance-weighted mean of tau per current node; curr_idx is a plan or
+    an index list.
 
     Rows whose selected-weight sum is within DENOM_GUARD of zero fall back to
     a uniform average (gradient then skips gamma); rows with no links get 0.
     """
     n_links = tau.shape[0]
-    denom_vals = np.bincount(curr_idx, weights=gamma_sel.data, minlength=n_curr)
-    counts = np.bincount(curr_idx, minlength=n_curr)
+    plan = ad.segment_plan(curr_idx, n_curr)
+    ids = plan.ids
+    denom_vals = np.bincount(ids, weights=gamma_sel.data, minlength=n_curr)
+    counts = np.bincount(ids, minlength=n_curr)
     uniform_rows = (np.abs(denom_vals) < DENOM_GUARD) & (counts > 0)
-    keep_gamma = (~uniform_rows[curr_idx]).astype(np.float64)
-    force_one = uniform_rows[curr_idx].astype(np.float64)
+    keep_gamma = (~uniform_rows[ids]).astype(np.float64)
+    force_one = uniform_rows[ids].astype(np.float64)
     weights = ad.add(ad.mul(gamma_sel, Tensor(keep_gamma)), Tensor(force_one))
     col = ad.reshape(weights, (n_links, 1))
-    numer = ad.segment_sum(ad.mul(tau, col), curr_idx, n_curr)
-    denom = ad.segment_sum(col, curr_idx, n_curr)
+    numer = ad.segment_sum(ad.mul(tau, col), plan, n_curr)
+    denom = ad.segment_sum(col, plan, n_curr)
     # empty rows divide 0 by 1, yielding the exact zero vector
     safe = ad.add(denom, Tensor((counts == 0).astype(np.float64).reshape(-1, 1)))
     return ad.div(numer, safe)
@@ -155,8 +158,7 @@ def fuse(updated: Tensor, aggregated: Tensor) -> Tensor:
     return ad.add(updated, aggregated)
 
 
-def relation_logits(fused: Tensor, subj: np.ndarray, obj: np.ndarray,
-                    params: ModelParams) -> Tensor:
+def relation_logits(fused: Tensor, subj, obj, params: ModelParams) -> Tensor:
     """Pre-sigmoid pair scores f_r(fused_i ++ fused_j), (P, H) for the listed pairs."""
     pairs = ad.concat([ad.gather_rows(fused, subj), ad.gather_rows(fused, obj)], axis=1)
     return linear(pairs, params["rel.w"], params["rel.b"])
@@ -185,20 +187,21 @@ def nodes_for_mode(frame: FrameRecord, mode: str, g: int) -> list[ObjectNode]:
 class Packed:
     """Data-only inputs of every frame of a minibatch, packed into one node set.
 
-    Nodes are stacked frame after frame, sequence after sequence. Pairs and
-    candidate links hold packed node indices; frames are counted over the
-    frames that have nodes.
+    Nodes are stacked frame after frame, sequence after sequence. Pairs,
+    candidate links and node frames are segment plans over packed node
+    (or frame) indices, built with the data, so no forward or backward call
+    sorts them again; frames are counted over the frames that have nodes.
     """
 
     mode: str
     variant: str
     nodes: list[list[ObjectNode]]     # per frame of the batch, empty frames included
     feats: np.ndarray                 # (N, m) node encodings
-    node_frame: np.ndarray            # (N,) frame of each node, non-decreasing
-    subj: np.ndarray                  # (P,) within-frame ordered pairs i != j,
-    obj: np.ndarray                   #      subject-major
-    cand_curr: np.ndarray             # (C,) each node x every node of the preceding
-    cand_prev: np.ndarray             #      frame of its sequence, by (curr, prev)
+    node_frame: ad.SegmentPlan        # (N,) frame of each node, non-decreasing
+    subj: ad.SegmentPlan              # (P,) within-frame ordered pairs i != j,
+    obj: ad.SegmentPlan               #      subject-major
+    cand_curr: ad.SegmentPlan         # (C,) each node x every node of the preceding
+    cand_prev: ad.SegmentPlan         #      frame of its sequence, by (curr, prev)
     tracked: np.ndarray | None = None  # (C,) the tracking variant's links
 
     @property
@@ -208,7 +211,7 @@ class Packed:
     @property
     def n_frames(self) -> int:
         """Frames that have nodes."""
-        return int(self.node_frame[-1]) + 1 if len(self.node_frame) else 0
+        return self.node_frame.n
 
     @classmethod
     def join(cls, parts: list["Packed"]) -> "Packed":
@@ -216,19 +219,16 @@ class Packed:
         first = parts[0]
         if len(parts) == 1:
             return first
-        node_off = np.cumsum([0] + [p.n_nodes for p in parts[:-1]])
-        frame_off = np.cumsum([0] + [p.n_frames for p in parts[:-1]])
 
-        def cat(name, offsets):
-            return np.concatenate([getattr(p, name) + o for p, o in zip(parts, offsets)])
+        def cat(name):
+            return ad.SegmentPlan.join([getattr(p, name) for p in parts])
 
         return cls(
             mode=first.mode, variant=first.variant,
             nodes=[frame for p in parts for frame in p.nodes],
             feats=np.concatenate([p.feats for p in parts]),
-            node_frame=cat("node_frame", frame_off),
-            subj=cat("subj", node_off), obj=cat("obj", node_off),
-            cand_curr=cat("cand_curr", node_off), cand_prev=cat("cand_prev", node_off),
+            node_frame=cat("node_frame"), subj=cat("subj"), obj=cat("obj"),
+            cand_curr=cat("cand_curr"), cand_prev=cat("cand_prev"),
             tracked=None if first.tracked is None
             else np.concatenate([p.tracked for p in parts]),
         )
@@ -259,9 +259,12 @@ def pack(sequence: SceneSequence, mode: str, variant: str, dims) -> Packed:
         boxes = np.array([o.box.as_array() for o in flat]).reshape(-1, 4)
         labels = np.array([o.label for o in flat], dtype=np.intp)
         tracked = tracking_links(boxes, labels, cand_curr, cand_prev)
+    n = len(flat)
     return Packed(mode=mode, variant=variant, nodes=nodes, feats=feats,
-                  node_frame=np.repeat(np.arange(len(present)), present),
-                  subj=subj, obj=obj, cand_curr=cand_curr, cand_prev=cand_prev,
+                  node_frame=ad.SegmentPlan(np.repeat(np.arange(len(present)), present),
+                                            len(present)),
+                  subj=ad.SegmentPlan(subj, n), obj=ad.SegmentPlan(obj, n),
+                  cand_curr=ad.SegmentPlan(cand_curr, n), cand_prev=ad.SegmentPlan(cand_prev, n),
                   tracked=tracked)
 
 
@@ -281,7 +284,7 @@ class BatchOutput:
 def _override_links(link_mask_fn, gamma: np.ndarray, packed: Packed) -> np.ndarray:
     """Candidate mask from `link_mask_fn(gamma, nodes_t, nodes_tm1)`, frame pair by frame pair."""
     frames = [f for f in packed.nodes if f]
-    cand_frame = packed.node_frame[packed.cand_curr]
+    cand_frame = packed.node_frame.ids[packed.cand_curr.ids]
     mask = np.zeros(len(cand_frame), dtype=bool)
     for t in np.unique(cand_frame):
         block = cand_frame == t
@@ -310,24 +313,28 @@ def forward_batch(packed: Packed, params: ModelParams, k: int = 1,
     fused = updated
     gamma = tau = None
     chosen = np.zeros(0, dtype=np.intp)
-    if len(packed.cand_curr):
+    cand_curr = packed.cand_curr.ids
+    if len(cand_curr):
         gamma = link_relevance(updated, packed.cand_curr, packed.cand_prev,
                                params["temporal.phi"])
         if link_mask_fn is not None:
             mask = _override_links(link_mask_fn, gamma.data, packed)
         elif variant == "sparse":
-            mask = topk_links(gamma.data, packed.cand_curr, k)
+            mask = topk_links(gamma.data, cand_curr, k)
         elif variant == "dense":
-            mask = np.ones(len(packed.cand_curr), dtype=bool)
+            mask = np.ones(len(cand_curr), dtype=bool)
         else:
             mask = packed.tracked
         chosen = np.flatnonzero(mask)
         if len(chosen):
-            curr_idx, prev_idx = packed.cand_curr[chosen], packed.cand_prev[chosen]
+            # the selected links' plans, shared by the forward and backward calls
+            curr_ids = cand_curr[chosen]
+            curr_idx = ad.SegmentPlan(curr_ids, n)
+            prev_idx = ad.SegmentPlan(packed.cand_prev.ids[chosen], n)
+            frame_idx = ad.SegmentPlan(packed.node_frame.ids[curr_ids], packed.n_frames)
             context = frame_context(updated, packed.node_frame, packed.n_frames)
-            tau = encode_temporal_pairs(
-                updated, curr_idx, prev_idx,
-                ad.gather_rows(context, packed.node_frame[curr_idx]), params)
+            tau = encode_temporal_pairs(updated, curr_idx, prev_idx,
+                                        ad.gather_rows(context, frame_idx), params)
             zeta = aggregate_links(ad.gather_rows(gamma, chosen), tau, curr_idx, n)
             fused = fuse(updated, zeta)
 
@@ -379,8 +386,8 @@ def frame_outputs(packed: Packed, out: BatchOutput) -> list[FrameOutput]:
         dists = np.array([o.label_dist for f in packed.nodes for o in f])
     else:
         dists = ad.softmax(out.label_logits, axis=-1).data
-    cand_curr = packed.cand_curr
-    link_curr, link_prev = cand_curr[out.links], packed.cand_prev[out.links]
+    cand_curr = packed.cand_curr.ids
+    link_curr, link_prev = cand_curr[out.links], packed.cand_prev.ids[out.links]
     outputs = []
     start = pair_start = 0
     prev_start = None

@@ -24,7 +24,7 @@ from . import blas
 from .autodiff import Tape, Tensor, backward
 from .config import RunConfig
 from .errors import ContractError, TrainingError
-from .params import ModelParams
+from .params import Gradients, ModelParams
 from .rng import RngStream
 from .scene import FrameRecord, ObjectNode, SceneSequence, pairwise_iou
 from .temporal import BatchOutput, Packed, forward_batch, pack
@@ -270,8 +270,12 @@ def loss_targets(sequence: SceneSequence, packed: Packed, h: int) -> Targets:
 
 
 def prepare(sequence: SceneSequence, mode: str, variant: str, dims) -> tuple[Packed, Targets]:
-    """Everything about one sequence that depends on the data, not the parameters."""
+    """Everything about one sequence that depends on the data, not the
+    parameters, down to the runs of its plans that the backward pass reduces
+    over; batches join those runs rather than find them again."""
     packed = pack(sequence, mode, variant, dims)
+    for plan in (packed.node_frame, packed.subj, packed.obj, packed.cand_curr, packed.cand_prev):
+        plan.runs()
     return packed, loss_targets(sequence, packed, dims.h)
 
 
@@ -359,7 +363,11 @@ def sequence_loss(sequence: SceneSequence, params: ModelParams, mode: str, varia
 
 
 class Optimizer:
-    """Adaptive-moment update with a plain gradient-descent option."""
+    """Adaptive-moment update with a plain gradient-descent option.
+
+    The update is elementwise, so it runs on whole arrays: the flat
+    parameter vector in training, or any one array (`update`).
+    """
 
     def __init__(self, kind: str = "adam", lr: float = 1e-3, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -369,35 +377,24 @@ class Optimizer:
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
+        self._m: np.ndarray | None = None   # moments, shaped like the updated array
+        self._v: np.ndarray | None = None
 
-    def step_tensors(self, tensors: dict[str, Tensor],
-                     grads: dict[str, np.ndarray]) -> dict[str, Tensor]:
+    def update(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """The stepped values of x given its gradient g, as a new array."""
         self.step_count += 1
-        updated: dict[str, Tensor] = {}
-        for name, tensor in tensors.items():
-            g = grads.get(name)
-            if g is None:
-                continue
-            if self.kind == "sgd":
-                updated[name] = Tensor(tensor.data - self.lr * g)
-                continue
-            m = self._m.get(name)
-            v = self._v.get(name)
-            if m is None:
-                m = np.zeros_like(g)
-                v = np.zeros_like(g)
-            m = self.beta1 * m + (1 - self.beta1) * g
-            v = self.beta2 * v + (1 - self.beta2) * g * g
-            self._m[name], self._v[name] = m, v
-            mhat = m / (1 - self.beta1 ** self.step_count)
-            vhat = v / (1 - self.beta2 ** self.step_count)
-            updated[name] = Tensor(tensor.data - self.lr * mhat / (np.sqrt(vhat) + self.eps))
-        return updated
+        if self.kind == "sgd":
+            return x - self.lr * g
+        if self._m is None:
+            self._m, self._v = np.zeros_like(g), np.zeros_like(g)
+        m = self._m = self.beta1 * self._m + (1 - self.beta1) * g
+        v = self._v = self.beta2 * self._v + (1 - self.beta2) * g * g
+        mhat = m / (1 - self.beta1 ** self.step_count)
+        vhat = v / (1 - self.beta2 ** self.step_count)
+        return x - self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
-    def step(self, params: ModelParams, grads: dict[str, np.ndarray]) -> ModelParams:
-        return params.replaced(self.step_tensors(dict(params.items()), grads))
+    def step(self, params: ModelParams, grads: Gradients) -> ModelParams:
+        return params.with_flat(self.update(params.flat, grads.flat))
 
 
 # ---------------------------------------------------------------------------
@@ -425,26 +422,23 @@ def grad_check(sequence: SceneSequence, params: ModelParams, mode: str = "sgcls"
     params.watch_all(tape)
     with tape:
         total, _ = sequence_loss(sequence, params, mode, variant, k, lambda_node, lambda_link)
-    grads = backward(tape, total)
-    named = {name: grads[tensor].data for name, tensor in params.items()}
+    grads = Gradients.collect(params, backward(tape, total)).flat
 
-    entries: list[tuple[str, int]] = []
+    # flat indices of the checked entries
+    start = dict(zip(params.layout.names, params.layout.offsets))
     total_entries = params.count()
     if total_entries <= max_entries:
-        for name, tensor in params.items():
-            entries.extend((name, i) for i in range(tensor.size))
+        entries = list(range(total_entries))
     else:
         rng = RngStream(seed, stream=99)
         budget = max(max_entries, 500)
         names = params.names()
         # at least one entry per tensor, remainder proportional to size
-        for name in names:
-            entries.append((name, rng.integer(params[name].size)))
+        entries = [start[name] + rng.integer(params[name].size) for name in names]
         while len(entries) < budget:
             name = names[rng.integer(len(names))]
-            entries.append((name, rng.integer(params[name].size)))
+            entries.append(start[name] + rng.integer(params[name].size))
 
-    arrays = params.as_arrays()
     # central differences cannot resolve differences below the rounding noise
     # of the loss itself (~eps*|loss|/2h); exactly-zero gradients (e.g. the
     # relevance projection under k=1 without the link term, where the link
@@ -452,21 +446,15 @@ def grad_check(sequence: SceneSequence, params: ModelParams, mode: str = "sgcls"
     # pure ulp noise
     fd_floor = 8.0 * np.finfo(np.float64).eps * max(1.0, abs(total.item())) / (2 * h)
     worst = 0.0
-    for name, flat_idx in entries:
-        base = arrays[name]
-        bumped = {k2: v for k2, v in arrays.items()}
-        plus = base.copy()
-        plus.reshape(-1)[flat_idx] += h
-        bumped[name] = plus
-        hi = loss_value(sequence, ModelParams.from_arrays(params.dims, bumped, params.gcn_layers),
-                        mode, variant, k, lambda_node, lambda_link)
-        minus = base.copy()
-        minus.reshape(-1)[flat_idx] -= h
-        bumped[name] = minus
-        lo = loss_value(sequence, ModelParams.from_arrays(params.dims, bumped, params.gcn_layers),
-                        mode, variant, k, lambda_node, lambda_link)
-        numeric = (hi - lo) / (2 * h)
-        analytic = named[name].reshape(-1)[flat_idx]
+    for i in entries:
+        bumped = []
+        for step in (h, -h):
+            flat = params.flat.copy()
+            flat[i] += step
+            bumped.append(loss_value(sequence, params.with_flat(flat), mode, variant, k,
+                                     lambda_node, lambda_link))
+        numeric = (bumped[0] - bumped[1]) / (2 * h)
+        analytic = grads[i]
         if abs(analytic - numeric) <= fd_floor:
             continue
         err = abs(analytic - numeric) / max(1e-12, abs(analytic) + abs(numeric))
@@ -478,8 +466,9 @@ def grad_check(sequence: SceneSequence, params: ModelParams, mode: str = "sgcls"
 # training loop
 
 
-def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, np.ndarray]:
-    """Scale the whole gradient down to a global L2 norm of max_norm.
+def clip_gradients(grads: Gradients, max_norm: float) -> Gradients:
+    """Scale the whole gradient down to a global L2 norm of max_norm; grads
+    itself when the norm is within it.
 
     Near-cancelling link-weight sums can spike the aggregated features and
     with them the gradient; an unclipped step then launches the parameters
@@ -487,11 +476,16 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, n
     """
     if max_norm <= 0:
         return grads
-    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    flat = grads.flat
+    # one dot product settles the steps far inside the bound; near it, the
+    # norm is summed tensor by tensor, in the order the clip factor has
+    # always used, because one ulp of that factor moves the trained floats
+    if np.sqrt(np.dot(flat, flat)) < 0.999 * max_norm:
+        return grads
+    total = np.sqrt(sum(float(np.sum(g * g)) for _, g in grads.items()))
     if total <= max_norm:
         return grads
-    factor = max_norm / total
-    return {name: g * factor for name, g in grads.items()}
+    return grads.scaled(max_norm / total)
 
 
 @dataclass
@@ -538,14 +532,13 @@ def train(dataset: list[SceneSequence], cfg: RunConfig,
             if not np.isfinite(value):
                 raise TrainingError(f"non-finite loss {value} {where}")
             epoch_losses.append(value)
-            grads = backward(tape, total)
-            named = {name: grads[t].data for name, t in params.items()}
+            grads = Gradients.collect(params, backward(tape, total))
             # a non-finite gradient would turn every parameter into NaN via
             # the clip factor, with no error until the next batch's loss
-            for name, g in named.items():
-                if not np.all(np.isfinite(g)):
-                    raise TrainingError(f"non-finite gradient in {name} {where}")
-            params = opt.step(params, clip_gradients(named, tc.clip_norm))
+            if not np.isfinite(grads.flat).all():
+                name = next(n for n, g in grads.items() if not np.isfinite(g).all())
+                raise TrainingError(f"non-finite gradient in {name} {where}")
+            params = opt.step(params, clip_gradients(grads, tc.clip_norm))
         entry = EpochLog(epoch=epoch + 1, train_loss=float(np.mean(epoch_losses)))
         if eval_fn is not None and (epoch + 1) % max(1, tc.val_every) == 0:
             entry.val_recall20 = float(eval_fn(params))

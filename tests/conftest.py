@@ -74,7 +74,4 @@ def params(dims) -> ModelParams:
 
 def zero_params(dims: Dims, gcn_layers: int = 2) -> ModelParams:
     base = ModelParams.init(dims, seed=0, gcn_layers=gcn_layers)
-    from stsg.autodiff import Tensor
-
-    return ModelParams(dims, {k: Tensor(np.zeros_like(v.data)) for k, v in base.items()},
-                       gcn_layers)
+    return base.with_flat(np.zeros_like(base.flat))

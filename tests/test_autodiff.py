@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -147,10 +149,19 @@ OP_CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(OP_CASES))
-def test_op_gradient_matches_finite_differences(name):
+def fd_floor(loss_value: float, h: float = 1e-5) -> float:
+    """The smallest gradient difference central differences resolve: below
+    it the rounding noise of the loss (~eps*|loss|/2h) dominates. The same
+    floor as `training.grad_check`."""
+    return 8.0 * np.finfo(np.float64).eps * max(1.0, abs(loss_value)) / (2 * h)
+
+
+def op_gradient_error(name: str, stream: int, floored: bool = True) -> float:
+    """Worst relative error of one op case's gradients against central
+    differences, on inputs from the given stream; entries whose difference
+    lies within the noise floor count as agreeing unless floored is False."""
     fn, shapes = OP_CASES[name]
-    rng = RngStream(101, stream=hash(name) % 1000)
+    rng = RngStream(101, stream=stream)
     arrays = [rng.normal_array(s) for s in shapes]
     if name == "relu":
         # keep inputs away from the kink where the derivative is not defined
@@ -164,8 +175,27 @@ def test_op_gradient_matches_finite_differences(name):
 
     ana = analytic_grads(loss, arrays)
     num = finite_diff(lambda *xs: loss(*[Tensor(x) for x in xs]).item(), arrays)
+    floor = fd_floor(loss(*[Tensor(a) for a in arrays]).item()) if floored else -1.0
+    worst = 0.0
     for a, n in zip(ana, num):
-        assert rel_err(a, n) < 1e-6, name
+        resolved = np.abs(a - n) > floor
+        if resolved.any():
+            worst = max(worst, rel_err(a[resolved], n[resolved]))
+    return worst
+
+
+@pytest.mark.parametrize("name", sorted(OP_CASES))
+def test_op_gradient_matches_finite_differences(name):
+    # a stable digest of the name, so the inputs do not change with PYTHONHASHSEED
+    assert op_gradient_error(name, zlib.crc32(name.encode()) % 1000) < 1e-6, name
+
+
+@pytest.mark.parametrize("name, stream", [("elementwise-mul", 749), ("mul-broadcast", 939)])
+def test_op_gradient_noise_floor_resolves_near_zero_entries(name, stream):
+    # the inputs hash(name) % 1000 drew under PYTHONHASHSEED=4 and 8: near-zero
+    # entries whose central differences are pure rounding noise
+    assert op_gradient_error(name, stream, floored=False) >= 1e-6
+    assert op_gradient_error(name, stream) < 1e-6
 
 
 def test_log_softmax_gradient_matches_finite_differences():
@@ -339,3 +369,103 @@ def test_gather_rows_backward_scatter_adds():
     want = np.zeros((5, 2))
     np.add.at(want, idx, g)
     np.testing.assert_allclose(backward(tape, loss)[t].data, want, rtol=1e-15, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# segment plans
+
+PLAN_IDS = {
+    "sorted": np.array([0, 0, 1, 3, 3, 3, 5]),
+    "unsorted": np.array([4, 0, 2, 4, 1, 0, 5, 2]),
+    "duplicate-heavy": np.array([2, 2, 0, 2, 2, 2, 0, 2, 2, 5, 2, 2]),
+    "empty": np.zeros(0, dtype=np.intp),
+}
+
+
+def scatter_reference(values, ids, n):
+    out = np.zeros((n,) + values.shape[1:])
+    np.add.at(out, ids, values)
+    return out
+
+
+def per_call_reference(values, ids, n):
+    """The scatter each call computed before plans: a stable argsort of the
+    ids, then `reduceat` over the runs of equal ids; for vectors, bincount."""
+    if values.ndim == 1:
+        return np.bincount(ids, weights=values, minlength=n)
+    out = np.zeros((n,) + values.shape[1:])
+    if len(ids):
+        order = np.argsort(ids, kind="stable")
+        ranked = ids[order]
+        starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+        out[ranked[starts]] = np.add.reduceat(values[order], starts, axis=0)
+    return out
+
+
+def assert_scatter(got, values, ids, n):
+    # bitwise the per-call path, and np.add.at to the ulp: reduceat does not
+    # add the rows of a run strictly left to right, np.add.at and bincount do
+    assert np.array_equal(got, per_call_reference(values, ids, n))
+    want = scatter_reference(values, ids, n)
+    if values.ndim == 1:
+        assert np.array_equal(got, want)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("kind", sorted(PLAN_IDS))
+@pytest.mark.parametrize("width", [None, 3])
+def test_plan_ops_match_the_per_call_scatter_and_np_add_at(kind, width):
+    ids, n = PLAN_IDS[kind], 6
+    shape = (len(ids),) if width is None else (len(ids), width)
+    x = RngStream(105, stream=1).normal_array(shape) if len(ids) else np.zeros(shape)
+    a = RngStream(105, stream=2).normal_array((n,) + shape[1:])
+    g = RngStream(105, stream=3).normal_array(shape) if len(ids) else np.zeros(shape)
+    for index in (ids, ad.SegmentPlan(ids, n)):
+        assert_scatter(ad.segment_sum(Tensor(x), index, n).data, x, ids, n)
+        t = Tensor(a)
+        tape = Tape()
+        tape.watch(t)
+        with tape:
+            loss = ad.reduce_sum(ad.mul(ad.gather_rows(t, index), Tensor(g)))
+        assert_scatter(backward(tape, loss)[t].data, g, ids, n)
+
+
+@pytest.mark.parametrize("kind", sorted(PLAN_IDS))
+def test_segment_log_softmax_on_a_plan_matches_its_reference(kind):
+    ids, n = PLAN_IDS[kind], 6
+    z = RngStream(106, stream=1).normal_array(len(ids)) * 3.0 if len(ids) else np.zeros(0)
+    peak = np.full(n, -np.inf)
+    np.maximum.at(peak, ids, z)
+    shifted = z - peak[ids]
+    want = shifted - np.log(scatter_reference(np.exp(shifted), ids, n)[ids])
+    for index in (ids, ad.SegmentPlan(ids, n)):
+        assert np.array_equal(ad.segment_log_softmax(Tensor(z), index, n).data, want)
+
+
+def test_joined_plan_equals_the_plan_of_the_concatenated_lists():
+    parts = [(PLAN_IDS["sorted"], 6), (PLAN_IDS["empty"], 2), (PLAN_IDS["unsorted"], 6),
+             (PLAN_IDS["duplicate-heavy"], 7)]
+    offsets = np.cumsum([0] + [n for _, n in parts])
+    joined = ad.SegmentPlan.join([ad.SegmentPlan(ids, n) for ids, n in parts])
+    whole = ad.SegmentPlan(np.concatenate([ids + o for (ids, _), o in zip(parts, offsets)]),
+                           offsets[-1])
+    assert joined.n == whole.n
+    assert np.array_equal(joined.ids, whole.ids)
+    for got, want, field in zip(joined.runs(), whole.runs(), ("order", "starts", "segments")):
+        assert np.array_equal(got, want), field
+    sorted_only = ad.SegmentPlan.join([ad.SegmentPlan(PLAN_IDS["sorted"], 6)] * 2)
+    assert sorted_only.runs()[0] is None
+
+
+def test_plan_checks_its_ids_when_built():
+    with pytest.raises(ContractError, match="segment id out of range for 4 segments"):
+        ad.SegmentPlan([0, 4], 4)
+    with pytest.raises(ContractError, match="out of range"):
+        ad.SegmentPlan([-1, 0], 4)
+    with pytest.raises(ShapeError, match="1-D"):
+        ad.SegmentPlan([[0, 1]], 4)
+    with pytest.raises(ContractError, match="gather-rows: index out of range for 3 rows"):
+        ad.gather_rows(Tensor(np.ones((3, 2))), [3])
+    # a plan serves only the segment count it was built for
+    with pytest.raises(ContractError, match="plan over 4 segments, need 5"):
+        ad.segment_sum(Tensor(np.ones((2, 2))), ad.SegmentPlan([0, 1], 4), 5)

@@ -56,3 +56,56 @@ def test_called_names_resolve_and_accept_their_arguments(workloads, name):
             # positional and keyword arguments as written bind to the signature
             inspect.signature(target).bind(*call.args, **{kw.arg: kw.value
                                                           for kw in call.keywords})
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import tracer
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return tracer
+
+
+def calls_named(fn, name):
+    """The calls in fn's source of `name`, as a bare name or an attribute."""
+    tree = ast.parse(inspect.getsource(fn).lstrip())
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+
+def test_train_calls_the_names_the_benchmark_wraps_as_it_wraps_them(workloads, tracer):
+    from stsg import training
+
+    # timed_train ends a step where train calls clip_gradients, and its
+    # wrapper takes exactly (grads, max_norm) by position
+    (clip,) = calls_named(training.train, "clip_gradients")
+    assert len(clip.args) == 2 and not clip.keywords
+    assert "training.clip_gradients = clip_then_tick" in inspect.getsource(workloads.timed_train)
+    # the tracer's hooks bind each call to the function's signature and read
+    # these arguments by name
+    hooked = {attr for module, attr, _, _ in tracer.HOOKS if module == "stsg.training"}
+    assert {"clip_gradients", "backward", "Optimizer.step"} <= hooked
+    assert list(inspect.signature(training.clip_gradients).parameters) == ["grads", "max_norm"]
+    assert list(inspect.signature(training.backward).parameters) == ["tape", "loss"]
+    for name, target in (("backward", training.backward),
+                         ("step", training.Optimizer().step)):
+        calls = calls_named(training.train, name)
+        assert calls, name
+        for call in calls:
+            inspect.signature(target).bind(*call.args, **{kw.arg: kw.value
+                                                          for kw in call.keywords})
+
+
+def test_clip_in_bounds_returns_its_argument():
+    # the tracer counts a clip hit when clip_gradients returns another object
+    import numpy as np
+    from stsg.config import Dims
+    from stsg.params import Gradients, ModelParams
+    from stsg.training import clip_gradients
+
+    params = ModelParams.init(Dims(), seed=0)
+    grads = Gradients(params.layout, np.full(params.count(), 1e-3))
+    assert clip_gradients(grads, 10.0) is grads
+    assert clip_gradients(grads, 1e-6) is not grads

@@ -144,7 +144,9 @@ def test_dataset_roundtrip(dataset_dir):
     header, seqs = io.load_split(dataset_dir, "train")
     assert header["count"] == len(seqs) == 10
     assert header["config"]["dims.g"] == 8
-    rewritten = [io.sequence_from_json(io.sequence_to_json(s), Path("mem"), 0) for s in seqs]
+    dims = io.runconfig_from_flat(header["config"]).dims
+    rewritten = [io.sequence_from_json(io.sequence_to_json(s), Path("mem"), 0, dims)
+                 for s in seqs]
     for a, b in zip(seqs, rewritten):
         assert a.seed == b.seed
         for fa, fb in zip(a.frames, b.frames):
@@ -458,6 +460,42 @@ def test_malformed_dataset_box_is_an_error(tmp_path, dataset_dir, capsys, box):
     assert _train(data, tmp_path) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "train.jsonl:2" in err and "'box'" in err
+
+
+def _label_out_of_range(frame):
+    frame["objects"][0]["label"] = 99
+
+
+def _subject_not_an_object(frame):
+    frame["triplets"][0][0] = len(frame["objects"])
+
+
+def _object_negative(frame):
+    frame["triplets"][0][1] = -1
+
+
+def _predicate_out_of_range(frame):
+    frame["triplets"][0][2] = 6
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_label_out_of_range, "object label must be an integer in [0, 8), got 99"),
+    (_subject_not_an_object, "triplet subject must be an integer in [0, "),
+    (_object_negative, "triplet object must be an integer in [0, "),
+    (_predicate_out_of_range, "triplet predicate must be an integer in [0, 6), got 6"),
+], ids=["label", "subject", "object", "predicate"])
+def test_ground_truth_out_of_range_is_an_error(tmp_path, dataset_dir, capsys, edit, message):
+    # predcls one-hot encodes the gt labels and indexes the triplets: without
+    # the range check these ended in an IndexError traceback
+    def edit_record(record):
+        edit(next(f for f in record["frames"] if f["triplets"]))
+
+    data = _edited_train_split(tmp_path, dataset_dir, 1, edit_record)
+    capsys.readouterr()
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "m.json"),
+                 "--no-val", "--mode", "predcls"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "train.jsonl:2" in err and message in err
 
 
 def test_shape_error_is_an_error(tmp_path, dataset_dir, capsys):

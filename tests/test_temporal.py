@@ -430,8 +430,9 @@ def test_packed_links_stay_within_a_sequence(dims, params, variant):
     for mode in ("predcls", "sgcls", "sgdet"):
         packed = Packed.join([pack(seq, mode, variant, dims) for seq in seqs])
         # every candidate joins a node to one of the frame right before it
-        assert np.all(packed.node_frame[packed.cand_curr]
-                      == packed.node_frame[packed.cand_prev] + 1)
+        node_frame = packed.node_frame.ids
+        assert np.all(node_frame[packed.cand_curr.ids]
+                      == node_frame[packed.cand_prev.ids] + 1)
         outs = frame_outputs(packed, forward_batch(packed, params, 10))
         # neither the frame after the gap nor the first frame of a sequence
         # links back, though the frame packed before each has nodes

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -11,7 +12,7 @@ import stsg.autodiff as ad
 from stsg.cli import _gen_one, gradcheck_sample
 from stsg.config import Dims, NoiseConfig, RunConfig, TrainConfig, WorldConfig, config_with
 from stsg.errors import TrainingError
-from stsg.params import ModelParams
+from stsg.params import Gradients, ModelParams
 from stsg.rng import RngStream
 from stsg.synthgen import generate_scene
 from stsg.scene import iou
@@ -26,6 +27,7 @@ from stsg.training import (
     LINK_WEIGHT,
     Optimizer,
     batch_loss,
+    clip_gradients,
     grad_check,
     join,
     link_loss,
@@ -228,7 +230,7 @@ def test_grad_check_masked_paths_consistent(dims):
 def test_sgd_step_is_exactly_minus_lr_grad():
     dims = Dims()
     params = ModelParams.init(dims, seed=5)
-    grads = {name: np.full(t.shape, 0.25) for name, t in params.items()}
+    grads = Gradients(params.layout, np.full(params.count(), 0.25))
     stepped = Optimizer("sgd", lr=0.1).step(params, grads)
     for name, t in params.items():
         np.testing.assert_allclose(stepped[name].data, t.data - 0.1 * 0.25,
@@ -238,10 +240,11 @@ def test_sgd_step_is_exactly_minus_lr_grad():
 def test_adam_moments_track_shapes():
     dims = Dims()
     params = ModelParams.init(dims, seed=5)
-    grads = {name: np.ones(t.shape) for name, t in params.items()}
+    grads = Gradients(params.layout, np.ones(params.count()))
     opt = Optimizer("adam", lr=1e-3)
     stepped = opt.step(params, grads)
-    assert opt._m["rel.w"].shape == params["rel.w"].shape
+    # the moments hold one entry per parameter, in the parameters' layout
+    assert params.layout.views(opt._m)["rel.w"].shape == params["rel.w"].shape
     assert not np.allclose(stepped["rel.w"].data, params["rel.w"].data)
 
 
@@ -255,6 +258,60 @@ def tiny_cfg(**train_kw):
 def tiny_dataset(cfg, count=6):
     # sequences 0..count-1 of base seed 1, as `stsg gen --seed 1` numbers them
     return [generate_scene(cfg.dims, cfg.world, 1 * 1_000_000 + i) for i in range(count)]
+
+
+# sha256 over (name, bytes) of each trained parameter, sorted by name, for
+# tiny_cfg on tiny_dataset; computed before segment plans and the flat
+# parameter vector replaced per-call sorting and per-tensor updates, which
+# were to leave every float unchanged. The bytes depend on the numpy and
+# BLAS build as well as on the code.
+TRAINED_DIGESTS = {
+    ("predcls", "dense", 1): "10e7d58b6ac67e3d2ee2e64a00c431be1f9864261c913f98e635b65d95022749",
+    ("predcls", "sparse", 1): "df57ba545bd200f62211bf4bb7e5b57b0d7806ddf8838875801eaa4e4b2fbd11",
+    ("predcls", "sparse", 2): "db8fcadb43dd61cd7298cde3ba9bc641e092a8bfeac2543eeaa9734380c17784",
+    ("predcls", "spatial", 1): "d569efd6881b87bc439eacf9116a97890c2980658bbca5fe723fb8659ff76895",
+    ("predcls", "tracking", 1): "08e92cd6af38360fc2d916b0588eaa9ae1c98cd01bdee202235e8b541604cbac",
+    ("sgcls", "dense", 1): "27662d6a7b4593ea422c0c7b9381b21cafab66980c2ba0ef92e9cfc74601425c",
+    ("sgcls", "sparse", 1): "3fbe58125e0011d5b0381911c13add29f442f8cfdd4b7b533baf89734158e2a8",
+    ("sgcls", "sparse", 2): "82ab378f95ce566e59119e10ad25e496f437b965b4200f8e8d290b337ea53b52",
+    ("sgcls", "spatial", 1): "b4dbe030744ad286f386994eee6cd68ad71aabb37d2aeece70837753b5c3a6ab",
+    ("sgcls", "tracking", 1): "4d365a05cdf6f55eabdc6b3b38f5b6d25455a55b6162707ff9d614ab0ab4e3c0",
+    ("sgdet", "dense", 1): "3c4bb0c09a80842f635d1095c9fe9f8958f8704e03ec08013fbb9f7759d344a5",
+    ("sgdet", "sparse", 1): "2fef977936bdd8564886dafefcd364b2f30b824986c5eefabf72c8362be7048f",
+    ("sgdet", "sparse", 2): "e2add2437e5d2daa5aeb719ea8b5210f9d7378b9f305601578d6127081b8a3ce",
+    ("sgdet", "spatial", 1): "12dd0041f118ebd4cdf1fe5ea6a338ff389f29bc5daed5386c68e629fc8fa824",
+    ("sgdet", "tracking", 1): "a827f0e597157b3b0bc9a97b22458b30383efaa75cf58a80996c665d4e393ff0",
+}
+
+
+def params_digest(params):
+    h = hashlib.sha256()
+    for name in sorted(params.names()):
+        h.update(name.encode())
+        h.update(params[name].data.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("mode, variant, k", sorted(TRAINED_DIGESTS))
+def test_trained_parameters_match_their_digest(mode, variant, k):
+    cfg = tiny_cfg(mode=mode, variant=variant, k=k)
+    assert params_digest(train(tiny_dataset(cfg), cfg).params) == \
+        TRAINED_DIGESTS[mode, variant, k]
+
+
+def test_clip_decides_on_the_per_tensor_norm():
+    params = ModelParams.init(Dims(), seed=5)
+    g = RngStream(12).normal_array(params.count())
+    exact = np.sqrt(sum(float(np.sum(v * v)) for _, v in Gradients(params.layout, g).items()))
+    # far inside the bound, just inside it, and on it
+    for max_norm in (2.0 * exact, 1.0005 * exact, exact):
+        grads = Gradients(params.layout, g)
+        assert clip_gradients(grads, max_norm) is grads
+    for max_norm in (0.9995 * exact, 0.5 * exact):
+        clipped = clip_gradients(Gradients(params.layout, g), max_norm)
+        assert np.array_equal(clipped.flat, g * (max_norm / exact))
+    grads = Gradients(params.layout, g)
+    assert clip_gradients(grads, 0.0) is grads
 
 
 def test_zero_learning_rate_keeps_parameters():
