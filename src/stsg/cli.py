@@ -36,8 +36,9 @@ from .featurebank import (
 )
 from .metrics import FrameEval, count_params_flops, evaluate, rank_triplets, recall_at_k
 from .params import ModelParams
+from .scene import SceneSequence
 from .synthgen import generate_scene
-from .temporal import forward_sequence, to_predictions
+from .temporal import FramePrediction, forward_sequence
 from .training import grad_check, train
 
 ABLATION_VARIANTS = [
@@ -105,22 +106,43 @@ def _resolve_config(args) -> RunConfig:
     return cfg
 
 
-def _serve(sequences, params: ModelParams, mode: str, variant: str, k: int, dims: Dims):
+def _load_split(data_dir, split: str, dims: Dims) -> list[SceneSequence]:
+    """A split's sequences; its records must be shaped by the run's dims.
+
+    The model's d does not shape any record, so only g, c and h are compared.
+    """
+    header, seqs = io.load_split(data_dir, split)
+    data_dims = io.runconfig_from_flat(header["config"]).dims
+    for name in ("g", "c", "h"):
+        want, got = getattr(dims, name), getattr(data_dims, name)
+        if want != got:
+            raise ConfigError(f"dims.{name}: the run uses {want}, but the {split} split "
+                              f"in {data_dir} was generated with {got}")
+    return seqs
+
+
+def _serve(sequences, params: ModelParams, mode: str, variant: str, k: int):
     """(sequence, its per-frame predictions) for each sequence, in order.
 
-    `forward_sequence` and `to_predictions` are looked up in this module's
-    globals at each call, so a wrapper bound to those names sees every call.
+    `forward_sequence` is looked up in this module's globals at each call, so
+    a wrapper bound to that name sees every call.
     """
     for seq in sequences:
-        yield seq, to_predictions(forward_sequence(seq, params, mode, variant, k), dims)
+        yield seq, forward_sequence(seq, params, mode, variant, k)
+
+
+def to_predictions(frames: list[FramePrediction], dims: Dims) -> list[FramePrediction]:
+    """`forward_sequence`'s frames, unchanged. perfbench's serving workload is
+    the only caller; ROADMAP item 5 removes its call and this function."""
+    return frames
 
 
 def _forward_frames(sequences, params: ModelParams, mode: str, variant: str,
-                    k: int, dims: Dims, constraint: bool = False) -> list[FrameEval]:
+                    k: int, constraint: bool = False) -> list[FrameEval]:
     """Ranked predictions per frame; constraint=True ranks only the best
     triplet per pair, which serves with-constraint metrics alone."""
     frames: list[FrameEval] = []
-    for seq, preds in _serve(sequences, params, mode, variant, k, dims):
+    for seq, preds in _serve(sequences, params, mode, variant, k):
         for pred, frame in zip(preds, seq.frames):
             frames.append(FrameEval(rank_triplets(pred, constraint=constraint),
                                     list(frame.triplets), list(frame.objects)))
@@ -154,17 +176,17 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
-    _, data = io.load_split(args.data, "train")
+    data = _load_split(args.data, "train", cfg.dims)
     if cfg.train.sequences:
         data = data[: cfg.train.sequences]
     eval_fn = None
     if not args.no_val:
-        _, val = io.load_split(args.data, "val")
+        val = _load_split(args.data, "val", cfg.dims)
         val = val[: args.val_sequences] if args.val_sequences else val
 
         def eval_fn(params):
             frames = _forward_frames(val, params, cfg.train.mode, cfg.train.variant,
-                                     cfg.train.k, cfg.dims, constraint=True)
+                                     cfg.train.k, constraint=True)
             return recall_at_k(frames, 20, cfg.train.mode, constraint=True)
 
     result = train(data, cfg, eval_fn=eval_fn)
@@ -213,16 +235,17 @@ def _frames_from_prediction_file(preds_path: str, sequences) -> list[FrameEval]:
 def cmd_eval(args) -> int:
     if bool(args.ckpt) == bool(args.preds):
         raise ConfigError("eval: give exactly one of --ckpt or --preds")
-    _, seqs = io.load_split(args.data, args.split)
     constraint = args.constraint == "with"
     if args.ckpt:
         cfg, params, _ = io.load_checkpoint(args.ckpt)
+        seqs = _load_split(args.data, args.split, cfg.dims)
         mode = args.mode or cfg.train.mode
         variant = args.variant or cfg.train.variant
         k = args.k or cfg.train.k
-        frames = _forward_frames(seqs, params, mode, variant, k, cfg.dims)
+        frames = _forward_frames(seqs, params, mode, variant, k)
         config_echo = cfg.to_flat_dict()
     else:
+        _, seqs = io.load_split(args.data, args.split)
         header, _ = io.load_predictions(args.preds)
         file_mode = header.get("mode")
         if args.mode and file_mode and args.mode != file_mode:
@@ -248,7 +271,7 @@ def cmd_eval(args) -> int:
 
 def cmd_infer(args) -> int:
     cfg, params, _ = io.load_checkpoint(args.ckpt)
-    _, seqs = io.load_split(args.data, args.split)
+    seqs = _load_split(args.data, args.split, cfg.dims)
     mode = args.mode or cfg.train.mode
     variant = args.variant or cfg.train.variant
     k = args.k or cfg.train.k
@@ -256,7 +279,7 @@ def cmd_infer(args) -> int:
         {"seq_seed": seq.seed,
          "frames": [io.frame_prediction_to_json(p, rank_triplets(p, constraint=False),
                                                 args.include_features) for p in preds]}
-        for seq, preds in _serve(seqs, params, mode, variant, k, cfg.dims)
+        for seq, preds in _serve(seqs, params, mode, variant, k)
     ]
     header = {"mode": mode, "variant": variant, "k": k, "split": args.split,
               "seed": cfg.train.seed, "include_features": bool(args.include_features),
@@ -271,7 +294,7 @@ def _ablation_cell(cfg: RunConfig, train_data, test_data, cell) -> dict[str, flo
     variant, k, seed = cell
     result = train(train_data, config_with(cfg, mode="sgdet", variant=variant, k=k, seed=seed))
     return {
-        mode: recall_at_k(_forward_frames(test_data, result.params, mode, variant, k, cfg.dims,
+        mode: recall_at_k(_forward_frames(test_data, result.params, mode, variant, k,
                                           constraint=True), 20, mode, constraint=True)
         for mode in MODES
     }
@@ -281,8 +304,8 @@ def cmd_ablate(args) -> int:
     cfg = _resolve_config(args)
     if args.jobs < 1:
         raise ConfigError(f"ablate: --jobs must be >= 1, got {args.jobs}")
-    _, train_data = io.load_split(args.data, "train")
-    _, test_data = io.load_split(args.data, "test")
+    train_data = _load_split(args.data, "train", cfg.dims)
+    test_data = _load_split(args.data, "test", cfg.dims)
     train_data = train_data[: args.train_sequences]
     test_data = test_data[: args.test_sequences] if args.test_sequences else test_data
     # the cells are independent and deterministic, so the results (collected
@@ -377,8 +400,8 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_bank(args) -> int:
     cfg, params, _ = io.load_checkpoint(args.ckpt)
-    _, train_seqs = io.load_split(args.data, "train")
-    _, test_seqs = io.load_split(args.data, "test")
+    train_seqs = _load_split(args.data, "train", cfg.dims)
+    test_seqs = _load_split(args.data, "test", cfg.dims)
     if args.train_sequences:
         train_seqs = train_seqs[: args.train_sequences]
     mode = args.mode or cfg.train.mode
@@ -386,7 +409,7 @@ def cmd_bank(args) -> int:
     def banks_for(seqs):
         banks = {v: [] for v in BANK_VARIANTS}
         labels = []
-        for seq, preds in _serve(seqs, params, mode, cfg.train.variant, cfg.train.k, cfg.dims):
+        for seq, preds in _serve(seqs, params, mode, cfg.train.variant, cfg.train.k):
             for v in BANK_VARIANTS:
                 banks[v].append(build_feature_bank(preds, v, cfg.dims))
             labels.append(seq.event_labels)

@@ -80,26 +80,29 @@ def classify_events(bank: FeatureBank, head: Tensor) -> np.ndarray:
 
 def train_event_head(banks: list[FeatureBank], labels: np.ndarray, n_events: int,
                      seed: int, epochs: int = 300, lr: float = 0.05) -> Tensor:
-    """Fit the bias-free linear head with full-batch multi-label BCE."""
+    """Fit the bias-free linear head with full-batch multi-label BCE.
+
+    -log(sigmoid(z)) = softplus(-z) and -log(1 - sigmoid(z)) = softplus(z),
+    which stays finite where the sigmoid saturates.
+    """
     if not banks:
         raise ContractError("train_event_head: no banks given")
+    labels = np.asarray(labels, dtype=np.float64)
+    if not np.isin(labels, (0.0, 1.0)).all():
+        raise ContractError("train_event_head: event labels must be 0 or 1")
     pooled = np.stack([pooled_feature(b) for b in banks])
     m = pooled.shape[1]
-    y = Tensor(np.asarray(labels, dtype=np.float64))
+    sign = Tensor(np.where(labels > 0, -1.0, 1.0))
     x = Tensor(pooled)
     rng = RngStream(seed, stream=7)
     head = Tensor(rng.normal_array((m, n_events), 0.0, 1.0 / np.sqrt(m)))
     opt = Optimizer("adam", lr=lr)
-    ones = Tensor(np.ones((pooled.shape[0], n_events)))
     for _ in range(epochs):
         tape = Tape()
         tape.watch(head)
         with tape:
-            probs = ad.sigmoid(ad.matmul(x, head))
-            pos = ad.mul(y, ad.log(probs))
-            neg = ad.mul(ad.add(ones, ad.scale(y, -1.0)),
-                         ad.log(ad.add(ones, ad.scale(probs, -1.0))))
-            loss = ad.scale(ad.reduce_sum(ad.add(pos, neg)), -1.0 / probs.size)
+            terms = ad.softplus(ad.mul(ad.matmul(x, head), sign))
+            loss = ad.scale(ad.reduce_sum(terms), 1.0 / terms.size)
         grads = backward(tape, loss)
         head = Tensor(opt.update(head.data, grads[head].data))
     return head

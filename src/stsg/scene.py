@@ -1,4 +1,4 @@
-"""Domain types for frames, objects, graphs and cross-frame links.
+"""Domain types for frames, objects and graphs.
 
 A node is the concatenation [box(4) | label distribution(G) | visual(C)],
 so the node width is always m = 4 + G + C and every slice of the encoding
@@ -176,14 +176,3 @@ class SceneSequence:
     def __post_init__(self):
         if not self.frames:
             raise ContractError("sequence: needs at least one frame")
-
-
-@dataclass(frozen=True)
-class TemporalLink:
-    """Selected cross-frame pair: previous node k -> current node j."""
-
-    prev_index: int
-    curr_index: int
-    gamma: float
-    eta: int = 1
-    tau: np.ndarray | None = None

@@ -22,40 +22,17 @@ from .autodiff import Tensor
 from .config import MODES, VARIANTS
 from .errors import ContractError
 from .params import ModelParams, linear, mlp2
-from .scene import FrameRecord, ObjectNode, SceneSequence, TemporalLink, gt_nodes
+from .scene import FrameRecord, ObjectNode, SceneSequence, gt_nodes
 from .spatial import frame_pairs, gcn_propagate, pair_grid, propose_relations
 
 DENOM_GUARD = 1e-8
 
 
-class CallCounter:
-    """Counts node-projection applications (rows pushed through the kernel map)."""
-
-    def __init__(self):
-        self.count = 0
-
-    def add(self, n: int) -> None:
-        self.count += int(n)
-
-
-def link_relevance(feats: Tensor, curr, prev, phi: Tensor,
-                   counter: CallCounter | None = None) -> Tensor:
+def link_relevance(feats: Tensor, curr, prev, phi: Tensor) -> Tensor:
     """gamma[c] = <phi(feat[curr[c]]), phi(feat[prev[c]])> for every candidate
     link c, projecting each node once; curr and prev are plans or index lists."""
     proj = ad.matmul(feats, phi)
-    if counter is not None:
-        counter.add(feats.shape[0])
     return ad.reduce_sum(ad.mul(ad.gather_rows(proj, curr), ad.gather_rows(proj, prev)), axis=1)
-
-
-def relevance_scores(feats_t: Tensor, feats_tm1: Tensor, phi: Tensor,
-                     counter: CallCounter | None = None) -> Tensor:
-    """gamma[j, k] for one frame pair: `link_relevance` over all (j, k)."""
-    n_t, n_prev = feats_t.shape[0], feats_tm1.shape[0]
-    curr = np.repeat(np.arange(n_t), n_prev)
-    prev = n_t + np.tile(np.arange(n_prev), n_t)
-    gamma = link_relevance(ad.concat([feats_t, feats_tm1]), curr, prev, phi, counter)
-    return ad.reshape(gamma, (n_t, n_prev))
 
 
 def topk_links(scores: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
@@ -66,20 +43,13 @@ def topk_links(scores: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
     (-score, index)).
     """
     if k < 1:
-        raise ContractError(f"select_topk: need k >= 1, got {k}")
+        raise ContractError(f"topk_links: need k >= 1, got {k}")
     order = np.lexsort((np.arange(len(scores)), -scores, rows))
     ranked_rows = rows[order]
     rank = np.arange(len(order)) - np.searchsorted(ranked_rows, ranked_rows)
     mask = np.zeros(len(scores), dtype=bool)
     mask[order[rank < k]] = True
     return mask
-
-
-def select_topk(gamma: np.ndarray, k: int) -> np.ndarray:
-    """`topk_links` on one frame pair: a binary (N_t, N_prev) mask."""
-    n_t, n_prev = gamma.shape
-    rows = np.repeat(np.arange(n_t), n_prev)
-    return topk_links(gamma.reshape(-1), rows, k).reshape(n_t, n_prev).astype(np.int64)
 
 
 def tracking_links(boxes: np.ndarray, labels: np.ndarray, curr: np.ndarray,
@@ -278,7 +248,6 @@ class BatchOutput:
     links: np.ndarray                       # (L,) candidate indices of the selected links
     label_logits: Tensor | None = None      # (N, G) pre-softmax scores; None in predcls
     gamma: Tensor | None = None             # (C,) relevance of every candidate link
-    tau: Tensor | None = None               # (L, m) encoding of each selected link
 
 
 def _override_links(link_mask_fn, gamma: np.ndarray, packed: Packed) -> np.ndarray:
@@ -311,7 +280,7 @@ def forward_batch(packed: Packed, params: ModelParams, k: int = 1,
     updated = gcn_propagate(feats, packed.subj, packed.obj, proposal, params)
 
     fused = updated
-    gamma = tau = None
+    gamma = None
     chosen = np.zeros(0, dtype=np.intp)
     cand_curr = packed.cand_curr.ids
     if len(cand_curr):
@@ -343,86 +312,75 @@ def forward_batch(packed: Packed, params: ModelParams, k: int = 1,
     if packed.mode != "predcls":
         label_logits = linear(fused, params["label.w"], params["label.b"])
     return BatchOutput(gcn=updated, fused=fused, relation_logits=logits,
-                       label_logits=label_logits, gamma=gamma, links=chosen, tau=tau)
+                       label_logits=label_logits, gamma=gamma, links=chosen)
 
 
 # ---------------------------------------------------------------------------
-# per-frame views
+# served frames
+
+LINK_DTYPE = np.dtype([("curr_index", np.intp), ("prev_index", np.intp)])
+
+
+def _no_links() -> np.recarray:
+    return np.rec.array(np.zeros(0, dtype=LINK_DTYPE))
 
 
 @dataclass
-class FrameOutput:
-    """Per-frame slice of a forward pass, as values."""
+class FramePrediction:
+    """One frame of a forward pass, as values, for metrics, banks and serialization.
 
-    nodes: list[ObjectNode]
-    label_dists: Tensor | None = None
-    relation_probs: Tensor | None = None    # (N, N, H), zero diagonal
-    gamma: Tensor | None = None             # relevance to the previous frame's nodes
-    fused: Tensor | None = None
-    gcn: Tensor | None = None
-    link_index: tuple[np.ndarray, np.ndarray] | None = None   # selected (current, previous)
-    tau: Tensor | None = None               # encoding of each selected link
+    The selected temporal edges are `links`, a record array of frame-local
+    (curr_index, prev_index) pairs: node `curr_index` of this frame takes
+    context from node `prev_index` of the previous frame.
+    """
+
+    boxes: np.ndarray                 # (N, 4)
+    label_dists: np.ndarray           # (N, G)
+    relation_probs: np.ndarray        # (N, N, H), zero diagonal
+    fused: np.ndarray                 # (N, m) spatial + temporal context
+    gcn: np.ndarray                   # (N, m) after message passing
+    nodes: list[ObjectNode] = field(default_factory=list)   # the frame's inputs
+    links: np.recarray = field(default_factory=_no_links)
 
     @property
     def n(self) -> int:
-        return len(self.nodes)
-
-    @property
-    def links(self) -> list[TemporalLink]:
-        """The selected links as records, built on each access."""
-        if self.link_index is None:
-            return []
-        curr_idx, prev_idx = self.link_index
-        return [
-            TemporalLink(int(p), int(c), float(self.gamma.data[c, p]), 1, self.tau.data[i])
-            for i, (c, p) in enumerate(zip(curr_idx, prev_idx))
-        ]
+        return self.boxes.shape[0]
 
 
-def frame_outputs(packed: Packed, out: BatchOutput) -> list[FrameOutput]:
-    """Split a packed forward pass into one `FrameOutput` per frame."""
+def frame_predictions(packed: Packed, out: BatchOutput, g: int) -> list[FramePrediction]:
+    """Cut a packed forward pass into one `FramePrediction` per frame,
+    empty frames included; g is the label count."""
+    feats = packed.feats
     probs = ad.sigmoid(out.relation_logits).data
     if out.label_logits is None:
-        dists = np.array([o.label_dist for f in packed.nodes for o in f])
+        dists = feats[:, 4:4 + g]
     else:
         dists = ad.softmax(out.label_logits, axis=-1).data
-    cand_curr = packed.cand_curr.ids
-    link_curr, link_prev = cand_curr[out.links], packed.cand_prev.ids[out.links]
-    outputs = []
-    start = pair_start = 0
-    prev_start = None
-    for nodes in packed.nodes:
-        n = len(nodes)
-        if n == 0:
-            outputs.append(FrameOutput(nodes=[]))
-            continue
-        stop, pair_stop = start + n, pair_start + n * (n - 1)
-        gamma = link_index = tau = None
-        cand = (cand_curr >= start) & (cand_curr < stop)
-        if out.gamma is not None and cand.any():
-            gamma = Tensor(out.gamma.data[cand].reshape(n, -1))
-            sel = (link_curr >= start) & (link_curr < stop)
-            if sel.any():
-                link_index = (link_curr[sel] - start, link_prev[sel] - prev_start)
-                tau = Tensor(out.tau.data[sel])
-        outputs.append(FrameOutput(
-            nodes=nodes,
-            label_dists=Tensor(dists[start:stop]),
-            relation_probs=Tensor(pair_grid(probs[pair_start:pair_stop], n)),
-            gamma=gamma,
-            fused=Tensor(out.fused.data[start:stop]),
-            gcn=Tensor(out.gcn.data[start:stop]),
-            link_index=link_index,
-            tau=tau,
-        ))
-        prev_start, start, pair_start = start, stop, pair_stop
-    return outputs
+    sizes = np.array([len(nodes) for nodes in packed.nodes], dtype=np.intp)
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    pair_starts = np.concatenate([[0], np.cumsum(sizes * (sizes - 1))])
+    # links come in candidate order, so each frame's links are one run
+    curr = packed.cand_curr.ids[out.links]
+    link_starts = np.searchsorted(curr, starts)
+    local = np.arange(packed.n_nodes) - np.repeat(starts[:-1], sizes)
+    links = np.rec.fromarrays([local[curr], local[packed.cand_prev.ids[out.links]]],
+                              dtype=LINK_DTYPE)
+    fused, gcn = out.fused.data, out.gcn.data
+    return [
+        FramePrediction(
+            boxes=feats[a:b, :4], label_dists=dists[a:b],
+            relation_probs=pair_grid(probs[pair_starts[t]:pair_starts[t + 1]], b - a),
+            fused=fused[a:b], gcn=gcn[a:b], nodes=nodes,
+            links=links[link_starts[t]:link_starts[t + 1]],
+        )
+        for t, (nodes, a, b) in enumerate(zip(packed.nodes, starts[:-1], starts[1:]))
+    ]
 
 
 @blas.one_thread()
 def forward_sequence(sequence: SceneSequence, params: ModelParams, mode: str,
                      variant: str = "sparse", k: int = 1,
-                     link_mask_fn=None) -> list[FrameOutput]:
+                     link_mask_fn=None) -> list[FramePrediction]:
     """Run the full pipeline over one sequence: a packed batch of one.
 
     The first frame (and any frame after an empty one) has no predecessor and
@@ -430,47 +388,5 @@ def forward_sequence(sequence: SceneSequence, params: ModelParams, mode: str,
     nodes_tm1) -> mask` overrides link selection when given.
     """
     packed = pack(sequence, mode, variant, params.dims)
-    return frame_outputs(packed, forward_batch(packed, params, k, link_mask_fn))
-
-
-# ---------------------------------------------------------------------------
-# value-level predictions
-
-
-@dataclass
-class FramePrediction:
-    """Value-level per-frame prediction for metrics, banks and serialization."""
-
-    boxes: np.ndarray
-    label_dists: np.ndarray
-    relation_probs: np.ndarray
-    fused: np.ndarray
-    gcn: np.ndarray
-    links: list[TemporalLink] = field(default_factory=list)
-
-    @property
-    def n(self) -> int:
-        return self.boxes.shape[0]
-
-
-def to_predictions(outputs: list[FrameOutput], dims) -> list[FramePrediction]:
-    preds = []
-    for out in outputs:
-        if out.n == 0:
-            preds.append(FramePrediction(
-                boxes=np.zeros((0, 4)),
-                label_dists=np.zeros((0, dims.g)),
-                relation_probs=np.zeros((0, 0, dims.h)),
-                fused=np.zeros((0, dims.m)),
-                gcn=np.zeros((0, dims.m)),
-            ))
-            continue
-        preds.append(FramePrediction(
-            boxes=np.stack([o.box.as_array() for o in out.nodes]),
-            label_dists=out.label_dists.data,
-            relation_probs=out.relation_probs.data,
-            fused=out.fused.data,
-            gcn=out.gcn.data,
-            links=out.links,
-        ))
-    return preds
+    out = forward_batch(packed, params, k, link_mask_fn)
+    return frame_predictions(packed, out, params.dims.g)

@@ -57,6 +57,28 @@ def random_sequence(rng: RngStream, dims: Dims, n_frames: int = 3,
     return SceneSequence(frames=frames, event_labels=np.zeros(4), seed=rng.seed)
 
 
+def frame_pair_links(n_t: int, n_prev: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every (current j, previous k) link of one frame pair, j-major, over
+    the nodes of both frames stacked current first: (curr, prev) indices."""
+    return np.repeat(np.arange(n_t), n_prev), n_t + np.tile(np.arange(n_prev), n_t)
+
+
+class MatmulRows:
+    """Wraps `stsg.autodiff.matmul`, counting the rows of each left operand."""
+
+    def __init__(self, monkeypatch):
+        import stsg.autodiff
+
+        self.rows = 0
+        real = stsg.autodiff.matmul
+
+        def matmul(a, b):
+            self.rows += a.shape[0]
+            return real(a, b)
+
+        monkeypatch.setattr(stsg.autodiff, "matmul", matmul)
+
+
 @pytest.fixture
 def dims() -> Dims:
     return Dims()

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_sequence
+from conftest import MatmulRows, frame_pair_links, random_sequence
 from fixtures import exhaustive_recall_at_k, three_frame_fixture
 from stsg.autodiff import Tensor
 from stsg.cli import _forward_frames, gradcheck_sample, main
@@ -38,14 +38,7 @@ from stsg.metrics import (
 from stsg.params import ModelParams
 from stsg.rng import RngStream
 from stsg.synthgen import generate_scene
-from stsg.temporal import (
-    CallCounter,
-    FramePrediction,
-    forward_sequence,
-    relevance_scores,
-    select_topk,
-    to_predictions,
-)
+from stsg.temporal import FramePrediction, forward_sequence, link_relevance, topk_links
 from stsg.training import grad_check, relation_loss, train
 
 DIMS = Dims()
@@ -69,8 +62,9 @@ def test_criterion_1_gradient_correctness():
               f"dense {err_dense:.2e} in {elapsed:.1f}s")
 
 
-def test_criterion_2_kernel_equivalence():
+def test_criterion_2_kernel_equivalence(monkeypatch):
     rng = RngStream(200)
+    matmul = MatmulRows(monkeypatch)
     worst = 0.0
     for trial in range(100):
         r = rng.split(trial)
@@ -79,9 +73,11 @@ def test_criterion_2_kernel_equivalence():
         feats_t = r.normal_array((nt, m))
         feats_tm1 = r.normal_array((ntm1, m))
         phi = r.normal_array((m, d))
-        counter = CallCounter()
-        got = relevance_scores(Tensor(feats_t), Tensor(feats_tm1), Tensor(phi), counter).data
-        assert counter.count == nt + ntm1
+        curr, prev = frame_pair_links(nt, ntm1)
+        matmul.rows = 0
+        got = link_relevance(Tensor(np.concatenate([feats_t, feats_tm1])), curr, prev,
+                             Tensor(phi)).data.reshape(nt, ntm1)
+        assert matmul.rows == nt + ntm1
         brute = np.empty((nt, ntm1))
         for j in range(nt):
             for k in range(ntm1):
@@ -99,13 +95,14 @@ def test_criterion_3_topk_oracle():
         nt, ntm1 = r.integer(6) + 1, r.integer(6) + 1
         k = r.integer(ntm1 + 2) + 1
         gamma = np.round(r.uniform_array((nt, ntm1)), 1)  # coarse grid forces ties
-        got = select_topk(gamma, k)
+        rows, _ = frame_pair_links(nt, ntm1)
+        got = topk_links(gamma.reshape(-1), rows, k).reshape(nt, ntm1).astype(np.int64)
         want = np.zeros_like(got)
         for j in range(nt):
             order = sorted(range(ntm1), key=lambda i: (-gamma[j, i], i))
             want[j, order[: min(k, ntm1)]] = 1
         assert np.array_equal(got, want)
-    report(3, "select_topk matches the stable-sort oracle on 1000 matrices with ties")
+    report(3, "topk_links matches the stable-sort oracle on 1000 matrices with ties")
 
 
 def test_criterion_4_degeneracy_equivalences(params):
@@ -115,7 +112,7 @@ def test_criterion_4_degeneracy_equivalences(params):
         sparse = forward_sequence(seq, params, "sgcls", "sparse", k=10)
         dense = forward_sequence(seq, params, "sgcls", "dense")
         for a, b in zip(sparse, dense):
-            np.testing.assert_allclose(a.relation_probs.data, b.relation_probs.data,
+            np.testing.assert_allclose(a.relation_probs, b.relation_probs,
                                        rtol=0, atol=1e-12)
     for trial in range(50):
         seq = random_sequence(rng.split(1000 + trial), DIMS, n_frames=3)
@@ -124,14 +121,14 @@ def test_criterion_4_degeneracy_equivalences(params):
             link_mask_fn=lambda g, a, b: np.zeros(g.shape, dtype=int))
         plain = forward_sequence(seq, params, "sgdet", "spatial")
         for a, b in zip(forced, plain):
-            assert np.array_equal(a.relation_probs.data, b.relation_probs.data)
-            assert np.array_equal(a.fused.data, b.fused.data)
+            assert np.array_equal(a.relation_probs, b.relation_probs)
+            assert np.array_equal(a.fused, b.fused)
     for trial in range(50):
         seq = random_sequence(rng.split(2000 + trial), DIMS, n_frames=1)
         temporal = forward_sequence(seq, params, "sgcls", "sparse", k=1)
         spatial = forward_sequence(seq, params, "sgcls", "spatial")
-        assert np.array_equal(temporal[0].relation_probs.data,
-                              spatial[0].relation_probs.data)
+        assert np.array_equal(temporal[0].relation_probs,
+                              spatial[0].relation_probs)
     report(4, "saturated-k = dense (1e-12); masked links = spatial (exact); "
               "single frame = spatial (exact); 50 instances each")
 
@@ -147,9 +144,9 @@ def test_criterion_5_permutation_equivariance(params):
             f.detections = [f.detections[i] for i in p]
         out = forward_sequence(shuffled, params, "sgdet", "sparse", k=1)
         for (a, b, p) in zip(base, out, perms):
-            np.testing.assert_allclose(b.fused.data, a.fused.data[p], rtol=0, atol=1e-12)
-            np.testing.assert_allclose(b.relation_probs.data,
-                                       a.relation_probs.data[np.ix_(p, p)],
+            np.testing.assert_allclose(b.fused, a.fused[p], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(b.relation_probs,
+                                       a.relation_probs[np.ix_(p, p)],
                                        rtol=0, atol=1e-12)
     report(5, "full forward permutation-equivariant at 1e-12 on 50 instances")
 
@@ -294,8 +291,7 @@ def test_criterion_10_feature_bank_trend(benchmark_dir, tmp_path):
     _, test_seqs = stsg_io.load_split(benchmark_dir, "test")
     checked = 0
     for seq in test_seqs[:25]:
-        outs = forward_sequence(seq, params, "sgdet", "sparse", 1)
-        preds = to_predictions(outs, cfg.dims)
+        preds = forward_sequence(seq, params, "sgdet", "sparse", 1)
         for variant in ("spatial", "spatial_temporal"):
             bank = build_feature_bank(preds, variant, cfg.dims)
             feats = [p.fused if variant == "spatial_temporal" else p.gcn for p in preds]

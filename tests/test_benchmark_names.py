@@ -109,3 +109,32 @@ def test_clip_in_bounds_returns_its_argument():
     grads = Gradients(params.layout, np.full(params.count(), 1e-3))
     assert clip_gradients(grads, 10.0) is grads
     assert clip_gradients(grads, 1e-6) is not grads
+
+
+@pytest.mark.parametrize("variant", ["sparse", "tracking"])
+def test_traced_forward_reads_the_served_frames(tracer, variant):
+    # a traced run hands each cli.forward_sequence result to _observe_forward,
+    # which reads len(result) and each frame's n, nodes and links
+    from conftest import random_sequence
+    from stsg import cli
+    from stsg.config import MODES, Dims
+    from stsg.params import ModelParams
+    from stsg.rng import RngStream
+
+    dims = Dims()
+    params = ModelParams.init(dims, seed=0)
+    seq = random_sequence(RngStream(5), dims, n_frames=4)
+    gap = seq.frames[1]
+    gap.objects, gap.triplets, gap.detections = [], [], []
+    for mode in MODES:
+        result = cli.forward_sequence(seq, params, mode, variant, 1)
+        bound = inspect.signature(cli.forward_sequence).bind(seq, params, mode, variant, 1)
+        bound.apply_defaults()
+        tr = tracer.Tracer()
+        tracer._observe_forward(tr, bound.arguments, result)
+        # frame 2 follows the empty frame, so only frame 3 has a predecessor
+        assert tr.counters["temporal.forward_frames"] == 4
+        assert tr.counters["temporal.nodes_with_prev"] == result[3].n
+        assert tr.counters["temporal.links"] == len(result[3].links)
+        assert 0 <= tr.counters["temporal.correct_links"] <= len(result[3].links)
+        assert tr.flops["gcn"] > 0

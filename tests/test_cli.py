@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -545,3 +546,76 @@ def test_forward_sequence_outputs_serve_to_predictions(checkpoint_path, dataset_
             assert all(link.curr_index < out.n for link in out.links)
         preds = cli.to_predictions(outs, cfg.dims)
         assert [p.n for p in preds] == [out.n for out in outs]
+
+
+# a dataset whose records have g = 5 object classes; the tiny model has 8
+@pytest.fixture(scope="module")
+def g5_config_path(tmp_path_factory) -> Path:
+    path = tmp_path_factory.mktemp("cfg") / "g5.cfg"
+    path.write_text(TINY_CFG + "dims.g = 5\n")
+    return path
+
+
+def test_train_rejects_a_split_of_other_dims(tmp_path, g5_config_path, dataset_dir, capsys):
+    assert main(["train", "--config", str(g5_config_path), "--data", str(dataset_dir),
+                 "--out", str(tmp_path / "m.json"), "--mode", "predcls"]) == 1
+    assert "error: dims.g: the run uses 5, but the train split" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "infer"])
+def test_checkpoint_rejects_a_split_of_other_dims(tmp_path, g5_config_path, checkpoint_path,
+                                                  capsys, command):
+    data = tmp_path / "g5"
+    assert main(["gen", "--config", str(g5_config_path), "--out", str(data)]) == 0
+    argv = [command, "--ckpt", str(checkpoint_path), "--data", str(data)]
+    if command == "infer":
+        argv += ["--out", str(tmp_path / "preds.jsonl")]
+    assert main(argv) == 1
+    assert "error: dims.g: the run uses 8, but the test split" in capsys.readouterr().err
+
+
+# sha256 of `stsg infer` files from the tiny checkpoint, taken before serving
+# cut its frames straight from the packed forward pass; any change to a served
+# float, label or ordering shows here
+INFER_SHA256 = {
+    ("predcls", "spatial", 1, False): "e1cc89e1e9865d05825498a63e5de9a984391141c364c08c11a73e840f4992fc",
+    ("predcls", "spatial", 1, True): "d86bb9328a7281460de37ffba41bbeb82f4989abafab8309df183ea823697bc6",
+    ("predcls", "sparse", 1, False): "74275697f54e71beeac569d1cb0837a12f28ae5bd5ccd28947e0e6f25a5ec986",
+    ("predcls", "sparse", 1, True): "8508d16e9f24c62332e2287f263cee7b04f2c90ce8640f9bc24c3f3f7d605719",
+    ("predcls", "sparse", 2, False): "a303707564049149ff16748d53f4ed6ac4f4822a082a9c2bd99a2e4911f8429f",
+    ("predcls", "sparse", 2, True): "4832447c2918b369ff9a5d1c35587764a5a8d1210928fa44f68c76f45ad17624",
+    ("predcls", "dense", 1, False): "68e7d4a11c704929b2f341c77ccf1386bb9a358e1caaa72dbdb9a26d0aeb8a47",
+    ("predcls", "dense", 1, True): "ecebca816bfd374c3087133474a0889b292b817034c2967da011be3d75c9dc0b",
+    ("predcls", "tracking", 1, False): "dcba6fa601038ff797992a14cea70fd9a715380b47d1292cd057b5562bd641d6",
+    ("predcls", "tracking", 1, True): "2a634fd789f13ade6ff6cf6a01a993a2054c6397c255b1f17ae6dce283f2a4b1",
+    ("sgcls", "spatial", 1, False): "14a7f6a4d1c2b2d95d81dbcc0269cd23a21866dc0feb5ada01acc7e7032f8f4c",
+    ("sgcls", "spatial", 1, True): "1df955fdbc3844d7b784eeac264235847b4a1fb2f44a6be384181a696beb3a82",
+    ("sgcls", "sparse", 1, False): "d4a63d4e50e56c38b511e84b4625dd635a32c3a4b1cda9169402f1cc6378f45d",
+    ("sgcls", "sparse", 1, True): "091471c62932a67b3ba50f3fb66cc108086d85aafb421381b16ab7236c3143e5",
+    ("sgcls", "sparse", 2, False): "d7a4f0e90b15a015c481b84e604302c724f3af40ef798778184fba70fc451c0c",
+    ("sgcls", "sparse", 2, True): "3d92744cf1fb4342a623cd0e2acb9d48aaab516be98f6533bb595871eefe4436",
+    ("sgcls", "dense", 1, False): "f30c87ad8ef3a22d56afe0eba62dc766240a2d1686ba403d236f3d03b2956ffc",
+    ("sgcls", "dense", 1, True): "e011f51a04b42f9a5498c2cd05eaefc2930a4ab9f3d2ec31efaad7b062f5c291",
+    ("sgcls", "tracking", 1, False): "d048f79b7b9b76e97cb05ce59e99425edc1179996df6bb6a46bb87bb9369b9d2",
+    ("sgcls", "tracking", 1, True): "f8b8e145d368da78ff980b95f08cbde511eb5843dfd9949226919aa3c222e141",
+    ("sgdet", "spatial", 1, False): "3958790de07d43a09510a0ba874eee3e5897e15cc7eb2bc8da08b3b588e30b96",
+    ("sgdet", "spatial", 1, True): "fe9569b9aeac3bc1a850627b374f7464554dafae5e642ee659a2b36a5b052de2",
+    ("sgdet", "sparse", 1, False): "7d51c262d0a2108d804bab3633517f991da6433fa56f0eae73337b3d745e8b00",
+    ("sgdet", "sparse", 1, True): "f1833299ba6b39cf2e65e6d66712a5d83c668cfbdcbcce7919475f729b81514f",
+    ("sgdet", "sparse", 2, False): "8edfb1c76ab18609353e9c170a342f5b8dfd815fbf2cc68c5328277b1842b694",
+    ("sgdet", "sparse", 2, True): "3544cb88f42e92b9f2d36eaffaa0dbda87458aa7c7e5f0f35edf546afa6401b6",
+    ("sgdet", "dense", 1, False): "0b7bbfd3b0c254126fb49bde1c74a251330698c3bdd7e8441152f14e2ce4ba5b",
+    ("sgdet", "dense", 1, True): "188c4f8a1890de2bb6cfa8cdefe696dfa58eb8a448547f76b3ef4ab3287187a7",
+    ("sgdet", "tracking", 1, False): "a301ca3b93090e4c9aa5039150a008f39c64725459aa754c61a8c9309b74e315",
+    ("sgdet", "tracking", 1, True): "49a4e92bf9ce7250ff4470705e8540e6a1a6851f692f6e54f70101b9a5c2f46c",
+}
+
+
+@pytest.mark.parametrize("mode, variant, k, features", list(INFER_SHA256))
+def test_infer_files_are_pinned(tmp_path, checkpoint_path, dataset_dir, mode, variant, k,
+                                features):
+    out = tmp_path / "preds.jsonl"
+    argv = ["infer", "--ckpt", str(checkpoint_path), "--data", str(dataset_dir), "--mode", mode,
+            "--variant", variant, "--k", str(k), "--out", str(out)]
+    assert main(argv + ["--include-features"] * features) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == INFER_SHA256[mode, variant, k, features]

@@ -14,7 +14,7 @@ from stsg.featurebank import (
     train_event_head,
 )
 from stsg.rng import RngStream
-from stsg.temporal import FramePrediction, forward_sequence, to_predictions
+from stsg.temporal import FramePrediction, forward_sequence
 
 
 def prediction_with(labels, scores, dims, fused=None, gcn=None):
@@ -73,8 +73,7 @@ def test_spatial_variant_banks_gcn_features():
 
 def test_variants_coincide_without_temporal_links(dims, params):
     seq = random_sequence(RngStream(70), dims, n_frames=3)
-    outs = forward_sequence(seq, params, mode="sgcls", variant="spatial")
-    preds = to_predictions(outs, dims)
+    preds = forward_sequence(seq, params, mode="sgcls", variant="spatial")
     bank_s = build_feature_bank(preds, "spatial", dims)
     bank_st = build_feature_bank(preds, "spatial_temporal", dims)
     np.testing.assert_array_equal(bank_s.z, bank_st.z)
@@ -82,8 +81,7 @@ def test_variants_coincide_without_temporal_links(dims, params):
 
 def test_banks_differ_with_temporal_links(dims, params):
     seq = random_sequence(RngStream(71), dims, n_frames=3)
-    outs = forward_sequence(seq, params, mode="sgcls", variant="sparse", k=1)
-    preds = to_predictions(outs, dims)
+    preds = forward_sequence(seq, params, mode="sgcls", variant="sparse", k=1)
     bank_s = build_feature_bank(preds, "spatial", dims)
     bank_st = build_feature_bank(preds, "spatial_temporal", dims)
     assert not np.array_equal(bank_s.z, bank_st.z)
@@ -137,6 +135,25 @@ def test_event_head_learns_separable_banks():
     head = train_event_head(banks, labels, n_events=2, seed=0, epochs=150)
     scores = np.stack([classify_events(b, head) for b in banks])
     assert event_mean_ap(scores, labels) > 0.95
+
+
+def test_event_head_stays_finite_where_the_sigmoid_saturates():
+    # pooled features of +-60 push the logits past where 1 - sigmoid rounds to 0
+    dims = Dims(g=4, c=2, h=2, d=2)
+    banks = [FeatureBank(z=np.full((1, dims.g, dims.m), v), variant="spatial_temporal")
+             for v in (60.0, -60.0)]
+    labels = np.array([[1.0, 0.0], [0.0, 1.0]])
+    head = train_event_head(banks, labels, n_events=2, seed=0, epochs=50)
+    assert np.all(np.isfinite(head.data))
+    scores = np.stack([classify_events(b, head) for b in banks])
+    assert event_mean_ap(scores, labels) == 1.0
+
+
+def test_event_head_rejects_labels_that_are_not_0_or_1():
+    dims = Dims(g=4, c=2, h=2, d=2)
+    bank = FeatureBank(z=np.ones((1, dims.g, dims.m)), variant="spatial")
+    with pytest.raises(ContractError, match="0 or 1"):
+        train_event_head([bank], np.array([[0.5]]), n_events=1, seed=0, epochs=1)
 
 
 def test_event_mean_ap_perfect_ranking():

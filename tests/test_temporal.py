@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_sequence, zero_params
+from conftest import MatmulRows, frame_pair_links, random_sequence, zero_params
 from stsg.autodiff import Tensor
 from stsg.errors import ContractError
 from stsg.rng import RngStream
@@ -9,20 +9,18 @@ from stsg.scene import BoundingBox, ObjectNode
 import stsg.autodiff as ad
 from stsg.spatial import frame_pairs, gcn_propagate, pair_grid, propose_relations
 from stsg.temporal import (
-    CallCounter,
     Packed,
     aggregate_links,
     encode_temporal_pairs,
     frame_context,
-    frame_outputs,
+    frame_predictions,
     forward_batch,
     forward_sequence,
     fuse,
+    link_relevance,
     pack,
     relation_logits,
-    relevance_scores,
-    select_topk,
-    to_predictions,
+    topk_links,
     tracking_links,
 )
 
@@ -36,7 +34,22 @@ def make_node(x, y, label, g=4, c=2, score=1.0):
 def forward_packed(sequences, params, mode, variant="sparse", k=1):
     """Per-frame outputs of one packed forward pass over several sequences."""
     packed = Packed.join([pack(seq, mode, variant, params.dims) for seq in sequences])
-    return frame_outputs(packed, forward_batch(packed, params, k))
+    return frame_predictions(packed, forward_batch(packed, params, k), params.dims.g)
+
+
+def relevance(feats_t, feats_tm1, phi):
+    """`link_relevance` over every link of one frame pair, as an (N_t, N_prev) grid."""
+    n_t, n_prev = feats_t.shape[0], feats_tm1.shape[0]
+    curr, prev = frame_pair_links(n_t, n_prev)
+    gamma = link_relevance(ad.concat([feats_t, feats_tm1]), curr, prev, phi)
+    return gamma.data.reshape(n_t, n_prev)
+
+
+def topk_mask(gamma, k):
+    """`topk_links` over one frame pair's (N_t, N_prev) grid, as a binary mask."""
+    n_t, n_prev = gamma.shape
+    rows, _ = frame_pair_links(n_t, n_prev)
+    return topk_links(gamma.reshape(-1), rows, k).reshape(n_t, n_prev).astype(np.int64)
 
 
 def classify_relations(fused, params):
@@ -62,26 +75,27 @@ def tracking_connections(nodes_t, nodes_tm1):
 
 def test_relevance_squared_norm():
     feats = Tensor([[1.0, 2.0]])
-    gamma = relevance_scores(feats, feats, Tensor(np.eye(2)))
-    assert gamma.data[0, 0] == 5.0
+    gamma = relevance(feats, feats, Tensor(np.eye(2)))
+    assert gamma[0, 0] == 5.0
 
 
 def test_relevance_orthogonal():
     a = Tensor([[1.0, 0.0]])
     b = Tensor([[0.0, 1.0]])
-    assert relevance_scores(a, b, Tensor(np.eye(2))).data[0, 0] == 0.0
+    assert relevance(a, b, Tensor(np.eye(2)))[0, 0] == 0.0
 
 
-def test_relevance_matches_bruteforce_and_projects_once_per_node():
+def test_relevance_matches_bruteforce_and_projects_once_per_node(monkeypatch):
     rng = RngStream(21)
+    matmul = MatmulRows(monkeypatch)
     for trial in range(20):
         nt, ntm1, m, d = rng.integer(4) + 1, rng.integer(4) + 1, 6, 3
         feats_t = rng.normal_array((nt, m))
         feats_tm1 = rng.normal_array((ntm1, m))
         phi = rng.normal_array((m, d))
-        counter = CallCounter()
-        got = relevance_scores(Tensor(feats_t), Tensor(feats_tm1), Tensor(phi), counter).data
-        assert counter.count == nt + ntm1
+        matmul.rows = 0
+        got = relevance(Tensor(feats_t), Tensor(feats_tm1), Tensor(phi))
+        assert matmul.rows == nt + ntm1
         # brute force: project per pair, then dot
         want = np.zeros((nt, ntm1))
         for j in range(nt):
@@ -95,8 +109,8 @@ def test_kernel_symmetry():
     a = Tensor(rng.normal_array((3, 5)))
     b = Tensor(rng.normal_array((4, 5)))
     phi = Tensor(rng.normal_array((5, 2)))
-    ab = relevance_scores(a, b, phi).data
-    ba = relevance_scores(b, a, phi).data
+    ab = relevance(a, b, phi)
+    ba = relevance(b, a, phi)
     np.testing.assert_allclose(ab.T, ba, rtol=0, atol=1e-12)
 
 
@@ -105,15 +119,15 @@ def test_kernel_symmetry():
 
 
 def test_topk_argmax_row():
-    np.testing.assert_array_equal(select_topk(np.array([[0.1, 0.9, 0.5]]), 1), [[0, 1, 0]])
+    np.testing.assert_array_equal(topk_mask(np.array([[0.1, 0.9, 0.5]]), 1), [[0, 1, 0]])
 
 
 def test_topk_saturates():
-    np.testing.assert_array_equal(select_topk(np.array([[0.3, 0.1, 0.2]]), 5), [[1, 1, 1]])
+    np.testing.assert_array_equal(topk_mask(np.array([[0.3, 0.1, 0.2]]), 5), [[1, 1, 1]])
 
 
 def test_topk_tie_breaks_to_lowest_index():
-    np.testing.assert_array_equal(select_topk(np.array([[0.5, 0.5]]), 1), [[1, 0]])
+    np.testing.assert_array_equal(topk_mask(np.array([[0.5, 0.5]]), 1), [[1, 0]])
 
 
 def test_topk_matches_stable_sort_oracle():
@@ -123,7 +137,7 @@ def test_topk_matches_stable_sort_oracle():
         k = rng.integer(ntm1 + 2) + 1
         # coarse values force frequent ties
         gamma = np.round(rng.uniform_array((nt, ntm1)), 1)
-        got = select_topk(gamma, k)
+        got = topk_mask(gamma, k)
         want = np.zeros_like(got)
         for j in range(nt):
             order = sorted(range(ntm1), key=lambda i: (-gamma[j, i], i))
@@ -329,8 +343,8 @@ def test_single_frame_equals_spatial_only(dims, params):
         seq = random_sequence(rng.split(trial), dims, n_frames=1)
         got = forward_sequence(seq, params, mode="sgcls", variant="sparse", k=1)
         want = spatial_only_oracle(seq, params, "sgcls")
-        np.testing.assert_array_equal(got[0].relation_probs.data, want[0][1])
-        np.testing.assert_array_equal(got[0].fused.data, want[0][2])
+        np.testing.assert_array_equal(got[0].relation_probs, want[0][1])
+        np.testing.assert_array_equal(got[0].fused, want[0][2])
 
 
 def test_saturated_sparse_equals_dense(dims, params):
@@ -340,9 +354,9 @@ def test_saturated_sparse_equals_dense(dims, params):
         sparse = forward_sequence(seq, params, mode="sgcls", variant="sparse", k=10)
         dense = forward_sequence(seq, params, mode="sgcls", variant="dense")
         for a, b in zip(sparse, dense):
-            np.testing.assert_allclose(a.relation_probs.data, b.relation_probs.data,
+            np.testing.assert_allclose(a.relation_probs, b.relation_probs,
                                        rtol=0, atol=1e-12)
-            np.testing.assert_allclose(a.fused.data, b.fused.data, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(a.fused, b.fused, rtol=0, atol=1e-12)
 
 
 def test_forced_empty_links_equals_spatial_exactly(dims, params):
@@ -355,8 +369,8 @@ def test_forced_empty_links_equals_spatial_exactly(dims, params):
         )
         plain = forward_sequence(seq, params, mode="sgdet", variant="spatial")
         for a, b in zip(forced, plain):
-            np.testing.assert_array_equal(a.relation_probs.data, b.relation_probs.data)
-            np.testing.assert_array_equal(a.fused.data, b.fused.data)
+            np.testing.assert_array_equal(a.relation_probs, b.relation_probs)
+            np.testing.assert_array_equal(a.fused, b.fused)
 
 
 def test_forward_matches_step_by_step_composition(dims, params):
@@ -378,8 +392,8 @@ def test_forward_matches_step_by_step_composition(dims, params):
         if prev_updated is None:
             fused = updated
         else:
-            gamma = relevance_scores(updated, prev_updated, params["temporal.phi"]).data
-            eta = select_topk(gamma, 1)
+            gamma = relevance(updated, prev_updated, params["temporal.phi"])
+            eta = topk_mask(gamma, 1)
             curr_idx, prev_idx = np.nonzero(eta)
             ctx = frame_context(updated, one_frame(n), 1)
             tau = encode_temporal_pairs(ad.concat([updated, prev_updated]), curr_idx,
@@ -388,8 +402,8 @@ def test_forward_matches_step_by_step_composition(dims, params):
             zeta = aggregate_links(Tensor(gamma[curr_idx, prev_idx]), tau, curr_idx, n)
             fused = fuse(updated, zeta)
         probs = classify_relations(fused, params)
-        np.testing.assert_allclose(got[t].relation_probs.data, probs, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(got[t].fused.data, fused.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got[t].relation_probs, probs, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got[t].fused, fused.data, rtol=0, atol=1e-12)
         prev_updated, prev_nodes = updated, nodes
 
 
@@ -413,11 +427,9 @@ def test_empty_frame_breaks_chain(dims, params):
     seq.frames[1].detections = []
     outs = forward_sequence(seq, params, mode="sgdet", variant="sparse", k=1)
     assert outs[1].n == 0
-    assert outs[1].relation_probs is None
     # the frame after the gap restarts with no temporal links
-    assert outs[2].links == []
-    preds = to_predictions(outs, dims)
-    assert preds[1].relation_probs.shape == (0, 0, dims.h)
+    assert len(outs[2].links) == 0
+    assert outs[1].relation_probs.shape == (0, 0, dims.h)
 
 
 @pytest.mark.parametrize("variant", ["sparse", "dense", "tracking"])
@@ -433,12 +445,16 @@ def test_packed_links_stay_within_a_sequence(dims, params, variant):
         node_frame = packed.node_frame.ids
         assert np.all(node_frame[packed.cand_curr.ids]
                       == node_frame[packed.cand_prev.ids] + 1)
-        outs = frame_outputs(packed, forward_batch(packed, params, 10))
+        out = forward_batch(packed, params, 10)
+        outs = frame_predictions(packed, out, dims.g)
+        starts = np.cumsum([0] + [len(f) for f in packed.nodes])
+        cand_curr = packed.cand_curr.ids
         # neither the frame after the gap nor the first frame of a sequence
         # links back, though the frame packed before each has nodes
         for t in (2, 3, 5):
             assert outs[t].n > 0 and outs[t - 1 - (t == 2)].n > 0
-            assert outs[t].gamma is None and outs[t].links == []
+            gamma = out.gamma.data[(cand_curr >= starts[t]) & (cand_curr < starts[t + 1])]
+            assert gamma.size == 0 and len(outs[t].links) == 0
         if variant != "tracking":
             for t in (4, 6):
                 assert len(outs[t].links) == outs[t].n * outs[t - 1].n
@@ -459,10 +475,10 @@ def test_forward_permutation_equivariance(dims, params):
         out = forward_packed([shuffled, other], params, mode="sgdet", variant="sparse", k=1)
         for t, (a, b) in enumerate(zip(base[:len(perms)], out)):
             p = perms[t]
-            np.testing.assert_allclose(b.fused.data, a.fused.data[p], rtol=0, atol=1e-12)
-            np.testing.assert_allclose(b.relation_probs.data,
-                                       a.relation_probs.data[np.ix_(p, p)], rtol=0, atol=1e-12)
-            np.testing.assert_allclose(b.label_dists.data, a.label_dists.data[p],
+            np.testing.assert_allclose(b.fused, a.fused[p], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(b.relation_probs,
+                                       a.relation_probs[np.ix_(p, p)], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(b.label_dists, a.label_dists[p],
                                        rtol=0, atol=1e-12)
 
 
@@ -470,7 +486,7 @@ def test_probabilities_strictly_inside_unit_interval(dims, params):
     seq = random_sequence(RngStream(38), dims, n_frames=3)
     outs = forward_sequence(seq, params, mode="sgcls", variant="dense")
     for out in outs:
-        p = out.relation_probs.data
+        p = out.relation_probs
         off = ~np.eye(out.n, dtype=bool)
         assert np.all((p[off] > 0.0) & (p[off] < 1.0))
         assert np.all(p[np.eye(out.n, dtype=bool)] == 0.0)

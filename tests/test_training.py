@@ -20,7 +20,7 @@ from stsg.spatial import pair_grid
 from stsg.temporal import (
     forward_batch,
     forward_sequence,
-    frame_outputs,
+    frame_predictions,
     nodes_for_mode,
 )
 from stsg.training import (
@@ -545,8 +545,9 @@ def reference_sequence_loss(sequence, params, mode, variant, k, lambda_node, lam
     """The objective composed frame by frame from the reference per-frame losses."""
     packed, _ = prepare(sequence, mode, variant, params.dims)
     out = forward_batch(packed, params, k)
-    frames = frame_outputs(packed, out)
+    frames = frame_predictions(packed, out, params.dims.g)
     h = params.dims.h
+    cand_curr = packed.cand_curr.ids
     terms, prev_map, start, pair_start = [], None, 0, 0
     for frame, fo in zip(sequence.frames, frames):
         n = fo.n
@@ -559,8 +560,10 @@ def reference_sequence_loss(sequence, params, mode, variant, k, lambda_node, lam
             label_logits = Tensor(out.label_logits.data[start:start + n])
             term += lambda_node * node_loss_from_logits(
                 label_logits, node_map, [o.label for o in frame.objects], params.dims.g).item()
-        if fo.gamma is not None:
-            ll = link_loss(fo.gamma, node_map, prev_map)
+        cand = (cand_curr >= start) & (cand_curr < start + n)
+        if cand.any():
+            gamma = Tensor(out.gamma.data[cand].reshape(n, -1))
+            ll = link_loss(gamma, node_map, prev_map)
             if ll is not None:
                 term += lambda_link * ll.item()
         terms.append(term)
