@@ -34,7 +34,6 @@ __all__ = [
     "Tensor",
     "Tape",
     "backward",
-    "constant",
     "matmul",
     "affine",
     "add",
@@ -42,7 +41,6 @@ __all__ = [
     "concat",
     "relu",
     "sigmoid",
-    "reduce_mean",
     "mul",
     "dot",
     "reduce_sum",
@@ -52,7 +50,6 @@ __all__ = [
     "softmax",
     "log_softmax",
     "reshape",
-    "transpose",
     "SegmentPlan",
     "segment_plan",
     "gather_rows",
@@ -99,10 +96,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
-
-
-def constant(data) -> Tensor:
-    return data if isinstance(data, Tensor) else Tensor(data)
 
 
 # ---------------------------------------------------------------------------
@@ -321,21 +314,6 @@ def sigmoid(a: Tensor) -> Tensor:
     return out
 
 
-def reduce_mean(a: Tensor, axis: int | None = None) -> Tensor:
-    av = a.data
-    if av.size == 0:
-        raise ContractError("mean: empty tensor")
-    out = Tensor._wrap(np.mean(av, axis=axis))
-
-    def vjp(g):
-        if axis is None:
-            return (np.full(av.shape, g / av.size),)
-        return (np.broadcast_to(np.expand_dims(g, axis) / av.shape[axis], av.shape).copy(),)
-
-    _record(out, (a,), vjp)
-    return out
-
-
 def reduce_sum(a: Tensor, axis: int | None = None) -> Tensor:
     av = a.data
     out = Tensor._wrap(np.sum(av, axis=axis))
@@ -422,15 +400,6 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
         raise ShapeError(f"reshape: cannot view {av.shape} as {shape}") from None
     out = Tensor._wrap(out_arr)
     _record(out, (a,), lambda g: (g.reshape(av.shape),))
-    return out
-
-
-def transpose(a: Tensor) -> Tensor:
-    av = a.data
-    if av.ndim != 2:
-        raise ShapeError(f"transpose: need a matrix, got shape {av.shape}")
-    out = Tensor._wrap(av.T)
-    _record(out, (a,), lambda g: (np.ascontiguousarray(g.T),))
     return out
 
 

@@ -19,6 +19,7 @@ import numpy as np
 from . import io
 from .config import (
     MODES,
+    VARIANTS,
     Dims,
     NoiseConfig,
     RunConfig,
@@ -149,8 +150,21 @@ def _forward_frames(sequences, params: ModelParams, mode: str, variant: str,
     return frames
 
 
-def _print_report_table(headers, rows) -> None:
+def _checkpoint_run(args):
+    """A checkpoint's config and parameters, the split to serve, and the mode,
+    variant and k of the run: the flags where given, else the checkpoint's."""
+    cfg, params, _ = io.load_checkpoint(args.ckpt)
+    seqs = _load_split(args.data, args.split, cfg.dims)
+    t = cfg.train
+    return cfg, params, seqs, args.mode or t.mode, args.variant or t.variant, args.k or t.k
+
+
+def _report(out, doc, headers, rows) -> None:
+    """Print a report's table; write the report to `out` when given."""
     print(io.format_table(headers, rows))
+    if out:
+        io.write_report(out, doc)
+        print(f"report written to {out}")
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +251,7 @@ def cmd_eval(args) -> int:
         raise ConfigError("eval: give exactly one of --ckpt or --preds")
     constraint = args.constraint == "with"
     if args.ckpt:
-        cfg, params, _ = io.load_checkpoint(args.ckpt)
-        seqs = _load_split(args.data, args.split, cfg.dims)
-        mode = args.mode or cfg.train.mode
-        variant = args.variant or cfg.train.variant
-        k = args.k or cfg.train.k
+        cfg, params, seqs, mode, variant, k = _checkpoint_run(args)
         frames = _forward_frames(seqs, params, mode, variant, k)
         config_echo = cfg.to_flat_dict()
     else:
@@ -262,19 +272,12 @@ def cmd_eval(args) -> int:
            "mode": mode, "constraint": constraint, "config": config_echo,
            "metrics": metrics}
     keys = [k for k in metrics if k not in ("mode", "constraint")]
-    _print_report_table(["metric", "value"], [[k, float(metrics[k])] for k in keys])
-    if args.out:
-        io.write_report(args.out, doc)
-        print(f"report written to {args.out}")
+    _report(args.out, doc, ["metric", "value"], [[k, float(metrics[k])] for k in keys])
     return 0
 
 
 def cmd_infer(args) -> int:
-    cfg, params, _ = io.load_checkpoint(args.ckpt)
-    seqs = _load_split(args.data, args.split, cfg.dims)
-    mode = args.mode or cfg.train.mode
-    variant = args.variant or cfg.train.variant
-    k = args.k or cfg.train.k
+    cfg, params, seqs, mode, variant, k = _checkpoint_run(args)
     records = [
         {"seq_seed": seq.seed,
          "frames": [io.frame_prediction_to_json(p, rank_triplets(p, constraint=False),
@@ -329,13 +332,8 @@ def cmd_ablate(args) -> int:
     doc = {"kind": "ablation-report", "seeds": args.seeds, "epochs": args.epochs,
            "train_sequences": len(train_data), "test_sequences": len(test_data),
            "config": cfg.to_flat_dict(), "rows": rows}
-    _print_report_table(
-        ["variant", "PredCls-R@20", "SGCls-R@20", "SGDet-R@20"],
-        [[r["variant"], r["predcls_r20"], r["sgcls_r20"], r["sgdet_r20"]] for r in rows],
-    )
-    if args.out:
-        io.write_report(args.out, doc)
-        print(f"report written to {args.out}")
+    _report(args.out, doc, ["variant", "PredCls-R@20", "SGCls-R@20", "SGDet-R@20"],
+            [[r["variant"], r["predcls_r20"], r["sgcls_r20"], r["sgdet_r20"]] for r in rows])
     return 0
 
 
@@ -358,14 +356,10 @@ def cmd_flops(args) -> int:
             "dense_flops_per_frame": dense.flops_per_frame,
             "dense_over_sparse": ratio,
         })
-    _print_report_table(
-        ["N", "params", f"flops sparse[k={args.k}]", "flops dense", "dense/sparse"], rows
-    )
     doc = {"kind": "efficiency-report", "k": args.k, "config": cfg.to_flat_dict(),
            "rows": doc_rows}
-    if args.out:
-        io.write_report(args.out, doc)
-        print(f"report written to {args.out}")
+    _report(args.out, doc,
+            ["N", "params", f"flops sparse[k={args.k}]", "flops dense", "dense/sparse"], rows)
     return 0
 
 
@@ -427,12 +421,9 @@ def cmd_bank(args) -> int:
             scores = np.stack([classify_events(b, head) for b in test_banks[v]])
             aps.append(event_mean_ap(scores, test_labels))
         rows.append({"bank": v, "mean_ap": float(np.mean(aps)), "per_seed": aps})
-    _print_report_table(["bank", "event mAP"], [[r["bank"], r["mean_ap"]] for r in rows])
     doc = {"kind": "bank-report", "mode": mode, "seeds": args.seeds,
            "config": cfg.to_flat_dict(), "rows": rows}
-    if args.out:
-        io.write_report(args.out, doc)
-        print(f"report written to {args.out}")
+    _report(args.out, doc, ["bank", "event mAP"], [[r["bank"], r["mean_ap"]] for r in rows])
     return 0
 
 
@@ -460,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--mode", choices=MODES)
-    p.add_argument("--variant", choices=("spatial", "sparse", "dense", "tracking"))
+    p.add_argument("--variant", choices=VARIANTS)
     p.add_argument("--k", type=int)
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", dest="batch_size", type=int)
@@ -478,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--split", default="test", choices=("train", "val", "test"))
     p.add_argument("--mode", choices=MODES)
-    p.add_argument("--variant", choices=("spatial", "sparse", "dense", "tracking"))
+    p.add_argument("--variant", choices=VARIANTS)
     p.add_argument("--k", type=int)
     p.add_argument("--constraint", choices=("with", "no"), default="with")
     p.add_argument("--out", help="write the JSON report here")
@@ -489,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--split", default="test", choices=("train", "val", "test"))
     p.add_argument("--mode", choices=MODES)
-    p.add_argument("--variant", choices=("spatial", "sparse", "dense", "tracking"))
+    p.add_argument("--variant", choices=VARIANTS)
     p.add_argument("--k", type=int)
     p.add_argument("--out", required=True)
     p.add_argument("--include-features", action="store_true",

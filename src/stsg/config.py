@@ -163,9 +163,6 @@ class RunConfig:
         return out
 
 
-_BOOL = {"true": True, "false": False}
-
-
 def _parse_value(field_type, raw: str, key: str):
     raw = raw.strip()
     if field_type is int:
@@ -178,10 +175,6 @@ def _parse_value(field_type, raw: str, key: str):
             return float(raw)
         except ValueError:
             raise ConfigError(f"{key}: expected number, got {raw!r}") from None
-    if field_type is bool:
-        if raw.lower() not in _BOOL:
-            raise ConfigError(f"{key}: expected true/false, got {raw!r}")
-        return _BOOL[raw.lower()]
     return raw
 
 

@@ -83,14 +83,6 @@ def encode_node(box: BoundingBox, label_dist: np.ndarray, visual_feat: np.ndarra
                         _node_rows([visual_feat], "visual"))[0]
 
 
-def decode_node(feat: np.ndarray, g: int, c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Round-trip the fixed offsets: [0,4) box, [4,4+G) labels, [4+G,m) visual."""
-    feat = np.asarray(feat, dtype=np.float64)
-    if feat.shape != (4 + g + c,):
-        raise ShapeError(f"decode_node: expected length {4 + g + c}, got shape {feat.shape}")
-    return feat[:4], feat[4:4 + g], feat[4 + g:]
-
-
 @dataclass(frozen=True)
 class ObjectNode:
     """Detected object: box, label distribution, visual feature, cached encoding."""

@@ -250,26 +250,10 @@ class BatchOutput:
     gamma: Tensor | None = None             # (C,) relevance of every candidate link
 
 
-def _override_links(link_mask_fn, gamma: np.ndarray, packed: Packed) -> np.ndarray:
-    """Candidate mask from `link_mask_fn(gamma, nodes_t, nodes_tm1)`, frame pair by frame pair."""
-    frames = [f for f in packed.nodes if f]
-    cand_frame = packed.node_frame.ids[packed.cand_curr.ids]
-    mask = np.zeros(len(cand_frame), dtype=bool)
-    for t in np.unique(cand_frame):
-        block = cand_frame == t
-        shape = (len(frames[t]), len(frames[t - 1]))
-        eta = np.asarray(link_mask_fn(gamma[block].reshape(shape), frames[t], frames[t - 1]))
-        mask[block] = eta.reshape(-1) != 0
-    return mask
-
-
-def forward_batch(packed: Packed, params: ModelParams, k: int = 1,
-                  link_mask_fn=None) -> BatchOutput:
+def forward_batch(packed: Packed, params: ModelParams, k: int = 1) -> BatchOutput:
     """The full pipeline over every frame of a packed minibatch.
 
     A node without candidates keeps its spatial features unchanged.
-    `link_mask_fn(gamma, nodes_t, nodes_tm1) -> mask` overrides link
-    selection on each frame pair when given.
     """
     variant = packed.variant
     if variant == "sparse" and k < 1:
@@ -286,9 +270,7 @@ def forward_batch(packed: Packed, params: ModelParams, k: int = 1,
     if len(cand_curr):
         gamma = link_relevance(updated, packed.cand_curr, packed.cand_prev,
                                params["temporal.phi"])
-        if link_mask_fn is not None:
-            mask = _override_links(link_mask_fn, gamma.data, packed)
-        elif variant == "sparse":
+        if variant == "sparse":
             mask = topk_links(gamma.data, cand_curr, k)
         elif variant == "dense":
             mask = np.ones(len(cand_curr), dtype=bool)
@@ -379,14 +361,12 @@ def frame_predictions(packed: Packed, out: BatchOutput, g: int) -> list[FramePre
 
 @blas.one_thread()
 def forward_sequence(sequence: SceneSequence, params: ModelParams, mode: str,
-                     variant: str = "sparse", k: int = 1,
-                     link_mask_fn=None) -> list[FramePrediction]:
+                     variant: str = "sparse", k: int = 1) -> list[FramePrediction]:
     """Run the full pipeline over one sequence: a packed batch of one.
 
     The first frame (and any frame after an empty one) has no predecessor and
-    keeps its spatial features unchanged. `link_mask_fn(gamma, nodes_t,
-    nodes_tm1) -> mask` overrides link selection when given.
+    keeps its spatial features unchanged.
     """
     packed = pack(sequence, mode, variant, params.dims)
-    out = forward_batch(packed, params, k, link_mask_fn)
+    out = forward_batch(packed, params, k)
     return frame_predictions(packed, out, params.dims.g)

@@ -8,9 +8,9 @@ relevance kernel: each node's softmax over its relevance to the previous
 frame's nodes is pulled towards the previous node of the same gt object.
 
 Training computes all three over a packed minibatch as one weighted sum
-(`batch_loss`). The per-frame loss functions (`relation_loss`,
-`node_loss`, their logit forms and `link_loss`) are the reference forms
-tests compare it against.
+(`batch_loss`). Its targets are read off the packed pair and candidate
+lists through one array, the gt object of each packed node
+(`node_identity`).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .config import RunConfig
 from .errors import ContractError, TrainingError
 from .params import Gradients, ModelParams
 from .rng import RngStream
-from .scene import FrameRecord, ObjectNode, SceneSequence, pairwise_iou
+from .scene import SceneSequence, pairwise_iou
 from .temporal import BatchOutput, Packed, forward_batch, pack
 
 NEGATIVE_WEIGHT = 0.2  # no-relation terms down-weighted by a factor of 5
@@ -40,154 +40,28 @@ class LossReport:
     node_loss: float = 0.0
     link_loss: float = 0.0
     total: float = 0.0
-    n_positive: int = 0
-    n_negative: int = 0
 
 
-def _match_to_gt(nodes, objects) -> np.ndarray:
-    """Index of each node's highest-IoU gt object (first on ties), -1 below 0.5."""
-    if not nodes or not objects:
-        return np.full(len(nodes), -1)
-    ious = pairwise_iou(np.array([[o.box.x, o.box.y, o.box.w, o.box.h] for o in nodes]),
-                        np.array([[o.box.x, o.box.y, o.box.w, o.box.h] for o in objects]))
-    best = np.argmax(ious, axis=1)
-    return np.where(ious[np.arange(len(nodes)), best] >= IOU_MATCH, best, -1)
+def node_identity(sequence: SceneSequence, packed: Packed) -> np.ndarray:
+    """(N,) frame-local gt object of each packed node, -1 when unmatched.
 
-
-def relation_targets(frame: FrameRecord, nodes: list[ObjectNode], mode: str,
-                     h: int) -> tuple[np.ndarray, np.ndarray, dict[int, int]]:
-    """Positive/negative flat indices into the (N, N, H) grid plus node->gt map.
-
-    Index-aligned in predcls/sgcls; sgdet matches each node to its highest-IoU
-    gt object at the 0.5 threshold before transferring triplets.
+    Nodes are their own gt objects in predcls/sgcls; in sgdet a node matches
+    its highest-IoU gt object (the first on ties) at IoU >= IOU_MATCH.
     """
-    n = len(nodes)
-    if mode in ("predcls", "sgcls"):
-        gt = np.arange(n)
-    else:
-        gt = _match_to_gt(nodes, frame.objects)
-    node_to_gt = {i: int(g) for i, g in enumerate(gt) if g >= 0}
-
-    n_obj = len(frame.objects)
-    gt_grid = np.zeros((n_obj, n_obj, h), dtype=bool)
-    if frame.triplets:
-        ti, tj, tp = np.array(frame.triplets).T
-        gt_grid[ti, tj, tp] = True
-    # pairs of matched nodes on distinct gt objects (so never the diagonal)
-    both = (gt[:, None] >= 0) & (gt[None, :] >= 0) & (gt[:, None] != gt[None, :])
-    positive = np.zeros((n, n, h), dtype=bool)
-    rows, cols = np.nonzero(both)
-    positive[rows, cols] = gt_grid[gt[rows], gt[cols]]
-
-    off_diag = np.broadcast_to(~np.eye(n, dtype=bool)[:, :, None], (n, n, h))
-    negative = off_diag & ~positive
-    return (np.flatnonzero(positive), np.flatnonzero(negative), node_to_gt)
-
-
-def relation_loss(probs: Tensor, pos_idx: np.ndarray, neg_idx: np.ndarray) -> tuple[Tensor, LossReport]:
-    """Mean BCE over positives plus 0.2 * mean BCE over negatives (natural log)."""
-    n_pos, n_neg = len(pos_idx), len(neg_idx)
-    flat = ad.reshape(probs, (probs.size,))
-    total = None
-    if n_pos:
-        p = ad.gather_rows(flat, pos_idx)
-        total = ad.scale(ad.reduce_sum(ad.log(p)), -1.0 / n_pos)
-    if n_neg:
-        p = ad.gather_rows(flat, neg_idx)
-        one_minus = ad.add(Tensor(np.ones(n_neg)), ad.scale(p, -1.0))
-        neg_term = ad.scale(ad.reduce_sum(ad.log(one_minus)), -NEGATIVE_WEIGHT / n_neg)
-        total = neg_term if total is None else ad.add(total, neg_term)
-    if total is None:
-        total = Tensor(0.0)
-    report = LossReport(relation_loss=total.item(), total=total.item(),
-                        n_positive=n_pos, n_negative=n_neg)
-    return total, report
-
-
-def relation_loss_from_logits(logits: Tensor, pos_idx: np.ndarray,
-                              neg_idx: np.ndarray) -> tuple[Tensor, LossReport]:
-    """Same BCE computed from pre-sigmoid scores.
-
-    -log(sigmoid(z)) = softplus(-z) and -log(1 - sigmoid(z)) = softplus(z),
-    which stays finite where the probability form underflows to log(0).
-    """
-    n_pos, n_neg = len(pos_idx), len(neg_idx)
-    flat = ad.reshape(logits, (logits.size,))
-    total = None
-    if n_pos:
-        z = ad.gather_rows(flat, pos_idx)
-        total = ad.scale(ad.reduce_sum(ad.softplus(ad.scale(z, -1.0))), 1.0 / n_pos)
-    if n_neg:
-        z = ad.gather_rows(flat, neg_idx)
-        neg_term = ad.scale(ad.reduce_sum(ad.softplus(z)), NEGATIVE_WEIGHT / n_neg)
-        total = neg_term if total is None else ad.add(total, neg_term)
-    if total is None:
-        total = Tensor(0.0)
-    report = LossReport(relation_loss=total.item(), total=total.item(),
-                        n_positive=n_pos, n_negative=n_neg)
-    return total, report
-
-
-def node_loss(label_dists: Tensor, node_to_gt: dict[int, int],
-              gt_labels: list[int], g: int) -> Tensor:
-    """Mean categorical cross-entropy over gt-matched nodes; 0 with no matches."""
-    if not node_to_gt:
-        return Tensor(0.0)
-    idx = sorted(node_to_gt)
-    onehot = np.zeros((len(idx), g))
-    for row, i in enumerate(idx):
-        onehot[row, gt_labels[node_to_gt[i]]] = 1.0
-    picked = ad.gather_rows(label_dists, np.array(idx))
-    # pick the gt-class probability first so off-class zeros never reach log
-    gt_prob = ad.reduce_sum(ad.mul(picked, Tensor(onehot)), axis=1)
-    return ad.scale(ad.reduce_sum(ad.log(gt_prob)), -1.0 / len(idx))
-
-
-def node_loss_from_logits(label_logits: Tensor, node_to_gt: dict[int, int],
-                          gt_labels: list[int], g: int) -> Tensor:
-    """Same cross-entropy computed from pre-softmax scores.
-
-    The log-softmax stays finite where the softmax probability of the gt
-    class underflows to 0 and its log to -inf.
-    """
-    if not node_to_gt:
-        return Tensor(0.0)
-    idx = np.array(sorted(node_to_gt))
-    labels = np.array([gt_labels[node_to_gt[i]] for i in idx])
-    logp = ad.reshape(ad.log_softmax(label_logits, axis=1), (label_logits.size,))
-    picked = ad.gather_rows(logp, idx * g + labels)
-    return ad.scale(ad.reduce_sum(picked), -1.0 / len(idx))
-
-
-def link_targets(node_to_gt: dict[int, int],
-                 prev_node_to_gt: dict[int, int]) -> list[tuple[int, int]]:
-    """(current node, previous node) pairs on the same gt object, one per
-    current node that has such a previous node (the lowest index wins)."""
-    target: dict[int, int] = {}
-    for k in sorted(prev_node_to_gt):
-        target.setdefault(prev_node_to_gt[k], k)
-    return [(j, target[gj]) for j, gj in sorted(node_to_gt.items()) if gj in target]
-
-
-def link_loss(gamma: Tensor, node_to_gt: dict[int, int],
-              prev_node_to_gt: dict[int, int]) -> Tensor | None:
-    """Mean cross-entropy of each row's softmax over gamma (N_t, N_prev)
-    against the previous node matched to the same gt object.
-
-    Rows without such a node are skipped (the lowest-index previous node
-    wins when several match); None when no row has a target.
-    """
-    rows = link_targets(node_to_gt, prev_node_to_gt)
-    if not rows:
-        return None
-    curr, prev = np.array(rows).T
-    logp = ad.reshape(ad.log_softmax(gamma, axis=1), (gamma.size,))
-    picked = ad.gather_rows(logp, curr * gamma.shape[1] + prev)
-    return ad.scale(ad.reduce_sum(picked), -1.0 / len(rows))
-
-
-# ---------------------------------------------------------------------------
-# the packed objective
+    sizes = np.array([len(nodes) for nodes in packed.nodes], dtype=np.intp)
+    local = np.arange(packed.n_nodes) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    if packed.mode != "sgdet":
+        return local
+    gt = np.full(packed.n_nodes, -1)
+    start = 0
+    for frame, n in zip(sequence.frames, sizes):
+        if n and frame.objects:
+            ious = pairwise_iou(packed.feats[start:start + n, :4],
+                                np.array([o.box.as_array() for o in frame.objects]))
+            best = np.argmax(ious, axis=1)
+            gt[start:start + n] = np.where(ious[np.arange(n), best] >= IOU_MATCH, best, -1)
+        start += n
+    return gt
 
 
 @dataclass
@@ -207,65 +81,61 @@ class Targets:
     node_weight: np.ndarray
     link_index: np.ndarray     # candidate link of each link term
     link_weight: np.ndarray
-    n_positive: int = 0
-    n_negative: int = 0
 
 
 def loss_targets(sequence: SceneSequence, packed: Packed, h: int) -> Targets:
     """The targets of one sequence's packed inputs.
 
     Per frame: relation loss + node loss (sgcls, sgdet) + link loss (frames
-    with relevance scores), averaged over the non-empty frames.
+    with candidate links), averaged over the non-empty frames. A relation
+    slot is positive when its pair's nodes match distinct gt objects that
+    hold the predicate; a node's link target is its first candidate whose
+    previous node matches the same gt object.
     """
-    rel_positive, rel_weight, node_rows, node_labels, node_weight = [], [], [], [], []
-    link_index, link_weight = [], []
-    n_pos_total = n_neg_total = 0
-    start = cand_start = 0
-    n_prev, prev_map, frames = 0, None, 0
-    for frame, nodes in zip(sequence.frames, packed.nodes):
-        n = len(nodes)
-        if n == 0:
-            n_prev = 0
-            continue
-        frames += 1
-        pos, neg, node_map = relation_targets(frame, nodes, packed.mode, h)
-        positive = np.zeros((n, n, h), dtype=bool)
-        positive.reshape(-1)[pos] = True
-        weight = np.zeros((n, n, h))
-        if len(pos):
-            weight.reshape(-1)[pos] = 1.0 / len(pos)
-        if len(neg):
-            weight.reshape(-1)[neg] = NEGATIVE_WEIGHT / len(neg)
-        off_diag = ~np.eye(n, dtype=bool)
-        rel_positive.append(positive[off_diag].reshape(-1))
-        rel_weight.append(weight[off_diag].reshape(-1))
-        n_pos_total += len(pos)
-        n_neg_total += len(neg)
-        if packed.mode in ("sgcls", "sgdet") and node_map:
-            idx = sorted(node_map)
-            node_rows.append(start + np.array(idx))
-            node_labels.append(np.array([frame.objects[node_map[i]].label for i in idx]))
-            node_weight.append(np.full(len(idx), -1.0 / len(idx)))
-        if packed.variant != "spatial" and n_prev:
-            rows = link_targets(node_map, prev_map)
-            if rows:
-                curr, prev = np.array(rows).T
-                link_index.append(cand_start + curr * n_prev + prev)
-                link_weight.append(np.full(len(rows), -1.0 / len(rows)))
-            cand_start += n * n_prev
-        start += n
-        n_prev, prev_map = n, node_map
-    scale = 1.0 / frames if frames else 0.0
+    gt = node_identity(sequence, packed)
+    node_frame = packed.node_frame.ids
+    n_frames = packed.n_frames
+    scale = 1.0 / n_frames if n_frames else 0.0
+    # per frame with nodes: which gt pairs hold which predicates, and gt labels
+    frames = [f for f, nodes in zip(sequence.frames, packed.nodes) if nodes]
+    n_obj = max((len(f.objects) for f in frames), default=0)
+    holds = np.zeros((n_frames, n_obj, n_obj, h), dtype=bool)
+    labels = np.zeros((n_frames, n_obj), dtype=np.intp)
+    for t, f in enumerate(frames):
+        if f.triplets:
+            ti, tj, tp = np.array(f.triplets).T
+            holds[t, ti, tj, tp] = True
+        labels[t, :len(f.objects)] = [o.label for o in f.objects]
 
-    def cat(arrays, dtype=np.float64):
-        return np.concatenate(arrays).astype(dtype) if arrays else np.zeros(0, dtype=dtype)
+    # relation slots, in packed pair order x predicate
+    subj, obj = packed.subj.ids, packed.obj.ids
+    gs, go = gt[subj], gt[obj]
+    distinct = np.flatnonzero((gs >= 0) & (go >= 0) & (gs != go))
+    positive = np.zeros((len(subj), h), dtype=bool)
+    positive[distinct] = holds[node_frame[subj[distinct]], gs[distinct], go[distinct]]
+    positive = positive.reshape(-1)
+    slot_frame = np.repeat(node_frame[subj], h)
+    n_pos = np.bincount(slot_frame[positive], minlength=n_frames)
+    n_neg = np.bincount(slot_frame, minlength=n_frames) - n_pos
+    pos_w = np.divide(1.0, n_pos, out=np.zeros(n_frames), where=n_pos > 0)
+    neg_w = np.divide(NEGATIVE_WEIGHT, n_neg, out=np.zeros(n_frames), where=n_neg > 0)
+    rel_weight = np.where(positive, pos_w[slot_frame], neg_w[slot_frame])
+
+    node_rows = np.flatnonzero(gt >= 0) if packed.mode != "predcls" else np.zeros(0, np.intp)
+    node_count = np.bincount(node_frame[node_rows], minlength=n_frames)
+
+    curr, prev = packed.cand_curr.ids, packed.cand_prev.ids
+    hits = np.flatnonzero((gt[curr] >= 0) & (gt[curr] == gt[prev]))
+    # candidates run by (curr, prev), so a node's first hit has the lowest prev
+    link_index = hits[np.unique(curr[hits], return_index=True)[1]]
+    link_frame = node_frame[curr[link_index]]
+    link_count = np.bincount(link_frame, minlength=n_frames)
 
     return Targets(
-        rel_positive=cat(rel_positive, bool), rel_weight=cat(rel_weight) * scale,
-        node_rows=cat(node_rows, np.intp), node_labels=cat(node_labels, np.intp),
-        node_weight=cat(node_weight) * scale,
-        link_index=cat(link_index, np.intp), link_weight=cat(link_weight) * scale,
-        n_positive=n_pos_total, n_negative=n_neg_total,
+        rel_positive=positive, rel_weight=rel_weight * scale,
+        node_rows=node_rows, node_labels=labels[node_frame[node_rows], gt[node_rows]],
+        node_weight=(-1.0 / node_count[node_frame[node_rows]]) * scale,
+        link_index=link_index, link_weight=(-1.0 / link_count[link_frame]) * scale,
     )
 
 
@@ -299,15 +169,14 @@ def join(items: list[tuple[Packed, Targets]]) -> tuple[Packed, Targets]:
         node_rows=cat("node_rows", node_off), node_labels=cat("node_labels"),
         node_weight=cat("node_weight") * scale,
         link_index=cat("link_index", cand_off), link_weight=cat("link_weight") * scale,
-        n_positive=sum(t.n_positive for t in targets),
-        n_negative=sum(t.n_negative for t in targets),
     )
 
 
-def batch_loss(packed: Packed, targets: Targets, out: BatchOutput, lambda_node: float,
-               lambda_link: float = LINK_WEIGHT) -> tuple[Tensor, LossReport]:
+def batch_loss(packed: Packed, targets: Targets, out: BatchOutput,
+               lambda_node: float) -> tuple[Tensor, LossReport]:
     """The trained objective: one weighted sum of softplus relation terms and
-    log-softmax node and link terms over the whole batch.
+    log-softmax node and link terms (weighted by LINK_WEIGHT) over the whole
+    batch.
 
     -log(sigmoid(z)) = softplus(-z) and -log(1 - sigmoid(z)) = softplus(z),
     and the log-softmax stays finite where a probability underflows to 0.
@@ -321,7 +190,7 @@ def batch_loss(packed: Packed, targets: Targets, out: BatchOutput, lambda_node: 
     index, weight = [np.arange(n_rel)], [t.rel_weight]
     offset = n_rel
     use_node = out.label_logits is not None and lambda_node != 0.0 and len(t.node_rows) > 0
-    use_link = out.gamma is not None and lambda_link != 0.0 and len(t.link_index) > 0
+    use_link = out.gamma is not None and LINK_WEIGHT != 0.0 and len(t.link_index) > 0
     if use_node:
         n, g = out.label_logits.shape
         pieces.append(ad.reshape(ad.log_softmax(out.label_logits, axis=1), (n * g,)))
@@ -331,7 +200,7 @@ def batch_loss(packed: Packed, targets: Targets, out: BatchOutput, lambda_node: 
     if use_link:
         pieces.append(ad.segment_log_softmax(out.gamma, packed.cand_curr, packed.n_nodes))
         index.append(offset + t.link_index)
-        weight.append(lambda_link * t.link_weight)
+        weight.append(LINK_WEIGHT * t.link_weight)
     if len(pieces) == 1:
         picked = pieces[0]
     else:
@@ -344,18 +213,15 @@ def batch_loss(packed: Packed, targets: Targets, out: BatchOutput, lambda_node: 
         relation_loss=float(np.dot(t.rel_weight, values[:n_rel])),
         node_loss=float(np.dot(t.node_weight, values[n_rel:n_rel + n_node])) if use_node else 0.0,
         link_loss=float(np.dot(t.link_weight, values[n_rel + n_node:])) if use_link else 0.0,
-        total=total.item(), n_positive=t.n_positive, n_negative=t.n_negative,
-    )
+        total=total.item())
     return total, report
 
 
 def sequence_loss(sequence: SceneSequence, params: ModelParams, mode: str, variant: str,
-                  k: int, lambda_node: float,
-                  lambda_link: float = LINK_WEIGHT) -> tuple[Tensor, LossReport]:
+                  k: int, lambda_node: float) -> tuple[Tensor, LossReport]:
     """The trained objective on a batch of one sequence."""
     packed, targets = prepare(sequence, mode, variant, params.dims)
-    return batch_loss(packed, targets, forward_batch(packed, params, k), lambda_node,
-                      lambda_link)
+    return batch_loss(packed, targets, forward_batch(packed, params, k), lambda_node)
 
 
 # ---------------------------------------------------------------------------
@@ -401,17 +267,9 @@ class Optimizer:
 # gradient verification
 
 
-def loss_value(sequence: SceneSequence, params: ModelParams, mode: str,
-               variant: str, k: int, lambda_node: float,
-               lambda_link: float = LINK_WEIGHT) -> float:
-    total, _ = sequence_loss(sequence, params, mode, variant, k, lambda_node, lambda_link)
-    return total.item()
-
-
 def grad_check(sequence: SceneSequence, params: ModelParams, mode: str = "sgcls",
                variant: str = "sparse", k: int = 1, lambda_node: float = 1.0,
-               h: float = 1e-5, max_entries: int = 600, seed: int = 0,
-               lambda_link: float = LINK_WEIGHT) -> float:
+               h: float = 1e-5, max_entries: int = 600, seed: int = 0) -> float:
     """Max relative error of tape gradients vs central finite differences.
 
     Checks every parameter entry when the model is small enough, otherwise a
@@ -421,7 +279,7 @@ def grad_check(sequence: SceneSequence, params: ModelParams, mode: str = "sgcls"
     tape = Tape()
     params.watch_all(tape)
     with tape:
-        total, _ = sequence_loss(sequence, params, mode, variant, k, lambda_node, lambda_link)
+        total, _ = sequence_loss(sequence, params, mode, variant, k, lambda_node)
     grads = Gradients.collect(params, backward(tape, total)).flat
 
     # flat indices of the checked entries
@@ -451,8 +309,9 @@ def grad_check(sequence: SceneSequence, params: ModelParams, mode: str = "sgcls"
         for step in (h, -h):
             flat = params.flat.copy()
             flat[i] += step
-            bumped.append(loss_value(sequence, params.with_flat(flat), mode, variant, k,
-                                     lambda_node, lambda_link))
+            loss, _ = sequence_loss(sequence, params.with_flat(flat), mode, variant, k,
+                                    lambda_node)
+            bumped.append(loss.item())
         numeric = (bumped[0] - bumped[1]) / (2 * h)
         analytic = grads[i]
         if abs(analytic - numeric) <= fd_floor:
@@ -526,7 +385,7 @@ def train(dataset: list[SceneSequence], cfg: RunConfig,
             params.watch_all(tape)
             with tape:
                 out = forward_batch(packed, params, tc.k)
-                total, _ = batch_loss(packed, targets, out, tc.lambda_node, LINK_WEIGHT)
+                total, _ = batch_loss(packed, targets, out, tc.lambda_node)
             value = total.item()
             where = f"at epoch {epoch + 1}, batch {start // tc.batch_size + 1}"
             if not np.isfinite(value):

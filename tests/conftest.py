@@ -79,6 +79,15 @@ class MatmulRows:
         monkeypatch.setattr(stsg.autodiff, "matmul", matmul)
 
 
+def select_no_links(monkeypatch):
+    """Make the sparse variant select no candidate link: `forward_batch`
+    looks `topk_links` up in `stsg.temporal` at each call."""
+    import stsg.temporal
+
+    monkeypatch.setattr(stsg.temporal, "topk_links",
+                        lambda scores, rows, k: np.zeros(len(scores), dtype=bool))
+
+
 @pytest.fixture
 def dims() -> Dims:
     return Dims()

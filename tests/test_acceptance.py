@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import MatmulRows, frame_pair_links, random_sequence
+from conftest import MatmulRows, frame_pair_links, random_sequence, select_no_links
 from fixtures import exhaustive_recall_at_k, three_frame_fixture
 from stsg.autodiff import Tensor
 from stsg.cli import _forward_frames, gradcheck_sample, main
@@ -38,8 +38,15 @@ from stsg.metrics import (
 from stsg.params import ModelParams
 from stsg.rng import RngStream
 from stsg.synthgen import generate_scene
-from stsg.temporal import FramePrediction, forward_sequence, link_relevance, topk_links
-from stsg.training import grad_check, relation_loss, train
+from stsg.temporal import (
+    BatchOutput,
+    FramePrediction,
+    forward_sequence,
+    link_relevance,
+    pack,
+    topk_links,
+)
+from stsg.training import NEGATIVE_WEIGHT, Targets, batch_loss, grad_check, train
 
 DIMS = Dims()
 
@@ -105,7 +112,7 @@ def test_criterion_3_topk_oracle():
     report(3, "topk_links matches the stable-sort oracle on 1000 matrices with ties")
 
 
-def test_criterion_4_degeneracy_equivalences(params):
+def test_criterion_4_degeneracy_equivalences(params, monkeypatch):
     rng = RngStream(400)
     for trial in range(50):
         seq = random_sequence(rng.split(trial), DIMS, n_frames=3, n_min=2, n_max=4)
@@ -114,15 +121,15 @@ def test_criterion_4_degeneracy_equivalences(params):
         for a, b in zip(sparse, dense):
             np.testing.assert_allclose(a.relation_probs, b.relation_probs,
                                        rtol=0, atol=1e-12)
-    for trial in range(50):
-        seq = random_sequence(rng.split(1000 + trial), DIMS, n_frames=3)
-        forced = forward_sequence(
-            seq, params, "sgdet", "sparse", k=1,
-            link_mask_fn=lambda g, a, b: np.zeros(g.shape, dtype=int))
-        plain = forward_sequence(seq, params, "sgdet", "spatial")
-        for a, b in zip(forced, plain):
-            assert np.array_equal(a.relation_probs, b.relation_probs)
-            assert np.array_equal(a.fused, b.fused)
+    with monkeypatch.context() as masked:
+        select_no_links(masked)
+        for trial in range(50):
+            seq = random_sequence(rng.split(1000 + trial), DIMS, n_frames=3)
+            forced = forward_sequence(seq, params, "sgdet", "sparse", k=1)
+            plain = forward_sequence(seq, params, "sgdet", "spatial")
+            for a, b in zip(forced, plain):
+                assert np.array_equal(a.relation_probs, b.relation_probs)
+                assert np.array_equal(a.fused, b.fused)
     for trial in range(50):
         seq = random_sequence(rng.split(2000 + trial), DIMS, n_frames=1)
         temporal = forward_sequence(seq, params, "sgcls", "sparse", k=1)
@@ -182,16 +189,37 @@ def test_criterion_6_metric_oracles():
               "with-constraint <= no-constraint on 1000 random sets")
 
 
+def zero_logit_targets(pos, neg, n_slots):
+    """Targets that weight the listed relation slots as one frame's mean over
+    positives plus 0.2 x its mean over negatives, and nothing else."""
+    positive = np.zeros(n_slots, dtype=bool)
+    positive[pos] = True
+    weight = np.zeros(n_slots)
+    if len(pos):
+        weight[pos] = 1.0 / len(pos)
+    if len(neg):
+        weight[neg] = NEGATIVE_WEIGHT / len(neg)
+    none = np.zeros(0, dtype=np.intp)
+    return Targets(rel_positive=positive, rel_weight=weight, node_rows=none,
+                   node_labels=none, node_weight=np.zeros(0), link_index=none,
+                   link_weight=np.zeros(0))
+
+
 def test_criterion_7_loss_arithmetic():
-    p = np.full((2, 2, 3), 0.5)
-    for i in range(2):
-        p[i, i] = 0.0
-    pos = np.array([np.ravel_multi_index((0, 1, 0), p.shape)])
-    neg = np.array([np.ravel_multi_index((1, 0, 2), p.shape)])
-    loss, _ = relation_loss(Tensor(p), pos, neg)
+    # one frame of two nodes: pairs (0, 1) and (1, 0), three predicates each;
+    # zero logits are the all-0.5 probabilities
+    dims = Dims(h=3)
+    seq = random_sequence(RngStream(700), dims, n_frames=1, n_min=2, n_max=2)
+    packed = pack(seq, "predcls", "spatial", dims)
+    assert list(packed.subj.ids) == [0, 1] and list(packed.obj.ids) == [1, 0]
+    zeros = Tensor(np.zeros((2, dims.m)))
+    out = BatchOutput(gcn=zeros, fused=zeros, relation_logits=Tensor(np.zeros((2, 3))),
+                      links=np.zeros(0, dtype=np.intp))
+    pos, neg = [0 * 3 + 0], [1 * 3 + 2]   # slots (0, 1, 0) and (1, 0, 2)
+    loss, _ = batch_loss(packed, zero_logit_targets(pos, neg, 6), out, 1.0)
     assert abs(loss.item() - 1.2 * math.log(2)) < 1e-12
-    only_pos, _ = relation_loss(Tensor(p), pos, np.array([], dtype=int))
-    only_neg, _ = relation_loss(Tensor(p), np.array([], dtype=int), neg)
+    only_pos, _ = batch_loss(packed, zero_logit_targets(pos, [], 6), out, 1.0)
+    only_neg, _ = batch_loss(packed, zero_logit_targets([], neg, 6), out, 1.0)
     assert abs(only_pos.item() - math.log(2)) < 1e-12
     assert abs(only_neg.item() - 0.2 * math.log(2)) < 1e-12
     report(7, "all-0.5 fixture gives 1.2*ln2; no-relation branch weighted 0.2")

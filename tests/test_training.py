@@ -7,6 +7,14 @@ import pytest
 
 import stsg.training
 from conftest import random_sequence
+from reference_losses import (
+    link_loss,
+    link_targets,
+    node_loss,
+    node_loss_from_logits,
+    relation_loss,
+    relation_loss_from_logits,
+)
 from stsg.autodiff import Tape, Tensor, backward
 import stsg.autodiff as ad
 from stsg.cli import _gen_one, gradcheck_sample
@@ -15,28 +23,28 @@ from stsg.errors import TrainingError
 from stsg.params import Gradients, ModelParams
 from stsg.rng import RngStream
 from stsg.synthgen import generate_scene
-from stsg.scene import iou
-from stsg.spatial import pair_grid
-from stsg.temporal import (
-    forward_batch,
-    forward_sequence,
-    frame_predictions,
-    nodes_for_mode,
+from stsg.scene import (
+    BoundingBox,
+    FrameRecord,
+    GroundTruthObject,
+    ObjectNode,
+    SceneSequence,
+    iou,
 )
+from stsg.spatial import pair_grid
+from stsg.temporal import forward_batch, frame_predictions, pack
 from stsg.training import (
     LINK_WEIGHT,
+    NEGATIVE_WEIGHT,
     Optimizer,
+    Targets,
     batch_loss,
     clip_gradients,
     grad_check,
     join,
-    link_loss,
-    node_loss,
-    node_loss_from_logits,
+    loss_targets,
+    node_identity,
     prepare,
-    relation_loss,
-    relation_loss_from_logits,
-    relation_targets,
     sequence_loss,
     train,
 )
@@ -113,10 +121,10 @@ def test_node_loss_empty_match_is_zero():
     assert node_loss(Tensor(np.ones((1, 2))), {}, [0], g=2).item() == 0.0
 
 
-def test_predcls_total_is_relation_only(dims, params):
+def test_predcls_total_is_relation_only(dims, params, monkeypatch):
+    monkeypatch.setattr(stsg.training, "LINK_WEIGHT", 0.0)
     seq = random_sequence(RngStream(41), dims, n_frames=2)
-    total, report = sequence_loss(seq, params, "predcls", "sparse", 1, lambda_node=1.0,
-                                  lambda_link=0.0)
+    total, report = sequence_loss(seq, params, "predcls", "sparse", 1, lambda_node=1.0)
     assert report.node_loss == 0.0
     assert abs(total.item() - report.relation_loss) < 1e-12
 
@@ -129,20 +137,38 @@ def test_predcls_trained_total_is_relation_plus_link(dims, params):
     assert abs(total.item() - want) < 1e-12
 
 
-def test_sgdet_targets_use_iou_matching(dims, params):
+def test_sgdet_targets_use_iou_matching(dims):
     seq = random_sequence(RngStream(42), dims, n_frames=1)
     frame = seq.frames[0]
-    outs = forward_sequence(seq, params, "sgdet", "sparse", 1)
-    pos, neg, node_map = relation_targets(frame, outs[0].nodes, "sgdet", dims.h)
+    packed, targets = prepare(seq, "sgdet", "sparse", dims)
     # conftest detections copy gt boxes, so every node matches its own gt
-    assert node_map == {i: i for i in range(len(frame.objects))}
-    assert len(pos) == len(frame.triplets)
-    n = outs[0].n
-    assert len(pos) + len(neg) == (n * n - n) * dims.h
+    assert node_identity(seq, packed).tolist() == list(range(len(frame.objects)))
+    assert targets.rel_positive.sum() == len(frame.triplets)
+    n = packed.n_nodes
+    assert len(targets.rel_positive) == (n * n - n) * dims.h
+
+
+def test_sgdet_identity_matches_from_half_iou_first_on_ties(dims):
+    # powers of two keep the IoUs exact: detection 0 overlaps gt 2 at
+    # exactly 0.5, detection 1 ties gt 0 and gt 1 (the same box) at 1, and
+    # detection 2 overlaps gt 2 at 0.48
+    def gt(x, y, label):
+        return GroundTruthObject(BoundingBox(x, y, 0.25, 0.25), label, np.zeros(dims.c))
+
+    def det(x, y, h):
+        return ObjectNode(BoundingBox(x, y, 0.25, h), np.eye(dims.g)[0], np.zeros(dims.c))
+
+    frame = FrameRecord(objects=[gt(0.25, 0.25, 0), gt(0.25, 0.25, 1), gt(0.5, 0.5, 2)],
+                        triplets=[], detections=[det(0.5, 0.5, 0.125), det(0.25, 0.25, 0.25),
+                                                 det(0.5, 0.5, 0.12)])
+    seq = SceneSequence(frames=[frame], event_labels=np.zeros(4), seed=0)
+    assert node_identity(seq, pack(seq, "sgdet", "spatial", dims)).tolist() == [2, 0, -1]
 
 
 def loop_relation_targets(frame, nodes, mode, h):
-    """Per-node, per-pair reference for `relation_targets`."""
+    """Per-node, per-pair reference for one frame's relation targets:
+    positive and negative flat indices into the (n, n, h) grid of its pairs,
+    and the node->gt map."""
     n = len(nodes)
     if mode in ("predcls", "sgcls"):
         node_to_gt = {i: i for i in range(n)}
@@ -167,20 +193,104 @@ def loop_relation_targets(frame, nodes, mode, h):
     return np.flatnonzero(positive), np.flatnonzero(negative), node_to_gt
 
 
+def loop_positive_pairs(pos, n, h):
+    """One frame's flat (n, n, h) positive indices as flags in pair order:
+    subject-major over i != j, then predicate."""
+    pos = set(pos.tolist())
+    return [np.ravel_multi_index((i, j, p), (n, n, h)) in pos
+            for i in range(n) for j in range(n) if i != j for p in range(h)]
+
+
 def test_relation_targets_match_loop_reference(dims):
     world = WorldConfig()
     checked = 0
     for seed in range(12):
         seq = generate_scene(dims, world, 500 + seed)
-        for frame in seq.frames:
-            for mode in ("predcls", "sgcls", "sgdet"):
-                nodes = nodes_for_mode(frame, mode, dims.g)
-                pos, neg, node_map = relation_targets(frame, nodes, mode, dims.h)
-                want_pos, want_neg, want_map = loop_relation_targets(frame, nodes, mode, dims.h)
-                assert np.array_equal(pos, want_pos) and np.array_equal(neg, want_neg)
-                assert node_map == want_map
+        for mode in ("predcls", "sgcls", "sgdet"):
+            packed = pack(seq, mode, "spatial", dims)
+            gt = node_identity(seq, packed)
+            positive = loss_targets(seq, packed, dims.h).rel_positive
+            start = slot = 0
+            for frame, nodes in zip(seq.frames, packed.nodes):
+                n = len(nodes)
+                want_pos, _, want_map = loop_relation_targets(frame, nodes, mode, dims.h)
+                got = positive[slot:slot + n * (n - 1) * dims.h]
+                assert got.tolist() == loop_positive_pairs(want_pos, n, dims.h)
+                got_map = {i: int(g) for i, g in enumerate(gt[start:start + n]) if g >= 0}
+                assert got_map == want_map
+                start, slot = start + n, slot + n * (n - 1) * dims.h
                 checked += 1
     assert checked == 12 * 8 * 3
+
+
+def loop_loss_targets(sequence, packed, h):
+    """Frame-by-frame, pair-by-pair reference for `loss_targets`."""
+    rel_positive, rel_weight, node_rows, node_labels, node_weight = [], [], [], [], []
+    link_index, link_weight = [], []
+    start = cand_start = frames = n_prev = 0
+    prev_map = None
+    for frame, nodes in zip(sequence.frames, packed.nodes):
+        n = len(nodes)
+        if n == 0:
+            n_prev = 0
+            continue
+        frames += 1
+        pos, neg, node_map = loop_relation_targets(frame, nodes, packed.mode, h)
+        for flag in loop_positive_pairs(pos, n, h):
+            rel_positive.append(flag)
+            rel_weight.append(1.0 / len(pos) if flag else NEGATIVE_WEIGHT / len(neg))
+        if packed.mode != "predcls":
+            for i in sorted(node_map):
+                node_rows.append(start + i)
+                node_labels.append(frame.objects[node_map[i]].label)
+                node_weight.append(-1.0 / len(node_map))
+        if packed.variant != "spatial" and n_prev:
+            rows = link_targets(node_map, prev_map)
+            for curr, prev in rows:
+                link_index.append(cand_start + curr * n_prev + prev)
+                link_weight.append(-1.0 / len(rows))
+            cand_start += n * n_prev
+        start += n
+        n_prev, prev_map = n, node_map
+    scale = 1.0 / frames if frames else 0.0
+    return Targets(
+        rel_positive=np.array(rel_positive, dtype=bool),
+        rel_weight=np.array(rel_weight, dtype=np.float64) * scale,
+        node_rows=np.array(node_rows, dtype=np.intp),
+        node_labels=np.array(node_labels, dtype=np.intp),
+        node_weight=np.array(node_weight, dtype=np.float64) * scale,
+        link_index=np.array(link_index, dtype=np.intp),
+        link_weight=np.array(link_weight, dtype=np.float64) * scale,
+    )
+
+
+def target_scenes():
+    """Default scenes, 10-12-object x 16-frame scenes, and one scene with a
+    frame without detections, a frame without triplets and a frame whose
+    detections have no gt object to match."""
+    dims, world = Dims(), WorldConfig()
+    large = replace(world, n_objects_min=10, n_objects_max=12, frames=16)
+    scenes = [generate_scene(dims, world, 800 + seed) for seed in range(6)]
+    scenes += [generate_scene(dims, large, 900 + seed) for seed in range(2)]
+    edge = generate_scene(dims, world, 806)
+    edge.frames[2].detections = []
+    edge.frames[4].triplets = []
+    edge.frames[5].objects, edge.frames[5].triplets = [], []
+    assert edge.frames[5].detections
+    return scenes + [edge]
+
+
+@pytest.mark.parametrize("mode", ["predcls", "sgcls", "sgdet"])
+@pytest.mark.parametrize("variant", ["spatial", "sparse", "dense", "tracking"])
+def test_loss_targets_match_loop_reference(mode, variant):
+    dims = Dims()
+    for seq in target_scenes():
+        packed = pack(seq, mode, variant, dims)
+        got, want = loss_targets(seq, packed, dims.h), loop_loss_targets(seq, packed, dims.h)
+        for name in ("rel_positive", "rel_weight", "node_rows", "node_labels",
+                     "node_weight", "link_index", "link_weight"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 def test_closed_form_linear_gradient():
@@ -350,8 +460,6 @@ def test_non_finite_loss_aborts_with_diagnostic():
 
 
 def test_logits_and_probability_losses_agree():
-    from stsg.training import relation_loss_from_logits
-
     rng = RngStream(77)
     z = rng.normal_array((3, 3, 4)) * 5.0
     for i in range(3):
@@ -367,8 +475,6 @@ def test_logits_and_probability_losses_agree():
 
 
 def test_logits_loss_survives_saturation():
-    from stsg.training import relation_loss_from_logits
-
     z = np.full((2, 2, 1), 80.0)   # sigmoid rounds to exactly 1.0 here
     loss, _ = relation_loss_from_logits(
         Tensor(z), np.array([], dtype=int), np.array([off_diag_flat(2, 1, 0, 1, 0)]))
@@ -420,12 +526,12 @@ def test_link_loss_targets_the_same_gt_object():
     assert link_loss(gamma, {1: 9}, {0: 3}) is None
 
 
-def test_sequence_loss_adds_link_term_only_when_weighted(dims, params):
+def test_sequence_loss_adds_link_term_only_when_weighted(dims, params, monkeypatch):
     seq = random_sequence(RngStream(44), dims, n_frames=3)
-    base, base_rep = sequence_loss(seq, params, "sgcls", "sparse", 1, lambda_node=1.0,
-                                   lambda_link=0.0)
-    weighted, rep = sequence_loss(seq, params, "sgcls", "sparse", 1, lambda_node=1.0,
-                                  lambda_link=0.5)
+    monkeypatch.setattr(stsg.training, "LINK_WEIGHT", 0.0)
+    base, base_rep = sequence_loss(seq, params, "sgcls", "sparse", 1, lambda_node=1.0)
+    monkeypatch.setattr(stsg.training, "LINK_WEIGHT", 0.5)
+    weighted, rep = sequence_loss(seq, params, "sgcls", "sparse", 1, lambda_node=1.0)
     assert base_rep.link_loss == 0.0 and rep.link_loss > 0.0
     assert weighted.item() == pytest.approx(base.item() + 0.5 * rep.link_loss, abs=1e-12)
 
@@ -439,7 +545,7 @@ def test_grad_check_full_forward_tracking(dims):
 
 
 @pytest.mark.parametrize("variant", ["sparse", "tracking"])
-def test_relevance_kernel_gets_gradient_only_from_link_term(dims, variant):
+def test_relevance_kernel_gets_gradient_only_from_link_term(dims, variant, monkeypatch):
     # a single selected link's weight cancels in the normalised mean, and
     # selection itself is not differentiable: without the link term the
     # kernel's gradient is zero up to rounding
@@ -447,10 +553,11 @@ def test_relevance_kernel_gets_gradient_only_from_link_term(dims, variant):
     sample = gradcheck_sample(RunConfig(), n_objects=3, frames=2, seed=2024)
     phi_grads = {}
     for lam in (0.0, 1.0):
+        monkeypatch.setattr(stsg.training, "LINK_WEIGHT", lam)
         tape = Tape()
         params.watch_all(tape)
         with tape:
-            total, _ = sequence_loss(sample, params, "sgdet", variant, 1, 1.0, lambda_link=lam)
+            total, _ = sequence_loss(sample, params, "sgdet", variant, 1, 1.0)
         phi_grads[lam] = backward(tape, total)[params["temporal.phi"]].data
     assert np.abs(phi_grads[0.0]).max() < 1e-12
     assert np.abs(phi_grads[1.0]).max() > 1e-6
@@ -553,7 +660,7 @@ def reference_sequence_loss(sequence, params, mode, variant, k, lambda_node, lam
         n = fo.n
         if n == 0:
             continue
-        pos, neg, node_map = relation_targets(frame, fo.nodes, mode, h)
+        pos, neg, node_map = loop_relation_targets(frame, fo.nodes, mode, h)
         logits = pair_grid(out.relation_logits.data[pair_start:pair_start + n * (n - 1)], n)
         term = relation_loss_from_logits(Tensor(logits), pos, neg)[0].item()
         if mode != "predcls":
@@ -573,11 +680,12 @@ def reference_sequence_loss(sequence, params, mode, variant, k, lambda_node, lam
 
 @pytest.mark.parametrize("mode", ["predcls", "sgcls", "sgdet"])
 @pytest.mark.parametrize("variant", ["spatial", "sparse", "tracking"])
-def test_batch_loss_matches_per_frame_reference(mode, variant):
+def test_batch_loss_matches_per_frame_reference(mode, variant, monkeypatch):
     dims = Dims()
     params = ModelParams.init(dims, seed=3)
+    monkeypatch.setattr(stsg.training, "LINK_WEIGHT", 0.5)
     for seq in seed7_sequences(3):
-        got, _ = sequence_loss(seq, params, mode, variant, 1, 1.0, 0.5)
+        got, _ = sequence_loss(seq, params, mode, variant, 1, 1.0)
         want = reference_sequence_loss(seq, params, mode, variant, 1, 1.0, 0.5)
         assert got.item() == pytest.approx(want, rel=1e-12)
 
