@@ -339,7 +339,6 @@ def cmd_ablate(args) -> int:
 
 def cmd_flops(args) -> int:
     cfg = _resolve_config(args)
-    rows = []
     doc_rows = []
     for n in range(1, 9):
         sparse = count_params_flops(cfg.dims, n, "sparse", k=args.k,
@@ -347,8 +346,6 @@ def cmd_flops(args) -> int:
         dense = count_params_flops(cfg.dims, n, "dense",
                                    gcn_layers=cfg.train.gcn_layers)
         ratio = dense.flops_per_frame / sparse.flops_per_frame if sparse.flops_per_frame else 1.0
-        rows.append([n, sparse.parameter_count, sparse.flops_per_frame,
-                     dense.flops_per_frame, f"{ratio:.3f}"])
         doc_rows.append({
             "n_objects": n,
             "parameter_count": sparse.parameter_count,
@@ -359,7 +356,8 @@ def cmd_flops(args) -> int:
     doc = {"kind": "efficiency-report", "k": args.k, "config": cfg.to_flat_dict(),
            "rows": doc_rows}
     _report(args.out, doc,
-            ["N", "params", f"flops sparse[k={args.k}]", "flops dense", "dense/sparse"], rows)
+            ["N", "params", f"flops sparse[k={args.k}]", "flops dense", "dense/sparse"],
+            [[*list(r.values())[:4], f"{r['dense_over_sparse']:.3f}"] for r in doc_rows])
     return 0
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from .config import Dims, RunConfig, parse_config_items
 from .errors import DataFormatError
 from .metrics import RankedFrame
-from .params import ModelParams
+from .params import ModelParams, model_shapes
 from .scene import BoundingBox, FrameRecord, GroundTruthObject, SceneSequence, object_nodes
 from .temporal import FramePrediction
 
@@ -105,9 +105,13 @@ def _triplet(t, n_objects: int, h: int, path: Path, lineno: int) -> tuple[int, i
     if not (isinstance(t, list) and len(t) == 3):
         raise DataFormatError(f"{path}:{lineno}: a triplet must be [subject, object, "
                               f"predicate], got {t!r}")
-    return (_index(t[0], n_objects, "triplet subject", path, lineno),
-            _index(t[1], n_objects, "triplet object", path, lineno),
-            _index(t[2], h, "triplet predicate", path, lineno))
+    triplet = (_index(t[0], n_objects, "triplet subject", path, lineno),
+               _index(t[1], n_objects, "triplet object", path, lineno),
+               _index(t[2], h, "triplet predicate", path, lineno))
+    if t[0] == t[1]:
+        raise DataFormatError(f"{path}:{lineno}: triplet {t!r} names object {t[0]} as both "
+                              f"subject and object")
+    return triplet
 
 
 def sequence_from_json(record: dict, path: Path, lineno: int, dims: Dims) -> SceneSequence:
@@ -217,9 +221,7 @@ def load_checkpoint(path: str | Path) -> tuple[RunConfig, ModelParams, list[dict
     gcn_layers = doc.get("gcn_layers", 2)
     if not isinstance(gcn_layers, int) or gcn_layers < 1:
         raise DataFormatError(f"{path}: field 'gcn_layers' must be a positive integer")
-    # the names and shapes the model of this config has
-    expected = {name: t.shape for name, t in
-                ModelParams.init(cfg.dims, seed=0, gcn_layers=gcn_layers).items()}
+    expected = model_shapes(cfg.dims, gcn_layers)
     entries = _field(doc, "params", path, 1)
     if not isinstance(entries, dict):
         raise DataFormatError(f"{path}: field 'params' must be an object")

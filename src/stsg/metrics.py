@@ -17,12 +17,14 @@ every class's AP hit flags.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import Dims
 from .errors import ContractError
+from .params import Layout, model_shapes
 from .scene import GroundTruthObject, pairwise_iou
 from .temporal import FramePrediction
 
@@ -285,75 +287,28 @@ class EfficiencyReport:
     breakdown: dict = field(default_factory=dict)
 
 
-def _linear_cost(a: int, b: int, bias: bool = True) -> tuple[int, int]:
-    """(parameters, flops per application) for a dense a -> b layer."""
-    return a * b + (b if bias else 0), 2 * a * b
-
-
 def count_params_flops(dims: Dims, n: int, variant: str = "sparse", k: int = 1,
                        gcn_layers: int = 2) -> EfficiencyReport:
-    """Analytic counts; multiply-add pairs cost 2 FLOPs, only dense layers and
-    the relevance dots are counted. Parameters do not depend on the variant."""
+    """Analytic counts read off `params.model_shapes`. A stage applies each of
+    its matrices, of shape (a, b), to its rows at 2ab FLOPs a row (a
+    multiply-add pair costs 2); only dense layers and the relevance dots are
+    counted. Parameters do not depend on the variant."""
     if n < 0:
         raise ContractError(f"count_params_flops: need n >= 0, got {n}")
-    m, g, h, d = dims.m, dims.g, dims.h, dims.d
-    hidden = m
-    params = 0
-    flops = 0
-    breakdown = {}
-
-    p1, f1 = _linear_cost(2 * m, hidden)
-    p2, f2 = _linear_cost(hidden, h)
-    params += p1 + p2
-    prop_flops = n * n * (f1 + f2)
-    flops += prop_flops
-    breakdown["proposal"] = prop_flops
-
-    gcn_flops = 0
-    for _ in range(gcn_layers):
-        pn, fn = _linear_cost(m, m)
-        pe, fe = _linear_cost(h, m, bias=False)
-        params += pn + pe
-        gcn_flops += n * fn + n * fe   # edge features aggregate before the transform
-    flops += gcn_flops
-    breakdown["gcn"] = gcn_flops
-
-    pp, fp = _linear_cost(m, d, bias=False)
-    params += pp
+    shapes = model_shapes(dims, gcn_layers)
     temporal_on = variant != "spatial"
-    proj_flops = n * fp if temporal_on else 0
-    dot_flops = n * n * 2 * d if temporal_on else 0
-    flops += proj_flops + dot_flops
-    breakdown["relevance"] = proj_flops + dot_flops
-
-    pg1, fg1 = _linear_cost(2 * m, hidden)
-    pg2, fg2 = _linear_cost(hidden, m)
-    pt1, ft1 = _linear_cost(2 * m, hidden)
-    pt2, ft2 = _linear_cost(hidden, m)
-    params += pg1 + pg2 + pt1 + pt2
-    if variant == "dense":
-        links = n * n
-    elif variant == "sparse":
-        links = n * min(k, n)
-    elif variant == "tracking":
-        links = n
-    else:
-        links = 0
-    link_flops = links * (fg1 + fg2 + ft1 + ft2)
-    flops += link_flops
-    breakdown["temporal_encoding"] = link_flops
-
-    pr, fr = _linear_cost(2 * m, h)
-    params += pr
-    rel_flops = n * n * fr
-    flops += rel_flops
-    breakdown["relation_head"] = rel_flops
-
-    pl, fl = _linear_cost(m, g)
-    params += pl
-    label_flops = n * fl
-    flops += label_flops
-    breakdown["label_head"] = label_flops
-
-    return EfficiencyReport(parameter_count=params, flops_per_frame=flops,
+    links = {"dense": n * n, "sparse": n * min(k, n), "tracking": n}.get(variant, 0)
+    # each stage's parameter-name prefixes and the rows its matrices apply to;
+    # GCN edge features aggregate before the transform, so it sees n rows
+    stages = {"proposal": ("prop.", n * n), "gcn": ("gcn.", n),
+              "relevance": ("temporal.phi", n if temporal_on else 0),
+              "temporal_encoding": (("temporal.fg.", "temporal.ftau."), links),
+              "relation_head": ("rel.", n * n), "label_head": ("label.", n)}
+    breakdown = {stage: rows * sum(2 * math.prod(shape) for name, shape in shapes.items()
+                                   if len(shape) == 2 and name.startswith(prefixes))
+                 for stage, (prefixes, rows) in stages.items()}
+    if temporal_on:
+        breakdown["relevance"] += n * n * 2 * dims.d
+    return EfficiencyReport(parameter_count=Layout(shapes).size,
+                            flops_per_frame=sum(breakdown.values()),
                             n_objects=n, variant=variant, k=k, breakdown=breakdown)

@@ -2,7 +2,9 @@
 
 All weights use the row-vector convention: a layer mapping a -> b is a
 matrix of shape (a, b) applied as `x @ W + bias`. Hidden widths of the
-two-layer perceptrons equal the node width m.
+two-layer perceptrons equal the node width m. `model_shapes` is the table
+of every parameter's name and shape; initialisation, the checkpoint checks
+and the FLOP accounting all read it.
 
 The parameters live in one flat float64 vector; a `Layout` names the
 tensors, their shapes and their offsets in it, and each tensor is a
@@ -33,8 +35,24 @@ def mlp2(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     return linear(ad.relu(linear(x, w1, b1)), w2, b2)
 
 
-def _glorot(rng: RngStream, fan_in: int, fan_out: int) -> np.ndarray:
-    return rng.normal_array((fan_in, fan_out), 0.0, 1.0 / np.sqrt(fan_in))
+def model_shapes(dims: Dims, gcn_layers: int) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter, in layout and initialisation order:
+    the one place where the architecture's shapes are written."""
+    m, g, h, d = dims.m, dims.g, dims.h, dims.d
+    # pairwise relation proposal: 2m -> m -> h
+    shapes = {"prop.w1": (2 * m, m), "prop.b1": (m,), "prop.w2": (m, h), "prop.b2": (h,)}
+    for layer in range(gcn_layers):
+        shapes |= {f"gcn.{layer}.w_node": (m, m), f"gcn.{layer}.w_edge": (h, m),
+                   f"gcn.{layer}.bias": (m,)}
+    # cross-frame relevance projection (linear, no bias)
+    shapes["temporal.phi"] = (m, d)
+    # pair encoder f_g: 2m -> m -> m ; relation encoder f_tau: 2m -> m -> m
+    for enc in ("fg", "ftau"):
+        shapes |= {f"temporal.{enc}.w1": (2 * m, m), f"temporal.{enc}.b1": (m,),
+                   f"temporal.{enc}.w2": (m, m), f"temporal.{enc}.b2": (m,)}
+    # relation classifier (single fully connected layer) and label head
+    shapes |= {"rel.w": (2 * m, h), "rel.b": (h,), "label.w": (m, g), "label.b": (g,)}
+    return shapes
 
 
 class Layout:
@@ -85,35 +103,13 @@ class ModelParams:
 
     @classmethod
     def init(cls, dims: Dims, seed: int, gcn_layers: int = 2) -> "ModelParams":
-        m, g, h, d = dims.m, dims.g, dims.h, dims.d
+        """Glorot-normal matrices (fan-in = rows) and zero vectors, drawn in
+        table order."""
         rng = RngStream(seed, stream=17)
-        t: dict[str, np.ndarray] = {}
-        # pairwise relation proposal: 2m -> m -> h
-        t["prop.w1"] = _glorot(rng, 2 * m, m)
-        t["prop.b1"] = np.zeros(m)
-        t["prop.w2"] = _glorot(rng, m, h)
-        t["prop.b2"] = np.zeros(h)
-        for layer in range(gcn_layers):
-            t[f"gcn.{layer}.w_node"] = _glorot(rng, m, m)
-            t[f"gcn.{layer}.w_edge"] = _glorot(rng, h, m)
-            t[f"gcn.{layer}.bias"] = np.zeros(m)
-        # cross-frame relevance projection (linear, no bias)
-        t["temporal.phi"] = _glorot(rng, m, d)
-        # pair encoder f_g: 2m -> m -> m ; relation encoder f_tau: 2m -> m -> m
-        t["temporal.fg.w1"] = _glorot(rng, 2 * m, m)
-        t["temporal.fg.b1"] = np.zeros(m)
-        t["temporal.fg.w2"] = _glorot(rng, m, m)
-        t["temporal.fg.b2"] = np.zeros(m)
-        t["temporal.ftau.w1"] = _glorot(rng, 2 * m, m)
-        t["temporal.ftau.b1"] = np.zeros(m)
-        t["temporal.ftau.w2"] = _glorot(rng, m, m)
-        t["temporal.ftau.b2"] = np.zeros(m)
-        # relation classifier (single fully connected layer) and label head
-        t["rel.w"] = _glorot(rng, 2 * m, h)
-        t["rel.b"] = np.zeros(h)
-        t["label.w"] = _glorot(rng, m, g)
-        t["label.b"] = np.zeros(g)
-        return cls.from_arrays(dims, t, gcn_layers)
+        arrays = {name: rng.normal_array(shape, 0.0, 1.0 / np.sqrt(shape[0]))
+                  if len(shape) == 2 else np.zeros(shape)
+                  for name, shape in model_shapes(dims, gcn_layers).items()}
+        return cls.from_arrays(dims, arrays, gcn_layers)
 
     def __getitem__(self, name: str) -> Tensor:
         try:

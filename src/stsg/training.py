@@ -217,13 +217,6 @@ def batch_loss(packed: Packed, targets: Targets, out: BatchOutput,
     return total, report
 
 
-def sequence_loss(sequence: SceneSequence, params: ModelParams, mode: str, variant: str,
-                  k: int, lambda_node: float) -> tuple[Tensor, LossReport]:
-    """The trained objective on a batch of one sequence."""
-    packed, targets = prepare(sequence, mode, variant, params.dims)
-    return batch_loss(packed, targets, forward_batch(packed, params, k), lambda_node)
-
-
 # ---------------------------------------------------------------------------
 # optimizers
 
@@ -276,10 +269,15 @@ def grad_check(sequence: SceneSequence, params: ModelParams, mode: str = "sgcls"
     seeded subsample of at least max(500, one per tensor) entries. The error
     metric is |a - b| / max(1e-12, |a| + |b|).
     """
+    packed, targets = prepare(sequence, mode, variant, params.dims)
+
+    def loss(p: ModelParams) -> Tensor:
+        return batch_loss(packed, targets, forward_batch(packed, p, k), lambda_node)[0]
+
     tape = Tape()
     params.watch_all(tape)
     with tape:
-        total, _ = sequence_loss(sequence, params, mode, variant, k, lambda_node)
+        total = loss(params)
     grads = Gradients.collect(params, backward(tape, total)).flat
 
     # flat indices of the checked entries
@@ -309,9 +307,7 @@ def grad_check(sequence: SceneSequence, params: ModelParams, mode: str = "sgcls"
         for step in (h, -h):
             flat = params.flat.copy()
             flat[i] += step
-            loss, _ = sequence_loss(sequence, params.with_flat(flat), mode, variant, k,
-                                    lambda_node)
-            bumped.append(loss.item())
+            bumped.append(loss(params.with_flat(flat)).item())
         numeric = (bumped[0] - bumped[1]) / (2 * h)
         analytic = grads[i]
         if abs(analytic - numeric) <= fd_floor:
@@ -361,9 +357,7 @@ class TrainResult:
 
 
 @blas.one_thread()
-def train(dataset: list[SceneSequence], cfg: RunConfig,
-          val: list[SceneSequence] | None = None,
-          eval_fn=None) -> TrainResult:
+def train(dataset: list[SceneSequence], cfg: RunConfig, eval_fn=None) -> TrainResult:
     """Deterministic training: data order, init and updates derive from the seed.
 
     eval_fn(params) -> float supplies the per-epoch validation metric.

@@ -11,6 +11,7 @@ from stsg import io
 from stsg.cli import main
 from stsg.config import RunConfig, load_config, parse_config_items
 from stsg.errors import ConfigError, DataFormatError
+from stsg.params import ModelParams
 
 TINY_CFG = """
 # tiny benchmark for fast end-to-end runs; small scenes keep every frame's
@@ -293,6 +294,32 @@ def test_flops_report(tmp_path):
             assert row["sparse_flops_per_frame"] < row["dense_flops_per_frame"]
 
 
+# sha256 of `stsg flops --out` (default config, k = 1), taken while the FLOP
+# accounting still wrote out every layer's shape by hand
+FLOPS_REPORT_SHA256 = "43165cc04682855fc42db2e8dcbe196d5dac66ee403724e8840556e356460f94"
+
+
+def test_flops_report_is_pinned(tmp_path):
+    out = tmp_path / "flops.json"
+    assert main(["flops", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FLOPS_REPORT_SHA256
+
+
+def test_eval_from_checkpoint_draws_no_model(tmp_path, checkpoint_path, dataset_dir,
+                                            monkeypatch):
+    # the checkpoint's names and shapes are checked against params.model_shapes;
+    # no random model is drawn to learn them
+    argv = ["eval", "--ckpt", str(checkpoint_path), "--data", str(dataset_dir), "--split", "val"]
+    assert main(argv + ["--out", str(tmp_path / "drawn.json")]) == 0
+
+    def no_init(*args, **kwargs):
+        raise AssertionError("ModelParams.init called")
+
+    monkeypatch.setattr(ModelParams, "init", no_init)
+    assert main(argv + ["--out", str(tmp_path / "undrawn.json")]) == 0
+    assert (tmp_path / "drawn.json").read_bytes() == (tmp_path / "undrawn.json").read_bytes()
+
+
 def test_bank_report(tmp_path, checkpoint_path, dataset_dir):
     out = tmp_path / "bank.json"
     assert main(["bank", "--ckpt", str(checkpoint_path), "--data", str(dataset_dir),
@@ -479,15 +506,21 @@ def _predicate_out_of_range(frame):
     frame["triplets"][0][2] = 6
 
 
+def _self_pair(frame):
+    frame["triplets"].append([0, 0, 1])
+
+
 @pytest.mark.parametrize("edit, message", [
     (_label_out_of_range, "object label must be an integer in [0, 8), got 99"),
     (_subject_not_an_object, "triplet subject must be an integer in [0, "),
     (_object_negative, "triplet object must be an integer in [0, "),
     (_predicate_out_of_range, "triplet predicate must be an integer in [0, 6), got 6"),
-], ids=["label", "subject", "object", "predicate"])
+    (_self_pair, "triplet [0, 0, 1] names object 0 as both subject and object"),
+], ids=["label", "subject", "object", "predicate", "self-pair"])
 def test_ground_truth_out_of_range_is_an_error(tmp_path, dataset_dir, capsys, edit, message):
     # predcls one-hot encodes the gt labels and indexes the triplets: without
-    # the range check these ended in an IndexError traceback
+    # the range check these ended in an IndexError traceback; a self-pair
+    # triplet was ignored by the loss and could never be matched
     def edit_record(record):
         edit(next(f for f in record["frames"] if f["triplets"]))
 

@@ -1,8 +1,12 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from fixtures import (G, H, _gt, _pred, exhaustive_max_matches, exhaustive_recall_at_k,
                       three_frame_fixture)
+from reference_flops import reference_params_flops
 from stsg.config import Dims
 from stsg.errors import ContractError
 from stsg.metrics import (
@@ -20,6 +24,7 @@ from stsg.metrics import (
     recall_at_k,
     relation_map,
 )
+from stsg.params import model_shapes
 from stsg.rng import RngStream
 from stsg.scene import pairwise_iou
 
@@ -462,12 +467,30 @@ def test_ap_envelope_matches_loop_reference():
 
 
 def test_single_linear_layer_counting_rule():
-    from stsg.metrics import _linear_cost
+    # the label head is one dense m -> g layer with a bias, applied to n rows
+    dims = Dims()
+    m, g = dims.m, dims.g
+    shapes = model_shapes(dims, gcn_layers=2)
+    assert shapes["label.w"] == (m, g) and shapes["label.b"] == (g,)
+    assert math.prod(shapes["label.w"]) + math.prod(shapes["label.b"]) == m * g + g
+    assert count_params_flops(dims, 1).breakdown["label_head"] == 2 * m * g
 
-    m = 28
-    params, flops = _linear_cost(m, m)
-    assert params == m * m + m
-    assert flops == 2 * m * m
+
+FLOP_GRID_DIMS = (Dims(), Dims(g=3, c=4, h=2, d=5), Dims(g=12, c=20, h=9, d=7))
+
+
+def test_counts_equal_hand_summed_reference():
+    # 3 dims x 1-3 GCN layers x n 0-9 x 4 variants x k {1, 2, 3, 9}: 1,440 cases
+    cases = 0
+    for dims, layers, n, variant, k in itertools.product(
+            FLOP_GRID_DIMS, (1, 2, 3), range(10), ("spatial", "sparse", "dense", "tracking"),
+            (1, 2, 3, 9)):
+        got = count_params_flops(dims, n, variant, k=k, gcn_layers=layers)
+        want = reference_params_flops(dims, n, variant, k=k, gcn_layers=layers)
+        assert got == want, (dims, layers, n, variant, k)
+        assert list(got.breakdown) == list(want.breakdown)
+        cases += 1
+    assert cases == 1440
 
 
 def test_sparse_flops_below_dense_with_exact_gap():

@@ -45,11 +45,16 @@ from stsg.training import (
     loss_targets,
     node_identity,
     prepare,
-    sequence_loss,
     train,
 )
 
 LN2 = math.log(2.0)
+
+
+def sequence_loss(sequence, params, mode, variant, k, lambda_node):
+    """The trained objective on a batch of one sequence."""
+    packed, targets = prepare(sequence, mode, variant, params.dims)
+    return batch_loss(packed, targets, forward_batch(packed, params, k), lambda_node)
 
 
 def probs_tensor(n, h, value):
