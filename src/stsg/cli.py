@@ -159,6 +159,15 @@ def _checkpoint_run(args):
     return cfg, params, seqs, args.mode or t.mode, args.variant or t.variant, args.k or t.k
 
 
+def _check_counts(command: str, args, **lowest) -> None:
+    """Each named count flag, where given, is at least its lowest value."""
+    for name, low in lowest.items():
+        value = getattr(args, name)
+        if value is not None and value < low:
+            raise ConfigError(f"{command}: --{name.replace('_', '-')} must be >= {low}, "
+                              f"got {value}")
+
+
 def _report(out, doc, headers, rows) -> None:
     """Print a report's table; write the report to `out` when given."""
     print(io.format_table(headers, rows))
@@ -190,6 +199,7 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
+    _check_counts("train", args, val_sequences=0)
     data = _load_split(args.data, "train", cfg.dims)
     if cfg.train.sequences:
         data = data[: cfg.train.sequences]
@@ -219,9 +229,8 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _frames_from_prediction_file(preds_path: str, sequences) -> list[FrameEval]:
-    path = Path(preds_path)
-    _, records = io.load_predictions(path)
+def _frames_from_prediction_file(path: Path, records: list[dict],
+                                 sequences) -> list[FrameEval]:
     if len(records) != len(sequences):
         raise DataFormatError(
             f"{path}: {len(records)} prediction records for {len(sequences)} sequences"
@@ -256,7 +265,7 @@ def cmd_eval(args) -> int:
         config_echo = cfg.to_flat_dict()
     else:
         _, seqs = io.load_split(args.data, args.split)
-        header, _ = io.load_predictions(args.preds)
+        header, records = io.load_predictions(args.preds)
         file_mode = header.get("mode")
         if args.mode and file_mode and args.mode != file_mode:
             raise ConfigError(
@@ -265,7 +274,7 @@ def cmd_eval(args) -> int:
         mode = args.mode or file_mode
         if mode is None:
             raise ConfigError("eval: --mode required when the predictions carry none")
-        frames = _frames_from_prediction_file(args.preds, seqs)
+        frames = _frames_from_prediction_file(Path(args.preds), records, seqs)
         config_echo = header.get("config", {})
     metrics = evaluate(frames, mode, constraint)
     doc = {"kind": "eval-report", "split": args.split,
@@ -305,8 +314,7 @@ def _ablation_cell(cfg: RunConfig, train_data, test_data, cell) -> dict[str, flo
 
 def cmd_ablate(args) -> int:
     cfg = _resolve_config(args)
-    if args.jobs < 1:
-        raise ConfigError(f"ablate: --jobs must be >= 1, got {args.jobs}")
+    _check_counts("ablate", args, jobs=1, seeds=1, train_sequences=1, test_sequences=0)
     train_data = _load_split(args.data, "train", cfg.dims)
     test_data = _load_split(args.data, "test", cfg.dims)
     train_data = train_data[: args.train_sequences]
@@ -391,6 +399,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_bank(args) -> int:
+    _check_counts("bank", args, seeds=1, head_epochs=1, train_sequences=0)
     cfg, params, _ = io.load_checkpoint(args.ckpt)
     train_seqs = _load_split(args.data, "train", cfg.dims)
     test_seqs = _load_split(args.data, "test", cfg.dims)

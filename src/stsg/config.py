@@ -52,9 +52,6 @@ class NoiseConfig:
         if self.false_positive_rate < 0:
             raise ConfigError("noise.false_positive_rate: must be >= 0")
 
-    def zeroed(self) -> "NoiseConfig":
-        return NoiseConfig(0.0, 0.0, 0.0, 0.0, 0.0)
-
 
 @dataclass(frozen=True)
 class WorldConfig:
@@ -130,6 +127,8 @@ class TrainConfig:
             raise ConfigError("train.k: sparse variant requires k >= 1")
         if self.gcn_layers < 1:
             raise ConfigError("train.gcn_layers: must be >= 1")
+        if self.sequences < 0:
+            raise ConfigError(f"train.sequences: must be >= 0 (0 = all), got {self.sequences}")
 
 
 @dataclass(frozen=True)

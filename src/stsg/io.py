@@ -39,6 +39,20 @@ def _loads(path: Path, lineno: int, line: str) -> dict:
         raise DataFormatError(f"{path}:{lineno}: invalid JSON ({e.msg})") from None
 
 
+def _jsonl(path: Path, kind: str):
+    """Stream a JSON-lines file: its header (line 1, of kind `<kind>-header`),
+    then (line number, record) for each non-blank line after it."""
+    with open(path) as fh:
+        first = fh.readline()
+        header = _loads(path, 1, first) if first.strip() else None
+        if not isinstance(header, dict) or header.get("kind") != f"{kind}-header":
+            raise DataFormatError(f"{path}:1: missing {kind} header record")
+        yield header
+        for lineno, line in enumerate(fh, start=2):
+            if line.strip():
+                yield lineno, _loads(path, lineno, line)
+
+
 def _field(record: dict, name: str, path: Path, lineno: int):
     if not isinstance(record, dict):
         raise DataFormatError(f"{path}:{lineno}: expected a JSON object with field {name!r}, "
@@ -164,26 +178,14 @@ def load_split(data_dir: str | Path, split: str) -> tuple[dict, list[SceneSequen
     path = Path(data_dir) / f"{split}.jsonl"
     if not path.exists():
         raise DataFormatError(f"{path}: no such dataset file")
-    header: dict | None = None
-    sequences: list[SceneSequence] = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            record = _loads(path, lineno, line)
-            if lineno == 1:
-                if not isinstance(record, dict) or record.get("kind") != "dataset-header":
-                    raise DataFormatError(f"{path}:1: missing dataset header record")
-                header = record
-                # the dimensions the records were generated with
-                config = _field(header, "config", path, 1)
-                if not isinstance(config, dict):
-                    raise DataFormatError(f"{path}:1: field 'config' must be an object")
-                dims = runconfig_from_flat(config).dims
-                continue
-            sequences.append(sequence_from_json(record, path, lineno, dims))
-    if header is None:
-        raise DataFormatError(f"{path}: empty file")
+    records = _jsonl(path, "dataset")
+    header = next(records)
+    # the dimensions the records were generated with
+    config = _field(header, "config", path, 1)
+    if not isinstance(config, dict):
+        raise DataFormatError(f"{path}:1: field 'config' must be an object")
+    dims = runconfig_from_flat(config).dims
+    sequences = [sequence_from_json(record, path, lineno, dims) for lineno, record in records]
     count = _field(header, "count", path, 1)
     if count != len(sequences):
         raise DataFormatError(f"{path}: header count {count} != {len(sequences)} sequences")
@@ -326,22 +328,8 @@ def load_predictions(path: str | Path) -> tuple[dict, list[dict]]:
     path = Path(path)
     if not path.exists():
         raise DataFormatError(f"{path}: no such predictions file")
-    header: dict | None = None
-    records: list[dict] = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            record = _loads(path, lineno, line)
-            if lineno == 1:
-                if not isinstance(record, dict) or record.get("kind") != "predictions-header":
-                    raise DataFormatError(f"{path}:1: missing predictions header record")
-                header = record
-                continue
-            records.append(record)
-    if header is None:
-        raise DataFormatError(f"{path}: empty file")
-    return header, records
+    records = _jsonl(path, "predictions")
+    return next(records), [record for _, record in records]
 
 
 # ---------------------------------------------------------------------------

@@ -29,9 +29,6 @@ class BoundingBox:
         if not (0.0 < self.w <= 1.0 and 0.0 < self.h <= 1.0):
             raise ContractError(f"box: size ({self.w}, {self.h}) outside (0, 1]")
 
-    def center(self) -> tuple[float, float]:
-        return (self.x + self.w / 2.0, self.y + self.h / 2.0)
-
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.w, self.h], dtype=np.float64)
 
@@ -67,42 +64,18 @@ def _node_rows(rows, name: str) -> np.ndarray:
         out = None
     if out is None or out.ndim != 2:
         got = "not numbers of one length" if out is None else f"of shape {out.shape[1:]}"
-        raise ShapeError(f"encode_node: label/visual must be vectors, got {name} rows {got}")
+        raise ShapeError(f"object_nodes: label/visual must be vectors, got {name} rows {got}")
     return out
-
-
-def _encode_rows(boxes: np.ndarray, labels: np.ndarray, visual: np.ndarray) -> np.ndarray:
-    if np.any(labels < 0) or np.any(np.abs(labels.sum(axis=1) - 1.0) > 1e-9):
-        raise ContractError("encode_node: label_dist must be a probability distribution")
-    return np.concatenate([boxes, labels, visual], axis=1)
-
-
-def encode_node(box: BoundingBox, label_dist: np.ndarray, visual_feat: np.ndarray) -> np.ndarray:
-    """Concatenate [box | labels | visual]; output length 4 + G + C."""
-    return _encode_rows(box.as_array()[None], _node_rows([label_dist], "label"),
-                        _node_rows([visual_feat], "visual"))[0]
 
 
 @dataclass(frozen=True)
 class ObjectNode:
-    """Detected object: box, label distribution, visual feature, cached encoding."""
+    """Detected object: box, label distribution, visual feature, encoding (see object_nodes)."""
 
     box: BoundingBox
     label_dist: np.ndarray
     visual_feat: np.ndarray
-    node_feat: np.ndarray = field(repr=False, default=None)
-
-    def __post_init__(self):
-        if self.node_feat is None:
-            object.__setattr__(self, "node_feat", encode_node(self.box, self.label_dist, self.visual_feat))
-
-    @property
-    def label(self) -> int:
-        return int(np.argmax(self.label_dist))
-
-    @property
-    def label_score(self) -> float:
-        return float(np.max(self.label_dist))
+    node_feat: np.ndarray = field(repr=False)
 
 
 def object_nodes(boxes: list[BoundingBox], label_dists, visual_feats) -> list[ObjectNode]:
@@ -114,8 +87,11 @@ def object_nodes(boxes: list[BoundingBox], label_dists, visual_feats) -> list[Ob
     if not boxes:
         return []
     labels = _node_rows(label_dists, "label")
-    feats = _encode_rows(np.array([(b.x, b.y, b.w, b.h) for b in boxes]), labels,
-                         _node_rows(visual_feats, "visual"))
+    visual = _node_rows(visual_feats, "visual")
+    if np.any(labels < 0) or np.any(np.abs(labels.sum(axis=1) - 1.0) > 1e-9):
+        raise ContractError("object_nodes: label_dist must be a probability distribution")
+    feats = np.concatenate([np.array([(b.x, b.y, b.w, b.h) for b in boxes]), labels, visual],
+                           axis=1)
     visual_at = 4 + labels.shape[1]
     return [ObjectNode(box, row[4:visual_at], row[visual_at:], row)
             for box, row in zip(boxes, feats)]
@@ -149,12 +125,6 @@ class FrameRecord:
     objects: list[GroundTruthObject]
     triplets: list[tuple[int, int, int]]     # (subject idx, object idx, predicate)
     detections: list[ObjectNode]
-
-    def validate(self, h: int) -> None:
-        n = len(self.objects)
-        for (i, j, p) in self.triplets:
-            if not (0 <= i < n and 0 <= j < n and i != j and 0 <= p < h):
-                raise ContractError(f"frame: triplet ({i}, {j}, {p}) references invalid pair")
 
 
 @dataclass

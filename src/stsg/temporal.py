@@ -172,7 +172,6 @@ class Packed:
     obj: ad.SegmentPlan               #      subject-major
     cand_curr: ad.SegmentPlan         # (C,) each node x every node of the preceding
     cand_prev: ad.SegmentPlan         #      frame of its sequence, by (curr, prev)
-    tracked: np.ndarray | None = None  # (C,) the tracking variant's links
 
     @property
     def n_nodes(self) -> int:
@@ -199,8 +198,6 @@ class Packed:
             feats=np.concatenate([p.feats for p in parts]),
             node_frame=cat("node_frame"), subj=cat("subj"), obj=cat("obj"),
             cand_curr=cat("cand_curr"), cand_prev=cat("cand_prev"),
-            tracked=None if first.tracked is None
-            else np.concatenate([p.tracked for p in parts]),
         )
 
 
@@ -224,18 +221,12 @@ def pack(sequence: SceneSequence, mode: str, variant: str, dims) -> Packed:
                 prev.append(start[t - 1] + np.tile(np.arange(n_prev), n_t))
     cand_curr = np.concatenate(curr) if curr else np.zeros(0, dtype=np.intp)
     cand_prev = np.concatenate(prev) if prev else np.zeros(0, dtype=np.intp)
-    tracked = None
-    if variant == "tracking":
-        boxes = np.array([o.box.as_array() for o in flat]).reshape(-1, 4)
-        labels = np.array([o.label for o in flat], dtype=np.intp)
-        tracked = tracking_links(boxes, labels, cand_curr, cand_prev)
     n = len(flat)
     return Packed(mode=mode, variant=variant, nodes=nodes, feats=feats,
                   node_frame=ad.SegmentPlan(np.repeat(np.arange(len(present)), present),
                                             len(present)),
                   subj=ad.SegmentPlan(subj, n), obj=ad.SegmentPlan(obj, n),
-                  cand_curr=ad.SegmentPlan(cand_curr, n), cand_prev=ad.SegmentPlan(cand_prev, n),
-                  tracked=tracked)
+                  cand_curr=ad.SegmentPlan(cand_curr, n), cand_prev=ad.SegmentPlan(cand_prev, n))
 
 
 @dataclass
@@ -253,7 +244,8 @@ class BatchOutput:
 def forward_batch(packed: Packed, params: ModelParams, k: int = 1) -> BatchOutput:
     """The full pipeline over every frame of a packed minibatch.
 
-    A node without candidates keeps its spatial features unchanged.
+    Links are the top k of gamma (sparse), every candidate (dense) or
+    `tracking_links` (tracking); a node without candidates keeps its spatial features.
     """
     variant = packed.variant
     if variant == "sparse" and k < 1:
@@ -274,8 +266,9 @@ def forward_batch(packed: Packed, params: ModelParams, k: int = 1) -> BatchOutpu
             mask = topk_links(gamma.data, cand_curr, k)
         elif variant == "dense":
             mask = np.ones(len(cand_curr), dtype=bool)
-        else:
-            mask = packed.tracked
+        else:   # tracking: boxes and argmax labels read off the node rows
+            labels = np.argmax(packed.feats[:, 4:4 + params.dims.g], axis=1)
+            mask = tracking_links(packed.feats[:, :4], labels, cand_curr, packed.cand_prev.ids)
         chosen = np.flatnonzero(mask)
         if len(chosen):
             # the selected links' plans, shared by the forward and backward calls

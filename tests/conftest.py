@@ -4,7 +4,14 @@ import pytest
 from stsg.config import Dims
 from stsg.params import ModelParams
 from stsg.rng import RngStream
-from stsg.scene import BoundingBox, FrameRecord, GroundTruthObject, ObjectNode, SceneSequence
+from stsg.scene import (
+    BoundingBox,
+    FrameRecord,
+    GroundTruthObject,
+    ObjectNode,
+    SceneSequence,
+    object_nodes,
+)
 
 
 def random_box(rng: RngStream) -> BoundingBox:
@@ -19,8 +26,8 @@ def random_dist(rng: RngStream, g: int) -> np.ndarray:
 
 
 def random_object_node(rng: RngStream, dims: Dims) -> ObjectNode:
-    return ObjectNode(random_box(rng), random_dist(rng, dims.g),
-                      rng.normal_array(dims.c, 0.0, 1.0))
+    box, dist = random_box(rng), random_dist(rng, dims.g)
+    return object_nodes([box], [dist], [rng.normal_array(dims.c, 0.0, 1.0)])[0]
 
 
 def random_gt_object(rng: RngStream, dims: Dims) -> GroundTruthObject:
@@ -49,9 +56,9 @@ def random_sequence(rng: RngStream, dims: Dims, n_frames: int = 3,
                 j = rng.integer(n)
                 if i != j:
                     triplets.append((i, j, rng.integer(dims.h)))
-        detections = [
-            ObjectNode(o.box, o.detector_label_dist, o.visual_feat) for o in objects
-        ]
+        detections = object_nodes([o.box for o in objects],
+                                  [o.detector_label_dist for o in objects],
+                                  [o.visual_feat for o in objects])
         frames.append(FrameRecord(objects=objects, triplets=sorted(set(triplets)),
                                   detections=detections))
     return SceneSequence(frames=frames, event_labels=np.zeros(4), seed=rng.seed)

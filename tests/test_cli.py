@@ -450,6 +450,69 @@ def test_malformed_prediction_record_is_an_error(tmp_path, dataset_dir, capsys, 
     assert err.startswith("error: ") and "p.jsonl:2" in err and message in err
 
 
+@pytest.mark.parametrize("kind", ["dataset", "predictions"])
+def test_blank_first_line_is_a_missing_header(tmp_path, dataset_dir, capsys, kind):
+    # the header is line 1: with a blank line there, a dataset load ended in
+    # an UnboundLocalError traceback and a predictions load reported "empty file"
+    data = tmp_path / "ds"
+    data.mkdir()
+    (data / "test.jsonl").write_bytes((dataset_dir / "test.jsonl").read_bytes())
+    _, seqs = io.load_split(data, "test")
+    preds = tmp_path / "p.jsonl"
+    io.write_predictions(preds, {"mode": "sgdet", "config": {}}, gt_prediction_records(seqs))
+    blanked = data / "test.jsonl" if kind == "dataset" else preds
+    blanked.write_text("\n" + blanked.read_text())
+    assert main(["eval", "--preds", str(preds), "--data", str(data), "--split", "test"]) == 1
+    assert capsys.readouterr().err == f"error: {blanked}:1: missing {kind} header record\n"
+
+
+def test_eval_reads_the_predictions_file_once(tmp_path, dataset_dir, monkeypatch):
+    _, seqs = io.load_split(dataset_dir, "test")
+    preds = tmp_path / "p.jsonl"
+    io.write_predictions(preds, {"mode": "sgdet", "config": {}}, gt_prediction_records(seqs))
+    calls = []
+    load = io.load_predictions
+
+    def counted(path):
+        calls.append(path)
+        return load(path)
+
+    monkeypatch.setattr(io, "load_predictions", counted)
+    assert main(["eval", "--preds", str(preds), "--data", str(dataset_dir),
+                 "--split", "test", "--out", str(tmp_path / "r.json")]) == 0
+    assert len(calls) == 1
+
+
+# a negative count sliced from the end of a split, and a zero seed or
+# epoch count wrote NaN into a report or trained nothing, all with exit 0
+@pytest.mark.parametrize("command, flags, message", [
+    ("train", ["--sequences", "-3"], "train.sequences: must be >= 0"),
+    ("train", ["--val-sequences", "-1"], "train: --val-sequences must be >= 0"),
+    ("ablate", ["--seeds", "0"], "ablate: --seeds must be >= 1"),
+    ("ablate", ["--train-sequences", "-2"], "ablate: --train-sequences must be >= 1"),
+    ("ablate", ["--test-sequences", "-1"], "ablate: --test-sequences must be >= 0"),
+    ("bank", ["--seeds", "0"], "bank: --seeds must be >= 1"),
+    ("bank", ["--head-epochs", "0"], "bank: --head-epochs must be >= 1"),
+    ("bank", ["--train-sequences", "-1"], "bank: --train-sequences must be >= 0"),
+], ids=["train-sequences", "train-val-sequences", "ablate-seeds", "ablate-train-sequences",
+        "ablate-test-sequences", "bank-seeds", "bank-head-epochs", "bank-train-sequences"])
+def test_counts_below_their_range_are_an_error(tmp_path, tiny_config_path, dataset_dir,
+                                               checkpoint_path, capsys, command, flags,
+                                               message):
+    common = ["--data", str(dataset_dir), "--out", str(tmp_path / "out.json")]
+    # small runs where the flag under test is in range; a flag given twice
+    # keeps its last value
+    base = {
+        "train": ["--config", str(tiny_config_path), "--epochs", "1"],
+        "ablate": ["--config", str(tiny_config_path), "--seeds", "1", "--epochs", "1",
+                   "--train-sequences", "2", "--test-sequences", "2", "--jobs", "1"],
+        "bank": ["--ckpt", str(checkpoint_path), "--seeds", "1", "--head-epochs", "1"],
+    }[command]
+    assert main([command, *common, *base, *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def _edited_train_split(tmp_path, dataset_dir, lineno, edit):
     """A copy of the train split whose JSON line `lineno` (0 = header) went
     through `edit`."""
@@ -540,7 +603,7 @@ def test_shape_error_is_an_error(tmp_path, dataset_dir, capsys):
 
     data = _edited_train_split(tmp_path, dataset_dir, 1, edit)
     assert _train(data, tmp_path) == 1
-    assert "error: encode_node" in capsys.readouterr().err
+    assert "error: object_nodes" in capsys.readouterr().err
 
 
 def _short_label_dist(detection):
@@ -552,8 +615,8 @@ def _label_dist_not_a_distribution(detection):
 
 
 @pytest.mark.parametrize("edit, message", [
-    (_short_label_dist, "error: encode_node: label/visual must be vectors"),
-    (_label_dist_not_a_distribution, "error: encode_node: label_dist must be a probability"),
+    (_short_label_dist, "error: object_nodes: label/visual must be vectors"),
+    (_label_dist_not_a_distribution, "error: object_nodes: label_dist must be a probability"),
 ], ids=["short-label-dist", "not-a-distribution"])
 def test_malformed_detection_labels_are_an_error(tmp_path, dataset_dir, capsys, edit, message):
     def edit_record(record):

@@ -6,15 +6,19 @@ from hypothesis import strategies as st
 from stsg.errors import ContractError, ShapeError
 from stsg.scene import (
     BoundingBox,
-    FrameRecord,
     GroundTruthObject,
-    ObjectNode,
     SceneSequence,
-    encode_node,
     gt_nodes,
     iou,
+    object_nodes,
     pairwise_iou,
 )
+
+
+def encode_node(box: BoundingBox, label_dist, visual_feat) -> np.ndarray:
+    """One node's [box | labels | visual] row, encoded by `object_nodes`."""
+    node, = object_nodes([box], [label_dist], [visual_feat])
+    return node.node_feat
 
 
 def decode_node(feat: np.ndarray, g: int, c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -108,12 +112,6 @@ def test_pairwise_iou_matches_scalar_arithmetic():
             assert iou(BoundingBox(*a[i]), BoundingBox(*b[j])) == got[i, j]
 
 
-def test_object_node_argmax_helpers():
-    node = ObjectNode(BoundingBox(0, 0, 0.1, 0.1), np.array([0.2, 0.7, 0.1]), np.zeros(2))
-    assert node.label == 1
-    assert node.label_score == 0.7
-
-
 def test_gt_object_as_node_uses_requested_labels():
     gt = GroundTruthObject(BoundingBox(0, 0, 0.1, 0.1), label=2,
                            visual_feat=np.zeros(3),
@@ -122,13 +120,6 @@ def test_gt_object_as_node_uses_requested_labels():
     np.testing.assert_array_equal(onehot.label_dist, [0, 0, 1])
     noisy, = gt_nodes([gt], g=3, use_detector_labels=True)
     np.testing.assert_array_equal(noisy.label_dist, [0.1, 0.2, 0.7])
-
-
-def test_frame_record_validates_triplets():
-    obj = GroundTruthObject(BoundingBox(0, 0, 0.1, 0.1), 0, np.zeros(2))
-    frame = FrameRecord(objects=[obj, obj], triplets=[(0, 2, 0)], detections=[])
-    with pytest.raises(ContractError):
-        frame.validate(h=3)
 
 
 def test_sequence_needs_frames():

@@ -7,7 +7,7 @@ from stsg.cli import main
 from stsg.config import Dims, NoiseConfig, WorldConfig
 from stsg.errors import ConfigError
 from stsg.rng import RngStream
-from stsg.scene import BoundingBox, GroundTruthObject, encode_node, overlap_fraction
+from stsg.scene import BoundingBox, GroundTruthObject, object_nodes, overlap_fraction
 from stsg.synthgen import (
     ABOVE,
     ABOVE_MAX_DY,
@@ -36,6 +36,10 @@ LARGE_WORLD = WorldConfig(n_objects_min=10, n_objects_max=12, frames=16)
 
 # ---------------------------------------------------------------------------
 # scalar reference of the ground-truth rules: one pair at a time
+
+
+def center(box: BoundingBox) -> tuple[float, float]:
+    return (box.x + box.w / 2.0, box.y + box.h / 2.0)
 
 
 def _holding_pairs(boxes: list[BoundingBox], vels: np.ndarray) -> set[tuple[int, int]]:
@@ -88,7 +92,7 @@ def reference_triplets(frames: list[list[BoundingBox]]) -> list[list[tuple[int, 
     prev_centers = None
     prev_held: set[tuple[int, int]] = set()
     for boxes in frames:
-        centers = np.array([b.center() for b in boxes])
+        centers = np.array([center(b) for b in boxes])
         vels = np.zeros((len(boxes), 2)) if prev_centers is None else centers - prev_centers
         held = _holding_pairs(boxes, vels)
         out.append(sorted(set(_frame_triplets(boxes, centers, prev_centers, vels,
@@ -235,7 +239,7 @@ def test_event_labels_cover_all_classes():
 
 
 def test_zero_noise_detector_is_identity():
-    seq = generate_scene(DIMS, WorldConfig(noise=NoiseConfig().zeroed()), seed=5)
+    seq = generate_scene(DIMS, WorldConfig(noise=NoiseConfig(0.0, 0.0, 0.0, 0.0, 0.0)), seed=5)
     for frame in seq.frames:
         assert len(frame.detections) == len(frame.objects)
         for det, obj in zip(frame.detections, frame.objects):
@@ -263,7 +267,7 @@ def test_jitter_folded_normal_statistics():
     n = 10_000
     for _ in range(n):
         det = simulate_detector([obj], noise, DIMS, stream)[0]
-        (cx, cy), (gx, gy) = det.box.center(), obj.box.center()
+        (cx, cy), (gx, gy) = center(det.box), center(obj.box)
         total += abs(cx - gx) + abs(cy - gy)
     expected = 2.0 * sigma * np.sqrt(2.0 / np.pi)
     assert abs(total / n - expected) < 0.1 * expected
@@ -319,8 +323,8 @@ def test_detection_rows_equal_per_node_encoding():
     for seed in range(20):
         for frame in generate_scene(DIMS, WORLD, seed=seed).frames:
             for det in frame.detections:
-                np.testing.assert_array_equal(
-                    det.node_feat, encode_node(det.box, det.label_dist, det.visual_feat))
+                node, = object_nodes([det.box], [det.label_dist], [det.visual_feat])
+                np.testing.assert_array_equal(det.node_feat, node.node_feat)
 
 
 # sha256 of train/val/test.jsonl written by `stsg gen --seed 7` with 5/1/3

@@ -9,11 +9,13 @@ from conftest import (
     zero_params,
 )
 from stsg.autodiff import Tensor
+from stsg.config import MODES, WorldConfig
 from stsg.errors import ContractError
 from stsg.rng import RngStream
-from stsg.scene import BoundingBox, ObjectNode
+from stsg.scene import BoundingBox, object_nodes
 import stsg.autodiff as ad
 from stsg.spatial import frame_pairs, gcn_propagate, pair_grid, propose_relations
+from stsg.synthgen import generate_scene
 from stsg.temporal import (
     Packed,
     aggregate_links,
@@ -34,7 +36,7 @@ from stsg.temporal import (
 def make_node(x, y, label, g=4, c=2, score=1.0):
     dist = np.full(g, (1.0 - score) / (g - 1))
     dist[label] = score
-    return ObjectNode(BoundingBox(x, y, 0.1, 0.1), dist, np.zeros(c))
+    return object_nodes([BoundingBox(x, y, 0.1, 0.1)], [dist], [np.zeros(c)])[0]
 
 
 def forward_packed(sequences, params, mode, variant="sparse", k=1):
@@ -69,7 +71,7 @@ def tracking_connections(nodes_t, nodes_tm1):
     """`tracking_links` on one frame pair, as a binary (N_t, N_prev) mask."""
     nodes = nodes_t + nodes_tm1
     boxes = np.stack([o.box.as_array() for o in nodes])
-    labels = np.array([o.label for o in nodes])
+    labels = np.array([np.argmax(o.label_dist) for o in nodes])
     curr = np.repeat(np.arange(len(nodes_t)), len(nodes_tm1))
     prev = len(nodes_t) + np.tile(np.arange(len(nodes_tm1)), len(nodes_t))
     return tracking_links(boxes, labels, curr, prev).reshape(len(nodes_t), -1).astype(int)
@@ -311,6 +313,25 @@ def test_tracking_picks_nearest_center():
     prev = [make_node(0.1, 0.1, label=3), make_node(0.8, 0.8, label=3)]
     curr = [make_node(0.2, 0.2, label=3)]
     np.testing.assert_array_equal(tracking_connections(curr, prev), [[1, 0]])
+
+
+@pytest.mark.parametrize("world", [
+    WorldConfig(),
+    WorldConfig(n_objects_min=10, n_objects_max=12, frames=16),
+], ids=["default", "10-12-objects"])
+def test_forward_tracking_links_equal_tracking_over_the_nodes(dims, params, world):
+    # forward_batch reads boxes and argmax labels off the packed node rows;
+    # its links are tracking_links over each node's own box and label
+    seqs = [generate_scene(dims, world, seed) for seed in (3, 4)]
+    for mode in MODES:
+        packed = Packed.join([pack(seq, mode, "tracking", dims) for seq in seqs])
+        nodes = [o for frame in packed.nodes for o in frame]
+        boxes = np.array([o.box.as_array() for o in nodes])
+        labels = np.array([np.argmax(o.label_dist) for o in nodes])
+        want = tracking_links(boxes, labels, packed.cand_curr.ids, packed.cand_prev.ids)
+        links = forward_batch(packed, params).links
+        assert len(links) > 0
+        np.testing.assert_array_equal(links, np.flatnonzero(want))
 
 
 # ---------------------------------------------------------------------------

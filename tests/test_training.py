@@ -27,9 +27,9 @@ from stsg.scene import (
     BoundingBox,
     FrameRecord,
     GroundTruthObject,
-    ObjectNode,
     SceneSequence,
     iou,
+    object_nodes,
 )
 from stsg.spatial import pair_grid
 from stsg.temporal import forward_batch, frame_predictions, pack
@@ -161,7 +161,8 @@ def test_sgdet_identity_matches_from_half_iou_first_on_ties(dims):
         return GroundTruthObject(BoundingBox(x, y, 0.25, 0.25), label, np.zeros(dims.c))
 
     def det(x, y, h):
-        return ObjectNode(BoundingBox(x, y, 0.25, h), np.eye(dims.g)[0], np.zeros(dims.c))
+        return object_nodes([BoundingBox(x, y, 0.25, h)], [np.eye(dims.g)[0]],
+                            [np.zeros(dims.c)])[0]
 
     frame = FrameRecord(objects=[gt(0.25, 0.25, 0), gt(0.25, 0.25, 1), gt(0.5, 0.5, 2)],
                         triplets=[], detections=[det(0.5, 0.5, 0.125), det(0.25, 0.25, 0.25),
