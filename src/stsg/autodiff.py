@@ -44,7 +44,6 @@ __all__ = [
     "mul",
     "dot",
     "reduce_sum",
-    "log",
     "div",
     "softplus",
     "softmax",
@@ -333,16 +332,6 @@ def dot(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"dot: need equal-length vectors, got {av.shape} and {bv.shape}")
     out = Tensor._wrap(np.asarray(av @ bv))
     _record(out, (a, b), lambda g: (g * bv, g * av))
-    return out
-
-
-def log(a: Tensor) -> Tensor:
-    av = a.data
-    # log(0) yields -inf on purpose: saturated losses must surface as
-    # non-finite totals, which training treats as an abort condition
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = Tensor._wrap(np.log(av))
-    _record(out, (a,), lambda g: (g / av,))
     return out
 
 

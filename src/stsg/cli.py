@@ -134,7 +134,7 @@ def _serve(sequences, params: ModelParams, mode: str, variant: str, k: int):
 
 def to_predictions(frames: list[FramePrediction], dims: Dims) -> list[FramePrediction]:
     """`forward_sequence`'s frames, unchanged. perfbench's serving workload is
-    the only caller; ROADMAP item 5 removes its call and this function."""
+    the only caller; ROADMAP item 4 removes its call and this function."""
     return frames
 
 
@@ -229,14 +229,16 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _frames_from_prediction_file(path: Path, records: list[dict],
+def _frames_from_prediction_file(path: Path, records: list[tuple[int, dict]],
                                  sequences) -> list[FrameEval]:
+    """The ranked frames of `records`, (line number, record) pairs from
+    `io.numbered_predictions`, checked against the dataset's sequences."""
     if len(records) != len(sequences):
         raise DataFormatError(
             f"{path}: {len(records)} prediction records for {len(sequences)} sequences"
         )
     frames: list[FrameEval] = []
-    for lineno, (record, seq) in enumerate(zip(records, sequences), start=2):
+    for (lineno, record), seq in zip(records, sequences):
         seed = io._field(record, "seq_seed", path, lineno)
         if type(seed) is not int:
             raise DataFormatError(f"{path}:{lineno}: field 'seq_seed' must be an integer, "
@@ -265,7 +267,7 @@ def cmd_eval(args) -> int:
         config_echo = cfg.to_flat_dict()
     else:
         _, seqs = io.load_split(args.data, args.split)
-        header, records = io.load_predictions(args.preds)
+        header, records = io.numbered_predictions(args.preds)
         file_mode = header.get("mode")
         if args.mode and file_mode and args.mode != file_mode:
             raise ConfigError(

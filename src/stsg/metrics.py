@@ -7,25 +7,33 @@ evaluate the per-frame list capped at 50 triplets; plain recall@K does not
 cap. Detection-protocol matching requires label equality and both boxes at
 IoU >= 0.5 (an IoU of exactly 0.5 counts).
 
-A frame's ranked list is one `RankedFrame` of arrays. `constrained_view` is
-the only constraint rule and `match_frame` the only matching rule: greedy
-matching in rank order makes the top-k matches a prefix, so recall@K and mean
-recall@K for every K read one pass, and since a triplet only consumes gt of
-its own predicate, the detection-style pass over the first 50 triplets holds
-every class's AP hit flags.
+A frame's ranked list is one `RankedFrame` of arrays, and `constrained_view`
+the one constraint rule. Evaluation works on the whole corpus at once: it
+lays every frame's list (or its constrained view), cut to the depth needed,
+and the ground truth out as flat frame-major arrays. Matching is one rule,
+greedy in rank order: each triplet consumes the lowest-index gt triplet of
+its frame still free that has its predicate and labels, and equal node
+indices (predcls, sgcls) or both boxes at IoU >= 0.5 (sgdet). The candidate
+pairs come from one sorted-key join on (frame, predicate, subject label,
+object label). Greedy matching in rank order makes the top-k matches a
+prefix, so recall@K and mean recall@K for every K are bincounts over one
+pass; and since a triplet only consumes gt of its own predicate, the
+detection-style pass over each frame's first 50 triplets holds every class's
+AP hit flags.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from .config import Dims
 from .errors import ContractError
 from .params import Layout, model_shapes
-from .scene import GroundTruthObject, pairwise_iou
+from .scene import GroundTruthObject, box_iou
 from .temporal import FramePrediction
 
 IOU_THRESHOLD = 0.5
@@ -85,11 +93,19 @@ def rank_triplets(pred: FramePrediction, constraint: bool) -> RankedFrame:
     return constrained_view(ranked) if constraint else ranked
 
 
+def _first_per_key(key: np.ndarray, n_keys: int) -> np.ndarray:
+    """Positions of the first occurrence of each key in [0, n_keys), in list
+    order."""
+    first = np.full(n_keys, len(key))
+    np.minimum.at(first, key, np.arange(len(key)))
+    return np.sort(first[first < len(key)])
+
+
 def constrained_view(ranked: RankedFrame) -> RankedFrame:
     """The with-constraint list: the first triplet of each ordered pair, in
     rank order."""
-    _, first = np.unique(ranked.subj * len(ranked.labels) + ranked.obj, return_index=True)
-    return ranked[np.sort(first)]
+    n = len(ranked.labels)
+    return ranked[_first_per_key(ranked.subj * n + ranked.obj, n * n)]
 
 
 @dataclass
@@ -101,81 +117,212 @@ class FrameEval:
     gt_objects: list[GroundTruthObject]
 
 
-def compatibility(ranked: RankedFrame, gt_triplets, gt_objects, mode: str) -> np.ndarray:
-    """(triplets, gt triplets) bool matrix: equal predicate and labels, plus
-    equal node indices in predcls/sgcls or both boxes at IoU >= IOU_THRESHOLD
-    in sgdet."""
-    if not len(ranked) or not gt_triplets:
-        return np.zeros((len(ranked), len(gt_triplets)), dtype=bool)
-    gi, gj, gp = np.asarray(gt_triplets).T
-    gt_labels = np.array([o.label for o in gt_objects])
-    subj, obj = ranked.subj[:, None], ranked.obj[:, None]
-    compatible = ((ranked.predicate[:, None] == gp)
-                  & (ranked.labels[subj] == gt_labels[gi])
-                  & (ranked.labels[obj] == gt_labels[gj]))
+@dataclass(frozen=True, eq=False)
+class _Corpus:
+    """A corpus's ranked lists, cut to a depth, and its ground truth, as flat
+    frame-major arrays. Node and gt-object indices count across the corpus;
+    `*_start` holds each frame's first one."""
+
+    frame: np.ndarray         # (T,) frame of each triplet
+    rank: np.ndarray          # (T,) position in its frame's (constrained) list
+    subj: np.ndarray          # (T,) corpus node indices
+    obj: np.ndarray           # (T,)
+    predicate: np.ndarray     # (T,)
+    score: np.ndarray         # (T,)
+    labels: np.ndarray        # (N,) argmax label per node
+    boxes: np.ndarray         # (N, 4)
+    node_start: np.ndarray    # (F,)
+    gt_frame: np.ndarray      # (G,) frame of each gt triplet
+    gt_subj: np.ndarray       # (G,) corpus gt-object indices
+    gt_obj: np.ndarray        # (G,)
+    gt_pred: np.ndarray       # (G,)
+    gt_labels: np.ndarray     # (O,)
+    gt_boxes: np.ndarray      # (O, 4)
+    object_start: np.ndarray  # (F,)
+
+
+def _starts(counts) -> np.ndarray:
+    """Where each of consecutive runs of these lengths starts."""
+    counts = np.asarray(counts, dtype=np.intp)
+    return np.cumsum(counts) - counts
+
+
+def _cat(arrays: list[np.ndarray], dtype) -> np.ndarray:
+    return np.concatenate(arrays).astype(dtype, copy=False) if arrays else np.zeros(0, dtype)
+
+
+def _flatten(frames: list[FrameEval], depth: int, constraint: bool) -> _Corpus:
+    """Each frame's list, or its constrained view, cut to its first `depth`
+    triplets; and the ground truth. The constrained view is one
+    first-occurrence pass over the corpus's ordered node pairs."""
+    ranked = [fe.ranked for fe in frames]
+    frame_ids = np.arange(len(frames))
+    cut = None if constraint else max(depth, 0)    # a constrained view reads whole lists
+    lengths = np.array([len(r.score[:cut]) for r in ranked], dtype=np.intp)
+    n_nodes = np.array([len(r.labels) for r in ranked], dtype=np.intp)
+    node_start = _starts(n_nodes)
+    subj = _cat([r.subj[:cut] for r in ranked], np.intp)
+    obj = _cat([r.obj[:cut] for r in ranked], np.intp)
+    if constraint:   # a frame's ordered node pairs are numbered subject-major
+        rows = _first_per_key(np.repeat(_starts(n_nodes * n_nodes), lengths)
+                              + subj * np.repeat(n_nodes, lengths) + obj, int(n_nodes @ n_nodes))
+    else:
+        rows = np.arange(len(subj))
+    frame = np.searchsorted(np.cumsum(lengths), rows, side="right")
+    rank = np.arange(len(rows)) - np.searchsorted(frame, frame)
+    keep = rank < depth
+    rows, frame, rank = rows[keep], frame[keep], rank[keep]
+    subj, obj = subj[rows] + node_start[frame], obj[rows] + node_start[frame]
+
+    gt_frame = np.repeat(frame_ids, [len(fe.gt_triplets) for fe in frames])
+    object_start = _starts([len(fe.gt_objects) for fe in frames])
+    gt = np.fromiter(chain.from_iterable(chain.from_iterable(fe.gt_triplets for fe in frames)),
+                     np.intp, count=3 * len(gt_frame)).reshape(-1, 3)
+    objects = [o for fe in frames for o in fe.gt_objects]
+    gt_boxes = np.fromiter(chain.from_iterable((o.box.x, o.box.y, o.box.w, o.box.h)
+                                               for o in objects), np.float64, count=4 * len(objects))
+    return _Corpus(
+        frame=frame,
+        rank=rank,
+        subj=subj,
+        obj=obj,
+        predicate=_cat([r.predicate[:cut] for r in ranked], np.intp)[rows],
+        score=_cat([r.score[:cut] for r in ranked], np.float64)[rows],
+        labels=_cat([r.labels for r in ranked], np.intp),
+        boxes=_cat([r.boxes.reshape(-1, 4) for r in ranked], np.float64).reshape(-1, 4),
+        node_start=node_start,
+        gt_frame=gt_frame,
+        gt_subj=gt[:, 0] + object_start[gt_frame],
+        gt_obj=gt[:, 1] + object_start[gt_frame],
+        gt_pred=gt[:, 2],
+        gt_labels=np.fromiter((o.label for o in objects), np.intp, count=len(objects)),
+        gt_boxes=gt_boxes.reshape(-1, 4),
+        object_start=object_start,
+    )
+
+
+def _number(values: np.ndarray, among: np.ndarray) -> np.ndarray:
+    """Each value's position in the sorted `among`, or -1 if it is not there."""
+    at = np.minimum(np.searchsorted(among, values), len(among) - 1)
+    return np.where(among[at] == values, at, -1)
+
+
+def _join_key(frame, predicate, subj_label, obj_label, n_predicates: int,
+              n_labels: int) -> np.ndarray:
+    """(frame, predicate, subject label, object label), each numbered among
+    the gt values, as one integer; -1 where a value is not a gt value."""
+    key = ((frame * n_predicates + predicate) * n_labels + subj_label) * n_labels + obj_label
+    key[(predicate < 0) | (subj_label < 0) | (obj_label < 0)] = -1
+    return key
+
+
+def _match(c: _Corpus, rows: np.ndarray, mode: str) -> np.ndarray:
+    """Greedy matching of the triplets `rows`, visited in that order: the
+    corpus index of the gt triplet each consumes (the lowest-index compatible
+    one of its frame still free), or -1.
+
+    Compatible means equal predicate and labels, plus equal node indices in
+    predcls/sgcls or both boxes at IoU >= IOU_THRESHOLD in sgdet. Candidates
+    come from one sorted-key join on (frame, predicate, subject label, object
+    label), so every transient array is O(triplets + label-compatible pairs).
+    """
+    taken = np.full(len(rows), -1)
+    if not len(rows) or not len(c.gt_pred):
+        return taken
+    predicates, gt_pred = np.unique(c.gt_pred, return_inverse=True)
+    labels, gt_label = np.unique(c.gt_labels, return_inverse=True)
+    sizes = len(predicates), len(labels)
+    gt_key = _join_key(c.gt_frame, gt_pred, gt_label[c.gt_subj], gt_label[c.gt_obj], *sizes)
+    by_key = np.argsort(gt_key, kind="stable")      # ties keep the gt index order
+    sorted_key = gt_key[by_key]
+    node_label = _number(c.labels, labels)
+    key = _join_key(c.frame[rows], _number(c.predicate[rows], predicates),
+                    node_label[c.subj[rows]], node_label[c.obj[rows]], *sizes)
+    lo = np.searchsorted(sorted_key, key, side="left")
+    counts = np.searchsorted(sorted_key, key, side="right") - lo
+    # every (row, gt) pair with equal keys, row-major and gt index ascending
+    pair_row = np.repeat(np.arange(len(rows)), counts)
+    pair_gt = by_key[np.arange(len(pair_row)) - np.repeat(_starts(counts) - lo, counts)]
+    triplet = rows[pair_row]
+    subj, obj, frame = c.subj[triplet], c.obj[triplet], c.frame[triplet]
+    gs, go = c.gt_subj[pair_gt], c.gt_obj[pair_gt]
     if mode in ("predcls", "sgcls"):
-        return compatible & (subj == gi) & (obj == gj)
-    overlaps = pairwise_iou(ranked.boxes, np.stack([o.box.as_array() for o in gt_objects]))
-    overlaps = overlaps >= IOU_THRESHOLD
-    return compatible & overlaps[subj, gi] & overlaps[obj, gj]
-
-
-def match_frame(ranked: RankedFrame, gt_triplets, gt_objects, mode: str) -> np.ndarray:
-    """Greedy matching in rank order: for each triplet, the index of the gt
-    triplet it consumes (the lowest-index compatible one still free), or -1."""
-    compatible = compatibility(ranked, gt_triplets, gt_objects, mode)
-    taken = np.full(len(ranked), -1)
-    free = np.ones(len(gt_triplets), dtype=bool)
-    for t in np.flatnonzero(compatible.any(axis=1)):
-        hits = np.flatnonzero(compatible[t] & free)
-        if len(hits):
-            taken[t] = hits[0]
-            free[hits[0]] = False
+        shift = (c.node_start - c.object_start)[frame]   # node index -> gt-object index
+        ok = (subj - shift == gs) & (obj - shift == go)
+    else:
+        ok = ((box_iou(c.boxes[subj], c.gt_boxes[gs]) >= IOU_THRESHOLD)
+              & (box_iou(c.boxes[obj], c.gt_boxes[go]) >= IOU_THRESHOLD))
+    # the pairs are in visiting order, so the first free gt of a row is the
+    # lowest-index one left to it
+    done, used = set(), set()
+    for r, g in zip(pair_row[ok].tolist(), pair_gt[ok].tolist()):
+        if r not in done and g not in used:
+            done.add(r)
+            used.add(g)
+            taken[r] = g
     return taken
 
 
-def _passes(frames: list[FrameEval], depth: int, mode: str, constraint: bool):
-    """Each frame's (constrained) list cut to `depth`, and its matching pass."""
-    lists = [(constrained_view(fe.ranked) if constraint else fe.ranked)[:depth]
-             for fe in frames]
-    return lists, [match_frame(r, fe.gt_triplets, fe.gt_objects, mode)
-                   for r, fe in zip(lists, frames)]
+def _recalls(c: _Corpus, taken: np.ndarray, ks) -> list[float]:
+    """Recall@k for each k: the fraction of each frame's gt triplets matched
+    in its top k, averaged over the frames that have gt."""
+    n_frames = len(c.node_start)
+    n_gt = np.bincount(c.gt_frame, minlength=n_frames)
+    scored = n_gt > 0
+    if not scored.any():
+        return [0.0 for _ in ks]
+    matched = taken >= 0
+    return [float(np.mean(np.bincount(c.frame[matched & (c.rank < k)],
+                                      minlength=n_frames)[scored] / n_gt[scored]))
+            for k in ks]
 
 
-def _recall(frames: list[FrameEval], taken: list[np.ndarray], k: int) -> float:
-    recalls = [np.count_nonzero(t[:k] >= 0) / len(fe.gt_triplets)
-               for fe, t in zip(frames, taken) if fe.gt_triplets]
-    return float(np.mean(recalls)) if recalls else 0.0
+def _class_order(frames: list[FrameEval], classes: np.ndarray,
+                 first_frame: np.ndarray) -> list[int]:
+    """The gt predicate classes by the frame that first has each, a frame's
+    classes in the iteration order of the set of them. This order fixes the
+    floating-point sum over classes, so every path returns the same float."""
+    order = []
+    for f in sorted(set(first_frame.tolist())):
+        fresh = set(classes[first_frame == f].tolist())
+        order += [p for p in {p for (_, _, p) in frames[f].gt_triplets} if p in fresh]
+    return order
 
 
-def _mean_recall(frames: list[FrameEval], taken: list[np.ndarray], k: int) -> float:
-    per_class: dict[int, list[float]] = {}
-    for fe, t in zip(frames, taken):
-        if not fe.gt_triplets:
-            continue
-        gt_pred = np.array([p for (_, _, p) in fe.gt_triplets])
-        top = t[:min(k, FRAME_TRIPLET_CAP)]
-        matched_pred = gt_pred[top[top >= 0]]
-        for c in {p for (_, _, p) in fe.gt_triplets}:
-            total = np.count_nonzero(gt_pred == c)
-            got = np.count_nonzero(matched_pred == c)
-            per_class.setdefault(c, []).append(got / total)
-    if not per_class:
-        return 0.0
-    return float(np.mean([np.mean(v) for v in per_class.values()]))
+def _mean_recalls(frames: list[FrameEval], c: _Corpus, taken: np.ndarray, ks) -> list[float]:
+    """Mean recall@k for each k: per predicate class, the share of a frame's
+    gt triplets of that class matched in its top min(k, FRAME_TRIPLET_CAP),
+    averaged over the frames with that class, then over classes."""
+    if not len(c.gt_pred):
+        return [0.0 for _ in ks]
+    n_frames = len(c.node_start)
+    classes, first, cls = np.unique(c.gt_pred, return_index=True, return_inverse=True)
+    # one cell per (class, frame) with gt of that class, class-major
+    cells, cell, total = np.unique(cls * n_frames + c.gt_frame, return_inverse=True,
+                                   return_counts=True)
+    bounds = np.searchsorted(cells, np.arange(len(classes) + 1) * n_frames)
+    order = np.searchsorted(classes, _class_order(frames, classes, c.gt_frame[first]))
+    spans = [(bounds[i], bounds[i + 1]) for i in order.tolist()]
+    out = []
+    for k in ks:
+        hit = taken[(c.rank < min(k, FRAME_TRIPLET_CAP)) & (taken >= 0)]
+        share = np.bincount(cell[hit], minlength=len(cells)) / total
+        out.append(float(np.mean([np.mean(share[lo:hi]) for lo, hi in spans])))
+    return out
 
 
 def recall_at_k(frames: list[FrameEval], k: int, mode: str,
                 constraint: bool) -> float:
     """Fraction of gt triplets recovered in the top-k list, averaged over frames."""
-    return _recall(frames, _passes(frames, k, mode, constraint)[1], k)
+    c = _flatten(frames, k, constraint)
+    return _recalls(c, _match(c, np.arange(len(c.score)), mode), (k,))[0]
 
 
 def mean_recall(frames: list[FrameEval], k: int, mode: str, constraint: bool) -> float:
     """Per-predicate recall@k (of the first FRAME_TRIPLET_CAP triplets)
     macro-averaged over classes present in the gt."""
-    depth = min(k, FRAME_TRIPLET_CAP)
-    return _mean_recall(frames, _passes(frames, depth, mode, constraint)[1], k)
+    c = _flatten(frames, min(k, FRAME_TRIPLET_CAP), constraint)
+    return _mean_recalls(frames, c, _match(c, np.arange(len(c.score)), mode), (k,))[0]
 
 
 def average_precision_from_flags(flags, n_pos: int) -> float:
@@ -193,46 +340,34 @@ def average_precision_from_flags(flags, n_pos: int) -> float:
     return float(np.sum((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1]))
 
 
-def _detection_passes(frames: list[FrameEval], lists: list[RankedFrame],
-                      taken: list[np.ndarray] | None = None):
+def _detection_pass(c: _Corpus, taken: np.ndarray | None = None):
     """Each frame's first FRAME_TRIPLET_CAP triplets in (-score, subject,
     object) order, the order in which the corpus-wide AP list visits them,
-    and their detection-style pass. A list from `rank_triplets` is already in
-    that order; `taken`, an sgdet pass over `lists`, then serves unchanged."""
-    out_lists, out_taken = [], []
-    for i, (r, fe) in enumerate(zip(lists, frames)):
-        r = r[:FRAME_TRIPLET_CAP]
-        order = np.lexsort((r.obj, r.subj, -r.score))
-        if taken is not None and (order == np.arange(len(r))).all():
-            t = taken[i][:FRAME_TRIPLET_CAP]
-        else:
-            r = r[order]
-            t = match_frame(r, fe.gt_triplets, fe.gt_objects, "sgdet")
-        out_lists.append(r)
-        out_taken.append(t)
-    return out_lists, out_taken
+    and their detection-style matches. Lists from `rank_triplets` are already
+    in that order; `taken`, an sgdet pass over the whole corpus, then serves
+    unchanged."""
+    rows = np.flatnonzero(c.rank < FRAME_TRIPLET_CAP)
+    order = np.lexsort((c.obj[rows], c.subj[rows], -c.score[rows], c.frame[rows]))
+    if taken is not None and (order == np.arange(len(rows))).all():
+        return rows, taken[rows]
+    rows = rows[order]
+    return rows, _match(c, rows, "sgdet")
 
 
-def _class_aps(frames: list[FrameEval], lists: list[RankedFrame],
-               taken: list[np.ndarray]) -> tuple[dict[int, float], dict[int, int]]:
+def _class_aps(c: _Corpus, rows, taken) -> tuple[dict[int, float], dict[int, int]]:
     """Per-predicate AP over the corpus-wide list sorted by (-score, frame,
-    subject, object), from `_detection_passes`; and the gt count per predicate.
-    A triplet only consumes gt of its own predicate, so a frame's pass holds
-    the hit flags of every class."""
-    gt_count: dict[int, int] = {}
-    for fe in frames:
-        for (_, _, p) in fe.gt_triplets:
-            gt_count[p] = gt_count.get(p, 0) + 1
-    frame = np.repeat(np.arange(len(lists)), [len(r) for r in lists])
-    pred, score, subj, obj = (np.concatenate([getattr(r, name) for r in lists] or [[]])
-                              for name in ("predicate", "score", "subj", "obj"))
-    hit = np.concatenate(taken or [[]]) >= 0
-    order = np.lexsort((obj, subj, frame, -score, pred))
+    subject, object), from `_detection_pass`; and the gt count per predicate.
+    A triplet only consumes gt of its own predicate, so one pass holds the
+    hit flags of every class."""
+    classes, counts = np.unique(c.gt_pred, return_counts=True)
+    gt_count = dict(zip(classes.tolist(), counts.tolist()))
+    pred, hit = c.predicate[rows], taken >= 0
+    order = np.lexsort((c.obj[rows], c.subj[rows], c.frame[rows], -c.score[rows], pred))
     pred, hit = pred[order], hit[order]
     aps = {}
-    for c, n_pos in sorted(gt_count.items()):
-        lo, hi = np.searchsorted(pred, [c, c + 1])
-        aps[c] = average_precision_from_flags(hit[lo:hi], n_pos)
+    for cls, n_pos in sorted(gt_count.items()):
+        lo, hi = np.searchsorted(pred, [cls, cls + 1])
+        aps[cls] = average_precision_from_flags(hit[lo:hi], n_pos)
     return aps, gt_count
 
 
@@ -251,23 +386,24 @@ def relation_map(frames: list[FrameEval], weighted: bool, constraint: bool = Fal
     Matching is always detection style (labels plus IoU on both boxes);
     classes absent from the gt are excluded from the mean.
     """
-    lists = [constrained_view(fe.ranked) if constraint else fe.ranked for fe in frames]
-    return _mean_ap(*_class_aps(frames, *_detection_passes(frames, lists)), weighted)
+    c = _flatten(frames, FRAME_TRIPLET_CAP, constraint)
+    return _mean_ap(*_class_aps(c, *_detection_pass(c)), weighted)
 
 
 def evaluate(frames: list[FrameEval], mode: str, constraint: bool) -> dict:
     """Full metric report for one corpus under one protocol: one matching pass
-    per frame for recall and mean recall at every K, which in sgdet also
-    serves relation AP; predcls and sgcls add a detection-style pass."""
-    depth = max(max(RECALL_KS), FRAME_TRIPLET_CAP)
-    lists, taken = _passes(frames, depth, mode, constraint)
+    over the whole corpus for recall and mean recall at every K, which in
+    sgdet also serves relation AP; predcls and sgcls add a detection-style
+    pass."""
+    c = _flatten(frames, max(max(RECALL_KS), FRAME_TRIPLET_CAP), constraint)
+    taken = _match(c, np.arange(len(c.score)), mode)
     report = {"mode": mode, "constraint": constraint}
-    for k in RECALL_KS:
-        report[f"recall@{k}"] = _recall(frames, taken, k)
-    for k in RECALL_KS:
-        report[f"mean_recall@{k}"] = _mean_recall(frames, taken, k)
-    det = _detection_passes(frames, lists, taken if mode == "sgdet" else None)
-    aps, gt_count = _class_aps(frames, *det)
+    for k, value in zip(RECALL_KS, _recalls(c, taken, RECALL_KS)):
+        report[f"recall@{k}"] = value
+    for k, value in zip(RECALL_KS, _mean_recalls(frames, c, taken, RECALL_KS)):
+        report[f"mean_recall@{k}"] = value
+    det = _detection_pass(c, taken if mode == "sgdet" else None)
+    aps, gt_count = _class_aps(c, *det)
     report["map_rel"] = _mean_ap(aps, gt_count, weighted=False)
     report["wmap_rel"] = _mean_ap(aps, gt_count, weighted=True)
     return report

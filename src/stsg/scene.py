@@ -33,9 +33,8 @@ class BoundingBox:
         return np.array([self.x, self.y, self.w, self.h], dtype=np.float64)
 
 
-def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(n, m) IoU matrix of (n, 4) and (m, 4) arrays of (x, y, w, h) boxes."""
-    a, b = a[:, None, :], b[None, :, :]
+def box_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of (..., 4) arrays of (x, y, w, h) boxes, broadcast against each other."""
     ix = np.maximum(0.0, np.minimum(a[..., 0] + a[..., 2], b[..., 0] + b[..., 2])
                     - np.maximum(a[..., 0], b[..., 0]))
     iy = np.maximum(0.0, np.minimum(a[..., 1] + a[..., 3], b[..., 1] + b[..., 3])
@@ -43,6 +42,11 @@ def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     inter = ix * iy
     union = a[..., 2] * a[..., 3] + b[..., 2] * b[..., 3] - inter
     return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0)
+
+
+def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(n, m) IoU matrix of (n, 4) and (m, 4) arrays of boxes."""
+    return box_iou(a[:, None, :], b[None, :, :])
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:

@@ -1,15 +1,20 @@
-"""Hand-built three-frame evaluation fixture plus an exhaustive matcher.
+"""Hand-built three-frame evaluation fixture, a per-frame matcher and an
+exhaustive one.
 
-The oracle enumerates every injective assignment of predictions to ground
-truth, so greedy matching in the implementation can be checked against the
-true maximum.
+`match_frame` is the per-frame form of the corpus-wide greedy matching in
+`stsg.metrics`; the exhaustive oracle enumerates every injective assignment
+of predictions to ground truth, so greedy matching can be checked against
+the true maximum.
 """
 
 import numpy as np
 
-from stsg.metrics import FrameEval, compatibility, constrained_view, rank_triplets
-from stsg.scene import BoundingBox, GroundTruthObject
-from stsg.temporal import FramePrediction
+from stsg.config import MODES, RunConfig, config_with
+from stsg.metrics import IOU_THRESHOLD, FrameEval, constrained_view, rank_triplets
+from stsg.scene import BoundingBox, GroundTruthObject, pairwise_iou
+from stsg.synthgen import generate_scene
+from stsg.temporal import FramePrediction, forward_sequence
+from stsg.training import train
 
 G, H = 4, 3
 
@@ -71,6 +76,56 @@ def three_frame_fixture() -> list[FrameEval]:
     frames.append(FrameEval(rank_triplets(p2, constraint=False),
                             [(0, 1, 0), (0, 2, 2), (2, 1, 0)], g2))
     return frames
+
+
+def served_corpus(n_train: int, n_test: int, seed: int = 7) -> dict[str, list[FrameEval]]:
+    """Default-config scenes served in each mode by a sparse k=1 model trained
+    for 2 epochs in sgdet on the first `n_train` of them, as the serving
+    benchmark trains it; each frame ranked unconstrained, as `stsg infer`
+    writes it."""
+    cfg = config_with(RunConfig(), mode="sgdet", variant="sparse", k=1, epochs=2, seed=0)
+    scenes = [generate_scene(cfg.dims, cfg.world, seed * 1_000_000 + i)
+              for i in range(n_train + n_test)]
+    params = train(scenes[:n_train], cfg).params
+    return {mode: [FrameEval(rank_triplets(pred, constraint=False), list(frame.triplets),
+                             list(frame.objects))
+                   for seq in scenes[n_train:]
+                   for pred, frame in zip(forward_sequence(seq, params, mode, "sparse", 1),
+                                          seq.frames)]
+            for mode in MODES}
+
+
+def compatibility(ranked, gt_triplets, gt_objects, mode: str) -> np.ndarray:
+    """(triplets, gt triplets) bool matrix: equal predicate and labels, plus
+    equal node indices in predcls/sgcls or both boxes at IoU >= IOU_THRESHOLD
+    in sgdet."""
+    if not len(ranked) or not gt_triplets:
+        return np.zeros((len(ranked), len(gt_triplets)), dtype=bool)
+    gi, gj, gp = np.asarray(gt_triplets).T
+    gt_labels = np.array([o.label for o in gt_objects])
+    subj, obj = ranked.subj[:, None], ranked.obj[:, None]
+    compatible = ((ranked.predicate[:, None] == gp)
+                  & (ranked.labels[subj] == gt_labels[gi])
+                  & (ranked.labels[obj] == gt_labels[gj]))
+    if mode in ("predcls", "sgcls"):
+        return compatible & (subj == gi) & (obj == gj)
+    overlaps = pairwise_iou(ranked.boxes, np.stack([o.box.as_array() for o in gt_objects]))
+    overlaps = overlaps >= IOU_THRESHOLD
+    return compatible & overlaps[subj, gi] & overlaps[obj, gj]
+
+
+def match_frame(ranked, gt_triplets, gt_objects, mode: str) -> np.ndarray:
+    """Greedy matching in rank order: for each triplet, the index of the gt
+    triplet it consumes (the lowest-index compatible one still free), or -1."""
+    compatible = compatibility(ranked, gt_triplets, gt_objects, mode)
+    taken = np.full(len(ranked), -1)
+    free = np.ones(len(gt_triplets), dtype=bool)
+    for t in np.flatnonzero(compatible.any(axis=1)):
+        hits = np.flatnonzero(compatible[t] & free)
+        if len(hits):
+            taken[t] = hits[0]
+            free[hits[0]] = False
+    return taken
 
 
 def exhaustive_max_matches(ranked, gt_triplets, gt_objects, mode) -> int:

@@ -18,6 +18,17 @@ from stsg.autodiff import Tensor
 from stsg.training import NEGATIVE_WEIGHT
 
 
+def log(a: Tensor) -> Tensor:
+    """Elementwise natural log as a taped op; the probability-form losses
+    below take it of probabilities. log(0) yields -inf on purpose: a
+    saturated loss must surface as a non-finite total."""
+    av = a.data
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = Tensor._wrap(np.log(av))
+    ad._record(out, (a,), lambda g: (g / av,))
+    return out
+
+
 @dataclass
 class RelationReport:
     relation_loss: float
@@ -33,11 +44,11 @@ def relation_loss(probs: Tensor, pos_idx: np.ndarray,
     total = None
     if n_pos:
         p = ad.gather_rows(flat, pos_idx)
-        total = ad.scale(ad.reduce_sum(ad.log(p)), -1.0 / n_pos)
+        total = ad.scale(ad.reduce_sum(log(p)), -1.0 / n_pos)
     if n_neg:
         p = ad.gather_rows(flat, neg_idx)
         one_minus = ad.add(Tensor(np.ones(n_neg)), ad.scale(p, -1.0))
-        neg_term = ad.scale(ad.reduce_sum(ad.log(one_minus)), -NEGATIVE_WEIGHT / n_neg)
+        neg_term = ad.scale(ad.reduce_sum(log(one_minus)), -NEGATIVE_WEIGHT / n_neg)
         total = neg_term if total is None else ad.add(total, neg_term)
     if total is None:
         total = Tensor(0.0)
@@ -78,7 +89,7 @@ def node_loss(label_dists: Tensor, node_to_gt: dict[int, int],
     picked = ad.gather_rows(label_dists, np.array(idx))
     # pick the gt-class probability first so off-class zeros never reach log
     gt_prob = ad.reduce_sum(ad.mul(picked, Tensor(onehot)), axis=1)
-    return ad.scale(ad.reduce_sum(ad.log(gt_prob)), -1.0 / len(idx))
+    return ad.scale(ad.reduce_sum(log(gt_prob)), -1.0 / len(idx))
 
 
 def node_loss_from_logits(label_logits: Tensor, node_to_gt: dict[int, int],

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import subprocess
@@ -471,16 +472,62 @@ def test_eval_reads_the_predictions_file_once(tmp_path, dataset_dir, monkeypatch
     preds = tmp_path / "p.jsonl"
     io.write_predictions(preds, {"mode": "sgdet", "config": {}}, gt_prediction_records(seqs))
     calls = []
-    load = io.load_predictions
+    read = io._jsonl     # the one reader of JSON-lines files
 
-    def counted(path):
-        calls.append(path)
-        return load(path)
+    def counted(path, kind):
+        calls.append(Path(path))
+        return read(path, kind)
 
-    monkeypatch.setattr(io, "load_predictions", counted)
+    monkeypatch.setattr(io, "_jsonl", counted)
     assert main(["eval", "--preds", str(preds), "--data", str(dataset_dir),
                  "--split", "test", "--out", str(tmp_path / "r.json")]) == 0
-    assert len(calls) == 1
+    assert calls.count(preds) == 1
+
+
+def test_prediction_errors_name_the_file_line(tmp_path, dataset_dir, capsys):
+    # blank lines are skipped, so a record's line is not its position: a bad
+    # seq_seed on line 3 after a blank line 2 was reported as line 2
+    _, seqs = io.load_split(dataset_dir, "test")
+    records = gt_prediction_records(seqs)
+    records[0]["seq_seed"] = "x"
+    preds = tmp_path / "p.jsonl"
+    io.write_predictions(preds, {"mode": "sgdet", "config": {}}, records)
+    header, *lines = preds.read_text().splitlines(keepends=True)
+    preds.write_text(header + "\n" + "".join(lines))
+    assert main(["eval", "--preds", str(preds), "--data", str(dataset_dir),
+                 "--split", "test"]) == 1
+    assert capsys.readouterr().err == \
+        f"error: {preds}:3: field 'seq_seed' must be an integer, got 'x'\n"
+
+
+def test_reading_predictions_pauses_the_garbage_collector(tmp_path, dataset_dir,
+                                                          monkeypatch):
+    # decoded JSON holds no reference cycles; collections over a file's worth
+    # of records were most of an `eval --preds` read, and its noisiest part
+    _, seqs = io.load_split(dataset_dir, "test")
+    preds = tmp_path / "p.jsonl"
+    io.write_predictions(preds, {"mode": "sgdet", "config": {}}, gt_prediction_records(seqs))
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(preds.read_text() + "{\n")
+    collecting = []
+    loads = io._loads
+
+    def record_state(*args):
+        collecting.append(gc.isenabled())
+        return loads(*args)
+
+    monkeypatch.setattr(io, "_loads", record_state)
+    try:
+        io.load_predictions(preds)
+        assert collecting == [False] * (1 + len(seqs)) and gc.isenabled()
+        with pytest.raises(DataFormatError):
+            io.load_predictions(bad)
+        assert gc.isenabled()
+        gc.disable()
+        io.load_predictions(preds)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 # a negative count sliced from the end of a split, and a zero seed or

@@ -1,11 +1,12 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fixtures import (G, H, _gt, _pred, exhaustive_max_matches, exhaustive_recall_at_k,
-                      three_frame_fixture)
+                      match_frame, served_corpus, three_frame_fixture)
 from reference_flops import reference_params_flops
 from stsg.config import Dims
 from stsg.errors import ContractError
@@ -17,8 +18,9 @@ from stsg.metrics import (
     average_precision_from_flags,
     constrained_view,
     count_params_flops,
+    _flatten,
+    _match,
     evaluate,
-    match_frame,
     mean_recall,
     rank_triplets,
     recall_at_k,
@@ -426,15 +428,95 @@ def test_evaluate_matches_loop_reference(shuffle):
                 assert report["wmap_rel"] == relation_map(frames, True, constraint)
 
 
-def test_greedy_matches_form_a_prefix():
+@pytest.fixture(scope="module")
+def served():
+    """800 frames per mode: the size of the serving benchmark's corpus."""
+    return served_corpus(n_train=40, n_test=100)
+
+
+def edge_frames(served_frames):
+    """Frames at the edges of the corpus layout: no nodes (with and without
+    gt), one node, nodes but no gt, a duplicated gt triplet, and two
+    detections that claim one gt triplet in sgdet."""
+    gt_objects = [_gt(0.0, 0.0, 0.25, 0.25, 1), _gt(0.5, 0.5, 0.25, 0.25, 2)]
+    empty = rank_triplets(_pred([], [], [], np.zeros((0, 0, H))), constraint=False)
+    single = rank_triplets(_pred([[0.0, 0.0, 0.25, 0.25]], [1], [1.0], np.zeros((1, 1, H))),
+                           constraint=False)
+    rel = np.zeros((3, 3, H))
+    rel[0, 2, 0], rel[1, 2, 0] = 0.9, 0.8
+    # detections 0 and 1 both overlap gt object 0 at IoU >= 0.5
+    claimed = rank_triplets(_pred([[0.0625, 0.0, 0.25, 0.25], [0.0, 0.0, 0.25, 0.25],
+                                   [0.5, 0.5, 0.25, 0.25]], [1, 1, 2], [1.0, 1.0, 1.0], rel),
+                            constraint=False)
+    with_gt = next(fe for fe in served_frames if fe.gt_triplets)
+    return [FrameEval(empty, [], []), FrameEval(empty, [(0, 1, 0)], gt_objects),
+            FrameEval(single, [(0, 1, 0)], gt_objects),
+            FrameEval(with_gt.ranked, [], with_gt.gt_objects),
+            FrameEval(with_gt.ranked, with_gt.gt_triplets + with_gt.gt_triplets[:1],
+                      with_gt.gt_objects),
+            FrameEval(claimed, [(0, 1, 0)], gt_objects)]
+
+
+@pytest.mark.parametrize("mode", ["predcls", "sgcls", "sgdet"])
+def test_evaluate_matches_loop_reference_on_served_frames(served, mode):
+    frames = served[mode]
+    edges = edge_frames(frames)
+    # the edge frames at the start, in the middle and at the end
+    corpus = edges + frames[:400] + edges + frames[400:] + edges
+    for constraint in (False, True):
+        assert evaluate(corpus, mode, constraint) == loop_evaluate(corpus, mode, constraint)
+
+
+@pytest.mark.parametrize("constraint", [False, True], ids=["no-constraint", "constraint"])
+def test_evaluate_transient_memory_is_bounded(served, constraint):
+    # joined on (frame, predicate) alone, so that every pair of a frame's
+    # predicate is a candidate, evaluate peaked at 19-29 MB here; joined on
+    # labels too, at 4.8-6.2 MB
+    frames = served["sgdet"]
+    tracemalloc.start()
+    try:
+        evaluate(frames, "sgdet", constraint)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2**20, f"{peak / 2**20:.1f} MB"
+
+
+def test_corpus_matching_equals_per_frame_matching():
+    # the corpus-wide join and greedy pass against `match_frame` run frame
+    # by frame, in every mode, on rank-ordered and shuffled lists
     rng = RngStream(64)
     for trial in range(40):
-        for fe in random_corpus(rng.split(trial), shuffle=trial % 2 == 1):
-            for mode in ("predcls", "sgdet"):
-                full = match_frame(fe.ranked, fe.gt_triplets, fe.gt_objects, mode)
+        frames = random_corpus(rng.split(trial), shuffle=trial % 2 == 1)
+        for mode in ("predcls", "sgcls", "sgdet"):
+            for constraint in (False, True):
+                corpus = _flatten(frames, 10**6, constraint)
+                taken = _match(corpus, np.arange(len(corpus.score)), mode)
+                frame = corpus.frame
+                gt_start = np.searchsorted(corpus.gt_frame, np.arange(len(frames)))
+                for f, fe in enumerate(frames):
+                    ranked = constrained_view(fe.ranked) if constraint else fe.ranked
+                    want = match_frame(ranked, fe.gt_triplets, fe.gt_objects, mode)
+                    got = taken[frame == f]
+                    np.testing.assert_array_equal(np.where(got >= 0, got - gt_start[f], -1),
+                                                  want, err_msg=f"{trial} {mode} {f}")
+
+
+def test_greedy_matches_form_a_prefix():
+    # a deep matching pass read at rank < k equals the matching of the lists
+    # cut to k, which is what lets evaluate read every K off one pass
+    rng = RngStream(64)
+    for trial in range(40):
+        frames = random_corpus(rng.split(trial), shuffle=trial % 2 == 1)
+        for mode in ("predcls", "sgdet"):
+            for constraint in (False, True):
+                deep = _flatten(frames, 10**6, constraint)
+                full = _match(deep, np.arange(len(deep.score)), mode)
                 for k in (0, 1, 5, 20):
-                    np.testing.assert_array_equal(
-                        match_frame(fe.ranked[:k], fe.gt_triplets, fe.gt_objects, mode), full[:k])
+                    cut = _flatten(frames, k, constraint)
+                    np.testing.assert_array_equal(_match(cut, np.arange(len(cut.score)), mode),
+                                                  full[deep.rank < k],
+                                                  err_msg=f"{trial} {mode} {constraint} {k}")
 
 
 def test_greedy_consumes_the_lowest_free_gt_index():
@@ -451,6 +533,7 @@ def test_greedy_consumes_the_lowest_free_gt_index():
     gt = [(0, 2, 0), (1, 2, 0)]
     assert rows(ranked)[:2] == [(0, 2, 0, 0.9), (1, 2, 0, 0.8)]
     assert match_frame(ranked, gt, gt_objects, "sgdet")[:2].tolist() == [0, -1]
+    assert recall_at_k([FrameEval(ranked[:2], gt, gt_objects)], 2, "sgdet", True) == 0.5
     assert exhaustive_max_matches(ranked[:2], gt, gt_objects, "sgdet") == 2
 
 
