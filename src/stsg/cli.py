@@ -230,9 +230,10 @@ def cmd_train(args) -> int:
 
 
 def _frames_from_prediction_file(path: Path, records: list[tuple[int, dict]],
-                                 sequences) -> list[FrameEval]:
+                                 sequences, dims: Dims) -> list[FrameEval]:
     """The ranked frames of `records`, (line number, record) pairs from
-    `io.numbered_predictions`, checked against the dataset's sequences."""
+    `io.numbered_predictions`, checked against the dataset's sequences and
+    the label and predicate counts of its dims."""
     if len(records) != len(sequences):
         raise DataFormatError(
             f"{path}: {len(records)} prediction records for {len(sequences)} sequences"
@@ -252,7 +253,7 @@ def _frames_from_prediction_file(path: Path, records: list[tuple[int, dict]],
             raise DataFormatError(f"{path}:{lineno}: field 'frames' must list the sequence's "
                                   f"{len(seq.frames)} frames")
         for fr, frame in zip(frame_records, seq.frames):
-            frames.append(FrameEval(io.ranked_from_frame_json(fr, path, lineno),
+            frames.append(FrameEval(io.ranked_from_frame_json(fr, path, lineno, dims),
                                     list(frame.triplets), list(frame.objects)))
     return frames
 
@@ -266,9 +267,12 @@ def cmd_eval(args) -> int:
         frames = _forward_frames(seqs, params, mode, variant, k)
         config_echo = cfg.to_flat_dict()
     else:
-        _, seqs = io.load_split(args.data, args.split)
+        split_header, seqs = io.load_split(args.data, args.split)
         header, records = io.numbered_predictions(args.preds)
         file_mode = header.get("mode")
+        if file_mode is not None and file_mode not in MODES:
+            raise DataFormatError(f"{args.preds}:1: field 'mode' must be one of {MODES}, "
+                                  f"got {file_mode!r}")
         if args.mode and file_mode and args.mode != file_mode:
             raise ConfigError(
                 f"eval: predictions were produced in mode {file_mode!r}, not {args.mode!r}"
@@ -276,7 +280,8 @@ def cmd_eval(args) -> int:
         mode = args.mode or file_mode
         if mode is None:
             raise ConfigError("eval: --mode required when the predictions carry none")
-        frames = _frames_from_prediction_file(Path(args.preds), records, seqs)
+        dims = io.runconfig_from_flat(split_header["config"]).dims
+        frames = _frames_from_prediction_file(Path(args.preds), records, seqs, dims)
         config_echo = header.get("config", {})
     metrics = evaluate(frames, mode, constraint)
     doc = {"kind": "eval-report", "split": args.split,

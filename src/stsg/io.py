@@ -12,16 +12,17 @@ from __future__ import annotations
 import contextlib
 import gc
 import json
+import math
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .config import Dims, RunConfig, parse_config_items
 from .errors import DataFormatError
-from .metrics import RankedFrame
 from .params import ModelParams, model_shapes
 from .scene import BoundingBox, FrameRecord, GroundTruthObject, SceneSequence, object_nodes
-from .temporal import FramePrediction
+from .temporal import FramePrediction, RankedFrame
 
 SPLITS = ("train", "val", "test")
 
@@ -281,22 +282,73 @@ def frame_prediction_to_json(pred: FramePrediction, ranked: RankedFrame,
     return record
 
 
-def _number_rows(value, width: int, what: str, path: Path, lineno: int) -> np.ndarray:
-    """A list of `width`-number rows (or of numbers, for width 1) as a
-    (rows, width) float64 array."""
+# the numeric fields of a predictions frame, and the numbers in each row
+_FRAME_ARRAYS = (("boxes", 4), ("labels", 1), ("label_scores", 1), ("triplets", 4))
+
+
+def _number_array(value, width: int) -> np.ndarray | None:
+    """A list of JSON numbers (width 1) or of `width`-number rows as a float64
+    array of shape (rows,) or (rows, width); None for anything else, booleans
+    included."""
+    if not isinstance(value, list):
+        return None
+    numbers = value
+    if width > 1:
+        try:
+            numbers = list(chain.from_iterable(value))
+        except TypeError:   # a row that is not a list
+            return None
+        # width numbers a row on average, and no row longer: width in each
+        if len(numbers) != width * len(value) or max(map(len, value), default=0) > width:
+            return None
+    if not _NUMBER_TYPES.issuperset(map(type, numbers)):
+        return None
     try:
-        arr = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError):
-        arr = None
-    if arr is None or not isinstance(value, list) or arr.size != len(value) * width:
-        raise DataFormatError(f"{path}:{lineno}: {what} must be a list of "
-                              f"{'numbers' if width == 1 else f'{width}-number rows'}")
-    return arr.reshape(len(value), width)
+        arr = np.array(numbers, dtype=np.float64)
+    except OverflowError:   # an integer beyond the float range
+        return None
+    return arr if width == 1 else arr.reshape(len(value), width)
 
 
-def ranked_from_frame_json(frame: dict, path: Path, lineno: int) -> RankedFrame:
+def _frames_to_arrays(record) -> None:
+    """Replace the numeric fields of each frame of a predictions record by
+    their arrays, in place; a field that is not numbers of the right shape
+    stays as decoded, for `ranked_from_frame_json` to reject."""
+    frames = record.get("frames") if isinstance(record, dict) else None
+    for frame in frames if isinstance(frames, list) else ():
+        if isinstance(frame, dict):
+            for name, width in _FRAME_ARRAYS:
+                arr = _number_array(frame.get(name), width)
+                if arr is not None:
+                    frame[name] = arr
+
+
+def _index_error(path: Path, lineno: int, i: int, value: float, n: int, g, h):
+    """The error for entry i of a frame's indices: its n labels, then each
+    triplet's subject, object and predicate."""
+    if i < n:
+        what, bound = f"label of node {i}", g
+    else:
+        t, c = divmod(i - n, 3)
+        what, bound = f"{('subject', 'object', 'predicate')[c]} of triplet {t}", (n, n, h)[c]
+    return DataFormatError(f"{path}:{lineno}: {what} must be an integer in [0, {bound}), "
+                           f"got {value:g}")
+
+
+def ranked_from_frame_json(frame: dict, path: Path, lineno: int,
+                           dims: Dims | None = None) -> RankedFrame:
+    """A frame of a record from `numbered_predictions` as a ranked list.
+
+    Labels, triplet node indices and predicates must be non-negative
+    integers, node indices below the frame's node count; with `dims`, labels
+    must be below dims.g and predicates below dims.h.
+    """
     def rows(name: str, width: int) -> np.ndarray:
-        return _number_rows(_field(frame, name, path, lineno), width, name, path, lineno)
+        value = _field(frame, name, path, lineno)
+        if not isinstance(value, np.ndarray):
+            raise DataFormatError(f"{path}:{lineno}: {name} must be a list of "
+                                  f"{'numbers' if width == 1 else f'{width}-number rows'}")
+        return value
 
     boxes, labels, scores = rows("boxes", 4), rows("labels", 1), rows("label_scores", 1)
     n = len(boxes)
@@ -304,8 +356,16 @@ def ranked_from_frame_json(frame: dict, path: Path, lineno: int) -> RankedFrame:
         raise DataFormatError(f"{path}:{lineno}: frame has {n} boxes but "
                               f"{len(labels)} labels and {len(scores)} label scores")
     triplets = rows("triplets", 4)
+    g, h = (dims.g, dims.h) if dims else (math.inf, math.inf)
+    # every label and triplet index of the frame: a finite non-negative integer
+    index = np.concatenate([labels, triplets[:, :3].ravel()])
+    whole = (index >= 0) & (index < math.inf) & (np.floor(index) == index)
+    if not whole.all():
+        i = int(np.argmin(whole))
+        raise _index_error(path, lineno, i, index[i], n, g, h)
+    labels = labels.astype(np.intp)
     subj, obj, predicate = triplets[:, :3].astype(np.intp).T
-    outside = (subj < 0) | (subj >= n) | (obj < 0) | (obj >= n)
+    outside = (subj >= n) | (obj >= n)
     if outside.any():
         t = np.flatnonzero(outside)[0]
         raise DataFormatError(f"{path}:{lineno}: triplet references node {max(subj[t], obj[t])} "
@@ -314,9 +374,13 @@ def ranked_from_frame_json(frame: dict, path: Path, lineno: int) -> RankedFrame:
         t = np.flatnonzero(subj == obj)[0]
         raise DataFormatError(f"{path}:{lineno}: triplet {t} has subject and object "
                               f"both node {subj[t]}")
+    if (labels >= g).any() or (predicate >= h).any():
+        over = np.flatnonzero(labels >= g)
+        i = over[0] if len(over) else n + 3 * np.flatnonzero(predicate >= h)[0] + 2
+        raise _index_error(path, lineno, i, index[i], n, g, h)
     if not np.isfinite(triplets[:, 3]).all():
         raise DataFormatError(f"{path}:{lineno}: triplet scores must be finite")
-    return RankedFrame(subj, obj, predicate, triplets[:, 3], labels[:, 0].astype(np.intp), boxes)
+    return RankedFrame(subj, obj, predicate, triplets[:, 3], labels, boxes)
 
 
 def write_predictions(path: str | Path, header: dict, records: list[dict]) -> None:
@@ -345,13 +409,22 @@ def _collector_paused():
 
 
 def numbered_predictions(path: str | Path) -> tuple[dict, list[tuple[int, dict]]]:
-    """A predictions file's header, and each record with its line number."""
+    """A predictions file's header, and each record with its line number.
+
+    Each line's frames hold their numeric fields (_FRAME_ARRAYS) as arrays,
+    converted as the line is decoded: the lists they replace never pile up
+    for the collector to walk once it runs again.
+    """
     path = Path(path)
     if not path.exists():
         raise DataFormatError(f"{path}: no such predictions file")
     records = _jsonl(path, "predictions")
     with _collector_paused():
-        return next(records), list(records)
+        header, numbered = next(records), []
+        for lineno, record in records:
+            _frames_to_arrays(record)
+            numbered.append((lineno, record))
+        return header, numbered
 
 
 def load_predictions(path: str | Path) -> tuple[dict, list[dict]]:

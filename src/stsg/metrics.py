@@ -1,8 +1,9 @@
 """Scene-graph evaluation and analytic efficiency accounting.
 
 Triplets are ranked by subject-label score * object-label score * predicate
-probability. The with-constraint setting keeps the best predicate per
-ordered pair; no-constraint keeps up to six. Mean recall and relation AP
+probability, with the frame's forward pass (`temporal.rank_frames`). The
+with-constraint setting keeps the best predicate per ordered pair;
+no-constraint keeps up to six. Mean recall and relation AP
 evaluate the per-frame list capped at 50 triplets; plain recall@K does not
 cap. Detection-protocol matching requires label equality and both boxes at
 IoU >= 0.5 (an IoU of exactly 0.5 counts).
@@ -34,63 +35,17 @@ from .config import Dims
 from .errors import ContractError
 from .params import Layout, model_shapes
 from .scene import GroundTruthObject, box_iou
-from .temporal import FramePrediction
+from .temporal import FramePrediction, RankedFrame
 
 IOU_THRESHOLD = 0.5
-NO_CONSTRAINT_PER_PAIR = 6
 FRAME_TRIPLET_CAP = 50
 RECALL_KS = (10, 20, 50)
 
 
-@dataclass(frozen=True, eq=False)
-class RankedFrame:
-    """One frame's triplets in rank order, plus the per-node argmax labels and
-    boxes the matcher reads. `len()` counts triplets; indexing selects
-    triplets (a slice keeps a prefix) and keeps the nodes."""
-
-    subj: np.ndarray        # (T,) node indices
-    obj: np.ndarray         # (T,)
-    predicate: np.ndarray   # (T,)
-    score: np.ndarray       # (T,) float64
-    labels: np.ndarray      # (N,) argmax label per node
-    boxes: np.ndarray       # (N, 4) (x, y, w, h)
-
-    def __len__(self) -> int:
-        return len(self.score)
-
-    def __getitem__(self, rows) -> RankedFrame:
-        return RankedFrame(self.subj[rows], self.obj[rows], self.predicate[rows],
-                           self.score[rows], self.labels, self.boxes)
-
-
 def rank_triplets(pred: FramePrediction, constraint: bool) -> RankedFrame:
-    """Globally sorted triplet list for one frame; ties break on (i, j, h).
-
-    Without the constraint each ordered pair keeps its NO_CONSTRAINT_PER_PAIR
-    most probable predicates (ties to the lower index), sorted by (-score, i,
-    j, predicate). With it the list is `constrained_view` of every pair's
-    predicates ranked the same way.
-    """
-    n = pred.n
-    labels = np.argmax(pred.label_dists, axis=1) if n else np.zeros(0, dtype=np.intp)
-    if n < 2:
-        empty = np.zeros(0, dtype=np.intp)
-        return RankedFrame(empty, empty, empty, np.zeros(0), labels, pred.boxes)
-    label_scores = np.max(pred.label_dists, axis=1)
-    h = pred.relation_probs.shape[2]
-    keep = h if constraint else min(NO_CONSTRAINT_PER_PAIR, h)
-    subj, obj = np.nonzero(~np.eye(n, dtype=bool))     # subject-major pair order
-    probs = pred.relation_probs[subj, obj]
-    kept = np.argsort(-probs, axis=1, kind="stable")[:, :keep]
-    scores = ((label_scores[subj] * label_scores[obj])[:, None]
-              * np.take_along_axis(probs, kept, axis=1)).ravel()
-    if not np.isfinite(scores).all():
-        raise ContractError("rank_triplets: triplet scores must be finite")
-    subj, obj, kept = np.repeat(subj, keep), np.repeat(obj, keep), kept.ravel()
-    order = np.lexsort((kept, obj, subj, -scores))
-    ranked = RankedFrame(subj[order], obj[order], kept[order], scores[order], labels,
-                         pred.boxes)
-    return constrained_view(ranked) if constraint else ranked
+    """A frame's triplets in rank order: the list its forward pass ranked
+    (`temporal.rank_frames`), or with the constraint its `constrained_view`."""
+    return constrained_view(pred.ranked) if constraint else pred.ranked
 
 
 def _first_per_key(key: np.ndarray, n_keys: int) -> np.ndarray:

@@ -83,9 +83,9 @@ class ObjectNode:
 
 
 def object_nodes(boxes: list[BoundingBox], label_dists, visual_feats) -> list[ObjectNode]:
-    """One frame's nodes from one label vector and one visual vector per box.
+    """Nodes from one label vector and one visual vector per box.
 
-    The frame is encoded as one (n, m) matrix; a node's node_feat is its
+    The nodes are encoded as one (n, m) matrix; a node's node_feat is its
     row, and its label_dist and visual_feat are slices of that row.
     """
     if not boxes:
@@ -114,7 +114,7 @@ class GroundTruthObject:
 
 def gt_nodes(objects: list[GroundTruthObject], g: int,
              use_detector_labels: bool = False) -> list[ObjectNode]:
-    """One frame's gt objects as nodes (see object_nodes): one-hot labels, or
+    """Gt objects as nodes (see object_nodes): one-hot labels, or
     the detector's label distribution where requested and recorded."""
     one_hot = np.eye(g)
     dists = [o.detector_label_dist if use_detector_labels and o.detector_label_dist is not None

@@ -22,7 +22,7 @@ from .autodiff import Tensor
 from .config import MODES, VARIANTS
 from .errors import ContractError
 from .params import ModelParams, linear, mlp2
-from .scene import FrameRecord, ObjectNode, SceneSequence, gt_nodes
+from .scene import ObjectNode, SceneSequence, gt_nodes
 from .spatial import frame_pairs, gcn_propagate, pair_grid, propose_relations
 
 DENOM_GUARD = 1e-8
@@ -138,19 +138,22 @@ def relation_logits(fused: Tensor, subj, obj, params: ModelParams) -> Tensor:
 # packed minibatch forward
 
 
-def nodes_for_mode(frame: FrameRecord, mode: str, g: int) -> list[ObjectNode]:
-    """Node inputs per evaluation protocol.
+def sequence_nodes(sequence: SceneSequence, mode: str, g: int) -> list[list[ObjectNode]]:
+    """Node inputs of each frame per evaluation protocol.
 
     predcls: gt boxes and labels; sgcls: gt boxes with the simulated
-    detector's label distributions; sgdet: simulated detections.
+    detector's label distributions; sgdet: simulated detections. The gt
+    nodes of all frames are encoded together, as one node matrix.
     """
-    if mode == "predcls":
-        return gt_nodes(frame.objects, g)
-    if mode == "sgcls":
-        return gt_nodes(frame.objects, g, use_detector_labels=True)
+    frames = sequence.frames
     if mode == "sgdet":
-        return list(frame.detections)
-    raise ContractError(f"mode: must be one of {MODES}, got {mode!r}")
+        return [list(frame.detections) for frame in frames]
+    if mode not in MODES:
+        raise ContractError(f"mode: must be one of {MODES}, got {mode!r}")
+    nodes = gt_nodes([o for frame in frames for o in frame.objects], g,
+                     use_detector_labels=mode == "sgcls")
+    ends = np.cumsum([len(frame.objects) for frame in frames]).tolist()
+    return [nodes[a:b] for a, b in zip([0] + ends[:-1], ends)]
 
 
 @dataclass
@@ -205,23 +208,24 @@ def pack(sequence: SceneSequence, mode: str, variant: str, dims) -> Packed:
     """The packed inputs of one sequence in the given mode and variant."""
     if variant not in VARIANTS:
         raise ContractError(f"variant: must be one of {VARIANTS}, got {variant!r}")
-    nodes = [nodes_for_mode(frame, mode, dims.g) for frame in sequence.frames]
+    nodes = sequence_nodes(sequence, mode, dims.g)
     sizes = np.array([len(f) for f in nodes], dtype=np.intp)
     flat = [o for f in nodes for o in f]
     feats = np.stack([o.node_feat for o in flat]) if flat else np.zeros((0, dims.m))
     present = sizes[sizes > 0]
     subj, obj = frame_pairs(present)
-    curr, prev = [], []
-    if variant != "spatial":
-        start = np.cumsum(sizes) - sizes
-        for t in range(1, len(sizes)):
-            n_t, n_prev = sizes[t], sizes[t - 1]
-            if n_t and n_prev:
-                curr.append(start[t] + np.repeat(np.arange(n_t), n_prev))
-                prev.append(start[t - 1] + np.tile(np.arange(n_prev), n_t))
-    cand_curr = np.concatenate(curr) if curr else np.zeros(0, dtype=np.intp)
-    cand_prev = np.concatenate(prev) if prev else np.zeros(0, dtype=np.intp)
     n = len(flat)
+    # each node takes every node of the preceding frame as a candidate (none
+    # in the first frame or after an empty one), listed by (curr, prev)
+    if variant == "spatial":
+        prev_sizes = np.zeros_like(sizes)
+    else:
+        prev_sizes = np.concatenate([[0], sizes[:-1]]).astype(np.intp)
+    per_node = np.repeat(prev_sizes, sizes)
+    cand_curr = np.repeat(np.arange(n), per_node)
+    rank = np.arange(len(cand_curr)) - np.repeat(np.cumsum(per_node) - per_node, per_node)
+    prev_first = np.repeat(np.cumsum(sizes) - sizes - prev_sizes, sizes)   # per node
+    cand_prev = prev_first[cand_curr] + rank
     return Packed(mode=mode, variant=variant, nodes=nodes, feats=feats,
                   node_frame=ad.SegmentPlan(np.repeat(np.arange(len(present)), present),
                                             len(present)),
@@ -293,20 +297,76 @@ def forward_batch(packed: Packed, params: ModelParams, k: int = 1) -> BatchOutpu
 # ---------------------------------------------------------------------------
 # served frames
 
-LINK_DTYPE = np.dtype([("curr_index", np.intp), ("prev_index", np.intp)])
+NO_CONSTRAINT_PER_PAIR = 6
+# a plain array of numpy records: a slice is cheap, and each element keeps
+# attribute access (link.curr_index)
+LINK_DTYPE = np.dtype((np.record, [("curr_index", np.intp), ("prev_index", np.intp)]))
 
 
-def _no_links() -> np.recarray:
-    return np.rec.array(np.zeros(0, dtype=LINK_DTYPE))
+@dataclass(frozen=True, eq=False)
+class RankedFrame:
+    """One frame's triplets in rank order, plus the per-node argmax labels and
+    boxes the matcher reads. `len()` counts triplets; indexing selects
+    triplets (a slice keeps a prefix) and keeps the nodes."""
+
+    subj: np.ndarray        # (T,) node indices
+    obj: np.ndarray         # (T,)
+    predicate: np.ndarray   # (T,)
+    score: np.ndarray       # (T,) float64
+    labels: np.ndarray      # (N,) argmax label per node
+    boxes: np.ndarray       # (N, 4) (x, y, w, h)
+
+    def __len__(self) -> int:
+        return len(self.score)
+
+    def __getitem__(self, rows) -> RankedFrame:
+        return RankedFrame(self.subj[rows], self.obj[rows], self.predicate[rows],
+                           self.score[rows], self.labels, self.boxes)
+
+
+def rank_frames(probs: np.ndarray, subj: np.ndarray, obj: np.ndarray,
+                label_dists: np.ndarray, boxes: np.ndarray, sizes) -> list[RankedFrame]:
+    """The unconstrained ranked triplet list of each frame, empty frames
+    included, from one sort over the pair rows of frames of the given node
+    counts packed one after another.
+
+    `probs` (P, H) holds the predicate probabilities of the pairs (subj, obj)
+    of packed node indices, in `spatial.frame_pairs` order. A triplet's score
+    is subject-label score * object-label score * predicate probability.
+    Each ordered pair keeps its NO_CONSTRAINT_PER_PAIR most probable
+    predicates (ties to the lower index), and a frame's list is sorted by
+    (-score, subject, object, predicate).
+    """
+    sizes = np.asarray(sizes, dtype=np.intp)
+    keep = min(NO_CONSTRAINT_PER_PAIR, probs.shape[1])
+    label_scores = np.max(label_dists, axis=1)
+    kept = np.argsort(-probs, axis=1, kind="stable")[:, :keep]
+    scores = ((label_scores[subj] * label_scores[obj])[:, None]
+              * np.take_along_axis(probs, kept, axis=1)).ravel()
+    if not np.isfinite(scores).all():
+        raise ContractError("rank_triplets: triplet scores must be finite")
+    subj, obj, kept = np.repeat(subj, keep), np.repeat(obj, keep), kept.ravel()
+    starts = np.cumsum(sizes) - sizes
+    node_frame = np.repeat(np.arange(len(sizes)), sizes)
+    # the frame is the first key, so each frame's list is one run
+    order = np.lexsort((kept, obj, subj, -scores, node_frame[subj]))
+    local = np.arange(len(node_frame)) - np.repeat(starts, sizes)
+    subj, obj, kept, scores = local[subj[order]], local[obj[order]], kept[order], scores[order]
+    labels = np.argmax(label_dists, axis=1)
+    nodes = np.concatenate([starts, [len(node_frame)]]).tolist()
+    cuts = np.concatenate([[0], np.cumsum(sizes * (sizes - 1) * keep)]).tolist()
+    return [RankedFrame(subj[a:b], obj[a:b], kept[a:b], scores[a:b], labels[x:y], boxes[x:y])
+            for a, b, x, y in zip(cuts[:-1], cuts[1:], nodes[:-1], nodes[1:])]
 
 
 @dataclass
 class FramePrediction:
     """One frame of a forward pass, as values, for metrics, banks and serialization.
 
-    The selected temporal edges are `links`, a record array of frame-local
-    (curr_index, prev_index) pairs: node `curr_index` of this frame takes
-    context from node `prev_index` of the previous frame.
+    `ranked` is the frame's unconstrained triplet list (`rank_frames`). The
+    selected temporal edges are `links`, an array of LINK_DTYPE records of
+    frame-local (curr_index, prev_index) pairs: node `curr_index` of this
+    frame takes context from node `prev_index` of the previous frame.
     """
 
     boxes: np.ndarray                 # (N, 4)
@@ -314,8 +374,9 @@ class FramePrediction:
     relation_probs: np.ndarray        # (N, N, H), zero diagonal
     fused: np.ndarray                 # (N, m) spatial + temporal context
     gcn: np.ndarray                   # (N, m) after message passing
+    ranked: RankedFrame               # triplets in rank order
     nodes: list[ObjectNode] = field(default_factory=list)   # the frame's inputs
-    links: np.recarray = field(default_factory=_no_links)
+    links: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=LINK_DTYPE))
 
     @property
     def n(self) -> int:
@@ -324,28 +385,33 @@ class FramePrediction:
 
 def frame_predictions(packed: Packed, out: BatchOutput, g: int) -> list[FramePrediction]:
     """Cut a packed forward pass into one `FramePrediction` per frame,
-    empty frames included; g is the label count."""
+    empty frames included; g is the label count. Every frame's triplets are
+    ranked in one pass, and each frame's arrays are views of the batch's."""
     feats = packed.feats
     probs = ad.sigmoid(out.relation_logits).data
     if out.label_logits is None:
         dists = feats[:, 4:4 + g]
     else:
         dists = ad.softmax(out.label_logits, axis=-1).data
+    boxes = feats[:, :4]
     sizes = np.array([len(nodes) for nodes in packed.nodes], dtype=np.intp)
-    starts = np.concatenate([[0], np.cumsum(sizes)])
-    pair_starts = np.concatenate([[0], np.cumsum(sizes * (sizes - 1))])
+    ranked = rank_frames(probs, packed.subj.ids, packed.obj.ids, dists, boxes, sizes)
+    node_starts = np.concatenate([[0], np.cumsum(sizes)])
     # links come in candidate order, so each frame's links are one run
     curr = packed.cand_curr.ids[out.links]
-    link_starts = np.searchsorted(curr, starts)
-    local = np.arange(packed.n_nodes) - np.repeat(starts[:-1], sizes)
-    links = np.rec.fromarrays([local[curr], local[packed.cand_prev.ids[out.links]]],
-                              dtype=LINK_DTYPE)
+    link_starts = np.searchsorted(curr, node_starts).tolist()
+    local = np.arange(packed.n_nodes) - np.repeat(node_starts[:-1], sizes)
+    links = np.empty(len(curr), dtype=LINK_DTYPE)
+    links["curr_index"] = local[curr]
+    links["prev_index"] = local[packed.cand_prev.ids[out.links]]
     fused, gcn = out.fused.data, out.gcn.data
+    starts = node_starts.tolist()
+    pair_starts = np.concatenate([[0], np.cumsum(sizes * (sizes - 1))]).tolist()
     return [
         FramePrediction(
-            boxes=feats[a:b, :4], label_dists=dists[a:b],
+            boxes=boxes[a:b], label_dists=dists[a:b],
             relation_probs=pair_grid(probs[pair_starts[t]:pair_starts[t + 1]], b - a),
-            fused=fused[a:b], gcn=gcn[a:b], nodes=nodes,
+            fused=fused[a:b], gcn=gcn[a:b], ranked=ranked[t], nodes=nodes,
             links=links[link_starts[t]:link_starts[t + 1]],
         )
         for t, (nodes, a, b) in enumerate(zip(packed.nodes, starts[:-1], starts[1:]))

@@ -13,7 +13,7 @@ from stsg.config import MODES, RunConfig, config_with
 from stsg.metrics import IOU_THRESHOLD, FrameEval, constrained_view, rank_triplets
 from stsg.scene import BoundingBox, GroundTruthObject, pairwise_iou
 from stsg.synthgen import generate_scene
-from stsg.temporal import FramePrediction, forward_sequence
+from stsg.temporal import FramePrediction, forward_sequence, rank_frames
 from stsg.training import train
 
 G, H = 4, 3
@@ -31,13 +31,19 @@ def _pred(boxes, labels, scores, rel):
         for c in range(G):
             if c != lab:
                 dists[i, c] = rest
-    return FramePrediction(
-        boxes=np.array(boxes, dtype=float),
-        label_dists=dists,
-        relation_probs=np.array(rel, dtype=float),
-        fused=np.zeros((len(labels), 4)),
-        gcn=np.zeros((len(labels), 4)),
-    )
+    n = len(labels)
+    return frame_prediction(np.array(boxes, dtype=float), dists, np.array(rel, dtype=float),
+                            np.zeros((n, 4)), np.zeros((n, 4)))
+
+
+def frame_prediction(boxes, dists, rel, fused, gcn) -> FramePrediction:
+    """A hand-built frame from its (n, n, H) relation grid, its triplets
+    ranked by the rule a forward pass ranks with (`rank_frames`)."""
+    n = len(dists)
+    pairs = ~np.eye(n, dtype=bool)     # subject-major, as spatial.frame_pairs lists them
+    (ranked,) = rank_frames(rel[pairs], *np.nonzero(pairs), dists, boxes, [n])
+    return FramePrediction(boxes=boxes, label_dists=dists, relation_probs=rel, fused=fused,
+                           gcn=gcn, ranked=ranked)
 
 
 def three_frame_fixture() -> list[FrameEval]:

@@ -138,3 +138,38 @@ def test_traced_forward_reads_the_served_frames(tracer, variant):
         assert tr.counters["temporal.links"] == len(result[3].links)
         assert 0 <= tr.counters["temporal.correct_links"] <= len(result[3].links)
         assert tr.flops["gcn"] > 0
+
+
+def test_benchmark_serving_writes_what_stsg_infer_writes(workloads, tmp_path):
+    # perfbench times serving through its own per-frame calls
+    # (cli.forward_sequence, cli.rank_triplets, sio.frame_prediction_to_json);
+    # its check_cli compares them with `stsg infer` in sgdet only
+    from stsg import cli
+    from stsg import io as sio
+    from stsg.config import MODES, load_config
+    from stsg.params import ModelParams
+
+    cfg_path = tmp_path / "pin.cfg"
+    cfg_path.write_text("split.train_sequences = 1\nsplit.val_sequences = 1\n"
+                        "split.test_sequences = 3\n")
+    data, out = tmp_path / "data", tmp_path / "served"
+    assert cli.main(["gen", "--config", str(cfg_path), "--out", str(data), "--seed", "7"]) == 0
+    cfg = load_config(str(cfg_path))
+    params = ModelParams.init(cfg.dims, seed=0)
+    ckpt = tmp_path / "model.json"
+    sio.write_checkpoint(ckpt, cfg, params, [])
+    _, test_seqs = sio.load_split(data, "test")
+    cell = workloads.Cell("sparse[k=1]", "sparse", 1, train=False)
+    wl = workloads.Workload(name="pin", train_sequences=1, test_sequences=3, cells=(cell,),
+                            epochs=1, modes=MODES, evals=())
+    out.mkdir()
+    served = workloads.serve_cell(wl, cell, cfg, params, test_seqs, out, "pin",
+                                  workloads.Clock())
+    assert served["failed"] == 0
+    for mode in MODES:
+        infer = tmp_path / f"{mode}.jsonl"
+        assert cli.main(["infer", "--ckpt", str(ckpt), "--data", str(data), "--split", "test",
+                         "--mode", mode, "--variant", "sparse", "--k", "1",
+                         "--out", str(infer)]) == 0
+        assert len(infer.read_text().splitlines()) == 1 + len(test_seqs)
+        assert served["preds"][mode].read_bytes() == infer.read_bytes(), mode

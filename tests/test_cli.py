@@ -417,6 +417,95 @@ def test_malformed_prediction_triplet_is_an_error(tmp_path, checkpoint_path, dat
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def _set(field, index, value):
+    def edit(frame):
+        if field == "triplets":
+            row = frame["triplets"][0]
+            row[index] = value(row[index]) if callable(value) else value
+        else:
+            frame[field][index] = value
+    return edit
+
+
+def _set_boolean_triplet(frame):
+    frame["triplets"][0] = [True, False, 1, 0.5]
+
+
+# each of these was evaluated with exit 0 (the numbers were truncated to
+# integers, or used as they were, whatever their range) or, for an integer
+# beyond the float range, ended in an OverflowError traceback
+@pytest.mark.parametrize("edit, message", [
+    (_set("triplets", 2, 99), "predicate of triplet 0 must be an integer in [0, 6), got 99"),
+    (_set("triplets", 2, -1), "predicate of triplet 0 must be an integer in [0, 6), got -1"),
+    (_set("triplets", 2, 2.5), "predicate of triplet 0 must be an integer in [0, 6), got 2.5"),
+    (_set("triplets", 0, lambda i: i + 0.9), "subject of triplet 0 must be an integer"),
+    (_set("triplets", 1, -2), "object of triplet 0 must be an integer"),
+    (_set("labels", 0, -5), "label of node 0 must be an integer in [0, 8), got -5"),
+    (_set("labels", 1, 2.5), "label of node 1 must be an integer in [0, 8), got 2.5"),
+    (_set("labels", 0, 8), "label of node 0 must be an integer in [0, 8), got 8"),
+    (_set("labels", 0, True), "labels must be a list of numbers"),
+    (_set("labels", 0, 10 ** 400), "labels must be a list of numbers"),
+    (_set_boolean_triplet, "triplets must be a list of 4-number rows"),
+], ids=["predicate-99", "predicate-negative", "predicate-fraction", "subject-fraction",
+        "object-negative", "label-negative", "label-fraction", "label-g", "label-boolean",
+        "label-beyond-float", "boolean-triplet"])
+def test_malformed_prediction_number_is_an_error(tmp_path, checkpoint_path, dataset_dir,
+                                                 capsys, edit, message):
+    preds = tmp_path / "p.jsonl"
+    assert main(["infer", "--ckpt", str(checkpoint_path), "--data", str(dataset_dir),
+                 "--split", "val", "--mode", "sgdet", "--out", str(preds)]) == 0
+    _corrupt_first_prediction(preds, edit)
+    capsys.readouterr()
+    assert main(["eval", "--preds", str(preds), "--data", str(dataset_dir),
+                 "--split", "val"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {preds}:2: ") and message in err, err
+
+
+@pytest.mark.parametrize("mode", ["foo", 3, ""], ids=["name", "number", "empty"])
+def test_unknown_prediction_mode_is_an_error(tmp_path, dataset_dir, capsys, mode):
+    _, seqs = io.load_split(dataset_dir, "test")
+    preds = tmp_path / "p.jsonl"
+    io.write_predictions(preds, {"mode": mode, "config": {}}, gt_prediction_records(seqs))
+    assert main(["eval", "--preds", str(preds), "--data", str(dataset_dir),
+                 "--split", "test"]) == 1
+    assert capsys.readouterr().err == (f"error: {preds}:1: field 'mode' must be one of "
+                                       f"('predcls', 'sgcls', 'sgdet'), got {mode!r}\n")
+
+
+def test_decoded_predictions_hold_arrays(tmp_path, checkpoint_path, dataset_dir):
+    preds = tmp_path / "p.jsonl"
+    assert main(["infer", "--ckpt", str(checkpoint_path), "--data", str(dataset_dir),
+                 "--split", "val", "--mode", "sgdet", "--out", str(preds)]) == 0
+    _, numbered = io.numbered_predictions(preds)
+    lines = preds.read_text().splitlines()
+    shapes = {"boxes": 4, "labels": None, "label_scores": None, "triplets": 4}
+    for (lineno, record), line in zip(numbered, lines[1:]):
+        for frame, raw in zip(record["frames"], json.loads(line)["frames"]):
+            for name, width in shapes.items():
+                arr = frame[name]
+                assert isinstance(arr, np.ndarray) and arr.dtype == np.float64, name
+                want = (len(raw[name]),) if width is None else (len(raw[name]), width)
+                assert arr.shape == want
+                np.testing.assert_array_equal(arr, np.array(raw[name], dtype=float)
+                                              .reshape(want))
+
+
+def test_bad_number_after_a_blank_line_names_its_line(tmp_path, dataset_dir, capsys):
+    _, seqs = io.load_split(dataset_dir, "test")
+    records = gt_prediction_records(seqs)
+    frame = next(f for f in records[1]["frames"] if f["labels"])
+    frame["labels"][0] = 2.5
+    preds = tmp_path / "p.jsonl"
+    io.write_predictions(preds, {"mode": "sgdet", "config": {}}, records)
+    header, *lines = preds.read_text().splitlines(keepends=True)
+    preds.write_text(header + "\n" + "".join(lines))
+    assert main(["eval", "--preds", str(preds), "--data", str(dataset_dir),
+                 "--split", "test"]) == 1
+    assert capsys.readouterr().err == \
+        f"error: {preds}:4: label of node 0 must be an integer in [0, 8), got 2.5\n"
+
+
 def _record_array(records):
     records[0] = [1, 2]
 

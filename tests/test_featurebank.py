@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_sequence, zero_params
+from fixtures import frame_prediction
 from stsg.autodiff import Tensor
 from stsg.config import Dims
 from stsg.errors import ContractError
@@ -14,7 +15,7 @@ from stsg.featurebank import (
     train_event_head,
 )
 from stsg.rng import RngStream
-from stsg.temporal import FramePrediction, forward_sequence
+from stsg.temporal import forward_sequence
 
 
 def prediction_with(labels, scores, dims, fused=None, gcn=None):
@@ -27,13 +28,8 @@ def prediction_with(labels, scores, dims, fused=None, gcn=None):
         fused = np.arange(n * dims.m, dtype=float).reshape(n, dims.m) + 1.0
     if gcn is None:
         gcn = fused * 2.0
-    return FramePrediction(
-        boxes=np.tile([0.1, 0.1, 0.2, 0.2], (n, 1)),
-        label_dists=dists,
-        relation_probs=np.zeros((n, n, dims.h)),
-        fused=fused,
-        gcn=gcn,
-    )
+    return frame_prediction(np.tile([0.1, 0.1, 0.2, 0.2], (n, 1)), dists,
+                            np.zeros((n, n, dims.h)), fused, gcn)
 
 
 def test_present_classes_fill_rows_absent_stay_zero():

@@ -5,14 +5,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import random_sequence
 from fixtures import (G, H, _gt, _pred, exhaustive_max_matches, exhaustive_recall_at_k,
                       match_frame, served_corpus, three_frame_fixture)
 from reference_flops import reference_params_flops
-from stsg.config import Dims
+from stsg.config import MODES, Dims
 from stsg.errors import ContractError
 from stsg.metrics import (
     FRAME_TRIPLET_CAP,
-    NO_CONSTRAINT_PER_PAIR,
     RECALL_KS,
     FrameEval,
     average_precision_from_flags,
@@ -26,9 +26,10 @@ from stsg.metrics import (
     recall_at_k,
     relation_map,
 )
-from stsg.params import model_shapes
+from stsg.params import ModelParams, model_shapes
 from stsg.rng import RngStream
 from stsg.scene import pairwise_iou
+from stsg.temporal import NO_CONSTRAINT_PER_PAIR, forward_sequence
 
 
 def rows(ranked):
@@ -128,9 +129,11 @@ def test_ranking_matches_loop_reference():
 
 
 def test_constraint_ranking_equals_constrained_view():
+    # the with-constraint list is the first triplet of each pair of the
+    # loop reference's list, also where h > 6 cuts each pair's predicates
     rng = RngStream(61)
     for trial in range(200):
-        n, h = 2 + rng.integer(4), 1 + rng.integer(6)
+        n, h = 2 + rng.integer(4), 1 + rng.integer(8)
         rel = rng.uniform_array((n, n, h), 0.0, 1.0)
         if trial % 2:
             # saturated probabilities: distinct values whose scores round together
@@ -140,19 +143,59 @@ def test_constraint_ranking_equals_constrained_view():
         boxes = [[0.1 * i, 0.1 * i, 0.2, 0.2] for i in range(n)]
         pred = _pred(boxes, [rng.integer(G) for _ in range(n)],
                      [rng.uniform(0.3, 1.0) for _ in range(n)], rel)
-        # h <= 6: the unconstrained list keeps every predicate of a pair
-        want = constrained_view(rank_triplets(pred, constraint=False))
+        seen, want = set(), []
+        for i, j, _, _, p, score in loop_rank_triplets(pred):
+            if (i, j) not in seen:
+                seen.add((i, j))
+                want.append((i, j, p, score))
         got = rank_triplets(pred, constraint=True)
-        assert rows(got) == rows(want)
+        assert rows(got) == want
         assert rows(got[:3]) == rows(got)[:3] and len(got[:3]) == min(3, len(got))
 
 
 def test_ranking_rejects_non_finite_scores():
     rel = np.zeros((2, 2, H))
     rel[0, 1, 0] = np.nan
-    pred = _pred([[0.1, 0.1, 0.2, 0.2], [0.5, 0.5, 0.2, 0.2]], [0, 1], [1.0, 1.0], rel)
     with pytest.raises(ContractError, match="finite"):
-        rank_triplets(pred, constraint=False)
+        _pred([[0.1, 0.1, 0.2, 0.2], [0.5, 0.5, 0.2, 0.2]], [0, 1], [1.0, 1.0], rel)
+
+
+def params_with(dims: Dims, **arrays) -> ModelParams:
+    """Seeded parameters with the named ones replaced."""
+    params = ModelParams.init(dims, seed=3)
+    return ModelParams.from_arrays(dims, {**params.as_arrays(), **arrays}, params.gcn_layers)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_served_ranking_matches_loop_reference(mode):
+    # h = 8 > NO_CONSTRAINT_PER_PAIR, so each pair's predicates are cut to 6
+    dims = Dims(h=8)
+    seq = random_sequence(RngStream(64), dims, n_frames=6, n_min=2, n_max=5)
+    seq.frames[1].objects, seq.frames[1].triplets, seq.frames[1].detections = [], [], []
+    one = seq.frames[3]
+    one.objects, one.triplets, one.detections = one.objects[:1], [], one.detections[:1]
+    # the second relation head ignores the nodes: every pair has the same
+    # predicate probabilities, and five equal ones straddle the cut to 6
+    tied = params_with(dims, **{"rel.w": np.zeros(model_shapes(dims, 2)["rel.w"]),
+                                "rel.b": np.array([0.5, -1.0, 0.5, 2.0, 0.5, 0.5, 0.5, -1.0])})
+    for params in (ModelParams.init(dims, seed=3), tied):
+        preds = forward_sequence(seq, params, mode, "sparse", 1)
+        assert [p.n for p in preds][1::2] == [0, 1, len(seq.frames[5].objects)]
+        for pred in preds:
+            ranked = rank_triplets(pred, constraint=False)
+            labels = ranked.labels.tolist()
+            got = [(i, j, labels[i], labels[j], p, s) for i, j, p, s in rows(ranked)]
+            assert got == loop_rank_triplets(pred)
+            np.testing.assert_array_equal(ranked.boxes, pred.boxes)
+
+
+def test_served_ranking_rejects_non_finite_scores():
+    dims = Dims()
+    params = params_with(dims, **{"rel.b": np.where(np.arange(dims.h) == 2, np.nan, 0.0)})
+    seq = random_sequence(RngStream(65), dims, n_frames=2)
+    for mode in MODES:
+        with pytest.raises(ContractError, match="rank_triplets: triplet scores must be finite"):
+            forward_sequence(seq, params, mode)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from stsg.autodiff import Tensor
 from stsg.config import MODES, WorldConfig
 from stsg.errors import ContractError
 from stsg.rng import RngStream
-from stsg.scene import BoundingBox, object_nodes
+from stsg.scene import BoundingBox, gt_nodes, object_nodes
 import stsg.autodiff as ad
 from stsg.spatial import frame_pairs, gcn_propagate, pair_grid, propose_relations
 from stsg.synthgen import generate_scene
@@ -28,6 +28,7 @@ from stsg.temporal import (
     link_relevance,
     pack,
     relation_logits,
+    sequence_nodes,
     topk_links,
     tracking_links,
 )
@@ -338,6 +339,31 @@ def test_forward_tracking_links_equal_tracking_over_the_nodes(dims, params, worl
 # whole forward
 
 
+def frame_nodes(frame, mode, g):
+    """One frame's node inputs, encoded on their own."""
+    if mode == "sgdet":
+        return frame.detections
+    return gt_nodes(frame.objects, g, use_detector_labels=mode == "sgcls")
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_sequence_nodes_equal_the_frames_encoded_one_by_one(dims, mode):
+    # the gt nodes of a sequence are encoded as one matrix; empty frames and
+    # a one-node frame keep their place
+    seq = random_sequence(RngStream(41), dims, n_frames=5)
+    seq.frames[1].objects, seq.frames[1].detections = [], []
+    seq.frames[3].objects, seq.frames[3].detections = seq.frames[3].objects[:1], \
+        seq.frames[3].detections[:1]
+    got = sequence_nodes(seq, mode, dims.g)
+    assert [len(f) for f in got] == [len(frame_nodes(f, mode, dims.g)) for f in seq.frames]
+    for nodes, frame in zip(got, seq.frames):
+        for a, b in zip(nodes, frame_nodes(frame, mode, dims.g)):
+            assert a.box == b.box
+            np.testing.assert_array_equal(a.node_feat, b.node_feat)
+            np.testing.assert_array_equal(a.label_dist, b.label_dist)
+            np.testing.assert_array_equal(a.visual_feat, b.visual_feat)
+
+
 def spatial_stage(feats, params):
     """One frame's proposal and GCN update."""
     subj, obj = frame_pairs([feats.shape[0]])
@@ -347,12 +373,11 @@ def spatial_stage(feats, params):
 
 def spatial_only_oracle(sequence, params, mode):
     """Compose the per-frame ops directly with no temporal stage."""
-    from stsg.temporal import nodes_for_mode
     from stsg.params import linear
 
     result = []
     for frame in sequence.frames:
-        nodes = nodes_for_mode(frame, mode, params.dims.g)
+        nodes = frame_nodes(frame, mode, params.dims.g)
         feats = Tensor(np.stack([o.node_feat for o in nodes]))
         updated = spatial_stage(feats, params)
         probs = classify_relations(updated, params)
@@ -407,10 +432,8 @@ def test_forward_matches_step_by_step_composition(dims, params):
 
     prev_updated = None
     prev_nodes = None
-    from stsg.temporal import nodes_for_mode
-
     for t, frame in enumerate(seq.frames):
-        nodes = nodes_for_mode(frame, "sgcls", dims.g)
+        nodes = frame_nodes(frame, "sgcls", dims.g)
         feats = Tensor(np.stack([o.node_feat for o in nodes]))
         updated = spatial_stage(feats, params)
         n = len(nodes)
@@ -455,6 +478,28 @@ def test_empty_frame_breaks_chain(dims, params):
     # the frame after the gap restarts with no temporal links
     assert len(outs[2].links) == 0
     assert outs[1].relation_probs.shape == (0, 0, dims.h)
+
+
+@pytest.mark.parametrize("variant", ["spatial", "sparse"])
+def test_candidates_equal_the_frame_by_frame_lists(dims, variant):
+    # frame t's candidates: each of its nodes with every node of frame t - 1,
+    # none after an empty frame; built frame by frame as the reference
+    seq = random_sequence(RngStream(42), dims, n_frames=7, n_min=1, n_max=4)
+    for t in (1, 4, 5):
+        seq.frames[t].objects, seq.frames[t].triplets, seq.frames[t].detections = [], [], []
+    for mode in MODES:
+        packed = pack(seq, mode, variant, dims)
+        sizes = [len(f) for f in packed.nodes]
+        start = np.cumsum([0] + sizes)
+        curr, prev = [], []
+        for t in range(1, len(sizes)):
+            if variant != "spatial":
+                for j in range(sizes[t]):
+                    curr += [start[t] + j] * sizes[t - 1]
+                    prev += list(range(start[t - 1], start[t]))
+        assert packed.cand_curr.ids.tolist() == curr
+        assert packed.cand_prev.ids.tolist() == prev
+        assert len(curr) > 0 or variant == "spatial"
 
 
 @pytest.mark.parametrize("variant", ["sparse", "dense", "tracking"])
