@@ -19,9 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from .config import Dims, RunConfig, parse_config_items
-from .errors import DataFormatError
+from .errors import ContractError, DataFormatError, ShapeError
 from .params import ModelParams, model_shapes
-from .scene import BoundingBox, FrameRecord, GroundTruthObject, SceneSequence, object_nodes
+from .scene import BoundingBox, SceneSequence, object_nodes, scene_sequence
 from .temporal import FramePrediction, RankedFrame
 
 SPLITS = ("train", "val", "test")
@@ -133,36 +133,40 @@ def _triplet(t, n_objects: int, h: int, path: Path, lineno: int) -> tuple[int, i
 
 def sequence_from_json(record: dict, path: Path, lineno: int, dims: Dims) -> SceneSequence:
     """One dataset record; object labels, triplet node indices and
-    predicates are range-checked against `dims` and each frame's objects."""
-    def floats(entry: dict, name: str) -> np.ndarray:
-        return np.asarray(_field(entry, name, path, lineno), dtype=np.float64)
+    predicates are range-checked against `dims` and each frame's objects, and
+    the gt vectors are checked as `object_nodes` checks a detection's. The
+    objects and detections of all frames are read together, one array per
+    field."""
+    def field(entry: dict, name: str):
+        return _field(entry, name, path, lineno)
 
-    frames = []
-    for frame in _field(record, "frames", path, lineno):
-        objects = [
-            GroundTruthObject(
-                box=_box(o, path, lineno),
-                label=_index(_field(o, "label", path, lineno), dims.g, "object label",
-                             path, lineno),
-                visual_feat=floats(o, "visual"),
-                occluded=bool(o.get("occluded", False)),
-                detector_label_dist=None if o.get("det_label_dist") is None
-                else floats(o, "det_label_dist"),
-            )
-            for o in _field(frame, "objects", path, lineno)
-        ]
-        dets = _field(frame, "detections", path, lineno)
-        detections = object_nodes([_box(d, path, lineno) for d in dets],
-                                  [_field(d, "label_dist", path, lineno) for d in dets],
-                                  [_field(d, "visual", path, lineno) for d in dets])
-        triplets = [_triplet(t, len(objects), dims.h, path, lineno)
-                    for t in _field(frame, "triplets", path, lineno)]
-        frames.append(FrameRecord(objects=objects, triplets=triplets, detections=detections))
-    return SceneSequence(
-        frames=frames,
-        event_labels=np.asarray(_field(record, "event_labels", path, lineno), dtype=np.float64),
-        seed=int(_field(record, "seed", path, lineno)),
-    )
+    def gt_object(o: dict) -> tuple:
+        return (_box(o, path, lineno),
+                _index(field(o, "label"), dims.g, "object label", path, lineno),
+                bool(o.get("occluded", False)), o.get("det_label_dist") is not None)
+
+    frames = [(field(f, "objects"), field(f, "triplets"), field(f, "detections"))
+              for f in field(record, "frames")]
+    spec = [([gt_object(o) for o in objects],
+             [_triplet(t, len(objects), dims.h, path, lineno) for t in triplets],
+             [_box(d, path, lineno) for d in dets]) for objects, triplets, dets in frames]
+    objects = [o for objs, _, _ in frames for o in objs]
+    gt = [o for objs, _, _ in spec for o in objs]
+    one_hot = np.eye(dims.g)
+    try:   # the detector's label distribution, or one-hot where none is recorded
+        gt_feats = object_nodes([box for box, *_ in gt],
+                                [o["det_label_dist"] if recorded else one_hot[label]
+                                 for o, (_, label, _, recorded) in zip(objects, gt)],
+                                [field(o, "visual") for o in objects], dims, "det_label_dist")
+    except (ContractError, ShapeError) as e:
+        raise DataFormatError(f"{path}:{lineno}: {e}") from None
+    dets = [d for _, _, ds in frames for d in ds]
+    det_feats = object_nodes([box for _, _, boxes in spec for box in boxes],
+                             [field(d, "label_dist") for d in dets],
+                             [field(d, "visual") for d in dets], dims)
+    return scene_sequence(
+        spec, gt_feats, det_feats, dims.g,
+        np.asarray(field(record, "event_labels"), dtype=np.float64), int(field(record, "seed")))
 
 
 def write_split(path: Path, cfg: RunConfig, split: str,

@@ -40,13 +40,6 @@ def frame_pairs(sizes) -> tuple[np.ndarray, np.ndarray]:
     return subj, start[subj] + obj_local
 
 
-def pair_grid(values: np.ndarray, n: int) -> np.ndarray:
-    """One frame's (n * (n - 1), H) pair values as an (n, n, H) grid, zero diagonal."""
-    grid = np.zeros((n, n) + values.shape[1:])
-    grid[~np.eye(n, dtype=bool)] = values
-    return grid
-
-
 def propose_relations(feats: Tensor, subj, obj, params: ModelParams) -> Tensor:
     """Initial relation distribution: sigmoid(mlp(feat_i ++ feat_j)), (P, H)
     for the P listed pairs."""

@@ -17,15 +17,7 @@ import numpy as np
 
 from .config import EVENT_NAMES, Dims, NoiseConfig, WorldConfig
 from .rng import RngStream
-from .scene import (
-    BoundingBox,
-    FrameRecord,
-    GroundTruthObject,
-    ObjectNode,
-    SceneSequence,
-    object_nodes,
-    overlap_fraction,
-)
+from .scene import BoundingBox, SceneSequence, object_nodes, overlap_fraction, scene_sequence
 
 NEAR_DIST = 0.22
 HOLD_COVER = 0.5
@@ -117,33 +109,35 @@ def _noisy_label_dist(label: int, g: int, confusion: float, stream: RngStream) -
     return dist
 
 
-def simulate_detector(objects: list[GroundTruthObject], noise: NoiseConfig,
-                      dims: Dims, stream: RngStream) -> list[ObjectNode]:
-    """Noisy detections: occluded objects are always dropped, others are
-    dropped with miss_prob; survivors get jittered boxes and confused labels;
-    false positives carry uniform label distributions."""
+def simulate_detector(objects: list[tuple], visual: np.ndarray, noise: NoiseConfig, dims: Dims,
+                      stream: RngStream) -> tuple[list[BoundingBox], list, list]:
+    """Noisy detections of a frame's gt objects, (box, label, occluded, ...)
+    tuples with their visual vectors, as (boxes, label distributions, visual
+    vectors), the inputs of `object_nodes`: occluded objects are always
+    dropped, others are dropped with miss_prob; survivors get jittered boxes
+    and confused labels; false positives carry uniform label distributions."""
     protos = class_prototypes(dims.g, dims.c)
     boxes: list[BoundingBox] = []
     dists: list[np.ndarray] = []
     visuals: list[np.ndarray] = []
-    for obj in objects:
-        if obj.occluded:
+    for (box, label, occluded, *_), feat in zip(objects, visual):
+        if occluded:
             continue
         if noise.miss_prob > 0 and stream.uniform() < noise.miss_prob:
             continue
         if noise.box_jitter_sigma > 0:
             # jitter hits the center and the size; corner is rebuilt after
             dcx, dcy, dw, dh = stream.normal_array(4, 0.0, noise.box_jitter_sigma).tolist()
-            w = min(1.0, max(1e-3, obj.box.w + dw))
-            h = min(1.0, max(1e-3, obj.box.h + dh))
-            cx = obj.box.x + obj.box.w / 2.0 + dcx
-            cy = obj.box.y + obj.box.h / 2.0 + dcy
+            w = min(1.0, max(1e-3, box.w + dw))
+            h = min(1.0, max(1e-3, box.h + dh))
+            cx = box.x + box.w / 2.0 + dcx
+            cy = box.y + box.h / 2.0 + dcy
             boxes.append(BoundingBox(min(1.0, max(0.0, cx - w / 2.0)),
                                      min(1.0, max(0.0, cy - h / 2.0)), w, h))
         else:
-            boxes.append(obj.box)
-        dists.append(_noisy_label_dist(obj.label, dims.g, noise.label_confusion_prob, stream))
-        visuals.append(obj.visual_feat)
+            boxes.append(box)
+        dists.append(_noisy_label_dist(label, dims.g, noise.label_confusion_prob, stream))
+        visuals.append(feat)
     n_fp = int(noise.false_positive_rate)
     frac = noise.false_positive_rate - n_fp
     if frac > 0 and stream.uniform() < frac:
@@ -155,7 +149,7 @@ def simulate_detector(objects: list[GroundTruthObject], noise: NoiseConfig,
         cls = stream.integer(dims.g)
         visuals.append(protos[cls] + stream.normal_array(dims.c, 0.0, _VISUAL_NOISE_SIGMA))
         dists.append(np.full(dims.g, 1.0 / dims.g))
-    return object_nodes(boxes, dists, visuals)
+    return boxes, dists, visuals
 
 
 def _plan_event(n: int, rng: RngStream) -> tuple[int, int, int]:
@@ -286,26 +280,32 @@ def generate_scene(dims: Dims, world: WorldConfig, seed: int) -> SceneSequence:
             corners[free] = np.clip(corners[free] + drift[free], 0.01, 0.99 - sizes[free])
         frame_corners[t] = corners
 
-    # derive ground truth per frame
+    # derive ground truth: one [box | detector label dist | visual] row per
+    # object, frame after frame
     protos = class_prototypes(dims.g, dims.c)
     boxes = np.concatenate([_clamp_corners(frame_corners, sizes),
-                            np.broadcast_to(sizes, (f, n, 2))], axis=-1)
-    frames: list[FrameRecord] = []
-    for t, (frame_boxes, triplets) in enumerate(zip(boxes.tolist(), frame_triplets(boxes))):
-        objects = []
-        for i, box in enumerate(frame_boxes):
-            visual = protos[classes[i]] + feat.normal_array(dims.c, 0.0, _VISUAL_NOISE_SIGMA)
-            det_dist = _noisy_label_dist(int(classes[i]), dims.g,
-                                         world.noise.label_confusion_prob, feat)
-            objects.append(GroundTruthObject(
-                box=BoundingBox(*box), label=int(classes[i]), visual_feat=visual,
-                occluded=bool(occluded[t, i]), detector_label_dist=det_dist,
-            ))
-        det_stream = rng.split(100 + t)
-        detections = simulate_detector(objects, world.noise, dims, det_stream)
-        frames.append(FrameRecord(objects=objects, triplets=triplets, detections=detections))
+                            np.broadcast_to(sizes, (f, n, 2))], axis=-1).reshape(f * n, 4)
+    labels = classes.tolist() * f
+    feats = np.empty((f * n, dims.m))
+    feats[:, :4] = boxes
+    for row, label in zip(feats, labels):
+        row[4 + dims.g:] = protos[label] + feat.normal_array(dims.c, 0.0, _VISUAL_NOISE_SIGMA)
+        row[4:4 + dims.g] = _noisy_label_dist(label, dims.g, world.noise.label_confusion_prob,
+                                              feat)
+    objects = [(BoundingBox(*box), label, occ, True)
+               for box, label, occ in zip(boxes.tolist(), labels, occluded.ravel().tolist())]
+    frames, det_boxes, det_dists, det_visuals = [], [], [], []
+    for t, triplets in enumerate(frame_triplets(boxes.reshape(f, n, 4))):
+        rows = slice(t * n, (t + 1) * n)
+        b, d, v = simulate_detector(objects[rows], feats[rows, 4 + dims.g:], world.noise, dims,
+                                    rng.split(100 + t))
+        frames.append((objects[rows], triplets, b))
+        det_boxes += b
+        det_dists += d
+        det_visuals += v
+    det_feats = object_nodes(det_boxes, det_dists, det_visuals, dims)
 
-    labels = np.zeros(len(EVENT_NAMES))
-    labels[event] = 1.0
-    return SceneSequence(frames=frames, event_labels=labels, seed=seed)
+    event_labels = np.zeros(len(EVENT_NAMES))
+    event_labels[event] = 1.0
+    return scene_sequence(frames, feats, det_feats, dims.g, event_labels, seed)
 

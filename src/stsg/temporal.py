@@ -22,8 +22,8 @@ from .autodiff import Tensor
 from .config import MODES, VARIANTS
 from .errors import ContractError
 from .params import ModelParams, linear, mlp2
-from .scene import ObjectNode, SceneSequence, gt_nodes
-from .spatial import frame_pairs, gcn_propagate, pair_grid, propose_relations
+from .scene import FrameRecord, SceneSequence
+from .spatial import frame_pairs, gcn_propagate, propose_relations
 
 DENOM_GUARD = 1e-8
 
@@ -138,24 +138,6 @@ def relation_logits(fused: Tensor, subj, obj, params: ModelParams) -> Tensor:
 # packed minibatch forward
 
 
-def sequence_nodes(sequence: SceneSequence, mode: str, g: int) -> list[list[ObjectNode]]:
-    """Node inputs of each frame per evaluation protocol.
-
-    predcls: gt boxes and labels; sgcls: gt boxes with the simulated
-    detector's label distributions; sgdet: simulated detections. The gt
-    nodes of all frames are encoded together, as one node matrix.
-    """
-    frames = sequence.frames
-    if mode == "sgdet":
-        return [list(frame.detections) for frame in frames]
-    if mode not in MODES:
-        raise ContractError(f"mode: must be one of {MODES}, got {mode!r}")
-    nodes = gt_nodes([o for frame in frames for o in frame.objects], g,
-                     use_detector_labels=mode == "sgcls")
-    ends = np.cumsum([len(frame.objects) for frame in frames]).tolist()
-    return [nodes[a:b] for a, b in zip([0] + ends[:-1], ends)]
-
-
 @dataclass
 class Packed:
     """Data-only inputs of every frame of a minibatch, packed into one node set.
@@ -168,7 +150,8 @@ class Packed:
 
     mode: str
     variant: str
-    nodes: list[list[ObjectNode]]     # per frame of the batch, empty frames included
+    sizes: np.ndarray                 # (F,) node count of each frame of the batch,
+                                      #      empty frames included
     feats: np.ndarray                 # (N, m) node encodings
     node_frame: ad.SegmentPlan        # (N,) frame of each node, non-decreasing
     subj: ad.SegmentPlan              # (P,) within-frame ordered pairs i != j,
@@ -197,7 +180,7 @@ class Packed:
 
         return cls(
             mode=first.mode, variant=first.variant,
-            nodes=[frame for p in parts for frame in p.nodes],
+            sizes=np.concatenate([p.sizes for p in parts]),
             feats=np.concatenate([p.feats for p in parts]),
             node_frame=cat("node_frame"), subj=cat("subj"), obj=cat("obj"),
             cand_curr=cat("cand_curr"), cand_prev=cat("cand_prev"),
@@ -205,16 +188,24 @@ class Packed:
 
 
 def pack(sequence: SceneSequence, mode: str, variant: str, dims) -> Packed:
-    """The packed inputs of one sequence in the given mode and variant."""
+    """The packed inputs of one sequence in the given mode and variant: its
+    frames' detection rows (sgdet), or gt rows with one-hot labels (predcls)
+    or the detector's label distributions (sgcls)."""
     if variant not in VARIANTS:
         raise ContractError(f"variant: must be one of {VARIANTS}, got {variant!r}")
-    nodes = sequence_nodes(sequence, mode, dims.g)
-    sizes = np.array([len(f) for f in nodes], dtype=np.intp)
-    flat = [o for f in nodes for o in f]
-    feats = np.stack([o.node_feat for o in flat]) if flat else np.zeros((0, dims.m))
+    if mode not in MODES:
+        raise ContractError(f"mode: must be one of {MODES}, got {mode!r}")
+    frames = sequence.frames
+    inputs = [f.det_feats if mode == "sgdet" else f.gt_feats for f in frames]
+    sizes = np.fromiter(map(len, inputs), np.intp, count=len(inputs))
+    feats = np.concatenate(inputs)
+    if mode == "predcls":
+        labels = np.concatenate([f.gt_labels for f in frames])
+        feats[:, 4:4 + dims.g] = 0.0
+        feats[np.arange(len(labels)), 4 + labels] = 1.0
     present = sizes[sizes > 0]
     subj, obj = frame_pairs(present)
-    n = len(flat)
+    n = len(feats)
     # each node takes every node of the preceding frame as a candidate (none
     # in the first frame or after an empty one), listed by (curr, prev)
     if variant == "spatial":
@@ -226,7 +217,7 @@ def pack(sequence: SceneSequence, mode: str, variant: str, dims) -> Packed:
     rank = np.arange(len(cand_curr)) - np.repeat(np.cumsum(per_node) - per_node, per_node)
     prev_first = np.repeat(np.cumsum(sizes) - sizes - prev_sizes, sizes)   # per node
     cand_prev = prev_first[cand_curr] + rank
-    return Packed(mode=mode, variant=variant, nodes=nodes, feats=feats,
+    return Packed(mode=mode, variant=variant, sizes=sizes, feats=feats,
                   node_frame=ad.SegmentPlan(np.repeat(np.arange(len(present)), present),
                                             len(present)),
                   subj=ad.SegmentPlan(subj, n), obj=ad.SegmentPlan(obj, n),
@@ -363,19 +354,20 @@ def rank_frames(probs: np.ndarray, subj: np.ndarray, obj: np.ndarray,
 class FramePrediction:
     """One frame of a forward pass, as values, for metrics, banks and serialization.
 
-    `ranked` is the frame's unconstrained triplet list (`rank_frames`). The
-    selected temporal edges are `links`, an array of LINK_DTYPE records of
+    `ranked` is the frame's unconstrained triplet list (`rank_frames`), and
+    `pair_probs` its pairs' predicate probabilities, in `spatial.frame_pairs`
+    order. The selected temporal edges are `links`, an array of LINK_DTYPE records of
     frame-local (curr_index, prev_index) pairs: node `curr_index` of this
     frame takes context from node `prev_index` of the previous frame.
     """
 
     boxes: np.ndarray                 # (N, 4)
     label_dists: np.ndarray           # (N, G)
-    relation_probs: np.ndarray        # (N, N, H), zero diagonal
+    pair_probs: np.ndarray            # (N * (N - 1), H) ordered pairs i != j
     fused: np.ndarray                 # (N, m) spatial + temporal context
     gcn: np.ndarray                   # (N, m) after message passing
     ranked: RankedFrame               # triplets in rank order
-    nodes: list[ObjectNode] = field(default_factory=list)   # the frame's inputs
+    nodes: list = field(default_factory=list)   # the inputs: gt objects, or detections (sgdet)
     links: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=LINK_DTYPE))
 
     @property
@@ -383,10 +375,12 @@ class FramePrediction:
         return self.boxes.shape[0]
 
 
-def frame_predictions(packed: Packed, out: BatchOutput, g: int) -> list[FramePrediction]:
+def frame_predictions(packed: Packed, out: BatchOutput, g: int,
+                      frames: list[FrameRecord]) -> list[FramePrediction]:
     """Cut a packed forward pass into one `FramePrediction` per frame,
-    empty frames included; g is the label count. Every frame's triplets are
-    ranked in one pass, and each frame's arrays are views of the batch's."""
+    empty frames included; g is the label count, and `frames` the packed
+    frames. Every frame's triplets are ranked in one pass, and each frame's
+    arrays are views of the batch's."""
     feats = packed.feats
     probs = ad.sigmoid(out.relation_logits).data
     if out.label_logits is None:
@@ -394,7 +388,7 @@ def frame_predictions(packed: Packed, out: BatchOutput, g: int) -> list[FramePre
     else:
         dists = ad.softmax(out.label_logits, axis=-1).data
     boxes = feats[:, :4]
-    sizes = np.array([len(nodes) for nodes in packed.nodes], dtype=np.intp)
+    sizes = packed.sizes
     ranked = rank_frames(probs, packed.subj.ids, packed.obj.ids, dists, boxes, sizes)
     node_starts = np.concatenate([[0], np.cumsum(sizes)])
     # links come in candidate order, so each frame's links are one run
@@ -407,14 +401,16 @@ def frame_predictions(packed: Packed, out: BatchOutput, g: int) -> list[FramePre
     fused, gcn = out.fused.data, out.gcn.data
     starts = node_starts.tolist()
     pair_starts = np.concatenate([[0], np.cumsum(sizes * (sizes - 1))]).tolist()
+    sgdet = packed.mode == "sgdet"
     return [
         FramePrediction(
             boxes=boxes[a:b], label_dists=dists[a:b],
-            relation_probs=pair_grid(probs[pair_starts[t]:pair_starts[t + 1]], b - a),
-            fused=fused[a:b], gcn=gcn[a:b], ranked=ranked[t], nodes=nodes,
+            pair_probs=probs[pair_starts[t]:pair_starts[t + 1]],
+            fused=fused[a:b], gcn=gcn[a:b], ranked=ranked[t],
+            nodes=frame.detections if sgdet else frame.objects,
             links=links[link_starts[t]:link_starts[t + 1]],
         )
-        for t, (nodes, a, b) in enumerate(zip(packed.nodes, starts[:-1], starts[1:]))
+        for t, (frame, a, b) in enumerate(zip(frames, starts[:-1], starts[1:]))
     ]
 
 
@@ -428,4 +424,4 @@ def forward_sequence(sequence: SceneSequence, params: ModelParams, mode: str,
     """
     packed = pack(sequence, mode, variant, params.dims)
     out = forward_batch(packed, params, k)
-    return frame_predictions(packed, out, params.dims.g)
+    return frame_predictions(packed, out, params.dims.g, sequence.frames)

@@ -48,16 +48,15 @@ def node_identity(sequence: SceneSequence, packed: Packed) -> np.ndarray:
     Nodes are their own gt objects in predcls/sgcls; in sgdet a node matches
     its highest-IoU gt object (the first on ties) at IoU >= IOU_MATCH.
     """
-    sizes = np.array([len(nodes) for nodes in packed.nodes], dtype=np.intp)
+    sizes = packed.sizes
     local = np.arange(packed.n_nodes) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     if packed.mode != "sgdet":
         return local
     gt = np.full(packed.n_nodes, -1)
     start = 0
     for frame, n in zip(sequence.frames, sizes):
-        if n and frame.objects:
-            ious = pairwise_iou(packed.feats[start:start + n, :4],
-                                np.array([o.box.as_array() for o in frame.objects]))
+        if n and len(frame.gt_labels):
+            ious = pairwise_iou(packed.feats[start:start + n, :4], frame.gt_feats[:, :4])
             best = np.argmax(ious, axis=1)
             gt[start:start + n] = np.where(ious[np.arange(n), best] >= IOU_MATCH, best, -1)
         start += n
@@ -97,15 +96,15 @@ def loss_targets(sequence: SceneSequence, packed: Packed, h: int) -> Targets:
     n_frames = packed.n_frames
     scale = 1.0 / n_frames if n_frames else 0.0
     # per frame with nodes: which gt pairs hold which predicates, and gt labels
-    frames = [f for f, nodes in zip(sequence.frames, packed.nodes) if nodes]
-    n_obj = max((len(f.objects) for f in frames), default=0)
+    frames = [f for f, n in zip(sequence.frames, packed.sizes) if n]
+    n_obj = max((len(f.gt_labels) for f in frames), default=0)
     holds = np.zeros((n_frames, n_obj, n_obj, h), dtype=bool)
     labels = np.zeros((n_frames, n_obj), dtype=np.intp)
     for t, f in enumerate(frames):
         if f.triplets:
             ti, tj, tp = np.array(f.triplets).T
             holds[t, ti, tj, tp] = True
-        labels[t, :len(f.objects)] = [o.label for o in f.objects]
+        labels[t, :len(f.gt_labels)] = f.gt_labels
 
     # relation slots, in packed pair order x predicate
     subj, obj = packed.subj.ids, packed.obj.ids

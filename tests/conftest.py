@@ -25,9 +25,15 @@ def random_dist(rng: RngStream, g: int) -> np.ndarray:
     return raw / raw.sum()
 
 
+def node_list(boxes, label_dists, visual_feats, dims: Dims) -> list[ObjectNode]:
+    """`object_nodes` as a list of nodes, each a view of its row."""
+    feats = object_nodes(boxes, label_dists, visual_feats, dims)
+    return [ObjectNode(box, row[4:4 + dims.g], row[4 + dims.g:]) for box, row in zip(boxes, feats)]
+
+
 def random_object_node(rng: RngStream, dims: Dims) -> ObjectNode:
     box, dist = random_box(rng), random_dist(rng, dims.g)
-    return object_nodes([box], [dist], [rng.normal_array(dims.c, 0.0, 1.0)])[0]
+    return node_list([box], [dist], [rng.normal_array(dims.c, 0.0, 1.0)], dims)[0]
 
 
 def random_gt_object(rng: RngStream, dims: Dims) -> GroundTruthObject:
@@ -56,12 +62,44 @@ def random_sequence(rng: RngStream, dims: Dims, n_frames: int = 3,
                 j = rng.integer(n)
                 if i != j:
                     triplets.append((i, j, rng.integer(dims.h)))
-        detections = object_nodes([o.box for o in objects],
-                                  [o.detector_label_dist for o in objects],
-                                  [o.visual_feat for o in objects])
-        frames.append(FrameRecord(objects=objects, triplets=sorted(set(triplets)),
-                                  detections=detections))
+        detections = node_list([o.box for o in objects], [o.detector_label_dist for o in objects],
+                               [o.visual_feat for o in objects], dims)
+        frames.append(frame_record(objects, sorted(set(triplets)), detections, dims))
     return SceneSequence(frames=frames, event_labels=np.zeros(4), seed=rng.seed)
+
+
+def encode_frame(frame: FrameRecord, mode: str, dims: Dims) -> np.ndarray:
+    """A frame's (n, m) node inputs in a mode, each row encoded on its own
+    from its object's fields: [box | labels | visual], the labels one-hot
+    (predcls), the detector's distribution where recorded (sgcls), or a
+    detection's own (sgdet)."""
+    one_hot = np.eye(dims.g)
+    if mode == "sgdet":
+        rows = [np.concatenate([d.box.as_array(), d.label_dist, d.visual_feat])
+                for d in frame.detections]
+    else:
+        rows = [np.concatenate([o.box.as_array(),
+                                one_hot[o.label] if mode == "predcls"
+                                or o.detector_label_dist is None else o.detector_label_dist,
+                                o.visual_feat]) for o in frame.objects]
+    return np.array(rows, dtype=np.float64).reshape(-1, dims.m)
+
+
+def frame_record(objects, triplets, detections, dims: Dims) -> FrameRecord:
+    """A frame of these lists, its node matrices stacked from their fields
+    as `encode_frame` encodes them in sgcls and sgdet."""
+    frame = FrameRecord(objects=list(objects), triplets=list(triplets),
+                        detections=list(detections), gt_feats=np.zeros((0, dims.m)),
+                        gt_labels=np.array([o.label for o in objects], dtype=np.intp),
+                        det_feats=np.zeros((0, dims.m)))
+    frame.gt_feats = encode_frame(frame, "sgcls", dims)
+    frame.det_feats = encode_frame(frame, "sgdet", dims)
+    return frame
+
+
+def empty_frame(dims: Dims) -> FrameRecord:
+    """A frame without objects, triplets or detections."""
+    return frame_record([], [], [], dims)
 
 
 def frame_pair_links(n_t: int, n_prev: int) -> tuple[np.ndarray, np.ndarray]:

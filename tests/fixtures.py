@@ -1,5 +1,5 @@
 """Hand-built three-frame evaluation fixture, a per-frame matcher and an
-exhaustive one.
+exhaustive one, and the (N, N, H) relation grid of a served frame.
 
 `match_frame` is the per-frame form of the corpus-wide greedy matching in
 `stsg.metrics`; the exhaustive oracle enumerates every injective assignment
@@ -17,6 +17,18 @@ from stsg.temporal import FramePrediction, forward_sequence, rank_frames
 from stsg.training import train
 
 G, H = 4, 3
+
+
+def pair_grid(values: np.ndarray, n: int) -> np.ndarray:
+    """One frame's (n * (n - 1), H) pair values as an (n, n, H) grid, zero diagonal."""
+    grid = np.zeros((n, n) + values.shape[1:])
+    grid[~np.eye(n, dtype=bool)] = values
+    return grid
+
+
+def relation_probs(pred: FramePrediction) -> np.ndarray:
+    """A served frame's relation probabilities as an (N, N, H) grid, zero diagonal."""
+    return pair_grid(pred.pair_probs, pred.n)
 
 
 def _gt(x, y, w, h, label):
@@ -42,7 +54,7 @@ def frame_prediction(boxes, dists, rel, fused, gcn) -> FramePrediction:
     n = len(dists)
     pairs = ~np.eye(n, dtype=bool)     # subject-major, as spatial.frame_pairs lists them
     (ranked,) = rank_frames(rel[pairs], *np.nonzero(pairs), dists, boxes, [n])
-    return FramePrediction(boxes=boxes, label_dists=dists, relation_probs=rel, fused=fused,
+    return FramePrediction(boxes=boxes, label_dists=dists, pair_probs=rel[pairs], fused=fused,
                            gcn=gcn, ranked=ranked)
 
 

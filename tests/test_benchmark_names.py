@@ -115,7 +115,7 @@ def test_clip_in_bounds_returns_its_argument():
 def test_traced_forward_reads_the_served_frames(tracer, variant):
     # a traced run hands each cli.forward_sequence result to _observe_forward,
     # which reads len(result) and each frame's n, nodes and links
-    from conftest import random_sequence
+    from conftest import empty_frame, random_sequence
     from stsg import cli
     from stsg.config import MODES, Dims
     from stsg.params import ModelParams
@@ -124,8 +124,7 @@ def test_traced_forward_reads_the_served_frames(tracer, variant):
     dims = Dims()
     params = ModelParams.init(dims, seed=0)
     seq = random_sequence(RngStream(5), dims, n_frames=4)
-    gap = seq.frames[1]
-    gap.objects, gap.triplets, gap.detections = [], [], []
+    seq.frames[1] = empty_frame(dims)
     for mode in MODES:
         result = cli.forward_sequence(seq, params, mode, variant, 1)
         bound = inspect.signature(cli.forward_sequence).bind(seq, params, mode, variant, 1)
@@ -138,6 +137,45 @@ def test_traced_forward_reads_the_served_frames(tracer, variant):
         assert tr.counters["temporal.links"] == len(result[3].links)
         assert 0 <= tr.counters["temporal.correct_links"] <= len(result[3].links)
         assert tr.flops["gcn"] > 0
+
+
+@pytest.mark.parametrize("mode", ["predcls", "sgcls", "sgdet"])
+def test_traced_link_identity_agrees_with_node_identity(tracer, mode):
+    # `--trace 1` scores each served link by the gt identity of its two nodes,
+    # read off FramePrediction.nodes (their count, and in sgdet their .box
+    # against the frame's gt objects); on generated scenes, with jittered,
+    # missed and false detections, it must agree with training.node_identity
+    import numpy as np
+    from stsg import cli, training
+    from stsg.config import Dims, WorldConfig
+    from stsg.params import ModelParams
+    from stsg.synthgen import generate_scene
+    from stsg.temporal import pack
+
+    dims = Dims()
+    params = ModelParams.init(dims, seed=0)
+    correct = 0
+    for seed in range(4):
+        seq = generate_scene(dims, WorldConfig(), seed)
+        for variant in ("sparse", "tracking"):
+            result = cli.forward_sequence(seq, params, mode, variant, 1)
+            bound = inspect.signature(cli.forward_sequence).bind(seq, params, mode, variant, 1)
+            bound.apply_defaults()
+            tr = tracer.Tracer()
+            tracer._observe_forward(tr, bound.arguments, result)
+            assert [len(out.nodes) for out in result] == [out.n for out in result]
+            gt = training.node_identity(seq, pack(seq, mode, variant, dims))
+            starts = np.cumsum([0] + [out.n for out in result])
+            want = 0
+            for t in range(1, len(result)):
+                for link in result[t].links:
+                    node = gt[starts[t] + link.curr_index]
+                    want += bool(node >= 0 and node == gt[starts[t - 1] + link.prev_index])
+            assert tr.counters["temporal.forward_frames"] == len(seq.frames)
+            assert tr.counters["temporal.links"] == sum(len(out.links) for out in result)
+            assert tr.counters["temporal.correct_links"] == want
+            correct += want
+    assert correct > 0
 
 
 def test_benchmark_serving_writes_what_stsg_infer_writes(workloads, tmp_path):

@@ -764,6 +764,45 @@ def test_malformed_detection_labels_are_an_error(tmp_path, dataset_dir, capsys, 
     assert message in capsys.readouterr().err
 
 
+def _short_visual(obj):
+    obj["visual"] = obj["visual"][:-1]
+
+
+def _long_det_label_dist(obj):
+    obj["det_label_dist"] = obj["det_label_dist"] + [0.0]
+
+
+def _det_label_dist_not_a_distribution(obj):
+    obj["det_label_dist"] = [0.5] * len(obj["det_label_dist"])
+
+
+def _negative_det_label_dist(obj):
+    obj["det_label_dist"] = [1.5, -0.5] + [0.0] * (len(obj["det_label_dist"]) - 2)
+
+
+@pytest.mark.parametrize("mode", ["predcls", "sgcls", "sgdet"])
+@pytest.mark.parametrize("edit, message", [
+    (_short_visual, "object_nodes: label/visual must be vectors of 16 numbers, got visual rows"),
+    (_long_det_label_dist,
+     "object_nodes: label/visual must be vectors of 8 numbers, got det_label_dist rows"),
+    (_det_label_dist_not_a_distribution,
+     "object_nodes: det_label_dist must be a probability distribution"),
+    (_negative_det_label_dist, "object_nodes: det_label_dist must be a probability distribution"),
+], ids=["short-visual", "long-det-label-dist", "not-a-distribution", "negative"])
+def test_malformed_gt_vector_is_an_error_at_load(tmp_path, dataset_dir, capsys, edit, message,
+                                                 mode):
+    # every mode loads the whole record, so every mode rejects it, at its line
+    def edit_record(record):
+        edit(record["frames"][2]["objects"][1])
+
+    data = _edited_train_split(tmp_path, dataset_dir, 1, edit_record)
+    capsys.readouterr()
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "m.json"),
+                 "--no-val", "--mode", mode]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {data / 'train.jsonl'}:2: ") and message in err
+
+
 def test_forward_sequence_outputs_serve_to_predictions(checkpoint_path, dataset_dir):
     # the benchmark harness calls these two names with these arguments
     from stsg import cli

@@ -5,9 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_sequence
+from conftest import empty_frame, frame_record, random_sequence
 from fixtures import (G, H, _gt, _pred, exhaustive_max_matches, exhaustive_recall_at_k,
-                      match_frame, served_corpus, three_frame_fixture)
+                      match_frame, relation_probs, served_corpus, three_frame_fixture)
 from reference_flops import reference_params_flops
 from stsg.config import MODES, Dims
 from stsg.errors import ContractError
@@ -97,13 +97,13 @@ def loop_rank_triplets(pred):
     """Per-pair reference for the unconstrained `rank_triplets`."""
     labels = np.argmax(pred.label_dists, axis=1)
     label_scores = np.max(pred.label_dists, axis=1)
-    h = pred.relation_probs.shape[2]
+    h = relation_probs(pred).shape[2]
     out = []
     for i in range(pred.n):
         for j in range(pred.n):
             if i == j:
                 continue
-            pair = pred.relation_probs[i, j]
+            pair = relation_probs(pred)[i, j]
             for p in np.lexsort((np.arange(h), -pair))[:min(NO_CONSTRAINT_PER_PAIR, h)]:
                 out.append((i, j, int(labels[i]), int(labels[j]), int(p),
                             float(label_scores[i] * label_scores[j] * pair[p])))
@@ -171,9 +171,9 @@ def test_served_ranking_matches_loop_reference(mode):
     # h = 8 > NO_CONSTRAINT_PER_PAIR, so each pair's predicates are cut to 6
     dims = Dims(h=8)
     seq = random_sequence(RngStream(64), dims, n_frames=6, n_min=2, n_max=5)
-    seq.frames[1].objects, seq.frames[1].triplets, seq.frames[1].detections = [], [], []
+    seq.frames[1] = empty_frame(dims)
     one = seq.frames[3]
-    one.objects, one.triplets, one.detections = one.objects[:1], [], one.detections[:1]
+    seq.frames[3] = frame_record(one.objects[:1], [], one.detections[:1], dims)
     # the second relation head ignores the nodes: every pair has the same
     # predicate probabilities, and five equal ones straddle the cut to 6
     tied = params_with(dims, **{"rel.w": np.zeros(model_shapes(dims, 2)["rel.w"]),

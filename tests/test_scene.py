@@ -3,22 +3,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import frame_record
+from stsg.config import Dims
 from stsg.errors import ContractError, ShapeError
 from stsg.scene import (
     BoundingBox,
     GroundTruthObject,
     SceneSequence,
-    gt_nodes,
     iou,
     object_nodes,
     pairwise_iou,
 )
+from stsg.temporal import pack
 
 
 def encode_node(box: BoundingBox, label_dist, visual_feat) -> np.ndarray:
     """One node's [box | labels | visual] row, encoded by `object_nodes`."""
-    node, = object_nodes([box], [label_dist], [visual_feat])
-    return node.node_feat
+    dims = Dims(g=np.shape(label_dist)[0], c=np.shape(visual_feat)[0])
+    (node,) = object_nodes([box], [label_dist], [visual_feat], dims)
+    return node
 
 
 def decode_node(feat: np.ndarray, g: int, c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -116,10 +119,12 @@ def test_gt_object_as_node_uses_requested_labels():
     gt = GroundTruthObject(BoundingBox(0, 0, 0.1, 0.1), label=2,
                            visual_feat=np.zeros(3),
                            detector_label_dist=np.array([0.1, 0.2, 0.7]))
-    onehot, = gt_nodes([gt], g=3)
-    np.testing.assert_array_equal(onehot.label_dist, [0, 0, 1])
-    noisy, = gt_nodes([gt], g=3, use_detector_labels=True)
-    np.testing.assert_array_equal(noisy.label_dist, [0.1, 0.2, 0.7])
+    dims = Dims(g=3, c=3)
+    seq = SceneSequence([frame_record([gt], [], [], dims)], np.zeros(4), seed=0)
+    onehot = pack(seq, "predcls", "spatial", dims).feats[0]
+    np.testing.assert_array_equal(onehot[4:7], [0, 0, 1])
+    noisy = pack(seq, "sgcls", "spatial", dims).feats[0]
+    np.testing.assert_array_equal(noisy[4:7], [0.1, 0.2, 0.7])
 
 
 def test_sequence_needs_frames():

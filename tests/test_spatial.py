@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_object_node, zero_params
+from fixtures import pair_grid
 from stsg.autodiff import Tensor
 from stsg.params import ModelParams
 from stsg.rng import RngStream
@@ -9,7 +10,6 @@ from stsg.spatial import (
     frame_pairs,
     gcn_layer,
     gcn_propagate,
-    pair_grid,
     propose_relations,
 )
 
@@ -167,7 +167,8 @@ def test_propagate_matches_rederivation_oracle(dims, params):
 
 def spatial_stage(node_lists, params):
     """Proposal and propagation over frames packed one after another."""
-    feats = [o.node_feat for nodes in node_lists for o in nodes]
+    feats = [np.concatenate([o.box.as_array(), o.label_dist, o.visual_feat])
+             for nodes in node_lists for o in nodes]
     feats = Tensor(np.stack(feats) if feats else np.zeros((0, params.dims.m)))
     subj, obj = frame_pairs([len(nodes) for nodes in node_lists])
     relation = propose_relations(feats, subj, obj, params)

@@ -7,7 +7,7 @@ from stsg.cli import main
 from stsg.config import Dims, NoiseConfig, WorldConfig
 from stsg.errors import ConfigError
 from stsg.rng import RngStream
-from stsg.scene import BoundingBox, GroundTruthObject, object_nodes, overlap_fraction
+from stsg.scene import BoundingBox, object_nodes, overlap_fraction
 from stsg.synthgen import (
     ABOVE,
     ABOVE_MAX_DY,
@@ -125,7 +125,8 @@ def sequences_equal(a, b) -> bool:
         if len(fa.detections) != len(fb.detections):
             return False
         for da, db in zip(fa.detections, fb.detections):
-            if da.box != db.box or not np.array_equal(da.node_feat, db.node_feat):
+            if da.box != db.box or not np.array_equal(da.label_dist, db.label_dist) \
+                    or not np.array_equal(da.visual_feat, db.visual_feat):
                 return False
     return True
 
@@ -253,21 +254,22 @@ def test_zero_noise_detector_is_identity():
 def test_full_miss_prob_drops_everything():
     noise = NoiseConfig(box_jitter_sigma=0.0, label_confusion_prob=0.0,
                         miss_prob=1.0, false_positive_rate=0.0, occlusion_prob=0.0)
-    objects = [GroundTruthObject(BoundingBox(0.4, 0.4, 0.1, 0.1), 1, np.zeros(DIMS.c))]
-    assert simulate_detector(objects, noise, DIMS, RngStream(1)) == []
+    objects = [(BoundingBox(0.4, 0.4, 0.1, 0.1), 1, False, True)]
+    assert simulate_detector(objects, np.zeros((1, DIMS.c)), noise, DIMS,
+                             RngStream(1)) == ([], [], [])
 
 
 def test_jitter_folded_normal_statistics():
     sigma = 0.02
     noise = NoiseConfig(box_jitter_sigma=sigma, label_confusion_prob=0.0,
                         miss_prob=0.0, false_positive_rate=0.0, occlusion_prob=0.0)
-    obj = GroundTruthObject(BoundingBox(0.45, 0.45, 0.1, 0.1), 1, np.zeros(DIMS.c))
+    obj = (BoundingBox(0.45, 0.45, 0.1, 0.1), 1, False, True)
     stream = RngStream(77)
     total = 0.0
     n = 10_000
     for _ in range(n):
-        det = simulate_detector([obj], noise, DIMS, stream)[0]
-        (cx, cy), (gx, gy) = center(det.box), center(obj.box)
+        (box,), _, _ = simulate_detector([obj], np.zeros((1, DIMS.c)), noise, DIMS, stream)
+        (cx, cy), (gx, gy) = center(box), center(obj[0])
         total += abs(cx - gx) + abs(cy - gy)
     expected = 2.0 * sigma * np.sqrt(2.0 / np.pi)
     assert abs(total / n - expected) < 0.1 * expected
@@ -288,19 +290,20 @@ def test_occlusion_produces_missing_then_present():
 def test_label_confusion_moves_mass_to_one_class():
     noise = NoiseConfig(box_jitter_sigma=0.0, label_confusion_prob=0.25,
                         miss_prob=0.0, false_positive_rate=0.0, occlusion_prob=0.0)
-    obj = GroundTruthObject(BoundingBox(0.4, 0.4, 0.1, 0.1), 2, np.zeros(DIMS.c))
-    det = simulate_detector([obj], noise, DIMS, RngStream(9))[0]
-    assert det.label_dist[2] == 0.75
-    assert np.isclose(det.label_dist.sum(), 1.0)
-    assert np.count_nonzero(det.label_dist) == 2
+    obj = (BoundingBox(0.4, 0.4, 0.1, 0.1), 2, False, True)
+    _, (label_dist,), _ = simulate_detector([obj], np.zeros((1, DIMS.c)), noise, DIMS,
+                                            RngStream(9))
+    assert label_dist[2] == 0.75
+    assert np.isclose(label_dist.sum(), 1.0)
+    assert np.count_nonzero(label_dist) == 2
 
 
 def test_false_positives_get_uniform_labels():
     noise = NoiseConfig(box_jitter_sigma=0.0, label_confusion_prob=0.0,
                         miss_prob=0.0, false_positive_rate=1.0, occlusion_prob=0.0)
-    det = simulate_detector([], noise, DIMS, RngStream(10))
-    assert len(det) == 1
-    np.testing.assert_allclose(det[0].label_dist, np.full(DIMS.g, 1.0 / DIMS.g))
+    _, dists, _ = simulate_detector([], np.zeros((0, DIMS.c)), noise, DIMS, RngStream(10))
+    assert len(dists) == 1
+    np.testing.assert_allclose(dists[0], np.full(DIMS.g, 1.0 / DIMS.g))
 
 
 def test_prototypes_are_stable_unit_rows():
@@ -322,9 +325,9 @@ def test_prototype_table_is_read_only_and_computed_once():
 def test_detection_rows_equal_per_node_encoding():
     for seed in range(20):
         for frame in generate_scene(DIMS, WORLD, seed=seed).frames:
-            for det in frame.detections:
-                node, = object_nodes([det.box], [det.label_dist], [det.visual_feat])
-                np.testing.assert_array_equal(det.node_feat, node.node_feat)
+            for row, det in zip(frame.det_feats, frame.detections, strict=True):
+                (node,) = object_nodes([det.box], [det.label_dist], [det.visual_feat], DIMS)
+                np.testing.assert_array_equal(row, node)
 
 
 # sha256 of train/val/test.jsonl written by `stsg gen --seed 7` with 5/1/3

@@ -1,20 +1,29 @@
+import pickle
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import (
     MatmulRows,
+    empty_frame,
+    encode_frame,
     frame_pair_links,
+    frame_record,
+    node_list,
     random_sequence,
     select_no_links,
     zero_params,
 )
+from fixtures import pair_grid, relation_probs
 from stsg.autodiff import Tensor
-from stsg.config import MODES, WorldConfig
+from stsg.config import MODES, Dims, WorldConfig
 from stsg.errors import ContractError
+from stsg.io import sequence_from_json, sequence_to_json
 from stsg.rng import RngStream
-from stsg.scene import BoundingBox, gt_nodes, object_nodes
+from stsg.scene import BoundingBox
 import stsg.autodiff as ad
-from stsg.spatial import frame_pairs, gcn_propagate, pair_grid, propose_relations
+from stsg.spatial import frame_pairs, gcn_propagate, propose_relations
 from stsg.synthgen import generate_scene
 from stsg.temporal import (
     Packed,
@@ -28,7 +37,6 @@ from stsg.temporal import (
     link_relevance,
     pack,
     relation_logits,
-    sequence_nodes,
     topk_links,
     tracking_links,
 )
@@ -37,13 +45,14 @@ from stsg.temporal import (
 def make_node(x, y, label, g=4, c=2, score=1.0):
     dist = np.full(g, (1.0 - score) / (g - 1))
     dist[label] = score
-    return object_nodes([BoundingBox(x, y, 0.1, 0.1)], [dist], [np.zeros(c)])[0]
+    return node_list([BoundingBox(x, y, 0.1, 0.1)], [dist], [np.zeros(c)], Dims(g=g, c=c))[0]
 
 
 def forward_packed(sequences, params, mode, variant="sparse", k=1):
     """Per-frame outputs of one packed forward pass over several sequences."""
     packed = Packed.join([pack(seq, mode, variant, params.dims) for seq in sequences])
-    return frame_predictions(packed, forward_batch(packed, params, k), params.dims.g)
+    return frame_predictions(packed, forward_batch(packed, params, k), params.dims.g,
+                             [frame for seq in sequences for frame in seq.frames])
 
 
 def relevance(feats_t, feats_tm1, phi):
@@ -326,9 +335,9 @@ def test_forward_tracking_links_equal_tracking_over_the_nodes(dims, params, worl
     seqs = [generate_scene(dims, world, seed) for seed in (3, 4)]
     for mode in MODES:
         packed = Packed.join([pack(seq, mode, "tracking", dims) for seq in seqs])
-        nodes = [o for frame in packed.nodes for o in frame]
-        boxes = np.array([o.box.as_array() for o in nodes])
-        labels = np.array([np.argmax(o.label_dist) for o in nodes])
+        nodes = np.concatenate([encode_frame(f, mode, dims) for seq in seqs for f in seq.frames])
+        boxes = nodes[:, :4]
+        labels = np.argmax(nodes[:, 4:4 + dims.g], axis=1)
         want = tracking_links(boxes, labels, packed.cand_curr.ids, packed.cand_prev.ids)
         links = forward_batch(packed, params).links
         assert len(links) > 0
@@ -339,29 +348,102 @@ def test_forward_tracking_links_equal_tracking_over_the_nodes(dims, params, worl
 # whole forward
 
 
-def frame_nodes(frame, mode, g):
-    """One frame's node inputs, encoded on their own."""
+def reference_rows(frame: dict, mode: str, dims) -> np.ndarray:
+    """A dataset frame record's (n, m) node inputs in a mode, one object at a
+    time: [box | labels | visual], the labels one-hot (predcls), the
+    detector's distribution or one-hot where none is recorded (sgcls), or a
+    detection's own (sgdet)."""
+    one_hot = np.eye(dims.g)
     if mode == "sgdet":
-        return frame.detections
-    return gt_nodes(frame.objects, g, use_detector_labels=mode == "sgcls")
+        rows = [d["box"] + d["label_dist"] + d["visual"] for d in frame["detections"]]
+    else:
+        rows = [o["box"] + (one_hot[o["label"]].tolist()
+                            if mode == "predcls" or o["det_label_dist"] is None
+                            else o["det_label_dist"]) + o["visual"] for o in frame["objects"]]
+    return np.array(rows, dtype=np.float64).reshape(-1, dims.m)
+
+
+def edited_record(seq, dims) -> dict:
+    """A generated sequence's record with frame 1 emptied, frame 3 cut to one
+    object and one detection, and frame 2's first object recording no
+    detector distribution."""
+    record = sequence_to_json(seq)
+    frames = record["frames"]
+    frames[1] = {"objects": [], "triplets": [], "detections": []}
+    frames[3].update(objects=frames[3]["objects"][:1], triplets=[],
+                     detections=frames[3]["detections"][:1])
+    frames[2]["objects"][0]["det_label_dist"] = None
+    return record
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_sequence_nodes_equal_the_frames_encoded_one_by_one(dims, mode):
-    # the gt nodes of a sequence are encoded as one matrix; empty frames and
-    # a one-node frame keep their place
-    seq = random_sequence(RngStream(41), dims, n_frames=5)
-    seq.frames[1].objects, seq.frames[1].detections = [], []
-    seq.frames[3].objects, seq.frames[3].detections = seq.frames[3].objects[:1], \
-        seq.frames[3].detections[:1]
-    got = sequence_nodes(seq, mode, dims.g)
-    assert [len(f) for f in got] == [len(frame_nodes(f, mode, dims.g)) for f in seq.frames]
-    for nodes, frame in zip(got, seq.frames):
-        for a, b in zip(nodes, frame_nodes(frame, mode, dims.g)):
-            assert a.box == b.box
-            np.testing.assert_array_equal(a.node_feat, b.node_feat)
-            np.testing.assert_array_equal(a.label_dist, b.label_dist)
-            np.testing.assert_array_equal(a.visual_feat, b.visual_feat)
+def test_packed_nodes_equal_the_frames_encoded_one_by_one(dims, mode):
+    # pack stacks the node matrices the frames are made with; every row must
+    # be the bytes of its object encoded on its own, for generated frames and
+    # for loaded ones, with an empty frame, the frame after it, a one-node
+    # frame and an object without a detector distribution
+    for seed in range(5):
+        seq = generate_scene(dims, WorldConfig(), seed)
+        record = edited_record(seq, dims)
+        loaded = sequence_from_json(record, Path("edited.jsonl"), 2, dims)
+        for sequence, frames in ((seq, sequence_to_json(seq)["frames"]),
+                                 (loaded, record["frames"])):
+            packed = pack(sequence, mode, "sparse", dims)
+            want = [reference_rows(frame, mode, dims) for frame in frames]
+            assert packed.sizes.tolist() == [len(rows) for rows in want]
+            assert packed.feats.dtype == np.float64
+            assert packed.feats.tobytes() == np.concatenate(want).tobytes()
+        assert packed.sizes[1] == 0 and packed.sizes[3] == 1
+
+
+def assert_vectors_stored_once(sequence, dims):
+    """Each vector of the sequence lives in one of its two node matrices,
+    which the frames, the objects and the detections view."""
+    gt_base = sequence.frames[0].gt_feats.base
+    det_base = sequence.frames[0].det_feats.base
+    for frame in sequence.frames:
+        assert frame.gt_feats.base is gt_base and frame.det_feats.base is det_base
+        for i, o in enumerate(frame.objects):
+            assert o.visual_feat.base is gt_base
+            np.testing.assert_array_equal(o.visual_feat, frame.gt_feats[i, 4 + dims.g:])
+            if o.detector_label_dist is not None:
+                assert o.detector_label_dist.base is gt_base
+                np.testing.assert_array_equal(o.detector_label_dist,
+                                              frame.gt_feats[i, 4:4 + dims.g])
+        for i, d in enumerate(frame.detections):
+            assert d.label_dist.base is det_base and d.visual_feat.base is det_base
+            np.testing.assert_array_equal(np.concatenate([d.box.as_array(), d.label_dist,
+                                                          d.visual_feat]), frame.det_feats[i])
+
+
+def test_object_vectors_are_views_of_the_frame_matrices(dims):
+    seq = generate_scene(dims, WorldConfig(), 3)
+    loaded = sequence_from_json(edited_record(seq, dims), Path("edited.jsonl"), 2, dims)
+    for sequence in (seq, loaded):
+        assert_vectors_stored_once(sequence, dims)
+    assert loaded.frames[2].objects[0].detector_label_dist is None
+
+
+def test_a_pickled_sequence_keeps_each_vector_once(dims):
+    # worker processes receive sequences pickled: each node matrix travels
+    # once and the frames come back as views of it, equal to the original
+    seq = generate_scene(dims, WorldConfig(), 3)
+    loaded = sequence_from_json(edited_record(seq, dims), Path("edited.jsonl"), 2, dims)
+    for sequence in (seq, loaded, random_sequence(RngStream(8), dims, n_frames=3)):
+        back = pickle.loads(pickle.dumps(sequence))
+        assert_vectors_stored_once(back, dims)
+        assert sequence_to_json(back) == sequence_to_json(sequence)
+        assert back.seed == sequence.seed
+        np.testing.assert_array_equal(back.event_labels, sequence.event_labels)
+        for a, b in zip(sequence.frames, back.frames, strict=True):
+            assert a.triplets == b.triplets
+            assert [o.detector_label_dist is None for o in a.objects] == \
+                [o.detector_label_dist is None for o in b.objects]
+            np.testing.assert_array_equal(a.gt_labels, b.gt_labels)
+        for mode in MODES:
+            want, got = pack(sequence, mode, "sparse", dims), pack(back, mode, "sparse", dims)
+            assert got.feats.tobytes() == want.feats.tobytes()
+            np.testing.assert_array_equal(got.sizes, want.sizes)
 
 
 def spatial_stage(feats, params):
@@ -377,12 +459,12 @@ def spatial_only_oracle(sequence, params, mode):
 
     result = []
     for frame in sequence.frames:
-        nodes = frame_nodes(frame, mode, params.dims.g)
-        feats = Tensor(np.stack([o.node_feat for o in nodes]))
+        nodes = encode_frame(frame, mode, params.dims)
+        feats = Tensor(nodes)
         updated = spatial_stage(feats, params)
         probs = classify_relations(updated, params)
         if mode == "predcls":
-            dists = np.stack([o.label_dist for o in nodes])
+            dists = nodes[:, 4:4 + params.dims.g]
         else:
             dists = ad.softmax(linear(updated, params["label.w"], params["label.b"]), axis=-1).data
         result.append((dists, probs, updated.data))
@@ -395,7 +477,7 @@ def test_single_frame_equals_spatial_only(dims, params):
         seq = random_sequence(rng.split(trial), dims, n_frames=1)
         got = forward_sequence(seq, params, mode="sgcls", variant="sparse", k=1)
         want = spatial_only_oracle(seq, params, "sgcls")
-        np.testing.assert_array_equal(got[0].relation_probs, want[0][1])
+        np.testing.assert_array_equal(relation_probs(got[0]), want[0][1])
         np.testing.assert_array_equal(got[0].fused, want[0][2])
 
 
@@ -406,7 +488,7 @@ def test_saturated_sparse_equals_dense(dims, params):
         sparse = forward_sequence(seq, params, mode="sgcls", variant="sparse", k=10)
         dense = forward_sequence(seq, params, mode="sgcls", variant="dense")
         for a, b in zip(sparse, dense):
-            np.testing.assert_allclose(a.relation_probs, b.relation_probs,
+            np.testing.assert_allclose(relation_probs(a), relation_probs(b),
                                        rtol=0, atol=1e-12)
             np.testing.assert_allclose(a.fused, b.fused, rtol=0, atol=1e-12)
 
@@ -419,7 +501,7 @@ def test_forced_empty_links_equals_spatial_exactly(dims, params, monkeypatch):
         forced = forward_sequence(seq, params, mode="sgdet", variant="sparse", k=1)
         plain = forward_sequence(seq, params, mode="sgdet", variant="spatial")
         for a, b in zip(forced, plain):
-            np.testing.assert_array_equal(a.relation_probs, b.relation_probs)
+            np.testing.assert_array_equal(relation_probs(a), relation_probs(b))
             np.testing.assert_array_equal(a.fused, b.fused)
 
 
@@ -433,8 +515,8 @@ def test_forward_matches_step_by_step_composition(dims, params):
     prev_updated = None
     prev_nodes = None
     for t, frame in enumerate(seq.frames):
-        nodes = frame_nodes(frame, "sgcls", dims.g)
-        feats = Tensor(np.stack([o.node_feat for o in nodes]))
+        nodes = encode_frame(frame, "sgcls", dims)
+        feats = Tensor(nodes)
         updated = spatial_stage(feats, params)
         n = len(nodes)
         if prev_updated is None:
@@ -450,7 +532,7 @@ def test_forward_matches_step_by_step_composition(dims, params):
             zeta = aggregate_links(Tensor(gamma[curr_idx, prev_idx]), tau, curr_idx, n)
             fused = fuse(updated, zeta)
         probs = classify_relations(fused, params)
-        np.testing.assert_allclose(got[t].relation_probs, probs, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(relation_probs(got[t]), probs, rtol=0, atol=1e-12)
         np.testing.assert_allclose(got[t].fused, fused.data, rtol=0, atol=1e-12)
         prev_updated, prev_nodes = updated, nodes
 
@@ -472,12 +554,13 @@ def test_sparse_link_counts(dims, params):
 
 def test_empty_frame_breaks_chain(dims, params):
     seq = random_sequence(RngStream(36), dims, n_frames=3)
-    seq.frames[1].detections = []
+    f = seq.frames[1]
+    seq.frames[1] = frame_record(f.objects, f.triplets, [], dims)
     outs = forward_sequence(seq, params, mode="sgdet", variant="sparse", k=1)
     assert outs[1].n == 0
     # the frame after the gap restarts with no temporal links
     assert len(outs[2].links) == 0
-    assert outs[1].relation_probs.shape == (0, 0, dims.h)
+    assert relation_probs(outs[1]).shape == (0, 0, dims.h)
 
 
 @pytest.mark.parametrize("variant", ["spatial", "sparse"])
@@ -486,10 +569,10 @@ def test_candidates_equal_the_frame_by_frame_lists(dims, variant):
     # none after an empty frame; built frame by frame as the reference
     seq = random_sequence(RngStream(42), dims, n_frames=7, n_min=1, n_max=4)
     for t in (1, 4, 5):
-        seq.frames[t].objects, seq.frames[t].triplets, seq.frames[t].detections = [], [], []
+        seq.frames[t] = empty_frame(dims)
     for mode in MODES:
         packed = pack(seq, mode, variant, dims)
-        sizes = [len(f) for f in packed.nodes]
+        sizes = packed.sizes.tolist()
         start = np.cumsum([0] + sizes)
         curr, prev = [], []
         for t in range(1, len(sizes)):
@@ -506,7 +589,7 @@ def test_candidates_equal_the_frame_by_frame_lists(dims, variant):
 def test_packed_links_stay_within_a_sequence(dims, params, variant):
     rng = RngStream(40)
     gap = random_sequence(rng, dims, n_frames=3)
-    gap.frames[1].objects, gap.frames[1].triplets, gap.frames[1].detections = [], [], []
+    gap.frames[1] = empty_frame(dims)
     seqs = [gap, random_sequence(rng.split(1), dims, n_frames=2),
             random_sequence(rng.split(2), dims, n_frames=2)]
     for mode in ("predcls", "sgcls", "sgdet"):
@@ -516,8 +599,8 @@ def test_packed_links_stay_within_a_sequence(dims, params, variant):
         assert np.all(node_frame[packed.cand_curr.ids]
                       == node_frame[packed.cand_prev.ids] + 1)
         out = forward_batch(packed, params, 10)
-        outs = frame_predictions(packed, out, dims.g)
-        starts = np.cumsum([0] + [len(f) for f in packed.nodes])
+        outs = frame_predictions(packed, out, dims.g, [f for seq in seqs for f in seq.frames])
+        starts = np.cumsum([0, *packed.sizes])
         cand_curr = packed.cand_curr.ids
         # neither the frame after the gap nor the first frame of a sequence
         # links back, though the frame packed before each has nodes
@@ -540,14 +623,14 @@ def test_forward_permutation_equivariance(dims, params):
         import copy
 
         shuffled = copy.deepcopy(seq)
-        for f, p in zip(shuffled.frames, perms):
-            f.detections = [f.detections[i] for i in p]
+        shuffled.frames = [frame_record(f.objects, f.triplets, [f.detections[i] for i in p], dims)
+                           for f, p in zip(shuffled.frames, perms)]
         out = forward_packed([shuffled, other], params, mode="sgdet", variant="sparse", k=1)
         for t, (a, b) in enumerate(zip(base[:len(perms)], out)):
             p = perms[t]
             np.testing.assert_allclose(b.fused, a.fused[p], rtol=0, atol=1e-12)
-            np.testing.assert_allclose(b.relation_probs,
-                                       a.relation_probs[np.ix_(p, p)], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(relation_probs(b),
+                                       relation_probs(a)[np.ix_(p, p)], rtol=0, atol=1e-12)
             np.testing.assert_allclose(b.label_dists, a.label_dists[p],
                                        rtol=0, atol=1e-12)
 
@@ -556,7 +639,7 @@ def test_probabilities_strictly_inside_unit_interval(dims, params):
     seq = random_sequence(RngStream(38), dims, n_frames=3)
     outs = forward_sequence(seq, params, mode="sgcls", variant="dense")
     for out in outs:
-        p = out.relation_probs
+        p = relation_probs(out)
         off = ~np.eye(out.n, dtype=bool)
         assert np.all((p[off] > 0.0) & (p[off] < 1.0))
         assert np.all(p[np.eye(out.n, dtype=bool)] == 0.0)

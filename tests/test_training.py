@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import stsg.training
-from conftest import random_sequence
+from conftest import frame_record, node_list, random_sequence
+from fixtures import pair_grid
 from reference_losses import (
     link_loss,
     link_targets,
@@ -25,13 +26,10 @@ from stsg.rng import RngStream
 from stsg.synthgen import generate_scene
 from stsg.scene import (
     BoundingBox,
-    FrameRecord,
     GroundTruthObject,
     SceneSequence,
     iou,
-    object_nodes,
 )
-from stsg.spatial import pair_grid
 from stsg.temporal import forward_batch, frame_predictions, pack
 from stsg.training import (
     LINK_WEIGHT,
@@ -161,14 +159,18 @@ def test_sgdet_identity_matches_from_half_iou_first_on_ties(dims):
         return GroundTruthObject(BoundingBox(x, y, 0.25, 0.25), label, np.zeros(dims.c))
 
     def det(x, y, h):
-        return object_nodes([BoundingBox(x, y, 0.25, h)], [np.eye(dims.g)[0]],
-                            [np.zeros(dims.c)])[0]
+        return node_list([BoundingBox(x, y, 0.25, h)], [np.eye(dims.g)[0]],
+                         [np.zeros(dims.c)], dims)[0]
 
-    frame = FrameRecord(objects=[gt(0.25, 0.25, 0), gt(0.25, 0.25, 1), gt(0.5, 0.5, 2)],
-                        triplets=[], detections=[det(0.5, 0.5, 0.125), det(0.25, 0.25, 0.25),
-                                                 det(0.5, 0.5, 0.12)])
+    frame = frame_record([gt(0.25, 0.25, 0), gt(0.25, 0.25, 1), gt(0.5, 0.5, 2)], [],
+                         [det(0.5, 0.5, 0.125), det(0.25, 0.25, 0.25), det(0.5, 0.5, 0.12)], dims)
     seq = SceneSequence(frames=[frame], event_labels=np.zeros(4), seed=0)
     assert node_identity(seq, pack(seq, "sgdet", "spatial", dims)).tolist() == [2, 0, -1]
+
+
+def frame_inputs(frame, mode):
+    """A frame's input objects in a mode: its detections in sgdet, else its gt objects."""
+    return frame.detections if mode == "sgdet" else frame.objects
 
 
 def loop_relation_targets(frame, nodes, mode, h):
@@ -217,7 +219,8 @@ def test_relation_targets_match_loop_reference(dims):
             gt = node_identity(seq, packed)
             positive = loss_targets(seq, packed, dims.h).rel_positive
             start = slot = 0
-            for frame, nodes in zip(seq.frames, packed.nodes):
+            for frame in seq.frames:
+                nodes = frame_inputs(frame, mode)
                 n = len(nodes)
                 want_pos, _, want_map = loop_relation_targets(frame, nodes, mode, dims.h)
                 got = positive[slot:slot + n * (n - 1) * dims.h]
@@ -235,7 +238,8 @@ def loop_loss_targets(sequence, packed, h):
     link_index, link_weight = [], []
     start = cand_start = frames = n_prev = 0
     prev_map = None
-    for frame, nodes in zip(sequence.frames, packed.nodes):
+    for frame in sequence.frames:
+        nodes = frame_inputs(frame, packed.mode)
         n = len(nodes)
         if n == 0:
             n_prev = 0
@@ -279,9 +283,10 @@ def target_scenes():
     scenes = [generate_scene(dims, world, 800 + seed) for seed in range(6)]
     scenes += [generate_scene(dims, large, 900 + seed) for seed in range(2)]
     edge = generate_scene(dims, world, 806)
-    edge.frames[2].detections = []
+    f2, f5 = edge.frames[2], edge.frames[5]
+    edge.frames[2] = frame_record(f2.objects, f2.triplets, [], dims)
     edge.frames[4].triplets = []
-    edge.frames[5].objects, edge.frames[5].triplets = [], []
+    edge.frames[5] = frame_record([], [], f5.detections, dims)
     assert edge.frames[5].detections
     return scenes + [edge]
 
@@ -658,7 +663,7 @@ def reference_sequence_loss(sequence, params, mode, variant, k, lambda_node, lam
     """The objective composed frame by frame from the reference per-frame losses."""
     packed, _ = prepare(sequence, mode, variant, params.dims)
     out = forward_batch(packed, params, k)
-    frames = frame_predictions(packed, out, params.dims.g)
+    frames = frame_predictions(packed, out, params.dims.g, sequence.frames)
     h = params.dims.h
     cand_curr = packed.cand_curr.ids
     terms, prev_map, start, pair_start = [], None, 0, 0
