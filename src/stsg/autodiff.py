@@ -301,13 +301,15 @@ def relu(a: Tensor) -> Tensor:
     return out
 
 
+def _logistic(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) from exp(-|x|), which never overflows: 1 / (1 + e)
+    where x >= 0 and e / (1 + e) below; NaN stays NaN."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    av = a.data
-    s = np.empty_like(av, dtype=np.float64)
-    pos = av >= 0
-    s[pos] = 1.0 / (1.0 + np.exp(-av[pos]))
-    e = np.exp(av[~pos])
-    s[~pos] = e / (1.0 + e)
+    s = _logistic(a.data)
     out = Tensor._wrap(s)
     _record(out, (a,), lambda g: (g * s * (1.0 - s),))
     return out
@@ -339,16 +341,7 @@ def softplus(a: Tensor) -> Tensor:
     """log(1 + exp(x)), computed without overflow; gradient is sigmoid(x)."""
     av = a.data
     out = Tensor._wrap(np.logaddexp(0.0, av))
-
-    def vjp(g):
-        s = np.empty_like(av)
-        pos = av >= 0
-        s[pos] = 1.0 / (1.0 + np.exp(-av[pos]))
-        e = np.exp(av[~pos])
-        s[~pos] = e / (1.0 + e)
-        return (g * s,)
-
-    _record(out, (a,), vjp)
+    _record(out, (a,), lambda g: (g * _logistic(av),))
     return out
 
 
@@ -486,12 +479,15 @@ def gather_rows(a: Tensor, indices) -> Tensor:
 def _segment_reduce(ufunc, values: np.ndarray, plan: SegmentPlan, empty: float) -> np.ndarray:
     """ufunc-reduce the rows of `values` per segment of the plan; segments
     without rows hold `empty`."""
-    out = np.full((plan.n,) + values.shape[1:], empty)
-    if len(plan):
-        order, starts, segments = plan.runs()
-        if order is not None:
-            values = values[order]
-        out[segments] = ufunc.reduceat(values, starts, axis=0)
+    out_shape = (plan.n,) + values.shape[1:]
+    if not len(plan):
+        return np.full(out_shape, empty)
+    order, starts, segments = plan.runs()
+    reduced = ufunc.reduceat(values if order is None else values[order], starts, axis=0)
+    if len(segments) == plan.n:   # every segment has rows
+        return reduced
+    out = np.full(out_shape, empty)
+    out[segments] = reduced
     return out
 
 

@@ -104,9 +104,15 @@ def sequence_to_json(seq: SceneSequence) -> dict:
 _NUMBER_TYPES = frozenset((int, float))
 
 
+def _numbers(values) -> bool:
+    """Whether every value is a JSON number: an int or a float, not a bool or
+    a string."""
+    return _NUMBER_TYPES.issuperset(map(type, values))
+
+
 def _box(record: dict, path: Path, lineno: int) -> BoundingBox:
     box = _field(record, "box", path, lineno)
-    if not (isinstance(box, list) and len(box) == 4 and _NUMBER_TYPES.issuperset(map(type, box))):
+    if not (isinstance(box, list) and len(box) == 4 and _numbers(box)):
         raise DataFormatError(f"{path}:{lineno}: field 'box' must be 4 numbers, got {box!r}")
     return BoundingBox(*box)
 
@@ -122,23 +128,41 @@ def _triplet(t, n_objects: int, h: int, path: Path, lineno: int) -> tuple[int, i
     if not (isinstance(t, list) and len(t) == 3):
         raise DataFormatError(f"{path}:{lineno}: a triplet must be [subject, object, "
                               f"predicate], got {t!r}")
-    triplet = (_index(t[0], n_objects, "triplet subject", path, lineno),
-               _index(t[1], n_objects, "triplet object", path, lineno),
-               _index(t[2], h, "triplet predicate", path, lineno))
-    if t[0] == t[1]:
-        raise DataFormatError(f"{path}:{lineno}: triplet {t!r} names object {t[0]} as both "
-                              f"subject and object")
-    return triplet
+    s, o, p = t
+    if (type(s) is type(o) is type(p) is int
+            and 0 <= s < n_objects and 0 <= o < n_objects and 0 <= p < h and s != o):
+        return s, o, p
+    # the first check that fails names the entry
+    _index(s, n_objects, "triplet subject", path, lineno)
+    _index(o, n_objects, "triplet object", path, lineno)
+    _index(p, h, "triplet predicate", path, lineno)
+    raise DataFormatError(f"{path}:{lineno}: triplet {t!r} names object {s} as both "
+                          f"subject and object")
 
 
 def sequence_from_json(record: dict, path: Path, lineno: int, dims: Dims) -> SceneSequence:
     """One dataset record; object labels, triplet node indices and
-    predicates are range-checked against `dims` and each frame's objects, and
-    the gt vectors are checked as `object_nodes` checks a detection's. The
-    objects and detections of all frames are read together, one array per
-    field."""
+    predicates are range-checked against `dims` and each frame's objects,
+    the gt vectors are checked as `object_nodes` checks a detection's, and
+    every vector entry, event label and the seed must be a JSON number (the
+    seed an integer). The objects and detections of all frames are read
+    together, one array per field."""
     def field(entry: dict, name: str):
         return _field(entry, name, path, lineno)
+
+    def nodes(boxes, label_dists, visuals, label_field: str) -> np.ndarray:
+        try:
+            feats = object_nodes(boxes, label_dists, visuals, dims, label_field)
+        except (ContractError, ShapeError) as e:
+            raise DataFormatError(f"{path}:{lineno}: {e}") from None
+        # the rows have the right lengths, but numpy also converts a numeric
+        # string, a bool or a null: each entry must be a JSON number
+        for name, rows in ((label_field, label_dists), ("visual", visuals)):
+            if not _numbers(chain.from_iterable(rows)):
+                bad = next(v for v in chain.from_iterable(rows) if type(v) not in _NUMBER_TYPES)
+                raise DataFormatError(f"{path}:{lineno}: {name} entries must be numbers, "
+                                      f"got {bad!r}")
+        return feats
 
     def gt_object(o: dict) -> tuple:
         return (_box(o, path, lineno),
@@ -152,21 +176,26 @@ def sequence_from_json(record: dict, path: Path, lineno: int, dims: Dims) -> Sce
              [_box(d, path, lineno) for d in dets]) for objects, triplets, dets in frames]
     objects = [o for objs, _, _ in frames for o in objs]
     gt = [o for objs, _, _ in spec for o in objs]
-    one_hot = np.eye(dims.g)
-    try:   # the detector's label distribution, or one-hot where none is recorded
-        gt_feats = object_nodes([box for box, *_ in gt],
-                                [o["det_label_dist"] if recorded else one_hot[label]
-                                 for o, (_, label, _, recorded) in zip(objects, gt)],
-                                [field(o, "visual") for o in objects], dims, "det_label_dist")
-    except (ContractError, ShapeError) as e:
-        raise DataFormatError(f"{path}:{lineno}: {e}") from None
+    # the detector's label distribution, or one-hot where none is recorded (as
+    # lists of floats, like the decoded rows, for the entry check)
+    one_hot = np.eye(dims.g).tolist()
+    gt_feats = nodes([box for box, *_ in gt],
+                     [o["det_label_dist"] if recorded else one_hot[label]
+                      for o, (_, label, _, recorded) in zip(objects, gt)],
+                     [field(o, "visual") for o in objects], "det_label_dist")
     dets = [d for _, _, ds in frames for d in ds]
-    det_feats = object_nodes([box for _, _, boxes in spec for box in boxes],
-                             [field(d, "label_dist") for d in dets],
-                             [field(d, "visual") for d in dets], dims)
-    return scene_sequence(
-        spec, gt_feats, det_feats, dims.g,
-        np.asarray(field(record, "event_labels"), dtype=np.float64), int(field(record, "seed")))
+    det_feats = nodes([box for _, _, boxes in spec for box in boxes],
+                      [field(d, "label_dist") for d in dets],
+                      [field(d, "visual") for d in dets], "label_dist")
+    events = field(record, "event_labels")
+    event_labels = _number_array(events, 1)
+    if event_labels is None:
+        raise DataFormatError(f"{path}:{lineno}: field 'event_labels' must be a list of "
+                              f"numbers, got {events!r}")
+    seed = field(record, "seed")
+    if type(seed) is not int:
+        raise DataFormatError(f"{path}:{lineno}: field 'seed' must be an integer, got {seed!r}")
+    return scene_sequence(spec, gt_feats, det_feats, dims.g, event_labels, seed)
 
 
 def write_split(path: Path, cfg: RunConfig, split: str,
@@ -192,7 +221,8 @@ def load_split(data_dir: str | Path, split: str) -> tuple[dict, list[SceneSequen
     if not isinstance(config, dict):
         raise DataFormatError(f"{path}:1: field 'config' must be an object")
     dims = runconfig_from_flat(config).dims
-    sequences = [sequence_from_json(record, path, lineno, dims) for lineno, record in records]
+    with _collector_paused():   # the records and the sequences built from them hold no cycles
+        sequences = [sequence_from_json(record, path, lineno, dims) for lineno, record in records]
     count = _field(header, "count", path, 1)
     if count != len(sequences):
         raise DataFormatError(f"{path}: header count {count} != {len(sequences)} sequences")
@@ -305,7 +335,7 @@ def _number_array(value, width: int) -> np.ndarray | None:
         # width numbers a row on average, and no row longer: width in each
         if len(numbers) != width * len(value) or max(map(len, value), default=0) > width:
             return None
-    if not _NUMBER_TYPES.issuperset(map(type, numbers)):
+    if not _numbers(numbers):
         return None
     try:
         arr = np.array(numbers, dtype=np.float64)

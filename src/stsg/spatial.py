@@ -11,7 +11,9 @@ edge features of the graph (L == H). Message passing follows
 with theta fixed to 1 between distinct nodes of a frame and 0 otherwise (the
 residual term already carries self-information), so the theta-weighted sums
 are segment sums over the pair list. The pair lists are segment plans
-(`autodiff.SegmentPlan`), so every layer reuses one sort of them.
+(`autodiff.SegmentPlan`), so every layer reuses one sort of them; the edge
+features are the same in every layer, so their per-node sums are taken once
+per pass.
 """
 
 from __future__ import annotations
@@ -48,28 +50,30 @@ def propose_relations(feats: Tensor, subj, obj, params: ModelParams) -> Tensor:
     return ad.sigmoid(linear(hidden, params["prop.w2"], params["prop.b2"]))
 
 
-def gcn_layer(feats: Tensor, subj, obj, edge_feats: Tensor,
+def gcn_layer(feats: Tensor, subj, obj, edge_sums: Tensor,
               w_node: Tensor, w_edge: Tensor, bias: Tensor) -> Tensor:
     """One propagation step; each pair (i, j) carries a message from j to i.
 
-    The bias sits inside the message, so a node without pairs reduces the
-    layer to relu(feats) regardless of parameter values.
+    `edge_sums` (N, H) holds sum_j eps_ij for each node i: linearity lets the
+    edge features be summed before the edge transform, which then applies
+    once per node. The bias sits inside the message, so a node without pairs
+    reduces the layer to relu(feats) regardless of parameter values.
     """
     n = feats.shape[0]
     node_msg = ad.segment_sum(ad.gather_rows(linear(feats, w_node, bias), obj), subj, n)
-    # sum_j eps_ij before the edge transform (linearity lets us aggregate
-    # first and apply w_edge once per node)
-    edge_msg = ad.matmul(ad.segment_sum(edge_feats, subj, n), w_edge)
+    edge_msg = ad.matmul(edge_sums, w_edge)
     return ad.relu(ad.add(feats, ad.add(node_msg, edge_msg)))
 
 
 def gcn_propagate(feats: Tensor, subj, obj, edge_feats: Tensor,
                   params: ModelParams) -> Tensor:
-    """Apply the configured stack of propagation layers sequentially."""
+    """Apply the configured stack of propagation layers sequentially; the
+    edge features of the pairs are summed per node once, for every layer."""
+    edge_sums = ad.segment_sum(edge_feats, subj, feats.shape[0])
     out = feats
     for layer in range(params.gcn_layers):
         out = gcn_layer(
-            out, subj, obj, edge_feats,
+            out, subj, obj, edge_sums,
             params[f"gcn.{layer}.w_node"],
             params[f"gcn.{layer}.w_edge"],
             params[f"gcn.{layer}.bias"],

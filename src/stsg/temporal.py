@@ -39,12 +39,12 @@ def topk_links(scores: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
     """Boolean mask with min(k, row size) entries per row at the largest scores.
 
     A row is the candidates of one current node, listed by ascending
-    previous-frame index; ties go to the lowest such index (stable sort on
-    (-score, index)).
+    previous-frame index; ties go to the lowest such index (a stable sort
+    on -score).
     """
     if k < 1:
         raise ContractError(f"topk_links: need k >= 1, got {k}")
-    order = np.lexsort((np.arange(len(scores)), -scores, rows))
+    order = np.lexsort((-scores, rows))
     ranked_rows = rows[order]
     rank = np.arange(len(order)) - np.searchsorted(ranked_rows, ranked_rows)
     mask = np.zeros(len(scores), dtype=bool)
@@ -329,18 +329,26 @@ def rank_frames(probs: np.ndarray, subj: np.ndarray, obj: np.ndarray,
     (-score, subject, object, predicate).
     """
     sizes = np.asarray(sizes, dtype=np.intp)
-    keep = min(NO_CONSTRAINT_PER_PAIR, probs.shape[1])
+    p, h = probs.shape
     label_scores = np.max(label_dists, axis=1)
-    kept = np.argsort(-probs, axis=1, kind="stable")[:, :keep]
-    scores = ((label_scores[subj] * label_scores[obj])[:, None]
-              * np.take_along_axis(probs, kept, axis=1)).ravel()
+    pair_scores = (label_scores[subj] * label_scores[obj])[:, None]
+    keep = min(NO_CONSTRAINT_PER_PAIR, h)
+    if keep == h:   # every predicate is kept, in ascending order
+        kept = np.tile(np.arange(h), p)
+        scores = (pair_scores * probs).ravel()
+    else:   # each pair's most probable predicates, in ascending order
+        top = np.sort(np.argsort(-probs, axis=1, kind="stable")[:, :keep], axis=1)
+        kept = top.ravel()
+        scores = (pair_scores * np.take_along_axis(probs, top, axis=1)).ravel()
     if not np.isfinite(scores).all():
         raise ContractError("rank_triplets: triplet scores must be finite")
-    subj, obj, kept = np.repeat(subj, keep), np.repeat(obj, keep), kept.ravel()
+    subj, obj = np.repeat(subj, keep), np.repeat(obj, keep)
     starts = np.cumsum(sizes) - sizes
     node_frame = np.repeat(np.arange(len(sizes)), sizes)
-    # the frame is the first key, so each frame's list is one run
-    order = np.lexsort((kept, obj, subj, -scores, node_frame[subj]))
+    # the rows already run by (frame, subject, object, predicate), so a
+    # stable sort on (frame, -score) breaks score ties in that order; the
+    # frame is the first key, so each frame's list is one run
+    order = np.lexsort((-scores, node_frame[subj]))
     local = np.arange(len(node_frame)) - np.repeat(starts, sizes)
     subj, obj, kept, scores = local[subj[order]], local[obj[order]], kept[order], scores[order]
     labels = np.argmax(label_dists, axis=1)

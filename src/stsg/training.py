@@ -245,8 +245,12 @@ class Optimizer:
             return x - self.lr * g
         if self._m is None:
             self._m, self._v = np.zeros_like(g), np.zeros_like(g)
-        m = self._m = self.beta1 * self._m + (1 - self.beta1) * g
-        v = self._v = self.beta2 * self._v + (1 - self.beta2) * g * g
+        # in place: m = beta1 * m + (1 - beta1) * g, v = beta2 * v + (1 - beta2) * g * g
+        m, v = self._m, self._v
+        m *= self.beta1
+        m += (1 - self.beta1) * g
+        v *= self.beta2
+        v += (1 - self.beta2) * g * g
         mhat = m / (1 - self.beta1 ** self.step_count)
         vhat = v / (1 - self.beta2 ** self.step_count)
         return x - self.lr * mhat / (np.sqrt(vhat) + self.eps)

@@ -619,6 +619,27 @@ def test_reading_predictions_pauses_the_garbage_collector(tmp_path, dataset_dir,
         gc.enable()
 
 
+def test_loading_a_split_pauses_the_garbage_collector(tmp_path, dataset_dir, monkeypatch):
+    # the records and the sequences built from them hold no reference cycles
+    collecting = []
+    build = io.sequence_from_json
+
+    def record_state(*args):
+        collecting.append(gc.isenabled())
+        return build(*args)
+
+    monkeypatch.setattr(io, "sequence_from_json", record_state)
+    bad = _edited_train_split(tmp_path, dataset_dir, 1, _set("seed", "7"))
+    try:
+        _, seqs = io.load_split(dataset_dir, "test")
+        assert collecting == [False] * len(seqs) and gc.isenabled()
+        with pytest.raises(DataFormatError):
+            io.load_split(bad, "train")
+        assert gc.isenabled()
+    finally:
+        gc.enable()
+
+
 # a negative count sliced from the end of a split, and a zero seed or
 # epoch count wrote NaN into a report or trained nothing, all with exit 0
 @pytest.mark.parametrize("command, flags, message", [
@@ -738,8 +759,10 @@ def test_shape_error_is_an_error(tmp_path, dataset_dir, capsys):
         detection["visual"] = [detection["visual"]]
 
     data = _edited_train_split(tmp_path, dataset_dir, 1, edit)
+    capsys.readouterr()
     assert _train(data, tmp_path) == 1
-    assert "error: object_nodes" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "train.jsonl:2: object_nodes: " in err
 
 
 def _short_label_dist(detection):
@@ -751,8 +774,8 @@ def _label_dist_not_a_distribution(detection):
 
 
 @pytest.mark.parametrize("edit, message", [
-    (_short_label_dist, "error: object_nodes: label/visual must be vectors"),
-    (_label_dist_not_a_distribution, "error: object_nodes: label_dist must be a probability"),
+    (_short_label_dist, "object_nodes: label/visual must be vectors"),
+    (_label_dist_not_a_distribution, "object_nodes: label_dist must be a probability"),
 ], ids=["short-label-dist", "not-a-distribution"])
 def test_malformed_detection_labels_are_an_error(tmp_path, dataset_dir, capsys, edit, message):
     def edit_record(record):
@@ -760,8 +783,59 @@ def test_malformed_detection_labels_are_an_error(tmp_path, dataset_dir, capsys, 
         edit(frame["detections"][0])
 
     data = _edited_train_split(tmp_path, dataset_dir, 1, edit_record)
+    capsys.readouterr()
     assert _train(data, tmp_path) == 1
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # located like a gt vector's error: the file and line, then the check
+    assert err.startswith("error: ") and f"train.jsonl:2: {message}" in err
+
+
+def _string_in_detection_visual(record):
+    record["frames"][0]["detections"][0]["visual"][0] = "0.25"
+
+
+def _bool_in_detection_label_dist(record):
+    detection = next(d for f in record["frames"] for d in f["detections"])
+    top = max(range(len(detection["label_dist"])), key=detection["label_dist"].__getitem__)
+    detection["label_dist"] = [i == top for i in range(len(detection["label_dist"]))]
+
+
+def _bool_in_object_visual(record):
+    next(o for f in record["frames"] for o in f["objects"])["visual"][3] = True
+
+
+def _null_in_object_visual(record):
+    record["frames"][-1]["objects"][-1]["visual"][0] = None
+
+
+def _set(name, value):
+    def edit(record):
+        record[name] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_string_in_detection_visual, "visual entries must be numbers, got '0.25'"),
+    (_bool_in_detection_label_dist, "label_dist entries must be numbers, got "),
+    (_bool_in_object_visual, "visual entries must be numbers, got True"),
+    (_null_in_object_visual, "visual entries must be numbers, got None"),
+    (_set("event_labels", ["0", "1", "0", "0"]), "field 'event_labels' must be a list of numbers"),
+    (_set("event_labels", [[0, 1]]), "field 'event_labels' must be a list of numbers"),
+    (_set("seed", 7.9), "field 'seed' must be an integer, got 7.9"),
+    (_set("seed", True), "field 'seed' must be an integer, got True"),
+    (_set("seed", "7"), "field 'seed' must be an integer, got '7'"),
+    (_set("seed", "abc"), "field 'seed' must be an integer, got 'abc'"),
+], ids=["det-visual-string", "det-label-bool", "gt-visual-bool", "gt-visual-null",
+        "event-label-strings", "event-label-rows", "seed-float", "seed-bool", "seed-string",
+        "seed-not-a-number"])
+def test_dataset_numbers_are_type_checked(tmp_path, dataset_dir, capsys, edit, message):
+    # numpy would read these as numbers ('0.25' -> 0.25, true -> 1.0, null ->
+    # nan, 7.9 -> 7); 'abc' ended in a ValueError traceback
+    data = _edited_train_split(tmp_path, dataset_dir, 1, edit)
+    capsys.readouterr()
+    assert _train(data, tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"train.jsonl:2: {message}" in err
 
 
 def _short_visual(obj):

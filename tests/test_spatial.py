@@ -3,7 +3,7 @@ import pytest
 
 from conftest import random_object_node, zero_params
 from fixtures import pair_grid
-from stsg.autodiff import Tensor
+from stsg.autodiff import Tensor, segment_sum
 from stsg.params import ModelParams
 from stsg.rng import RngStream
 from stsg.spatial import (
@@ -24,6 +24,11 @@ def edges_of(theta):
     """Pair list of a 0/1 connectivity matrix: (i, j) wherever theta[i, j] != 0."""
     subj, obj = np.nonzero(theta)
     return subj, obj
+
+
+def edge_sums(eps, subj, n):
+    """The per-node sums of the pairs' edge features that `gcn_layer` takes."""
+    return segment_sum(Tensor(eps), subj, n)
 
 
 def full_connectivity(n):
@@ -86,7 +91,7 @@ def test_gcn_empty_neighborhood_is_relu(dims, params):
     feats = rng.normal_array((3, dims.m))
     subj, obj = edges_of(np.zeros((3, 3)))
     eps = rng.normal_array((0, dims.h))
-    out = gcn_layer(Tensor(feats), subj, obj, Tensor(eps),
+    out = gcn_layer(Tensor(feats), subj, obj, edge_sums(eps, subj, 3),
                     params["gcn.0.w_node"], params["gcn.0.w_edge"], params["gcn.0.bias"]).data
     np.testing.assert_array_equal(out, np.maximum(feats, 0.0))
 
@@ -98,7 +103,7 @@ def test_gcn_two_node_identity_weights(dims):
     nu[1, 1] = 1.0
     subj, obj = edges_of(np.array([[0.0, 1.0], [0.0, 0.0]]))
     eps = np.zeros((1, dims.h))
-    out = gcn_layer(Tensor(nu), subj, obj, Tensor(eps),
+    out = gcn_layer(Tensor(nu), subj, obj, edge_sums(eps, subj, 2),
                     Tensor(np.eye(m)), Tensor(np.zeros((dims.h, m))), Tensor(np.zeros(m))).data
     expected = np.zeros((2, m))
     expected[0, 0] = 1.0
@@ -116,12 +121,13 @@ def test_gcn_layer_permutation_equivariance(dims, params):
     np.fill_diagonal(theta, 0.0)
     eps = rng.normal_array((n, n, dims.h))
     subj, obj = edges_of(theta)
-    base = gcn_layer(Tensor(feats), subj, obj, Tensor(eps[subj, obj]),
+    base = gcn_layer(Tensor(feats), subj, obj, edge_sums(eps[subj, obj], subj, n),
                      params["gcn.0.w_node"], params["gcn.0.w_edge"], params["gcn.0.bias"]).data
     perm = rng.permutation(n)
     p_subj, p_obj = edges_of(theta[np.ix_(perm, perm)])
     p_eps = eps[np.ix_(perm, perm)]
-    shuffled = gcn_layer(Tensor(feats[perm]), p_subj, p_obj, Tensor(p_eps[p_subj, p_obj]),
+    shuffled = gcn_layer(Tensor(feats[perm]), p_subj, p_obj,
+                         edge_sums(p_eps[p_subj, p_obj], p_subj, n),
                          params["gcn.0.w_node"], params["gcn.0.w_edge"], params["gcn.0.bias"]).data
     np.testing.assert_allclose(shuffled, base[perm], rtol=0, atol=1e-12)
 
@@ -131,9 +137,9 @@ def test_propagate_single_layer_equals_layer(dims):
     rng = RngStream(8)
     feats = rng.normal_array((3, dims.m))
     subj, obj = frame_pairs([3])
-    eps = Tensor(rng.normal_array((3, 3, dims.h))[subj, obj])
-    via_propagate = gcn_propagate(Tensor(feats), subj, obj, eps, p).data
-    via_layer = gcn_layer(Tensor(feats), subj, obj, eps,
+    eps = rng.normal_array((3, 3, dims.h))[subj, obj]
+    via_propagate = gcn_propagate(Tensor(feats), subj, obj, Tensor(eps), p).data
+    via_layer = gcn_layer(Tensor(feats), subj, obj, edge_sums(eps, subj, 3),
                           p["gcn.0.w_node"], p["gcn.0.w_edge"], p["gcn.0.bias"]).data
     np.testing.assert_array_equal(via_propagate, via_layer)
 
@@ -143,9 +149,10 @@ def test_propagate_two_layers_is_composition(dims, params):
     feats = rng.normal_array((3, dims.m))
     subj, obj = frame_pairs([3])
     t_feats, t_eps = Tensor(feats), Tensor(rng.normal_array((3, 3, dims.h))[subj, obj])
-    once = gcn_layer(t_feats, subj, obj, t_eps, params["gcn.0.w_node"],
+    sums = segment_sum(t_eps, subj, 3)
+    once = gcn_layer(t_feats, subj, obj, sums, params["gcn.0.w_node"],
                      params["gcn.0.w_edge"], params["gcn.0.bias"])
-    twice = gcn_layer(once, subj, obj, t_eps, params["gcn.1.w_node"],
+    twice = gcn_layer(once, subj, obj, sums, params["gcn.1.w_node"],
                       params["gcn.1.w_edge"], params["gcn.1.bias"]).data
     np.testing.assert_array_equal(gcn_propagate(t_feats, subj, obj, t_eps, params).data, twice)
 

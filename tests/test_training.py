@@ -462,6 +462,8 @@ def test_training_loss_halves_in_twenty_epochs():
     assert last <= 0.5 * first, (first, last)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
 def test_non_finite_loss_aborts_with_diagnostic():
     # clipping off so the runaway step actually saturates the loss
     cfg = tiny_cfg(learning_rate=1e9, epochs=3, optimizer="sgd", clip_norm=0.0)
