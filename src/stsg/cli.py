@@ -139,14 +139,13 @@ def to_predictions(frames: list[FramePrediction], dims: Dims) -> list[FramePredi
 
 
 def _forward_frames(sequences, params: ModelParams, mode: str, variant: str,
-                    k: int, constraint: bool = False) -> list[FrameEval]:
-    """Ranked predictions per frame; constraint=True ranks only the best
-    triplet per pair, which serves with-constraint metrics alone."""
+                    k: int) -> list[FrameEval]:
+    """Each frame's ranked predictions, unconstrained: evaluation applies the
+    graph constraint to the whole corpus."""
     frames: list[FrameEval] = []
     for seq, preds in _serve(sequences, params, mode, variant, k):
         for pred, frame in zip(preds, seq.frames):
-            frames.append(FrameEval(rank_triplets(pred, constraint=constraint),
-                                    list(frame.triplets), list(frame.objects)))
+            frames.append(FrameEval(pred.ranked, list(frame.triplets), list(frame.objects)))
     return frames
 
 
@@ -209,8 +208,7 @@ def cmd_train(args) -> int:
         val = val[: args.val_sequences] if args.val_sequences else val
 
         def eval_fn(params):
-            frames = _forward_frames(val, params, cfg.train.mode, cfg.train.variant,
-                                     cfg.train.k, constraint=True)
+            frames = _forward_frames(val, params, cfg.train.mode, cfg.train.variant, cfg.train.k)
             return recall_at_k(frames, 20, cfg.train.mode, constraint=True)
 
     result = train(data, cfg, eval_fn=eval_fn)
@@ -313,8 +311,8 @@ def _ablation_cell(cfg: RunConfig, train_data, test_data, cell) -> dict[str, flo
     variant, k, seed = cell
     result = train(train_data, config_with(cfg, mode="sgdet", variant=variant, k=k, seed=seed))
     return {
-        mode: recall_at_k(_forward_frames(test_data, result.params, mode, variant, k,
-                                          constraint=True), 20, mode, constraint=True)
+        mode: recall_at_k(_forward_frames(test_data, result.params, mode, variant, k), 20, mode,
+                          constraint=True)
         for mode in MODES
     }
 

@@ -21,7 +21,7 @@ import numpy as np
 from .config import Dims, RunConfig, parse_config_items
 from .errors import ContractError, DataFormatError, ShapeError
 from .params import ModelParams, model_shapes
-from .scene import BoundingBox, SceneSequence, object_nodes, scene_sequence
+from .scene import SceneSequence, object_nodes, scene_sequence
 from .temporal import FramePrediction, RankedFrame
 
 SPLITS = ("train", "val", "test")
@@ -70,35 +70,30 @@ def _field(record: dict, name: str, path: Path, lineno: int):
 
 
 def sequence_to_json(seq: SceneSequence) -> dict:
-    return {
-        "seed": seq.seed,
-        "event_labels": seq.event_labels.tolist(),
-        "frames": [
-            {
-                "objects": [
-                    {
-                        "box": [o.box.x, o.box.y, o.box.w, o.box.h],
-                        "label": o.label,
-                        "visual": o.visual_feat.tolist(),
-                        "occluded": o.occluded,
-                        "det_label_dist": o.detector_label_dist.tolist()
-                        if o.detector_label_dist is not None else None,
-                    }
-                    for o in frame.objects
-                ],
-                "triplets": [list(t) for t in frame.triplets],
-                "detections": [
-                    {
-                        "box": [d.box.x, d.box.y, d.box.w, d.box.h],
-                        "label_dist": d.label_dist.tolist(),
-                        "visual": d.visual_feat.tolist(),
-                    }
-                    for d in frame.detections
-                ],
-            }
-            for frame in seq.frames
-        ],
-    }
+    """A dataset record; boxes and vectors are read off the frames' node rows."""
+    g = seq.g
+
+    def frame_json(frame) -> dict:
+        return {
+            "objects": [
+                {
+                    "box": row[:4],
+                    "label": o.label,
+                    "visual": row[4 + g:],
+                    "occluded": o.occluded,
+                    "det_label_dist": row[4:4 + g] if o.recorded else None,
+                }
+                for o, row in zip(frame.objects, frame.gt_feats.tolist())
+            ],
+            "triplets": [list(t) for t in frame.triplets],
+            "detections": [
+                {"box": row[:4], "label_dist": row[4:4 + g], "visual": row[4 + g:]}
+                for row in frame.det_feats.tolist()
+            ],
+        }
+
+    return {"seed": seq.seed, "event_labels": seq.event_labels.tolist(),
+            "frames": [frame_json(frame) for frame in seq.frames]}
 
 
 _NUMBER_TYPES = frozenset((int, float))
@@ -110,11 +105,11 @@ def _numbers(values) -> bool:
     return _NUMBER_TYPES.issuperset(map(type, values))
 
 
-def _box(record: dict, path: Path, lineno: int) -> BoundingBox:
+def _box(record: dict, path: Path, lineno: int) -> list:
     box = _field(record, "box", path, lineno)
     if not (isinstance(box, list) and len(box) == 4 and _numbers(box)):
         raise DataFormatError(f"{path}:{lineno}: field 'box' must be 4 numbers, got {box!r}")
-    return BoundingBox(*box)
+    return box
 
 
 def _index(value, bound: int, what: str, path: Path, lineno: int) -> int:
@@ -143,17 +138,20 @@ def _triplet(t, n_objects: int, h: int, path: Path, lineno: int) -> tuple[int, i
 def sequence_from_json(record: dict, path: Path, lineno: int, dims: Dims) -> SceneSequence:
     """One dataset record; object labels, triplet node indices and
     predicates are range-checked against `dims` and each frame's objects,
-    the gt vectors are checked as `object_nodes` checks a detection's, and
-    every vector entry, event label and the seed must be a JSON number (the
-    seed an integer). The objects and detections of all frames are read
-    together, one array per field."""
+    the gt vectors are checked as `object_nodes` checks a detection's, every
+    box is range-checked (`scene_sequence`), and every box and vector entry,
+    event label and the seed must be a JSON number (the seed an integer).
+    The objects and detections of all frames are read together, one array
+    per field."""
     def field(entry: dict, name: str):
         return _field(entry, name, path, lineno)
 
-    def nodes(boxes, label_dists, visuals, label_field: str) -> np.ndarray:
+    def nodes(entries: list, label_dists, label_field: str) -> np.ndarray:
+        boxes = [_box(e, path, lineno) for e in entries]
+        visuals = [field(e, "visual") for e in entries]
         try:
             feats = object_nodes(boxes, label_dists, visuals, dims, label_field)
-        except (ContractError, ShapeError) as e:
+        except (ContractError, ShapeError, OverflowError) as e:
             raise DataFormatError(f"{path}:{lineno}: {e}") from None
         # the rows have the right lengths, but numpy also converts a numeric
         # string, a bool or a null: each entry must be a JSON number
@@ -165,28 +163,23 @@ def sequence_from_json(record: dict, path: Path, lineno: int, dims: Dims) -> Sce
         return feats
 
     def gt_object(o: dict) -> tuple:
-        return (_box(o, path, lineno),
-                _index(field(o, "label"), dims.g, "object label", path, lineno),
+        return (_index(field(o, "label"), dims.g, "object label", path, lineno),
                 bool(o.get("occluded", False)), o.get("det_label_dist") is not None)
 
     frames = [(field(f, "objects"), field(f, "triplets"), field(f, "detections"))
               for f in field(record, "frames")]
     spec = [([gt_object(o) for o in objects],
              [_triplet(t, len(objects), dims.h, path, lineno) for t in triplets],
-             [_box(d, path, lineno) for d in dets]) for objects, triplets, dets in frames]
+             len(dets)) for objects, triplets, dets in frames]
     objects = [o for objs, _, _ in frames for o in objs]
     gt = [o for objs, _, _ in spec for o in objs]
     # the detector's label distribution, or one-hot where none is recorded (as
     # lists of floats, like the decoded rows, for the entry check)
     one_hot = np.eye(dims.g).tolist()
-    gt_feats = nodes([box for box, *_ in gt],
-                     [o["det_label_dist"] if recorded else one_hot[label]
-                      for o, (_, label, _, recorded) in zip(objects, gt)],
-                     [field(o, "visual") for o in objects], "det_label_dist")
+    gt_feats = nodes(objects, [o["det_label_dist"] if recorded else one_hot[label]
+                               for o, (label, _, recorded) in zip(objects, gt)], "det_label_dist")
     dets = [d for _, _, ds in frames for d in ds]
-    det_feats = nodes([box for _, _, boxes in spec for box in boxes],
-                      [field(d, "label_dist") for d in dets],
-                      [field(d, "visual") for d in dets], "label_dist")
+    det_feats = nodes(dets, [field(d, "label_dist") for d in dets], "label_dist")
     events = field(record, "event_labels")
     event_labels = _number_array(events, 1)
     if event_labels is None:
@@ -195,7 +188,10 @@ def sequence_from_json(record: dict, path: Path, lineno: int, dims: Dims) -> Sce
     seed = field(record, "seed")
     if type(seed) is not int:
         raise DataFormatError(f"{path}:{lineno}: field 'seed' must be an integer, got {seed!r}")
-    return scene_sequence(spec, gt_feats, det_feats, dims.g, event_labels, seed)
+    try:
+        return scene_sequence(spec, gt_feats, det_feats, dims.g, event_labels, seed)
+    except ContractError as e:
+        raise DataFormatError(f"{path}:{lineno}: {e}") from None
 
 
 def write_split(path: Path, cfg: RunConfig, split: str,
@@ -258,7 +254,7 @@ def load_checkpoint(path: str | Path) -> tuple[RunConfig, ModelParams, list[dict
         raise DataFormatError(f"{path}: not a checkpoint file (field 'kind')")
     cfg = runconfig_from_flat(_field(doc, "config", path, 1))
     gcn_layers = doc.get("gcn_layers", 2)
-    if not isinstance(gcn_layers, int) or gcn_layers < 1:
+    if type(gcn_layers) is not int or gcn_layers < 1:
         raise DataFormatError(f"{path}: field 'gcn_layers' must be a positive integer")
     expected = model_shapes(cfg.dims, gcn_layers)
     entries = _field(doc, "params", path, 1)
@@ -277,11 +273,11 @@ def load_checkpoint(path: str | Path) -> tuple[RunConfig, ModelParams, list[dict
         if entry["shape"] != list(shape):
             raise DataFormatError(f"{path}: parameter {name!r} has shape {entry['shape']}, "
                                   f"expected {list(shape)}")
-        try:
-            arr = np.asarray(entry["data"], dtype=np.float64)
-        except (TypeError, ValueError):
-            raise DataFormatError(f"{path}: parameter {name!r} data is not a list of numbers") \
-                from None
+        arr = _number_array(entry["data"], 1)
+        if arr is None:
+            raise DataFormatError(f"{path}: parameter {name!r} data is not a list of numbers")
+        if not np.isfinite(arr).all():
+            raise DataFormatError(f"{path}: parameter {name!r} data must be finite numbers")
         if arr.shape != (int(np.prod(shape)),):
             raise DataFormatError(f"{path}: parameter {name!r} has {arr.size} values, "
                                   f"expected {int(np.prod(shape))}")

@@ -134,8 +134,8 @@ def _flatten(frames: list[FrameEval], depth: int, constraint: bool) -> _Corpus:
     gt = np.fromiter(chain.from_iterable(chain.from_iterable(fe.gt_triplets for fe in frames)),
                      np.intp, count=3 * len(gt_frame)).reshape(-1, 3)
     objects = [o for fe in frames for o in fe.gt_objects]
-    gt_boxes = np.fromiter(chain.from_iterable((o.box.x, o.box.y, o.box.w, o.box.h)
-                                               for o in objects), np.float64, count=4 * len(objects))
+    gt_boxes = np.fromiter(chain.from_iterable(o.box for o in objects), np.float64,
+                           count=4 * len(objects))
     return _Corpus(
         frame=frame,
         rank=rank,

@@ -4,7 +4,9 @@ A node is the concatenation [box(4) | label distribution(G) | visual(C)],
 so the node width is always m = 4 + G + C and every slice of the encoding
 can be recovered by offset. A sequence holds its node inputs as one matrix
 of such rows for its gt objects and one for its detections, which its
-frames and the per-object vectors view (`scene_sequence`).
+frames view (`scene_sequence`). Those rows are the only copy of a box or
+a vector: a gt object record keeps its box as a tuple of the row's
+numbers, its label and two flags, and a detection record its box.
 """
 
 from __future__ import annotations
@@ -14,25 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ShapeError
-
-
-@dataclass(frozen=True, slots=True)
-class BoundingBox:
-    """Axis-aligned box in normalized frame coordinates; (x, y) is the top-left corner."""
-
-    x: float
-    y: float
-    w: float
-    h: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.x <= 1.0 and 0.0 <= self.y <= 1.0):
-            raise ContractError(f"box: corner ({self.x}, {self.y}) outside [0, 1]")
-        if not (0.0 < self.w <= 1.0 and 0.0 < self.h <= 1.0):
-            raise ContractError(f"box: size ({self.w}, {self.h}) outside (0, 1]")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.w, self.h], dtype=np.float64)
 
 
 def box_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -51,15 +34,34 @@ def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return box_iou(a[:, None, :], b[None, :, :])
 
 
-def iou(a: BoundingBox, b: BoundingBox) -> float:
-    return float(pairwise_iou(a.as_array()[None], b.as_array()[None])[0, 0])
+def iou(a, b) -> float:
+    """IoU of two (x, y, w, h) boxes."""
+    a, b = np.array([a, b], dtype=np.float64)
+    return float(pairwise_iou(a[None], b[None])[0, 0])
 
 
-def overlap_fraction(inner: BoundingBox, outer: BoundingBox) -> float:
-    """Fraction of `inner`'s area covered by `outer`."""
-    ix = max(0.0, min(inner.x + inner.w, outer.x + outer.w) - max(inner.x, outer.x))
-    iy = max(0.0, min(inner.y + inner.h, outer.y + outer.h) - max(inner.y, outer.y))
-    return (ix * iy) / (inner.w * inner.h)
+def overlap_fraction(inner, outer) -> float:
+    """Fraction of the (x, y, w, h) box `inner`'s area covered by `outer`."""
+    x, y, w, h = inner
+    ox, oy, ow, oh = outer
+    ix = max(0.0, min(x + w, ox + ow) - max(x, ox))
+    iy = max(0.0, min(y + h, oy + oh) - max(y, oy))
+    return (ix * iy) / (w * h)
+
+
+def _check_boxes(boxes: np.ndarray) -> None:
+    """Every (x, y, w, h) row of an (n, 4) array has its corner in [0, 1]
+    and its sides in (0, 1]; the error names the first row that does not."""
+    x, y, w, h = boxes.T
+    corner = (0.0 <= x) & (x <= 1.0) & (0.0 <= y) & (y <= 1.0)
+    size = (0.0 < w) & (w <= 1.0) & (0.0 < h) & (h <= 1.0)
+    ok = corner & size
+    if not ok.all():
+        i = int(np.argmin(ok))
+        x, y, w, h = boxes[i].tolist()
+        if not corner[i]:
+            raise ContractError(f"box: corner ({x}, {y}) outside [0, 1]")
+        raise ContractError(f"box: size ({w}, {h}) outside (0, 1]")
 
 
 def _node_rows(rows, width: int, name: str) -> np.ndarray:
@@ -75,38 +77,37 @@ def _node_rows(rows, width: int, name: str) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, slots=True)
-class ObjectNode:
-    """Detected object: box, label distribution and visual feature (see object_nodes)."""
-
-    box: BoundingBox
-    label_dist: np.ndarray
-    visual_feat: np.ndarray
-
-
-def object_nodes(boxes: list[BoundingBox], label_dists, visual_feats, dims,
+def object_nodes(boxes, label_dists, visual_feats, dims,
                  label_field: str = "label_dist") -> np.ndarray:
-    """The (n, m) node matrix of one label distribution and one visual vector
-    per box; errors name the label vectors `label_field`."""
+    """The (n, m) node matrix of one (x, y, w, h) box, one label distribution
+    and one visual vector per node; errors name the label vectors
+    `label_field`."""
     if not boxes:
         return np.zeros((0, dims.m))
     labels = _node_rows(label_dists, dims.g, label_field)
     visual = _node_rows(visual_feats, dims.c, "visual")
     if not (np.all(labels >= 0) and np.all(np.abs(labels.sum(axis=1) - 1.0) <= 1e-9)):
         raise ContractError(f"object_nodes: {label_field} must be a probability distribution")
-    return np.concatenate([np.array([(b.x, b.y, b.w, b.h) for b in boxes]), labels, visual],
-                          axis=1)
+    return np.concatenate([np.array(boxes, dtype=np.float64), labels, visual], axis=1)
+
+
+@dataclass(frozen=True, slots=True)
+class ObjectNode:
+    """Detection: its (x, y, w, h) box; its vectors are its row of the
+    frame's `det_feats`."""
+
+    box: tuple[float, float, float, float]
 
 
 @dataclass(frozen=True, slots=True)
 class GroundTruthObject:
-    """Scripted object state for one frame (labels are exact, occlusion is known)."""
+    """Scripted object state for one frame (labels are exact, occlusion is
+    known); its vectors are its row of the frame's `gt_feats`."""
 
-    box: BoundingBox
+    box: tuple[float, float, float, float]
     label: int
-    visual_feat: np.ndarray
-    occluded: bool = False
-    detector_label_dist: np.ndarray | None = None  # noisy labels used for gt-box protocols
+    occluded: bool
+    recorded: bool   # whether the row holds a detector label distribution, not one-hot
 
 
 @dataclass(slots=True)
@@ -123,47 +124,38 @@ class FrameRecord:
 
 @dataclass
 class SceneSequence:
-    """Ordered frames with gt predicates, detections and sequence-level event labels."""
+    """Ordered frames with gt predicates, detections and sequence-level event
+    labels; g is the label width of the frames' node rows."""
 
     frames: list[FrameRecord]
     event_labels: np.ndarray
     seed: int
+    g: int
 
     def __post_init__(self):
         if not self.frames:
             raise ContractError("sequence: needs at least one frame")
-
-    def __reduce__(self):
-        """Pickle each node matrix once, for the whole sequence; the frames and
-        the objects come back as views of it (`scene_sequence`)."""
-        frames = self.frames
-        gt_feats = np.concatenate([f.gt_feats for f in frames])
-        # the label width g of the rows [box(4) | labels(g) | visual(c)]
-        visual = next((o.visual_feat for f in frames for o in f.objects + f.detections), ())
-        spec = [([(o.box, o.label, o.occluded, o.detector_label_dist is not None)
-                  for o in f.objects], f.triplets, [d.box for d in f.detections]) for f in frames]
-        return scene_sequence, (spec, gt_feats, np.concatenate([f.det_feats for f in frames]),
-                                gt_feats.shape[1] - 4 - len(visual), self.event_labels, self.seed)
 
 
 def scene_sequence(frames: list, gt_feats: np.ndarray, det_feats: np.ndarray, g: int,
                    event_labels: np.ndarray, seed: int) -> SceneSequence:
     """A sequence from its two node matrices, one row per gt object
     ([box | detector label dist | visual]) and per detection (`object_nodes`),
-    frame after frame; and, per frame, its gt objects as (box, label,
-    occluded, whether a detector dist is recorded) tuples, its triplets and
-    its detections' boxes. The frames' arrays and the objects' vectors are
-    views of the two matrices, so each vector is stored once."""
+    frame after frame; and, per frame, its gt objects as (label, occluded,
+    whether a detector dist is recorded) tuples, its triplets and its
+    detection count. Every box of both matrices is range-checked. The
+    frames' arrays are views of the two matrices."""
+    _check_boxes(gt_feats[:, :4])
+    _check_boxes(det_feats[:, :4])
     objects = [o for objs, _, _ in frames for o in objs]
-    labels = np.array([label for _, label, _, _ in objects], dtype=np.intp)
-    gt = [GroundTruthObject(box, label, row[4 + g:], occluded, row[4:4 + g] if recorded else None)
-          for (box, label, occluded, recorded), row in zip(objects, gt_feats)]
-    detections = [ObjectNode(box, row[4:4 + g], row[4 + g:])
-                  for box, row in zip([b for _, _, boxes in frames for b in boxes], det_feats)]
+    labels = np.array([label for label, _, _ in objects], dtype=np.intp)
+    gt = [GroundTruthObject(box, *o) for box, o in zip(map(tuple, gt_feats[:, :4].tolist()),
+                                                       objects)]
+    detections = list(map(ObjectNode, map(tuple, det_feats[:, :4].tolist())))
     records, a, c = [], 0, 0
-    for objs, triplets, boxes in frames:
-        b, d = a + len(objs), c + len(boxes)
+    for objs, triplets, n_detections in frames:
+        b, d = a + len(objs), c + n_detections
         records.append(FrameRecord(gt[a:b], triplets, detections[c:d], gt_feats[a:b],
                                    labels[a:b], det_feats[c:d]))
         a, c = b, d
-    return SceneSequence(records, event_labels, seed)
+    return SceneSequence(records, event_labels, seed, g)

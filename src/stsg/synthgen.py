@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import EVENT_NAMES, Dims, NoiseConfig, WorldConfig
 from .rng import RngStream
-from .scene import BoundingBox, SceneSequence, object_nodes, overlap_fraction, scene_sequence
+from .scene import SceneSequence, object_nodes, overlap_fraction, scene_sequence
 
 NEAR_DIST = 0.22
 HOLD_COVER = 0.5
@@ -48,10 +48,6 @@ def class_prototypes(g: int, c: int) -> np.ndarray:
 
 def _clamp_corners(corners: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(corners, 0.01), np.maximum(0.01, 0.99 - sizes))
-
-
-def _box(corner: np.ndarray, size: np.ndarray) -> BoundingBox:
-    return BoundingBox(*_clamp_corners(corner, size).tolist(), *size.tolist())
 
 
 def frame_triplets(boxes: np.ndarray) -> list[list[tuple[int, int, int]]]:
@@ -109,31 +105,33 @@ def _noisy_label_dist(label: int, g: int, confusion: float, stream: RngStream) -
     return dist
 
 
-def simulate_detector(objects: list[tuple], visual: np.ndarray, noise: NoiseConfig, dims: Dims,
-                      stream: RngStream) -> tuple[list[BoundingBox], list, list]:
-    """Noisy detections of a frame's gt objects, (box, label, occluded, ...)
-    tuples with their visual vectors, as (boxes, label distributions, visual
+def simulate_detector(objects: list[tuple], rows: np.ndarray, noise: NoiseConfig, dims: Dims,
+                      stream: RngStream) -> tuple[list, list, list]:
+    """Noisy detections of a frame's gt objects, (label, occluded, ...)
+    tuples with their node rows, as (boxes, label distributions, visual
     vectors), the inputs of `object_nodes`: occluded objects are always
     dropped, others are dropped with miss_prob; survivors get jittered boxes
     and confused labels; false positives carry uniform label distributions."""
     protos = class_prototypes(dims.g, dims.c)
-    boxes: list[BoundingBox] = []
+    boxes: list[list[float]] = []
     dists: list[np.ndarray] = []
     visuals: list[np.ndarray] = []
-    for (box, label, occluded, *_), feat in zip(objects, visual):
+    for (label, occluded, *_), box, feat in zip(objects, rows[:, :4].tolist(),
+                                                rows[:, 4 + dims.g:]):
         if occluded:
             continue
         if noise.miss_prob > 0 and stream.uniform() < noise.miss_prob:
             continue
         if noise.box_jitter_sigma > 0:
             # jitter hits the center and the size; corner is rebuilt after
+            x, y, bw, bh = box
             dcx, dcy, dw, dh = stream.normal_array(4, 0.0, noise.box_jitter_sigma).tolist()
-            w = min(1.0, max(1e-3, box.w + dw))
-            h = min(1.0, max(1e-3, box.h + dh))
-            cx = box.x + box.w / 2.0 + dcx
-            cy = box.y + box.h / 2.0 + dcy
-            boxes.append(BoundingBox(min(1.0, max(0.0, cx - w / 2.0)),
-                                     min(1.0, max(0.0, cy - h / 2.0)), w, h))
+            w = min(1.0, max(1e-3, bw + dw))
+            h = min(1.0, max(1e-3, bh + dh))
+            cx = x + bw / 2.0 + dcx
+            cy = y + bh / 2.0 + dcy
+            boxes.append([min(1.0, max(0.0, cx - w / 2.0)), min(1.0, max(0.0, cy - h / 2.0)),
+                          w, h])
         else:
             boxes.append(box)
         dists.append(_noisy_label_dist(label, dims.g, noise.label_confusion_prob, stream))
@@ -145,7 +143,7 @@ def simulate_detector(objects: list[tuple], visual: np.ndarray, noise: NoiseConf
     for _ in range(n_fp):
         w = stream.uniform(0.05, 0.2)
         h = stream.uniform(0.05, 0.2)
-        boxes.append(BoundingBox(stream.uniform(0.0, 1.0 - w), stream.uniform(0.0, 1.0 - h), w, h))
+        boxes.append([stream.uniform(0.0, 1.0 - w), stream.uniform(0.0, 1.0 - h), w, h])
         cls = stream.integer(dims.g)
         visuals.append(protos[cls] + stream.normal_array(dims.c, 0.0, _VISUAL_NOISE_SIGMA))
         dists.append(np.full(dims.g, 1.0 / dims.g))
@@ -184,12 +182,13 @@ def generate_scene(dims: Dims, world: WorldConfig, seed: int) -> SceneSequence:
 
     corners = np.zeros((n, 2))
     corners[0] = [layout.uniform(0.02, 0.8), layout.uniform(0.02, 0.8)]
-    agent_box = _box(corners[0], sizes[0])
+    agent_box = [*_clamp_corners(corners[0], sizes[0]).tolist(), *sizes[0].tolist()]
     for i in range(1, n):
         for _attempt in range(10):
             corners[i] = [layout.uniform(0.02, 0.98 - sizes[i][0]),
                           layout.uniform(0.02, 0.98 - sizes[i][1])]
-            if overlap_fraction(_box(corners[i], sizes[i]), agent_box) < 0.2:
+            box = [*_clamp_corners(corners[i], sizes[i]).tolist(), *sizes[i].tolist()]
+            if overlap_fraction(box, agent_box) < 0.2:
                 break
 
     event, target, other = _plan_event(n, motion)
@@ -292,14 +291,13 @@ def generate_scene(dims: Dims, world: WorldConfig, seed: int) -> SceneSequence:
         row[4 + dims.g:] = protos[label] + feat.normal_array(dims.c, 0.0, _VISUAL_NOISE_SIGMA)
         row[4:4 + dims.g] = _noisy_label_dist(label, dims.g, world.noise.label_confusion_prob,
                                               feat)
-    objects = [(BoundingBox(*box), label, occ, True)
-               for box, label, occ in zip(boxes.tolist(), labels, occluded.ravel().tolist())]
+    objects = [(label, occ, True) for label, occ in zip(labels, occluded.ravel().tolist())]
     frames, det_boxes, det_dists, det_visuals = [], [], [], []
     for t, triplets in enumerate(frame_triplets(boxes.reshape(f, n, 4))):
         rows = slice(t * n, (t + 1) * n)
-        b, d, v = simulate_detector(objects[rows], feats[rows, 4 + dims.g:], world.noise, dims,
+        b, d, v = simulate_detector(objects[rows], feats[rows], world.noise, dims,
                                     rng.split(100 + t))
-        frames.append((objects[rows], triplets, b))
+        frames.append((objects[rows], triplets, len(b)))
         det_boxes += b
         det_dists += d
         det_visuals += v

@@ -4,20 +4,13 @@ import pytest
 from stsg.config import Dims
 from stsg.params import ModelParams
 from stsg.rng import RngStream
-from stsg.scene import (
-    BoundingBox,
-    FrameRecord,
-    GroundTruthObject,
-    ObjectNode,
-    SceneSequence,
-    object_nodes,
-)
+from stsg.scene import FrameRecord, SceneSequence, scene_sequence
 
 
-def random_box(rng: RngStream) -> BoundingBox:
+def random_box(rng: RngStream) -> list[float]:
     w = rng.uniform(0.05, 0.3)
     h = rng.uniform(0.05, 0.3)
-    return BoundingBox(rng.uniform(0.0, 1.0 - w), rng.uniform(0.0, 1.0 - h), w, h)
+    return [rng.uniform(0.0, 1.0 - w), rng.uniform(0.0, 1.0 - h), w, h]
 
 
 def random_dist(rng: RngStream, g: int) -> np.ndarray:
@@ -25,36 +18,31 @@ def random_dist(rng: RngStream, g: int) -> np.ndarray:
     return raw / raw.sum()
 
 
-def node_list(boxes, label_dists, visual_feats, dims: Dims) -> list[ObjectNode]:
-    """`object_nodes` as a list of nodes, each a view of its row."""
-    feats = object_nodes(boxes, label_dists, visual_feats, dims)
-    return [ObjectNode(box, row[4:4 + dims.g], row[4 + dims.g:]) for box, row in zip(boxes, feats)]
-
-
-def random_object_node(rng: RngStream, dims: Dims) -> ObjectNode:
+def random_node_row(rng: RngStream, dims: Dims) -> np.ndarray:
+    """A random [box | label dist | visual] node row."""
     box, dist = random_box(rng), random_dist(rng, dims.g)
-    return node_list([box], [dist], [rng.normal_array(dims.c, 0.0, 1.0)], dims)[0]
+    return np.concatenate([box, dist, rng.normal_array(dims.c, 0.0, 1.0)])
 
 
-def random_gt_object(rng: RngStream, dims: Dims) -> GroundTruthObject:
+def random_gt_row(rng: RngStream, dims: Dims) -> tuple[int, np.ndarray]:
+    """A random gt object: its label and its [box | detector label dist |
+    visual] row, the detector putting 0.9 plus a tenth of 0.1 on the label."""
     label = rng.integer(dims.g)
     noisy = np.full(dims.g, 0.1 / dims.g)
     noisy[label] += 0.9
     noisy = noisy / noisy.sum()
-    return GroundTruthObject(
-        box=random_box(rng),
-        label=label,
-        visual_feat=rng.normal_array(dims.c, 0.0, 1.0),
-        detector_label_dist=noisy,
-    )
+    box = random_box(rng)
+    return label, np.concatenate([box, noisy, rng.normal_array(dims.c, 0.0, 1.0)])
 
 
 def random_sequence(rng: RngStream, dims: Dims, n_frames: int = 3,
                     n_min: int = 2, n_max: int = 4) -> SceneSequence:
-    frames = []
+    """Frames of n_min to n_max random gt objects, each detected as its gt
+    row, and a few random triplets; made by `scene_sequence`."""
+    frames, rows = [], []
     for _ in range(n_frames):
         n = n_min + rng.integer(n_max - n_min + 1)
-        objects = [random_gt_object(rng, dims) for _ in range(n)]
+        objects = [random_gt_row(rng, dims) for _ in range(n)]
         triplets = []
         if n >= 2:
             for _ in range(rng.integer(3) + 1):
@@ -62,44 +50,37 @@ def random_sequence(rng: RngStream, dims: Dims, n_frames: int = 3,
                 j = rng.integer(n)
                 if i != j:
                     triplets.append((i, j, rng.integer(dims.h)))
-        detections = node_list([o.box for o in objects], [o.detector_label_dist for o in objects],
-                               [o.visual_feat for o in objects], dims)
-        frames.append(frame_record(objects, sorted(set(triplets)), detections, dims))
-    return SceneSequence(frames=frames, event_labels=np.zeros(4), seed=rng.seed)
+        frames.append(([(label, False, True) for label, _ in objects], sorted(set(triplets)), n))
+        rows += [row for _, row in objects]
+    feats = np.array(rows, dtype=np.float64).reshape(-1, dims.m)
+    return scene_sequence(frames, feats, feats.copy(), dims.g, np.zeros(4), rng.seed)
 
 
 def encode_frame(frame: FrameRecord, mode: str, dims: Dims) -> np.ndarray:
-    """A frame's (n, m) node inputs in a mode, each row encoded on its own
-    from its object's fields: [box | labels | visual], the labels one-hot
-    (predcls), the detector's distribution where recorded (sgcls), or a
-    detection's own (sgdet)."""
-    one_hot = np.eye(dims.g)
+    """A frame's (n, m) node inputs in a mode, one frame at a time: its
+    detection rows (sgdet), its gt rows (sgcls), or its gt rows with one-hot
+    labels (predcls)."""
     if mode == "sgdet":
-        rows = [np.concatenate([d.box.as_array(), d.label_dist, d.visual_feat])
-                for d in frame.detections]
-    else:
-        rows = [np.concatenate([o.box.as_array(),
-                                one_hot[o.label] if mode == "predcls"
-                                or o.detector_label_dist is None else o.detector_label_dist,
-                                o.visual_feat]) for o in frame.objects]
-    return np.array(rows, dtype=np.float64).reshape(-1, dims.m)
+        return frame.det_feats
+    rows = frame.gt_feats.copy()
+    if mode == "predcls":
+        rows[:, 4:4 + dims.g] = np.eye(dims.g)[frame.gt_labels]
+    return rows
 
 
-def frame_record(objects, triplets, detections, dims: Dims) -> FrameRecord:
-    """A frame of these lists, its node matrices stacked from their fields
-    as `encode_frame` encodes them in sgcls and sgdet."""
-    frame = FrameRecord(objects=list(objects), triplets=list(triplets),
-                        detections=list(detections), gt_feats=np.zeros((0, dims.m)),
-                        gt_labels=np.array([o.label for o in objects], dtype=np.intp),
-                        det_feats=np.zeros((0, dims.m)))
-    frame.gt_feats = encode_frame(frame, "sgcls", dims)
-    frame.det_feats = encode_frame(frame, "sgdet", dims)
-    return frame
+def frame_record(gt_feats, gt_labels, triplets, det_feats, dims: Dims) -> FrameRecord:
+    """A frame of these node rows, made by `scene_sequence`: gt rows
+    [box | detector label dist | visual] with their labels, and detection
+    rows [box | label dist | visual]."""
+    gt_feats = np.asarray(gt_feats, dtype=np.float64).reshape(-1, dims.m)
+    det_feats = np.asarray(det_feats, dtype=np.float64).reshape(-1, dims.m)
+    spec = [([(int(label), False, True) for label in gt_labels], list(triplets), len(det_feats))]
+    return scene_sequence(spec, gt_feats, det_feats, dims.g, np.zeros(4), 0).frames[0]
 
 
 def empty_frame(dims: Dims) -> FrameRecord:
     """A frame without objects, triplets or detections."""
-    return frame_record([], [], [], dims)
+    return frame_record([], [], [], [], dims)
 
 
 def frame_pair_links(n_t: int, n_prev: int) -> tuple[np.ndarray, np.ndarray]:

@@ -11,7 +11,7 @@ import numpy as np
 
 from stsg.config import MODES, RunConfig, config_with
 from stsg.metrics import IOU_THRESHOLD, FrameEval, constrained_view, rank_triplets
-from stsg.scene import BoundingBox, GroundTruthObject, pairwise_iou
+from stsg.scene import GroundTruthObject, pairwise_iou
 from stsg.synthgen import generate_scene
 from stsg.temporal import FramePrediction, forward_sequence, rank_frames
 from stsg.training import train
@@ -32,7 +32,7 @@ def relation_probs(pred: FramePrediction) -> np.ndarray:
 
 
 def _gt(x, y, w, h, label):
-    return GroundTruthObject(BoundingBox(x, y, w, h), label, np.zeros(2))
+    return GroundTruthObject((x, y, w, h), label, False, True)
 
 
 def _pred(boxes, labels, scores, rel):
@@ -127,7 +127,7 @@ def compatibility(ranked, gt_triplets, gt_objects, mode: str) -> np.ndarray:
                   & (ranked.labels[obj] == gt_labels[gj]))
     if mode in ("predcls", "sgcls"):
         return compatible & (subj == gi) & (obj == gj)
-    overlaps = pairwise_iou(ranked.boxes, np.stack([o.box.as_array() for o in gt_objects]))
+    overlaps = pairwise_iou(ranked.boxes, np.array([o.box for o in gt_objects]))
     overlaps = overlaps >= IOU_THRESHOLD
     return compatible & overlaps[subj, gi] & overlaps[obj, gj]
 

@@ -153,7 +153,7 @@ def test_criterion_5_permutation_equivariance(params):
         base = forward_sequence(seq, params, "sgdet", "sparse", k=1)
         perms = [rng.permutation(len(f.detections)) for f in seq.frames]
         shuffled = copy.deepcopy(seq)
-        shuffled.frames = [frame_record(f.objects, f.triplets, [f.detections[i] for i in p], DIMS)
+        shuffled.frames = [frame_record(f.gt_feats, f.gt_labels, f.triplets, f.det_feats[p], DIMS)
                            for f, p in zip(shuffled.frames, perms)]
         out = forward_sequence(shuffled, params, "sgdet", "sparse", k=1)
         for (a, b, p) in zip(base, out, perms):

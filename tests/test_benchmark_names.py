@@ -180,8 +180,12 @@ def test_traced_link_identity_agrees_with_node_identity(tracer, mode):
 
 def test_benchmark_serving_writes_what_stsg_infer_writes(workloads, tmp_path):
     # perfbench times serving through its own per-frame calls
-    # (cli.forward_sequence, cli.rank_triplets, sio.frame_prediction_to_json);
-    # its check_cli compares them with `stsg infer` in sgdet only
+    # (cli.forward_sequence, cli.rank_triplets, sio.frame_prediction_to_json)
+    # and evaluation through frames_from_predictions and cli.evaluate, which
+    # read the gt objects of a loaded split; its check_cli compares them with
+    # `stsg infer` and `stsg eval` in sgdet only
+    import json
+
     from stsg import cli
     from stsg import io as sio
     from stsg.config import MODES, load_config
@@ -196,14 +200,19 @@ def test_benchmark_serving_writes_what_stsg_infer_writes(workloads, tmp_path):
     params = ModelParams.init(cfg.dims, seed=0)
     ckpt = tmp_path / "model.json"
     sio.write_checkpoint(ckpt, cfg, params, [])
+    _, train_seqs = sio.load_split(data, "train")
     _, test_seqs = sio.load_split(data, "test")
     cell = workloads.Cell("sparse[k=1]", "sparse", 1, train=False)
+    evals = tuple((mode, constraint) for mode in MODES for constraint in (True, False))
     wl = workloads.Workload(name="pin", train_sequences=1, test_sequences=3, cells=(cell,),
-                            epochs=1, modes=MODES, evals=())
+                            epochs=1, modes=MODES, evals=evals)
+    # the loaded splits equal freshly generated sequences
+    workloads.check_reload(wl, 7, {"train": train_seqs, "test": test_seqs})
     out.mkdir()
     served = workloads.serve_cell(wl, cell, cfg, params, test_seqs, out, "pin",
                                   workloads.Clock())
     assert served["failed"] == 0
+    digests = [workloads.params_digest(params)]
     for mode in MODES:
         infer = tmp_path / f"{mode}.jsonl"
         assert cli.main(["infer", "--ckpt", str(ckpt), "--data", str(data), "--split", "test",
@@ -211,3 +220,15 @@ def test_benchmark_serving_writes_what_stsg_infer_writes(workloads, tmp_path):
                          "--out", str(infer)]) == 0
         assert len(infer.read_text().splitlines()) == 1 + len(test_seqs)
         assert served["preds"][mode].read_bytes() == infer.read_bytes(), mode
+        digests.append(workloads._sha(infer.read_bytes()))
+        for constraint in (True, False):
+            report = tmp_path / f"{mode}.{constraint}.report.json"
+            assert cli.main(["eval", "--preds", str(infer), "--data", str(data), "--split", "test",
+                             "--constraint", "with" if constraint else "no",
+                             "--out", str(report)]) == 0
+            metrics = json.loads(report.read_text())["metrics"]
+            digests.append(workloads._sha(json.dumps(metrics, sort_keys=True).encode()))
+            if constraint:
+                assert served["r20"][mode] == metrics["recall@20"]
+    # the pass's evaluation reports equal `stsg eval --preds`'s, in order
+    assert served["digest"] == digests

@@ -154,9 +154,8 @@ def test_dataset_roundtrip(dataset_dir):
         assert a.seed == b.seed
         for fa, fb in zip(a.frames, b.frames):
             assert fa.triplets == fb.triplets
-            for oa, ob in zip(fa.objects, fb.objects):
-                assert oa.box == ob.box
-                assert np.array_equal(oa.visual_feat, ob.visual_feat)
+            assert fa.objects == fb.objects
+            assert np.array_equal(fa.gt_feats, fb.gt_feats)
 
 
 def test_checkpoint_roundtrip_is_exact(checkpoint_path):
@@ -193,7 +192,7 @@ def gt_prediction_records(seqs):
     for seq in seqs:
         frames = []
         for frame in seq.frames:
-            boxes = [[o.box.x, o.box.y, o.box.w, o.box.h] for o in frame.objects]
+            boxes = [list(o.box) for o in frame.objects]
             frames.append({
                 "boxes": boxes,
                 "labels": [o.label for o in frame.objects],
@@ -372,6 +371,36 @@ def test_malformed_checkpoint_is_an_error(tmp_path, checkpoint_path, dataset_dir
     bad.write_text(json.dumps(doc))
     assert main(["eval", "--ckpt", str(bad), "--data", str(dataset_dir)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("value, message", [
+    ("0.25", "data is not a list of numbers"),
+    (True, "data is not a list of numbers"),
+    (None, "data is not a list of numbers"),
+    (float("nan"), "data must be finite numbers"),
+    (float("inf"), "data must be finite numbers"),
+    (-float("inf"), "data must be finite numbers"),
+], ids=["string", "bool", "null", "nan", "infinity", "minus-infinity"])
+def test_checkpoint_parameters_must_be_finite_numbers(tmp_path, checkpoint_path, dataset_dir,
+                                                      capsys, value, message):
+    # numpy read these as numbers ("0.25" -> 0.25, true -> 1.0, null -> nan);
+    # a nan or an infinity then surfaced as a ranking error far from its cause
+    doc = json.loads(checkpoint_path.read_text())
+    doc["params"]["rel.w"]["data"][3] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["eval", "--ckpt", str(bad), "--data", str(dataset_dir)]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: parameter 'rel.w' {message}\n"
+
+
+def test_checkpoint_gcn_layers_must_be_an_integer(tmp_path, checkpoint_path, dataset_dir, capsys):
+    doc = json.loads(checkpoint_path.read_text())
+    doc["gcn_layers"] = True
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["eval", "--ckpt", str(bad), "--data", str(dataset_dir)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: {bad}: field 'gcn_layers' must be a positive integer\n"
 
 
 def _corrupt_first_prediction(preds, edit) -> None:
@@ -710,6 +739,25 @@ def test_malformed_dataset_box_is_an_error(tmp_path, dataset_dir, capsys, box):
     assert err.startswith("error: ") and "train.jsonl:2" in err and "'box'" in err
 
 
+@pytest.mark.parametrize("kind, box, message", [
+    ("objects", [1.5, 0.25, 0.1, 0.1], "box: corner (1.5, 0.25) outside [0, 1]"),
+    ("objects", [0.25, 0.25, 0.1, 1.25], "box: size (0.1, 1.25) outside (0, 1]"),
+    ("detections", [0.25, -0.5, 0.1, 0.1], "box: corner (0.25, -0.5) outside [0, 1]"),
+    ("detections", [0.25, 0.25, 0.0, 0.1], "box: size (0.0, 0.1) outside (0, 1]"),
+], ids=["gt-corner", "gt-size", "detection-corner", "detection-size-zero"])
+def test_dataset_box_out_of_range_names_its_line(tmp_path, dataset_dir, capsys, kind, box,
+                                                 message):
+    # the range check used to end in the bare message, without file or line
+    def edit(record):
+        frame = next(f for f in record["frames"][1:] if f[kind])
+        frame[kind][-1]["box"] = box
+
+    data = _edited_train_split(tmp_path, dataset_dir, 1, edit)
+    capsys.readouterr()
+    assert _train(data, tmp_path) == 1
+    assert capsys.readouterr().err == f"error: {data / 'train.jsonl'}:2: {message}\n"
+
+
 def _label_out_of_range(frame):
     frame["objects"][0]["label"] = 99
 
@@ -808,6 +856,10 @@ def _null_in_object_visual(record):
     record["frames"][-1]["objects"][-1]["visual"][0] = None
 
 
+def _int_beyond_floats_in_object_box(record):
+    record["frames"][0]["objects"][0]["box"][2] = 10 ** 400
+
+
 def _set(name, value):
     def edit(record):
         record[name] = value
@@ -819,6 +871,7 @@ def _set(name, value):
     (_bool_in_detection_label_dist, "label_dist entries must be numbers, got "),
     (_bool_in_object_visual, "visual entries must be numbers, got True"),
     (_null_in_object_visual, "visual entries must be numbers, got None"),
+    (_int_beyond_floats_in_object_box, "int too large to convert to float"),
     (_set("event_labels", ["0", "1", "0", "0"]), "field 'event_labels' must be a list of numbers"),
     (_set("event_labels", [[0, 1]]), "field 'event_labels' must be a list of numbers"),
     (_set("seed", 7.9), "field 'seed' must be an integer, got 7.9"),
@@ -826,11 +879,12 @@ def _set(name, value):
     (_set("seed", "7"), "field 'seed' must be an integer, got '7'"),
     (_set("seed", "abc"), "field 'seed' must be an integer, got 'abc'"),
 ], ids=["det-visual-string", "det-label-bool", "gt-visual-bool", "gt-visual-null",
-        "event-label-strings", "event-label-rows", "seed-float", "seed-bool", "seed-string",
+        "gt-box-beyond-floats", "event-label-strings", "event-label-rows", "seed-float", "seed-bool", "seed-string",
         "seed-not-a-number"])
 def test_dataset_numbers_are_type_checked(tmp_path, dataset_dir, capsys, edit, message):
     # numpy would read these as numbers ('0.25' -> 0.25, true -> 1.0, null ->
-    # nan, 7.9 -> 7); 'abc' ended in a ValueError traceback
+    # nan, 7.9 -> 7); 'abc' and an integer beyond the float range ended in a
+    # traceback
     data = _edited_train_split(tmp_path, dataset_dir, 1, edit)
     capsys.readouterr()
     assert _train(data, tmp_path) == 1

@@ -173,7 +173,7 @@ def test_served_ranking_matches_loop_reference(mode):
     seq = random_sequence(RngStream(64), dims, n_frames=6, n_min=2, n_max=5)
     seq.frames[1] = empty_frame(dims)
     one = seq.frames[3]
-    seq.frames[3] = frame_record(one.objects[:1], [], one.detections[:1], dims)
+    seq.frames[3] = frame_record(one.gt_feats[:1], one.gt_labels[:1], [], one.det_feats[:1], dims)
     # the second relation head ignores the nodes: every pair has the same
     # predicate probabilities, and five equal ones straddle the cut to 6
     tied = params_with(dims, **{"rel.w": np.zeros(model_shapes(dims, 2)["rel.w"]),
@@ -218,7 +218,7 @@ def test_sgdet_iou_edge_counts_as_match():
     frames = three_frame_fixture()
     ranked = frames[1].ranked
     subj = ranked.boxes[ranked.subj[0]]
-    gt_box = frames[1].gt_objects[0].box.as_array()
+    gt_box = np.array(frames[1].gt_objects[0].box)
     assert pairwise_iou(subj[None], gt_box[None])[0, 0] == 0.5
     assert recall_at_k(frames[1:2], 10, "sgdet", constraint=False) == 1.0
 
@@ -347,8 +347,8 @@ def loop_compatible(t, gt, gt_objects, mode):
         return False
     if mode in ("predcls", "sgcls"):
         return (i, j) == (gi, gj)
-    return (scalar_iou(bi, gt_objects[gi].box.as_array()) >= 0.5
-            and scalar_iou(bj, gt_objects[gj].box.as_array()) >= 0.5)
+    return (scalar_iou(bi, gt_objects[gi].box) >= 0.5
+            and scalar_iou(bj, gt_objects[gj].box) >= 0.5)
 
 
 def loop_match(triplets, gt_triplets, gt_objects, mode):
@@ -440,7 +440,8 @@ def random_corpus(rng, shuffle: bool):
         n, boxes, labels = rng.integer(6), [], []
         for _ in range(n):
             o = gt_objects[rng.integer(len(gt_objects))]
-            boxes.append([o.box.x + 0.0625 * rng.integer(2), o.box.y, o.box.w, o.box.h])
+            x, y, w, h = o.box
+            boxes.append([x + 0.0625 * rng.integer(2), y, w, h])
             labels.append(o.label if rng.uniform() < 0.8 else rng.integer(G))
         rel = rng.uniform_array((n, n, H), 0.0, 1.0)
         label_scores = [rng.uniform(0.3, 1.0) for _ in range(n)]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_object_node, zero_params
+from conftest import random_node_row, zero_params
 from fixtures import pair_grid
 from stsg.autodiff import Tensor, segment_sum
 from stsg.params import ModelParams
@@ -173,9 +173,8 @@ def test_propagate_matches_rederivation_oracle(dims, params):
 
 
 def spatial_stage(node_lists, params):
-    """Proposal and propagation over frames packed one after another."""
-    feats = [np.concatenate([o.box.as_array(), o.label_dist, o.visual_feat])
-             for nodes in node_lists for o in nodes]
+    """Proposal and propagation over frames of node rows packed one after another."""
+    feats = [row for nodes in node_lists for row in nodes]
     feats = Tensor(np.stack(feats) if feats else np.zeros((0, params.dims.m)))
     subj, obj = frame_pairs([len(nodes) for nodes in node_lists])
     relation = propose_relations(feats, subj, obj, params)
@@ -184,7 +183,7 @@ def spatial_stage(node_lists, params):
 
 def test_outputs_finite_for_finite_inputs(dims, params):
     rng = RngStream(11)
-    nodes = [random_object_node(rng, dims) for _ in range(4)]
+    nodes = [random_node_row(rng, dims) for _ in range(4)]
     relation_dist, updated_feats = spatial_stage([nodes], params)
     assert np.all(np.isfinite(updated_feats))
     assert np.all(np.isfinite(relation_dist))
@@ -211,7 +210,7 @@ def test_packed_frames_equal_frames_one_at_a_time(dims, params):
     # no message crosses a frame boundary: packing frames changes no value
     # beyond summation order
     rng = RngStream(12)
-    frames = [[random_object_node(rng, dims) for _ in range(n)] for n in (3, 1, 0, 4)]
+    frames = [[random_node_row(rng, dims) for _ in range(n)] for n in (3, 1, 0, 4)]
     packed_rel, packed_upd = spatial_stage(frames, params)
     rel = [spatial_stage([nodes], params) for nodes in frames]
     np.testing.assert_allclose(packed_rel, np.concatenate([r for r, _ in rel]),

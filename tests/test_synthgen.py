@@ -7,7 +7,7 @@ from stsg.cli import main
 from stsg.config import Dims, NoiseConfig, WorldConfig
 from stsg.errors import ConfigError
 from stsg.rng import RngStream
-from stsg.scene import BoundingBox, object_nodes, overlap_fraction
+from stsg.scene import object_nodes, overlap_fraction
 from stsg.synthgen import (
     ABOVE,
     ABOVE_MAX_DY,
@@ -38,11 +38,12 @@ LARGE_WORLD = WorldConfig(n_objects_min=10, n_objects_max=12, frames=16)
 # scalar reference of the ground-truth rules: one pair at a time
 
 
-def center(box: BoundingBox) -> tuple[float, float]:
-    return (box.x + box.w / 2.0, box.y + box.h / 2.0)
+def center(box) -> tuple[float, float]:
+    x, y, w, h = box
+    return (x + w / 2.0, y + h / 2.0)
 
 
-def _holding_pairs(boxes: list[BoundingBox], vels: np.ndarray) -> set[tuple[int, int]]:
+def _holding_pairs(boxes: list, vels: np.ndarray) -> set[tuple[int, int]]:
     held = set()
     n = len(boxes)
     for i in range(n):
@@ -55,7 +56,7 @@ def _holding_pairs(boxes: list[BoundingBox], vels: np.ndarray) -> set[tuple[int,
     return held
 
 
-def _frame_triplets(boxes: list[BoundingBox], centers: np.ndarray,
+def _frame_triplets(boxes: list, centers: np.ndarray,
                     prev_centers: np.ndarray | None, vels: np.ndarray,
                     held: set[tuple[int, int]],
                     prev_held: set[tuple[int, int]]) -> list[tuple[int, int, int]]:
@@ -72,7 +73,8 @@ def _frame_triplets(boxes: list[BoundingBox], centers: np.ndarray,
                 triplets.append((i, j, NEAR))
             if (i, j) in held:
                 triplets.append((i, j, HOLDING))
-            dx_overlap = min(bi.x + bi.w, bj.x + bj.w) - max(bi.x, bj.x)
+            (xi, _, wi, _), (xj, _, wj, _) = bi, bj
+            dx_overlap = min(xi + wi, xj + wj) - max(xi, xj)
             dy = centers[j][1] - centers[i][1]
             if dx_overlap > 0 and ABOVE_MIN_DY < dy < ABOVE_MAX_DY:
                 triplets.append((i, j, ABOVE))
@@ -86,8 +88,9 @@ def _frame_triplets(boxes: list[BoundingBox], centers: np.ndarray,
     return triplets
 
 
-def reference_triplets(frames: list[list[BoundingBox]]) -> list[list[tuple[int, int, int]]]:
-    """Each frame's sorted triplets, the scalar rules threaded frame to frame."""
+def reference_triplets(frames: list[list]) -> list[list[tuple[int, int, int]]]:
+    """Each frame's sorted triplets of (x, y, w, h) boxes, the scalar rules
+    threaded frame to frame."""
     out = []
     prev_centers = None
     prev_held: set[tuple[int, int]] = set()
@@ -105,7 +108,7 @@ def checked_triplets(frames: list[list[tuple]]) -> list[list[tuple[int, int, int
     """frame_triplets of hand-built (x, y, w, h) frames, after checking it
     against the scalar reference."""
     got = frame_triplets(np.array(frames, dtype=np.float64))
-    assert got == reference_triplets([[BoundingBox(*b) for b in boxes] for boxes in frames])
+    assert got == reference_triplets(frames)
     return got
 
 
@@ -113,21 +116,12 @@ def sequences_equal(a, b) -> bool:
     if len(a.frames) != len(b.frames) or not np.array_equal(a.event_labels, b.event_labels):
         return False
     for fa, fb in zip(a.frames, b.frames):
-        if fa.triplets != fb.triplets or len(fa.objects) != len(fb.objects):
+        if fa.triplets != fb.triplets or fa.objects != fb.objects \
+                or fa.detections != fb.detections:
             return False
-        for oa, ob in zip(fa.objects, fb.objects):
-            if oa.box != ob.box or oa.label != ob.label or oa.occluded != ob.occluded:
-                return False
-            if not np.array_equal(oa.visual_feat, ob.visual_feat):
-                return False
-            if not np.array_equal(oa.detector_label_dist, ob.detector_label_dist):
-                return False
-        if len(fa.detections) != len(fb.detections):
+        if not (np.array_equal(fa.gt_feats, fb.gt_feats)
+                and np.array_equal(fa.det_feats, fb.det_feats)):
             return False
-        for da, db in zip(fa.detections, fb.detections):
-            if da.box != db.box or not np.array_equal(da.label_dist, db.label_dist) \
-                    or not np.array_equal(da.visual_feat, db.visual_feat):
-                return False
     return True
 
 
@@ -243,19 +237,24 @@ def test_zero_noise_detector_is_identity():
     seq = generate_scene(DIMS, WorldConfig(noise=NoiseConfig(0.0, 0.0, 0.0, 0.0, 0.0)), seed=5)
     for frame in seq.frames:
         assert len(frame.detections) == len(frame.objects)
-        for det, obj in zip(frame.detections, frame.objects):
+        for det, obj, det_row, gt_row in zip(frame.detections, frame.objects, frame.det_feats,
+                                             frame.gt_feats):
             assert det.box == obj.box
             onehot = np.zeros(DIMS.g)
             onehot[obj.label] = 1.0
-            np.testing.assert_array_equal(det.label_dist, onehot)
-            np.testing.assert_array_equal(det.visual_feat, obj.visual_feat)
+            np.testing.assert_array_equal(det_row[4:4 + DIMS.g], onehot)
+            np.testing.assert_array_equal(det_row[4 + DIMS.g:], gt_row[4 + DIMS.g:])
+
+
+def gt_rows(*boxes) -> np.ndarray:
+    """gt node rows of these boxes, with zero label and visual columns."""
+    return np.array([[*box] + [0.0] * (DIMS.g + DIMS.c) for box in boxes]).reshape(-1, DIMS.m)
 
 
 def test_full_miss_prob_drops_everything():
     noise = NoiseConfig(box_jitter_sigma=0.0, label_confusion_prob=0.0,
                         miss_prob=1.0, false_positive_rate=0.0, occlusion_prob=0.0)
-    objects = [(BoundingBox(0.4, 0.4, 0.1, 0.1), 1, False, True)]
-    assert simulate_detector(objects, np.zeros((1, DIMS.c)), noise, DIMS,
+    assert simulate_detector([(1, False, True)], gt_rows([0.4, 0.4, 0.1, 0.1]), noise, DIMS,
                              RngStream(1)) == ([], [], [])
 
 
@@ -263,13 +262,14 @@ def test_jitter_folded_normal_statistics():
     sigma = 0.02
     noise = NoiseConfig(box_jitter_sigma=sigma, label_confusion_prob=0.0,
                         miss_prob=0.0, false_positive_rate=0.0, occlusion_prob=0.0)
-    obj = (BoundingBox(0.45, 0.45, 0.1, 0.1), 1, False, True)
+    gt_box = [0.45, 0.45, 0.1, 0.1]
     stream = RngStream(77)
     total = 0.0
     n = 10_000
     for _ in range(n):
-        (box,), _, _ = simulate_detector([obj], np.zeros((1, DIMS.c)), noise, DIMS, stream)
-        (cx, cy), (gx, gy) = center(box), center(obj[0])
+        (box,), _, _ = simulate_detector([(1, False, True)], gt_rows(gt_box), noise, DIMS,
+                                         stream)
+        (cx, cy), (gx, gy) = center(box), center(gt_box)
         total += abs(cx - gx) + abs(cy - gy)
     expected = 2.0 * sigma * np.sqrt(2.0 / np.pi)
     assert abs(total / n - expected) < 0.1 * expected
@@ -290,9 +290,8 @@ def test_occlusion_produces_missing_then_present():
 def test_label_confusion_moves_mass_to_one_class():
     noise = NoiseConfig(box_jitter_sigma=0.0, label_confusion_prob=0.25,
                         miss_prob=0.0, false_positive_rate=0.0, occlusion_prob=0.0)
-    obj = (BoundingBox(0.4, 0.4, 0.1, 0.1), 2, False, True)
-    _, (label_dist,), _ = simulate_detector([obj], np.zeros((1, DIMS.c)), noise, DIMS,
-                                            RngStream(9))
+    _, (label_dist,), _ = simulate_detector([(2, False, True)], gt_rows([0.4, 0.4, 0.1, 0.1]),
+                                            noise, DIMS, RngStream(9))
     assert label_dist[2] == 0.75
     assert np.isclose(label_dist.sum(), 1.0)
     assert np.count_nonzero(label_dist) == 2
@@ -301,7 +300,7 @@ def test_label_confusion_moves_mass_to_one_class():
 def test_false_positives_get_uniform_labels():
     noise = NoiseConfig(box_jitter_sigma=0.0, label_confusion_prob=0.0,
                         miss_prob=0.0, false_positive_rate=1.0, occlusion_prob=0.0)
-    _, dists, _ = simulate_detector([], np.zeros((0, DIMS.c)), noise, DIMS, RngStream(10))
+    _, dists, _ = simulate_detector([], gt_rows(), noise, DIMS, RngStream(10))
     assert len(dists) == 1
     np.testing.assert_allclose(dists[0], np.full(DIMS.g, 1.0 / DIMS.g))
 
@@ -326,7 +325,7 @@ def test_detection_rows_equal_per_node_encoding():
     for seed in range(20):
         for frame in generate_scene(DIMS, WORLD, seed=seed).frames:
             for row, det in zip(frame.det_feats, frame.detections, strict=True):
-                (node,) = object_nodes([det.box], [det.label_dist], [det.visual_feat], DIMS)
+                (node,) = object_nodes([det.box], [row[4:4 + DIMS.g]], [row[4 + DIMS.g:]], DIMS)
                 np.testing.assert_array_equal(row, node)
 
 

@@ -1,4 +1,5 @@
 import pickle
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -10,18 +11,16 @@ from conftest import (
     encode_frame,
     frame_pair_links,
     frame_record,
-    node_list,
     random_sequence,
     select_no_links,
     zero_params,
 )
 from fixtures import pair_grid, relation_probs
 from stsg.autodiff import Tensor
-from stsg.config import MODES, Dims, WorldConfig
+from stsg.config import MODES, WorldConfig
 from stsg.errors import ContractError
 from stsg.io import sequence_from_json, sequence_to_json
 from stsg.rng import RngStream
-from stsg.scene import BoundingBox
 import stsg.autodiff as ad
 from stsg.spatial import frame_pairs, gcn_propagate, propose_relations
 from stsg.synthgen import generate_scene
@@ -43,9 +42,10 @@ from stsg.temporal import (
 
 
 def make_node(x, y, label, g=4, c=2, score=1.0):
+    """A [box | label dist | visual] node row of a 0.1-sided box."""
     dist = np.full(g, (1.0 - score) / (g - 1))
     dist[label] = score
-    return node_list([BoundingBox(x, y, 0.1, 0.1)], [dist], [np.zeros(c)], Dims(g=g, c=c))[0]
+    return np.concatenate([[x, y, 0.1, 0.1], dist, np.zeros(c)])
 
 
 def forward_packed(sequences, params, mode, variant="sparse", k=1):
@@ -77,11 +77,12 @@ def classify_relations(fused, params):
     return pair_grid(ad.sigmoid(relation_logits(fused, subj, obj, params)).data, n)
 
 
-def tracking_connections(nodes_t, nodes_tm1):
-    """`tracking_links` on one frame pair, as a binary (N_t, N_prev) mask."""
-    nodes = nodes_t + nodes_tm1
-    boxes = np.stack([o.box.as_array() for o in nodes])
-    labels = np.array([np.argmax(o.label_dist) for o in nodes])
+def tracking_connections(nodes_t, nodes_tm1, g=4):
+    """`tracking_links` on one frame pair of `make_node` rows, as a binary
+    (N_t, N_prev) mask."""
+    nodes = np.array(nodes_t + nodes_tm1)
+    boxes = nodes[:, :4]
+    labels = np.argmax(nodes[:, 4:4 + g], axis=1)
     curr = np.repeat(np.arange(len(nodes_t)), len(nodes_tm1))
     prev = len(nodes_t) + np.tile(np.arange(len(nodes_tm1)), len(nodes_t))
     return tracking_links(boxes, labels, curr, prev).reshape(len(nodes_t), -1).astype(int)
@@ -396,54 +397,43 @@ def test_packed_nodes_equal_the_frames_encoded_one_by_one(dims, mode):
         assert packed.sizes[1] == 0 and packed.sizes[3] == 1
 
 
-def assert_vectors_stored_once(sequence, dims):
-    """Each vector of the sequence lives in one of its two node matrices,
-    which the frames, the objects and the detections view."""
-    gt_base = sequence.frames[0].gt_feats.base
-    det_base = sequence.frames[0].det_feats.base
-    for frame in sequence.frames:
-        assert frame.gt_feats.base is gt_base and frame.det_feats.base is det_base
-        for i, o in enumerate(frame.objects):
-            assert o.visual_feat.base is gt_base
-            np.testing.assert_array_equal(o.visual_feat, frame.gt_feats[i, 4 + dims.g:])
-            if o.detector_label_dist is not None:
-                assert o.detector_label_dist.base is gt_base
-                np.testing.assert_array_equal(o.detector_label_dist,
-                                              frame.gt_feats[i, 4:4 + dims.g])
-        for i, d in enumerate(frame.detections):
-            assert d.label_dist.base is det_base and d.visual_feat.base is det_base
-            np.testing.assert_array_equal(np.concatenate([d.box.as_array(), d.label_dist,
-                                                          d.visual_feat]), frame.det_feats[i])
+def record_fields(sequence):
+    """Every attribute value of every gt object and detection record."""
+    return [getattr(o, f.name) for frame in sequence.frames
+            for o in frame.objects + frame.detections for f in fields(o)]
 
 
-def test_object_vectors_are_views_of_the_frame_matrices(dims):
+def test_object_records_hold_no_arrays(dims):
+    # a box or vector lives only in the frames' node rows: no record holds an
+    # array, or a view of one
     seq = generate_scene(dims, WorldConfig(), 3)
     loaded = sequence_from_json(edited_record(seq, dims), Path("edited.jsonl"), 2, dims)
-    for sequence in (seq, loaded):
-        assert_vectors_stored_once(sequence, dims)
-    assert loaded.frames[2].objects[0].detector_label_dist is None
+    assert not loaded.frames[2].objects[0].recorded
+    for sequence in (seq, loaded, random_sequence(RngStream(8), dims, n_frames=3)):
+        fields = record_fields(sequence)
+        assert fields and not any(isinstance(v, np.ndarray) for v in fields)
+        for frame in sequence.frames:
+            assert [o.box for o in frame.objects] == list(map(tuple, frame.gt_feats[:, :4].tolist()))
+            assert [d.box for d in frame.detections] == \
+                list(map(tuple, frame.det_feats[:, :4].tolist()))
 
 
-def test_a_pickled_sequence_keeps_each_vector_once(dims):
-    # worker processes receive sequences pickled: each node matrix travels
-    # once and the frames come back as views of it, equal to the original
+def test_a_pickled_sequence_is_the_same_sequence_and_stays_small(dims):
+    # worker processes receive sequences pickled: a round trip keeps the
+    # record and the packed node rows in every mode, and each vector travels
+    # once (only the boxes' numbers travel twice, in the row and the record)
     seq = generate_scene(dims, WorldConfig(), 3)
     loaded = sequence_from_json(edited_record(seq, dims), Path("edited.jsonl"), 2, dims)
     for sequence in (seq, loaded, random_sequence(RngStream(8), dims, n_frames=3)):
-        back = pickle.loads(pickle.dumps(sequence))
-        assert_vectors_stored_once(back, dims)
+        data = pickle.dumps(sequence)
+        back = pickle.loads(data)
         assert sequence_to_json(back) == sequence_to_json(sequence)
-        assert back.seed == sequence.seed
-        np.testing.assert_array_equal(back.event_labels, sequence.event_labels)
-        for a, b in zip(sequence.frames, back.frames, strict=True):
-            assert a.triplets == b.triplets
-            assert [o.detector_label_dist is None for o in a.objects] == \
-                [o.detector_label_dist is None for o in b.objects]
-            np.testing.assert_array_equal(a.gt_labels, b.gt_labels)
         for mode in MODES:
             want, got = pack(sequence, mode, "sparse", dims), pack(back, mode, "sparse", dims)
             assert got.feats.tobytes() == want.feats.tobytes()
             np.testing.assert_array_equal(got.sizes, want.sizes)
+        matrices = sum(f.gt_feats.nbytes + f.det_feats.nbytes for f in sequence.frames)
+        assert len(data) < 1.75 * matrices
 
 
 def spatial_stage(feats, params):
@@ -555,7 +545,7 @@ def test_sparse_link_counts(dims, params):
 def test_empty_frame_breaks_chain(dims, params):
     seq = random_sequence(RngStream(36), dims, n_frames=3)
     f = seq.frames[1]
-    seq.frames[1] = frame_record(f.objects, f.triplets, [], dims)
+    seq.frames[1] = frame_record(f.gt_feats, f.gt_labels, f.triplets, f.det_feats[:0], dims)
     outs = forward_sequence(seq, params, mode="sgdet", variant="sparse", k=1)
     assert outs[1].n == 0
     # the frame after the gap restarts with no temporal links
@@ -623,7 +613,7 @@ def test_forward_permutation_equivariance(dims, params):
         import copy
 
         shuffled = copy.deepcopy(seq)
-        shuffled.frames = [frame_record(f.objects, f.triplets, [f.detections[i] for i in p], dims)
+        shuffled.frames = [frame_record(f.gt_feats, f.gt_labels, f.triplets, f.det_feats[p], dims)
                            for f, p in zip(shuffled.frames, perms)]
         out = forward_packed([shuffled, other], params, mode="sgdet", variant="sparse", k=1)
         for t, (a, b) in enumerate(zip(base[:len(perms)], out)):

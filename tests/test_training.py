@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import stsg.training
-from conftest import frame_record, node_list, random_sequence
+from conftest import frame_record, random_sequence
 from fixtures import pair_grid
 from reference_losses import (
     link_loss,
@@ -24,12 +24,7 @@ from stsg.errors import TrainingError
 from stsg.params import Gradients, ModelParams
 from stsg.rng import RngStream
 from stsg.synthgen import generate_scene
-from stsg.scene import (
-    BoundingBox,
-    GroundTruthObject,
-    SceneSequence,
-    iou,
-)
+from stsg.scene import SceneSequence, iou
 from stsg.temporal import forward_batch, frame_predictions, pack
 from stsg.training import (
     LINK_WEIGHT,
@@ -155,16 +150,13 @@ def test_sgdet_identity_matches_from_half_iou_first_on_ties(dims):
     # powers of two keep the IoUs exact: detection 0 overlaps gt 2 at
     # exactly 0.5, detection 1 ties gt 0 and gt 1 (the same box) at 1, and
     # detection 2 overlaps gt 2 at 0.48
-    def gt(x, y, label):
-        return GroundTruthObject(BoundingBox(x, y, 0.25, 0.25), label, np.zeros(dims.c))
+    def row(x, y, h, label=0):
+        return np.concatenate([[x, y, 0.25, h], np.eye(dims.g)[label], np.zeros(dims.c)])
 
-    def det(x, y, h):
-        return node_list([BoundingBox(x, y, 0.25, h)], [np.eye(dims.g)[0]],
-                         [np.zeros(dims.c)], dims)[0]
-
-    frame = frame_record([gt(0.25, 0.25, 0), gt(0.25, 0.25, 1), gt(0.5, 0.5, 2)], [],
-                         [det(0.5, 0.5, 0.125), det(0.25, 0.25, 0.25), det(0.5, 0.5, 0.12)], dims)
-    seq = SceneSequence(frames=[frame], event_labels=np.zeros(4), seed=0)
+    gt = [row(0.25, 0.25, 0.25, 0), row(0.25, 0.25, 0.25, 1), row(0.5, 0.5, 0.25, 2)]
+    dets = [row(0.5, 0.5, 0.125), row(0.25, 0.25, 0.25), row(0.5, 0.5, 0.12)]
+    frame = frame_record(gt, [0, 1, 2], [], dets, dims)
+    seq = SceneSequence(frames=[frame], event_labels=np.zeros(4), seed=0, g=dims.g)
     assert node_identity(seq, pack(seq, "sgdet", "spatial", dims)).tolist() == [2, 0, -1]
 
 
@@ -284,9 +276,9 @@ def target_scenes():
     scenes += [generate_scene(dims, large, 900 + seed) for seed in range(2)]
     edge = generate_scene(dims, world, 806)
     f2, f5 = edge.frames[2], edge.frames[5]
-    edge.frames[2] = frame_record(f2.objects, f2.triplets, [], dims)
+    edge.frames[2] = frame_record(f2.gt_feats, f2.gt_labels, f2.triplets, [], dims)
     edge.frames[4].triplets = []
-    edge.frames[5] = frame_record([], [], f5.detections, dims)
+    edge.frames[5] = frame_record([], [], [], f5.det_feats, dims)
     assert edge.frames[5].detections
     return scenes + [edge]
 
