@@ -138,15 +138,19 @@ def to_predictions(frames: list[FramePrediction], dims: Dims) -> list[FramePredi
     return frames
 
 
+def _frame_evals(sequences, ranked) -> list[FrameEval]:
+    """One FrameEval per frame; `ranked` holds each sequence's ranked frames."""
+    return [FrameEval(r, list(frame.triplets), list(frame.objects))
+            for seq, seq_ranked in zip(sequences, ranked)
+            for r, frame in zip(seq_ranked, seq.frames)]
+
+
 def _forward_frames(sequences, params: ModelParams, mode: str, variant: str,
                     k: int) -> list[FrameEval]:
     """Each frame's ranked predictions, unconstrained: evaluation applies the
     graph constraint to the whole corpus."""
-    frames: list[FrameEval] = []
-    for seq, preds in _serve(sequences, params, mode, variant, k):
-        for pred, frame in zip(preds, seq.frames):
-            frames.append(FrameEval(pred.ranked, list(frame.triplets), list(frame.objects)))
-    return frames
+    return _frame_evals(sequences, ([pred.ranked for pred in preds]
+                                    for _, preds in _serve(sequences, params, mode, variant, k)))
 
 
 def _checkpoint_run(args):
@@ -227,35 +231,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _frames_from_prediction_file(path: Path, records: list[tuple[int, dict]],
-                                 sequences, dims: Dims) -> list[FrameEval]:
-    """The ranked frames of `records`, (line number, record) pairs from
-    `io.numbered_predictions`, checked against the dataset's sequences and
-    the label and predicate counts of its dims."""
-    if len(records) != len(sequences):
-        raise DataFormatError(
-            f"{path}: {len(records)} prediction records for {len(sequences)} sequences"
-        )
-    frames: list[FrameEval] = []
-    for (lineno, record), seq in zip(records, sequences):
-        seed = io._field(record, "seq_seed", path, lineno)
-        if type(seed) is not int:
-            raise DataFormatError(f"{path}:{lineno}: field 'seq_seed' must be an integer, "
-                                  f"got {seed!r}")
-        if seed != seq.seed:
-            raise DataFormatError(
-                f"{path}:{lineno}: sequence seed {seed} does not match dataset seed {seq.seed}"
-            )
-        frame_records = io._field(record, "frames", path, lineno)
-        if not isinstance(frame_records, list) or len(frame_records) != len(seq.frames):
-            raise DataFormatError(f"{path}:{lineno}: field 'frames' must list the sequence's "
-                                  f"{len(seq.frames)} frames")
-        for fr, frame in zip(frame_records, seq.frames):
-            frames.append(FrameEval(io.ranked_from_frame_json(fr, path, lineno, dims),
-                                    list(frame.triplets), list(frame.objects)))
-    return frames
-
-
 def cmd_eval(args) -> int:
     if bool(args.ckpt) == bool(args.preds):
         raise ConfigError("eval: give exactly one of --ckpt or --preds")
@@ -266,11 +241,8 @@ def cmd_eval(args) -> int:
         config_echo = cfg.to_flat_dict()
     else:
         split_header, seqs = io.load_split(args.data, args.split)
-        header, records = io.numbered_predictions(args.preds)
-        file_mode = header.get("mode")
-        if file_mode is not None and file_mode not in MODES:
-            raise DataFormatError(f"{args.preds}:1: field 'mode' must be one of {MODES}, "
-                                  f"got {file_mode!r}")
+        dims = io.runconfig_from_flat(split_header["config"]).dims
+        file_mode, config_echo, ranked = io.ranked_predictions(args.preds, seqs, dims)
         if args.mode and file_mode and args.mode != file_mode:
             raise ConfigError(
                 f"eval: predictions were produced in mode {file_mode!r}, not {args.mode!r}"
@@ -278,9 +250,7 @@ def cmd_eval(args) -> int:
         mode = args.mode or file_mode
         if mode is None:
             raise ConfigError("eval: --mode required when the predictions carry none")
-        dims = io.runconfig_from_flat(split_header["config"]).dims
-        frames = _frames_from_prediction_file(Path(args.preds), records, seqs, dims)
-        config_echo = header.get("config", {})
+        frames = _frame_evals(seqs, ranked)
     metrics = evaluate(frames, mode, constraint)
     doc = {"kind": "eval-report", "split": args.split,
            "mode": mode, "constraint": constraint, "config": config_echo,
@@ -550,7 +520,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (ConfigError, ContractError, DataFormatError, ShapeError, TrainingError,
-            FileNotFoundError) as e:
+            OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -231,8 +231,12 @@ def parse_config_items(items: dict[str, str]) -> RunConfig:
 def load_config(path: str | Path) -> RunConfig:
     """Parse a flat `section.key = value` config file; empty file = defaults."""
     path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 text ({e.reason})") from None
     items: dict[str, str] = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

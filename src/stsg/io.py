@@ -5,6 +5,11 @@ on the first line). Floats serialize through Python's shortest round-trip
 repr, so re-reading an artifact reproduces the exact values; artifacts
 carry the resolved config and seed and never embed timestamps, which keeps
 equal-seed runs byte-identical.
+
+Two readers read every field of every input file: `_field`, optionally of a
+JSON kind, and `_number_array`, only finite JSON numbers in rows of one width.
+A loader adds its format's checks (ranges, distributions, counts, seeds) and
+locates every error at its file and line.
 """
 
 from __future__ import annotations
@@ -18,8 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import Dims, RunConfig, parse_config_items
-from .errors import ContractError, DataFormatError, ShapeError
+from .config import EVENT_NAMES, MODES, Dims, RunConfig, parse_config_items
+from .errors import ConfigError, ContractError, DataFormatError
 from .params import ModelParams, model_shapes
 from .scene import SceneSequence, object_nodes, scene_sequence
 from .temporal import FramePrediction, RankedFrame
@@ -35,34 +40,100 @@ def _dump(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def _loads(path: Path, lineno: int, line: str) -> dict:
+def _loads(path: Path, lineno: int, line: str | bytes) -> dict:
     try:
         return json.loads(line)
     except json.JSONDecodeError as e:
         raise DataFormatError(f"{path}:{lineno}: invalid JSON ({e.msg})") from None
+    except UnicodeDecodeError as e:
+        raise DataFormatError(f"{path}:{lineno}: not UTF-8 text ({e.reason})") from None
 
 
 def _jsonl(path: Path, kind: str):
     """Stream a JSON-lines file: its header (line 1, of kind `<kind>-header`),
     then (line number, record) for each non-blank line after it."""
-    with open(path) as fh:
-        first = fh.readline()
-        header = _loads(path, 1, first) if first.strip() else None
-        if not isinstance(header, dict) or header.get("kind") != f"{kind}-header":
-            raise DataFormatError(f"{path}:1: missing {kind} header record")
-        yield header
-        for lineno, line in enumerate(fh, start=2):
-            if line.strip():
-                yield lineno, _loads(path, lineno, line)
+    try:   # text mode: it decodes in blocks, faster than line by line
+        with open(path, encoding="utf-8") as fh:
+            first = fh.readline()
+            header = _loads(path, 1, first) if first.strip() else None
+            if not isinstance(header, dict) or header.get("kind") != f"{kind}-header":
+                raise DataFormatError(f"{path}:1: missing {kind} header record")
+            yield header
+            for lineno, line in enumerate(fh, start=2):
+                if line.strip():
+                    yield lineno, _loads(path, lineno, line)
+    except UnicodeDecodeError as e:   # a block's, so no line number
+        raise DataFormatError(f"{path}: not UTF-8 text ({e.reason})") from None
 
 
-def _field(record: dict, name: str, path: Path, lineno: int):
-    if not isinstance(record, dict):
-        raise DataFormatError(f"{path}:{lineno}: expected a JSON object with field {name!r}, "
+@contextlib.contextmanager
+def _located(where: str):
+    """Prefix `where`, a file (and line), to the errors of reading it."""
+    try:
+        yield
+    except (ConfigError, ContractError, DataFormatError) as e:
+        raise DataFormatError(f"{where}: {e}") from None
+
+
+_REQUIRED = object()
+_KINDS = {dict: "an object", list: "a list", int: "an integer", bool: "a boolean"}
+
+
+def _field(record, name: str, kind: type | None = None, default=_REQUIRED):
+    """Field `name` of the JSON object `record`, required unless a default is
+    given, and of `kind` (dict, list, int or bool; a bool is not an int)."""
+    if type(record) is not dict:
+        raise DataFormatError(f"expected a JSON object with field {name!r}, "
                               f"got {type(record).__name__}")
     if name not in record:
-        raise DataFormatError(f"{path}:{lineno}: missing field {name!r}")
-    return record[name]
+        if default is _REQUIRED:
+            raise DataFormatError(f"missing field {name!r}")
+        return default
+    value = record[name]
+    if kind is not None and type(value) is not kind:
+        raise DataFormatError(f"field {name!r} must be {_KINDS[kind]}, got {value!r}")
+    return value
+
+
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _finite_array(value, width: int) -> np.ndarray | None:
+    """`_number_array`'s array, or None where it raises."""
+    if type(value) is not list:
+        return None
+    numbers = value
+    if width > 1:
+        try:
+            numbers = list(chain.from_iterable(value))
+        except TypeError:   # a row that is not a list
+            return None
+        # width numbers a row on average, and no row longer: width in each
+        if len(numbers) != width * len(value) or max(map(len, value), default=0) > width:
+            return None
+    if not _NUMBER_TYPES.issuperset(map(type, numbers)):
+        return None
+    try:
+        arr = np.array(numbers, dtype=np.float64)
+    except OverflowError:   # an integer beyond the float range
+        return None
+    if not np.isfinite(arr).all():
+        return None
+    return arr if width == 1 else arr.reshape(len(value), width)
+
+
+def _number_array(value, width: int, name: str) -> np.ndarray:
+    """`value`, a list of finite JSON numbers (width 1) or of rows of exactly
+    `width` of them, as a float64 array of shape (rows,) or (rows, width); a
+    bool, a string, a null, a NaN or an infinity is not one. The error names
+    `name` and the first bad entry (for rows, the first bad row)."""
+    arr = _finite_array(value, width)
+    if arr is None:
+        bad = (next((e for e in value if _finite_array([e], width) is None), value)
+               if type(value) is list else value)
+        raise DataFormatError(f"{name} must be {'' if width == 1 else f'{width} '}finite "
+                              f"numbers, got {bad!r}")
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -96,102 +167,69 @@ def sequence_to_json(seq: SceneSequence) -> dict:
             "frames": [frame_json(frame) for frame in seq.frames]}
 
 
-_NUMBER_TYPES = frozenset((int, float))
-
-
-def _numbers(values) -> bool:
-    """Whether every value is a JSON number: an int or a float, not a bool or
-    a string."""
-    return _NUMBER_TYPES.issuperset(map(type, values))
-
-
-def _box(record: dict, path: Path, lineno: int) -> list:
-    box = _field(record, "box", path, lineno)
-    if not (isinstance(box, list) and len(box) == 4 and _numbers(box)):
-        raise DataFormatError(f"{path}:{lineno}: field 'box' must be 4 numbers, got {box!r}")
-    return box
-
-
-def _index(value, bound: int, what: str, path: Path, lineno: int) -> int:
+def _index(value, bound: int, what: str) -> int:
     if type(value) is not int or not 0 <= value < bound:
-        raise DataFormatError(f"{path}:{lineno}: {what} must be an integer in [0, {bound}), "
-                              f"got {value!r}")
+        raise DataFormatError(f"{what} must be an integer in [0, {bound}), got {value!r}")
     return value
 
 
-def _triplet(t, n_objects: int, h: int, path: Path, lineno: int) -> tuple[int, int, int]:
+def _triplet(t, n_objects: int, h: int) -> tuple[int, int, int]:
     if not (isinstance(t, list) and len(t) == 3):
-        raise DataFormatError(f"{path}:{lineno}: a triplet must be [subject, object, "
-                              f"predicate], got {t!r}")
+        raise DataFormatError(f"a triplet must be [subject, object, predicate], got {t!r}")
     s, o, p = t
     if (type(s) is type(o) is type(p) is int
             and 0 <= s < n_objects and 0 <= o < n_objects and 0 <= p < h and s != o):
         return s, o, p
     # the first check that fails names the entry
-    _index(s, n_objects, "triplet subject", path, lineno)
-    _index(o, n_objects, "triplet object", path, lineno)
-    _index(p, h, "triplet predicate", path, lineno)
-    raise DataFormatError(f"{path}:{lineno}: triplet {t!r} names object {s} as both "
-                          f"subject and object")
+    _index(s, n_objects, "triplet subject")
+    _index(o, n_objects, "triplet object")
+    _index(p, h, "triplet predicate")
+    raise DataFormatError(f"triplet {t!r} names object {s} as both subject and object")
 
 
 def sequence_from_json(record: dict, path: Path, lineno: int, dims: Dims) -> SceneSequence:
-    """One dataset record; object labels, triplet node indices and
-    predicates are range-checked against `dims` and each frame's objects,
-    the gt vectors are checked as `object_nodes` checks a detection's, every
-    box is range-checked (`scene_sequence`), and every box and vector entry,
-    event label and the seed must be a JSON number (the seed an integer).
-    The objects and detections of all frames are read together, one array
-    per field."""
-    def field(entry: dict, name: str):
-        return _field(entry, name, path, lineno)
-
-    def nodes(entries: list, label_dists, label_field: str) -> np.ndarray:
-        boxes = [_box(e, path, lineno) for e in entries]
-        visuals = [field(e, "visual") for e in entries]
-        try:
-            feats = object_nodes(boxes, label_dists, visuals, dims, label_field)
-        except (ContractError, ShapeError, OverflowError) as e:
-            raise DataFormatError(f"{path}:{lineno}: {e}") from None
-        # the rows have the right lengths, but numpy also converts a numeric
-        # string, a bool or a null: each entry must be a JSON number
-        for name, rows in ((label_field, label_dists), ("visual", visuals)):
-            if not _numbers(chain.from_iterable(rows)):
-                bad = next(v for v in chain.from_iterable(rows) if type(v) not in _NUMBER_TYPES)
-                raise DataFormatError(f"{path}:{lineno}: {name} entries must be numbers, "
-                                      f"got {bad!r}")
-        return feats
+    """One dataset record, its errors located at `path`:`lineno`. Each numeric
+    field of all its objects or detections is read by one `_number_array`
+    call; label distributions must be distributions, event labels one 0 or 1
+    per event class, labels and triplets in range (`dims`, the frame's
+    objects) and boxes too (`scene_sequence`)."""
+    def nodes(entries: list, label_dists: list, label_field: str) -> np.ndarray:
+        dists = _number_array(label_dists, dims.g, f"field {label_field!r}")
+        ok = (dists >= 0).all(axis=1) & (np.abs(dists.sum(axis=1) - 1.0) <= 1e-9)
+        if not ok.all():
+            raise DataFormatError(f"field {label_field!r} must be a probability distribution, "
+                                  f"got {dists[np.argmin(ok)].tolist()}")
+        return object_nodes(_number_array([_field(e, "box") for e in entries], 4, "field 'box'"),
+                            dists, _number_array([_field(e, "visual") for e in entries], dims.c,
+                                                 "field 'visual'"), dims)
 
     def gt_object(o: dict) -> tuple:
-        return (_index(field(o, "label"), dims.g, "object label", path, lineno),
-                bool(o.get("occluded", False)), o.get("det_label_dist") is not None)
+        return (_index(_field(o, "label"), dims.g, "object label"),
+                _field(o, "occluded", bool, False),
+                _field(o, "det_label_dist", default=None) is not None)
 
-    frames = [(field(f, "objects"), field(f, "triplets"), field(f, "detections"))
-              for f in field(record, "frames")]
-    spec = [([gt_object(o) for o in objects],
-             [_triplet(t, len(objects), dims.h, path, lineno) for t in triplets],
-             len(dets)) for objects, triplets, dets in frames]
-    objects = [o for objs, _, _ in frames for o in objs]
-    gt = [o for objs, _, _ in spec for o in objs]
-    # the detector's label distribution, or one-hot where none is recorded (as
-    # lists of floats, like the decoded rows, for the entry check)
-    one_hot = np.eye(dims.g).tolist()
-    gt_feats = nodes(objects, [o["det_label_dist"] if recorded else one_hot[label]
-                               for o, (label, _, recorded) in zip(objects, gt)], "det_label_dist")
-    dets = [d for _, _, ds in frames for d in ds]
-    det_feats = nodes(dets, [field(d, "label_dist") for d in dets], "label_dist")
-    events = field(record, "event_labels")
-    event_labels = _number_array(events, 1)
-    if event_labels is None:
-        raise DataFormatError(f"{path}:{lineno}: field 'event_labels' must be a list of "
-                              f"numbers, got {events!r}")
-    seed = field(record, "seed")
-    if type(seed) is not int:
-        raise DataFormatError(f"{path}:{lineno}: field 'seed' must be an integer, got {seed!r}")
-    try:
-        return scene_sequence(spec, gt_feats, det_feats, dims.g, event_labels, seed)
-    except ContractError as e:
-        raise DataFormatError(f"{path}:{lineno}: {e}") from None
+    with _located(f"{path}:{lineno}"):
+        frames = [(_field(f, "objects", list), _field(f, "triplets", list),
+                   _field(f, "detections", list)) for f in _field(record, "frames", list)]
+        spec = [([gt_object(o) for o in objects],
+                 [_triplet(t, len(objects), dims.h) for t in triplets],
+                 len(dets)) for objects, triplets, dets in frames]
+        objects = [o for objs, _, _ in frames for o in objs]
+        gt = [o for objs, _, _ in spec for o in objs]
+        # the detector's label distribution, or one-hot where none is recorded
+        gt_feats = nodes(objects, [o["det_label_dist"] if recorded
+                                   else [0.0] * label + [1.0] + [0.0] * (dims.g - label - 1)
+                                   for o, (label, _, recorded) in zip(objects, gt)],
+                         "det_label_dist")
+        det_feats = nodes([d for _, _, ds in frames for d in ds],
+                          [_field(d, "label_dist") for _, _, ds in frames for d in ds],
+                          "label_dist")
+        events = _number_array(_field(record, "event_labels"), 1, "field 'event_labels'")
+        if len(events) != len(EVENT_NAMES) or not np.isin(events, (0.0, 1.0)).all():
+            raise DataFormatError(f"field 'event_labels' must be {len(EVENT_NAMES)} labels "
+                                  f"of 0 or 1, got {events.tolist()}")
+        return scene_sequence(spec, gt_feats, det_feats, dims.g, events,
+                              _field(record, "seed", int))
 
 
 def write_split(path: Path, cfg: RunConfig, split: str,
@@ -212,14 +250,12 @@ def load_split(data_dir: str | Path, split: str) -> tuple[dict, list[SceneSequen
         raise DataFormatError(f"{path}: no such dataset file")
     records = _jsonl(path, "dataset")
     header = next(records)
-    # the dimensions the records were generated with
-    config = _field(header, "config", path, 1)
-    if not isinstance(config, dict):
-        raise DataFormatError(f"{path}:1: field 'config' must be an object")
-    dims = runconfig_from_flat(config).dims
+    with _located(f"{path}:1"):
+        # the dimensions the records were generated with
+        dims = runconfig_from_flat(_field(header, "config", dict)).dims
+        count = _field(header, "count", int)
     with _collector_paused():   # the records and the sequences built from them hold no cycles
         sequences = [sequence_from_json(record, path, lineno, dims) for lineno, record in records]
-    count = _field(header, "count", path, 1)
     if count != len(sequences):
         raise DataFormatError(f"{path}: header count {count} != {len(sequences)} sequences")
     return header, sequences
@@ -246,44 +282,34 @@ def write_checkpoint(path: str | Path, cfg: RunConfig, params: ModelParams,
 
 
 def load_checkpoint(path: str | Path) -> tuple[RunConfig, ModelParams, list[dict]]:
+    """A checkpoint's config, parameters and training log; each parameter
+    has the shape its config gives it, as that many finite numbers."""
     path = Path(path)
     if not path.exists():
         raise DataFormatError(f"{path}: no such checkpoint")
-    doc = _loads(path, 1, path.read_text())
+    doc = _loads(path, 1, path.read_bytes())
     if not isinstance(doc, dict) or doc.get("kind") != "checkpoint":
         raise DataFormatError(f"{path}: not a checkpoint file (field 'kind')")
-    cfg = runconfig_from_flat(_field(doc, "config", path, 1))
-    gcn_layers = doc.get("gcn_layers", 2)
-    if type(gcn_layers) is not int or gcn_layers < 1:
-        raise DataFormatError(f"{path}: field 'gcn_layers' must be a positive integer")
-    expected = model_shapes(cfg.dims, gcn_layers)
-    entries = _field(doc, "params", path, 1)
-    if not isinstance(entries, dict):
-        raise DataFormatError(f"{path}: field 'params' must be an object")
-    unknown = sorted(set(entries) - set(expected))
-    missing = [name for name in expected if name not in entries]
-    if unknown or missing:
-        raise DataFormatError(f"{path}: parameters do not match the config "
-                              f"(unknown {unknown}, missing {missing})")
-    arrays = {}
-    for name, shape in expected.items():
-        entry = entries[name]
-        if not isinstance(entry, dict) or "shape" not in entry or "data" not in entry:
-            raise DataFormatError(f"{path}: parameter {name!r} needs fields 'shape' and 'data'")
-        if entry["shape"] != list(shape):
-            raise DataFormatError(f"{path}: parameter {name!r} has shape {entry['shape']}, "
-                                  f"expected {list(shape)}")
-        arr = _number_array(entry["data"], 1)
-        if arr is None:
-            raise DataFormatError(f"{path}: parameter {name!r} data is not a list of numbers")
-        if not np.isfinite(arr).all():
-            raise DataFormatError(f"{path}: parameter {name!r} data must be finite numbers")
-        if arr.shape != (int(np.prod(shape)),):
-            raise DataFormatError(f"{path}: parameter {name!r} has {arr.size} values, "
-                                  f"expected {int(np.prod(shape))}")
-        arrays[name] = arr.reshape(shape)
-    params = ModelParams.from_arrays(cfg.dims, arrays, gcn_layers)
-    return cfg, params, doc.get("log", [])
+    with _located(str(path)):
+        cfg = runconfig_from_flat(_field(doc, "config", dict))
+        gcn_layers = _field(doc, "gcn_layers", int, 2)
+        if gcn_layers < 1:
+            raise DataFormatError(f"field 'gcn_layers' must be positive, got {gcn_layers}")
+        expected = model_shapes(cfg.dims, gcn_layers)
+        entries = _field(doc, "params", dict)
+        unknown = sorted(set(entries) - set(expected))
+        if unknown:   # a missing one is a missing field
+            raise DataFormatError(f"parameters {unknown} are not in the model of the config")
+        arrays = {}
+        for name, shape in expected.items():
+            entry = _field(entries, name, dict)
+            arr = _number_array(_field(entry, "data"), 1, f"parameter {name!r} data")
+            if _field(entry, "shape") != list(shape) or arr.size != np.prod(shape):
+                raise DataFormatError(f"parameter {name!r} has shape {entry['shape']} and "
+                                      f"{arr.size} values, expected shape {list(shape)}")
+            arrays[name] = arr.reshape(shape)
+        return (cfg, ModelParams.from_arrays(cfg.dims, arrays, gcn_layers),
+                _field(doc, "log", list, []))
 
 
 def write_train_log(path: str | Path, cfg: RunConfig, log: list[dict]) -> None:
@@ -316,44 +342,25 @@ def frame_prediction_to_json(pred: FramePrediction, ranked: RankedFrame,
 _FRAME_ARRAYS = (("boxes", 4), ("labels", 1), ("label_scores", 1), ("triplets", 4))
 
 
-def _number_array(value, width: int) -> np.ndarray | None:
-    """A list of JSON numbers (width 1) or of `width`-number rows as a float64
-    array of shape (rows,) or (rows, width); None for anything else, booleans
-    included."""
-    if not isinstance(value, list):
-        return None
-    numbers = value
-    if width > 1:
-        try:
-            numbers = list(chain.from_iterable(value))
-        except TypeError:   # a row that is not a list
-            return None
-        # width numbers a row on average, and no row longer: width in each
-        if len(numbers) != width * len(value) or max(map(len, value), default=0) > width:
-            return None
-    if not _numbers(numbers):
-        return None
-    try:
-        arr = np.array(numbers, dtype=np.float64)
-    except OverflowError:   # an integer beyond the float range
-        return None
-    return arr if width == 1 else arr.reshape(len(value), width)
-
-
 def _frames_to_arrays(record) -> None:
-    """Replace the numeric fields of each frame of a predictions record by
-    their arrays, in place; a field that is not numbers of the right shape
-    stays as decoded, for `ranked_from_frame_json` to reject."""
+    """Replace each numeric field of the frames of a predictions record by
+    its array, in place, read in one call over all the frames; where any
+    frame's field is not finite numbers of the right shape, the field stays
+    as decoded in every frame, for `ranked_from_frame_json` to reject."""
     frames = record.get("frames") if isinstance(record, dict) else None
-    for frame in frames if isinstance(frames, list) else ():
-        if isinstance(frame, dict):
-            for name, width in _FRAME_ARRAYS:
-                arr = _number_array(frame.get(name), width)
-                if arr is not None:
-                    frame[name] = arr
+    if not (isinstance(frames, list) and all(type(frame) is dict for frame in frames)):
+        return
+    for name, width in _FRAME_ARRAYS:
+        values = [frame.get(name) for frame in frames]
+        arr = (_finite_array(list(chain.from_iterable(values)), width)
+               if all(type(value) is list for value in values) else None)
+        if arr is not None:
+            end = 0
+            for frame, value in zip(frames, values):
+                frame[name], end = arr[end:end + len(value)], end + len(value)
 
 
-def _index_error(path: Path, lineno: int, i: int, value: float, n: int, g, h):
+def _index_error(i: int, value: float, n: int, g, h) -> DataFormatError:
     """The error for entry i of a frame's indices: its n labels, then each
     triplet's subject, object and predicate."""
     if i < n:
@@ -361,56 +368,54 @@ def _index_error(path: Path, lineno: int, i: int, value: float, n: int, g, h):
     else:
         t, c = divmod(i - n, 3)
         what, bound = f"{('subject', 'object', 'predicate')[c]} of triplet {t}", (n, n, h)[c]
-    return DataFormatError(f"{path}:{lineno}: {what} must be an integer in [0, {bound}), "
-                           f"got {value:g}")
+    return DataFormatError(f"{what} must be an integer in [0, {bound}), got {value:g}")
 
 
 def ranked_from_frame_json(frame: dict, path: Path, lineno: int,
                            dims: Dims | None = None) -> RankedFrame:
     """A frame of a record from `numbered_predictions` as a ranked list.
 
-    Labels, triplet node indices and predicates must be non-negative
-    integers, node indices below the frame's node count; with `dims`, labels
-    must be below dims.g and predicates below dims.h.
+    Boxes, labels, label scores and triplets must be finite numbers
+    (`_number_array`); labels, triplet node indices and predicates must be
+    non-negative integers, node indices below the frame's node count; with
+    `dims`, labels must be below dims.g and predicates below dims.h.
     """
     def rows(name: str, width: int) -> np.ndarray:
-        value = _field(frame, name, path, lineno)
-        if not isinstance(value, np.ndarray):
-            raise DataFormatError(f"{path}:{lineno}: {name} must be a list of "
-                                  f"{'numbers' if width == 1 else f'{width}-number rows'}")
-        return value
+        value = _field(frame, name)
+        return value if type(value) is np.ndarray else _number_array(value, width,
+                                                                      f"field {name!r}")
 
-    boxes, labels, scores = rows("boxes", 4), rows("labels", 1), rows("label_scores", 1)
-    n = len(boxes)
-    if len(labels) != n or len(scores) != n:
-        raise DataFormatError(f"{path}:{lineno}: frame has {n} boxes but "
-                              f"{len(labels)} labels and {len(scores)} label scores")
-    triplets = rows("triplets", 4)
-    g, h = (dims.g, dims.h) if dims else (math.inf, math.inf)
-    # every label and triplet index of the frame: a finite non-negative integer
-    index = np.concatenate([labels, triplets[:, :3].ravel()])
-    whole = (index >= 0) & (index < math.inf) & (np.floor(index) == index)
-    if not whole.all():
-        i = int(np.argmin(whole))
-        raise _index_error(path, lineno, i, index[i], n, g, h)
-    labels = labels.astype(np.intp)
-    subj, obj, predicate = triplets[:, :3].astype(np.intp).T
-    outside = (subj >= n) | (obj >= n)
-    if outside.any():
-        t = np.flatnonzero(outside)[0]
-        raise DataFormatError(f"{path}:{lineno}: triplet references node {max(subj[t], obj[t])} "
-                              f"but frame has {n} nodes")
-    if (subj == obj).any():
-        t = np.flatnonzero(subj == obj)[0]
-        raise DataFormatError(f"{path}:{lineno}: triplet {t} has subject and object "
-                              f"both node {subj[t]}")
-    if (labels >= g).any() or (predicate >= h).any():
-        over = np.flatnonzero(labels >= g)
-        i = over[0] if len(over) else n + 3 * np.flatnonzero(predicate >= h)[0] + 2
-        raise _index_error(path, lineno, i, index[i], n, g, h)
-    if not np.isfinite(triplets[:, 3]).all():
-        raise DataFormatError(f"{path}:{lineno}: triplet scores must be finite")
-    return RankedFrame(subj, obj, predicate, triplets[:, 3], labels, boxes)
+    try:   # not `_located`, which would cost more: this runs once a frame
+        boxes, labels, scores = rows("boxes", 4), rows("labels", 1), rows("label_scores", 1)
+        n = len(boxes)
+        if len(labels) != n or len(scores) != n:
+            raise DataFormatError(f"frame has {n} boxes but {len(labels)} labels and "
+                                  f"{len(scores)} label scores")
+        triplets = rows("triplets", 4)
+        g, h = (dims.g, dims.h) if dims else (math.inf, math.inf)
+        # every label and triplet index of the frame: a non-negative integer
+        index = np.concatenate([labels, triplets[:, :3].ravel()])
+        whole = (index >= 0) & (np.floor(index) == index)
+        if not whole.all():
+            i = int(np.argmin(whole))
+            raise _index_error(i, index[i], n, g, h)
+        labels = labels.astype(np.intp)
+        subj, obj, predicate = triplets[:, :3].astype(np.intp).T
+        outside = (subj >= n) | (obj >= n)
+        if outside.any():
+            t = np.flatnonzero(outside)[0]
+            raise DataFormatError(f"triplet references node {max(subj[t], obj[t])} "
+                                  f"but frame has {n} nodes")
+        if (subj == obj).any():
+            t = np.flatnonzero(subj == obj)[0]
+            raise DataFormatError(f"triplet {t} has subject and object both node {subj[t]}")
+        if (labels >= g).any() or (predicate >= h).any():
+            over = np.flatnonzero(labels >= g)
+            i = over[0] if len(over) else n + 3 * np.flatnonzero(predicate >= h)[0] + 2
+            raise _index_error(i, index[i], n, g, h)
+        return RankedFrame(subj, obj, predicate, triplets[:, 3], labels, boxes)
+    except DataFormatError as e:
+        raise DataFormatError(f"{path}:{lineno}: {e}") from None
 
 
 def write_predictions(path: str | Path, header: dict, records: list[dict]) -> None:
@@ -461,6 +466,37 @@ def load_predictions(path: str | Path) -> tuple[dict, list[dict]]:
     """`numbered_predictions` without the line numbers."""
     header, numbered = numbered_predictions(path)
     return header, [record for _, record in numbered]
+
+
+def ranked_predictions(path: str | Path, sequences: list[SceneSequence],
+                       dims: Dims) -> tuple[str | None, dict, list[list[RankedFrame]]]:
+    """A predictions file read against the dataset's sequences and dims: the
+    mode its header names (None if none), the config it echoes, and each
+    sequence's frames ranked. Each record must match its sequence's seed and
+    frame count."""
+    path = Path(path)
+    header, records = numbered_predictions(path)
+    with _located(f"{path}:1"):
+        mode = _field(header, "mode", default=None)
+        if mode is not None and mode not in MODES:
+            raise DataFormatError(f"field 'mode' must be one of {MODES}, got {mode!r}")
+        config = _field(header, "config", dict, {})
+    if len(records) != len(sequences):
+        raise DataFormatError(f"{path}: {len(records)} prediction records for "
+                              f"{len(sequences)} sequences")
+    ranked = []
+    for (lineno, record), seq in zip(records, sequences):
+        with _located(f"{path}:{lineno}"):
+            seed = _field(record, "seq_seed", int)
+            if seed != seq.seed:
+                raise DataFormatError(f"sequence seed {seed} does not match dataset seed "
+                                      f"{seq.seed}")
+            frames = _field(record, "frames", list)
+            if len(frames) != len(seq.frames):
+                raise DataFormatError(f"field 'frames' must list the sequence's "
+                                      f"{len(seq.frames)} frames")
+        ranked.append([ranked_from_frame_json(frame, path, lineno, dims) for frame in frames])
+    return mode, config, ranked
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,10 @@ of such rows for its gt objects and one for its detections, which its
 frames view (`scene_sequence`). Those rows are the only copy of a box or
 a vector: a gt object record keeps its box as a tuple of the row's
 numbers, its label and two flags, and a detection record its box.
+
+Rows are assembled from numbers the callers checked (`io` those of a file,
+finite, of the right widths, with label distributions; `synthgen` builds
+them so); `scene_sequence` checks what a scene requires, every box's range.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, ShapeError
+from .errors import ContractError
 
 
 def box_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -64,31 +68,12 @@ def _check_boxes(boxes: np.ndarray) -> None:
         raise ContractError(f"box: size ({w}, {h}) outside (0, 1]")
 
 
-def _node_rows(rows, width: int, name: str) -> np.ndarray:
-    """One `width`-number vector per node as an (n, width) array."""
-    try:
-        out = np.array(rows, dtype=np.float64)
-    except (TypeError, ValueError):   # rows of different lengths, or not numbers
-        out = None
-    if out is None or out.shape[1:] != (width,):
-        got = "not numbers of one length" if out is None else f"of shape {out.shape[1:]}"
-        raise ShapeError(f"object_nodes: label/visual must be vectors of {width} numbers, "
-                         f"got {name} rows {got}")
-    return out
-
-
-def object_nodes(boxes, label_dists, visual_feats, dims,
-                 label_field: str = "label_dist") -> np.ndarray:
+def object_nodes(boxes, label_dists, visual_feats, dims) -> np.ndarray:
     """The (n, m) node matrix of one (x, y, w, h) box, one label distribution
-    and one visual vector per node; errors name the label vectors
-    `label_field`."""
-    if not boxes:
+    and one visual vector per node, each a row of numbers its caller checked."""
+    if not len(boxes):
         return np.zeros((0, dims.m))
-    labels = _node_rows(label_dists, dims.g, label_field)
-    visual = _node_rows(visual_feats, dims.c, "visual")
-    if not (np.all(labels >= 0) and np.all(np.abs(labels.sum(axis=1) - 1.0) <= 1e-9)):
-        raise ContractError(f"object_nodes: {label_field} must be a probability distribution")
-    return np.concatenate([np.array(boxes, dtype=np.float64), labels, visual], axis=1)
+    return np.concatenate([boxes, label_dists, visual_feats], axis=1, dtype=np.float64)
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import itertools
 import json
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 
 from stsg import io
 from stsg.cli import main
-from stsg.config import RunConfig, load_config, parse_config_items
+from stsg.config import Dims, RunConfig, load_config, parse_config_items
 from stsg.errors import ConfigError, DataFormatError
 from stsg.params import ModelParams
 
@@ -374,12 +375,12 @@ def test_malformed_checkpoint_is_an_error(tmp_path, checkpoint_path, dataset_dir
 
 
 @pytest.mark.parametrize("value, message", [
-    ("0.25", "data is not a list of numbers"),
-    (True, "data is not a list of numbers"),
-    (None, "data is not a list of numbers"),
-    (float("nan"), "data must be finite numbers"),
-    (float("inf"), "data must be finite numbers"),
-    (-float("inf"), "data must be finite numbers"),
+    ("0.25", "data must be finite numbers, got '0.25'"),
+    (True, "data must be finite numbers, got True"),
+    (None, "data must be finite numbers, got None"),
+    (float("nan"), "data must be finite numbers, got nan"),
+    (float("inf"), "data must be finite numbers, got inf"),
+    (-float("inf"), "data must be finite numbers, got -inf"),
 ], ids=["string", "bool", "null", "nan", "infinity", "minus-infinity"])
 def test_checkpoint_parameters_must_be_finite_numbers(tmp_path, checkpoint_path, dataset_dir,
                                                       capsys, value, message):
@@ -400,7 +401,7 @@ def test_checkpoint_gcn_layers_must_be_an_integer(tmp_path, checkpoint_path, dat
     bad.write_text(json.dumps(doc))
     assert main(["eval", "--ckpt", str(bad), "--data", str(dataset_dir)]) == 1
     assert capsys.readouterr().err == \
-        f"error: {bad}: field 'gcn_layers' must be a positive integer\n"
+        f"error: {bad}: field 'gcn_layers' must be an integer, got True\n"
 
 
 def _corrupt_first_prediction(preds, edit) -> None:
@@ -472,9 +473,9 @@ def _set_boolean_triplet(frame):
     (_set("labels", 0, -5), "label of node 0 must be an integer in [0, 8), got -5"),
     (_set("labels", 1, 2.5), "label of node 1 must be an integer in [0, 8), got 2.5"),
     (_set("labels", 0, 8), "label of node 0 must be an integer in [0, 8), got 8"),
-    (_set("labels", 0, True), "labels must be a list of numbers"),
-    (_set("labels", 0, 10 ** 400), "labels must be a list of numbers"),
-    (_set_boolean_triplet, "triplets must be a list of 4-number rows"),
+    (_set("labels", 0, True), "field 'labels' must be finite numbers, got True"),
+    (_set("labels", 0, 10 ** 400), "field 'labels' must be finite numbers, got 1000"),
+    (_set_boolean_triplet, "field 'triplets' must be 4 finite numbers, got [True, False, 1, 0.5]"),
 ], ids=["predicate-99", "predicate-negative", "predicate-fraction", "subject-fraction",
         "object-negative", "label-negative", "label-fraction", "label-g", "label-boolean",
         "label-beyond-float", "boolean-triplet"])
@@ -810,7 +811,7 @@ def test_shape_error_is_an_error(tmp_path, dataset_dir, capsys):
     capsys.readouterr()
     assert _train(data, tmp_path) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "train.jsonl:2: object_nodes: " in err
+    assert err.startswith("error: ") and "train.jsonl:2: field 'visual' must be 16 finite numbers, got [[" in err
 
 
 def _short_label_dist(detection):
@@ -822,8 +823,9 @@ def _label_dist_not_a_distribution(detection):
 
 
 @pytest.mark.parametrize("edit, message", [
-    (_short_label_dist, "object_nodes: label/visual must be vectors"),
-    (_label_dist_not_a_distribution, "object_nodes: label_dist must be a probability"),
+    (_short_label_dist, "field 'label_dist' must be 8 finite numbers, got ["),
+    (_label_dist_not_a_distribution,
+     "field 'label_dist' must be a probability distribution, got [0.5, "),
 ], ids=["short-label-dist", "not-a-distribution"])
 def test_malformed_detection_labels_are_an_error(tmp_path, dataset_dir, capsys, edit, message):
     def edit_record(record):
@@ -860,6 +862,14 @@ def _int_beyond_floats_in_object_box(record):
     record["frames"][0]["objects"][0]["box"][2] = 10 ** 400
 
 
+def _nan_in_object_visual(record):
+    record["frames"][1]["objects"][0]["visual"][0] = float("nan")
+
+
+def _infinity_in_detection_visual(record):
+    next(d for f in record["frames"] for d in f["detections"])["visual"][0] = float("inf")
+
+
 def _set(name, value):
     def edit(record):
         record[name] = value
@@ -867,20 +877,30 @@ def _set(name, value):
 
 
 @pytest.mark.parametrize("edit, message", [
-    (_string_in_detection_visual, "visual entries must be numbers, got '0.25'"),
-    (_bool_in_detection_label_dist, "label_dist entries must be numbers, got "),
-    (_bool_in_object_visual, "visual entries must be numbers, got True"),
-    (_null_in_object_visual, "visual entries must be numbers, got None"),
-    (_int_beyond_floats_in_object_box, "int too large to convert to float"),
-    (_set("event_labels", ["0", "1", "0", "0"]), "field 'event_labels' must be a list of numbers"),
-    (_set("event_labels", [[0, 1]]), "field 'event_labels' must be a list of numbers"),
+    (_string_in_detection_visual, "field 'visual' must be 16 finite numbers, got ['0.25', "),
+    (_bool_in_detection_label_dist, "field 'label_dist' must be 8 finite numbers, got ["),
+    (_bool_in_object_visual, "field 'visual' must be 16 finite numbers, got ["),
+    (_null_in_object_visual, "field 'visual' must be 16 finite numbers, got [None, "),
+    (_int_beyond_floats_in_object_box, "field 'box' must be 4 finite numbers, got ["),
+    (_set("event_labels", ["0", "1", "0", "0"]),
+     "field 'event_labels' must be finite numbers, got '0'"),
+    (_set("event_labels", [[0, 1]]), "field 'event_labels' must be finite numbers, got [0, 1]"),
+    # these loaded: a nan or an infinity then ended in a ranking error with no
+    # file or line, six event labels in a traceback from `bank`
+    (_nan_in_object_visual, "field 'visual' must be 16 finite numbers, got [nan, "),
+    (_infinity_in_detection_visual, "field 'visual' must be 16 finite numbers, got [inf, "),
+    (_set("event_labels", [0, 1, 0, 0, 0, 0]),
+     "field 'event_labels' must be 4 labels of 0 or 1, got [0.0, 1.0, 0.0, 0.0, 0.0, 0.0]"),
+    (_set("event_labels", [0, 2.5, 0, 0]),
+     "field 'event_labels' must be 4 labels of 0 or 1, got [0.0, 2.5, 0.0, 0.0]"),
     (_set("seed", 7.9), "field 'seed' must be an integer, got 7.9"),
     (_set("seed", True), "field 'seed' must be an integer, got True"),
     (_set("seed", "7"), "field 'seed' must be an integer, got '7'"),
     (_set("seed", "abc"), "field 'seed' must be an integer, got 'abc'"),
 ], ids=["det-visual-string", "det-label-bool", "gt-visual-bool", "gt-visual-null",
-        "gt-box-beyond-floats", "event-label-strings", "event-label-rows", "seed-float", "seed-bool", "seed-string",
-        "seed-not-a-number"])
+        "gt-box-beyond-floats", "event-label-strings", "event-label-rows", "gt-visual-nan",
+        "det-visual-infinity", "event-labels-six", "event-label-fraction", "seed-float",
+        "seed-bool", "seed-string", "seed-not-a-number"])
 def test_dataset_numbers_are_type_checked(tmp_path, dataset_dir, capsys, edit, message):
     # numpy would read these as numbers ('0.25' -> 0.25, true -> 1.0, null ->
     # nan, 7.9 -> 7); 'abc' and an integer beyond the float range ended in a
@@ -890,6 +910,77 @@ def test_dataset_numbers_are_type_checked(tmp_path, dataset_dir, capsys, edit, m
     assert _train(data, tmp_path) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"train.jsonl:2: {message}" in err
+
+
+def _first_frame(name, value):
+    def edit(record):
+        record["frames"][0][name] = value
+    return edit
+
+
+def _occluded(value):
+    def edit(record):
+        record["frames"][0]["objects"][0]["occluded"] = value
+    return edit
+
+
+# a list field that is a number ended in a TypeError traceback; "no" loaded
+# as occluded
+@pytest.mark.parametrize("edit, message", [
+    (_set("frames", 5), "field 'frames' must be a list, got 5"),
+    (_first_frame("objects", 5), "field 'objects' must be a list, got 5"),
+    (_first_frame("triplets", 5), "field 'triplets' must be a list, got 5"),
+    (_first_frame("detections", 5), "field 'detections' must be a list, got 5"),
+    (_occluded("no"), "field 'occluded' must be a boolean, got 'no'"),
+], ids=["frames", "objects", "triplets", "detections", "occluded"])
+def test_dataset_fields_are_kind_checked(tmp_path, checkpoint_path, dataset_dir, capsys, edit,
+                                         message):
+    data = _edited_train_split(tmp_path, dataset_dir, 1, edit)
+    capsys.readouterr()
+    assert main(["eval", "--ckpt", str(checkpoint_path), "--data", str(data),
+                 "--split", "train"]) == 1
+    assert capsys.readouterr().err == f"error: {data / 'train.jsonl'}:2: {message}\n"
+
+
+def test_dataset_header_config_errors_name_the_file(tmp_path, dataset_dir, capsys):
+    # printed as "error: train.k: expected integer, got 'x'", with no file
+    data = _edited_train_split(tmp_path, dataset_dir, 0,
+                               lambda header: header["config"].update({"train.k": "x"}))
+    capsys.readouterr()
+    assert _train(data, tmp_path) == 1
+    assert capsys.readouterr().err == \
+        f"error: {data / 'train.jsonl'}:1: train.k: expected integer, got 'x'\n"
+
+
+# a config that is a number ended in an AttributeError traceback; a bad
+# config value was reported with no file
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc.update(config=5), "field 'config' must be an object, got 5"),
+    (lambda doc: doc["config"].update({"train.k": "x"}), "train.k: expected integer, got 'x'"),
+], ids=["config-number", "config-value"])
+def test_checkpoint_config_errors_name_the_file(tmp_path, checkpoint_path, dataset_dir, capsys,
+                                                edit, message):
+    doc = json.loads(checkpoint_path.read_text())
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["eval", "--ckpt", str(bad), "--data", str(dataset_dir)]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+
+def _one_detection_record(label_dist) -> dict:
+    return {"seed": 0, "event_labels": [0, 0, 0, 0],
+            "frames": [{"objects": [], "triplets": [], "detections": [
+                {"box": [0, 0, 0.1, 0.1], "label_dist": label_dist, "visual": [0.0]}]}]}
+
+
+def test_load_rejects_a_bad_label_distribution():
+    dims = Dims(g=2, c=1)
+    with pytest.raises(DataFormatError, match="must be a probability distribution"):
+        io.sequence_from_json(_one_detection_record([0.7, 0.7]), Path("d.jsonl"), 2, dims)
+    with pytest.raises(DataFormatError, match="must be 2 finite numbers"):
+        io.sequence_from_json(_one_detection_record((np.ones((2, 2)) / 4).tolist()),
+                              Path("d.jsonl"), 2, dims)
 
 
 def _short_visual(obj):
@@ -910,12 +1001,12 @@ def _negative_det_label_dist(obj):
 
 @pytest.mark.parametrize("mode", ["predcls", "sgcls", "sgdet"])
 @pytest.mark.parametrize("edit, message", [
-    (_short_visual, "object_nodes: label/visual must be vectors of 16 numbers, got visual rows"),
-    (_long_det_label_dist,
-     "object_nodes: label/visual must be vectors of 8 numbers, got det_label_dist rows"),
+    (_short_visual, "field 'visual' must be 16 finite numbers, got ["),
+    (_long_det_label_dist, "field 'det_label_dist' must be 8 finite numbers, got ["),
     (_det_label_dist_not_a_distribution,
-     "object_nodes: det_label_dist must be a probability distribution"),
-    (_negative_det_label_dist, "object_nodes: det_label_dist must be a probability distribution"),
+     "field 'det_label_dist' must be a probability distribution, got [0.5, "),
+    (_negative_det_label_dist,
+     "field 'det_label_dist' must be a probability distribution, got [1.5, -0.5, "),
 ], ids=["short-visual", "long-det-label-dist", "not-a-distribution", "negative"])
 def test_malformed_gt_vector_is_an_error_at_load(tmp_path, dataset_dir, capsys, edit, message,
                                                  mode):
@@ -929,6 +1020,123 @@ def test_malformed_gt_vector_is_an_error_at_load(tmp_path, dataset_dir, capsys, 
                  "--no-val", "--mode", mode]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {data / 'train.jsonl'}:2: ") and message in err
+
+
+# each of these ended in an OSError traceback
+@pytest.mark.parametrize("case", ["ckpt-dir", "eval-out-dir", "config-dir", "gen-out-file"])
+def test_os_errors_are_errors(tmp_path, checkpoint_path, dataset_dir, capsys, case):
+    taken = tmp_path / "file"
+    taken.write_text("")
+    argv = {
+        "ckpt-dir": ["eval", "--ckpt", str(tmp_path), "--data", str(dataset_dir)],
+        "eval-out-dir": ["eval", "--ckpt", str(checkpoint_path), "--data", str(dataset_dir),
+                         "--out", str(tmp_path)],
+        "config-dir": ["flops", "--config", str(tmp_path)],
+        "gen-out-file": ["gen", "--out", str(taken)],
+    }[case]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(taken if case == "gen-out-file" else tmp_path) in err
+
+
+# each of these ended in a UnicodeDecodeError traceback
+@pytest.mark.parametrize("kind", ["dataset", "config", "checkpoint"])
+def test_input_that_is_not_utf8_is_an_error(tmp_path, checkpoint_path, dataset_dir, capsys, kind):
+    data = tmp_path / "ds"
+    data.mkdir()
+    (data / "train.jsonl").write_bytes((dataset_dir / "train.jsonl").read_bytes())
+    config, ckpt = tmp_path / "run.cfg", tmp_path / "model.json"
+    config.write_text("")
+    ckpt.write_bytes(checkpoint_path.read_bytes())
+    bad = {"dataset": data / "train.jsonl", "config": config, "checkpoint": ckpt}[kind]
+    bad.write_bytes(b"\xff" + bad.read_bytes())
+    capsys.readouterr()
+    if kind == "checkpoint":
+        argv = ["eval", "--ckpt", str(ckpt), "--data", str(data), "--split", "train"]
+    else:
+        argv = ["train", "--config", str(config), "--data", str(data),
+                "--out", str(tmp_path / "m.json"), "--no-val", "--epochs", "0"]
+    assert main(argv) == 1
+    where = f"{bad}:1" if kind == "checkpoint" else bad
+    assert capsys.readouterr().err == f"error: {where}: not UTF-8 text (invalid start byte)\n"
+
+
+FUZZ_VALUES = [5, "x", None, True, [], {}, float("nan"), 2.5, -1]
+
+
+def _field_paths(doc, depth: int = 3):
+    """The key paths of every field of `doc` up to `depth` deep, taking the
+    first two entries of each list."""
+    if depth == 0:
+        return
+    keys = list(doc) if isinstance(doc, dict) else \
+        range(min(2, len(doc))) if isinstance(doc, list) else ()
+    for key in keys:
+        yield (key,)
+        for rest in _field_paths(doc[key], depth - 1):
+            yield (key, *rest)
+
+
+def _escapes(doc, read) -> list:
+    """(path, value, exception name) for each replacement of a field of `doc`
+    by a FUZZ_VALUES entry on which `read` raises anything but
+    DataFormatError."""
+    escaped = []
+    for path in _field_paths(doc):
+        for value in FUZZ_VALUES:
+            mutant = json.loads(json.dumps(doc))
+            target = mutant
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = value
+            try:
+                read(mutant)
+            except DataFormatError:
+                pass
+            except Exception as e:   # noqa: BLE001 -- any other exception is the finding
+                escaped.append((path, value, type(e).__name__))
+    return escaped
+
+
+def test_no_malformed_record_escapes_as_another_exception(tmp_path):
+    # a record whose frames, a frame's objects, triplets or detections, or a
+    # checkpoint whose config was a number ended in a traceback
+    cfg_path = tmp_path / "one.cfg"
+    cfg_path.write_text("split.train_sequences = 1\nsplit.val_sequences = 1\n"
+                        "split.test_sequences = 1\nworld.frames = 2\n"
+                        "dims.g = 3\ndims.c = 2\ndims.d = 2\n")
+    data = tmp_path / "ds"
+    assert main(["gen", "--config", str(cfg_path), "--out", str(data)]) == 0
+    header, line = (data / "test.jsonl").read_text().splitlines()
+    dims = io.runconfig_from_flat(json.loads(header)["config"]).dims
+    _, seqs = io.load_split(data, "test")
+
+    dataset = _escapes(json.loads(line),
+                       lambda record: io.sequence_from_json(record, Path("t.jsonl"), 2, dims))
+
+    # a new file for each read: rewriting one file in place is far slower
+    files = (tmp_path / f"{i}.json" for i in itertools.count())
+    cfg = load_config(cfg_path)
+    ckpt = next(files)
+    io.write_checkpoint(ckpt, cfg, ModelParams.init(cfg.dims, seed=0),
+                        [{"epoch": 1, "train_loss": 0.5}])
+
+    def read_checkpoint(doc):
+        path = next(files)
+        path.write_text(json.dumps(doc))
+        io.load_checkpoint(path)
+
+    checkpoint = _escapes(json.loads(ckpt.read_text()), read_checkpoint)
+
+    def read_predictions(record):
+        path = next(files)
+        io.write_predictions(path, {"mode": "sgdet", "config": {}}, [record])
+        io.ranked_predictions(path, seqs, dims)
+
+    (record,) = gt_prediction_records(seqs)
+    predictions = _escapes(record, read_predictions)
+    assert (dataset, checkpoint, predictions) == ([], [], [])
 
 
 def test_forward_sequence_outputs_serve_to_predictions(checkpoint_path, dataset_dir):

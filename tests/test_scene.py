@@ -68,13 +68,6 @@ def test_encode_is_injective(x, y, w, h, raw_labels, visual):
     assert np.array_equal(v, np.array(visual))
 
 
-def test_encode_rejects_bad_distribution():
-    with pytest.raises(ContractError):
-        encode_node([0, 0, 0.1, 0.1], [0.7, 0.7], [0.0])
-    with pytest.raises(ShapeError):
-        encode_node([0, 0, 0.1, 0.1], np.ones((2, 2)) / 4, [0.0])
-
-
 def sequence_of_boxes(gt_boxes, det_boxes) -> SceneSequence:
     """A one-frame sequence whose gt objects and detections have these boxes,
     made by `scene_sequence`, which range-checks every box."""
