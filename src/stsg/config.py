@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -171,9 +172,12 @@ def _parse_value(field_type, raw: str, key: str):
             raise ConfigError(f"{key}: expected integer, got {raw!r}") from None
     if field_type is float:
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
             raise ConfigError(f"{key}: expected number, got {raw!r}") from None
+        if not math.isfinite(value):   # validate's range checks are all false for NaN
+            raise ConfigError(f"{key}: expected a finite number, got {raw!r}")
+        return value
     return raw
 
 

@@ -18,6 +18,7 @@ import contextlib
 import gc
 import json
 import math
+import reprlib
 from itertools import chain
 from pathlib import Path
 
@@ -81,7 +82,8 @@ _KINDS = {dict: "an object", list: "a list", int: "an integer", bool: "a boolean
 
 def _field(record, name: str, kind: type | None = None, default=_REQUIRED):
     """Field `name` of the JSON object `record`, required unless a default is
-    given, and of `kind` (dict, list, int or bool; a bool is not an int)."""
+    given, and of `kind` (dict, list, int or bool; a bool is not an int). A
+    kind error shows the value cut to a few entries (`reprlib`)."""
     if type(record) is not dict:
         raise DataFormatError(f"expected a JSON object with field {name!r}, "
                               f"got {type(record).__name__}")
@@ -91,7 +93,8 @@ def _field(record, name: str, kind: type | None = None, default=_REQUIRED):
         return default
     value = record[name]
     if kind is not None and type(value) is not kind:
-        raise DataFormatError(f"field {name!r} must be {_KINDS[kind]}, got {value!r}")
+        raise DataFormatError(f"field {name!r} must be {_KINDS[kind]}, "
+                              f"got {reprlib.repr(value)}")
     return value
 
 
@@ -126,13 +129,14 @@ def _number_array(value, width: int, name: str) -> np.ndarray:
     """`value`, a list of finite JSON numbers (width 1) or of rows of exactly
     `width` of them, as a float64 array of shape (rows,) or (rows, width); a
     bool, a string, a null, a NaN or an infinity is not one. The error names
-    `name` and the first bad entry (for rows, the first bad row)."""
+    `name` and the first bad entry (for rows, the first bad row), in a repr
+    cut to a few entries, as `_field` does."""
     arr = _finite_array(value, width)
     if arr is None:
         bad = (next((e for e in value if _finite_array([e], width) is None), value)
                if type(value) is list else value)
         raise DataFormatError(f"{name} must be {'' if width == 1 else f'{width} '}finite "
-                              f"numbers, got {bad!r}")
+                              f"numbers, got {reprlib.repr(bad)}")
     return arr
 
 
@@ -322,14 +326,19 @@ def write_train_log(path: str | Path, cfg: RunConfig, log: list[dict]) -> None:
 # predictions
 
 
+# a frame's ranked list is written as one list per RankedFrame field
+TRIPLET_COLUMNS = ("subj", "obj", "predicate", "score")
+
+
 def frame_prediction_to_json(pred: FramePrediction, ranked: RankedFrame,
                              include_features: bool) -> dict:
+    """A predictions frame. Its `triplets` are columns, one list per field of
+    the ranked list, so a record holds a few lists whatever its length."""
     record = {
         "boxes": ranked.boxes.tolist(),
         "labels": ranked.labels.tolist(),
         "label_scores": np.max(pred.label_dists, axis=1).tolist() if pred.n else [],
-        "triplets": [list(t) for t in zip(ranked.subj.tolist(), ranked.obj.tolist(),
-                                           ranked.predicate.tolist(), ranked.score.tolist())],
+        "triplets": {c: getattr(ranked, c).tolist() for c in TRIPLET_COLUMNS},
     }
     if include_features:
         record["label_dists"] = pred.label_dists.tolist()
@@ -338,36 +347,48 @@ def frame_prediction_to_json(pred: FramePrediction, ranked: RankedFrame,
     return record
 
 
-# the numeric fields of a predictions frame, and the numbers in each row
-_FRAME_ARRAYS = (("boxes", 4), ("labels", 1), ("label_scores", 1), ("triplets", 4))
+# the numeric fields of a predictions frame and of its triplets, and the
+# numbers in each row
+_FRAME_ARRAYS = (("boxes", 4), ("labels", 1), ("label_scores", 1))
+_TRIPLET_ARRAYS = tuple((c, 1) for c in TRIPLET_COLUMNS)
 
 
-def _frames_to_arrays(record) -> None:
-    """Replace each numeric field of the frames of a predictions record by
-    its array, in place, read in one call over all the frames; where any
-    frame's field is not finite numbers of the right shape, the field stays
-    as decoded in every frame, for `ranked_from_frame_json` to reject."""
-    frames = record.get("frames") if isinstance(record, dict) else None
-    if not (isinstance(frames, list) and all(type(frame) is dict for frame in frames)):
+def _columns_to_arrays(owners: list, fields) -> None:
+    """Replace each of `fields` (name, width) of the JSON objects `owners` by
+    a view of one array read over all of them, where they are all objects and
+    all hold it as finite numbers of that width; otherwise leave it as decoded."""
+    if not all(type(owner) is dict for owner in owners):
         return
-    for name, width in _FRAME_ARRAYS:
-        values = [frame.get(name) for frame in frames]
+    for name, width in fields:
+        values = [owner.get(name) for owner in owners]
         arr = (_finite_array(list(chain.from_iterable(values)), width)
                if all(type(value) is list for value in values) else None)
         if arr is not None:
             end = 0
-            for frame, value in zip(frames, values):
-                frame[name], end = arr[end:end + len(value)], end + len(value)
+            for owner, value in zip(owners, values):
+                owner[name], end = arr[end:end + len(value)], end + len(value)
 
 
-def _index_error(i: int, value: float, n: int, g, h) -> DataFormatError:
-    """The error for entry i of a frame's indices: its n labels, then each
-    triplet's subject, object and predicate."""
+def _frames_to_arrays(record) -> None:
+    """Replace each numeric field of the frames of a predictions record, and
+    each triplet column, by its array, in place, read in one call over all
+    the frames; where any frame's field is not finite numbers of the right
+    shape, the field stays as decoded in every frame, for
+    `ranked_from_frame_json` to reject."""
+    frames = record.get("frames") if isinstance(record, dict) else None
+    if isinstance(frames, list) and all(type(frame) is dict for frame in frames):
+        _columns_to_arrays(frames, _FRAME_ARRAYS)
+        _columns_to_arrays([frame.get("triplets") for frame in frames], _TRIPLET_ARRAYS)
+
+
+def _index_error(i: int, value: float, n: int, t: int, g, h) -> DataFormatError:
+    """The error for entry i of a frame's indices: its n labels, then the
+    subjects, objects and predicates of its t triplets."""
     if i < n:
         what, bound = f"label of node {i}", g
     else:
-        t, c = divmod(i - n, 3)
-        what, bound = f"{('subject', 'object', 'predicate')[c]} of triplet {t}", (n, n, h)[c]
+        c, k = divmod(i - n, t)
+        what, bound = f"{('subject', 'object', 'predicate')[c]} of triplet {k}", (n, n, h)[c]
     return DataFormatError(f"{what} must be an integer in [0, {bound}), got {value:g}")
 
 
@@ -375,45 +396,53 @@ def ranked_from_frame_json(frame: dict, path: Path, lineno: int,
                            dims: Dims | None = None) -> RankedFrame:
     """A frame of a record from `numbered_predictions` as a ranked list.
 
-    Boxes, labels, label scores and triplets must be finite numbers
-    (`_number_array`); labels, triplet node indices and predicates must be
-    non-negative integers, node indices below the frame's node count; with
-    `dims`, labels must be below dims.g and predicates below dims.h.
+    Boxes, labels, label scores and the triplet columns must be finite
+    numbers (`_number_array`), the columns of one length; labels, triplet
+    node indices and predicates must be non-negative integers, node indices
+    below the frame's node count; with `dims`, labels must be below dims.g
+    and predicates below dims.h.
     """
-    def rows(name: str, width: int) -> np.ndarray:
-        value = _field(frame, name)
+    def rows(owner: dict, name: str, width: int = 1) -> np.ndarray:
+        value = _field(owner, name)
         return value if type(value) is np.ndarray else _number_array(value, width,
                                                                       f"field {name!r}")
 
     try:   # not `_located`, which would cost more: this runs once a frame
-        boxes, labels, scores = rows("boxes", 4), rows("labels", 1), rows("label_scores", 1)
+        boxes = rows(frame, "boxes", 4)
+        labels, scores = rows(frame, "labels"), rows(frame, "label_scores")
         n = len(boxes)
         if len(labels) != n or len(scores) != n:
             raise DataFormatError(f"frame has {n} boxes but {len(labels)} labels and "
                                   f"{len(scores)} label scores")
-        triplets = rows("triplets", 4)
+        triplets = _field(frame, "triplets", dict)
+        subj, obj, predicate, score = (rows(triplets, c) for c in TRIPLET_COLUMNS)
+        t = len(score)
+        if not len(subj) == len(obj) == len(predicate) == t:
+            raise DataFormatError(f"triplets has {len(subj)} subjects, {len(obj)} objects, "
+                                  f"{len(predicate)} predicates and {t} scores")
         g, h = (dims.g, dims.h) if dims else (math.inf, math.inf)
         # every label and triplet index of the frame: a non-negative integer
-        index = np.concatenate([labels, triplets[:, :3].ravel()])
+        index = np.concatenate([labels, subj, obj, predicate])
         whole = (index >= 0) & (np.floor(index) == index)
         if not whole.all():
             i = int(np.argmin(whole))
-            raise _index_error(i, index[i], n, g, h)
-        labels = labels.astype(np.intp)
-        subj, obj, predicate = triplets[:, :3].astype(np.intp).T
+            raise _index_error(i, index[i], n, t, g, h)
+        ints = index.astype(np.intp)
+        labels, subj, obj, predicate = (ints[:n], ints[n:n + t], ints[n + t:n + 2 * t],
+                                        ints[n + 2 * t:])
         outside = (subj >= n) | (obj >= n)
         if outside.any():
-            t = np.flatnonzero(outside)[0]
-            raise DataFormatError(f"triplet references node {max(subj[t], obj[t])} "
+            k = np.flatnonzero(outside)[0]
+            raise DataFormatError(f"triplet references node {max(subj[k], obj[k])} "
                                   f"but frame has {n} nodes")
         if (subj == obj).any():
-            t = np.flatnonzero(subj == obj)[0]
-            raise DataFormatError(f"triplet {t} has subject and object both node {subj[t]}")
+            k = np.flatnonzero(subj == obj)[0]
+            raise DataFormatError(f"triplet {k} has subject and object both node {subj[k]}")
         if (labels >= g).any() or (predicate >= h).any():
             over = np.flatnonzero(labels >= g)
-            i = over[0] if len(over) else n + 3 * np.flatnonzero(predicate >= h)[0] + 2
-            raise _index_error(i, index[i], n, g, h)
-        return RankedFrame(subj, obj, predicate, triplets[:, 3], labels, boxes)
+            i = over[0] if len(over) else n + 2 * t + np.flatnonzero(predicate >= h)[0]
+            raise _index_error(i, index[i], n, t, g, h)
+        return RankedFrame(subj, obj, predicate, score, labels, boxes)
     except DataFormatError as e:
         raise DataFormatError(f"{path}:{lineno}: {e}") from None
 
@@ -446,9 +475,10 @@ def _collector_paused():
 def numbered_predictions(path: str | Path) -> tuple[dict, list[tuple[int, dict]]]:
     """A predictions file's header, and each record with its line number.
 
-    Each line's frames hold their numeric fields (_FRAME_ARRAYS) as arrays,
-    converted as the line is decoded: the lists they replace never pile up
-    for the collector to walk once it runs again.
+    Each line's frames hold their numeric fields and triplet columns
+    (_FRAME_ARRAYS, _TRIPLET_ARRAYS) as arrays, converted as the line is
+    decoded: the lists they replace never pile up for the collector to walk
+    once it runs again.
     """
     path = Path(path)
     if not path.exists():

@@ -194,11 +194,13 @@ def gt_prediction_records(seqs):
         frames = []
         for frame in seq.frames:
             boxes = [list(o.box) for o in frame.objects]
+            subj, obj, predicate = ([t[c] for t in frame.triplets] for c in range(3))
             frames.append({
                 "boxes": boxes,
                 "labels": [o.label for o in frame.objects],
                 "label_scores": [1.0] * len(frame.objects),
-                "triplets": [[i, j, p, 1.0] for (i, j, p) in frame.triplets],
+                "triplets": {"subj": subj, "obj": obj, "predicate": predicate,
+                             "score": [1.0] * len(subj)},
             })
         records.append({"seq_seed": seq.seed, "frames": frames})
     return records
@@ -408,7 +410,7 @@ def _corrupt_first_prediction(preds, edit) -> None:
     """Apply `edit` to the first frame with triplets of a predictions file."""
     lines = preds.read_text().splitlines()
     record = json.loads(lines[1])
-    edit(next(f for f in record["frames"] if f["triplets"]))
+    edit(next(f for f in record["frames"] if f["triplets"]["subj"]))
     lines[1] = json.dumps(record)
     preds.write_text("\n".join(lines) + "\n")
 
@@ -427,11 +429,11 @@ def test_prediction_frame_with_short_label_list_is_an_error(tmp_path, checkpoint
 
 
 def _set_self_pair(frame):
-    frame["triplets"][0][1] = frame["triplets"][0][0]
+    frame["triplets"]["obj"][0] = frame["triplets"]["subj"][0]
 
 
 def _set_nan_score(frame):
-    frame["triplets"][0][3] = float("nan")
+    frame["triplets"]["score"][0] = float("nan")
 
 
 @pytest.mark.parametrize("edit", [_set_self_pair, _set_nan_score], ids=["self-pair", "nan-score"])
@@ -448,37 +450,41 @@ def test_malformed_prediction_triplet_is_an_error(tmp_path, checkpoint_path, dat
 
 
 def _set(field, index, value):
+    """Set entry `index` of a frame field or triplet column."""
     def edit(frame):
-        if field == "triplets":
-            row = frame["triplets"][0]
-            row[index] = value(row[index]) if callable(value) else value
-        else:
-            frame[field][index] = value
+        column = frame["triplets"][field] if field in io.TRIPLET_COLUMNS else frame[field]
+        column[index] = value(column[index]) if callable(value) else value
     return edit
 
 
 def _set_boolean_triplet(frame):
-    frame["triplets"][0] = [True, False, 1, 0.5]
+    for column, value in zip(io.TRIPLET_COLUMNS, [True, False, 1, 0.5]):
+        frame["triplets"][column][0] = value
+
+
+def _one_predicate(frame):
+    del frame["triplets"]["predicate"][1:]
 
 
 # each of these was evaluated with exit 0 (the numbers were truncated to
 # integers, or used as they were, whatever their range) or, for an integer
 # beyond the float range, ended in an OverflowError traceback
 @pytest.mark.parametrize("edit, message", [
-    (_set("triplets", 2, 99), "predicate of triplet 0 must be an integer in [0, 6), got 99"),
-    (_set("triplets", 2, -1), "predicate of triplet 0 must be an integer in [0, 6), got -1"),
-    (_set("triplets", 2, 2.5), "predicate of triplet 0 must be an integer in [0, 6), got 2.5"),
-    (_set("triplets", 0, lambda i: i + 0.9), "subject of triplet 0 must be an integer"),
-    (_set("triplets", 1, -2), "object of triplet 0 must be an integer"),
+    (_set("predicate", 0, 99), "predicate of triplet 0 must be an integer in [0, 6), got 99"),
+    (_set("predicate", 0, -1), "predicate of triplet 0 must be an integer in [0, 6), got -1"),
+    (_set("predicate", 0, 2.5), "predicate of triplet 0 must be an integer in [0, 6), got 2.5"),
+    (_set("subj", 0, lambda i: i + 0.9), "subject of triplet 0 must be an integer"),
+    (_set("obj", 0, -2), "object of triplet 0 must be an integer"),
     (_set("labels", 0, -5), "label of node 0 must be an integer in [0, 8), got -5"),
     (_set("labels", 1, 2.5), "label of node 1 must be an integer in [0, 8), got 2.5"),
     (_set("labels", 0, 8), "label of node 0 must be an integer in [0, 8), got 8"),
     (_set("labels", 0, True), "field 'labels' must be finite numbers, got True"),
     (_set("labels", 0, 10 ** 400), "field 'labels' must be finite numbers, got 1000"),
-    (_set_boolean_triplet, "field 'triplets' must be 4 finite numbers, got [True, False, 1, 0.5]"),
+    (_set_boolean_triplet, "field 'subj' must be finite numbers, got True"),
+    (_one_predicate, "objects, 1 predicates and "),
 ], ids=["predicate-99", "predicate-negative", "predicate-fraction", "subject-fraction",
         "object-negative", "label-negative", "label-fraction", "label-g", "label-boolean",
-        "label-beyond-float", "boolean-triplet"])
+        "label-beyond-float", "boolean-triplet", "short-column"])
 def test_malformed_prediction_number_is_an_error(tmp_path, checkpoint_path, dataset_dir,
                                                  capsys, edit, message):
     preds = tmp_path / "p.jsonl"
@@ -509,16 +515,17 @@ def test_decoded_predictions_hold_arrays(tmp_path, checkpoint_path, dataset_dir)
                  "--split", "val", "--mode", "sgdet", "--out", str(preds)]) == 0
     _, numbered = io.numbered_predictions(preds)
     lines = preds.read_text().splitlines()
-    shapes = {"boxes": 4, "labels": None, "label_scores": None, "triplets": 4}
+    shapes = {"boxes": 4, "labels": None, "label_scores": None,
+              **dict.fromkeys(io.TRIPLET_COLUMNS)}
     for (lineno, record), line in zip(numbered, lines[1:]):
         for frame, raw in zip(record["frames"], json.loads(line)["frames"]):
             for name, width in shapes.items():
-                arr = frame[name]
+                arr, value = ((frame["triplets"][name], raw["triplets"][name])
+                              if name in io.TRIPLET_COLUMNS else (frame[name], raw[name]))
                 assert isinstance(arr, np.ndarray) and arr.dtype == np.float64, name
-                want = (len(raw[name]),) if width is None else (len(raw[name]), width)
+                want = (len(value),) if width is None else (len(value), width)
                 assert arr.shape == want
-                np.testing.assert_array_equal(arr, np.array(raw[name], dtype=float)
-                                              .reshape(want))
+                np.testing.assert_array_equal(arr, np.array(value, dtype=float).reshape(want))
 
 
 def test_bad_number_after_a_blank_line_names_its_line(tmp_path, dataset_dir, capsys):
@@ -957,7 +964,10 @@ def test_dataset_header_config_errors_name_the_file(tmp_path, dataset_dir, capsy
 @pytest.mark.parametrize("edit, message", [
     (lambda doc: doc.update(config=5), "field 'config' must be an object, got 5"),
     (lambda doc: doc["config"].update({"train.k": "x"}), "train.k: expected integer, got 'x'"),
-], ids=["config-number", "config-value"])
+    # this one loaded: see test_a_config_file_number_must_be_finite
+    (lambda doc: doc["config"].update({"noise.box_jitter_sigma": float("inf")}),
+     "noise.box_jitter_sigma: expected a finite number, got 'inf'"),
+], ids=["config-number", "config-value", "config-infinity"])
 def test_checkpoint_config_errors_name_the_file(tmp_path, checkpoint_path, dataset_dir, capsys,
                                                 edit, message):
     doc = json.loads(checkpoint_path.read_text())
@@ -966,6 +976,28 @@ def test_checkpoint_config_errors_name_the_file(tmp_path, checkpoint_path, datas
     bad.write_text(json.dumps(doc))
     assert main(["eval", "--ckpt", str(bad), "--data", str(dataset_dir)]) == 1
     assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+
+# these loaded: NaN fails every range check of `validate`, so a NaN learning
+# rate or noise level was taken as given
+@pytest.mark.parametrize("key, raw", [("train.learning_rate", "nan"),
+                                      ("noise.box_jitter_sigma", "inf"),
+                                      ("train.clip_norm", "-inf")])
+def test_a_config_file_number_must_be_finite(tmp_path, capsys, key, raw):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key} = {raw}\n")
+    assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 1
+    assert capsys.readouterr().err == f"error: {key}: expected a finite number, got {raw!r}\n"
+    assert not (tmp_path / "d").exists()
+
+
+def test_a_split_header_config_number_must_be_finite(tmp_path, dataset_dir, capsys):
+    data = _edited_train_split(tmp_path, dataset_dir, 0, lambda header: header["config"].update(
+        {"train.learning_rate": float("nan")}))
+    capsys.readouterr()
+    assert _train(data, tmp_path) == 1
+    assert capsys.readouterr().err == (f"error: {data / 'train.jsonl'}:1: train.learning_rate: "
+                                       f"expected a finite number, got 'nan'\n")
 
 
 def _one_detection_record(label_dist) -> dict:
@@ -1078,12 +1110,12 @@ def _field_paths(doc, depth: int = 3):
             yield (key, *rest)
 
 
-def _escapes(doc, read) -> list:
-    """(path, value, exception name) for each replacement of a field of `doc`
-    by a FUZZ_VALUES entry on which `read` raises anything but
-    DataFormatError."""
+def _escapes(doc, read, depth: int = 3) -> list:
+    """(path, value, exception name) for each replacement of a field of `doc`,
+    up to `depth` deep, by a FUZZ_VALUES entry on which `read` raises anything
+    but DataFormatError."""
     escaped = []
-    for path in _field_paths(doc):
+    for path in _field_paths(doc, depth):
         for value in FUZZ_VALUES:
             mutant = json.loads(json.dumps(doc))
             target = mutant
@@ -1135,7 +1167,7 @@ def test_no_malformed_record_escapes_as_another_exception(tmp_path):
         io.ranked_predictions(path, seqs, dims)
 
     (record,) = gt_prediction_records(seqs)
-    predictions = _escapes(record, read_predictions)
+    predictions = _escapes(record, read_predictions, depth=4)   # the triplet columns too
     assert (dataset, checkpoint, predictions) == ([], [], [])
 
 
@@ -1181,9 +1213,25 @@ def test_checkpoint_rejects_a_split_of_other_dims(tmp_path, g5_config_path, chec
     assert "error: dims.g: the run uses 8, but the test split" in capsys.readouterr().err
 
 
-# sha256 of `stsg infer` files from the tiny checkpoint, taken before serving
-# cut its frames straight from the packed forward pass; any change to a served
-# float, label or ordering shows here
+def in_row_layout(text: str) -> str:
+    """A predictions file re-encoded with each frame's triplets as
+    [subject, object, predicate, score] rows, the layout files were written
+    in before the columns."""
+    header, *lines = text.splitlines()
+    rows = [header]
+    for line in lines:
+        record = json.loads(line)
+        for frame in record["frames"]:
+            frame["triplets"] = [list(t) for t in zip(*(frame["triplets"][c]
+                                                        for c in io.TRIPLET_COLUMNS))]
+        rows.append(json.dumps(record, separators=(",", ":")))
+    return "".join(row + "\n" for row in rows)
+
+
+# sha256 of `stsg infer` files from the tiny checkpoint, in the row layout
+# (`in_row_layout`), taken before serving cut its frames straight from the
+# packed forward pass; any change to a served float, label or ordering shows
+# here
 INFER_SHA256 = {
     ("predcls", "spatial", 1, False): "e1cc89e1e9865d05825498a63e5de9a984391141c364c08c11a73e840f4992fc",
     ("predcls", "spatial", 1, True): "d86bb9328a7281460de37ffba41bbeb82f4989abafab8309df183ea823697bc6",
@@ -1225,4 +1273,43 @@ def test_infer_files_are_pinned(tmp_path, checkpoint_path, dataset_dir, mode, va
     argv = ["infer", "--ckpt", str(checkpoint_path), "--data", str(dataset_dir), "--mode", mode,
             "--variant", variant, "--k", str(k), "--out", str(out)]
     assert main(argv + ["--include-features"] * features) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == INFER_SHA256[mode, variant, k, features]
+    rows = in_row_layout(out.read_text()).encode()
+    assert hashlib.sha256(rows).hexdigest() == INFER_SHA256[mode, variant, k, features]
+
+
+def test_a_predictions_file_in_the_row_layout_is_a_short_error(tmp_path, checkpoint_path,
+                                                                dataset_dir, capsys):
+    # each frame's triplets were [subject, object, predicate, score] rows; the
+    # kind error showed the whole list, 2,273 characters for 140 triplets
+    preds = tmp_path / "p.jsonl"
+    assert main(["infer", "--ckpt", str(checkpoint_path), "--data", str(dataset_dir),
+                 "--split", "val", "--mode", "sgdet", "--out", str(preds)]) == 0
+    preds.write_text(in_row_layout(preds.read_text()))
+    capsys.readouterr()
+    assert main(["eval", "--preds", str(preds), "--data", str(dataset_dir),
+                 "--split", "val"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {preds}:2: field 'triplets' must be an object, got [[")
+    assert err.count("\n") == 1 and len(err) < len(str(preds)) + 300, err
+
+
+def _tracked_containers(value) -> int:
+    """The GC-tracked lists and dicts in the JSON value `value`."""
+    items = value.values() if type(value) is dict else value if type(value) is list else ()
+    return gc.is_tracked(value) + sum(map(_tracked_containers, items))
+
+
+def test_a_served_frame_holds_no_container_per_triplet(checkpoint_path, dataset_dir):
+    # a frame record of one list per triplet kept ~140 lists alive a frame,
+    # which set off full garbage collections while a split was served
+    from stsg.cli import forward_sequence, to_predictions
+    from stsg.metrics import rank_triplets
+
+    cfg, params, _ = io.load_checkpoint(checkpoint_path)
+    _, seqs = io.load_split(dataset_dir, "val")
+    preds = [p for p in to_predictions(forward_sequence(seqs[0], params, "sgdet", "sparse", 1),
+                                       cfg.dims) if p.n >= 2]
+    pred = max(preds, key=lambda p: len(p.ranked))
+    counts = {len(pred.ranked[:t]): _tracked_containers(io.frame_prediction_to_json(
+        pred, pred.ranked[:t], False)) for t in (0, 1, len(pred.ranked))}
+    assert len(counts) == 3 and len(set(counts.values())) == 1, counts
