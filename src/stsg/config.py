@@ -118,6 +118,12 @@ class TrainConfig:
             raise ConfigError("train.learning_rate: must be >= 0")
         if self.clip_norm < 0:
             raise ConfigError("train.clip_norm: must be >= 0 (0 disables)")
+        for name in ("beta1", "beta2"):
+            v = getattr(self, name)
+            if not 0.0 <= v < 1.0:
+                raise ConfigError(f"train.{name}: must be in [0, 1), got {v}")
+        if self.eps <= 0:
+            raise ConfigError(f"train.eps: must be > 0, got {self.eps}")
         if self.optimizer not in ("adam", "sgd"):
             raise ConfigError(f"train.optimizer: unknown optimizer {self.optimizer!r}")
         if self.mode not in MODES:
@@ -130,6 +136,8 @@ class TrainConfig:
             raise ConfigError("train.gcn_layers: must be >= 1")
         if self.sequences < 0:
             raise ConfigError(f"train.sequences: must be >= 0 (0 = all), got {self.sequences}")
+        if self.val_every < 1:
+            raise ConfigError(f"train.val_every: must be >= 1, got {self.val_every}")
 
 
 @dataclass(frozen=True)
@@ -233,13 +241,18 @@ def parse_config_items(items: dict[str, str]) -> RunConfig:
 
 
 def load_config(path: str | Path) -> RunConfig:
-    """Parse a flat `section.key = value` config file; empty file = defaults."""
+    """Parse a flat `section.key = value` config file; empty file = defaults.
+
+    Every error names the file, and the line of the key it is about when
+    that key is in the file.
+    """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
         raise ConfigError(f"{path}: not UTF-8 text ({e.reason})") from None
     items: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -250,8 +263,14 @@ def load_config(path: str | Path) -> RunConfig:
         key = key.strip()
         if key in items:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        items[key] = value
-    return parse_config_items(items)
+        items[key], lines[key] = value, lineno
+    try:
+        return parse_config_items(items)
+    except ConfigError as e:
+        # every message of parse_config_items starts with the key it is about
+        key = str(e).split(":", 1)[0]
+        where = f"{path}:{lines[key]}" if key in lines else str(path)
+        raise ConfigError(f"{where}: {e}") from None
 
 
 def config_with(cfg: RunConfig, **train_overrides) -> RunConfig:

@@ -34,10 +34,6 @@ class FeatureBank:
     z: np.ndarray              # (T, G, m)
     variant: str
 
-    @property
-    def frames(self) -> int:
-        return self.z.shape[0]
-
 
 def build_feature_bank(predictions: list[FramePrediction], variant: str,
                        dims: Dims) -> FeatureBank:

@@ -287,7 +287,8 @@ def write_checkpoint(path: str | Path, cfg: RunConfig, params: ModelParams,
 
 def load_checkpoint(path: str | Path) -> tuple[RunConfig, ModelParams, list[dict]]:
     """A checkpoint's config, parameters and training log; each parameter
-    has the shape its config gives it, as that many finite numbers."""
+    has the shape its config gives it, as that many finite numbers, and the
+    GCN layer count is the config's."""
     path = Path(path)
     if not path.exists():
         raise DataFormatError(f"{path}: no such checkpoint")
@@ -296,9 +297,11 @@ def load_checkpoint(path: str | Path) -> tuple[RunConfig, ModelParams, list[dict
         raise DataFormatError(f"{path}: not a checkpoint file (field 'kind')")
     with _located(str(path)):
         cfg = runconfig_from_flat(_field(doc, "config", dict))
-        gcn_layers = _field(doc, "gcn_layers", int, 2)
-        if gcn_layers < 1:
-            raise DataFormatError(f"field 'gcn_layers' must be positive, got {gcn_layers}")
+        gcn_layers = cfg.train.gcn_layers
+        written = _field(doc, "gcn_layers", int, gcn_layers)
+        if written != gcn_layers:
+            raise DataFormatError(f"field 'gcn_layers' is {written}, but the config has "
+                                  f"train.gcn_layers = {gcn_layers}")
         expected = model_shapes(cfg.dims, gcn_layers)
         entries = _field(doc, "params", dict)
         unknown = sorted(set(entries) - set(expected))

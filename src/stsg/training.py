@@ -8,9 +8,9 @@ relevance kernel: each node's softmax over its relevance to the previous
 frame's nodes is pulled towards the previous node of the same gt object.
 
 Training computes all three over a packed minibatch as one weighted sum
-(`batch_loss`). Its targets are read off the packed pair and candidate
-lists through one array, the gt object of each packed node
-(`node_identity`).
+(`batch_loss`). Its targets are one weight per entry of each loss term,
+read off the packed pair and candidate lists through one array, the gt
+object of each packed node (`node_identity`).
 """
 
 from __future__ import annotations
@@ -65,7 +65,8 @@ def node_identity(sequence: SceneSequence, packed: Packed) -> np.ndarray:
 
 @dataclass
 class Targets:
-    """Data-only loss inputs of a packed batch.
+    """Data-only loss inputs of a packed batch: one weight per entry of each
+    loss term, 0 where an entry is not supervised.
 
     Every weight carries the mean over its frame's terms, the mean over the
     sequence's non-empty frames and the mean over the batch's sequences;
@@ -75,11 +76,8 @@ class Targets:
 
     rel_positive: np.ndarray   # (P * H,) relation slots; the rest are no-relation slots
     rel_weight: np.ndarray     # (P * H,)
-    node_rows: np.ndarray      # packed node of each gt-matched node term
-    node_labels: np.ndarray    # its gt label
-    node_weight: np.ndarray
-    link_index: np.ndarray     # candidate link of each link term
-    link_weight: np.ndarray
+    node_weight: np.ndarray    # (N * G,) at the gt label of each gt-matched node
+    link_weight: np.ndarray    # (C,) at each node's target candidate link
 
 
 def loss_targets(sequence: SceneSequence, packed: Packed, h: int) -> Targets:
@@ -120,22 +118,25 @@ def loss_targets(sequence: SceneSequence, packed: Packed, h: int) -> Targets:
     neg_w = np.divide(NEGATIVE_WEIGHT, n_neg, out=np.zeros(n_frames), where=n_neg > 0)
     rel_weight = np.where(positive, pos_w[slot_frame], neg_w[slot_frame])
 
-    node_rows = np.flatnonzero(gt >= 0) if packed.mode != "predcls" else np.zeros(0, np.intp)
-    node_count = np.bincount(node_frame[node_rows], minlength=n_frames)
+    # node entries, in packed node order x label
+    g = sequence.g
+    rows = np.flatnonzero(gt >= 0) if packed.mode != "predcls" else np.zeros(0, np.intp)
+    node_count = np.bincount(node_frame[rows], minlength=n_frames)
+    node_weight = np.zeros(packed.n_nodes * g)
+    node_weight[rows * g + labels[node_frame[rows], gt[rows]]] = \
+        (-1.0 / node_count[node_frame[rows]]) * scale
 
     curr, prev = packed.cand_curr.ids, packed.cand_prev.ids
     hits = np.flatnonzero((gt[curr] >= 0) & (gt[curr] == gt[prev]))
     # candidates run by (curr, prev), so a node's first hit has the lowest prev
-    link_index = hits[np.unique(curr[hits], return_index=True)[1]]
-    link_frame = node_frame[curr[link_index]]
+    first = hits[np.unique(curr[hits], return_index=True)[1]]
+    link_frame = node_frame[curr[first]]
     link_count = np.bincount(link_frame, minlength=n_frames)
+    link_weight = np.zeros(len(curr))
+    link_weight[first] = (-1.0 / link_count[link_frame]) * scale
 
-    return Targets(
-        rel_positive=positive, rel_weight=rel_weight * scale,
-        node_rows=node_rows, node_labels=labels[node_frame[node_rows], gt[node_rows]],
-        node_weight=(-1.0 / node_count[node_frame[node_rows]]) * scale,
-        link_index=link_index, link_weight=(-1.0 / link_count[link_frame]) * scale,
-    )
+    return Targets(rel_positive=positive, rel_weight=rel_weight * scale,
+                   node_weight=node_weight, link_weight=link_weight)
 
 
 def prepare(sequence: SceneSequence, mode: str, variant: str, dims) -> tuple[Packed, Targets]:
@@ -151,31 +152,22 @@ def prepare(sequence: SceneSequence, mode: str, variant: str, dims) -> tuple[Pac
 def join(items: list[tuple[Packed, Targets]]) -> tuple[Packed, Targets]:
     """The packed inputs and targets of a batch of prepared sequences; the
     batch loss is the mean of the sequences' losses."""
-    packs = [p for p, _ in items]
     targets = [t for _, t in items]
-    node_off = np.cumsum([0] + [p.n_nodes for p in packs[:-1]])
-    cand_off = np.cumsum([0] + [len(p.cand_curr) for p in packs[:-1]])
     scale = 1.0 / len(items)
 
-    def cat(name, offsets=None):
-        arrays = [getattr(t, name) for t in targets]
-        if offsets is not None:
-            arrays = [a + o for a, o in zip(arrays, offsets)]
-        return np.concatenate(arrays)
+    def cat(name):
+        return np.concatenate([getattr(t, name) for t in targets])
 
-    return Packed.join(packs), Targets(
+    return Packed.join([p for p, _ in items]), Targets(
         rel_positive=cat("rel_positive"), rel_weight=cat("rel_weight") * scale,
-        node_rows=cat("node_rows", node_off), node_labels=cat("node_labels"),
-        node_weight=cat("node_weight") * scale,
-        link_index=cat("link_index", cand_off), link_weight=cat("link_weight") * scale,
-    )
+        node_weight=cat("node_weight") * scale, link_weight=cat("link_weight") * scale)
 
 
 def batch_loss(packed: Packed, targets: Targets, out: BatchOutput,
                lambda_node: float) -> tuple[Tensor, LossReport]:
-    """The trained objective: one weighted sum of softplus relation terms and
-    log-softmax node and link terms (weighted by LINK_WEIGHT) over the whole
-    batch.
+    """The trained objective: one dot product of the targets' weights with
+    the softplus relation terms and the log-softmax node and link terms
+    (weighted by LINK_WEIGHT) over the whole batch.
 
     -log(sigmoid(z)) = softplus(-z) and -log(1 - sigmoid(z)) = softplus(z),
     and the log-softmax stays finite where a probability underflows to 0.
@@ -185,29 +177,22 @@ def batch_loss(packed: Packed, targets: Targets, out: BatchOutput,
     z = ad.reshape(out.relation_logits, (out.relation_logits.size,))
     sign = np.where(t.rel_positive, -1.0, 1.0)
     pieces = [ad.softplus(ad.mul(z, Tensor(sign)))]
-    n_rel = len(sign)
-    index, weight = [np.arange(n_rel)], [t.rel_weight]
-    offset = n_rel
-    use_node = out.label_logits is not None and lambda_node != 0.0 and len(t.node_rows) > 0
-    use_link = out.gamma is not None and LINK_WEIGHT != 0.0 and len(t.link_index) > 0
+    weight = [t.rel_weight]
+    use_node = out.label_logits is not None and lambda_node != 0.0
+    use_link = out.gamma is not None and LINK_WEIGHT != 0.0
     if use_node:
-        n, g = out.label_logits.shape
-        pieces.append(ad.reshape(ad.log_softmax(out.label_logits, axis=1), (n * g,)))
-        index.append(offset + t.node_rows * g + t.node_labels)
+        pieces.append(ad.reshape(ad.log_softmax(out.label_logits, axis=1),
+                                 (out.label_logits.size,)))
         weight.append(lambda_node * t.node_weight)
-        offset += n * g
     if use_link:
         pieces.append(ad.segment_log_softmax(out.gamma, packed.cand_curr, packed.n_nodes))
-        index.append(offset + t.link_index)
         weight.append(LINK_WEIGHT * t.link_weight)
-    if len(pieces) == 1:
-        picked = pieces[0]
-    else:
-        picked = ad.gather_rows(ad.concat(pieces), np.concatenate(index))
-    total = ad.dot(Tensor(np.concatenate(weight)), picked)
+    terms = pieces[0] if len(pieces) == 1 else ad.concat(pieces)
+    total = ad.dot(Tensor(np.concatenate(weight)), terms)
 
-    values = picked.data
-    n_node = len(t.node_rows) if use_node else 0
+    values = terms.data
+    n_rel = len(t.rel_weight)
+    n_node = len(t.node_weight) if use_node else 0
     report = LossReport(
         relation_loss=float(np.dot(t.rel_weight, values[:n_rel])),
         node_loss=float(np.dot(t.node_weight, values[n_rel:n_rel + n_node])) if use_node else 0.0,
@@ -396,7 +381,7 @@ def train(dataset: list[SceneSequence], cfg: RunConfig, eval_fn=None) -> TrainRe
                 raise TrainingError(f"non-finite gradient in {name} {where}")
             params = opt.step(params, clip_gradients(grads, tc.clip_norm))
         entry = EpochLog(epoch=epoch + 1, train_loss=float(np.mean(epoch_losses)))
-        if eval_fn is not None and (epoch + 1) % max(1, tc.val_every) == 0:
+        if eval_fn is not None and (epoch + 1) % tc.val_every == 0:
             entry.val_recall20 = float(eval_fn(params))
         log.append(entry)
     return TrainResult(params=params, log=log)

@@ -205,9 +205,7 @@ def zero_logit_targets(pos, neg, n_slots):
         weight[pos] = 1.0 / len(pos)
     if len(neg):
         weight[neg] = NEGATIVE_WEIGHT / len(neg)
-    none = np.zeros(0, dtype=np.intp)
-    return Targets(rel_positive=positive, rel_weight=weight, node_rows=none,
-                   node_labels=none, node_weight=np.zeros(0), link_index=none,
+    return Targets(rel_positive=positive, rel_weight=weight, node_weight=np.zeros(0),
                    link_weight=np.zeros(0))
 
 

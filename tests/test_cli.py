@@ -967,7 +967,11 @@ def test_dataset_header_config_errors_name_the_file(tmp_path, dataset_dir, capsy
     # this one loaded: see test_a_config_file_number_must_be_finite
     (lambda doc: doc["config"].update({"noise.box_jitter_sigma": float("inf")}),
      "noise.box_jitter_sigma: expected a finite number, got 'inf'"),
-], ids=["config-number", "config-value", "config-infinity"])
+    # this one was served as a one-layer model, its report echoing two layers
+    (lambda doc: doc.update(gcn_layers=1, params={
+        name: p for name, p in doc["params"].items() if not name.startswith("gcn.1.")}),
+     "field 'gcn_layers' is 1, but the config has train.gcn_layers = 2"),
+], ids=["config-number", "config-value", "config-infinity", "config-gcn-layers"])
 def test_checkpoint_config_errors_name_the_file(tmp_path, checkpoint_path, dataset_dir, capsys,
                                                 edit, message):
     doc = json.loads(checkpoint_path.read_text())
@@ -987,7 +991,34 @@ def test_a_config_file_number_must_be_finite(tmp_path, capsys, key, raw):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"{key} = {raw}\n")
     assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 1
-    assert capsys.readouterr().err == f"error: {key}: expected a finite number, got {raw!r}\n"
+    assert capsys.readouterr().err == \
+        f"error: {cfg}:1: {key}: expected a finite number, got {raw!r}\n"
+    assert not (tmp_path / "d").exists()
+
+
+# these named no file, while a duplicate key named the file and its line;
+# beta1 = 1 and eps = 0 trained into a non-finite loss, the other optimizer
+# values trained with exit 0, val_every = 0 as if it were 1
+@pytest.mark.parametrize("text, line, message", [
+    ("train.epochs = x", 2, "train.epochs: expected integer, got 'x'"),
+    ("bogus.key = 1", 2, "bogus.key: unknown configuration section 'bogus'"),
+    ("train.batch_size = 0", 2, "train.batch_size: must be >= 1"),
+    # the error is about a key the file does not set: the file alone
+    ("world.n_objects_min = 9", None, "world.n_objects_max: must be >= world.n_objects_min"),
+    ("train.beta1 = 1.0", 2, "train.beta1: must be in [0, 1), got 1.0"),
+    ("train.beta1 = -0.5", 2, "train.beta1: must be in [0, 1), got -0.5"),
+    ("train.beta2 = 1.5", 2, "train.beta2: must be in [0, 1), got 1.5"),
+    ("train.eps = 0", 2, "train.eps: must be > 0, got 0.0"),
+    ("train.eps = -1", 2, "train.eps: must be > 0, got -1.0"),
+    ("train.val_every = 0", 2, "train.val_every: must be >= 1, got 0"),
+], ids=["not-integer", "unknown-section", "out-of-range", "default-key", "beta1-one",
+        "beta1-negative", "beta2-above-one", "eps-zero", "eps-negative", "val-every-zero"])
+def test_config_file_errors_name_the_file_and_line(tmp_path, capsys, text, line, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"# one bad key\n{text}\nseed = 3\n")
+    assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 1
+    where = f"{cfg}:{line}" if line else cfg
+    assert capsys.readouterr().err == f"error: {where}: {message}\n"
     assert not (tmp_path / "d").exists()
 
 

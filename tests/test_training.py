@@ -255,7 +255,7 @@ def loop_loss_targets(sequence, packed, h):
         start += n
         n_prev, prev_map = n, node_map
     scale = 1.0 / frames if frames else 0.0
-    return Targets(
+    return dict(
         rel_positive=np.array(rel_positive, dtype=bool),
         rel_weight=np.array(rel_weight, dtype=np.float64) * scale,
         node_rows=np.array(node_rows, dtype=np.intp),
@@ -264,6 +264,21 @@ def loop_loss_targets(sequence, packed, h):
         link_index=np.array(link_index, dtype=np.intp),
         link_weight=np.array(link_weight, dtype=np.float64) * scale,
     )
+
+
+def scattered(reference, packed, g):
+    """The reference's node and link terms scattered into one weight per
+    entry of the (N, G) label log-probabilities and the (C,) candidate links,
+    as `Targets` holds them; every term has its own entry."""
+    node_entries = reference["node_rows"] * g + reference["node_labels"]
+    node_weight = np.zeros(packed.n_nodes * g)
+    node_weight[node_entries] = reference["node_weight"]
+    link_weight = np.zeros(len(packed.cand_curr))
+    link_weight[reference["link_index"]] = reference["link_weight"]
+    for entries in (node_entries, reference["link_index"]):
+        assert len(np.unique(entries)) == len(entries)
+    return Targets(rel_positive=reference["rel_positive"], rel_weight=reference["rel_weight"],
+                   node_weight=node_weight, link_weight=link_weight)
 
 
 def target_scenes():
@@ -289,9 +304,9 @@ def test_loss_targets_match_loop_reference(mode, variant):
     dims = Dims()
     for seq in target_scenes():
         packed = pack(seq, mode, variant, dims)
-        got, want = loss_targets(seq, packed, dims.h), loop_loss_targets(seq, packed, dims.h)
-        for name in ("rel_positive", "rel_weight", "node_rows", "node_labels",
-                     "node_weight", "link_index", "link_weight"):
+        got = loss_targets(seq, packed, dims.h)
+        want = scattered(loop_loss_targets(seq, packed, dims.h), packed, dims.g)
+        for name in ("rel_positive", "rel_weight", "node_weight", "link_weight"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
 
@@ -651,6 +666,22 @@ def test_tape_records_per_step_do_not_depend_on_frame_count():
                                                 variant, 1)[2]
                        for frames in (8, 16)}
             assert records[8] == records[16], (mode, variant, records)
+
+
+# one training step's tape records on two default sequences, with two GCN
+# layers: the spatial variant has no temporal links; README states these
+TAPE_RECORDS = {
+    ("predcls", "spatial"): 27, ("predcls", "sparse"): 57,
+    ("sgcls", "spatial"): 31, ("sgcls", "sparse"): 60,
+    ("sgdet", "spatial"): 31, ("sgdet", "sparse"): 60,
+}
+
+
+@pytest.mark.parametrize("mode, variant", sorted(TAPE_RECORDS))
+def test_tape_records_per_step_are_pinned(mode, variant):
+    params = ModelParams.init(Dims(), seed=0)
+    records = taped_batch_loss(seed7_sequences(2), params, mode, variant, 1)[2]
+    assert records == TAPE_RECORDS[mode, variant]
 
 
 def reference_sequence_loss(sequence, params, mode, variant, k, lambda_node, lambda_link):
