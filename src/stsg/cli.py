@@ -33,6 +33,7 @@ from .featurebank import (
     build_feature_bank,
     classify_events,
     event_mean_ap,
+    pooled_feature,
     train_event_head,
 )
 from .metrics import FrameEval, count_params_flops, evaluate, rank_triplets, recall_at_k
@@ -159,7 +160,8 @@ def _checkpoint_run(args):
     cfg, params, _ = io.load_checkpoint(args.ckpt)
     seqs = _load_split(args.data, args.split, cfg.dims)
     t = cfg.train
-    return cfg, params, seqs, args.mode or t.mode, args.variant or t.variant, args.k or t.k
+    k = t.k if args.k is None else args.k
+    return cfg, params, seqs, args.mode or t.mode, args.variant or t.variant, k
 
 
 def _check_counts(command: str, args, **lowest) -> None:
@@ -184,6 +186,7 @@ def _report(out, doc, headers, rows) -> None:
 
 
 def cmd_gen(args) -> int:
+    _check_counts("gen", args, jobs=1)
     cfg = _resolve_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -382,25 +385,28 @@ def cmd_bank(args) -> int:
         train_seqs = train_seqs[: args.train_sequences]
     mode = args.mode or cfg.train.mode
 
-    def banks_for(seqs):
-        banks = {v: [] for v in BANK_VARIANTS}
+    def pooled_for(seqs):
+        """Each variant's (sequences, m) pooled bank features, and the event labels."""
+        pooled = {v: [] for v in BANK_VARIANTS}
         labels = []
         for seq, preds in _serve(seqs, params, mode, cfg.train.variant, cfg.train.k):
             for v in BANK_VARIANTS:
-                banks[v].append(build_feature_bank(preds, v, cfg.dims))
+                pooled[v].append(pooled_feature(build_feature_bank(preds, v, cfg.dims)))
             labels.append(seq.event_labels)
-        return banks, np.stack(labels)
+        return {v: np.stack(p) for v, p in pooled.items()}, np.stack(labels)
 
-    train_banks, train_labels = banks_for(train_seqs)
-    test_banks, test_labels = banks_for(test_seqs)
+    train_pooled, train_labels = pooled_for(train_seqs)
+    test_pooled, test_labels = pooled_for(test_seqs)
     rows = []
     for v in BANK_VARIANTS:
         aps = []
         for s in range(args.seeds):
-            head = train_event_head(train_banks[v], train_labels,
+            head = train_event_head(train_pooled[v], train_labels,
                                     n_events=cfg.world.n_events, seed=s,
                                     epochs=args.head_epochs)
-            scores = np.stack([classify_events(b, head) for b in test_banks[v]])
+            # one product per pooled vector: a product of the stacked matrix
+            # differs from the per-row products in the last bits
+            scores = np.stack([classify_events(x, head) for x in test_pooled[v]])
             aps.append(event_mean_ap(scores, test_labels))
         rows.append({"bank": v, "mean_ap": float(np.mean(aps)), "per_seed": aps})
     doc = {"kind": "bank-report", "mode": mode, "seeds": args.seeds,

@@ -1,17 +1,19 @@
 """Class-indexed feature bank over time and a toy event classifier.
 
-One row per object class per frame: present classes hold the feature of
-their best-scoring detection, absent classes stay zero. The
-spatial_temporal variant banks the fused features; the spatial variant
-banks the GCN-only features, so with temporal links disabled the two banks
-coincide. Event classification mean-pools the nonzero rows through a
-bias-free linear head, which keeps an all-zero bank at exactly 0.5 per
-class and leaves per-class ranking unaffected by any score offset.
+A sequence's bank is a (T, G, m) array: row [t, c] holds the feature of the
+highest-label-score detection of class c in frame t, and an absent class's
+row stays zero. The rows are chosen for the whole sequence at once: every
+node is keyed by (frame, argmax class), and one stable sort on (key,
+-label score) puts each key's best node first. The spatial_temporal variant
+banks the fused features; the spatial variant banks the GCN-only features,
+so with temporal links disabled the two banks coincide. Event
+classification reads a bank's pooled feature, the mean of its nonzero
+rows, through a bias-free linear head, which keeps an all-zero bank at
+exactly 0.5 per class and leaves per-class ranking unaffected by any score
+offset.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,66 +29,56 @@ from .training import Optimizer
 BANK_VARIANTS = ("spatial", "spatial_temporal")
 
 
-@dataclass
-class FeatureBank:
-    """z[t, c] holds the banked feature of class c in frame t (zero if absent)."""
-
-    z: np.ndarray              # (T, G, m)
-    variant: str
-
-
 def build_feature_bank(predictions: list[FramePrediction], variant: str,
-                       dims: Dims) -> FeatureBank:
-    """Fill per-class rows from the highest-label-score detection of each class."""
+                       dims: Dims) -> np.ndarray:
+    """The (T, G, m) bank: each class's row in each frame holds the feature of
+    its highest-label-score node, the lowest-indexed one on ties; absent
+    classes stay zero."""
     if variant not in BANK_VARIANTS:
         raise ContractError(f"bank variant must be one of {BANK_VARIANTS}, got {variant!r}")
     if not predictions:
         raise ContractError("build_feature_bank: need at least one frame")
+    dists = np.concatenate([p.label_dists for p in predictions])
+    feats = np.concatenate([p.fused if variant == "spatial_temporal" else p.gcn
+                            for p in predictions])
+    frame = np.repeat(np.arange(len(predictions)), [p.n for p in predictions])
+    key = frame * dims.g + np.argmax(dists, axis=1)
+    # stable, so the first of each key's equal best scores is its lowest index
+    order = np.lexsort((-np.max(dists, axis=1), key))
+    best = order[np.diff(key[order], prepend=-1) != 0]
     z = np.zeros((len(predictions), dims.g, dims.m))
-    for t, pred in enumerate(predictions):
-        if pred.n == 0:
-            continue
-        feats = pred.fused if variant == "spatial_temporal" else pred.gcn
-        labels = np.argmax(pred.label_dists, axis=1)
-        scores = np.max(pred.label_dists, axis=1)
-        for c in range(dims.g):
-            members = np.flatnonzero(labels == c)
-            if members.size == 0:
-                continue
-            best = members[np.argmax(scores[members])]  # argmax keeps the lowest index on ties
-            z[t, c] = feats[best]
-    return FeatureBank(z=z, variant=variant)
+    z.reshape(-1, dims.m)[key[best]] = feats[best]
+    return z
 
 
-def pooled_feature(bank: FeatureBank) -> np.ndarray:
+def pooled_feature(bank: np.ndarray) -> np.ndarray:
     """Mean over rows that are populated; zero vector for an empty bank."""
-    rows = bank.z.reshape(-1, bank.z.shape[-1])
+    rows = bank.reshape(-1, bank.shape[-1])
     nonzero = np.any(rows != 0.0, axis=1)
     if not np.any(nonzero):
-        return np.zeros(bank.z.shape[-1])
+        return np.zeros(bank.shape[-1])
     return rows[nonzero].mean(axis=0)
 
 
-def classify_events(bank: FeatureBank, head: Tensor) -> np.ndarray:
-    """Per-event probabilities; an all-zero bank pools to zero and yields 0.5."""
-    pooled = pooled_feature(bank)
+def classify_events(pooled: np.ndarray, head: Tensor) -> np.ndarray:
+    """Per-event probabilities of one pooled feature; a zero vector yields 0.5."""
     logits = ad.matmul(Tensor(pooled), head)
     return ad.sigmoid(logits).data
 
 
-def train_event_head(banks: list[FeatureBank], labels: np.ndarray, n_events: int,
+def train_event_head(pooled: np.ndarray, labels: np.ndarray, n_events: int,
                      seed: int, epochs: int = 300, lr: float = 0.05) -> Tensor:
-    """Fit the bias-free linear head with full-batch multi-label BCE.
+    """Fit the bias-free linear head on the (sequences, m) pooled features
+    with full-batch multi-label BCE.
 
     -log(sigmoid(z)) = softplus(-z) and -log(1 - sigmoid(z)) = softplus(z),
     which stays finite where the sigmoid saturates.
     """
-    if not banks:
-        raise ContractError("train_event_head: no banks given")
+    if len(pooled) == 0:
+        raise ContractError("train_event_head: no pooled features given")
     labels = np.asarray(labels, dtype=np.float64)
     if not np.isin(labels, (0.0, 1.0)).all():
         raise ContractError("train_event_head: event labels must be 0 or 1")
-    pooled = np.stack([pooled_feature(b) for b in banks])
     m = pooled.shape[1]
     sign = Tensor(np.where(labels > 0, -1.0, 1.0))
     x = Tensor(pooled)
@@ -112,6 +104,5 @@ def event_mean_ap(scores: np.ndarray, labels: np.ndarray) -> float:
         if n_pos == 0:
             continue
         order = np.lexsort((np.arange(len(scores)), -scores[:, c]))
-        flags = [int(labels[i, c]) for i in order]
-        aps.append(average_precision_from_flags(flags, n_pos))
+        aps.append(average_precision_from_flags(labels[order, c], n_pos))
     return float(np.mean(aps)) if aps else 0.0

@@ -369,7 +369,6 @@ class FramePrediction:
     frame takes context from node `prev_index` of the previous frame.
     """
 
-    boxes: np.ndarray                 # (N, 4)
     label_dists: np.ndarray           # (N, G)
     pair_probs: np.ndarray            # (N * (N - 1), H) ordered pairs i != j
     fused: np.ndarray                 # (N, m) spatial + temporal context
@@ -380,7 +379,7 @@ class FramePrediction:
 
     @property
     def n(self) -> int:
-        return self.boxes.shape[0]
+        return len(self.label_dists)
 
 
 def frame_predictions(packed: Packed, out: BatchOutput, g: int,
@@ -395,9 +394,8 @@ def frame_predictions(packed: Packed, out: BatchOutput, g: int,
         dists = feats[:, 4:4 + g]
     else:
         dists = ad.softmax(out.label_logits, axis=-1).data
-    boxes = feats[:, :4]
     sizes = packed.sizes
-    ranked = rank_frames(probs, packed.subj.ids, packed.obj.ids, dists, boxes, sizes)
+    ranked = rank_frames(probs, packed.subj.ids, packed.obj.ids, dists, feats[:, :4], sizes)
     node_starts = np.concatenate([[0], np.cumsum(sizes)])
     # links come in candidate order, so each frame's links are one run
     curr = packed.cand_curr.ids[out.links]
@@ -412,7 +410,7 @@ def frame_predictions(packed: Packed, out: BatchOutput, g: int,
     sgdet = packed.mode == "sgdet"
     return [
         FramePrediction(
-            boxes=boxes[a:b], label_dists=dists[a:b],
+            label_dists=dists[a:b],
             pair_probs=probs[pair_starts[t]:pair_starts[t + 1]],
             fused=fused[a:b], gcn=gcn[a:b], ranked=ranked[t],
             nodes=frame.detections if sgdet else frame.objects,

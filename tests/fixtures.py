@@ -54,8 +54,8 @@ def frame_prediction(boxes, dists, rel, fused, gcn) -> FramePrediction:
     n = len(dists)
     pairs = ~np.eye(n, dtype=bool)     # subject-major, as spatial.frame_pairs lists them
     (ranked,) = rank_frames(rel[pairs], *np.nonzero(pairs), dists, boxes, [n])
-    return FramePrediction(boxes=boxes, label_dists=dists, pair_probs=rel[pairs], fused=fused,
-                           gcn=gcn, ranked=ranked)
+    return FramePrediction(label_dists=dists, pair_probs=rel[pairs], fused=fused, gcn=gcn,
+                           ranked=ranked)
 
 
 def three_frame_fixture() -> list[FrameEval]:

@@ -4,7 +4,8 @@ match bit for bit (`test_kernels.py`).
 Each does work whose result the current kernel no longer needs: the
 logistic scatters through boolean masks, the segment reduction fills and
 scatters even when every segment has rows, the rankings sort on every key
-explicitly, and Adam builds its moments as new arrays.
+explicitly, Adam builds its moments as new arrays, and the feature bank
+picks each class's node frame by frame and class by class.
 """
 
 from __future__ import annotations
@@ -75,3 +76,22 @@ def out_of_place_adam(x, g, m, v, t, lr, beta1, beta2, eps):
     mhat = m / (1 - beta1 ** t)
     vhat = v / (1 - beta2 ** t)
     return x - lr * mhat / (np.sqrt(vhat) + eps), m, v
+
+
+def loop_feature_bank(predictions, variant: str, dims) -> np.ndarray:
+    """`featurebank.build_feature_bank` by a loop over frames and classes: each
+    present class's row takes the feature of its members' argmax label score."""
+    z = np.zeros((len(predictions), dims.g, dims.m))
+    for t, pred in enumerate(predictions):
+        if pred.n == 0:
+            continue
+        feats = pred.fused if variant == "spatial_temporal" else pred.gcn
+        labels = np.argmax(pred.label_dists, axis=1)
+        scores = np.max(pred.label_dists, axis=1)
+        for c in range(dims.g):
+            members = np.flatnonzero(labels == c)
+            if members.size == 0:
+                continue
+            best = members[np.argmax(scores[members])]  # argmax keeps the lowest index on ties
+            z[t, c] = feats[best]
+    return z

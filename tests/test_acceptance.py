@@ -331,12 +331,12 @@ def test_criterion_10_feature_bank_trend(benchmark_dir, tmp_path):
                 present = set(np.argmax(pred.label_dists, axis=1).tolist()) if pred.n else set()
                 for c in range(cfg.dims.g):
                     if c not in present:
-                        assert np.all(bank.z[t, c] == 0.0)
+                        assert np.all(bank[t, c] == 0.0)
                     else:
                         members = np.flatnonzero(np.argmax(pred.label_dists, axis=1) == c)
                         scores = np.max(pred.label_dists, axis=1)[members]
                         best = members[np.argmax(scores)]
-                        assert np.array_equal(bank.z[t, c], feats[t][best])
+                        assert np.array_equal(bank[t, c], feats[t][best])
                         checked += 1
     report(10, f"event mAP spatial_temporal {rows['spatial_temporal']:.4f} >= "
                f"spatial {rows['spatial']:.4f}; presence rule verified on "

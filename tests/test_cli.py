@@ -308,6 +308,39 @@ def test_flops_report_is_pinned(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == FLOPS_REPORT_SHA256
 
 
+# sha256 of `stsg bank --seeds 2 --head-epochs 40 --out` over a seed-7
+# dataset of BANK_CFG's size and a checkpoint trained on it with --no-val,
+# taken while the banks were still filled frame by frame and class by class
+BANK_CFG = """
+split.train_sequences = 12
+split.val_sequences = 1
+split.test_sequences = 6
+train.epochs = 2
+"""
+BANK_REPORT_SHA256 = "adf7fc869a2e88b816e1ab63d0b80fe8c62b9c607d0c0f2033c3ec4482c28026"
+
+
+def test_bank_report_is_pinned(tmp_path):
+    cfg, data, ckpt, out = (tmp_path / name for name in ("bank.cfg", "ds", "model.json",
+                                                         "bank.json"))
+    cfg.write_text(BANK_CFG)
+    assert main(["gen", "--config", str(cfg), "--seed", "7", "--out", str(data)]) == 0
+    assert main(["train", "--config", str(cfg), "--data", str(data), "--out", str(ckpt),
+                 "--no-val"]) == 0
+    assert main(["bank", "--ckpt", str(ckpt), "--data", str(data), "--seeds", "2",
+                 "--head-epochs", "40", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == BANK_REPORT_SHA256
+
+
+# an explicit --k 0 fell back to the checkpoint's k, so it served as --k 1 did
+@pytest.mark.parametrize("command", ["eval", "infer"])
+def test_explicit_k_zero_overrides_the_checkpoint(tmp_path, checkpoint_path, dataset_dir,
+                                                  capsys, command):
+    assert main([command, "--ckpt", str(checkpoint_path), "--data", str(dataset_dir),
+                 "--k", "0", "--out", str(tmp_path / "out.json")]) == 1
+    assert "error: sparse variant requires k >= 1, got 0" in capsys.readouterr().err
+
+
 def test_eval_from_checkpoint_draws_no_model(tmp_path, checkpoint_path, dataset_dir,
                                             monkeypatch):
     # the checkpoint's names and shapes are checked against params.model_shapes;
@@ -677,9 +710,11 @@ def test_loading_a_split_pauses_the_garbage_collector(tmp_path, dataset_dir, mon
         gc.enable()
 
 
-# a negative count sliced from the end of a split, and a zero seed or
-# epoch count wrote NaN into a report or trained nothing, all with exit 0
+# a negative count sliced from the end of a split, a zero seed or epoch
+# count wrote NaN into a report or trained nothing, and a zero job count
+# generated serially, all with exit 0
 @pytest.mark.parametrize("command, flags, message", [
+    ("gen", ["--jobs", "0"], "gen: --jobs must be >= 1"),
     ("train", ["--sequences", "-3"], "train.sequences: must be >= 0"),
     ("train", ["--val-sequences", "-1"], "train: --val-sequences must be >= 0"),
     ("ablate", ["--seeds", "0"], "ablate: --seeds must be >= 1"),
@@ -688,15 +723,19 @@ def test_loading_a_split_pauses_the_garbage_collector(tmp_path, dataset_dir, mon
     ("bank", ["--seeds", "0"], "bank: --seeds must be >= 1"),
     ("bank", ["--head-epochs", "0"], "bank: --head-epochs must be >= 1"),
     ("bank", ["--train-sequences", "-1"], "bank: --train-sequences must be >= 0"),
-], ids=["train-sequences", "train-val-sequences", "ablate-seeds", "ablate-train-sequences",
-        "ablate-test-sequences", "bank-seeds", "bank-head-epochs", "bank-train-sequences"])
+], ids=["gen-jobs", "train-sequences", "train-val-sequences", "ablate-seeds",
+        "ablate-train-sequences", "ablate-test-sequences", "bank-seeds", "bank-head-epochs",
+        "bank-train-sequences"])
 def test_counts_below_their_range_are_an_error(tmp_path, tiny_config_path, dataset_dir,
                                                checkpoint_path, capsys, command, flags,
                                                message):
-    common = ["--data", str(dataset_dir), "--out", str(tmp_path / "out.json")]
+    common = ["--out", str(tmp_path / "out.json")]
+    if command != "gen":
+        common += ["--data", str(dataset_dir)]
     # small runs where the flag under test is in range; a flag given twice
     # keeps its last value
     base = {
+        "gen": ["--config", str(tiny_config_path)],
         "train": ["--config", str(tiny_config_path), "--epochs", "1"],
         "ablate": ["--config", str(tiny_config_path), "--seeds", "1", "--epochs", "1",
                    "--train-sequences", "2", "--test-sequences", "2", "--jobs", "1"],

@@ -7,7 +7,6 @@ from stsg.autodiff import Tensor
 from stsg.config import Dims
 from stsg.errors import ContractError
 from stsg.featurebank import (
-    FeatureBank,
     build_feature_bank,
     classify_events,
     event_mean_ap,
@@ -36,18 +35,18 @@ def test_present_classes_fill_rows_absent_stay_zero():
     dims = Dims(g=4, c=2, h=2, d=2)
     pred = prediction_with([1, 3], [0.9, 0.8], dims)
     bank = build_feature_bank([pred], "spatial_temporal", dims)
-    assert bank.z.shape == (1, 4, dims.m)
-    np.testing.assert_array_equal(bank.z[0, 1], pred.fused[0])
-    np.testing.assert_array_equal(bank.z[0, 3], pred.fused[1])
-    assert np.all(bank.z[0, 0] == 0.0)
-    assert np.all(bank.z[0, 2] == 0.0)
+    assert bank.shape == (1, 4, dims.m)
+    np.testing.assert_array_equal(bank[0, 1], pred.fused[0])
+    np.testing.assert_array_equal(bank[0, 3], pred.fused[1])
+    assert np.all(bank[0, 0] == 0.0)
+    assert np.all(bank[0, 2] == 0.0)
 
 
 def test_duplicate_class_keeps_highest_label_score():
     dims = Dims(g=4, c=2, h=2, d=2)
     pred = prediction_with([2, 2], [0.6, 0.9], dims)
     bank = build_feature_bank([pred], "spatial_temporal", dims)
-    np.testing.assert_array_equal(bank.z[0, 2], pred.fused[1])
+    np.testing.assert_array_equal(bank[0, 2], pred.fused[1])
 
 
 def test_bank_is_order_invariant():
@@ -57,14 +56,14 @@ def test_bank_is_order_invariant():
     b = prediction_with([1, 2], [0.8, 0.9], dims, fused=fused[::-1].copy())
     bank_a = build_feature_bank([a], "spatial_temporal", dims)
     bank_b = build_feature_bank([b], "spatial_temporal", dims)
-    np.testing.assert_array_equal(bank_a.z, bank_b.z)
+    np.testing.assert_array_equal(bank_a, bank_b)
 
 
 def test_spatial_variant_banks_gcn_features():
     dims = Dims(g=4, c=2, h=2, d=2)
     pred = prediction_with([0], [1.0], dims)
     bank = build_feature_bank([pred], "spatial", dims)
-    np.testing.assert_array_equal(bank.z[0, 0], pred.gcn[0])
+    np.testing.assert_array_equal(bank[0, 0], pred.gcn[0])
 
 
 def test_variants_coincide_without_temporal_links(dims, params):
@@ -72,7 +71,7 @@ def test_variants_coincide_without_temporal_links(dims, params):
     preds = forward_sequence(seq, params, mode="sgcls", variant="spatial")
     bank_s = build_feature_bank(preds, "spatial", dims)
     bank_st = build_feature_bank(preds, "spatial_temporal", dims)
-    np.testing.assert_array_equal(bank_s.z, bank_st.z)
+    np.testing.assert_array_equal(bank_s, bank_st)
 
 
 def test_banks_differ_with_temporal_links(dims, params):
@@ -80,22 +79,22 @@ def test_banks_differ_with_temporal_links(dims, params):
     preds = forward_sequence(seq, params, mode="sgcls", variant="sparse", k=1)
     bank_s = build_feature_bank(preds, "spatial", dims)
     bank_st = build_feature_bank(preds, "spatial_temporal", dims)
-    assert not np.array_equal(bank_s.z, bank_st.z)
+    assert not np.array_equal(bank_s, bank_st)
 
 
 def test_zero_head_gives_half_probabilities():
     dims = Dims(g=4, c=2, h=2, d=2)
     pred = prediction_with([1], [0.9], dims)
     bank = build_feature_bank([pred], "spatial_temporal", dims)
-    probs = classify_events(bank, Tensor(np.zeros((dims.m, 4))))
+    probs = classify_events(pooled_feature(bank), Tensor(np.zeros((dims.m, 4))))
     np.testing.assert_array_equal(probs, np.full(4, 0.5))
 
 
 def test_all_zero_bank_gives_half_probabilities():
     dims = Dims(g=4, c=2, h=2, d=2)
-    bank = FeatureBank(z=np.zeros((2, 4, dims.m)), variant="spatial")
+    pooled = pooled_feature(np.zeros((2, 4, dims.m)))
     head = Tensor(RngStream(72).normal_array((dims.m, 4)))
-    np.testing.assert_array_equal(classify_events(bank, head), np.full(4, 0.5))
+    np.testing.assert_array_equal(classify_events(pooled, head), np.full(4, 0.5))
 
 
 def test_classify_matches_direct_substitution():
@@ -103,8 +102,8 @@ def test_classify_matches_direct_substitution():
     pred = prediction_with([0, 2], [1.0, 0.9], dims)
     bank = build_feature_bank([pred], "spatial_temporal", dims)
     head = RngStream(73).normal_array((dims.m, 3))
-    got = classify_events(bank, Tensor(head))
-    pooled = (bank.z[0, 0] + bank.z[0, 2]) / 2.0
+    got = classify_events(pooled_feature(bank), Tensor(head))
+    pooled = (bank[0, 0] + bank[0, 2]) / 2.0
     want = 1.0 / (1.0 + np.exp(-(pooled @ head)))
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     assert got.shape == (3,)
@@ -124,32 +123,31 @@ def test_event_head_learns_separable_banks():
         cls = i % 2
         base = np.zeros((1, 2, dims.m))
         base[0, cls % 2, :] = rng.normal_array(dims.m, 3.0 if cls else -3.0, 0.3)
-        banks.append(FeatureBank(z=base.repeat(2, axis=1).reshape(1, -1, dims.m)[:, :2],
-                                 variant="spatial"))
+        banks.append(base.repeat(2, axis=1).reshape(1, -1, dims.m)[:, :2])
         labels.append([1.0, 0.0] if cls else [0.0, 1.0])
     labels = np.array(labels)
-    head = train_event_head(banks, labels, n_events=2, seed=0, epochs=150)
-    scores = np.stack([classify_events(b, head) for b in banks])
+    pooled = np.stack([pooled_feature(b) for b in banks])
+    head = train_event_head(pooled, labels, n_events=2, seed=0, epochs=150)
+    scores = np.stack([classify_events(x, head) for x in pooled])
     assert event_mean_ap(scores, labels) > 0.95
 
 
 def test_event_head_stays_finite_where_the_sigmoid_saturates():
     # pooled features of +-60 push the logits past where 1 - sigmoid rounds to 0
     dims = Dims(g=4, c=2, h=2, d=2)
-    banks = [FeatureBank(z=np.full((1, dims.g, dims.m), v), variant="spatial_temporal")
-             for v in (60.0, -60.0)]
+    pooled = np.stack([pooled_feature(np.full((1, dims.g, dims.m), v)) for v in (60.0, -60.0)])
     labels = np.array([[1.0, 0.0], [0.0, 1.0]])
-    head = train_event_head(banks, labels, n_events=2, seed=0, epochs=50)
+    head = train_event_head(pooled, labels, n_events=2, seed=0, epochs=50)
     assert np.all(np.isfinite(head.data))
-    scores = np.stack([classify_events(b, head) for b in banks])
+    scores = np.stack([classify_events(x, head) for x in pooled])
     assert event_mean_ap(scores, labels) == 1.0
 
 
 def test_event_head_rejects_labels_that_are_not_0_or_1():
     dims = Dims(g=4, c=2, h=2, d=2)
-    bank = FeatureBank(z=np.ones((1, dims.g, dims.m)), variant="spatial")
+    pooled = np.ones((1, dims.m))
     with pytest.raises(ContractError, match="0 or 1"):
-        train_event_head([bank], np.array([[0.5]]), n_events=1, seed=0, epochs=1)
+        train_event_head(pooled, np.array([[0.5]]), n_events=1, seed=0, epochs=1)
 
 
 def test_event_mean_ap_perfect_ranking():

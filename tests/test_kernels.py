@@ -1,5 +1,6 @@
 """The hot kernels against their earlier forms (`reference_kernels.py`), bit
-for bit: the logistic, the segment reduction, the two rankings and Adam."""
+for bit: the logistic, the segment reduction, the two rankings, Adam and
+the feature bank's selection."""
 
 import warnings
 
@@ -7,16 +8,23 @@ import numpy as np
 import pytest
 
 import stsg.autodiff as ad
+from conftest import random_sequence
 from reference_kernels import (
     fill_scatter_reduce,
     five_key_rank_frames,
+    loop_feature_bank,
     masked_logistic,
     out_of_place_adam,
     three_key_topk_links,
 )
 from stsg.autodiff import SegmentPlan, Tape, Tensor, backward
+from stsg.config import Dims, WorldConfig
+from stsg.featurebank import BANK_VARIANTS, build_feature_bank
+from stsg.params import ModelParams
+from stsg.rng import RngStream
 from stsg.spatial import frame_pairs
-from stsg.temporal import rank_frames, topk_links
+from stsg.synthgen import generate_scene
+from stsg.temporal import forward_sequence, rank_frames, topk_links
 from stsg.training import Optimizer
 
 TINY = np.finfo(np.float64).tiny
@@ -152,3 +160,25 @@ def test_adam_in_place_is_the_out_of_place_formula():
         x = stepped
         want, m, v = out_of_place_adam(want, g, m, v, t, opt.lr, opt.beta1, opt.beta2, opt.eps)
         assert_same_bits(x, want)
+
+
+@pytest.mark.parametrize("mode", ["predcls", "sgcls", "sgdet"])
+def test_feature_bank_is_the_frame_by_class_loop(mode):
+    # generated scenes, and random ones whose frames may be empty; PredCls
+    # label rows are one-hot, so two objects of a class tie on score
+    dims = Dims()
+    params = ModelParams.init(dims, seed=4)
+    seqs = [generate_scene(dims, WorldConfig(), seed) for seed in range(12)]
+    seqs += [random_sequence(RngStream(seed), dims, n_frames=4, n_min=0, n_max=4)
+             for seed in range(12)]
+    ties = empty = 0
+    for seq in seqs:
+        preds = forward_sequence(seq, params, mode, "sparse", 1)
+        for variant in BANK_VARIANTS:
+            assert_same_bits(build_feature_bank(preds, variant, dims),
+                             loop_feature_bank(preds, variant, dims))
+        for pred in preds:
+            labels = np.argmax(pred.label_dists, axis=1)
+            ties += len(labels) - len(set(labels.tolist()))
+            empty += pred.n == 0
+    assert ties > 0 and empty > 0

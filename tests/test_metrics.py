@@ -186,7 +186,6 @@ def test_served_ranking_matches_loop_reference(mode):
             labels = ranked.labels.tolist()
             got = [(i, j, labels[i], labels[j], p, s) for i, j, p, s in rows(ranked)]
             assert got == loop_rank_triplets(pred)
-            np.testing.assert_array_equal(ranked.boxes, pred.boxes)
 
 
 def test_served_ranking_rejects_non_finite_scores():

@@ -1,9 +1,12 @@
 """Smoke tests of the scripts in scripts/, run as a user runs them."""
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from stsg.cli import main
 
@@ -23,3 +26,20 @@ def test_inspect_benchmark_summarises_a_generated_split(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("test: 3 sequences, 24 frames, ")
     assert "predicate distribution:" in proc.stdout and "event distribution:" in proc.stdout
+
+
+@pytest.mark.slow
+def test_reproduce_trends_writes_every_report(tmp_path):
+    # the benchmark's size and the test and bank splits are fixed by the
+    # script, so even this smallest run takes about 5 s
+    out = tmp_path / "results"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "reproduce_trends.py"),
+                           "--out", str(out), "--seeds", "1", "--epochs", "1",
+                           "--train-sequences", "4"],
+                          capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 0, proc.stderr
+    kinds = {name: json.loads((out / f"{name}.json").read_text())["kind"]
+             for name in ("ablation", "bank", "efficiency")}
+    assert kinds == {"ablation": "ablation-report", "bank": "bank-report",
+                     "efficiency": "efficiency-report"}
