@@ -26,20 +26,35 @@ def main() -> None:
     ap.add_argument("--seeds", type=int, default=5, help="training seeds per variant")
     ap.add_argument("--epochs", type=int, default=10)
     ap.add_argument("--train-sequences", type=int, default=120)
+    ap.add_argument("--benchmark-sequences", type=int, default=1000,
+                    help="sequences generated: a tenth each for val and test, the rest train")
+    ap.add_argument("--test-sequences", type=int, default=0,
+                    help="test sequences the ablation evaluates (0: the whole test split)")
+    ap.add_argument("--bank-train-sequences", type=int, default=300,
+                    help="training sequences of the feature-bank event head")
     ap.add_argument("--jobs", type=int, default=1,
                     help="worker processes for gen and for the ablation cells")
     args = ap.parse_args()
+    if args.benchmark_sequences < 10:
+        ap.error("--benchmark-sequences must be at least 10")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     data = out / "benchmark"
+    held_out = args.benchmark_sequences // 10
+    split = out / "benchmark.cfg"
+    split.write_text(f"split.train_sequences = {args.benchmark_sequences - 2 * held_out}\n"
+                     f"split.val_sequences = {held_out}\n"
+                     f"split.test_sequences = {held_out}\n")
 
     print("== generating benchmark ==")
-    run(["gen", "--out", str(data), "--seed", str(args.seed), "--jobs", str(args.jobs)])
+    run(["gen", "--config", str(split), "--out", str(data), "--seed", str(args.seed),
+         "--jobs", str(args.jobs)])
 
     print("== variant ablation (this is the long step) ==")
     run(["ablate", "--data", str(data), "--seeds", str(args.seeds),
          "--epochs", str(args.epochs), "--train-sequences", str(args.train_sequences),
+         "--test-sequences", str(args.test_sequences),
          "--jobs", str(args.jobs), "--out", str(out / "ablation.json")])
 
     print("== training the bank checkpoint ==")
@@ -50,7 +65,7 @@ def main() -> None:
 
     print("== feature-bank event classification ==")
     run(["bank", "--ckpt", str(out / "model.json"), "--data", str(data),
-         "--seeds", str(args.seeds), "--train-sequences", "300",
+         "--seeds", str(args.seeds), "--train-sequences", str(args.bank_train_sequences),
          "--out", str(out / "bank.json")])
 
     print("== efficiency accounting ==")

@@ -1,10 +1,12 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-Values are numpy arrays; while a Tape is active, every primitive records
-itself so `backward` can replay the chain rule in reverse. The op set is
-deliberately small: exactly what the scene-graph pipeline and its losses
-need. Tensors are immutable values and safe to share; a Tape is single
-threaded, but independent tapes may run concurrently.
+Values are numpy arrays; while a Tape is active, every op records itself
+so `backward` can replay the chain rule in reverse. The tape's unit is a
+model layer: each stage of the pipeline is one op with a hand-written
+gradient (`layers`), built on the pieces here, and the primitives below are
+the few that the label head, the feature-bank head and the served
+probabilities call. Tensors are immutable values and safe to share; a Tape
+is single threaded, but independent tapes may run concurrently.
 
 Gathers and segment reductions take a `SegmentPlan`: an index list whose
 range is checked, and whose stable sort order and `reduceat` runs are
@@ -36,24 +38,15 @@ __all__ = [
     "backward",
     "matmul",
     "affine",
-    "add",
     "scale",
-    "concat",
-    "relu",
     "sigmoid",
     "mul",
-    "dot",
     "reduce_sum",
-    "div",
     "softplus",
     "softmax",
-    "log_softmax",
-    "reshape",
     "SegmentPlan",
     "segment_plan",
     "gather_rows",
-    "segment_sum",
-    "segment_log_softmax",
 ]
 
 
@@ -151,6 +144,16 @@ def _record(output: Tensor, inputs: tuple[Tensor, ...], vjp: Callable) -> None:
             tape._tracked_ids.add(id(output))
 
 
+def _tracked(inputs: tuple[Tensor, ...]) -> tuple[bool, ...] | None:
+    """Which of the inputs the active tape tracks; None when it tracks none
+    of them or no tape is active, so that an op records nothing."""
+    if not _STACK:
+        return None
+    tracked = _STACK[-1]._tracked_ids
+    need = tuple(id(t) in tracked for t in inputs)
+    return need if any(need) else None
+
+
 def backward(tape: Tape, loss: Tensor) -> dict[Tensor, Tensor]:
     """Gradients of a scalar loss w.r.t. every watched leaf on the tape.
 
@@ -229,15 +232,6 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    av, bv = a.data, b.data
-    if not _broadcastable(av.shape, bv.shape):
-        raise ShapeError(f"add: shapes {av.shape} and {bv.shape} do not broadcast")
-    out = Tensor._wrap(av + bv)
-    _record(out, (a, b), lambda g: (_unbroadcast(g, av.shape), _unbroadcast(g, bv.shape)))
-    return out
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
     out = Tensor._wrap(a.data * c)
@@ -251,53 +245,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"elementwise-mul: shapes {av.shape} and {bv.shape} do not broadcast")
     out = Tensor._wrap(av * bv)
     _record(out, (a, b), lambda g: (_unbroadcast(g * bv, av.shape), _unbroadcast(g * av, bv.shape)))
-    return out
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    av, bv = a.data, b.data
-    if not _broadcastable(av.shape, bv.shape):
-        raise ShapeError(f"div: shapes {av.shape} and {bv.shape} do not broadcast")
-    out = Tensor._wrap(av / bv)
-
-    def vjp(g):
-        ga = _unbroadcast(g / bv, av.shape)
-        gb = _unbroadcast(-g * av / (bv * bv), bv.shape)
-        return ga, gb
-
-    _record(out, (a, b), vjp)
-    return out
-
-
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    if not tensors:
-        raise ContractError("concat: need at least one tensor")
-    nd = tensors[0].ndim
-    for t in tensors:
-        if t.ndim != nd:
-            raise ShapeError(
-                f"concat: rank mismatch {t.shape} vs {tensors[0].shape}"
-            )
-    try:
-        out_arr = np.concatenate([t.data for t in tensors], axis=axis)
-    except ValueError as e:
-        raise ShapeError(f"concat: {e}") from None
-    out = Tensor._wrap(out_arr)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum(sizes)[:-1]
-
-    def vjp(g):
-        return tuple(np.ascontiguousarray(p) for p in np.split(g, offsets, axis=axis))
-
-    _record(out, tuple(tensors), vjp)
-    return out
-
-
-def relu(a: Tensor) -> Tensor:
-    av = a.data
-    out = Tensor._wrap(np.maximum(av, 0.0))
-    # subgradient at 0 fixed to 0
-    _record(out, (a,), lambda g: (g * (av > 0.0),))
     return out
 
 
@@ -328,15 +275,6 @@ def reduce_sum(a: Tensor, axis: int | None = None) -> Tensor:
     return out
 
 
-def dot(a: Tensor, b: Tensor) -> Tensor:
-    av, bv = a.data, b.data
-    if av.ndim != 1 or bv.ndim != 1 or av.shape != bv.shape:
-        raise ShapeError(f"dot: need equal-length vectors, got {av.shape} and {bv.shape}")
-    out = Tensor._wrap(np.asarray(av @ bv))
-    _record(out, (a, b), lambda g: (g * bv, g * av))
-    return out
-
-
 def softplus(a: Tensor) -> Tensor:
     """log(1 + exp(x)), computed without overflow; gradient is sigmoid(x)."""
     av = a.data
@@ -359,30 +297,9 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return out
 
 
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """log(softmax(a)) as a - max - log(sum(exp(a - max))): finite wherever the
-    softmax itself underflows to 0."""
-    av = a.data
+def _log_softmax(av: np.ndarray, axis: int) -> np.ndarray:
     shifted = av - np.max(av, axis=axis, keepdims=True)
-    out_arr = shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
-    out = Tensor._wrap(out_arr)
-
-    def vjp(g):
-        return (g - np.exp(out_arr) * np.sum(g, axis=axis, keepdims=True),)
-
-    _record(out, (a,), vjp)
-    return out
-
-
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    av = a.data
-    try:
-        out_arr = av.reshape(shape)
-    except ValueError:
-        raise ShapeError(f"reshape: cannot view {av.shape} as {shape}") from None
-    out = Tensor._wrap(out_arr)
-    _record(out, (a,), lambda g: (g.reshape(av.shape),))
-    return out
+    return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
 
 
 class SegmentPlan:
@@ -483,7 +400,8 @@ def _segment_reduce(ufunc, values: np.ndarray, plan: SegmentPlan, empty: float) 
     if not len(plan):
         return np.full(out_shape, empty)
     order, starts, segments = plan.runs()
-    reduced = ufunc.reduceat(values if order is None else values[order], starts, axis=0)
+    reduced = ufunc.reduceat(values if order is None else values.take(order, axis=0), starts,
+                             axis=0)
     if len(segments) == plan.n:   # every segment has rows
         return reduced
     out = np.full(out_shape, empty)
@@ -498,37 +416,8 @@ def _segment_sum(values: np.ndarray, plan: SegmentPlan) -> np.ndarray:
     return _segment_reduce(np.add, values, plan, 0.0)
 
 
-def _plan_per_row(kind: str, av: np.ndarray, segment_ids, n_segments: int) -> SegmentPlan:
-    ids = segment_ids.ids if isinstance(segment_ids, SegmentPlan) else np.asarray(segment_ids)
-    if av.ndim < 1 or ids.shape != av.shape[:1]:
-        raise ShapeError(f"{kind}: need one segment id per row, got {ids.shape} for {av.shape}")
-    return segment_plan(segment_ids, n_segments, kind)
-
-
-def segment_sum(a: Tensor, segment_ids, n_segments: int) -> Tensor:
-    """out[s] = sum of the rows of a whose segment id is s; zero for a segment
-    without rows. `segment_ids` is a SegmentPlan or an id list."""
-    av = a.data
-    plan = _plan_per_row("segment-sum", av, segment_ids, n_segments)
-    out = Tensor._wrap(_segment_sum(av, plan))
-    _record(out, (a,), lambda g: (g[plan.ids],))
-    return out
-
-
-def segment_log_softmax(a: Tensor, segment_ids, n_segments: int) -> Tensor:
-    """log_softmax of a vector within each segment: the ragged rows of a
-    log_softmax(axis=1), each entry normalised over the entries sharing its id."""
-    av = a.data
-    plan = _plan_per_row("segment-log-softmax", av, segment_ids, n_segments)
-    if av.ndim != 1:
-        raise ShapeError(f"segment-log-softmax: need a vector, got shape {av.shape}")
+def _segment_log_softmax(av: np.ndarray, plan: SegmentPlan) -> np.ndarray:
     ids = plan.ids
     shifted = av - _segment_reduce(np.maximum, av, plan, -np.inf)[ids]
-    out_arr = shifted - np.log(_segment_sum(np.exp(shifted), plan)[ids])
-    out = Tensor._wrap(out_arr)
+    return shifted - np.log(_segment_sum(np.exp(shifted), plan)[ids])
 
-    def vjp(g):
-        return (g - np.exp(out_arr) * _segment_sum(g, plan)[ids],)
-
-    _record(out, (a,), vjp)
-    return out

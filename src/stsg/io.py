@@ -17,7 +17,6 @@ from __future__ import annotations
 import contextlib
 import gc
 import json
-import math
 import reprlib
 from itertools import chain
 from pathlib import Path
@@ -384,6 +383,11 @@ def _frames_to_arrays(record) -> None:
         _columns_to_arrays([frame.get("triplets") for frame in frames], _TRIPLET_ARRAYS)
 
 
+# the first float beyond the intp range: every whole number below it casts
+# to intp exactly
+_INTP_END = 2.0 ** (8 * np.dtype(np.intp).itemsize - 1)
+
+
 def _index_error(i: int, value: float, n: int, t: int, g, h) -> DataFormatError:
     """The error for entry i of a frame's indices: its n labels, then the
     subjects, objects and predicates of its t triplets."""
@@ -403,7 +407,7 @@ def ranked_from_frame_json(frame: dict, path: Path, lineno: int,
     numbers (`_number_array`), the columns of one length; labels, triplet
     node indices and predicates must be non-negative integers, node indices
     below the frame's node count; with `dims`, labels must be below dims.g
-    and predicates below dims.h.
+    and predicates below dims.h, and without, both within the intp range.
     """
     def rows(owner: dict, name: str, width: int = 1) -> np.ndarray:
         value = _field(owner, name)
@@ -423,28 +427,30 @@ def ranked_from_frame_json(frame: dict, path: Path, lineno: int,
         if not len(subj) == len(obj) == len(predicate) == t:
             raise DataFormatError(f"triplets has {len(subj)} subjects, {len(obj)} objects, "
                                   f"{len(predicate)} predicates and {t} scores")
-        g, h = (dims.g, dims.h) if dims else (math.inf, math.inf)
+        g, h = (dims.g, dims.h) if dims else (_INTP_END, _INTP_END)
         # every label and triplet index of the frame: a non-negative integer
+        # below its bound, checked on the numbers before they become intp,
+        # where a number beyond the intp range would wrap round
         index = np.concatenate([labels, subj, obj, predicate])
         whole = (index >= 0) & (np.floor(index) == index)
         if not whole.all():
             i = int(np.argmin(whole))
             raise _index_error(i, index[i], n, t, g, h)
-        ints = index.astype(np.intp)
-        labels, subj, obj, predicate = (ints[:n], ints[n:n + t], ints[n + t:n + 2 * t],
-                                        ints[n + 2 * t:])
         outside = (subj >= n) | (obj >= n)
         if outside.any():
             k = np.flatnonzero(outside)[0]
-            raise DataFormatError(f"triplet references node {max(subj[k], obj[k])} "
+            raise DataFormatError(f"triplet references node {max(subj[k], obj[k]):g} "
                                   f"but frame has {n} nodes")
-        if (subj == obj).any():
-            k = np.flatnonzero(subj == obj)[0]
-            raise DataFormatError(f"triplet {k} has subject and object both node {subj[k]}")
         if (labels >= g).any() or (predicate >= h).any():
             over = np.flatnonzero(labels >= g)
             i = over[0] if len(over) else n + 2 * t + np.flatnonzero(predicate >= h)[0]
             raise _index_error(i, index[i], n, t, g, h)
+        ints = index.astype(np.intp)
+        labels, subj, obj, predicate = (ints[:n], ints[n:n + t], ints[n + t:n + 2 * t],
+                                        ints[n + 2 * t:])
+        if (subj == obj).any():
+            k = np.flatnonzero(subj == obj)[0]
+            raise DataFormatError(f"triplet {k} has subject and object both node {subj[k]}")
         return RankedFrame(subj, obj, predicate, score, labels, boxes)
     except DataFormatError as e:
         raise DataFormatError(f"{path}:{lineno}: {e}") from None

@@ -1,0 +1,300 @@
+"""The model's stages as single tape records with hand-written gradients.
+
+Each op runs one stage of the pipeline in numpy and records itself on the
+active tape once: the pair proposal with its per-node sums, a GCN layer,
+the link relevance, the temporal encoding, the link aggregation with the
+fusion, a pair head and the weighted loss. A record is a layer, where the
+primitives of `autodiff` that a stage is made of would record one entry per
+product, gather or nonlinearity, and the per-record cost is what a step of
+this small model spends most on.
+
+Each gradient is the one the chain of primitives would give, bit for bit:
+the same numpy expressions on the same arrays, in the same order
+(`tests/reference_kernels.py` keeps the compositions they must match).
+Where an op reads one input twice -- a GCN layer's input in its residual
+and in its node transform, a pair's subject and object rows -- its
+gradient has one entry per read, in the order the primitives' reverse
+sweep would add them, and `autodiff.backward` sums them in that order. An
+input the tape does not track, such as the packed node features, gets no
+gradient computed.
+
+Index lists are `autodiff.SegmentPlan`s or plain lists, planned at the call.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .autodiff import (
+    SegmentPlan,
+    Tensor,
+    _log_softmax,
+    _logistic,
+    _record,
+    _segment_log_softmax,
+    _segment_sum,
+    _tracked,
+    _unbroadcast,
+    segment_plan,
+)
+from .errors import ContractError
+
+# ---------------------------------------------------------------------------
+# numpy pieces shared by the ops: forward values and their gradients
+
+
+def _linear(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """x @ w (+ b): the matrix product of every op's forward pass."""
+    return x @ w if b is None else x @ w + b
+
+
+def _linear_grads(g, x, w, need_x: bool):
+    """(dx or None, dw, db) of x @ w + b for the output gradient g."""
+    return (g @ w.T if need_x else None), x.T @ g, g.sum(axis=0)
+
+
+def _mlp2(x, w1, b1, w2, b2):
+    """(pre-activation, hidden, output) of a two-layer perceptron."""
+    h = _linear(x, w1, b1)
+    r = np.maximum(h, 0.0)
+    return h, r, _linear(r, w2, b2)
+
+
+def _mlp2_grads(g, x, h, r, w1, w2, need_x: bool):
+    """(dx or None, (dw1, db1, dw2, db2)) of `_mlp2`; the relu's subgradient
+    at 0 is 0."""
+    dr, dw2, db2 = _linear_grads(g, r, w2, True)
+    dh = dr * (h > 0.0)
+    dx, dw1, db1 = _linear_grads(dh, x, w1, need_x)
+    return dx, (dw1, db1, dw2, db2)
+
+
+def _rows(x: np.ndarray, ids) -> np.ndarray:
+    """x[ids] along the leading axis."""
+    return x.take(ids, axis=0)
+
+
+def _pair_rows(x: np.ndarray, first, second) -> np.ndarray:
+    """x[first] ++ x[second], row by row: one gather of both rows of a pair."""
+    both = np.stack([first.ids, second.ids], axis=1)
+    return x.take(both, axis=0).reshape(len(both), 2 * x.shape[1])
+
+
+def _pair_grads(g, first, second):
+    """The gradients of x through the second and the first half of
+    `_pair_rows`, in the order the gathers' reverse sweep adds them."""
+    a, b = (np.ascontiguousarray(p) for p in np.split(g, [g.shape[1] // 2], axis=1))
+    return _segment_sum(b, second), _segment_sum(a, first)
+
+
+def _plans(n: int, *indices):
+    return [segment_plan(ids, n, "gather-rows") for ids in indices]
+
+
+def _params(tensors) -> list[np.ndarray]:
+    return [t.data for t in tensors]
+
+
+# ---------------------------------------------------------------------------
+# the ops
+
+
+def proposal_sums(x: Tensor, subj, obj, w1: Tensor, b1: Tensor, w2: Tensor,
+                  b2: Tensor) -> Tensor:
+    """(N, H) per-node sums over the listed pairs of sigmoid(mlp2(x[subj] ++ x[obj])),
+    each pair summed into its subject's row."""
+    xv = x.data
+    subj, obj = _plans(xv.shape[0], subj, obj)
+    inputs = (x, x, w1, b1, w2, b2)
+    need = _tracked(inputs)
+    w1v, b1v, w2v, b2v = _params(inputs[2:])
+    pairs = _pair_rows(xv, subj, obj)
+    h, r, z = _mlp2(pairs, w1v, b1v, w2v, b2v)
+    s = _logistic(z)
+    out = Tensor._wrap(_segment_sum(s, subj))
+    if need:
+        def vjp(g):
+            dpairs, dparams = _mlp2_grads(_rows(g, subj.ids) * s * (1.0 - s), pairs, h, r,
+                                          w1v, w2v, need[0])
+            dx = _pair_grads(dpairs, subj, obj) if need[0] else (None, None)
+            return (*dx, *dparams)
+        _record(out, inputs, vjp)
+    return out
+
+
+def gcn_layer(x: Tensor, subj, obj, edge_sums: Tensor, w_node: Tensor, w_edge: Tensor,
+              bias: Tensor) -> Tensor:
+    """relu(x + segment_sum((x @ w_node + bias)[obj], subj) + edge_sums @ w_edge):
+    one propagation step, each pair (i, j) carrying a message from j to i.
+
+    x is read twice, by the residual and by the node transform: its gradient
+    comes as one entry per read, in that order.
+    """
+    xv, ev = x.data, edge_sums.data
+    subj, obj = _plans(xv.shape[0], subj, obj)
+    inputs = (x, x, edge_sums, w_node, w_edge, bias)
+    need = _tracked(inputs)
+    wn, we = w_node.data, w_edge.data
+    t = _linear(xv, wn, bias.data)
+    r = xv + (_segment_sum(_rows(t, obj.ids), subj) + ev @ we)
+    out = Tensor._wrap(np.maximum(r, 0.0))
+    if need:
+        def vjp(g):
+            dr = g * (r > 0.0)
+            dsums = dr @ we.T if need[2] else None
+            dx, dwn, db = _linear_grads(_segment_sum(_rows(dr, subj.ids), obj), xv, wn, need[0])
+            return (dr if need[0] else None), dx, dsums, dwn, ev.T @ dr, db
+        _record(out, inputs, vjp)
+    return out
+
+
+def link_relevance(x: Tensor, curr, prev, phi: Tensor) -> Tensor:
+    """gamma[c] = <phi(x[curr[c]]), phi(x[prev[c]])> for every candidate link c,
+    projecting each node once."""
+    xv, pv = x.data, phi.data
+    curr, prev = _plans(xv.shape[0], curr, prev)
+    inputs = (x, phi)
+    need = _tracked(inputs)
+    proj = _linear(xv, pv)
+    pc, pp = _rows(proj, curr.ids), _rows(proj, prev.ids)
+    out = Tensor._wrap(np.sum(pc * pp, axis=1))
+    if need:
+        def vjp(g):
+            col = g[:, None]
+            dproj = _segment_sum(col * pc, prev) + _segment_sum(col * pp, curr)
+            return (dproj @ pv.T if need[0] else None), xv.T @ dproj
+        _record(out, inputs, vjp)
+    return out
+
+
+def frame_context(x: np.ndarray, node_frame, n_frames: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (n_frames, m) mean of the rows of x in each frame and the
+    (n_frames, 1) row counts it divides by; undefined for a frame without
+    rows. node_frame is a plan or an id list."""
+    counts = np.bincount(np.asarray(node_frame), minlength=n_frames)
+    if len(counts) != n_frames or np.any(counts == 0):
+        raise ContractError("frame_context: empty frame has no context")
+    counts = counts.reshape(-1, 1).astype(np.float64)
+    return _segment_sum(x, segment_plan(node_frame, n_frames)) / counts, counts
+
+
+def temporal_encoding(x: Tensor, node_frame, link_frame, curr, prev,
+                      fg: tuple[Tensor, ...], ftau: tuple[Tensor, ...]) -> Tensor:
+    """tau = f_tau(context ++ f_g(x[curr] ++ x[prev])) for every link, where a
+    link's context is the mean of x over the frame link_frame names.
+
+    node_frame is a SegmentPlan over the frames, link_frame a plan or an id
+    list over the same frames; fg and ftau are (w1, b1, w2, b2) of the two
+    perceptrons. x is read three times: its gradient comes through the
+    previous rows, the current rows and the context, in that order.
+    """
+    xv = x.data
+    curr, prev = _plans(xv.shape[0], curr, prev)
+    context, counts = frame_context(xv, node_frame, node_frame.n)
+    link_frame = segment_plan(link_frame, node_frame.n, "gather-rows")
+    inputs = (x, x, x, *fg, *ftau)
+    need = _tracked(inputs)
+    fgv, ftv = _params(fg), _params(ftau)
+    pairs = _pair_rows(xv, curr, prev)
+    h1, r1, inner = _mlp2(pairs, *fgv)
+    joined = np.concatenate([_rows(context, link_frame.ids), inner], axis=1)
+    h2, r2, tau = _mlp2(joined, *ftv)
+    out = Tensor._wrap(tau)
+    if need:
+        def vjp(g):
+            djoined, dftau = _mlp2_grads(g, joined, h2, r2, ftv[0], ftv[2], True)
+            dctx, dinner = (np.ascontiguousarray(p)
+                            for p in np.split(djoined, [context.shape[1]], axis=1))
+            dpairs, dfg = _mlp2_grads(dinner, pairs, h1, r1, fgv[0], fgv[2], need[0])
+            dx = (None, None, None)
+            if need[0]:
+                dctx = _rows(_segment_sum(dctx, link_frame) / counts, node_frame.ids)
+                dx = (*_pair_grads(dpairs, curr, prev), dctx)
+            return (*dx, *dfg, *dftau)
+        _record(out, inputs, vjp)
+    return out
+
+
+def fuse_link_mean(updated: Tensor, gamma_sel: Tensor, tau: Tensor, curr, guard: float) -> Tensor:
+    """updated + the gamma-weighted mean of the tau rows of each row's links.
+
+    A row whose weight sum is within guard of zero averages its links
+    uniformly (its gradient then skips gamma); a row without links adds 0.
+    """
+    uv, gv, tv = updated.data, gamma_sel.data, tau.data
+    n = uv.shape[0]
+    plan = segment_plan(curr, n)
+    ids = plan.ids
+    counts = np.bincount(ids, minlength=n)
+    uniform = (np.abs(np.bincount(ids, weights=gv, minlength=n)) < guard) & (counts > 0)
+    keep = (~uniform[ids]).astype(np.float64)
+    col = (gv * keep + uniform[ids].astype(np.float64)).reshape(len(ids), 1)
+    numer = _segment_sum(tv * col, plan)
+    # rows without links divide 0 by 1, yielding the exact zero vector
+    safe = _segment_sum(col, plan) + (counts == 0).astype(np.float64).reshape(-1, 1)
+    zeta = numer / safe
+    if uv.shape != zeta.shape:
+        raise ContractError(f"fuse: shapes {uv.shape} and {zeta.shape} differ")
+    inputs = (updated, gamma_sel, tau)
+    need = _tracked(inputs)
+    out = Tensor._wrap(uv + zeta)
+    if need:
+        def vjp(g):
+            dsafe = _unbroadcast(-g * numer / (safe * safe), safe.shape)
+            dtc = _rows(g / safe, ids)
+            dcol = _rows(dsafe, ids) + _unbroadcast(dtc * tv, col.shape)
+            return ((g if need[0] else None), (dcol.reshape(len(ids)) * keep if need[1] else None),
+                    (dtc * col if need[2] else None))
+        _record(out, inputs, vjp)
+    return out
+
+
+def pair_linear(x: Tensor, subj, obj, w: Tensor, b: Tensor) -> Tensor:
+    """(x[subj] ++ x[obj]) @ w + b for the listed pairs."""
+    xv, wv = x.data, w.data
+    subj, obj = _plans(xv.shape[0], subj, obj)
+    inputs = (x, x, w, b)
+    need = _tracked(inputs)
+    pairs = _pair_rows(xv, subj, obj)
+    out = Tensor._wrap(_linear(pairs, wv, b.data))
+    if need:
+        def vjp(g):
+            dpairs, dw, db = _linear_grads(g, pairs, wv, need[0])
+            dx = _pair_grads(dpairs, subj, obj) if need[0] else (None, None)
+            return (*dx, dw, db)
+        _record(out, inputs, vjp)
+    return out
+
+
+def weighted_loss(weights: np.ndarray, logits: Tensor, sign: np.ndarray,
+                  label_logits: Tensor | None = None, gamma: Tensor | None = None,
+                  links: SegmentPlan | None = None) -> tuple[Tensor, np.ndarray]:
+    """(weights . terms, terms), where terms runs over softplus(sign * logits),
+    then the row log-softmax of label_logits, then the log-softmax of gamma
+    within each segment of `links` (one id per entry of gamma), each
+    flattened; the last two only when given."""
+    z = logits.data.reshape(-1) * sign
+    pieces = [np.logaddexp(0.0, z)]
+    if label_logits is not None:
+        labels = _log_softmax(label_logits.data, 1)
+        pieces.append(labels.reshape(-1))
+    if gamma is not None:
+        pieces.append(_segment_log_softmax(gamma.data, links))
+    terms = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+    out = Tensor._wrap(np.asarray(weights @ terms))
+    inputs = tuple(t for t in (logits, label_logits, gamma) if t is not None)
+    if _tracked(inputs):
+        cuts = np.cumsum([len(p) for p in pieces])[:-1]
+
+        def vjp(g):
+            parts = iter(np.ascontiguousarray(p) for p in np.split(g * weights, cuts))
+            grads = [(next(parts) * _logistic(z) * sign).reshape(logits.shape)]
+            if label_logits is not None:
+                d = next(parts).reshape(labels.shape)
+                grads.append(d - np.exp(labels) * np.sum(d, axis=1, keepdims=True))
+            if gamma is not None:
+                d = next(parts)
+                grads.append(d - np.exp(pieces[-1]) * _segment_sum(d, links)[links.ids])
+            return grads
+        _record(out, inputs, vjp)
+    return out, terms

@@ -31,10 +31,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return ad.affine(x, w, b) if b is not None else ad.matmul(x, w)
 
 
-def mlp2(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    return linear(ad.relu(linear(x, w1, b1)), w2, b2)
-
-
 def model_shapes(dims: Dims, gcn_layers: int) -> dict[str, tuple[int, ...]]:
     """Name -> shape of every parameter, in layout and initialisation order:
     the one place where the architecture's shapes are written."""

@@ -10,19 +10,25 @@ edge features of the graph (L == H). Message passing follows
 
 with theta fixed to 1 between distinct nodes of a frame and 0 otherwise (the
 residual term already carries self-information), so the theta-weighted sums
-are segment sums over the pair list. The pair lists are segment plans
-(`autodiff.SegmentPlan`), so every layer reuses one sort of them; the edge
-features are the same in every layer, so their per-node sums are taken once
-per pass.
+are segment sums over the pair list. Linearity lets the edge features be
+summed per node before the edge transform, which then applies once per
+node; the edge features are the same in every layer, so the proposal hands
+on their per-node sums, taken once per pass. The bias sits inside the
+message, so a node without pairs reduces a layer to relu(feats) regardless
+of parameter values.
+
+The tape's unit is a layer: the proposal and each GCN layer are one record
+each, with hand-written gradients (`layers`). The pair lists are segment
+plans (`autodiff.SegmentPlan`), so every layer reuses one sort of them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Tensor
-from .params import ModelParams, linear
+from .layers import gcn_layer, proposal_sums
+from .params import ModelParams
 
 
 def frame_pairs(sizes) -> tuple[np.ndarray, np.ndarray]:
@@ -43,33 +49,17 @@ def frame_pairs(sizes) -> tuple[np.ndarray, np.ndarray]:
 
 
 def propose_relations(feats: Tensor, subj, obj, params: ModelParams) -> Tensor:
-    """Initial relation distribution: sigmoid(mlp(feat_i ++ feat_j)), (P, H)
-    for the P listed pairs."""
-    pairs = ad.concat([ad.gather_rows(feats, subj), ad.gather_rows(feats, obj)], axis=1)
-    hidden = ad.relu(linear(pairs, params["prop.w1"], params["prop.b1"]))
-    return ad.sigmoid(linear(hidden, params["prop.w2"], params["prop.b2"]))
+    """The initial relation distribution eps_ij = sigmoid(mlp(feat_i ++ feat_j))
+    of the P listed pairs, as the only form the GCN reads: the (N, H) sums
+    sum_j eps_ij of each node's pairs. One tape record."""
+    return proposal_sums(feats, subj, obj, params["prop.w1"], params["prop.b1"],
+                         params["prop.w2"], params["prop.b2"])
 
 
-def gcn_layer(feats: Tensor, subj, obj, edge_sums: Tensor,
-              w_node: Tensor, w_edge: Tensor, bias: Tensor) -> Tensor:
-    """One propagation step; each pair (i, j) carries a message from j to i.
-
-    `edge_sums` (N, H) holds sum_j eps_ij for each node i: linearity lets the
-    edge features be summed before the edge transform, which then applies
-    once per node. The bias sits inside the message, so a node without pairs
-    reduces the layer to relu(feats) regardless of parameter values.
-    """
-    n = feats.shape[0]
-    node_msg = ad.segment_sum(ad.gather_rows(linear(feats, w_node, bias), obj), subj, n)
-    edge_msg = ad.matmul(edge_sums, w_edge)
-    return ad.relu(ad.add(feats, ad.add(node_msg, edge_msg)))
-
-
-def gcn_propagate(feats: Tensor, subj, obj, edge_feats: Tensor,
-                  params: ModelParams) -> Tensor:
-    """Apply the configured stack of propagation layers sequentially; the
-    edge features of the pairs are summed per node once, for every layer."""
-    edge_sums = ad.segment_sum(edge_feats, subj, feats.shape[0])
+def gcn_propagate(feats: Tensor, subj, obj, edge_sums: Tensor, params: ModelParams) -> Tensor:
+    """Apply the configured stack of propagation layers (`gcn_layer`)
+    sequentially, one tape record each; `edge_sums` (N, H) holds the summed
+    edge features of each node's pairs, which every layer reads."""
     out = feats
     for layer in range(params.gcn_layers):
         out = gcn_layer(

@@ -5,9 +5,13 @@ Every frame of a minibatch is packed into one node set (`Packed`), so the
 forward pass is a fixed number of taped ops per batch rather than per
 frame. Links always span adjacent frames of one sequence: the candidates of
 a node are the nodes of the preceding frame, and a frame after an empty one
-(or the first frame) has none. The relevance score projects every node
-once and takes inner products over the candidate list; the
-concatenate-and-score alternative would cost a projection per pair.
+(or the first frame) has none. The relevance score (`layers.link_relevance`)
+projects every node once and takes inner products over the candidate list;
+the concatenate-and-score alternative would cost a projection per pair.
+
+The tape's unit is a layer: the relevance, the temporal encoding (frame
+context, link pairs, f_g and f_tau), the aggregation with the fusion and
+each head are one record each, with hand-written gradients (`layers`).
 """
 
 from __future__ import annotations
@@ -17,22 +21,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from . import blas
+from . import blas, layers
 from .autodiff import Tensor
 from .config import MODES, VARIANTS
 from .errors import ContractError
-from .params import ModelParams, linear, mlp2
+from .layers import link_relevance
+from .params import ModelParams, linear
 from .scene import FrameRecord, SceneSequence
 from .spatial import frame_pairs, gcn_propagate, propose_relations
 
 DENOM_GUARD = 1e-8
-
-
-def link_relevance(feats: Tensor, curr, prev, phi: Tensor) -> Tensor:
-    """gamma[c] = <phi(feat[curr[c]]), phi(feat[prev[c]])> for every candidate
-    link c, projecting each node once; curr and prev are plans or index lists."""
-    proj = ad.matmul(feats, phi)
-    return ad.reduce_sum(ad.mul(ad.gather_rows(proj, curr), ad.gather_rows(proj, prev)), axis=1)
 
 
 def topk_links(scores: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
@@ -67,71 +65,38 @@ def tracking_links(boxes: np.ndarray, labels: np.ndarray, curr: np.ndarray,
     return mask
 
 
-def frame_context(feats: Tensor, node_frame, n_frames: int) -> Tensor:
-    """(n_frames, m) mean of the GCN-updated node features of each frame;
-    undefined for a frame without nodes. node_frame is a plan or an id list."""
-    counts = np.bincount(np.asarray(node_frame), minlength=n_frames)
-    if len(counts) != n_frames or np.any(counts == 0):
-        raise ContractError("frame_context: empty frame has no context")
-    return ad.div(ad.segment_sum(feats, node_frame, n_frames),
-                  Tensor(counts.reshape(-1, 1).astype(np.float64)))
+def encode_temporal_pairs(feats: Tensor, node_frame: ad.SegmentPlan, link_frame,
+                          curr_idx, prev_idx, params: ModelParams) -> Tensor:
+    """Encode every selected (current j, previous k) link into an m-vector, as
+    one tape record.
 
-
-def encode_temporal_pairs(feats: Tensor, curr_idx, prev_idx,
-                          context: Tensor, params: ModelParams) -> Tensor:
-    """Encode every selected (current j, previous k) link into an m-vector.
-
-    tau = f_tau(context ++ f_g(feat[j] ++ feat[k])), batched over links;
-    `context` holds each link's frame context, one row per link.
+    tau = f_tau(context ++ f_g(feat[j] ++ feat[k])), batched over links, where
+    a link's context is the mean of the features of the frame `link_frame`
+    names; `node_frame` is the plan of each node's frame.
     """
-    pairs = ad.concat(
-        [ad.gather_rows(feats, curr_idx), ad.gather_rows(feats, prev_idx)], axis=1
-    )
-    inner = mlp2(pairs, params["temporal.fg.w1"], params["temporal.fg.b1"],
-                 params["temporal.fg.w2"], params["temporal.fg.b2"])
-    joined = ad.concat([context, inner], axis=1)
-    return mlp2(joined, params["temporal.ftau.w1"], params["temporal.ftau.b1"],
-                params["temporal.ftau.w2"], params["temporal.ftau.b2"])
+    return layers.temporal_encoding(
+        feats, node_frame, link_frame, curr_idx, prev_idx,
+        tuple(params[f"temporal.fg.{n}"] for n in ("w1", "b1", "w2", "b2")),
+        tuple(params[f"temporal.ftau.{n}"] for n in ("w1", "b1", "w2", "b2")))
 
 
-def aggregate_links(gamma_sel: Tensor, tau: Tensor, curr_idx,
+def aggregate_links(updated: Tensor, gamma_sel: Tensor, tau: Tensor, curr_idx,
                     n_curr: int) -> Tensor:
-    """Relevance-weighted mean of tau per current node; curr_idx is a plan or
-    an index list.
+    """The final node representation: updated plus the relevance-weighted
+    mean of tau per current node, as one tape record; curr_idx is a plan or
+    an index list over the n_curr nodes.
 
     Rows whose selected-weight sum is within DENOM_GUARD of zero fall back to
-    a uniform average (gradient then skips gamma); rows with no links get 0.
+    a uniform average (gradient then skips gamma); rows with no links add 0.
     """
-    n_links = tau.shape[0]
-    plan = ad.segment_plan(curr_idx, n_curr)
-    ids = plan.ids
-    denom_vals = np.bincount(ids, weights=gamma_sel.data, minlength=n_curr)
-    counts = np.bincount(ids, minlength=n_curr)
-    uniform_rows = (np.abs(denom_vals) < DENOM_GUARD) & (counts > 0)
-    keep_gamma = (~uniform_rows[ids]).astype(np.float64)
-    force_one = uniform_rows[ids].astype(np.float64)
-    weights = ad.add(ad.mul(gamma_sel, Tensor(keep_gamma)), Tensor(force_one))
-    col = ad.reshape(weights, (n_links, 1))
-    numer = ad.segment_sum(ad.mul(tau, col), plan, n_curr)
-    denom = ad.segment_sum(col, plan, n_curr)
-    # empty rows divide 0 by 1, yielding the exact zero vector
-    safe = ad.add(denom, Tensor((counts == 0).astype(np.float64).reshape(-1, 1)))
-    return ad.div(numer, safe)
-
-
-def fuse(updated: Tensor, aggregated: Tensor) -> Tensor:
-    """Final node representation: elementwise sum of spatial and temporal context."""
-    if updated.shape != aggregated.shape:
-        raise ContractError(
-            f"fuse: shapes {updated.shape} and {aggregated.shape} differ"
-        )
-    return ad.add(updated, aggregated)
+    return layers.fuse_link_mean(updated, gamma_sel, tau, ad.segment_plan(curr_idx, n_curr),
+                                 DENOM_GUARD)
 
 
 def relation_logits(fused: Tensor, subj, obj, params: ModelParams) -> Tensor:
-    """Pre-sigmoid pair scores f_r(fused_i ++ fused_j), (P, H) for the listed pairs."""
-    pairs = ad.concat([ad.gather_rows(fused, subj), ad.gather_rows(fused, obj)], axis=1)
-    return linear(pairs, params["rel.w"], params["rel.b"])
+    """Pre-sigmoid pair scores f_r(fused_i ++ fused_j), (P, H) for the listed
+    pairs, as one tape record."""
+    return layers.pair_linear(fused, subj, obj, params["rel.w"], params["rel.b"])
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +212,8 @@ def forward_batch(packed: Packed, params: ModelParams, k: int = 1) -> BatchOutpu
         raise ContractError(f"sparse variant requires k >= 1, got {k}")
     n = packed.n_nodes
     feats = Tensor(packed.feats)
-    proposal = propose_relations(feats, packed.subj, packed.obj, params)
-    updated = gcn_propagate(feats, packed.subj, packed.obj, proposal, params)
+    edge_sums = propose_relations(feats, packed.subj, packed.obj, params)
+    updated = gcn_propagate(feats, packed.subj, packed.obj, edge_sums, params)
 
     fused = updated
     gamma = None
@@ -271,11 +236,9 @@ def forward_batch(packed: Packed, params: ModelParams, k: int = 1) -> BatchOutpu
             curr_idx = ad.SegmentPlan(curr_ids, n)
             prev_idx = ad.SegmentPlan(packed.cand_prev.ids[chosen], n)
             frame_idx = ad.SegmentPlan(packed.node_frame.ids[curr_ids], packed.n_frames)
-            context = frame_context(updated, packed.node_frame, packed.n_frames)
-            tau = encode_temporal_pairs(updated, curr_idx, prev_idx,
-                                        ad.gather_rows(context, frame_idx), params)
-            zeta = aggregate_links(ad.gather_rows(gamma, chosen), tau, curr_idx, n)
-            fused = fuse(updated, zeta)
+            tau = encode_temporal_pairs(updated, packed.node_frame, frame_idx,
+                                        curr_idx, prev_idx, params)
+            fused = aggregate_links(updated, ad.gather_rows(gamma, chosen), tau, curr_idx, n)
 
     logits = relation_logits(fused, packed.subj, packed.obj, params)
     label_logits = None

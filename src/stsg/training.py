@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
-from . import blas
+from . import blas, layers
 from .autodiff import Tape, Tensor, backward
 from .config import RunConfig
 from .errors import ContractError, TrainingError
@@ -171,26 +170,22 @@ def batch_loss(packed: Packed, targets: Targets, out: BatchOutput,
 
     -log(sigmoid(z)) = softplus(-z) and -log(1 - sigmoid(z)) = softplus(z),
     and the log-softmax stays finite where a probability underflows to 0.
-    The link term's softmax runs over each node's candidate links.
+    The link term's softmax runs over each node's candidate links. The sum
+    is one tape record (`layers.weighted_loss`).
     """
     t = targets
-    z = ad.reshape(out.relation_logits, (out.relation_logits.size,))
-    sign = np.where(t.rel_positive, -1.0, 1.0)
-    pieces = [ad.softplus(ad.mul(z, Tensor(sign)))]
     weight = [t.rel_weight]
     use_node = out.label_logits is not None and lambda_node != 0.0
     use_link = out.gamma is not None and LINK_WEIGHT != 0.0
     if use_node:
-        pieces.append(ad.reshape(ad.log_softmax(out.label_logits, axis=1),
-                                 (out.label_logits.size,)))
         weight.append(lambda_node * t.node_weight)
     if use_link:
-        pieces.append(ad.segment_log_softmax(out.gamma, packed.cand_curr, packed.n_nodes))
         weight.append(LINK_WEIGHT * t.link_weight)
-    terms = pieces[0] if len(pieces) == 1 else ad.concat(pieces)
-    total = ad.dot(Tensor(np.concatenate(weight)), terms)
+    total, values = layers.weighted_loss(
+        np.concatenate(weight), out.relation_logits, np.where(t.rel_positive, -1.0, 1.0),
+        out.label_logits if use_node else None, out.gamma if use_link else None,
+        packed.cand_curr)
 
-    values = terms.data
     n_rel = len(t.rel_weight)
     n_node = len(t.node_weight) if use_node else 0
     report = LossReport(
@@ -222,23 +217,36 @@ class Optimizer:
         self.step_count = 0
         self._m: np.ndarray | None = None   # moments, shaped like the updated array
         self._v: np.ndarray | None = None
+        self._step: np.ndarray | None = None      # buffers of the update
+        self._scratch: np.ndarray | None = None
 
     def update(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """The stepped values of x given its gradient g, as a new array."""
+        """The stepped values of x given its gradient g, as a new array.
+
+        The moments and the step are computed in buffers allocated at the
+        first update, in the operation order of
+        m = beta1 * m + (1 - beta1) * g, v = beta2 * v + (1 - beta2) * g * g,
+        x - lr * mhat / (sqrt(vhat) + eps).
+        """
         self.step_count += 1
         if self.kind == "sgd":
             return x - self.lr * g
         if self._m is None:
             self._m, self._v = np.zeros_like(g), np.zeros_like(g)
-        # in place: m = beta1 * m + (1 - beta1) * g, v = beta2 * v + (1 - beta2) * g * g
-        m, v = self._m, self._v
+            self._step, self._scratch = np.empty_like(g), np.empty_like(g)
+        m, v, step, scratch = self._m, self._v, self._step, self._scratch
         m *= self.beta1
-        m += (1 - self.beta1) * g
+        m += np.multiply(g, 1 - self.beta1, out=scratch)
         v *= self.beta2
-        v += (1 - self.beta2) * g * g
-        mhat = m / (1 - self.beta1 ** self.step_count)
-        vhat = v / (1 - self.beta2 ** self.step_count)
-        return x - self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        np.multiply(g, 1 - self.beta2, out=scratch)
+        v += np.multiply(scratch, g, out=scratch)
+        np.divide(m, 1 - self.beta1 ** self.step_count, out=step)              # mhat
+        step *= self.lr
+        np.divide(v, 1 - self.beta2 ** self.step_count, out=scratch)           # vhat
+        np.sqrt(scratch, out=scratch)
+        scratch += self.eps
+        step /= scratch
+        return x - step
 
     def step(self, params: ModelParams, grads: Gradients) -> ModelParams:
         return params.with_flat(self.update(params.flat, grads.flat))

@@ -90,19 +90,20 @@ def frame_pair_links(n_t: int, n_prev: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class MatmulRows:
-    """Wraps `stsg.autodiff.matmul`, counting the rows of each left operand."""
+    """Wraps the matrix product of the layers' forward passes
+    (`stsg.layers._linear`), counting the rows of each left operand."""
 
     def __init__(self, monkeypatch):
-        import stsg.autodiff
+        import stsg.layers
 
         self.rows = 0
-        real = stsg.autodiff.matmul
+        real = stsg.layers._linear
 
-        def matmul(a, b):
-            self.rows += a.shape[0]
-            return real(a, b)
+        def linear(x, w, b=None):
+            self.rows += x.shape[0]
+            return real(x, w, b)
 
-        monkeypatch.setattr(stsg.autodiff, "matmul", matmul)
+        monkeypatch.setattr(stsg.layers, "_linear", linear)
 
 
 def select_no_links(monkeypatch):

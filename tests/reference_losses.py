@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+import primitives as prim
 import stsg.autodiff as ad
 from stsg.autodiff import Tensor
 from stsg.training import NEGATIVE_WEIGHT
@@ -40,16 +41,16 @@ def relation_loss(probs: Tensor, pos_idx: np.ndarray,
                   neg_idx: np.ndarray) -> tuple[Tensor, RelationReport]:
     """Mean BCE over positives plus 0.2 * mean BCE over negatives (natural log)."""
     n_pos, n_neg = len(pos_idx), len(neg_idx)
-    flat = ad.reshape(probs, (probs.size,))
+    flat = prim.reshape(probs, (probs.size,))
     total = None
     if n_pos:
         p = ad.gather_rows(flat, pos_idx)
         total = ad.scale(ad.reduce_sum(log(p)), -1.0 / n_pos)
     if n_neg:
         p = ad.gather_rows(flat, neg_idx)
-        one_minus = ad.add(Tensor(np.ones(n_neg)), ad.scale(p, -1.0))
+        one_minus = prim.add(Tensor(np.ones(n_neg)), ad.scale(p, -1.0))
         neg_term = ad.scale(ad.reduce_sum(log(one_minus)), -NEGATIVE_WEIGHT / n_neg)
-        total = neg_term if total is None else ad.add(total, neg_term)
+        total = neg_term if total is None else prim.add(total, neg_term)
     if total is None:
         total = Tensor(0.0)
     return total, RelationReport(total.item(), n_pos, n_neg)
@@ -63,7 +64,7 @@ def relation_loss_from_logits(logits: Tensor, pos_idx: np.ndarray,
     which stays finite where the probability form underflows to log(0).
     """
     n_pos, n_neg = len(pos_idx), len(neg_idx)
-    flat = ad.reshape(logits, (logits.size,))
+    flat = prim.reshape(logits, (logits.size,))
     total = None
     if n_pos:
         z = ad.gather_rows(flat, pos_idx)
@@ -71,7 +72,7 @@ def relation_loss_from_logits(logits: Tensor, pos_idx: np.ndarray,
     if n_neg:
         z = ad.gather_rows(flat, neg_idx)
         neg_term = ad.scale(ad.reduce_sum(ad.softplus(z)), NEGATIVE_WEIGHT / n_neg)
-        total = neg_term if total is None else ad.add(total, neg_term)
+        total = neg_term if total is None else prim.add(total, neg_term)
     if total is None:
         total = Tensor(0.0)
     return total, RelationReport(total.item(), n_pos, n_neg)
@@ -103,7 +104,7 @@ def node_loss_from_logits(label_logits: Tensor, node_to_gt: dict[int, int],
         return Tensor(0.0)
     idx = np.array(sorted(node_to_gt))
     labels = np.array([gt_labels[node_to_gt[i]] for i in idx])
-    logp = ad.reshape(ad.log_softmax(label_logits, axis=1), (label_logits.size,))
+    logp = prim.reshape(prim.log_softmax(label_logits, axis=1), (label_logits.size,))
     picked = ad.gather_rows(logp, idx * g + labels)
     return ad.scale(ad.reduce_sum(picked), -1.0 / len(idx))
 
@@ -130,6 +131,6 @@ def link_loss(gamma: Tensor, node_to_gt: dict[int, int],
     if not rows:
         return None
     curr, prev = np.array(rows).T
-    logp = ad.reshape(ad.log_softmax(gamma, axis=1), (gamma.size,))
+    logp = prim.reshape(prim.log_softmax(gamma, axis=1), (gamma.size,))
     picked = ad.gather_rows(logp, curr * gamma.shape[1] + prev)
     return ad.scale(ad.reduce_sum(picked), -1.0 / len(rows))

@@ -12,7 +12,6 @@ Numbered criteria:
 import copy
 import math
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,27 +25,19 @@ from conftest import (
 )
 from fixtures import exhaustive_recall_at_k, relation_probs, three_frame_fixture
 from stsg.autodiff import Tensor
-from stsg.cli import _forward_frames, gradcheck_sample, main
-from stsg.config import Dims, RunConfig, config_with
-from stsg.featurebank import (
-    build_feature_bank,
-    classify_events,
-    event_mean_ap,
-    train_event_head,
-)
+from stsg.cli import gradcheck_sample, main
+from stsg.config import Dims, RunConfig
+from stsg.featurebank import build_feature_bank
 from stsg.metrics import (
     count_params_flops,
     mean_recall,
-    rank_triplets,
     recall_at_k,
     relation_map,
 )
 from stsg.params import ModelParams
 from stsg.rng import RngStream
-from stsg.synthgen import generate_scene
 from stsg.temporal import (
     BatchOutput,
-    FramePrediction,
     forward_sequence,
     link_relevance,
     pack,

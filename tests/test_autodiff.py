@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import primitives as prim
 import stsg.autodiff as ad
 from reference_losses import log
 from stsg.autodiff import Tape, Tensor, backward
@@ -54,7 +55,7 @@ def test_matmul_identity():
 
 
 def test_relu_definition():
-    out = ad.relu(Tensor([-2.0, 0.0, 3.0]))
+    out = prim.relu(Tensor([-2.0, 0.0, 3.0]))
     np.testing.assert_array_equal(out.data, [0.0, 0.0, 3.0])
 
 
@@ -79,7 +80,7 @@ def test_dead_relu_gives_zero_grad():
     tape = Tape()
     tape.watch(w)
     with tape:
-        loss = ad.reduce_sum(ad.relu(ad.matmul(w, x)))
+        loss = ad.reduce_sum(prim.relu(ad.matmul(w, x)))
     g = backward(tape, w and loss)
     np.testing.assert_array_equal(g[w].data, np.zeros((3, 4)))
 
@@ -91,7 +92,7 @@ def test_two_layer_composition_matches_finite_differences():
     x = rng.normal_array(4)
 
     def f(w1_, w2_):
-        h = ad.relu(ad.matmul(w1_, Tensor(x)))
+        h = prim.relu(ad.matmul(w1_, Tensor(x)))
         return ad.reduce_sum(ad.sigmoid(ad.matmul(w2_, h)))
 
     ana = analytic_grads(f, [w1, w2])
@@ -105,7 +106,7 @@ def test_backward_requires_scalar_loss():
     tape = Tape()
     tape.watch(x)
     with tape:
-        y = ad.relu(x)
+        y = prim.relu(x)
     with pytest.raises(ContractError):
         backward(tape, y)
 
@@ -127,22 +128,22 @@ def test_unused_parameter_gets_exact_zeros():
 OP_CASES = {
     "matmul": (lambda a, b: ad.matmul(a, b), [(3, 4), (4, 2)]),
     "matmul-vec": (lambda a, b: ad.matmul(a, b), [(3, 4), (4,)]),
-    "add": (lambda a, b: ad.add(a, b), [(3, 4), (3, 4)]),
-    "add-broadcast": (lambda a, b: ad.add(a, b), [(3, 4), (4,)]),
+    "add": (lambda a, b: prim.add(a, b), [(3, 4), (3, 4)]),
+    "add-broadcast": (lambda a, b: prim.add(a, b), [(3, 4), (4,)]),
     "scale": (lambda a: ad.scale(a, -1.7), [(3, 4)]),
-    "concat": (lambda a, b: ad.concat([a, b], axis=0), [(2, 3), (4, 3)]),
-    "relu": (lambda a: ad.relu(a), [(4, 5)]),
+    "concat": (lambda a, b: prim.concat([a, b], axis=0), [(2, 3), (4, 3)]),
+    "relu": (lambda a: prim.relu(a), [(4, 5)]),
     "sigmoid": (lambda a: ad.sigmoid(a), [(4, 5)]),
     "elementwise-mul": (lambda a, b: ad.mul(a, b), [(3, 4), (3, 4)]),
     "mul-broadcast": (lambda a, b: ad.mul(a, b), [(3, 4, 2), (3, 4, 1)]),
-    "dot": (lambda a, b: ad.dot(a, b), [(6,), (6,)]),
+    "dot": (lambda a, b: prim.dot(a, b), [(6,), (6,)]),
     "sum": (lambda a: ad.reduce_sum(a), [(4, 5)]),
     "sum-axis": (lambda a: ad.reduce_sum(a, axis=1), [(4, 5)]),
     "log": (lambda a: log(a), [(4, 5)]),
     "softplus": (lambda a: ad.softplus(a), [(4, 5)]),
-    "div": (lambda a, b: ad.div(a, b), [(3, 4), (3, 4)]),
+    "div": (lambda a, b: prim.div(a, b), [(3, 4), (3, 4)]),
     "softmax": (lambda a: ad.softmax(a), [(4, 5)]),
-    "reshape": (lambda a: ad.reshape(a, (2, 10)), [(4, 5)]),
+    "reshape": (lambda a: prim.reshape(a, (2, 10)), [(4, 5)]),
     "gather-rows": (lambda a: ad.gather_rows(a, [2, 0, 2]), [(4, 5)]),
 }
 
@@ -201,12 +202,12 @@ def test_log_softmax_gradient_matches_finite_differences():
     w = RngStream(101, stream=8).normal_array((4, 5))
 
     def loss(a):
-        return ad.reduce_sum(ad.mul(ad.log_softmax(a, axis=1), Tensor(w)))
+        return ad.reduce_sum(ad.mul(prim.log_softmax(a, axis=1), Tensor(w)))
 
     ana = analytic_grads(loss, [z])
     num = finite_diff(lambda x: loss(Tensor(x)).item(), [z])
     assert rel_err(ana[0], num[0]) < 1e-6
-    np.testing.assert_allclose(ad.log_softmax(Tensor(z), axis=1).data,
+    np.testing.assert_allclose(prim.log_softmax(Tensor(z), axis=1).data,
                                np.log(ad.softmax(Tensor(z), axis=1).data), rtol=0, atol=1e-12)
 
 
@@ -226,7 +227,7 @@ def test_affine_matches_matmul_then_add_exactly(shapes):
         return out.data, [grads[t].data for t in ts], len(tape)
 
     fused, fused_grads, fused_records = run(ad.affine)
-    plain, plain_grads, plain_records = run(lambda x, a, b: ad.add(ad.matmul(x, a), b))
+    plain, plain_grads, plain_records = run(lambda x, a, b: prim.add(ad.matmul(x, a), b))
     assert np.array_equal(fused, plain)
     for a, b in zip(fused_grads, plain_grads):
         assert np.array_equal(a, b)
@@ -238,14 +239,14 @@ def test_tape_skips_ops_off_the_gradient_path():
     tape = Tape()
     tape.watch(w)
     with tape:
-        c2 = ad.relu(ad.scale(const, 3.0))          # no watched input: not recorded
+        c2 = prim.relu(ad.scale(const, 3.0))          # no watched input: not recorded
         loss = ad.reduce_sum(ad.mul(w, c2))
     assert len(tape) == 2
     np.testing.assert_array_equal(backward(tape, loss)[w].data, np.full((2, 2), 6.0))
 
 
 def test_log_softmax_is_finite_where_softmax_underflows():
-    out = ad.log_softmax(Tensor([0.0, -800.0, 1000.0])).data
+    out = prim.log_softmax(Tensor([0.0, -800.0, 1000.0])).data
     assert np.all(np.isfinite(out))
     assert out[1] == pytest.approx(-1800.0)
 
@@ -257,14 +258,14 @@ def test_backward_is_linear():
     a, b = 1.7, -0.3
 
     def l1(wt):
-        return ad.reduce_sum(ad.relu(ad.matmul(wt, Tensor(x))))
+        return ad.reduce_sum(prim.relu(ad.matmul(wt, Tensor(x))))
 
     def l2(wt):
         return ad.reduce_sum(ad.sigmoid(ad.matmul(wt, Tensor(x))))
 
     g1 = analytic_grads(l1, [w])[0]
     g2 = analytic_grads(l2, [w])[0]
-    gc = analytic_grads(lambda wt: ad.add(ad.scale(l1(wt), a), ad.scale(l2(wt), b)), [w])[0]
+    gc = analytic_grads(lambda wt: prim.add(ad.scale(l1(wt), a), ad.scale(l2(wt), b)), [w])[0]
     np.testing.assert_allclose(gc, a * g1 + b * g2, rtol=0, atol=1e-12)
 
 
@@ -281,7 +282,7 @@ def test_shape_errors_name_op_and_shapes():
     with pytest.raises(ShapeError, match="matmul"):
         ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
     with pytest.raises(ShapeError, match=r"\(2, 3\)"):
-        ad.add(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))))
+        prim.add(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))))
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -334,20 +335,20 @@ def test_segment_ops_match_references_and_finite_differences():
     w = RngStream(103, stream=2).normal_array((4, 3))
     want = np.zeros((4, 3))
     np.add.at(want, ids, x)
-    np.testing.assert_allclose(ad.segment_sum(Tensor(x), ids, 4).data, want, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(prim.segment_sum(Tensor(x), ids, 4).data, want, rtol=0, atol=1e-15)
 
     rows = np.array([0, 0, 0, 1, 1, 3])         # ragged rows of a log-softmax
     z = RngStream(103, stream=3).normal_array(6) * 3.0
     v = RngStream(103, stream=4).normal_array(6)
-    got = ad.segment_log_softmax(Tensor(z), rows, 4).data
+    got = prim.segment_log_softmax(Tensor(z), rows, 4).data
     for r in (0, 1, 3):
         seg = z[rows == r]
         np.testing.assert_allclose(got[rows == r], seg - np.log(np.sum(np.exp(seg))),
                                    rtol=0, atol=1e-12)
 
     def loss(a, b):
-        s = ad.reduce_sum(ad.mul(ad.segment_sum(a, ids, 4), Tensor(w)))
-        return ad.add(s, ad.dot(ad.segment_log_softmax(b, rows, 4), Tensor(v)))
+        s = ad.reduce_sum(ad.mul(prim.segment_sum(a, ids, 4), Tensor(w)))
+        return prim.add(s, prim.dot(prim.segment_log_softmax(b, rows, 4), Tensor(v)))
 
     ana = analytic_grads(loss, [x, z])
     num = finite_diff(lambda a, b: loss(Tensor(a), Tensor(b)).item(), [x, z])
@@ -419,7 +420,7 @@ def test_plan_ops_match_the_per_call_scatter_and_np_add_at(kind, width):
     a = RngStream(105, stream=2).normal_array((n,) + shape[1:])
     g = RngStream(105, stream=3).normal_array(shape) if len(ids) else np.zeros(shape)
     for index in (ids, ad.SegmentPlan(ids, n)):
-        assert_scatter(ad.segment_sum(Tensor(x), index, n).data, x, ids, n)
+        assert_scatter(prim.segment_sum(Tensor(x), index, n).data, x, ids, n)
         t = Tensor(a)
         tape = Tape()
         tape.watch(t)
@@ -437,7 +438,7 @@ def test_segment_log_softmax_on_a_plan_matches_its_reference(kind):
     shifted = z - peak[ids]
     want = shifted - np.log(scatter_reference(np.exp(shifted), ids, n)[ids])
     for index in (ids, ad.SegmentPlan(ids, n)):
-        assert np.array_equal(ad.segment_log_softmax(Tensor(z), index, n).data, want)
+        assert np.array_equal(prim.segment_log_softmax(Tensor(z), index, n).data, want)
 
 
 def test_joined_plan_equals_the_plan_of_the_concatenated_lists():
@@ -466,4 +467,4 @@ def test_plan_checks_its_ids_when_built():
         ad.gather_rows(Tensor(np.ones((3, 2))), [3])
     # a plan serves only the segment count it was built for
     with pytest.raises(ContractError, match="plan over 4 segments, need 5"):
-        ad.segment_sum(Tensor(np.ones((2, 2))), ad.SegmentPlan([0, 1], 4), 5)
+        prim.segment_sum(Tensor(np.ones((2, 2))), ad.SegmentPlan([0, 1], 4), 5)

@@ -11,7 +11,7 @@ import pytest
 
 from stsg import io
 from stsg.cli import main
-from stsg.config import Dims, RunConfig, load_config, parse_config_items
+from stsg.config import Dims, load_config, parse_config_items
 from stsg.errors import ConfigError, DataFormatError
 from stsg.params import ModelParams
 
@@ -515,9 +515,16 @@ def _one_predicate(frame):
     (_set("labels", 0, 10 ** 400), "field 'labels' must be finite numbers, got 1000"),
     (_set_boolean_triplet, "field 'subj' must be finite numbers, got True"),
     (_one_predicate, "objects, 1 predicates and "),
+    # these wrapped round to negative numbers when cast to intp before their
+    # bounds were checked: evaluated with exit 0, or an IndexError traceback
+    (_set("predicate", 0, 2 ** 64),
+     "predicate of triplet 0 must be an integer in [0, 6), got 1.84467e+19"),
+    (_set("labels", 0, 1e30), "label of node 0 must be an integer in [0, 8), got 1e+30"),
+    (_set("subj", 0, 1e19), "triplet references node 1e+19 but frame has "),
 ], ids=["predicate-99", "predicate-negative", "predicate-fraction", "subject-fraction",
         "object-negative", "label-negative", "label-fraction", "label-g", "label-boolean",
-        "label-beyond-float", "boolean-triplet", "short-column"])
+        "label-beyond-float", "boolean-triplet", "short-column", "predicate-beyond-intp",
+        "label-beyond-intp", "subject-beyond-intp"])
 def test_malformed_prediction_number_is_an_error(tmp_path, checkpoint_path, dataset_dir,
                                                  capsys, edit, message):
     preds = tmp_path / "p.jsonl"
@@ -540,6 +547,22 @@ def test_unknown_prediction_mode_is_an_error(tmp_path, dataset_dir, capsys, mode
                  "--split", "test"]) == 1
     assert capsys.readouterr().err == (f"error: {preds}:1: field 'mode' must be one of "
                                        f"('predcls', 'sgcls', 'sgdet'), got {mode!r}\n")
+
+
+@pytest.mark.parametrize("column, value, message", [
+    ("predicate", 2.0 ** 64, "predicate of triplet 0 must be an integer in [0, "),
+    ("labels", 1e30, "label of node 0 must be an integer in [0, "),
+    ("obj", 1e19, "triplet references node 1e+19 but frame has 2 nodes"),
+], ids=["predicate", "label", "object"])
+def test_index_beyond_intp_without_dims_is_an_error(column, value, message):
+    # without dims, labels and predicates are bounded by the intp range alone
+    frame = {"boxes": [[0.0, 0.0, 1.0, 1.0]] * 2, "labels": [0.0, 1.0],
+             "label_scores": [1.0, 1.0],
+             "triplets": {"subj": [0.0], "obj": [1.0], "predicate": [2.0], "score": [0.5]}}
+    (frame["triplets"] if column in io.TRIPLET_COLUMNS else frame)[column][0] = value
+    with pytest.raises(DataFormatError) as e:
+        io.ranked_from_frame_json(frame, Path("p.jsonl"), 2)
+    assert str(e.value).startswith("p.jsonl:2: " + message), str(e.value)
 
 
 def test_decoded_predictions_hold_arrays(tmp_path, checkpoint_path, dataset_dir):
@@ -1373,7 +1396,6 @@ def test_a_served_frame_holds_no_container_per_triplet(checkpoint_path, dataset_
     # a frame record of one list per triplet kept ~140 lists alive a frame,
     # which set off full garbage collections while a split was served
     from stsg.cli import forward_sequence, to_predictions
-    from stsg.metrics import rank_triplets
 
     cfg, params, _ = io.load_checkpoint(checkpoint_path)
     _, seqs = io.load_split(dataset_dir, "val")

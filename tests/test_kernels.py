@@ -12,6 +12,7 @@ from conftest import random_sequence
 from reference_kernels import (
     fill_scatter_reduce,
     five_key_rank_frames,
+    in_place_adam,
     loop_feature_bank,
     masked_logistic,
     out_of_place_adam,
@@ -160,6 +161,28 @@ def test_adam_in_place_is_the_out_of_place_formula():
         x = stepped
         want, m, v = out_of_place_adam(want, g, m, v, t, opt.lr, opt.beta1, opt.beta2, opt.eps)
         assert_same_bits(x, want)
+
+
+@pytest.mark.parametrize("size", [9_500, 17_000])
+def test_adam_buffers_are_the_in_place_expression(size):
+    # about the parameter counts of the default model and of a wider one
+    rng = np.random.default_rng(size)
+    opt = Optimizer("adam", lr=3e-3, beta1=0.8, beta2=0.99, eps=1e-7)
+    x = rng.normal(size=size)
+    want, m, v = x.copy(), np.zeros_like(x), np.zeros_like(x)
+    buffers = None
+    for t in range(1, 7):
+        g = rng.normal(size=size) * 10.0 ** rng.integers(-6, 3, size=size)
+        stepped = opt.update(x, g)
+        want = in_place_adam(want, g, m, v, t, opt.lr, opt.beta1, opt.beta2, opt.eps)
+        assert_same_bits(stepped, want)
+        assert_same_bits(opt._m, m)
+        assert_same_bits(opt._v, v)
+        # the buffers are allocated once; only the stepped vector is new
+        held = (opt._m, opt._v, opt._step, opt._scratch)
+        assert buffers is None or all(a is b for a, b in zip(held, buffers))
+        assert all(stepped is not b and x is not b for b in held)
+        buffers, x = held, stepped
 
 
 @pytest.mark.parametrize("mode", ["predcls", "sgcls", "sgdet"])

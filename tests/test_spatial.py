@@ -1,9 +1,9 @@
 import numpy as np
-import pytest
 
 from conftest import random_node_row, zero_params
 from fixtures import pair_grid
-from stsg.autodiff import Tensor, segment_sum
+from primitives import segment_sum
+from stsg.autodiff import Tensor
 from stsg.params import ModelParams
 from stsg.rng import RngStream
 from stsg.spatial import (
@@ -15,9 +15,15 @@ from stsg.spatial import (
 
 
 def proposal_grid(feats, p):
-    """One frame's proposal as its (N, N, H) grid."""
-    subj, obj = frame_pairs([feats.shape[0]])
-    return pair_grid(propose_relations(Tensor(feats), subj, obj, p).data, feats.shape[0])
+    """One frame's proposal as its (N, N, H) grid. `propose_relations` sums
+    each subject's pairs, so every ordered pair is put in a two-node frame of
+    its own, where the subject's sum is its one pair."""
+    n, m = feats.shape
+    subj, obj = frame_pairs([n])
+    rows = feats[np.stack([subj, obj], axis=1).reshape(-1)].reshape(-1, m)
+    two_subj, two_obj = frame_pairs([2] * len(subj))
+    sums = propose_relations(Tensor(rows), two_subj, two_obj, p).data
+    return pair_grid(sums[0::2], n)
 
 
 def edges_of(theta):
@@ -138,7 +144,7 @@ def test_propagate_single_layer_equals_layer(dims):
     feats = rng.normal_array((3, dims.m))
     subj, obj = frame_pairs([3])
     eps = rng.normal_array((3, 3, dims.h))[subj, obj]
-    via_propagate = gcn_propagate(Tensor(feats), subj, obj, Tensor(eps), p).data
+    via_propagate = gcn_propagate(Tensor(feats), subj, obj, edge_sums(eps, subj, 3), p).data
     via_layer = gcn_layer(Tensor(feats), subj, obj, edge_sums(eps, subj, 3),
                           p["gcn.0.w_node"], p["gcn.0.w_edge"], p["gcn.0.bias"]).data
     np.testing.assert_array_equal(via_propagate, via_layer)
@@ -154,7 +160,7 @@ def test_propagate_two_layers_is_composition(dims, params):
                      params["gcn.0.w_edge"], params["gcn.0.bias"])
     twice = gcn_layer(once, subj, obj, sums, params["gcn.1.w_node"],
                       params["gcn.1.w_edge"], params["gcn.1.bias"]).data
-    np.testing.assert_array_equal(gcn_propagate(t_feats, subj, obj, t_eps, params).data, twice)
+    np.testing.assert_array_equal(gcn_propagate(t_feats, subj, obj, sums, params).data, twice)
 
 
 def test_propagate_matches_rederivation_oracle(dims, params):
@@ -163,7 +169,8 @@ def test_propagate_matches_rederivation_oracle(dims, params):
     theta = full_connectivity(3)
     eps = rng.normal_array((3, 3, dims.h))
     subj, obj = frame_pairs([3])
-    got = gcn_propagate(Tensor(feats), subj, obj, Tensor(eps[subj, obj]), params).data
+    got = gcn_propagate(Tensor(feats), subj, obj, edge_sums(eps[subj, obj], subj, 3),
+                        params).data
     layers = [
         (params[f"gcn.{i}.w_node"].data, params[f"gcn.{i}.w_edge"].data, params[f"gcn.{i}.bias"].data)
         for i in range(2)
@@ -173,26 +180,27 @@ def test_propagate_matches_rederivation_oracle(dims, params):
 
 
 def spatial_stage(node_lists, params):
-    """Proposal and propagation over frames of node rows packed one after another."""
+    """Proposal sums and propagation over frames of node rows packed one after another."""
     feats = [row for nodes in node_lists for row in nodes]
     feats = Tensor(np.stack(feats) if feats else np.zeros((0, params.dims.m)))
     subj, obj = frame_pairs([len(nodes) for nodes in node_lists])
-    relation = propose_relations(feats, subj, obj, params)
-    return relation.data, gcn_propagate(feats, subj, obj, relation, params).data
+    sums = propose_relations(feats, subj, obj, params)
+    return sums.data, gcn_propagate(feats, subj, obj, sums, params).data
 
 
 def test_outputs_finite_for_finite_inputs(dims, params):
     rng = RngStream(11)
     nodes = [random_node_row(rng, dims) for _ in range(4)]
-    relation_dist, updated_feats = spatial_stage([nodes], params)
+    relation_sums, updated_feats = spatial_stage([nodes], params)
     assert np.all(np.isfinite(updated_feats))
-    assert np.all(np.isfinite(relation_dist))
-    assert np.all((relation_dist >= 0) & (relation_dist <= 1))
+    assert np.all(np.isfinite(relation_sums))
+    # each node sums three pair probabilities
+    assert np.all((relation_sums >= 0) & (relation_sums <= 3))
 
 
 def test_spatial_stage_without_nodes(dims, params):
-    relation_dist, updated_feats = spatial_stage([[]], params)
-    assert relation_dist.shape == (0, dims.h)
+    relation_sums, updated_feats = spatial_stage([[]], params)
+    assert relation_sums.shape == (0, dims.h)
     assert updated_feats.shape == (0, dims.m)
 
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import primitives as prim
 from conftest import (
     MatmulRows,
     empty_frame,
@@ -20,6 +21,7 @@ from stsg.autodiff import Tensor
 from stsg.config import MODES, WorldConfig
 from stsg.errors import ContractError
 from stsg.io import sequence_from_json, sequence_to_json
+from stsg.layers import frame_context
 from stsg.rng import RngStream
 import stsg.autodiff as ad
 from stsg.spatial import frame_pairs, gcn_propagate, propose_relations
@@ -28,11 +30,9 @@ from stsg.temporal import (
     Packed,
     aggregate_links,
     encode_temporal_pairs,
-    frame_context,
     frame_predictions,
     forward_batch,
     forward_sequence,
-    fuse,
     link_relevance,
     pack,
     relation_logits,
@@ -59,7 +59,7 @@ def relevance(feats_t, feats_tm1, phi):
     """`link_relevance` over every link of one frame pair, as an (N_t, N_prev) grid."""
     n_t, n_prev = feats_t.shape[0], feats_tm1.shape[0]
     curr, prev = frame_pair_links(n_t, n_prev)
-    gamma = link_relevance(ad.concat([feats_t, feats_tm1]), curr, prev, phi)
+    gamma = link_relevance(prim.concat([feats_t, feats_tm1]), curr, prev, phi)
     return gamma.data.reshape(n_t, n_prev)
 
 
@@ -173,37 +173,40 @@ def one_frame(n):
 
 
 def test_frame_context_single_node():
-    feats = Tensor([[1.0, 2.0, 3.0]])
-    np.testing.assert_array_equal(frame_context(feats, one_frame(1), 1).data[0], [1.0, 2.0, 3.0])
+    feats = np.array([[1.0, 2.0, 3.0]])
+    np.testing.assert_array_equal(frame_context(feats, one_frame(1), 1)[0][0], [1.0, 2.0, 3.0])
 
 
 def test_frame_context_midpoint():
-    feats = Tensor([[1.0, 0.0], [0.0, 1.0]])
-    np.testing.assert_array_equal(frame_context(feats, one_frame(2), 1).data[0], [0.5, 0.5])
+    feats = np.array([[1.0, 0.0], [0.0, 1.0]])
+    np.testing.assert_array_equal(frame_context(feats, one_frame(2), 1)[0][0], [0.5, 0.5])
 
 
 def test_frame_context_matches_column_mean():
     arr = RngStream(24).normal_array((5, 7))
-    np.testing.assert_allclose(frame_context(Tensor(arr), one_frame(5), 1).data[0],
+    np.testing.assert_allclose(frame_context(arr, one_frame(5), 1)[0][0],
                                arr.mean(axis=0), rtol=0, atol=1e-12)
     # packed frames: one mean per frame
     frames = np.array([0, 0, 1, 1, 1])
-    got = frame_context(Tensor(arr), frames, 2).data
+    got, counts = frame_context(arr, frames, 2)
     np.testing.assert_allclose(got, [arr[:2].mean(axis=0), arr[2:].mean(axis=0)],
                                rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(counts, [[2.0], [3.0]])
 
 
 def test_frame_context_rejects_empty():
     with pytest.raises(ContractError):
-        frame_context(Tensor(np.zeros((0, 3))), one_frame(0), 1)
+        frame_context(np.zeros((0, 3)), one_frame(0), 1)
     with pytest.raises(ContractError):
-        frame_context(Tensor(np.zeros((2, 3))), np.array([0, 2]), 3)
+        frame_context(np.zeros((2, 3)), np.array([0, 2]), 3)
 
 
 def encode_one(feat_j, feat_k, context, params):
-    """One (j, k) link encoded by the batched encoder."""
-    out = encode_temporal_pairs(Tensor(np.stack([feat_j, feat_k])), np.array([0]),
-                                np.array([1]), Tensor(context.reshape(1, -1)), params)
+    """One (j, k) link encoded by the batched encoder; the context is the
+    one node of the link's frame."""
+    out = encode_temporal_pairs(Tensor(np.stack([feat_j, feat_k, context])),
+                                ad.SegmentPlan([1, 2, 0], 3), np.array([0]), np.array([0]),
+                                np.array([1]), params)
     return out.data[0]
 
 
@@ -233,47 +236,56 @@ def test_encode_temporal_matches_direct_substitution(dims, params):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
+def link_mean(gamma_sel, tau, curr, n):
+    """`aggregate_links` onto zero spatial features: the link mean alone."""
+    tau = np.asarray(tau, dtype=np.float64)
+    return aggregate_links(Tensor(np.zeros((n, tau.shape[1]))), Tensor(gamma_sel), Tensor(tau),
+                           np.asarray(curr, dtype=np.intp), n).data
+
+
 def test_aggregate_single_link_cancels_weight():
     v = np.array([1.0, -2.0, 3.0])
-    out = aggregate_links(Tensor([0.7]), Tensor(v.reshape(1, 3)), np.array([0]), 1).data
+    out = link_mean([0.7], v.reshape(1, 3), [0], 1)
     np.testing.assert_allclose(out[0], v, rtol=0, atol=1e-12)
 
 
 def test_aggregate_equal_weights_average():
     t1, t2 = np.array([2.0, 0.0]), np.array([0.0, 4.0])
-    out = aggregate_links(Tensor([0.5, 0.5]), Tensor(np.stack([t1, t2])),
-                          np.array([0, 0]), 1).data
+    out = link_mean([0.5, 0.5], np.stack([t1, t2]), [0, 0], 1)
     np.testing.assert_allclose(out[0], (t1 + t2) / 2, rtol=0, atol=1e-12)
 
 
 def test_aggregate_weighted_example():
     v1, v2 = np.array([1.0, 1.0]), np.array([5.0, -3.0])
-    out = aggregate_links(Tensor([1.0, 3.0]), Tensor(np.stack([v1, v2])),
-                          np.array([0, 0]), 1).data
+    out = link_mean([1.0, 3.0], np.stack([v1, v2]), [0, 0], 1)
     np.testing.assert_allclose(out[0], (v1 + 3 * v2) / 4.0, rtol=0, atol=1e-12)
 
 
 def test_aggregate_near_zero_denominator_falls_back_to_uniform():
     t1, t2 = np.array([2.0, 0.0]), np.array([0.0, 6.0])
-    out = aggregate_links(Tensor([1.0, -1.0 + 1e-12]), Tensor(np.stack([t1, t2])),
-                          np.array([0, 0]), 1).data
+    out = link_mean([1.0, -1.0 + 1e-12], np.stack([t1, t2]), [0, 0], 1)
     np.testing.assert_allclose(out[0], (t1 + t2) / 2, rtol=0, atol=1e-12)
 
 
 def test_aggregate_no_links_is_zero():
-    out = aggregate_links(Tensor(np.zeros(0)), Tensor(np.zeros((0, 4))),
-                          np.array([], dtype=int), 3).data
+    out = link_mean(np.zeros(0), np.zeros((0, 4)), [], 3)
     np.testing.assert_array_equal(out, np.zeros((3, 4)))
 
 
 def test_fuse_identities():
-    a = Tensor([1.0, 2.0])
-    z = Tensor([0.0, 0.0])
-    np.testing.assert_array_equal(fuse(a, z).data, a.data)
-    np.testing.assert_array_equal(fuse(z, a).data, a.data)
+    # the aggregation adds each node's link mean to its spatial features
+    def fuse(updated, tau):
+        links = np.arange(len(tau))
+        return aggregate_links(Tensor(updated), Tensor(np.ones(len(tau))), Tensor(tau), links,
+                               len(updated)).data
+
+    a, z = np.array([[1.0, 2.0]]), np.zeros((1, 2))
+    np.testing.assert_array_equal(fuse(a, np.zeros((0, 2))), a)
+    np.testing.assert_array_equal(fuse(a, z), a)
+    np.testing.assert_array_equal(fuse(z, a), a)
     rng = RngStream(27)
-    x, y = rng.normal_array(4), rng.normal_array(4)
-    np.testing.assert_array_equal(fuse(Tensor(x), Tensor(y)).data, x + y)
+    x, y = rng.normal_array((1, 4)), rng.normal_array((1, 4))
+    np.testing.assert_array_equal(fuse(x, y), x + y)
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +451,8 @@ def test_a_pickled_sequence_is_the_same_sequence_and_stays_small(dims):
 def spatial_stage(feats, params):
     """One frame's proposal and GCN update."""
     subj, obj = frame_pairs([feats.shape[0]])
-    proposal = propose_relations(feats, subj, obj, params)
-    return gcn_propagate(feats, subj, obj, proposal, params)
+    edge_sums = propose_relations(feats, subj, obj, params)
+    return gcn_propagate(feats, subj, obj, edge_sums, params)
 
 
 def spatial_only_oracle(sequence, params, mode):
@@ -515,12 +527,12 @@ def test_forward_matches_step_by_step_composition(dims, params):
             gamma = relevance(updated, prev_updated, params["temporal.phi"])
             eta = topk_mask(gamma, 1)
             curr_idx, prev_idx = np.nonzero(eta)
-            ctx = frame_context(updated, one_frame(n), 1)
-            tau = encode_temporal_pairs(ad.concat([updated, prev_updated]), curr_idx,
-                                        n + prev_idx,
-                                        ad.gather_rows(ctx, one_frame(len(curr_idx))), params)
-            zeta = aggregate_links(Tensor(gamma[curr_idx, prev_idx]), tau, curr_idx, n)
-            fused = fuse(updated, zeta)
+            node_frame = ad.SegmentPlan(np.repeat([0, 1], [n, len(prev_nodes)]), 2)
+            tau = encode_temporal_pairs(prim.concat([updated, prev_updated]), node_frame,
+                                        one_frame(len(curr_idx)), curr_idx, n + prev_idx,
+                                        params)
+            fused = aggregate_links(updated, Tensor(gamma[curr_idx, prev_idx]), tau,
+                                    curr_idx, n)
         probs = classify_relations(fused, params)
         np.testing.assert_allclose(relation_probs(got[t]), probs, rtol=0, atol=1e-12)
         np.testing.assert_allclose(got[t].fused, fused.data, rtol=0, atol=1e-12)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import stsg.training
+import primitives as prim
 from conftest import frame_record, random_sequence
 from fixtures import pair_grid
 from reference_losses import (
@@ -319,7 +320,7 @@ def test_closed_form_linear_gradient():
     tape = Tape()
     tape.watch(w)
     with tape:
-        resid = ad.add(ad.matmul(Tensor(x), w), Tensor(-y))
+        resid = prim.add(ad.matmul(Tensor(x), w), Tensor(-y))
         loss = ad.reduce_sum(ad.mul(resid, resid))
     grad = backward(tape, loss)[w].data
     closed = 2.0 * np.outer(x, x @ w.data - y)
@@ -669,11 +670,14 @@ def test_tape_records_per_step_do_not_depend_on_frame_count():
 
 
 # one training step's tape records on two default sequences, with two GCN
-# layers: the spatial variant has no temporal links; README states these
+# layers: one per layer (proposal, two GCN layers, relevance, temporal
+# encoding, the selected links' relevance, aggregation, relation head,
+# label head, loss); the spatial variant has no temporal links, and predcls
+# no label head. README states these
 TAPE_RECORDS = {
-    ("predcls", "spatial"): 27, ("predcls", "sparse"): 57,
-    ("sgcls", "spatial"): 31, ("sgcls", "sparse"): 60,
-    ("sgdet", "spatial"): 31, ("sgdet", "sparse"): 60,
+    ("predcls", "spatial"): 5, ("predcls", "sparse"): 9,
+    ("sgcls", "spatial"): 6, ("sgcls", "sparse"): 10,
+    ("sgdet", "spatial"): 6, ("sgdet", "sparse"): 10,
 }
 
 
