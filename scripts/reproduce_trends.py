@@ -28,10 +28,6 @@ def main() -> None:
     ap.add_argument("--train-sequences", type=int, default=120)
     ap.add_argument("--benchmark-sequences", type=int, default=1000,
                     help="sequences generated: a tenth each for val and test, the rest train")
-    ap.add_argument("--test-sequences", type=int, default=0,
-                    help="test sequences the ablation evaluates (0: the whole test split)")
-    ap.add_argument("--bank-train-sequences", type=int, default=300,
-                    help="training sequences of the feature-bank event head")
     ap.add_argument("--jobs", type=int, default=1,
                     help="worker processes for gen and for the ablation cells")
     args = ap.parse_args()
@@ -54,7 +50,6 @@ def main() -> None:
     print("== variant ablation (this is the long step) ==")
     run(["ablate", "--data", str(data), "--seeds", str(args.seeds),
          "--epochs", str(args.epochs), "--train-sequences", str(args.train_sequences),
-         "--test-sequences", str(args.test_sequences),
          "--jobs", str(args.jobs), "--out", str(out / "ablation.json")])
 
     print("== training the bank checkpoint ==")
@@ -65,7 +60,7 @@ def main() -> None:
 
     print("== feature-bank event classification ==")
     run(["bank", "--ckpt", str(out / "model.json"), "--data", str(data),
-         "--seeds", str(args.seeds), "--train-sequences", str(args.bank_train_sequences),
+         "--seeds", str(args.seeds), "--train-sequences", "300",
          "--out", str(out / "bank.json")])
 
     print("== efficiency accounting ==")

@@ -396,7 +396,13 @@ def _index_error(i: int, value: float, n: int, t: int, g, h) -> DataFormatError:
     else:
         c, k = divmod(i - n, t)
         what, bound = f"{('subject', 'object', 'predicate')[c]} of triplet {k}", (n, n, h)[c]
-    return DataFormatError(f"{what} must be an integer in [0, {bound}), got {value:g}")
+    return DataFormatError(f"{what} must be an integer in [0, {bound}), got {_number_text(value)}")
+
+
+def _number_text(value: float) -> str:
+    """An index value for a message: exact when it is a whole number within
+    the intp range, else in `:g` form."""
+    return str(int(value)) if value == np.floor(value) and abs(value) < _INTP_END else f"{value:g}"
 
 
 def ranked_from_frame_json(frame: dict, path: Path, lineno: int,
@@ -439,7 +445,7 @@ def ranked_from_frame_json(frame: dict, path: Path, lineno: int,
         outside = (subj >= n) | (obj >= n)
         if outside.any():
             k = np.flatnonzero(outside)[0]
-            raise DataFormatError(f"triplet references node {max(subj[k], obj[k]):g} "
+            raise DataFormatError(f"triplet references node {_number_text(max(subj[k], obj[k]))} "
                                   f"but frame has {n} nodes")
         if (labels >= g).any() or (predicate >= h).any():
             over = np.flatnonzero(labels >= g)

@@ -521,10 +521,14 @@ def _one_predicate(frame):
      "predicate of triplet 0 must be an integer in [0, 6), got 1.84467e+19"),
     (_set("labels", 0, 1e30), "label of node 0 must be an integer in [0, 8), got 1e+30"),
     (_set("subj", 0, 1e19), "triplet references node 1e+19 but frame has "),
+    # a whole number within the intp range is printed exactly
+    (_set("subj", 0, 1234567), "triplet references node 1234567 but frame has "),
+    (_set("labels", 0, 1234567), "label of node 0 must be an integer in [0, 8), got 1234567"),
 ], ids=["predicate-99", "predicate-negative", "predicate-fraction", "subject-fraction",
         "object-negative", "label-negative", "label-fraction", "label-g", "label-boolean",
         "label-beyond-float", "boolean-triplet", "short-column", "predicate-beyond-intp",
-        "label-beyond-intp", "subject-beyond-intp"])
+        "label-beyond-intp", "subject-beyond-intp", "subject-seven-digits",
+        "label-seven-digits"])
 def test_malformed_prediction_number_is_an_error(tmp_path, checkpoint_path, dataset_dir,
                                                  capsys, edit, message):
     preds = tmp_path / "p.jsonl"

@@ -32,8 +32,7 @@ def test_reproduce_trends_writes_every_report(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "reproduce_trends.py"),
                            "--out", str(out), "--seeds", "1", "--epochs", "1",
-                           "--train-sequences", "4", "--benchmark-sequences", "20",
-                           "--test-sequences", "2", "--bank-train-sequences", "4"],
+                           "--train-sequences", "4", "--benchmark-sequences", "20"],
                           capture_output=True, text=True, env=env, check=False)
     assert proc.returncode == 0, proc.stderr
     kinds = {name: json.loads((out / f"{name}.json").read_text())["kind"]

@@ -196,6 +196,9 @@ def test_outputs_finite_for_finite_inputs(dims, params):
     assert np.all(np.isfinite(relation_sums))
     # each node sums three pair probabilities
     assert np.all((relation_sums >= 0) & (relation_sums <= 3))
+    grid = proposal_grid(np.stack(nodes), params)
+    assert np.all(np.isfinite(grid))
+    assert np.all((grid >= 0) & (grid <= 1))
 
 
 def test_spatial_stage_without_nodes(dims, params):
