@@ -2,11 +2,14 @@
 
 Values are numpy arrays; while a Tape is active, every op records itself
 so `backward` can replay the chain rule in reverse. The tape's unit is a
-model layer: each stage of the pipeline is one op with a hand-written
-gradient (`layers`), built on the pieces here, and the primitives below are
-the few that the label head, the feature-bank head and the served
-probabilities call. Tensors are immutable values and safe to share; a Tape
-is single threaded, but independent tapes may run concurrently.
+model layer: each stage of the pipeline, the loss included, is one op with
+a hand-written gradient (`layers`), built on the pieces here. Besides
+those, the package records three generic ops: the label head's `affine`,
+the gather of the selected links' relevance (`gather_rows`) and the
+feature-bank event head's `matmul`. Served probabilities need no tape and
+come from the array functions `_logistic` and `_softmax`. Tensors are
+immutable values and safe to share; a Tape is single threaded, but
+independent tapes may run concurrently.
 
 Gathers and segment reductions take a `SegmentPlan`: an index list whose
 range is checked, and whose stable sort order and `reduceat` runs are
@@ -38,12 +41,6 @@ __all__ = [
     "backward",
     "matmul",
     "affine",
-    "scale",
-    "sigmoid",
-    "mul",
-    "reduce_sum",
-    "softplus",
-    "softmax",
     "SegmentPlan",
     "segment_plan",
     "gather_rows",
@@ -232,22 +229,6 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    out = Tensor._wrap(a.data * c)
-    _record(out, (a,), lambda g: (g * c,))
-    return out
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    av, bv = a.data, b.data
-    if not _broadcastable(av.shape, bv.shape):
-        raise ShapeError(f"elementwise-mul: shapes {av.shape} and {bv.shape} do not broadcast")
-    out = Tensor._wrap(av * bv)
-    _record(out, (a, b), lambda g: (_unbroadcast(g * bv, av.shape), _unbroadcast(g * av, bv.shape)))
-    return out
-
-
 def _logistic(x: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-x)) from exp(-|x|), which never overflows: 1 / (1 + e)
     where x >= 0 and e / (1 + e) below; NaN stays NaN."""
@@ -255,46 +236,10 @@ def _logistic(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    s = _logistic(a.data)
-    out = Tensor._wrap(s)
-    _record(out, (a,), lambda g: (g * s * (1.0 - s),))
-    return out
-
-
-def reduce_sum(a: Tensor, axis: int | None = None) -> Tensor:
-    av = a.data
-    out = Tensor._wrap(np.sum(av, axis=axis))
-
-    def vjp(g):
-        if axis is None:
-            return (np.full(av.shape, g),)
-        return (np.broadcast_to(np.expand_dims(g, axis), av.shape).copy(),)
-
-    _record(out, (a,), vjp)
-    return out
-
-
-def softplus(a: Tensor) -> Tensor:
-    """log(1 + exp(x)), computed without overflow; gradient is sigmoid(x)."""
-    av = a.data
-    out = Tensor._wrap(np.logaddexp(0.0, av))
-    _record(out, (a,), lambda g: (g * _logistic(av),))
-    return out
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    av = a.data
-    shifted = av - np.max(av, axis=axis, keepdims=True)
+def _softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    shifted = x - np.max(x, axis=axis, keepdims=True)
     e = np.exp(shifted)
-    s = e / np.sum(e, axis=axis, keepdims=True)
-    out = Tensor._wrap(s)
-
-    def vjp(g):
-        return (s * (g - np.sum(g * s, axis=axis, keepdims=True)),)
-
-    _record(out, (a,), vjp)
-    return out
+    return e / np.sum(e, axis=axis, keepdims=True)
 
 
 def _log_softmax(av: np.ndarray, axis: int) -> np.ndarray:

@@ -10,7 +10,9 @@ so with temporal links disabled the two banks coincide. Event
 classification reads a bank's pooled feature, the mean of its nonzero
 rows, through a bias-free linear head, which keeps an all-zero bank at
 exactly 0.5 per class and leaves per-class ranking unaffected by any score
-offset.
+offset. The head is a plain (m, events) array; it trains on the model's
+loss op (`layers.weighted_loss`, softplus terms that stay finite where the
+sigmoid saturates), two tape records an epoch, and scores without a tape.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from . import autodiff as ad
 from .autodiff import Tape, Tensor, backward
 from .config import Dims
 from .errors import ContractError
+from .layers import weighted_loss
 from .metrics import average_precision_from_flags
 from .rng import RngStream
 from .temporal import FramePrediction
@@ -60,27 +63,29 @@ def pooled_feature(bank: np.ndarray) -> np.ndarray:
     return rows[nonzero].mean(axis=0)
 
 
-def classify_events(pooled: np.ndarray, head: Tensor) -> np.ndarray:
+def classify_events(pooled: np.ndarray, head: np.ndarray) -> np.ndarray:
     """Per-event probabilities of one pooled feature; a zero vector yields 0.5."""
-    logits = ad.matmul(Tensor(pooled), head)
-    return ad.sigmoid(logits).data
+    return ad._logistic(pooled @ head)
 
 
 def train_event_head(pooled: np.ndarray, labels: np.ndarray, n_events: int,
-                     seed: int, epochs: int = 300, lr: float = 0.05) -> Tensor:
-    """Fit the bias-free linear head on the (sequences, m) pooled features
-    with full-batch multi-label BCE.
-
-    -log(sigmoid(z)) = softplus(-z) and -log(1 - sigmoid(z)) = softplus(z),
-    which stays finite where the sigmoid saturates.
+                     seed: int, epochs: int = 300, lr: float = 0.05) -> np.ndarray:
+    """Fit the bias-free linear head, an (m, n_events) array, on the
+    (sequences, m) pooled features with full-batch multi-label BCE: the
+    model's loss op (`layers.weighted_loss`) over every logit, each weighted
+    1 / count.
     """
     if len(pooled) == 0:
         raise ContractError("train_event_head: no pooled features given")
     labels = np.asarray(labels, dtype=np.float64)
+    if labels.shape != (len(pooled), n_events):
+        raise ContractError(f"train_event_head: labels of shape {labels.shape}, "
+                            f"need {(len(pooled), n_events)}")
     if not np.isin(labels, (0.0, 1.0)).all():
         raise ContractError("train_event_head: event labels must be 0 or 1")
     m = pooled.shape[1]
-    sign = Tensor(np.where(labels > 0, -1.0, 1.0))
+    sign = np.where(labels > 0, -1.0, 1.0).reshape(-1)
+    weights = np.full(sign.size, 1.0 / sign.size)
     x = Tensor(pooled)
     rng = RngStream(seed, stream=7)
     head = Tensor(rng.normal_array((m, n_events), 0.0, 1.0 / np.sqrt(m)))
@@ -89,11 +94,10 @@ def train_event_head(pooled: np.ndarray, labels: np.ndarray, n_events: int,
         tape = Tape()
         tape.watch(head)
         with tape:
-            terms = ad.softplus(ad.mul(ad.matmul(x, head), sign))
-            loss = ad.scale(ad.reduce_sum(terms), 1.0 / terms.size)
+            loss, _ = weighted_loss(weights, ad.matmul(x, head), sign)
         grads = backward(tape, loss)
         head = Tensor(opt.update(head.data, grads[head].data))
-    return head
+    return head.data
 
 
 def event_mean_ap(scores: np.ndarray, labels: np.ndarray) -> float:

@@ -27,8 +27,8 @@ from .errors import ContractError, ShapeError
 from .rng import RngStream
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    return ad.affine(x, w, b) if b is not None else ad.matmul(x, w)
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    return ad.affine(x, w, b)
 
 
 def model_shapes(dims: Dims, gcn_layers: int) -> dict[str, tuple[int, ...]]:

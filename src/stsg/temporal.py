@@ -352,11 +352,11 @@ def frame_predictions(packed: Packed, out: BatchOutput, g: int,
     frames. Every frame's triplets are ranked in one pass, and each frame's
     arrays are views of the batch's."""
     feats = packed.feats
-    probs = ad.sigmoid(out.relation_logits).data
+    probs = ad._logistic(out.relation_logits.data)
     if out.label_logits is None:
         dists = feats[:, 4:4 + g]
     else:
-        dists = ad.softmax(out.label_logits, axis=-1).data
+        dists = ad._softmax(out.label_logits.data)
     sizes = packed.sizes
     ranked = rank_frames(probs, packed.subj.ids, packed.obj.ids, dists, feats[:, :4], sizes)
     node_starts = np.concatenate([[0], np.cumsum(sizes)])

@@ -388,6 +388,11 @@ def train(dataset: list[SceneSequence], cfg: RunConfig, eval_fn=None) -> TrainRe
                 name = next(n for n, g in grads.items() if not np.isfinite(g).all())
                 raise TrainingError(f"non-finite gradient in {name} {where}")
             params = opt.step(params, clip_gradients(grads, tc.clip_norm))
+            # an update can overflow on finite gradients; after the last one
+            # no later loss would catch it before the checkpoint is written
+            if not np.isfinite(params.flat).all():
+                name = next(n for n, p in params.items() if not np.isfinite(p.data).all())
+                raise TrainingError(f"non-finite parameter {name} {where}")
         entry = EpochLog(epoch=epoch + 1, train_loss=float(np.mean(epoch_losses)))
         if eval_fn is not None and (epoch + 1) % tc.val_every == 0:
             entry.val_recall20 = float(eval_fn(params))

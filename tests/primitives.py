@@ -66,6 +66,65 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return out
 
 
+def scale(a: Tensor, c: float) -> Tensor:
+    c = float(c)
+    out = Tensor._wrap(a.data * c)
+    ad._record(out, (a,), lambda g: (g * c,))
+    return out
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    av, bv = a.data, b.data
+    if not ad._broadcastable(av.shape, bv.shape):
+        raise ShapeError(f"elementwise-mul: shapes {av.shape} and {bv.shape} do not broadcast")
+    out = Tensor._wrap(av * bv)
+    ad._record(out, (a, b),
+               lambda g: (ad._unbroadcast(g * bv, av.shape), ad._unbroadcast(g * av, bv.shape)))
+    return out
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    s = ad._logistic(a.data)
+    out = Tensor._wrap(s)
+    ad._record(out, (a,), lambda g: (g * s * (1.0 - s),))
+    return out
+
+
+def reduce_sum(a: Tensor, axis: int | None = None) -> Tensor:
+    av = a.data
+    out = Tensor._wrap(np.sum(av, axis=axis))
+
+    def vjp(g):
+        if axis is None:
+            return (np.full(av.shape, g),)
+        return (np.broadcast_to(np.expand_dims(g, axis), av.shape).copy(),)
+
+    ad._record(out, (a,), vjp)
+    return out
+
+
+def softplus(a: Tensor) -> Tensor:
+    """log(1 + exp(x)), computed without overflow; gradient is sigmoid(x)."""
+    av = a.data
+    out = Tensor._wrap(np.logaddexp(0.0, av))
+    ad._record(out, (a,), lambda g: (g * ad._logistic(av),))
+    return out
+
+
+def softmax(a: Tensor, axis: int = -1) -> Tensor:
+    av = a.data
+    shifted = av - np.max(av, axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    s = e / np.sum(e, axis=axis, keepdims=True)
+    out = Tensor._wrap(s)
+
+    def vjp(g):
+        return (s * (g - np.sum(g * s, axis=axis, keepdims=True)),)
+
+    ad._record(out, (a,), vjp)
+    return out
+
+
 def relu(a: Tensor) -> Tensor:
     av = a.data
     out = Tensor._wrap(np.maximum(av, 0.0))

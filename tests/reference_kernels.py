@@ -138,7 +138,7 @@ def composed_proposal(feats, subj, obj, params):
     """sigmoid(mlp(feat_i ++ feat_j)), (P, H) for the listed pairs."""
     pairs = prim.concat([ad.gather_rows(feats, subj), ad.gather_rows(feats, obj)], axis=1)
     hidden = prim.relu(linear(pairs, params["prop.w1"], params["prop.b1"]))
-    return ad.sigmoid(linear(hidden, params["prop.w2"], params["prop.b2"]))
+    return prim.sigmoid(linear(hidden, params["prop.w2"], params["prop.b2"]))
 
 
 def composed_proposal_sums(feats, subj, obj, params):
@@ -163,7 +163,7 @@ def composed_gcn_propagate(feats, subj, obj, edge_sums, params):
 
 def composed_link_relevance(feats, curr, prev, phi):
     proj = ad.matmul(feats, phi)
-    return ad.reduce_sum(ad.mul(ad.gather_rows(proj, curr), ad.gather_rows(proj, prev)), axis=1)
+    return prim.reduce_sum(prim.mul(ad.gather_rows(proj, curr), ad.gather_rows(proj, prev)), axis=1)
 
 
 def composed_frame_context(feats, node_frame, n_frames):
@@ -194,9 +194,9 @@ def composed_fuse_link_mean(updated, gamma_sel, tau, curr_idx, n_curr):
     uniform_rows = (np.abs(denom_vals) < stsg.temporal.DENOM_GUARD) & (counts > 0)
     keep_gamma = (~uniform_rows[ids]).astype(np.float64)
     force_one = uniform_rows[ids].astype(np.float64)
-    weights = prim.add(ad.mul(gamma_sel, Tensor(keep_gamma)), Tensor(force_one))
+    weights = prim.add(prim.mul(gamma_sel, Tensor(keep_gamma)), Tensor(force_one))
     col = prim.reshape(weights, (n_links, 1))
-    numer = prim.segment_sum(ad.mul(tau, col), plan, n_curr)
+    numer = prim.segment_sum(prim.mul(tau, col), plan, n_curr)
     denom = prim.segment_sum(col, plan, n_curr)
     safe = prim.add(denom, Tensor((counts == 0).astype(np.float64).reshape(-1, 1)))
     return prim.add(updated, prim.div(numer, safe))
@@ -249,13 +249,22 @@ def composed_forward_batch(packed, params, k=1):
 def composed_weighted_loss(weights, logits, sign, label_logits, gamma, links):
     """(weights . terms, terms) from the primitives, as `layers.weighted_loss`."""
     z = prim.reshape(logits, (logits.size,))
-    pieces = [ad.softplus(ad.mul(z, Tensor(sign)))]
+    pieces = [prim.softplus(prim.mul(z, Tensor(sign)))]
     if label_logits is not None:
         pieces.append(prim.reshape(prim.log_softmax(label_logits, axis=1), (label_logits.size,)))
     if gamma is not None:
         pieces.append(prim.segment_log_softmax(gamma, links, links.n))
     terms = pieces[0] if len(pieces) == 1 else prim.concat(pieces)
     return prim.dot(Tensor(weights), terms), terms.data
+
+
+def composed_event_head_loss(pooled, head, labels):
+    """The event head's mean BCE over every logit from the primitives, as
+    `featurebank.train_event_head` once built it: the mean of
+    softplus(sign * pooled @ head), sign -1 on a positive label."""
+    sign = Tensor(np.where(labels > 0, -1.0, 1.0))
+    terms = prim.softplus(prim.mul(ad.matmul(Tensor(pooled), head), sign))
+    return prim.scale(prim.reduce_sum(terms), 1.0 / terms.size)
 
 
 def composed_batch_loss(packed, targets, out, lambda_node):

@@ -45,11 +45,11 @@ def relation_loss(probs: Tensor, pos_idx: np.ndarray,
     total = None
     if n_pos:
         p = ad.gather_rows(flat, pos_idx)
-        total = ad.scale(ad.reduce_sum(log(p)), -1.0 / n_pos)
+        total = prim.scale(prim.reduce_sum(log(p)), -1.0 / n_pos)
     if n_neg:
         p = ad.gather_rows(flat, neg_idx)
-        one_minus = prim.add(Tensor(np.ones(n_neg)), ad.scale(p, -1.0))
-        neg_term = ad.scale(ad.reduce_sum(log(one_minus)), -NEGATIVE_WEIGHT / n_neg)
+        one_minus = prim.add(Tensor(np.ones(n_neg)), prim.scale(p, -1.0))
+        neg_term = prim.scale(prim.reduce_sum(log(one_minus)), -NEGATIVE_WEIGHT / n_neg)
         total = neg_term if total is None else prim.add(total, neg_term)
     if total is None:
         total = Tensor(0.0)
@@ -68,10 +68,10 @@ def relation_loss_from_logits(logits: Tensor, pos_idx: np.ndarray,
     total = None
     if n_pos:
         z = ad.gather_rows(flat, pos_idx)
-        total = ad.scale(ad.reduce_sum(ad.softplus(ad.scale(z, -1.0))), 1.0 / n_pos)
+        total = prim.scale(prim.reduce_sum(prim.softplus(prim.scale(z, -1.0))), 1.0 / n_pos)
     if n_neg:
         z = ad.gather_rows(flat, neg_idx)
-        neg_term = ad.scale(ad.reduce_sum(ad.softplus(z)), NEGATIVE_WEIGHT / n_neg)
+        neg_term = prim.scale(prim.reduce_sum(prim.softplus(z)), NEGATIVE_WEIGHT / n_neg)
         total = neg_term if total is None else prim.add(total, neg_term)
     if total is None:
         total = Tensor(0.0)
@@ -89,8 +89,8 @@ def node_loss(label_dists: Tensor, node_to_gt: dict[int, int],
         onehot[row, gt_labels[node_to_gt[i]]] = 1.0
     picked = ad.gather_rows(label_dists, np.array(idx))
     # pick the gt-class probability first so off-class zeros never reach log
-    gt_prob = ad.reduce_sum(ad.mul(picked, Tensor(onehot)), axis=1)
-    return ad.scale(ad.reduce_sum(log(gt_prob)), -1.0 / len(idx))
+    gt_prob = prim.reduce_sum(prim.mul(picked, Tensor(onehot)), axis=1)
+    return prim.scale(prim.reduce_sum(log(gt_prob)), -1.0 / len(idx))
 
 
 def node_loss_from_logits(label_logits: Tensor, node_to_gt: dict[int, int],
@@ -106,7 +106,7 @@ def node_loss_from_logits(label_logits: Tensor, node_to_gt: dict[int, int],
     labels = np.array([gt_labels[node_to_gt[i]] for i in idx])
     logp = prim.reshape(prim.log_softmax(label_logits, axis=1), (label_logits.size,))
     picked = ad.gather_rows(logp, idx * g + labels)
-    return ad.scale(ad.reduce_sum(picked), -1.0 / len(idx))
+    return prim.scale(prim.reduce_sum(picked), -1.0 / len(idx))
 
 
 def link_targets(node_to_gt: dict[int, int],
@@ -133,4 +133,4 @@ def link_loss(gamma: Tensor, node_to_gt: dict[int, int],
     curr, prev = np.array(rows).T
     logp = prim.reshape(prim.log_softmax(gamma, axis=1), (gamma.size,))
     picked = ad.gather_rows(logp, curr * gamma.shape[1] + prev)
-    return ad.scale(ad.reduce_sum(picked), -1.0 / len(rows))
+    return prim.scale(prim.reduce_sum(picked), -1.0 / len(rows))

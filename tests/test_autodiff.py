@@ -60,7 +60,7 @@ def test_relu_definition():
 
 
 def test_sigmoid_at_zero():
-    assert ad.sigmoid(Tensor(0.0)).item() == 0.5
+    assert prim.sigmoid(Tensor(0.0)).item() == 0.5
 
 
 def test_product_rule():
@@ -68,7 +68,7 @@ def test_product_rule():
     tape = Tape()
     tape.watch(x, y)
     with tape:
-        f = ad.mul(x, y)
+        f = prim.mul(x, y)
     g = backward(tape, f)
     assert g[x].item() == 3.0
     assert g[y].item() == 2.0
@@ -80,7 +80,7 @@ def test_dead_relu_gives_zero_grad():
     tape = Tape()
     tape.watch(w)
     with tape:
-        loss = ad.reduce_sum(prim.relu(ad.matmul(w, x)))
+        loss = prim.reduce_sum(prim.relu(ad.matmul(w, x)))
     g = backward(tape, w and loss)
     np.testing.assert_array_equal(g[w].data, np.zeros((3, 4)))
 
@@ -93,7 +93,7 @@ def test_two_layer_composition_matches_finite_differences():
 
     def f(w1_, w2_):
         h = prim.relu(ad.matmul(w1_, Tensor(x)))
-        return ad.reduce_sum(ad.sigmoid(ad.matmul(w2_, h)))
+        return prim.reduce_sum(prim.sigmoid(ad.matmul(w2_, h)))
 
     ana = analytic_grads(f, [w1, w2])
     num = finite_diff(lambda a, b: f(Tensor(a), Tensor(b)).item(), [w1, w2])
@@ -116,7 +116,7 @@ def test_unused_parameter_gets_exact_zeros():
     tape = Tape()
     tape.watch(x, unused)
     with tape:
-        loss = ad.reduce_sum(ad.mul(x, x))
+        loss = prim.reduce_sum(prim.mul(x, x))
     g = backward(tape, loss)
     np.testing.assert_array_equal(g[unused].data, np.zeros((2, 2)))
     np.testing.assert_array_equal(g[x].data, [2.0, 4.0])
@@ -130,19 +130,19 @@ OP_CASES = {
     "matmul-vec": (lambda a, b: ad.matmul(a, b), [(3, 4), (4,)]),
     "add": (lambda a, b: prim.add(a, b), [(3, 4), (3, 4)]),
     "add-broadcast": (lambda a, b: prim.add(a, b), [(3, 4), (4,)]),
-    "scale": (lambda a: ad.scale(a, -1.7), [(3, 4)]),
+    "scale": (lambda a: prim.scale(a, -1.7), [(3, 4)]),
     "concat": (lambda a, b: prim.concat([a, b], axis=0), [(2, 3), (4, 3)]),
     "relu": (lambda a: prim.relu(a), [(4, 5)]),
-    "sigmoid": (lambda a: ad.sigmoid(a), [(4, 5)]),
-    "elementwise-mul": (lambda a, b: ad.mul(a, b), [(3, 4), (3, 4)]),
-    "mul-broadcast": (lambda a, b: ad.mul(a, b), [(3, 4, 2), (3, 4, 1)]),
+    "sigmoid": (lambda a: prim.sigmoid(a), [(4, 5)]),
+    "elementwise-mul": (lambda a, b: prim.mul(a, b), [(3, 4), (3, 4)]),
+    "mul-broadcast": (lambda a, b: prim.mul(a, b), [(3, 4, 2), (3, 4, 1)]),
     "dot": (lambda a, b: prim.dot(a, b), [(6,), (6,)]),
-    "sum": (lambda a: ad.reduce_sum(a), [(4, 5)]),
-    "sum-axis": (lambda a: ad.reduce_sum(a, axis=1), [(4, 5)]),
+    "sum": (lambda a: prim.reduce_sum(a), [(4, 5)]),
+    "sum-axis": (lambda a: prim.reduce_sum(a, axis=1), [(4, 5)]),
     "log": (lambda a: log(a), [(4, 5)]),
-    "softplus": (lambda a: ad.softplus(a), [(4, 5)]),
+    "softplus": (lambda a: prim.softplus(a), [(4, 5)]),
     "div": (lambda a, b: prim.div(a, b), [(3, 4), (3, 4)]),
-    "softmax": (lambda a: ad.softmax(a), [(4, 5)]),
+    "softmax": (lambda a: prim.softmax(a), [(4, 5)]),
     "reshape": (lambda a: prim.reshape(a, (2, 10)), [(4, 5)]),
     "gather-rows": (lambda a: ad.gather_rows(a, [2, 0, 2]), [(4, 5)]),
 }
@@ -170,7 +170,7 @@ def op_gradient_error(name: str, stream: int, floored: bool = True) -> float:
 
     def loss(*ps):
         out = fn(*ps)
-        return ad.reduce_sum(ad.mul(out, out))
+        return prim.reduce_sum(prim.mul(out, out))
 
     ana = analytic_grads(loss, arrays)
     num = finite_diff(lambda *xs: loss(*[Tensor(x) for x in xs]).item(), arrays)
@@ -202,13 +202,13 @@ def test_log_softmax_gradient_matches_finite_differences():
     w = RngStream(101, stream=8).normal_array((4, 5))
 
     def loss(a):
-        return ad.reduce_sum(ad.mul(prim.log_softmax(a, axis=1), Tensor(w)))
+        return prim.reduce_sum(prim.mul(prim.log_softmax(a, axis=1), Tensor(w)))
 
     ana = analytic_grads(loss, [z])
     num = finite_diff(lambda x: loss(Tensor(x)).item(), [z])
     assert rel_err(ana[0], num[0]) < 1e-6
     np.testing.assert_allclose(prim.log_softmax(Tensor(z), axis=1).data,
-                               np.log(ad.softmax(Tensor(z), axis=1).data), rtol=0, atol=1e-12)
+                               np.log(prim.softmax(Tensor(z), axis=1).data), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("shapes", [((5, 3), (3, 4), (4,)), ((3,), (3, 4), (4,))])
@@ -222,7 +222,7 @@ def test_affine_matches_matmul_then_add_exactly(shapes):
         tape.watch(*ts)
         with tape:
             out = f(*ts)
-            loss = ad.reduce_sum(ad.mul(out, Tensor(w)))
+            loss = prim.reduce_sum(prim.mul(out, Tensor(w)))
         grads = backward(tape, loss)
         return out.data, [grads[t].data for t in ts], len(tape)
 
@@ -239,8 +239,8 @@ def test_tape_skips_ops_off_the_gradient_path():
     tape = Tape()
     tape.watch(w)
     with tape:
-        c2 = prim.relu(ad.scale(const, 3.0))          # no watched input: not recorded
-        loss = ad.reduce_sum(ad.mul(w, c2))
+        c2 = prim.relu(prim.scale(const, 3.0))          # no watched input: not recorded
+        loss = prim.reduce_sum(prim.mul(w, c2))
     assert len(tape) == 2
     np.testing.assert_array_equal(backward(tape, loss)[w].data, np.full((2, 2), 6.0))
 
@@ -258,14 +258,14 @@ def test_backward_is_linear():
     a, b = 1.7, -0.3
 
     def l1(wt):
-        return ad.reduce_sum(prim.relu(ad.matmul(wt, Tensor(x))))
+        return prim.reduce_sum(prim.relu(ad.matmul(wt, Tensor(x))))
 
     def l2(wt):
-        return ad.reduce_sum(ad.sigmoid(ad.matmul(wt, Tensor(x))))
+        return prim.reduce_sum(prim.sigmoid(ad.matmul(wt, Tensor(x))))
 
     g1 = analytic_grads(l1, [w])[0]
     g2 = analytic_grads(l2, [w])[0]
-    gc = analytic_grads(lambda wt: prim.add(ad.scale(l1(wt), a), ad.scale(l2(wt), b)), [w])[0]
+    gc = analytic_grads(lambda wt: prim.add(prim.scale(l1(wt), a), prim.scale(l2(wt), b)), [w])[0]
     np.testing.assert_allclose(gc, a * g1 + b * g2, rtol=0, atol=1e-12)
 
 
@@ -273,8 +273,8 @@ def test_forward_is_bitwise_repeatable():
     rng = RngStream(9)
     w = Tensor(rng.normal_array((6, 6)))
     x = Tensor(rng.normal_array(6))
-    r1 = ad.sigmoid(ad.matmul(w, x)).data
-    r2 = ad.sigmoid(ad.matmul(w, x)).data
+    r1 = prim.sigmoid(ad.matmul(w, x)).data
+    r2 = prim.sigmoid(ad.matmul(w, x)).data
     assert np.array_equal(r1, r2)
 
 
@@ -347,7 +347,7 @@ def test_segment_ops_match_references_and_finite_differences():
                                    rtol=0, atol=1e-12)
 
     def loss(a, b):
-        s = ad.reduce_sum(ad.mul(prim.segment_sum(a, ids, 4), Tensor(w)))
+        s = prim.reduce_sum(prim.mul(prim.segment_sum(a, ids, 4), Tensor(w)))
         return prim.add(s, prim.dot(prim.segment_log_softmax(b, rows, 4), Tensor(v)))
 
     ana = analytic_grads(loss, [x, z])
@@ -364,7 +364,7 @@ def test_gather_rows_backward_scatter_adds():
     tape = Tape()
     tape.watch(t)
     with tape:
-        loss = ad.reduce_sum(ad.mul(ad.gather_rows(t, idx), Tensor(g)))
+        loss = prim.reduce_sum(prim.mul(ad.gather_rows(t, idx), Tensor(g)))
     want = np.zeros((5, 2))
     np.add.at(want, idx, g)
     np.testing.assert_allclose(backward(tape, loss)[t].data, want, rtol=1e-15, atol=0)
@@ -425,7 +425,7 @@ def test_plan_ops_match_the_per_call_scatter_and_np_add_at(kind, width):
         tape = Tape()
         tape.watch(t)
         with tape:
-            loss = ad.reduce_sum(ad.mul(ad.gather_rows(t, index), Tensor(g)))
+            loss = prim.reduce_sum(prim.mul(ad.gather_rows(t, index), Tensor(g)))
         assert_scatter(backward(tape, loss)[t].data, g, ids, n)
 
 

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import itertools
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -113,8 +114,9 @@ def test_eval_requires_exactly_one_source(dataset_dir):
 
 
 def test_console_entry_point_usage():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     proc = subprocess.run([sys.executable, "-m", "stsg", "definitely-not-a-command"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 2
     assert "usage" in (proc.stderr + proc.stdout).lower()
 
@@ -182,6 +184,24 @@ def test_train_is_byte_identical_across_runs(tmp_path, tiny_config_path, dataset
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_train_refuses_parameters_that_the_last_update_made_non_finite(tmp_path, capsys):
+    # the one batch's gradients are finite, its update overflows, and no
+    # later loss is left to catch it before the checkpoint
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("split.train_sequences = 2\nsplit.val_sequences = 1\n"
+                   "split.test_sequences = 1\ntrain.clip_norm = 0\n")
+    data, ckpt = tmp_path / "ds", tmp_path / "model.json"
+    assert main(["gen", "--config", str(cfg), "--out", str(data), "--seed", "7"]) == 0
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--data", str(data), "--out", str(ckpt),
+                 "--optimizer", "sgd", "--lr", "1e308", "--epochs", "1", "--batch-size", "2",
+                 "--no-val"]) == 1
+    assert capsys.readouterr().err == \
+        "error: non-finite parameter prop.w1 at epoch 1, batch 1\n"
+    assert not ckpt.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import primitives as prim
 import stsg.autodiff as ad
 from conftest import random_sequence
 from reference_kernels import (
@@ -51,7 +52,7 @@ def test_sigmoid_is_the_masked_logistic_bit_for_bit():
     x = np.concatenate([logistic_inputs(), [np.inf, -np.inf, np.nan, -np.nan]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = ad.sigmoid(Tensor(x)).data
+        got = prim.sigmoid(Tensor(x)).data
     want = masked_logistic(x)
     finite_in = ~np.isnan(x)
     assert_same_bits(got[finite_in], want[finite_in])
@@ -65,7 +66,7 @@ def test_softplus_gradient_is_the_masked_logistic_bit_for_bit():
         warnings.simplefilter("error")
         with Tape() as tape:
             tape.watch(x)
-            loss = ad.reduce_sum(ad.softplus(x))
+            loss = prim.reduce_sum(prim.softplus(x))
         grad = backward(tape, loss)[x].data
     assert_same_bits(grad, masked_logistic(x.data))
 

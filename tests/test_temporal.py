@@ -17,6 +17,7 @@ from conftest import (
     zero_params,
 )
 from fixtures import pair_grid, relation_probs
+from stsg import blas
 from stsg.autodiff import Tensor
 from stsg.config import MODES, WorldConfig
 from stsg.errors import ContractError
@@ -74,7 +75,7 @@ def classify_relations(fused, params):
     """One frame's relation probabilities as an (N, N, H) grid, zero diagonal."""
     n = fused.shape[0]
     subj, obj = frame_pairs([n])
-    return pair_grid(ad.sigmoid(relation_logits(fused, subj, obj, params)).data, n)
+    return pair_grid(prim.sigmoid(relation_logits(fused, subj, obj, params)).data, n)
 
 
 def tracking_connections(nodes_t, nodes_tm1, g=4):
@@ -468,7 +469,7 @@ def spatial_only_oracle(sequence, params, mode):
         if mode == "predcls":
             dists = nodes[:, 4:4 + params.dims.g]
         else:
-            dists = ad.softmax(linear(updated, params["label.w"], params["label.b"]), axis=-1).data
+            dists = prim.softmax(linear(updated, params["label.w"], params["label.b"]), axis=-1).data
         result.append((dists, probs, updated.data))
     return result
 
@@ -613,6 +614,20 @@ def test_packed_links_stay_within_a_sequence(dims, params, variant):
         if variant != "tracking":
             for t in (4, 6):
                 assert len(outs[t].links) == outs[t].n * outs[t - 1].n
+
+
+@pytest.mark.parametrize("mode", ["sgcls", "sgdet"])
+def test_served_probabilities_are_the_taped_softmax_and_sigmoid(dims, params, mode):
+    # serving computes them on arrays; the taped ops give the same bits
+    seq = random_sequence(RngStream(41), dims, n_frames=3)
+    packed = pack(seq, mode, "sparse", dims)
+    with blas.one_thread():
+        out = forward_batch(packed, params, 1)
+    got = forward_sequence(seq, params, mode, "sparse", 1)
+    assert np.array_equal(np.concatenate([p.label_dists for p in got]),
+                          prim.softmax(out.label_logits, axis=-1).data)
+    assert np.array_equal(np.concatenate([p.pair_probs for p in got]),
+                          prim.sigmoid(out.relation_logits).data)
 
 
 def test_forward_permutation_equivariance(dims, params):
