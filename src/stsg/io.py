@@ -26,7 +26,7 @@ import numpy as np
 from .config import EVENT_NAMES, MODES, Dims, RunConfig, parse_config_items
 from .errors import ConfigError, ContractError, DataFormatError
 from .params import ModelParams, model_shapes
-from .scene import SceneSequence, object_nodes, scene_sequence
+from .scene import SceneSequence, check_boxes, object_nodes, scene_sequence
 from .temporal import FramePrediction, RankedFrame
 
 SPLITS = ("train", "val", "test")
@@ -355,32 +355,46 @@ _FRAME_ARRAYS = (("boxes", 4), ("labels", 1), ("label_scores", 1))
 _TRIPLET_ARRAYS = tuple((c, 1) for c in TRIPLET_COLUMNS)
 
 
-def _columns_to_arrays(owners: list, fields) -> None:
+def _columns_to_arrays(owners: list, fields) -> bool:
     """Replace each of `fields` (name, width) of the JSON objects `owners` by
     a view of one array read over all of them, where they are all objects and
-    all hold it as finite numbers of that width; otherwise leave it as decoded."""
+    all hold it as finite numbers of that width; otherwise leave it as decoded.
+    True if every field was replaced."""
     if not all(type(owner) is dict for owner in owners):
-        return
+        return False
+    replaced = True
     for name, width in fields:
         values = [owner.get(name) for owner in owners]
         arr = (_finite_array(list(chain.from_iterable(values)), width)
                if all(type(value) is list for value in values) else None)
-        if arr is not None:
-            end = 0
-            for owner, value in zip(owners, values):
-                owner[name], end = arr[end:end + len(value)], end + len(value)
+        if arr is None:
+            replaced = False
+            continue
+        end = 0
+        for owner, value in zip(owners, values):
+            owner[name], end = arr[end:end + len(value)], end + len(value)
+    return replaced
 
 
 def _frames_to_arrays(record) -> None:
     """Replace each numeric field of the frames of a predictions record, and
     each triplet column, by its array, in place, read in one call over all
     the frames; where any frame's field is not finite numbers of the right
-    shape, the field stays as decoded in every frame, for
-    `ranked_from_frame_json` to reject."""
+    shape, the field stays as decoded in every frame. Then check the frames
+    at once (`_frame_columns`): where all pass, their index columns become
+    intp arrays; otherwise every frame stays unchecked, with float64 columns,
+    for `ranked_from_frame_json` to check frame by frame and reject."""
     frames = record.get("frames") if isinstance(record, dict) else None
-    if isinstance(frames, list) and all(type(frame) is dict for frame in frames):
-        _columns_to_arrays(frames, _FRAME_ARRAYS)
-        _columns_to_arrays([frame.get("triplets") for frame in frames], _TRIPLET_ARRAYS)
+    if not (isinstance(frames, list) and all(type(frame) is dict for frame in frames)):
+        return
+    triplets = [frame.get("triplets") for frame in frames]
+    converted = _columns_to_arrays(frames, _FRAME_ARRAYS)
+    converted &= _columns_to_arrays(triplets, _TRIPLET_ARRAYS)   # whether or not the first did
+    columns = _frame_columns(frames) if converted else None
+    if columns is not None:
+        for frame, triplet, (subj, obj, predicate, _, labels, _) in zip(frames, triplets, columns):
+            frame["labels"] = labels
+            triplet["subj"], triplet["obj"], triplet["predicate"] = subj, obj, predicate
 
 
 # the first float beyond the intp range: every whole number below it casts
@@ -388,7 +402,7 @@ def _frames_to_arrays(record) -> None:
 _INTP_END = 2.0 ** (8 * np.dtype(np.intp).itemsize - 1)
 
 
-def _index_error(i: int, value: float, n: int, t: int, g, h) -> DataFormatError:
+def _index_message(i: int, value: float, n: int, t: int, g, h) -> str:
     """The error for entry i of a frame's indices: its n labels, then the
     subjects, objects and predicates of its t triplets."""
     if i < n:
@@ -396,7 +410,7 @@ def _index_error(i: int, value: float, n: int, t: int, g, h) -> DataFormatError:
     else:
         c, k = divmod(i - n, t)
         what, bound = f"{('subject', 'object', 'predicate')[c]} of triplet {k}", (n, n, h)[c]
-    return DataFormatError(f"{what} must be an integer in [0, {bound}), got {_number_text(value)}")
+    return f"{what} must be an integer in [0, {bound}), got {_number_text(value)}"
 
 
 def _number_text(value: float) -> str:
@@ -405,59 +419,106 @@ def _number_text(value: float) -> str:
     return str(int(value)) if value == np.floor(value) and abs(value) < _INTP_END else f"{value:g}"
 
 
-def ranked_from_frame_json(frame: dict, path: Path, lineno: int,
-                           dims: Dims | None = None) -> RankedFrame:
-    """A frame of a record from `numbered_predictions` as a ranked list.
+def _frame_columns(frames: list, g: float = _INTP_END, h: float = _INTP_END) -> list | None:
+    """Check predictions frames all at once: each frame's (subj, obj,
+    predicate, score, labels, boxes), the fields of its `RankedFrame`, with
+    the index columns as intp arrays.
 
     Boxes, labels, label scores and the triplet columns must be finite
     numbers (`_number_array`), the columns of one length; labels, triplet
-    node indices and predicates must be non-negative integers, node indices
-    below the frame's node count; with `dims`, labels must be below dims.g
-    and predicates below dims.h, and without, both within the intp range.
+    node indices and predicates must be non-negative integers, below g, the
+    frame's node count and h; a triplet's subject and object must be two
+    nodes, and every box a box (`scene.check_boxes`). The bounds g and h
+    default to the intp range. With one frame, the first check that fails
+    raises its error; with several, a failure returns None and formats none.
     """
+    if not frames:
+        return []
+    one = len(frames) == 1
+
+    def refuse(message) -> None:
+        if one:
+            raise DataFormatError(message())
+
     def rows(owner: dict, name: str, width: int = 1) -> np.ndarray:
         value = _field(owner, name)
         return value if type(value) is np.ndarray else _number_array(value, width,
                                                                       f"field {name!r}")
 
-    try:   # not `_located`, which would cost more: this runs once a frame
+    read = []
+    for frame in frames:   # with one frame, the order of the checks decides its error
         boxes = rows(frame, "boxes", 4)
         labels, scores = rows(frame, "labels"), rows(frame, "label_scores")
         n = len(boxes)
         if len(labels) != n or len(scores) != n:
-            raise DataFormatError(f"frame has {n} boxes but {len(labels)} labels and "
+            return refuse(lambda: f"frame has {n} boxes but {len(labels)} labels and "
                                   f"{len(scores)} label scores")
         triplets = _field(frame, "triplets", dict)
-        subj, obj, predicate, score = (rows(triplets, c) for c in TRIPLET_COLUMNS)
+        subj, obj, predicate, score = [rows(triplets, c) for c in TRIPLET_COLUMNS]
         t = len(score)
         if not len(subj) == len(obj) == len(predicate) == t:
-            raise DataFormatError(f"triplets has {len(subj)} subjects, {len(obj)} objects, "
+            return refuse(lambda: f"triplets has {len(subj)} subjects, {len(obj)} objects, "
                                   f"{len(predicate)} predicates and {t} scores")
-        g, h = (dims.g, dims.h) if dims else (_INTP_END, _INTP_END)
-        # every label and triplet index of the frame: a non-negative integer
-        # below its bound, checked on the numbers before they become intp,
-        # where a number beyond the intp range would wrap round
-        index = np.concatenate([labels, subj, obj, predicate])
-        whole = (index >= 0) & (np.floor(index) == index)
-        if not whole.all():
-            i = int(np.argmin(whole))
-            raise _index_error(i, index[i], n, t, g, h)
-        outside = (subj >= n) | (obj >= n)
-        if outside.any():
-            k = np.flatnonzero(outside)[0]
-            raise DataFormatError(f"triplet references node {_number_text(max(subj[k], obj[k]))} "
-                                  f"but frame has {n} nodes")
-        if (labels >= g).any() or (predicate >= h).any():
-            over = np.flatnonzero(labels >= g)
-            i = over[0] if len(over) else n + 2 * t + np.flatnonzero(predicate >= h)[0]
-            raise _index_error(i, index[i], n, t, g, h)
-        ints = index.astype(np.intp)
-        labels, subj, obj, predicate = (ints[:n], ints[n:n + t], ints[n + t:n + 2 * t],
-                                        ints[n + 2 * t:])
-        if (subj == obj).any():
-            k = np.flatnonzero(subj == obj)[0]
-            raise DataFormatError(f"triplet {k} has subject and object both node {subj[k]}")
-        return RankedFrame(subj, obj, predicate, score, labels, boxes)
+        read.append((subj, obj, predicate, score, labels, boxes))
+    subj, obj, predicate, scores, labels, boxes = zip(*read)
+    nodes = np.repeat(list(map(len, labels)), list(map(len, scores)))   # of each triplet's frame
+    subj, obj, predicate, labels, boxes = map(np.concatenate, (subj, obj, predicate, labels, boxes))
+    n, t = len(labels), len(subj)   # with one frame, its node and triplet counts
+    # every label and triplet index: a non-negative integer below its bound,
+    # checked on the numbers before they become intp, where a number beyond
+    # the intp range would wrap round
+    index = np.concatenate([labels, subj, obj, predicate])
+    whole = (index >= 0) & (np.floor(index) == index)
+    if not whole.all():
+        i = int(np.argmin(whole))
+        return refuse(lambda: _index_message(i, index[i], n, t, g, h))
+    outside = (subj >= nodes) | (obj >= nodes)
+    if outside.any():
+        k = np.flatnonzero(outside)[0]
+        return refuse(lambda: f"triplet references node {_number_text(max(subj[k], obj[k]))} "
+                              f"but frame has {n} nodes")
+    if (labels >= g).any() or (predicate >= h).any():
+        over = np.flatnonzero(labels >= g)
+        i = over[0] if len(over) else n + 2 * t + np.flatnonzero(predicate >= h)[0]
+        return refuse(lambda: _index_message(i, index[i], n, t, g, h))
+    ints = index.astype(np.intp)
+    labels, subj, obj, predicate = ints[:n], ints[n:n + t], ints[n + t:n + 2 * t], ints[n + 2 * t:]
+    if (subj == obj).any():
+        k = np.flatnonzero(subj == obj)[0]
+        return refuse(lambda: f"triplet {k} has subject and object both node {subj[k]}")
+    try:
+        check_boxes(boxes)
+    except ContractError as e:
+        return refuse(lambda: str(e))
+    columns, a, c = [], 0, 0
+    for _, _, _, score, frame_labels, frame_boxes in read:
+        b, d = a + len(frame_labels), c + len(score)
+        columns.append((subj[c:d], obj[c:d], predicate[c:d], score, labels[a:b], frame_boxes))
+        a, c = b, d
+    return columns
+
+
+def ranked_from_frame_json(frame: dict, path: Path, lineno: int,
+                           dims: Dims | None = None) -> RankedFrame:
+    """A frame of a record from `numbered_predictions` as a ranked list.
+
+    The frame must pass `_frame_columns`, with `dims` its labels below dims.g
+    and its predicates below dims.h, and without, both within the intp
+    range. A frame the loader checked, which holds its index columns as
+    intp arrays, is only held to the dims bounds; any other frame is checked
+    here, alone, and its first error is located at `path`:`lineno`.
+    """
+    g, h = (dims.g, dims.h) if dims else (_INTP_END, _INTP_END)
+    try:   # not `_located`, which would cost more: this runs once a frame
+        labels = frame.get("labels") if type(frame) is dict else None
+        if type(labels) is np.ndarray and labels.dtype == np.intp:   # checked by the loader
+            triplets = frame["triplets"]
+            predicate = triplets["predicate"]
+            if dims is None or ((labels < g).all() and (predicate < h).all()):
+                return RankedFrame(triplets["subj"], triplets["obj"], predicate,
+                                   triplets["score"], labels, frame["boxes"])
+        (columns,) = _frame_columns([frame], g, h)
+        return RankedFrame(*columns)
     except DataFormatError as e:
         raise DataFormatError(f"{path}:{lineno}: {e}") from None
 
@@ -491,9 +552,9 @@ def numbered_predictions(path: str | Path) -> tuple[dict, list[tuple[int, dict]]
     """A predictions file's header, and each record with its line number.
 
     Each line's frames hold their numeric fields and triplet columns
-    (_FRAME_ARRAYS, _TRIPLET_ARRAYS) as arrays, converted as the line is
-    decoded: the lists they replace never pile up for the collector to walk
-    once it runs again.
+    (_FRAME_ARRAYS, _TRIPLET_ARRAYS) as arrays, converted and checked as the
+    line is decoded (`_frames_to_arrays`): the lists they replace never pile
+    up for the collector to walk once it runs again.
     """
     path = Path(path)
     if not path.exists():

@@ -109,7 +109,8 @@ def _cat(arrays: list[np.ndarray], dtype) -> np.ndarray:
 def _flatten(frames: list[FrameEval], depth: int, constraint: bool) -> _Corpus:
     """Each frame's list, or its constrained view, cut to its first `depth`
     triplets; and the ground truth. The constrained view is one
-    first-occurrence pass over the corpus's ordered node pairs."""
+    first-occurrence pass over the corpus's ordered node pairs; a kept row's
+    frame and rank come from the lengths of the (viewed) lists."""
     ranked = [fe.ranked for fe in frames]
     frame_ids = np.arange(len(frames))
     cut = None if constraint else max(depth, 0)    # a constrained view reads whole lists
@@ -118,13 +119,14 @@ def _flatten(frames: list[FrameEval], depth: int, constraint: bool) -> _Corpus:
     node_start = _starts(n_nodes)
     subj = _cat([r.subj[:cut] for r in ranked], np.intp)
     obj = _cat([r.obj[:cut] for r in ranked], np.intp)
+    frame = np.repeat(frame_ids, lengths)
+    rows = np.arange(len(subj))
     if constraint:   # a frame's ordered node pairs are numbered subject-major
-        rows = _first_per_key(np.repeat(_starts(n_nodes * n_nodes), lengths)
-                              + subj * np.repeat(n_nodes, lengths) + obj, int(n_nodes @ n_nodes))
-    else:
-        rows = np.arange(len(subj))
-    frame = np.searchsorted(np.cumsum(lengths), rows, side="right")
-    rank = np.arange(len(rows)) - np.searchsorted(frame, frame)
+        rows = _first_per_key(_starts(n_nodes * n_nodes)[frame] + subj * n_nodes[frame] + obj,
+                              int(n_nodes @ n_nodes))
+        frame = frame[rows]
+        lengths = np.bincount(frame, minlength=len(frames))
+    rank = np.arange(len(rows)) - np.repeat(_starts(lengths), lengths)
     keep = rank < depth
     rows, frame, rank = rows[keep], frame[keep], rank[keep]
     subj, obj = subj[rows] + node_start[frame], obj[rows] + node_start[frame]
@@ -295,30 +297,46 @@ def average_precision_from_flags(flags, n_pos: int) -> float:
     return float(np.sum((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1]))
 
 
+def _ascending(*keys: np.ndarray) -> bool:
+    """Whether the rows are in ascending lexicographic order of `keys`, the
+    first the most significant, equal rows allowed: the order `np.lexsort`
+    with the keys reversed leaves as it is. One comparison of neighbours."""
+    ok = keys[-1][:-1] <= keys[-1][1:]
+    for key in keys[-2::-1]:
+        ok = (key[:-1] < key[1:]) | ((key[:-1] == key[1:]) & ok)
+    return bool(ok.all())
+
+
 def _detection_pass(c: _Corpus, taken: np.ndarray | None = None):
-    """Each frame's first FRAME_TRIPLET_CAP triplets in (-score, subject,
-    object) order, the order in which the corpus-wide AP list visits them,
-    and their detection-style matches. Lists from `rank_triplets` are already
-    in that order; `taken`, an sgdet pass over the whole corpus, then serves
-    unchanged."""
+    """Each frame's first FRAME_TRIPLET_CAP triplets in (frame, -score,
+    subject, object) order, the order in which the corpus-wide AP list visits
+    them, and their detection-style matches.
+
+    Lists from `temporal.rank_frames`, served or read back from a file, and
+    their constrained views are already in that order, which one comparison
+    of neighbouring rows confirms; `taken`, an sgdet pass over the whole
+    corpus, then serves unchanged. Rows in any other order are sorted."""
     rows = np.flatnonzero(c.rank < FRAME_TRIPLET_CAP)
-    order = np.lexsort((c.obj[rows], c.subj[rows], -c.score[rows], c.frame[rows]))
-    if taken is not None and (order == np.arange(len(rows))).all():
+    keys = (c.frame[rows], -c.score[rows], c.subj[rows], c.obj[rows])
+    if not _ascending(*keys):
+        rows = rows[np.lexsort(keys[::-1])]
+    elif taken is not None:
         return rows, taken[rows]
-    rows = rows[order]
     return rows, _match(c, rows, "sgdet")
 
 
 def _class_aps(c: _Corpus, rows, taken) -> tuple[dict[int, float], dict[int, int]]:
     """Per-predicate AP over the corpus-wide list sorted by (-score, frame,
-    subject, object), from `_detection_pass`; and the gt count per predicate.
-    A triplet only consumes gt of its own predicate, so one pass holds the
-    hit flags of every class."""
+    subject, object); and the gt count per predicate. `rows` and their
+    matches `taken` come from `_detection_pass`, in (frame, -score, subject,
+    object) order, so a stable sort on -score and then one on the predicate
+    give (predicate, -score, frame, subject, object). A triplet only consumes
+    gt of its own predicate, so one pass holds the hit flags of every class."""
     classes, counts = np.unique(c.gt_pred, return_counts=True)
     gt_count = dict(zip(classes.tolist(), counts.tolist()))
-    pred, hit = c.predicate[rows], taken >= 0
-    order = np.lexsort((c.obj[rows], c.subj[rows], c.frame[rows], -c.score[rows], pred))
-    pred, hit = pred[order], hit[order]
+    order = np.argsort(-c.score[rows], kind="stable")
+    order = order[np.argsort(c.predicate[rows[order]], kind="stable")]
+    pred, hit = c.predicate[rows[order]], taken[order] >= 0
     aps = {}
     for cls, n_pos in sorted(gt_count.items()):
         lo, hi = np.searchsorted(pred, [cls, cls + 1])

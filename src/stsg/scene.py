@@ -53,7 +53,7 @@ def overlap_fraction(inner, outer) -> float:
     return (ix * iy) / (w * h)
 
 
-def _check_boxes(boxes: np.ndarray) -> None:
+def check_boxes(boxes: np.ndarray) -> None:
     """Every (x, y, w, h) row of an (n, 4) array has its corner in [0, 1]
     and its sides in (0, 1]; the error names the first row that does not."""
     x, y, w, h = boxes.T
@@ -130,8 +130,8 @@ def scene_sequence(frames: list, gt_feats: np.ndarray, det_feats: np.ndarray, g:
     whether a detector dist is recorded) tuples, its triplets and its
     detection count. Every box of both matrices is range-checked. The
     frames' arrays are views of the two matrices."""
-    _check_boxes(gt_feats[:, :4])
-    _check_boxes(det_feats[:, :4])
+    check_boxes(gt_feats[:, :4])
+    check_boxes(det_feats[:, :4])
     objects = [o for objs, _, _ in frames for o in objs]
     labels = np.array([label for label, _, _ in objects], dtype=np.intp)
     gt = [GroundTruthObject(box, *o) for box, o in zip(map(tuple, gt_feats[:, :4].tolist()),

@@ -1,11 +1,12 @@
 """Earlier forms of the hot kernels, kept as references the current ones must
-match bit for bit (`test_kernels.py`, `test_layers.py`).
+match bit for bit (`test_kernels.py`, `test_layers.py`, `test_metrics.py`).
 
 Each does work whose result the current kernel no longer needs: the
 logistic scatters through boolean masks, the segment reduction fills and
-scatters even when every segment has rows, the rankings sort on every key
-explicitly, Adam builds its moments and its step as new arrays, and the feature bank
-picks each class's node frame by frame and class by class.
+scatters even when every segment has rows, the rankings and the relation-AP
+pass sort on every key explicitly, Adam builds its moments and its step as
+new arrays, and the feature bank picks each class's node frame by frame and
+class by class.
 
 The model's stages, composed from the autodiff primitives (one tape record
 per product, gather or nonlinearity), are the references of the single-record
@@ -22,6 +23,7 @@ import stsg.autodiff as ad
 import stsg.temporal
 import stsg.training
 from stsg.autodiff import Tensor
+from stsg.metrics import FRAME_TRIPLET_CAP, _match, average_precision_from_flags
 from stsg.params import linear
 from stsg.temporal import (
     NO_CONSTRAINT_PER_PAIR,
@@ -84,6 +86,32 @@ def three_key_topk_links(scores: np.ndarray, rows: np.ndarray, k: int) -> np.nda
     mask = np.zeros(len(scores), dtype=bool)
     mask[order[rank < k]] = True
     return mask
+
+
+def four_key_detection_pass(c, taken=None):
+    """`metrics._detection_pass` by a sort on (frame, -score, subject,
+    object) of every corpus, in rank order or not."""
+    rows = np.flatnonzero(c.rank < FRAME_TRIPLET_CAP)
+    order = np.lexsort((c.obj[rows], c.subj[rows], -c.score[rows], c.frame[rows]))
+    if taken is not None and (order == np.arange(len(rows))).all():
+        return rows, taken[rows]
+    rows = rows[order]
+    return rows, _match(c, rows, "sgdet")
+
+
+def five_key_class_aps(c, rows, taken):
+    """`metrics._class_aps` by a sort on (predicate, -score, frame, subject,
+    object)."""
+    classes, counts = np.unique(c.gt_pred, return_counts=True)
+    gt_count = dict(zip(classes.tolist(), counts.tolist()))
+    pred, hit = c.predicate[rows], taken >= 0
+    order = np.lexsort((c.obj[rows], c.subj[rows], c.frame[rows], -c.score[rows], pred))
+    pred, hit = pred[order], hit[order]
+    aps = {}
+    for cls, n_pos in sorted(gt_count.items()):
+        lo, hi = np.searchsorted(pred, [cls, cls + 1])
+        aps[cls] = average_precision_from_flags(hit[lo:hi], n_pos)
+    return aps, gt_count
 
 
 def out_of_place_adam(x, g, m, v, t, lr, beta1, beta2, eps):

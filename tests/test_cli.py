@@ -522,7 +522,7 @@ def _one_predicate(frame):
 # each of these was evaluated with exit 0 (the numbers were truncated to
 # integers, or used as they were, whatever their range) or, for an integer
 # beyond the float range, ended in an OverflowError traceback
-@pytest.mark.parametrize("edit, message", [
+MALFORMED_NUMBERS = [
     (_set("predicate", 0, 99), "predicate of triplet 0 must be an integer in [0, 6), got 99"),
     (_set("predicate", 0, -1), "predicate of triplet 0 must be an integer in [0, 6), got -1"),
     (_set("predicate", 0, 2.5), "predicate of triplet 0 must be an integer in [0, 6), got 2.5"),
@@ -544,11 +544,15 @@ def _one_predicate(frame):
     # a whole number within the intp range is printed exactly
     (_set("subj", 0, 1234567), "triplet references node 1234567 but frame has "),
     (_set("labels", 0, 1234567), "label of node 0 must be an integer in [0, 8), got 1234567"),
-], ids=["predicate-99", "predicate-negative", "predicate-fraction", "subject-fraction",
-        "object-negative", "label-negative", "label-fraction", "label-g", "label-boolean",
-        "label-beyond-float", "boolean-triplet", "short-column", "predicate-beyond-intp",
-        "label-beyond-intp", "subject-beyond-intp", "subject-seven-digits",
-        "label-seven-digits"])
+]
+MALFORMED_NUMBER_IDS = [
+    "predicate-99", "predicate-negative", "predicate-fraction", "subject-fraction",
+    "object-negative", "label-negative", "label-fraction", "label-g", "label-boolean",
+    "label-beyond-float", "boolean-triplet", "short-column", "predicate-beyond-intp",
+    "label-beyond-intp", "subject-beyond-intp", "subject-seven-digits", "label-seven-digits"]
+
+
+@pytest.mark.parametrize("edit, message", MALFORMED_NUMBERS, ids=MALFORMED_NUMBER_IDS)
 def test_malformed_prediction_number_is_an_error(tmp_path, checkpoint_path, dataset_dir,
                                                  capsys, edit, message):
     preds = tmp_path / "p.jsonl"
@@ -573,11 +577,15 @@ def test_unknown_prediction_mode_is_an_error(tmp_path, dataset_dir, capsys, mode
                                        f"('predcls', 'sgcls', 'sgdet'), got {mode!r}\n")
 
 
-@pytest.mark.parametrize("column, value, message", [
+BEYOND_INTP = [
     ("predicate", 2.0 ** 64, "predicate of triplet 0 must be an integer in [0, "),
     ("labels", 1e30, "label of node 0 must be an integer in [0, "),
     ("obj", 1e19, "triplet references node 1e+19 but frame has 2 nodes"),
-], ids=["predicate", "label", "object"])
+]
+BEYOND_INTP_IDS = ["predicate", "label", "object"]
+
+
+@pytest.mark.parametrize("column, value, message", BEYOND_INTP, ids=BEYOND_INTP_IDS)
 def test_index_beyond_intp_without_dims_is_an_error(column, value, message):
     # without dims, labels and predicates are bounded by the intp range alone
     frame = {"boxes": [[0.0, 0.0, 1.0, 1.0]] * 2, "labels": [0.0, 1.0],
@@ -590,22 +598,114 @@ def test_index_beyond_intp_without_dims_is_an_error(column, value, message):
 
 
 def test_decoded_predictions_hold_arrays(tmp_path, checkpoint_path, dataset_dir):
+    # a record whose frames all pass the loader's check holds its index
+    # columns as intp; a record with one bad frame keeps float64 columns
     preds = tmp_path / "p.jsonl"
     assert main(["infer", "--ckpt", str(checkpoint_path), "--data", str(dataset_dir),
                  "--split", "val", "--mode", "sgdet", "--out", str(preds)]) == 0
-    _, numbered = io.numbered_predictions(preds)
     lines = preds.read_text().splitlines()
+    record = json.loads(lines[2])
+    record["frames"][-1]["labels"][0] = 2.5
+    lines[2] = json.dumps(record)
+    preds.write_text("\n".join(lines) + "\n")
+    _, numbered = io.numbered_predictions(preds)
     shapes = {"boxes": 4, "labels": None, "label_scores": None,
               **dict.fromkeys(io.TRIPLET_COLUMNS)}
+    indices = {"labels", "subj", "obj", "predicate"}
+    assert len(numbered) >= 2
     for (lineno, record), line in zip(numbered, lines[1:]):
         for frame, raw in zip(record["frames"], json.loads(line)["frames"]):
             for name, width in shapes.items():
                 arr, value = ((frame["triplets"][name], raw["triplets"][name])
                               if name in io.TRIPLET_COLUMNS else (frame[name], raw[name]))
-                assert isinstance(arr, np.ndarray) and arr.dtype == np.float64, name
+                checked = lineno != 3 and name in indices
+                assert isinstance(arr, np.ndarray), name
+                assert arr.dtype == (np.intp if checked else np.float64), (lineno, name)
                 want = (len(value),) if width is None else (len(value), width)
                 assert arr.shape == want
                 np.testing.assert_array_equal(arr, np.array(value, dtype=float).reshape(want))
+
+
+def _two_node_frame() -> dict:
+    """A predictions frame that passes every check: 2 nodes, 2 triplets."""
+    return {"boxes": [[0.0, 0.0, 0.5, 0.5], [0.25, 0.25, 0.5, 0.5]], "labels": [0, 1],
+            "label_scores": [0.9, 0.8],
+            "triplets": {"subj": [0, 1], "obj": [1, 0], "predicate": [2, 0], "score": [0.5, 0.4]}}
+
+
+@pytest.fixture(scope="module")
+def three_frame_dir(tmp_path_factory) -> Path:
+    cfg = tmp_path_factory.mktemp("cfg") / "three.cfg"
+    cfg.write_text(TINY_CFG + "world.frames = 3\n")
+    out = tmp_path_factory.mktemp("data") / "ds3"
+    assert main(["gen", "--config", str(cfg), "--out", str(out), "--seed", "7"]) == 0
+    return out
+
+
+# the loader checks a record's frames at once and leaves a record with a bad
+# frame unchecked; `ranked_from_frame_json` then checks it frame by frame
+PER_RECORD_CASES = [
+    *((edit, message, True) for edit, message in MALFORMED_NUMBERS),
+    *((_set(column, 0, value), message, False) for column, value, message in BEYOND_INTP),
+    (_set("subj", 0, 2), "triplet references node 2 but frame has 2 nodes", True),
+    (_set("obj", 0, 0), "triplet 0 has subject and object both node 0", True),
+    # within the intp range, so the loader's check passes; the dims do not
+    (_set("predicate", 0, 6), "predicate of triplet 0 must be an integer in [0, 6), got 6", True),
+    # these boxes were evaluated with exit 0; with sides of 1e200, box_iou
+    # overflowed
+    (_set("boxes", 0, [0.1, 0.1, -0.5, 0.3]), "box: size (-0.5, 0.3) outside (0, 1]", True),
+    (_set("boxes", 0, [0.1, 0.1, 1e200, 1e200]), "box: size (1e+200, 1e+200) outside (0, 1]",
+     True),
+]
+PER_RECORD_IDS = [*MALFORMED_NUMBER_IDS, *(f"no-dims-{i}" for i in BEYOND_INTP_IDS),
+                  "node-bound", "self-pair", "predicate-h", "box-negative-side", "box-1e200"]
+
+
+@pytest.mark.parametrize("position", [1, 2], ids=["middle-frame", "last-frame"])
+@pytest.mark.parametrize("edit, message, with_dims", PER_RECORD_CASES, ids=PER_RECORD_IDS)
+def test_a_bad_frame_of_a_record_gives_its_error(tmp_path, three_frame_dir, capsys, edit,
+                                                 message, with_dims, position):
+    # the record on line 3 is valid but for one of its three frames
+    header, seqs = io.load_split(three_frame_dir, "test")
+    records = [{"seq_seed": seq.seed, "frames": [_two_node_frame() for _ in range(3)]}
+               for seq in seqs]
+    edit(records[1]["frames"][position])
+    preds = tmp_path / "p.jsonl"
+    io.write_predictions(preds, {"mode": "sgdet", "config": {}}, records)
+    assert main(["eval", "--preds", str(preds), "--data", str(three_frame_dir),
+                 "--split", "test"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {preds}:3: ") and message in err, err
+    dims = io.runconfig_from_flat(header["config"]).dims if with_dims else None
+    _, loaded = io.load_predictions(preds)
+    with pytest.raises(DataFormatError) as e:
+        for lineno, record in enumerate(loaded, start=2):
+            for frame in record["frames"]:
+                io.ranked_from_frame_json(frame, preds, lineno, dims)
+    assert str(e.value).startswith(f"{preds}:3: ") and message in str(e.value), str(e.value)
+
+
+@pytest.mark.parametrize("sides", [(-0.5, 0.3), (1e200, 1e200)], ids=["negative", "1e200"])
+def test_a_served_box_that_is_no_box_is_an_error(tmp_path, checkpoint_path, dataset_dir,
+                                                 capsys, sides):
+    preds = tmp_path / "p.jsonl"
+    assert main(["infer", "--ckpt", str(checkpoint_path), "--data", str(dataset_dir),
+                 "--split", "val", "--mode", "sgdet", "--out", str(preds)]) == 0
+
+    def edit(frame):
+        frame["boxes"][0][2:] = sides
+
+    _corrupt_first_prediction(preds, edit)
+    capsys.readouterr()
+    assert main(["eval", "--preds", str(preds), "--data", str(dataset_dir),
+                 "--split", "val"]) == 1
+    message = f"box: size ({sides[0]!r}, {sides[1]!r}) outside (0, 1]"
+    assert capsys.readouterr().err == f"error: {preds}:2: {message}\n"
+    _, records = io.load_predictions(preds)
+    with pytest.raises(DataFormatError) as e:
+        for frame in records[0]["frames"]:
+            io.ranked_from_frame_json(frame, preds, 2)
+    assert str(e.value) == f"{preds}:2: {message}"
 
 
 def test_bad_number_after_a_blank_line_names_its_line(tmp_path, dataset_dir, capsys):

@@ -9,12 +9,15 @@ from conftest import empty_frame, frame_record, random_sequence
 from fixtures import (G, H, _gt, _pred, exhaustive_max_matches, exhaustive_recall_at_k,
                       match_frame, relation_probs, served_corpus, three_frame_fixture)
 from reference_flops import reference_params_flops
+from reference_kernels import five_key_class_aps, four_key_detection_pass
 from stsg.config import MODES, Dims
 from stsg.errors import ContractError
 from stsg.metrics import (
     FRAME_TRIPLET_CAP,
     RECALL_KS,
     FrameEval,
+    _class_aps,
+    _detection_pass,
     average_precision_from_flags,
     constrained_view,
     count_params_flops,
@@ -578,6 +581,65 @@ def test_greedy_consumes_the_lowest_free_gt_index():
     assert match_frame(ranked, gt, gt_objects, "sgdet")[:2].tolist() == [0, -1]
     assert recall_at_k([FrameEval(ranked[:2], gt, gt_objects)], 2, "sgdet", True) == 0.5
     assert exhaustive_max_matches(ranked[:2], gt, gt_objects, "sgdet") == 2
+
+
+def tie_heavy_corpus():
+    """Frames whose scores tie within and across frames: two frames of one
+    5-node list whose 60 triplets all score 0.5 (so equal (score, subject)
+    pairs differ in the object, and the tie straddles the FRAME_TRIPLET_CAP
+    cut), then four of label scores 1 and probabilities on a 0.1 grid."""
+    boxes = [[0.125 * i, 0.0, 0.25, 0.25] for i in range(5)]
+    labels = [0, 1, 2, 3, 0]
+    gt_objects = [_gt(*box, label) for box, label in zip(boxes, labels)]
+    gt = [(0, 1, 0), (1, 2, 1), (3, 4, 2), (4, 0, 0), (2, 3, 1)]
+    flat = rank_triplets(_pred(boxes, labels, [1.0] * 5, np.full((5, 5, H), 0.5)),
+                         constraint=False)
+    frames = [FrameEval(flat, gt, gt_objects), FrameEval(flat, gt[:2], gt_objects)]
+    rng = RngStream(66)
+    for _ in range(4):
+        rel = np.round(rng.uniform_array((5, 5, H), 0.0, 1.0), 1)
+        frames.append(FrameEval(rank_triplets(_pred(boxes, labels, [1.0] * 5, rel),
+                                              constraint=False), gt, gt_objects))
+    return frames
+
+
+def assert_detection_pass_matches_lexsort(frames, label):
+    """The detection pass and the relation-AP order equal the earlier sorts on
+    every key (`reference_kernels`): whole and constrained lists, cut at the
+    cap or not, with and without an sgdet pass to reuse."""
+    for constraint in (False, True):
+        for depth in (FRAME_TRIPLET_CAP, 10**6):
+            c = _flatten(frames, depth, constraint)
+            for taken in (None, _match(c, np.arange(len(c.score)), "sgdet")):
+                rows, hit = _detection_pass(c, taken)
+                want_rows, want_hit = four_key_detection_pass(c, taken)
+                err = f"{label} {constraint} {depth} {taken is None}"
+                np.testing.assert_array_equal(rows, want_rows, err_msg=err)
+                np.testing.assert_array_equal(hit, want_hit, err_msg=err)
+                assert _class_aps(c, rows, hit) == five_key_class_aps(c, want_rows, want_hit), err
+
+
+@pytest.mark.parametrize("mode", ["predcls", "sgcls", "sgdet"])
+def test_detection_pass_matches_lexsort_on_served_frames(served, mode):
+    assert_detection_pass_matches_lexsort(served[mode], mode)
+
+
+def test_detection_pass_matches_lexsort_on_shuffled_lists():
+    rng = RngStream(67)
+    for trial in range(40):
+        assert_detection_pass_matches_lexsort(random_corpus(rng.split(trial), shuffle=True),
+                                              trial)
+
+
+def test_detection_pass_matches_lexsort_on_tied_scores():
+    frames = tie_heavy_corpus()
+    flat = frames[0].ranked
+    assert len(flat) > FRAME_TRIPLET_CAP
+    assert flat.score[FRAME_TRIPLET_CAP - 1] == flat.score[FRAME_TRIPLET_CAP]
+    assert_detection_pass_matches_lexsort(frames, "ties")
+    for mode in ("predcls", "sgcls", "sgdet"):
+        for constraint in (False, True):
+            assert evaluate(frames, mode, constraint) == loop_evaluate(frames, mode, constraint)
 
 
 def test_ap_envelope_matches_loop_reference():
