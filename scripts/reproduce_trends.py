@@ -2,8 +2,8 @@
 """End-to-end trend reproduction: benchmark, variant ablation, feature banks.
 
 Writes the dataset and all reports under ./results (override with --out).
-With default settings it runs in about 30 s on one core of an AMD EPYC
-server CPU.
+With default settings and --jobs 1 it runs in about 30 s on one core of an
+AMD EPYC server CPU; without --jobs, gen and ablate use the CPUs available.
 """
 
 import argparse
@@ -28,8 +28,9 @@ def main() -> None:
     ap.add_argument("--train-sequences", type=int, default=120)
     ap.add_argument("--benchmark-sequences", type=int, default=1000,
                     help="sequences generated: a tenth each for val and test, the rest train")
-    ap.add_argument("--jobs", type=int, default=1,
-                    help="worker processes for gen and for the ablation cells")
+    ap.add_argument("--jobs", type=int,
+                    help="worker processes for gen and for the ablation cells "
+                         "(default: each command's own, the CPUs available)")
     args = ap.parse_args()
     if args.benchmark_sequences < 10:
         ap.error("--benchmark-sequences must be at least 10")
@@ -44,13 +45,14 @@ def main() -> None:
                      f"split.test_sequences = {held_out}\n")
 
     print("== generating benchmark ==")
-    run(["gen", "--config", str(split), "--out", str(data), "--seed", str(args.seed),
-         "--jobs", str(args.jobs)])
+    # --jobs only where given, so that the commands' defaults apply
+    jobs = [] if args.jobs is None else ["--jobs", str(args.jobs)]
+    run(["gen", "--config", str(split), "--out", str(data), "--seed", str(args.seed), *jobs])
 
     print("== variant ablation (this is the long step) ==")
     run(["ablate", "--data", str(data), "--seeds", str(args.seeds),
          "--epochs", str(args.epochs), "--train-sequences", str(args.train_sequences),
-         "--jobs", str(args.jobs), "--out", str(out / "ablation.json")])
+         *jobs, "--out", str(out / "ablation.json")])
 
     print("== training the bank checkpoint ==")
     run(["train", "--data", str(data), "--out", str(out / "model.json"),

@@ -9,8 +9,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import closing
 from dataclasses import replace
 from functools import partial
+from itertools import islice
 from multiprocessing import Pool
 from pathlib import Path
 
@@ -57,6 +59,12 @@ def _gen_one(dims: Dims, world: WorldConfig, base_seed: int, index: int):
     return generate_scene(dims, world, base_seed * 1_000_000 + index)
 
 
+def _gen_line(dims: Dims, world: WorldConfig, base_seed: int, index: int) -> str:
+    """Sequence `index` as its finished dataset line: what a `gen` worker
+    sends back, so the encoding runs in the workers too."""
+    return io.sequence_line(_gen_one(dims, world, base_seed, index))
+
+
 # set once in each worker process by the pool initializer
 _worker_fn = None
 
@@ -70,19 +78,24 @@ def _apply_worker_fn(item):
     return _worker_fn(item)
 
 
-def _parallel_map(fn, items, jobs: int, chunksize: int | None = None):
-    """[fn(x) for x in items], across `jobs` worker processes; order is kept.
+def _parallel_imap(fn, items, jobs: int, chunksize: int | None = None):
+    """Yield fn(x) for x in items, in order, each as soon as it and those
+    before it are done.
 
-    fn, with whatever data it binds, reaches each worker once (through the
-    pool initializer) rather than with every item.
+    The work runs in min(jobs, len(items), the CPUs available) worker
+    processes; with one, in this process, through the same stream. fn, with
+    whatever data it binds, reaches each worker once (through the pool
+    initializer) rather than with every item. Close the iterator (or run it
+    out) to stop the workers.
     """
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
+    workers = min(jobs, len(items), _available_cpus())
+    if workers <= 1:
+        yield from map(fn, items)
+        return
     if chunksize is None:
-        chunksize = max(1, len(items) // (jobs * 4))
-    with Pool(processes=min(jobs, len(items)),
-              initializer=_install_worker_fn, initargs=(fn,)) as pool:
-        return pool.map(_apply_worker_fn, items, chunksize=chunksize)
+        chunksize = max(1, len(items) // (workers * 4))
+    with Pool(processes=workers, initializer=_install_worker_fn, initargs=(fn,)) as pool:
+        yield from pool.imap(_apply_worker_fn, items, chunksize=chunksize)
 
 
 def _available_cpus() -> int:
@@ -192,13 +205,13 @@ def cmd_gen(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     counts = {"train": cfg.split.train_sequences, "val": cfg.split.val_sequences,
               "test": cfg.split.test_sequences}
-    start = 0
-    for split in ("train", "val", "test"):
-        indices = list(range(start, start + counts[split]))
-        seqs = _parallel_map(partial(_gen_one, cfg.dims, cfg.world, cfg.seed),
-                             indices, args.jobs)
-        io.write_split(out / f"{split}.jsonl", cfg, split, seqs)
-        start += counts[split]
+    # one ordered stream of finished lines fills the splits in turn: this
+    # process holds the lines of a few tasks at a time, never a whole split
+    lines = _parallel_imap(partial(_gen_line, cfg.dims, cfg.world, cfg.seed),
+                           range(sum(counts.values())), args.jobs)
+    with closing(lines):
+        for split, count in counts.items():
+            io.write_split_lines(out / f"{split}.jsonl", cfg, split, count, islice(lines, count))
     print(f"wrote {sum(counts.values())} sequences to {out}")
     return 0
 
@@ -301,9 +314,9 @@ def cmd_ablate(args) -> int:
     # in cell order) do not depend on the number of workers
     cells = [(variant, k, cfg.train.seed + s)
              for variant, k, _ in ABLATION_VARIANTS for s in range(args.seeds)]
-    results = _parallel_map(
+    results = list(_parallel_imap(
         partial(_ablation_cell, config_with(cfg, epochs=args.epochs), train_data, test_data),
-        cells, args.jobs, chunksize=1)
+        cells, args.jobs, chunksize=1))
     rows = []
     for i, (_, _, label) in enumerate(ABLATION_VARIANTS):
         cell_results = results[i * args.seeds:(i + 1) * args.seeds]
@@ -431,7 +444,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="write the synthetic benchmark")
     common(p)
     p.add_argument("--out", required=True, help="output dataset directory")
-    p.add_argument("--jobs", type=int, default=1, help="sequence-level parallelism")
+    p.add_argument("--jobs", type=int, default=_available_cpus(),
+                   help="worker processes that generate and encode the sequences "
+                        "(default: the CPUs available; never more than those or than "
+                        "the sequences); the files are the same for every value")
     p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("train", help="train a model")
@@ -484,7 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-sequences", dest="train_sequences", type=int, default=150)
     p.add_argument("--test-sequences", dest="test_sequences", type=int)
     p.add_argument("--jobs", type=int, default=_available_cpus(),
-                   help="cells trained in parallel (default: the CPUs available)")
+                   help="cells trained in parallel (default: the CPUs available; never "
+                        "more workers than those or than the cells)")
     p.set_defaults(fn=cmd_ablate)
 
     p = sub.add_parser("flops", help="analytic efficiency table over N=1..8")

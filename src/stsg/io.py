@@ -235,14 +235,25 @@ def sequence_from_json(record: dict, path: Path, lineno: int, dims: Dims) -> Sce
                               _field(record, "seed", int))
 
 
-def write_split(path: Path, cfg: RunConfig, split: str,
-                sequences: list[SceneSequence]) -> None:
-    header = {"kind": "dataset-header", "split": split, "count": len(sequences),
+def sequence_line(seq: SceneSequence) -> str:
+    """A sequence's line of a dataset file, its newline included."""
+    return _dump(sequence_to_json(seq)) + "\n"
+
+
+def write_split_lines(path: Path, cfg: RunConfig, split: str, count: int, lines) -> None:
+    """A dataset file: the header, which promises `count` sequences, then each
+    of `lines` (`sequence_line`s) as it comes. Lines that stop short leave a
+    file that `load_split` refuses by its header count."""
+    header = {"kind": "dataset-header", "split": split, "count": count,
               "seed": cfg.seed, "config": cfg.to_flat_dict()}
     with open(path, "w") as fh:
         fh.write(_dump(header) + "\n")
-        for seq in sequences:
-            fh.write(_dump(sequence_to_json(seq)) + "\n")
+        fh.writelines(lines)
+
+
+def write_split(path: Path, cfg: RunConfig, split: str,
+                sequences: list[SceneSequence]) -> None:
+    write_split_lines(path, cfg, split, len(sequences), map(sequence_line, sequences))
 
 
 def load_split(data_dir: str | Path, split: str) -> tuple[dict, list[SceneSequence]]:

@@ -5,15 +5,17 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stsg import io
+from stsg import cli, io
 from stsg.cli import main
 from stsg.config import Dims, load_config, parse_config_items
-from stsg.errors import ConfigError, DataFormatError
+from stsg.errors import ConfigError, ContractError, DataFormatError
 from stsg.params import ModelParams
 
 TINY_CFG = """
@@ -134,12 +136,90 @@ def test_gen_twice_is_byte_identical(tmp_path, tiny_config_path):
 
 
 def test_gen_jobs_matches_sequential(tmp_path, tiny_config_path):
-    a, b = tmp_path / "seq", tmp_path / "par"
-    assert main(["gen", "--config", str(tiny_config_path), "--out", str(a), "--seed", "3"]) == 0
-    assert main(["gen", "--config", str(tiny_config_path), "--out", str(b), "--seed", "3",
-                 "--jobs", "3"]) == 0
+    runs = {"seq": ["--jobs", "1"], "default": [], "par": ["--jobs", "3"]}
+    for name, jobs in runs.items():
+        assert main(["gen", "--config", str(tiny_config_path), "--out", str(tmp_path / name),
+                     "--seed", "3", *jobs]) == 0
     for split in ("train", "val", "test"):
-        assert (a / f"{split}.jsonl").read_bytes() == (b / f"{split}.jsonl").read_bytes()
+        files = {(tmp_path / name / f"{split}.jsonl").read_bytes() for name in runs}
+        assert len(files) == 1
+
+
+def test_write_split_writes_what_gen_writes(tmp_path, tiny_config_path, dataset_dir):
+    # gen's workers send finished lines; write_split encodes sequences here,
+    # through the same header and line encoder
+    cfg = replace(load_config(tiny_config_path), seed=7)
+    start = 0
+    for split, count in (("train", cfg.split.train_sequences), ("val", cfg.split.val_sequences),
+                         ("test", cfg.split.test_sequences)):
+        seqs = [cli._gen_one(cfg.dims, cfg.world, 7, i) for i in range(start, start + count)]
+        io.write_split(tmp_path / f"{split}.jsonl", cfg, split, seqs)
+        assert (tmp_path / f"{split}.jsonl").read_bytes() == \
+            (dataset_dir / f"{split}.jsonl").read_bytes()
+        start += count
+
+
+class _InProcessPool:
+    """multiprocessing.Pool's stand-in: records the worker count asked of it,
+    and runs the initializer and the tasks in this process, in order."""
+
+    def __init__(self, started, processes, initializer, initargs):
+        started.append(processes)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def imap(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("cpus", [3, 64])
+def test_workers_never_outnumber_the_cpus_or_the_items(tmp_path, tiny_config_path, dataset_dir,
+                                                       monkeypatch, cpus):
+    # `--jobs 500` started 500 processes on a machine of a few CPUs
+    started = []
+    monkeypatch.setattr(cli, "Pool", partial(_InProcessPool, started))
+    monkeypatch.setattr(cli, "_available_cpus", lambda: cpus)
+    monkeypatch.setattr(cli, "_worker_fn", None)
+    base = ["--config", str(tiny_config_path), "--seed", "7"]
+    # 18 sequences, then 6 ablation cells
+    assert main(["gen", *base, "--out", str(tmp_path / "d"), "--jobs", "500"]) == 0
+    assert main(["ablate", *base, "--data", str(dataset_dir), "--seeds", "1", "--epochs", "1",
+                 "--train-sequences", "1", "--test-sequences", "1", "--jobs", "500"]) == 0
+    assert started == [min(cpus, 18), min(cpus, 6)]
+    for split in ("train", "val", "test"):
+        assert (tmp_path / "d" / f"{split}.jsonl").read_bytes() == \
+            (dataset_dir / f"{split}.jsonl").read_bytes()
+    # the default is the CPUs available; one worker runs here, with no pool
+    started.clear()
+    assert main(["gen", *base, "--out", str(tmp_path / "e")]) == 0
+    assert main(["gen", *base, "--out", str(tmp_path / "f"), "--jobs", "1"]) == 0
+    assert started == [min(cpus, 18)]
+
+
+def test_an_error_in_a_gen_worker_is_an_error(tmp_path, tiny_config_path, monkeypatch, capsys):
+    # forked workers (on one CPU, this process) run the failing generator;
+    # sequence 6 fails, within the train split, and ends the run with its error
+    generate = cli.generate_scene
+
+    def failing(dims, world, seed):
+        if seed == 7_000_006:
+            raise ContractError("sequence 6 cannot be generated")
+        return generate(dims, world, seed)
+
+    monkeypatch.setattr(cli, "generate_scene", failing)
+    data = tmp_path / "d"
+    assert main(["gen", "--config", str(tiny_config_path), "--out", str(data), "--seed", "7",
+                 "--jobs", "2"]) == 1
+    assert capsys.readouterr().err == "error: sequence 6 cannot be generated\n"
+    # the train split's header promised 10 sequences; fewer came
+    with pytest.raises(DataFormatError, match=r"train.jsonl: header count 10 != \d sequences"):
+        io.load_split(data, "train")
+    assert not (data / "val.jsonl").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -1390,8 +1470,6 @@ def test_no_malformed_record_escapes_as_another_exception(tmp_path):
 
 def test_forward_sequence_outputs_serve_to_predictions(checkpoint_path, dataset_dir):
     # the benchmark harness calls these two names with these arguments
-    from stsg import cli
-
     cfg, params, _ = io.load_checkpoint(checkpoint_path)
     _, seqs = io.load_split(dataset_dir, "test")
     for variant, k in (("spatial", 1), ("sparse", 2), ("tracking", 1)):
