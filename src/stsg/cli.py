@@ -9,11 +9,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import replace
 from functools import partial
 from itertools import islice
-from multiprocessing import Pool
 from pathlib import Path
 
 import numpy as np
@@ -86,7 +86,8 @@ def _parallel_imap(fn, items, jobs: int, chunksize: int | None = None):
     processes; with one, in this process, through the same stream. fn, with
     whatever data it binds, reaches each worker once (through the pool
     initializer) rather than with every item. Close the iterator (or run it
-    out) to stop the workers.
+    out, or let fn's error end it) to stop the workers: the tasks not yet
+    started are cancelled, and each worker ends once its task is done.
     """
     workers = min(jobs, len(items), _available_cpus())
     if workers <= 1:
@@ -94,8 +95,13 @@ def _parallel_imap(fn, items, jobs: int, chunksize: int | None = None):
         return
     if chunksize is None:
         chunksize = max(1, len(items) // (workers * 4))
-    with Pool(processes=workers, initializer=_install_worker_fn, initargs=(fn,)) as pool:
-        yield from pool.imap(_apply_worker_fn, items, chunksize=chunksize)
+    # not multiprocessing.Pool: its exit kills the workers, and one killed
+    # while it holds the result queue's lock leaves the exit waiting forever
+    pool = ProcessPoolExecutor(workers, initializer=_install_worker_fn, initargs=(fn,))
+    try:
+        yield from pool.map(_apply_worker_fn, items, chunksize=chunksize)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _available_cpus() -> int:

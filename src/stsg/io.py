@@ -360,52 +360,18 @@ def frame_prediction_to_json(pred: FramePrediction, ranked: RankedFrame,
     return record
 
 
-# the numeric fields of a predictions frame and of its triplets, and the
-# numbers in each row
-_FRAME_ARRAYS = (("boxes", 4), ("labels", 1), ("label_scores", 1))
-_TRIPLET_ARRAYS = tuple((c, 1) for c in TRIPLET_COLUMNS)
-
-
-def _columns_to_arrays(owners: list, fields) -> bool:
-    """Replace each of `fields` (name, width) of the JSON objects `owners` by
-    a view of one array read over all of them, where they are all objects and
-    all hold it as finite numbers of that width; otherwise leave it as decoded.
-    True if every field was replaced."""
-    if not all(type(owner) is dict for owner in owners):
-        return False
-    replaced = True
-    for name, width in fields:
-        values = [owner.get(name) for owner in owners]
-        arr = (_finite_array(list(chain.from_iterable(values)), width)
-               if all(type(value) is list for value in values) else None)
-        if arr is None:
-            replaced = False
-            continue
-        end = 0
-        for owner, value in zip(owners, values):
-            owner[name], end = arr[end:end + len(value)], end + len(value)
-    return replaced
-
-
-def _frames_to_arrays(record) -> None:
-    """Replace each numeric field of the frames of a predictions record, and
-    each triplet column, by its array, in place, read in one call over all
-    the frames; where any frame's field is not finite numbers of the right
-    shape, the field stays as decoded in every frame. Then check the frames
-    at once (`_frame_columns`): where all pass, their index columns become
-    intp arrays; otherwise every frame stays unchecked, with float64 columns,
-    for `ranked_from_frame_json` to check frame by frame and reject."""
-    frames = record.get("frames") if isinstance(record, dict) else None
-    if not (isinstance(frames, list) and all(type(frame) is dict for frame in frames)):
-        return
-    triplets = [frame.get("triplets") for frame in frames]
-    converted = _columns_to_arrays(frames, _FRAME_ARRAYS)
-    converted &= _columns_to_arrays(triplets, _TRIPLET_ARRAYS)   # whether or not the first did
-    columns = _frame_columns(frames) if converted else None
-    if columns is not None:
-        for frame, triplet, (subj, obj, predicate, _, labels, _) in zip(frames, triplets, columns):
-            frame["labels"] = labels
-            triplet["subj"], triplet["obj"], triplet["predicate"] = subj, obj, predicate
+def _column(owners: list, name: str, width: int = 1) -> tuple[np.ndarray, list[int]]:
+    """Field `name` of each of the JSON objects `owners`, read as one array
+    (`_number_array`'s, of all their rows in turn), and each one's row count.
+    The error, where there is one, is that of the first owner whose own field
+    fails: all of them pass exactly when their rows together do."""
+    values = [_field(owner, name) for owner in owners]
+    arr = (_finite_array(list(chain.from_iterable(values)), width)
+           if all(type(value) is list for value in values) else None)
+    if arr is None:
+        for value in values:
+            _number_array(value, width, f"field {name!r}")
+    return arr, list(map(len, values))
 
 
 # the first float beyond the intp range: every whole number below it casts
@@ -413,14 +379,25 @@ def _frames_to_arrays(record) -> None:
 _INTP_END = 2.0 ** (8 * np.dtype(np.intp).itemsize - 1)
 
 
-def _index_message(i: int, value: float, n: int, t: int, g, h) -> str:
-    """The error for entry i of a frame's indices: its n labels, then the
-    subjects, objects and predicates of its t triplets."""
-    if i < n:
-        what, bound = f"label of node {i}", g
+def _frame_of(k: int, counts: list[int]) -> tuple[int, int]:
+    """Entry k of the entries of frames of counts[f] entries each: its frame
+    f, and its place there."""
+    ends = np.cumsum(counts)
+    frame = int(np.searchsorted(ends, k, side="right"))
+    return frame, int(k - ends[frame] + counts[frame])
+
+
+def _index_message(i: int, value: float, n: list[int], t: list[int], g, h) -> str:
+    """The error for entry i of the indices of frames of n[f] nodes and t[f]
+    triplets: all their labels, then the subjects, objects and predicates of
+    all their triplets. It names the entry by its place in its frame."""
+    if i < sum(n):
+        what, bound = f"label of node {_frame_of(i, n)[1]}", g
     else:
-        c, k = divmod(i - n, t)
-        what, bound = f"{('subject', 'object', 'predicate')[c]} of triplet {k}", (n, n, h)[c]
+        c, k = divmod(i - sum(n), sum(t))
+        frame, k = _frame_of(k, t)
+        what, bound = f"{('subject', 'object', 'predicate')[c]} of triplet {k}", \
+            (n[frame], n[frame], h)[c]
     return f"{what} must be an integer in [0, {bound}), got {_number_text(value)}"
 
 
@@ -430,51 +407,47 @@ def _number_text(value: float) -> str:
     return str(int(value)) if value == np.floor(value) and abs(value) < _INTP_END else f"{value:g}"
 
 
-def _frame_columns(frames: list, g: float = _INTP_END, h: float = _INTP_END) -> list | None:
-    """Check predictions frames all at once: each frame's (subj, obj,
-    predicate, score, labels, boxes), the fields of its `RankedFrame`, with
-    the index columns as intp arrays.
+def _check_bounds(labels: np.ndarray, predicate: np.ndarray, n: list[int], t: list[int],
+                  g, h) -> None:
+    """Labels below g and predicates below h, in frames of n[f] nodes and
+    t[f] triplets; the error names the first label, else predicate, that is
+    not."""
+    for values, bound, first in ((labels, g, 0), (predicate, h, sum(n) + 2 * sum(t))):
+        over = np.flatnonzero(values >= bound)
+        if len(over):
+            raise DataFormatError(_index_message(first + over[0], values[over[0]], n, t, g, h))
+
+
+def _frame_columns(frames: list, g: float = _INTP_END, h: float = _INTP_END) -> list[tuple]:
+    """Check predictions frames all at once, and return each frame's (subj,
+    obj, predicate, score, labels, boxes), the fields of its `RankedFrame`,
+    then its label scores: views of one array per field, with the index
+    columns as intp.
 
     Boxes, labels, label scores and the triplet columns must be finite
-    numbers (`_number_array`), the columns of one length; labels, triplet
-    node indices and predicates must be non-negative integers, below g, the
-    frame's node count and h; a triplet's subject and object must be two
-    nodes, and every box a box (`scene.check_boxes`). The bounds g and h
-    default to the intp range. With one frame, the first check that fails
-    raises its error; with several, a failure returns None and formats none.
+    numbers (`_number_array`), a frame's columns of one length; labels,
+    triplet node indices and predicates must be non-negative integers, below
+    g, the frame's node count and h; a triplet's subject and object must be
+    two nodes, and every box a box (`scene.check_boxes`). The bounds g and h
+    default to the intp range. The first check that fails raises its error,
+    which names an entry by its place in its frame; with one frame, the
+    order of the checks decides its error.
     """
-    if not frames:
-        return []
-    one = len(frames) == 1
-
-    def refuse(message) -> None:
-        if one:
-            raise DataFormatError(message())
-
-    def rows(owner: dict, name: str, width: int = 1) -> np.ndarray:
-        value = _field(owner, name)
-        return value if type(value) is np.ndarray else _number_array(value, width,
-                                                                      f"field {name!r}")
-
-    read = []
-    for frame in frames:   # with one frame, the order of the checks decides its error
-        boxes = rows(frame, "boxes", 4)
-        labels, scores = rows(frame, "labels"), rows(frame, "label_scores")
-        n = len(boxes)
-        if len(labels) != n or len(scores) != n:
-            return refuse(lambda: f"frame has {n} boxes but {len(labels)} labels and "
-                                  f"{len(scores)} label scores")
-        triplets = _field(frame, "triplets", dict)
-        subj, obj, predicate, score = [rows(triplets, c) for c in TRIPLET_COLUMNS]
-        t = len(score)
-        if not len(subj) == len(obj) == len(predicate) == t:
-            return refuse(lambda: f"triplets has {len(subj)} subjects, {len(obj)} objects, "
-                                  f"{len(predicate)} predicates and {t} scores")
-        read.append((subj, obj, predicate, score, labels, boxes))
-    subj, obj, predicate, scores, labels, boxes = zip(*read)
-    nodes = np.repeat(list(map(len, labels)), list(map(len, scores)))   # of each triplet's frame
-    subj, obj, predicate, labels, boxes = map(np.concatenate, (subj, obj, predicate, labels, boxes))
-    n, t = len(labels), len(subj)   # with one frame, its node and triplet counts
+    boxes, n = _column(frames, "boxes", 4)
+    labels, n_labels = _column(frames, "labels")
+    label_scores, n_scores = _column(frames, "label_scores")
+    for nodes, n_label, n_score in zip(n, n_labels, n_scores):
+        if n_label != nodes or n_score != nodes:
+            raise DataFormatError(f"frame has {nodes} boxes but {n_label} labels and "
+                                  f"{n_score} label scores")
+    triplets = [_field(frame, "triplets", dict) for frame in frames]
+    (subj, n_subj), (obj, n_obj), (predicate, n_predicate), (score, t) = \
+        [_column(triplets, c) for c in TRIPLET_COLUMNS]
+    for n_s, n_o, n_p, n_t in zip(n_subj, n_obj, n_predicate, t):
+        if not n_s == n_o == n_p == n_t:
+            raise DataFormatError(f"triplets has {n_s} subjects, {n_o} objects, {n_p} predicates "
+                                  f"and {n_t} scores")
+    nodes = np.repeat(n, t)   # of each triplet's frame
     # every label and triplet index: a non-negative integer below its bound,
     # checked on the numbers before they become intp, where a number beyond
     # the intp range would wrap round
@@ -482,31 +455,44 @@ def _frame_columns(frames: list, g: float = _INTP_END, h: float = _INTP_END) -> 
     whole = (index >= 0) & (np.floor(index) == index)
     if not whole.all():
         i = int(np.argmin(whole))
-        return refuse(lambda: _index_message(i, index[i], n, t, g, h))
+        raise DataFormatError(_index_message(i, index[i], n, t, g, h))
     outside = (subj >= nodes) | (obj >= nodes)
     if outside.any():
         k = np.flatnonzero(outside)[0]
-        return refuse(lambda: f"triplet references node {_number_text(max(subj[k], obj[k]))} "
-                              f"but frame has {n} nodes")
-    if (labels >= g).any() or (predicate >= h).any():
-        over = np.flatnonzero(labels >= g)
-        i = over[0] if len(over) else n + 2 * t + np.flatnonzero(predicate >= h)[0]
-        return refuse(lambda: _index_message(i, index[i], n, t, g, h))
+        raise DataFormatError(f"triplet references node {_number_text(max(subj[k], obj[k]))} "
+                              f"but frame has {nodes[k]} nodes")
+    _check_bounds(labels, predicate, n, t, g, h)
     ints = index.astype(np.intp)
-    labels, subj, obj, predicate = ints[:n], ints[n:n + t], ints[n + t:n + 2 * t], ints[n + 2 * t:]
+    a, c = len(labels), len(subj)
+    labels, subj, obj, predicate = ints[:a], ints[a:a + c], ints[a + c:a + 2 * c], ints[a + 2 * c:]
     if (subj == obj).any():
         k = np.flatnonzero(subj == obj)[0]
-        return refuse(lambda: f"triplet {k} has subject and object both node {subj[k]}")
+        raise DataFormatError(f"triplet {_frame_of(k, t)[1]} has subject and object both "
+                              f"node {subj[k]}")
     try:
         check_boxes(boxes)
     except ContractError as e:
-        return refuse(lambda: str(e))
+        raise DataFormatError(str(e)) from None
     columns, a, c = [], 0, 0
-    for _, _, _, score, frame_labels, frame_boxes in read:
-        b, d = a + len(frame_labels), c + len(score)
-        columns.append((subj[c:d], obj[c:d], predicate[c:d], score, labels[a:b], frame_boxes))
+    for frame_nodes, frame_triplets in zip(n, t):
+        b, d = a + frame_nodes, c + frame_triplets
+        columns.append((subj[c:d], obj[c:d], predicate[c:d], score[c:d], labels[a:b],
+                        boxes[a:b], label_scores[a:b]))
         a, c = b, d
     return columns
+
+
+def _frames_to_arrays(record) -> None:
+    """Check the frames of a predictions record at once (`_frame_columns`)
+    and replace each one's numeric fields and triplet columns by their
+    arrays, in place. An error leaves the record as decoded."""
+    frames = _field(record, "frames", list)
+    for frame, (subj, obj, predicate, score, labels, boxes, label_scores) in \
+            zip(frames, _frame_columns(frames)):
+        frame["boxes"], frame["labels"], frame["label_scores"] = boxes, labels, label_scores
+        triplets = frame["triplets"]
+        triplets["subj"], triplets["obj"] = subj, obj
+        triplets["predicate"], triplets["score"] = predicate, score
 
 
 def ranked_from_frame_json(frame: dict, path: Path, lineno: int,
@@ -515,21 +501,22 @@ def ranked_from_frame_json(frame: dict, path: Path, lineno: int,
 
     The frame must pass `_frame_columns`, with `dims` its labels below dims.g
     and its predicates below dims.h, and without, both within the intp
-    range. A frame the loader checked, which holds its index columns as
-    intp arrays, is only held to the dims bounds; any other frame is checked
-    here, alone, and its first error is located at `path`:`lineno`.
+    range. A frame the loader checked, which holds arrays, is only held to
+    the dims bounds; any other frame is checked here, alone, and its first
+    error is located at `path`:`lineno`.
     """
     g, h = (dims.g, dims.h) if dims else (_INTP_END, _INTP_END)
     try:   # not `_located`, which would cost more: this runs once a frame
-        labels = frame.get("labels") if type(frame) is dict else None
-        if type(labels) is np.ndarray and labels.dtype == np.intp:   # checked by the loader
+        if type(frame) is dict and type(frame.get("labels")) is np.ndarray:   # checked
             triplets = frame["triplets"]
-            predicate = triplets["predicate"]
-            if dims is None or ((labels < g).all() and (predicate < h).all()):
-                return RankedFrame(triplets["subj"], triplets["obj"], predicate,
-                                   triplets["score"], labels, frame["boxes"])
+            ranked = RankedFrame(triplets["subj"], triplets["obj"], triplets["predicate"],
+                                 triplets["score"], frame["labels"], frame["boxes"])
+            if dims is not None:
+                _check_bounds(ranked.labels, ranked.predicate, [len(ranked.labels)],
+                              [len(ranked)], g, h)
+            return ranked
         (columns,) = _frame_columns([frame], g, h)
-        return RankedFrame(*columns)
+        return RankedFrame(*columns[:6])
     except DataFormatError as e:
         raise DataFormatError(f"{path}:{lineno}: {e}") from None
 
@@ -562,10 +549,11 @@ def _collector_paused():
 def numbered_predictions(path: str | Path) -> tuple[dict, list[tuple[int, dict]]]:
     """A predictions file's header, and each record with its line number.
 
-    Each line's frames hold their numeric fields and triplet columns
-    (_FRAME_ARRAYS, _TRIPLET_ARRAYS) as arrays, converted and checked as the
-    line is decoded (`_frames_to_arrays`): the lists they replace never pile
-    up for the collector to walk once it runs again.
+    Each record is checked as its line is decoded (`_frames_to_arrays`).
+    If it passes, its frames hold their numeric fields and triplet columns
+    as arrays, and the lists they replace never pile up for the collector to
+    walk once it runs again; if not, it stays as decoded, for
+    `ranked_from_frame_json` to check frame by frame.
     """
     path = Path(path)
     if not path.exists():
@@ -574,7 +562,8 @@ def numbered_predictions(path: str | Path) -> tuple[dict, list[tuple[int, dict]]
     with _collector_paused():
         header, numbered = next(records), []
         for lineno, record in records:
-            _frames_to_arrays(record)
+            with contextlib.suppress(DataFormatError):
+                _frames_to_arrays(record)
             numbered.append((lineno, record))
         return header, numbered
 

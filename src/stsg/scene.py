@@ -4,9 +4,10 @@ A node is the concatenation [box(4) | label distribution(G) | visual(C)],
 so the node width is always m = 4 + G + C and every slice of the encoding
 can be recovered by offset. A sequence holds its node inputs as one matrix
 of such rows for its gt objects and one for its detections, which its
-frames view (`scene_sequence`). Those rows are the only copy of a box or
-a vector: a gt object record keeps its box as a tuple of the row's
-numbers, its label and two flags, and a detection record its box.
+frames view (`scene_sequence`). Those rows are the only copy of a vector.
+A box has a second copy, a tuple of its row's numbers, in its record: a gt
+object record keeps it with its label and two flags, a detection record
+keeps only it.
 
 Rows are assembled from numbers the callers checked (`io` those of a file,
 finite, of the right widths, with label distributions; `synthgen` builds

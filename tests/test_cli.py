@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import os
+import signal
 import subprocess
 import sys
 from dataclasses import replace
@@ -159,22 +160,19 @@ def test_write_split_writes_what_gen_writes(tmp_path, tiny_config_path, dataset_
         start += count
 
 
-class _InProcessPool:
-    """multiprocessing.Pool's stand-in: records the worker count asked of it,
+class _InProcessExecutor:
+    """ProcessPoolExecutor's stand-in: records the worker count asked of it,
     and runs the initializer and the tasks in this process, in order."""
 
-    def __init__(self, started, processes, initializer, initargs):
-        started.append(processes)
+    def __init__(self, started, max_workers, initializer, initargs):
+        started.append(max_workers)
         initializer(*initargs)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def imap(self, fn, items, chunksize=1):
+    def map(self, fn, items, chunksize=1):
         return map(fn, items)
+
+    def shutdown(self, cancel_futures=False):
+        pass
 
 
 @pytest.mark.parametrize("cpus", [3, 64])
@@ -182,7 +180,7 @@ def test_workers_never_outnumber_the_cpus_or_the_items(tmp_path, tiny_config_pat
                                                        monkeypatch, cpus):
     # `--jobs 500` started 500 processes on a machine of a few CPUs
     started = []
-    monkeypatch.setattr(cli, "Pool", partial(_InProcessPool, started))
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", partial(_InProcessExecutor, started))
     monkeypatch.setattr(cli, "_available_cpus", lambda: cpus)
     monkeypatch.setattr(cli, "_worker_fn", None)
     base = ["--config", str(tiny_config_path), "--seed", "7"]
@@ -220,6 +218,50 @@ def test_an_error_in_a_gen_worker_is_an_error(tmp_path, tiny_config_path, monkey
     with pytest.raises(DataFormatError, match=r"train.jsonl: header count 10 != \d sequences"):
         io.load_split(data, "train")
     assert not (data / "val.jsonl").exists()
+
+
+# `stsg ablate` whose dense cell fails in a worker, in a pool of two workers
+# whatever the machine's CPUs
+ABLATE_WITH_A_FAILING_CELL = """
+import sys
+from stsg import cli
+from stsg.errors import TrainingError
+
+train = cli.train
+
+
+def failing(data, cfg):
+    if cfg.train.variant == "dense":
+        raise TrainingError("the dense cell diverged")
+    return train(data, cfg)
+
+
+cli.train = failing
+cli._available_cpus = lambda: 2
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_an_error_in_an_ablate_worker_ends_the_run(tmp_path, tiny_config_path, dataset_dir):
+    # the pool's exit, which killed the workers, could then wait forever on a
+    # queue lock that a killed worker held
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    out = tmp_path / "ablation.json"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", ABLATE_WITH_A_FAILING_CELL, "ablate",
+         "--config", str(tiny_config_path), "--data", str(dataset_dir), "--out", str(out),
+         "--seeds", "1", "--epochs", "1", "--train-sequences", "1", "--test-sequences", "1",
+         "--jobs", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        start_new_session=True)
+    try:
+        _, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)   # the run and its workers
+        proc.communicate()
+        pytest.fail("ablate did not end within 120 s of a cell's error")
+    assert (proc.returncode, err) == (1, "error: the dense cell diverged\n")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -678,8 +720,8 @@ def test_index_beyond_intp_without_dims_is_an_error(column, value, message):
 
 
 def test_decoded_predictions_hold_arrays(tmp_path, checkpoint_path, dataset_dir):
-    # a record whose frames all pass the loader's check holds its index
-    # columns as intp; a record with one bad frame keeps float64 columns
+    # a record whose frames all pass the loader's check holds its columns as
+    # arrays, its indices as intp; a record with one bad frame stays as decoded
     preds = tmp_path / "p.jsonl"
     assert main(["infer", "--ckpt", str(checkpoint_path), "--data", str(dataset_dir),
                  "--split", "val", "--mode", "sgdet", "--out", str(preds)]) == 0
@@ -694,13 +736,15 @@ def test_decoded_predictions_hold_arrays(tmp_path, checkpoint_path, dataset_dir)
     indices = {"labels", "subj", "obj", "predicate"}
     assert len(numbered) >= 2
     for (lineno, record), line in zip(numbered, lines[1:]):
+        if lineno == 3:
+            assert record == json.loads(line)
+            continue
         for frame, raw in zip(record["frames"], json.loads(line)["frames"]):
             for name, width in shapes.items():
                 arr, value = ((frame["triplets"][name], raw["triplets"][name])
                               if name in io.TRIPLET_COLUMNS else (frame[name], raw[name]))
-                checked = lineno != 3 and name in indices
                 assert isinstance(arr, np.ndarray), name
-                assert arr.dtype == (np.intp if checked else np.float64), (lineno, name)
+                assert arr.dtype == (np.intp if name in indices else np.float64), name
                 want = (len(value),) if width is None else (len(value), width)
                 assert arr.shape == want
                 np.testing.assert_array_equal(arr, np.array(value, dtype=float).reshape(want))
@@ -763,6 +807,45 @@ def test_a_bad_frame_of_a_record_gives_its_error(tmp_path, three_frame_dir, caps
             for frame in record["frames"]:
                 io.ranked_from_frame_json(frame, preds, lineno, dims)
     assert str(e.value).startswith(f"{preds}:3: ") and message in str(e.value), str(e.value)
+
+
+@pytest.mark.parametrize("edit", [edit for edit, _, _ in PER_RECORD_CASES], ids=PER_RECORD_IDS)
+def test_the_record_check_agrees_with_each_frames_own(tmp_path, edit):
+    # the loader checks a record's frames at once: it fails exactly when a
+    # frame fails its own check, with that frame's error, and a record that
+    # passes holds what each frame's own check builds from the decoded frame
+    records = []
+    for position in range(3):
+        frames = [_two_node_frame() for _ in range(3)]
+        edit(frames[position])
+        records.append({"seq_seed": position, "frames": frames})
+    records.append({"seq_seed": 3, "frames": [_two_node_frame() for _ in range(3)]})
+    preds = tmp_path / "p.jsonl"
+    io.write_predictions(preds, {"mode": "sgdet", "config": {}}, records)
+    _, numbered = io.numbered_predictions(preds)
+    assert len(numbered) == len(records)
+    for (lineno, loaded), record in zip(numbered, records):
+        errors = []
+        for frame in record["frames"]:
+            try:
+                io._frame_columns([frame])
+            except DataFormatError as e:
+                errors.append(str(e))
+        try:
+            io._frame_columns(record["frames"])
+        except DataFormatError as e:
+            assert errors and str(e) == errors[0], (lineno, str(e), errors)
+            assert loaded == record
+            continue
+        assert not errors
+        for frame, raw in zip(loaded["frames"], record["frames"]):
+            ranked = io.ranked_from_frame_json(raw, preds, lineno)
+            pairs = [(frame["boxes"], ranked.boxes), (frame["labels"], ranked.labels),
+                     (frame["label_scores"], np.array(raw["label_scores"], dtype=np.float64)),
+                     *((frame["triplets"][c], getattr(ranked, c)) for c in io.TRIPLET_COLUMNS)]
+            for got, want in pairs:
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("sides", [(-0.5, 0.3), (1e200, 1e200)], ids=["negative", "1e200"])
