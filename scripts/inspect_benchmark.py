@@ -2,21 +2,27 @@
 """Print summary statistics of a generated benchmark split."""
 
 import argparse
+import sys
 from collections import Counter
 
 import numpy as np
 
 from stsg.config import EVENT_NAMES, PREDICATE_NAMES
+from stsg.errors import ConfigError, DataFormatError
 from stsg.io import load_split
 
 
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("data", help="dataset directory")
     ap.add_argument("--split", default="train", choices=("train", "val", "test"))
     args = ap.parse_args()
 
-    header, seqs = load_split(args.data, args.split)
+    try:
+        header, seqs = load_split(args.data, args.split)
+    except (ConfigError, DataFormatError, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     pred_counts = Counter()
     events = np.zeros(len(EVENT_NAMES))
     n_frames = 0
@@ -38,11 +44,13 @@ def main() -> None:
           f"detections/frame mean {np.mean(n_detections):.2f}")
     print("\npredicate distribution:")
     for p, name in enumerate(PREDICATE_NAMES):
-        print(f"  {name:12s} {pred_counts[p]:7d}  {pred_counts[p] / total:.3f}")
+        share = pred_counts[p] / total if total else 0.0
+        print(f"  {name:12s} {pred_counts[p]:7d}  {share:.3f}")
     print("\nevent distribution:")
     for a, name in enumerate(EVENT_NAMES):
         print(f"  {name:10s} {int(events[a]):5d}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -36,18 +36,20 @@ def build_feature_bank(predictions: list[FramePrediction], variant: str,
                        dims: Dims) -> np.ndarray:
     """The (T, G, m) bank: each class's row in each frame holds the feature of
     its highest-label-score node, the lowest-indexed one on ties; absent
-    classes stay zero."""
+    classes stay zero. A node's class and label score are those its frame's
+    ranked list carries (`RankedFrame.labels`, `.label_scores`)."""
     if variant not in BANK_VARIANTS:
         raise ContractError(f"bank variant must be one of {BANK_VARIANTS}, got {variant!r}")
     if not predictions:
         raise ContractError("build_feature_bank: need at least one frame")
-    dists = np.concatenate([p.label_dists for p in predictions])
+    labels = np.concatenate([p.ranked.labels for p in predictions])
+    label_scores = np.concatenate([p.ranked.label_scores for p in predictions])
     feats = np.concatenate([p.fused if variant == "spatial_temporal" else p.gcn
                             for p in predictions])
     frame = np.repeat(np.arange(len(predictions)), [p.n for p in predictions])
-    key = frame * dims.g + np.argmax(dists, axis=1)
+    key = frame * dims.g + labels
     # stable, so the first of each key's equal best scores is its lowest index
-    order = np.lexsort((-np.max(dists, axis=1), key))
+    order = np.lexsort((-label_scores, key))
     best = order[np.diff(key[order], prepend=-1) != 0]
     z = np.zeros((len(predictions), dims.g, dims.m))
     z.reshape(-1, dims.m)[key[best]] = feats[best]

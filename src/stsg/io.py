@@ -350,7 +350,7 @@ def frame_prediction_to_json(pred: FramePrediction, ranked: RankedFrame,
     record = {
         "boxes": ranked.boxes.tolist(),
         "labels": ranked.labels.tolist(),
-        "label_scores": np.max(pred.label_dists, axis=1).tolist() if pred.n else [],
+        "label_scores": ranked.label_scores.tolist(),
         "triplets": {c: getattr(ranked, c).tolist() for c in TRIPLET_COLUMNS},
     }
     if include_features:
@@ -420,9 +420,9 @@ def _check_bounds(labels: np.ndarray, predicate: np.ndarray, n: list[int], t: li
 
 def _frame_columns(frames: list, g: float = _INTP_END, h: float = _INTP_END) -> list[tuple]:
     """Check predictions frames all at once, and return each frame's (subj,
-    obj, predicate, score, labels, boxes), the fields of its `RankedFrame`,
-    then its label scores: views of one array per field, with the index
-    columns as intp.
+    obj, predicate, score, labels, boxes, label_scores), the fields of its
+    `RankedFrame`: views of one array per field, with the index columns as
+    intp.
 
     Boxes, labels, label scores and the triplet columns must be finite
     numbers (`_number_array`), a frame's columns of one length; labels,
@@ -510,13 +510,14 @@ def ranked_from_frame_json(frame: dict, path: Path, lineno: int,
         if type(frame) is dict and type(frame.get("labels")) is np.ndarray:   # checked
             triplets = frame["triplets"]
             ranked = RankedFrame(triplets["subj"], triplets["obj"], triplets["predicate"],
-                                 triplets["score"], frame["labels"], frame["boxes"])
+                                 triplets["score"], frame["labels"], frame["boxes"],
+                                 frame["label_scores"])
             if dims is not None:
                 _check_bounds(ranked.labels, ranked.predicate, [len(ranked.labels)],
                               [len(ranked)], g, h)
             return ranked
         (columns,) = _frame_columns([frame], g, h)
-        return RankedFrame(*columns[:6])
+        return RankedFrame(*columns)
     except DataFormatError as e:
         raise DataFormatError(f"{path}:{lineno}: {e}") from None
 

@@ -1,26 +1,27 @@
 """Scene-graph evaluation and analytic efficiency accounting.
 
 Triplets are ranked by subject-label score * object-label score * predicate
-probability, with the frame's forward pass (`temporal.rank_frames`). The
-with-constraint setting keeps the best predicate per ordered pair;
-no-constraint keeps up to six. Mean recall and relation AP
-evaluate the per-frame list capped at 50 triplets; plain recall@K does not
-cap. Detection-protocol matching requires label equality and both boxes at
-IoU >= 0.5 (an IoU of exactly 0.5 counts).
+probability, each frame on its own, with the frame's forward pass
+(`temporal.rank_frames`). The with-constraint setting keeps the best
+predicate per ordered pair; no-constraint keeps up to six. Mean recall and
+relation AP evaluate the per-frame list capped at 50 triplets; plain
+recall@K does not cap. Detection-protocol matching requires label equality
+and both boxes at IoU >= 0.5 (an IoU of exactly 0.5 counts).
 
-A frame's ranked list is one `RankedFrame` of arrays, and `constrained_view`
-the one constraint rule. Evaluation works on the whole corpus at once: it
-lays every frame's list (or its constrained view), cut to the depth needed,
-and the ground truth out as flat frame-major arrays. Matching is one rule,
-greedy in rank order: each triplet consumes the lowest-index gt triplet of
-its frame still free that has its predicate and labels, and equal node
-indices (predcls, sgcls) or both boxes at IoU >= 0.5 (sgdet). The candidate
-pairs come from one sorted-key join on (frame, predicate, subject label,
-object label). Greedy matching in rank order makes the top-k matches a
-prefix, so recall@K and mean recall@K for every K are bincounts over one
-pass; and since a triplet only consumes gt of its own predicate, the
-detection-style pass over each frame's first 50 triplets holds every class's
-AP hit flags.
+A frame's ranked list is one `RankedFrame` of arrays, which also carries its
+nodes' labels, boxes and label scores, and `constrained_view` the one
+constraint rule; a view keeps the nodes. Evaluation works on the whole
+corpus at once: it lays every frame's list (or its constrained view), cut
+to the depth needed, and the ground truth out as flat frame-major arrays.
+Matching is one rule, greedy in rank order: each triplet consumes the
+lowest-index gt triplet of its frame still free that has its predicate and
+labels, and equal node indices (predcls, sgcls) or both boxes at IoU >= 0.5
+(sgdet). The candidate pairs come from one sorted-key join on (frame,
+predicate, subject label, object label). Greedy matching in rank order
+makes the top-k matches a prefix, so recall@K and mean recall@K for every K
+are bincounts over one pass; and since a triplet only consumes gt of its
+own predicate, the detection-style pass over each frame's first 50 triplets
+holds every class's AP hit flags.
 """
 
 from __future__ import annotations
@@ -312,8 +313,9 @@ def _detection_pass(c: _Corpus, taken: np.ndarray | None = None):
     subject, object) order, the order in which the corpus-wide AP list visits
     them, and their detection-style matches.
 
-    Lists from `temporal.rank_frames`, served or read back from a file, and
-    their constrained views are already in that order, which one comparison
+    Lists from `temporal.rank_frames`, which sorts each frame on its own,
+    served or read back from a file, and their constrained views laid out
+    frame after frame are already in that order, which one comparison
     of neighbouring rows confirms; `taken`, an sgdet pass over the whole
     corpus, then serves unchanged. Rows in any other order are sorted."""
     rows = np.flatnonzero(c.rank < FRAME_TRIPLET_CAP)

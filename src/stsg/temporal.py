@@ -257,77 +257,91 @@ NO_CONSTRAINT_PER_PAIR = 6
 LINK_DTYPE = np.dtype((np.record, [("curr_index", np.intp), ("prev_index", np.intp)]))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class RankedFrame:
-    """One frame's triplets in rank order, plus the per-node argmax labels and
-    boxes the matcher reads. `len()` counts triplets; indexing selects
-    triplets (a slice keeps a prefix) and keeps the nodes."""
+    """One frame's triplets in rank order, plus the per-node argmax labels,
+    boxes and label scores (the maximum of each node's label distribution).
+    `len()` counts triplets; indexing selects triplets (a slice keeps a
+    prefix) and keeps the nodes."""
 
-    subj: np.ndarray        # (T,) node indices
-    obj: np.ndarray         # (T,)
-    predicate: np.ndarray   # (T,)
-    score: np.ndarray       # (T,) float64
-    labels: np.ndarray      # (N,) argmax label per node
-    boxes: np.ndarray       # (N, 4) (x, y, w, h)
+    subj: np.ndarray            # (T,) node indices
+    obj: np.ndarray             # (T,)
+    predicate: np.ndarray       # (T,)
+    score: np.ndarray           # (T,) float64
+    labels: np.ndarray          # (N,) argmax label per node
+    boxes: np.ndarray           # (N, 4) (x, y, w, h)
+    label_scores: np.ndarray    # (N,) float64, the score of each node's label
 
     def __len__(self) -> int:
         return len(self.score)
 
     def __getitem__(self, rows) -> RankedFrame:
         return RankedFrame(self.subj[rows], self.obj[rows], self.predicate[rows],
-                           self.score[rows], self.labels, self.boxes)
+                           self.score[rows], self.labels, self.boxes, self.label_scores)
+
+
+def frame_offsets(sizes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For frames of the given node counts packed one after another: where
+    each frame's nodes start and where its ordered pairs start, each with
+    the total appended (F + 1,), and each node's index within its frame (N,)."""
+    sizes = np.asarray(sizes, dtype=np.intp)
+    starts = np.zeros((2, len(sizes) + 1), dtype=np.intp)
+    np.cumsum(sizes, out=starts[0, 1:])
+    np.cumsum(sizes * (sizes - 1), out=starts[1, 1:])
+    return starts[0], starts[1], np.arange(starts[0, -1]) - np.repeat(starts[0, :-1], sizes)
 
 
 def rank_frames(probs: np.ndarray, subj: np.ndarray, obj: np.ndarray,
-                label_dists: np.ndarray, boxes: np.ndarray, sizes) -> list[RankedFrame]:
+                label_dists: np.ndarray, boxes: np.ndarray, offsets) -> list[RankedFrame]:
     """The unconstrained ranked triplet list of each frame, empty frames
-    included, from one sort over the pair rows of frames of the given node
-    counts packed one after another.
+    included, for frames packed one after another with the given
+    `frame_offsets`; each frame is sorted on its own.
 
     `probs` (P, H) holds the predicate probabilities of the pairs (subj, obj)
     of packed node indices, in `spatial.frame_pairs` order. A triplet's score
-    is subject-label score * object-label score * predicate probability.
+    is subject-label score * object-label score * predicate probability,
+    where a node's label score is the maximum of its label distribution.
     Each ordered pair keeps its NO_CONSTRAINT_PER_PAIR most probable
     predicates (ties to the lower index), and a frame's list is sorted by
     (-score, subject, object, predicate).
     """
-    sizes = np.asarray(sizes, dtype=np.intp)
-    p, h = probs.shape
+    starts, pair_starts, local = offsets
+    h = probs.shape[1]
     label_scores = np.max(label_dists, axis=1)
     pair_scores = (label_scores[subj] * label_scores[obj])[:, None]
     keep = min(NO_CONSTRAINT_PER_PAIR, h)
     if keep == h:   # every predicate is kept, in ascending order
-        kept = np.tile(np.arange(h), p)
+        top = None
         scores = (pair_scores * probs).ravel()
     else:   # each pair's most probable predicates, in ascending order
         top = np.sort(np.argsort(-probs, axis=1, kind="stable")[:, :keep], axis=1)
-        kept = top.ravel()
         scores = (pair_scores * np.take_along_axis(probs, top, axis=1)).ravel()
     if not np.isfinite(scores).all():
         raise ContractError("rank_triplets: triplet scores must be finite")
-    subj, obj = np.repeat(subj, keep), np.repeat(obj, keep)
-    starts = np.cumsum(sizes) - sizes
-    node_frame = np.repeat(np.arange(len(sizes)), sizes)
-    # the rows already run by (frame, subject, object, predicate), so a
-    # stable sort on (frame, -score) breaks score ties in that order; the
-    # frame is the first key, so each frame's list is one run
-    order = np.lexsort((-scores, node_frame[subj]))
-    local = np.arange(len(node_frame)) - np.repeat(starts, sizes)
-    subj, obj, kept, scores = local[subj[order]], local[obj[order]], kept[order], scores[order]
+    cuts, nodes = (pair_starts * keep).tolist(), starts.tolist()
+    # each frame's rows already run by (subject, object, predicate), so a
+    # stable sort of the frame on -score breaks score ties in that order
+    negated = -scores
+    order = np.concatenate([negated[a:b].argsort(kind="stable") + a
+                            for a, b in zip(cuts[:-1], cuts[1:])])
+    pair = order // keep
+    subj, obj, scores = local[subj[pair]], local[obj[pair]], scores[order]
+    # with every predicate kept, a row's predicate is its place in its pair
+    kept = order - pair * keep if top is None else top.ravel()[order]
     labels = np.argmax(label_dists, axis=1)
-    nodes = np.concatenate([starts, [len(node_frame)]]).tolist()
-    cuts = np.concatenate([[0], np.cumsum(sizes * (sizes - 1) * keep)]).tolist()
-    return [RankedFrame(subj[a:b], obj[a:b], kept[a:b], scores[a:b], labels[x:y], boxes[x:y])
+    return [RankedFrame(subj[a:b], obj[a:b], kept[a:b], scores[a:b], labels[x:y], boxes[x:y],
+                        label_scores[x:y])
             for a, b, x, y in zip(cuts[:-1], cuts[1:], nodes[:-1], nodes[1:])]
 
 
-@dataclass
+@dataclass(slots=True)
 class FramePrediction:
     """One frame of a forward pass, as values, for metrics, banks and serialization.
 
-    `ranked` is the frame's unconstrained triplet list (`rank_frames`), and
-    `pair_probs` its pairs' predicate probabilities, in `spatial.frame_pairs`
-    order. The selected temporal edges are `links`, an array of LINK_DTYPE records of
+    `ranked` is the frame's unconstrained triplet list (`rank_frames`), with
+    its nodes' argmax labels, boxes and label scores, and `pair_probs` its
+    pairs' predicate probabilities, in `spatial.frame_pairs` order. The
+    selected temporal edges are `links`, an array of LINK_DTYPE records of
     frame-local (curr_index, prev_index) pairs: node `curr_index` of this
     frame takes context from node `prev_index` of the previous frame.
     """
@@ -349,37 +363,34 @@ def frame_predictions(packed: Packed, out: BatchOutput, g: int,
                       frames: list[FrameRecord]) -> list[FramePrediction]:
     """Cut a packed forward pass into one `FramePrediction` per frame,
     empty frames included; g is the label count, and `frames` the packed
-    frames. Every frame's triplets are ranked in one pass, and each frame's
-    arrays are views of the batch's."""
+    frames. The node offsets are found once, for the ranking and the links,
+    and each frame's arrays are views of the batch's."""
     feats = packed.feats
     probs = ad._logistic(out.relation_logits.data)
     if out.label_logits is None:
         dists = feats[:, 4:4 + g]
     else:
         dists = ad._softmax(out.label_logits.data)
-    sizes = packed.sizes
-    ranked = rank_frames(probs, packed.subj.ids, packed.obj.ids, dists, feats[:, :4], sizes)
-    node_starts = np.concatenate([[0], np.cumsum(sizes)])
+    offsets = frame_offsets(packed.sizes)
+    starts, pair_starts, local = offsets
+    ranked = rank_frames(probs, packed.subj.ids, packed.obj.ids, dists, feats[:, :4], offsets)
     # links come in candidate order, so each frame's links are one run
     curr = packed.cand_curr.ids[out.links]
-    link_starts = np.searchsorted(curr, node_starts).tolist()
-    local = np.arange(packed.n_nodes) - np.repeat(node_starts[:-1], sizes)
+    link_starts = np.searchsorted(curr, starts).tolist()
     links = np.empty(len(curr), dtype=LINK_DTYPE)
     links["curr_index"] = local[curr]
     links["prev_index"] = local[packed.cand_prev.ids[out.links]]
     fused, gcn = out.fused.data, out.gcn.data
-    starts = node_starts.tolist()
-    pair_starts = np.concatenate([[0], np.cumsum(sizes * (sizes - 1))]).tolist()
+    nodes, pairs = starts.tolist(), pair_starts.tolist()
     sgdet = packed.mode == "sgdet"
     return [
         FramePrediction(
-            label_dists=dists[a:b],
-            pair_probs=probs[pair_starts[t]:pair_starts[t + 1]],
+            label_dists=dists[a:b], pair_probs=probs[pairs[t]:pairs[t + 1]],
             fused=fused[a:b], gcn=gcn[a:b], ranked=ranked[t],
             nodes=frame.detections if sgdet else frame.objects,
             links=links[link_starts[t]:link_starts[t + 1]],
         )
-        for t, (frame, a, b) in enumerate(zip(frames, starts[:-1], starts[1:]))
+        for t, (frame, a, b) in enumerate(zip(frames, nodes[:-1], nodes[1:]))
     ]
 
 

@@ -13,7 +13,7 @@ from stsg.config import MODES, RunConfig, config_with
 from stsg.metrics import IOU_THRESHOLD, FrameEval, constrained_view, rank_triplets
 from stsg.scene import GroundTruthObject, pairwise_iou
 from stsg.synthgen import generate_scene
-from stsg.temporal import FramePrediction, forward_sequence, rank_frames
+from stsg.temporal import FramePrediction, forward_sequence, frame_offsets, rank_frames
 from stsg.training import train
 
 G, H = 4, 3
@@ -53,7 +53,7 @@ def frame_prediction(boxes, dists, rel, fused, gcn) -> FramePrediction:
     ranked by the rule a forward pass ranks with (`rank_frames`)."""
     n = len(dists)
     pairs = ~np.eye(n, dtype=bool)     # subject-major, as spatial.frame_pairs lists them
-    (ranked,) = rank_frames(rel[pairs], *np.nonzero(pairs), dists, boxes, [n])
+    (ranked,) = rank_frames(rel[pairs], *np.nonzero(pairs), dists, boxes, frame_offsets([n]))
     return FramePrediction(label_dists=dists, pair_probs=rel[pairs], fused=fused, gcn=gcn,
                            ranked=ranked)
 

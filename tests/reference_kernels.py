@@ -74,7 +74,8 @@ def five_key_rank_frames(probs, subj, obj, label_dists, boxes, sizes) -> list[Ra
     labels = np.argmax(label_dists, axis=1)
     nodes = np.concatenate([starts, [len(node_frame)]]).tolist()
     cuts = np.concatenate([[0], np.cumsum(sizes * (sizes - 1) * keep)]).tolist()
-    return [RankedFrame(subj[a:b], obj[a:b], kept[a:b], scores[a:b], labels[x:y], boxes[x:y])
+    return [RankedFrame(subj[a:b], obj[a:b], kept[a:b], scores[a:b], labels[x:y], boxes[x:y],
+                        label_scores[x:y])
             for a, b, x, y in zip(cuts[:-1], cuts[1:], nodes[:-1], nodes[1:])]
 
 

@@ -6,7 +6,7 @@ import os
 import signal
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -18,6 +18,7 @@ from stsg.cli import main
 from stsg.config import Dims, load_config, parse_config_items
 from stsg.errors import ConfigError, ContractError, DataFormatError
 from stsg.params import ModelParams
+from stsg.temporal import RankedFrame
 
 TINY_CFG = """
 # tiny benchmark for fast end-to-end runs; small scenes keep every frame's
@@ -840,12 +841,39 @@ def test_the_record_check_agrees_with_each_frames_own(tmp_path, edit):
         assert not errors
         for frame, raw in zip(loaded["frames"], record["frames"]):
             ranked = io.ranked_from_frame_json(raw, preds, lineno)
+            written = np.array(raw["label_scores"], dtype=np.float64)
             pairs = [(frame["boxes"], ranked.boxes), (frame["labels"], ranked.labels),
-                     (frame["label_scores"], np.array(raw["label_scores"], dtype=np.float64)),
+                     (frame["label_scores"], ranked.label_scores), (ranked.label_scores, written),
                      *((frame["triplets"][c], getattr(ranked, c)) for c in io.TRIPLET_COLUMNS)]
             for got, want in pairs:
                 assert got.dtype == want.dtype
                 np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("mode", ["predcls", "sgcls", "sgdet"])
+def test_a_served_list_reads_back_bit_for_bit(tmp_path, checkpoint_path, dataset_dir, mode):
+    # served, written by `stsg infer` and read back: every RankedFrame field,
+    # from a record the loader checked and from a frame checked on its own
+    preds = tmp_path / "p.jsonl"
+    assert main(["infer", "--ckpt", str(checkpoint_path), "--data", str(dataset_dir),
+                 "--split", "val", "--mode", mode, "--out", str(preds)]) == 0
+    cfg, params, _ = io.load_checkpoint(checkpoint_path)
+    _, seqs = io.load_split(dataset_dir, "val")
+    _, numbered = io.numbered_predictions(preds)
+    decoded = [json.loads(line) for line in preds.read_text().splitlines()[1:]]
+    names = [f.name for f in fields(RankedFrame)]
+    assert len(names) == 7
+    assert len(numbered) == len(decoded) == len(seqs)
+    for seq, (lineno, record), raw in zip(seqs, numbered, decoded):
+        served = cli.forward_sequence(seq, params, mode, cfg.train.variant, cfg.train.k)
+        assert len(record["frames"]) == len(raw["frames"]) == len(served)
+        for pred, loaded, frame in zip(served, record["frames"], raw["frames"]):
+            for ranked in (io.ranked_from_frame_json(loaded, preds, lineno),
+                           io.ranked_from_frame_json(frame, preds, lineno)):
+                for name in names:
+                    got, want = getattr(ranked, name), getattr(pred.ranked, name)
+                    assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+                    assert got.tobytes() == want.tobytes(), name
 
 
 @pytest.mark.parametrize("sides", [(-0.5, 0.3), (1e200, 1e200)], ids=["negative", "1e200"])

@@ -26,7 +26,7 @@ from stsg.params import ModelParams
 from stsg.rng import RngStream
 from stsg.spatial import frame_pairs
 from stsg.synthgen import generate_scene
-from stsg.temporal import forward_sequence, rank_frames, topk_links
+from stsg.temporal import forward_sequence, frame_offsets, rank_frames, topk_links
 from stsg.training import Optimizer
 
 TINY = np.finfo(np.float64).tiny
@@ -128,12 +128,13 @@ def test_rank_frames_is_the_five_key_sort(h, seed):
     pair_scores = label_scores[subj] * label_scores[obj]
     first, second = pair_scores * probs[:, 0], pair_scores * probs[:, 1]
     assert ((first == second) & (probs[:, 0] != probs[:, 1])).any()
-    got = rank_frames(probs, subj, obj, label_dists, boxes, sizes)
+    got = rank_frames(probs, subj, obj, label_dists, boxes, frame_offsets(sizes))
     want = five_key_rank_frames(probs, subj, obj, label_dists, boxes, sizes)
     assert len(got) == len(want) == len(sizes)
     for g, w in zip(got, want):
-        for name in ("subj", "obj", "predicate", "score", "labels", "boxes"):
+        for name in ("subj", "obj", "predicate", "score", "labels", "boxes", "label_scores"):
             assert_same_bits(getattr(g, name), getattr(w, name))
+    assert_same_bits(np.concatenate([g.label_scores for g in got]), label_scores)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 9])

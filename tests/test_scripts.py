@@ -11,19 +11,51 @@ from stsg.cli import main
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_inspect_benchmark_summarises_a_generated_split(tmp_path):
+def _inspect(data, split):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / "inspect_benchmark.py"),
+                           str(data), "--split", split],
+                          capture_output=True, text=True, env=env, check=False)
+
+
+def _tiny_split(tmp_path) -> Path:
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text("split.train_sequences = 2\nsplit.val_sequences = 1\n"
                    "split.test_sequences = 3\n")
     data = tmp_path / "data"
     assert main(["gen", "--config", str(cfg), "--seed", "7", "--out", str(data)]) == 0
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "inspect_benchmark.py"),
-                           str(data), "--split", "test"],
-                          capture_output=True, text=True, env=env, check=False)
+    return data
+
+
+def test_inspect_benchmark_summarises_a_generated_split(tmp_path):
+    proc = _inspect(_tiny_split(tmp_path), "test")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("test: 3 sequences, 24 frames, ")
     assert "predicate distribution:" in proc.stdout and "event distribution:" in proc.stdout
+
+
+def test_inspect_benchmark_reports_a_missing_split(tmp_path):
+    data = _tiny_split(tmp_path)
+    (data / "val.jsonl").unlink()
+    proc = _inspect(data, "val")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == f"error: {data / 'val.jsonl'}: no such dataset file\n"
+
+
+def test_inspect_benchmark_summarises_a_split_without_triplets(tmp_path):
+    data = _tiny_split(tmp_path)
+    path = data / "test.jsonl"
+    header, *records = path.read_text().splitlines()
+    records = [json.loads(line) for line in records]
+    for record in records:
+        for frame in record["frames"]:
+            frame["triplets"] = []
+    path.write_text("\n".join([header, *map(json.dumps, records)]) + "\n")
+    proc = _inspect(data, "test")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("test: 3 sequences, 24 frames, 0 gt triplets\n")
+    shares = proc.stdout.split("predicate distribution:\n")[1].split("\n\n")[0].splitlines()
+    assert shares and all(line.split()[-2:] == ["0", "0.000"] for line in shares)
 
 
 def test_reproduce_trends_writes_every_report(tmp_path):
