@@ -13,12 +13,18 @@ independent tapes may run concurrently.
 
 Gathers and segment reductions take a `SegmentPlan`: an index list whose
 range is checked, and whose stable sort order and `reduceat` runs are
-found, once rather than on every forward and backward call. The packed
-batch builds its plans with the data (`temporal.pack`), and joins them
-without sorting again; a raw index list passed to an op becomes a plan at
-the call, so every scatter and reduction takes the same path. A plan finds
-its runs when a reduction first needs them: a forward pass without a tape
-gathers along many lists it never reduces over.
+found, once rather than on every forward and backward call. Every index
+list is range-checked when it is planned: a raw list passed to an op
+becomes a checked plan at the call, so every scatter and reduction takes
+the same path. Two kinds of plan skip that check, because their range
+holds by construction (`SegmentPlan.derived`): the packed batch's plans,
+which `temporal.pack` builds from the frame sizes, and the selected links'
+plans, which `temporal.forward_batch` takes as rows of those checked plans.
+Joined plans (`SegmentPlan.join`) are not checked or sorted again either.
+A plan finds its runs when a reduction first needs them: a forward pass
+without a tape gathers along many lists it never reduces over. A
+reduction whose runs are all one row long -- each node with one link --
+takes the rows in plan order, which is what `reduceat` would return.
 
 `backward` returns one gradient per watched leaf. Model parameters are
 views of one flat vector (`params.ModelParams`), and training gathers
@@ -250,11 +256,13 @@ def _log_softmax(av: np.ndarray, axis: int) -> np.ndarray:
 class SegmentPlan:
     """One index list, prepared once for gathers and segment reductions.
 
-    The ids lie in [0, n), checked when the plan is built. The runs that a
-    reduction needs -- the stable sort order of the ids (None when they are
-    already sorted), the `reduceat` start of each run of equal ids in that
-    order, and the segment of each run -- are found on the first call of
-    `runs()` and kept. A gather never needs them; its backward scatter over
+    The ids lie in [0, n), checked when the plan is built from an index
+    list; `derived` builds a plan without that check, for ids whose range
+    the package has already made certain. The runs that a reduction needs
+    -- the stable sort order of the ids (None when they are already
+    sorted), the `reduceat` start of each run of equal ids in that order,
+    and the segment of each run -- are found on the first call of `runs()`
+    and kept. A gather never needs them; its backward scatter over
     rows and the segment reductions do. A plan reads as its id array
     wherever numpy wants one.
     """
@@ -268,6 +276,16 @@ class SegmentPlan:
         if ids.size and (ids.min() < 0 or ids.max() >= n):
             raise ContractError(f"{kind}: " + _OUT_OF_RANGE.get(kind, _OUT_OF_SEGMENTS).format(n=n))
         self.ids, self.n, self._runs = ids, int(n), None
+
+    @classmethod
+    def derived(cls, ids: np.ndarray, n: int) -> "SegmentPlan":
+        """The plan of a 1-D intp array whose ids lie in [0, n) by
+        construction, unchecked: ids computed from node counts, or rows of a
+        checked plan's ids. An index list from anywhere else goes through
+        the checked constructor."""
+        plan = object.__new__(cls)
+        plan.ids, plan.n, plan._runs = ids, n, None
+        return plan
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -306,8 +324,7 @@ class SegmentPlan:
         if any(r[0] is not None for r in runs):
             order = cat([np.arange(len(p.ids)) if r[0] is None else r[0]
                          for p, r in zip(parts, runs)], pos_off)
-        plan = object.__new__(cls)
-        plan.ids, plan.n = cat([p.ids for p in parts], id_off), id_off[-1]
+        plan = cls.derived(cat([p.ids for p in parts], id_off), id_off[-1])
         plan._runs = (order, cat([r[1] for r in runs], pos_off), cat([r[2] for r in runs], id_off))
         return plan
 
@@ -345,8 +362,11 @@ def _segment_reduce(ufunc, values: np.ndarray, plan: SegmentPlan, empty: float) 
     if not len(plan):
         return np.full(out_shape, empty)
     order, starts, segments = plan.runs()
-    reduced = ufunc.reduceat(values if order is None else values.take(order, axis=0), starts,
-                             axis=0)
+    if len(starts) < len(plan):
+        reduced = ufunc.reduceat(values if order is None else values.take(order, axis=0),
+                                 starts, axis=0)
+    else:   # every run is one row, which reduceat would copy
+        reduced = values.copy() if order is None else values.take(order, axis=0)
     if len(segments) == plan.n:   # every segment has rows
         return reduced
     out = np.full(out_shape, empty)

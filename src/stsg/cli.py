@@ -243,7 +243,12 @@ def cmd_train(args) -> int:
         for e in result.log
     ]
     io.write_checkpoint(args.out, cfg, result.params, log)
-    io.write_train_log(Path(args.out).with_suffix(".log.json"), cfg, log)
+    # the train log also splits each epoch's loss and counts its clipped steps
+    io.write_train_log(Path(args.out).with_suffix(".log.json"), cfg, [
+        {**entry, "relation_loss": e.relation_loss, "node_loss": e.node_loss,
+         "link_loss": e.link_loss, "clip_hits": e.clip_hits}
+        for entry, e in zip(log, result.log)
+    ])
     if log:
         last = log[-1]
         val_txt = "" if last["val_recall20"] is None else f", val R@20 {last['val_recall20']:.4f}"

@@ -220,6 +220,9 @@ def fuse_link_mean(updated: Tensor, gamma_sel: Tensor, tau: Tensor, curr, guard:
 
     A row whose weight sum is within guard of zero averages its links
     uniformly (its gradient then skips gamma); a row without links adds 0.
+    A link's weight is gamma * keep + uniform, keep and uniform being 0/1
+    flags of its row. When no row falls back, that is gamma * 1.0 + 0.0,
+    which is gamma + 0.0 bit for bit, and the flags are not built.
     """
     uv, gv, tv = updated.data, gamma_sel.data, tau.data
     n = uv.shape[0]
@@ -227,8 +230,11 @@ def fuse_link_mean(updated: Tensor, gamma_sel: Tensor, tau: Tensor, curr, guard:
     ids = plan.ids
     counts = np.bincount(ids, minlength=n)
     uniform = (np.abs(np.bincount(ids, weights=gv, minlength=n)) < guard) & (counts > 0)
-    keep = (~uniform[ids]).astype(np.float64)
-    col = (gv * keep + uniform[ids].astype(np.float64)).reshape(len(ids), 1)
+    if uniform.any():
+        keep = (~uniform[ids]).astype(np.float64)
+        col = (gv * keep + uniform[ids].astype(np.float64)).reshape(len(ids), 1)
+    else:
+        keep, col = None, (gv + 0.0).reshape(len(ids), 1)
     numer = _segment_sum(tv * col, plan)
     # rows without links divide 0 by 1, yielding the exact zero vector
     safe = _segment_sum(col, plan) + (counts == 0).astype(np.float64).reshape(-1, 1)
@@ -243,8 +249,11 @@ def fuse_link_mean(updated: Tensor, gamma_sel: Tensor, tau: Tensor, curr, guard:
             dsafe = _unbroadcast(-g * numer / (safe * safe), safe.shape)
             dtc = _rows(g / safe, ids)
             dcol = _rows(dsafe, ids) + _unbroadcast(dtc * tv, col.shape)
-            return ((g if need[0] else None), (dcol.reshape(len(ids)) * keep if need[1] else None),
-                    (dtc * col if need[2] else None))
+            dgamma = None
+            if need[1]:
+                dgamma = dcol.reshape(len(ids))
+                dgamma = dgamma if keep is None else dgamma * keep
+            return (g if need[0] else None), dgamma, (dtc * col if need[2] else None)
         _record(out, inputs, vjp)
     return out
 

@@ -182,11 +182,12 @@ def pack(sequence: SceneSequence, mode: str, variant: str, dims) -> Packed:
     rank = np.arange(len(cand_curr)) - np.repeat(np.cumsum(per_node) - per_node, per_node)
     prev_first = np.repeat(np.cumsum(sizes) - sizes - prev_sizes, sizes)   # per node
     cand_prev = prev_first[cand_curr] + rank
+    # every list is computed from the frame sizes, so its range holds unchecked
+    plan = ad.SegmentPlan.derived
     return Packed(mode=mode, variant=variant, sizes=sizes, feats=feats,
-                  node_frame=ad.SegmentPlan(np.repeat(np.arange(len(present)), present),
-                                            len(present)),
-                  subj=ad.SegmentPlan(subj, n), obj=ad.SegmentPlan(obj, n),
-                  cand_curr=ad.SegmentPlan(cand_curr, n), cand_prev=ad.SegmentPlan(cand_prev, n))
+                  node_frame=plan(np.repeat(np.arange(len(present)), present), len(present)),
+                  subj=plan(subj, n), obj=plan(obj, n),
+                  cand_curr=plan(cand_curr, n), cand_prev=plan(cand_prev, n))
 
 
 @dataclass
@@ -231,14 +232,17 @@ def forward_batch(packed: Packed, params: ModelParams, k: int = 1) -> BatchOutpu
             mask = tracking_links(packed.feats[:, :4], labels, cand_curr, packed.cand_prev.ids)
         chosen = np.flatnonzero(mask)
         if len(chosen):
-            # the selected links' plans, shared by the forward and backward calls
+            # the selected links' plans, shared by the forward and backward
+            # calls: rows of the packed plans, so in range without a check
+            plan = ad.SegmentPlan.derived
             curr_ids = cand_curr[chosen]
-            curr_idx = ad.SegmentPlan(curr_ids, n)
-            prev_idx = ad.SegmentPlan(packed.cand_prev.ids[chosen], n)
-            frame_idx = ad.SegmentPlan(packed.node_frame.ids[curr_ids], packed.n_frames)
+            curr_idx = plan(curr_ids, n)
+            prev_idx = plan(packed.cand_prev.ids[chosen], n)
+            frame_idx = plan(packed.node_frame.ids[curr_ids], packed.n_frames)
             tau = encode_temporal_pairs(updated, packed.node_frame, frame_idx,
                                         curr_idx, prev_idx, params)
-            fused = aggregate_links(updated, ad.gather_rows(gamma, chosen), tau, curr_idx, n)
+            gamma_sel = ad.gather_rows(gamma, plan(chosen, len(cand_curr)))
+            fused = aggregate_links(updated, gamma_sel, tau, curr_idx, n)
 
     logits = relation_logits(fused, packed.subj, packed.obj, params)
     label_logits = None
@@ -317,7 +321,7 @@ def rank_frames(probs: np.ndarray, subj: np.ndarray, obj: np.ndarray,
         top = np.sort(np.argsort(-probs, axis=1, kind="stable")[:, :keep], axis=1)
         scores = (pair_scores * np.take_along_axis(probs, top, axis=1)).ravel()
     if not np.isfinite(scores).all():
-        raise ContractError("rank_triplets: triplet scores must be finite")
+        raise ContractError("rank_frames: triplet scores must be finite")
     cuts, nodes = (pair_starts * keep).tolist(), starts.tolist()
     # each frame's rows already run by (subject, object, predicate), so a
     # stable sort of the frame on -score breaks score ties in that order

@@ -341,9 +341,18 @@ def clip_gradients(grads: Gradients, max_norm: float) -> Gradients:
 
 @dataclass
 class EpochLog:
+    """One epoch of training: the mean batch loss, the means of its relation,
+    node and link parts (unweighted, so train_loss = relation_loss +
+    lambda_node * node_loss + LINK_WEIGHT * link_loss), the steps whose
+    gradient was clipped, and the validation metric when one was taken."""
+
     epoch: int
     train_loss: float
     val_recall20: float | None = None
+    relation_loss: float = 0.0
+    node_loss: float = 0.0
+    link_loss: float = 0.0
+    clip_hits: int = 0
 
 
 @dataclass
@@ -368,32 +377,38 @@ def train(dataset: list[SceneSequence], cfg: RunConfig, eval_fn=None) -> TrainRe
     prepared = [prepare(seq, tc.mode, tc.variant, cfg.dims) for seq in dataset]
     for epoch in range(tc.epochs):
         order = order_rng.permutation(len(dataset))
-        epoch_losses = []
+        reports: list[LossReport] = []
+        clip_hits = 0
         for start in range(0, len(order), tc.batch_size):
             packed, targets = join([prepared[i] for i in order[start:start + tc.batch_size]])
             tape = Tape()
             params.watch_all(tape)
             with tape:
                 out = forward_batch(packed, params, tc.k)
-                total, _ = batch_loss(packed, targets, out, tc.lambda_node)
-            value = total.item()
+                total, report = batch_loss(packed, targets, out, tc.lambda_node)
+            value = report.total
             where = f"at epoch {epoch + 1}, batch {start // tc.batch_size + 1}"
             if not np.isfinite(value):
                 raise TrainingError(f"non-finite loss {value} {where}")
-            epoch_losses.append(value)
+            reports.append(report)
             grads = Gradients.collect(params, backward(tape, total))
             # a non-finite gradient would turn every parameter into NaN via
             # the clip factor, with no error until the next batch's loss
             if not np.isfinite(grads.flat).all():
                 name = next(n for n, g in grads.items() if not np.isfinite(g).all())
                 raise TrainingError(f"non-finite gradient in {name} {where}")
-            params = opt.step(params, clip_gradients(grads, tc.clip_norm))
+            clipped = clip_gradients(grads, tc.clip_norm)
+            clip_hits += clipped is not grads
+            params = opt.step(params, clipped)
             # an update can overflow on finite gradients; after the last one
             # no later loss would catch it before the checkpoint is written
             if not np.isfinite(params.flat).all():
                 name = next(n for n, p in params.items() if not np.isfinite(p.data).all())
                 raise TrainingError(f"non-finite parameter {name} {where}")
-        entry = EpochLog(epoch=epoch + 1, train_loss=float(np.mean(epoch_losses)))
+        means = [float(np.mean([getattr(r, name) for r in reports]))
+                 for name in ("total", "relation_loss", "node_loss", "link_loss")]
+        entry = EpochLog(epoch=epoch + 1, train_loss=means[0], relation_loss=means[1],
+                         node_loss=means[2], link_loss=means[3], clip_hits=clip_hits)
         if eval_fn is not None and (epoch + 1) % tc.val_every == 0:
             entry.val_recall20 = float(eval_fn(params))
         log.append(entry)

@@ -293,6 +293,17 @@ def test_checkpoint_roundtrip_is_exact(checkpoint_path):
     assert cfg.to_flat_dict() == reloaded_cfg.to_flat_dict()
 
 
+def test_only_the_train_log_splits_the_loss(checkpoint_path):
+    _, _, log = io.load_checkpoint(checkpoint_path)
+    kept = {"epoch", "train_loss", "val_recall20"}
+    assert log and all(set(e) == kept for e in log)
+    entries = json.loads(checkpoint_path.with_suffix(".log.json").read_text())["entries"]
+    assert [{k: e[k] for k in kept} for e in entries] == log
+    for e in entries:
+        assert set(e) - kept == {"relation_loss", "node_loss", "link_loss", "clip_hits"}
+        assert isinstance(e["clip_hits"], int)
+
+
 def test_corrupt_checkpoint_reports_field(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"kind": "not-a-checkpoint"}')

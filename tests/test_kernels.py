@@ -100,6 +100,36 @@ def test_segment_reduce_is_fill_and_scatter(name, ufunc, empty, width):
     assert_same_bits(got, fill_scatter_reduce(ufunc, values, SegmentPlan(ids, n), empty))
 
 
+ONE_ROW_RUNS = {
+    "sorted": (np.arange(6), 6),
+    "unsorted": (np.array([4, 0, 5, 2, 1, 3]), 6),
+    "gaps-sorted": (np.array([0, 2, 3, 7]), 9),
+    "gaps-unsorted": (np.array([7, 0, 3, 2]), 9),
+}
+
+
+@pytest.mark.parametrize("name", list(ONE_ROW_RUNS))
+@pytest.mark.parametrize("ufunc, empty", [(np.add, 0.0), (np.maximum, -np.inf)],
+                         ids=["sum", "max"])
+@pytest.mark.parametrize("width", [None, 28], ids=["vector", "rows"])
+def test_runs_of_one_row_reduce_to_the_reduceat_result(name, ufunc, empty, width):
+    # such a plan skips reduceat and takes its rows; -0.0 and NaN keep their
+    # bits, as reduceat copies a run of one row
+    ids, n = ONE_ROW_RUNS[name]
+    plan = SegmentPlan(ids, n)
+    order, starts, segments = plan.runs()
+    assert len(starts) == len(plan)
+    values = np.random.default_rng(4).normal(size=(len(ids),) if width is None
+                                              else (len(ids), width))
+    values.flat[:3] = [-0.0, np.nan, -np.nan]
+    got = ad._segment_reduce(ufunc, values, plan, empty)
+    assert_same_bits(got, fill_scatter_reduce(ufunc, values, plan, empty))
+    if len(segments) == n:   # every segment has its row: reduceat's result as it is
+        assert_same_bits(got, ufunc.reduceat(values if order is None else values[order],
+                                             starts, axis=0))
+    assert not np.shares_memory(got, values)
+
+
 def ranking_inputs(h: int, seed: int):
     """Random frames, empty and one-node ones among them, whose predicate
     probabilities and label scores tie, and whose pairs hold predicates of

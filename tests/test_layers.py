@@ -117,6 +117,31 @@ def test_uniform_fallback_rows_are_the_composition(monkeypatch):
         assert_step_is_the_composition(seqs, params.with_flat(flat), "sgcls", variant, k)
 
 
+def test_link_mean_without_fallback_rows_is_the_general_path_bit_for_bit():
+    # with no row inside the guard the op builds no fallback flags; a zero
+    # weight (-0.0) among a row's links still gets the bits of
+    # gamma * 1.0 + 0.0, and one link a row reduces without reduceat
+    guard = stsg.temporal.DENOM_GUARD
+    cases = [([3, 1, 3, 2, 1, 3], [-0.0, 0.7, 1.3, -2.1, -0.4, 0.25]),
+             ([4, 1, 2], [0.5, -1.2, 2.0]),
+             # rows 1 and 3 inside the guard take the uniform path
+             ([1, 1, 2, 2, 3], [3e-9, 2e-9, 0.8, 0.3, -0.0])]
+    for seed, (curr, gamma) in enumerate(cases):
+        curr, rng = np.array(curr), RngStream(seed, stream=12)
+        inputs = leaves(rng.normal_array((5, 6)), np.array(gamma),
+                        rng.normal_array((len(curr), 6)))
+        got_value, got_grads = watched_run(
+            lambda u, g, t: layers.fuse_link_mean(u, g, t, curr, guard), inputs, seed)
+        want_value, want_grads = watched_run(
+            lambda u, g, t: composed_fuse_link_mean(u, g, t, curr, 5), inputs, seed)
+        for got, want in zip([got_value, *got_grads], [want_value, *want_grads]):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    updated, _, tau = (t.data for t in inputs)
+    assert np.array_equal(got_value[1], updated[1] + (tau[0] + tau[1]) / 2.0)
+    assert np.array_equal(got_value[3], updated[3] + tau[4])
+    assert np.all(got_grads[1][[0, 1, 4]] == 0.0) and np.all(got_grads[1][2:4] != 0.0)
+
+
 # ---------------------------------------------------------------------------
 # op by op, every input watched
 

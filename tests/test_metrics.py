@@ -196,7 +196,7 @@ def test_served_ranking_rejects_non_finite_scores():
     params = params_with(dims, **{"rel.b": np.where(np.arange(dims.h) == 2, np.nan, 0.0)})
     seq = random_sequence(RngStream(65), dims, n_frames=2)
     for mode in MODES:
-        with pytest.raises(ContractError, match="rank_triplets: triplet scores must be finite"):
+        with pytest.raises(ContractError, match="rank_frames: triplet scores must be finite"):
             forward_sequence(seq, params, mode)
 
 

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import primitives as prim
 from conftest import (
@@ -19,10 +21,11 @@ from conftest import (
 from fixtures import pair_grid, relation_probs
 from stsg import blas
 from stsg.autodiff import Tensor
-from stsg.config import MODES, WorldConfig
+from stsg.config import MODES, VARIANTS, Dims, WorldConfig
 from stsg.errors import ContractError
 from stsg.io import sequence_from_json, sequence_to_json
 from stsg.layers import frame_context
+from stsg.params import ModelParams
 from stsg.rng import RngStream
 import stsg.autodiff as ad
 from stsg.spatial import frame_pairs, gcn_propagate, propose_relations
@@ -670,3 +673,32 @@ def test_mode_and_variant_validation(dims, params):
         forward_sequence(seq, params, mode="sgdet", variant="lstm")
     with pytest.raises(ContractError):
         forward_sequence(seq, params, mode="sgdet", variant="sparse", k=0)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=6),
+       st.sampled_from(MODES), st.sampled_from(VARIANTS), st.integers(min_value=1, max_value=3))
+@settings(max_examples=60, deadline=None)
+def test_every_derived_plan_passes_the_range_check_unchanged(seed, n_frames, mode, variant, k):
+    # pack, join and forward_batch skip the range check of the plans they
+    # derive; over frames of 0 to 3 nodes, the check accepts each as it is
+    dims = Dims()
+    rng = RngStream(seed)
+    seqs = [random_sequence(rng.split(i), dims, n_frames=n_frames, n_min=0, n_max=3)
+            for i in range(2)]
+    derived = []
+    build = ad.SegmentPlan.derived
+
+    def spy(ids, n):
+        plan = build(ids, n)
+        derived.append(plan)
+        return plan
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ad.SegmentPlan, "derived", spy)
+        packed = Packed.join([pack(seq, mode, variant, dims) for seq in seqs])
+        if packed.n_nodes:
+            forward_batch(packed, ModelParams.init(dims, seed=0), k)
+    assert len(derived) >= 15   # five plans of each pack and of the join
+    for plan in derived:
+        checked = ad.SegmentPlan(plan.ids, plan.n)
+        assert checked.ids is plan.ids and checked.n == plan.n and type(plan.n) is int

@@ -749,3 +749,19 @@ def test_train_calls_clip_gradients_once_per_optimizer_step(monkeypatch):
     monkeypatch.setattr(Optimizer, "step", step)
     train(data, cfg)
     assert calls["clip"] == calls["step"] == 2 * 2
+
+
+@pytest.mark.parametrize("mode, lambda_node", [("sgdet", 0.5), ("predcls", 1.0)])
+def test_epoch_log_splits_the_loss_and_counts_clipped_steps(mode, lambda_node):
+    cfg = tiny_cfg(mode=mode, lambda_node=lambda_node, clip_norm=1e-6)
+    data = tiny_dataset(cfg)
+    log = train(data, cfg).log
+    steps = -(-len(data) // cfg.train.batch_size)
+    for e in log:
+        parts = e.relation_loss + lambda_node * e.node_loss + LINK_WEIGHT * e.link_loss
+        assert parts == pytest.approx(e.train_loss, rel=1e-9, abs=0.0)
+        assert e.relation_loss > 0.0 and e.link_loss > 0.0
+        assert (e.node_loss == 0.0) == (mode == "predcls")
+        assert e.clip_hits == steps   # every gradient is longer than 1e-6
+    unclipped = tiny_cfg(mode=mode, lambda_node=lambda_node, clip_norm=0.0)
+    assert [e.clip_hits for e in train(data, unclipped).log] == [0] * cfg.train.epochs
