@@ -20,9 +20,13 @@ the same path. Two kinds of plan skip that check, because their range
 holds by construction (`SegmentPlan.derived`): the packed batch's plans,
 which `temporal.pack` builds from the frame sizes, and the selected links'
 plans, which `temporal.forward_batch` takes as rows of those checked plans.
-Joined plans (`SegmentPlan.join`) are not checked or sorted again either.
-A plan finds its runs when a reduction first needs them: a forward pass
-without a tape gathers along many lists it never reduces over. A
+Joined plans are not checked or sorted again either: `temporal.Packed.join`,
+the one batch join, finds where each sequence's nodes, frames, pairs and
+candidates start once, and `SegmentPlan.join` concatenates each plan's ids
+and runs, shifted by those offsets. A plan finds its runs when a reduction
+first needs them (training finds them once per sequence, before the first
+step): a forward pass without a tape gathers along many lists it never
+reduces over. A
 reduction whose runs are all one row long -- each node with one link --
 takes the rows in plan order, which is what `reduceat` would return.
 
@@ -34,7 +38,6 @@ the clip and the optimizer run on whole vectors.
 
 from __future__ import annotations
 
-from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -69,6 +72,13 @@ class Tensor:
         t = object.__new__(cls)
         arr = np.ascontiguousarray(arr, dtype=np.float64)
         arr.setflags(write=False)
+        object.__setattr__(t, "data", arr)
+        return t
+
+    @classmethod
+    def _frozen(cls, arr: np.ndarray) -> "Tensor":
+        # for an array that already is read-only, C-contiguous float64
+        t = object.__new__(cls)
         object.__setattr__(t, "data", arr)
         return t
 
@@ -309,24 +319,27 @@ class SegmentPlan:
         return self._runs
 
     @classmethod
-    def join(cls, parts: Sequence["SegmentPlan"]) -> "SegmentPlan":
-        """The plan of the parts' lists concatenated, each part's ids offset by
-        the segments of the parts before it. Every id of a part lies below
-        the next part's, so the runs are concatenated, not sorted again."""
-        id_off = list(accumulate((p.n for p in parts), initial=0))
-        pos_off = list(accumulate((len(p.ids) for p in parts), initial=0))
+    def join(cls, parts: Sequence["SegmentPlan"], id_offsets: Sequence[int],
+             row_offsets: Sequence[int]) -> "SegmentPlan":
+        """The plan of the parts' lists concatenated, part i's ids offset by
+        id_offsets[i] and its rows by row_offsets[i], over id_offsets[-1]
+        segments; the offsets are the caller's, found once for every plan of
+        a batch. Every id of a part lies below the next part's offset, so
+        the parts' runs are concatenated, not found again."""
         runs = [p.runs() for p in parts]
-
-        def cat(arrays, offsets):
-            return np.concatenate([a + o if o else a for a, o in zip(arrays, offsets)])
-
         order = None
         if any(r[0] is not None for r in runs):
-            order = cat([np.arange(len(p.ids)) if r[0] is None else r[0]
-                         for p, r in zip(parts, runs)], pos_off)
-        plan = cls.derived(cat([p.ids for p in parts], id_off), id_off[-1])
-        plan._runs = (order, cat([r[1] for r in runs], pos_off), cat([r[2] for r in runs], id_off))
+            order = _offset_cat([np.arange(len(p.ids)) if r[0] is None else r[0]
+                                 for p, r in zip(parts, runs)], row_offsets)
+        plan = cls.derived(_offset_cat([p.ids for p in parts], id_offsets), id_offsets[-1])
+        plan._runs = (order, _offset_cat([r[1] for r in runs], row_offsets),
+                      _offset_cat([r[2] for r in runs], id_offsets))
         return plan
+
+
+def _offset_cat(arrays, offsets) -> np.ndarray:
+    """The arrays concatenated, each plus its offset."""
+    return np.concatenate([a + o if o else a for a, o in zip(arrays, offsets)])
 
 
 _OUT_OF_SEGMENTS = "segment id out of range for {n} segments"
@@ -385,4 +398,3 @@ def _segment_log_softmax(av: np.ndarray, plan: SegmentPlan) -> np.ndarray:
     ids = plan.ids
     shifted = av - _segment_reduce(np.maximum, av, plan, -np.inf)[ids]
     return shifted - np.log(_segment_sum(np.exp(shifted), plan)[ids])
-

@@ -192,6 +192,14 @@ def _check_counts(command: str, args, **lowest) -> None:
                               f"got {value}")
 
 
+def _check_out_dir(args) -> None:
+    """The directory of a command's output file exists, checked before any
+    work starts; `gen` makes its own."""
+    out = getattr(args, "out", None)
+    if out and args.command != "gen" and not Path(out).parent.is_dir():
+        raise ConfigError(f"{Path(out).parent}: no such directory")
+
+
 def _report(out, doc, headers, rows) -> None:
     """Print a report's table; write the report to `out` when given."""
     print(io.format_table(headers, rows))
@@ -243,10 +251,12 @@ def cmd_train(args) -> int:
         for e in result.log
     ]
     io.write_checkpoint(args.out, cfg, result.params, log)
-    # the train log also splits each epoch's loss and counts its clipped steps
+    # the train log also splits each epoch's loss, counts its clipped steps
+    # and gives the median and max of its steps' pre-clip gradient norms
     io.write_train_log(Path(args.out).with_suffix(".log.json"), cfg, [
         {**entry, "relation_loss": e.relation_loss, "node_loss": e.node_loss,
-         "link_loss": e.link_loss, "clip_hits": e.clip_hits}
+         "link_loss": e.link_loss, "clip_hits": e.clip_hits,
+         "grad_norm_median": e.grad_norm_median, "grad_norm_max": e.grad_norm_max}
         for entry, e in zip(log, result.log)
     ])
     if log:
@@ -552,6 +562,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
+        _check_out_dir(args)
         return args.fn(args)
     except (ConfigError, ContractError, DataFormatError, ShapeError, TrainingError,
             OSError) as e:

@@ -18,10 +18,18 @@ sweep would add them, and `autodiff.backward` sums them in that order. An
 input the tape does not track, such as the packed node features, gets no
 gradient computed.
 
+Where a gradient is cut into pieces -- the two halves of a pair's rows, the
+frame context and the inner encoding of the temporal encoding, the terms of
+each loss part -- each piece is a view of the whole, not a copy: the segment
+sums, products and reductions that read them give the same bits on a view
+as on a contiguous copy.
+
 Index lists are `autodiff.SegmentPlan`s or plain lists, planned at the call.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 import numpy as np
 
@@ -83,8 +91,8 @@ def _pair_rows(x: np.ndarray, first, second) -> np.ndarray:
 def _pair_grads(g, first, second):
     """The gradients of x through the second and the first half of
     `_pair_rows`, in the order the gathers' reverse sweep adds them."""
-    a, b = (np.ascontiguousarray(p) for p in np.split(g, [g.shape[1] // 2], axis=1))
-    return _segment_sum(b, second), _segment_sum(a, first)
+    half = g.shape[1] // 2
+    return _segment_sum(g[:, half:], second), _segment_sum(g[:, :half], first)
 
 
 def _plans(n: int, *indices):
@@ -167,30 +175,37 @@ def link_relevance(x: Tensor, curr, prev, phi: Tensor) -> Tensor:
     return out
 
 
-def frame_context(x: np.ndarray, node_frame, n_frames: int) -> tuple[np.ndarray, np.ndarray]:
+def frame_context(x: np.ndarray, node_frame, n_frames: int,
+                  counts: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The (n_frames, m) mean of the rows of x in each frame and the
-    (n_frames, 1) row counts it divides by; undefined for a frame without
-    rows. node_frame is a plan or an id list."""
-    counts = np.bincount(np.asarray(node_frame), minlength=n_frames)
-    if len(counts) != n_frames or np.any(counts == 0):
-        raise ContractError("frame_context: empty frame has no context")
-    counts = counts.reshape(-1, 1).astype(np.float64)
+    (n_frames, 1) float64 row counts it divides by; undefined for a frame
+    without rows. node_frame is a plan or an id list. `counts` are the
+    caller's, where it has them (`temporal.Packed.frame_counts`, counted over
+    non-empty frames); otherwise they are counted here, and an empty frame
+    is refused."""
+    if counts is None:
+        counts = np.bincount(np.asarray(node_frame), minlength=n_frames)
+        if len(counts) != n_frames or np.any(counts == 0):
+            raise ContractError("frame_context: empty frame has no context")
+        counts = counts.reshape(-1, 1).astype(np.float64)
     return _segment_sum(x, segment_plan(node_frame, n_frames)) / counts, counts
 
 
 def temporal_encoding(x: Tensor, node_frame, link_frame, curr, prev,
-                      fg: tuple[Tensor, ...], ftau: tuple[Tensor, ...]) -> Tensor:
+                      fg: tuple[Tensor, ...], ftau: tuple[Tensor, ...],
+                      frame_counts: np.ndarray | None = None) -> Tensor:
     """tau = f_tau(context ++ f_g(x[curr] ++ x[prev])) for every link, where a
     link's context is the mean of x over the frame link_frame names.
 
     node_frame is a SegmentPlan over the frames, link_frame a plan or an id
     list over the same frames; fg and ftau are (w1, b1, w2, b2) of the two
-    perceptrons. x is read three times: its gradient comes through the
+    perceptrons; frame_counts, when given, are the node counts of the frames
+    (`frame_context`). x is read three times: its gradient comes through the
     previous rows, the current rows and the context, in that order.
     """
     xv = x.data
     curr, prev = _plans(xv.shape[0], curr, prev)
-    context, counts = frame_context(xv, node_frame, node_frame.n)
+    context, counts = frame_context(xv, node_frame, node_frame.n, frame_counts)
     link_frame = segment_plan(link_frame, node_frame.n, "gather-rows")
     inputs = (x, x, x, *fg, *ftau)
     need = _tracked(inputs)
@@ -203,8 +218,8 @@ def temporal_encoding(x: Tensor, node_frame, link_frame, curr, prev,
     if need:
         def vjp(g):
             djoined, dftau = _mlp2_grads(g, joined, h2, r2, ftv[0], ftv[2], True)
-            dctx, dinner = (np.ascontiguousarray(p)
-                            for p in np.split(djoined, [context.shape[1]], axis=1))
+            width = context.shape[1]
+            dctx, dinner = djoined[:, :width], djoined[:, width:]
             dpairs, dfg = _mlp2_grads(dinner, pairs, h1, r1, fgv[0], fgv[2], need[0])
             dx = (None, None, None)
             if need[0]:
@@ -293,10 +308,11 @@ def weighted_loss(weights: np.ndarray, logits: Tensor, sign: np.ndarray,
     out = Tensor._wrap(np.asarray(weights @ terms))
     inputs = tuple(t for t in (logits, label_logits, gamma) if t is not None)
     if _tracked(inputs):
-        cuts = np.cumsum([len(p) for p in pieces])[:-1]
+        bounds = list(accumulate((len(p) for p in pieces), initial=0))
 
         def vjp(g):
-            parts = iter(np.ascontiguousarray(p) for p in np.split(g * weights, cuts))
+            scaled = g * weights
+            parts = iter([scaled[a:b] for a, b in zip(bounds, bounds[1:])])
             grads = [(next(parts) * _logistic(z) * sign).reshape(logits.shape)]
             if label_logits is not None:
                 d = next(parts).reshape(labels.shape)

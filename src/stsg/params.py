@@ -95,7 +95,8 @@ class ModelParams:
         self.gcn_layers = gcn_layers
         self.layout = layout
         self.flat = _frozen(flat)
-        self._tensors = {name: Tensor._wrap(v) for name, v in layout.views(self.flat).items()}
+        # views of a frozen contiguous vector are frozen and contiguous too
+        self._tensors = {name: Tensor._frozen(v) for name, v in layout.views(self.flat).items()}
 
     @classmethod
     def init(cls, dims: Dims, seed: int, gcn_layers: int = 2) -> "ModelParams":
@@ -142,17 +143,25 @@ class Gradients:
     """Gradients of a scalar loss in the layout of its parameters: one flat
     vector, with per-parameter views on demand."""
 
-    __slots__ = ("layout", "flat")
+    __slots__ = ("layout", "flat", "_norm")
 
     def __init__(self, layout: Layout, flat: np.ndarray):
         self.layout = layout
         self.flat = _frozen(flat)
+        self._norm = None
+
+    def norm(self) -> float:
+        """The global L2 norm, from one dot product of the flat vector,
+        computed at the first call and kept."""
+        if self._norm is None:
+            self._norm = float(np.sqrt(np.dot(self.flat, self.flat)))
+        return self._norm
 
     @classmethod
     def collect(cls, params: ModelParams, grads: dict[Tensor, Tensor]) -> "Gradients":
         """The gradients `autodiff.backward` returned for every tensor of params."""
         return cls(params.layout,
-                   np.concatenate([grads[t].data.reshape(-1) for _, t in params.items()]))
+                   np.concatenate([grads[t].data for _, t in params.items()], axis=None))
 
     def items(self):
         return self.layout.views(self.flat).items()

@@ -17,6 +17,7 @@ each head are one record each, with hand-written gradients (`layers`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -66,18 +67,20 @@ def tracking_links(boxes: np.ndarray, labels: np.ndarray, curr: np.ndarray,
 
 
 def encode_temporal_pairs(feats: Tensor, node_frame: ad.SegmentPlan, link_frame,
-                          curr_idx, prev_idx, params: ModelParams) -> Tensor:
+                          curr_idx, prev_idx, params: ModelParams,
+                          frame_counts: np.ndarray | None = None) -> Tensor:
     """Encode every selected (current j, previous k) link into an m-vector, as
     one tape record.
 
     tau = f_tau(context ++ f_g(feat[j] ++ feat[k])), batched over links, where
     a link's context is the mean of the features of the frame `link_frame`
-    names; `node_frame` is the plan of each node's frame.
+    names; `node_frame` is the plan of each node's frame, and `frame_counts`
+    its frames' node counts where the caller has them (`Packed.frame_counts`).
     """
     return layers.temporal_encoding(
         feats, node_frame, link_frame, curr_idx, prev_idx,
         tuple(params[f"temporal.fg.{n}"] for n in ("w1", "b1", "w2", "b2")),
-        tuple(params[f"temporal.ftau.{n}"] for n in ("w1", "b1", "w2", "b2")))
+        tuple(params[f"temporal.ftau.{n}"] for n in ("w1", "b1", "w2", "b2")), frame_counts)
 
 
 def aggregate_links(updated: Tensor, gamma_sel: Tensor, tau: Tensor, curr_idx,
@@ -111,18 +114,26 @@ class Packed:
     candidate links and node frames are segment plans over packed node
     (or frame) indices, built with the data, so no forward or backward call
     sorts them again; frames are counted over the frames that have nodes.
+    Everything here is built once per sequence (`pack`) and concatenated
+    by `join`, so a training step recomputes none of it.
     """
 
     mode: str
     variant: str
     sizes: np.ndarray                 # (F,) node count of each frame of the batch,
                                       #      empty frames included
-    feats: np.ndarray                 # (N, m) node encodings
+    feats: np.ndarray                 # (N, m) node encodings, read-only, so that
+                                      #      the forward pass wraps them uncopied
     node_frame: ad.SegmentPlan        # (N,) frame of each node, non-decreasing
+    frame_counts: np.ndarray          # (F', 1) float64 node count of each frame
+                                      #      with nodes: the frame context's divisor
     subj: ad.SegmentPlan              # (P,) within-frame ordered pairs i != j,
     obj: ad.SegmentPlan               #      subject-major
     cand_curr: ad.SegmentPlan         # (C,) each node x every node of the preceding
     cand_prev: ad.SegmentPlan         #      frame of its sequence, by (curr, prev)
+    links: np.ndarray | None = None   # (L,) candidates linked whatever the parameters
+                                      #      (dense: all, tracking: `tracking_links`);
+                                      #      None where the relevance picks them
 
     @property
     def n_nodes(self) -> int:
@@ -135,21 +146,33 @@ class Packed:
 
     @classmethod
     def join(cls, parts: list["Packed"]) -> "Packed":
-        """One batch from the packed inputs of its sequences, in order."""
+        """One batch from the packed inputs of its sequences, in order.
+
+        Where each part's nodes, frames, pairs and candidates start in the
+        batch is found once; every plan's ids and runs, and the fixed links,
+        are concatenated with those offsets.
+        """
         first = parts[0]
         if len(parts) == 1:
             return first
+        nodes, frames, pairs, cands = (list(accumulate(counts, initial=0)) for counts in zip(
+            *((p.n_nodes, p.n_frames, len(p.subj), len(p.cand_curr)) for p in parts)))
 
-        def cat(name):
-            return ad.SegmentPlan.join([getattr(p, name) for p in parts])
+        def plans(name, ids, rows):
+            return ad.SegmentPlan.join([getattr(p, name) for p in parts], ids, rows)
 
+        feats = np.concatenate([p.feats for p in parts])
+        feats.setflags(write=False)
         return cls(
             mode=first.mode, variant=first.variant,
-            sizes=np.concatenate([p.sizes for p in parts]),
-            feats=np.concatenate([p.feats for p in parts]),
-            node_frame=cat("node_frame"), subj=cat("subj"), obj=cat("obj"),
-            cand_curr=cat("cand_curr"), cand_prev=cat("cand_prev"),
-        )
+            sizes=np.concatenate([p.sizes for p in parts]), feats=feats,
+            node_frame=plans("node_frame", frames, nodes),
+            frame_counts=np.concatenate([p.frame_counts for p in parts]),
+            subj=plans("subj", nodes, pairs), obj=plans("obj", nodes, pairs),
+            cand_curr=plans("cand_curr", nodes, cands),
+            cand_prev=plans("cand_prev", nodes, cands),
+            links=None if first.links is None else ad._offset_cat([p.links for p in parts],
+                                                                  cands))
 
 
 def pack(sequence: SceneSequence, mode: str, variant: str, dims) -> Packed:
@@ -168,6 +191,7 @@ def pack(sequence: SceneSequence, mode: str, variant: str, dims) -> Packed:
         labels = np.concatenate([f.gt_labels for f in frames])
         feats[:, 4:4 + dims.g] = 0.0
         feats[np.arange(len(labels)), 4 + labels] = 1.0
+    feats.setflags(write=False)
     present = sizes[sizes > 0]
     subj, obj = frame_pairs(present)
     n = len(feats)
@@ -182,12 +206,19 @@ def pack(sequence: SceneSequence, mode: str, variant: str, dims) -> Packed:
     rank = np.arange(len(cand_curr)) - np.repeat(np.cumsum(per_node) - per_node, per_node)
     prev_first = np.repeat(np.cumsum(sizes) - sizes - prev_sizes, sizes)   # per node
     cand_prev = prev_first[cand_curr] + rank
+    links = None
+    if variant == "dense":
+        links = np.arange(len(cand_curr))
+    elif variant == "tracking":   # boxes and argmax labels read off the node rows
+        labels = np.argmax(feats[:, 4:4 + dims.g], axis=1)
+        links = np.flatnonzero(tracking_links(feats[:, :4], labels, cand_curr, cand_prev))
     # every list is computed from the frame sizes, so its range holds unchecked
     plan = ad.SegmentPlan.derived
     return Packed(mode=mode, variant=variant, sizes=sizes, feats=feats,
                   node_frame=plan(np.repeat(np.arange(len(present)), present), len(present)),
+                  frame_counts=present.astype(np.float64).reshape(-1, 1),
                   subj=plan(subj, n), obj=plan(obj, n),
-                  cand_curr=plan(cand_curr, n), cand_prev=plan(cand_prev, n))
+                  cand_curr=plan(cand_curr, n), cand_prev=plan(cand_prev, n), links=links)
 
 
 @dataclass
@@ -205,14 +236,15 @@ class BatchOutput:
 def forward_batch(packed: Packed, params: ModelParams, k: int = 1) -> BatchOutput:
     """The full pipeline over every frame of a packed minibatch.
 
-    Links are the top k of gamma (sparse), every candidate (dense) or
-    `tracking_links` (tracking); a node without candidates keeps its spatial features.
+    Links are the top k of gamma (sparse), or the links `pack` fixed: every
+    candidate (dense) or `tracking_links` (tracking); a node without
+    candidates keeps its spatial features.
     """
     variant = packed.variant
     if variant == "sparse" and k < 1:
         raise ContractError(f"sparse variant requires k >= 1, got {k}")
     n = packed.n_nodes
-    feats = Tensor(packed.feats)
+    feats = Tensor._wrap(packed.feats)
     edge_sums = propose_relations(feats, packed.subj, packed.obj, params)
     updated = gcn_propagate(feats, packed.subj, packed.obj, edge_sums, params)
 
@@ -223,14 +255,10 @@ def forward_batch(packed: Packed, params: ModelParams, k: int = 1) -> BatchOutpu
     if len(cand_curr):
         gamma = link_relevance(updated, packed.cand_curr, packed.cand_prev,
                                params["temporal.phi"])
-        if variant == "sparse":
-            mask = topk_links(gamma.data, cand_curr, k)
-        elif variant == "dense":
-            mask = np.ones(len(cand_curr), dtype=bool)
-        else:   # tracking: boxes and argmax labels read off the node rows
-            labels = np.argmax(packed.feats[:, 4:4 + params.dims.g], axis=1)
-            mask = tracking_links(packed.feats[:, :4], labels, cand_curr, packed.cand_prev.ids)
-        chosen = np.flatnonzero(mask)
+        if packed.links is None:
+            chosen = np.flatnonzero(topk_links(gamma.data, cand_curr, k))
+        else:
+            chosen = packed.links
         if len(chosen):
             # the selected links' plans, shared by the forward and backward
             # calls: rows of the packed plans, so in range without a check
@@ -240,7 +268,7 @@ def forward_batch(packed: Packed, params: ModelParams, k: int = 1) -> BatchOutpu
             prev_idx = plan(packed.cand_prev.ids[chosen], n)
             frame_idx = plan(packed.node_frame.ids[curr_ids], packed.n_frames)
             tau = encode_temporal_pairs(updated, packed.node_frame, frame_idx,
-                                        curr_idx, prev_idx, params)
+                                        curr_idx, prev_idx, params, packed.frame_counts)
             gamma_sel = ad.gather_rows(gamma, plan(chosen, len(cand_curr)))
             fused = aggregate_links(updated, gamma_sel, tau, curr_idx, n)
 

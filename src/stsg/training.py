@@ -11,6 +11,17 @@ Training computes all three over a packed minibatch as one weighted sum
 (`batch_loss`). Its targets are one weight per entry of each loss term,
 read off the packed pair and candidate lists through one array, the gt
 object of each packed node (`node_identity`).
+
+`train` builds everything that depends only on the data once per sequence,
+before the first step (`prepare`): the packed node rows, frozen so that the
+forward pass wraps them uncopied, the segment plans with their runs, the
+node count of each frame, the links that tracking and dense select
+whatever the parameters, and the loss weights with the sign of each
+relation term. A step then joins its sequences (`join`: the offsets of
+their nodes, frames, pairs and candidates are found once, and each array is
+concatenated with them), runs the forward pass and the loss on the tape,
+takes the gradient back, checks it, clips it and updates the parameters:
+only work that depends on the parameters.
 """
 
 from __future__ import annotations
@@ -77,6 +88,13 @@ class Targets:
     rel_weight: np.ndarray     # (P * H,)
     node_weight: np.ndarray    # (N * G,) at the gt label of each gt-matched node
     link_weight: np.ndarray    # (C,) at each node's target candidate link
+    rel_sign: np.ndarray | None = None   # (P * H,) -1.0 at relation slots, 1.0 at the
+                                         # rest: the sign of each relation term's logit;
+                                         # derived from rel_positive when not given
+
+    def __post_init__(self):
+        if self.rel_sign is None:
+            self.rel_sign = np.where(self.rel_positive, -1.0, 1.0)
 
 
 def loss_targets(sequence: SceneSequence, packed: Packed, h: int) -> Targets:
@@ -140,8 +158,9 @@ def loss_targets(sequence: SceneSequence, packed: Packed, h: int) -> Targets:
 
 def prepare(sequence: SceneSequence, mode: str, variant: str, dims) -> tuple[Packed, Targets]:
     """Everything about one sequence that depends on the data, not the
-    parameters, down to the runs of its plans that the backward pass reduces
-    over; batches join those runs rather than find them again."""
+    parameters (`Packed`, `Targets`), down to the runs of its plans that the
+    backward pass reduces over; batches join those runs rather than find
+    them again."""
     packed = pack(sequence, mode, variant, dims)
     for plan in (packed.node_frame, packed.subj, packed.obj, packed.cand_curr, packed.cand_prev):
         plan.runs()
@@ -149,8 +168,11 @@ def prepare(sequence: SceneSequence, mode: str, variant: str, dims) -> tuple[Pac
 
 
 def join(items: list[tuple[Packed, Targets]]) -> tuple[Packed, Targets]:
-    """The packed inputs and targets of a batch of prepared sequences; the
-    batch loss is the mean of the sequences' losses."""
+    """The packed inputs and targets of a batch of prepared sequences
+    (`Packed.join`); the batch loss is the mean of the sequences' losses. A
+    batch of one is its sequence's, as it is."""
+    if len(items) == 1:
+        return items[0]
     targets = [t for _, t in items]
     scale = 1.0 / len(items)
 
@@ -159,7 +181,8 @@ def join(items: list[tuple[Packed, Targets]]) -> tuple[Packed, Targets]:
 
     return Packed.join([p for p, _ in items]), Targets(
         rel_positive=cat("rel_positive"), rel_weight=cat("rel_weight") * scale,
-        node_weight=cat("node_weight") * scale, link_weight=cat("link_weight") * scale)
+        node_weight=cat("node_weight") * scale, link_weight=cat("link_weight") * scale,
+        rel_sign=cat("rel_sign"))
 
 
 def batch_loss(packed: Packed, targets: Targets, out: BatchOutput,
@@ -182,7 +205,7 @@ def batch_loss(packed: Packed, targets: Targets, out: BatchOutput,
     if use_link:
         weight.append(LINK_WEIGHT * t.link_weight)
     total, values = layers.weighted_loss(
-        np.concatenate(weight), out.relation_logits, np.where(t.rel_positive, -1.0, 1.0),
+        np.concatenate(weight), out.relation_logits, t.rel_sign,
         out.label_logits if use_node else None, out.gamma if use_link else None,
         packed.cand_curr)
 
@@ -327,13 +350,14 @@ def clip_gradients(grads: Gradients, max_norm: float) -> Gradients:
     """
     if max_norm <= 0:
         return grads
-    flat = grads.flat
     # one dot product settles the steps far inside the bound; near it, the
     # norm is summed tensor by tensor, in the order the clip factor has
     # always used, because one ulp of that factor moves the trained floats
-    if np.sqrt(np.dot(flat, flat)) < 0.999 * max_norm:
+    if grads.norm() < 0.999 * max_norm:
         return grads
-    total = np.sqrt(sum(float(np.sum(g * g)) for _, g in grads.items()))
+    squares = grads.flat * grads.flat
+    offsets = grads.layout.offsets
+    total = np.sqrt(sum(float(np.sum(squares[a:b])) for a, b in zip(offsets, offsets[1:])))
     if total <= max_norm:
         return grads
     return grads.scaled(max_norm / total)
@@ -344,7 +368,8 @@ class EpochLog:
     """One epoch of training: the mean batch loss, the means of its relation,
     node and link parts (unweighted, so train_loss = relation_loss +
     lambda_node * node_loss + LINK_WEIGHT * link_loss), the steps whose
-    gradient was clipped, and the validation metric when one was taken."""
+    gradient was clipped, the median and the max of the steps' pre-clip
+    global gradient norms, and the validation metric when one was taken."""
 
     epoch: int
     train_loss: float
@@ -353,6 +378,8 @@ class EpochLog:
     node_loss: float = 0.0
     link_loss: float = 0.0
     clip_hits: int = 0
+    grad_norm_median: float = 0.0
+    grad_norm_max: float = 0.0
 
 
 @dataclass
@@ -378,6 +405,7 @@ def train(dataset: list[SceneSequence], cfg: RunConfig, eval_fn=None) -> TrainRe
     for epoch in range(tc.epochs):
         order = order_rng.permutation(len(dataset))
         reports: list[LossReport] = []
+        norms: list[float] = []
         clip_hits = 0
         for start in range(0, len(order), tc.batch_size):
             packed, targets = join([prepared[i] for i in order[start:start + tc.batch_size]])
@@ -393,12 +421,14 @@ def train(dataset: list[SceneSequence], cfg: RunConfig, eval_fn=None) -> TrainRe
             reports.append(report)
             grads = Gradients.collect(params, backward(tape, total))
             # a non-finite gradient would turn every parameter into NaN via
-            # the clip factor, with no error until the next batch's loss
-            if not np.isfinite(grads.flat).all():
+            # the clip factor, with no error until the next batch's loss; a
+            # finite norm rules it out, and one that overflowed does not
+            if not np.isfinite(grads.norm()) and not np.isfinite(grads.flat).all():
                 name = next(n for n, g in grads.items() if not np.isfinite(g).all())
                 raise TrainingError(f"non-finite gradient in {name} {where}")
             clipped = clip_gradients(grads, tc.clip_norm)
             clip_hits += clipped is not grads
+            norms.append(grads.norm())
             params = opt.step(params, clipped)
             # an update can overflow on finite gradients; after the last one
             # no later loss would catch it before the checkpoint is written
@@ -408,7 +438,9 @@ def train(dataset: list[SceneSequence], cfg: RunConfig, eval_fn=None) -> TrainRe
         means = [float(np.mean([getattr(r, name) for r in reports]))
                  for name in ("total", "relation_loss", "node_loss", "link_loss")]
         entry = EpochLog(epoch=epoch + 1, train_loss=means[0], relation_loss=means[1],
-                         node_loss=means[2], link_loss=means[3], clip_hits=clip_hits)
+                         node_loss=means[2], link_loss=means[3], clip_hits=clip_hits,
+                         grad_norm_median=float(np.median(norms)),
+                         grad_norm_max=float(np.max(norms)))
         if eval_fn is not None and (epoch + 1) % tc.val_every == 0:
             entry.val_recall20 = float(eval_fn(params))
         log.append(entry)

@@ -441,21 +441,6 @@ def test_segment_log_softmax_on_a_plan_matches_its_reference(kind):
         assert np.array_equal(prim.segment_log_softmax(Tensor(z), index, n).data, want)
 
 
-def test_joined_plan_equals_the_plan_of_the_concatenated_lists():
-    parts = [(PLAN_IDS["sorted"], 6), (PLAN_IDS["empty"], 2), (PLAN_IDS["unsorted"], 6),
-             (PLAN_IDS["duplicate-heavy"], 7)]
-    offsets = np.cumsum([0] + [n for _, n in parts])
-    joined = ad.SegmentPlan.join([ad.SegmentPlan(ids, n) for ids, n in parts])
-    whole = ad.SegmentPlan(np.concatenate([ids + o for (ids, _), o in zip(parts, offsets)]),
-                           offsets[-1])
-    assert joined.n == whole.n
-    assert np.array_equal(joined.ids, whole.ids)
-    for got, want, field in zip(joined.runs(), whole.runs(), ("order", "starts", "segments")):
-        assert np.array_equal(got, want), field
-    sorted_only = ad.SegmentPlan.join([ad.SegmentPlan(PLAN_IDS["sorted"], 6)] * 2)
-    assert sorted_only.runs()[0] is None
-
-
 def test_plan_checks_its_ids_when_built():
     with pytest.raises(ContractError, match="segment id out of range for 4 segments"):
         ad.SegmentPlan([0, 4], 4)

@@ -300,8 +300,10 @@ def test_only_the_train_log_splits_the_loss(checkpoint_path):
     entries = json.loads(checkpoint_path.with_suffix(".log.json").read_text())["entries"]
     assert [{k: e[k] for k in kept} for e in entries] == log
     for e in entries:
-        assert set(e) - kept == {"relation_loss", "node_loss", "link_loss", "clip_hits"}
+        assert set(e) - kept == {"relation_loss", "node_loss", "link_loss", "clip_hits",
+                                 "grad_norm_median", "grad_norm_max"}
         assert isinstance(e["clip_hits"], int)
+        assert 0.0 < e["grad_norm_median"] <= e["grad_norm_max"]
 
 
 def test_corrupt_checkpoint_reports_field(tmp_path):
@@ -465,6 +467,29 @@ def test_flops_report_is_pinned(tmp_path):
 # sha256 of `stsg bank --seeds 2 --head-epochs 40 --out` over a seed-7
 # dataset of BANK_CFG's size and a checkpoint trained on it with --no-val,
 # taken while the banks were still filled frame by frame and class by class
+@pytest.mark.parametrize("argv", [
+    ["train", "--data", "{data}"],
+    ["infer", "--ckpt", "{ckpt}", "--data", "{data}"],
+    ["eval", "--ckpt", "{ckpt}", "--data", "{data}"],
+    ["bank", "--ckpt", "{ckpt}", "--data", "{data}"],
+    ["ablate", "--data", "{data}", "--seeds", "1", "--epochs", "1"],
+    ["flops"],
+], ids=lambda argv: argv[0])
+def test_an_out_path_without_its_directory_fails_before_any_work(
+        tmp_path, checkpoint_path, dataset_dir, monkeypatch, capsys, argv):
+    # the run used to end with this error only after all its work
+    def no_load(*args, **kwargs):
+        raise AssertionError("loaded before the output directory was checked")
+
+    monkeypatch.setattr(io, "load_split", no_load)
+    monkeypatch.setattr(io, "load_checkpoint", no_load)
+    missing = tmp_path / "missing"
+    argv = [a.format(data=dataset_dir, ckpt=checkpoint_path) for a in argv]
+    assert main(argv + ["--out", str(missing / "out.json")]) == 1
+    assert capsys.readouterr().err == f"error: {missing}: no such directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 BANK_CFG = """
 split.train_sequences = 12
 split.val_sequences = 1

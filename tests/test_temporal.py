@@ -203,6 +203,19 @@ def test_frame_context_rejects_empty():
         frame_context(np.zeros((0, 3)), one_frame(0), 1)
     with pytest.raises(ContractError):
         frame_context(np.zeros((2, 3)), np.array([0, 2]), 3)
+    # a caller's own plan without its counts is counted and checked too
+    with pytest.raises(ContractError, match="empty frame"):
+        frame_context(np.zeros((2, 3)), ad.SegmentPlan([0, 2], 3), 3)
+
+
+def test_frame_context_divides_by_the_counts_it_is_given():
+    arr = RngStream(25).normal_array((5, 4))
+    plan = ad.SegmentPlan([0, 0, 1, 1, 1], 2)
+    counted, counts = frame_context(arr, plan, 2)
+    given = np.array([[2.0], [3.0]])
+    got, kept = frame_context(arr, plan, 2, given)
+    assert kept is given
+    assert np.array_equal(got, counted) and np.array_equal(counts, given)
 
 
 def encode_one(feat_j, feat_k, context, params):
@@ -673,6 +686,37 @@ def test_mode_and_variant_validation(dims, params):
         forward_sequence(seq, params, mode="sgdet", variant="lstm")
     with pytest.raises(ContractError):
         forward_sequence(seq, params, mode="sgdet", variant="sparse", k=0)
+
+
+def test_joined_plans_equal_the_plans_of_the_concatenated_lists():
+    # frames of 0 to 3 nodes give parts with no pairs or no candidates, and
+    # each part's obj and cand_prev lists are unsorted
+    dims = Dims()
+    rng = RngStream(44)
+    seqs = [random_sequence(rng.split(i), dims, n_frames=n_frames, n_min=0, n_max=3)
+            for i, n_frames in enumerate((4, 1, 5, 3))]
+    for variant in VARIANTS:
+        parts = [pack(seq, "sgdet", variant, dims) for seq in seqs]
+        joined = Packed.join(parts)
+        nodes = np.cumsum([0] + [p.n_nodes for p in parts])
+        frames = np.cumsum([0] + [p.n_frames for p in parts])
+        for name in ("node_frame", "subj", "obj", "cand_curr", "cand_prev"):
+            offsets = frames if name == "node_frame" else nodes
+            whole = ad.SegmentPlan(np.concatenate([getattr(p, name).ids + o
+                                                   for p, o in zip(parts, offsets)]),
+                                   offsets[-1])
+            plan = getattr(joined, name)
+            assert plan.n == whole.n, (variant, name)
+            assert np.array_equal(plan.ids, whole.ids), (variant, name)
+            for got, want, field in zip(plan.runs(), whole.runs(),
+                                        ("order", "starts", "segments")):
+                assert (got is None) == (want is None), (variant, name, field)
+                assert want is None or np.array_equal(got, want), (variant, name, field)
+        # lists that run in order keep no sort order
+        assert joined.node_frame.runs()[0] is None and joined.subj.runs()[0] is None
+        assert joined.cand_curr.runs()[0] is None
+        assert np.array_equal(joined.feats, np.concatenate([p.feats for p in parts]))
+        assert not joined.feats.flags.writeable
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=6),

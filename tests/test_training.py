@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import stsg.temporal
 import stsg.training
 import primitives as prim
 from conftest import frame_record, random_sequence
@@ -441,6 +442,19 @@ def test_clip_decides_on_the_per_tensor_norm():
         assert np.array_equal(clipped.flat, g * (max_norm / exact))
     grads = Gradients(params.layout, g)
     assert clip_gradients(grads, 0.0) is grads
+    # the clip squares the flat vector once and sums each tensor's slice: bit
+    # for bit the per-tensor sums, over random gradients of many scales
+    offsets = params.layout.offsets
+    for seed in range(40):
+        for scale in (1e-12, 1e-4, 1.0, 1e4, 1e12):
+            g = RngStream(100 + seed).normal_array(params.count()) * scale
+            per_tensor = sum(float(np.sum(v * v)) for _, v in Gradients(params.layout, g).items())
+            squares = g * g
+            assert sum(float(np.sum(squares[a:b]))
+                       for a, b in zip(offsets, offsets[1:])) == per_tensor
+            max_norm = 0.5 * np.sqrt(per_tensor)
+            clipped = clip_gradients(Gradients(params.layout, g), max_norm)
+            assert np.array_equal(clipped.flat, g * (max_norm / np.sqrt(per_tensor)))
 
 
 def test_zero_learning_rate_keeps_parameters():
@@ -765,3 +779,65 @@ def test_epoch_log_splits_the_loss_and_counts_clipped_steps(mode, lambda_node):
         assert e.clip_hits == steps   # every gradient is longer than 1e-6
     unclipped = tiny_cfg(mode=mode, lambda_node=lambda_node, clip_norm=0.0)
     assert [e.clip_hits for e in train(data, unclipped).log] == [0] * cfg.train.epochs
+
+
+@pytest.mark.parametrize("clip_norm", [1e-6, 0.5, 1e6, 0.0])
+def test_epoch_log_gives_the_median_and_max_pre_clip_norm(monkeypatch, clip_norm):
+    cfg = tiny_cfg(mode="sgdet", epochs=3, batch_size=2, clip_norm=clip_norm)
+    data = tiny_dataset(cfg)
+    steps = -(-len(data) // cfg.train.batch_size)
+    norms = []
+    real_clip = stsg.training.clip_gradients
+
+    def clip(grads, max_norm):
+        norms.append(float(np.sqrt(np.dot(grads.flat, grads.flat))))
+        return real_clip(grads, max_norm)
+
+    monkeypatch.setattr(stsg.training, "clip_gradients", clip)
+    log = train(data, cfg).log
+    assert len(norms) == steps * cfg.train.epochs
+    for e, epoch_norms in zip(log, np.reshape(norms, (cfg.train.epochs, steps))):
+        assert e.grad_norm_median == float(np.median(epoch_norms))
+        assert e.grad_norm_max == max(epoch_norms)
+        assert 0.0 < e.grad_norm_median <= e.grad_norm_max
+        if e.grad_norm_max < 0.999 * clip_norm or clip_norm == 0.0:
+            assert e.clip_hits == 0
+        if 0.0 < clip_norm < min(epoch_norms):
+            assert e.clip_hits == steps
+
+
+def test_tracking_links_are_found_once_per_sequence(monkeypatch):
+    cfg = tiny_cfg(mode="sgdet", variant="tracking", epochs=3, batch_size=2)
+    data = tiny_dataset(cfg)
+    calls = []
+    real = stsg.temporal.tracking_links
+
+    def counted(*args):
+        calls.append(len(args[2]))
+        return real(*args)
+
+    monkeypatch.setattr(stsg.temporal, "tracking_links", counted)
+    train(data, cfg)
+    assert len(calls) == len(data)
+
+
+@pytest.mark.parametrize("mode", ["predcls", "sgdet"])
+def test_joined_data_only_arrays_equal_those_of_the_joined_rows(mode):
+    dims = Dims()
+    seqs = seed7_sequences(3)
+    for variant in ("sparse", "dense", "tracking"):
+        packed, targets = join([prepare(seq, mode, variant, dims) for seq in seqs])
+        curr, prev = packed.cand_curr.ids, packed.cand_prev.ids
+        if variant == "sparse":
+            assert packed.links is None
+        elif variant == "dense":
+            assert np.array_equal(packed.links, np.arange(len(curr)))
+        else:
+            labels = np.argmax(packed.feats[:, 4:4 + dims.g], axis=1)
+            want = stsg.temporal.tracking_links(packed.feats[:, :4], labels, curr, prev)
+            assert np.array_equal(packed.links, np.flatnonzero(want))
+            assert len(packed.links) > 0
+        counts = np.bincount(packed.node_frame.ids, minlength=packed.n_frames)
+        assert np.array_equal(packed.frame_counts, counts.reshape(-1, 1).astype(np.float64))
+        assert packed.frame_counts.dtype == np.float64
+        assert np.array_equal(targets.rel_sign, np.where(targets.rel_positive, -1.0, 1.0))
