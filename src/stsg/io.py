@@ -10,6 +10,12 @@ Two readers read every field of every input file: `_field`, optionally of a
 JSON kind, and `_number_array`, only finite JSON numbers in rows of one width.
 A loader adds its format's checks (ranges, distributions, counts, seeds) and
 locates every error at its file and line.
+
+A dataset file of format version 2 (`DATASET_VERSION`, in its header) writes
+a detection whose visual vector is bit for bit a gt object's of its frame as
+the index of that object (`object`), not as the vector again. A file without
+the version field, in which every detection holds its own vector, loads
+through the same reader to the same sequences.
 """
 
 from __future__ import annotations
@@ -45,6 +51,8 @@ def _loads(path: Path, lineno: int, line: str | bytes) -> dict:
         return json.loads(line)
     except json.JSONDecodeError as e:
         raise DataFormatError(f"{path}:{lineno}: invalid JSON ({e.msg})") from None
+    except RecursionError:
+        raise DataFormatError(f"{path}:{lineno}: invalid JSON (nested too deeply)") from None
     except UnicodeDecodeError as e:
         raise DataFormatError(f"{path}:{lineno}: not UTF-8 text ({e.reason})") from None
 
@@ -143,8 +151,26 @@ def _number_array(value, width: int, name: str) -> np.ndarray:
 # datasets
 
 
+# the format a dataset file is written in; a header without the field is
+# version 1, where every detection holds its own visual vector
+DATASET_VERSION = 2
+_DATASET_VERSIONS = (1, DATASET_VERSION)
+
+
+def _object_refs(frame, visual: int) -> list[int]:
+    """Each detection's first gt object of `frame` whose visual vector (its
+    row from column `visual` on) has the same bytes as its own, -1 where none
+    has: bytes, so that a row gathered by the index is the row itself."""
+    width = (frame.gt_feats.shape[1] - visual) * frame.gt_feats.itemsize
+    gt, det = (feats[:, visual:].tobytes() for feats in (frame.gt_feats, frame.det_feats))
+    first = {gt[i * width:(i + 1) * width]: i for i in reversed(range(len(frame.gt_feats)))}
+    return [first.get(det[k * width:(k + 1) * width], -1) for k in range(len(frame.det_feats))]
+
+
 def sequence_to_json(seq: SceneSequence) -> dict:
-    """A dataset record; boxes and vectors are read off the frames' node rows."""
+    """A dataset record; boxes and vectors are read off the frames' node rows.
+    A detection whose visual vector repeats a gt object's of its frame names
+    the first such object (`object`) in place of the vector (`visual`)."""
     g = seq.g
 
     def frame_json(frame) -> dict:
@@ -161,8 +187,9 @@ def sequence_to_json(seq: SceneSequence) -> dict:
             ],
             "triplets": [list(t) for t in frame.triplets],
             "detections": [
+                {"box": row[:4], "label_dist": row[4:4 + g], "object": i} if i >= 0 else
                 {"box": row[:4], "label_dist": row[4:4 + g], "visual": row[4 + g:]}
-                for row in frame.det_feats.tolist()
+                for row, i in zip(frame.det_feats.tolist(), _object_refs(frame, 4 + g))
             ],
         }
 
@@ -195,16 +222,44 @@ def sequence_from_json(record: dict, path: Path, lineno: int, dims: Dims) -> Sce
     field of all its objects or detections is read by one `_number_array`
     call; label distributions must be distributions, event labels one 0 or 1
     per event class, labels and triplets in range (`dims`, the frame's
-    objects) and boxes too (`scene_sequence`)."""
-    def nodes(entries: list, label_dists: list, label_field: str) -> np.ndarray:
+    objects) and boxes too (`scene_sequence`). A detection holds exactly one
+    of `visual` and `object`, an object of its frame, whose vector it takes
+    from the checked gt rows."""
+    def boxes_and_dists(entries: list, label_dists: list,
+                        label_field: str) -> tuple[np.ndarray, np.ndarray]:
         dists = _number_array(label_dists, dims.g, f"field {label_field!r}")
         ok = (dists >= 0).all(axis=1) & (np.abs(dists.sum(axis=1) - 1.0) <= 1e-9)
         if not ok.all():
             raise DataFormatError(f"field {label_field!r} must be a probability distribution, "
                                   f"got {dists[np.argmin(ok)].tolist()}")
-        return object_nodes(_number_array([_field(e, "box") for e in entries], 4, "field 'box'"),
-                            dists, _number_array([_field(e, "visual") for e in entries], dims.c,
-                                                 "field 'visual'"), dims)
+        return _number_array([_field(e, "box") for e in entries], 4, "field 'box'"), dists
+
+    def visual_array(values: list) -> np.ndarray:
+        return _number_array(values, dims.c, "field 'visual'")
+
+    def det_visuals() -> np.ndarray:
+        # each detection's row in [the gt rows' visual vectors, checked already
+        # | the detections' own]; each detection is a JSON object here, as its
+        # label distribution was read
+        own, rows, first = [], [], 0
+        for objects, _, dets in frames:
+            for d in dets:
+                if "object" in d:
+                    if "visual" in d:
+                        raise DataFormatError("a detection must have field 'object' or "
+                                              "field 'visual', not both")
+                    rows.append(first + _index(d["object"], len(objects), "field 'object'"))
+                elif "visual" in d:
+                    rows.append(len(gt_feats) + len(own))
+                    own.append(d["visual"])
+                else:
+                    raise DataFormatError("a detection must have field 'object' or "
+                                          "field 'visual'")
+            first += len(objects)
+        visuals = gt_feats[:, 4 + dims.g:]
+        if own:
+            visuals = np.concatenate([visuals, visual_array(own)])
+        return visuals[rows]
 
     def gt_object(o: dict) -> tuple:
         return (_index(_field(o, "label"), dims.g, "object label"),
@@ -220,13 +275,16 @@ def sequence_from_json(record: dict, path: Path, lineno: int, dims: Dims) -> Sce
         objects = [o for objs, _, _ in frames for o in objs]
         gt = [o for objs, _, _ in spec for o in objs]
         # the detector's label distribution, or one-hot where none is recorded
-        gt_feats = nodes(objects, [o["det_label_dist"] if recorded
-                                   else [0.0] * label + [1.0] + [0.0] * (dims.g - label - 1)
-                                   for o, (label, _, recorded) in zip(objects, gt)],
-                         "det_label_dist")
-        det_feats = nodes([d for _, _, ds in frames for d in ds],
-                          [_field(d, "label_dist") for _, _, ds in frames for d in ds],
-                          "label_dist")
+        gt_feats = object_nodes(
+            *boxes_and_dists(objects, [o["det_label_dist"] if recorded
+                                       else [0.0] * label + [1.0] + [0.0] * (dims.g - label - 1)
+                                       for o, (label, _, recorded) in zip(objects, gt)],
+                             "det_label_dist"),
+            visual_array([_field(o, "visual") for o in objects]), dims)
+        dets = [d for _, _, ds in frames for d in ds]
+        det_feats = object_nodes(
+            *boxes_and_dists(dets, [_field(d, "label_dist") for d in dets], "label_dist"),
+            det_visuals(), dims)
         events = _number_array(_field(record, "event_labels"), 1, "field 'event_labels'")
         if len(events) != len(EVENT_NAMES) or not np.isin(events, (0.0, 1.0)).all():
             raise DataFormatError(f"field 'event_labels' must be {len(EVENT_NAMES)} labels "
@@ -241,11 +299,12 @@ def sequence_line(seq: SceneSequence) -> str:
 
 
 def write_split_lines(path: Path, cfg: RunConfig, split: str, count: int, lines) -> None:
-    """A dataset file: the header, which promises `count` sequences, then each
-    of `lines` (`sequence_line`s) as it comes. Lines that stop short leave a
+    """A dataset file: the header, which gives the format version
+    (`DATASET_VERSION`) and promises `count` sequences, then each of `lines`
+    (`sequence_line`s) as it comes. Lines that stop short leave a
     file that `load_split` refuses by its header count."""
-    header = {"kind": "dataset-header", "split": split, "count": count,
-              "seed": cfg.seed, "config": cfg.to_flat_dict()}
+    header = {"kind": "dataset-header", "version": DATASET_VERSION, "split": split,
+              "count": count, "seed": cfg.seed, "config": cfg.to_flat_dict()}
     with open(path, "w") as fh:
         fh.write(_dump(header) + "\n")
         fh.writelines(lines)
@@ -257,6 +316,8 @@ def write_split(path: Path, cfg: RunConfig, split: str,
 
 
 def load_split(data_dir: str | Path, split: str) -> tuple[dict, list[SceneSequence]]:
+    """A split file's header and sequences, of any format version; a header
+    without the version field is version 1."""
     if split not in SPLITS:
         raise DataFormatError(f"unknown split {split!r}, expected one of {SPLITS}")
     path = Path(data_dir) / f"{split}.jsonl"
@@ -266,6 +327,10 @@ def load_split(data_dir: str | Path, split: str) -> tuple[dict, list[SceneSequen
     header = next(records)
     with _located(f"{path}:1"):
         # the dimensions the records were generated with
+        version = _field(header, "version", int, 1)
+        if version not in _DATASET_VERSIONS:
+            raise DataFormatError(f"field 'version' must be one of {_DATASET_VERSIONS}, "
+                                  f"got {version}")
         dims = runconfig_from_flat(_field(header, "config", dict)).dims
         count = _field(header, "count", int)
     with _collector_paused():   # the records and the sequences built from them hold no cycles
@@ -588,6 +653,7 @@ def ranked_predictions(path: str | Path, sequences: list[SceneSequence],
         if mode is not None and mode not in MODES:
             raise DataFormatError(f"field 'mode' must be one of {MODES}, got {mode!r}")
         config = _field(header, "config", dict, {})
+        runconfig_from_flat(config)   # checked as a checkpoint's config is; echoed as written
     if len(records) != len(sequences):
         raise DataFormatError(f"{path}: {len(records)} prediction records for "
                               f"{len(sequences)} sequences")

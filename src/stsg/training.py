@@ -36,7 +36,7 @@ from .config import RunConfig
 from .errors import ContractError, TrainingError
 from .params import Gradients, ModelParams
 from .rng import RngStream
-from .scene import SceneSequence, pairwise_iou
+from .scene import SceneSequence, box_iou
 from .temporal import BatchOutput, Packed, forward_batch, pack
 
 NEGATIVE_WEIGHT = 0.2  # no-relation terms down-weighted by a factor of 5
@@ -56,21 +56,25 @@ def node_identity(sequence: SceneSequence, packed: Packed) -> np.ndarray:
     """(N,) frame-local gt object of each packed node, -1 when unmatched.
 
     Nodes are their own gt objects in predcls/sgcls; in sgdet a node matches
-    its highest-IoU gt object (the first on ties) at IoU >= IOU_MATCH.
+    its highest-IoU gt object (the first on ties) at IoU >= IOU_MATCH, all
+    frames in one pass over their gt boxes padded to one count.
     """
     sizes = packed.sizes
     local = np.arange(packed.n_nodes) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     if packed.mode != "sgdet":
         return local
-    gt = np.full(packed.n_nodes, -1)
-    start = 0
-    for frame, n in zip(sequence.frames, sizes):
-        if n and len(frame.gt_labels):
-            ious = pairwise_iou(packed.feats[start:start + n, :4], frame.gt_feats[:, :4])
-            best = np.argmax(ious, axis=1)
-            gt[start:start + n] = np.where(ious[np.arange(n), best] >= IOU_MATCH, best, -1)
-        start += n
-    return gt
+    frames = sequence.frames
+    counts = np.array([len(frame.gt_labels) for frame in frames])
+    slot = np.arange(max(counts.max(), 1))
+    real = slot < counts[:, None]   # (frames, slots)
+    # a padding slot reads a zero box, appended last, and scores -1: below
+    # every IoU, so it never wins, and a frame without gt matches nothing
+    boxes = np.concatenate([frame.gt_feats[:, :4] for frame in frames] + [np.zeros((1, 4))])
+    rows = np.where(real, (np.cumsum(counts) - counts)[:, None] + slot, -1)
+    frame = np.repeat(np.arange(len(frames)), sizes)   # of each node
+    ious = np.where(real[frame], box_iou(packed.feats[:, None, :4], boxes[rows[frame]]), -1.0)
+    best = ious.argmax(axis=1)
+    return np.where(ious[np.arange(packed.n_nodes), best] >= IOU_MATCH, best, -1)
 
 
 @dataclass

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -54,6 +57,28 @@ def random_sequence(rng: RngStream, dims: Dims, n_frames: int = 3,
         rows += [row for _, row in objects]
     feats = np.array(rows, dtype=np.float64).reshape(-1, dims.m)
     return scene_sequence(frames, feats, feats.copy(), dims.g, np.zeros(4), rng.seed)
+
+
+def old_layout(record: dict) -> dict:
+    """A dataset record, in place, in the layout of files without a format
+    version: each detection that names its gt object (`object`) holds a copy
+    of that object's `visual` instead, as its last field."""
+    for frame in record["frames"]:
+        for detection in frame["detections"]:
+            if "object" in detection:
+                detection["visual"] = list(frame["objects"][detection.pop("object")]["visual"])
+    return record
+
+
+def write_old_layout(src: Path, dest: Path) -> None:
+    """Write the dataset file `src` to `dest` in the layout of files without
+    a format version: no `version` in the header, each record through
+    `old_layout`, as compact as `stsg gen` writes."""
+    header, *lines = src.read_text().splitlines()
+    header = json.loads(header)
+    del header["version"]
+    records = [header] + [old_layout(json.loads(line)) for line in lines]
+    dest.write_text("".join(json.dumps(r, separators=(",", ":")) + "\n" for r in records))
 
 
 def encode_frame(frame: FrameRecord, mode: str, dims: Dims) -> np.ndarray:

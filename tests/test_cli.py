@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import old_layout, write_old_layout
 
 from stsg import cli, io
 from stsg.cli import main
@@ -405,6 +406,23 @@ def test_eval_mode_mismatch_with_prediction_header(tmp_path, checkpoint_path, da
                  "--split", "val", "--mode", "sgdet", "--out", str(preds)]) == 0
     assert main(["eval", "--preds", str(preds), "--data", str(dataset_dir),
                  "--split", "val", "--mode", "predcls"]) == 1
+
+
+def test_predictions_header_config_is_checked_and_echoed(tmp_path, dataset_dir, capsys):
+    # a config the run could not have had was echoed into the report, exit 0
+    _, seqs = io.load_split(dataset_dir, "test")
+    preds, out = tmp_path / "p.jsonl", tmp_path / "report.json"
+    config = {"train.k": "3", "seed": 5}
+    io.write_predictions(preds, {"mode": "sgdet", "config": config}, gt_prediction_records(seqs))
+    assert main(["eval", "--preds", str(preds), "--data", str(dataset_dir), "--split", "test",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"] == config   # the header's own dict
+    io.write_predictions(preds, {"mode": "sgdet", "config": {"train.k": "x"}},
+                         gt_prediction_records(seqs))
+    capsys.readouterr()
+    assert main(["eval", "--preds", str(preds), "--data", str(dataset_dir),
+                 "--split", "test"]) == 1
+    assert capsys.readouterr().err == f"error: {preds}:1: train.k: expected integer, got 'x'\n"
 
 
 # ---------------------------------------------------------------------------
@@ -1224,7 +1242,7 @@ def test_ground_truth_out_of_range_is_an_error(tmp_path, dataset_dir, capsys, ed
 def test_shape_error_is_an_error(tmp_path, dataset_dir, capsys):
     # a visual feature that is not a vector fails node encoding with ShapeError
     def edit(record):
-        detection = record["frames"][0]["detections"][0]
+        detection = old_layout(record)["frames"][0]["detections"][0]
         detection["visual"] = [detection["visual"]]
 
     data = _edited_train_split(tmp_path, dataset_dir, 1, edit)
@@ -1261,7 +1279,7 @@ def test_malformed_detection_labels_are_an_error(tmp_path, dataset_dir, capsys, 
 
 
 def _string_in_detection_visual(record):
-    record["frames"][0]["detections"][0]["visual"][0] = "0.25"
+    old_layout(record)["frames"][0]["detections"][0]["visual"][0] = "0.25"
 
 
 def _bool_in_detection_label_dist(record):
@@ -1287,7 +1305,8 @@ def _nan_in_object_visual(record):
 
 
 def _infinity_in_detection_visual(record):
-    next(d for f in record["frames"] for d in f["detections"])["visual"][0] = float("inf")
+    next(d for f in old_layout(record)["frames"]
+         for d in f["detections"])["visual"][0] = float("inf")
 
 
 def _set(name, value):
@@ -1330,6 +1349,78 @@ def test_dataset_numbers_are_type_checked(tmp_path, dataset_dir, capsys, edit, m
     assert _train(data, tmp_path) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"train.jsonl:2: {message}" in err
+
+
+def test_a_split_in_the_old_layout_loads_to_the_same_sequences(tmp_path, dataset_dir):
+    new_text = (dataset_dir / "train.jsonl").read_text()
+    header, *lines = new_text.splitlines()
+    assert json.loads(header)["version"] == io.DATASET_VERSION == 2
+    detections = [d for line in lines for f in json.loads(line)["frames"] for d in f["detections"]]
+    assert any("object" in d for d in detections) and any("visual" in d for d in detections)
+    old = tmp_path / "old"
+    old.mkdir()
+    write_old_layout(dataset_dir / "train.jsonl", old / "train.jsonl")
+    old_text = (old / "train.jsonl").read_text()
+    assert '"object"' not in old_text and len(old_text) > 1.3 * len(new_text)
+    _, new_seqs = io.load_split(dataset_dir, "train")
+    _, old_seqs = io.load_split(old, "train")
+    assert len(old_seqs) == len(new_seqs) == len(lines)
+    for a, b, line in zip(new_seqs, old_seqs, lines):
+        assert (a.seed, a.g, a.event_labels.tobytes()) == (b.seed, b.g, b.event_labels.tobytes())
+        assert len(a.frames) == len(b.frames)
+        for fa, fb in zip(a.frames, b.frames):
+            for name in ("gt_feats", "gt_labels", "det_feats"):
+                x, y = getattr(fa, name), getattr(fb, name)
+                assert (x.shape, x.dtype, x.tobytes()) == (y.shape, y.dtype, y.tobytes())
+            assert (fa.objects, fa.triplets, fa.detections) == \
+                (fb.objects, fb.triplets, fb.detections)
+        # written again, an old-layout sequence is the new file's line
+        assert io.sequence_line(b) == line + "\n"
+
+
+def _named_detection(record):
+    """A detection of `record` that names its object, and its frame's object count."""
+    return next((d, len(f["objects"])) for f in record["frames"] for d in f["detections"]
+                if "object" in d)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d, n: d.update(object=-1), "field 'object' must be an integer in [0, {n}), got -1"),
+    (lambda d, n: d.update(object=n), "field 'object' must be an integer in [0, {n}), got {n}"),
+    (lambda d, n: d.update(object=0.0), "field 'object' must be an integer in [0, {n}), got 0.0"),
+    (lambda d, n: d.update(object=False),
+     "field 'object' must be an integer in [0, {n}), got False"),
+    (lambda d, n: d.update(visual=[0.0] * 16),
+     "a detection must have field 'object' or field 'visual', not both"),
+    (lambda d, n: d.pop("object"), "a detection must have field 'object' or field 'visual'"),
+], ids=["negative", "object-count", "float", "bool", "both", "neither"])
+def test_a_detection_names_one_object_of_its_frame(tmp_path, dataset_dir, capsys, edit,
+                                                   message):
+    count = []
+
+    def edit_record(record):
+        detection, n = _named_detection(record)
+        count.append(n)
+        edit(detection, n)
+
+    data = _edited_train_split(tmp_path, dataset_dir, 1, edit_record)
+    capsys.readouterr()
+    assert _train(data, tmp_path) == 1
+    assert capsys.readouterr().err == \
+        f"error: {data / 'train.jsonl'}:2: {message.format(n=count[0])}\n"
+
+
+@pytest.mark.parametrize("version, message", [
+    (3, "field 'version' must be one of (1, 2), got 3"),
+    ("2", "field 'version' must be an integer, got '2'"),
+], ids=["unknown", "string"])
+def test_a_split_of_an_unknown_version_is_an_error(tmp_path, dataset_dir, capsys, version,
+                                                   message):
+    data = _edited_train_split(tmp_path, dataset_dir, 0,
+                               lambda header: header.update(version=version))
+    capsys.readouterr()
+    assert _train(data, tmp_path) == 1
+    assert capsys.readouterr().err == f"error: {data / 'train.jsonl'}:1: {message}\n"
 
 
 def _first_frame(name, value):
@@ -1536,6 +1627,36 @@ def test_input_that_is_not_utf8_is_an_error(tmp_path, checkpoint_path, dataset_d
     assert main(argv) == 1
     where = f"{bad}:1" if kind == "checkpoint" else bad
     assert capsys.readouterr().err == f"error: {where}: not UTF-8 text (invalid start byte)\n"
+
+
+# each of these ended in a RecursionError traceback
+@pytest.mark.parametrize("kind", ["dataset", "predictions", "checkpoint"])
+def test_deeply_nested_json_is_an_error(tmp_path, checkpoint_path, dataset_dir, capsys, kind):
+    data = tmp_path / "ds"
+    data.mkdir()
+    (data / "test.jsonl").write_bytes((dataset_dir / "test.jsonl").read_bytes())
+    ckpt, preds = tmp_path / "model.json", tmp_path / "preds.jsonl"
+    ckpt.write_bytes(checkpoint_path.read_bytes())
+    _, seqs = io.load_split(data, "test")
+    io.write_predictions(preds, {"mode": "sgdet", "config": {}}, gt_prediction_records(seqs))
+    nested = "[" * 100_000
+    if kind == "checkpoint":
+        ckpt.write_text(nested)
+        where = f"{ckpt}:1"
+    else:
+        path = data / "test.jsonl" if kind == "dataset" else preds
+        lines = path.read_text().splitlines()
+        lines[1] = nested
+        path.write_text("\n".join(lines) + "\n")
+        where = f"{path}:2"
+    capsys.readouterr()
+    if kind == "predictions":
+        argv = ["eval", "--preds", str(preds), "--data", str(data), "--split", "test"]
+    else:
+        argv = ["infer", "--ckpt", str(ckpt), "--data", str(data), "--split", "test",
+                "--out", str(tmp_path / "again.jsonl")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {where}: invalid JSON (nested too deeply)\n"
 
 
 FUZZ_VALUES = [5, "x", None, True, [], {}, float("nan"), 2.5, -1]

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from conftest import write_old_layout
+
 from stsg.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -28,10 +30,23 @@ def _tiny_split(tmp_path) -> Path:
 
 
 def test_inspect_benchmark_summarises_a_generated_split(tmp_path):
-    proc = _inspect(_tiny_split(tmp_path), "test")
+    data = _tiny_split(tmp_path)
+    proc = _inspect(data, "test")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("test: 3 sequences, 24 frames, ")
     assert "predicate distribution:" in proc.stdout and "event distribution:" in proc.stdout
+    lines = (data / "test.jsonl").read_text().splitlines()[1:]
+    detections = [d for line in lines for f in json.loads(line)["frames"] for d in f["detections"]]
+    named = sum("object" in d for d in detections) / len(detections)
+    size = sum(len(line) + 1 for line in lines) / 3
+    assert 0.5 < named < 1.0
+    assert proc.stdout.splitlines()[2] == (f"format version 2, {size:.0f} bytes/sequence, "
+                                           f"{named:.3f} of detections name their gt object")
+    # a file in the old layout: every detection holds its own vector
+    write_old_layout(data / "test.jsonl", data / "test.jsonl")
+    line = _inspect(data, "test").stdout.splitlines()[2]
+    assert line.startswith("format version 1, ") and line.endswith(" 0.000 of detections name "
+                                                                    "their gt object")
 
 
 def test_inspect_benchmark_reports_a_missing_split(tmp_path):

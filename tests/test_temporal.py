@@ -14,6 +14,7 @@ from conftest import (
     encode_frame,
     frame_pair_links,
     frame_record,
+    old_layout,
     random_sequence,
     select_no_links,
     zero_params,
@@ -394,10 +395,11 @@ def reference_rows(frame: dict, mode: str, dims) -> np.ndarray:
 
 
 def edited_record(seq, dims) -> dict:
-    """A generated sequence's record with frame 1 emptied, frame 3 cut to one
-    object and one detection, and frame 2's first object recording no
-    detector distribution."""
-    record = sequence_to_json(seq)
+    """A generated sequence's record, in the layout where each detection
+    holds its own visual vector (`old_layout`), with frame 1 emptied, frame
+    3 cut to one object and one detection, and frame 2's first object
+    recording no detector distribution."""
+    record = old_layout(sequence_to_json(seq))
     frames = record["frames"]
     frames[1] = {"objects": [], "triplets": [], "detections": []}
     frames[3].update(objects=frames[3]["objects"][:1], triplets=[],
@@ -416,7 +418,7 @@ def test_packed_nodes_equal_the_frames_encoded_one_by_one(dims, mode):
         seq = generate_scene(dims, WorldConfig(), seed)
         record = edited_record(seq, dims)
         loaded = sequence_from_json(record, Path("edited.jsonl"), 2, dims)
-        for sequence, frames in ((seq, sequence_to_json(seq)["frames"]),
+        for sequence, frames in ((seq, old_layout(sequence_to_json(seq))["frames"]),
                                  (loaded, record["frames"])):
             packed = pack(sequence, mode, "sparse", dims)
             want = [reference_rows(frame, mode, dims) for frame in frames]

@@ -8,7 +8,7 @@ import pytest
 import stsg.temporal
 import stsg.training
 import primitives as prim
-from conftest import frame_record, random_sequence
+from conftest import empty_frame, frame_record, random_sequence
 from fixtures import pair_grid
 from reference_losses import (
     link_loss,
@@ -26,7 +26,7 @@ from stsg.errors import TrainingError
 from stsg.params import Gradients, ModelParams
 from stsg.rng import RngStream
 from stsg.synthgen import generate_scene
-from stsg.scene import SceneSequence, iou
+from stsg.scene import SceneSequence, iou, pairwise_iou
 from stsg.temporal import forward_batch, frame_predictions, pack
 from stsg.training import (
     LINK_WEIGHT,
@@ -160,6 +160,47 @@ def test_sgdet_identity_matches_from_half_iou_first_on_ties(dims):
     frame = frame_record(gt, [0, 1, 2], [], dets, dims)
     seq = SceneSequence(frames=[frame], event_labels=np.zeros(4), seed=0, g=dims.g)
     assert node_identity(seq, pack(seq, "sgdet", "spatial", dims)).tolist() == [2, 0, -1]
+
+
+def loop_node_identity(sequence, packed):
+    """Frame-by-frame reference for sgdet `node_identity`: one IoU matrix a
+    frame, first highest IoU, matched from IoU 0.5."""
+    gt, start = np.full(packed.n_nodes, -1), 0
+    for frame, n in zip(sequence.frames, packed.sizes):
+        if n and len(frame.gt_labels):
+            ious = pairwise_iou(packed.feats[start:start + n, :4], frame.gt_feats[:, :4])
+            best = np.argmax(ious, axis=1)
+            gt[start:start + n] = np.where(ious[np.arange(n), best] >= 0.5, best, -1)
+        start += n
+    return gt
+
+
+def test_sgdet_identity_equals_the_per_frame_loop(dims):
+    # one padded pass over all frames: padding never wins, ties go to the
+    # first object and an IoU of exactly 0.5 matches, as frame by frame
+    def row(x, y, h, label=0):
+        return np.concatenate([[x, y, 0.25, h], np.eye(dims.g)[label], np.zeros(dims.c)])
+
+    gt = [row(0.25, 0.25, 0.25, 0), row(0.25, 0.25, 0.25, 1), row(0.5, 0.5, 0.25, 2)]
+    dets = [row(0.5, 0.5, 0.125), row(0.25, 0.25, 0.25), row(0.5, 0.5, 0.12)]
+    frames = [
+        frame_record(gt, [0, 1, 2], [], dets, dims),          # exactly 0.5, a tie, 0.48
+        frame_record([], [], [], dets[:2], dims),             # detections without gt
+        empty_frame(dims),
+        frame_record(gt[:1], [0], [], [], dims),              # gt without detections
+        frame_record(gt[2:], [2], [], dets[::-1], dims),      # one object, two slots padded
+    ]
+    sequences = [SceneSequence(frames=frames, event_labels=np.zeros(4), seed=0, g=dims.g),
+                 SceneSequence(frames=frames[1:3], event_labels=np.zeros(4), seed=0, g=dims.g)]
+    sequences += [generate_scene(dims, WorldConfig(), 900 + seed) for seed in range(20)]
+    for seq in sequences:
+        packed = pack(seq, "sgdet", "spatial", dims)
+        got, want = node_identity(seq, packed), loop_node_identity(seq, packed)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    assert node_identity(sequences[0], pack(sequences[0], "sgdet", "spatial", dims)).tolist() \
+        == [2, 0, -1, -1, -1, -1, -1, 0]
+    assert node_identity(sequences[1], pack(sequences[1], "sgdet", "spatial", dims)).tolist() \
+        == [-1, -1]
 
 
 def frame_inputs(frame, mode):
