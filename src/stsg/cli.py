@@ -279,7 +279,7 @@ def cmd_eval(args) -> int:
     else:
         split_header, seqs = io.load_split(args.data, args.split)
         dims = io.runconfig_from_flat(split_header["config"]).dims
-        file_mode, config_echo, ranked = io.ranked_predictions(args.preds, seqs, dims)
+        file_mode, config_echo, ranked = io.ranked_predictions(args.preds, seqs, dims, args.split)
         if args.mode and file_mode and args.mode != file_mode:
             raise ConfigError(
                 f"eval: predictions were produced in mode {file_mode!r}, not {args.mode!r}"

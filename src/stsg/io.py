@@ -16,6 +16,13 @@ a detection whose visual vector is bit for bit a gt object's of its frame as
 the index of that object (`object`), not as the vector again. A file without
 the version field, in which every detection holds its own vector, loads
 through the same reader to the same sequences.
+
+A predictions file holds, for each frame, its nodes' boxes, labels and
+label scores and its ordered pairs' predicate probabilities (`pair_probs`,
+flat, the predicate varying fastest), not a triplet list: the loader ranks
+each record's frames by the rule serving ranks with (`temporal.rank_frames`),
+so the list read back is the list served. The header's config gives the
+dims h that sets the width of `pair_probs`.
 """
 
 from __future__ import annotations
@@ -33,7 +40,8 @@ from .config import EVENT_NAMES, MODES, Dims, RunConfig, parse_config_items
 from .errors import ConfigError, ContractError, DataFormatError
 from .params import ModelParams, model_shapes
 from .scene import SceneSequence, check_boxes, object_nodes, scene_sequence
-from .temporal import FramePrediction, RankedFrame
+from .spatial import frame_pairs
+from .temporal import FramePrediction, RankedFrame, frame_offsets, rank_frames
 
 SPLITS = ("train", "val", "test")
 
@@ -404,19 +412,18 @@ def write_train_log(path: str | Path, cfg: RunConfig, log: list[dict]) -> None:
 # predictions
 
 
-# a frame's ranked list is written as one list per RankedFrame field
-TRIPLET_COLUMNS = ("subj", "obj", "predicate", "score")
-
-
 def frame_prediction_to_json(pred: FramePrediction, ranked: RankedFrame,
                              include_features: bool) -> dict:
-    """A predictions frame. Its `triplets` are columns, one list per field of
-    the ranked list, so a record holds a few lists whatever its length."""
+    """A predictions frame: its nodes' boxes, labels and label scores, read
+    off `ranked`, and `pair_probs`, the frame's `FramePrediction.pair_probs`
+    as one flat list of n(n - 1) * h numbers, pairs in `spatial.frame_pairs`
+    order and the predicate varying fastest. A reader ranks them by the rule
+    serving ranks with (`_ranked_frames`), so the file lists no triplets."""
     record = {
         "boxes": ranked.boxes.tolist(),
         "labels": ranked.labels.tolist(),
         "label_scores": ranked.label_scores.tolist(),
-        "triplets": {c: getattr(ranked, c).tolist() for c in TRIPLET_COLUMNS},
+        "pair_probs": pred.pair_probs.ravel().tolist(),
     }
     if include_features:
         record["label_dists"] = pred.label_dists.tolist()
@@ -444,60 +451,27 @@ def _column(owners: list, name: str, width: int = 1) -> tuple[np.ndarray, list[i
 _INTP_END = 2.0 ** (8 * np.dtype(np.intp).itemsize - 1)
 
 
-def _frame_of(k: int, counts: list[int]) -> tuple[int, int]:
-    """Entry k of the entries of frames of counts[f] entries each: its frame
-    f, and its place there."""
-    ends = np.cumsum(counts)
-    frame = int(np.searchsorted(ends, k, side="right"))
-    return frame, int(k - ends[frame] + counts[frame])
-
-
-def _index_message(i: int, value: float, n: list[int], t: list[int], g, h) -> str:
-    """The error for entry i of the indices of frames of n[f] nodes and t[f]
-    triplets: all their labels, then the subjects, objects and predicates of
-    all their triplets. It names the entry by its place in its frame."""
-    if i < sum(n):
-        what, bound = f"label of node {_frame_of(i, n)[1]}", g
-    else:
-        c, k = divmod(i - sum(n), sum(t))
-        frame, k = _frame_of(k, t)
-        what, bound = f"{('subject', 'object', 'predicate')[c]} of triplet {k}", \
-            (n[frame], n[frame], h)[c]
-    return f"{what} must be an integer in [0, {bound}), got {_number_text(value)}"
-
-
 def _number_text(value: float) -> str:
-    """An index value for a message: exact when it is a whole number within
+    """A label value for a message: exact when it is a whole number within
     the intp range, else in `:g` form."""
     return str(int(value)) if value == np.floor(value) and abs(value) < _INTP_END else f"{value:g}"
 
 
-def _check_bounds(labels: np.ndarray, predicate: np.ndarray, n: list[int], t: list[int],
-                  g, h) -> None:
-    """Labels below g and predicates below h, in frames of n[f] nodes and
-    t[f] triplets; the error names the first label, else predicate, that is
-    not."""
-    for values, bound, first in ((labels, g, 0), (predicate, h, sum(n) + 2 * sum(t))):
-        over = np.flatnonzero(values >= bound)
-        if len(over):
-            raise DataFormatError(_index_message(first + over[0], values[over[0]], n, t, g, h))
+def _ranked_frames(frames: list, g: float = _INTP_END, h: int | None = None) -> list[RankedFrame]:
+    """Check predictions frames all at once, and rank them with one
+    `temporal.rank_frames` call, the rule serving ranks a sequence with.
 
-
-def _frame_columns(frames: list, g: float = _INTP_END, h: float = _INTP_END) -> list[tuple]:
-    """Check predictions frames all at once, and return each frame's (subj,
-    obj, predicate, score, labels, boxes, label_scores), the fields of its
-    `RankedFrame`: views of one array per field, with the index columns as
-    intp.
-
-    Boxes, labels, label scores and the triplet columns must be finite
-    numbers (`_number_array`), a frame's columns of one length; labels,
-    triplet node indices and predicates must be non-negative integers, below
-    g, the frame's node count and h; a triplet's subject and object must be
-    two nodes, and every box a box (`scene.check_boxes`). The bounds g and h
-    default to the intp range. The first check that fails raises its error,
-    which names an entry by its place in its frame; with one frame, the
-    order of the checks decides its error.
+    Boxes, labels, label scores and pair probabilities must be finite
+    numbers (`_number_array`), with a label and a label score per box;
+    a frame of n nodes must hold n(n - 1) * h pair probabilities, each in
+    [0, 1], labels must be whole numbers below g, and every box a box
+    (`scene.check_boxes`). Without h, it is the count the first frame with
+    pairs gives; without g, labels are bounded by the intp range. The first
+    check that fails raises its error, which names an entry by its place in
+    its frame; with one frame, the order of the checks decides its error.
     """
+    if not frames:
+        return []
     boxes, n = _column(frames, "boxes", 4)
     labels, n_labels = _column(frames, "labels")
     label_scores, n_scores = _column(frames, "label_scores")
@@ -505,84 +479,74 @@ def _frame_columns(frames: list, g: float = _INTP_END, h: float = _INTP_END) -> 
         if n_label != nodes or n_score != nodes:
             raise DataFormatError(f"frame has {nodes} boxes but {n_label} labels and "
                                   f"{n_score} label scores")
-    triplets = [_field(frame, "triplets", dict) for frame in frames]
-    (subj, n_subj), (obj, n_obj), (predicate, n_predicate), (score, t) = \
-        [_column(triplets, c) for c in TRIPLET_COLUMNS]
-    for n_s, n_o, n_p, n_t in zip(n_subj, n_obj, n_predicate, t):
-        if not n_s == n_o == n_p == n_t:
-            raise DataFormatError(f"triplets has {n_s} subjects, {n_o} objects, {n_p} predicates "
-                                  f"and {n_t} scores")
-    nodes = np.repeat(n, t)   # of each triplet's frame
-    # every label and triplet index: a non-negative integer below its bound,
+    probs, n_probs = _column(frames, "pair_probs")
+    offsets = frame_offsets(n)
+    _, pair_starts, local = offsets
+    pairs = np.diff(pair_starts).tolist()
+    if h is None:   # at least 1, so that a frame with pairs but no numbers fails
+        h = next((count // p for count, p in zip(n_probs, pairs) if p), 1) or 1
+    for nodes, p, count in zip(n, pairs, n_probs):
+        if count != p * h:
+            raise DataFormatError(f"frame has {nodes} nodes, so field 'pair_probs' must hold "
+                                  f"{p * h} probabilities, {h} for each of its {p} ordered "
+                                  f"pairs, got {count}")
+    outside = (probs < 0) | (probs > 1)
+    if outside.any():
+        k = int(np.argmax(outside))
+        ends = pair_starts * h
+        place = k - ends[np.searchsorted(ends, k, side="right") - 1]
+        raise DataFormatError(f"entry {place} of field 'pair_probs' must be a probability "
+                              f"in [0, 1], got {float(probs[k])!r}")
     # checked on the numbers before they become intp, where a number beyond
     # the intp range would wrap round
-    index = np.concatenate([labels, subj, obj, predicate])
-    whole = (index >= 0) & (np.floor(index) == index)
+    whole = (labels >= 0) & (labels < g) & (np.floor(labels) == labels)
     if not whole.all():
         i = int(np.argmin(whole))
-        raise DataFormatError(_index_message(i, index[i], n, t, g, h))
-    outside = (subj >= nodes) | (obj >= nodes)
-    if outside.any():
-        k = np.flatnonzero(outside)[0]
-        raise DataFormatError(f"triplet references node {_number_text(max(subj[k], obj[k]))} "
-                              f"but frame has {nodes[k]} nodes")
-    _check_bounds(labels, predicate, n, t, g, h)
-    ints = index.astype(np.intp)
-    a, c = len(labels), len(subj)
-    labels, subj, obj, predicate = ints[:a], ints[a:a + c], ints[a + c:a + 2 * c], ints[a + 2 * c:]
-    if (subj == obj).any():
-        k = np.flatnonzero(subj == obj)[0]
-        raise DataFormatError(f"triplet {_frame_of(k, t)[1]} has subject and object both "
-                              f"node {subj[k]}")
+        raise DataFormatError(f"label of node {local[i]} must be an integer in [0, {g}), "
+                              f"got {_number_text(labels[i])}")
     try:
         check_boxes(boxes)
+        subj, obj = frame_pairs(n)
+        return rank_frames(probs.reshape(-1, h), subj, obj, labels.astype(np.intp),
+                           label_scores, boxes, offsets)
     except ContractError as e:
         raise DataFormatError(str(e)) from None
-    columns, a, c = [], 0, 0
-    for frame_nodes, frame_triplets in zip(n, t):
-        b, d = a + frame_nodes, c + frame_triplets
-        columns.append((subj[c:d], obj[c:d], predicate[c:d], score[c:d], labels[a:b],
-                        boxes[a:b], label_scores[a:b]))
-        a, c = b, d
-    return columns
 
 
-def _frames_to_arrays(record) -> None:
-    """Check the frames of a predictions record at once (`_frame_columns`)
-    and replace each one's numeric fields and triplet columns by their
-    arrays, in place. An error leaves the record as decoded."""
+def _frames_to_arrays(record, dims: Dims) -> None:
+    """Check and rank the frames of a predictions record at once
+    (`_ranked_frames`, with the bounds of `dims`), and replace each one's
+    fields by its ranked list's arrays, in place: its nodes' boxes, labels
+    and label scores, and its triplets' columns under `triplets`, in place
+    of its `pair_probs`. An error leaves the record as decoded."""
     frames = _field(record, "frames", list)
-    for frame, (subj, obj, predicate, score, labels, boxes, label_scores) in \
-            zip(frames, _frame_columns(frames)):
-        frame["boxes"], frame["labels"], frame["label_scores"] = boxes, labels, label_scores
-        triplets = frame["triplets"]
-        triplets["subj"], triplets["obj"] = subj, obj
-        triplets["predicate"], triplets["score"] = predicate, score
+    for frame, ranked in zip(frames, _ranked_frames(frames, dims.g, dims.h)):
+        frame["boxes"], frame["labels"], frame["label_scores"] = \
+            ranked.boxes, ranked.labels, ranked.label_scores
+        del frame["pair_probs"]
+        frame["triplets"] = {"subj": ranked.subj, "obj": ranked.obj,
+                             "predicate": ranked.predicate, "score": ranked.score}
 
 
 def ranked_from_frame_json(frame: dict, path: Path, lineno: int,
                            dims: Dims | None = None) -> RankedFrame:
     """A frame of a record from `numbered_predictions` as a ranked list.
 
-    The frame must pass `_frame_columns`, with `dims` its labels below dims.g
-    and its predicates below dims.h, and without, both within the intp
-    range. A frame the loader checked, which holds arrays, is only held to
-    the dims bounds; any other frame is checked here, alone, and its first
-    error is located at `path`:`lineno`.
+    A frame the loader checked and ranked, which holds arrays, gives the
+    list it holds. Any other frame is checked and ranked here, alone
+    (`_ranked_frames`), with `dims` its labels below dims.g and dims.h
+    probabilities a pair, and without, its labels within the intp range and
+    as many a pair as its length gives; its first error is located at
+    `path`:`lineno`.
     """
-    g, h = (dims.g, dims.h) if dims else (_INTP_END, _INTP_END)
+    if type(frame) is dict and type(frame.get("labels")) is np.ndarray:   # checked
+        triplets = frame["triplets"]
+        return RankedFrame(triplets["subj"], triplets["obj"], triplets["predicate"],
+                           triplets["score"], frame["labels"], frame["boxes"],
+                           frame["label_scores"])
     try:   # not `_located`, which would cost more: this runs once a frame
-        if type(frame) is dict and type(frame.get("labels")) is np.ndarray:   # checked
-            triplets = frame["triplets"]
-            ranked = RankedFrame(triplets["subj"], triplets["obj"], triplets["predicate"],
-                                 triplets["score"], frame["labels"], frame["boxes"],
-                                 frame["label_scores"])
-            if dims is not None:
-                _check_bounds(ranked.labels, ranked.predicate, [len(ranked.labels)],
-                              [len(ranked)], g, h)
-            return ranked
-        (columns,) = _frame_columns([frame], g, h)
-        return RankedFrame(*columns)
+        (ranked,) = _ranked_frames([frame], *((dims.g, dims.h) if dims else ()))
+        return ranked
     except DataFormatError as e:
         raise DataFormatError(f"{path}:{lineno}: {e}") from None
 
@@ -612,14 +576,22 @@ def _collector_paused():
             gc.enable()
 
 
+def _made_with(path: Path, header: dict) -> Dims:
+    """The dims a predictions file's header gives, by its config (the
+    defaults where it has none), located at its line 1."""
+    with _located(f"{path}:1"):
+        return runconfig_from_flat(_field(header, "config", dict, {})).dims
+
+
 def numbered_predictions(path: str | Path) -> tuple[dict, list[tuple[int, dict]]]:
     """A predictions file's header, and each record with its line number.
 
-    Each record is checked as its line is decoded (`_frames_to_arrays`).
-    If it passes, its frames hold their numeric fields and triplet columns
-    as arrays, and the lists they replace never pile up for the collector to
-    walk once it runs again; if not, it stays as decoded, for
-    `ranked_from_frame_json` to check frame by frame.
+    Each record is checked and ranked as its line is decoded
+    (`_frames_to_arrays`), with the dims its header's config gives (`_made_with`).
+    If it passes, its frames hold the arrays of their ranked lists, and the
+    lists they replace never pile up for the collector to walk once it runs
+    again; if not, it stays as decoded, for `ranked_from_frame_json` to check
+    frame by frame.
     """
     path = Path(path)
     if not path.exists():
@@ -627,9 +599,10 @@ def numbered_predictions(path: str | Path) -> tuple[dict, list[tuple[int, dict]]
     records = _jsonl(path, "predictions")
     with _collector_paused():
         header, numbered = next(records), []
+        dims = _made_with(path, header)
         for lineno, record in records:
             with contextlib.suppress(DataFormatError):
-                _frames_to_arrays(record)
+                _frames_to_arrays(record, dims)
             numbered.append((lineno, record))
         return header, numbered
 
@@ -640,20 +613,26 @@ def load_predictions(path: str | Path) -> tuple[dict, list[dict]]:
     return header, [record for _, record in numbered]
 
 
-def ranked_predictions(path: str | Path, sequences: list[SceneSequence],
-                       dims: Dims) -> tuple[str | None, dict, list[list[RankedFrame]]]:
-    """A predictions file read against the dataset's sequences and dims: the
-    mode its header names (None if none), the config it echoes, and each
-    sequence's frames ranked. Each record must match its sequence's seed and
-    frame count."""
+def ranked_predictions(path: str | Path, sequences: list[SceneSequence], dims: Dims,
+                       split: str) -> tuple[str | None, dict, list[list[RankedFrame]]]:
+    """A predictions file read against the sequences and dims of a dataset
+    split: the mode its header names (None if none), the config it echoes,
+    and each sequence's frames ranked. The header's dims.g and dims.h must be
+    the split's, and each record must match its sequence's seed and frame
+    count."""
     path = Path(path)
     header, records = numbered_predictions(path)
+    made = _made_with(path, header)
     with _located(f"{path}:1"):
         mode = _field(header, "mode", default=None)
         if mode is not None and mode not in MODES:
             raise DataFormatError(f"field 'mode' must be one of {MODES}, got {mode!r}")
-        config = _field(header, "config", dict, {})
-        runconfig_from_flat(config)   # checked as a checkpoint's config is; echoed as written
+        for name in ("g", "h"):
+            got, want = getattr(made, name), getattr(dims, name)
+            if got != want:
+                raise DataFormatError(f"dims.{name}: the predictions were made with {got}, "
+                                      f"but the {split} split has {want}")
+    config = header.get("config", {})   # echoed as written
     if len(records) != len(sequences):
         raise DataFormatError(f"{path}: {len(records)} prediction records for "
                               f"{len(sequences)} sequences")

@@ -323,23 +323,24 @@ def frame_offsets(sizes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return starts[0], starts[1], np.arange(starts[0, -1]) - np.repeat(starts[0, :-1], sizes)
 
 
-def rank_frames(probs: np.ndarray, subj: np.ndarray, obj: np.ndarray,
-                label_dists: np.ndarray, boxes: np.ndarray, offsets) -> list[RankedFrame]:
+def rank_frames(probs: np.ndarray, subj: np.ndarray, obj: np.ndarray, labels: np.ndarray,
+                label_scores: np.ndarray, boxes: np.ndarray, offsets) -> list[RankedFrame]:
     """The unconstrained ranked triplet list of each frame, empty frames
     included, for frames packed one after another with the given
-    `frame_offsets`; each frame is sorted on its own.
+    `frame_offsets`; each frame is sorted on its own. Serving ranks a forward
+    pass with it, and `io` a predictions record read back.
 
     `probs` (P, H) holds the predicate probabilities of the pairs (subj, obj)
-    of packed node indices, in `spatial.frame_pairs` order. A triplet's score
-    is subject-label score * object-label score * predicate probability,
-    where a node's label score is the maximum of its label distribution.
-    Each ordered pair keeps its NO_CONSTRAINT_PER_PAIR most probable
-    predicates (ties to the lower index), and a frame's list is sorted by
-    (-score, subject, object, predicate).
+    of packed node indices, in `spatial.frame_pairs` order, and `labels` and
+    `label_scores` each node's label and its score (served: the argmax and
+    the maximum of its label distribution). A triplet's score is
+    subject-label score * object-label score * predicate probability. Each
+    ordered pair keeps its NO_CONSTRAINT_PER_PAIR most probable predicates
+    (ties to the lower index), and a frame's list is sorted by (-score,
+    subject, object, predicate).
     """
     starts, pair_starts, local = offsets
     h = probs.shape[1]
-    label_scores = np.max(label_dists, axis=1)
     pair_scores = (label_scores[subj] * label_scores[obj])[:, None]
     keep = min(NO_CONSTRAINT_PER_PAIR, h)
     if keep == h:   # every predicate is kept, in ascending order
@@ -360,7 +361,6 @@ def rank_frames(probs: np.ndarray, subj: np.ndarray, obj: np.ndarray,
     subj, obj, scores = local[subj[pair]], local[obj[pair]], scores[order]
     # with every predicate kept, a row's predicate is its place in its pair
     kept = order - pair * keep if top is None else top.ravel()[order]
-    labels = np.argmax(label_dists, axis=1)
     return [RankedFrame(subj[a:b], obj[a:b], kept[a:b], scores[a:b], labels[x:y], boxes[x:y],
                         label_scores[x:y])
             for a, b, x, y in zip(cuts[:-1], cuts[1:], nodes[:-1], nodes[1:])]
@@ -379,7 +379,10 @@ class FramePrediction:
     """
 
     label_dists: np.ndarray           # (N, G)
-    pair_probs: np.ndarray            # (N * (N - 1), H) ordered pairs i != j
+    pair_probs: np.ndarray            # (N * (N - 1), H) ordered pairs i != j, in
+                                      #      `spatial.frame_pairs` order; a predictions
+                                      #      file holds it flat (`io`), as the rows
+                                      #      `rank_frames` ranks
     fused: np.ndarray                 # (N, m) spatial + temporal context
     gcn: np.ndarray                   # (N, m) after message passing
     ranked: RankedFrame               # triplets in rank order
@@ -405,7 +408,8 @@ def frame_predictions(packed: Packed, out: BatchOutput, g: int,
         dists = ad._softmax(out.label_logits.data)
     offsets = frame_offsets(packed.sizes)
     starts, pair_starts, local = offsets
-    ranked = rank_frames(probs, packed.subj.ids, packed.obj.ids, dists, feats[:, :4], offsets)
+    ranked = rank_frames(probs, packed.subj.ids, packed.obj.ids, np.argmax(dists, axis=1),
+                         np.max(dists, axis=1), feats[:, :4], offsets)
     # links come in candidate order, so each frame's links are one run
     curr = packed.cand_curr.ids[out.links]
     link_starts = np.searchsorted(curr, starts).tolist()

@@ -53,7 +53,8 @@ def frame_prediction(boxes, dists, rel, fused, gcn) -> FramePrediction:
     ranked by the rule a forward pass ranks with (`rank_frames`)."""
     n = len(dists)
     pairs = ~np.eye(n, dtype=bool)     # subject-major, as spatial.frame_pairs lists them
-    (ranked,) = rank_frames(rel[pairs], *np.nonzero(pairs), dists, boxes, frame_offsets([n]))
+    (ranked,) = rank_frames(rel[pairs], *np.nonzero(pairs), dists.argmax(axis=1),
+                            dists.max(axis=1), boxes, frame_offsets([n]))
     return FramePrediction(label_dists=dists, pair_probs=rel[pairs], fused=fused, gcn=gcn,
                            ranked=ranked)
 

@@ -12,13 +12,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import old_layout, write_old_layout
+from conftest import old_layout, random_gt_row, write_old_layout
 
 from stsg import cli, io
 from stsg.cli import main
-from stsg.config import Dims, load_config, parse_config_items
+from stsg.config import EVENT_NAMES, Dims, load_config, parse_config_items
 from stsg.errors import ConfigError, ContractError, DataFormatError
 from stsg.params import ModelParams
+from stsg.rng import RngStream
+from stsg.scene import scene_sequence
 from stsg.temporal import RankedFrame
 
 TINY_CFG = """
@@ -346,18 +348,24 @@ def test_train_refuses_parameters_that_the_last_update_made_non_finite(tmp_path,
 
 
 def gt_prediction_records(seqs):
+    """Predictions records of each frame's ground truth: its objects' boxes
+    and labels, each label of score 1, and each pair's predicate probability
+    1 where the pair holds the predicate, 0 elsewhere. The records are for a
+    header config of no items, so of the default h."""
+    h = Dims().h
     records = []
     for seq in seqs:
         frames = []
         for frame in seq.frames:
-            boxes = [list(o.box) for o in frame.objects]
-            subj, obj, predicate = ([t[c] for t in frame.triplets] for c in range(3))
+            n = len(frame.objects)
+            probs = [0.0] * (n * (n - 1) * h)
+            for s, o, p in frame.triplets:   # pairs in `spatial.frame_pairs` order
+                probs[(s * (n - 1) + o - (o > s)) * h + p] = 1.0
             frames.append({
-                "boxes": boxes,
+                "boxes": [list(o.box) for o in frame.objects],
                 "labels": [o.label for o in frame.objects],
-                "label_scores": [1.0] * len(frame.objects),
-                "triplets": {"subj": subj, "obj": obj, "predicate": predicate,
-                             "score": [1.0] * len(subj)},
+                "label_scores": [1.0] * n,
+                "pair_probs": probs,
             })
         records.append({"seq_seed": seq.seed, "frames": frames})
     return records
@@ -637,10 +645,10 @@ def test_checkpoint_gcn_layers_must_be_an_integer(tmp_path, checkpoint_path, dat
 
 
 def _corrupt_first_prediction(preds, edit) -> None:
-    """Apply `edit` to the first frame with triplets of a predictions file."""
+    """Apply `edit` to the first frame with pairs of a predictions file."""
     lines = preds.read_text().splitlines()
     record = json.loads(lines[1])
-    edit(next(f for f in record["frames"] if f["triplets"]["subj"]))
+    edit(next(f for f in record["frames"] if f["pair_probs"]))
     lines[1] = json.dumps(record)
     preds.write_text("\n".join(lines) + "\n")
 
@@ -658,15 +666,34 @@ def test_prediction_frame_with_short_label_list_is_an_error(tmp_path, checkpoint
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def _set_self_pair(frame):
-    frame["triplets"]["obj"][0] = frame["triplets"]["subj"][0]
+def _set(field, index, value):
+    """Set entry `index` of a frame field."""
+    def edit(frame):
+        column = frame[field]
+        column[index] = value(column[index]) if callable(value) else value
+    return edit
 
 
-def _set_nan_score(frame):
-    frame["triplets"]["score"][0] = float("nan")
+def _extend_pair_probs(count):
+    """Make a frame's `pair_probs` `count` entries longer (shorter, below 0)."""
+    def edit(frame):
+        probs = frame["pair_probs"]
+        if count < 0:
+            del probs[count:]
+        probs += [0.5] * count
+    return edit
 
 
-@pytest.mark.parametrize("edit", [_set_self_pair, _set_nan_score], ids=["self-pair", "nan-score"])
+def _add_self_pairs(frame):
+    n = len(frame["labels"])
+    frame["pair_probs"] += [0.5] * (n * Dims().h)
+
+
+# the test ids below that name a subject, object or predicate name the
+# pair_probs case that replaced the check of that triplet column, from when
+# files listed their triplets
+@pytest.mark.parametrize("edit", [_add_self_pairs, _set("pair_probs", 0, float("nan"))],
+                         ids=["self-pair", "nan-score"])
 def test_malformed_prediction_triplet_is_an_error(tmp_path, checkpoint_path, dataset_dir,
                                                   capsys, edit):
     preds = tmp_path / "p.jsonl"
@@ -676,50 +703,37 @@ def test_malformed_prediction_triplet_is_an_error(tmp_path, checkpoint_path, dat
     capsys.readouterr()
     assert main(["eval", "--preds", str(preds), "--data", str(dataset_dir),
                  "--split", "val"]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {preds}:2: ") and "field 'pair_probs' must" in err, err
 
 
-def _set(field, index, value):
-    """Set entry `index` of a frame field or triplet column."""
-    def edit(frame):
-        column = frame["triplets"][field] if field in io.TRIPLET_COLUMNS else frame[field]
-        column[index] = value(column[index]) if callable(value) else value
-    return edit
-
-
-def _set_boolean_triplet(frame):
-    for column, value in zip(io.TRIPLET_COLUMNS, [True, False, 1, 0.5]):
-        frame["triplets"][column][0] = value
-
-
-def _one_predicate(frame):
-    del frame["triplets"]["predicate"][1:]
-
-
-# each of these was evaluated with exit 0 (the numbers were truncated to
+# each label case was evaluated with exit 0 (the numbers were truncated to
 # integers, or used as they were, whatever their range) or, for an integer
 # beyond the float range, ended in an OverflowError traceback
 MALFORMED_NUMBERS = [
-    (_set("predicate", 0, 99), "predicate of triplet 0 must be an integer in [0, 6), got 99"),
-    (_set("predicate", 0, -1), "predicate of triplet 0 must be an integer in [0, 6), got -1"),
-    (_set("predicate", 0, 2.5), "predicate of triplet 0 must be an integer in [0, 6), got 2.5"),
-    (_set("subj", 0, lambda i: i + 0.9), "subject of triplet 0 must be an integer"),
-    (_set("obj", 0, -2), "object of triplet 0 must be an integer"),
+    (_set("pair_probs", 0, 99),
+     "entry 0 of field 'pair_probs' must be a probability in [0, 1], got 99.0"),
+    (_set("pair_probs", 0, -0.1),
+     "entry 0 of field 'pair_probs' must be a probability in [0, 1], got -0.1"),
+    (_set("pair_probs", 2, 1.5),
+     "entry 2 of field 'pair_probs' must be a probability in [0, 1], got 1.5"),
+    (_set("pair_probs", 0, "x"), "field 'pair_probs' must be finite numbers, got 'x'"),
+    (_set("pair_probs", 0, -float("inf")), "field 'pair_probs' must be finite numbers, got -inf"),
     (_set("labels", 0, -5), "label of node 0 must be an integer in [0, 8), got -5"),
     (_set("labels", 1, 2.5), "label of node 1 must be an integer in [0, 8), got 2.5"),
     (_set("labels", 0, 8), "label of node 0 must be an integer in [0, 8), got 8"),
     (_set("labels", 0, True), "field 'labels' must be finite numbers, got True"),
     (_set("labels", 0, 10 ** 400), "field 'labels' must be finite numbers, got 1000"),
-    (_set_boolean_triplet, "field 'subj' must be finite numbers, got True"),
-    (_one_predicate, "objects, 1 predicates and "),
-    # these wrapped round to negative numbers when cast to intp before their
-    # bounds were checked: evaluated with exit 0, or an IndexError traceback
-    (_set("predicate", 0, 2 ** 64),
-     "predicate of triplet 0 must be an integer in [0, 6), got 1.84467e+19"),
+    (_set("pair_probs", 0, True), "field 'pair_probs' must be finite numbers, got True"),
+    (_extend_pair_probs(-1), "probabilities, 6 for each of its "),
+    (_set("pair_probs", 0, 2 ** 64),
+     "entry 0 of field 'pair_probs' must be a probability in [0, 1], got 1.8446744073709552e+19"),
+    # this label wrapped round to a negative number when cast to intp before
+    # its bound was checked: evaluated with exit 0, or an IndexError traceback
     (_set("labels", 0, 1e30), "label of node 0 must be an integer in [0, 8), got 1e+30"),
-    (_set("subj", 0, 1e19), "triplet references node 1e+19 but frame has "),
+    (_set("pair_probs", 0, 10 ** 400), "field 'pair_probs' must be finite numbers, got 1000"),
+    (_set("pair_probs", 0, None), "field 'pair_probs' must be finite numbers, got None"),
     # a whole number within the intp range is printed exactly
-    (_set("subj", 0, 1234567), "triplet references node 1234567 but frame has "),
     (_set("labels", 0, 1234567), "label of node 0 must be an integer in [0, 8), got 1234567"),
 ]
 MALFORMED_NUMBER_IDS = [
@@ -754,29 +768,42 @@ def test_unknown_prediction_mode_is_an_error(tmp_path, dataset_dir, capsys, mode
                                        f"('predcls', 'sgcls', 'sgdet'), got {mode!r}\n")
 
 
+def _two_node_frame() -> dict:
+    """A predictions frame that passes every check: 2 nodes, 2 pairs of 6
+    predicate probabilities."""
+    return {"boxes": [[0.0, 0.0, 0.5, 0.5], [0.25, 0.25, 0.5, 0.5]], "labels": [0, 1],
+            "label_scores": [0.9, 0.8],
+            "pair_probs": [0.5, 0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 0.0, 1.0, 0.25, 0.75, 0.125]}
+
+
+# without dims, labels are bounded by the intp range alone, and a frame has
+# as many probabilities a pair as its length gives
 BEYOND_INTP = [
-    ("predicate", 2.0 ** 64, "predicate of triplet 0 must be an integer in [0, "),
-    ("labels", 1e30, "label of node 0 must be an integer in [0, "),
-    ("obj", 1e19, "triplet references node 1e+19 but frame has 2 nodes"),
+    (_extend_pair_probs(1), "frame has 2 nodes, so field 'pair_probs' must hold 12 "
+                            "probabilities, 6 for each of its 2 ordered pairs, got 13"),
+    (_set("labels", 0, 1e30), "label of node 0 must be an integer in [0, "),
+    (_set("pair_probs", 0, float("inf")), "field 'pair_probs' must be finite numbers, got inf"),
 ]
 BEYOND_INTP_IDS = ["predicate", "label", "object"]
 
 
-@pytest.mark.parametrize("column, value, message", BEYOND_INTP, ids=BEYOND_INTP_IDS)
-def test_index_beyond_intp_without_dims_is_an_error(column, value, message):
-    # without dims, labels and predicates are bounded by the intp range alone
-    frame = {"boxes": [[0.0, 0.0, 1.0, 1.0]] * 2, "labels": [0.0, 1.0],
-             "label_scores": [1.0, 1.0],
-             "triplets": {"subj": [0.0], "obj": [1.0], "predicate": [2.0], "score": [0.5]}}
-    (frame["triplets"] if column in io.TRIPLET_COLUMNS else frame)[column][0] = value
+@pytest.mark.parametrize("edit, message", BEYOND_INTP, ids=BEYOND_INTP_IDS)
+def test_index_beyond_intp_without_dims_is_an_error(edit, message):
+    frame = _two_node_frame()
+    edit(frame)
     with pytest.raises(DataFormatError) as e:
         io.ranked_from_frame_json(frame, Path("p.jsonl"), 2)
     assert str(e.value).startswith("p.jsonl:2: " + message), str(e.value)
 
 
+# the triplet columns of a loaded frame, the ranked list's
+TRIPLET_COLUMNS = ("subj", "obj", "predicate", "score")
+
+
 def test_decoded_predictions_hold_arrays(tmp_path, checkpoint_path, dataset_dir):
-    # a record whose frames all pass the loader's check holds its columns as
-    # arrays, its indices as intp; a record with one bad frame stays as decoded
+    # a record whose frames all pass the loader's check holds its ranked
+    # lists' arrays, its indices as intp, in place of its pair probabilities;
+    # a record with one bad frame stays as decoded
     preds = tmp_path / "p.jsonl"
     assert main(["infer", "--ckpt", str(checkpoint_path), "--data", str(dataset_dir),
                  "--split", "val", "--mode", "sgdet", "--out", str(preds)]) == 0
@@ -787,7 +814,7 @@ def test_decoded_predictions_hold_arrays(tmp_path, checkpoint_path, dataset_dir)
     preds.write_text("\n".join(lines) + "\n")
     _, numbered = io.numbered_predictions(preds)
     shapes = {"boxes": 4, "labels": None, "label_scores": None,
-              **dict.fromkeys(io.TRIPLET_COLUMNS)}
+              **dict.fromkeys(TRIPLET_COLUMNS)}
     indices = {"labels", "subj", "obj", "predicate"}
     assert len(numbered) >= 2
     for (lineno, record), line in zip(numbered, lines[1:]):
@@ -795,21 +822,16 @@ def test_decoded_predictions_hold_arrays(tmp_path, checkpoint_path, dataset_dir)
             assert record == json.loads(line)
             continue
         for frame, raw in zip(record["frames"], json.loads(line)["frames"]):
+            assert "pair_probs" not in frame
+            ranked = io.ranked_from_frame_json(raw, preds, lineno)   # the frame's own check
             for name, width in shapes.items():
-                arr, value = ((frame["triplets"][name], raw["triplets"][name])
-                              if name in io.TRIPLET_COLUMNS else (frame[name], raw[name]))
+                arr, value = ((frame["triplets"][name], getattr(ranked, name))
+                              if name in TRIPLET_COLUMNS else (frame[name], raw[name]))
                 assert isinstance(arr, np.ndarray), name
                 assert arr.dtype == (np.intp if name in indices else np.float64), name
                 want = (len(value),) if width is None else (len(value), width)
                 assert arr.shape == want
                 np.testing.assert_array_equal(arr, np.array(value, dtype=float).reshape(want))
-
-
-def _two_node_frame() -> dict:
-    """A predictions frame that passes every check: 2 nodes, 2 triplets."""
-    return {"boxes": [[0.0, 0.0, 0.5, 0.5], [0.25, 0.25, 0.5, 0.5]], "labels": [0, 1],
-            "label_scores": [0.9, 0.8],
-            "triplets": {"subj": [0, 1], "obj": [1, 0], "predicate": [2, 0], "score": [0.5, 0.4]}}
 
 
 @pytest.fixture(scope="module")
@@ -825,11 +847,13 @@ def three_frame_dir(tmp_path_factory) -> Path:
 # frame unchecked; `ranked_from_frame_json` then checks it frame by frame
 PER_RECORD_CASES = [
     *((edit, message, True) for edit, message in MALFORMED_NUMBERS),
-    *((_set(column, 0, value), message, False) for column, value, message in BEYOND_INTP),
-    (_set("subj", 0, 2), "triplet references node 2 but frame has 2 nodes", True),
-    (_set("obj", 0, 0), "triplet 0 has subject and object both node 0", True),
-    # within the intp range, so the loader's check passes; the dims do not
-    (_set("predicate", 0, 6), "predicate of triplet 0 must be an integer in [0, 6), got 6", True),
+    *((edit, message, False) for edit, message in BEYOND_INTP),
+    (_extend_pair_probs(1), "frame has 2 nodes, so field 'pair_probs' must hold 12 "
+                            "probabilities, 6 for each of its 2 ordered pairs, got 13", True),
+    (_set("pair_probs", 0, [0.5]), "field 'pair_probs' must be finite numbers, got [0.5]", True),
+    # a whole 7 probabilities a pair, so a frame's own length passes; the dims do not
+    (_extend_pair_probs(2), "frame has 2 nodes, so field 'pair_probs' must hold 12 "
+                            "probabilities, 6 for each of its 2 ordered pairs, got 14", True),
     # these boxes were evaluated with exit 0; with sides of 1e200, box_iou
     # overflowed
     (_set("boxes", 0, [0.1, 0.1, -0.5, 0.3]), "box: size (-0.5, 0.3) outside (0, 1]", True),
@@ -878,16 +902,17 @@ def test_the_record_check_agrees_with_each_frames_own(tmp_path, edit):
     preds = tmp_path / "p.jsonl"
     io.write_predictions(preds, {"mode": "sgdet", "config": {}}, records)
     _, numbered = io.numbered_predictions(preds)
+    g, h = Dims().g, Dims().h   # the dims of a header config of no items
     assert len(numbered) == len(records)
     for (lineno, loaded), record in zip(numbered, records):
         errors = []
         for frame in record["frames"]:
             try:
-                io._frame_columns([frame])
+                io._ranked_frames([frame], g, h)
             except DataFormatError as e:
                 errors.append(str(e))
         try:
-            io._frame_columns(record["frames"])
+            io._ranked_frames(record["frames"], g, h)
         except DataFormatError as e:
             assert errors and str(e) == errors[0], (lineno, str(e), errors)
             assert loaded == record
@@ -898,7 +923,7 @@ def test_the_record_check_agrees_with_each_frames_own(tmp_path, edit):
             written = np.array(raw["label_scores"], dtype=np.float64)
             pairs = [(frame["boxes"], ranked.boxes), (frame["labels"], ranked.labels),
                      (frame["label_scores"], ranked.label_scores), (ranked.label_scores, written),
-                     *((frame["triplets"][c], getattr(ranked, c)) for c in io.TRIPLET_COLUMNS)]
+                     *((frame["triplets"][c], getattr(ranked, c)) for c in TRIPLET_COLUMNS)]
             for got, want in pairs:
                 assert got.dtype == want.dtype
                 np.testing.assert_array_equal(got, want)
@@ -928,6 +953,53 @@ def test_a_served_list_reads_back_bit_for_bit(tmp_path, checkpoint_path, dataset
                     got, want = getattr(ranked, name), getattr(pred.ranked, name)
                     assert (got.dtype, got.shape) == (want.dtype, want.shape), name
                     assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.fixture(scope="module")
+def sized_frames_run(tmp_path_factory) -> tuple[Path, Path]:
+    """A test split of one sequence whose frames have 1, 2, 0 and 6 nodes,
+    each detected as its gt row, and a checkpoint of initial parameters."""
+    out = tmp_path_factory.mktemp("sized")
+    cfg = parse_config_items({})
+    dims, rng = cfg.dims, RngStream(3)
+    spec, rows = [], []
+    for n in (1, 2, 0, 6):
+        objects = [random_gt_row(rng, dims) for _ in range(n)]
+        spec.append(([(label, False, True) for label, _ in objects],
+                     [(0, 1, 2)] if n >= 2 else [], n))
+        rows += [row for _, row in objects]
+    feats = np.array(rows).reshape(-1, dims.m)
+    seq = scene_sequence(spec, feats, feats.copy(), dims.g, np.zeros(len(EVENT_NAMES)), 11)
+    (out / "ds").mkdir()
+    io.write_split(out / "ds" / "test.jsonl", cfg, "test", [seq])
+    io.write_checkpoint(out / "model.json", cfg, ModelParams.init(dims, seed=0), [])
+    return out / "ds", out / "model.json"
+
+
+@pytest.mark.parametrize("mode", ["predcls", "sgcls", "sgdet"])
+def test_frames_of_any_size_read_back_bit_for_bit(tmp_path, sized_frames_run, mode):
+    # frames of 1, 2, 0 and 6 nodes, the empty one mid-sequence, served with
+    # their features: the lists the loader ranks from each frame's pair
+    # probabilities, and each frame's own check, are the served lists
+    data, ckpt = sized_frames_run
+    preds = tmp_path / "p.jsonl"
+    assert main(["infer", "--ckpt", str(ckpt), "--data", str(data), "--mode", mode,
+                 "--include-features", "--out", str(preds)]) == 0
+    cfg, params, _ = io.load_checkpoint(ckpt)
+    _, (seq,) = io.load_split(data, "test")
+    served = cli.forward_sequence(seq, params, mode, cfg.train.variant, cfg.train.k)
+    assert [pred.n for pred in served] == [1, 2, 0, 6]
+    _, ((lineno, record),) = io.numbered_predictions(preds)
+    raw = json.loads(preds.read_text().splitlines()[1])["frames"]
+    assert [len(frame["pair_probs"]) for frame in raw] == [0, 2 * 6, 0, 30 * 6]
+    for pred, loaded, frame in zip(served, record["frames"], raw):
+        assert len(pred.ranked) == len(frame["pair_probs"])
+        for ranked in (io.ranked_from_frame_json(loaded, preds, lineno),
+                       io.ranked_from_frame_json(frame, preds, lineno, cfg.dims)):
+            for name in (f.name for f in fields(RankedFrame)):
+                got, want = getattr(ranked, name), getattr(pred.ranked, name)
+                assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+                assert got.tobytes() == want.tobytes(), name
 
 
 @pytest.mark.parametrize("sides", [(-0.5, 0.3), (1e200, 1e200)], ids=["negative", "1e200"])
@@ -1729,10 +1801,10 @@ def test_no_malformed_record_escapes_as_another_exception(tmp_path):
     def read_predictions(record):
         path = next(files)
         io.write_predictions(path, {"mode": "sgdet", "config": {}}, [record])
-        io.ranked_predictions(path, seqs, dims)
+        io.ranked_predictions(path, seqs, dims, "test")
 
     (record,) = gt_prediction_records(seqs)
-    predictions = _escapes(record, read_predictions, depth=4)   # the triplet columns too
+    predictions = _escapes(record, read_predictions, depth=4)   # the pair probabilities too
     assert (dataset, checkpoint, predictions) == ([], [], [])
 
 
@@ -1776,25 +1848,32 @@ def test_checkpoint_rejects_a_split_of_other_dims(tmp_path, g5_config_path, chec
     assert "error: dims.g: the run uses 8, but the test split" in capsys.readouterr().err
 
 
-def in_row_layout(text: str) -> str:
-    """A predictions file re-encoded with each frame's triplets as
-    [subject, object, predicate, score] rows, the layout files were written
-    in before the columns."""
-    header, *lines = text.splitlines()
-    rows = [header]
-    for line in lines:
+def in_triplet_layout(path: Path, rows: bool) -> str:
+    """The predictions file `path` re-encoded in a layout of files that listed
+    their triplets: each frame's ranked list, as the loader ranks it
+    (`numbered_predictions`, `ranked_from_frame_json`), under `triplets` in
+    place of `pair_probs`, as [subject, object, predicate, score] rows or as
+    one list per column; the other fields as written, in order."""
+    header, *lines = path.read_text().splitlines()
+    _, numbered = io.numbered_predictions(path)
+    out = [header]
+    for line, (lineno, loaded) in zip(lines, numbered):
         record = json.loads(line)
-        for frame in record["frames"]:
-            frame["triplets"] = [list(t) for t in zip(*(frame["triplets"][c]
-                                                        for c in io.TRIPLET_COLUMNS))]
-        rows.append(json.dumps(record, separators=(",", ":")))
-    return "".join(row + "\n" for row in rows)
+        for f, frame in enumerate(record["frames"]):
+            ranked = io.ranked_from_frame_json(loaded["frames"][f], path, lineno)
+            columns = [getattr(ranked, c).tolist() for c in TRIPLET_COLUMNS]
+            triplets = ([list(t) for t in zip(*columns)] if rows
+                        else dict(zip(TRIPLET_COLUMNS, columns)))
+            record["frames"][f] = dict(("triplets", triplets) if k == "pair_probs" else (k, v)
+                                       for k, v in frame.items())
+        out.append(json.dumps(record, separators=(",", ":")))
+    return "".join(row + "\n" for row in out)
 
 
 # sha256 of `stsg infer` files from the tiny checkpoint, in the row layout
-# (`in_row_layout`), taken before serving cut its frames straight from the
-# packed forward pass; any change to a served float, label or ordering shows
-# here
+# (`in_triplet_layout`), taken before serving cut its frames straight from
+# the packed forward pass; any change to a served float, label or ordering
+# shows here, as does any change to the list the loader ranks
 INFER_SHA256 = {
     ("predcls", "spatial", 1, False): "e1cc89e1e9865d05825498a63e5de9a984391141c364c08c11a73e840f4992fc",
     ("predcls", "spatial", 1, True): "d86bb9328a7281460de37ffba41bbeb82f4989abafab8309df183ea823697bc6",
@@ -1836,24 +1915,46 @@ def test_infer_files_are_pinned(tmp_path, checkpoint_path, dataset_dir, mode, va
     argv = ["infer", "--ckpt", str(checkpoint_path), "--data", str(dataset_dir), "--mode", mode,
             "--variant", variant, "--k", str(k), "--out", str(out)]
     assert main(argv + ["--include-features"] * features) == 0
-    rows = in_row_layout(out.read_text()).encode()
+    rows = in_triplet_layout(out, rows=True).encode()
     assert hashlib.sha256(rows).hexdigest() == INFER_SHA256[mode, variant, k, features]
 
 
 def test_a_predictions_file_in_the_row_layout_is_a_short_error(tmp_path, checkpoint_path,
                                                                 dataset_dir, capsys):
-    # each frame's triplets were [subject, object, predicate, score] rows; the
-    # kind error showed the whole list, 2,273 characters for 140 triplets
+    # files that listed each frame's triplets, as [subject, object, predicate,
+    # score] rows or as one list per column, hold no pair probabilities; a
+    # kind error on the rows showed the whole list, 2,273 characters for 140
+    # triplets
     preds = tmp_path / "p.jsonl"
     assert main(["infer", "--ckpt", str(checkpoint_path), "--data", str(dataset_dir),
                  "--split", "val", "--mode", "sgdet", "--out", str(preds)]) == 0
-    preds.write_text(in_row_layout(preds.read_text()))
-    capsys.readouterr()
-    assert main(["eval", "--preds", str(preds), "--data", str(dataset_dir),
-                 "--split", "val"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {preds}:2: field 'triplets' must be an object, got [[")
-    assert err.count("\n") == 1 and len(err) < len(str(preds)) + 300, err
+    for rows in (True, False):
+        old = tmp_path / f"old-{rows}.jsonl"
+        old.write_text(in_triplet_layout(preds, rows))
+        capsys.readouterr()
+        assert main(["eval", "--preds", str(old), "--data", str(dataset_dir),
+                     "--split", "val"]) == 1
+        assert capsys.readouterr().err == f"error: {old}:2: missing field 'pair_probs'\n"
+
+
+def test_predictions_of_other_dims_are_an_error(tmp_path, checkpoint_path, dataset_dir, capsys):
+    # a header's dims.h sets the width of each frame's pair probabilities; a
+    # file whose header said h = 9 was evaluated against a split of h = 6,
+    # exit 0, and the report echoed dims.h 9
+    preds = tmp_path / "p.jsonl"
+    assert main(["infer", "--ckpt", str(checkpoint_path), "--data", str(dataset_dir),
+                 "--split", "test", "--mode", "sgdet", "--out", str(preds)]) == 0
+    header, *lines = preds.read_text().splitlines(keepends=True)
+    for name, value, items in (("h", 9, {}), ("g", 5, {"dims.m": 4 + 5 + 16})):
+        edited = json.loads(header)
+        edited["config"].update({f"dims.{name}": value, **items})
+        preds.write_text(json.dumps(edited) + "\n" + "".join(lines))
+        capsys.readouterr()
+        assert main(["eval", "--preds", str(preds), "--data", str(dataset_dir),
+                     "--split", "test", "--out", str(tmp_path / "r.json")]) == 1
+        want = {"h": 6, "g": 8}[name]
+        assert capsys.readouterr().err == (f"error: {preds}:1: dims.{name}: the predictions were "
+                                           f"made with {value}, but the test split has {want}\n")
 
 
 def _tracked_containers(value) -> int:

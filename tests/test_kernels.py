@@ -158,7 +158,8 @@ def test_rank_frames_is_the_five_key_sort(h, seed):
     pair_scores = label_scores[subj] * label_scores[obj]
     first, second = pair_scores * probs[:, 0], pair_scores * probs[:, 1]
     assert ((first == second) & (probs[:, 0] != probs[:, 1])).any()
-    got = rank_frames(probs, subj, obj, label_dists, boxes, frame_offsets(sizes))
+    got = rank_frames(probs, subj, obj, label_dists.argmax(axis=1), label_scores, boxes,
+                      frame_offsets(sizes))
     want = five_key_rank_frames(probs, subj, obj, label_dists, boxes, sizes)
     assert len(got) == len(want) == len(sizes)
     for g, w in zip(got, want):
