@@ -19,10 +19,13 @@ through the same reader to the same sequences.
 
 A predictions file holds, for each frame, its nodes' boxes, labels and
 label scores and its ordered pairs' predicate probabilities (`pair_probs`,
-flat, the predicate varying fastest), not a triplet list: the loader ranks
-each record's frames by the rule serving ranks with (`temporal.rank_frames`),
-so the list read back is the list served. The header's config gives the
-dims h that sets the width of `pair_probs`.
+flat, the predicate varying fastest), not a triplet list. One reader
+(`_predictions`) reads it: the header's config gives the dims (g bounds the
+labels, h sets the width of `pair_probs`), and each record's frames are
+checked and ranked as its line is decoded, by the rule serving ranks with
+(`temporal.rank_frames`), so the list read back is the list served. A label
+score must be in (0, 1]. Errors come in line order: the header's, then each
+record's in turn, then a count of records that is not the split's.
 """
 
 from __future__ import annotations
@@ -164,6 +167,10 @@ def _number_array(value, width: int, name: str) -> np.ndarray:
 DATASET_VERSION = 2
 _DATASET_VERSIONS = (1, DATASET_VERSION)
 
+# how far a label distribution's sum may be from 1; a label score, a
+# distribution's largest entry, may exceed 1 by as much
+_SUM_SLACK = 1e-9
+
 
 def _object_refs(frame, visual: int) -> list[int]:
     """Each detection's first gt object of `frame` whose visual vector (its
@@ -236,7 +243,7 @@ def sequence_from_json(record: dict, path: Path, lineno: int, dims: Dims) -> Sce
     def boxes_and_dists(entries: list, label_dists: list,
                         label_field: str) -> tuple[np.ndarray, np.ndarray]:
         dists = _number_array(label_dists, dims.g, f"field {label_field!r}")
-        ok = (dists >= 0).all(axis=1) & (np.abs(dists.sum(axis=1) - 1.0) <= 1e-9)
+        ok = (dists >= 0).all(axis=1) & (np.abs(dists.sum(axis=1) - 1.0) <= _SUM_SLACK)
         if not ok.all():
             raise DataFormatError(f"field {label_field!r} must be a probability distribution, "
                                   f"got {dists[np.argmin(ok)].tolist()}")
@@ -457,18 +464,17 @@ def _number_text(value: float) -> str:
     return str(int(value)) if value == np.floor(value) and abs(value) < _INTP_END else f"{value:g}"
 
 
-def _ranked_frames(frames: list, g: float = _INTP_END, h: int | None = None) -> list[RankedFrame]:
+def _ranked_frames(frames: list, g: int, h: int) -> list[RankedFrame]:
     """Check predictions frames all at once, and rank them with one
     `temporal.rank_frames` call, the rule serving ranks a sequence with.
 
     Boxes, labels, label scores and pair probabilities must be finite
     numbers (`_number_array`), with a label and a label score per box;
     a frame of n nodes must hold n(n - 1) * h pair probabilities, each in
-    [0, 1], labels must be whole numbers below g, and every box a box
-    (`scene.check_boxes`). Without h, it is the count the first frame with
-    pairs gives; without g, labels are bounded by the intp range. The first
-    check that fails raises its error, which names an entry by its place in
-    its frame; with one frame, the order of the checks decides its error.
+    [0, 1], labels must be whole numbers below g, label scores in (0, 1]
+    (with the slack a label distribution's sum has, `_SUM_SLACK`) and every
+    box a box (`scene.check_boxes`). The first check that fails raises its
+    error, which names an entry by its place in its frame.
     """
     if not frames:
         return []
@@ -482,10 +488,7 @@ def _ranked_frames(frames: list, g: float = _INTP_END, h: int | None = None) -> 
     probs, n_probs = _column(frames, "pair_probs")
     offsets = frame_offsets(n)
     _, pair_starts, local = offsets
-    pairs = np.diff(pair_starts).tolist()
-    if h is None:   # at least 1, so that a frame with pairs but no numbers fails
-        h = next((count // p for count, p in zip(n_probs, pairs) if p), 1) or 1
-    for nodes, p, count in zip(n, pairs, n_probs):
+    for nodes, p, count in zip(n, np.diff(pair_starts).tolist(), n_probs):
         if count != p * h:
             raise DataFormatError(f"frame has {nodes} nodes, so field 'pair_probs' must hold "
                                   f"{p * h} probabilities, {h} for each of its {p} ordered "
@@ -504,6 +507,11 @@ def _ranked_frames(frames: list, g: float = _INTP_END, h: int | None = None) -> 
         i = int(np.argmin(whole))
         raise DataFormatError(f"label of node {local[i]} must be an integer in [0, {g}), "
                               f"got {_number_text(labels[i])}")
+    scored = (label_scores > 0) & (label_scores <= 1 + _SUM_SLACK)
+    if not scored.all():
+        i = int(np.argmin(scored))
+        raise DataFormatError(f"label score of node {local[i]} must be in (0, 1], "
+                              f"got {float(label_scores[i])!r}")
     try:
         check_boxes(boxes)
         subj, obj = frame_pairs(n)
@@ -513,42 +521,10 @@ def _ranked_frames(frames: list, g: float = _INTP_END, h: int | None = None) -> 
         raise DataFormatError(str(e)) from None
 
 
-def _frames_to_arrays(record, dims: Dims) -> None:
-    """Check and rank the frames of a predictions record at once
-    (`_ranked_frames`, with the bounds of `dims`), and replace each one's
-    fields by its ranked list's arrays, in place: its nodes' boxes, labels
-    and label scores, and its triplets' columns under `triplets`, in place
-    of its `pair_probs`. An error leaves the record as decoded."""
-    frames = _field(record, "frames", list)
-    for frame, ranked in zip(frames, _ranked_frames(frames, dims.g, dims.h)):
-        frame["boxes"], frame["labels"], frame["label_scores"] = \
-            ranked.boxes, ranked.labels, ranked.label_scores
-        del frame["pair_probs"]
-        frame["triplets"] = {"subj": ranked.subj, "obj": ranked.obj,
-                             "predicate": ranked.predicate, "score": ranked.score}
-
-
-def ranked_from_frame_json(frame: dict, path: Path, lineno: int,
-                           dims: Dims | None = None) -> RankedFrame:
-    """A frame of a record from `numbered_predictions` as a ranked list.
-
-    A frame the loader checked and ranked, which holds arrays, gives the
-    list it holds. Any other frame is checked and ranked here, alone
-    (`_ranked_frames`), with `dims` its labels below dims.g and dims.h
-    probabilities a pair, and without, its labels within the intp range and
-    as many a pair as its length gives; its first error is located at
-    `path`:`lineno`.
-    """
-    if type(frame) is dict and type(frame.get("labels")) is np.ndarray:   # checked
-        triplets = frame["triplets"]
-        return RankedFrame(triplets["subj"], triplets["obj"], triplets["predicate"],
-                           triplets["score"], frame["labels"], frame["boxes"],
-                           frame["label_scores"])
-    try:   # not `_located`, which would cost more: this runs once a frame
-        (ranked,) = _ranked_frames([frame], *((dims.g, dims.h) if dims else ()))
-        return ranked
-    except DataFormatError as e:
-        raise DataFormatError(f"{path}:{lineno}: {e}") from None
+def ranked_from_frame_json(frame: RankedFrame, path: Path, lineno: int) -> RankedFrame:
+    """A frame of a record from `load_predictions`, which the loader checked
+    and ranked as it read line `lineno` of `path`: its ranked list, as it is."""
+    return frame
 
 
 def write_predictions(path: str | Path, header: dict, records: list[dict]) -> None:
@@ -576,40 +552,32 @@ def _collector_paused():
             gc.enable()
 
 
-def _made_with(path: Path, header: dict) -> Dims:
-    """The dims a predictions file's header gives, by its config (the
-    defaults where it has none), located at its line 1."""
-    with _located(f"{path}:1"):
-        return runconfig_from_flat(_field(header, "config", dict, {})).dims
-
-
-def numbered_predictions(path: str | Path) -> tuple[dict, list[tuple[int, dict]]]:
-    """A predictions file's header, and each record with its line number.
-
-    Each record is checked and ranked as its line is decoded
-    (`_frames_to_arrays`), with the dims its header's config gives (`_made_with`).
-    If it passes, its frames hold the arrays of their ranked lists, and the
-    lists they replace never pile up for the collector to walk once it runs
-    again; if not, it stays as decoded, for `ranked_from_frame_json` to check
-    frame by frame.
-    """
+def _predictions(path: str | Path):
+    """Read a predictions file, with the collector paused: yield its header
+    and the dims its config gives (the defaults where it has none), then
+    (line number, record) for each record, its frames checked and ranked as
+    the line is decoded (`_ranked_frames`, with those dims) and `frames` set
+    to their ranked lists. Each error is located at its file and line."""
     path = Path(path)
     if not path.exists():
         raise DataFormatError(f"{path}: no such predictions file")
-    records = _jsonl(path, "predictions")
     with _collector_paused():
-        header, numbered = next(records), []
-        dims = _made_with(path, header)
+        records = _jsonl(path, "predictions")
+        header = next(records)
+        with _located(f"{path}:1"):
+            dims = runconfig_from_flat(_field(header, "config", dict, {})).dims
+        yield header, dims
         for lineno, record in records:
-            with contextlib.suppress(DataFormatError):
-                _frames_to_arrays(record, dims)
-            numbered.append((lineno, record))
-        return header, numbered
+            with _located(f"{path}:{lineno}"):
+                record["frames"] = _ranked_frames(_field(record, "frames", list),
+                                                  dims.g, dims.h)
+            yield lineno, record
 
 
 def load_predictions(path: str | Path) -> tuple[dict, list[dict]]:
-    """`numbered_predictions` without the line numbers."""
-    header, numbered = numbered_predictions(path)
+    """A predictions file's header and records, every record read, checked
+    and ranked (`_predictions`): each record's `frames` are its ranked lists."""
+    (header, _), *numbered = _predictions(path)
     return header, [record for _, record in numbered]
 
 
@@ -617,38 +585,42 @@ def ranked_predictions(path: str | Path, sequences: list[SceneSequence], dims: D
                        split: str) -> tuple[str | None, dict, list[list[RankedFrame]]]:
     """A predictions file read against the sequences and dims of a dataset
     split: the mode its header names (None if none), the config it echoes,
-    and each sequence's frames ranked. The header's dims.g and dims.h must be
-    the split's, and each record must match its sequence's seed and frame
-    count."""
+    and each sequence's frames ranked.
+
+    Errors come in line order. The header's mode must be known and its
+    dims.g and dims.h the split's, before any record is read; each record
+    must pass its frames' checks, then match its sequence's seed and frame
+    count; and at the end the file must hold a record for each sequence.
+    """
     path = Path(path)
-    header, records = numbered_predictions(path)
-    made = _made_with(path, header)
-    with _located(f"{path}:1"):
-        mode = _field(header, "mode", default=None)
-        if mode is not None and mode not in MODES:
-            raise DataFormatError(f"field 'mode' must be one of {MODES}, got {mode!r}")
-        for name in ("g", "h"):
-            got, want = getattr(made, name), getattr(dims, name)
-            if got != want:
-                raise DataFormatError(f"dims.{name}: the predictions were made with {got}, "
-                                      f"but the {split} split has {want}")
-    config = header.get("config", {})   # echoed as written
-    if len(records) != len(sequences):
-        raise DataFormatError(f"{path}: {len(records)} prediction records for "
-                              f"{len(sequences)} sequences")
     ranked = []
-    for (lineno, record), seq in zip(records, sequences):
-        with _located(f"{path}:{lineno}"):
-            seed = _field(record, "seq_seed", int)
-            if seed != seq.seed:
-                raise DataFormatError(f"sequence seed {seed} does not match dataset seed "
-                                      f"{seq.seed}")
-            frames = _field(record, "frames", list)
-            if len(frames) != len(seq.frames):
-                raise DataFormatError(f"field 'frames' must list the sequence's "
-                                      f"{len(seq.frames)} frames")
-        ranked.append([ranked_from_frame_json(frame, path, lineno, dims) for frame in frames])
-    return mode, config, ranked
+    with contextlib.closing(_predictions(path)) as records:
+        header, made = next(records)
+        with _located(f"{path}:1"):
+            mode = _field(header, "mode", default=None)
+            if mode is not None and mode not in MODES:
+                raise DataFormatError(f"field 'mode' must be one of {MODES}, got {mode!r}")
+            for name in ("g", "h"):
+                got, want = getattr(made, name), getattr(dims, name)
+                if got != want:
+                    raise DataFormatError(f"dims.{name}: the predictions were made with {got}, "
+                                          f"but the {split} split has {want}")
+        for lineno, record in records:
+            if len(ranked) < len(sequences):
+                seq = sequences[len(ranked)]
+                with _located(f"{path}:{lineno}"):
+                    seed = _field(record, "seq_seed", int)
+                    if seed != seq.seed:
+                        raise DataFormatError(f"sequence seed {seed} does not match dataset "
+                                              f"seed {seq.seed}")
+                    if len(record["frames"]) != len(seq.frames):
+                        raise DataFormatError(f"field 'frames' must list the sequence's "
+                                              f"{len(seq.frames)} frames")
+            ranked.append(record["frames"])
+    if len(ranked) != len(sequences):
+        raise DataFormatError(f"{path}: {len(ranked)} prediction records for "
+                              f"{len(sequences)} sequences")
+    return mode, header.get("config", {}), ranked   # the config echoed as written
 
 
 # ---------------------------------------------------------------------------

@@ -176,30 +176,23 @@ def link_relevance(x: Tensor, curr, prev, phi: Tensor) -> Tensor:
 
 
 def frame_context(x: np.ndarray, node_frame, n_frames: int,
-                  counts: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The (n_frames, m) mean of the rows of x in each frame and the
-    (n_frames, 1) float64 row counts it divides by; undefined for a frame
-    without rows. node_frame is a plan or an id list. `counts` are the
-    caller's, where it has them (`temporal.Packed.frame_counts`, counted over
-    non-empty frames); otherwise they are counted here, and an empty frame
-    is refused."""
-    if counts is None:
-        counts = np.bincount(np.asarray(node_frame), minlength=n_frames)
-        if len(counts) != n_frames or np.any(counts == 0):
-            raise ContractError("frame_context: empty frame has no context")
-        counts = counts.reshape(-1, 1).astype(np.float64)
+                  counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (n_frames, m) mean of the rows of x in each frame, and `counts`,
+    the (n_frames, 1) float64 row counts it divides by
+    (`temporal.Packed.frame_counts`, counted over non-empty frames).
+    node_frame is a plan or an id list."""
     return _segment_sum(x, segment_plan(node_frame, n_frames)) / counts, counts
 
 
 def temporal_encoding(x: Tensor, node_frame, link_frame, curr, prev,
                       fg: tuple[Tensor, ...], ftau: tuple[Tensor, ...],
-                      frame_counts: np.ndarray | None = None) -> Tensor:
+                      frame_counts: np.ndarray) -> Tensor:
     """tau = f_tau(context ++ f_g(x[curr] ++ x[prev])) for every link, where a
     link's context is the mean of x over the frame link_frame names.
 
     node_frame is a SegmentPlan over the frames, link_frame a plan or an id
     list over the same frames; fg and ftau are (w1, b1, w2, b2) of the two
-    perceptrons; frame_counts, when given, are the node counts of the frames
+    perceptrons; frame_counts are the node counts of the frames
     (`frame_context`). x is read three times: its gradient comes through the
     previous rows, the current rows and the context, in that order.
     """

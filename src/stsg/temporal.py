@@ -68,14 +68,14 @@ def tracking_links(boxes: np.ndarray, labels: np.ndarray, curr: np.ndarray,
 
 def encode_temporal_pairs(feats: Tensor, node_frame: ad.SegmentPlan, link_frame,
                           curr_idx, prev_idx, params: ModelParams,
-                          frame_counts: np.ndarray | None = None) -> Tensor:
+                          frame_counts: np.ndarray) -> Tensor:
     """Encode every selected (current j, previous k) link into an m-vector, as
     one tape record.
 
     tau = f_tau(context ++ f_g(feat[j] ++ feat[k])), batched over links, where
     a link's context is the mean of the features of the frame `link_frame`
     names; `node_frame` is the plan of each node's frame, and `frame_counts`
-    its frames' node counts where the caller has them (`Packed.frame_counts`).
+    its frames' node counts (`Packed.frame_counts`).
     """
     return layers.temporal_encoding(
         feats, node_frame, link_frame, curr_idx, prev_idx,

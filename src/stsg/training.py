@@ -92,13 +92,8 @@ class Targets:
     rel_weight: np.ndarray     # (P * H,)
     node_weight: np.ndarray    # (N * G,) at the gt label of each gt-matched node
     link_weight: np.ndarray    # (C,) at each node's target candidate link
-    rel_sign: np.ndarray | None = None   # (P * H,) -1.0 at relation slots, 1.0 at the
-                                         # rest: the sign of each relation term's logit;
-                                         # derived from rel_positive when not given
-
-    def __post_init__(self):
-        if self.rel_sign is None:
-            self.rel_sign = np.where(self.rel_positive, -1.0, 1.0)
+    rel_sign: np.ndarray       # (P * H,) -1.0 at relation slots, 1.0 at the rest:
+                               # the sign of each relation term's logit
 
 
 def loss_targets(sequence: SceneSequence, packed: Packed, h: int) -> Targets:
@@ -157,7 +152,8 @@ def loss_targets(sequence: SceneSequence, packed: Packed, h: int) -> Targets:
     link_weight[first] = (-1.0 / link_count[link_frame]) * scale
 
     return Targets(rel_positive=positive, rel_weight=rel_weight * scale,
-                   node_weight=node_weight, link_weight=link_weight)
+                   node_weight=node_weight, link_weight=link_weight,
+                   rel_sign=np.where(positive, -1.0, 1.0))
 
 
 def prepare(sequence: SceneSequence, mode: str, variant: str, dims) -> tuple[Packed, Targets]:

@@ -735,12 +735,18 @@ MALFORMED_NUMBERS = [
     (_set("pair_probs", 0, None), "field 'pair_probs' must be finite numbers, got None"),
     # a whole number within the intp range is printed exactly
     (_set("labels", 0, 1234567), "label of node 0 must be an integer in [0, 8), got 1234567"),
+    # these label scores were evaluated with exit 0; -3 turned its node's
+    # triplet scores negative and reordered the frame
+    (_set("label_scores", 0, -3), "label score of node 0 must be in (0, 1], got -3.0"),
+    (_set("label_scores", 0, 0), "label score of node 0 must be in (0, 1], got 0.0"),
+    (_set("label_scores", 1, 1.5), "label score of node 1 must be in (0, 1], got 1.5"),
 ]
 MALFORMED_NUMBER_IDS = [
     "predicate-99", "predicate-negative", "predicate-fraction", "subject-fraction",
     "object-negative", "label-negative", "label-fraction", "label-g", "label-boolean",
     "label-beyond-float", "boolean-triplet", "short-column", "predicate-beyond-intp",
-    "label-beyond-intp", "subject-beyond-intp", "subject-seven-digits", "label-seven-digits"]
+    "label-beyond-intp", "subject-beyond-intp", "subject-seven-digits", "label-seven-digits",
+    "label-score-negative", "label-score-zero", "label-score-above-1"]
 
 
 @pytest.mark.parametrize("edit, message", MALFORMED_NUMBERS, ids=MALFORMED_NUMBER_IDS)
@@ -776,8 +782,9 @@ def _two_node_frame() -> dict:
             "pair_probs": [0.5, 0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 0.0, 1.0, 0.25, 0.75, 0.125]}
 
 
-# without dims, labels are bounded by the intp range alone, and a frame has
-# as many probabilities a pair as its length gives
+# a frame with one probability too many, a label beyond the intp range and
+# an infinite probability; the ids are those of cases that once checked a
+# frame without dims
 BEYOND_INTP = [
     (_extend_pair_probs(1), "frame has 2 nodes, so field 'pair_probs' must hold 12 "
                             "probabilities, 6 for each of its 2 ordered pairs, got 13"),
@@ -787,51 +794,8 @@ BEYOND_INTP = [
 BEYOND_INTP_IDS = ["predicate", "label", "object"]
 
 
-@pytest.mark.parametrize("edit, message", BEYOND_INTP, ids=BEYOND_INTP_IDS)
-def test_index_beyond_intp_without_dims_is_an_error(edit, message):
-    frame = _two_node_frame()
-    edit(frame)
-    with pytest.raises(DataFormatError) as e:
-        io.ranked_from_frame_json(frame, Path("p.jsonl"), 2)
-    assert str(e.value).startswith("p.jsonl:2: " + message), str(e.value)
-
-
-# the triplet columns of a loaded frame, the ranked list's
+# the triplet columns of a ranked list
 TRIPLET_COLUMNS = ("subj", "obj", "predicate", "score")
-
-
-def test_decoded_predictions_hold_arrays(tmp_path, checkpoint_path, dataset_dir):
-    # a record whose frames all pass the loader's check holds its ranked
-    # lists' arrays, its indices as intp, in place of its pair probabilities;
-    # a record with one bad frame stays as decoded
-    preds = tmp_path / "p.jsonl"
-    assert main(["infer", "--ckpt", str(checkpoint_path), "--data", str(dataset_dir),
-                 "--split", "val", "--mode", "sgdet", "--out", str(preds)]) == 0
-    lines = preds.read_text().splitlines()
-    record = json.loads(lines[2])
-    record["frames"][-1]["labels"][0] = 2.5
-    lines[2] = json.dumps(record)
-    preds.write_text("\n".join(lines) + "\n")
-    _, numbered = io.numbered_predictions(preds)
-    shapes = {"boxes": 4, "labels": None, "label_scores": None,
-              **dict.fromkeys(TRIPLET_COLUMNS)}
-    indices = {"labels", "subj", "obj", "predicate"}
-    assert len(numbered) >= 2
-    for (lineno, record), line in zip(numbered, lines[1:]):
-        if lineno == 3:
-            assert record == json.loads(line)
-            continue
-        for frame, raw in zip(record["frames"], json.loads(line)["frames"]):
-            assert "pair_probs" not in frame
-            ranked = io.ranked_from_frame_json(raw, preds, lineno)   # the frame's own check
-            for name, width in shapes.items():
-                arr, value = ((frame["triplets"][name], getattr(ranked, name))
-                              if name in TRIPLET_COLUMNS else (frame[name], raw[name]))
-                assert isinstance(arr, np.ndarray), name
-                assert arr.dtype == (np.intp if name in indices else np.float64), name
-                want = (len(value),) if width is None else (len(value), width)
-                assert arr.shape == want
-                np.testing.assert_array_equal(arr, np.array(value, dtype=float).reshape(want))
 
 
 @pytest.fixture(scope="module")
@@ -843,33 +807,32 @@ def three_frame_dir(tmp_path_factory) -> Path:
     return out
 
 
-# the loader checks a record's frames at once and leaves a record with a bad
-# frame unchecked; `ranked_from_frame_json` then checks it frame by frame
+# the loader checks a record's frames at once; the first check that fails
+# names its frame's entry
 PER_RECORD_CASES = [
-    *((edit, message, True) for edit, message in MALFORMED_NUMBERS),
-    *((edit, message, False) for edit, message in BEYOND_INTP),
+    *MALFORMED_NUMBERS,
+    *BEYOND_INTP,
     (_extend_pair_probs(1), "frame has 2 nodes, so field 'pair_probs' must hold 12 "
-                            "probabilities, 6 for each of its 2 ordered pairs, got 13", True),
-    (_set("pair_probs", 0, [0.5]), "field 'pair_probs' must be finite numbers, got [0.5]", True),
-    # a whole 7 probabilities a pair, so a frame's own length passes; the dims do not
+                            "probabilities, 6 for each of its 2 ordered pairs, got 13"),
+    (_set("pair_probs", 0, [0.5]), "field 'pair_probs' must be finite numbers, got [0.5]"),
+    # a whole 7 probabilities a pair: the dims decide
     (_extend_pair_probs(2), "frame has 2 nodes, so field 'pair_probs' must hold 12 "
-                            "probabilities, 6 for each of its 2 ordered pairs, got 14", True),
+                            "probabilities, 6 for each of its 2 ordered pairs, got 14"),
     # these boxes were evaluated with exit 0; with sides of 1e200, box_iou
     # overflowed
-    (_set("boxes", 0, [0.1, 0.1, -0.5, 0.3]), "box: size (-0.5, 0.3) outside (0, 1]", True),
-    (_set("boxes", 0, [0.1, 0.1, 1e200, 1e200]), "box: size (1e+200, 1e+200) outside (0, 1]",
-     True),
+    (_set("boxes", 0, [0.1, 0.1, -0.5, 0.3]), "box: size (-0.5, 0.3) outside (0, 1]"),
+    (_set("boxes", 0, [0.1, 0.1, 1e200, 1e200]), "box: size (1e+200, 1e+200) outside (0, 1]"),
 ]
 PER_RECORD_IDS = [*MALFORMED_NUMBER_IDS, *(f"no-dims-{i}" for i in BEYOND_INTP_IDS),
                   "node-bound", "self-pair", "predicate-h", "box-negative-side", "box-1e200"]
 
 
 @pytest.mark.parametrize("position", [1, 2], ids=["middle-frame", "last-frame"])
-@pytest.mark.parametrize("edit, message, with_dims", PER_RECORD_CASES, ids=PER_RECORD_IDS)
+@pytest.mark.parametrize("edit, message", PER_RECORD_CASES, ids=PER_RECORD_IDS)
 def test_a_bad_frame_of_a_record_gives_its_error(tmp_path, three_frame_dir, capsys, edit,
-                                                 message, with_dims, position):
+                                                 message, position):
     # the record on line 3 is valid but for one of its three frames
-    header, seqs = io.load_split(three_frame_dir, "test")
+    _, seqs = io.load_split(three_frame_dir, "test")
     records = [{"seq_seed": seq.seed, "frames": [_two_node_frame() for _ in range(3)]}
                for seq in seqs]
     edit(records[1]["frames"][position])
@@ -879,51 +842,39 @@ def test_a_bad_frame_of_a_record_gives_its_error(tmp_path, three_frame_dir, caps
                  "--split", "test"]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {preds}:3: ") and message in err, err
-    dims = io.runconfig_from_flat(header["config"]).dims if with_dims else None
-    _, loaded = io.load_predictions(preds)
     with pytest.raises(DataFormatError) as e:
-        for lineno, record in enumerate(loaded, start=2):
-            for frame in record["frames"]:
-                io.ranked_from_frame_json(frame, preds, lineno, dims)
+        io.load_predictions(preds)
     assert str(e.value).startswith(f"{preds}:3: ") and message in str(e.value), str(e.value)
 
 
-@pytest.mark.parametrize("edit", [edit for edit, _, _ in PER_RECORD_CASES], ids=PER_RECORD_IDS)
-def test_the_record_check_agrees_with_each_frames_own(tmp_path, edit):
-    # the loader checks a record's frames at once: it fails exactly when a
-    # frame fails its own check, with that frame's error, and a record that
-    # passes holds what each frame's own check builds from the decoded frame
-    records = []
-    for position in range(3):
-        frames = [_two_node_frame() for _ in range(3)]
-        edit(frames[position])
-        records.append({"seq_seed": position, "frames": frames})
-    records.append({"seq_seed": 3, "frames": [_two_node_frame() for _ in range(3)]})
-    preds = tmp_path / "p.jsonl"
-    io.write_predictions(preds, {"mode": "sgdet", "config": {}}, records)
-    _, numbered = io.numbered_predictions(preds)
+@pytest.mark.parametrize("edit", [edit for edit, _ in PER_RECORD_CASES], ids=PER_RECORD_IDS)
+def test_the_record_check_agrees_with_each_frames_own(edit):
+    # the reader checks and ranks a record's frames with one call: it fails
+    # exactly when a frame fails a call of its own, with that frame's error,
+    # and a record that passes gets the lists each frame's own call builds
     g, h = Dims().g, Dims().h   # the dims of a header config of no items
-    assert len(numbered) == len(records)
-    for (lineno, loaded), record in zip(numbered, records):
+    for position in (0, 1, 2, None):
+        frames = [_two_node_frame() for _ in range(3)]
+        if position is not None:
+            edit(frames[position])
         errors = []
-        for frame in record["frames"]:
+        for frame in frames:
             try:
                 io._ranked_frames([frame], g, h)
             except DataFormatError as e:
                 errors.append(str(e))
         try:
-            io._ranked_frames(record["frames"], g, h)
+            record = io._ranked_frames(frames, g, h)
         except DataFormatError as e:
-            assert errors and str(e) == errors[0], (lineno, str(e), errors)
-            assert loaded == record
+            assert errors and str(e) == errors[0], (position, str(e), errors)
             continue
-        assert not errors
-        for frame, raw in zip(loaded["frames"], record["frames"]):
-            ranked = io.ranked_from_frame_json(raw, preds, lineno)
-            written = np.array(raw["label_scores"], dtype=np.float64)
-            pairs = [(frame["boxes"], ranked.boxes), (frame["labels"], ranked.labels),
-                     (frame["label_scores"], ranked.label_scores), (ranked.label_scores, written),
-                     *((frame["triplets"][c], getattr(ranked, c)) for c in TRIPLET_COLUMNS)]
+        assert not errors and position is None
+        for ranked, frame in zip(record, frames):
+            (own,) = io._ranked_frames([frame], g, h)
+            written = np.array(frame["label_scores"], dtype=np.float64)
+            pairs = [(ranked.label_scores, written),
+                     *((getattr(ranked, f.name), getattr(own, f.name))
+                       for f in fields(RankedFrame))]
             for got, want in pairs:
                 assert got.dtype == want.dtype
                 np.testing.assert_array_equal(got, want)
@@ -931,28 +882,26 @@ def test_the_record_check_agrees_with_each_frames_own(tmp_path, edit):
 
 @pytest.mark.parametrize("mode", ["predcls", "sgcls", "sgdet"])
 def test_a_served_list_reads_back_bit_for_bit(tmp_path, checkpoint_path, dataset_dir, mode):
-    # served, written by `stsg infer` and read back: every RankedFrame field,
-    # from a record the loader checked and from a frame checked on its own
+    # served, written by `stsg infer` and read back: every RankedFrame field
     preds = tmp_path / "p.jsonl"
     assert main(["infer", "--ckpt", str(checkpoint_path), "--data", str(dataset_dir),
                  "--split", "val", "--mode", mode, "--out", str(preds)]) == 0
     cfg, params, _ = io.load_checkpoint(checkpoint_path)
     _, seqs = io.load_split(dataset_dir, "val")
-    _, numbered = io.numbered_predictions(preds)
+    _, records = io.load_predictions(preds)
     decoded = [json.loads(line) for line in preds.read_text().splitlines()[1:]]
     names = [f.name for f in fields(RankedFrame)]
     assert len(names) == 7
-    assert len(numbered) == len(decoded) == len(seqs)
-    for seq, (lineno, record), raw in zip(seqs, numbered, decoded):
+    assert len(records) == len(decoded) == len(seqs)
+    for lineno, (seq, record, raw) in enumerate(zip(seqs, records, decoded), start=2):
         served = cli.forward_sequence(seq, params, mode, cfg.train.variant, cfg.train.k)
         assert len(record["frames"]) == len(raw["frames"]) == len(served)
-        for pred, loaded, frame in zip(served, record["frames"], raw["frames"]):
-            for ranked in (io.ranked_from_frame_json(loaded, preds, lineno),
-                           io.ranked_from_frame_json(frame, preds, lineno)):
-                for name in names:
-                    got, want = getattr(ranked, name), getattr(pred.ranked, name)
-                    assert (got.dtype, got.shape) == (want.dtype, want.shape), name
-                    assert got.tobytes() == want.tobytes(), name
+        for pred, loaded in zip(served, record["frames"]):
+            ranked = io.ranked_from_frame_json(loaded, preds, lineno)
+            for name in names:
+                got, want = getattr(ranked, name), getattr(pred.ranked, name)
+                assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+                assert got.tobytes() == want.tobytes(), name
 
 
 @pytest.fixture(scope="module")
@@ -980,7 +929,7 @@ def sized_frames_run(tmp_path_factory) -> tuple[Path, Path]:
 def test_frames_of_any_size_read_back_bit_for_bit(tmp_path, sized_frames_run, mode):
     # frames of 1, 2, 0 and 6 nodes, the empty one mid-sequence, served with
     # their features: the lists the loader ranks from each frame's pair
-    # probabilities, and each frame's own check, are the served lists
+    # probabilities are the served lists
     data, ckpt = sized_frames_run
     preds = tmp_path / "p.jsonl"
     assert main(["infer", "--ckpt", str(ckpt), "--data", str(data), "--mode", mode,
@@ -989,17 +938,16 @@ def test_frames_of_any_size_read_back_bit_for_bit(tmp_path, sized_frames_run, mo
     _, (seq,) = io.load_split(data, "test")
     served = cli.forward_sequence(seq, params, mode, cfg.train.variant, cfg.train.k)
     assert [pred.n for pred in served] == [1, 2, 0, 6]
-    _, ((lineno, record),) = io.numbered_predictions(preds)
+    _, (record,) = io.load_predictions(preds)
     raw = json.loads(preds.read_text().splitlines()[1])["frames"]
     assert [len(frame["pair_probs"]) for frame in raw] == [0, 2 * 6, 0, 30 * 6]
     for pred, loaded, frame in zip(served, record["frames"], raw):
         assert len(pred.ranked) == len(frame["pair_probs"])
-        for ranked in (io.ranked_from_frame_json(loaded, preds, lineno),
-                       io.ranked_from_frame_json(frame, preds, lineno, cfg.dims)):
-            for name in (f.name for f in fields(RankedFrame)):
-                got, want = getattr(ranked, name), getattr(pred.ranked, name)
-                assert (got.dtype, got.shape) == (want.dtype, want.shape), name
-                assert got.tobytes() == want.tobytes(), name
+        ranked = io.ranked_from_frame_json(loaded, preds, 2)
+        for name in (f.name for f in fields(RankedFrame)):
+            got, want = getattr(ranked, name), getattr(pred.ranked, name)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+            assert got.tobytes() == want.tobytes(), name
 
 
 @pytest.mark.parametrize("sides", [(-0.5, 0.3), (1e200, 1e200)], ids=["negative", "1e200"])
@@ -1018,10 +966,8 @@ def test_a_served_box_that_is_no_box_is_an_error(tmp_path, checkpoint_path, data
                  "--split", "val"]) == 1
     message = f"box: size ({sides[0]!r}, {sides[1]!r}) outside (0, 1]"
     assert capsys.readouterr().err == f"error: {preds}:2: {message}\n"
-    _, records = io.load_predictions(preds)
     with pytest.raises(DataFormatError) as e:
-        for frame in records[0]["frames"]:
-            io.ranked_from_frame_json(frame, preds, 2)
+        io.load_predictions(preds)
     assert str(e.value) == f"{preds}:2: {message}"
 
 
@@ -1038,6 +984,21 @@ def test_bad_number_after_a_blank_line_names_its_line(tmp_path, dataset_dir, cap
                  "--split", "test"]) == 1
     assert capsys.readouterr().err == \
         f"error: {preds}:4: label of node 0 must be an integer in [0, 8), got 2.5\n"
+
+
+def test_a_bad_record_is_reported_before_the_record_count(tmp_path, dataset_dir, capsys):
+    # errors come in line order: a bad frame on line 2 of a file one record
+    # short was reported as the record count
+    _, seqs = io.load_split(dataset_dir, "test")
+    records = gt_prediction_records(seqs)[:-1]
+    frame = next(f for f in records[0]["frames"] if f["labels"])
+    frame["labels"][0] = 2.5
+    preds = tmp_path / "p.jsonl"
+    io.write_predictions(preds, {"mode": "sgdet", "config": {}}, records)
+    assert main(["eval", "--preds", str(preds), "--data", str(dataset_dir),
+                 "--split", "test"]) == 1
+    assert capsys.readouterr().err == \
+        f"error: {preds}:2: label of node 0 must be an integer in [0, 8), got 2.5\n"
 
 
 def _record_array(records):
@@ -1851,13 +1812,13 @@ def test_checkpoint_rejects_a_split_of_other_dims(tmp_path, g5_config_path, chec
 def in_triplet_layout(path: Path, rows: bool) -> str:
     """The predictions file `path` re-encoded in a layout of files that listed
     their triplets: each frame's ranked list, as the loader ranks it
-    (`numbered_predictions`, `ranked_from_frame_json`), under `triplets` in
+    (`load_predictions`, `ranked_from_frame_json`), under `triplets` in
     place of `pair_probs`, as [subject, object, predicate, score] rows or as
     one list per column; the other fields as written, in order."""
     header, *lines = path.read_text().splitlines()
-    _, numbered = io.numbered_predictions(path)
+    _, records = io.load_predictions(path)
     out = [header]
-    for line, (lineno, loaded) in zip(lines, numbered):
+    for lineno, (line, loaded) in enumerate(zip(lines, records), start=2):
         record = json.loads(line)
         for f, frame in enumerate(record["frames"]):
             ranked = io.ranked_from_frame_json(loaded["frames"][f], path, lineno)

@@ -183,7 +183,7 @@ def stage_inputs(sequences, params, mode, variant, k):
         s["gamma_sel"] = out.gamma.data[out.links]
         s["tau"] = layers.temporal_encoding(
             out.gcn, packed.node_frame, s["link_frame"], s["curr"], s["prev"],
-            *mlp_params(params)).data
+            *mlp_params(params), packed.frame_counts).data
     return s
 
 
@@ -234,7 +234,7 @@ def check_ops(sequences, params, mode, variant, k):
         names = [f"temporal.{enc}.{n}" for enc in ("fg", "ftau") for n in ("w1", "b1", "w2", "b2")]
         assert_op_is_the_composition(
             lambda x, *w: layers.temporal_encoding(x, p.node_frame, s["link_frame"], s["curr"],
-                                                   s["prev"], w[:4], w[4:]),
+                                                   s["prev"], w[:4], w[4:], p.frame_counts),
             lambda x, *w: composed_temporal_encoding(x, p.node_frame, s["link_frame"], s["curr"],
                                                      s["prev"], dict(zip(names, w))),
             leaves(s["updated"], *fg, *ftau))
@@ -366,10 +366,11 @@ def test_link_relevance_gradient_matches_finite_differences():
 def test_temporal_encoding_gradient_matches_finite_differences():
     rng, m, _, _, _, _, curr, prev = small_inputs(3)
     node_frame = SegmentPlan([0, 0, 0, 1, 1], 2)
+    counts = np.bincount(node_frame.ids).reshape(-1, 1).astype(np.float64)
     shapes = [(2 * m, m), (m,), (m, m), (m,)] * 2
     arrays = [rng.normal_array((5, m))] + [rng.normal_array(s) for s in shapes]
     assert fd_error(lambda x, *w: layers.temporal_encoding(
-        x, node_frame, [1] * 6, curr, prev, w[:4], w[4:]), arrays) < 1e-6
+        x, node_frame, [1] * 6, curr, prev, w[:4], w[4:], counts), arrays) < 1e-6
 
 
 def test_link_mean_gradient_matches_finite_differences():

@@ -177,46 +177,45 @@ def one_frame(n):
     return np.zeros(n, dtype=int)
 
 
+def counts_of(node_frame, n_frames):
+    """The (n_frames, 1) float64 node counts of the frames node_frame names."""
+    return np.bincount(node_frame, minlength=n_frames).reshape(-1, 1).astype(np.float64)
+
+
+def one_frame_context(feats):
+    """frame_context of rows that are all in one frame."""
+    n = len(feats)
+    return frame_context(feats, one_frame(n), 1, counts_of(one_frame(n), 1))[0][0]
+
+
 def test_frame_context_single_node():
     feats = np.array([[1.0, 2.0, 3.0]])
-    np.testing.assert_array_equal(frame_context(feats, one_frame(1), 1)[0][0], [1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(one_frame_context(feats), [1.0, 2.0, 3.0])
 
 
 def test_frame_context_midpoint():
     feats = np.array([[1.0, 0.0], [0.0, 1.0]])
-    np.testing.assert_array_equal(frame_context(feats, one_frame(2), 1)[0][0], [0.5, 0.5])
+    np.testing.assert_array_equal(one_frame_context(feats), [0.5, 0.5])
 
 
 def test_frame_context_matches_column_mean():
     arr = RngStream(24).normal_array((5, 7))
-    np.testing.assert_allclose(frame_context(arr, one_frame(5), 1)[0][0],
-                               arr.mean(axis=0), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(one_frame_context(arr), arr.mean(axis=0), rtol=0, atol=1e-12)
     # packed frames: one mean per frame
     frames = np.array([0, 0, 1, 1, 1])
-    got, counts = frame_context(arr, frames, 2)
+    got, counts = frame_context(arr, frames, 2, counts_of(frames, 2))
     np.testing.assert_allclose(got, [arr[:2].mean(axis=0), arr[2:].mean(axis=0)],
                                rtol=0, atol=1e-12)
     np.testing.assert_array_equal(counts, [[2.0], [3.0]])
 
 
-def test_frame_context_rejects_empty():
-    with pytest.raises(ContractError):
-        frame_context(np.zeros((0, 3)), one_frame(0), 1)
-    with pytest.raises(ContractError):
-        frame_context(np.zeros((2, 3)), np.array([0, 2]), 3)
-    # a caller's own plan without its counts is counted and checked too
-    with pytest.raises(ContractError, match="empty frame"):
-        frame_context(np.zeros((2, 3)), ad.SegmentPlan([0, 2], 3), 3)
-
-
 def test_frame_context_divides_by_the_counts_it_is_given():
     arr = RngStream(25).normal_array((5, 4))
     plan = ad.SegmentPlan([0, 0, 1, 1, 1], 2)
-    counted, counts = frame_context(arr, plan, 2)
     given = np.array([[2.0], [3.0]])
     got, kept = frame_context(arr, plan, 2, given)
     assert kept is given
-    assert np.array_equal(got, counted) and np.array_equal(counts, given)
+    assert np.array_equal(got, frame_context(arr, plan.ids, 2, counts_of(plan.ids, 2))[0])
 
 
 def encode_one(feat_j, feat_k, context, params):
@@ -224,7 +223,7 @@ def encode_one(feat_j, feat_k, context, params):
     one node of the link's frame."""
     out = encode_temporal_pairs(Tensor(np.stack([feat_j, feat_k, context])),
                                 ad.SegmentPlan([1, 2, 0], 3), np.array([0]), np.array([0]),
-                                np.array([1]), params)
+                                np.array([1]), params, counts_of([1, 2, 0], 3))
     return out.data[0]
 
 
@@ -549,7 +548,7 @@ def test_forward_matches_step_by_step_composition(dims, params):
             node_frame = ad.SegmentPlan(np.repeat([0, 1], [n, len(prev_nodes)]), 2)
             tau = encode_temporal_pairs(prim.concat([updated, prev_updated]), node_frame,
                                         one_frame(len(curr_idx)), curr_idx, n + prev_idx,
-                                        params)
+                                        params, counts_of(node_frame.ids, 2))
             fused = aggregate_links(updated, Tensor(gamma[curr_idx, prev_idx]), tau,
                                     curr_idx, n)
         probs = classify_relations(fused, params)

@@ -321,7 +321,8 @@ def scattered(reference, packed, g):
     for entries in (node_entries, reference["link_index"]):
         assert len(np.unique(entries)) == len(entries)
     return Targets(rel_positive=reference["rel_positive"], rel_weight=reference["rel_weight"],
-                   node_weight=node_weight, link_weight=link_weight)
+                   node_weight=node_weight, link_weight=link_weight,
+                   rel_sign=np.where(reference["rel_positive"], -1.0, 1.0))
 
 
 def target_scenes():
