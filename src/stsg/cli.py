@@ -271,6 +271,10 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     if bool(args.ckpt) == bool(args.preds):
         raise ConfigError("eval: give exactly one of --ckpt or --preds")
+    if args.preds:   # a predictions file names the model that made it
+        for flag in ("variant", "k"):
+            if getattr(args, flag) is not None:
+                raise ConfigError(f"eval: --{flag} applies only to --ckpt, not to --preds")
     constraint = args.constraint == "with"
     if args.ckpt:
         cfg, params, seqs, mode, variant, k = _checkpoint_run(args)

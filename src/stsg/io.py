@@ -2,14 +2,18 @@
 
 Everything is JSON (JSON-lines for per-sequence files, with a header record
 on the first line). Floats serialize through Python's shortest round-trip
-repr, so re-reading an artifact reproduces the exact values; artifacts
-carry the resolved config and seed and never embed timestamps, which keeps
-equal-seed runs byte-identical.
+repr, except a predictions frame's pair probabilities, which are written
+as the base64 text of their float64 bytes; either way re-reading an
+artifact reproduces the exact values. Artifacts carry the resolved config
+and seed and never embed timestamps, which keeps equal-seed runs
+byte-identical.
 
-Two readers read every field of every input file: `_field`, optionally of a
-JSON kind, and `_number_array`, only finite JSON numbers in rows of one width.
-A loader adds its format's checks (ranges, distributions, counts, seeds) and
-locates every error at its file and line.
+Three readers read every field of every input file: `_field`, optionally
+of a JSON kind, `_number_array`, only finite JSON numbers in rows of one
+width, and `_pair_probs_bytes`, only strict base64 text of whole float64
+values (a predictions frame's `pair_probs`). A loader adds its format's
+checks (ranges, distributions, counts, seeds) and locates every error at
+its file and line.
 
 A dataset file of format version 2 (`DATASET_VERSION`, in its header) writes
 a detection whose visual vector is bit for bit a gt object's of its frame as
@@ -19,17 +23,20 @@ through the same reader to the same sequences.
 
 A predictions file holds, for each frame, its nodes' boxes, labels and
 label scores and its ordered pairs' predicate probabilities (`pair_probs`,
-flat, the predicate varying fastest), not a triplet list. One reader
-(`_predictions`) reads it: the header's config gives the dims (g bounds the
-labels, h sets the width of `pair_probs`), and each record's frames are
-checked and ranked as its line is decoded, by the rule serving ranks with
-(`temporal.rank_frames`), so the list read back is the list served. A label
-score must be in (0, 1]. Errors come in line order: the header's, then each
-record's in turn, then a count of records that is not the split's.
+the base64 text of their little-endian float64 bytes, the predicate varying
+fastest), not a triplet list. One reader (`_predictions`) reads it: the
+header's config gives the dims (g bounds the labels, h sets the count of
+`pair_probs`), and each record's frames are checked and ranked as its line
+is decoded, by the rule serving ranks with (`temporal.rank_frames`), so the
+list read back is the list served. A label score must be in (0, 1], and a
+pair probability in [0, 1]. Errors come in line order: the header's, then
+each record's in turn, then a count of records that is not the split's.
 """
 
 from __future__ import annotations
 
+import base64
+import binascii
 import contextlib
 import gc
 import json
@@ -419,18 +426,25 @@ def write_train_log(path: str | Path, cfg: RunConfig, log: list[dict]) -> None:
 # predictions
 
 
+def pair_probs_text(probs: np.ndarray) -> str:
+    """A frame's pair probabilities as a predictions frame holds them: the
+    base64 text of their little-endian float64 bytes (`'<f8'`), row by row."""
+    return binascii.b2a_base64(np.ascontiguousarray(probs, "<f8"), newline=False).decode("ascii")
+
+
 def frame_prediction_to_json(pred: FramePrediction, ranked: RankedFrame,
                              include_features: bool) -> dict:
     """A predictions frame: its nodes' boxes, labels and label scores, read
     off `ranked`, and `pair_probs`, the frame's `FramePrediction.pair_probs`
-    as one flat list of n(n - 1) * h numbers, pairs in `spatial.frame_pairs`
-    order and the predicate varying fastest. A reader ranks them by the rule
-    serving ranks with (`_ranked_frames`), so the file lists no triplets."""
+    as one base64 text of n(n - 1) * h float64 values (`pair_probs_text`),
+    pairs in `spatial.frame_pairs` order and the predicate varying fastest.
+    A reader ranks them by the rule serving ranks with (`_ranked_frames`),
+    so the file lists no triplets."""
     record = {
         "boxes": ranked.boxes.tolist(),
         "labels": ranked.labels.tolist(),
         "label_scores": ranked.label_scores.tolist(),
-        "pair_probs": pred.pair_probs.ravel().tolist(),
+        "pair_probs": pair_probs_text(pred.pair_probs),
     }
     if include_features:
         record["label_dists"] = pred.label_dists.tolist()
@@ -464,17 +478,35 @@ def _number_text(value: float) -> str:
     return str(int(value)) if value == np.floor(value) and abs(value) < _INTP_END else f"{value:g}"
 
 
+def _pair_probs_bytes(text) -> bytes:
+    """The bytes of a frame's `pair_probs` text: strict base64 (no character
+    outside its alphabet, padding only at the end) of whole float64 values."""
+    if type(text) is not str:
+        raise DataFormatError(f"field 'pair_probs' must be base64 text of float64 values, "
+                              f"got {reprlib.repr(text)}")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as e:   # binascii.Error, or a character beyond ASCII
+        raise DataFormatError(f"field 'pair_probs' must be strict base64 text ({e})") from None
+    if len(raw) % 8:
+        raise DataFormatError(f"field 'pair_probs' must encode whole float64 values, 8 bytes "
+                              f"each, got {len(raw)} bytes")
+    return raw
+
+
 def _ranked_frames(frames: list, g: int, h: int) -> list[RankedFrame]:
     """Check predictions frames all at once, and rank them with one
     `temporal.rank_frames` call, the rule serving ranks a sequence with.
 
-    Boxes, labels, label scores and pair probabilities must be finite
-    numbers (`_number_array`), with a label and a label score per box;
-    a frame of n nodes must hold n(n - 1) * h pair probabilities, each in
-    [0, 1], labels must be whole numbers below g, label scores in (0, 1]
-    (with the slack a label distribution's sum has, `_SUM_SLACK`) and every
-    box a box (`scene.check_boxes`). The first check that fails raises its
-    error, which names an entry by its place in its frame.
+    Boxes, labels and label scores must be finite numbers (`_number_array`),
+    with a label and a label score per box; pair probabilities must be
+    base64 text of float64 values (`_pair_probs_bytes`), read as one array of
+    all the frames' bytes, n(n - 1) * h of them for a frame of n nodes,
+    each in [0, 1] (a NaN or an infinity is not). Labels must be whole
+    numbers below g, label scores in (0, 1] (with the slack a label
+    distribution's sum has, `_SUM_SLACK`) and every box a box
+    (`scene.check_boxes`). The first check that fails raises its error,
+    which names an entry by its place in its frame.
     """
     if not frames:
         return []
@@ -485,7 +517,9 @@ def _ranked_frames(frames: list, g: int, h: int) -> list[RankedFrame]:
         if n_label != nodes or n_score != nodes:
             raise DataFormatError(f"frame has {nodes} boxes but {n_label} labels and "
                                   f"{n_score} label scores")
-    probs, n_probs = _column(frames, "pair_probs")
+    raw = [_pair_probs_bytes(_field(frame, "pair_probs")) for frame in frames]
+    probs = np.frombuffer(b"".join(raw), "<f8")
+    n_probs = [len(b) // 8 for b in raw]
     offsets = frame_offsets(n)
     _, pair_starts, local = offsets
     for nodes, p, count in zip(n, np.diff(pair_starts).tolist(), n_probs):
@@ -493,7 +527,7 @@ def _ranked_frames(frames: list, g: int, h: int) -> list[RankedFrame]:
             raise DataFormatError(f"frame has {nodes} nodes, so field 'pair_probs' must hold "
                                   f"{p * h} probabilities, {h} for each of its {p} ordered "
                                   f"pairs, got {count}")
-    outside = (probs < 0) | (probs > 1)
+    outside = ~((probs >= 0) & (probs <= 1))   # a NaN too
     if outside.any():
         k = int(np.argmax(outside))
         ends = pair_starts * h

@@ -380,9 +380,9 @@ class FramePrediction:
 
     label_dists: np.ndarray           # (N, G)
     pair_probs: np.ndarray            # (N * (N - 1), H) ordered pairs i != j, in
-                                      #      `spatial.frame_pairs` order; a predictions
-                                      #      file holds it flat (`io`), as the rows
-                                      #      `rank_frames` ranks
+                                      #      `spatial.frame_pairs` order, the rows
+                                      #      `rank_frames` ranks; a predictions file
+                                      #      holds its bytes (`io.pair_probs_text`)
     fused: np.ndarray                 # (N, m) spatial + temporal context
     gcn: np.ndarray                   # (N, m) after message passing
     ranked: RankedFrame               # triplets in rank order

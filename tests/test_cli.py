@@ -1,3 +1,4 @@
+import base64
 import gc
 import hashlib
 import itertools
@@ -350,22 +351,23 @@ def test_train_refuses_parameters_that_the_last_update_made_non_finite(tmp_path,
 def gt_prediction_records(seqs):
     """Predictions records of each frame's ground truth: its objects' boxes
     and labels, each label of score 1, and each pair's predicate probability
-    1 where the pair holds the predicate, 0 elsewhere. The records are for a
-    header config of no items, so of the default h."""
+    1 where the pair holds the predicate, 0 elsewhere, written as the package
+    writes them (`io.pair_probs_text`). The records are for a header config
+    of no items, so of the default h."""
     h = Dims().h
     records = []
     for seq in seqs:
         frames = []
         for frame in seq.frames:
             n = len(frame.objects)
-            probs = [0.0] * (n * (n - 1) * h)
+            probs = np.zeros(n * (n - 1) * h)
             for s, o, p in frame.triplets:   # pairs in `spatial.frame_pairs` order
                 probs[(s * (n - 1) + o - (o > s)) * h + p] = 1.0
             frames.append({
                 "boxes": [list(o.box) for o in frame.objects],
                 "labels": [o.label for o in frame.objects],
                 "label_scores": [1.0] * n,
-                "pair_probs": probs,
+                "pair_probs": io.pair_probs_text(probs),
             })
         records.append({"seq_seed": seq.seed, "frames": frames})
     return records
@@ -414,6 +416,20 @@ def test_eval_mode_mismatch_with_prediction_header(tmp_path, checkpoint_path, da
                  "--split", "val", "--mode", "sgdet", "--out", str(preds)]) == 0
     assert main(["eval", "--preds", str(preds), "--data", str(dataset_dir),
                  "--split", "val", "--mode", "predcls"]) == 1
+
+
+@pytest.mark.parametrize("flags", [["--variant", "dense"], ["--k", "3"],
+                                   ["--variant", "dense", "--k", "3"]],
+                         ids=["variant", "k", "both"])
+def test_eval_of_predictions_refuses_model_flags(tmp_path, dataset_dir, capsys, flags):
+    # a predictions file names the model that made it; both flags were
+    # ignored, exit 0
+    _, seqs = io.load_split(dataset_dir, "test")
+    preds = tmp_path / "p.jsonl"
+    io.write_predictions(preds, {"mode": "sgdet", "config": {}}, gt_prediction_records(seqs))
+    assert main(["eval", "--preds", str(preds), "--data", str(dataset_dir), *flags]) == 1
+    assert capsys.readouterr().err == \
+        f"error: eval: {flags[0]} applies only to --ckpt, not to --preds\n"
 
 
 def test_predictions_header_config_is_checked_and_echoed(tmp_path, dataset_dir, capsys):
@@ -674,25 +690,50 @@ def _set(field, index, value):
     return edit
 
 
-def _extend_pair_probs(count):
-    """Make a frame's `pair_probs` `count` entries longer (shorter, below 0)."""
+def _decoded(text: str) -> np.ndarray:
+    """The pair probabilities a `pair_probs` text encodes, as a new array."""
+    return np.frombuffer(base64.b64decode(text), "<f8").copy()
+
+
+def _pair_probs(value):
+    """Set a frame's `pair_probs` to `value`, or to `value` of its text
+    where `value` is callable."""
     def edit(frame):
-        probs = frame["pair_probs"]
-        if count < 0:
-            del probs[count:]
-        probs += [0.5] * count
+        frame["pair_probs"] = value(frame["pair_probs"]) if callable(value) else value
     return edit
 
 
+def _set_prob(index, value):
+    """Set pair probability `index` of a frame, written back by the package's
+    writer (`io.pair_probs_text`)."""
+    def edit(text):
+        probs = _decoded(text)
+        probs[index] = value
+        return io.pair_probs_text(probs)
+    return _pair_probs(edit)
+
+
+def _extend_pair_probs(count):
+    """Make a frame's `pair_probs` `count` entries longer (shorter, below 0)."""
+    def edit(text):
+        probs = _decoded(text)
+        return io.pair_probs_text(probs[:count] if count < 0 else
+                                  np.concatenate([probs, np.full(count, 0.5)]))
+    return _pair_probs(edit)
+
+
 def _add_self_pairs(frame):
-    n = len(frame["labels"])
-    frame["pair_probs"] += [0.5] * (n * Dims().h)
+    _extend_pair_probs(len(frame["labels"]) * Dims().h)(frame)
+
+
+def _drop_last_byte(text: str) -> str:
+    return base64.b64encode(base64.b64decode(text)[:-1]).decode()
 
 
 # the test ids below that name a subject, object or predicate name the
 # pair_probs case that replaced the check of that triplet column, from when
 # files listed their triplets
-@pytest.mark.parametrize("edit", [_add_self_pairs, _set("pair_probs", 0, float("nan"))],
+@pytest.mark.parametrize("edit", [_add_self_pairs, _set_prob(0, float("nan"))],
                          ids=["self-pair", "nan-score"])
 def test_malformed_prediction_triplet_is_an_error(tmp_path, checkpoint_path, dataset_dir,
                                                   capsys, edit):
@@ -709,30 +750,36 @@ def test_malformed_prediction_triplet_is_an_error(tmp_path, checkpoint_path, dat
 
 # each label case was evaluated with exit 0 (the numbers were truncated to
 # integers, or used as they were, whatever their range) or, for an integer
-# beyond the float range, ended in an OverflowError traceback
+# beyond the float range, ended in an OverflowError traceback. The
+# pair_probs cases under ids of earlier number checks check its base64 text:
+# its characters, padding, kind and values
 MALFORMED_NUMBERS = [
-    (_set("pair_probs", 0, 99),
+    (_set_prob(0, 99),
      "entry 0 of field 'pair_probs' must be a probability in [0, 1], got 99.0"),
-    (_set("pair_probs", 0, -0.1),
+    (_set_prob(0, -0.1),
      "entry 0 of field 'pair_probs' must be a probability in [0, 1], got -0.1"),
-    (_set("pair_probs", 2, 1.5),
+    (_set_prob(2, 1.5),
      "entry 2 of field 'pair_probs' must be a probability in [0, 1], got 1.5"),
-    (_set("pair_probs", 0, "x"), "field 'pair_probs' must be finite numbers, got 'x'"),
-    (_set("pair_probs", 0, -float("inf")), "field 'pair_probs' must be finite numbers, got -inf"),
+    # a character outside the alphabet, which a lax decoder would skip
+    (_pair_probs(lambda text: text[:4] + "*" + text[4:]),
+     "field 'pair_probs' must be strict base64 text ("),
+    (_set_prob(0, -float("inf")),
+     "entry 0 of field 'pair_probs' must be a probability in [0, 1], got -inf"),
     (_set("labels", 0, -5), "label of node 0 must be an integer in [0, 8), got -5"),
     (_set("labels", 1, 2.5), "label of node 1 must be an integer in [0, 8), got 2.5"),
     (_set("labels", 0, 8), "label of node 0 must be an integer in [0, 8), got 8"),
     (_set("labels", 0, True), "field 'labels' must be finite numbers, got True"),
     (_set("labels", 0, 10 ** 400), "field 'labels' must be finite numbers, got 1000"),
-    (_set("pair_probs", 0, True), "field 'pair_probs' must be finite numbers, got True"),
+    (_pair_probs(True), "field 'pair_probs' must be base64 text of float64 values, got True"),
     (_extend_pair_probs(-1), "probabilities, 6 for each of its "),
-    (_set("pair_probs", 0, 2 ** 64),
+    (_set_prob(0, 2 ** 64),
      "entry 0 of field 'pair_probs' must be a probability in [0, 1], got 1.8446744073709552e+19"),
     # this label wrapped round to a negative number when cast to intp before
     # its bound was checked: evaluated with exit 0, or an IndexError traceback
     (_set("labels", 0, 1e30), "label of node 0 must be an integer in [0, 8), got 1e+30"),
-    (_set("pair_probs", 0, 10 ** 400), "field 'pair_probs' must be finite numbers, got 1000"),
-    (_set("pair_probs", 0, None), "field 'pair_probs' must be finite numbers, got None"),
+    (_pair_probs(lambda text: text[:-2]),
+     "field 'pair_probs' must be strict base64 text (Incorrect padding)"),
+    (_pair_probs(None), "field 'pair_probs' must be base64 text of float64 values, got None"),
     # a whole number within the intp range is printed exactly
     (_set("labels", 0, 1234567), "label of node 0 must be an integer in [0, 8), got 1234567"),
     # these label scores were evaluated with exit 0; -3 turned its node's
@@ -740,13 +787,24 @@ MALFORMED_NUMBERS = [
     (_set("label_scores", 0, -3), "label score of node 0 must be in (0, 1], got -3.0"),
     (_set("label_scores", 0, 0), "label score of node 0 must be in (0, 1], got 0.0"),
     (_set("label_scores", 1, 1.5), "label score of node 1 must be in (0, 1], got 1.5"),
+    # a file of the previous layout, a number list, is a short error
+    (_pair_probs(lambda text: _decoded(text).tolist()),
+     "field 'pair_probs' must be base64 text of float64 values, got [0."),
+    (_pair_probs(_drop_last_byte),
+     "field 'pair_probs' must encode whole float64 values, 8 bytes each, got "),
+    # binary text carries what JSON numbers could not
+    (_set_prob(1, float("nan")),
+     "entry 1 of field 'pair_probs' must be a probability in [0, 1], got nan"),
+    (_set_prob(0, float("inf")),
+     "entry 0 of field 'pair_probs' must be a probability in [0, 1], got inf"),
 ]
 MALFORMED_NUMBER_IDS = [
     "predicate-99", "predicate-negative", "predicate-fraction", "subject-fraction",
     "object-negative", "label-negative", "label-fraction", "label-g", "label-boolean",
     "label-beyond-float", "boolean-triplet", "short-column", "predicate-beyond-intp",
     "label-beyond-intp", "subject-beyond-intp", "subject-seven-digits", "label-seven-digits",
-    "label-score-negative", "label-score-zero", "label-score-above-1"]
+    "label-score-negative", "label-score-zero", "label-score-above-1", "probs-number-list",
+    "probs-partial-float", "probs-nan", "probs-infinity"]
 
 
 @pytest.mark.parametrize("edit, message", MALFORMED_NUMBERS, ids=MALFORMED_NUMBER_IDS)
@@ -779,7 +837,8 @@ def _two_node_frame() -> dict:
     predicate probabilities."""
     return {"boxes": [[0.0, 0.0, 0.5, 0.5], [0.25, 0.25, 0.5, 0.5]], "labels": [0, 1],
             "label_scores": [0.9, 0.8],
-            "pair_probs": [0.5, 0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 0.0, 1.0, 0.25, 0.75, 0.125]}
+            "pair_probs": io.pair_probs_text(np.array([0.5, 0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 0.0,
+                                                       1.0, 0.25, 0.75, 0.125]))}
 
 
 # a frame with one probability too many, a label beyond the intp range and
@@ -789,7 +848,8 @@ BEYOND_INTP = [
     (_extend_pair_probs(1), "frame has 2 nodes, so field 'pair_probs' must hold 12 "
                             "probabilities, 6 for each of its 2 ordered pairs, got 13"),
     (_set("labels", 0, 1e30), "label of node 0 must be an integer in [0, "),
-    (_set("pair_probs", 0, float("inf")), "field 'pair_probs' must be finite numbers, got inf"),
+    (_set_prob(0, float("inf")),
+     "entry 0 of field 'pair_probs' must be a probability in [0, 1], got inf"),
 ]
 BEYOND_INTP_IDS = ["predicate", "label", "object"]
 
@@ -814,7 +874,10 @@ PER_RECORD_CASES = [
     *BEYOND_INTP,
     (_extend_pair_probs(1), "frame has 2 nodes, so field 'pair_probs' must hold 12 "
                             "probabilities, 6 for each of its 2 ordered pairs, got 13"),
-    (_set("pair_probs", 0, [0.5]), "field 'pair_probs' must be finite numbers, got [0.5]"),
+    # text beyond ASCII, which base64 is not
+    (_pair_probs(lambda text: "\u00e9" + text[1:]),
+     "field 'pair_probs' must be strict base64 text (string argument should contain only "
+     "ASCII characters)"),
     # a whole 7 probabilities a pair: the dims decide
     (_extend_pair_probs(2), "frame has 2 nodes, so field 'pair_probs' must hold 12 "
                             "probabilities, 6 for each of its 2 ordered pairs, got 14"),
@@ -940,14 +1003,34 @@ def test_frames_of_any_size_read_back_bit_for_bit(tmp_path, sized_frames_run, mo
     assert [pred.n for pred in served] == [1, 2, 0, 6]
     _, (record,) = io.load_predictions(preds)
     raw = json.loads(preds.read_text().splitlines()[1])["frames"]
-    assert [len(frame["pair_probs"]) for frame in raw] == [0, 2 * 6, 0, 30 * 6]
+    assert [len(_decoded(frame["pair_probs"])) for frame in raw] == [0, 2 * 6, 0, 30 * 6]
     for pred, loaded, frame in zip(served, record["frames"], raw):
-        assert len(pred.ranked) == len(frame["pair_probs"])
+        assert len(pred.ranked) == len(_decoded(frame["pair_probs"]))
         ranked = io.ranked_from_frame_json(loaded, preds, 2)
         for name in (f.name for f in fields(RankedFrame)):
             got, want = getattr(ranked, name), getattr(pred.ranked, name)
             assert (got.dtype, got.shape) == (want.dtype, want.shape), name
             assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("mode", ["predcls", "sgdet"])
+def test_served_pair_probs_decode_to_their_bytes(tmp_path, sized_frames_run, mode):
+    # a frame's `pair_probs` text is base64 of the little-endian float64
+    # bytes of `FramePrediction.pair_probs`, for frames of 1, 2, 0 and 6 nodes
+    data, ckpt = sized_frames_run
+    preds = tmp_path / "p.jsonl"
+    assert main(["infer", "--ckpt", str(ckpt), "--data", str(data), "--mode", mode,
+                 "--out", str(preds)]) == 0
+    cfg, params, _ = io.load_checkpoint(ckpt)
+    _, (seq,) = io.load_split(data, "test")
+    served = cli.forward_sequence(seq, params, mode, cfg.train.variant, cfg.train.k)
+    raw = json.loads(preds.read_text().splitlines()[1])["frames"]
+    assert [pred.n for pred in served] == [1, 2, 0, 6]
+    for pred, frame in zip(served, raw):
+        decoded = np.frombuffer(base64.b64decode(frame["pair_probs"]), "<f8")
+        assert pred.pair_probs.dtype == np.dtype("<f8")
+        assert decoded.size == pred.pair_probs.size == pred.n * (pred.n - 1) * cfg.dims.h
+        assert decoded.tobytes() == pred.pair_probs.tobytes()
 
 
 @pytest.mark.parametrize("sides", [(-0.5, 0.3), (1e200, 1e200)], ids=["negative", "1e200"])
@@ -1759,13 +1842,17 @@ def test_no_malformed_record_escapes_as_another_exception(tmp_path):
 
     checkpoint = _escapes(json.loads(ckpt.read_text()), read_checkpoint)
 
+    # the split's config, so that the header's dims pass and each mutant
+    # reaches the record; a header of no items stopped every read at dims.g
     def read_predictions(record):
         path = next(files)
-        io.write_predictions(path, {"mode": "sgdet", "config": {}}, [record])
+        io.write_predictions(path, {"mode": "sgdet", "config": json.loads(header)["config"]},
+                             [record])
         io.ranked_predictions(path, seqs, dims, "test")
 
     (record,) = gt_prediction_records(seqs)
-    predictions = _escapes(record, read_predictions, depth=4)   # the pair probabilities too
+    read_predictions(record)   # the record as built reads
+    predictions = _escapes(record, read_predictions, depth=4)   # the frames' entries too
     assert (dataset, checkpoint, predictions) == ([], [], [])
 
 
