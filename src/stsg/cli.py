@@ -168,7 +168,8 @@ def _frame_evals(sequences, ranked) -> list[FrameEval]:
 def _forward_frames(sequences, params: ModelParams, mode: str, variant: str,
                     k: int) -> list[FrameEval]:
     """Each frame's ranked predictions, unconstrained: evaluation applies the
-    graph constraint to the whole corpus."""
+    graph constraint to the whole corpus, and its first read of a
+    sequence's triplets sorts them, once (`temporal.rank_frames`)."""
     return _frame_evals(sequences, ([pred.ranked for pred in preds]
                                     for _, preds in _serve(sequences, params, mode, variant, k)))
 
@@ -486,9 +487,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", dest="batch_size", type=int)
     p.add_argument("--lr", dest="learning_rate", type=float)
     p.add_argument("--optimizer", choices=("adam", "sgd"))
-    p.add_argument("--sequences", type=int, help="limit training sequences")
+    p.add_argument("--sequences", type=int,
+                   help="train on the first N sequences (default: the config's "
+                        "train.sequences; 0: the whole split)")
     p.add_argument("--train-seed", dest="train_seed", type=int)
-    p.add_argument("--val-sequences", dest="val_sequences", type=int)
+    p.add_argument("--val-sequences", dest="val_sequences", type=int,
+                   help="validate on the first N sequences (default or 0: the whole split)")
     p.add_argument("--no-val", dest="no_val", action="store_true")
     p.set_defaults(fn=cmd_train)
 
@@ -523,7 +527,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=5)
     p.add_argument("--epochs", type=int, default=14)
     p.add_argument("--train-sequences", dest="train_sequences", type=int, default=150)
-    p.add_argument("--test-sequences", dest="test_sequences", type=int)
+    p.add_argument("--test-sequences", dest="test_sequences", type=int,
+                   help="evaluate on the first N test sequences "
+                        "(default or 0: the whole split)")
     p.add_argument("--jobs", type=int, default=_available_cpus(),
                    help="cells trained in parallel (default: the CPUs available; never "
                         "more workers than those or than the cells)")
@@ -552,7 +558,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=MODES)
     p.add_argument("--seeds", type=int, default=5)
     p.add_argument("--head-epochs", dest="head_epochs", type=int, default=300)
-    p.add_argument("--train-sequences", dest="train_sequences", type=int)
+    p.add_argument("--train-sequences", dest="train_sequences", type=int,
+                   help="train the event heads on the first N sequences "
+                        "(default or 0: the whole split)")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_bank)
 

@@ -37,7 +37,8 @@ def build_feature_bank(predictions: list[FramePrediction], variant: str,
     """The (T, G, m) bank: each class's row in each frame holds the feature of
     its highest-label-score node, the lowest-indexed one on ties; absent
     classes stay zero. A node's class and label score are those its frame's
-    ranked list carries (`RankedFrame.labels`, `.label_scores`)."""
+    ranked list carries (`RankedFrame.labels`, `.label_scores`), node
+    fields, which never sort the frame's triplets."""
     if variant not in BANK_VARIANTS:
         raise ContractError(f"bank variant must be one of {BANK_VARIANTS}, got {variant!r}")
     if not predictions:

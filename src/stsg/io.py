@@ -26,11 +26,13 @@ label scores and its ordered pairs' predicate probabilities (`pair_probs`,
 the base64 text of their little-endian float64 bytes, the predicate varying
 fastest), not a triplet list. One reader (`_predictions`) reads it: the
 header's config gives the dims (g bounds the labels, h sets the count of
-`pair_probs`), and each record's frames are checked and ranked as its line
-is decoded, by the rule serving ranks with (`temporal.rank_frames`), so the
-list read back is the list served. A label score must be in (0, 1], and a
-pair probability in [0, 1]. Errors come in line order: the header's, then
-each record's in turn, then a count of records that is not the split's.
+`pair_probs`), and each record's frames are checked and scored as its
+line is decoded, and ranked by the rule serving ranks with
+(`temporal.rank_frames`), which sorts them when a frame's triplets are
+first read; so the list read back is the list served. A label score must
+be in (0, 1], and a pair probability in [0, 1]. Errors come in line order:
+the header's, then each record's in turn, then a count of records that is
+not the split's. A header that names a split must name the one evaluated.
 """
 
 from __future__ import annotations
@@ -496,7 +498,9 @@ def _pair_probs_bytes(text) -> bytes:
 
 def _ranked_frames(frames: list, g: int, h: int) -> list[RankedFrame]:
     """Check predictions frames all at once, and rank them with one
-    `temporal.rank_frames` call, the rule serving ranks a sequence with.
+    `temporal.rank_frames` call, the rule serving ranks a sequence with,
+    which finds and checks their scores here and sorts every frame, once,
+    when evaluation first reads a frame's triplets.
 
     Boxes, labels and label scores must be finite numbers (`_number_array`),
     with a label and a label score per box; pair probabilities must be
@@ -621,10 +625,11 @@ def ranked_predictions(path: str | Path, sequences: list[SceneSequence], dims: D
     split: the mode its header names (None if none), the config it echoes,
     and each sequence's frames ranked.
 
-    Errors come in line order. The header's mode must be known and its
-    dims.g and dims.h the split's, before any record is read; each record
-    must pass its frames' checks, then match its sequence's seed and frame
-    count; and at the end the file must hold a record for each sequence.
+    Errors come in line order. The header's mode must be known, its split,
+    where it names one, the given `split`, and its dims.g and dims.h the
+    split's, before any record is read; each record must pass its frames'
+    checks, then match its sequence's seed and frame count; and at the end
+    the file must hold a record for each sequence.
     """
     path = Path(path)
     ranked = []
@@ -634,6 +639,10 @@ def ranked_predictions(path: str | Path, sequences: list[SceneSequence], dims: D
             mode = _field(header, "mode", default=None)
             if mode is not None and mode not in MODES:
                 raise DataFormatError(f"field 'mode' must be one of {MODES}, got {mode!r}")
+            made_on = _field(header, "split", default=split)
+            if made_on != split:
+                raise DataFormatError(f"split: the predictions were made on the "
+                                      f"{reprlib.repr(made_on)} split, not {split!r}")
             for name in ("g", "h"):
                 got, want = getattr(made, name), getattr(dims, name)
                 if got != want:

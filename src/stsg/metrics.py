@@ -45,7 +45,10 @@ RECALL_KS = (10, 20, 50)
 
 def rank_triplets(pred: FramePrediction, constraint: bool) -> RankedFrame:
     """A frame's triplets in rank order: the list its forward pass ranked
-    (`temporal.rank_frames`), or with the constraint its `constrained_view`."""
+    (`temporal.rank_frames`), or with the constraint its `constrained_view`.
+    It ranks nothing itself. Without the constraint it returns
+    `pred.ranked` as it is, whose triplets are sorted on their first read,
+    so a caller that reads only the nodes (`stsg infer`) sorts nothing."""
     return constrained_view(pred.ranked) if constraint else pred.ranked
 
 

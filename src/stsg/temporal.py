@@ -289,27 +289,70 @@ NO_CONSTRAINT_PER_PAIR = 6
 LINK_DTYPE = np.dtype((np.record, [("curr_index", np.intp), ("prev_index", np.intp)]))
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class RankedFrame:
     """One frame's triplets in rank order, plus the per-node argmax labels,
     boxes and label scores (the maximum of each node's label distribution).
     `len()` counts triplets; indexing selects triplets (a slice keeps a
-    prefix) and keeps the nodes."""
+    prefix) and keeps the nodes.
 
-    subj: np.ndarray            # (T,) node indices
-    obj: np.ndarray             # (T,)
-    predicate: np.ndarray       # (T,)
-    score: np.ndarray           # (T,) float64
-    labels: np.ndarray          # (N,) argmax label per node
-    boxes: np.ndarray           # (N, 4) (x, y, w, h)
-    label_scores: np.ndarray    # (N,) float64, the score of each node's label
+    The triplet columns are `subj`, `obj` and `predicate`, (T,) intp, and
+    `score`, (T,) float64. A frame that `rank_frames` returns sorts them on
+    their first read: reading any of them, `len()` or indexing sorts every
+    frame of that call, once. Its node fields never sort.
+    """
+
+    __slots__ = ("labels", "boxes", "label_scores", "_triplets", "_ranking", "_index")
+
+    def __init__(self, subj: np.ndarray, obj: np.ndarray, predicate: np.ndarray,
+                 score: np.ndarray, labels: np.ndarray, boxes: np.ndarray,
+                 label_scores: np.ndarray):
+        self._triplets = subj, obj, predicate, score
+        self.labels = labels                # (N,) argmax label per node
+        self.boxes = boxes                  # (N, 4) (x, y, w, h)
+        self.label_scores = label_scores    # (N,) float64, the score of each node's label
+
+    @classmethod
+    def _pending(cls, ranking: _Ranking, index: int, labels: np.ndarray, boxes: np.ndarray,
+                 label_scores: np.ndarray) -> RankedFrame:
+        """Frame `index` of `ranking`, its triplets not yet sorted."""
+        frame = cls.__new__(cls)
+        frame._triplets, frame._ranking, frame._index = None, ranking, index
+        frame.labels, frame.boxes, frame.label_scores = labels, boxes, label_scores
+        return frame
+
+    def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        if self._triplets is None:
+            self._triplets = self._ranking.frames()[self._index]
+        return self._triplets
+
+    subj = property(lambda self: self._columns()[0])
+    obj = property(lambda self: self._columns()[1])
+    predicate = property(lambda self: self._columns()[2])
+    score = property(lambda self: self._columns()[3])
 
     def __len__(self) -> int:
-        return len(self.score)
+        return len(self._columns()[3])
 
     def __getitem__(self, rows) -> RankedFrame:
-        return RankedFrame(self.subj[rows], self.obj[rows], self.predicate[rows],
-                           self.score[rows], self.labels, self.boxes, self.label_scores)
+        subj, obj, predicate, score = self._columns()
+        return RankedFrame(subj[rows], obj[rows], predicate[rows], score[rows], self.labels,
+                           self.boxes, self.label_scores)
+
+
+class _Ranking:
+    """The sort one `rank_frames` call defers: its arguments to
+    `_sort_frames`, called on the first `frames()`, whose result every later
+    call returns."""
+
+    __slots__ = ("_args", "_frames")
+
+    def __init__(self, *args):
+        self._args, self._frames = args, None
+
+    def frames(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        if self._frames is None:
+            self._frames, self._args = _sort_frames(*self._args), None
+        return self._frames
 
 
 def frame_offsets(sizes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -338,6 +381,11 @@ def rank_frames(probs: np.ndarray, subj: np.ndarray, obj: np.ndarray, labels: np
     ordered pair keeps its NO_CONSTRAINT_PER_PAIR most probable predicates
     (ties to the lower index), and a frame's list is sorted by (-score,
     subject, object, predicate).
+
+    The scores are found, and checked finite, at the call. The sort waits
+    for the first read of any returned frame's triplets (`RankedFrame`),
+    then sorts every frame at once (`_sort_frames`): a caller that reads
+    only the nodes, as `stsg infer` and `stsg bank` do, never sorts.
     """
     starts, pair_starts, local = offsets
     h = probs.shape[1]
@@ -351,7 +399,19 @@ def rank_frames(probs: np.ndarray, subj: np.ndarray, obj: np.ndarray, labels: np
         scores = (pair_scores * np.take_along_axis(probs, top, axis=1)).ravel()
     if not np.isfinite(scores).all():
         raise ContractError("rank_frames: triplet scores must be finite")
-    cuts, nodes = (pair_starts * keep).tolist(), starts.tolist()
+    ranking = _Ranking(scores, top, keep, subj, obj, local, (pair_starts * keep).tolist())
+    nodes = starts.tolist()
+    return [RankedFrame._pending(ranking, t, labels[x:y], boxes[x:y], label_scores[x:y])
+            for t, (x, y) in enumerate(zip(nodes[:-1], nodes[1:]))]
+
+
+def _sort_frames(scores: np.ndarray, top: np.ndarray | None, keep: int, subj: np.ndarray,
+                 obj: np.ndarray, local: np.ndarray, cuts: list[int]) -> list[tuple]:
+    """The deferred half of `rank_frames`: each frame's (subj, obj,
+    predicate, score) columns in rank order, node indices local to the
+    frame. `scores` holds `keep` rows per pair, frame t's at
+    cuts[t]:cuts[t + 1], and `top` their predicates (None when every
+    predicate is kept)."""
     # each frame's rows already run by (subject, object, predicate), so a
     # stable sort of the frame on -score breaks score ties in that order
     negated = -scores
@@ -361,9 +421,7 @@ def rank_frames(probs: np.ndarray, subj: np.ndarray, obj: np.ndarray, labels: np
     subj, obj, scores = local[subj[pair]], local[obj[pair]], scores[order]
     # with every predicate kept, a row's predicate is its place in its pair
     kept = order - pair * keep if top is None else top.ravel()[order]
-    return [RankedFrame(subj[a:b], obj[a:b], kept[a:b], scores[a:b], labels[x:y], boxes[x:y],
-                        label_scores[x:y])
-            for a, b, x, y in zip(cuts[:-1], cuts[1:], nodes[:-1], nodes[1:])]
+    return [(subj[a:b], obj[a:b], kept[a:b], scores[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
 
 
 @dataclass(slots=True)
@@ -371,7 +429,9 @@ class FramePrediction:
     """One frame of a forward pass, as values, for metrics, banks and serialization.
 
     `ranked` is the frame's unconstrained triplet list (`rank_frames`), with
-    its nodes' argmax labels, boxes and label scores, and `pair_probs` its
+    its nodes' argmax labels, boxes and label scores. The triplets of a
+    pass's frames are sorted when any frame's are first read, so a caller
+    that reads only the nodes never sorts. `pair_probs` holds the frame's
     pairs' predicate probabilities, in `spatial.frame_pairs` order. The
     selected temporal edges are `links`, an array of LINK_DTYPE records of
     frame-local (curr_index, prev_index) pairs: node `curr_index` of this
@@ -385,7 +445,7 @@ class FramePrediction:
                                       #      holds its bytes (`io.pair_probs_text`)
     fused: np.ndarray                 # (N, m) spatial + temporal context
     gcn: np.ndarray                   # (N, m) after message passing
-    ranked: RankedFrame               # triplets in rank order
+    ranked: RankedFrame               # triplets in rank order, sorted on first read
     nodes: list = field(default_factory=list)   # the inputs: gt objects, or detections (sgdet)
     links: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=LINK_DTYPE))
 

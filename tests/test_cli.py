@@ -7,7 +7,7 @@ import os
 import signal
 import subprocess
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -15,14 +15,13 @@ import numpy as np
 import pytest
 from conftest import old_layout, random_gt_row, write_old_layout
 
-from stsg import cli, io
+from stsg import cli, io, temporal
 from stsg.cli import main
 from stsg.config import EVENT_NAMES, Dims, load_config, parse_config_items
 from stsg.errors import ConfigError, ContractError, DataFormatError
 from stsg.params import ModelParams
 from stsg.rng import RngStream
 from stsg.scene import scene_sequence
-from stsg.temporal import RankedFrame
 
 TINY_CFG = """
 # tiny benchmark for fast end-to-end runs; small scenes keep every frame's
@@ -410,6 +409,73 @@ def test_infer_then_eval_matches_in_process(tmp_path, checkpoint_path, dataset_d
     assert log[-1]["val_recall20"] == ckpt_metrics["recall@20"]
 
 
+def _refuse_to_sort(*args):
+    raise AssertionError("sorted triplets that nothing reads")
+
+
+def test_only_evaluation_sorts_and_once_a_sequence(tmp_path, checkpoint_path, dataset_dir,
+                                                   monkeypatch):
+    # `infer` reads each frame's nodes, never its triplets, so it sorts
+    # nothing; evaluation sorts each served sequence, or each record read
+    # back, exactly once
+    preds = tmp_path / "p.jsonl"
+    sort_frames = temporal._sort_frames
+    monkeypatch.setattr(temporal, "_sort_frames", _refuse_to_sort)
+    assert main(["infer", "--ckpt", str(checkpoint_path), "--data", str(dataset_dir),
+                 "--split", "val", "--mode", "sgdet", "--out", str(preds)]) == 0
+    sorts = []
+
+    def counted(*args):
+        sorts.append(len(args[-1]) - 1)   # the call's frame count, from its cuts
+        return sort_frames(*args)
+
+    monkeypatch.setattr(temporal, "_sort_frames", counted)
+    _, seqs = io.load_split(dataset_dir, "val")
+    for source in (["--preds", str(preds)], ["--ckpt", str(checkpoint_path), "--mode", "sgdet"]):
+        sorts.clear()
+        assert main(["eval", *source, "--data", str(dataset_dir), "--split", "val"]) == 0
+        assert sorts == [len(seq.frames) for seq in seqs]
+
+
+def test_non_finite_scores_end_infer_before_anything_is_written(
+        tmp_path, checkpoint_path, dataset_dir, monkeypatch, capsys):
+    # the scores are checked when a pass is ranked, not when its triplets
+    # are sorted, which `infer` never does
+    cfg, params, log = io.load_checkpoint(checkpoint_path)
+    arrays = params.as_arrays()
+    arrays["rel.b"] = np.where(np.arange(cfg.dims.h) == 2, np.nan, arrays["rel.b"])
+    broken = ModelParams.from_arrays(cfg.dims, arrays, params.gcn_layers)
+    monkeypatch.setattr(io, "load_checkpoint", lambda path: (cfg, broken, log))
+    monkeypatch.setattr(temporal, "_sort_frames", _refuse_to_sort)
+    out = tmp_path / "p.jsonl"
+    for mode in ("predcls", "sgdet"):
+        assert main(["infer", "--ckpt", str(checkpoint_path), "--data", str(dataset_dir),
+                     "--mode", mode, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: rank_frames: triplet scores must be finite\n"
+        assert not out.exists()
+
+
+def test_predictions_of_another_split_are_an_error(tmp_path, checkpoint_path, dataset_dir,
+                                                   capsys):
+    # a file inferred on the test split and read against the val split
+    # ended in an error about its first record's seed
+    preds = tmp_path / "p.jsonl"
+    assert main(["infer", "--ckpt", str(checkpoint_path), "--data", str(dataset_dir),
+                 "--split", "test", "--mode", "sgdet", "--out", str(preds)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--preds", str(preds), "--data", str(dataset_dir),
+                 "--split", "val"]) == 1
+    assert capsys.readouterr().err == (f"error: {preds}:1: split: the predictions were made on "
+                                       f"the 'test' split, not 'val'\n")
+    # a header that names no split is read against any
+    header, *lines = preds.read_text().splitlines(keepends=True)
+    edited = json.loads(header)
+    del edited["split"]
+    preds.write_text(json.dumps(edited) + "\n" + "".join(lines))
+    assert main(["eval", "--preds", str(preds), "--data", str(dataset_dir),
+                 "--split", "test"]) == 0
+
+
 def test_eval_mode_mismatch_with_prediction_header(tmp_path, checkpoint_path, dataset_dir):
     preds = tmp_path / "p.jsonl"
     assert main(["infer", "--ckpt", str(checkpoint_path), "--data", str(dataset_dir),
@@ -541,13 +607,15 @@ train.epochs = 2
 BANK_REPORT_SHA256 = "adf7fc869a2e88b816e1ab63d0b80fe8c62b9c607d0c0f2033c3ec4482c28026"
 
 
-def test_bank_report_is_pinned(tmp_path):
+def test_bank_report_is_pinned(tmp_path, monkeypatch):
+    # `bank` reads each frame's nodes, never its triplets, so it sorts nothing
     cfg, data, ckpt, out = (tmp_path / name for name in ("bank.cfg", "ds", "model.json",
                                                          "bank.json"))
     cfg.write_text(BANK_CFG)
     assert main(["gen", "--config", str(cfg), "--seed", "7", "--out", str(data)]) == 0
     assert main(["train", "--config", str(cfg), "--data", str(data), "--out", str(ckpt),
                  "--no-val"]) == 0
+    monkeypatch.setattr(temporal, "_sort_frames", _refuse_to_sort)
     assert main(["bank", "--ckpt", str(ckpt), "--data", str(data), "--seeds", "2",
                  "--head-epochs", "40", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == BANK_REPORT_SHA256
@@ -856,6 +924,8 @@ BEYOND_INTP_IDS = ["predicate", "label", "object"]
 
 # the triplet columns of a ranked list
 TRIPLET_COLUMNS = ("subj", "obj", "predicate", "score")
+# every column of a RankedFrame: its triplets', then its nodes'
+RANKED_COLUMNS = TRIPLET_COLUMNS + ("labels", "boxes", "label_scores")
 
 
 @pytest.fixture(scope="module")
@@ -936,8 +1006,8 @@ def test_the_record_check_agrees_with_each_frames_own(edit):
             (own,) = io._ranked_frames([frame], g, h)
             written = np.array(frame["label_scores"], dtype=np.float64)
             pairs = [(ranked.label_scores, written),
-                     *((getattr(ranked, f.name), getattr(own, f.name))
-                       for f in fields(RankedFrame))]
+                     *((getattr(ranked, name), getattr(own, name))
+                       for name in RANKED_COLUMNS)]
             for got, want in pairs:
                 assert got.dtype == want.dtype
                 np.testing.assert_array_equal(got, want)
@@ -953,7 +1023,7 @@ def test_a_served_list_reads_back_bit_for_bit(tmp_path, checkpoint_path, dataset
     _, seqs = io.load_split(dataset_dir, "val")
     _, records = io.load_predictions(preds)
     decoded = [json.loads(line) for line in preds.read_text().splitlines()[1:]]
-    names = [f.name for f in fields(RankedFrame)]
+    names = list(RANKED_COLUMNS)
     assert len(names) == 7
     assert len(records) == len(decoded) == len(seqs)
     for lineno, (seq, record, raw) in enumerate(zip(seqs, records, decoded), start=2):
@@ -1007,7 +1077,7 @@ def test_frames_of_any_size_read_back_bit_for_bit(tmp_path, sized_frames_run, mo
     for pred, loaded, frame in zip(served, record["frames"], raw):
         assert len(pred.ranked) == len(_decoded(frame["pair_probs"]))
         ranked = io.ranked_from_frame_json(loaded, preds, 2)
-        for name in (f.name for f in fields(RankedFrame)):
+        for name in RANKED_COLUMNS:
             got, want = getattr(ranked, name), getattr(pred.ranked, name)
             assert (got.dtype, got.shape) == (want.dtype, want.shape), name
             assert got.tobytes() == want.tobytes(), name
@@ -1957,12 +2027,15 @@ INFER_SHA256 = {
 
 
 @pytest.mark.parametrize("mode, variant, k, features", list(INFER_SHA256))
-def test_infer_files_are_pinned(tmp_path, checkpoint_path, dataset_dir, mode, variant, k,
-                                features):
+def test_infer_files_are_pinned(tmp_path, checkpoint_path, dataset_dir, monkeypatch, mode,
+                                variant, k, features):
+    # `infer` sorts no triplets; the loader sorts what the file holds
     out = tmp_path / "preds.jsonl"
     argv = ["infer", "--ckpt", str(checkpoint_path), "--data", str(dataset_dir), "--mode", mode,
             "--variant", variant, "--k", str(k), "--out", str(out)]
-    assert main(argv + ["--include-features"] * features) == 0
+    with monkeypatch.context() as refused:
+        refused.setattr(temporal, "_sort_frames", _refuse_to_sort)
+        assert main(argv + ["--include-features"] * features) == 0
     rows = in_triplet_layout(out, rows=True).encode()
     assert hashlib.sha256(rows).hexdigest() == INFER_SHA256[mode, variant, k, features]
 

@@ -19,9 +19,11 @@ from reference_kernels import (
     out_of_place_adam,
     three_key_topk_links,
 )
+from stsg import temporal
 from stsg.autodiff import SegmentPlan, Tape, Tensor, backward
 from stsg.config import Dims, WorldConfig
 from stsg.featurebank import BANK_VARIANTS, build_feature_bank
+from stsg.metrics import constrained_view
 from stsg.params import ModelParams
 from stsg.rng import RngStream
 from stsg.spatial import frame_pairs
@@ -32,6 +34,7 @@ from stsg.training import Optimizer
 TINY = np.finfo(np.float64).tiny
 EDGES = np.array([0.0, -0.0, 709.8, -709.8, 745.2, -745.2, 1e308, -1e308,
                   5e-324, -5e-324, TINY, -TINY, TINY / 3, -TINY / 3, 36.7, -36.7])
+RANKED_COLUMNS = ("subj", "obj", "predicate", "score", "labels", "boxes", "label_scores")
 
 
 def assert_same_bits(got, want):
@@ -163,9 +166,44 @@ def test_rank_frames_is_the_five_key_sort(h, seed):
     want = five_key_rank_frames(probs, subj, obj, label_dists, boxes, sizes)
     assert len(got) == len(want) == len(sizes)
     for g, w in zip(got, want):
-        for name in ("subj", "obj", "predicate", "score", "labels", "boxes", "label_scores"):
+        for name in RANKED_COLUMNS:
             assert_same_bits(getattr(g, name), getattr(w, name))
     assert_same_bits(np.concatenate([g.label_scores for g in got]), label_scores)
+
+
+@pytest.mark.parametrize("read", ["len", "prefix", "constrained_view"])
+@pytest.mark.parametrize("h", [3, 9])
+def test_a_frame_sorts_on_its_first_triplet_read(monkeypatch, read, h):
+    # each frame is read first from a call of its own: its nodes sort
+    # nothing, and the first read of its triplets sorts every frame of the
+    # call, once, to the five-key sort's lists
+    probs, subj, obj, label_dists, boxes, sizes = ranking_inputs(h, 1)
+    want = five_key_rank_frames(probs, subj, obj, label_dists, boxes, sizes)
+    sorts, sort_frames = [], temporal._sort_frames
+
+    def counted(*args):
+        sorts.append(len(args[-1]) - 1)   # the call's frame count, from its cuts
+        return sort_frames(*args)
+
+    monkeypatch.setattr(temporal, "_sort_frames", counted)
+    for t, w in enumerate(want):
+        frames = rank_frames(probs, subj, obj, label_dists.argmax(axis=1),
+                             label_dists.max(axis=1), boxes, frame_offsets(sizes))
+        got = frames[t]
+        for name in ("labels", "boxes", "label_scores"):
+            assert_same_bits(getattr(got, name), getattr(w, name))
+        assert sorts == [len(sizes)] * t
+        if read == "len":
+            assert len(got) == len(w)
+        else:
+            view = (lambda r: r[:5]) if read == "prefix" else constrained_view
+            for name in RANKED_COLUMNS:
+                assert_same_bits(getattr(view(got), name), getattr(view(w), name))
+        assert sorts == [len(sizes)] * (t + 1)
+        for g, other in zip(frames, want):
+            for name in RANKED_COLUMNS:
+                assert_same_bits(getattr(g, name), getattr(other, name))
+        assert sorts == [len(sizes)] * (t + 1)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 9])
