@@ -9,10 +9,11 @@ recall@K does not cap. Detection-protocol matching requires label equality
 and both boxes at IoU >= 0.5 (an IoU of exactly 0.5 counts).
 
 A frame's ranked list is one `RankedFrame` of arrays, which also carries its
-nodes' labels, boxes and label scores, and `constrained_view` the one
-constraint rule; a view keeps the nodes. Evaluation works on the whole
-corpus at once: it lays every frame's list (or its constrained view), cut
-to the depth needed, and the ground truth out as flat frame-major arrays.
+nodes' labels, boxes and label scores; `temporal.rank_frames` makes every
+one, so every list is in rank order. Evaluation works on the whole corpus
+at once: it lays every frame's list, cut to the depth needed, and the
+ground truth out as flat frame-major arrays, and applies the constraint
+there, in one pass over the corpus (`_flatten`).
 Matching is one rule, greedy in rank order: each triplet consumes the
 lowest-index gt triplet of its frame still free that has its predicate and
 labels, and equal node indices (predcls, sgcls) or both boxes at IoU >= 0.5
@@ -44,12 +45,15 @@ RECALL_KS = (10, 20, 50)
 
 
 def rank_triplets(pred: FramePrediction, constraint: bool) -> RankedFrame:
-    """A frame's triplets in rank order: the list its forward pass ranked
-    (`temporal.rank_frames`), or with the constraint its `constrained_view`.
-    It ranks nothing itself. Without the constraint it returns
-    `pred.ranked` as it is, whose triplets are sorted on their first read,
-    so a caller that reads only the nodes (`stsg infer`) sorts nothing."""
-    return constrained_view(pred.ranked) if constraint else pred.ranked
+    """A frame's unconstrained triplets in rank order: `pred.ranked`, the
+    list its forward pass ranked (`temporal.rank_frames`), as it is. It
+    ranks nothing itself, and a caller that reads only the nodes (`stsg
+    infer`) sorts nothing. Evaluation applies the constraint, so
+    `constraint` must be False."""
+    if constraint:
+        raise ContractError("rank_triplets: evaluation applies the constraint; "
+                            "pass constraint=False")
+    return pred.ranked
 
 
 def _first_per_key(key: np.ndarray, n_keys: int) -> np.ndarray:
@@ -58,13 +62,6 @@ def _first_per_key(key: np.ndarray, n_keys: int) -> np.ndarray:
     first = np.full(n_keys, len(key))
     np.minimum.at(first, key, np.arange(len(key)))
     return np.sort(first[first < len(key)])
-
-
-def constrained_view(ranked: RankedFrame) -> RankedFrame:
-    """The with-constraint list: the first triplet of each ordered pair, in
-    rank order."""
-    n = len(ranked.labels)
-    return ranked[_first_per_key(ranked.subj * n + ranked.obj, n * n)]
 
 
 @dataclass
@@ -111,13 +108,14 @@ def _cat(arrays: list[np.ndarray], dtype) -> np.ndarray:
 
 
 def _flatten(frames: list[FrameEval], depth: int, constraint: bool) -> _Corpus:
-    """Each frame's list, or its constrained view, cut to its first `depth`
-    triplets; and the ground truth. The constrained view is one
-    first-occurrence pass over the corpus's ordered node pairs; a kept row's
-    frame and rank come from the lengths of the (viewed) lists."""
+    """Each frame's list cut to its first `depth` triplets; and the ground
+    truth. With the constraint, a frame's list is the first triplet of each
+    of its ordered pairs, in rank order: one first-occurrence pass over the
+    corpus's ordered node pairs, a kept row's frame and rank coming from
+    the lengths of the constrained lists."""
     ranked = [fe.ranked for fe in frames]
     frame_ids = np.arange(len(frames))
-    cut = None if constraint else max(depth, 0)    # a constrained view reads whole lists
+    cut = None if constraint else max(depth, 0)    # the constraint reads whole lists
     lengths = np.array([len(r.score[:cut]) for r in ranked], dtype=np.intp)
     n_nodes = np.array([len(r.labels) for r in ranked], dtype=np.intp)
     node_start = _starts(n_nodes)
@@ -301,33 +299,17 @@ def average_precision_from_flags(flags, n_pos: int) -> float:
     return float(np.sum((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1]))
 
 
-def _ascending(*keys: np.ndarray) -> bool:
-    """Whether the rows are in ascending lexicographic order of `keys`, the
-    first the most significant, equal rows allowed: the order `np.lexsort`
-    with the keys reversed leaves as it is. One comparison of neighbours."""
-    ok = keys[-1][:-1] <= keys[-1][1:]
-    for key in keys[-2::-1]:
-        ok = (key[:-1] < key[1:]) | ((key[:-1] == key[1:]) & ok)
-    return bool(ok.all())
-
-
 def _detection_pass(c: _Corpus, taken: np.ndarray | None = None):
     """Each frame's first FRAME_TRIPLET_CAP triplets in (frame, -score,
     subject, object) order, the order in which the corpus-wide AP list visits
     them, and their detection-style matches.
 
-    Lists from `temporal.rank_frames`, which sorts each frame on its own,
-    served or read back from a file, and their constrained views laid out
-    frame after frame are already in that order, which one comparison
-    of neighbouring rows confirms; `taken`, an sgdet pass over the whole
-    corpus, then serves unchanged. Rows in any other order are sorted."""
+    Every list comes from `temporal.rank_frames`, which sorts each frame on
+    its own, so the corpus's rows, constrained or not, are in that order
+    already. `taken`, an sgdet pass over the whole corpus, serves as it is:
+    greedy matches in rank order form a prefix."""
     rows = np.flatnonzero(c.rank < FRAME_TRIPLET_CAP)
-    keys = (c.frame[rows], -c.score[rows], c.subj[rows], c.obj[rows])
-    if not _ascending(*keys):
-        rows = rows[np.lexsort(keys[::-1])]
-    elif taken is not None:
-        return rows, taken[rows]
-    return rows, _match(c, rows, "sgdet")
+    return rows, taken[rows] if taken is not None else _match(c, rows, "sgdet")
 
 
 def _class_aps(c: _Corpus, rows, taken) -> tuple[dict[int, float], dict[int, int]]:

@@ -292,33 +292,24 @@ LINK_DTYPE = np.dtype((np.record, [("curr_index", np.intp), ("prev_index", np.in
 class RankedFrame:
     """One frame's triplets in rank order, plus the per-node argmax labels,
     boxes and label scores (the maximum of each node's label distribution).
-    `len()` counts triplets; indexing selects triplets (a slice keeps a
-    prefix) and keeps the nodes.
+    `len()` counts triplets.
 
     The triplet columns are `subj`, `obj` and `predicate`, (T,) intp, and
-    `score`, (T,) float64. A frame that `rank_frames` returns sorts them on
-    their first read: reading any of them, `len()` or indexing sorts every
-    frame of that call, once. Its node fields never sort.
+    `score`, (T,) float64, sorted by (-score, subject, object, predicate).
+    `rank_frames` is the only maker of a RankedFrame, so every one holds
+    that order. The columns are sorted on their first read: reading any of
+    them or `len()` sorts every frame of that call, once. The node fields
+    never sort.
     """
 
     __slots__ = ("labels", "boxes", "label_scores", "_triplets", "_ranking", "_index")
 
-    def __init__(self, subj: np.ndarray, obj: np.ndarray, predicate: np.ndarray,
-                 score: np.ndarray, labels: np.ndarray, boxes: np.ndarray,
+    def __init__(self, ranking: _Ranking, index: int, labels: np.ndarray, boxes: np.ndarray,
                  label_scores: np.ndarray):
-        self._triplets = subj, obj, predicate, score
+        self._triplets, self._ranking, self._index = None, ranking, index
         self.labels = labels                # (N,) argmax label per node
         self.boxes = boxes                  # (N, 4) (x, y, w, h)
         self.label_scores = label_scores    # (N,) float64, the score of each node's label
-
-    @classmethod
-    def _pending(cls, ranking: _Ranking, index: int, labels: np.ndarray, boxes: np.ndarray,
-                 label_scores: np.ndarray) -> RankedFrame:
-        """Frame `index` of `ranking`, its triplets not yet sorted."""
-        frame = cls.__new__(cls)
-        frame._triplets, frame._ranking, frame._index = None, ranking, index
-        frame.labels, frame.boxes, frame.label_scores = labels, boxes, label_scores
-        return frame
 
     def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         if self._triplets is None:
@@ -332,11 +323,6 @@ class RankedFrame:
 
     def __len__(self) -> int:
         return len(self._columns()[3])
-
-    def __getitem__(self, rows) -> RankedFrame:
-        subj, obj, predicate, score = self._columns()
-        return RankedFrame(subj[rows], obj[rows], predicate[rows], score[rows], self.labels,
-                           self.boxes, self.label_scores)
 
 
 class _Ranking:
@@ -401,7 +387,7 @@ def rank_frames(probs: np.ndarray, subj: np.ndarray, obj: np.ndarray, labels: np
         raise ContractError("rank_frames: triplet scores must be finite")
     ranking = _Ranking(scores, top, keep, subj, obj, local, (pair_starts * keep).tolist())
     nodes = starts.tolist()
-    return [RankedFrame._pending(ranking, t, labels[x:y], boxes[x:y], label_scores[x:y])
+    return [RankedFrame(ranking, t, labels[x:y], boxes[x:y], label_scores[x:y])
             for t, (x, y) in enumerate(zip(nodes[:-1], nodes[1:]))]
 
 
@@ -428,14 +414,15 @@ def _sort_frames(scores: np.ndarray, top: np.ndarray | None, keep: int, subj: np
 class FramePrediction:
     """One frame of a forward pass, as values, for metrics, banks and serialization.
 
-    `ranked` is the frame's unconstrained triplet list (`rank_frames`), with
-    its nodes' argmax labels, boxes and label scores. The triplets of a
-    pass's frames are sorted when any frame's are first read, so a caller
-    that reads only the nodes never sorts. `pair_probs` holds the frame's
-    pairs' predicate probabilities, in `spatial.frame_pairs` order. The
-    selected temporal edges are `links`, an array of LINK_DTYPE records of
-    frame-local (curr_index, prev_index) pairs: node `curr_index` of this
-    frame takes context from node `prev_index` of the previous frame.
+    `ranked` is the frame's unconstrained triplet list, in rank order
+    (`rank_frames`), with its nodes' argmax labels, boxes and label scores.
+    The with-constraint list is not kept: evaluation takes it from this one
+    (`metrics._flatten`). A caller that reads only the nodes never sorts
+    the triplets. `pair_probs` holds the frame's pairs' predicate
+    probabilities, in `spatial.frame_pairs` order. The selected temporal
+    edges are `links`, an array of LINK_DTYPE records of frame-local
+    (curr_index, prev_index) pairs: node `curr_index` of this frame takes
+    context from node `prev_index` of the previous frame.
     """
 
     label_dists: np.ndarray           # (N, G)

@@ -88,7 +88,6 @@ class Targets:
     to a cross-entropy.
     """
 
-    rel_positive: np.ndarray   # (P * H,) relation slots; the rest are no-relation slots
     rel_weight: np.ndarray     # (P * H,)
     node_weight: np.ndarray    # (N * G,) at the gt label of each gt-matched node
     link_weight: np.ndarray    # (C,) at each node's target candidate link
@@ -151,9 +150,8 @@ def loss_targets(sequence: SceneSequence, packed: Packed, h: int) -> Targets:
     link_weight = np.zeros(len(curr))
     link_weight[first] = (-1.0 / link_count[link_frame]) * scale
 
-    return Targets(rel_positive=positive, rel_weight=rel_weight * scale,
-                   node_weight=node_weight, link_weight=link_weight,
-                   rel_sign=np.where(positive, -1.0, 1.0))
+    return Targets(rel_weight=rel_weight * scale, node_weight=node_weight,
+                   link_weight=link_weight, rel_sign=np.where(positive, -1.0, 1.0))
 
 
 def prepare(sequence: SceneSequence, mode: str, variant: str, dims) -> tuple[Packed, Targets]:
@@ -180,9 +178,8 @@ def join(items: list[tuple[Packed, Targets]]) -> tuple[Packed, Targets]:
         return np.concatenate([getattr(t, name) for t in targets])
 
     return Packed.join([p for p, _ in items]), Targets(
-        rel_positive=cat("rel_positive"), rel_weight=cat("rel_weight") * scale,
-        node_weight=cat("node_weight") * scale, link_weight=cat("link_weight") * scale,
-        rel_sign=cat("rel_sign"))
+        rel_weight=cat("rel_weight") * scale, node_weight=cat("node_weight") * scale,
+        link_weight=cat("link_weight") * scale, rel_sign=cat("rel_sign"))
 
 
 def batch_loss(packed: Packed, targets: Targets, out: BatchOutput,

@@ -1,22 +1,31 @@
 """Hand-built three-frame evaluation fixture, a per-frame matcher and an
-exhaustive one, and the (N, N, H) relation grid of a served frame.
+exhaustive one, per-frame triplet lists built from row tuples, and the
+(N, N, H) relation grid of a served frame.
 
 `match_frame` is the per-frame form of the corpus-wide greedy matching in
 `stsg.metrics`; the exhaustive oracle enumerates every injective assignment
 of predictions to ground truth, so greedy matching can be checked against
-the true maximum.
+the true maximum. `triplet_list` builds the per-frame lists these take,
+constrained or cut, from a ranked list's rows, apart from the package's
+corpus-wide constraint.
 """
+
+from collections import namedtuple
 
 import numpy as np
 
 from stsg.config import MODES, RunConfig, config_with
-from stsg.metrics import IOU_THRESHOLD, FrameEval, constrained_view, rank_triplets
+from stsg.metrics import IOU_THRESHOLD, FrameEval, rank_triplets
 from stsg.scene import GroundTruthObject, pairwise_iou
 from stsg.synthgen import generate_scene
 from stsg.temporal import FramePrediction, forward_sequence, frame_offsets, rank_frames
 from stsg.training import train
 
 G, H = 4, 3
+
+# a frame's triplet list as columns: its triplets', then its nodes'
+RankedColumns = namedtuple("RankedColumns", ("subj", "obj", "predicate", "score", "labels",
+                                             "boxes", "label_scores"))
 
 
 def pair_grid(values: np.ndarray, n: int) -> np.ndarray:
@@ -114,12 +123,33 @@ def served_corpus(n_train: int, n_test: int, seed: int = 7) -> dict[str, list[Fr
             for mode in MODES}
 
 
+def triplet_rows(ranked, constraint: bool = False) -> list[tuple]:
+    """(subject, object, predicate, score) of each ranked triplet, in order;
+    with the constraint, only the first of each ordered pair."""
+    rows, seen = [], set()
+    for row in zip(ranked.subj.tolist(), ranked.obj.tolist(), ranked.predicate.tolist(),
+                   ranked.score.tolist()):
+        if not constraint or row[:2] not in seen:
+            seen.add(row[:2])
+            rows.append(row)
+    return rows
+
+
+def triplet_list(ranked, constraint: bool, k: int | None = None) -> RankedColumns:
+    """The first k of `triplet_rows(ranked, constraint)` as columns, with
+    the list's nodes."""
+    table = np.array(triplet_rows(ranked, constraint)[:k], dtype=np.float64).reshape(-1, 4)
+    subj, obj, predicate = table[:, :3].T.astype(np.intp)
+    return RankedColumns(subj, obj, predicate, table[:, 3], ranked.labels, ranked.boxes,
+                         ranked.label_scores)
+
+
 def compatibility(ranked, gt_triplets, gt_objects, mode: str) -> np.ndarray:
     """(triplets, gt triplets) bool matrix: equal predicate and labels, plus
     equal node indices in predcls/sgcls or both boxes at IoU >= IOU_THRESHOLD
     in sgdet."""
-    if not len(ranked) or not gt_triplets:
-        return np.zeros((len(ranked), len(gt_triplets)), dtype=bool)
+    if not len(ranked.score) or not gt_triplets:
+        return np.zeros((len(ranked.score), len(gt_triplets)), dtype=bool)
     gi, gj, gp = np.asarray(gt_triplets).T
     gt_labels = np.array([o.label for o in gt_objects])
     subj, obj = ranked.subj[:, None], ranked.obj[:, None]
@@ -137,7 +167,7 @@ def match_frame(ranked, gt_triplets, gt_objects, mode: str) -> np.ndarray:
     """Greedy matching in rank order: for each triplet, the index of the gt
     triplet it consumes (the lowest-index compatible one still free), or -1."""
     compatible = compatibility(ranked, gt_triplets, gt_objects, mode)
-    taken = np.full(len(ranked), -1)
+    taken = np.full(len(ranked.score), -1)
     free = np.ones(len(gt_triplets), dtype=bool)
     for t in np.flatnonzero(compatible.any(axis=1)):
         hits = np.flatnonzero(compatible[t] & free)
@@ -175,7 +205,7 @@ def exhaustive_recall_at_k(frames, k, mode, constraint) -> float:
     for fe in frames:
         if not fe.gt_triplets:
             continue
-        ranked = constrained_view(fe.ranked) if constraint else fe.ranked
-        vals.append(exhaustive_max_matches(ranked[:k], fe.gt_triplets, fe.gt_objects, mode)
+        ranked = triplet_list(fe.ranked, constraint, k)
+        vals.append(exhaustive_max_matches(ranked, fe.gt_triplets, fe.gt_objects, mode)
                     / len(fe.gt_triplets))
     return float(np.mean(vals)) if vals else 0.0

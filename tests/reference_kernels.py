@@ -22,16 +22,11 @@ import primitives as prim
 import stsg.autodiff as ad
 import stsg.temporal
 import stsg.training
+from fixtures import RankedColumns
 from stsg.autodiff import Tensor
 from stsg.metrics import FRAME_TRIPLET_CAP, _match, average_precision_from_flags
 from stsg.params import linear
-from stsg.temporal import (
-    NO_CONSTRAINT_PER_PAIR,
-    BatchOutput,
-    RankedFrame,
-    topk_links,
-    tracking_links,
-)
+from stsg.temporal import NO_CONSTRAINT_PER_PAIR, BatchOutput, topk_links, tracking_links
 
 
 def masked_logistic(x: np.ndarray) -> np.ndarray:
@@ -56,9 +51,10 @@ def fill_scatter_reduce(ufunc, values: np.ndarray, plan, empty: float) -> np.nda
     return out
 
 
-def five_key_rank_frames(probs, subj, obj, label_dists, boxes, sizes) -> list[RankedFrame]:
+def five_key_rank_frames(probs, subj, obj, label_dists, boxes, sizes) -> list[RankedColumns]:
     """`temporal.rank_frames` by one sort on (frame, -score, subject, object,
-    predicate) over each pair's kept predicates in probability order."""
+    predicate) over each pair's kept predicates in probability order: each
+    frame's columns."""
     sizes = np.asarray(sizes, dtype=np.intp)
     keep = min(NO_CONSTRAINT_PER_PAIR, probs.shape[1])
     label_scores = np.max(label_dists, axis=1)
@@ -74,8 +70,8 @@ def five_key_rank_frames(probs, subj, obj, label_dists, boxes, sizes) -> list[Ra
     labels = np.argmax(label_dists, axis=1)
     nodes = np.concatenate([starts, [len(node_frame)]]).tolist()
     cuts = np.concatenate([[0], np.cumsum(sizes * (sizes - 1) * keep)]).tolist()
-    return [RankedFrame(subj[a:b], obj[a:b], kept[a:b], scores[a:b], labels[x:y], boxes[x:y],
-                        label_scores[x:y])
+    return [RankedColumns(subj[a:b], obj[a:b], kept[a:b], scores[a:b], labels[x:y], boxes[x:y],
+                          label_scores[x:y])
             for a, b, x, y in zip(cuts[:-1], cuts[1:], nodes[:-1], nodes[1:])]
 
 
@@ -91,7 +87,7 @@ def three_key_topk_links(scores: np.ndarray, rows: np.ndarray, k: int) -> np.nda
 
 def four_key_detection_pass(c, taken=None):
     """`metrics._detection_pass` by a sort on (frame, -score, subject,
-    object) of every corpus, in rank order or not."""
+    object), which the corpus's rows need not already be in."""
     rows = np.flatnonzero(c.rank < FRAME_TRIPLET_CAP)
     order = np.lexsort((c.obj[rows], c.subj[rows], -c.score[rows], c.frame[rows]))
     if taken is not None and (order == np.arange(len(rows))).all():
@@ -307,6 +303,6 @@ def composed_batch_loss(packed, targets, out, lambda_node):
     if use_link:
         weight.append(stsg.training.LINK_WEIGHT * t.link_weight)
     return composed_weighted_loss(np.concatenate(weight), out.relation_logits,
-                                  np.where(t.rel_positive, -1.0, 1.0),
+                                  t.rel_sign,
                                   out.label_logits if use_node else None,
                                   out.gamma if use_link else None, packed.cand_curr)[0]

@@ -232,3 +232,48 @@ def test_benchmark_serving_writes_what_stsg_infer_writes(workloads, tmp_path):
                 assert served["r20"][mode] == metrics["recall@20"]
     # the pass's evaluation reports equal `stsg eval --preds`'s, in order
     assert served["digest"] == digests
+
+
+def test_the_tracer_reads_what_the_package_provides(tracer):
+    # `--trace 1` hands each hooked call's bound arguments and result to an
+    # observer, which reads arguments by name, fields of the served frames
+    # and a few package constants; a break shows here, not only in a
+    # traced run
+    import textwrap
+
+    from conftest import random_sequence
+    from stsg import cli, scene, temporal, training
+    from stsg.config import MODES, Dims
+    from stsg.params import ModelParams
+    from stsg.rng import RngStream
+
+    read = {}
+    for module, attr, _, observe in tracer.HOOKS:
+        owner, name = tracer._resolve(module, attr)
+        if observe is None or not hasattr(owner, name):
+            continue
+        tree = ast.parse(textwrap.dedent(inspect.getsource(observe)))
+        keys = {node.slice.value for node in ast.walk(tree)
+                if isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == "args"
+                and isinstance(node.slice, ast.Constant)}
+        params = inspect.signature(getattr(owner, name)).parameters
+        assert keys <= set(params), f"{module}.{attr} has no {keys - set(params)}"
+        read[f"{module}.{attr}"] = keys
+    assert read["stsg.cli.forward_sequence"] and read["stsg.temporal.aggregate_links"]
+
+    dims = Dims()
+    params = ModelParams.init(dims, seed=0)
+    seq = random_sequence(RngStream(5), dims, n_frames=3)
+    links = 0
+    for mode in MODES:
+        for pred in cli.forward_sequence(seq, params, mode, "sparse", 1):
+            assert len(pred.nodes) == pred.n
+            for node, obj in zip(pred.nodes, seq.frames[0].objects):
+                assert isinstance(scene.iou(node.box, obj.box), float)
+            for link in pred.links:
+                assert 0 <= link.curr_index < pred.n and link.prev_index >= 0
+                links += 1
+            assert len(cli.rank_triplets(pred, constraint=False)) == \
+                pred.n * (pred.n - 1) * min(temporal.NO_CONSTRAINT_PER_PAIR, dims.h)
+    assert links > 0
+    assert isinstance(temporal.DENOM_GUARD, float) and isinstance(training.IOU_MATCH, float)

@@ -2086,14 +2086,15 @@ def _tracked_containers(value) -> int:
 
 def test_a_served_frame_holds_no_container_per_triplet(checkpoint_path, dataset_dir):
     # a frame record of one list per triplet kept ~140 lists alive a frame,
-    # which set off full garbage collections while a split was served
-    from stsg.cli import forward_sequence, to_predictions
-
-    cfg, params, _ = io.load_checkpoint(checkpoint_path)
+    # which set off full garbage collections while a split was served. A
+    # record holds one box list per node; beyond those, a 2-node frame and
+    # the split's largest frame hold as many containers
+    _, params, _ = io.load_checkpoint(checkpoint_path)
     _, seqs = io.load_split(dataset_dir, "val")
-    preds = [p for p in to_predictions(forward_sequence(seqs[0], params, "sgdet", "sparse", 1),
-                                       cfg.dims) if p.n >= 2]
-    pred = max(preds, key=lambda p: len(p.ranked))
-    counts = {len(pred.ranked[:t]): _tracked_containers(io.frame_prediction_to_json(
-        pred, pred.ranked[:t], False)) for t in (0, 1, len(pred.ranked))}
-    assert len(counts) == 3 and len(set(counts.values())) == 1, counts
+    preds = [p for seq in seqs for p in cli.forward_sequence(seq, params, "sgdet", "sparse", 1)]
+    small = next(p for p in preds if p.n == 2)
+    large = max(preds, key=lambda p: p.n)
+    assert len(small.pair_probs) == 2 < len(large.pair_probs)
+    counts = [_tracked_containers(io.frame_prediction_to_json(p, p.ranked, False)) - p.n
+              for p in (small, large)]
+    assert counts[0] == counts[1], counts

@@ -243,7 +243,7 @@ def check_ops(sequences, params, mode, variant, k):
             lambda u, g, t: composed_fuse_link_mean(u, g, t, s["curr"], p.n_nodes),
             leaves(s["updated"], s["gamma_sel"], s["tau"]))
     t = s["targets"]
-    sign = np.where(t.rel_positive, -1.0, 1.0)
+    sign = t.rel_sign
     pieces = [out.relation_logits.data]
     weights = [t.rel_weight]
     if out.label_logits is not None:

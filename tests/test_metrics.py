@@ -7,7 +7,8 @@ import pytest
 
 from conftest import empty_frame, frame_record, random_sequence
 from fixtures import (G, H, _gt, _pred, exhaustive_max_matches, exhaustive_recall_at_k,
-                      match_frame, relation_probs, served_corpus, three_frame_fixture)
+                      match_frame, relation_probs, served_corpus, three_frame_fixture,
+                      triplet_list, triplet_rows)
 from reference_flops import reference_params_flops
 from reference_kernels import five_key_class_aps, four_key_detection_pass
 from stsg.config import MODES, Dims
@@ -19,7 +20,6 @@ from stsg.metrics import (
     _class_aps,
     _detection_pass,
     average_precision_from_flags,
-    constrained_view,
     count_params_flops,
     _flatten,
     _match,
@@ -33,12 +33,6 @@ from stsg.params import ModelParams, model_shapes
 from stsg.rng import RngStream
 from stsg.scene import pairwise_iou
 from stsg.temporal import NO_CONSTRAINT_PER_PAIR, forward_sequence
-
-
-def rows(ranked):
-    """(subject, object, predicate, score) of each ranked triplet, in order."""
-    return list(zip(ranked.subj.tolist(), ranked.obj.tolist(), ranked.predicate.tolist(),
-                    ranked.score.tolist()))
 
 
 def random_frame_eval(rng, n=3, n_gt=2):
@@ -65,9 +59,20 @@ def random_frame_eval(rng, n=3, n_gt=2):
 
 
 def test_constraint_keeps_one_predicate_per_pair():
-    fe = three_frame_fixture()[0]
-    pairs = [(i, j) for i, j, _, _ in rows(constrained_view(fe.ranked))]
-    assert len(pairs) == len(set(pairs))
+    frames = three_frame_fixture()
+    c = _flatten(frames, 10**6, constraint=True)
+    # corpus node indices: a pair's nodes name its frame
+    pairs = list(zip(c.subj.tolist(), c.obj.tolist()))
+    n = [len(fe.ranked.labels) for fe in frames]
+    assert len(pairs) == len(set(pairs)) == sum(k * (k - 1) for k in n)
+
+
+def test_rank_triplets_leaves_the_constraint_to_evaluation():
+    pred = _pred([[0.1, 0.1, 0.2, 0.2], [0.5, 0.5, 0.2, 0.2]], [0, 1], [1.0, 1.0],
+                 np.zeros((2, 2, H)))
+    assert rank_triplets(pred, constraint=False) is pred.ranked
+    with pytest.raises(ContractError, match="evaluation applies the constraint"):
+        rank_triplets(pred, constraint=True)
 
 
 def test_no_constraint_keeps_at_most_six_per_pair():
@@ -78,7 +83,7 @@ def test_no_constraint_keeps_at_most_six_per_pair():
     ranked = rank_triplets(pred, constraint=False)
     from collections import Counter
 
-    counts = Counter((i, j) for i, j, _, _ in rows(ranked))
+    counts = Counter((i, j) for i, j, _, _ in triplet_rows(ranked))
     assert max(counts.values()) <= 6
 
 
@@ -88,7 +93,7 @@ def test_ranking_matches_hand_sort():
     rel[1, 0] = [0.2, 0.8, 0.3]
     pred = _pred([[0.1, 0.1, 0.2, 0.2], [0.5, 0.5, 0.2, 0.2]], [0, 1], [1.0, 0.5], rel)
     ranked = rank_triplets(pred, constraint=False)
-    got = rows(ranked)
+    got = triplet_rows(ranked)
     want = [(0, 1, 0, 0.45), (1, 0, 1, 0.4), (0, 1, 2, 0.25), (1, 0, 2, 0.15),
             (1, 0, 0, 0.1), (0, 1, 1, 0.05)]
     for (gi, gj, gp, gs), (wi, wj, wp, ws) in zip(got, want):
@@ -127,14 +132,24 @@ def test_ranking_matches_loop_reference():
                      [rng.uniform(0.3, 1.0) for _ in range(n)], rel)
         ranked = rank_triplets(pred, constraint=False)
         labels = ranked.labels.tolist()
-        got = [(i, j, labels[i], labels[j], p, s) for i, j, p, s in rows(ranked)]
+        got = [(i, j, labels[i], labels[j], p, s) for i, j, p, s in triplet_rows(ranked)]
         assert got == loop_rank_triplets(pred)
 
 
+def corpus_rows(c, f: int) -> list[tuple]:
+    """(subject, object, predicate, score) of frame f's rows of a corpus,
+    node indices local to the frame."""
+    at, start = c.frame == f, c.node_start[f]
+    return list(zip((c.subj[at] - start).tolist(), (c.obj[at] - start).tolist(),
+                    c.predicate[at].tolist(), c.score[at].tolist()))
+
+
 def test_constraint_ranking_equals_constrained_view():
-    # the with-constraint list is the first triplet of each pair of the
-    # loop reference's list, also where h > 6 cuts each pair's predicates
+    # evaluation's with-constraint lists (`_flatten`) are, frame by frame,
+    # the first triplet of each pair of the loop reference's list, also
+    # where h > 6 cuts each pair's predicates; cut at depth 3, their first 3
     rng = RngStream(61)
+    frames, wants = [], []
     for trial in range(200):
         n, h = 2 + rng.integer(4), 1 + rng.integer(8)
         rel = rng.uniform_array((n, n, h), 0.0, 1.0)
@@ -151,9 +166,12 @@ def test_constraint_ranking_equals_constrained_view():
             if (i, j) not in seen:
                 seen.add((i, j))
                 want.append((i, j, p, score))
-        got = rank_triplets(pred, constraint=True)
-        assert rows(got) == want
-        assert rows(got[:3]) == rows(got)[:3] and len(got[:3]) == min(3, len(got))
+        frames.append(FrameEval(rank_triplets(pred, constraint=False), [], []))
+        wants.append(want)
+    whole, cut = _flatten(frames, 10**6, True), _flatten(frames, 3, True)
+    for f, want in enumerate(wants):
+        assert corpus_rows(whole, f) == want, f
+        assert corpus_rows(cut, f) == want[:3], f
 
 
 def test_ranking_rejects_non_finite_scores():
@@ -187,7 +205,7 @@ def test_served_ranking_matches_loop_reference(mode):
         for pred in preds:
             ranked = rank_triplets(pred, constraint=False)
             labels = ranked.labels.tolist()
-            got = [(i, j, labels[i], labels[j], p, s) for i, j, p, s in rows(ranked)]
+            got = [(i, j, labels[i], labels[j], p, s) for i, j, p, s in triplet_rows(ranked)]
             assert got == loop_rank_triplets(pred)
 
 
@@ -211,9 +229,8 @@ def test_recall_perfect_retrieval():
 
 def test_recall_half_retrieval():
     fe = three_frame_fixture()[0]
-    # keep only the rank-1 prediction
-    clipped = FrameEval(fe.ranked[:1], fe.gt_triplets, fe.gt_objects)
-    assert recall_at_k([clipped], 20, "predcls", constraint=False) == 0.5
+    # read only the rank-1 prediction
+    assert recall_at_k([fe], 1, "predcls", constraint=False) == 0.5
 
 
 def test_sgdet_iou_edge_counts_as_match():
@@ -381,10 +398,9 @@ def loop_evaluate(frames, mode, constraint):
     loops, relation AP over the corpus list sorted by (-score, frame, i, j)."""
     lists = []
     for fe in frames:
-        ranked = constrained_view(fe.ranked) if constraint else fe.ranked
-        labels, boxes = ranked.labels.tolist(), ranked.boxes.tolist()
+        labels, boxes = fe.ranked.labels.tolist(), fe.ranked.boxes.tolist()
         lists.append([(i, j, p, s, labels[i], labels[j], boxes[i], boxes[j])
-                      for i, j, p, s in rows(ranked)])
+                      for i, j, p, s in triplet_rows(fe.ranked, constraint)])
     scored = [(tl, fe) for tl, fe in zip(lists, frames) if fe.gt_triplets]
     report = {"mode": mode, "constraint": constraint}
     for k in RECALL_KS:
@@ -425,13 +441,12 @@ def loop_evaluate(frames, mode, constraint):
     return report
 
 
-def random_corpus(rng, shuffle: bool):
+def random_corpus(rng):
     """Frames of 1-4 gt objects from a small pool of boxes and labels (so
     objects may coincide) and 0-5 detections, each a copy of a random object
     (so several may match one object) with a jittered box and at times a
     wrong label. Every other frame has label scores 1 and probabilities on a
-    0.1 grid, which ties scores within and across frames; with `shuffle` the
-    triplets are out of rank order, as a hand-written prediction file may be."""
+    0.1 grid, which ties scores within and across frames."""
     frames = []
     for f in range(6):
         gt_objects = []
@@ -450,19 +465,16 @@ def random_corpus(rng, shuffle: bool):
         if f % 2:
             rel, label_scores = np.round(rel, 1), [1.0] * n
         ranked = rank_triplets(_pred(boxes, labels, label_scores, rel), constraint=False)
-        if shuffle:
-            ranked = ranked[np.argsort([rng.uniform() for _ in range(len(ranked))])]
         m = len(gt_objects)
         triplets = {(rng.integer(m), rng.integer(m), rng.integer(H)) for _ in range(2 * m)}
         frames.append(FrameEval(ranked, sorted(t for t in triplets if t[0] != t[1]), gt_objects))
     return frames
 
 
-@pytest.mark.parametrize("shuffle", [False, True], ids=["rank-order", "shuffled"])
-def test_evaluate_matches_loop_reference(shuffle):
+def test_evaluate_matches_loop_reference():
     rng = RngStream(63)
     for trial in range(40):
-        frames = random_corpus(rng.split(trial), shuffle)
+        frames = random_corpus(rng.split(trial))
         for mode in ("predcls", "sgcls", "sgdet"):
             for constraint in (False, True):
                 report = evaluate(frames, mode, constraint)
@@ -530,10 +542,10 @@ def test_evaluate_transient_memory_is_bounded(served, constraint):
 
 def test_corpus_matching_equals_per_frame_matching():
     # the corpus-wide join and greedy pass against `match_frame` run frame
-    # by frame, in every mode, on rank-ordered and shuffled lists
+    # by frame on lists built from row tuples, in every mode
     rng = RngStream(64)
     for trial in range(40):
-        frames = random_corpus(rng.split(trial), shuffle=trial % 2 == 1)
+        frames = random_corpus(rng.split(trial))
         for mode in ("predcls", "sgcls", "sgdet"):
             for constraint in (False, True):
                 corpus = _flatten(frames, 10**6, constraint)
@@ -541,8 +553,8 @@ def test_corpus_matching_equals_per_frame_matching():
                 frame = corpus.frame
                 gt_start = np.searchsorted(corpus.gt_frame, np.arange(len(frames)))
                 for f, fe in enumerate(frames):
-                    ranked = constrained_view(fe.ranked) if constraint else fe.ranked
-                    want = match_frame(ranked, fe.gt_triplets, fe.gt_objects, mode)
+                    want = match_frame(triplet_list(fe.ranked, constraint), fe.gt_triplets,
+                                       fe.gt_objects, mode)
                     got = taken[frame == f]
                     np.testing.assert_array_equal(np.where(got >= 0, got - gt_start[f], -1),
                                                   want, err_msg=f"{trial} {mode} {f}")
@@ -553,7 +565,7 @@ def test_greedy_matches_form_a_prefix():
     # cut to k, which is what lets evaluate read every K off one pass
     rng = RngStream(64)
     for trial in range(40):
-        frames = random_corpus(rng.split(trial), shuffle=trial % 2 == 1)
+        frames = random_corpus(rng.split(trial))
         for mode in ("predcls", "sgdet"):
             for constraint in (False, True):
                 deep = _flatten(frames, 10**6, constraint)
@@ -575,12 +587,13 @@ def test_greedy_consumes_the_lowest_free_gt_index():
     rel[0, 2, 0], rel[1, 2, 0] = 0.9, 0.8
     pred = _pred([[0.0625, 0.0, 0.25, 0.25], [0.0, 0.0, 0.25, 0.25], [0.5, 0.5, 0.25, 0.25]],
                  [1, 1, 2], [1.0, 1.0, 1.0], rel)
-    ranked = rank_triplets(pred, constraint=True)
+    ranked = rank_triplets(pred, constraint=False)
     gt = [(0, 2, 0), (1, 2, 0)]
-    assert rows(ranked)[:2] == [(0, 2, 0, 0.9), (1, 2, 0, 0.8)]
-    assert match_frame(ranked, gt, gt_objects, "sgdet")[:2].tolist() == [0, -1]
-    assert recall_at_k([FrameEval(ranked[:2], gt, gt_objects)], 2, "sgdet", True) == 0.5
-    assert exhaustive_max_matches(ranked[:2], gt, gt_objects, "sgdet") == 2
+    top = triplet_list(ranked, True, 2)
+    assert triplet_rows(top) == [(0, 2, 0, 0.9), (1, 2, 0, 0.8)]
+    assert match_frame(top, gt, gt_objects, "sgdet").tolist() == [0, -1]
+    assert recall_at_k([FrameEval(ranked, gt, gt_objects)], 2, "sgdet", True) == 0.5
+    assert exhaustive_max_matches(top, gt, gt_objects, "sgdet") == 2
 
 
 def tie_heavy_corpus():
@@ -622,13 +635,6 @@ def assert_detection_pass_matches_lexsort(frames, label):
 @pytest.mark.parametrize("mode", ["predcls", "sgcls", "sgdet"])
 def test_detection_pass_matches_lexsort_on_served_frames(served, mode):
     assert_detection_pass_matches_lexsort(served[mode], mode)
-
-
-def test_detection_pass_matches_lexsort_on_shuffled_lists():
-    rng = RngStream(67)
-    for trial in range(40):
-        assert_detection_pass_matches_lexsort(random_corpus(rng.split(trial), shuffle=True),
-                                              trial)
 
 
 def test_detection_pass_matches_lexsort_on_tied_scores():

@@ -143,9 +143,9 @@ def test_sgdet_targets_use_iou_matching(dims):
     packed, targets = prepare(seq, "sgdet", "sparse", dims)
     # conftest detections copy gt boxes, so every node matches its own gt
     assert node_identity(seq, packed).tolist() == list(range(len(frame.objects)))
-    assert targets.rel_positive.sum() == len(frame.triplets)
+    assert (targets.rel_sign < 0).sum() == len(frame.triplets)
     n = packed.n_nodes
-    assert len(targets.rel_positive) == (n * n - n) * dims.h
+    assert len(targets.rel_sign) == (n * n - n) * dims.h
 
 
 def test_sgdet_identity_matches_from_half_iou_first_on_ties(dims):
@@ -252,7 +252,7 @@ def test_relation_targets_match_loop_reference(dims):
         for mode in ("predcls", "sgcls", "sgdet"):
             packed = pack(seq, mode, "spatial", dims)
             gt = node_identity(seq, packed)
-            positive = loss_targets(seq, packed, dims.h).rel_positive
+            positive = loss_targets(seq, packed, dims.h).rel_sign < 0
             start = slot = 0
             for frame in seq.frames:
                 nodes = frame_inputs(frame, mode)
@@ -320,8 +320,8 @@ def scattered(reference, packed, g):
     link_weight[reference["link_index"]] = reference["link_weight"]
     for entries in (node_entries, reference["link_index"]):
         assert len(np.unique(entries)) == len(entries)
-    return Targets(rel_positive=reference["rel_positive"], rel_weight=reference["rel_weight"],
-                   node_weight=node_weight, link_weight=link_weight,
+    return Targets(rel_weight=reference["rel_weight"], node_weight=node_weight,
+                   link_weight=link_weight,
                    rel_sign=np.where(reference["rel_positive"], -1.0, 1.0))
 
 
@@ -350,7 +350,7 @@ def test_loss_targets_match_loop_reference(mode, variant):
         packed = pack(seq, mode, variant, dims)
         got = loss_targets(seq, packed, dims.h)
         want = scattered(loop_loss_targets(seq, packed, dims.h), packed, dims.g)
-        for name in ("rel_positive", "rel_weight", "node_weight", "link_weight"):
+        for name in ("rel_sign", "rel_weight", "node_weight", "link_weight"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
 
@@ -882,4 +882,3 @@ def test_joined_data_only_arrays_equal_those_of_the_joined_rows(mode):
         counts = np.bincount(packed.node_frame.ids, minlength=packed.n_frames)
         assert np.array_equal(packed.frame_counts, counts.reshape(-1, 1).astype(np.float64))
         assert packed.frame_counts.dtype == np.float64
-        assert np.array_equal(targets.rel_sign, np.where(targets.rel_positive, -1.0, 1.0))
