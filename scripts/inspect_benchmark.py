@@ -27,11 +27,11 @@ def main() -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
     # the file as written: a detection that repeats its gt object's visual
-    # vector names the object (format version 2)
+    # vector names the object (`det_object`, -1 where it names none)
     body = text.partition(b"\n")[2]
-    detections = [d for line in body.splitlines() if line.strip()
-                  for frame in json.loads(line)["frames"] for d in frame["detections"]]
-    named = sum("object" in d for d in detections)
+    det_object = [i for line in body.splitlines() if line.strip()
+                  for i in json.loads(line)["det_object"]]
+    named = sum(i >= 0 for i in det_object)
     pred_counts = Counter()
     events = np.zeros(len(EVENT_NAMES))
     n_frames = 0
@@ -51,9 +51,9 @@ def main() -> int:
           f"{total} gt triplets")
     print(f"objects/frame mean {np.mean(n_objects):.2f}, "
           f"detections/frame mean {np.mean(n_detections):.2f}")
-    print(f"format version {header.get('version', 1)}, "
+    print(f"format version {header['version']}, "
           f"{len(body) / max(len(seqs), 1):.0f} bytes/sequence, "
-          f"{named / max(len(detections), 1):.3f} of detections name their gt object")
+          f"{named / max(len(det_object), 1):.3f} of detections name their gt object")
     print("\npredicate distribution:")
     for p, name in enumerate(PREDICATE_NAMES):
         share = pred_counts[p] / total if total else 0.0

@@ -2,24 +2,32 @@
 
 Everything is JSON (JSON-lines for per-sequence files, with a header record
 on the first line). Floats serialize through Python's shortest round-trip
-repr, except a predictions frame's pair probabilities, which are written
-as the base64 text of their float64 bytes; either way re-reading an
+repr, except a dataset record's node matrices and a predictions frame's
+pair probabilities, which are written as the base64 text of their
+little-endian float64 bytes (`float64_text`); either way re-reading an
 artifact reproduces the exact values. Artifacts carry the resolved config
 and seed and never embed timestamps, which keeps equal-seed runs
 byte-identical.
 
 Three readers read every field of every input file: `_field`, optionally
-of a JSON kind, `_number_array`, only finite JSON numbers in rows of one
-width, and `_pair_probs_bytes`, only strict base64 text of whole float64
-values (a predictions frame's `pair_probs`). A loader adds its format's
-checks (ranges, distributions, counts, seeds) and locates every error at
-its file and line.
+of a JSON kind, `_number_array`, only JSON numbers of one kind (finite
+numbers, integers or booleans) in rows of one width, and `_float64_rows`,
+only strict base64 text of whole rows of float64 values of one width,
+finite where asked (a dataset record's `gt`, `det` and `det_visual`, a
+predictions frame's `pair_probs`). A loader adds its format's checks
+(ranges, distributions, counts, seeds) and locates every error at its file
+and line.
 
-A dataset file of format version 2 (`DATASET_VERSION`, in its header) writes
-a detection whose visual vector is bit for bit a gt object's of its frame as
-the index of that object (`object`), not as the vector again. A file without
-the version field, in which every detection holds its own vector, loads
-through the same reader to the same sequences.
+A dataset file of format version 3 (`DATASET_VERSION`, in its header)
+holds, per sequence, its frames' object, detection and triplet counts,
+short integer and boolean columns of its gt objects (`labels`, `occluded`,
+`recorded`), its triplets and its detections' gt objects (`det_object`),
+and three node matrices as base64 text: the gt rows whole (`gt`), each
+detection's [box | label dist] (`det`), and the visual vectors of the
+detections that repeat no gt object's vector of their frame
+(`det_visual`); the others name that object in `det_object`, so each
+vector is written once. A file of an earlier version is an error that
+says to regenerate it with `stsg gen`.
 
 A predictions file holds, for each frame, its nodes' boxes, labels and
 label scores and its ordered pairs' predicate probabilities (`pair_probs`,
@@ -51,7 +59,7 @@ import numpy as np
 from .config import EVENT_NAMES, MODES, Dims, RunConfig, parse_config_items
 from .errors import ConfigError, ContractError, DataFormatError
 from .params import ModelParams, model_shapes
-from .scene import SceneSequence, check_boxes, object_nodes, scene_sequence
+from .scene import SceneSequence, check_boxes, scene_sequence
 from .spatial import frame_pairs
 from .temporal import FramePrediction, RankedFrame, frame_offsets, rank_frames
 
@@ -125,10 +133,14 @@ def _field(record, name: str, kind: type | None = None, default=_REQUIRED):
     return value
 
 
-_NUMBER_TYPES = frozenset((int, float))
+# what `_number_array` reads, by kind: the JSON types of an entry, the
+# array's dtype and the entries' name in an error
+_ARRAY_KINDS = {float: (frozenset((int, float)), np.float64, "finite numbers"),
+                int: (frozenset((int,)), np.intp, "integers"),
+                bool: (frozenset((bool,)), np.bool_, "booleans")}
 
 
-def _finite_array(value, width: int) -> np.ndarray | None:
+def _json_array(value, width: int, kind: type = float) -> np.ndarray | None:
     """`_number_array`'s array, or None where it raises."""
     if type(value) is not list:
         return None
@@ -141,30 +153,65 @@ def _finite_array(value, width: int) -> np.ndarray | None:
         # width numbers a row on average, and no row longer: width in each
         if len(numbers) != width * len(value) or max(map(len, value), default=0) > width:
             return None
-    if not _NUMBER_TYPES.issuperset(map(type, numbers)):
+    types, dtype, _ = _ARRAY_KINDS[kind]
+    if not types.issuperset(map(type, numbers)):
         return None
     try:
-        arr = np.array(numbers, dtype=np.float64)
-    except OverflowError:   # an integer beyond the float range
+        arr = np.array(numbers, dtype=dtype)
+    except OverflowError:   # an integer beyond the range of the dtype
         return None
-    if not np.isfinite(arr).all():
+    if kind is float and not np.isfinite(arr).all():
         return None
     return arr if width == 1 else arr.reshape(len(value), width)
 
 
-def _number_array(value, width: int, name: str) -> np.ndarray:
-    """`value`, a list of finite JSON numbers (width 1) or of rows of exactly
-    `width` of them, as a float64 array of shape (rows,) or (rows, width); a
-    bool, a string, a null, a NaN or an infinity is not one. The error names
-    `name` and the first bad entry (for rows, the first bad row), in a repr
-    cut to a few entries, as `_field` does."""
-    arr = _finite_array(value, width)
+def _number_array(value, width: int, name: str, kind: type = float) -> np.ndarray:
+    """`value`, a JSON list of entries of `kind` (width 1) or of rows of
+    exactly `width` of them, as an array of shape (rows,) or (rows, width):
+    float64 of finite numbers (a bool, a string, a null, a NaN or an
+    infinity is not one), intp of integers (a bool is not one) or bool of
+    booleans. The error names `name` and the first bad entry (for rows, the
+    first bad row), in a repr cut to a few entries, as `_field` does."""
+    arr = _json_array(value, width, kind)
     if arr is None:
-        bad = (next((e for e in value if _finite_array([e], width) is None), value)
+        bad = (next((e for e in value if _json_array([e], width, kind) is None), value)
                if type(value) is list else value)
-        raise DataFormatError(f"{name} must be {'' if width == 1 else f'{width} '}finite "
-                              f"numbers, got {reprlib.repr(bad)}")
+        raise DataFormatError(f"{name} must be {'' if width == 1 else f'{width} '}"
+                              f"{_ARRAY_KINDS[kind][2]}, got {reprlib.repr(bad)}")
     return arr
+
+
+def float64_text(values: np.ndarray) -> str:
+    """`values` as a file holds float64 values: the base64 text of their
+    little-endian bytes (`'<f8'`), row by row."""
+    return binascii.b2a_base64(np.ascontiguousarray(values, "<f8"), newline=False).decode("ascii")
+
+
+def _float64_rows(text, name: str, width: int = 1, finite: bool = False) -> np.ndarray:
+    """Field `name`, `float64_text`'s text, as a float64 array of shape
+    (rows,) (width 1) or (rows, width): strict base64 (no character outside
+    its alphabet, padding only at the end) of whole rows of `width`
+    little-endian float64 values, each finite where `finite` is set. The
+    array is a read-only view of the decoded bytes."""
+    if type(text) is not str:
+        raise DataFormatError(f"field {name!r} must be base64 text of float64 values, "
+                              f"got {reprlib.repr(text)}")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as e:   # binascii.Error, or a character beyond ASCII
+        raise DataFormatError(f"field {name!r} must be strict base64 text ({e})") from None
+    if len(raw) % (8 * width):
+        whole = ("whole float64 values, 8 bytes each" if width == 1 else
+                 f"whole rows of {width} float64 values, {8 * width} bytes each")
+        raise DataFormatError(f"field {name!r} must encode {whole}, got {len(raw)} bytes")
+    arr = np.frombuffer(raw, "<f8")
+    if finite:
+        ok = np.isfinite(arr)
+        if not ok.all():
+            k = int(np.argmin(ok))
+            raise DataFormatError(f"field {name!r} must be finite, got {float(arr[k])!r} "
+                                  f"in row {k // width}")
+    return arr if width == 1 else arr.reshape(-1, width)
 
 
 # ---------------------------------------------------------------------------
@@ -172,9 +219,8 @@ def _number_array(value, width: int, name: str) -> np.ndarray:
 
 
 # the format a dataset file is written in; a header without the field is
-# version 1, where every detection holds its own visual vector
-DATASET_VERSION = 2
-_DATASET_VERSIONS = (1, DATASET_VERSION)
+# version 1
+DATASET_VERSION = 3
 
 # how far a label distribution's sum may be from 1; a label score, a
 # distribution's largest entry, may exceed 1 by as much
@@ -192,129 +238,159 @@ def _object_refs(frame, visual: int) -> list[int]:
 
 
 def sequence_to_json(seq: SceneSequence) -> dict:
-    """A dataset record; boxes and vectors are read off the frames' node rows.
-    A detection whose visual vector repeats a gt object's of its frame names
-    the first such object (`object`) in place of the vector (`visual`)."""
-    g = seq.g
-
-    def frame_json(frame) -> dict:
-        return {
-            "objects": [
-                {
-                    "box": row[:4],
-                    "label": o.label,
-                    "visual": row[4 + g:],
-                    "occluded": o.occluded,
-                    "det_label_dist": row[4:4 + g] if o.recorded else None,
-                }
-                for o, row in zip(frame.objects, frame.gt_feats.tolist())
-            ],
-            "triplets": [list(t) for t in frame.triplets],
-            "detections": [
-                {"box": row[:4], "label_dist": row[4:4 + g], "object": i} if i >= 0 else
-                {"box": row[:4], "label_dist": row[4:4 + g], "visual": row[4 + g:]}
-                for row, i in zip(frame.det_feats.tolist(), _object_refs(frame, 4 + g))
-            ],
-        }
-
-    return {"seed": seq.seed, "event_labels": seq.event_labels.tolist(),
-            "frames": [frame_json(frame) for frame in seq.frames]}
-
-
-def _index(value, bound: int, what: str) -> int:
-    if type(value) is not int or not 0 <= value < bound:
-        raise DataFormatError(f"{what} must be an integer in [0, {bound}), got {value!r}")
-    return value
+    """A dataset record (format version 3): per-frame counts, the gt
+    objects' and the triplets' columns, and the node matrices as
+    `float64_text`, written straight from the frames' node rows. `gt` holds
+    the gt rows whole; `det` holds each detection's [box | label dist], and
+    its visual vector is that of the first gt object of its frame whose
+    vector has the same bytes (`det_object`), or, where none has
+    (`det_object` -1), its row of `det_visual`."""
+    frames, visual = seq.frames, 4 + seq.g
+    det = np.concatenate([f.det_feats for f in frames])
+    det_object = [i for f in frames for i in _object_refs(f, visual)]
+    objects = [o for f in frames for o in f.objects]
+    return {
+        "seed": seq.seed,
+        "event_labels": seq.event_labels.tolist(),
+        "n_objects": [len(f.objects) for f in frames],
+        "n_detections": [len(f.detections) for f in frames],
+        "n_triplets": [len(f.triplets) for f in frames],
+        "labels": [o.label for o in objects],
+        "occluded": [o.occluded for o in objects],
+        "recorded": [o.recorded for o in objects],
+        "triplets": [i for f in frames for t in f.triplets for i in t],
+        "det_object": det_object,
+        "gt": float64_text(np.concatenate([f.gt_feats for f in frames])),
+        "det": float64_text(det[:, :visual]),
+        "det_visual": float64_text(det[np.array(det_object, dtype=np.intp) < 0, visual:]),
+    }
 
 
-def _triplet(t, n_objects: int, h: int) -> tuple[int, int, int]:
-    if not (isinstance(t, list) and len(t) == 3):
-        raise DataFormatError(f"a triplet must be [subject, object, predicate], got {t!r}")
-    s, o, p = t
-    if (type(s) is type(o) is type(p) is int
-            and 0 <= s < n_objects and 0 <= o < n_objects and 0 <= p < h and s != o):
-        return s, o, p
-    # the first check that fails names the entry
-    _index(s, n_objects, "triplet subject")
-    _index(o, n_objects, "triplet object")
-    _index(p, h, "triplet predicate")
-    raise DataFormatError(f"triplet {t!r} names object {s} as both subject and object")
+def _check_index(value: int, bound: int, what: str) -> None:
+    if not 0 <= value < bound:
+        raise DataFormatError(f"{what} must be an integer in [0, {bound}), got {value}")
+
+
+def _check_triplet(s: int, o: int, p: int, n_objects: int, h: int) -> None:
+    """Raise the error of the first check of triplet (s, o, p) that fails."""
+    _check_index(s, n_objects, "triplet subject")
+    _check_index(o, n_objects, "triplet object")
+    _check_index(p, h, "triplet predicate")
+    if s == o:
+        raise DataFormatError(f"triplet {[s, o, p]} names object {s} as both subject and "
+                              f"object")
+
+
+def _first_false(ok: np.ndarray) -> int | None:
+    """The index of the first False of the bool array `ok`, None if none is."""
+    return None if ok.all() else int(np.argmin(ok))
+
+
+def _counted(values: np.ndarray, count: int, name: str, what: str) -> np.ndarray:
+    if len(values) != count:
+        raise DataFormatError(f"field {name!r} must hold {count} {what}, got {len(values)}")
+    return values
+
+
+def _distributions(rows: np.ndarray, name: str) -> None:
+    k = _first_false((rows >= 0).all(axis=1) & (np.abs(rows.sum(axis=1) - 1.0) <= _SUM_SLACK))
+    if k is not None:
+        raise DataFormatError(f"row {k} of field {name!r}: the label distribution must be a "
+                              f"probability distribution, got {rows[k].tolist()}")
+
+
+_COUNTS = ("n_objects", "n_detections", "n_triplets")
 
 
 def sequence_from_json(record: dict, path: Path, lineno: int, dims: Dims) -> SceneSequence:
-    """One dataset record, its errors located at `path`:`lineno`. Each numeric
-    field of all its objects or detections is read by one `_number_array`
-    call; label distributions must be distributions, event labels one 0 or 1
-    per event class, labels and triplets in range (`dims`, the frame's
-    objects) and boxes too (`scene_sequence`). A detection holds exactly one
-    of `visual` and `object`, an object of its frame, whose vector it takes
-    from the checked gt rows."""
-    def boxes_and_dists(entries: list, label_dists: list,
-                        label_field: str) -> tuple[np.ndarray, np.ndarray]:
-        dists = _number_array(label_dists, dims.g, f"field {label_field!r}")
-        ok = (dists >= 0).all(axis=1) & (np.abs(dists.sum(axis=1) - 1.0) <= _SUM_SLACK)
-        if not ok.all():
-            raise DataFormatError(f"field {label_field!r} must be a probability distribution, "
-                                  f"got {dists[np.argmin(ok)].tolist()}")
-        return _number_array([_field(e, "box") for e in entries], 4, "field 'box'"), dists
+    """One dataset record (`sequence_to_json`'s), its errors located at
+    `path`:`lineno`, read with checks over whole columns: counts of 0 or
+    more, one of each per frame; as many labels, flags and `gt` rows as
+    objects, labels below g; as many `det` rows and `det_object` entries as
+    detections, each entry -1 or an object of its frame, and a
+    `det_visual` row for each -1; three entries per triplet, its subject
+    and object distinct objects of its frame and its predicate below h;
+    finite node rows whose label distributions are distributions, one-hot
+    at the label where an object records no detector distribution; event
+    labels one 0 or 1 per event class; and every box (`scene_sequence`).
+    The first check that fails raises its error, which names an entry by
+    its place in its column."""
+    g, visual = dims.g, 4 + dims.g
 
-    def visual_array(values: list) -> np.ndarray:
-        return _number_array(values, dims.c, "field 'visual'")
+    def ints(name: str) -> np.ndarray:
+        return _number_array(_field(record, name), 1, f"field {name!r}", int)
 
-    def det_visuals() -> np.ndarray:
-        # each detection's row in [the gt rows' visual vectors, checked already
-        # | the detections' own]; each detection is a JSON object here, as its
-        # label distribution was read
-        own, rows, first = [], [], 0
-        for objects, _, dets in frames:
-            for d in dets:
-                if "object" in d:
-                    if "visual" in d:
-                        raise DataFormatError("a detection must have field 'object' or "
-                                              "field 'visual', not both")
-                    rows.append(first + _index(d["object"], len(objects), "field 'object'"))
-                elif "visual" in d:
-                    rows.append(len(gt_feats) + len(own))
-                    own.append(d["visual"])
-                else:
-                    raise DataFormatError("a detection must have field 'object' or "
-                                          "field 'visual'")
-            first += len(objects)
-        visuals = gt_feats[:, 4 + dims.g:]
-        if own:
-            visuals = np.concatenate([visuals, visual_array(own)])
-        return visuals[rows]
-
-    def gt_object(o: dict) -> tuple:
-        return (_index(_field(o, "label"), dims.g, "object label"),
-                _field(o, "occluded", bool, False),
-                _field(o, "det_label_dist", default=None) is not None)
+    def rows(name: str, width: int, count: int, what: str) -> np.ndarray:
+        return _counted(_float64_rows(_field(record, name), name, width, finite=True),
+                        count, name, f"rows, one per {what}")
 
     with _located(f"{path}:{lineno}"):
-        frames = [(_field(f, "objects", list), _field(f, "triplets", list),
-                   _field(f, "detections", list)) for f in _field(record, "frames", list)]
-        spec = [([gt_object(o) for o in objects],
-                 [_triplet(t, len(objects), dims.h) for t in triplets],
-                 len(dets)) for objects, triplets, dets in frames]
-        objects = [o for objs, _, _ in frames for o in objs]
-        gt = [o for objs, _, _ in spec for o in objs]
-        # the detector's label distribution, or one-hot where none is recorded
-        gt_feats = object_nodes(
-            *boxes_and_dists(objects, [o["det_label_dist"] if recorded
-                                       else [0.0] * label + [1.0] + [0.0] * (dims.g - label - 1)
-                                       for o, (label, _, recorded) in zip(objects, gt)],
-                             "det_label_dist"),
-            visual_array([_field(o, "visual") for o in objects]), dims)
-        dets = [d for _, _, ds in frames for d in ds]
-        det_feats = object_nodes(
-            *boxes_and_dists(dets, [_field(d, "label_dist") for d in dets], "label_dist"),
-            det_visuals(), dims)
+        counts = [ints(name) for name in _COUNTS]
+        if len({len(col) for col in counts}) > 1:
+            raise DataFormatError(f"fields {', '.join(map(repr, _COUNTS))} must hold one count "
+                                  f"per frame, got {', '.join(str(len(c)) for c in counts)}")
+        for name, col in zip(_COUNTS, counts):
+            if (col < 0).any():
+                raise DataFormatError(f"field {name!r} must hold counts of 0 or more, "
+                                      f"got {int(col.min())}")
+        n_objects, n_detections, n_triplets = counts
+        # Python sums: a count near the intp bound would wrap round in numpy's
+        n, d, t = (sum(col.tolist()) for col in counts)
+        labels = _counted(ints("labels"), n, "labels", "labels, one per object")
+        k = _first_false((labels >= 0) & (labels < g))
+        if k is not None:
+            _check_index(int(labels[k]), g, "object label")
+        occluded, recorded = (
+            _counted(_number_array(_field(record, name), 1, f"field {name!r}", bool), n, name,
+                     "flags, one per object") for name in ("occluded", "recorded"))
+        gt = rows("gt", dims.m, n, "object")
+        det = rows("det", visual, d, "detection")
+        # each detection's gt row: its frame's first, plus `det_object`
+        frame = np.arange(len(n_objects))
+        det_frame = np.repeat(frame, n_detections)
+        det_object = _counted(ints("det_object"), d, "det_object", "entries, one per detection")
+        k = _first_false((det_object >= -1) & (det_object < n_objects[det_frame]))
+        if k is not None:
+            raise DataFormatError(f"entry {k} of field 'det_object' must be -1 or an integer in "
+                                  f"[0, {n_objects[det_frame[k]]}), got {det_object[k]}")
+        own = det_object < 0
+        det_visual = rows("det_visual", dims.c, int(own.sum()),
+                          "detection that names no gt object")
+        triplets = _counted(ints("triplets"), 3 * t, "triplets",
+                            "entries, 3 per triplet").reshape(t, 3)
+        bound = n_objects[np.repeat(frame, n_triplets)]
+        s, o, p = triplets.T
+        k = _first_false((s >= 0) & (s < bound) & (o >= 0) & (o < bound) & (p >= 0)
+                         & (p < dims.h) & (s != o))
+        if k is not None:
+            _check_triplet(*triplets[k].tolist(), int(bound[k]), dims.h)
+        _distributions(gt[:, 4:visual], "gt")
+        _distributions(det[:, 4:visual], "det")
+        if not recorded.all():
+            shown = gt[~recorded, 4:visual] == np.eye(g)[labels[~recorded]]
+            k = _first_false(shown.all(axis=1))
+            if k is not None:
+                k = int(np.flatnonzero(~recorded)[k])
+                raise DataFormatError(f"row {k} of field 'gt': an object that records no "
+                                      f"detector distribution must hold its label's one-hot, "
+                                      f"got {gt[k, 4:visual].tolist()}")
+        det_feats = np.empty((d, dims.m))
+        det_feats[:, :visual] = det
+        det_feats[own, visual:] = det_visual
+        starts = np.cumsum(n_objects) - n_objects
+        det_feats[~own, visual:] = gt[(starts[det_frame] + det_object)[~own], visual:]
         events = _number_array(_field(record, "event_labels"), 1, "field 'event_labels'")
-        if len(events) != len(EVENT_NAMES) or not np.isin(events, (0.0, 1.0)).all():
+        if len(events) != len(EVENT_NAMES) or not ((events == 0) | (events == 1)).all():
             raise DataFormatError(f"field 'event_labels' must be {len(EVENT_NAMES)} labels "
                                   f"of 0 or 1, got {events.tolist()}")
-        return scene_sequence(spec, gt_feats, det_feats, dims.g, events,
-                              _field(record, "seed", int))
+        objects = list(zip(labels.tolist(), occluded.tolist(), recorded.tolist()))
+        triplets = list(map(tuple, triplets.tolist()))
+        frames, a, b = [], 0, 0
+        for objs, trips, dets in zip(n_objects.tolist(), n_triplets.tolist(),
+                                     n_detections.tolist()):
+            frames.append((objects[a:a + objs], triplets[b:b + trips], dets))
+            a, b = a + objs, b + trips
+        return scene_sequence(frames, gt, det_feats, g, events, _field(record, "seed", int))
 
 
 def sequence_line(seq: SceneSequence) -> str:
@@ -340,8 +416,9 @@ def write_split(path: Path, cfg: RunConfig, split: str,
 
 
 def load_split(data_dir: str | Path, split: str) -> tuple[dict, list[SceneSequence]]:
-    """A split file's header and sequences, of any format version; a header
-    without the version field is version 1."""
+    """A split file's header and sequences. A file of an earlier format
+    version is an error that says to regenerate it: `stsg gen` with the
+    same config and seed writes the same sequences."""
     if split not in SPLITS:
         raise DataFormatError(f"unknown split {split!r}, expected one of {SPLITS}")
     path = Path(data_dir) / f"{split}.jsonl"
@@ -352,9 +429,12 @@ def load_split(data_dir: str | Path, split: str) -> tuple[dict, list[SceneSequen
     with _located(f"{path}:1"):
         # the dimensions the records were generated with
         version = _field(header, "version", int, 1)
-        if version not in _DATASET_VERSIONS:
-            raise DataFormatError(f"field 'version' must be one of {_DATASET_VERSIONS}, "
-                                  f"got {version}")
+        if version < DATASET_VERSION:
+            raise DataFormatError(f"dataset format version {version} is no longer read; "
+                                  f"regenerate the split with `stsg gen` (the same config and "
+                                  f"seed give the same sequences)")
+        if version != DATASET_VERSION:
+            raise DataFormatError(f"field 'version' must be {DATASET_VERSION}, got {version}")
         dims = runconfig_from_flat(_field(header, "config", dict)).dims
         count = _field(header, "count", int)
     with _collector_paused():   # the records and the sequences built from them hold no cycles
@@ -428,17 +508,11 @@ def write_train_log(path: str | Path, cfg: RunConfig, log: list[dict]) -> None:
 # predictions
 
 
-def pair_probs_text(probs: np.ndarray) -> str:
-    """A frame's pair probabilities as a predictions frame holds them: the
-    base64 text of their little-endian float64 bytes (`'<f8'`), row by row."""
-    return binascii.b2a_base64(np.ascontiguousarray(probs, "<f8"), newline=False).decode("ascii")
-
-
 def frame_prediction_to_json(pred: FramePrediction, ranked: RankedFrame,
                              include_features: bool) -> dict:
     """A predictions frame: its nodes' boxes, labels and label scores, read
     off `ranked`, and `pair_probs`, the frame's `FramePrediction.pair_probs`
-    as one base64 text of n(n - 1) * h float64 values (`pair_probs_text`),
+    as one base64 text of n(n - 1) * h float64 values (`float64_text`),
     pairs in `spatial.frame_pairs` order and the predicate varying fastest.
     A reader ranks them by the rule serving ranks with (`_ranked_frames`),
     so the file lists no triplets."""
@@ -446,7 +520,7 @@ def frame_prediction_to_json(pred: FramePrediction, ranked: RankedFrame,
         "boxes": ranked.boxes.tolist(),
         "labels": ranked.labels.tolist(),
         "label_scores": ranked.label_scores.tolist(),
-        "pair_probs": pair_probs_text(pred.pair_probs),
+        "pair_probs": float64_text(pred.pair_probs),
     }
     if include_features:
         record["label_dists"] = pred.label_dists.tolist()
@@ -461,7 +535,7 @@ def _column(owners: list, name: str, width: int = 1) -> tuple[np.ndarray, list[i
     The error, where there is one, is that of the first owner whose own field
     fails: all of them pass exactly when their rows together do."""
     values = [_field(owner, name) for owner in owners]
-    arr = (_finite_array(list(chain.from_iterable(values)), width)
+    arr = (_json_array(list(chain.from_iterable(values)), width)
            if all(type(value) is list for value in values) else None)
     if arr is None:
         for value in values:
@@ -480,22 +554,6 @@ def _number_text(value: float) -> str:
     return str(int(value)) if value == np.floor(value) and abs(value) < _INTP_END else f"{value:g}"
 
 
-def _pair_probs_bytes(text) -> bytes:
-    """The bytes of a frame's `pair_probs` text: strict base64 (no character
-    outside its alphabet, padding only at the end) of whole float64 values."""
-    if type(text) is not str:
-        raise DataFormatError(f"field 'pair_probs' must be base64 text of float64 values, "
-                              f"got {reprlib.repr(text)}")
-    try:
-        raw = base64.b64decode(text, validate=True)
-    except ValueError as e:   # binascii.Error, or a character beyond ASCII
-        raise DataFormatError(f"field 'pair_probs' must be strict base64 text ({e})") from None
-    if len(raw) % 8:
-        raise DataFormatError(f"field 'pair_probs' must encode whole float64 values, 8 bytes "
-                              f"each, got {len(raw)} bytes")
-    return raw
-
-
 def _ranked_frames(frames: list, g: int, h: int) -> list[RankedFrame]:
     """Check predictions frames all at once, and rank them with one
     `temporal.rank_frames` call, the rule serving ranks a sequence with,
@@ -504,8 +562,8 @@ def _ranked_frames(frames: list, g: int, h: int) -> list[RankedFrame]:
 
     Boxes, labels and label scores must be finite numbers (`_number_array`),
     with a label and a label score per box; pair probabilities must be
-    base64 text of float64 values (`_pair_probs_bytes`), read as one array of
-    all the frames' bytes, n(n - 1) * h of them for a frame of n nodes,
+    base64 text of float64 values (`_float64_rows`), read as one array of
+    all the frames' values, n(n - 1) * h of them for a frame of n nodes,
     each in [0, 1] (a NaN or an infinity is not). Labels must be whole
     numbers below g, label scores in (0, 1] (with the slack a label
     distribution's sum has, `_SUM_SLACK`) and every box a box
@@ -521,9 +579,9 @@ def _ranked_frames(frames: list, g: int, h: int) -> list[RankedFrame]:
         if n_label != nodes or n_score != nodes:
             raise DataFormatError(f"frame has {nodes} boxes but {n_label} labels and "
                                   f"{n_score} label scores")
-    raw = [_pair_probs_bytes(_field(frame, "pair_probs")) for frame in frames]
-    probs = np.frombuffer(b"".join(raw), "<f8")
-    n_probs = [len(b) // 8 for b in raw]
+    per_frame = [_float64_rows(_field(frame, "pair_probs"), "pair_probs") for frame in frames]
+    probs = np.concatenate(per_frame)
+    n_probs = list(map(len, per_frame))
     offsets = frame_offsets(n)
     _, pair_starts, local = offsets
     for nodes, p, count in zip(n, np.diff(pair_starts).tolist(), n_probs):

@@ -9,9 +9,10 @@ A box has a second copy, a tuple of its row's numbers, in its record: a gt
 object record keeps it with its label and two flags, a detection record
 keeps only it.
 
-Rows are assembled from numbers the callers checked (`io` those of a file,
-finite, of the right widths, with label distributions; `synthgen` builds
-them so); `scene_sequence` checks what a scene requires, every box's range.
+Rows come from numbers the callers checked (`io` decodes a file's rows
+whole and checks them finite, of the right widths, with label
+distributions; `synthgen` assembles them with `object_nodes`);
+`scene_sequence` checks what a scene requires, every box's range.
 """
 
 from __future__ import annotations
@@ -24,14 +25,20 @@ from .errors import ContractError
 
 
 def box_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """IoU of (..., 4) arrays of (x, y, w, h) boxes, broadcast against each other."""
-    ix = np.maximum(0.0, np.minimum(a[..., 0] + a[..., 2], b[..., 0] + b[..., 2])
-                    - np.maximum(a[..., 0], b[..., 0]))
-    iy = np.maximum(0.0, np.minimum(a[..., 1] + a[..., 3], b[..., 1] + b[..., 3])
-                    - np.maximum(a[..., 1], b[..., 1]))
+    """IoU of (..., 4) arrays of (x, y, w, h) boxes, broadcast against each
+    other, in [0, 1]. A box spans [x, x + w] as x + w rounds, and both the
+    intersection and the areas are measured on those spans, so a box and
+    itself have IoU exactly 1: against areas of w * h, a span's (x + w) - x
+    left that ratio an ulp either side of 1."""
+    ax1, ay1 = a[..., 0] + a[..., 2], a[..., 1] + a[..., 3]
+    bx1, by1 = b[..., 0] + b[..., 2], b[..., 1] + b[..., 3]
+    ix = np.maximum(0.0, np.minimum(ax1, bx1) - np.maximum(a[..., 0], b[..., 0]))
+    iy = np.maximum(0.0, np.minimum(ay1, by1) - np.maximum(a[..., 1], b[..., 1]))
     inter = ix * iy
-    union = a[..., 2] * a[..., 3] + b[..., 2] * b[..., 3] - inter
-    return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0)
+    union = ((ax1 - a[..., 0]) * (ay1 - a[..., 1]) + (bx1 - b[..., 0]) * (by1 - b[..., 1])
+             - inter)
+    ratio = np.divide(inter, union, out=np.zeros_like(inter), where=union > 0)
+    return np.minimum(ratio, 1.0, out=ratio)
 
 
 def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -429,7 +429,7 @@ class FramePrediction:
     pair_probs: np.ndarray            # (N * (N - 1), H) ordered pairs i != j, in
                                       #      `spatial.frame_pairs` order, the rows
                                       #      `rank_frames` ranks; a predictions file
-                                      #      holds its bytes (`io.pair_probs_text`)
+                                      #      holds its bytes (`io.float64_text`)
     fused: np.ndarray                 # (N, m) spatial + temporal context
     gcn: np.ndarray                   # (N, m) after message passing
     ranked: RankedFrame               # triplets in rank order, sorted on first read

@@ -1,4 +1,6 @@
+import base64
 import json
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -59,25 +61,86 @@ def random_sequence(rng: RngStream, dims: Dims, n_frames: int = 3,
     return scene_sequence(frames, feats, feats.copy(), dims.g, np.zeros(4), rng.seed)
 
 
-def old_layout(record: dict) -> dict:
-    """A dataset record, in place, in the layout of files without a format
-    version: each detection that names its gt object (`object`) holds a copy
-    of that object's `visual` instead, as its last field."""
-    for frame in record["frames"]:
-        for detection in frame["detections"]:
-            if "object" in detection:
-                detection["visual"] = list(frame["objects"][detection.pop("object")]["visual"])
+def _float64s(text: str) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(text), "<f8")
+
+
+def _float64_text(values) -> str:
+    return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode("ascii")
+
+
+def frame_dicts(record: dict, dims: Dims, named: bool = True) -> list[dict]:
+    """A dataset record's frames, decoded one object at a time into dicts:
+    each frame's gt objects (`box`, `label`, `visual`, `occluded`, and
+    `det_label_dist`, None where none is recorded), its triplets as
+    [subject, object, predicate] lists and its detections (`box`,
+    `label_dist`, and `object`, the index of the gt object whose visual
+    vector it repeats, or its own `visual` where it names none or `named`
+    is off)."""
+    g = dims.g
+    objects = zip(_float64s(record["gt"]).reshape(-1, dims.m).tolist(), record["labels"],
+                  record["occluded"], record["recorded"])
+    detections = zip(_float64s(record["det"]).reshape(-1, 4 + g).tolist(), record["det_object"])
+    own = iter(_float64s(record["det_visual"]).reshape(-1, dims.c).tolist())
+    triplets = iter(record["triplets"])
+    frames = []
+    for n, d, t in zip(record["n_objects"], record["n_detections"], record["n_triplets"]):
+        objs = [{"box": row[:4], "label": label, "visual": row[4 + g:], "occluded": occluded,
+                 "det_label_dist": row[4:4 + g] if recorded else None}
+                for row, label, occluded, recorded in islice(objects, n)]
+        dets = []
+        for row, i in islice(detections, d):
+            det = {"box": row[:4], "label_dist": row[4:4 + g]}
+            if i >= 0 and named:
+                det["object"] = i
+            else:
+                det["visual"] = next(own) if i < 0 else list(objs[i]["visual"])
+            dets.append(det)
+        frames.append({"objects": objs, "triplets": [list(islice(triplets, 3)) for _ in range(t)],
+                       "detections": dets})
+    return frames
+
+
+def with_frames(record: dict, frames: list[dict], dims: Dims) -> dict:
+    """`record`, in place, with its frame fields written from `frames`
+    (dicts as `frame_dicts` gives them) as they are, unchecked: a detection
+    with `object` names that object, one with `visual` holds its own; an
+    object whose `det_label_dist` is None holds its label's one-hot."""
+    objects = [o for f in frames for o in f["objects"]]
+    detections = [d for f in frames for d in f["detections"]]
+    one_hot = np.eye(dims.g).tolist()
+    record.update(
+        n_objects=[len(f["objects"]) for f in frames],
+        n_detections=[len(f["detections"]) for f in frames],
+        n_triplets=[len(f["triplets"]) for f in frames],
+        labels=[o["label"] for o in objects],
+        occluded=[o["occluded"] for o in objects],
+        recorded=[o["det_label_dist"] is not None for o in objects],
+        triplets=[i for f in frames for t in f["triplets"] for i in t],
+        det_object=[d.get("object", -1) for d in detections],
+        gt=_float64_text([x for o in objects for x in o["box"] + (
+            one_hot[o["label"]] if o["det_label_dist"] is None else o["det_label_dist"])
+            + o["visual"]]),
+        det=_float64_text([x for d in detections for x in d["box"] + d["label_dist"]]),
+        det_visual=_float64_text([x for d in detections if "object" not in d
+                                  for x in d["visual"]]))
     return record
 
 
-def write_old_layout(src: Path, dest: Path) -> None:
-    """Write the dataset file `src` to `dest` in the layout of files without
-    a format version: no `version` in the header, each record through
-    `old_layout`, as compact as `stsg gen` writes."""
+def write_earlier_version(src: Path, dest: Path, version: int, dims: Dims) -> None:
+    """Write the dataset file `src` to `dest` in an earlier format, as
+    compact as `stsg gen` wrote it: version 1 (no `version` field, each
+    detection with its own `visual`) or 2 (a detection that repeats its gt
+    object's visual vector names it, `object`)."""
     header, *lines = src.read_text().splitlines()
     header = json.loads(header)
-    del header["version"]
-    records = [header] + [old_layout(json.loads(line)) for line in lines]
+    if version == 1:
+        del header["version"]
+    else:
+        header["version"] = version
+    records = [header] + [{"seed": r["seed"], "event_labels": r["event_labels"],
+                           "frames": frame_dicts(r, dims, named=version == 2)}
+                          for r in map(json.loads, lines)]
     dest.write_text("".join(json.dumps(r, separators=(",", ":")) + "\n" for r in records))
 
 

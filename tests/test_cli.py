@@ -13,11 +13,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import old_layout, random_gt_row, write_old_layout
+from conftest import frame_dicts, random_gt_row, with_frames, write_earlier_version
 
 from stsg import cli, io, temporal
 from stsg.cli import main
-from stsg.config import EVENT_NAMES, Dims, load_config, parse_config_items
+from stsg.config import EVENT_NAMES, Dims, WorldConfig, load_config, parse_config_items
 from stsg.errors import ConfigError, ContractError, DataFormatError
 from stsg.params import ModelParams
 from stsg.rng import RngStream
@@ -287,6 +287,47 @@ def test_dataset_roundtrip(dataset_dir):
             assert np.array_equal(fa.gt_feats, fb.gt_feats)
 
 
+def _with_signed_zeros(seq, dims):
+    """`seq` with the first visual entry of its first frame's gt objects 0
+    and -0.0 in turn, and its first detection's visual vector the first
+    object's with the sign of that zero flipped."""
+    gt = np.concatenate([f.gt_feats for f in seq.frames])
+    det = np.concatenate([f.det_feats for f in seq.frames])
+    visual = 4 + dims.g
+    gt[:len(seq.frames[0].objects), visual] = [(-0.0, 0.0)[i % 2]
+                                               for i in range(len(seq.frames[0].objects))]
+    det[0, visual:] = gt[0, visual:]
+    det[0, visual] = 0.0
+    frames = [([(o.label, o.occluded, o.recorded) for o in f.objects], f.triplets,
+               len(f.detections)) for f in seq.frames]
+    return scene_sequence(frames, gt, det, dims.g, seq.event_labels, seq.seed)
+
+
+def test_a_loaded_sequence_is_the_generated_one_bit_for_bit():
+    # the node matrices travel as their float64 bytes: signed zeros and every
+    # last bit come back, and a detection names a gt object only where its
+    # vector has the object's bytes, not merely equal numbers
+    dims = Dims()
+    for seed in range(20):
+        seq = cli._gen_one(dims, WorldConfig(), 7, seed)
+        if seed == 0:
+            seq = _with_signed_zeros(seq, dims)
+            record = io.sequence_to_json(seq)
+            assert record["det_object"][0] == -1
+            assert np.signbit(seq.frames[0].gt_feats[0, 4 + dims.g])
+        line = io.sequence_line(seq)
+        loaded = io.sequence_from_json(json.loads(line), Path("mem"), 2, dims)
+        assert (loaded.seed, loaded.g, loaded.event_labels.tobytes()) == \
+            (seq.seed, seq.g, seq.event_labels.tobytes())
+        assert len(loaded.frames) == len(seq.frames)
+        for a, b in zip(seq.frames, loaded.frames):
+            for name in ("gt_feats", "gt_labels", "det_feats"):
+                x, y = getattr(a, name), getattr(b, name)
+                assert (x.shape, x.dtype, x.tobytes()) == (y.shape, y.dtype, y.tobytes())
+            assert (a.objects, a.triplets, a.detections) == (b.objects, b.triplets, b.detections)
+        assert io.sequence_line(loaded) == line
+
+
 def test_checkpoint_roundtrip_is_exact(checkpoint_path):
     cfg, params, log = io.load_checkpoint(checkpoint_path)
     assert log and "train_loss" in log[0]
@@ -351,7 +392,7 @@ def gt_prediction_records(seqs):
     """Predictions records of each frame's ground truth: its objects' boxes
     and labels, each label of score 1, and each pair's predicate probability
     1 where the pair holds the predicate, 0 elsewhere, written as the package
-    writes them (`io.pair_probs_text`). The records are for a header config
+    writes them (`io.float64_text`). The records are for a header config
     of no items, so of the default h."""
     h = Dims().h
     records = []
@@ -366,7 +407,7 @@ def gt_prediction_records(seqs):
                 "boxes": [list(o.box) for o in frame.objects],
                 "labels": [o.label for o in frame.objects],
                 "label_scores": [1.0] * n,
-                "pair_probs": io.pair_probs_text(probs),
+                "pair_probs": io.float64_text(probs),
             })
         records.append({"seq_seed": seq.seed, "frames": frames})
     return records
@@ -773,11 +814,11 @@ def _pair_probs(value):
 
 def _set_prob(index, value):
     """Set pair probability `index` of a frame, written back by the package's
-    writer (`io.pair_probs_text`)."""
+    writer (`io.float64_text`)."""
     def edit(text):
         probs = _decoded(text)
         probs[index] = value
-        return io.pair_probs_text(probs)
+        return io.float64_text(probs)
     return _pair_probs(edit)
 
 
@@ -785,7 +826,7 @@ def _extend_pair_probs(count):
     """Make a frame's `pair_probs` `count` entries longer (shorter, below 0)."""
     def edit(text):
         probs = _decoded(text)
-        return io.pair_probs_text(probs[:count] if count < 0 else
+        return io.float64_text(probs[:count] if count < 0 else
                                   np.concatenate([probs, np.full(count, 0.5)]))
     return _pair_probs(edit)
 
@@ -905,7 +946,7 @@ def _two_node_frame() -> dict:
     predicate probabilities."""
     return {"boxes": [[0.0, 0.0, 0.5, 0.5], [0.25, 0.25, 0.5, 0.5]], "labels": [0, 1],
             "label_scores": [0.9, 0.8],
-            "pair_probs": io.pair_probs_text(np.array([0.5, 0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 0.0,
+            "pair_probs": io.float64_text(np.array([0.5, 0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 0.0,
                                                        1.0, 0.25, 0.75, 0.125]))}
 
 
@@ -1341,27 +1382,57 @@ def _train(data, tmp_path) -> int:
     return main(["train", "--data", str(data), "--out", str(tmp_path / "m.json"), "--no-val"])
 
 
+# the dims of the tiny benchmark's records
+TINY_DIMS = Dims()
+
+
+def _frames_edit(edit, named=True):
+    """An edit of a dataset record that applies `edit` to its frames, decoded
+    object by object (`frame_dicts`, each detection with its own visual
+    vector unless `named`), and writes them back (`with_frames`)."""
+    def edit_record(record):
+        frames = frame_dicts(record, TINY_DIMS, named)
+        edit(frames)
+        with_frames(record, frames, TINY_DIMS)
+    return edit_record
+
+
+def _float64_field(name, edit):
+    """An edit of a dataset record that applies `edit` to the float64 values
+    of its base64 field `name`, a flat array, and writes back what it returns."""
+    def edit_record(record):
+        values = np.frombuffer(base64.b64decode(record[name]), "<f8").copy()
+        record[name] = io.float64_text(edit(values))
+    return edit_record
+
+
+def _set_value(index, value):
+    def edit(values):
+        values[index] = value
+        return values
+    return edit
+
+
 def test_dataset_header_without_count_is_an_error(tmp_path, dataset_dir, capsys):
     data = _edited_train_split(tmp_path, dataset_dir, 0, lambda header: header.pop("count"))
     assert _train(data, tmp_path) == 1
     assert "missing field 'count'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("box", [None, [0.1, 0.1, 0.2], "0.1 0.1 0.2 0.2"],
-                         ids=["missing", "three-numbers", "string"])
-def test_malformed_dataset_box_is_an_error(tmp_path, dataset_dir, capsys, box):
-    def edit(record):
-        detection = record["frames"][0]["detections"][0]
-        if box is None:
-            del detection["box"]
-        else:
-            detection["box"] = box
-
+# the detections' boxes are the first 4 values of each row of `det`
+@pytest.mark.parametrize("edit, message", [
+    (lambda record: record.pop("det"), "missing field 'det'"),
+    (_float64_field("det", lambda values: values[1:]),
+     "field 'det' must encode whole rows of 12 float64 values, 96 bytes each, got "),
+    (lambda record: record.update(det="0.1 0.1 0.2 0.2"),
+     "field 'det' must be strict base64 text ("),
+], ids=["missing", "three-numbers", "string"])
+def test_malformed_dataset_box_is_an_error(tmp_path, dataset_dir, capsys, edit, message):
     data = _edited_train_split(tmp_path, dataset_dir, 1, edit)
     capsys.readouterr()
     assert _train(data, tmp_path) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "train.jsonl:2" in err and "'box'" in err
+    assert err.startswith(f"error: {data / 'train.jsonl'}:2: {message}"), err
 
 
 @pytest.mark.parametrize("kind, box, message", [
@@ -1373,11 +1444,11 @@ def test_malformed_dataset_box_is_an_error(tmp_path, dataset_dir, capsys, box):
 def test_dataset_box_out_of_range_names_its_line(tmp_path, dataset_dir, capsys, kind, box,
                                                  message):
     # the range check used to end in the bare message, without file or line
-    def edit(record):
-        frame = next(f for f in record["frames"][1:] if f[kind])
+    def edit(frames):
+        frame = next(f for f in frames[1:] if f[kind])
         frame[kind][-1]["box"] = box
 
-    data = _edited_train_split(tmp_path, dataset_dir, 1, edit)
+    data = _edited_train_split(tmp_path, dataset_dir, 1, _frames_edit(edit))
     capsys.readouterr()
     assert _train(data, tmp_path) == 1
     assert capsys.readouterr().err == f"error: {data / 'train.jsonl'}:2: {message}\n"
@@ -1414,10 +1485,10 @@ def test_ground_truth_out_of_range_is_an_error(tmp_path, dataset_dir, capsys, ed
     # predcls one-hot encodes the gt labels and indexes the triplets: without
     # the range check these ended in an IndexError traceback; a self-pair
     # triplet was ignored by the loss and could never be matched
-    def edit_record(record):
-        edit(next(f for f in record["frames"] if f["triplets"]))
+    def edit_frames(frames):
+        edit(next(f for f in frames if f["triplets"]))
 
-    data = _edited_train_split(tmp_path, dataset_dir, 1, edit_record)
+    data = _edited_train_split(tmp_path, dataset_dir, 1, _frames_edit(edit_frames))
     capsys.readouterr()
     assert main(["train", "--data", str(data), "--out", str(tmp_path / "m.json"),
                  "--no-val", "--mode", "predcls"]) == 1
@@ -1426,16 +1497,15 @@ def test_ground_truth_out_of_range_is_an_error(tmp_path, dataset_dir, capsys, ed
 
 
 def test_shape_error_is_an_error(tmp_path, dataset_dir, capsys):
-    # a visual feature that is not a vector fails node encoding with ShapeError
-    def edit(record):
-        detection = old_layout(record)["frames"][0]["detections"][0]
-        detection["visual"] = [detection["visual"]]
-
-    data = _edited_train_split(tmp_path, dataset_dir, 1, edit)
+    # a visual feature that is not a vector failed node encoding with
+    # ShapeError; now the detections' own vectors that are not whole rows
+    data = _edited_train_split(tmp_path, dataset_dir, 1, _float64_field(
+        "det_visual", lambda values: np.append(values, 0.5)))
     capsys.readouterr()
     assert _train(data, tmp_path) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "train.jsonl:2: field 'visual' must be 16 finite numbers, got [[" in err
+    assert err.startswith(f"error: {data / 'train.jsonl'}:2: field 'det_visual' must encode "
+                          f"whole rows of 16 float64 values, 128 bytes each, got "), err
 
 
 def _short_label_dist(detection):
@@ -1447,52 +1517,34 @@ def _label_dist_not_a_distribution(detection):
 
 
 @pytest.mark.parametrize("edit, message", [
-    (_short_label_dist, "field 'label_dist' must be 8 finite numbers, got ["),
+    (_short_label_dist,
+     "field 'det' must encode whole rows of 12 float64 values, 96 bytes each, got "),
     (_label_dist_not_a_distribution,
-     "field 'label_dist' must be a probability distribution, got [0.5, "),
+     "row {row} of field 'det': the label distribution must be a probability distribution, "
+     "got [0.5, "),
 ], ids=["short-label-dist", "not-a-distribution"])
 def test_malformed_detection_labels_are_an_error(tmp_path, dataset_dir, capsys, edit, message):
-    def edit_record(record):
-        frame = next(f for f in record["frames"] if len(f["detections"]) > 1)
-        edit(frame["detections"][0])
+    rows = []
 
-    data = _edited_train_split(tmp_path, dataset_dir, 1, edit_record)
+    def edit_frames(frames):
+        k = next(k for k, f in enumerate(frames) if len(f["detections"]) > 1)
+        rows.append(sum(len(f["detections"]) for f in frames[:k]))
+        edit(frames[k]["detections"][0])
+
+    data = _edited_train_split(tmp_path, dataset_dir, 1, _frames_edit(edit_frames))
     capsys.readouterr()
     assert _train(data, tmp_path) == 1
     err = capsys.readouterr().err
     # located like a gt vector's error: the file and line, then the check
-    assert err.startswith("error: ") and f"train.jsonl:2: {message}" in err
+    assert err.startswith(f"error: {data / 'train.jsonl'}:2: {message.format(row=rows[0])}"), err
 
 
-def _string_in_detection_visual(record):
-    old_layout(record)["frames"][0]["detections"][0]["visual"][0] = "0.25"
+def _infinity_in_detection_visual(frames):
+    next(d for f in frames for d in f["detections"])["visual"][0] = float("inf")
 
 
-def _bool_in_detection_label_dist(record):
-    detection = next(d for f in record["frames"] for d in f["detections"])
-    top = max(range(len(detection["label_dist"])), key=detection["label_dist"].__getitem__)
-    detection["label_dist"] = [i == top for i in range(len(detection["label_dist"]))]
-
-
-def _bool_in_object_visual(record):
-    next(o for f in record["frames"] for o in f["objects"])["visual"][3] = True
-
-
-def _null_in_object_visual(record):
-    record["frames"][-1]["objects"][-1]["visual"][0] = None
-
-
-def _int_beyond_floats_in_object_box(record):
-    record["frames"][0]["objects"][0]["box"][2] = 10 ** 400
-
-
-def _nan_in_object_visual(record):
-    record["frames"][1]["objects"][0]["visual"][0] = float("nan")
-
-
-def _infinity_in_detection_visual(record):
-    next(d for f in old_layout(record)["frames"]
-         for d in f["detections"])["visual"][0] = float("inf")
+def _nan_in_object_visual(frames):
+    frames[1]["objects"][0]["visual"][0] = float("nan")
 
 
 def _set(name, value):
@@ -1501,19 +1553,31 @@ def _set(name, value):
     return edit
 
 
+def _first_entry(name, value):
+    def edit(record):
+        record[name][0] = value
+    return edit
+
+
+# the ids name the number checks of the JSON-number layout; binary text holds
+# no string, boolean or null, so those cases check the base64 fields' kind
+# and text and the integer columns' kind instead, and the NaN and infinity
+# cases the finite check of the node matrices
 @pytest.mark.parametrize("edit, message", [
-    (_string_in_detection_visual, "field 'visual' must be 16 finite numbers, got ['0.25', "),
-    (_bool_in_detection_label_dist, "field 'label_dist' must be 8 finite numbers, got ["),
-    (_bool_in_object_visual, "field 'visual' must be 16 finite numbers, got ["),
-    (_null_in_object_visual, "field 'visual' must be 16 finite numbers, got [None, "),
-    (_int_beyond_floats_in_object_box, "field 'box' must be 4 finite numbers, got ["),
+    (_set("det_visual", "0.25"), "field 'det_visual' must be strict base64 text ("),
+    (_set("det", True), "field 'det' must be base64 text of float64 values, got True"),
+    (_first_entry("labels", True), "field 'labels' must be integers, got True"),
+    (_set("gt", None), "field 'gt' must be base64 text of float64 values, got None"),
+    (_float64_field("gt", _set_value(2, float("inf"))), "field 'gt' must be finite, got inf in "
+                                                        "row 0"),
     (_set("event_labels", ["0", "1", "0", "0"]),
      "field 'event_labels' must be finite numbers, got '0'"),
     (_set("event_labels", [[0, 1]]), "field 'event_labels' must be finite numbers, got [0, 1]"),
     # these loaded: a nan or an infinity then ended in a ranking error with no
     # file or line, six event labels in a traceback from `bank`
-    (_nan_in_object_visual, "field 'visual' must be 16 finite numbers, got [nan, "),
-    (_infinity_in_detection_visual, "field 'visual' must be 16 finite numbers, got [inf, "),
+    (_frames_edit(_nan_in_object_visual), "field 'gt' must be finite, got nan in row "),
+    (_frames_edit(_infinity_in_detection_visual, named=False),
+     "field 'det_visual' must be finite, got inf in row 0"),
     (_set("event_labels", [0, 1, 0, 0, 0, 0]),
      "field 'event_labels' must be 4 labels of 0 or 1, got [0.0, 1.0, 0.0, 0.0, 0.0, 0.0]"),
     (_set("event_labels", [0, 2.5, 0, 0]),
@@ -1534,70 +1598,127 @@ def test_dataset_numbers_are_type_checked(tmp_path, dataset_dir, capsys, edit, m
     capsys.readouterr()
     assert _train(data, tmp_path) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and f"train.jsonl:2: {message}" in err
+    assert err.startswith(f"error: {data / 'train.jsonl'}:2: {message}"), err
 
 
-def test_a_split_in_the_old_layout_loads_to_the_same_sequences(tmp_path, dataset_dir):
-    new_text = (dataset_dir / "train.jsonl").read_text()
-    header, *lines = new_text.splitlines()
-    assert json.loads(header)["version"] == io.DATASET_VERSION == 2
-    detections = [d for line in lines for f in json.loads(line)["frames"] for d in f["detections"]]
-    assert any("object" in d for d in detections) and any("visual" in d for d in detections)
-    old = tmp_path / "old"
-    old.mkdir()
-    write_old_layout(dataset_dir / "train.jsonl", old / "train.jsonl")
-    old_text = (old / "train.jsonl").read_text()
-    assert '"object"' not in old_text and len(old_text) > 1.3 * len(new_text)
-    _, new_seqs = io.load_split(dataset_dir, "train")
-    _, old_seqs = io.load_split(old, "train")
-    assert len(old_seqs) == len(new_seqs) == len(lines)
-    for a, b, line in zip(new_seqs, old_seqs, lines):
-        assert (a.seed, a.g, a.event_labels.tobytes()) == (b.seed, b.g, b.event_labels.tobytes())
-        assert len(a.frames) == len(b.frames)
-        for fa, fb in zip(a.frames, b.frames):
-            for name in ("gt_feats", "gt_labels", "det_feats"):
-                x, y = getattr(fa, name), getattr(fb, name)
-                assert (x.shape, x.dtype, x.tobytes()) == (y.shape, y.dtype, y.tobytes())
-            assert (fa.objects, fa.triplets, fa.detections) == \
-                (fb.objects, fb.triplets, fb.detections)
-        # written again, an old-layout sequence is the new file's line
-        assert io.sequence_line(b) == line + "\n"
+def _drop_last(name):
+    def edit(record):
+        record[name] = record[name][:-1]
+    return edit
 
 
-def _named_detection(record):
-    """A detection of `record` that names its object, and its frame's object count."""
-    return next((d, len(f["objects"])) for f in record["frames"] for d in f["detections"]
-                if "object" in d)
+def _unrecorded_first_object(record):
+    # its row keeps the detector's distribution, not its label's one-hot
+    record["recorded"][0] = False
 
 
+# each column holds one entry per object, detection or triplet, as the
+# per-frame counts give them; these loaded short columns into a traceback
+# or into frames that took another frame's objects
 @pytest.mark.parametrize("edit, message", [
-    (lambda d, n: d.update(object=-1), "field 'object' must be an integer in [0, {n}), got -1"),
-    (lambda d, n: d.update(object=n), "field 'object' must be an integer in [0, {n}), got {n}"),
-    (lambda d, n: d.update(object=0.0), "field 'object' must be an integer in [0, {n}), got 0.0"),
-    (lambda d, n: d.update(object=False),
-     "field 'object' must be an integer in [0, {n}), got False"),
-    (lambda d, n: d.update(visual=[0.0] * 16),
-     "a detection must have field 'object' or field 'visual', not both"),
-    (lambda d, n: d.pop("object"), "a detection must have field 'object' or field 'visual'"),
+    (_drop_last("n_triplets"), "fields 'n_objects', 'n_detections', 'n_triplets' must hold one "
+                               "count per frame, got {f}, {f}, {f1}"),
+    (_first_entry("n_detections", -1), "field 'n_detections' must hold counts of 0 or more, "
+                                       "got -1"),
+    (_drop_last("labels"), "field 'labels' must hold {n} labels, one per object, got {n1}"),
+    (_drop_last("recorded"), "field 'recorded' must hold {n} flags, one per object, got {n1}"),
+    (_float64_field("gt", lambda values: values[:-TINY_DIMS.m]),
+     "field 'gt' must hold {n} rows, one per object, got {n1}"),
+    (_drop_last("det_object"), "field 'det_object' must hold {d} entries, one per detection, "
+                               "got {d1}"),
+    (_drop_last("triplets"), "field 'triplets' must hold {t} entries, 3 per triplet, got {t1}"),
+    (_unrecorded_first_object, "row 0 of field 'gt': an object that records no detector "
+                               "distribution must hold its label's one-hot, got ["),
+], ids=["frame-counts", "negative-count", "labels", "flags", "gt-rows", "det-object",
+        "triplets", "unrecorded-one-hot"])
+def test_dataset_columns_must_match_their_counts(tmp_path, dataset_dir, capsys, edit, message):
+    found = {}
+
+    def edit_record(record):
+        f, n = len(record["n_objects"]), sum(record["n_objects"])
+        d, t = sum(record["n_detections"]), 3 * sum(record["n_triplets"])
+        found.update(f=f, f1=f - 1, n=n, n1=n - 1, d=d, d1=d - 1, t=t, t1=t - 1)
+        edit(record)
+
+    data = _edited_train_split(tmp_path, dataset_dir, 1, edit_record)
+    capsys.readouterr()
+    assert _train(data, tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {data / 'train.jsonl'}:2: {message.format(**found)}"), err
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_a_split_of_an_earlier_version_is_an_error(tmp_path, dataset_dir, capsys, version):
+    # these loaded through a second reader; the same config and seed give
+    # the same sequences, so a file of an earlier version is regenerated
+    header, *lines = (dataset_dir / "train.jsonl").read_text().splitlines()
+    assert json.loads(header)["version"] == io.DATASET_VERSION == 3
+    data = tmp_path / "old"
+    data.mkdir()
+    write_earlier_version(dataset_dir / "train.jsonl", data / "train.jsonl", version, TINY_DIMS)
+    records = [json.loads(line) for line in (data / "train.jsonl").read_text().splitlines()[1:]]
+    assert len(records) == len(lines) and all("frames" in r and "gt" not in r for r in records)
+    capsys.readouterr()
+    assert _train(data, tmp_path) == 1
+    assert capsys.readouterr().err == (
+        f"error: {data / 'train.jsonl'}:1: dataset format version {version} is no longer read; "
+        f"regenerate the split with `stsg gen` (the same config and seed give the same "
+        f"sequences)\n")
+
+
+def _named_detection(record) -> tuple[int, int]:
+    """The index of a detection of `record` that names its object, and its
+    frame's object count."""
+    frame = np.repeat(np.arange(len(record["n_objects"])), record["n_detections"])
+    k = next(k for k, i in enumerate(record["det_object"]) if i >= 0)
+    return k, record["n_objects"][frame[k]]
+
+
+_add_visual_row = _float64_field("det_visual", lambda values: np.append(values,
+                                                                        np.zeros(TINY_DIMS.c)))
+
+
+def _own_rows(record) -> int:
+    return sum(i < 0 for i in record["det_object"])
+
+
+# the ids name the cases of a detection's `object` and `visual` fields: a
+# detection that names its object and holds its vector too ("both") is a
+# `det_visual` row too many, one that does neither a row too few
+@pytest.mark.parametrize("edit, message", [
+    (lambda r, k, n: r["det_object"].__setitem__(k, -2),
+     "entry {k} of field 'det_object' must be -1 or an integer in [0, {n}), got -2"),
+    (lambda r, k, n: r["det_object"].__setitem__(k, n),
+     "entry {k} of field 'det_object' must be -1 or an integer in [0, {n}), got {n}"),
+    (lambda r, k, n: r["det_object"].__setitem__(k, 0.0),
+     "field 'det_object' must be integers, got 0.0"),
+    (lambda r, k, n: r["det_object"].__setitem__(k, False),
+     "field 'det_object' must be integers, got False"),
+    (lambda r, k, n: _add_visual_row(r),
+     "field 'det_visual' must hold {own} rows, one per detection that names no gt object, "
+     "got {more}"),
+    (lambda r, k, n: r["det_object"].__setitem__(k, -1),
+     "field 'det_visual' must hold {more} rows, one per detection that names no gt object, "
+     "got {own}"),
 ], ids=["negative", "object-count", "float", "bool", "both", "neither"])
 def test_a_detection_names_one_object_of_its_frame(tmp_path, dataset_dir, capsys, edit,
                                                    message):
-    count = []
+    found = {}
 
     def edit_record(record):
-        detection, n = _named_detection(record)
-        count.append(n)
-        edit(detection, n)
+        k, n = _named_detection(record)
+        found.update(k=k, n=n, own=_own_rows(record), more=_own_rows(record) + 1)
+        edit(record, k, n)
 
     data = _edited_train_split(tmp_path, dataset_dir, 1, edit_record)
     capsys.readouterr()
     assert _train(data, tmp_path) == 1
     assert capsys.readouterr().err == \
-        f"error: {data / 'train.jsonl'}:2: {message.format(n=count[0])}\n"
+        f"error: {data / 'train.jsonl'}:2: {message.format(**found)}\n"
 
 
 @pytest.mark.parametrize("version, message", [
-    (3, "field 'version' must be one of (1, 2), got 3"),
+    (4, "field 'version' must be 3, got 4"),
     ("2", "field 'version' must be an integer, got '2'"),
 ], ids=["unknown", "string"])
 def test_a_split_of_an_unknown_version_is_an_error(tmp_path, dataset_dir, capsys, version,
@@ -1609,26 +1730,15 @@ def test_a_split_of_an_unknown_version_is_an_error(tmp_path, dataset_dir, capsys
     assert capsys.readouterr().err == f"error: {data / 'train.jsonl'}:1: {message}\n"
 
 
-def _first_frame(name, value):
-    def edit(record):
-        record["frames"][0][name] = value
-    return edit
-
-
-def _occluded(value):
-    def edit(record):
-        record["frames"][0]["objects"][0]["occluded"] = value
-    return edit
-
-
 # a list field that is a number ended in a TypeError traceback; "no" loaded
-# as occluded
+# as occluded. The ids name the fields of the layout with frame objects:
+# each case sets the column that holds what that field held
 @pytest.mark.parametrize("edit, message", [
-    (_set("frames", 5), "field 'frames' must be a list, got 5"),
-    (_first_frame("objects", 5), "field 'objects' must be a list, got 5"),
-    (_first_frame("triplets", 5), "field 'triplets' must be a list, got 5"),
-    (_first_frame("detections", 5), "field 'detections' must be a list, got 5"),
-    (_occluded("no"), "field 'occluded' must be a boolean, got 'no'"),
+    (_set("n_objects", 5), "field 'n_objects' must be integers, got 5"),
+    (_set("labels", 5), "field 'labels' must be integers, got 5"),
+    (_set("triplets", 5), "field 'triplets' must be integers, got 5"),
+    (_set("det_object", 5), "field 'det_object' must be integers, got 5"),
+    (_first_entry("occluded", "no"), "field 'occluded' must be booleans, got 'no'"),
 ], ids=["frames", "objects", "triplets", "detections", "occluded"])
 def test_dataset_fields_are_kind_checked(tmp_path, checkpoint_path, dataset_dir, capsys, edit,
                                          message):
@@ -1722,18 +1832,24 @@ def test_a_split_header_config_number_must_be_finite(tmp_path, dataset_dir, caps
 
 
 def _one_detection_record(label_dist) -> dict:
-    return {"seed": 0, "event_labels": [0, 0, 0, 0],
-            "frames": [{"objects": [], "triplets": [], "detections": [
-                {"box": [0, 0, 0.1, 0.1], "label_dist": label_dist, "visual": [0.0]}]}]}
+    """A record of one frame with no gt object and one detection of a
+    label distribution over g = 2 classes and a visual vector of c = 1."""
+    return {"seed": 0, "event_labels": [0, 0, 0, 0], "n_objects": [0], "n_detections": [1],
+            "n_triplets": [0], "labels": [], "occluded": [], "recorded": [], "triplets": [],
+            "det_object": [-1], "gt": "",
+            "det": io.float64_text(np.concatenate([[0, 0, 0.1, 0.1], np.ravel(label_dist)])),
+            "det_visual": io.float64_text(np.zeros(1))}
 
 
 def test_load_rejects_a_bad_label_distribution():
     dims = Dims(g=2, c=1)
     with pytest.raises(DataFormatError, match="must be a probability distribution"):
         io.sequence_from_json(_one_detection_record([0.7, 0.7]), Path("d.jsonl"), 2, dims)
-    with pytest.raises(DataFormatError, match="must be 2 finite numbers"):
-        io.sequence_from_json(_one_detection_record((np.ones((2, 2)) / 4).tolist()),
-                              Path("d.jsonl"), 2, dims)
+    with pytest.raises(DataFormatError, match="must encode whole rows of 6 float64 values"):
+        io.sequence_from_json(_one_detection_record(np.ones((2, 2)) / 4), Path("d.jsonl"), 2,
+                              dims)
+    # the record as built loads
+    io.sequence_from_json(_one_detection_record([0.25, 0.75]), Path("d.jsonl"), 2, dims)
 
 
 def _short_visual(obj):
@@ -1754,20 +1870,22 @@ def _negative_det_label_dist(obj):
 
 @pytest.mark.parametrize("mode", ["predcls", "sgcls", "sgdet"])
 @pytest.mark.parametrize("edit, message", [
-    (_short_visual, "field 'visual' must be 16 finite numbers, got ["),
-    (_long_det_label_dist, "field 'det_label_dist' must be 8 finite numbers, got ["),
-    (_det_label_dist_not_a_distribution,
-     "field 'det_label_dist' must be a probability distribution, got [0.5, "),
-    (_negative_det_label_dist,
-     "field 'det_label_dist' must be a probability distribution, got [1.5, -0.5, "),
+    (_short_visual, "field 'gt' must encode whole rows of 28 float64 values, 224 bytes each, "
+                    "got "),
+    (_long_det_label_dist, "field 'gt' must encode whole rows of 28 float64 values, 224 bytes "
+                           "each, got "),
+    (_det_label_dist_not_a_distribution, "of field 'gt': the label distribution must be a "
+                                         "probability distribution, got [0.5, "),
+    (_negative_det_label_dist, "of field 'gt': the label distribution must be a probability "
+                               "distribution, got [1.5, -0.5, "),
 ], ids=["short-visual", "long-det-label-dist", "not-a-distribution", "negative"])
 def test_malformed_gt_vector_is_an_error_at_load(tmp_path, dataset_dir, capsys, edit, message,
                                                  mode):
     # every mode loads the whole record, so every mode rejects it, at its line
-    def edit_record(record):
-        edit(record["frames"][2]["objects"][1])
+    def edit_frames(frames):
+        edit(frames[2]["objects"][1])
 
-    data = _edited_train_split(tmp_path, dataset_dir, 1, edit_record)
+    data = _edited_train_split(tmp_path, dataset_dir, 1, _frames_edit(edit_frames))
     capsys.readouterr()
     assert main(["train", "--data", str(data), "--out", str(tmp_path / "m.json"),
                  "--no-val", "--mode", mode]) == 1

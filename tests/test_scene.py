@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import frame_record
-from stsg.config import Dims
+from stsg.config import Dims, WorldConfig
 from stsg.errors import ContractError, ShapeError
 from stsg.scene import SceneSequence, iou, object_nodes, pairwise_iou, scene_sequence
+from stsg.synthgen import generate_scene
 from stsg.temporal import pack
 
 
@@ -137,8 +138,23 @@ def test_pairwise_iou_matches_scalar_arithmetic():
             ix = max(0.0, min(ax + aw, bx + bw) - max(ax, bx))
             iy = max(0.0, min(ay + ah, by + bh) - max(ay, by))
             inter = ix * iy
-            assert got[i, j] == inter / (aw * ah + bw * bh - inter)
+            # each area on the box's spans, x to x + w as it rounds
+            area_a = ((ax + aw) - ax) * ((ay + ah) - ay)
+            area_b = ((bx + bw) - bx) * ((by + bh) - by)
+            assert got[i, j] == min(1.0, inter / (area_a + area_b - inter))
             assert iou(a[i], b[j]) == got[i, j]
+
+
+def test_a_box_overlaps_itself_by_exactly_one():
+    # (x + w) - x need not round to w: scene.iou(b, b) read 1.0000000000000004
+    # for a generated gt box
+    dims = Dims()
+    for seed in range(20):
+        for frame in generate_scene(dims, WorldConfig(), seed).frames:
+            for boxes in (frame.gt_feats[:, :4], frame.det_feats[:, :4]):
+                ious = pairwise_iou(boxes, boxes)
+                assert (np.diag(ious) == 1.0).all()
+                assert ((ious >= 0.0) & (ious <= 1.0)).all()
 
 
 def test_gt_object_as_node_uses_requested_labels():

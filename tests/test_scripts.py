@@ -6,9 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-from conftest import write_old_layout
+import pytest
+from conftest import write_earlier_version
 
 from stsg.cli import main
+from stsg.config import Dims
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -36,17 +38,26 @@ def test_inspect_benchmark_summarises_a_generated_split(tmp_path):
     assert proc.stdout.startswith("test: 3 sequences, 24 frames, ")
     assert "predicate distribution:" in proc.stdout and "event distribution:" in proc.stdout
     lines = (data / "test.jsonl").read_text().splitlines()[1:]
-    detections = [d for line in lines for f in json.loads(line)["frames"] for d in f["detections"]]
-    named = sum("object" in d for d in detections) / len(detections)
+    det_object = [i for line in lines for i in json.loads(line)["det_object"]]
+    named = sum(i >= 0 for i in det_object) / len(det_object)
     size = sum(len(line) + 1 for line in lines) / 3
     assert 0.5 < named < 1.0
-    assert proc.stdout.splitlines()[2] == (f"format version 2, {size:.0f} bytes/sequence, "
+    assert proc.stdout.splitlines()[2] == (f"format version 3, {size:.0f} bytes/sequence, "
                                            f"{named:.3f} of detections name their gt object")
-    # a file in the old layout: every detection holds its own vector
-    write_old_layout(data / "test.jsonl", data / "test.jsonl")
-    line = _inspect(data, "test").stdout.splitlines()[2]
-    assert line.startswith("format version 1, ") and line.endswith(" 0.000 of detections name "
-                                                                    "their gt object")
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_inspect_benchmark_reports_a_split_of_an_earlier_version(tmp_path, version):
+    # a version-2 file ended in a KeyError traceback once the script read
+    # the raw lines of version 3
+    data = _tiny_split(tmp_path)
+    path = data / "test.jsonl"
+    write_earlier_version(path, path, version, Dims())
+    proc = _inspect(data, "test")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == (f"error: {path}:1: dataset format version {version} is no longer "
+                           f"read; regenerate the split with `stsg gen` (the same config and "
+                           f"seed give the same sequences)\n")
 
 
 def test_inspect_benchmark_reports_a_missing_split(tmp_path):
@@ -63,8 +74,7 @@ def test_inspect_benchmark_summarises_a_split_without_triplets(tmp_path):
     header, *records = path.read_text().splitlines()
     records = [json.loads(line) for line in records]
     for record in records:
-        for frame in record["frames"]:
-            frame["triplets"] = []
+        record.update(triplets=[], n_triplets=[0] * len(record["n_triplets"]))
     path.write_text("\n".join([header, *map(json.dumps, records)]) + "\n")
     proc = _inspect(data, "test")
     assert proc.returncode == 0, proc.stderr

@@ -331,13 +331,14 @@ def test_detection_rows_equal_per_node_encoding():
 
 
 # sha256 of train/val/test.jsonl written by `stsg gen --seed 7` with 5/1/3
-# sequences, in dataset format version 2; the version-1 files, whose
-# sequences load to the same bytes, were b913255831fb.., 1ea460e2891a.. and
+# sequences, in dataset format version 3. The files of earlier versions held
+# the same sequences: version 2 5365bea90288.., 059080706f32.. and
+# ad722061e72c..; version 1 b913255831fb.., 1ea460e2891a.. and
 # acee4139887a..
 GOLDEN_GEN = {
-    "train.jsonl": "5365bea902882285295a47dbcf75a7f4134b26e4c4b9d6f5165fe03f50e96ca6",
-    "val.jsonl": "059080706f32b6811198a7a4497da5c34a0ca0cd44cf08952b774991b34fd967",
-    "test.jsonl": "ad722061e72c1694ca1fcea156d85c4cd5d08e2b30c26c81abde04cb230d1b34",
+    "train.jsonl": "4ca5fa456060212afe41d8b2ab6dea2f0af6a117b9bf83cbf20ff12aa09329f5",
+    "val.jsonl": "7d58f7248a0d5316567d13bbc2bf0a4c4b14d7715245ede8d95eb099db128017",
+    "test.jsonl": "caa03592bed5ce796fad4ca3b127f839bb37bf0016b1380d7427610747a66f7f",
 }
 
 
@@ -354,7 +355,8 @@ def test_gen_output_matches_golden_digest(tmp_path):
 def test_default_lines_write_each_visual_vector_once():
     # a detection of a gt object carries that object's visual vector, which a
     # line writes once, as the object's: the first 20 seed-7 train lines
-    # averaged 42.6 KB when each detection wrote it again, 29.7 KB now
+    # averaged 42.6 KB when each detection wrote it again, 29.7 KB with the
+    # vectors as JSON numbers, 20.2 KB as base64 text
     lines = [sequence_line(generate_scene(DIMS, WorldConfig(), 7_000_000 + i))
              for i in range(20)]
     assert sum(map(len, lines)) / len(lines) <= 31_000

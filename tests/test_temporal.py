@@ -13,10 +13,11 @@ from conftest import (
     empty_frame,
     encode_frame,
     frame_pair_links,
+    frame_dicts,
     frame_record,
-    old_layout,
     random_sequence,
     select_no_links,
+    with_frames,
     zero_params,
 )
 from fixtures import pair_grid, relation_probs
@@ -393,18 +394,22 @@ def reference_rows(frame: dict, mode: str, dims) -> np.ndarray:
     return np.array(rows, dtype=np.float64).reshape(-1, dims.m)
 
 
-def edited_record(seq, dims) -> dict:
-    """A generated sequence's record, in the layout where each detection
-    holds its own visual vector (`old_layout`), with frame 1 emptied, frame
-    3 cut to one object and one detection, and frame 2's first object
+def edited_frames(seq, dims) -> list[dict]:
+    """A generated sequence's record decoded into frames (`frame_dicts`),
+    each detection holding its own visual vector, with frame 1 emptied,
+    frame 3 cut to one object and one detection, and frame 2's first object
     recording no detector distribution."""
-    record = old_layout(sequence_to_json(seq))
-    frames = record["frames"]
+    frames = frame_dicts(sequence_to_json(seq), dims, named=False)
     frames[1] = {"objects": [], "triplets": [], "detections": []}
     frames[3].update(objects=frames[3]["objects"][:1], triplets=[],
                      detections=frames[3]["detections"][:1])
     frames[2]["objects"][0]["det_label_dist"] = None
-    return record
+    return frames
+
+
+def edited_record(seq, dims) -> dict:
+    """A generated sequence's record with its frames edited (`edited_frames`)."""
+    return with_frames(sequence_to_json(seq), edited_frames(seq, dims), dims)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -415,10 +420,9 @@ def test_packed_nodes_equal_the_frames_encoded_one_by_one(dims, mode):
     # frame and an object without a detector distribution
     for seed in range(5):
         seq = generate_scene(dims, WorldConfig(), seed)
-        record = edited_record(seq, dims)
-        loaded = sequence_from_json(record, Path("edited.jsonl"), 2, dims)
-        for sequence, frames in ((seq, old_layout(sequence_to_json(seq))["frames"]),
-                                 (loaded, record["frames"])):
+        loaded = sequence_from_json(edited_record(seq, dims), Path("edited.jsonl"), 2, dims)
+        for sequence, frames in ((seq, frame_dicts(sequence_to_json(seq), dims, named=False)),
+                                 (loaded, edited_frames(seq, dims))):
             packed = pack(sequence, mode, "sparse", dims)
             want = [reference_rows(frame, mode, dims) for frame in frames]
             assert packed.sizes.tolist() == [len(rows) for rows in want]
