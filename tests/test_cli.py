@@ -288,8 +288,8 @@ def test_dataset_roundtrip(dataset_dir):
 
 
 def _with_signed_zeros(seq, dims):
-    """`seq` with the first visual entry of its first frame's gt objects 0
-    and -0.0 in turn, and its first detection's visual vector the first
+    """`seq` with the first visual entry of its first frame's gt objects
+    -0.0 and 0.0 in turn, and its first detection's visual vector the first
     object's with the sign of that zero flipped."""
     gt = np.concatenate([f.gt_feats for f in seq.frames])
     det = np.concatenate([f.det_feats for f in seq.frames])
@@ -827,7 +827,7 @@ def _extend_pair_probs(count):
     def edit(text):
         probs = _decoded(text)
         return io.float64_text(probs[:count] if count < 0 else
-                                  np.concatenate([probs, np.full(count, 0.5)]))
+                               np.concatenate([probs, np.full(count, 0.5)]))
     return _pair_probs(edit)
 
 
@@ -947,7 +947,7 @@ def _two_node_frame() -> dict:
     return {"boxes": [[0.0, 0.0, 0.5, 0.5], [0.25, 0.25, 0.5, 0.5]], "labels": [0, 1],
             "label_scores": [0.9, 0.8],
             "pair_probs": io.float64_text(np.array([0.5, 0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 0.0,
-                                                       1.0, 0.25, 0.75, 0.125]))}
+                                                    1.0, 0.25, 0.75, 0.125]))}
 
 
 # a frame with one probability too many, a label beyond the intp range and
