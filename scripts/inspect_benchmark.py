@@ -4,7 +4,6 @@
 import argparse
 import json
 import sys
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -32,22 +31,16 @@ def main() -> int:
     det_object = [i for line in body.splitlines() if line.strip()
                   for i in json.loads(line)["det_object"]]
     named = sum(i >= 0 for i in det_object)
-    pred_counts = Counter()
     events = np.zeros(len(EVENT_NAMES))
-    n_frames = 0
-    n_objects = []
-    n_detections = []
     for seq in seqs:
         events += seq.event_labels
-        for frame in seq.frames:
-            n_frames += 1
-            n_objects.append(len(frame.objects))
-            n_detections.append(len(frame.detections))
-            for (_, _, p) in frame.triplets:
-                pred_counts[p] += 1
+    n_objects, n_detections = (np.concatenate([getattr(seq, name) for seq in seqs])
+                               for name in ("n_objects", "n_detections"))
+    pred_counts = np.bincount(np.concatenate([seq.triplets[:, 2] for seq in seqs]),
+                              minlength=len(PREDICATE_NAMES))
 
-    total = sum(pred_counts.values())
-    print(f"{args.split}: {len(seqs)} sequences, {n_frames} frames, "
+    total = int(pred_counts.sum())
+    print(f"{args.split}: {len(seqs)} sequences, {len(n_objects)} frames, "
           f"{total} gt triplets")
     print(f"objects/frame mean {np.mean(n_objects):.2f}, "
           f"detections/frame mean {np.mean(n_detections):.2f}")

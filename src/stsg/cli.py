@@ -160,7 +160,7 @@ def to_predictions(frames: list[FramePrediction], dims: Dims) -> list[FramePredi
 
 def _frame_evals(sequences, ranked) -> list[FrameEval]:
     """One FrameEval per frame; `ranked` holds each sequence's ranked frames."""
-    return [FrameEval(r, list(frame.triplets), list(frame.objects))
+    return [FrameEval(r, frame.triplets, frame.objects)
             for seq, seq_ranked in zip(sequences, ranked)
             for r, frame in zip(seq_ranked, seq.frames)]
 

@@ -15,6 +15,11 @@ CLASS_NAMES = ("agent", "cup", "plate", "book", "phone", "box", "bottle", "toy")
 PREDICATE_NAMES = ("near", "holding", "above", "beneath", "approaching", "releasing")
 EVENT_NAMES = ("pick_up", "put_down", "carry", "swap")
 
+# the most gt objects or detections a frame may hold: pair work grows with
+# the square of a frame's nodes, so a frame of a few thousand would ask
+# for gigabytes in its first pair layer
+MAX_FRAME_NODES = 64
+
 
 @dataclass(frozen=True)
 class Dims:
@@ -76,6 +81,12 @@ class WorldConfig:
         if dims.g < 2:
             raise ConfigError("dims.g: world needs one agent class plus object classes")
         self.noise.validate()
+        # a frame detects at most its objects plus ceil(false_positive_rate)
+        # false positives, and n + ceil(r) > M exactly when n + r > M
+        if self.n_objects_max + self.noise.false_positive_rate > MAX_FRAME_NODES:
+            raise ConfigError(f"world.n_objects_max: a frame may hold at most {MAX_FRAME_NODES} "
+                              f"detections, but world.n_objects_max + noise.false_positive_rate "
+                              f"is {self.n_objects_max} + {self.noise.false_positive_rate:g}")
 
 
 @dataclass(frozen=True)

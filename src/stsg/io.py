@@ -26,8 +26,12 @@ and three node matrices as base64 text: the gt rows whole (`gt`), each
 detection's [box | label dist] (`det`), and the visual vectors of the
 detections that repeat no gt object's vector of their frame
 (`det_visual`); the others name that object in `det_object`, so each
-vector is written once. A file of an earlier version is an error that
-says to regenerate it with `stsg gen`.
+vector is written once. These are the sequence's own columns
+(`scene.SceneSequence`): a writer reads them and a reader hands them to
+`scene.scene_sequence`, with no per-frame or per-object step. A frame of
+more than `config.MAX_FRAME_NODES` objects or detections is an error, and
+so is a file of an earlier version, which says to regenerate it with
+`stsg gen`.
 
 A predictions file holds, for each frame, its nodes' boxes, labels and
 label scores and its ordered pairs' predicate probabilities (`pair_probs`,
@@ -56,7 +60,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import EVENT_NAMES, MODES, Dims, RunConfig, parse_config_items
+from .config import EVENT_NAMES, MAX_FRAME_NODES, MODES, Dims, RunConfig, parse_config_items
 from .errors import ConfigError, ContractError, DataFormatError
 from .params import ModelParams, model_shapes
 from .scene import SceneSequence, check_boxes, scene_sequence
@@ -227,42 +231,42 @@ DATASET_VERSION = 3
 _SUM_SLACK = 1e-9
 
 
-def _object_refs(frame, visual: int) -> list[int]:
-    """Each detection's first gt object of `frame` whose visual vector (its
-    row from column `visual` on) has the same bytes as its own, -1 where none
-    has: bytes, so that a row gathered by the index is the row itself."""
-    width = (frame.gt_feats.shape[1] - visual) * frame.gt_feats.itemsize
-    gt, det = (feats[:, visual:].tobytes() for feats in (frame.gt_feats, frame.det_feats))
-    first = {gt[i * width:(i + 1) * width]: i for i in reversed(range(len(frame.gt_feats)))}
-    return [first.get(det[k * width:(k + 1) * width], -1) for k in range(len(frame.det_feats))]
+def _object_refs(seq: SceneSequence, visual: int) -> np.ndarray:
+    """Each detection's first gt object of its frame whose visual vector (its
+    row from column `visual` on) has the same bits as its own, -1 where none
+    has: bits, so that a row gathered by the index is the row itself."""
+    det_frame = np.repeat(np.arange(len(seq.n_detections)), seq.n_detections)
+    rows = seq.object_rows(det_frame)   # padding names a zero row, appended
+    gt = seq.gt_feats[:, visual:]
+    bits = np.concatenate([gt, np.zeros((1, gt.shape[1]))]).view(np.uint64)
+    same = (bits[rows] == seq.det_feats[:, None, visual:].view(np.uint64)).all(axis=2)
+    same &= rows < len(gt)
+    return np.where(same.any(axis=1), same.argmax(axis=1), -1)
 
 
 def sequence_to_json(seq: SceneSequence) -> dict:
-    """A dataset record (format version 3): per-frame counts, the gt
-    objects' and the triplets' columns, and the node matrices as
-    `float64_text`, written straight from the frames' node rows. `gt` holds
-    the gt rows whole; `det` holds each detection's [box | label dist], and
-    its visual vector is that of the first gt object of its frame whose
-    vector has the same bytes (`det_object`), or, where none has
-    (`det_object` -1), its row of `det_visual`."""
-    frames, visual = seq.frames, 4 + seq.g
-    det = np.concatenate([f.det_feats for f in frames])
-    det_object = [i for f in frames for i in _object_refs(f, visual)]
-    objects = [o for f in frames for o in f.objects]
+    """A dataset record (format version 3): the sequence's columns, the node
+    matrices as `float64_text`. `gt` holds the gt rows whole; `det` holds
+    each detection's [box | label dist], and its visual vector is that of
+    the first gt object of its frame whose vector has the same bits
+    (`det_object`), or, where none has (`det_object` -1), its row of
+    `det_visual`."""
+    visual = 4 + seq.g
+    det_object, objects = _object_refs(seq, visual), seq.objects
     return {
         "seed": seq.seed,
         "event_labels": seq.event_labels.tolist(),
-        "n_objects": [len(f.objects) for f in frames],
-        "n_detections": [len(f.detections) for f in frames],
-        "n_triplets": [len(f.triplets) for f in frames],
-        "labels": [o.label for o in objects],
-        "occluded": [o.occluded for o in objects],
-        "recorded": [o.recorded for o in objects],
-        "triplets": [i for f in frames for t in f.triplets for i in t],
-        "det_object": det_object,
-        "gt": float64_text(np.concatenate([f.gt_feats for f in frames])),
-        "det": float64_text(det[:, :visual]),
-        "det_visual": float64_text(det[np.array(det_object, dtype=np.intp) < 0, visual:]),
+        "n_objects": seq.n_objects.tolist(),
+        "n_detections": seq.n_detections.tolist(),
+        "n_triplets": seq.n_triplets.tolist(),
+        "labels": objects["label"].tolist(),
+        "occluded": objects["occluded"].tolist(),
+        "recorded": objects["recorded"].tolist(),
+        "triplets": seq.triplets.ravel().tolist(),
+        "det_object": det_object.tolist(),
+        "gt": float64_text(seq.gt_feats),
+        "det": float64_text(seq.det_feats[:, :visual]),
+        "det_visual": float64_text(seq.det_feats[det_object < 0, visual:]),
     }
 
 
@@ -333,6 +337,11 @@ def sequence_from_json(record: dict, path: Path, lineno: int, dims: Dims) -> Sce
             if (col < 0).any():
                 raise DataFormatError(f"field {name!r} must hold counts of 0 or more, "
                                       f"got {int(col.min())}")
+        for name, col in zip(_COUNTS[:2], counts):   # before a row is decoded
+            if (col > MAX_FRAME_NODES).any():
+                k = int(np.argmax(col > MAX_FRAME_NODES))
+                raise DataFormatError(f"entry {k} of field {name!r} must be at most "
+                                      f"{MAX_FRAME_NODES}, the most a frame may hold, got {col[k]}")
         n_objects, n_detections, n_triplets = counts
         # Python sums: a count near the intp bound would wrap round in numpy's
         n, d, t = (sum(col.tolist()) for col in counts)
@@ -383,14 +392,8 @@ def sequence_from_json(record: dict, path: Path, lineno: int, dims: Dims) -> Sce
         if len(events) != len(EVENT_NAMES) or not ((events == 0) | (events == 1)).all():
             raise DataFormatError(f"field 'event_labels' must be {len(EVENT_NAMES)} labels "
                                   f"of 0 or 1, got {events.tolist()}")
-        objects = list(zip(labels.tolist(), occluded.tolist(), recorded.tolist()))
-        triplets = list(map(tuple, triplets.tolist()))
-        frames, a, b = [], 0, 0
-        for objs, trips, dets in zip(n_objects.tolist(), n_triplets.tolist(),
-                                     n_detections.tolist()):
-            frames.append((objects[a:a + objs], triplets[b:b + trips], dets))
-            a, b = a + objs, b + trips
-        return scene_sequence(frames, gt, det_feats, g, events, _field(record, "seed", int))
+        return scene_sequence(gt, det_feats, labels, occluded, recorded, triplets, counts, events,
+                              _field(record, "seed", int), g)
 
 
 def sequence_line(seq: SceneSequence) -> str:

@@ -36,7 +36,7 @@ import numpy as np
 from .config import Dims
 from .errors import ContractError
 from .params import Layout, model_shapes
-from .scene import GroundTruthObject, box_iou
+from .scene import OBJECT_DTYPE, box_iou
 from .temporal import FramePrediction, RankedFrame
 
 IOU_THRESHOLD = 0.5
@@ -66,11 +66,14 @@ def _first_per_key(key: np.ndarray, n_keys: int) -> np.ndarray:
 
 @dataclass
 class FrameEval:
-    """One frame's ranked predictions plus its ground truth."""
+    """One frame's ranked predictions plus its ground truth: its gt triplets,
+    (subject, object, predicate) rows, and its gt objects, `OBJECT_DTYPE`
+    records, each as an array (a frame's views, `scene.FrameView`) or a list
+    of rows; `_flatten` converts them once per corpus."""
 
     ranked: RankedFrame
-    gt_triplets: list[tuple[int, int, int]]
-    gt_objects: list[GroundTruthObject]
+    gt_triplets: np.ndarray | list
+    gt_objects: np.ndarray | list
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,11 +138,9 @@ def _flatten(frames: list[FrameEval], depth: int, constraint: bool) -> _Corpus:
 
     gt_frame = np.repeat(frame_ids, [len(fe.gt_triplets) for fe in frames])
     object_start = _starts([len(fe.gt_objects) for fe in frames])
-    gt = np.fromiter(chain.from_iterable(chain.from_iterable(fe.gt_triplets for fe in frames)),
-                     np.intp, count=3 * len(gt_frame)).reshape(-1, 3)
-    objects = [o for fe in frames for o in fe.gt_objects]
-    gt_boxes = np.fromiter(chain.from_iterable(o.box for o in objects), np.float64,
-                           count=4 * len(objects))
+    gt = np.array(list(chain.from_iterable(fe.gt_triplets for fe in frames)),
+                  np.intp).reshape(-1, 3)
+    objects = np.array(list(chain.from_iterable(fe.gt_objects for fe in frames)), OBJECT_DTYPE)
     return _Corpus(
         frame=frame,
         rank=rank,
@@ -154,8 +155,8 @@ def _flatten(frames: list[FrameEval], depth: int, constraint: bool) -> _Corpus:
         gt_subj=gt[:, 0] + object_start[gt_frame],
         gt_obj=gt[:, 1] + object_start[gt_frame],
         gt_pred=gt[:, 2],
-        gt_labels=np.fromiter((o.label for o in objects), np.intp, count=len(objects)),
-        gt_boxes=gt_boxes.reshape(-1, 4),
+        gt_labels=objects["label"],
+        gt_boxes=objects["box"],
         object_start=object_start,
     )
 
@@ -236,19 +237,18 @@ def _recalls(c: _Corpus, taken: np.ndarray, ks) -> list[float]:
             for k in ks]
 
 
-def _class_order(frames: list[FrameEval], classes: np.ndarray,
-                 first_frame: np.ndarray) -> list[int]:
+def _class_order(c: _Corpus, classes: np.ndarray, first_frame: np.ndarray) -> list[int]:
     """The gt predicate classes by the frame that first has each, a frame's
     classes in the iteration order of the set of them. This order fixes the
     floating-point sum over classes, so every path returns the same float."""
     order = []
     for f in sorted(set(first_frame.tolist())):
         fresh = set(classes[first_frame == f].tolist())
-        order += [p for p in {p for (_, _, p) in frames[f].gt_triplets} if p in fresh]
+        order += [p for p in set(c.gt_pred[c.gt_frame == f].tolist()) if p in fresh]
     return order
 
 
-def _mean_recalls(frames: list[FrameEval], c: _Corpus, taken: np.ndarray, ks) -> list[float]:
+def _mean_recalls(c: _Corpus, taken: np.ndarray, ks) -> list[float]:
     """Mean recall@k for each k: per predicate class, the share of a frame's
     gt triplets of that class matched in its top min(k, FRAME_TRIPLET_CAP),
     averaged over the frames with that class, then over classes."""
@@ -260,7 +260,7 @@ def _mean_recalls(frames: list[FrameEval], c: _Corpus, taken: np.ndarray, ks) ->
     cells, cell, total = np.unique(cls * n_frames + c.gt_frame, return_inverse=True,
                                    return_counts=True)
     bounds = np.searchsorted(cells, np.arange(len(classes) + 1) * n_frames)
-    order = np.searchsorted(classes, _class_order(frames, classes, c.gt_frame[first]))
+    order = np.searchsorted(classes, _class_order(c, classes, c.gt_frame[first]))
     spans = [(bounds[i], bounds[i + 1]) for i in order.tolist()]
     out = []
     for k in ks:
@@ -281,7 +281,7 @@ def mean_recall(frames: list[FrameEval], k: int, mode: str, constraint: bool) ->
     """Per-predicate recall@k (of the first FRAME_TRIPLET_CAP triplets)
     macro-averaged over classes present in the gt."""
     c = _flatten(frames, min(k, FRAME_TRIPLET_CAP), constraint)
-    return _mean_recalls(frames, c, _match(c, np.arange(len(c.score)), mode), (k,))[0]
+    return _mean_recalls(c, _match(c, np.arange(len(c.score)), mode), (k,))[0]
 
 
 def average_precision_from_flags(flags, n_pos: int) -> float:
@@ -341,13 +341,10 @@ def _mean_ap(aps: dict[int, float], gt_count: dict[int, int], weighted: bool) ->
 
 
 def relation_map(frames: list[FrameEval], weighted: bool, constraint: bool = False) -> float:
-    """Per-predicate AP over the corpus-wide score-sorted list.
-
-    Matching is always detection style (labels plus IoU on both boxes);
-    classes absent from the gt are excluded from the mean.
-    """
-    c = _flatten(frames, FRAME_TRIPLET_CAP, constraint)
-    return _mean_ap(*_class_aps(c, *_detection_pass(c)), weighted)
+    """`evaluate`'s relation mAP, in sgdet: `wmap_rel` if weighted, else
+    `map_rel`. Nothing in the package calls it; the benchmark's clock
+    (perfbench/workloads.py, PACE) wraps the name, so it stays."""
+    return evaluate(frames, "sgdet", constraint)["wmap_rel" if weighted else "map_rel"]
 
 
 def evaluate(frames: list[FrameEval], mode: str, constraint: bool) -> dict:
@@ -360,7 +357,7 @@ def evaluate(frames: list[FrameEval], mode: str, constraint: bool) -> dict:
     report = {"mode": mode, "constraint": constraint}
     for k, value in zip(RECALL_KS, _recalls(c, taken, RECALL_KS)):
         report[f"recall@{k}"] = value
-    for k, value in zip(RECALL_KS, _mean_recalls(frames, c, taken, RECALL_KS)):
+    for k, value in zip(RECALL_KS, _mean_recalls(c, taken, RECALL_KS)):
         report[f"mean_recall@{k}"] = value
     det = _detection_pass(c, taken if mode == "sgdet" else None)
     aps, gt_count = _class_aps(c, *det)

@@ -2,12 +2,16 @@
 
 A node is the concatenation [box(4) | label distribution(G) | visual(C)],
 so the node width is always m = 4 + G + C and every slice of the encoding
-can be recovered by offset. A sequence holds its node inputs as one matrix
-of such rows for its gt objects and one for its detections, which its
-frames view (`scene_sequence`). Those rows are the only copy of a vector.
-A box has a second copy, a tuple of its row's numbers, in its record: a gt
-object record keeps it with its label and two flags, a detection record
-keeps only it.
+can be recovered by offset.
+
+A sequence is its columns (`SceneSequence`), frame after frame: one node
+matrix of its gt objects' rows ([box | detector label dist | visual]) and
+one of its detections' rows; one array of gt object records
+(`OBJECT_DTYPE`: box, label, occluded, recorded); one (T, 3) array of its
+triplets (subject, object, predicate, the objects numbered within their
+frame); and the per-frame object, detection and triplet counts. One maker
+builds it (`scene_sequence`). A frame (`FrameView`) is only views of those
+columns, made on the first read of `frames` and never pickled.
 
 Rows come from numbers the callers checked (`io` decodes a file's rows
 whole and checks them finite, of the right widths, with label
@@ -18,10 +22,17 @@ distributions; `synthgen` assembles them with `object_nodes`);
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import ContractError
+
+# a plain array of numpy records, as `temporal.LINK_DTYPE`: a slice is a
+# view, and each element keeps attribute access (obj.box, obj.label)
+OBJECT_DTYPE = np.dtype((np.record, [("box", np.float64, (4,)), ("label", np.intp),
+                                     ("occluded", np.bool_), ("recorded", np.bool_)]))
 
 
 def box_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -85,70 +96,74 @@ def object_nodes(boxes, label_dists, visual_feats, dims) -> np.ndarray:
 
 
 @dataclass(frozen=True, slots=True)
-class ObjectNode:
-    """Detection: its (x, y, w, h) box; its vectors are its row of the
-    frame's `det_feats`."""
+class FrameView:
+    """One frame of a sequence: slices of its columns, never copies."""
 
-    box: tuple[float, float, float, float]
-
-
-@dataclass(frozen=True, slots=True)
-class GroundTruthObject:
-    """Scripted object state for one frame (labels are exact, occlusion is
-    known); its vectors are its row of the frame's `gt_feats`."""
-
-    box: tuple[float, float, float, float]
-    label: int
-    occluded: bool
-    recorded: bool   # whether the row holds a detector label distribution, not one-hot
+    objects: np.ndarray       # (n,) OBJECT_DTYPE records of its gt objects
+    triplets: np.ndarray      # (t, 3) intp (subject, object, predicate)
+    detections: np.ndarray    # (d,) records whose `box` views each detection's row
 
 
-@dataclass(slots=True)
-class FrameRecord:
-    """Ground truth plus simulated detections for one frame, with their node rows."""
-
-    objects: list[GroundTruthObject]
-    triplets: list[tuple[int, int, int]]     # (subject idx, object idx, predicate)
-    detections: list[ObjectNode]
-    gt_feats: np.ndarray     # (n, m) [box | detector label dist, one-hot if none | visual]
-    gt_labels: np.ndarray    # (n,) gt label of each object
-    det_feats: np.ndarray    # (d, m) [box | label dist | visual] of each detection
-
-
-@dataclass
+@dataclass(eq=False)
 class SceneSequence:
     """Ordered frames with gt predicates, detections and sequence-level event
-    labels; g is the label width of the frames' node rows."""
+    labels, as columns (the module docstring); g is the label width of the
+    node rows. Made by `scene_sequence`."""
 
-    frames: list[FrameRecord]
+    gt_feats: np.ndarray       # (n, m) [box | detector label dist, one-hot if none | visual]
+    det_feats: np.ndarray      # (d, m) [box | label dist | visual] of each detection
+    objects: np.ndarray        # (n,) OBJECT_DTYPE: box (gt_feats[:, :4]), label, flags
+    triplets: np.ndarray       # (T, 3) intp (subject, object, predicate), frame-local
+    n_objects: np.ndarray      # (F,) intp counts of each frame
+    n_detections: np.ndarray   # (F,)
+    n_triplets: np.ndarray     # (F,)
     event_labels: np.ndarray
     seed: int
     g: int
 
     def __post_init__(self):
-        if not self.frames:
+        if not len(self.n_objects):
             raise ContractError("sequence: needs at least one frame")
 
+    @cached_property
+    def frames(self) -> tuple[FrameView, ...]:
+        """Each frame's views of the columns, made on the first read."""
+        # each detection's row, read as a record of its first 4 numbers
+        row = np.dtype((np.record, {"names": ["box"], "formats": [(np.float64, (4,))],
+                                    "itemsize": 8 * self.det_feats.shape[1]}))
+        detections = self.det_feats.view(row)[:, 0]
+        o, d, t = (list(accumulate(c.tolist(), initial=0))
+                   for c in (self.n_objects, self.n_detections, self.n_triplets))
+        return tuple(FrameView(self.objects[a:b], self.triplets[x:y], detections[c:e])
+                     for a, b, c, e, x, y in zip(o, o[1:], d, d[1:], t, t[1:]))
 
-def scene_sequence(frames: list, gt_feats: np.ndarray, det_feats: np.ndarray, g: int,
-                   event_labels: np.ndarray, seed: int) -> SceneSequence:
-    """A sequence from its two node matrices, one row per gt object
-    ([box | detector label dist | visual]) and per detection (`object_nodes`),
-    frame after frame; and, per frame, its gt objects as (label, occluded,
-    whether a detector dist is recorded) tuples, its triplets and its
-    detection count. Every box of both matrices is range-checked. The
-    frames' arrays are views of the two matrices."""
+    def __getstate__(self) -> dict:
+        # the frame views are not pickled: a copy of each would travel
+        return {k: v for k, v in self.__dict__.items() if k != "frames"}
+
+    def object_rows(self, frame: np.ndarray) -> np.ndarray:
+        """(len(frame), slots) the rows of each given frame's gt objects in
+        the columns, padded to the largest frame's count with n, one past the
+        last row."""
+        counts = self.n_objects
+        slot = np.arange(max(int(counts.max()), 1))
+        starts = np.cumsum(counts) - counts
+        return np.where(slot < counts[frame, None], starts[frame, None] + slot, len(self.objects))
+
+
+def scene_sequence(gt_feats: np.ndarray, det_feats: np.ndarray, labels, occluded, recorded,
+                   triplets: np.ndarray, counts, event_labels: np.ndarray, seed: int,
+                   g: int) -> SceneSequence:
+    """A sequence from its columns, which its caller checked agree: the gt
+    objects' (n, m) node rows and their labels, occlusion flags and whether
+    each row records a detector label distribution (not a one-hot); the
+    detections' (d, m) rows; the (T, 3) intp triplets; and `counts`, the
+    (n_objects, n_detections, n_triplets) of each frame. Every box of both
+    matrices is range-checked."""
     check_boxes(gt_feats[:, :4])
     check_boxes(det_feats[:, :4])
-    objects = [o for objs, _, _ in frames for o in objs]
-    labels = np.array([label for label, _, _ in objects], dtype=np.intp)
-    gt = [GroundTruthObject(box, *o) for box, o in zip(map(tuple, gt_feats[:, :4].tolist()),
-                                                       objects)]
-    detections = list(map(ObjectNode, map(tuple, det_feats[:, :4].tolist())))
-    records, a, c = [], 0, 0
-    for objs, triplets, n_detections in frames:
-        b, d = a + len(objs), c + n_detections
-        records.append(FrameRecord(gt[a:b], triplets, detections[c:d], gt_feats[a:b],
-                                   labels[a:b], det_feats[c:d]))
-        a, c = b, d
-    return SceneSequence(records, event_labels, seed, g)
+    objects = np.empty(len(gt_feats), OBJECT_DTYPE)
+    objects["box"], objects["label"], objects["occluded"], objects["recorded"] = \
+        gt_feats[:, :4], labels, occluded, recorded
+    return SceneSequence(gt_feats, det_feats, objects, triplets,
+                         *(np.asarray(c, np.intp) for c in counts), event_labels, seed, g)

@@ -50,9 +50,11 @@ def _clamp_corners(corners: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(corners, 0.01), np.maximum(0.01, 0.99 - sizes))
 
 
-def frame_triplets(boxes: np.ndarray) -> list[list[tuple[int, int, int]]]:
-    """Ground-truth triplets of each frame of an (f, n, 4) array of (x, y, w, h)
-    boxes, object i being the same object in every frame; sorted, no repeats.
+def frame_triplets(boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ground-truth triplets of the frames of an (f, n, 4) array of (x, y, w, h)
+    boxes, object i being the same object in every frame: the (T, 3)
+    (subject, object, predicate) rows, frame after frame, each frame's sorted
+    with no repeats, and the (f,) count of each frame's.
 
     Each predicate is a mask over (f, n, n) pair matrices: [t, i, j] is the
     ordered pair (i, j) in frame t. Frame t's motion predicates compare it
@@ -90,7 +92,8 @@ def frame_triplets(boxes: np.ndarray) -> list[list[tuple[int, int, int]]]:
                      axis=-1)
     # no self-pairs: every triplet is valid by construction
     masks &= ~np.eye(x.shape[-1], dtype=bool)[:, :, None]
-    return [list(zip(*(a.tolist() for a in np.nonzero(frame)))) for frame in masks]
+    frame, *triplet = np.nonzero(masks)
+    return np.stack(triplet, axis=1), np.bincount(frame, minlength=len(masks))
 
 
 def _noisy_label_dist(label: int, g: int, confusion: float, stream: RngStream) -> np.ndarray:
@@ -105,20 +108,20 @@ def _noisy_label_dist(label: int, g: int, confusion: float, stream: RngStream) -
     return dist
 
 
-def simulate_detector(objects: list[tuple], rows: np.ndarray, noise: NoiseConfig, dims: Dims,
-                      stream: RngStream) -> tuple[list, list, list]:
-    """Noisy detections of a frame's gt objects, (label, occluded, ...)
-    tuples with their node rows, as (boxes, label distributions, visual
-    vectors), the inputs of `object_nodes`: occluded objects are always
-    dropped, others are dropped with miss_prob; survivors get jittered boxes
-    and confused labels; false positives carry uniform label distributions."""
+def simulate_detector(labels, occluded, rows: np.ndarray, noise: NoiseConfig, dims: Dims,
+                      stream: RngStream) -> np.ndarray:
+    """The (d, m) node rows of the noisy detections of a frame's gt objects,
+    given their labels, occlusion flags and node rows: occluded objects are
+    always dropped, others are dropped with miss_prob; survivors get jittered
+    boxes and confused labels; false positives carry uniform label
+    distributions."""
     protos = class_prototypes(dims.g, dims.c)
-    boxes: list[list[float]] = []
-    dists: list[np.ndarray] = []
-    visuals: list[np.ndarray] = []
-    for (label, occluded, *_), box, feat in zip(objects, rows[:, :4].tolist(),
-                                                rows[:, 4 + dims.g:]):
-        if occluded:
+    most = len(rows) + int(np.ceil(noise.false_positive_rate))
+    boxes, dists, visuals = (np.empty((most, width)) for width in (4, dims.g, dims.c))
+    d = 0
+    for label, occ, box, feat in zip(labels, occluded, rows[:, :4].tolist(),
+                                     rows[:, 4 + dims.g:]):
+        if occ:
             continue
         if noise.miss_prob > 0 and stream.uniform() < noise.miss_prob:
             continue
@@ -130,12 +133,11 @@ def simulate_detector(objects: list[tuple], rows: np.ndarray, noise: NoiseConfig
             h = min(1.0, max(1e-3, bh + dh))
             cx = x + bw / 2.0 + dcx
             cy = y + bh / 2.0 + dcy
-            boxes.append([min(1.0, max(0.0, cx - w / 2.0)), min(1.0, max(0.0, cy - h / 2.0)),
-                          w, h])
-        else:
-            boxes.append(box)
-        dists.append(_noisy_label_dist(label, dims.g, noise.label_confusion_prob, stream))
-        visuals.append(feat)
+            box = [min(1.0, max(0.0, cx - w / 2.0)), min(1.0, max(0.0, cy - h / 2.0)), w, h]
+        boxes[d] = box
+        dists[d] = _noisy_label_dist(label, dims.g, noise.label_confusion_prob, stream)
+        visuals[d] = feat
+        d += 1
     n_fp = int(noise.false_positive_rate)
     frac = noise.false_positive_rate - n_fp
     if frac > 0 and stream.uniform() < frac:
@@ -143,11 +145,12 @@ def simulate_detector(objects: list[tuple], rows: np.ndarray, noise: NoiseConfig
     for _ in range(n_fp):
         w = stream.uniform(0.05, 0.2)
         h = stream.uniform(0.05, 0.2)
-        boxes.append([stream.uniform(0.0, 1.0 - w), stream.uniform(0.0, 1.0 - h), w, h])
+        boxes[d] = [stream.uniform(0.0, 1.0 - w), stream.uniform(0.0, 1.0 - h), w, h]
         cls = stream.integer(dims.g)
-        visuals.append(protos[cls] + stream.normal_array(dims.c, 0.0, _VISUAL_NOISE_SIGMA))
-        dists.append(np.full(dims.g, 1.0 / dims.g))
-    return boxes, dists, visuals
+        visuals[d] = protos[cls] + stream.normal_array(dims.c, 0.0, _VISUAL_NOISE_SIGMA)
+        dists[d] = 1.0 / dims.g
+        d += 1
+    return object_nodes(boxes[:d], dists[:d], visuals[:d], dims)
 
 
 def _plan_event(n: int, rng: RngStream) -> tuple[int, int, int]:
@@ -284,26 +287,20 @@ def generate_scene(dims: Dims, world: WorldConfig, seed: int) -> SceneSequence:
     protos = class_prototypes(dims.g, dims.c)
     boxes = np.concatenate([_clamp_corners(frame_corners, sizes),
                             np.broadcast_to(sizes, (f, n, 2))], axis=-1).reshape(f * n, 4)
-    labels = classes.tolist() * f
+    labels = np.tile(classes, f)
     feats = np.empty((f * n, dims.m))
     feats[:, :4] = boxes
-    for row, label in zip(feats, labels):
+    for row, label in zip(feats, labels.tolist()):
         row[4 + dims.g:] = protos[label] + feat.normal_array(dims.c, 0.0, _VISUAL_NOISE_SIGMA)
         row[4:4 + dims.g] = _noisy_label_dist(label, dims.g, world.noise.label_confusion_prob,
                                               feat)
-    objects = [(label, occ, True) for label, occ in zip(labels, occluded.ravel().tolist())]
-    frames, det_boxes, det_dists, det_visuals = [], [], [], []
-    for t, triplets in enumerate(frame_triplets(boxes.reshape(f, n, 4))):
-        rows = slice(t * n, (t + 1) * n)
-        b, d, v = simulate_detector(objects[rows], feats[rows], world.noise, dims,
-                                    rng.split(100 + t))
-        frames.append((objects[rows], triplets, len(b)))
-        det_boxes += b
-        det_dists += d
-        det_visuals += v
-    det_feats = object_nodes(det_boxes, det_dists, det_visuals, dims)
-
+    triplets, n_triplets = frame_triplets(boxes.reshape(f, n, 4))
+    detections = [simulate_detector(classes.tolist(), occluded[t], feats[t * n:(t + 1) * n],
+                                    world.noise, dims, rng.split(100 + t)) for t in range(f)]
     event_labels = np.zeros(len(EVENT_NAMES))
     event_labels[event] = 1.0
-    return scene_sequence(frames, feats, det_feats, dims.g, event_labels, seed)
+    return scene_sequence(feats, np.concatenate(detections), labels, occluded.ravel(),
+                          np.ones(f * n, dtype=bool), triplets,
+                          (np.full(f, n), [len(d) for d in detections], n_triplets),
+                          event_labels, seed, dims.g)
 

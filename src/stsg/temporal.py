@@ -28,7 +28,7 @@ from .config import MODES, VARIANTS
 from .errors import ContractError
 from .layers import link_relevance
 from .params import ModelParams, linear
-from .scene import FrameRecord, SceneSequence
+from .scene import FrameView, SceneSequence
 from .spatial import frame_pairs, gcn_propagate, propose_relations
 
 DENOM_GUARD = 1e-8
@@ -183,14 +183,12 @@ def pack(sequence: SceneSequence, mode: str, variant: str, dims) -> Packed:
         raise ContractError(f"variant: must be one of {VARIANTS}, got {variant!r}")
     if mode not in MODES:
         raise ContractError(f"mode: must be one of {MODES}, got {mode!r}")
-    frames = sequence.frames
-    inputs = [f.det_feats if mode == "sgdet" else f.gt_feats for f in frames]
-    sizes = np.fromiter(map(len, inputs), np.intp, count=len(inputs))
-    feats = np.concatenate(inputs)
+    sgdet = mode == "sgdet"
+    sizes = sequence.n_detections if sgdet else sequence.n_objects
+    feats = (sequence.det_feats if sgdet else sequence.gt_feats).copy()
     if mode == "predcls":
-        labels = np.concatenate([f.gt_labels for f in frames])
         feats[:, 4:4 + dims.g] = 0.0
-        feats[np.arange(len(labels)), 4 + labels] = 1.0
+        feats[np.arange(len(feats)), 4 + sequence.objects["label"]] = 1.0
     feats.setflags(write=False)
     present = sizes[sizes > 0]
     subj, obj = frame_pairs(present)
@@ -433,7 +431,8 @@ class FramePrediction:
     fused: np.ndarray                 # (N, m) spatial + temporal context
     gcn: np.ndarray                   # (N, m) after message passing
     ranked: RankedFrame               # triplets in rank order, sorted on first read
-    nodes: list = field(default_factory=list)   # the inputs: gt objects, or detections (sgdet)
+    nodes: np.ndarray = field(default_factory=list)   # the inputs' records (`FrameView`):
+                                                      #      gt objects, or detections (sgdet)
     links: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=LINK_DTYPE))
 
     @property
@@ -442,7 +441,7 @@ class FramePrediction:
 
 
 def frame_predictions(packed: Packed, out: BatchOutput, g: int,
-                      frames: list[FrameRecord]) -> list[FramePrediction]:
+                      frames: list[FrameView]) -> list[FramePrediction]:
     """Cut a packed forward pass into one `FramePrediction` per frame,
     empty frames included; g is the label count, and `frames` the packed
     frames. The node offsets are found once, for the ranking and the links,

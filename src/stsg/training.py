@@ -57,22 +57,17 @@ def node_identity(sequence: SceneSequence, packed: Packed) -> np.ndarray:
 
     Nodes are their own gt objects in predcls/sgcls; in sgdet a node matches
     its highest-IoU gt object (the first on ties) at IoU >= IOU_MATCH, all
-    frames in one pass over their gt boxes padded to one count.
+    nodes in one pass over their frames' gt boxes padded to one count.
     """
     sizes = packed.sizes
     local = np.arange(packed.n_nodes) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     if packed.mode != "sgdet":
         return local
-    frames = sequence.frames
-    counts = np.array([len(frame.gt_labels) for frame in frames])
-    slot = np.arange(max(counts.max(), 1))
-    real = slot < counts[:, None]   # (frames, slots)
     # a padding slot reads a zero box, appended last, and scores -1: below
     # every IoU, so it never wins, and a frame without gt matches nothing
-    boxes = np.concatenate([frame.gt_feats[:, :4] for frame in frames] + [np.zeros((1, 4))])
-    rows = np.where(real, (np.cumsum(counts) - counts)[:, None] + slot, -1)
-    frame = np.repeat(np.arange(len(frames)), sizes)   # of each node
-    ious = np.where(real[frame], box_iou(packed.feats[:, None, :4], boxes[rows[frame]]), -1.0)
+    rows = sequence.object_rows(np.repeat(np.arange(len(sizes)), sizes))
+    boxes = np.concatenate([sequence.gt_feats[:, :4], np.zeros((1, 4))])
+    ious = np.where(rows < len(boxes) - 1, box_iou(packed.feats[:, None, :4], boxes[rows]), -1.0)
     best = ious.argmax(axis=1)
     return np.where(ious[np.arange(packed.n_nodes), best] >= IOU_MATCH, best, -1)
 
@@ -108,23 +103,20 @@ def loss_targets(sequence: SceneSequence, packed: Packed, h: int) -> Targets:
     node_frame = packed.node_frame.ids
     n_frames = packed.n_frames
     scale = 1.0 / n_frames if n_frames else 0.0
-    # per frame with nodes: which gt pairs hold which predicates, and gt labels
-    frames = [f for f, n in zip(sequence.frames, packed.sizes) if n]
-    n_obj = max((len(f.gt_labels) for f in frames), default=0)
-    holds = np.zeros((n_frames, n_obj, n_obj, h), dtype=bool)
-    labels = np.zeros((n_frames, n_obj), dtype=np.intp)
-    for t, f in enumerate(frames):
-        if f.triplets:
-            ti, tj, tp = np.array(f.triplets).T
-            holds[t, ti, tj, tp] = True
-        labels[t, :len(f.gt_labels)] = f.gt_labels
+    # which gt pairs of each of the sequence's frames hold which predicates,
+    # and each node's frame among them (node_frame counts frames with nodes)
+    counts = sequence.n_objects
+    n_obj = int(counts.max())
+    holds = np.zeros((len(counts), n_obj, n_obj, h), dtype=bool)
+    holds[(np.repeat(np.arange(len(counts)), sequence.n_triplets), *sequence.triplets.T)] = True
+    full_frame = np.flatnonzero(packed.sizes)[node_frame]
 
     # relation slots, in packed pair order x predicate
     subj, obj = packed.subj.ids, packed.obj.ids
     gs, go = gt[subj], gt[obj]
     distinct = np.flatnonzero((gs >= 0) & (go >= 0) & (gs != go))
     positive = np.zeros((len(subj), h), dtype=bool)
-    positive[distinct] = holds[node_frame[subj[distinct]], gs[distinct], go[distinct]]
+    positive[distinct] = holds[full_frame[subj[distinct]], gs[distinct], go[distinct]]
     positive = positive.reshape(-1)
     slot_frame = np.repeat(node_frame[subj], h)
     n_pos = np.bincount(slot_frame[positive], minlength=n_frames)
@@ -138,8 +130,8 @@ def loss_targets(sequence: SceneSequence, packed: Packed, h: int) -> Targets:
     rows = np.flatnonzero(gt >= 0) if packed.mode != "predcls" else np.zeros(0, np.intp)
     node_count = np.bincount(node_frame[rows], minlength=n_frames)
     node_weight = np.zeros(packed.n_nodes * g)
-    node_weight[rows * g + labels[node_frame[rows], gt[rows]]] = \
-        (-1.0 / node_count[node_frame[rows]]) * scale
+    labels = sequence.objects["label"][(np.cumsum(counts) - counts)[full_frame[rows]] + gt[rows]]
+    node_weight[rows * g + labels] = (-1.0 / node_count[node_frame[rows]]) * scale
 
     curr, prev = packed.cand_curr.ids, packed.cand_prev.ids
     hits = np.flatnonzero((gt[curr] >= 0) & (gt[curr] == gt[prev]))

@@ -9,7 +9,7 @@ import pytest
 from stsg.config import Dims
 from stsg.params import ModelParams
 from stsg.rng import RngStream
-from stsg.scene import FrameRecord, SceneSequence, scene_sequence
+from stsg.scene import SceneSequence, scene_sequence
 
 
 def random_box(rng: RngStream) -> list[float]:
@@ -44,7 +44,7 @@ def random_sequence(rng: RngStream, dims: Dims, n_frames: int = 3,
                     n_min: int = 2, n_max: int = 4) -> SceneSequence:
     """Frames of n_min to n_max random gt objects, each detected as its gt
     row, and a few random triplets; made by `scene_sequence`."""
-    frames, rows = [], []
+    frames = []
     for _ in range(n_frames):
         n = n_min + rng.integer(n_max - n_min + 1)
         objects = [random_gt_row(rng, dims) for _ in range(n)]
@@ -55,10 +55,63 @@ def random_sequence(rng: RngStream, dims: Dims, n_frames: int = 3,
                 j = rng.integer(n)
                 if i != j:
                     triplets.append((i, j, rng.integer(dims.h)))
-        frames.append(([(label, False, True) for label, _ in objects], sorted(set(triplets)), n))
-        rows += [row for _, row in objects]
-    feats = np.array(rows, dtype=np.float64).reshape(-1, dims.m)
-    return scene_sequence(frames, feats, feats.copy(), dims.g, np.zeros(4), rng.seed)
+        rows = [row for _, row in objects]
+        frames.append(make_frame(rows, [label for label, _ in objects], sorted(set(triplets)),
+                                 rows, dims))
+    return sequence_of(frames, dims.g, seed=rng.seed)
+
+
+def make_frame(gt_feats, gt_labels, triplets, det_feats, dims: Dims) -> dict:
+    """A frame as a dict of its columns (`frame_columns`): gt rows
+    [box | detector label dist | visual] with their labels, neither occluded
+    nor one-hot, its triplets and its detection rows [box | label dist |
+    visual]."""
+    n = len(gt_labels)
+    return {"gt": np.asarray(gt_feats, dtype=np.float64).reshape(-1, dims.m),
+            "labels": np.asarray(gt_labels, dtype=np.intp), "occluded": np.zeros(n, dtype=bool),
+            "recorded": np.ones(n, dtype=bool),
+            "triplets": np.asarray(triplets, dtype=np.intp).reshape(-1, 3),
+            "det": np.asarray(det_feats, dtype=np.float64).reshape(-1, dims.m)}
+
+
+def empty_frame(dims: Dims) -> dict:
+    """A frame without objects, triplets or detections."""
+    return make_frame([], [], [], [], dims)
+
+
+def frame_columns(seq: SceneSequence) -> list[dict]:
+    """Each frame of `seq` as a dict of slices of its columns: `gt` and `det`
+    node rows, the gt objects' `labels`, `occluded` and `recorded` flags, and
+    `triplets`."""
+    o, d, t = (np.concatenate([[0], np.cumsum(c)]).tolist()
+               for c in (seq.n_objects, seq.n_detections, seq.n_triplets))
+    objects = seq.objects
+    return [{"gt": seq.gt_feats[a:b], "labels": objects["label"][a:b],
+             "occluded": objects["occluded"][a:b], "recorded": objects["recorded"][a:b],
+             "triplets": seq.triplets[x:y], "det": seq.det_feats[c:e]}
+            for a, b, c, e, x, y in zip(o, o[1:], d, d[1:], t, t[1:])]
+
+
+def sequence_of(frames: list[dict], g: int, event_labels=None, seed: int = 0) -> SceneSequence:
+    """The sequence of these frames (dicts as `frame_columns` gives them),
+    made by `scene_sequence`."""
+
+    def cat(key):
+        return np.concatenate([f[key] for f in frames])
+
+    return scene_sequence(cat("gt"), cat("det"), cat("labels"), cat("occluded"), cat("recorded"),
+                          cat("triplets"), [[len(f[key]) for f in frames]
+                                            for key in ("gt", "det", "triplets")],
+                          np.zeros(4) if event_labels is None else event_labels, seed, g)
+
+
+def edit_frames(seq: SceneSequence, edits: dict[int, dict]) -> SceneSequence:
+    """`seq` with frame t replaced by `edits[t]` (a dict as `frame_columns`
+    gives it) for each t of `edits`, made by `scene_sequence`."""
+    frames = frame_columns(seq)
+    for t, frame in edits.items():
+        frames[t] = frame
+    return sequence_of(frames, seq.g, seq.event_labels, seq.seed)
 
 
 def _float64s(text: str) -> np.ndarray:
@@ -144,31 +197,16 @@ def write_earlier_version(src: Path, dest: Path, version: int, dims: Dims) -> No
     dest.write_text("".join(json.dumps(r, separators=(",", ":")) + "\n" for r in records))
 
 
-def encode_frame(frame: FrameRecord, mode: str, dims: Dims) -> np.ndarray:
-    """A frame's (n, m) node inputs in a mode, one frame at a time: its
-    detection rows (sgdet), its gt rows (sgcls), or its gt rows with one-hot
-    labels (predcls)."""
+def encode_frame(frame: dict, mode: str, dims: Dims) -> np.ndarray:
+    """A frame's (n, m) node inputs in a mode, one frame at a time, from its
+    columns (`frame_columns`): its detection rows (sgdet), its gt rows
+    (sgcls), or its gt rows with one-hot labels (predcls)."""
     if mode == "sgdet":
-        return frame.det_feats
-    rows = frame.gt_feats.copy()
+        return frame["det"]
+    rows = frame["gt"].copy()
     if mode == "predcls":
-        rows[:, 4:4 + dims.g] = np.eye(dims.g)[frame.gt_labels]
+        rows[:, 4:4 + dims.g] = np.eye(dims.g)[frame["labels"]]
     return rows
-
-
-def frame_record(gt_feats, gt_labels, triplets, det_feats, dims: Dims) -> FrameRecord:
-    """A frame of these node rows, made by `scene_sequence`: gt rows
-    [box | detector label dist | visual] with their labels, and detection
-    rows [box | label dist | visual]."""
-    gt_feats = np.asarray(gt_feats, dtype=np.float64).reshape(-1, dims.m)
-    det_feats = np.asarray(det_feats, dtype=np.float64).reshape(-1, dims.m)
-    spec = [([(int(label), False, True) for label in gt_labels], list(triplets), len(det_feats))]
-    return scene_sequence(spec, gt_feats, det_feats, dims.g, np.zeros(4), 0).frames[0]
-
-
-def empty_frame(dims: Dims) -> FrameRecord:
-    """A frame without objects, triplets or detections."""
-    return frame_record([], [], [], [], dims)
 
 
 def frame_pair_links(n_t: int, n_prev: int) -> tuple[np.ndarray, np.ndarray]:

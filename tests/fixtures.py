@@ -16,7 +16,7 @@ import numpy as np
 
 from stsg.config import MODES, RunConfig, config_with
 from stsg.metrics import IOU_THRESHOLD, FrameEval, rank_triplets
-from stsg.scene import GroundTruthObject, pairwise_iou
+from stsg.scene import OBJECT_DTYPE, pairwise_iou
 from stsg.synthgen import generate_scene
 from stsg.temporal import FramePrediction, forward_sequence, frame_offsets, rank_frames
 from stsg.training import train
@@ -41,7 +41,8 @@ def relation_probs(pred: FramePrediction) -> np.ndarray:
 
 
 def _gt(x, y, w, h, label):
-    return GroundTruthObject((x, y, w, h), label, False, True)
+    """A gt object's record (`scene.OBJECT_DTYPE`), as a frame's view holds it."""
+    return np.array(((x, y, w, h), label, False, True), dtype=OBJECT_DTYPE)[()]
 
 
 def _pred(boxes, labels, scores, rel):

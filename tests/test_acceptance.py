@@ -9,7 +9,6 @@ Numbered criteria:
  6 metric oracles
 """
 
-import copy
 import math
 import time
 
@@ -18,8 +17,9 @@ import pytest
 
 from conftest import (
     MatmulRows,
+    edit_frames,
+    frame_columns,
     frame_pair_links,
-    frame_record,
     random_sequence,
     select_no_links,
 )
@@ -30,9 +30,9 @@ from stsg.config import Dims, RunConfig
 from stsg.featurebank import build_feature_bank
 from stsg.metrics import (
     count_params_flops,
+    evaluate,
     mean_recall,
     recall_at_k,
-    relation_map,
 )
 from stsg.params import ModelParams
 from stsg.rng import RngStream
@@ -143,9 +143,8 @@ def test_criterion_5_permutation_equivariance(params):
         seq = random_sequence(rng.split(trial), DIMS, n_frames=3, n_min=2, n_max=4)
         base = forward_sequence(seq, params, "sgdet", "sparse", k=1)
         perms = [rng.permutation(len(f.detections)) for f in seq.frames]
-        shuffled = copy.deepcopy(seq)
-        shuffled.frames = [frame_record(f.gt_feats, f.gt_labels, f.triplets, f.det_feats[p], DIMS)
-                           for f, p in zip(shuffled.frames, perms)]
+        shuffled = edit_frames(seq, {t: dict(f, det=f["det"][p]) for t, (f, p)
+                                     in enumerate(zip(frame_columns(seq), perms))})
         out = forward_sequence(shuffled, params, "sgdet", "sparse", k=1)
         for (a, b, p) in zip(base, out, perms):
             np.testing.assert_allclose(b.fused, a.fused[p], rtol=0, atol=1e-12)
@@ -169,9 +168,10 @@ def test_criterion_6_metric_oracles():
     assert recall_at_k(frames, 20, "sgdet", False) == 1.0
     assert recall_at_k(frames, 4, "predcls", False) == pytest.approx((1.0 + 1.0 + 2 / 3) / 3)
     assert mean_recall(frames, 4, "predcls", False) == pytest.approx(2 / 3)
-    assert relation_map(frames, weighted=False) == pytest.approx((1.0 + 5 / 6 + 1 / 6) / 3)
+    report_rel = evaluate(frames, "sgdet", False)
+    assert report_rel["map_rel"] == pytest.approx((1.0 + 5 / 6 + 1 / 6) / 3)
     w = {0: 3, 1: 2, 2: 1}
-    assert relation_map(frames, weighted=True) == pytest.approx(
+    assert report_rel["wmap_rel"] == pytest.approx(
         (w[0] * 1.0 + w[1] * (5 / 6) + w[2] * (1 / 6)) / sum(w.values()))
 
     rng = RngStream(600)

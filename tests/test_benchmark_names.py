@@ -115,7 +115,7 @@ def test_clip_in_bounds_returns_its_argument():
 def test_traced_forward_reads_the_served_frames(tracer, variant):
     # a traced run hands each cli.forward_sequence result to _observe_forward,
     # which reads len(result) and each frame's n, nodes and links
-    from conftest import empty_frame, random_sequence
+    from conftest import edit_frames, empty_frame, random_sequence
     from stsg import cli
     from stsg.config import MODES, Dims
     from stsg.params import ModelParams
@@ -124,7 +124,7 @@ def test_traced_forward_reads_the_served_frames(tracer, variant):
     dims = Dims()
     params = ModelParams.init(dims, seed=0)
     seq = random_sequence(RngStream(5), dims, n_frames=4)
-    seq.frames[1] = empty_frame(dims)
+    seq = edit_frames(seq, {1: empty_frame(dims)})
     for mode in MODES:
         result = cli.forward_sequence(seq, params, mode, variant, 1)
         bound = inspect.signature(cli.forward_sequence).bind(seq, params, mode, variant, 1)

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -13,11 +14,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import frame_dicts, random_gt_row, with_frames, write_earlier_version
+from conftest import (edit_frames, empty_frame, frame_columns, frame_dicts, make_frame,
+                      random_gt_row, random_sequence, sequence_of, with_frames,
+                      write_earlier_version)
 
 from stsg import cli, io, temporal
 from stsg.cli import main
-from stsg.config import EVENT_NAMES, Dims, WorldConfig, load_config, parse_config_items
+from stsg.config import (EVENT_NAMES, MAX_FRAME_NODES, Dims, WorldConfig, load_config,
+                         parse_config_items)
 from stsg.errors import ConfigError, ContractError, DataFormatError
 from stsg.params import ModelParams
 from stsg.rng import RngStream
@@ -281,26 +285,23 @@ def test_dataset_roundtrip(dataset_dir):
                  for s in seqs]
     for a, b in zip(seqs, rewritten):
         assert a.seed == b.seed
-        for fa, fb in zip(a.frames, b.frames):
-            assert fa.triplets == fb.triplets
-            assert fa.objects == fb.objects
-            assert np.array_equal(fa.gt_feats, fb.gt_feats)
+        for name in ("n_objects", "n_triplets", "triplets", "objects", "gt_feats"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 def _with_signed_zeros(seq, dims):
     """`seq` with the first visual entry of its first frame's gt objects
     -0.0 and 0.0 in turn, and its first detection's visual vector the first
     object's with the sign of that zero flipped."""
-    gt = np.concatenate([f.gt_feats for f in seq.frames])
-    det = np.concatenate([f.det_feats for f in seq.frames])
-    visual = 4 + dims.g
-    gt[:len(seq.frames[0].objects), visual] = [(-0.0, 0.0)[i % 2]
-                                               for i in range(len(seq.frames[0].objects))]
+    gt, det = seq.gt_feats.copy(), seq.det_feats.copy()
+    visual, n = 4 + dims.g, seq.n_objects[0]
+    gt[:n, visual] = [(-0.0, 0.0)[i % 2] for i in range(n)]
     det[0, visual:] = gt[0, visual:]
     det[0, visual] = 0.0
-    frames = [([(o.label, o.occluded, o.recorded) for o in f.objects], f.triplets,
-               len(f.detections)) for f in seq.frames]
-    return scene_sequence(frames, gt, det, dims.g, seq.event_labels, seq.seed)
+    objects = seq.objects
+    return scene_sequence(gt, det, objects["label"], objects["occluded"], objects["recorded"],
+                          seq.triplets, (seq.n_objects, seq.n_detections, seq.n_triplets),
+                          seq.event_labels, seq.seed, dims.g)
 
 
 def test_a_loaded_sequence_is_the_generated_one_bit_for_bit():
@@ -314,18 +315,46 @@ def test_a_loaded_sequence_is_the_generated_one_bit_for_bit():
             seq = _with_signed_zeros(seq, dims)
             record = io.sequence_to_json(seq)
             assert record["det_object"][0] == -1
-            assert np.signbit(seq.frames[0].gt_feats[0, 4 + dims.g])
+            assert np.signbit(seq.gt_feats[0, 4 + dims.g])
         line = io.sequence_line(seq)
         loaded = io.sequence_from_json(json.loads(line), Path("mem"), 2, dims)
         assert (loaded.seed, loaded.g, loaded.event_labels.tobytes()) == \
             (seq.seed, seq.g, seq.event_labels.tobytes())
-        assert len(loaded.frames) == len(seq.frames)
-        for a, b in zip(seq.frames, loaded.frames):
-            for name in ("gt_feats", "gt_labels", "det_feats"):
-                x, y = getattr(a, name), getattr(b, name)
-                assert (x.shape, x.dtype, x.tobytes()) == (y.shape, y.dtype, y.tobytes())
-            assert (a.objects, a.triplets, a.detections) == (b.objects, b.triplets, b.detections)
+        for name in ("gt_feats", "det_feats", "objects", "triplets", "n_objects",
+                     "n_detections", "n_triplets"):
+            x, y = getattr(seq, name), getattr(loaded, name)
+            assert (x.shape, x.dtype, x.tobytes()) == (y.shape, y.dtype, y.tobytes()), name
         assert io.sequence_line(loaded) == line
+
+
+SEQUENCE_COLUMNS = ("gt_feats", "det_feats", "objects", "triplets", "n_objects", "n_detections",
+                    "n_triplets", "event_labels")
+
+
+@pytest.mark.parametrize("t, kind", [(0, "empty"), (1, "empty"), (3, "empty"),
+                                     (2, "objects-only")],
+                         ids=["empty-first", "empty-middle", "empty-last", "objects-only"])
+def test_edge_frames_round_trip(t, kind):
+    # a dataset line and a pickle each bring back every column bit for bit,
+    # and the frames viewed in them, with an empty frame first, in the middle
+    # or last, or a frame of objects without detections or triplets
+    dims = Dims()
+    seq = random_sequence(RngStream(12), dims, n_frames=4)
+    frame = frame_columns(seq)[t]
+    edited = empty_frame(dims) if kind == "empty" else dict(frame, det=frame["det"][:0],
+                                                            triplets=frame["triplets"][:0])
+    seq = edit_frames(seq, {t: edited})
+    counts = [(len(f.objects), len(f.detections), len(f.triplets)) for f in seq.frames]
+    assert counts[t] == ((0, 0, 0) if kind == "empty" else (len(frame["gt"]), 0, 0))
+    line = io.sequence_line(seq)
+    for back in (io.sequence_from_json(json.loads(line), Path("mem"), 2, dims),
+                 pickle.loads(pickle.dumps(seq))):
+        for name in SEQUENCE_COLUMNS:
+            x, y = getattr(seq, name), getattr(back, name)
+            assert (x.shape, x.dtype, x.tobytes()) == (y.shape, y.dtype, y.tobytes()), name
+        assert [(len(f.objects), len(f.detections), len(f.triplets))
+                for f in back.frames] == counts
+        assert io.sequence_line(back) == line
 
 
 def test_checkpoint_roundtrip_is_exact(checkpoint_path):
@@ -404,8 +433,8 @@ def gt_prediction_records(seqs):
             for s, o, p in frame.triplets:   # pairs in `spatial.frame_pairs` order
                 probs[(s * (n - 1) + o - (o > s)) * h + p] = 1.0
             frames.append({
-                "boxes": [list(o.box) for o in frame.objects],
-                "labels": [o.label for o in frame.objects],
+                "boxes": frame.objects["box"].tolist(),
+                "labels": frame.objects["label"].tolist(),
                 "label_scores": [1.0] * n,
                 "pair_probs": io.float64_text(probs),
             })
@@ -1085,14 +1114,13 @@ def sized_frames_run(tmp_path_factory) -> tuple[Path, Path]:
     out = tmp_path_factory.mktemp("sized")
     cfg = parse_config_items({})
     dims, rng = cfg.dims, RngStream(3)
-    spec, rows = [], []
+    frames = []
     for n in (1, 2, 0, 6):
         objects = [random_gt_row(rng, dims) for _ in range(n)]
-        spec.append(([(label, False, True) for label, _ in objects],
-                     [(0, 1, 2)] if n >= 2 else [], n))
-        rows += [row for _, row in objects]
-    feats = np.array(rows).reshape(-1, dims.m)
-    seq = scene_sequence(spec, feats, feats.copy(), dims.g, np.zeros(len(EVENT_NAMES)), 11)
+        rows = [row for _, row in objects]
+        frames.append(make_frame(rows, [label for label, _ in objects],
+                                 [(0, 1, 2)] if n >= 2 else [], rows, dims))
+    seq = sequence_of(frames, dims.g, np.zeros(len(EVENT_NAMES)), 11)
     (out / "ds").mkdir()
     io.write_split(out / "ds" / "test.jsonl", cfg, "test", [seq])
     io.write_checkpoint(out / "model.json", cfg, ModelParams.init(dims, seed=0), [])
@@ -1820,6 +1848,48 @@ def test_config_file_errors_name_the_file_and_line(tmp_path, capsys, text, line,
     where = f"{cfg}:{line}" if line else cfg
     assert capsys.readouterr().err == f"error: {where}: {message}\n"
     assert not (tmp_path / "d").exists()
+
+
+# a frame's pair work grows with the square of its nodes: a frame of 5,000
+# objects would ask for about 11 GB in the first pair layer
+@pytest.mark.parametrize("text, total", [
+    ("world.n_objects_max = 64", "64 + 0.1"),
+    ("world.n_objects_max = 63\nnoise.false_positive_rate = 1.5", "63 + 1.5"),
+], ids=["objects", "false-positives"])
+def test_a_config_whose_frames_exceed_the_bound_is_an_error(tmp_path, capsys, text, total):
+    # MAX_FRAME_NODES + 1 detections at the most: the objects and the
+    # false positives rounded up
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(f"# frames one detection beyond the bound\n{text}\n")
+    assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {cfg}:2: world.n_objects_max: a frame may hold at most {MAX_FRAME_NODES} "
+        f"detections, but world.n_objects_max + noise.false_positive_rate is {total}\n")
+    assert not (tmp_path / "d").exists()
+    for at_bound in ({"world.n_objects_max": "64", "noise.false_positive_rate": "0"},
+                     {"world.n_objects_max": "63", "noise.false_positive_rate": "1"}):
+        parse_config_items(at_bound)
+
+
+def _beyond_the_bound(kind):
+    """A frames edit that gives frame 0 MAX_FRAME_NODES + 1 `kind` (objects
+    or detections), copies of its first."""
+    def edit(frames):
+        items = frames[0][kind]
+        items[:] = [dict(items[0]) for _ in range(MAX_FRAME_NODES + 1)]
+    return edit
+
+
+@pytest.mark.parametrize("kind, name", [("objects", "n_objects"),
+                                        ("detections", "n_detections")])
+def test_a_dataset_frame_beyond_the_bound_is_an_error(tmp_path, dataset_dir, capsys, kind,
+                                                      name):
+    data = _edited_train_split(tmp_path, dataset_dir, 1, _frames_edit(_beyond_the_bound(kind)))
+    capsys.readouterr()
+    assert _train(data, tmp_path) == 1
+    assert capsys.readouterr().err == (
+        f"error: {data / 'train.jsonl'}:2: entry 0 of field {name!r} must be at most "
+        f"{MAX_FRAME_NODES}, the most a frame may hold, got {MAX_FRAME_NODES + 1}\n")
 
 
 def test_a_split_header_config_number_must_be_finite(tmp_path, dataset_dir, capsys):

@@ -12,7 +12,7 @@ import pytest
 
 import primitives as prim
 import stsg.temporal
-from conftest import empty_frame
+from conftest import edit_frames, empty_frame
 from reference_kernels import (
     composed_batch_loss,
     composed_forward_batch,
@@ -50,7 +50,7 @@ def seed7_sequences(count=2):
 def with_empty_frame():
     """Two seed-7 sequences, the first with its third frame emptied."""
     seqs = seed7_sequences()
-    seqs[0].frames[2] = empty_frame(Dims())
+    seqs[0] = edit_frames(seqs[0], {2: empty_frame(Dims())})
     return seqs
 
 

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import empty_frame, frame_record, random_sequence
+from conftest import edit_frames, empty_frame, frame_columns, make_frame, random_sequence
 from fixtures import (G, H, _gt, _pred, exhaustive_max_matches, exhaustive_recall_at_k,
                       match_frame, relation_probs, served_corpus, three_frame_fixture,
                       triplet_list, triplet_rows)
@@ -27,7 +27,6 @@ from stsg.metrics import (
     mean_recall,
     rank_triplets,
     recall_at_k,
-    relation_map,
 )
 from stsg.params import ModelParams, model_shapes
 from stsg.rng import RngStream
@@ -192,9 +191,10 @@ def test_served_ranking_matches_loop_reference(mode):
     # h = 8 > NO_CONSTRAINT_PER_PAIR, so each pair's predicates are cut to 6
     dims = Dims(h=8)
     seq = random_sequence(RngStream(64), dims, n_frames=6, n_min=2, n_max=5)
-    seq.frames[1] = empty_frame(dims)
-    one = seq.frames[3]
-    seq.frames[3] = frame_record(one.gt_feats[:1], one.gt_labels[:1], [], one.det_feats[:1], dims)
+    one = frame_columns(seq)[3]
+    seq = edit_frames(seq, {1: empty_frame(dims),
+                            3: make_frame(one["gt"][:1], one["labels"][:1], [], one["det"][:1],
+                                          dims)})
     # the second relation head ignores the nodes: every pair has the same
     # predicate probabilities, and five equal ones straddle the cut to 6
     tied = params_with(dims, **{"rel.w": np.zeros(model_shapes(dims, 2)["rel.w"]),
@@ -332,16 +332,15 @@ def test_ap_bounds():
 
 
 def test_relation_map_perfect_and_weighted():
-    frames = three_frame_fixture()[:1]
-    assert relation_map(frames, weighted=False) == 1.0
+    report = evaluate(three_frame_fixture()[:1], "sgdet", False)
+    assert report["map_rel"] == 1.0
     # equal class frequencies: weighted mean equals plain mean
-    assert relation_map(frames, weighted=True) == relation_map(frames, weighted=False)
+    assert report["wmap_rel"] == report["map_rel"]
 
 
 def test_wmap_between_min_and_max_class_ap():
-    frames = three_frame_fixture()
-    m = relation_map(frames, weighted=False)
-    w = relation_map(frames, weighted=True)
+    report = evaluate(three_frame_fixture(), "sgdet", False)
+    m, w = report["map_rel"], report["wmap_rel"]
     assert 0.0 <= min(m, w) and max(m, w) <= 1.0
 
 
@@ -482,8 +481,9 @@ def test_evaluate_matches_loop_reference():
                 for k in RECALL_KS:
                     assert report[f"recall@{k}"] == recall_at_k(frames, k, mode, constraint)
                     assert report[f"mean_recall@{k}"] == mean_recall(frames, k, mode, constraint)
-                assert report["map_rel"] == relation_map(frames, False, constraint)
-                assert report["wmap_rel"] == relation_map(frames, True, constraint)
+                sgdet = evaluate(frames, "sgdet", constraint)
+                assert (report["map_rel"], report["wmap_rel"]) == \
+                    (sgdet["map_rel"], sgdet["wmap_rel"])
 
 
 @pytest.fixture(scope="module")

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import frame_record
+from conftest import make_frame, sequence_of
 from stsg.config import Dims, WorldConfig
 from stsg.errors import ContractError, ShapeError
 from stsg.scene import SceneSequence, iou, object_nodes, pairwise_iou, scene_sequence
@@ -77,8 +77,10 @@ def sequence_of_boxes(gt_boxes, det_boxes) -> SceneSequence:
     def rows(boxes):
         return np.array([[*box, 1.0, 0.0, 0.0] for box in boxes]).reshape(-1, dims.m)
 
-    spec = [([(0, False, True)] * len(gt_boxes), [], len(det_boxes))]
-    return scene_sequence(spec, rows(gt_boxes), rows(det_boxes), dims.g, np.zeros(4), 0)
+    n = len(gt_boxes)
+    return scene_sequence(rows(gt_boxes), rows(det_boxes), [0] * n, [False] * n, [True] * n,
+                          np.zeros((0, 3), np.intp),
+                          ([n], [len(det_boxes)], [0]), np.zeros(4), 0, dims.g)
 
 
 def test_box_validation():
@@ -112,8 +114,8 @@ def test_every_box_is_range_checked_and_the_first_bad_one_named(box, message, ki
 def test_boxes_on_the_range_edges_are_accepted():
     edges = [[0.0, 0.0, 1.0, 1.0], [1.0, 1.0, 1e-12, 1e-12]]
     seq = sequence_of_boxes(edges, edges)
-    assert [o.box for o in seq.frames[0].objects] == [tuple(b) for b in edges]
-    assert [d.box for d in seq.frames[0].detections] == [tuple(b) for b in edges]
+    assert [o.box.tolist() for o in seq.frames[0].objects] == edges
+    assert [d.box.tolist() for d in seq.frames[0].detections] == edges
 
 
 def test_iou_basics():
@@ -151,7 +153,7 @@ def test_a_box_overlaps_itself_by_exactly_one():
     dims = Dims()
     for seed in range(20):
         for frame in generate_scene(dims, WorldConfig(), seed).frames:
-            for boxes in (frame.gt_feats[:, :4], frame.det_feats[:, :4]):
+            for boxes in (frame.objects["box"], frame.detections["box"]):
                 ious = pairwise_iou(boxes, boxes)
                 assert (np.diag(ious) == 1.0).all()
                 assert ((ious >= 0.0) & (ious <= 1.0)).all()
@@ -160,7 +162,7 @@ def test_a_box_overlaps_itself_by_exactly_one():
 def test_gt_object_as_node_uses_requested_labels():
     dims = Dims(g=3, c=3)
     gt = [0, 0, 0.1, 0.1, 0.1, 0.2, 0.7, 0.0, 0.0, 0.0]
-    seq = SceneSequence([frame_record([gt], [2], [], [], dims)], np.zeros(4), seed=0, g=dims.g)
+    seq = sequence_of([make_frame([gt], [2], [], [], dims)], dims.g)
     onehot = pack(seq, "predcls", "spatial", dims).feats[0]
     np.testing.assert_array_equal(onehot[4:7], [0, 0, 1])
     noisy = pack(seq, "sgcls", "spatial", dims).feats[0]
@@ -168,5 +170,7 @@ def test_gt_object_as_node_uses_requested_labels():
 
 
 def test_sequence_needs_frames():
+    empty = np.zeros((0, 7))
     with pytest.raises(ContractError):
-        SceneSequence(frames=[], event_labels=np.zeros(4), seed=0, g=2)
+        scene_sequence(empty, empty, [], [], [], np.zeros((0, 3), np.intp), ([], [], []),
+                       np.zeros(4), 0, 2)

@@ -108,22 +108,22 @@ def reference_triplets(frames: list[list]) -> list[list[tuple[int, int, int]]]:
 def checked_triplets(frames: list[list[tuple]]) -> list[list[tuple[int, int, int]]]:
     """frame_triplets of hand-built (x, y, w, h) frames, after checking it
     against the scalar reference."""
-    got = frame_triplets(np.array(frames, dtype=np.float64))
+    got = per_frame(*frame_triplets(np.array(frames, dtype=np.float64)))
     assert got == reference_triplets(frames)
     return got
 
 
+def per_frame(triplets: np.ndarray, counts) -> list[list[tuple[int, int, int]]]:
+    """(T, 3) triplet rows, frame after frame, as each frame's list of tuples."""
+    rows = list(map(tuple, triplets.tolist()))
+    ends = np.cumsum(counts).tolist()
+    return [rows[a:b] for a, b in zip([0] + ends, ends)]
+
+
 def sequences_equal(a, b) -> bool:
-    if len(a.frames) != len(b.frames) or not np.array_equal(a.event_labels, b.event_labels):
-        return False
-    for fa, fb in zip(a.frames, b.frames):
-        if fa.triplets != fb.triplets or fa.objects != fb.objects \
-                or fa.detections != fb.detections:
-            return False
-        if not (np.array_equal(fa.gt_feats, fb.gt_feats)
-                and np.array_equal(fa.det_feats, fb.det_feats)):
-            return False
-    return True
+    return all(np.array_equal(getattr(a, name), getattr(b, name))
+               for name in ("n_objects", "n_detections", "n_triplets", "event_labels",
+                            "objects", "triplets", "gt_feats", "det_feats"))
 
 
 def test_generate_scene_is_deterministic():
@@ -147,8 +147,8 @@ def test_static_scene_has_no_motion_predicates():
 def test_generated_triplets_equal_scalar_reference(world):
     for seed in range(200):
         seq = generate_scene(DIMS, world, seed=seed)
-        frames = [[o.box for o in frame.objects] for frame in seq.frames]
-        assert [frame.triplets for frame in seq.frames] == reference_triplets(frames), seed
+        frames = [frame.objects["box"].tolist() for frame in seq.frames]
+        assert per_frame(seq.triplets, seq.n_triplets) == reference_triplets(frames), seed
 
 
 TINY = 2.0 ** -9   # box side whose half-width keeps threshold sums exact
@@ -203,7 +203,7 @@ def test_predicate_consistency_invariants():
         seq = generate_scene(DIMS, WORLD, seed=seed)
         prev = None
         for frame in seq.frames:
-            trips = set(frame.triplets)
+            trips = set(map(tuple, frame.triplets.tolist()))
             for (i, j, p) in trips:
                 if p == HOLDING:
                     assert (i, j, NEAR) in trips, f"seed {seed}: holding without near"
@@ -238,13 +238,12 @@ def test_zero_noise_detector_is_identity():
     seq = generate_scene(DIMS, WorldConfig(noise=NoiseConfig(0.0, 0.0, 0.0, 0.0, 0.0)), seed=5)
     for frame in seq.frames:
         assert len(frame.detections) == len(frame.objects)
-        for det, obj, det_row, gt_row in zip(frame.detections, frame.objects, frame.det_feats,
-                                             frame.gt_feats):
-            assert det.box == obj.box
-            onehot = np.zeros(DIMS.g)
-            onehot[obj.label] = 1.0
-            np.testing.assert_array_equal(det_row[4:4 + DIMS.g], onehot)
-            np.testing.assert_array_equal(det_row[4 + DIMS.g:], gt_row[4 + DIMS.g:])
+    for det_row, gt_row, obj in zip(seq.det_feats, seq.gt_feats, seq.objects, strict=True):
+        assert det_row[:4].tolist() == obj.box.tolist()
+        onehot = np.zeros(DIMS.g)
+        onehot[obj.label] = 1.0
+        np.testing.assert_array_equal(det_row[4:4 + DIMS.g], onehot)
+        np.testing.assert_array_equal(det_row[4 + DIMS.g:], gt_row[4 + DIMS.g:])
 
 
 def gt_rows(*boxes) -> np.ndarray:
@@ -255,8 +254,8 @@ def gt_rows(*boxes) -> np.ndarray:
 def test_full_miss_prob_drops_everything():
     noise = NoiseConfig(box_jitter_sigma=0.0, label_confusion_prob=0.0,
                         miss_prob=1.0, false_positive_rate=0.0, occlusion_prob=0.0)
-    assert simulate_detector([(1, False, True)], gt_rows([0.4, 0.4, 0.1, 0.1]), noise, DIMS,
-                             RngStream(1)) == ([], [], [])
+    assert simulate_detector([1], [False], gt_rows([0.4, 0.4, 0.1, 0.1]), noise, DIMS,
+                             RngStream(1)).shape == (0, DIMS.m)
 
 
 def test_jitter_folded_normal_statistics():
@@ -268,8 +267,8 @@ def test_jitter_folded_normal_statistics():
     total = 0.0
     n = 10_000
     for _ in range(n):
-        (box,), _, _ = simulate_detector([(1, False, True)], gt_rows(gt_box), noise, DIMS,
-                                         stream)
+        (box,) = simulate_detector([1], [False], gt_rows(gt_box), noise, DIMS,
+                                   stream)[:, :4].tolist()
         (cx, cy), (gx, gy) = center(box), center(gt_box)
         total += abs(cx - gx) + abs(cy - gy)
     expected = 2.0 * sigma * np.sqrt(2.0 / np.pi)
@@ -291,8 +290,8 @@ def test_occlusion_produces_missing_then_present():
 def test_label_confusion_moves_mass_to_one_class():
     noise = NoiseConfig(box_jitter_sigma=0.0, label_confusion_prob=0.25,
                         miss_prob=0.0, false_positive_rate=0.0, occlusion_prob=0.0)
-    _, (label_dist,), _ = simulate_detector([(2, False, True)], gt_rows([0.4, 0.4, 0.1, 0.1]),
-                                            noise, DIMS, RngStream(9))
+    (label_dist,) = simulate_detector([2], [False], gt_rows([0.4, 0.4, 0.1, 0.1]), noise, DIMS,
+                                      RngStream(9))[:, 4:4 + DIMS.g]
     assert label_dist[2] == 0.75
     assert np.isclose(label_dist.sum(), 1.0)
     assert np.count_nonzero(label_dist) == 2
@@ -301,7 +300,7 @@ def test_label_confusion_moves_mass_to_one_class():
 def test_false_positives_get_uniform_labels():
     noise = NoiseConfig(box_jitter_sigma=0.0, label_confusion_prob=0.0,
                         miss_prob=0.0, false_positive_rate=1.0, occlusion_prob=0.0)
-    _, dists, _ = simulate_detector([], gt_rows(), noise, DIMS, RngStream(10))
+    dists = simulate_detector([], [], gt_rows(), noise, DIMS, RngStream(10))[:, 4:4 + DIMS.g]
     assert len(dists) == 1
     np.testing.assert_allclose(dists[0], np.full(DIMS.g, 1.0 / DIMS.g))
 
@@ -324,10 +323,11 @@ def test_prototype_table_is_read_only_and_computed_once():
 
 def test_detection_rows_equal_per_node_encoding():
     for seed in range(20):
-        for frame in generate_scene(DIMS, WORLD, seed=seed).frames:
-            for row, det in zip(frame.det_feats, frame.detections, strict=True):
-                (node,) = object_nodes([det.box], [row[4:4 + DIMS.g]], [row[4 + DIMS.g:]], DIMS)
-                np.testing.assert_array_equal(row, node)
+        seq = generate_scene(DIMS, WORLD, seed=seed)
+        detections = [det for frame in seq.frames for det in frame.detections]
+        for row, det in zip(seq.det_feats, detections, strict=True):
+            (node,) = object_nodes([det.box], [row[4:4 + DIMS.g]], [row[4 + DIMS.g:]], DIMS)
+            np.testing.assert_array_equal(row, node)
 
 
 # sha256 of train/val/test.jsonl written by `stsg gen --seed 7` with 5/1/3

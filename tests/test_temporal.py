@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 import primitives as prim
 from conftest import (
     MatmulRows,
+    edit_frames,
     empty_frame,
     encode_frame,
+    frame_columns,
     frame_pair_links,
     frame_dicts,
-    frame_record,
     random_sequence,
     select_no_links,
     with_frames,
@@ -366,7 +367,8 @@ def test_forward_tracking_links_equal_tracking_over_the_nodes(dims, params, worl
     seqs = [generate_scene(dims, world, seed) for seed in (3, 4)]
     for mode in MODES:
         packed = Packed.join([pack(seq, mode, "tracking", dims) for seq in seqs])
-        nodes = np.concatenate([encode_frame(f, mode, dims) for seq in seqs for f in seq.frames])
+        nodes = np.concatenate([encode_frame(f, mode, dims) for seq in seqs
+                                for f in frame_columns(seq)])
         boxes = nodes[:, :4]
         labels = np.argmax(nodes[:, 4:4 + dims.g], axis=1)
         want = tracking_links(boxes, labels, packed.cand_curr.ids, packed.cand_prev.ids)
@@ -431,34 +433,34 @@ def test_packed_nodes_equal_the_frames_encoded_one_by_one(dims, mode):
         assert packed.sizes[1] == 0 and packed.sizes[3] == 1
 
 
-def record_fields(sequence):
-    """Every attribute value of every gt object and detection record."""
-    return [getattr(o, f.name) for frame in sequence.frames
-            for o in frame.objects + frame.detections for f in fields(o)]
-
-
-def test_object_records_hold_no_arrays(dims):
-    # a box or vector lives only in the frames' node rows: no record holds an
-    # array, or a view of one
+def test_frame_views_share_the_sequence_columns(dims):
+    # a frame is only slices of its sequence's columns: every field of every
+    # frame that holds a row shares memory with a column, and each object's
+    # box is its gt row's
     seq = generate_scene(dims, WorldConfig(), 3)
     loaded = sequence_from_json(edited_record(seq, dims), Path("edited.jsonl"), 2, dims)
     assert not loaded.frames[2].objects[0].recorded
     for sequence in (seq, loaded, random_sequence(RngStream(8), dims, n_frames=3)):
-        fields = record_fields(sequence)
-        assert fields and not any(isinstance(v, np.ndarray) for v in fields)
-        for frame in sequence.frames:
-            assert [o.box for o in frame.objects] == list(map(tuple, frame.gt_feats[:, :4].tolist()))
-            assert [d.box for d in frame.detections] == \
-                list(map(tuple, frame.det_feats[:, :4].tolist()))
+        columns = (sequence.objects, sequence.triplets, sequence.det_feats)
+        for frame, want in zip(sequence.frames, frame_columns(sequence), strict=True):
+            for field in fields(frame):
+                view = getattr(frame, field.name)
+                assert len(view) == 0 or any(np.shares_memory(view, c) for c in columns)
+            np.testing.assert_array_equal(frame.objects["box"], want["gt"][:, :4])
+            np.testing.assert_array_equal(frame.triplets, want["triplets"])
+            np.testing.assert_array_equal(frame.detections["box"], want["det"][:, :4])
+        assert sequence.objects["box"].tobytes() == sequence.gt_feats[:, :4].tobytes()
 
 
 def test_a_pickled_sequence_is_the_same_sequence_and_stays_small(dims):
     # worker processes receive sequences pickled: a round trip keeps the
-    # record and the packed node rows in every mode, and each vector travels
-    # once (only the boxes' numbers travel twice, in the row and the record)
+    # record and the packed node rows in every mode, and each column travels
+    # once (the frame views travel not at all: as copies, a frame's objects,
+    # triplets and detection rows would travel twice)
     seq = generate_scene(dims, WorldConfig(), 3)
     loaded = sequence_from_json(edited_record(seq, dims), Path("edited.jsonl"), 2, dims)
     for sequence in (seq, loaded, random_sequence(RngStream(8), dims, n_frames=3)):
+        assert len(sequence.frames) == len(sequence.n_objects)   # the views exist
         data = pickle.dumps(sequence)
         back = pickle.loads(data)
         assert sequence_to_json(back) == sequence_to_json(sequence)
@@ -466,8 +468,12 @@ def test_a_pickled_sequence_is_the_same_sequence_and_stays_small(dims):
             want, got = pack(sequence, mode, "sparse", dims), pack(back, mode, "sparse", dims)
             assert got.feats.tobytes() == want.feats.tobytes()
             np.testing.assert_array_equal(got.sizes, want.sizes)
-        matrices = sum(f.gt_feats.nbytes + f.det_feats.nbytes for f in sequence.frames)
-        assert len(data) < 1.75 * matrices
+        # the columns pickled on their own: numpy's framing of a small array
+        # is a fixed few hundred bytes, most of a 3-frame random sequence's
+        columns = pickle.dumps((
+            sequence.gt_feats, sequence.det_feats, sequence.objects, sequence.triplets,
+            sequence.n_objects, sequence.n_detections, sequence.n_triplets, sequence.event_labels))
+        assert len(data) < 1.1 * len(columns)
 
 
 def spatial_stage(feats, params):
@@ -482,7 +488,7 @@ def spatial_only_oracle(sequence, params, mode):
     from stsg.params import linear
 
     result = []
-    for frame in sequence.frames:
+    for frame in frame_columns(sequence):
         nodes = encode_frame(frame, mode, params.dims)
         feats = Tensor(nodes)
         updated = spatial_stage(feats, params)
@@ -538,7 +544,7 @@ def test_forward_matches_step_by_step_composition(dims, params):
 
     prev_updated = None
     prev_nodes = None
-    for t, frame in enumerate(seq.frames):
+    for t, frame in enumerate(frame_columns(seq)):
         nodes = encode_frame(frame, "sgcls", dims)
         feats = Tensor(nodes)
         updated = spatial_stage(feats, params)
@@ -578,8 +584,8 @@ def test_sparse_link_counts(dims, params):
 
 def test_empty_frame_breaks_chain(dims, params):
     seq = random_sequence(RngStream(36), dims, n_frames=3)
-    f = seq.frames[1]
-    seq.frames[1] = frame_record(f.gt_feats, f.gt_labels, f.triplets, f.det_feats[:0], dims)
+    f = frame_columns(seq)[1]
+    seq = edit_frames(seq, {1: dict(f, det=f["det"][:0])})
     outs = forward_sequence(seq, params, mode="sgdet", variant="sparse", k=1)
     assert outs[1].n == 0
     # the frame after the gap restarts with no temporal links
@@ -592,8 +598,7 @@ def test_candidates_equal_the_frame_by_frame_lists(dims, variant):
     # frame t's candidates: each of its nodes with every node of frame t - 1,
     # none after an empty frame; built frame by frame as the reference
     seq = random_sequence(RngStream(42), dims, n_frames=7, n_min=1, n_max=4)
-    for t in (1, 4, 5):
-        seq.frames[t] = empty_frame(dims)
+    seq = edit_frames(seq, {t: empty_frame(dims) for t in (1, 4, 5)})
     for mode in MODES:
         packed = pack(seq, mode, variant, dims)
         sizes = packed.sizes.tolist()
@@ -613,7 +618,7 @@ def test_candidates_equal_the_frame_by_frame_lists(dims, variant):
 def test_packed_links_stay_within_a_sequence(dims, params, variant):
     rng = RngStream(40)
     gap = random_sequence(rng, dims, n_frames=3)
-    gap.frames[1] = empty_frame(dims)
+    gap = edit_frames(gap, {1: empty_frame(dims)})
     seqs = [gap, random_sequence(rng.split(1), dims, n_frames=2),
             random_sequence(rng.split(2), dims, n_frames=2)]
     for mode in ("predcls", "sgcls", "sgdet"):
@@ -658,11 +663,8 @@ def test_forward_permutation_equivariance(dims, params):
         other = random_sequence(rng.split(100 + trial), dims, n_frames=2)
         base = forward_packed([seq, other], params, mode="sgdet", variant="sparse", k=1)
         perms = [rng.permutation(len(f.detections)) for f in seq.frames]
-        import copy
-
-        shuffled = copy.deepcopy(seq)
-        shuffled.frames = [frame_record(f.gt_feats, f.gt_labels, f.triplets, f.det_feats[p], dims)
-                           for f, p in zip(shuffled.frames, perms)]
+        shuffled = edit_frames(seq, {t: dict(f, det=f["det"][p]) for t, (f, p)
+                                     in enumerate(zip(frame_columns(seq), perms))})
         out = forward_packed([shuffled, other], params, mode="sgdet", variant="sparse", k=1)
         for t, (a, b) in enumerate(zip(base[:len(perms)], out)):
             p = perms[t]

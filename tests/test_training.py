@@ -8,7 +8,8 @@ import pytest
 import stsg.temporal
 import stsg.training
 import primitives as prim
-from conftest import empty_frame, frame_record, random_sequence
+from conftest import (edit_frames, empty_frame, frame_columns, make_frame, random_sequence,
+                      sequence_of)
 from fixtures import pair_grid
 from reference_losses import (
     link_loss,
@@ -26,7 +27,7 @@ from stsg.errors import TrainingError
 from stsg.params import Gradients, ModelParams
 from stsg.rng import RngStream
 from stsg.synthgen import generate_scene
-from stsg.scene import SceneSequence, iou, pairwise_iou
+from stsg.scene import iou, pairwise_iou
 from stsg.temporal import forward_batch, frame_predictions, pack
 from stsg.training import (
     LINK_WEIGHT,
@@ -157,8 +158,7 @@ def test_sgdet_identity_matches_from_half_iou_first_on_ties(dims):
 
     gt = [row(0.25, 0.25, 0.25, 0), row(0.25, 0.25, 0.25, 1), row(0.5, 0.5, 0.25, 2)]
     dets = [row(0.5, 0.5, 0.125), row(0.25, 0.25, 0.25), row(0.5, 0.5, 0.12)]
-    frame = frame_record(gt, [0, 1, 2], [], dets, dims)
-    seq = SceneSequence(frames=[frame], event_labels=np.zeros(4), seed=0, g=dims.g)
+    seq = sequence_of([make_frame(gt, [0, 1, 2], [], dets, dims)], dims.g)
     assert node_identity(seq, pack(seq, "sgdet", "spatial", dims)).tolist() == [2, 0, -1]
 
 
@@ -167,8 +167,8 @@ def loop_node_identity(sequence, packed):
     frame, first highest IoU, matched from IoU 0.5."""
     gt, start = np.full(packed.n_nodes, -1), 0
     for frame, n in zip(sequence.frames, packed.sizes):
-        if n and len(frame.gt_labels):
-            ious = pairwise_iou(packed.feats[start:start + n, :4], frame.gt_feats[:, :4])
+        if n and len(frame.objects):
+            ious = pairwise_iou(packed.feats[start:start + n, :4], frame.objects["box"])
             best = np.argmax(ious, axis=1)
             gt[start:start + n] = np.where(ious[np.arange(n), best] >= 0.5, best, -1)
         start += n
@@ -184,14 +184,13 @@ def test_sgdet_identity_equals_the_per_frame_loop(dims):
     gt = [row(0.25, 0.25, 0.25, 0), row(0.25, 0.25, 0.25, 1), row(0.5, 0.5, 0.25, 2)]
     dets = [row(0.5, 0.5, 0.125), row(0.25, 0.25, 0.25), row(0.5, 0.5, 0.12)]
     frames = [
-        frame_record(gt, [0, 1, 2], [], dets, dims),          # exactly 0.5, a tie, 0.48
-        frame_record([], [], [], dets[:2], dims),             # detections without gt
+        make_frame(gt, [0, 1, 2], [], dets, dims),          # exactly 0.5, a tie, 0.48
+        make_frame([], [], [], dets[:2], dims),             # detections without gt
         empty_frame(dims),
-        frame_record(gt[:1], [0], [], [], dims),              # gt without detections
-        frame_record(gt[2:], [2], [], dets[::-1], dims),      # one object, two slots padded
+        make_frame(gt[:1], [0], [], [], dims),              # gt without detections
+        make_frame(gt[2:], [2], [], dets[::-1], dims),      # one object, two slots padded
     ]
-    sequences = [SceneSequence(frames=frames, event_labels=np.zeros(4), seed=0, g=dims.g),
-                 SceneSequence(frames=frames[1:3], event_labels=np.zeros(4), seed=0, g=dims.g)]
+    sequences = [sequence_of(frames, dims.g), sequence_of(frames[1:3], dims.g)]
     sequences += [generate_scene(dims, WorldConfig(), 900 + seed) for seed in range(20)]
     for seq in sequences:
         packed = pack(seq, "sgdet", "spatial", dims)
@@ -334,11 +333,11 @@ def target_scenes():
     scenes = [generate_scene(dims, world, 800 + seed) for seed in range(6)]
     scenes += [generate_scene(dims, large, 900 + seed) for seed in range(2)]
     edge = generate_scene(dims, world, 806)
-    f2, f5 = edge.frames[2], edge.frames[5]
-    edge.frames[2] = frame_record(f2.gt_feats, f2.gt_labels, f2.triplets, [], dims)
-    edge.frames[4].triplets = []
-    edge.frames[5] = frame_record([], [], [], f5.det_feats, dims)
-    assert edge.frames[5].detections
+    f2, f4, f5 = (frame_columns(edge)[t] for t in (2, 4, 5))
+    edge = edit_frames(edge, {2: dict(f2, det=f2["det"][:0]),
+                              4: dict(f4, triplets=f4["triplets"][:0]),
+                              5: make_frame([], [], [], f5["det"], dims)})
+    assert len(edge.frames[5].detections)
     return scenes + [edge]
 
 
