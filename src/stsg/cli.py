@@ -158,19 +158,18 @@ def to_predictions(frames: list[FramePrediction], dims: Dims) -> list[FramePredi
     return frames
 
 
-def _frame_evals(sequences, ranked) -> list[FrameEval]:
-    """One FrameEval per frame; `ranked` holds each sequence's ranked frames."""
-    return [FrameEval(r, frame.triplets, frame.objects)
-            for seq, seq_ranked in zip(sequences, ranked)
-            for r, frame in zip(seq_ranked, seq.frames)]
+def _frame_evals(sequences, graphs) -> list[FrameEval]:
+    """One FrameEval per frame; `graphs` holds each sequence's served graphs."""
+    return [FrameEval(graph, frame.triplets, frame.objects)
+            for seq, seq_graphs in zip(sequences, graphs)
+            for graph, frame in zip(seq_graphs, seq.frames)]
 
 
 def _forward_frames(sequences, params: ModelParams, mode: str, variant: str,
                     k: int) -> list[FrameEval]:
-    """Each frame's ranked predictions, unconstrained: evaluation applies the
-    graph constraint to the whole corpus, and its first read of a
-    sequence's triplets sorts them, once (`temporal.rank_frames`)."""
-    return _frame_evals(sequences, ([pred.ranked for pred in preds]
+    """Each frame's served graph and ground truth: evaluation ranks the
+    whole corpus, once a call (`metrics`)."""
+    return _frame_evals(sequences, ([pred.graph for pred in preds]
                                     for _, preds in _serve(sequences, params, mode, variant, k)))
 
 
@@ -284,7 +283,7 @@ def cmd_eval(args) -> int:
     else:
         split_header, seqs = io.load_split(args.data, args.split)
         dims = io.runconfig_from_flat(split_header["config"]).dims
-        file_mode, config_echo, ranked = io.ranked_predictions(args.preds, seqs, dims, args.split)
+        file_mode, config_echo, graphs = io.predicted_graphs(args.preds, seqs, dims, args.split)
         if args.mode and file_mode and args.mode != file_mode:
             raise ConfigError(
                 f"eval: predictions were produced in mode {file_mode!r}, not {args.mode!r}"
@@ -292,7 +291,7 @@ def cmd_eval(args) -> int:
         mode = args.mode or file_mode
         if mode is None:
             raise ConfigError("eval: --mode required when the predictions carry none")
-        frames = _frame_evals(seqs, ranked)
+        frames = _frame_evals(seqs, graphs)
     metrics = evaluate(frames, mode, constraint)
     doc = {"kind": "eval-report", "split": args.split,
            "mode": mode, "constraint": constraint, "config": config_echo,
@@ -363,6 +362,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_flops(args) -> int:
+    _check_counts("flops", args, k=1)
     cfg = _resolve_config(args)
     doc_rows = []
     for n in range(1, 9):

@@ -36,15 +36,14 @@ def build_feature_bank(predictions: list[FramePrediction], variant: str,
                        dims: Dims) -> np.ndarray:
     """The (T, G, m) bank: each class's row in each frame holds the feature of
     its highest-label-score node, the lowest-indexed one on ties; absent
-    classes stay zero. A node's class and label score are those its frame's
-    ranked list carries (`RankedFrame.labels`, `.label_scores`), node
-    fields, which never sort the frame's triplets."""
+    classes stay zero. A node's class and label score are those of its
+    frame's served graph (`FrameGraph.labels`, `.label_scores`)."""
     if variant not in BANK_VARIANTS:
         raise ContractError(f"bank variant must be one of {BANK_VARIANTS}, got {variant!r}")
     if not predictions:
         raise ContractError("build_feature_bank: need at least one frame")
-    labels = np.concatenate([p.ranked.labels for p in predictions])
-    label_scores = np.concatenate([p.ranked.label_scores for p in predictions])
+    labels = np.concatenate([p.graph.labels for p in predictions])
+    label_scores = np.concatenate([p.graph.label_scores for p in predictions])
     feats = np.concatenate([p.fused if variant == "spatial_temporal" else p.gcn
                             for p in predictions])
     frame = np.repeat(np.arange(len(predictions)), [p.n for p in predictions])

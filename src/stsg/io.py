@@ -36,13 +36,12 @@ so is a file of an earlier version, which says to regenerate it with
 A predictions file holds, for each frame, its nodes' boxes, labels and
 label scores and its ordered pairs' predicate probabilities (`pair_probs`,
 the base64 text of their little-endian float64 bytes, the predicate varying
-fastest), not a triplet list. One reader (`_predictions`) reads it: the
-header's config gives the dims (g bounds the labels, h sets the count of
-`pair_probs`), and each record's frames are checked and scored as its
-line is decoded, and ranked by the rule serving ranks with
-(`temporal.rank_frames`), which sorts them when a frame's triplets are
-first read; so the list read back is the list served. A label score must
-be in (0, 1], and a pair probability in [0, 1]. Errors come in line order:
+fastest), not a triplet list: a frame's served graph
+(`temporal.FrameGraph`), which evaluation ranks (`metrics`). One reader
+(`_predictions`) reads it: the header's config gives the dims (g bounds
+the labels, h sets the count of `pair_probs`), and each record's frames
+are checked as its line is decoded and become the graphs served, bit for
+bit. A label score must be in (0, 1], and a pair probability in [0, 1]. Errors come in line order:
 the header's, then each record's in turn, then a count of records that is
 not the split's. A header that names a split must name the one evaluated.
 """
@@ -64,8 +63,7 @@ from .config import EVENT_NAMES, MAX_FRAME_NODES, MODES, Dims, RunConfig, parse_
 from .errors import ConfigError, ContractError, DataFormatError
 from .params import ModelParams, model_shapes
 from .scene import SceneSequence, check_boxes, scene_sequence
-from .spatial import frame_pairs
-from .temporal import FramePrediction, RankedFrame, frame_offsets, rank_frames
+from .temporal import FrameGraph, FramePrediction, frame_offsets
 
 SPLITS = ("train", "val", "test")
 
@@ -511,19 +509,19 @@ def write_train_log(path: str | Path, cfg: RunConfig, log: list[dict]) -> None:
 # predictions
 
 
-def frame_prediction_to_json(pred: FramePrediction, ranked: RankedFrame,
+def frame_prediction_to_json(pred: FramePrediction, graph: FrameGraph,
                              include_features: bool) -> dict:
-    """A predictions frame: its nodes' boxes, labels and label scores, read
-    off `ranked`, and `pair_probs`, the frame's `FramePrediction.pair_probs`
-    as one base64 text of n(n - 1) * h float64 values (`float64_text`),
-    pairs in `spatial.frame_pairs` order and the predicate varying fastest.
-    A reader ranks them by the rule serving ranks with (`_ranked_frames`),
-    so the file lists no triplets."""
+    """A predictions frame: the frame's served graph `graph`, its nodes'
+    boxes, labels and label scores, and `pair_probs`, one base64 text of
+    n(n - 1) * h float64 values (`float64_text`), pairs in
+    `spatial.frame_pairs` order and the predicate varying fastest; and, with
+    `include_features`, `pred`'s label distributions and features.
+    Evaluation ranks the triplets, so the file lists none."""
     record = {
-        "boxes": ranked.boxes.tolist(),
-        "labels": ranked.labels.tolist(),
-        "label_scores": ranked.label_scores.tolist(),
-        "pair_probs": float64_text(pred.pair_probs),
+        "boxes": graph.boxes.tolist(),
+        "labels": graph.labels.tolist(),
+        "label_scores": graph.label_scores.tolist(),
+        "pair_probs": float64_text(graph.pair_probs),
     }
     if include_features:
         record["label_dists"] = pred.label_dists.tolist()
@@ -557,11 +555,9 @@ def _number_text(value: float) -> str:
     return str(int(value)) if value == np.floor(value) and abs(value) < _INTP_END else f"{value:g}"
 
 
-def _ranked_frames(frames: list, g: int, h: int) -> list[RankedFrame]:
-    """Check predictions frames all at once, and rank them with one
-    `temporal.rank_frames` call, the rule serving ranks a sequence with,
-    which finds and checks their scores here and sorts every frame, once,
-    when evaluation first reads a frame's triplets.
+def _frame_graphs(frames: list, g: int, h: int) -> list[FrameGraph]:
+    """Check predictions frames all at once, and return each one's graph,
+    its arrays views of one array per field.
 
     Boxes, labels and label scores must be finite numbers (`_number_array`),
     with a label and a label score per box; pair probabilities must be
@@ -585,8 +581,7 @@ def _ranked_frames(frames: list, g: int, h: int) -> list[RankedFrame]:
     per_frame = [_float64_rows(_field(frame, "pair_probs"), "pair_probs") for frame in frames]
     probs = np.concatenate(per_frame)
     n_probs = list(map(len, per_frame))
-    offsets = frame_offsets(n)
-    _, pair_starts, local = offsets
+    starts, pair_starts, local = frame_offsets(n)
     for nodes, p, count in zip(n, np.diff(pair_starts).tolist(), n_probs):
         if count != p * h:
             raise DataFormatError(f"frame has {nodes} nodes, so field 'pair_probs' must hold "
@@ -613,16 +608,17 @@ def _ranked_frames(frames: list, g: int, h: int) -> list[RankedFrame]:
                               f"got {float(label_scores[i])!r}")
     try:
         check_boxes(boxes)
-        subj, obj = frame_pairs(n)
-        return rank_frames(probs.reshape(-1, h), subj, obj, labels.astype(np.intp),
-                           label_scores, boxes, offsets)
     except ContractError as e:
         raise DataFormatError(str(e)) from None
+    labels, probs = labels.astype(np.intp), probs.reshape(-1, h)
+    nodes, pairs = starts.tolist(), pair_starts.tolist()
+    return [FrameGraph(labels[a:b], label_scores[a:b], boxes[a:b], probs[p:q])
+            for a, b, p, q in zip(nodes[:-1], nodes[1:], pairs[:-1], pairs[1:])]
 
 
-def ranked_from_frame_json(frame: RankedFrame, path: Path, lineno: int) -> RankedFrame:
+def ranked_from_frame_json(frame: FrameGraph, path: Path, lineno: int) -> FrameGraph:
     """A frame of a record from `load_predictions`, which the loader checked
-    and ranked as it read line `lineno` of `path`: its ranked list, as it is."""
+    as it read line `lineno` of `path`: its served graph, as it is."""
     return frame
 
 
@@ -654,9 +650,9 @@ def _collector_paused():
 def _predictions(path: str | Path):
     """Read a predictions file, with the collector paused: yield its header
     and the dims its config gives (the defaults where it has none), then
-    (line number, record) for each record, its frames checked and ranked as
-    the line is decoded (`_ranked_frames`, with those dims) and `frames` set
-    to their ranked lists. Each error is located at its file and line."""
+    (line number, record) for each record, its frames checked as the line
+    is decoded (`_frame_graphs`, with those dims) and `frames` set to their
+    graphs. Each error is located at its file and line."""
     path = Path(path)
     if not path.exists():
         raise DataFormatError(f"{path}: no such predictions file")
@@ -668,23 +664,23 @@ def _predictions(path: str | Path):
         yield header, dims
         for lineno, record in records:
             with _located(f"{path}:{lineno}"):
-                record["frames"] = _ranked_frames(_field(record, "frames", list),
-                                                  dims.g, dims.h)
+                record["frames"] = _frame_graphs(_field(record, "frames", list),
+                                                 dims.g, dims.h)
             yield lineno, record
 
 
 def load_predictions(path: str | Path) -> tuple[dict, list[dict]]:
-    """A predictions file's header and records, every record read, checked
-    and ranked (`_predictions`): each record's `frames` are its ranked lists."""
+    """A predictions file's header and records, every record read and
+    checked (`_predictions`): each record's `frames` are its graphs."""
     (header, _), *numbered = _predictions(path)
     return header, [record for _, record in numbered]
 
 
-def ranked_predictions(path: str | Path, sequences: list[SceneSequence], dims: Dims,
-                       split: str) -> tuple[str | None, dict, list[list[RankedFrame]]]:
+def predicted_graphs(path: str | Path, sequences: list[SceneSequence], dims: Dims,
+                     split: str) -> tuple[str | None, dict, list[list[FrameGraph]]]:
     """A predictions file read against the sequences and dims of a dataset
     split: the mode its header names (None if none), the config it echoes,
-    and each sequence's frames ranked.
+    and each sequence's frame graphs.
 
     Errors come in line order. The header's mode must be known, its split,
     where it names one, the given `split`, and its dims.g and dims.h the
@@ -693,7 +689,7 @@ def ranked_predictions(path: str | Path, sequences: list[SceneSequence], dims: D
     the file must hold a record for each sequence.
     """
     path = Path(path)
-    ranked = []
+    graphs = []
     with contextlib.closing(_predictions(path)) as records:
         header, made = next(records)
         with _located(f"{path}:1"):
@@ -710,8 +706,8 @@ def ranked_predictions(path: str | Path, sequences: list[SceneSequence], dims: D
                     raise DataFormatError(f"dims.{name}: the predictions were made with {got}, "
                                           f"but the {split} split has {want}")
         for lineno, record in records:
-            if len(ranked) < len(sequences):
-                seq = sequences[len(ranked)]
+            if len(graphs) < len(sequences):
+                seq = sequences[len(graphs)]
                 with _located(f"{path}:{lineno}"):
                     seed = _field(record, "seq_seed", int)
                     if seed != seq.seed:
@@ -720,11 +716,11 @@ def ranked_predictions(path: str | Path, sequences: list[SceneSequence], dims: D
                     if len(record["frames"]) != len(seq.frames):
                         raise DataFormatError(f"field 'frames' must list the sequence's "
                                               f"{len(seq.frames)} frames")
-            ranked.append(record["frames"])
-    if len(ranked) != len(sequences):
-        raise DataFormatError(f"{path}: {len(ranked)} prediction records for "
+            graphs.append(record["frames"])
+    if len(graphs) != len(sequences):
+        raise DataFormatError(f"{path}: {len(graphs)} prediction records for "
                               f"{len(sequences)} sequences")
-    return mode, header.get("config", {}), ranked   # the config echoed as written
+    return mode, header.get("config", {}), graphs   # the config echoed as written
 
 
 # ---------------------------------------------------------------------------

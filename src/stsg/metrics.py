@@ -1,19 +1,20 @@
 """Scene-graph evaluation and analytic efficiency accounting.
 
-Triplets are ranked by subject-label score * object-label score * predicate
-probability, each frame on its own, with the frame's forward pass
-(`temporal.rank_frames`). The with-constraint setting keeps the best
-predicate per ordered pair; no-constraint keeps up to six. Mean recall and
-relation AP evaluate the per-frame list capped at 50 triplets; plain
-recall@K does not cap. Detection-protocol matching requires label equality
-and both boxes at IoU >= 0.5 (an IoU of exactly 0.5 counts).
+Evaluation alone orders triplets (`_rank`). A served frame is its graph
+(`temporal.FrameGraph`): its nodes' labels, boxes and label scores, and its
+ordered pairs' predicate probabilities. A triplet scores subject-label
+score * object-label score * predicate probability; each ordered pair
+keeps its NO_CONSTRAINT_PER_PAIR most probable predicates (ties to the
+lower index), and the with-constraint setting keeps the best of them (the
+lower index on ties). Each frame's list is sorted on its own by (-score,
+subject, object, predicate). Mean recall and relation AP evaluate the
+per-frame list capped at 50 triplets; plain recall@K does not cap.
+Detection-protocol matching requires label equality and both boxes at IoU
+>= 0.5 (an IoU of exactly 0.5 counts).
 
-A frame's ranked list is one `RankedFrame` of arrays, which also carries its
-nodes' labels, boxes and label scores; `temporal.rank_frames` makes every
-one, so every list is in rank order. Evaluation works on the whole corpus
-at once: it lays every frame's list, cut to the depth needed, and the
-ground truth out as flat frame-major arrays, and applies the constraint
-there, in one pass over the corpus (`_flatten`).
+Evaluation works on the whole corpus at once: one ranking of every frame,
+cut to the depth needed, and the ground truth are laid out as flat
+frame-major arrays (`_flatten`).
 Matching is one rule, greedy in rank order: each triplet consumes the
 lowest-index gt triplet of its frame still free that has its predicate and
 labels, and equal node indices (predcls, sgcls) or both boxes at IoU >= 0.5
@@ -30,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -37,41 +39,35 @@ from .config import Dims
 from .errors import ContractError
 from .params import Layout, model_shapes
 from .scene import OBJECT_DTYPE, box_iou
-from .temporal import FramePrediction, RankedFrame
+from .spatial import frame_pairs
+
+if TYPE_CHECKING:
+    from .temporal import FrameGraph, FramePrediction
 
 IOU_THRESHOLD = 0.5
 FRAME_TRIPLET_CAP = 50
 RECALL_KS = (10, 20, 50)
+NO_CONSTRAINT_PER_PAIR = 6
 
 
-def rank_triplets(pred: FramePrediction, constraint: bool) -> RankedFrame:
-    """A frame's unconstrained triplets in rank order: `pred.ranked`, the
-    list its forward pass ranked (`temporal.rank_frames`), as it is. It
-    ranks nothing itself, and a caller that reads only the nodes (`stsg
-    infer`) sorts nothing. Evaluation applies the constraint, so
-    `constraint` must be False."""
+def rank_triplets(pred: FramePrediction, constraint: bool) -> FrameGraph:
+    """A frame's served graph, `pred.graph`, as it is: evaluation ranks its
+    triplets, and applies the constraint, so `constraint` must be False.
+    It ranks nothing, and neither does the graph's `len()`."""
     if constraint:
         raise ContractError("rank_triplets: evaluation applies the constraint; "
                             "pass constraint=False")
-    return pred.ranked
-
-
-def _first_per_key(key: np.ndarray, n_keys: int) -> np.ndarray:
-    """Positions of the first occurrence of each key in [0, n_keys), in list
-    order."""
-    first = np.full(n_keys, len(key))
-    np.minimum.at(first, key, np.arange(len(key)))
-    return np.sort(first[first < len(key)])
+    return pred.graph
 
 
 @dataclass
 class FrameEval:
-    """One frame's ranked predictions plus its ground truth: its gt triplets,
+    """One frame's served graph plus its ground truth: its gt triplets,
     (subject, object, predicate) rows, and its gt objects, `OBJECT_DTYPE`
     records, each as an array (a frame's views, `scene.FrameView`) or a list
     of rows; `_flatten` converts them once per corpus."""
 
-    ranked: RankedFrame
+    graph: FrameGraph
     gt_triplets: np.ndarray | list
     gt_objects: np.ndarray | list
 
@@ -110,32 +106,64 @@ def _cat(arrays: list[np.ndarray], dtype) -> np.ndarray:
     return np.concatenate(arrays).astype(dtype, copy=False) if arrays else np.zeros(0, dtype)
 
 
-def _flatten(frames: list[FrameEval], depth: int, constraint: bool) -> _Corpus:
-    """Each frame's list cut to its first `depth` triplets; and the ground
-    truth. With the constraint, a frame's list is the first triplet of each
-    of its ordered pairs, in rank order: one first-occurrence pass over the
-    corpus's ordered node pairs, a kept row's frame and rank coming from
-    the lengths of the constrained lists."""
-    ranked = [fe.ranked for fe in frames]
-    frame_ids = np.arange(len(frames))
-    cut = None if constraint else max(depth, 0)    # the constraint reads whole lists
-    lengths = np.array([len(r.score[:cut]) for r in ranked], dtype=np.intp)
-    n_nodes = np.array([len(r.labels) for r in ranked], dtype=np.intp)
-    node_start = _starts(n_nodes)
-    subj = _cat([r.subj[:cut] for r in ranked], np.intp)
-    obj = _cat([r.obj[:cut] for r in ranked], np.intp)
-    frame = np.repeat(frame_ids, lengths)
-    rows = np.arange(len(subj))
-    if constraint:   # a frame's ordered node pairs are numbered subject-major
-        rows = _first_per_key(_starts(n_nodes * n_nodes)[frame] + subj * n_nodes[frame] + obj,
-                              int(n_nodes @ n_nodes))
-        frame = frame[rows]
-        lengths = np.bincount(frame, minlength=len(frames))
-    rank = np.arange(len(rows)) - np.repeat(_starts(lengths), lengths)
-    keep = rank < depth
-    rows, frame, rank = rows[keep], frame[keep], rank[keep]
-    subj, obj = subj[rows] + node_start[frame], obj[rows] + node_start[frame]
+def _rank(graphs: list[FrameGraph], n_nodes: np.ndarray, depth: int,
+          constraint: bool) -> tuple[np.ndarray, ...]:
+    """Every frame's triplets in rank order, cut to its first `depth`: the
+    (frame, rank, subject, object, predicate, score) columns, frame-major,
+    node indices counting across the corpus (`n_nodes` holds each frame's
+    node count).
 
+    The corpus's pairs are `spatial.frame_pairs` of the node counts, the
+    rows of the graphs' `pair_probs` in turn. Each pair keeps its
+    NO_CONSTRAINT_PER_PAIR most probable predicates in ascending order, and
+    with the constraint the first of its best-scoring ones; so each frame's
+    rows run by (subject, object, predicate), and a stable sort of the
+    frame on -score breaks ties in that order. Scores that are not finite
+    are an error.
+    """
+    h = graphs[0].pair_probs.shape[1] if graphs else 1
+    probs = _cat([g.pair_probs for g in graphs], np.float64).reshape(-1, h)
+    label_scores = _cat([g.label_scores for g in graphs], np.float64)
+    subj, obj = frame_pairs(n_nodes)
+    pair_scores = (label_scores[subj] * label_scores[obj])[:, None]
+    keep = min(NO_CONSTRAINT_PER_PAIR, h)
+    if keep == h:   # every predicate is kept, in ascending order
+        top = None
+        scores = pair_scores * probs
+    else:   # each pair's most probable predicates, in ascending order
+        top = np.sort(np.argsort(-probs, axis=1, kind="stable")[:, :keep], axis=1)
+        scores = pair_scores * np.take_along_axis(probs, top, axis=1)
+    if not np.isfinite(scores).all():
+        raise ContractError("evaluation: triplet scores must be finite")
+    per_pair = 1 if constraint else keep
+    pair = np.repeat(np.arange(len(scores)), per_pair)
+    if constraint:
+        kept = scores.argmax(axis=1)    # the first of equal best scores
+        score = scores[pair, kept]
+    else:
+        kept = np.tile(np.arange(keep), len(scores))
+        score = scores.ravel()
+    predicate = kept if top is None else top[pair, kept]
+    per_frame = n_nodes * (n_nodes - 1) * per_pair
+    cuts = _starts(per_frame).tolist() + [len(score)]
+    negated = -score
+    order = _cat([negated[a:b].argsort(kind="stable") + a
+                  for a, b in zip(cuts[:-1], cuts[1:])], np.intp)
+    rank = np.arange(len(order)) - np.repeat(cuts[:-1], per_frame)
+    cut = rank < depth
+    rows = order[cut]
+    pair = pair[rows]
+    return (np.repeat(np.arange(len(graphs)), per_frame)[cut], rank[cut], subj[pair],
+            obj[pair], predicate[rows], score[rows])
+
+
+def _flatten(frames: list[FrameEval], depth: int, constraint: bool) -> _Corpus:
+    """Each frame's ranked list cut to its first `depth` triplets (`_rank`),
+    and the ground truth."""
+    graphs = [fe.graph for fe in frames]
+    frame_ids = np.arange(len(frames))
+    n_nodes = np.array([len(g.labels) for g in graphs], dtype=np.intp)
+    frame, rank, subj, obj, predicate, score = _rank(graphs, n_nodes, depth, constraint)
     gt_frame = np.repeat(frame_ids, [len(fe.gt_triplets) for fe in frames])
     object_start = _starts([len(fe.gt_objects) for fe in frames])
     gt = np.array(list(chain.from_iterable(fe.gt_triplets for fe in frames)),
@@ -146,11 +174,11 @@ def _flatten(frames: list[FrameEval], depth: int, constraint: bool) -> _Corpus:
         rank=rank,
         subj=subj,
         obj=obj,
-        predicate=_cat([r.predicate[:cut] for r in ranked], np.intp)[rows],
-        score=_cat([r.score[:cut] for r in ranked], np.float64)[rows],
-        labels=_cat([r.labels for r in ranked], np.intp),
-        boxes=_cat([r.boxes.reshape(-1, 4) for r in ranked], np.float64).reshape(-1, 4),
-        node_start=node_start,
+        predicate=predicate,
+        score=score,
+        labels=_cat([g.labels for g in graphs], np.intp),
+        boxes=_cat([g.boxes.reshape(-1, 4) for g in graphs], np.float64).reshape(-1, 4),
+        node_start=_starts(n_nodes),
         gt_frame=gt_frame,
         gt_subj=gt[:, 0] + object_start[gt_frame],
         gt_obj=gt[:, 1] + object_start[gt_frame],
@@ -304,9 +332,8 @@ def _detection_pass(c: _Corpus, taken: np.ndarray | None = None):
     subject, object) order, the order in which the corpus-wide AP list visits
     them, and their detection-style matches.
 
-    Every list comes from `temporal.rank_frames`, which sorts each frame on
-    its own, so the corpus's rows, constrained or not, are in that order
-    already. `taken`, an sgdet pass over the whole corpus, serves as it is:
+    `_rank` sorts each frame on its own, so the corpus's rows, constrained
+    or not, are in that order already. `taken`, an sgdet pass over the whole corpus, serves as it is:
     greedy matches in rank order form a prefix."""
     rows = np.flatnonzero(c.rank < FRAME_TRIPLET_CAP)
     return rows, taken[rows] if taken is not None else _match(c, rows, "sgdet")
@@ -388,6 +415,8 @@ def count_params_flops(dims: Dims, n: int, variant: str = "sparse", k: int = 1,
     counted. Parameters do not depend on the variant."""
     if n < 0:
         raise ContractError(f"count_params_flops: need n >= 0, got {n}")
+    if variant == "sparse" and k < 1:
+        raise ContractError(f"count_params_flops: the sparse variant needs k >= 1, got {k}")
     shapes = model_shapes(dims, gcn_layers)
     temporal_on = variant != "spatial"
     links = {"dense": n * n, "sparse": n * min(k, n), "tracking": n}.get(variant, 0)

@@ -27,6 +27,7 @@ from .autodiff import Tensor
 from .config import MODES, VARIANTS
 from .errors import ContractError
 from .layers import link_relevance
+from .metrics import NO_CONSTRAINT_PER_PAIR
 from .params import ModelParams, linear
 from .scene import FrameView, SceneSequence
 from .spatial import frame_pairs, gcn_propagate, propose_relations
@@ -281,62 +282,31 @@ def forward_batch(packed: Packed, params: ModelParams, k: int = 1) -> BatchOutpu
 # ---------------------------------------------------------------------------
 # served frames
 
-NO_CONSTRAINT_PER_PAIR = 6
 # a plain array of numpy records: a slice is cheap, and each element keeps
 # attribute access (link.curr_index)
 LINK_DTYPE = np.dtype((np.record, [("curr_index", np.intp), ("prev_index", np.intp)]))
 
 
-class RankedFrame:
-    """One frame's triplets in rank order, plus the per-node argmax labels,
-    boxes and label scores (the maximum of each node's label distribution).
-    `len()` counts triplets.
+@dataclass(slots=True)
+class FrameGraph:
+    """One frame's served graph, as a predictions frame stores it: each
+    node's argmax label, its box and its label score (the maximum of its
+    label distribution), and the predicate probabilities of the frame's
+    ordered pairs. Evaluation ranks its triplets (`metrics`); nothing here
+    orders them. `len()` counts the triplets of its unconstrained list,
+    NO_CONSTRAINT_PER_PAIR or fewer for each ordered pair, without ranking
+    them."""
 
-    The triplet columns are `subj`, `obj` and `predicate`, (T,) intp, and
-    `score`, (T,) float64, sorted by (-score, subject, object, predicate).
-    `rank_frames` is the only maker of a RankedFrame, so every one holds
-    that order. The columns are sorted on their first read: reading any of
-    them or `len()` sorts every frame of that call, once. The node fields
-    never sort.
-    """
-
-    __slots__ = ("labels", "boxes", "label_scores", "_triplets", "_ranking", "_index")
-
-    def __init__(self, ranking: _Ranking, index: int, labels: np.ndarray, boxes: np.ndarray,
-                 label_scores: np.ndarray):
-        self._triplets, self._ranking, self._index = None, ranking, index
-        self.labels = labels                # (N,) argmax label per node
-        self.boxes = boxes                  # (N, 4) (x, y, w, h)
-        self.label_scores = label_scores    # (N,) float64, the score of each node's label
-
-    def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        if self._triplets is None:
-            self._triplets = self._ranking.frames()[self._index]
-        return self._triplets
-
-    subj = property(lambda self: self._columns()[0])
-    obj = property(lambda self: self._columns()[1])
-    predicate = property(lambda self: self._columns()[2])
-    score = property(lambda self: self._columns()[3])
+    labels: np.ndarray          # (N,) intp
+    label_scores: np.ndarray    # (N,) float64
+    boxes: np.ndarray           # (N, 4) (x, y, w, h)
+    pair_probs: np.ndarray      # (N * (N - 1), H) ordered pairs i != j, in
+                                #      `spatial.frame_pairs` order; a predictions
+                                #      file holds its bytes (`io.float64_text`)
 
     def __len__(self) -> int:
-        return len(self._columns()[3])
-
-
-class _Ranking:
-    """The sort one `rank_frames` call defers: its arguments to
-    `_sort_frames`, called on the first `frames()`, whose result every later
-    call returns."""
-
-    __slots__ = ("_args", "_frames")
-
-    def __init__(self, *args):
-        self._args, self._frames = args, None
-
-    def frames(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-        if self._frames is None:
-            self._frames, self._args = _sort_frames(*self._args), None
-        return self._frames
+        pairs, h = self.pair_probs.shape
+        return pairs * min(NO_CONSTRAINT_PER_PAIR, h)
 
 
 def frame_offsets(sizes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -350,87 +320,22 @@ def frame_offsets(sizes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return starts[0], starts[1], np.arange(starts[0, -1]) - np.repeat(starts[0, :-1], sizes)
 
 
-def rank_frames(probs: np.ndarray, subj: np.ndarray, obj: np.ndarray, labels: np.ndarray,
-                label_scores: np.ndarray, boxes: np.ndarray, offsets) -> list[RankedFrame]:
-    """The unconstrained ranked triplet list of each frame, empty frames
-    included, for frames packed one after another with the given
-    `frame_offsets`; each frame is sorted on its own. Serving ranks a forward
-    pass with it, and `io` a predictions record read back.
-
-    `probs` (P, H) holds the predicate probabilities of the pairs (subj, obj)
-    of packed node indices, in `spatial.frame_pairs` order, and `labels` and
-    `label_scores` each node's label and its score (served: the argmax and
-    the maximum of its label distribution). A triplet's score is
-    subject-label score * object-label score * predicate probability. Each
-    ordered pair keeps its NO_CONSTRAINT_PER_PAIR most probable predicates
-    (ties to the lower index), and a frame's list is sorted by (-score,
-    subject, object, predicate).
-
-    The scores are found, and checked finite, at the call. The sort waits
-    for the first read of any returned frame's triplets (`RankedFrame`),
-    then sorts every frame at once (`_sort_frames`): a caller that reads
-    only the nodes, as `stsg infer` and `stsg bank` do, never sorts.
-    """
-    starts, pair_starts, local = offsets
-    h = probs.shape[1]
-    pair_scores = (label_scores[subj] * label_scores[obj])[:, None]
-    keep = min(NO_CONSTRAINT_PER_PAIR, h)
-    if keep == h:   # every predicate is kept, in ascending order
-        top = None
-        scores = (pair_scores * probs).ravel()
-    else:   # each pair's most probable predicates, in ascending order
-        top = np.sort(np.argsort(-probs, axis=1, kind="stable")[:, :keep], axis=1)
-        scores = (pair_scores * np.take_along_axis(probs, top, axis=1)).ravel()
-    if not np.isfinite(scores).all():
-        raise ContractError("rank_frames: triplet scores must be finite")
-    ranking = _Ranking(scores, top, keep, subj, obj, local, (pair_starts * keep).tolist())
-    nodes = starts.tolist()
-    return [RankedFrame(ranking, t, labels[x:y], boxes[x:y], label_scores[x:y])
-            for t, (x, y) in enumerate(zip(nodes[:-1], nodes[1:]))]
-
-
-def _sort_frames(scores: np.ndarray, top: np.ndarray | None, keep: int, subj: np.ndarray,
-                 obj: np.ndarray, local: np.ndarray, cuts: list[int]) -> list[tuple]:
-    """The deferred half of `rank_frames`: each frame's (subj, obj,
-    predicate, score) columns in rank order, node indices local to the
-    frame. `scores` holds `keep` rows per pair, frame t's at
-    cuts[t]:cuts[t + 1], and `top` their predicates (None when every
-    predicate is kept)."""
-    # each frame's rows already run by (subject, object, predicate), so a
-    # stable sort of the frame on -score breaks score ties in that order
-    negated = -scores
-    order = np.concatenate([negated[a:b].argsort(kind="stable") + a
-                            for a, b in zip(cuts[:-1], cuts[1:])])
-    pair = order // keep
-    subj, obj, scores = local[subj[pair]], local[obj[pair]], scores[order]
-    # with every predicate kept, a row's predicate is its place in its pair
-    kept = order - pair * keep if top is None else top.ravel()[order]
-    return [(subj[a:b], obj[a:b], kept[a:b], scores[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
-
-
 @dataclass(slots=True)
 class FramePrediction:
     """One frame of a forward pass, as values, for metrics, banks and serialization.
 
-    `ranked` is the frame's unconstrained triplet list, in rank order
-    (`rank_frames`), with its nodes' argmax labels, boxes and label scores.
-    The with-constraint list is not kept: evaluation takes it from this one
-    (`metrics._flatten`). A caller that reads only the nodes never sorts
-    the triplets. `pair_probs` holds the frame's pairs' predicate
-    probabilities, in `spatial.frame_pairs` order. The selected temporal
-    edges are `links`, an array of LINK_DTYPE records of frame-local
-    (curr_index, prev_index) pairs: node `curr_index` of this frame takes
-    context from node `prev_index` of the previous frame.
+    `graph` is the frame's served graph: its nodes' argmax labels, boxes
+    and label scores, and its pairs' predicate probabilities, in
+    `spatial.frame_pairs` order. The selected temporal edges are `links`,
+    an array of LINK_DTYPE records of frame-local (curr_index, prev_index)
+    pairs: node `curr_index` of this frame takes context from node
+    `prev_index` of the previous frame.
     """
 
     label_dists: np.ndarray           # (N, G)
-    pair_probs: np.ndarray            # (N * (N - 1), H) ordered pairs i != j, in
-                                      #      `spatial.frame_pairs` order, the rows
-                                      #      `rank_frames` ranks; a predictions file
-                                      #      holds its bytes (`io.float64_text`)
     fused: np.ndarray                 # (N, m) spatial + temporal context
     gcn: np.ndarray                   # (N, m) after message passing
-    ranked: RankedFrame               # triplets in rank order, sorted on first read
+    graph: FrameGraph
     nodes: np.ndarray = field(default_factory=list)   # the inputs' records (`FrameView`):
                                                       #      gt objects, or detections (sgdet)
     links: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=LINK_DTYPE))
@@ -444,18 +349,20 @@ def frame_predictions(packed: Packed, out: BatchOutput, g: int,
                       frames: list[FrameView]) -> list[FramePrediction]:
     """Cut a packed forward pass into one `FramePrediction` per frame,
     empty frames included; g is the label count, and `frames` the packed
-    frames. The node offsets are found once, for the ranking and the links,
-    and each frame's arrays are views of the batch's."""
+    frames. The node offsets are found once, for the graphs and the links,
+    and each frame's arrays are views of the batch's. Probabilities that
+    are not finite are an error, raised before any frame is cut."""
     feats = packed.feats
     probs = ad._logistic(out.relation_logits.data)
     if out.label_logits is None:
         dists = feats[:, 4:4 + g]
     else:
         dists = ad._softmax(out.label_logits.data)
-    offsets = frame_offsets(packed.sizes)
-    starts, pair_starts, local = offsets
-    ranked = rank_frames(probs, packed.subj.ids, packed.obj.ids, np.argmax(dists, axis=1),
-                         np.max(dists, axis=1), feats[:, :4], offsets)
+    label_scores = np.max(dists, axis=1)
+    if not (np.isfinite(probs).all() and np.isfinite(label_scores).all()):
+        raise ContractError("frame_predictions: served probabilities must be finite")
+    labels, boxes = np.argmax(dists, axis=1), feats[:, :4]
+    starts, pair_starts, local = frame_offsets(packed.sizes)
     # links come in candidate order, so each frame's links are one run
     curr = packed.cand_curr.ids[out.links]
     link_starts = np.searchsorted(curr, starts).tolist()
@@ -467,8 +374,9 @@ def frame_predictions(packed: Packed, out: BatchOutput, g: int,
     sgdet = packed.mode == "sgdet"
     return [
         FramePrediction(
-            label_dists=dists[a:b], pair_probs=probs[pairs[t]:pairs[t + 1]],
-            fused=fused[a:b], gcn=gcn[a:b], ranked=ranked[t],
+            label_dists=dists[a:b], fused=fused[a:b], gcn=gcn[a:b],
+            graph=FrameGraph(labels[a:b], label_scores[a:b], boxes[a:b],
+                             probs[pairs[t]:pairs[t + 1]]),
             nodes=frame.detections if sgdet else frame.objects,
             links=links[link_starts[t]:link_starts[t + 1]],
         )

@@ -6,8 +6,9 @@ exhaustive one, per-frame triplet lists built from row tuples, and the
 `stsg.metrics`; the exhaustive oracle enumerates every injective assignment
 of predictions to ground truth, so greedy matching can be checked against
 the true maximum. `triplet_list` builds the per-frame lists these take,
-constrained or cut, from a ranked list's rows, apart from the package's
-corpus-wide constraint.
+constrained or cut, from the rows of a frame's unconstrained list, which
+the package ranks (`ranked_columns`), apart from its corpus-wide
+constraint.
 """
 
 from collections import namedtuple
@@ -15,10 +16,10 @@ from collections import namedtuple
 import numpy as np
 
 from stsg.config import MODES, RunConfig, config_with
-from stsg.metrics import IOU_THRESHOLD, FrameEval, rank_triplets
+from stsg.metrics import IOU_THRESHOLD, FrameEval, _flatten, rank_triplets
 from stsg.scene import OBJECT_DTYPE, pairwise_iou
 from stsg.synthgen import generate_scene
-from stsg.temporal import FramePrediction, forward_sequence, frame_offsets, rank_frames
+from stsg.temporal import FrameGraph, FramePrediction, forward_sequence
 from stsg.training import train
 
 G, H = 4, 3
@@ -37,7 +38,7 @@ def pair_grid(values: np.ndarray, n: int) -> np.ndarray:
 
 def relation_probs(pred: FramePrediction) -> np.ndarray:
     """A served frame's relation probabilities as an (N, N, H) grid, zero diagonal."""
-    return pair_grid(pred.pair_probs, pred.n)
+    return pair_grid(pred.graph.pair_probs, pred.n)
 
 
 def _gt(x, y, w, h, label):
@@ -59,14 +60,11 @@ def _pred(boxes, labels, scores, rel):
 
 
 def frame_prediction(boxes, dists, rel, fused, gcn) -> FramePrediction:
-    """A hand-built frame from its (n, n, H) relation grid, its triplets
-    ranked by the rule a forward pass ranks with (`rank_frames`)."""
-    n = len(dists)
-    pairs = ~np.eye(n, dtype=bool)     # subject-major, as spatial.frame_pairs lists them
-    (ranked,) = rank_frames(rel[pairs], *np.nonzero(pairs), dists.argmax(axis=1),
-                            dists.max(axis=1), boxes, frame_offsets([n]))
-    return FramePrediction(label_dists=dists, pair_probs=rel[pairs], fused=fused, gcn=gcn,
-                           ranked=ranked)
+    """A hand-built frame from its (n, n, H) relation grid, its graph made
+    as a forward pass makes it."""
+    pairs = ~np.eye(len(dists), dtype=bool)   # subject-major, as spatial.frame_pairs lists them
+    graph = FrameGraph(dists.argmax(axis=1), dists.max(axis=1), boxes, rel[pairs])
+    return FramePrediction(label_dists=dists, fused=fused, gcn=gcn, graph=graph)
 
 
 def three_frame_fixture() -> list[FrameEval]:
@@ -110,7 +108,7 @@ def three_frame_fixture() -> list[FrameEval]:
 def served_corpus(n_train: int, n_test: int, seed: int = 7) -> dict[str, list[FrameEval]]:
     """Default-config scenes served in each mode by a sparse k=1 model trained
     for 2 epochs in sgdet on the first `n_train` of them, as the serving
-    benchmark trains it; each frame ranked unconstrained, as `stsg infer`
+    benchmark trains it; each frame its served graph, as `stsg infer`
     writes it."""
     cfg = config_with(RunConfig(), mode="sgdet", variant="sparse", k=1, epochs=2, seed=0)
     scenes = [generate_scene(cfg.dims, cfg.world, seed * 1_000_000 + i)
@@ -124,9 +122,20 @@ def served_corpus(n_train: int, n_test: int, seed: int = 7) -> dict[str, list[Fr
             for mode in MODES}
 
 
+def ranked_columns(graph: FrameGraph) -> RankedColumns:
+    """A frame's unconstrained triplet list as evaluation ranks it
+    (`metrics._flatten` of the frame alone), with its nodes."""
+    c = _flatten([FrameEval(graph, [], [])], 10**9, False)
+    return RankedColumns(c.subj, c.obj, c.predicate, c.score, graph.labels, graph.boxes,
+                         graph.label_scores)
+
+
 def triplet_rows(ranked, constraint: bool = False) -> list[tuple]:
     """(subject, object, predicate, score) of each ranked triplet, in order;
-    with the constraint, only the first of each ordered pair."""
+    with the constraint, only the first of each ordered pair. `ranked` is a
+    list's columns, or a frame's graph, whose list is ranked first."""
+    if isinstance(ranked, FrameGraph):
+        ranked = ranked_columns(ranked)
     rows, seen = [], set()
     for row in zip(ranked.subj.tolist(), ranked.obj.tolist(), ranked.predicate.tolist(),
                    ranked.score.tolist()):
@@ -206,7 +215,7 @@ def exhaustive_recall_at_k(frames, k, mode, constraint) -> float:
     for fe in frames:
         if not fe.gt_triplets:
             continue
-        ranked = triplet_list(fe.ranked, constraint, k)
+        ranked = triplet_list(fe.graph, constraint, k)
         vals.append(exhaustive_max_matches(ranked, fe.gt_triplets, fe.gt_objects, mode)
                     / len(fe.gt_triplets))
     return float(np.mean(vals)) if vals else 0.0

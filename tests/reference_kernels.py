@@ -24,9 +24,10 @@ import stsg.temporal
 import stsg.training
 from fixtures import RankedColumns
 from stsg.autodiff import Tensor
-from stsg.metrics import FRAME_TRIPLET_CAP, _match, average_precision_from_flags
+from stsg.metrics import (FRAME_TRIPLET_CAP, NO_CONSTRAINT_PER_PAIR, _match,
+                          average_precision_from_flags)
 from stsg.params import linear
-from stsg.temporal import NO_CONSTRAINT_PER_PAIR, BatchOutput, topk_links, tracking_links
+from stsg.temporal import BatchOutput, topk_links, tracking_links
 
 
 def masked_logistic(x: np.ndarray) -> np.ndarray:
@@ -52,9 +53,9 @@ def fill_scatter_reduce(ufunc, values: np.ndarray, plan, empty: float) -> np.nda
 
 
 def five_key_rank_frames(probs, subj, obj, label_dists, boxes, sizes) -> list[RankedColumns]:
-    """`temporal.rank_frames` by one sort on (frame, -score, subject, object,
-    predicate) over each pair's kept predicates in probability order: each
-    frame's columns."""
+    """Evaluation's unconstrained ranking (`metrics._rank`) by one sort on
+    (frame, -score, subject, object, predicate) over each pair's kept
+    predicates in probability order: each frame's columns."""
     sizes = np.asarray(sizes, dtype=np.intp)
     keep = min(NO_CONSTRAINT_PER_PAIR, probs.shape[1])
     label_scores = np.max(label_dists, axis=1)

@@ -242,7 +242,7 @@ def test_the_tracer_reads_what_the_package_provides(tracer):
     import textwrap
 
     from conftest import random_sequence
-    from stsg import cli, scene, temporal, training
+    from stsg import cli, metrics, scene, temporal, training
     from stsg.config import MODES, Dims
     from stsg.params import ModelParams
     from stsg.rng import RngStream
@@ -274,6 +274,6 @@ def test_the_tracer_reads_what_the_package_provides(tracer):
                 assert 0 <= link.curr_index < pred.n and link.prev_index >= 0
                 links += 1
             assert len(cli.rank_triplets(pred, constraint=False)) == \
-                pred.n * (pred.n - 1) * min(temporal.NO_CONSTRAINT_PER_PAIR, dims.h)
+                pred.n * (pred.n - 1) * min(metrics.NO_CONSTRAINT_PER_PAIR, dims.h)
     assert links > 0
     assert isinstance(temporal.DENOM_GUARD, float) and isinstance(training.IOU_MATCH, float)

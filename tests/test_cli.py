@@ -17,8 +17,9 @@ import pytest
 from conftest import (edit_frames, empty_frame, frame_columns, frame_dicts, make_frame,
                       random_gt_row, random_sequence, sequence_of, with_frames,
                       write_earlier_version)
+from fixtures import ranked_columns
 
-from stsg import cli, io, temporal
+from stsg import cli, io, metrics, temporal
 from stsg.cli import main
 from stsg.config import (EVENT_NAMES, MAX_FRAME_NODES, Dims, WorldConfig, load_config,
                          parse_config_items)
@@ -480,48 +481,54 @@ def test_infer_then_eval_matches_in_process(tmp_path, checkpoint_path, dataset_d
 
 
 def _refuse_to_sort(*args):
-    raise AssertionError("sorted triplets that nothing reads")
+    raise AssertionError("ranked triplets that nothing reads")
 
 
-def test_only_evaluation_sorts_and_once_a_sequence(tmp_path, checkpoint_path, dataset_dir,
-                                                   monkeypatch):
-    # `infer` reads each frame's nodes, never its triplets, so it sorts
-    # nothing; evaluation sorts each served sequence, or each record read
-    # back, exactly once
+def test_only_evaluation_ranks_and_once_a_call(tmp_path, checkpoint_path, dataset_dir,
+                                               tiny_config_path, monkeypatch):
+    # `infer` writes each frame's graph and ranks nothing; evaluation ranks
+    # the whole corpus once an `evaluate` or `recall_at_k` call: once for
+    # `eval`, served or read back, and once an epoch for `train`'s
+    # validation
     preds = tmp_path / "p.jsonl"
-    sort_frames = temporal._sort_frames
-    monkeypatch.setattr(temporal, "_sort_frames", _refuse_to_sort)
+    rank = metrics._rank
+    monkeypatch.setattr(metrics, "_rank", _refuse_to_sort)
     assert main(["infer", "--ckpt", str(checkpoint_path), "--data", str(dataset_dir),
                  "--split", "val", "--mode", "sgdet", "--out", str(preds)]) == 0
-    sorts = []
+    ranked = []
 
-    def counted(*args):
-        sorts.append(len(args[-1]) - 1)   # the call's frame count, from its cuts
-        return sort_frames(*args)
+    def counted(graphs, *args):
+        ranked.append(len(graphs))
+        return rank(graphs, *args)
 
-    monkeypatch.setattr(temporal, "_sort_frames", counted)
+    monkeypatch.setattr(metrics, "_rank", counted)
     _, seqs = io.load_split(dataset_dir, "val")
     for source in (["--preds", str(preds)], ["--ckpt", str(checkpoint_path), "--mode", "sgdet"]):
-        sorts.clear()
+        ranked.clear()
         assert main(["eval", *source, "--data", str(dataset_dir), "--split", "val"]) == 0
-        assert sorts == [len(seq.frames) for seq in seqs]
+        assert ranked == [sum(len(seq.frames) for seq in seqs)]
+    ranked.clear()
+    assert main(["train", "--config", str(tiny_config_path), "--data", str(dataset_dir),
+                 "--out", str(tmp_path / "m.json"), "--mode", "sgdet"]) == 0
+    assert ranked == [sum(len(seq.frames) for seq in seqs)] * 2   # train.epochs = 2
 
 
 def test_non_finite_scores_end_infer_before_anything_is_written(
         tmp_path, checkpoint_path, dataset_dir, monkeypatch, capsys):
-    # the scores are checked when a pass is ranked, not when its triplets
-    # are sorted, which `infer` never does
+    # serving checks its probabilities before it cuts the frames; nothing
+    # ranks them, as `infer` never does
     cfg, params, log = io.load_checkpoint(checkpoint_path)
     arrays = params.as_arrays()
     arrays["rel.b"] = np.where(np.arange(cfg.dims.h) == 2, np.nan, arrays["rel.b"])
     broken = ModelParams.from_arrays(cfg.dims, arrays, params.gcn_layers)
     monkeypatch.setattr(io, "load_checkpoint", lambda path: (cfg, broken, log))
-    monkeypatch.setattr(temporal, "_sort_frames", _refuse_to_sort)
+    monkeypatch.setattr(metrics, "_rank", _refuse_to_sort)
     out = tmp_path / "p.jsonl"
     for mode in ("predcls", "sgdet"):
         assert main(["infer", "--ckpt", str(checkpoint_path), "--data", str(dataset_dir),
                      "--mode", mode, "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "error: rank_frames: triplet scores must be finite\n"
+        assert capsys.readouterr().err == ("error: frame_predictions: served probabilities "
+                                           "must be finite\n")
         assert not out.exists()
 
 
@@ -642,6 +649,20 @@ def test_flops_report_is_pinned(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == FLOPS_REPORT_SHA256
 
 
+# with train.variant = dense in the config, `flops --k -1` printed sparse
+# FLOPs of -80 at N=1 and a dense/sparse ratio of -234.200, exit 0
+@pytest.mark.parametrize("k", ["0", "-1"])
+@pytest.mark.parametrize("variant", ["sparse", "dense"])
+def test_flops_refuses_a_k_below_one(tmp_path, capsys, variant, k):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"train.variant = {variant}\n")
+    out = tmp_path / "flops.json"
+    assert main(["flops", "--config", str(cfg), "--k", k, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: flops: --k must be >= 1, got {k}\n"
+    assert captured.out == "" and not out.exists()
+
+
 # sha256 of `stsg bank --seeds 2 --head-epochs 40 --out` over a seed-7
 # dataset of BANK_CFG's size and a checkpoint trained on it with --no-val,
 # taken while the banks were still filled frame by frame and class by class
@@ -678,14 +699,14 @@ BANK_REPORT_SHA256 = "adf7fc869a2e88b816e1ab63d0b80fe8c62b9c607d0c0f2033c3ec4482
 
 
 def test_bank_report_is_pinned(tmp_path, monkeypatch):
-    # `bank` reads each frame's nodes, never its triplets, so it sorts nothing
+    # `bank` reads each frame's nodes, never its triplets, so it ranks nothing
     cfg, data, ckpt, out = (tmp_path / name for name in ("bank.cfg", "ds", "model.json",
                                                          "bank.json"))
     cfg.write_text(BANK_CFG)
     assert main(["gen", "--config", str(cfg), "--seed", "7", "--out", str(data)]) == 0
     assert main(["train", "--config", str(cfg), "--data", str(data), "--out", str(ckpt),
                  "--no-val"]) == 0
-    monkeypatch.setattr(temporal, "_sort_frames", _refuse_to_sort)
+    monkeypatch.setattr(metrics, "_rank", _refuse_to_sort)
     assert main(["bank", "--ckpt", str(ckpt), "--data", str(data), "--seeds", "2",
                  "--head-epochs", "40", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == BANK_REPORT_SHA256
@@ -994,8 +1015,22 @@ BEYOND_INTP_IDS = ["predicate", "label", "object"]
 
 # the triplet columns of a ranked list
 TRIPLET_COLUMNS = ("subj", "obj", "predicate", "score")
-# every column of a RankedFrame: its triplets', then its nodes'
-RANKED_COLUMNS = TRIPLET_COLUMNS + ("labels", "boxes", "label_scores")
+# every field of a served graph (`temporal.FrameGraph`)
+GRAPH_FIELDS = ("labels", "label_scores", "boxes", "pair_probs")
+
+
+def assert_same_graph(got, want):
+    """Two served graphs hold the same fields, bit for bit, and so rank to
+    the same lists (`ranked_columns`)."""
+    for name in GRAPH_FIELDS:
+        g, w = getattr(got, name), getattr(want, name)
+        assert (g.dtype, g.shape) == (w.dtype, w.shape), name
+        assert g.tobytes() == w.tobytes(), name
+    ranked, served = ranked_columns(got), ranked_columns(want)
+    for name in TRIPLET_COLUMNS:
+        g, w = getattr(ranked, name), getattr(served, name)
+        assert (g.dtype, g.shape) == (w.dtype, w.shape), name
+        assert g.tobytes() == w.tobytes(), name
 
 
 @pytest.fixture(scope="module")
@@ -1052,9 +1087,9 @@ def test_a_bad_frame_of_a_record_gives_its_error(tmp_path, three_frame_dir, caps
 
 @pytest.mark.parametrize("edit", [edit for edit, _ in PER_RECORD_CASES], ids=PER_RECORD_IDS)
 def test_the_record_check_agrees_with_each_frames_own(edit):
-    # the reader checks and ranks a record's frames with one call: it fails
-    # exactly when a frame fails a call of its own, with that frame's error,
-    # and a record that passes gets the lists each frame's own call builds
+    # the reader checks a record's frames with one call: it fails exactly
+    # when a frame fails a call of its own, with that frame's error, and a
+    # record that passes gets the graphs each frame's own call builds
     g, h = Dims().g, Dims().h   # the dims of a header config of no items
     for position in (0, 1, 2, None):
         frames = [_two_node_frame() for _ in range(3)]
@@ -1063,29 +1098,27 @@ def test_the_record_check_agrees_with_each_frames_own(edit):
         errors = []
         for frame in frames:
             try:
-                io._ranked_frames([frame], g, h)
+                io._frame_graphs([frame], g, h)
             except DataFormatError as e:
                 errors.append(str(e))
         try:
-            record = io._ranked_frames(frames, g, h)
+            record = io._frame_graphs(frames, g, h)
         except DataFormatError as e:
             assert errors and str(e) == errors[0], (position, str(e), errors)
             continue
         assert not errors and position is None
-        for ranked, frame in zip(record, frames):
-            (own,) = io._ranked_frames([frame], g, h)
+        for graph, frame in zip(record, frames):
+            (own,) = io._frame_graphs([frame], g, h)
             written = np.array(frame["label_scores"], dtype=np.float64)
-            pairs = [(ranked.label_scores, written),
-                     *((getattr(ranked, name), getattr(own, name))
-                       for name in RANKED_COLUMNS)]
-            for got, want in pairs:
-                assert got.dtype == want.dtype
-                np.testing.assert_array_equal(got, want)
+            assert graph.label_scores.dtype == written.dtype
+            np.testing.assert_array_equal(graph.label_scores, written)
+            assert_same_graph(graph, own)
 
 
 @pytest.mark.parametrize("mode", ["predcls", "sgcls", "sgdet"])
 def test_a_served_list_reads_back_bit_for_bit(tmp_path, checkpoint_path, dataset_dir, mode):
-    # served, written by `stsg infer` and read back: every RankedFrame field
+    # served, written by `stsg infer` and read back: every served graph field,
+    # and so every ranked list
     preds = tmp_path / "p.jsonl"
     assert main(["infer", "--ckpt", str(checkpoint_path), "--data", str(dataset_dir),
                  "--split", "val", "--mode", mode, "--out", str(preds)]) == 0
@@ -1093,18 +1126,12 @@ def test_a_served_list_reads_back_bit_for_bit(tmp_path, checkpoint_path, dataset
     _, seqs = io.load_split(dataset_dir, "val")
     _, records = io.load_predictions(preds)
     decoded = [json.loads(line) for line in preds.read_text().splitlines()[1:]]
-    names = list(RANKED_COLUMNS)
-    assert len(names) == 7
     assert len(records) == len(decoded) == len(seqs)
     for lineno, (seq, record, raw) in enumerate(zip(seqs, records, decoded), start=2):
         served = cli.forward_sequence(seq, params, mode, cfg.train.variant, cfg.train.k)
         assert len(record["frames"]) == len(raw["frames"]) == len(served)
         for pred, loaded in zip(served, record["frames"]):
-            ranked = io.ranked_from_frame_json(loaded, preds, lineno)
-            for name in names:
-                got, want = getattr(ranked, name), getattr(pred.ranked, name)
-                assert (got.dtype, got.shape) == (want.dtype, want.shape), name
-                assert got.tobytes() == want.tobytes(), name
+            assert_same_graph(io.ranked_from_frame_json(loaded, preds, lineno), pred.graph)
 
 
 @pytest.fixture(scope="module")
@@ -1144,18 +1171,14 @@ def test_frames_of_any_size_read_back_bit_for_bit(tmp_path, sized_frames_run, mo
     raw = json.loads(preds.read_text().splitlines()[1])["frames"]
     assert [len(_decoded(frame["pair_probs"])) for frame in raw] == [0, 2 * 6, 0, 30 * 6]
     for pred, loaded, frame in zip(served, record["frames"], raw):
-        assert len(pred.ranked) == len(_decoded(frame["pair_probs"]))
-        ranked = io.ranked_from_frame_json(loaded, preds, 2)
-        for name in RANKED_COLUMNS:
-            got, want = getattr(ranked, name), getattr(pred.ranked, name)
-            assert (got.dtype, got.shape) == (want.dtype, want.shape), name
-            assert got.tobytes() == want.tobytes(), name
+        assert len(pred.graph) == len(_decoded(frame["pair_probs"]))
+        assert_same_graph(io.ranked_from_frame_json(loaded, preds, 2), pred.graph)
 
 
 @pytest.mark.parametrize("mode", ["predcls", "sgdet"])
 def test_served_pair_probs_decode_to_their_bytes(tmp_path, sized_frames_run, mode):
     # a frame's `pair_probs` text is base64 of the little-endian float64
-    # bytes of `FramePrediction.pair_probs`, for frames of 1, 2, 0 and 6 nodes
+    # bytes of `FrameGraph.pair_probs`, for frames of 1, 2, 0 and 6 nodes
     data, ckpt = sized_frames_run
     preds = tmp_path / "p.jsonl"
     assert main(["infer", "--ckpt", str(ckpt), "--data", str(data), "--mode", mode,
@@ -1167,9 +1190,10 @@ def test_served_pair_probs_decode_to_their_bytes(tmp_path, sized_frames_run, mod
     assert [pred.n for pred in served] == [1, 2, 0, 6]
     for pred, frame in zip(served, raw):
         decoded = np.frombuffer(base64.b64decode(frame["pair_probs"]), "<f8")
-        assert pred.pair_probs.dtype == np.dtype("<f8")
-        assert decoded.size == pred.pair_probs.size == pred.n * (pred.n - 1) * cfg.dims.h
-        assert decoded.tobytes() == pred.pair_probs.tobytes()
+        probs = pred.graph.pair_probs
+        assert probs.dtype == np.dtype("<f8")
+        assert decoded.size == probs.size == pred.n * (pred.n - 1) * cfg.dims.h
+        assert decoded.tobytes() == probs.tobytes()
 
 
 @pytest.mark.parametrize("sides", [(-0.5, 0.3), (1e200, 1e200)], ids=["negative", "1e200"])
@@ -2106,7 +2130,7 @@ def test_no_malformed_record_escapes_as_another_exception(tmp_path):
         path = next(files)
         io.write_predictions(path, {"mode": "sgdet", "config": json.loads(header)["config"]},
                              [record])
-        io.ranked_predictions(path, seqs, dims, "test")
+        io.predicted_graphs(path, seqs, dims, "test")
 
     (record,) = gt_prediction_records(seqs)
     read_predictions(record)   # the record as built reads
@@ -2156,8 +2180,9 @@ def test_checkpoint_rejects_a_split_of_other_dims(tmp_path, g5_config_path, chec
 
 def in_triplet_layout(path: Path, rows: bool) -> str:
     """The predictions file `path` re-encoded in a layout of files that listed
-    their triplets: each frame's ranked list, as the loader ranks it
-    (`load_predictions`, `ranked_from_frame_json`), under `triplets` in
+    their triplets: each frame's ranked list, as evaluation ranks the graph
+    the loader reads (`load_predictions`, `ranked_from_frame_json`,
+    `ranked_columns`), under `triplets` in
     place of `pair_probs`, as [subject, object, predicate, score] rows or as
     one list per column; the other fields as written, in order."""
     header, *lines = path.read_text().splitlines()
@@ -2166,7 +2191,7 @@ def in_triplet_layout(path: Path, rows: bool) -> str:
     for lineno, (line, loaded) in enumerate(zip(lines, records), start=2):
         record = json.loads(line)
         for f, frame in enumerate(record["frames"]):
-            ranked = io.ranked_from_frame_json(loaded["frames"][f], path, lineno)
+            ranked = ranked_columns(io.ranked_from_frame_json(loaded["frames"][f], path, lineno))
             columns = [getattr(ranked, c).tolist() for c in TRIPLET_COLUMNS]
             triplets = ([list(t) for t in zip(*columns)] if rows
                         else dict(zip(TRIPLET_COLUMNS, columns)))
@@ -2217,12 +2242,12 @@ INFER_SHA256 = {
 @pytest.mark.parametrize("mode, variant, k, features", list(INFER_SHA256))
 def test_infer_files_are_pinned(tmp_path, checkpoint_path, dataset_dir, monkeypatch, mode,
                                 variant, k, features):
-    # `infer` sorts no triplets; the loader sorts what the file holds
+    # `infer` ranks no triplets
     out = tmp_path / "preds.jsonl"
     argv = ["infer", "--ckpt", str(checkpoint_path), "--data", str(dataset_dir), "--mode", mode,
             "--variant", variant, "--k", str(k), "--out", str(out)]
     with monkeypatch.context() as refused:
-        refused.setattr(temporal, "_sort_frames", _refuse_to_sort)
+        refused.setattr(metrics, "_rank", _refuse_to_sort)
         assert main(argv + ["--include-features"] * features) == 0
     rows = in_triplet_layout(out, rows=True).encode()
     assert hashlib.sha256(rows).hexdigest() == INFER_SHA256[mode, variant, k, features]
@@ -2282,7 +2307,7 @@ def test_a_served_frame_holds_no_container_per_triplet(checkpoint_path, dataset_
     preds = [p for seq in seqs for p in cli.forward_sequence(seq, params, "sgdet", "sparse", 1)]
     small = next(p for p in preds if p.n == 2)
     large = max(preds, key=lambda p: p.n)
-    assert len(small.pair_probs) == 2 < len(large.pair_probs)
-    counts = [_tracked_containers(io.frame_prediction_to_json(p, p.ranked, False)) - p.n
+    assert len(small.graph.pair_probs) == 2 < len(large.graph.pair_probs)
+    counts = [_tracked_containers(io.frame_prediction_to_json(p, p.graph, False)) - p.n
               for p in (small, large)]
     assert counts[0] == counts[1], counts

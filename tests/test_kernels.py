@@ -20,15 +20,16 @@ from reference_kernels import (
     out_of_place_adam,
     three_key_topk_links,
 )
-from stsg import temporal
+from stsg import metrics
 from stsg.autodiff import SegmentPlan, Tape, Tensor, backward
 from stsg.config import Dims, WorldConfig
 from stsg.featurebank import BANK_VARIANTS, build_feature_bank
+from stsg.metrics import FrameEval, _flatten
 from stsg.params import ModelParams
 from stsg.rng import RngStream
 from stsg.spatial import frame_pairs
 from stsg.synthgen import generate_scene
-from stsg.temporal import forward_sequence, frame_offsets, rank_frames, topk_links
+from stsg.temporal import FrameGraph, forward_sequence, frame_offsets, topk_links
 from stsg.training import Optimizer
 
 TINY = np.finfo(np.float64).tiny
@@ -153,16 +154,38 @@ def ranking_inputs(h: int, seed: int):
     return probs, subj, obj, label_dists, rng.random((n, 4)), sizes
 
 
+def frame_graphs(probs, label_dists, boxes, sizes) -> list[FrameGraph]:
+    """`ranking_inputs`' frames as served graphs: argmax labels, their
+    scores, boxes and pair probabilities, views of the inputs."""
+    starts, pair_starts, _ = frame_offsets(sizes)
+    labels, label_scores = label_dists.argmax(axis=1), label_dists.max(axis=1)
+    nodes, pairs = starts.tolist(), pair_starts.tolist()
+    return [FrameGraph(labels[a:b], label_scores[a:b], boxes[a:b], probs[p:q])
+            for a, b, p, q in zip(nodes[:-1], nodes[1:], pairs[:-1], pairs[1:])]
+
+
+def ranked_frames(graphs, constraint: bool) -> list[RankedColumns]:
+    """Each frame's list from one ranking of the corpus (`metrics._flatten`),
+    node indices local to the frame."""
+    c = _flatten([FrameEval(g, [], []) for g in graphs], 10**9, constraint)
+    out = []
+    for t, (g, start) in enumerate(zip(graphs, c.node_start.tolist())):
+        at, nodes = c.frame == t, slice(start, start + len(g.labels))
+        out.append(RankedColumns(c.subj[at] - start, c.obj[at] - start, c.predicate[at],
+                                 c.score[at], c.labels[nodes], c.boxes[nodes], g.label_scores))
+    return out
+
+
 @pytest.mark.parametrize("h", [3, 6, 9])
 @pytest.mark.parametrize("seed", range(4))
 def test_rank_frames_is_the_five_key_sort(h, seed):
+    # evaluation's ranking of a corpus, frame by frame
     probs, subj, obj, label_dists, boxes, sizes = ranking_inputs(h, seed)
     label_scores = label_dists.max(axis=1)
     pair_scores = label_scores[subj] * label_scores[obj]
     first, second = pair_scores * probs[:, 0], pair_scores * probs[:, 1]
     assert ((first == second) & (probs[:, 0] != probs[:, 1])).any()
-    got = rank_frames(probs, subj, obj, label_dists.argmax(axis=1), label_scores, boxes,
-                      frame_offsets(sizes))
+    got = ranked_frames(frame_graphs(probs, label_dists, boxes, sizes), constraint=False)
     want = five_key_rank_frames(probs, subj, obj, label_dists, boxes, sizes)
     assert len(got) == len(want) == len(sizes)
     for g, w in zip(got, want):
@@ -171,37 +194,57 @@ def test_rank_frames_is_the_five_key_sort(h, seed):
     assert_same_bits(np.concatenate([g.label_scores for g in got]), label_scores)
 
 
+@pytest.mark.parametrize("h", [3, 6, 9])
+@pytest.mark.parametrize("seed", range(4))
+def test_constrained_ranking_is_the_first_row_of_each_pair(h, seed):
+    # with the constraint, a frame's list is the first row of each ordered
+    # pair of the five-key sort's list: the best of the pair's kept
+    # predicates, the lowest on equal scores (ties and one-ulp neighbours
+    # that round to one score are among the inputs, and empty and one-node
+    # frames)
+    probs, subj, obj, label_dists, boxes, sizes = ranking_inputs(h, seed)
+    assert {0, 1} <= set(sizes.tolist())
+    got = ranked_frames(frame_graphs(probs, label_dists, boxes, sizes), constraint=True)
+    want = five_key_rank_frames(probs, subj, obj, label_dists, boxes, sizes)
+    assert len(got) == len(want) == len(sizes)
+    for g, w, n in zip(got, want, sizes.tolist()):
+        _, first = np.unique(w.subj * n + w.obj, return_index=True)
+        first = np.sort(first)
+        assert len(first) == n * (n - 1)
+        for name in RANKED_COLUMNS[:4]:
+            assert_same_bits(getattr(g, name), getattr(w, name)[first])
+        for name in RANKED_COLUMNS[4:]:
+            assert_same_bits(getattr(g, name), getattr(w, name))
+
+
 @pytest.mark.parametrize("read", ["len", "column"])
 @pytest.mark.parametrize("h", [3, 9])
 def test_a_frame_sorts_on_its_first_triplet_read(monkeypatch, read, h):
-    # each frame is read first from a call of its own: its nodes sort
-    # nothing, and the first read of its triplets sorts every frame of the
-    # call, once, to the five-key sort's lists
+    # a served graph orders nothing: its len(), the count of its
+    # unconstrained list's triplets, and its fields read no ranking.
+    # Evaluation reads the triplets first, and ranks the corpus once a
+    # call, to the five-key sort's lists
     probs, subj, obj, label_dists, boxes, sizes = ranking_inputs(h, 1)
     want = five_key_rank_frames(probs, subj, obj, label_dists, boxes, sizes)
-    sorts, sort_frames = [], temporal._sort_frames
+    graphs = frame_graphs(probs, label_dists, boxes, sizes)
+    calls, rank = [], metrics._rank
 
-    def counted(*args):
-        sorts.append(len(args[-1]) - 1)   # the call's frame count, from its cuts
-        return sort_frames(*args)
+    def counted(graphs, *args):
+        calls.append(len(graphs))
+        return rank(graphs, *args)
 
-    monkeypatch.setattr(temporal, "_sort_frames", counted)
-    for t, w in enumerate(want):
-        frames = rank_frames(probs, subj, obj, label_dists.argmax(axis=1),
-                             label_dists.max(axis=1), boxes, frame_offsets(sizes))
-        got = frames[t]
-        for name in ("labels", "boxes", "label_scores"):
-            assert_same_bits(getattr(got, name), getattr(w, name))
-        assert sorts == [len(sizes)] * t
+    monkeypatch.setattr(metrics, "_rank", counted)
+    for g, w in zip(graphs, want):
         if read == "len":
-            assert len(got) == len(w.score)
+            assert len(g) == len(w.score)
         else:
-            assert_same_bits(got.predicate, w.predicate)
-        assert sorts == [len(sizes)] * (t + 1)
-        for g, other in zip(frames, want):
-            for name in RANKED_COLUMNS:
-                assert_same_bits(getattr(g, name), getattr(other, name))
-        assert sorts == [len(sizes)] * (t + 1)
+            for name in RANKED_COLUMNS[4:]:
+                assert_same_bits(getattr(g, name), getattr(w, name))
+    assert calls == []
+    for g, other in zip(ranked_frames(graphs, constraint=False), want):
+        for name in RANKED_COLUMNS:
+            assert_same_bits(getattr(g, name), getattr(other, name))
+    assert calls == [len(sizes)]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 9])

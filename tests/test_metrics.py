@@ -7,14 +7,15 @@ import pytest
 
 from conftest import edit_frames, empty_frame, frame_columns, make_frame, random_sequence
 from fixtures import (G, H, _gt, _pred, exhaustive_max_matches, exhaustive_recall_at_k,
-                      match_frame, relation_probs, served_corpus, three_frame_fixture,
-                      triplet_list, triplet_rows)
+                      match_frame, ranked_columns, relation_probs, served_corpus,
+                      three_frame_fixture, triplet_list, triplet_rows)
 from reference_flops import reference_params_flops
 from reference_kernels import five_key_class_aps, four_key_detection_pass
 from stsg.config import MODES, Dims
 from stsg.errors import ContractError
 from stsg.metrics import (
     FRAME_TRIPLET_CAP,
+    NO_CONSTRAINT_PER_PAIR,
     RECALL_KS,
     FrameEval,
     _class_aps,
@@ -31,7 +32,7 @@ from stsg.metrics import (
 from stsg.params import ModelParams, model_shapes
 from stsg.rng import RngStream
 from stsg.scene import pairwise_iou
-from stsg.temporal import NO_CONSTRAINT_PER_PAIR, forward_sequence
+from stsg.temporal import forward_sequence
 
 
 def random_frame_eval(rng, n=3, n_gt=2):
@@ -62,14 +63,14 @@ def test_constraint_keeps_one_predicate_per_pair():
     c = _flatten(frames, 10**6, constraint=True)
     # corpus node indices: a pair's nodes name its frame
     pairs = list(zip(c.subj.tolist(), c.obj.tolist()))
-    n = [len(fe.ranked.labels) for fe in frames]
+    n = [len(fe.graph.labels) for fe in frames]
     assert len(pairs) == len(set(pairs)) == sum(k * (k - 1) for k in n)
 
 
 def test_rank_triplets_leaves_the_constraint_to_evaluation():
     pred = _pred([[0.1, 0.1, 0.2, 0.2], [0.5, 0.5, 0.2, 0.2]], [0, 1], [1.0, 1.0],
                  np.zeros((2, 2, H)))
-    assert rank_triplets(pred, constraint=False) is pred.ranked
+    assert rank_triplets(pred, constraint=False) is pred.graph
     with pytest.raises(ContractError, match="evaluation applies the constraint"):
         rank_triplets(pred, constraint=True)
 
@@ -146,9 +147,10 @@ def corpus_rows(c, f: int) -> list[tuple]:
 def test_constraint_ranking_equals_constrained_view():
     # evaluation's with-constraint lists (`_flatten`) are, frame by frame,
     # the first triplet of each pair of the loop reference's list, also
-    # where h > 6 cuts each pair's predicates; cut at depth 3, their first 3
+    # where h > 6 cuts each pair's predicates; cut at depth 3, their first 3.
+    # A corpus has one predicate count, so the frames of each h make one
     rng = RngStream(61)
-    frames, wants = [], []
+    corpora = {}
     for trial in range(200):
         n, h = 2 + rng.integer(4), 1 + rng.integer(8)
         rel = rng.uniform_array((n, n, h), 0.0, 1.0)
@@ -165,19 +167,24 @@ def test_constraint_ranking_equals_constrained_view():
             if (i, j) not in seen:
                 seen.add((i, j))
                 want.append((i, j, p, score))
+        frames, wants = corpora.setdefault(h, ([], []))
         frames.append(FrameEval(rank_triplets(pred, constraint=False), [], []))
         wants.append(want)
-    whole, cut = _flatten(frames, 10**6, True), _flatten(frames, 3, True)
-    for f, want in enumerate(wants):
-        assert corpus_rows(whole, f) == want, f
-        assert corpus_rows(cut, f) == want[:3], f
+    assert sorted(corpora) == list(range(1, 9))
+    for frames, wants in corpora.values():
+        whole, cut = _flatten(frames, 10**6, True), _flatten(frames, 3, True)
+        for f, want in enumerate(wants):
+            assert corpus_rows(whole, f) == want, f
+            assert corpus_rows(cut, f) == want[:3], f
 
 
 def test_ranking_rejects_non_finite_scores():
     rel = np.zeros((2, 2, H))
     rel[0, 1, 0] = np.nan
-    with pytest.raises(ContractError, match="finite"):
-        _pred([[0.1, 0.1, 0.2, 0.2], [0.5, 0.5, 0.2, 0.2]], [0, 1], [1.0, 1.0], rel)
+    pred = _pred([[0.1, 0.1, 0.2, 0.2], [0.5, 0.5, 0.2, 0.2]], [0, 1], [1.0, 1.0], rel)
+    for constraint in (False, True):
+        with pytest.raises(ContractError, match="evaluation: triplet scores must be finite"):
+            recall_at_k([FrameEval(pred.graph, [], [])], 20, "sgdet", constraint)
 
 
 def params_with(dims: Dims, **arrays) -> ModelParams:
@@ -214,7 +221,8 @@ def test_served_ranking_rejects_non_finite_scores():
     params = params_with(dims, **{"rel.b": np.where(np.arange(dims.h) == 2, np.nan, 0.0)})
     seq = random_sequence(RngStream(65), dims, n_frames=2)
     for mode in MODES:
-        with pytest.raises(ContractError, match="rank_frames: triplet scores must be finite"):
+        with pytest.raises(ContractError,
+                           match="frame_predictions: served probabilities must be finite"):
             forward_sequence(seq, params, mode)
 
 
@@ -235,7 +243,7 @@ def test_recall_half_retrieval():
 
 def test_sgdet_iou_edge_counts_as_match():
     frames = three_frame_fixture()
-    ranked = frames[1].ranked
+    ranked = ranked_columns(frames[1].graph)
     subj = ranked.boxes[ranked.subj[0]]
     gt_box = np.array(frames[1].gt_objects[0].box)
     assert pairwise_iou(subj[None], gt_box[None])[0, 0] == 0.5
@@ -277,7 +285,7 @@ def test_constraint_never_beats_no_constraint():
 
 def test_empty_gt_frames_are_skipped():
     fe = three_frame_fixture()[0]
-    empty = FrameEval(fe.ranked, [], fe.gt_objects)
+    empty = FrameEval(fe.graph, [], fe.gt_objects)
     assert recall_at_k([fe, empty], 20, "predcls", False) == \
         recall_at_k([fe], 20, "predcls", False)
 
@@ -397,9 +405,9 @@ def loop_evaluate(frames, mode, constraint):
     loops, relation AP over the corpus list sorted by (-score, frame, i, j)."""
     lists = []
     for fe in frames:
-        labels, boxes = fe.ranked.labels.tolist(), fe.ranked.boxes.tolist()
+        labels, boxes = fe.graph.labels.tolist(), fe.graph.boxes.tolist()
         lists.append([(i, j, p, s, labels[i], labels[j], boxes[i], boxes[j])
-                      for i, j, p, s in triplet_rows(fe.ranked, constraint)])
+                      for i, j, p, s in triplet_rows(fe.graph, constraint)])
     scored = [(tl, fe) for tl, fe in zip(lists, frames) if fe.gt_triplets]
     report = {"mode": mode, "constraint": constraint}
     for k in RECALL_KS:
@@ -495,12 +503,14 @@ def served():
 def edge_frames(served_frames):
     """Frames at the edges of the corpus layout: no nodes (with and without
     gt), one node, nodes but no gt, a duplicated gt triplet, and two
-    detections that claim one gt triplet in sgdet."""
+    detections that claim one gt triplet in sgdet. They have the served
+    frames' predicate count, as every frame of a corpus does."""
+    h = served_frames[0].graph.pair_probs.shape[1]
     gt_objects = [_gt(0.0, 0.0, 0.25, 0.25, 1), _gt(0.5, 0.5, 0.25, 0.25, 2)]
-    empty = rank_triplets(_pred([], [], [], np.zeros((0, 0, H))), constraint=False)
-    single = rank_triplets(_pred([[0.0, 0.0, 0.25, 0.25]], [1], [1.0], np.zeros((1, 1, H))),
+    empty = rank_triplets(_pred([], [], [], np.zeros((0, 0, h))), constraint=False)
+    single = rank_triplets(_pred([[0.0, 0.0, 0.25, 0.25]], [1], [1.0], np.zeros((1, 1, h))),
                            constraint=False)
-    rel = np.zeros((3, 3, H))
+    rel = np.zeros((3, 3, h))
     rel[0, 2, 0], rel[1, 2, 0] = 0.9, 0.8
     # detections 0 and 1 both overlap gt object 0 at IoU >= 0.5
     claimed = rank_triplets(_pred([[0.0625, 0.0, 0.25, 0.25], [0.0, 0.0, 0.25, 0.25],
@@ -509,8 +519,8 @@ def edge_frames(served_frames):
     with_gt = next(fe for fe in served_frames if fe.gt_triplets)
     return [FrameEval(empty, [], []), FrameEval(empty, [(0, 1, 0)], gt_objects),
             FrameEval(single, [(0, 1, 0)], gt_objects),
-            FrameEval(with_gt.ranked, [], with_gt.gt_objects),
-            FrameEval(with_gt.ranked, with_gt.gt_triplets + with_gt.gt_triplets[:1],
+            FrameEval(with_gt.graph, [], with_gt.gt_objects),
+            FrameEval(with_gt.graph, with_gt.gt_triplets + with_gt.gt_triplets[:1],
                       with_gt.gt_objects),
             FrameEval(claimed, [(0, 1, 0)], gt_objects)]
 
@@ -553,7 +563,7 @@ def test_corpus_matching_equals_per_frame_matching():
                 frame = corpus.frame
                 gt_start = np.searchsorted(corpus.gt_frame, np.arange(len(frames)))
                 for f, fe in enumerate(frames):
-                    want = match_frame(triplet_list(fe.ranked, constraint), fe.gt_triplets,
+                    want = match_frame(triplet_list(fe.graph, constraint), fe.gt_triplets,
                                        fe.gt_objects, mode)
                     got = taken[frame == f]
                     np.testing.assert_array_equal(np.where(got >= 0, got - gt_start[f], -1),
@@ -639,8 +649,8 @@ def test_detection_pass_matches_lexsort_on_served_frames(served, mode):
 
 def test_detection_pass_matches_lexsort_on_tied_scores():
     frames = tie_heavy_corpus()
-    flat = frames[0].ranked
-    assert len(flat) > FRAME_TRIPLET_CAP
+    flat = ranked_columns(frames[0].graph)
+    assert len(flat.score) > FRAME_TRIPLET_CAP
     assert flat.score[FRAME_TRIPLET_CAP - 1] == flat.score[FRAME_TRIPLET_CAP]
     assert_detection_pass_matches_lexsort(frames, "ties")
     for mode in ("predcls", "sgcls", "sgdet"):
@@ -697,6 +707,19 @@ def test_sparse_flops_below_dense_with_exact_gap():
         assert sparse.flops_per_frame < dense.flops_per_frame
         assert dense.flops_per_frame - sparse.flops_per_frame == (n * n - n) * link_cost
         assert sparse.parameter_count == dense.parameter_count
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_sparse_flops_need_k_of_at_least_one(k):
+    # as a negative node count is refused; the other variants read no k
+    with pytest.raises(ContractError, match=f"the sparse variant needs k >= 1, got {k}"):
+        count_params_flops(Dims(), 3, "sparse", k=k)
+    for variant in ("spatial", "dense", "tracking"):
+        got, want = (count_params_flops(Dims(), 3, variant, k=k),
+                     count_params_flops(Dims(), 3, variant))
+        assert got.breakdown == want.breakdown
+    with pytest.raises(ContractError, match="need n >= 0, got -1"):
+        count_params_flops(Dims(), -1)
 
 
 def test_flops_monotone_in_k_and_saturating():

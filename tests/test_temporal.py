@@ -652,7 +652,7 @@ def test_served_probabilities_are_the_taped_softmax_and_sigmoid(dims, params, mo
     got = forward_sequence(seq, params, mode, "sparse", 1)
     assert np.array_equal(np.concatenate([p.label_dists for p in got]),
                           prim.softmax(out.label_logits, axis=-1).data)
-    assert np.array_equal(np.concatenate([p.pair_probs for p in got]),
+    assert np.array_equal(np.concatenate([p.graph.pair_probs for p in got]),
                           prim.sigmoid(out.relation_logits).data)
 
 
