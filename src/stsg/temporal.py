@@ -12,6 +12,11 @@ the concatenate-and-score alternative would cost a projection per pair.
 The tape's unit is a layer: the relevance, the temporal encoding (frame
 context, link pairs, f_g and f_tau), the aggregation with the fusion and
 each head are one record each, with hand-written gradients (`layers`).
+
+A served pass is cut into one `FramePrediction` per frame. Its
+`FrameGraph` (node labels, label scores and boxes, pair probabilities) is
+what a predictions file stores and what evaluation ranks (`metrics`);
+nothing here orders triplets.
 """
 
 from __future__ import annotations
