@@ -154,7 +154,7 @@ def _serve(sequences, params: ModelParams, mode: str, variant: str, k: int):
 
 def to_predictions(frames: list[FramePrediction], dims: Dims) -> list[FramePrediction]:
     """`forward_sequence`'s frames, unchanged. perfbench's serving workload is
-    the only caller; ROADMAP item 1 removes its call and this function."""
+    the only caller; ROADMAP item 2 removes its call and this function."""
     return frames
 
 

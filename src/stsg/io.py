@@ -41,9 +41,9 @@ fastest), not a triplet list: a frame's served graph
 (`_predictions`) reads it: the header's config gives the dims (g bounds
 the labels, h sets the count of `pair_probs`), and each record's frames
 are checked as its line is decoded and become the graphs served, bit for
-bit. A label score must be in (0, 1], and a pair probability in [0, 1]. Errors come in line order:
-the header's, then each record's in turn, then a count of records that is
-not the split's. A header that names a split must name the one evaluated.
+bit. A label score must be in (0, 1], and a pair probability in [0, 1].
+Errors come in line order: the header's, then each record's in turn, then
+a count of records that is not the split's. A header that names a split must name the one evaluated.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from conftest import (edit_frames, empty_frame, frame_columns, frame_dicts, make
 from fixtures import ranked_columns
 from pins import agrees, pin_text, value_pin
 
-from stsg import cli, io, metrics, temporal
+from stsg import cli, io, metrics
 from stsg.cli import main
 from stsg.config import (EVENT_NAMES, MAX_FRAME_NODES, Dims, WorldConfig, load_config,
                          parse_config_items)
