@@ -19,6 +19,7 @@ from reference_losses import (
     relation_loss,
     relation_loss_from_logits,
 )
+from trained_pins import TRAINED_PINS
 from stsg.autodiff import Tape, Tensor, backward
 import stsg.autodiff as ad
 from stsg.cli import _gen_one, gradcheck_sample
@@ -431,57 +432,30 @@ def tiny_dataset(cfg, count=6):
     return [generate_scene(cfg.dims, cfg.world, 1 * 1_000_000 + i) for i in range(count)]
 
 
-# the pin (`pins.value_pin`) of the flat trained parameter vector, for
-# tiny_cfg on tiny_dataset. These replaced sha256 digests of the bytes,
-# taken before segment plans and the flat parameter vector replaced
-# per-call sorting and per-tensor updates; the bytes depend on the CPU's
-# OpenBLAS kernels, and under OPENBLAS_CORETYPE=Haswell every digest failed
-# (`test_blas.py`). The pins were taken from the same parameters.
-TRAINED_PINS = {
-    ("predcls", "dense", 1): (1.34968199859924, -18.7792537493836, 5.16245539103342, -30.7259987392951),
-    ("predcls", "sparse", 1): (1.34968286402316, -18.7835424724316, 5.23969962285806, -30.7270380246853),
-    ("predcls", "sparse", 2): (1.34968284220819, -18.799655345084, 5.2382117728859, -30.7172573237366),
-    ("predcls", "spatial", 1): (1.34965634763425, -18.7560218915499, 6.0222029681171, -31.1513069322107),
-    ("predcls", "tracking", 1): (1.34968198525183, -18.8025710434231, 5.19329492668947, -30.7167973896444),
-    ("sgcls", "dense", 1): (1.34975230257066, -19.1820387410003, 5.37096451930989, -30.3899981657424),
-    ("sgcls", "sparse", 1): (1.34975352199643, -19.2004326689993, 5.40076338186762, -30.4331136092226),
-    ("sgcls", "sparse", 2): (1.34975319999416, -19.1820820485685, 5.36118968921421, -30.4083236025092),
-    ("sgcls", "spatial", 1): (1.34970514521127, -18.8333050862135, 5.96345983127941, -31.1260362987284),
-    ("sgcls", "tracking", 1): (1.34975278405629, -19.1704533249084, 5.36724378922485, -30.4098612032918),
-    ("sgdet", "dense", 1): (1.34973769355749, -18.9764379021173, 5.71553066492912, -30.4771270796291),
-    ("sgdet", "sparse", 1): (1.34974168622317, -19.0662080287217, 5.81715377618472, -30.4362905973632),
-    ("sgdet", "sparse", 2): (1.34974199078489, -18.9751712766467, 5.76710258796534, -30.446864979438),
-    ("sgdet", "spatial", 1): (1.34970527559251, -18.815409858607, 5.98874189436358, -31.1095945491886),
-    ("sgdet", "tracking", 1): (1.34973018146507, -18.9599661877733, 5.91610093734897, -30.4524063235523),
-}
-
-
 @pytest.mark.parametrize("mode, variant, k", sorted(TRAINED_PINS))
 def test_trained_parameters_match_their_digest(mode, variant, k):
     cfg = tiny_cfg(mode=mode, variant=variant, k=k)
-    flat = train(tiny_dataset(cfg), cfg).params.flat
-    assert agrees(flat, TRAINED_PINS[mode, variant, k]), pin_text(value_pin(flat))
+    params = train(tiny_dataset(cfg), cfg).params
+    pins = TRAINED_PINS[mode, variant, k]
+    assert list(pins) == params.names()
+    for name in params.names():
+        values = params[name].data
+        assert agrees(values, pins[name]), f"{name}: {pin_text(value_pin(values))}"
 
 
 def test_a_trained_parameter_moved_by_1e_8_fails_its_pin():
-    # the largest entry of each named parameter within a tenth of the
-    # vector's largest, moved by 1e-8 of itself: the pin tells each apart
+    # the largest entry of every named parameter, moved by 1e-8 of itself:
+    # each tensor's pin tells it apart, biases as well as weights
     cfg = tiny_cfg(mode="sgdet", variant="sparse", k=1)
     params = train(tiny_dataset(cfg), cfg).params
-    pin = TRAINED_PINS["sgdet", "sparse", 1]
-    assert agrees(params.flat, pin)
-    offsets = dict(zip(params.layout.names, params.layout.offsets))
-    moved = 0
+    pins = TRAINED_PINS["sgdet", "sparse", 1]
     for name in params.names():
         values = params[name].data.ravel()
-        at = offsets[name] + int(np.argmax(np.abs(values)))
-        if abs(params.flat[at]) < 0.1 * pin[0]:
-            continue
-        flat = params.flat.copy()
-        flat[at] *= 1.0 + 1e-8
-        assert not agrees(flat, pin), name
-        moved += 1
-    assert moved >= 10, moved
+        assert agrees(values, pins[name]), name
+        at = int(np.argmax(np.abs(values)))
+        moved = values.copy()
+        moved[at] *= 1.0 + 1e-8
+        assert not agrees(moved, pins[name]), name
 
 
 def test_clip_decides_on_the_per_tensor_norm():
