@@ -8,21 +8,29 @@ primitives of `autodiff` that a stage is made of would record one entry per
 product, gather or nonlinearity, and the per-record cost is what a step of
 this small model spends most on.
 
+A pair layer runs its matrix products per node, and only gathers, adds and
+segment sums per pair: the first layer on a pair's concatenated rows,
+(x[i] ++ x[j]) @ w, is (x @ w_a)[i] + (x @ w_b)[j], where w_a and w_b are
+the upper and lower rows of w, and its backward sums the pair gradient by
+subject and by object before the products. A GCN layer's message to a node
+is the sum over its frame minus the node's own term, so it runs no row per
+pair at all.
+
 Each gradient is the one the chain of primitives would give, bit for bit:
 the same numpy expressions on the same arrays, in the same order
 (`tests/reference_kernels.py` keeps the compositions they must match).
 Where an op reads one input twice -- a GCN layer's input in its residual
-and in its node transform, a pair's subject and object rows -- its
-gradient has one entry per read, in the order the primitives' reverse
-sweep would add them, and `autodiff.backward` sums them in that order. An
-input the tape does not track, such as the packed node features, gets no
-gradient computed.
+and in its node transform, a pair layer's input through its two node
+products -- its gradient has one entry per read, in the order the
+primitives' reverse sweep would add them, and `autodiff.backward` sums
+them in that order. An input the tape does not track, such as the packed
+node features, gets no gradient computed.
 
-Where a gradient is cut into pieces -- the two halves of a pair's rows, the
-frame context and the inner encoding of the temporal encoding, the terms of
-each loss part -- each piece is a view of the whole, not a copy: the segment
-sums, products and reductions that read them give the same bits on a view
-as on a contiguous copy.
+Where a gradient is cut into pieces -- the frame context and the inner
+encoding of the temporal encoding, the terms of each loss part -- each
+piece is a view of the whole, not a copy: the segment sums, products and
+reductions that read them give the same bits on a view as on a contiguous
+copy.
 
 Index lists are `autodiff.SegmentPlan`s or plain lists, planned at the call.
 """
@@ -68,12 +76,11 @@ def _mlp2(x, w1, b1, w2, b2):
     return h, r, _linear(r, w2, b2)
 
 
-def _mlp2_grads(g, x, h, r, w1, w2, need_x: bool):
-    """(dx or None, (dw1, db1, dw2, db2)) of `_mlp2`; the relu's subgradient
-    at 0 is 0."""
+def _mlp2_grads(g, x, h, r, w1, w2):
+    """(dx, (dw1, db1, dw2, db2)) of `_mlp2`; the relu's subgradient at 0
+    is 0."""
     dr, dw2, db2 = _linear_grads(g, r, w2, True)
-    dh = dr * (h > 0.0)
-    dx, dw1, db1 = _linear_grads(dh, x, w1, need_x)
+    dx, dw1, db1 = _linear_grads(dr * (h > 0.0), x, w1, True)
     return dx, (dw1, db1, dw2, db2)
 
 
@@ -82,17 +89,45 @@ def _rows(x: np.ndarray, ids) -> np.ndarray:
     return x.take(ids, axis=0)
 
 
-def _pair_rows(x: np.ndarray, first, second) -> np.ndarray:
-    """x[first] ++ x[second], row by row: one gather of both rows of a pair."""
-    both = np.stack([first.ids, second.ids], axis=1)
-    return x.take(both, axis=0).reshape(len(both), 2 * x.shape[1])
+def _pair_linear(x, w, first, second, b):
+    """(x[first] ++ x[second]) @ w + b, each product taken per node: the
+    rows of x @ w[:m] and x @ w[m:] that a pair names, added, where m is
+    the width of x."""
+    m = x.shape[1]
+    return _rows(_linear(x, w[:m]), first.ids) + _rows(_linear(x, w[m:]), second.ids) + b
 
 
-def _pair_grads(g, first, second):
-    """The gradients of x through the second and the first half of
-    `_pair_rows`, in the order the gathers' reverse sweep adds them."""
-    half = g.shape[1] // 2
-    return _segment_sum(g[:, half:], second), _segment_sum(g[:, :half], first)
+def _pair_linear_grads(g, x, w, first, second, need_x: bool):
+    """((dx by second, dx by first) or (None, None), dw, db) of `_pair_linear`
+    for the pair gradient g: g summed by first and by second node gives the
+    gradients of the two node products, and x gets one gradient per read,
+    in the order the gathers' reverse sweep adds them."""
+    m = x.shape[1]
+    da, db = _segment_sum(g, first), _segment_sum(g, second)
+    dx = (db @ w[m:].T, da @ w[:m].T) if need_x else (None, None)
+    return dx, np.concatenate([x.T @ da, x.T @ db]), g.sum(axis=0)
+
+
+def _pair_mlp2(x, first, second, w1, b1, w2, b2):
+    """(pre-activation, hidden, output) of `_mlp2` on x[first] ++ x[second],
+    its first layer a `_pair_linear`."""
+    h = _pair_linear(x, w1, first, second, b1)
+    r = np.maximum(h, 0.0)
+    return h, r, _linear(r, w2, b2)
+
+
+def _pair_mlp2_grads(g, x, first, second, h, r, w1, w2, need_x: bool):
+    """((dx by second, dx by first) or (None, None), (dw1, db1, dw2, db2)) of
+    `_pair_mlp2`."""
+    dr, dw2, db2 = _linear_grads(g, r, w2, True)
+    dx, dw1, db1 = _pair_linear_grads(dr * (h > 0.0), x, w1, first, second, need_x)
+    return dx, (dw1, db1, dw2, db2)
+
+
+def _others(x: np.ndarray, node_frame: SegmentPlan) -> np.ndarray:
+    """Each row's sum over the other rows of its frame: its frame's sum
+    minus itself."""
+    return _rows(_segment_sum(x, node_frame), node_frame.ids) - x
 
 
 def _plans(n: int, *indices):
@@ -116,41 +151,41 @@ def proposal_sums(x: Tensor, subj, obj, w1: Tensor, b1: Tensor, w2: Tensor,
     inputs = (x, x, w1, b1, w2, b2)
     need = _tracked(inputs)
     w1v, b1v, w2v, b2v = _params(inputs[2:])
-    pairs = _pair_rows(xv, subj, obj)
-    h, r, z = _mlp2(pairs, w1v, b1v, w2v, b2v)
+    h, r, z = _pair_mlp2(xv, subj, obj, w1v, b1v, w2v, b2v)
     s = _logistic(z)
     out = Tensor._wrap(_segment_sum(s, subj))
     if need:
         def vjp(g):
-            dpairs, dparams = _mlp2_grads(_rows(g, subj.ids) * s * (1.0 - s), pairs, h, r,
-                                          w1v, w2v, need[0])
-            dx = _pair_grads(dpairs, subj, obj) if need[0] else (None, None)
+            dx, dparams = _pair_mlp2_grads(_rows(g, subj.ids) * s * (1.0 - s), xv, subj, obj,
+                                           h, r, w1v, w2v, need[0])
             return (*dx, *dparams)
         _record(out, inputs, vjp)
     return out
 
 
-def gcn_layer(x: Tensor, subj, obj, edge_sums: Tensor, w_node: Tensor, w_edge: Tensor,
-              bias: Tensor) -> Tensor:
-    """relu(x + segment_sum((x @ w_node + bias)[obj], subj) + edge_sums @ w_edge):
-    one propagation step, each pair (i, j) carrying a message from j to i.
+def gcn_layer(x: Tensor, node_frame: SegmentPlan, edge_sums: Tensor, w_node: Tensor,
+              w_edge: Tensor, bias: Tensor) -> Tensor:
+    """relu(x + (t summed over i's frame - t_i) + edge_sums @ w_edge), where
+    t = x @ w_node + bias: one propagation step, each node i taking a message
+    from every other node j of its frame. node_frame is the plan of each
+    node's frame (`temporal.Packed.node_frame`); a node alone in its frame
+    gets the exact zero message t_i - t_i.
 
     x is read twice, by the residual and by the node transform: its gradient
     comes as one entry per read, in that order.
     """
     xv, ev = x.data, edge_sums.data
-    subj, obj = _plans(xv.shape[0], subj, obj)
     inputs = (x, x, edge_sums, w_node, w_edge, bias)
     need = _tracked(inputs)
     wn, we = w_node.data, w_edge.data
     t = _linear(xv, wn, bias.data)
-    r = xv + (_segment_sum(_rows(t, obj.ids), subj) + ev @ we)
+    r = xv + (_others(t, node_frame) + ev @ we)
     out = Tensor._wrap(np.maximum(r, 0.0))
     if need:
         def vjp(g):
             dr = g * (r > 0.0)
             dsums = dr @ we.T if need[2] else None
-            dx, dwn, db = _linear_grads(_segment_sum(_rows(dr, subj.ids), obj), xv, wn, need[0])
+            dx, dwn, db = _linear_grads(_others(dr, node_frame), xv, wn, need[0])
             return (dr if need[0] else None), dx, dsums, dwn, ev.T @ dr, db
         _record(out, inputs, vjp)
     return out
@@ -203,22 +238,20 @@ def temporal_encoding(x: Tensor, node_frame, link_frame, curr, prev,
     inputs = (x, x, x, *fg, *ftau)
     need = _tracked(inputs)
     fgv, ftv = _params(fg), _params(ftau)
-    pairs = _pair_rows(xv, curr, prev)
-    h1, r1, inner = _mlp2(pairs, *fgv)
+    h1, r1, inner = _pair_mlp2(xv, curr, prev, *fgv)
     joined = np.concatenate([_rows(context, link_frame.ids), inner], axis=1)
     h2, r2, tau = _mlp2(joined, *ftv)
     out = Tensor._wrap(tau)
     if need:
         def vjp(g):
-            djoined, dftau = _mlp2_grads(g, joined, h2, r2, ftv[0], ftv[2], True)
+            djoined, dftau = _mlp2_grads(g, joined, h2, r2, ftv[0], ftv[2])
             width = context.shape[1]
             dctx, dinner = djoined[:, :width], djoined[:, width:]
-            dpairs, dfg = _mlp2_grads(dinner, pairs, h1, r1, fgv[0], fgv[2], need[0])
-            dx = (None, None, None)
+            dx, dfg = _pair_mlp2_grads(dinner, xv, curr, prev, h1, r1, fgv[0], fgv[2],
+                                       need[0])
             if need[0]:
                 dctx = _rows(_segment_sum(dctx, link_frame) / counts, node_frame.ids)
-                dx = (*_pair_grads(dpairs, curr, prev), dctx)
-            return (*dx, *dfg, *dftau)
+            return (*dx, dctx if need[0] else None, *dfg, *dftau)
         _record(out, inputs, vjp)
     return out
 
@@ -272,12 +305,10 @@ def pair_linear(x: Tensor, subj, obj, w: Tensor, b: Tensor) -> Tensor:
     subj, obj = _plans(xv.shape[0], subj, obj)
     inputs = (x, x, w, b)
     need = _tracked(inputs)
-    pairs = _pair_rows(xv, subj, obj)
-    out = Tensor._wrap(_linear(pairs, wv, b.data))
+    out = Tensor._wrap(_pair_linear(xv, wv, subj, obj, b.data))
     if need:
         def vjp(g):
-            dpairs, dw, db = _linear_grads(g, pairs, wv, need[0])
-            dx = _pair_grads(dpairs, subj, obj) if need[0] else (None, None)
+            dx, dw, db = _pair_linear_grads(g, xv, wv, subj, obj, need[0])
             return (*dx, dw, db)
         _record(out, inputs, vjp)
     return out

@@ -250,7 +250,7 @@ def forward_batch(packed: Packed, params: ModelParams, k: int = 1) -> BatchOutpu
     n = packed.n_nodes
     feats = Tensor._wrap(packed.feats)
     edge_sums = propose_relations(feats, packed.subj, packed.obj, params)
-    updated = gcn_propagate(feats, packed.subj, packed.obj, edge_sums, params)
+    updated = gcn_propagate(feats, packed.node_frame, edge_sums, params)
 
     fused = updated
     gamma = None

@@ -331,25 +331,15 @@ def grad_check(sequence: SceneSequence, params: ModelParams, mode: str = "sgcls"
 
 def clip_gradients(grads: Gradients, max_norm: float) -> Gradients:
     """Scale the whole gradient down to a global L2 norm of max_norm; grads
-    itself when the norm is within it.
+    itself when max_norm <= 0 or the norm is within it.
 
     Near-cancelling link-weight sums can spike the aggregated features and
     with them the gradient; an unclipped step then launches the parameters
     into saturation.
     """
-    if max_norm <= 0:
+    if max_norm <= 0 or grads.norm() <= max_norm:
         return grads
-    # one dot product settles the steps far inside the bound; near it, the
-    # norm is summed tensor by tensor, in the order the clip factor has
-    # always used, because one ulp of that factor moves the trained floats
-    if grads.norm() < 0.999 * max_norm:
-        return grads
-    squares = grads.flat * grads.flat
-    offsets = grads.layout.offsets
-    total = np.sqrt(sum(float(np.sum(squares[a:b])) for a, b in zip(offsets, offsets[1:])))
-    if total <= max_norm:
-        return grads
-    return grads.scaled(max_norm / total)
+    return grads.scaled(max_norm / grads.norm())
 
 
 @dataclass

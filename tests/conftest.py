@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from stsg.autodiff import SegmentPlan
 from stsg.config import Dims
 from stsg.params import ModelParams
 from stsg.rng import RngStream
@@ -207,6 +208,15 @@ def encode_frame(frame: dict, mode: str, dims: Dims) -> np.ndarray:
     if mode == "predcls":
         rows[:, 4:4 + dims.g] = np.eye(dims.g)[frame["labels"]]
     return rows
+
+
+def node_frames(sizes) -> SegmentPlan:
+    """The frame of each node of frames of the given node counts, packed one
+    after another, as a plan over the frames that have nodes
+    (`temporal.Packed.node_frame`)."""
+    sizes = np.asarray(sizes, dtype=np.intp)
+    present = sizes[sizes > 0]
+    return SegmentPlan(np.repeat(np.arange(len(present)), present), len(present))
 
 
 def frame_pair_links(n_t: int, n_prev: int) -> tuple[np.ndarray, np.ndarray]:

@@ -19,7 +19,8 @@ def linear_cost(a: int, b: int, bias: bool = True) -> tuple[int, int]:
 def reference_params_flops(dims: Dims, n: int, variant: str = "sparse", k: int = 1,
                            gcn_layers: int = 2) -> EfficiencyReport:
     """Analytic counts; multiply-add pairs cost 2 FLOPs, only dense layers and
-    the relevance dots are counted. Parameters do not depend on the variant."""
+    the relevance dots are counted. The first layer on a pair's concatenated
+    rows runs per node. Parameters do not depend on the variant."""
     m, g, h, d = dims.m, dims.g, dims.h, dims.d
     hidden = m
     params = 0
@@ -29,7 +30,7 @@ def reference_params_flops(dims: Dims, n: int, variant: str = "sparse", k: int =
     p1, f1 = linear_cost(2 * m, hidden)
     p2, f2 = linear_cost(hidden, h)
     params += p1 + p2
-    prop_flops = n * n * (f1 + f2)
+    prop_flops = n * f1 + n * n * f2   # the first layer runs per node
     flops += prop_flops
     breakdown["proposal"] = prop_flops
 
@@ -63,13 +64,13 @@ def reference_params_flops(dims: Dims, n: int, variant: str = "sparse", k: int =
         links = n
     else:
         links = 0
-    link_flops = links * (fg1 + fg2 + ft1 + ft2)
+    link_flops = (n if links else 0) * fg1 + links * (fg2 + ft1 + ft2)
     flops += link_flops
     breakdown["temporal_encoding"] = link_flops
 
     pr, fr = linear_cost(2 * m, h)
     params += pr
-    rel_flops = n * n * fr
+    rel_flops = n * fr
     flops += rel_flops
     breakdown["relation_head"] = rel_flops
 

@@ -160,10 +160,19 @@ def mlp2(x, w1, b1, w2, b2):
     return linear(prim.relu(linear(x, w1, b1)), w2, b2)
 
 
+def composed_pair_affine(x, first, second, w, b):
+    """(x[first] ++ x[second]) @ w + b as (x @ w_a)[first] + (x @ w_b)[second] + b,
+    w_a and w_b the upper and lower rows of w, each taken by a gather."""
+    m = x.shape[1]
+    w_a, w_b = ad.gather_rows(w, np.arange(m)), ad.gather_rows(w, np.arange(m, 2 * m))
+    a, b_ = ad.matmul(x, w_a), ad.matmul(x, w_b)
+    return prim.add(prim.add(ad.gather_rows(a, first), ad.gather_rows(b_, second)), b)
+
+
 def composed_proposal(feats, subj, obj, params):
     """sigmoid(mlp(feat_i ++ feat_j)), (P, H) for the listed pairs."""
-    pairs = prim.concat([ad.gather_rows(feats, subj), ad.gather_rows(feats, obj)], axis=1)
-    hidden = prim.relu(linear(pairs, params["prop.w1"], params["prop.b1"]))
+    hidden = prim.relu(composed_pair_affine(feats, subj, obj, params["prop.w1"],
+                                            params["prop.b1"]))
     return prim.sigmoid(linear(hidden, params["prop.w2"], params["prop.b2"]))
 
 
@@ -172,17 +181,19 @@ def composed_proposal_sums(feats, subj, obj, params):
     return prim.segment_sum(composed_proposal(feats, subj, obj, params), subj, feats.shape[0])
 
 
-def composed_gcn_layer(feats, subj, obj, edge_sums, w_node, w_edge, bias):
-    n = feats.shape[0]
-    node_msg = prim.segment_sum(ad.gather_rows(linear(feats, w_node, bias), obj), subj, n)
+def composed_gcn_layer(feats, node_frame, edge_sums, w_node, w_edge, bias):
+    """Each node's message as its frame's sum of x @ w_node + bias minus its own."""
+    t = linear(feats, w_node, bias)
+    frame_sums = ad.gather_rows(prim.segment_sum(t, node_frame, node_frame.n), node_frame)
+    node_msg = prim.add(frame_sums, prim.scale(t, -1.0))
     edge_msg = ad.matmul(edge_sums, w_edge)
     return prim.relu(prim.add(feats, prim.add(node_msg, edge_msg)))
 
 
-def composed_gcn_propagate(feats, subj, obj, edge_sums, params):
+def composed_gcn_propagate(feats, node_frame, edge_sums, params):
     out = feats
     for layer in range(params.gcn_layers):
-        out = composed_gcn_layer(out, subj, obj, edge_sums, params[f"gcn.{layer}.w_node"],
+        out = composed_gcn_layer(out, node_frame, edge_sums, params[f"gcn.{layer}.w_node"],
                                  params[f"gcn.{layer}.w_edge"], params[f"gcn.{layer}.bias"])
     return out
 
@@ -202,9 +213,9 @@ def composed_temporal_encoding(feats, node_frame, link_frame, curr, prev, params
     """The frame context of each link's frame, then f_tau(context ++ f_g(pair))."""
     context = ad.gather_rows(composed_frame_context(feats, node_frame, node_frame.n),
                              link_frame)
-    pairs = prim.concat([ad.gather_rows(feats, curr), ad.gather_rows(feats, prev)], axis=1)
-    inner = mlp2(pairs, params["temporal.fg.w1"], params["temporal.fg.b1"],
-                 params["temporal.fg.w2"], params["temporal.fg.b2"])
+    hidden = prim.relu(composed_pair_affine(feats, curr, prev, params["temporal.fg.w1"],
+                                            params["temporal.fg.b1"]))
+    inner = linear(hidden, params["temporal.fg.w2"], params["temporal.fg.b2"])
     joined = prim.concat([context, inner], axis=1)
     return mlp2(joined, params["temporal.ftau.w1"], params["temporal.ftau.b1"],
                 params["temporal.ftau.w2"], params["temporal.ftau.b2"])
@@ -229,8 +240,7 @@ def composed_fuse_link_mean(updated, gamma_sel, tau, curr_idx, n_curr):
 
 
 def composed_pair_linear(fused, subj, obj, w, b):
-    pairs = prim.concat([ad.gather_rows(fused, subj), ad.gather_rows(fused, obj)], axis=1)
-    return linear(pairs, w, b)
+    return composed_pair_affine(fused, subj, obj, w, b)
 
 
 def composed_forward_batch(packed, params, k=1):
@@ -239,7 +249,7 @@ def composed_forward_batch(packed, params, k=1):
     n = packed.n_nodes
     feats = Tensor(packed.feats)
     sums = composed_proposal_sums(feats, packed.subj, packed.obj, params)
-    updated = composed_gcn_propagate(feats, packed.subj, packed.obj, sums, params)
+    updated = composed_gcn_propagate(feats, packed.node_frame, sums, params)
     fused, gamma = updated, None
     chosen = np.zeros(0, dtype=np.intp)
     cand_curr = packed.cand_curr.ids
@@ -270,6 +280,46 @@ def composed_forward_batch(packed, params, k=1):
         label_logits = linear(fused, params["label.w"], params["label.b"])
     return BatchOutput(gcn=updated, fused=fused, relation_logits=logits,
                        label_logits=label_logits, gamma=gamma, links=chosen)
+
+
+# ---------------------------------------------------------------------------
+# the pair layers' earlier forms: a row per pair of concatenated encodings,
+# and a GCN message per listed pair
+
+
+def concatenated_pair_rows(x, first, second):
+    return prim.concat([ad.gather_rows(x, first), ad.gather_rows(x, second)], axis=1)
+
+
+def concatenated_proposal_sums(feats, subj, obj, params):
+    """`composed_proposal_sums` with the perceptron on each pair's concatenated rows."""
+    hidden = prim.relu(linear(concatenated_pair_rows(feats, subj, obj), params["prop.w1"],
+                              params["prop.b1"]))
+    probs = prim.sigmoid(linear(hidden, params["prop.w2"], params["prop.b2"]))
+    return prim.segment_sum(probs, subj, feats.shape[0])
+
+
+def pair_list_gcn_layer(feats, subj, obj, edge_sums, w_node, w_edge, bias):
+    """`composed_gcn_layer` with a message for each listed pair (i, j), from j to i."""
+    n = feats.shape[0]
+    node_msg = prim.segment_sum(ad.gather_rows(linear(feats, w_node, bias), obj), subj, n)
+    edge_msg = ad.matmul(edge_sums, w_edge)
+    return prim.relu(prim.add(feats, prim.add(node_msg, edge_msg)))
+
+
+def concatenated_pair_linear(fused, subj, obj, w, b):
+    return linear(concatenated_pair_rows(fused, subj, obj), w, b)
+
+
+def concatenated_temporal_encoding(feats, node_frame, link_frame, curr, prev, params):
+    """`composed_temporal_encoding` with f_g on each link's concatenated rows."""
+    context = ad.gather_rows(composed_frame_context(feats, node_frame, node_frame.n),
+                             link_frame)
+    inner = mlp2(concatenated_pair_rows(feats, curr, prev), params["temporal.fg.w1"],
+                 params["temporal.fg.b1"], params["temporal.fg.w2"], params["temporal.fg.b2"])
+    joined = prim.concat([context, inner], axis=1)
+    return mlp2(joined, params["temporal.ftau.w1"], params["temporal.ftau.b1"],
+                params["temporal.ftau.w2"], params["temporal.ftau.b2"])
 
 
 def composed_weighted_loss(weights, logits, sign, label_logits, gamma, links):

@@ -654,9 +654,9 @@ def test_flops_report(tmp_path):
             assert row["sparse_flops_per_frame"] < row["dense_flops_per_frame"]
 
 
-# sha256 of `stsg flops --out` (default config, k = 1), taken while the FLOP
-# accounting still wrote out every layer's shape by hand
-FLOPS_REPORT_SHA256 = "43165cc04682855fc42db2e8dcbe196d5dac66ee403724e8840556e356460f94"
+# sha256 of `stsg flops --out` (default config, k = 1), with the first layer
+# of each pair perceptron counted per node (`metrics.PER_NODE`)
+FLOPS_REPORT_SHA256 = "c265670948b80d46c9850399030efd27ea9cfa5dd6318129e3db8ba8ab90304a"
 
 
 def test_flops_report_is_pinned(tmp_path):

@@ -4,7 +4,9 @@ Every op of `stsg.layers` must give the values and gradients of its
 composition from `stsg.autodiff` primitives (`reference_kernels.py`) bit for
 bit: op by op with every input watched, and as a whole training step, where
 the gradients of a tensor that several ops read add up across records. The
-ops' hand-written gradients are also checked against central differences.
+pair ops, which take their products per node, are also checked against the
+concatenated-pair forms they replace, within rounding, and the ops'
+hand-written gradients against central differences.
 """
 
 import numpy as np
@@ -23,6 +25,10 @@ from reference_kernels import (
     composed_proposal_sums,
     composed_temporal_encoding,
     composed_weighted_loss,
+    concatenated_pair_linear,
+    concatenated_proposal_sums,
+    concatenated_temporal_encoding,
+    pair_list_gcn_layer,
 )
 from stsg import layers
 from stsg.autodiff import SegmentPlan, Tape, Tensor, backward
@@ -214,8 +220,8 @@ def check_ops(sequences, params, mode, variant, k):
     for layer, x in enumerate((s["feats"], s["updated"])):
         gcn = params_data(params, *(f"gcn.{layer}.{n}" for n in ("w_node", "w_edge", "bias")))
         assert_op_is_the_composition(
-            lambda x, e, *w: layers.gcn_layer(x, subj, obj, e, *w),
-            lambda x, e, *w: composed_gcn_layer(x, subj, obj, e, *w),
+            lambda x, e, *w: layers.gcn_layer(x, p.node_frame, e, *w),
+            lambda x, e, *w: composed_gcn_layer(x, p.node_frame, e, *w),
             leaves(x, sums, *gcn))
     rel = params_data(params, "rel.w", "rel.b")
     assert_op_is_the_composition(
@@ -296,6 +302,69 @@ def test_ops_record_once_and_skip_untracked_inputs():
 
 
 # ---------------------------------------------------------------------------
+# the node-cost forms against the concatenated-pair forms they replace
+
+
+def random_frames(sizes, seed):
+    """Random node rows of frames of the given sizes, packed: the rows, the
+    frames' ordered pairs, the node frames and their counts, and a random
+    half of the links from each node to the nodes of the preceding frame."""
+    sizes = np.asarray(sizes)
+    rng = RngStream(seed, stream=13)
+    present = sizes[sizes > 0]
+    node_frame = SegmentPlan(np.repeat(np.arange(len(present)), present), len(present))
+    starts = np.cumsum(sizes) - sizes
+    links = [(starts[t] + i, starts[t - 1] + j) for t in range(1, len(sizes))
+             for i in range(sizes[t]) for j in range(sizes[t - 1])]
+    curr, prev = np.array(links).T
+    keep = rng.uniform_array(len(curr)) < 0.5
+    curr, prev = curr[keep], prev[keep]
+    return (rng.normal_array((int(sizes.sum()), Dims().m)), frame_pairs(sizes), node_frame,
+            present.astype(np.float64).reshape(-1, 1), curr, prev)
+
+
+def assert_op_is_its_oracle(op, oracle, leaves, seed):
+    """The op's value and gradients within 1e-12 of each array's largest
+    magnitude from the oracle's."""
+    got_value, got_grads = watched_run(op, leaves, seed)
+    want_value, want_grads = watched_run(oracle, leaves, seed)
+    for i, (got, want) in enumerate(zip([got_value, *got_grads], [want_value, *want_grads])):
+        scale = np.max(np.abs(want), initial=0.0)
+        assert got.shape == want.shape and np.all(np.abs(got - want) <= 1e-12 * scale), i
+
+
+# an empty frame, a one-node frame and 7-node frames in each batch
+@pytest.mark.parametrize("sizes", [[7, 0, 1, 7, 3], [1, 7, 7, 0, 2, 7]])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_each_pair_op_is_its_concatenated_pair_form(sizes, seed):
+    params = ModelParams.init(Dims(), seed=seed)
+    x, (subj, obj), node_frame, counts, curr, prev = random_frames(sizes, seed)
+    link_frame = SegmentPlan(node_frame.ids[curr], node_frame.n)
+    names = ("prop.w1", "prop.b1", "prop.w2", "prop.b2")
+    assert_op_is_its_oracle(
+        lambda x, *w: layers.proposal_sums(x, subj, obj, *w),
+        lambda x, *w: concatenated_proposal_sums(x, subj, obj, dict(zip(names, w))),
+        leaves(x, *params_data(params, *names)), seed)
+    sums = RngStream(seed, stream=14).normal_array((len(x), params.dims.h))
+    assert_op_is_its_oracle(
+        lambda x, e, *w: layers.gcn_layer(x, node_frame, e, *w),
+        lambda x, e, *w: pair_list_gcn_layer(x, subj, obj, e, *w),
+        leaves(x, sums, *params_data(params, "gcn.0.w_node", "gcn.0.w_edge", "gcn.0.bias")),
+        seed)
+    assert_op_is_its_oracle(
+        lambda x, *w: layers.pair_linear(x, subj, obj, *w),
+        lambda x, *w: concatenated_pair_linear(x, subj, obj, *w),
+        leaves(x, *params_data(params, "rel.w", "rel.b")), seed)
+    names = [f"temporal.{enc}.{n}" for enc in ("fg", "ftau") for n in ("w1", "b1", "w2", "b2")]
+    assert_op_is_its_oracle(
+        lambda x, *w: layers.temporal_encoding(x, node_frame, link_frame, curr, prev, w[:4],
+                                               w[4:], counts),
+        lambda x, *w: concatenated_temporal_encoding(x, node_frame, link_frame, curr, prev,
+                                                     dict(zip(names, w))),
+        leaves(x, *params_data(params, *names)), seed)
+
+
+# ---------------------------------------------------------------------------
 # central differences
 
 
@@ -351,10 +420,11 @@ def test_proposal_gradient_matches_finite_differences():
 
 
 def test_gcn_layer_gradient_matches_finite_differences():
-    rng, m, h, _, subj, obj, _, _ = small_inputs(1)
+    rng, m, h, _, _, _, _, _ = small_inputs(1)
+    node_frame = SegmentPlan([0, 0, 0, 1, 1], 2)
     arrays = [rng.normal_array((5, m)), rng.normal_array((5, h)), rng.normal_array((m, m)),
               rng.normal_array((h, m)), rng.normal_array(m)]
-    assert fd_error(lambda x, e, *w: layers.gcn_layer(x, subj, obj, e, *w), arrays) < 1e-6
+    assert fd_error(lambda x, e, *w: layers.gcn_layer(x, node_frame, e, *w), arrays) < 1e-6
 
 
 def test_link_relevance_gradient_matches_finite_differences():

@@ -1,6 +1,6 @@
 import numpy as np
 
-from conftest import random_node_row, zero_params
+from conftest import node_frames, random_node_row, zero_params
 from fixtures import pair_grid
 from primitives import segment_sum
 from stsg.autodiff import Tensor
@@ -24,12 +24,6 @@ def proposal_grid(feats, p):
     two_subj, two_obj = frame_pairs([2] * len(subj))
     sums = propose_relations(Tensor(rows), two_subj, two_obj, p).data
     return pair_grid(sums[0::2], n)
-
-
-def edges_of(theta):
-    """Pair list of a 0/1 connectivity matrix: (i, j) wherever theta[i, j] != 0."""
-    subj, obj = np.nonzero(theta)
-    return subj, obj
 
 
 def edge_sums(eps, subj, n):
@@ -93,11 +87,12 @@ def test_proposal_matches_hand_evaluated_perceptron(dims, params):
 
 
 def test_gcn_empty_neighborhood_is_relu(dims, params):
+    # three frames of one node each: no node has a partner
     rng = RngStream(6)
     feats = rng.normal_array((3, dims.m))
-    subj, obj = edges_of(np.zeros((3, 3)))
+    subj, obj = frame_pairs([1, 1, 1])
     eps = rng.normal_array((0, dims.h))
-    out = gcn_layer(Tensor(feats), subj, obj, edge_sums(eps, subj, 3),
+    out = gcn_layer(Tensor(feats), node_frames([1, 1, 1]), edge_sums(eps, subj, 3),
                     params["gcn.0.w_node"], params["gcn.0.w_edge"], params["gcn.0.bias"]).data
     np.testing.assert_array_equal(out, np.maximum(feats, 0.0))
 
@@ -107,14 +102,13 @@ def test_gcn_two_node_identity_weights(dims):
     nu = np.zeros((2, m))
     nu[0, 0] = 1.0
     nu[1, 1] = 1.0
-    subj, obj = edges_of(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    eps = np.zeros((1, dims.h))
-    out = gcn_layer(Tensor(nu), subj, obj, edge_sums(eps, subj, 2),
+    subj, obj = frame_pairs([2])
+    eps = np.zeros((2, dims.h))
+    out = gcn_layer(Tensor(nu), node_frames([2]), edge_sums(eps, subj, 2),
                     Tensor(np.eye(m)), Tensor(np.zeros((dims.h, m))), Tensor(np.zeros(m))).data
+    # each node keeps its own row and takes the other's
     expected = np.zeros((2, m))
-    expected[0, 0] = 1.0
-    expected[0, 1] = 1.0
-    expected[1, 1] = 1.0
+    expected[:, :2] = 1.0
     np.testing.assert_array_equal(out, expected)
 
 
@@ -122,18 +116,14 @@ def test_gcn_layer_permutation_equivariance(dims, params):
     rng = RngStream(7)
     n = 5
     feats = rng.normal_array((n, dims.m))
-    # a random graph: each ordered pair carries a message or not
-    theta = (rng.uniform_array((n, n)) < 0.6).astype(float)
-    np.fill_diagonal(theta, 0.0)
     eps = rng.normal_array((n, n, dims.h))
-    subj, obj = edges_of(theta)
-    base = gcn_layer(Tensor(feats), subj, obj, edge_sums(eps[subj, obj], subj, n),
+    subj, obj = frame_pairs([n])
+    frame = node_frames([n])
+    base = gcn_layer(Tensor(feats), frame, edge_sums(eps[subj, obj], subj, n),
                      params["gcn.0.w_node"], params["gcn.0.w_edge"], params["gcn.0.bias"]).data
     perm = rng.permutation(n)
-    p_subj, p_obj = edges_of(theta[np.ix_(perm, perm)])
     p_eps = eps[np.ix_(perm, perm)]
-    shuffled = gcn_layer(Tensor(feats[perm]), p_subj, p_obj,
-                         edge_sums(p_eps[p_subj, p_obj], p_subj, n),
+    shuffled = gcn_layer(Tensor(feats[perm]), frame, edge_sums(p_eps[subj, obj], subj, n),
                          params["gcn.0.w_node"], params["gcn.0.w_edge"], params["gcn.0.bias"]).data
     np.testing.assert_allclose(shuffled, base[perm], rtol=0, atol=1e-12)
 
@@ -144,8 +134,9 @@ def test_propagate_single_layer_equals_layer(dims):
     feats = rng.normal_array((3, dims.m))
     subj, obj = frame_pairs([3])
     eps = rng.normal_array((3, 3, dims.h))[subj, obj]
-    via_propagate = gcn_propagate(Tensor(feats), subj, obj, edge_sums(eps, subj, 3), p).data
-    via_layer = gcn_layer(Tensor(feats), subj, obj, edge_sums(eps, subj, 3),
+    frame = node_frames([3])
+    via_propagate = gcn_propagate(Tensor(feats), frame, edge_sums(eps, subj, 3), p).data
+    via_layer = gcn_layer(Tensor(feats), frame, edge_sums(eps, subj, 3),
                           p["gcn.0.w_node"], p["gcn.0.w_edge"], p["gcn.0.bias"]).data
     np.testing.assert_array_equal(via_propagate, via_layer)
 
@@ -154,13 +145,14 @@ def test_propagate_two_layers_is_composition(dims, params):
     rng = RngStream(9)
     feats = rng.normal_array((3, dims.m))
     subj, obj = frame_pairs([3])
+    frame = node_frames([3])
     t_feats, t_eps = Tensor(feats), Tensor(rng.normal_array((3, 3, dims.h))[subj, obj])
     sums = segment_sum(t_eps, subj, 3)
-    once = gcn_layer(t_feats, subj, obj, sums, params["gcn.0.w_node"],
+    once = gcn_layer(t_feats, frame, sums, params["gcn.0.w_node"],
                      params["gcn.0.w_edge"], params["gcn.0.bias"])
-    twice = gcn_layer(once, subj, obj, sums, params["gcn.1.w_node"],
+    twice = gcn_layer(once, frame, sums, params["gcn.1.w_node"],
                       params["gcn.1.w_edge"], params["gcn.1.bias"]).data
-    np.testing.assert_array_equal(gcn_propagate(t_feats, subj, obj, sums, params).data, twice)
+    np.testing.assert_array_equal(gcn_propagate(t_feats, frame, sums, params).data, twice)
 
 
 def test_propagate_matches_rederivation_oracle(dims, params):
@@ -169,7 +161,7 @@ def test_propagate_matches_rederivation_oracle(dims, params):
     theta = full_connectivity(3)
     eps = rng.normal_array((3, 3, dims.h))
     subj, obj = frame_pairs([3])
-    got = gcn_propagate(Tensor(feats), subj, obj, edge_sums(eps[subj, obj], subj, 3),
+    got = gcn_propagate(Tensor(feats), node_frames([3]), edge_sums(eps[subj, obj], subj, 3),
                         params).data
     layers = [
         (params[f"gcn.{i}.w_node"].data, params[f"gcn.{i}.w_edge"].data, params[f"gcn.{i}.bias"].data)
@@ -183,9 +175,10 @@ def spatial_stage(node_lists, params):
     """Proposal sums and propagation over frames of node rows packed one after another."""
     feats = [row for nodes in node_lists for row in nodes]
     feats = Tensor(np.stack(feats) if feats else np.zeros((0, params.dims.m)))
-    subj, obj = frame_pairs([len(nodes) for nodes in node_lists])
+    sizes = [len(nodes) for nodes in node_lists]
+    subj, obj = frame_pairs(sizes)
     sums = propose_relations(feats, subj, obj, params)
-    return sums.data, gcn_propagate(feats, subj, obj, sums, params).data
+    return sums.data, gcn_propagate(feats, node_frames(sizes), sums, params).data
 
 
 def test_outputs_finite_for_finite_inputs(dims, params):

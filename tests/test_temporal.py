@@ -16,6 +16,7 @@ from conftest import (
     frame_columns,
     frame_pair_links,
     frame_dicts,
+    node_frames,
     random_sequence,
     select_no_links,
     with_frames,
@@ -480,7 +481,7 @@ def spatial_stage(feats, params):
     """One frame's proposal and GCN update."""
     subj, obj = frame_pairs([feats.shape[0]])
     edge_sums = propose_relations(feats, subj, obj, params)
-    return gcn_propagate(feats, subj, obj, edge_sums, params)
+    return gcn_propagate(feats, node_frames([feats.shape[0]]), edge_sums, params)
 
 
 def spatial_only_oracle(sequence, params, mode):
