@@ -6,15 +6,11 @@ the link relevance, the temporal encoding, the link aggregation with the
 fusion, a pair head and the weighted loss. A record is a layer, where the
 primitives of `autodiff` that a stage is made of would record one entry per
 product, gather or nonlinearity, and the per-record cost is what a step of
-this small model spends most on.
-
-A pair layer runs its matrix products per node, and only gathers, adds and
-segment sums per pair: the first layer on a pair's concatenated rows,
-(x[i] ++ x[j]) @ w, is (x @ w_a)[i] + (x @ w_b)[j], where w_a and w_b are
-the upper and lower rows of w, and its backward sums the pair gradient by
-subject and by object before the products. A GCN layer's message to a node
-is the sum over its frame minus the node's own term, so it runs no row per
-pair at all.
+this small model spends most on. Matrix products run per node; per pair
+run only gathers, adds and segment sums. A layer on a pair's concatenated
+rows, (x[i] ++ x[j]) @ w, is (x @ w_a)[i] + (x @ w_b)[j], w_a and w_b the
+upper and lower rows of w, and a GCN message is a frame's sum minus the
+node's own term.
 
 Each gradient is the one the chain of primitives would give, bit for bit:
 the same numpy expressions on the same arrays, in the same order
@@ -30,9 +26,8 @@ Where a gradient is cut into pieces -- the frame context and the inner
 encoding of the temporal encoding, the terms of each loss part -- each
 piece is a view of the whole, not a copy: the segment sums, products and
 reductions that read them give the same bits on a view as on a contiguous
-copy.
-
-Index lists are `autodiff.SegmentPlan`s or plain lists, planned at the call.
+copy. Index lists are `autodiff.SegmentPlan`s or plain lists, planned at
+the call.
 """
 
 from __future__ import annotations
@@ -69,19 +64,17 @@ def _linear_grads(g, x, w, need_x: bool):
     return (g @ w.T if need_x else None), x.T @ g, g.sum(axis=0)
 
 
-def _mlp2(x, w1, b1, w2, b2):
-    """(pre-activation, hidden, output) of a two-layer perceptron."""
-    h = _linear(x, w1, b1)
+def _mlp2(h, w2, b2):
+    """(hidden, output) of a two-layer perceptron whose first layer gave h."""
     r = np.maximum(h, 0.0)
-    return h, r, _linear(r, w2, b2)
+    return r, _linear(r, w2, b2)
 
 
-def _mlp2_grads(g, x, h, r, w1, w2):
-    """(dx, (dw1, db1, dw2, db2)) of `_mlp2`; the relu's subgradient at 0
-    is 0."""
+def _mlp2_grads(g, h, r, w2):
+    """(dh, dw2, db2) of `_mlp2`: the gradient of the first layer's output,
+    then the second layer's; the relu's subgradient at 0 is 0."""
     dr, dw2, db2 = _linear_grads(g, r, w2, True)
-    dx, dw1, db1 = _linear_grads(dr * (h > 0.0), x, w1, True)
-    return dx, (dw1, db1, dw2, db2)
+    return dr * (h > 0.0), dw2, db2
 
 
 def _rows(x: np.ndarray, ids) -> np.ndarray:
@@ -90,43 +83,23 @@ def _rows(x: np.ndarray, ids) -> np.ndarray:
 
 
 def _pair_linear(x, w, first, second, b):
-    """(x[first] ++ x[second]) @ w + b, each product taken per node: the
-    rows of x @ w[:m] and x @ w[m:] that a pair names, added, where m is
-    the width of x."""
+    """(x[first] ++ x[second]) @ w + b as the rows of x @ w[:m] and
+    x @ w[m:] (m the width of x) that each pair names, added."""
     m = x.shape[1]
     return _rows(_linear(x, w[:m]), first.ids) + _rows(_linear(x, w[m:]), second.ids) + b
 
 
 def _pair_linear_grads(g, x, w, first, second, need_x: bool):
-    """((dx by second, dx by first) or (None, None), dw, db) of `_pair_linear`
-    for the pair gradient g: g summed by first and by second node gives the
-    gradients of the two node products, and x gets one gradient per read,
-    in the order the gathers' reverse sweep adds them."""
+    """((dx by second, dx by first) or (None, None), dw, db) of `_pair_linear`,
+    the pair gradient g summed by first and by second node before the products."""
     m = x.shape[1]
     da, db = _segment_sum(g, first), _segment_sum(g, second)
     dx = (db @ w[m:].T, da @ w[:m].T) if need_x else (None, None)
     return dx, np.concatenate([x.T @ da, x.T @ db]), g.sum(axis=0)
 
 
-def _pair_mlp2(x, first, second, w1, b1, w2, b2):
-    """(pre-activation, hidden, output) of `_mlp2` on x[first] ++ x[second],
-    its first layer a `_pair_linear`."""
-    h = _pair_linear(x, w1, first, second, b1)
-    r = np.maximum(h, 0.0)
-    return h, r, _linear(r, w2, b2)
-
-
-def _pair_mlp2_grads(g, x, first, second, h, r, w1, w2, need_x: bool):
-    """((dx by second, dx by first) or (None, None), (dw1, db1, dw2, db2)) of
-    `_pair_mlp2`."""
-    dr, dw2, db2 = _linear_grads(g, r, w2, True)
-    dx, dw1, db1 = _pair_linear_grads(dr * (h > 0.0), x, w1, first, second, need_x)
-    return dx, (dw1, db1, dw2, db2)
-
-
 def _others(x: np.ndarray, node_frame: SegmentPlan) -> np.ndarray:
-    """Each row's sum over the other rows of its frame: its frame's sum
-    minus itself."""
+    """Each row's sum over the other rows of its frame: the frame's sum minus its own."""
     return _rows(_segment_sum(x, node_frame), node_frame.ids) - x
 
 
@@ -151,25 +124,25 @@ def proposal_sums(x: Tensor, subj, obj, w1: Tensor, b1: Tensor, w2: Tensor,
     inputs = (x, x, w1, b1, w2, b2)
     need = _tracked(inputs)
     w1v, b1v, w2v, b2v = _params(inputs[2:])
-    h, r, z = _pair_mlp2(xv, subj, obj, w1v, b1v, w2v, b2v)
+    h = _pair_linear(xv, w1v, subj, obj, b1v)
+    r, z = _mlp2(h, w2v, b2v)
     s = _logistic(z)
     out = Tensor._wrap(_segment_sum(s, subj))
     if need:
         def vjp(g):
-            dx, dparams = _pair_mlp2_grads(_rows(g, subj.ids) * s * (1.0 - s), xv, subj, obj,
-                                           h, r, w1v, w2v, need[0])
-            return (*dx, *dparams)
+            dh, dw2, db2 = _mlp2_grads(_rows(g, subj.ids) * s * (1.0 - s), h, r, w2v)
+            dx, dw1, db1 = _pair_linear_grads(dh, xv, w1v, subj, obj, need[0])
+            return (*dx, dw1, db1, dw2, db2)
         _record(out, inputs, vjp)
     return out
 
 
 def gcn_layer(x: Tensor, node_frame: SegmentPlan, edge_sums: Tensor, w_node: Tensor,
               w_edge: Tensor, bias: Tensor) -> Tensor:
-    """relu(x + (t summed over i's frame - t_i) + edge_sums @ w_edge), where
-    t = x @ w_node + bias: one propagation step, each node i taking a message
-    from every other node j of its frame. node_frame is the plan of each
-    node's frame (`temporal.Packed.node_frame`); a node alone in its frame
-    gets the exact zero message t_i - t_i.
+    """relu(x + _others(x @ w_node + bias) + edge_sums @ w_edge): one propagation
+    step, each node taking a message from every other node of the frame
+    node_frame (`temporal.Packed.node_frame`) puts it in; a node alone in its
+    frame gets an exact zero message.
 
     x is read twice, by the residual and by the node transform: its gradient
     comes as one entry per read, in that order.
@@ -238,20 +211,23 @@ def temporal_encoding(x: Tensor, node_frame, link_frame, curr, prev,
     inputs = (x, x, x, *fg, *ftau)
     need = _tracked(inputs)
     fgv, ftv = _params(fg), _params(ftau)
-    h1, r1, inner = _pair_mlp2(xv, curr, prev, *fgv)
+    h1 = _pair_linear(xv, fgv[0], curr, prev, fgv[1])
+    r1, inner = _mlp2(h1, fgv[2], fgv[3])
     joined = np.concatenate([_rows(context, link_frame.ids), inner], axis=1)
-    h2, r2, tau = _mlp2(joined, *ftv)
+    h2 = _linear(joined, ftv[0], ftv[1])
+    r2, tau = _mlp2(h2, ftv[2], ftv[3])
     out = Tensor._wrap(tau)
     if need:
         def vjp(g):
-            djoined, dftau = _mlp2_grads(g, joined, h2, r2, ftv[0], ftv[2])
+            dh2, dw2, db2 = _mlp2_grads(g, h2, r2, ftv[2])
+            djoined, dw1, db1 = _linear_grads(dh2, joined, ftv[0], True)
             width = context.shape[1]
             dctx, dinner = djoined[:, :width], djoined[:, width:]
-            dx, dfg = _pair_mlp2_grads(dinner, xv, curr, prev, h1, r1, fgv[0], fgv[2],
-                                       need[0])
+            dh1, *dfg2 = _mlp2_grads(dinner, h1, r1, fgv[2])
+            dx, *dfg1 = _pair_linear_grads(dh1, xv, fgv[0], curr, prev, need[0])
             if need[0]:
                 dctx = _rows(_segment_sum(dctx, link_frame) / counts, node_frame.ids)
-            return (*dx, dctx if need[0] else None, *dfg, *dftau)
+            return (*dx, dctx if need[0] else None, *dfg1, *dfg2, dw1, db1, dw2, db2)
         _record(out, inputs, vjp)
     return out
 

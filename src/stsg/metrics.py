@@ -407,19 +407,13 @@ class EfficiencyReport:
     breakdown: dict = field(default_factory=dict)
 
 
-# the pair perceptrons' first layers, which `layers` applies per node
-PER_NODE = ("prop.w1", "rel.w", "temporal.fg.w1")
-
-
 def count_params_flops(dims: Dims, n: int, variant: str = "sparse", k: int = 1,
                        gcn_layers: int = 2) -> EfficiencyReport:
     """Analytic counts read off `params.model_shapes`. A stage applies each of
     its matrices, of shape (a, b), to its rows at 2ab FLOPs a row (a
     multiply-add pair costs 2); only dense layers and the relevance dots are
-    counted. The first layer of each pair perceptron (PER_NODE) applies to
-    the n nodes wherever its stage runs: (x_i ++ x_j) @ w is taken as
-    (x @ w_a)_i + (x @ w_b)_j, w_a and w_b the upper and lower rows of w.
-    Parameters do not depend on the variant."""
+    counted. A layer on a pair's concatenated rows applies to the n nodes
+    wherever its stage runs (`layers`). Parameters do not depend on the variant."""
     if n < 0:
         raise ContractError(f"count_params_flops: need n >= 0, got {n}")
     if variant == "sparse" and k < 1:
@@ -433,7 +427,8 @@ def count_params_flops(dims: Dims, n: int, variant: str = "sparse", k: int = 1,
               "relevance": ("temporal.phi", n if temporal_on else 0),
               "temporal_encoding": (("temporal.fg.", "temporal.ftau."), links),
               "relation_head": ("rel.", n * n), "label_head": ("label.", n)}
-    breakdown = {stage: sum(2 * math.prod(shape) * (n if rows and name in PER_NODE else rows)
+    per_node = ("prop.w1", "rel.w", "temporal.fg.w1")
+    breakdown = {stage: sum(2 * math.prod(shape) * (n if rows and name in per_node else rows)
                             for name, shape in shapes.items()
                             if len(shape) == 2 and name.startswith(prefixes))
                  for stage, (prefixes, rows) in stages.items()}

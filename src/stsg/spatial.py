@@ -9,19 +9,17 @@ edge features of the graph (L == H). Message passing follows
     updated_i = relu(nu_i + sum_j theta_ij (W_node nu_j + W_edge eps_ij) + bias)
 
 with theta fixed to 1 between distinct nodes of a frame and 0 otherwise (the
-residual term already carries self-information). Each node's message is
-then the sum over its frame minus its own term: one segment sum per frame,
-never a row per pair. Linearity lets the edge features be summed per node
-before the edge transform, which then applies once per node; the edge
-features are the same in every layer, so the proposal hands on their
+residual term already carries self-information), so a node's message is its
+frame's sum minus its own term. Linearity lets the edge features be summed
+per node before the edge transform, which then applies once per node; the
+edge features are the same in every layer, so the proposal hands on their
 per-node sums, taken once per pass. The bias sits inside the message, so a
 node alone in its frame reduces a layer to relu(feats) regardless of
 parameter values.
 
 The tape's unit is a layer: the proposal and each GCN layer are one record
-each, with hand-written gradients (`layers`). The pair lists and the node
-frames are segment plans (`autodiff.SegmentPlan`), so every layer reuses
-one sort of them.
+each, with hand-written gradients (`layers`). The pair lists and node frames
+are segment plans (`autodiff.SegmentPlan`), so every layer reuses their sorts.
 """
 
 from __future__ import annotations
@@ -59,10 +57,9 @@ def propose_relations(feats: Tensor, subj, obj, params: ModelParams) -> Tensor:
 
 
 def gcn_propagate(feats: Tensor, node_frame, edge_sums: Tensor, params: ModelParams) -> Tensor:
-    """Apply the configured stack of propagation layers (`gcn_layer`)
-    sequentially, one tape record each, over the frames the plan node_frame
-    assigns each node to; `edge_sums` (N, H) holds the summed edge features
-    of each node's pairs, which every layer reads."""
+    """Apply the configured stack of propagation layers (`gcn_layer`) over
+    node_frame's frames, one tape record each; `edge_sums` (N, H) holds the
+    summed edge features of each node's pairs, which every layer reads."""
     out = feats
     for layer in range(params.gcn_layers):
         out = gcn_layer(

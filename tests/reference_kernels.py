@@ -160,7 +160,7 @@ def mlp2(x, w1, b1, w2, b2):
     return linear(prim.relu(linear(x, w1, b1)), w2, b2)
 
 
-def composed_pair_affine(x, first, second, w, b):
+def composed_pair_linear(x, first, second, w, b):
     """(x[first] ++ x[second]) @ w + b as (x @ w_a)[first] + (x @ w_b)[second] + b,
     w_a and w_b the upper and lower rows of w, each taken by a gather."""
     m = x.shape[1]
@@ -171,7 +171,7 @@ def composed_pair_affine(x, first, second, w, b):
 
 def composed_proposal(feats, subj, obj, params):
     """sigmoid(mlp(feat_i ++ feat_j)), (P, H) for the listed pairs."""
-    hidden = prim.relu(composed_pair_affine(feats, subj, obj, params["prop.w1"],
+    hidden = prim.relu(composed_pair_linear(feats, subj, obj, params["prop.w1"],
                                             params["prop.b1"]))
     return prim.sigmoid(linear(hidden, params["prop.w2"], params["prop.b2"]))
 
@@ -213,7 +213,7 @@ def composed_temporal_encoding(feats, node_frame, link_frame, curr, prev, params
     """The frame context of each link's frame, then f_tau(context ++ f_g(pair))."""
     context = ad.gather_rows(composed_frame_context(feats, node_frame, node_frame.n),
                              link_frame)
-    hidden = prim.relu(composed_pair_affine(feats, curr, prev, params["temporal.fg.w1"],
+    hidden = prim.relu(composed_pair_linear(feats, curr, prev, params["temporal.fg.w1"],
                                             params["temporal.fg.b1"]))
     inner = linear(hidden, params["temporal.fg.w2"], params["temporal.fg.b2"])
     joined = prim.concat([context, inner], axis=1)
@@ -237,10 +237,6 @@ def composed_fuse_link_mean(updated, gamma_sel, tau, curr_idx, n_curr):
     denom = prim.segment_sum(col, plan, n_curr)
     safe = prim.add(denom, Tensor((counts == 0).astype(np.float64).reshape(-1, 1)))
     return prim.add(updated, prim.div(numer, safe))
-
-
-def composed_pair_linear(fused, subj, obj, w, b):
-    return composed_pair_affine(fused, subj, obj, w, b)
 
 
 def composed_forward_batch(packed, params, k=1):

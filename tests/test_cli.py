@@ -655,7 +655,7 @@ def test_flops_report(tmp_path):
 
 
 # sha256 of `stsg flops --out` (default config, k = 1), with the first layer
-# of each pair perceptron counted per node (`metrics.PER_NODE`)
+# of each pair perceptron counted per node
 FLOPS_REPORT_SHA256 = "c265670948b80d46c9850399030efd27ea9cfa5dd6318129e3db8ba8ab90304a"
 
 
