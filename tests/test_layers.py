@@ -14,7 +14,7 @@ import pytest
 
 import primitives as prim
 import stsg.temporal
-from conftest import edit_frames, empty_frame
+from conftest import edit_frames, empty_frame, node_frames
 from reference_kernels import (
     composed_batch_loss,
     composed_forward_batch,
@@ -311,16 +311,16 @@ def random_frames(sizes, seed):
     half of the links from each node to the nodes of the preceding frame."""
     sizes = np.asarray(sizes)
     rng = RngStream(seed, stream=13)
-    present = sizes[sizes > 0]
-    node_frame = SegmentPlan(np.repeat(np.arange(len(present)), present), len(present))
+    node_frame = node_frames(sizes)
     starts = np.cumsum(sizes) - sizes
     links = [(starts[t] + i, starts[t - 1] + j) for t in range(1, len(sizes))
              for i in range(sizes[t]) for j in range(sizes[t - 1])]
     curr, prev = np.array(links).T
     keep = rng.uniform_array(len(curr)) < 0.5
     curr, prev = curr[keep], prev[keep]
+    counts = np.bincount(node_frame.ids).astype(np.float64).reshape(-1, 1)
     return (rng.normal_array((int(sizes.sum()), Dims().m)), frame_pairs(sizes), node_frame,
-            present.astype(np.float64).reshape(-1, 1), curr, prev)
+            counts, curr, prev)
 
 
 def assert_op_is_its_oracle(op, oracle, leaves, seed):
