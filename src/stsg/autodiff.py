@@ -20,25 +20,26 @@ the same path. Two kinds of plan skip that check, because their range
 holds by construction (`SegmentPlan.derived`): the packed batch's plans,
 which `temporal.pack` builds from the frame sizes, and the selected links'
 plans, which `temporal.forward_batch` takes as rows of those checked plans.
-Joined plans are not checked or sorted again either: `temporal.Packed.join`,
-the one batch join, finds where each sequence's nodes, frames, pairs and
-candidates start once, and `SegmentPlan.join` concatenates each plan's ids
-and runs, shifted by those offsets. A plan finds its runs when a reduction
-first needs them (training finds them once per sequence, before the first
-step): a forward pass without a tape gathers along many lists it never
-reduces over. A
-reduction whose runs are all one row long -- each node with one link --
-takes the rows in plan order, which is what `reduceat` would return.
+Prepared and joined plans are not checked or sorted again either:
+`training.prepare` stores a sequence's ids, sort orders and runs as a few
+stacked arrays, and `training.join` concatenates them, shifted by where
+each sequence's nodes, frames, pairs and candidates start; each plan is a
+row view of them, given its runs. A plan finds its runs when a reduction
+first needs them: a forward pass without a tape gathers along many lists
+it never reduces over. A reduction whose runs are all one row long -- each
+node with one link -- takes the rows in plan order, which is what
+`reduceat` would return.
 
-`backward` returns one gradient per watched leaf. Model parameters are
-views of one flat vector (`params.ModelParams`), and training gathers
-these gradients into that vector's layout once per step, so the checks,
-the clip and the optimizer run on whole vectors.
+`backward` returns one flat vector: each watched leaf's gradient in its
+slice, in watch order. Model parameters are views of one flat vector
+(`params.ModelParams`), watched in its layout, so a training step wraps
+that vector as its gradient as it is, and the checks, the clip and the
+optimizer run on whole vectors.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -113,26 +114,33 @@ class Tape:
     Records are appended in execution order, so every node's inputs precede
     it and a single reverse sweep visits each node exactly once. Only ops
     with an input that depends on a watched leaf are recorded: no other op
-    can pass gradient to a leaf.
+    can pass gradient to a leaf. Each watched leaf owns a slice of the flat
+    gradient vector `backward` returns, in watch order.
     """
 
-    __slots__ = ("_records", "_watched", "_watched_ids", "_tracked_ids")
+    __slots__ = ("_records", "_watched", "_leaves", "_size", "_tracked_ids")
 
     def __init__(self):
         self._records: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
         self._watched: list[Tensor] = []
-        self._watched_ids: set[int] = set()
+        # id of each watched leaf -> the slice of the flat gradient it owns
+        self._leaves: dict[int, slice] = {}
+        self._size = 0
         # watched leaves and recorded outputs; the tape keeps all of them
         # alive, so none of their ids can be reused while it exists
         self._tracked_ids: set[int] = set()
 
     def watch(self, *tensors: Tensor) -> None:
         """Mark tensors as parameter leaves whose gradients backward returns."""
+        leaves, size = self._leaves, self._size
         for t in tensors:
-            if id(t) not in self._watched_ids:
-                self._watched_ids.add(id(t))
-                self._tracked_ids.add(id(t))
+            key = id(t)
+            if key not in leaves:
+                stop = size + t.data.size
+                leaves[key], size = slice(size, stop), stop
+                self._tracked_ids.add(key)
                 self._watched.append(t)
+        self._size = size
 
     def __enter__(self) -> "Tape":
         _STACK.append(self)
@@ -167,14 +175,23 @@ def _tracked(inputs: tuple[Tensor, ...]) -> tuple[bool, ...] | None:
     return need if any(need) else None
 
 
-def backward(tape: Tape, loss: Tensor) -> dict[Tensor, Tensor]:
-    """Gradients of a scalar loss w.r.t. every watched leaf on the tape.
+def backward(tape: Tape, loss: Tensor) -> np.ndarray:
+    """Gradients of a scalar loss w.r.t. the watched leaves on the tape, as
+    one flat float64 vector: each leaf's gradient, raveled, in its slice,
+    the leaves in watch order.
 
-    Leaves that do not influence the loss get exact zeros of their shape.
+    A leaf's first gradient contribution is copied into its slice and later
+    ones are added there, in the order of the reverse sweep; leaves that do
+    not influence the loss read exact zeros.
     """
     if loss.size != 1:
         raise ContractError(f"backward: loss must be scalar, got shape {loss.shape}")
+    leaves = tape._leaves
+    flat = np.zeros(tape._size)
+    written: set[int] = set()   # leaves whose slice holds a contribution
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    if id(loss) in leaves:   # a watched loss is its own gradient
+        flat[leaves[id(loss)]] = 1.0
     for out, inputs, vjp in reversed(tape._records):
         g = grads.pop(id(out), None)
         if g is None:
@@ -182,12 +199,18 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, Tensor]:
         for t, gi in zip(inputs, vjp(g)):
             if gi is None:
                 continue
-            acc = grads.get(id(t))
-            grads[id(t)] = gi if acc is None else acc + gi
-    return {
-        p: Tensor._wrap(grads[id(p)]) if id(p) in grads else Tensor._wrap(np.zeros_like(p.data))
-        for p in tape._watched
-    }
+            key = id(t)
+            leaf = leaves.get(key)
+            if leaf is None:
+                acc = grads.get(key)
+                grads[key] = gi if acc is None else acc + gi
+            elif key in written:
+                view = flat[leaf]
+                view += gi.reshape(-1)
+            else:
+                flat[leaf] = gi.reshape(-1)
+                written.add(key)
+    return flat
 
 
 # ---------------------------------------------------------------------------
@@ -288,13 +311,14 @@ class SegmentPlan:
         self.ids, self.n, self._runs = ids, int(n), None
 
     @classmethod
-    def derived(cls, ids: np.ndarray, n: int) -> "SegmentPlan":
+    def derived(cls, ids: np.ndarray, n: int, runs=None) -> "SegmentPlan":
         """The plan of a 1-D intp array whose ids lie in [0, n) by
         construction, unchecked: ids computed from node counts, or rows of a
-        checked plan's ids. An index list from anywhere else goes through
-        the checked constructor."""
+        checked plan's ids. `runs`, when given, are the ids' runs as `runs()`
+        would find them. An index list from anywhere else goes through the
+        checked constructor."""
         plan = object.__new__(cls)
-        plan.ids, plan.n, plan._runs = ids, n, None
+        plan.ids, plan.n, plan._runs = ids, n, runs
         return plan
 
     def __len__(self) -> int:
@@ -317,29 +341,6 @@ class SegmentPlan:
             starts = np.flatnonzero(first)
             self._runs = (order, starts, ids[starts])
         return self._runs
-
-    @classmethod
-    def join(cls, parts: Sequence["SegmentPlan"], id_offsets: Sequence[int],
-             row_offsets: Sequence[int]) -> "SegmentPlan":
-        """The plan of the parts' lists concatenated, part i's ids offset by
-        id_offsets[i] and its rows by row_offsets[i], over id_offsets[-1]
-        segments; the offsets are the caller's, found once for every plan of
-        a batch. Every id of a part lies below the next part's offset, so
-        the parts' runs are concatenated, not found again."""
-        runs = [p.runs() for p in parts]
-        order = None
-        if any(r[0] is not None for r in runs):
-            order = _offset_cat([np.arange(len(p.ids)) if r[0] is None else r[0]
-                                 for p, r in zip(parts, runs)], row_offsets)
-        plan = cls.derived(_offset_cat([p.ids for p in parts], id_offsets), id_offsets[-1])
-        plan._runs = (order, _offset_cat([r[1] for r in runs], row_offsets),
-                      _offset_cat([r[2] for r in runs], id_offsets))
-        return plan
-
-
-def _offset_cat(arrays, offsets) -> np.ndarray:
-    """The arrays concatenated, each plus its offset."""
-    return np.concatenate([a + o if o else a for a, o in zip(arrays, offsets)])
 
 
 _OUT_OF_SEGMENTS = "segment id out of range for {n} segments"

@@ -97,8 +97,9 @@ def train_event_head(pooled: np.ndarray, labels: np.ndarray, n_events: int,
         tape.watch(head)
         with tape:
             loss, _ = weighted_loss(weights, ad.matmul(x, head), sign)
-        grads = backward(tape, loss)
-        head = Tensor(opt.update(head.data, grads[head].data))
+        # the head is the one watched leaf: the flat gradient is its own
+        grads = backward(tape, loss).reshape(head.shape)
+        head = Tensor(opt.update(head.data, grads))
     return head.data
 
 

@@ -9,8 +9,10 @@ and the FLOP accounting all read it.
 The parameters live in one flat float64 vector; a `Layout` names the
 tensors, their shapes and their offsets in it, and each tensor is a
 read-only view of its slice. Gradients use the same layout
-(`Gradients`), so the finiteness check, the clip and the optimizer each
-work on one vector instead of looping over the tensors.
+(`Gradients`): `watch_all` watches the tensors in layout order, so the
+flat vector `autodiff.backward` writes is already in it, and the
+finiteness check, the clip and the optimizer each work on that one vector
+instead of looping over the tensors.
 """
 
 from __future__ import annotations
@@ -121,6 +123,8 @@ class ModelParams:
         return self._tensors.items()
 
     def watch_all(self, tape: Tape) -> None:
+        """Watch every tensor in layout order, so that the gradient vector
+        `autodiff.backward` returns is in this layout too."""
         tape.watch(*self._tensors.values())
 
     def with_flat(self, flat: np.ndarray) -> "ModelParams":
@@ -152,16 +156,20 @@ class Gradients:
 
     def norm(self) -> float:
         """The global L2 norm, from one dot product of the flat vector,
-        computed at the first call and kept."""
+        computed at the first call and kept. Where that product overflows
+        and every entry is finite, the norm comes from the vector scaled by
+        its largest magnitude, and scaled back."""
         if self._norm is None:
-            self._norm = float(np.sqrt(np.dot(self.flat, self.flat)))
+            # vdot is np.dot's product, bit for bit, without its overflow warning
+            flat = self.flat
+            norm = np.sqrt(np.vdot(flat, flat))
+            if norm == np.inf:
+                top = np.max(np.abs(flat))
+                if np.isfinite(top):
+                    unit = flat / top
+                    norm = top * np.sqrt(np.dot(unit, unit))
+            self._norm = float(norm)
         return self._norm
-
-    @classmethod
-    def collect(cls, params: ModelParams, grads: dict[Tensor, Tensor]) -> "Gradients":
-        """The gradients `autodiff.backward` returned for every tensor of params."""
-        return cls(params.layout,
-                   np.concatenate([grads[t].data for _, t in params.items()], axis=None))
 
     def items(self):
         return self.layout.views(self.flat).items()

@@ -22,7 +22,6 @@ nothing here orders triplets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 import numpy as np
 
@@ -120,8 +119,12 @@ class Packed:
     candidate links and node frames are segment plans over packed node
     (or frame) indices, built with the data, so no forward or backward call
     sorts them again; frames are counted over the frames that have nodes.
-    Everything here is built once per sequence (`pack`) and concatenated
-    by `join`, so a training step recomputes none of it.
+    Everything here is built once per sequence (`pack`). Training then
+    stores a sequence's integer data as a few stacked arrays, one per row
+    count (`rows`, `training.prepare`); every plan of such a packed
+    sequence, or of a batch joined from them (`training.join`), is a row
+    view of those arrays with its runs found, so a training step
+    recomputes none of it.
     """
 
     mode: str
@@ -140,6 +143,14 @@ class Packed:
     links: np.ndarray | None = None   # (L,) candidates linked whatever the parameters
                                       #      (dense: all, tracking: `tracking_links`);
                                       #      None where the relevance picks them
+    link_frame: ad.SegmentPlan | None = None   # (C,) frame of each candidate's current
+                                      #      node, where every candidate is linked
+                                      #      (dense, prepared); else None
+    rows: dict[str, np.ndarray] | None = None  # the stacked integer arrays the plans
+                                      #      view (`training.FAMILIES`); None unprepared
+    shifts: dict[str, np.ndarray] | None = None  # (k, 1) for each (k, r) array of rows:
+                                      #      what a prepared sequence's counts add to the
+                                      #      rows after its own in a batch; None in a batch
 
     @property
     def n_nodes(self) -> int:
@@ -149,36 +160,6 @@ class Packed:
     def n_frames(self) -> int:
         """Frames that have nodes."""
         return self.node_frame.n
-
-    @classmethod
-    def join(cls, parts: list["Packed"]) -> "Packed":
-        """One batch from the packed inputs of its sequences, in order.
-
-        Where each part's nodes, frames, pairs and candidates start in the
-        batch is found once; every plan's ids and runs, and the fixed links,
-        are concatenated with those offsets.
-        """
-        first = parts[0]
-        if len(parts) == 1:
-            return first
-        nodes, frames, pairs, cands = (list(accumulate(counts, initial=0)) for counts in zip(
-            *((p.n_nodes, p.n_frames, len(p.subj), len(p.cand_curr)) for p in parts)))
-
-        def plans(name, ids, rows):
-            return ad.SegmentPlan.join([getattr(p, name) for p in parts], ids, rows)
-
-        feats = np.concatenate([p.feats for p in parts])
-        feats.setflags(write=False)
-        return cls(
-            mode=first.mode, variant=first.variant,
-            sizes=np.concatenate([p.sizes for p in parts]), feats=feats,
-            node_frame=plans("node_frame", frames, nodes),
-            frame_counts=np.concatenate([p.frame_counts for p in parts]),
-            subj=plans("subj", nodes, pairs), obj=plans("obj", nodes, pairs),
-            cand_curr=plans("cand_curr", nodes, cands),
-            cand_prev=plans("cand_prev", nodes, cands),
-            links=None if first.links is None else ad._offset_cat([p.links for p in parts],
-                                                                  cands))
 
 
 def pack(sequence: SceneSequence, mode: str, variant: str, dims) -> Packed:
@@ -264,13 +245,18 @@ def forward_batch(packed: Packed, params: ModelParams, k: int = 1) -> BatchOutpu
         else:
             chosen = packed.links
         if len(chosen):
-            # the selected links' plans, shared by the forward and backward
-            # calls: rows of the packed plans, so in range without a check
             plan = ad.SegmentPlan.derived
-            curr_ids = cand_curr[chosen]
-            curr_idx = plan(curr_ids, n)
-            prev_idx = plan(packed.cand_prev.ids[chosen], n)
-            frame_idx = plan(packed.node_frame.ids[curr_ids], packed.n_frames)
+            if packed.link_frame is not None:
+                # every candidate is linked: the links' plans are the candidates'
+                curr_idx, prev_idx = packed.cand_curr, packed.cand_prev
+                frame_idx = packed.link_frame
+            else:
+                # the selected links' plans, shared by the forward and backward
+                # calls: rows of the packed plans, so in range without a check
+                curr_ids = cand_curr[chosen]
+                curr_idx = plan(curr_ids, n)
+                prev_idx = plan(packed.cand_prev.ids[chosen], n)
+                frame_idx = plan(packed.node_frame.ids[curr_ids], packed.n_frames)
             tau = encode_temporal_pairs(updated, packed.node_frame, frame_idx,
                                         curr_idx, prev_idx, params, packed.frame_counts)
             gamma_sel = ad.gather_rows(gamma, plan(chosen, len(cand_curr)))

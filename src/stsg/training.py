@@ -14,14 +14,18 @@ object of each packed node (`node_identity`).
 
 `train` builds everything that depends only on the data once per sequence,
 before the first step (`prepare`): the packed node rows, frozen so that the
-forward pass wraps them uncopied, the segment plans with their runs, the
-node count of each frame, the links that tracking and dense select
-whatever the parameters, and the loss weights with the sign of each
-relation term. A step then joins its sequences (`join`: the offsets of
-their nodes, frames, pairs and candidates are found once, and each array is
-concatenated with them), runs the forward pass and the loss on the tape,
-takes the gradient back, checks it, clips it and updates the parameters:
-only work that depends on the parameters.
+forward pass wraps them uncopied; the segment plans with their runs, held
+as a few stacked integer arrays, one per row count (`FAMILIES`), which
+every plan views; the node count of each frame; the links that tracking
+and dense select whatever the parameters, and for dense, whose links are
+every candidate, the frame of each; and the loss weights with the sign of
+each relation term, one (2, P·H) array. A step then joins its sequences
+(`join`: each stacked array is one concatenation, and the rows after a
+sequence are shifted by its node, frame, pair or candidate count in one
+add), runs the forward pass and the loss on
+the tape, takes the gradient back as one flat vector in the parameters'
+layout, checks it, clips it and updates the parameters: only work that
+depends on the parameters.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import blas, layers
+from . import autodiff as ad
 from .autodiff import Tape, Tensor, backward
 from .config import RunConfig
 from .errors import ContractError, TrainingError
@@ -83,11 +88,19 @@ class Targets:
     to a cross-entropy.
     """
 
-    rel_weight: np.ndarray     # (P * H,)
+    relation: np.ndarray       # (2, P * H) per relation slot, in packed pair order x
+                               # predicate: its weight, and the sign of its logit
+                               # (-1.0 at relation slots, 1.0 at the rest)
     node_weight: np.ndarray    # (N * G,) at the gt label of each gt-matched node
     link_weight: np.ndarray    # (C,) at each node's target candidate link
-    rel_sign: np.ndarray       # (P * H,) -1.0 at relation slots, 1.0 at the rest:
-                               # the sign of each relation term's logit
+
+    @property
+    def rel_weight(self) -> np.ndarray:
+        return self.relation[0]
+
+    @property
+    def rel_sign(self) -> np.ndarray:
+        return self.relation[1]
 
 
 def loss_targets(sequence: SceneSequence, packed: Packed, h: int) -> Targets:
@@ -123,7 +136,9 @@ def loss_targets(sequence: SceneSequence, packed: Packed, h: int) -> Targets:
     n_neg = np.bincount(slot_frame, minlength=n_frames) - n_pos
     pos_w = np.divide(1.0, n_pos, out=np.zeros(n_frames), where=n_pos > 0)
     neg_w = np.divide(NEGATIVE_WEIGHT, n_neg, out=np.zeros(n_frames), where=n_neg > 0)
-    rel_weight = np.where(positive, pos_w[slot_frame], neg_w[slot_frame])
+    relation = np.empty((2, len(positive)))
+    relation[0] = np.where(positive, pos_w[slot_frame], neg_w[slot_frame]) * scale
+    relation[1] = np.where(positive, -1.0, 1.0)
 
     # node entries, in packed node order x label
     g = sequence.g
@@ -142,36 +157,132 @@ def loss_targets(sequence: SceneSequence, packed: Packed, h: int) -> Targets:
     link_weight = np.zeros(len(curr))
     link_weight[first] = (-1.0 / link_count[link_frame]) * scale
 
-    return Targets(rel_weight=rel_weight * scale, node_weight=node_weight,
-                   link_weight=link_weight, rel_sign=np.where(positive, -1.0, 1.0))
+    return Targets(relation=relation, node_weight=node_weight, link_weight=link_weight)
+
+
+# The stacked arrays of a prepared sequence's integer data, one per row
+# count: name -> the count that a join offsets each row by, n(odes),
+# f(rames), p(airs) or c(andidates). A variant carries no array it has no
+# rows for: spatial none of the candidates', sparse and spatial no links.
+FAMILIES = {
+    "node_frame": "f",     # (1, N) frame of each node
+    "frame_runs": "nf",    # (2, F') runs of node_frame: reduceat starts, segments
+    "pairs": "nnp",        # (3, P) subj, obj, obj's stable sort order
+    "pair_runs": "pnpn",   # (4, R) runs of subj, then of obj (the same nodes)
+    "cands": "nncf",       # (3, C) cand_curr, cand_prev, cand_prev's sort order;
+                           #   dense: (4, C), with the frame of each candidate
+    "curr_runs": "cn",     # (2, R') runs of cand_curr
+    "prev_runs": "cn",     # (2, R'') runs of cand_prev
+    "links": "c",          # (1, L) the fixed links (dense, tracking)
+}
+_NO_IDS = np.zeros(0, dtype=np.intp)
+_NO_IDS.setflags(write=False)
+
+
+def _with_rows(template: Packed, sizes, feats, frame_counts, rows: dict[str, np.ndarray],
+               obj_sorted: bool, prev_sorted: bool, shifts=None) -> Packed:
+    """The packed inputs whose plans are row views of `rows` (FAMILIES),
+    with their runs; obj's and cand_prev's sort orders are None where
+    their ids run in order."""
+    n, n_frames = len(feats), len(frame_counts)
+    plan = ad.SegmentPlan.derived
+    frame_runs, pairs, pair_runs = rows["frame_runs"], rows["pairs"], rows["pair_runs"]
+    cands = rows.get("cands")
+    if cands is None:
+        cand_curr = cand_prev = plan(_NO_IDS, n, (None, _NO_IDS, _NO_IDS))
+    else:
+        curr_runs, prev_runs = rows["curr_runs"], rows["prev_runs"]
+        cand_curr = plan(cands[0], n, (None, curr_runs[0], curr_runs[1]))
+        cand_prev = plan(cands[1], n, (None if prev_sorted else cands[2],
+                                       prev_runs[0], prev_runs[1]))
+    links = rows.get("links")
+    return Packed(
+        mode=template.mode, variant=template.variant, sizes=sizes, feats=feats,
+        node_frame=plan(rows["node_frame"][0], n_frames, (None, frame_runs[0], frame_runs[1])),
+        frame_counts=frame_counts,
+        subj=plan(pairs[0], n, (None, pair_runs[0], pair_runs[1])),
+        obj=plan(pairs[1], n, (None if obj_sorted else pairs[2], pair_runs[2], pair_runs[3])),
+        cand_curr=cand_curr, cand_prev=cand_prev,
+        links=None if links is None else links[0],
+        link_frame=plan(cands[3], n_frames) if cands is not None and len(cands) > 3 else None,
+        rows=rows, shifts=shifts)
 
 
 def prepare(sequence: SceneSequence, mode: str, variant: str, dims) -> tuple[Packed, Targets]:
     """Everything about one sequence that depends on the data, not the
     parameters (`Packed`, `Targets`), down to the runs of its plans that the
-    backward pass reduces over; batches join those runs rather than find
-    them again."""
+    backward pass reduces over. Its integer data is stored as the stacked
+    arrays of FAMILIES, which every plan views; batches join those arrays
+    rather than find the runs again."""
     packed = pack(sequence, mode, variant, dims)
-    for plan in (packed.node_frame, packed.subj, packed.obj, packed.cand_curr, packed.cand_prev):
-        plan.runs()
-    return packed, loss_targets(sequence, packed, dims.h)
+    targets = loss_targets(sequence, packed, dims.h)
+    frame_runs, subj, obj = (p.runs() for p in (packed.node_frame, packed.subj, packed.obj))
+    order = obj[0] if obj[0] is not None else np.arange(len(packed.obj))
+    rows = {"node_frame": packed.node_frame.ids[None],
+            "frame_runs": np.stack(frame_runs[1:]),
+            "pairs": np.stack([packed.subj.ids, packed.obj.ids, order]),
+            "pair_runs": np.stack([*subj[1:], *obj[1:]])}
+    prev_sorted = True
+    if variant != "spatial":
+        curr, prev = packed.cand_curr.ids, packed.cand_prev.ids
+        prev_runs = packed.cand_prev.runs()
+        prev_sorted = prev_runs[0] is None
+        cands = [curr, prev, np.arange(len(prev)) if prev_sorted else prev_runs[0]]
+        if variant == "dense":
+            cands.append(packed.node_frame.ids[curr])
+        rows |= {"cands": np.stack(cands), "curr_runs": np.stack(packed.cand_curr.runs()[1:]),
+                 "prev_runs": np.stack(prev_runs[1:])}
+    if packed.links is not None:
+        rows["links"] = packed.links[None]
+    counts = dict(zip("nfpc", (packed.n_nodes, packed.n_frames, len(packed.subj),
+                               len(packed.cand_curr))))
+    shifts = {name: np.array([[counts[unit]] for unit in FAMILIES[name][:len(a)]], dtype=np.intp)
+              for name, a in rows.items()}
+    return _with_rows(packed, packed.sizes, packed.feats, packed.frame_counts, rows,
+                      obj[0] is None, prev_sorted, shifts), targets
+
+
+def _joined_rows(arrays: list[np.ndarray], shifts: list[np.ndarray]) -> np.ndarray:
+    """The (k, r_i) arrays side by side, the rows after each part's shifted
+    by that part's (k, 1) shift."""
+    out = np.concatenate(arrays, axis=1)
+    start = 0
+    for a, shift in zip(arrays[:-1], shifts):
+        start += a.shape[1]
+        out[:, start:] += shift
+    return out
 
 
 def join(items: list[tuple[Packed, Targets]]) -> tuple[Packed, Targets]:
-    """The packed inputs and targets of a batch of prepared sequences
-    (`Packed.join`); the batch loss is the mean of the sequences' losses. A
-    batch of one is its sequence's, as it is."""
+    """The packed inputs and targets of a batch of prepared sequences, in
+    order; the batch loss is the mean of the sequences' losses. Each stacked
+    array of FAMILIES is one concatenation, and its rows after each
+    sequence but the last are shifted by that sequence's node, frame, pair
+    or candidate count, one broadcast add. A batch of one is its
+    sequence's, as it is."""
     if len(items) == 1:
         return items[0]
+    parts = [p for p, _ in items]
+    first = parts[0]
+    rows = {name: _joined_rows([p.rows[name] for p in parts], [p.shifts[name] for p in parts])
+            for name in first.rows}
+    feats = np.concatenate([p.feats for p in parts])
+    feats.setflags(write=False)
+    packed = _with_rows(
+        first, np.concatenate([p.sizes for p in parts]), feats,
+        np.concatenate([p.frame_counts for p in parts]), rows,
+        all(p.obj.runs()[0] is None for p in parts),
+        all(p.cand_prev.runs()[0] is None for p in parts))
+
     targets = [t for _, t in items]
     scale = 1.0 / len(items)
-
-    def cat(name):
-        return np.concatenate([getattr(t, name) for t in targets])
-
-    return Packed.join([p for p, _ in items]), Targets(
-        rel_weight=cat("rel_weight") * scale, node_weight=cat("node_weight") * scale,
-        link_weight=cat("link_weight") * scale, rel_sign=cat("rel_sign"))
+    relation = np.concatenate([t.relation for t in targets], axis=1)
+    relation[0] *= scale
+    node_weight = np.concatenate([t.node_weight for t in targets])
+    node_weight *= scale
+    link_weight = np.concatenate([t.link_weight for t in targets])
+    link_weight *= scale
+    return packed, Targets(relation=relation, node_weight=node_weight, link_weight=link_weight)
 
 
 def batch_loss(packed: Packed, targets: Targets, out: BatchOutput,
@@ -286,7 +397,7 @@ def grad_check(sequence: SceneSequence, params: ModelParams, mode: str = "sgcls"
     params.watch_all(tape)
     with tape:
         total = loss(params)
-    grads = Gradients.collect(params, backward(tape, total)).flat
+    grads = backward(tape, total)   # in the layout of params, which watch_all follows
 
     # flat indices of the checked entries
     start = dict(zip(params.layout.names, params.layout.offsets))
@@ -398,7 +509,7 @@ def train(dataset: list[SceneSequence], cfg: RunConfig, eval_fn=None) -> TrainRe
             if not np.isfinite(value):
                 raise TrainingError(f"non-finite loss {value} {where}")
             reports.append(report)
-            grads = Gradients.collect(params, backward(tape, total))
+            grads = Gradients(params.layout, backward(tape, total))
             # a non-finite gradient would turn every parameter into NaN via
             # the clip factor, with no error until the next batch's loss; a
             # finite norm rules it out, and one that overflowed does not

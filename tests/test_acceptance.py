@@ -196,8 +196,8 @@ def zero_logit_targets(pos, neg, n_slots):
         weight[pos] = 1.0 / len(pos)
     if len(neg):
         weight[neg] = NEGATIVE_WEIGHT / len(neg)
-    return Targets(rel_weight=weight, node_weight=np.zeros(0), link_weight=np.zeros(0),
-                   rel_sign=np.where(positive, -1.0, 1.0))
+    return Targets(relation=np.stack([weight, np.where(positive, -1.0, 1.0)]),
+                   node_weight=np.zeros(0), link_weight=np.zeros(0))
 
 
 def test_criterion_7_loss_arithmetic():

@@ -15,6 +15,7 @@ import pytest
 import primitives as prim
 import stsg.temporal
 from conftest import edit_frames, empty_frame, node_frames
+from reference_backward import leaf_grads
 from reference_kernels import (
     composed_batch_loss,
     composed_forward_batch,
@@ -72,8 +73,7 @@ def taped_step(sequences, params, mode, variant, k, forward, loss):
     with tape:
         out = forward(packed, params, k)
         total = loss(packed, targets, out, 1.0)
-    grads = backward(tape, total)
-    return out, total.data, {name: grads[t].data for name, t in params.items()}
+    return out, total.data, params.layout.views(backward(tape, total))
 
 
 def assert_step_is_the_composition(sequences, params, mode, variant, k):
@@ -160,8 +160,8 @@ def watched_run(fn, leaves, seed):
         out = fn(*leaves)
         weights = Tensor(RngStream(seed, stream=5).normal_array((out.size,)))
         loss = prim.dot(weights, prim.reshape(out, (out.size,)))
-    grads = backward(tape, loss)
-    return out.data, [grads[t].data for t in leaves]
+    grads = leaf_grads(tape, backward(tape, loss))
+    return out.data, [grads[t] for t in leaves]
 
 
 def assert_op_is_the_composition(op, composed, leaves, seed=0):
@@ -396,12 +396,12 @@ def fd_error(fn, arrays, seed=0):
     tape.watch(*ts)
     with tape:
         total = loss(*ts)
-    grads = backward(tape, total)
+    grads = leaf_grads(tape, backward(tape, total))
     numeric = finite_diff(lambda *xs: loss(*[Tensor(x) for x in xs]).item(), arrays)
     floor = fd_floor(total.item())
     worst = 0.0
     for t, num in zip(ts, numeric):
-        ana = grads[t].data
+        ana = grads[t]
         resolved = np.abs(ana - num) > floor
         if resolved.any():
             worst = max(worst, rel_err(ana[resolved], num[resolved]))

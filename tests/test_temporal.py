@@ -35,7 +35,6 @@ import stsg.autodiff as ad
 from stsg.spatial import frame_pairs, gcn_propagate, propose_relations
 from stsg.synthgen import generate_scene
 from stsg.temporal import (
-    Packed,
     aggregate_links,
     encode_temporal_pairs,
     frame_predictions,
@@ -47,6 +46,7 @@ from stsg.temporal import (
     topk_links,
     tracking_links,
 )
+from stsg.training import join, prepare
 
 
 def make_node(x, y, label, g=4, c=2, score=1.0):
@@ -56,9 +56,14 @@ def make_node(x, y, label, g=4, c=2, score=1.0):
     return np.concatenate([[x, y, 0.1, 0.1], dist, np.zeros(c)])
 
 
+def joined(sequences, mode, variant, dims):
+    """The packed inputs of a training batch of the sequences."""
+    return join([prepare(seq, mode, variant, dims) for seq in sequences])[0]
+
+
 def forward_packed(sequences, params, mode, variant="sparse", k=1):
     """Per-frame outputs of one packed forward pass over several sequences."""
-    packed = Packed.join([pack(seq, mode, variant, params.dims) for seq in sequences])
+    packed = joined(sequences, mode, variant, params.dims)
     return frame_predictions(packed, forward_batch(packed, params, k), params.dims.g,
                              [frame for seq in sequences for frame in seq.frames])
 
@@ -367,7 +372,7 @@ def test_forward_tracking_links_equal_tracking_over_the_nodes(dims, params, worl
     # its links are tracking_links over each node's own box and label
     seqs = [generate_scene(dims, world, seed) for seed in (3, 4)]
     for mode in MODES:
-        packed = Packed.join([pack(seq, mode, "tracking", dims) for seq in seqs])
+        packed = joined(seqs, mode, "tracking", dims)
         nodes = np.concatenate([encode_frame(f, mode, dims) for seq in seqs
                                 for f in frame_columns(seq)])
         boxes = nodes[:, :4]
@@ -623,7 +628,7 @@ def test_packed_links_stay_within_a_sequence(dims, params, variant):
     seqs = [gap, random_sequence(rng.split(1), dims, n_frames=2),
             random_sequence(rng.split(2), dims, n_frames=2)]
     for mode in ("predcls", "sgcls", "sgdet"):
-        packed = Packed.join([pack(seq, mode, variant, dims) for seq in seqs])
+        packed = joined(seqs, mode, variant, dims)
         # every candidate joins a node to one of the frame right before it
         node_frame = packed.node_frame.ids
         assert np.all(node_frame[packed.cand_curr.ids]
@@ -698,40 +703,67 @@ def test_mode_and_variant_validation(dims, params):
 
 def test_joined_plans_equal_the_plans_of_the_concatenated_lists():
     # frames of 0 to 3 nodes give parts with no pairs or no candidates, and
-    # each part's obj and cand_prev lists are unsorted
+    # each part's obj and cand_prev lists are unsorted; frames of 0 to 1
+    # node give parts whose lists all run in order. Batches of 4 over the 6
+    # sequences end in a partial one, and a batch of 1 is the prepared
+    # sequence as it is
     dims = Dims()
     rng = RngStream(44)
     seqs = [random_sequence(rng.split(i), dims, n_frames=n_frames, n_min=0, n_max=3)
             for i, n_frames in enumerate((4, 1, 5, 3))]
+    seqs += [random_sequence(rng.split(10 + i), dims, n_frames=4, n_min=0, n_max=1)
+             for i in range(2)]
     for variant in VARIANTS:
-        parts = [pack(seq, "sgdet", variant, dims) for seq in seqs]
-        joined = Packed.join(parts)
-        nodes = np.cumsum([0] + [p.n_nodes for p in parts])
-        frames = np.cumsum([0] + [p.n_frames for p in parts])
-        for name in ("node_frame", "subj", "obj", "cand_curr", "cand_prev"):
-            offsets = frames if name == "node_frame" else nodes
-            whole = ad.SegmentPlan(np.concatenate([getattr(p, name).ids + o
-                                                   for p, o in zip(parts, offsets)]),
-                                   offsets[-1])
-            plan = getattr(joined, name)
-            assert plan.n == whole.n, (variant, name)
-            assert np.array_equal(plan.ids, whole.ids), (variant, name)
-            for got, want, field in zip(plan.runs(), whole.runs(),
-                                        ("order", "starts", "segments")):
-                assert (got is None) == (want is None), (variant, name, field)
-                assert want is None or np.array_equal(got, want), (variant, name, field)
-        # lists that run in order keep no sort order
-        assert joined.node_frame.runs()[0] is None and joined.subj.runs()[0] is None
-        assert joined.cand_curr.runs()[0] is None
-        assert np.array_equal(joined.feats, np.concatenate([p.feats for p in parts]))
-        assert not joined.feats.flags.writeable
+        prepared = [prepare(seq, "sgdet", variant, dims) for seq in seqs]
+        for size, start in ((6, 0), (4, 0), (4, 4), (2, 2), (1, 0), (1, 5)):
+            parts = [pack(seq, "sgdet", variant, dims) for seq in seqs[start:start + size]]
+            joined, _ = join(prepared[start:start + size])
+            nodes = np.cumsum([0] + [p.n_nodes for p in parts])
+            frames = np.cumsum([0] + [p.n_frames for p in parts])
+            cands = np.cumsum([0] + [len(p.cand_curr) for p in parts])
+            for name in ("node_frame", "subj", "obj", "cand_curr", "cand_prev"):
+                offsets = frames if name == "node_frame" else nodes
+                whole = ad.SegmentPlan(np.concatenate([getattr(p, name).ids + o
+                                                       for p, o in zip(parts, offsets)]),
+                                       offsets[-1])
+                plan = getattr(joined, name)
+                assert plan.n == whole.n, (variant, name)
+                assert np.array_equal(plan.ids, whole.ids), (variant, name)
+                for got, want, field in zip(plan.runs(), whole.runs(),
+                                            ("order", "starts", "segments")):
+                    assert (got is None) == (want is None), (variant, name, field)
+                    assert want is None or np.array_equal(got, want), (variant, name, field)
+            # lists that run in order keep no sort order
+            assert joined.node_frame.runs()[0] is None and joined.subj.runs()[0] is None
+            assert joined.cand_curr.runs()[0] is None
+            assert np.array_equal(joined.feats, np.concatenate([p.feats for p in parts]))
+            assert not joined.feats.flags.writeable
+            assert np.array_equal(joined.sizes, np.concatenate([p.sizes for p in parts]))
+            if variant in ("dense", "tracking"):
+                assert np.array_equal(joined.links, np.concatenate(
+                    [p.links + o for p, o in zip(parts, cands)]))
+            else:
+                assert joined.links is None
+            if variant == "dense":
+                # every candidate is a link, and its frame is prepared
+                frame = joined.node_frame.ids[joined.cand_curr.ids]
+                assert joined.link_frame.n == joined.n_frames
+                assert np.array_equal(joined.link_frame.ids, frame)
+            else:
+                assert joined.link_frame is None
+            # spatial carries no candidate arrays at all
+            assert ("cands" in joined.rows) == (variant != "spatial")
+        # the frames of 0 to 1 node link one node to one: sorted prev ids
+        joined, _ = join(prepared[4:])
+        assert len(joined.cand_prev) > 0 or variant == "spatial"
+        assert joined.cand_prev.runs()[0] is None
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=6),
        st.sampled_from(MODES), st.sampled_from(VARIANTS), st.integers(min_value=1, max_value=3))
 @settings(max_examples=60, deadline=None)
 def test_every_derived_plan_passes_the_range_check_unchanged(seed, n_frames, mode, variant, k):
-    # pack, join and forward_batch skip the range check of the plans they
+    # pack, prepare, join and forward_batch skip the range check of the plans they
     # derive; over frames of 0 to 3 nodes, the check accepts each as it is
     dims = Dims()
     rng = RngStream(seed)
@@ -740,17 +772,17 @@ def test_every_derived_plan_passes_the_range_check_unchanged(seed, n_frames, mod
     derived = []
     build = ad.SegmentPlan.derived
 
-    def spy(ids, n):
-        plan = build(ids, n)
+    def spy(ids, n, runs=None):
+        plan = build(ids, n, runs)
         derived.append(plan)
         return plan
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ad.SegmentPlan, "derived", spy)
-        packed = Packed.join([pack(seq, mode, variant, dims) for seq in seqs])
+        packed = joined(seqs, mode, variant, dims)
         if packed.n_nodes:
             forward_batch(packed, ModelParams.init(dims, seed=0), k)
-    assert len(derived) >= 15   # five plans of each pack and of the join
+    assert len(derived) >= 15   # five plans of each pack, its prepared views and the join's
     for plan in derived:
         checked = ad.SegmentPlan(plan.ids, plan.n)
         assert checked.ids is plan.ids and checked.n == plan.n and type(plan.n) is int

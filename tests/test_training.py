@@ -11,6 +11,7 @@ from conftest import (edit_frames, empty_frame, frame_columns, make_frame, rando
                       sequence_of)
 from fixtures import pair_grid
 from pins import agrees, pin_text, value_pin
+from reference_backward import leaf_grads, reference_backward
 from reference_losses import (
     link_loss,
     link_targets,
@@ -23,9 +24,10 @@ from trained_pins import TRAINED_PINS
 from stsg.autodiff import Tape, Tensor, backward
 import stsg.autodiff as ad
 from stsg.cli import _gen_one, gradcheck_sample
-from stsg.config import Dims, NoiseConfig, RunConfig, TrainConfig, WorldConfig, config_with
+from stsg.config import (VARIANTS, Dims, NoiseConfig, RunConfig, TrainConfig, WorldConfig,
+                         config_with)
 from stsg.errors import TrainingError
-from stsg.params import Gradients, ModelParams
+from stsg.params import Gradients, Layout, ModelParams
 from stsg.rng import RngStream
 from stsg.synthgen import generate_scene
 from stsg.scene import iou, pairwise_iou
@@ -320,9 +322,8 @@ def scattered(reference, packed, g):
     link_weight[reference["link_index"]] = reference["link_weight"]
     for entries in (node_entries, reference["link_index"]):
         assert len(np.unique(entries)) == len(entries)
-    return Targets(rel_weight=reference["rel_weight"], node_weight=node_weight,
-                   link_weight=link_weight,
-                   rel_sign=np.where(reference["rel_positive"], -1.0, 1.0))
+    relation = np.stack([reference["rel_weight"], np.where(reference["rel_positive"], -1.0, 1.0)])
+    return Targets(relation=relation, node_weight=node_weight, link_weight=link_weight)
 
 
 def target_scenes():
@@ -365,7 +366,7 @@ def test_closed_form_linear_gradient():
     with tape:
         resid = prim.add(ad.matmul(Tensor(x), w), Tensor(-y))
         loss = prim.reduce_sum(prim.mul(resid, resid))
-    grad = backward(tape, loss)[w].data
+    grad = backward(tape, loss).reshape(w.shape)
     closed = 2.0 * np.outer(x, x @ w.data - y)
     rel = np.abs(grad - closed) / np.maximum(1e-12, np.abs(grad) + np.abs(closed))
     assert rel.max() < 1e-9
@@ -475,6 +476,14 @@ def test_clip_decides_on_the_global_norm():
             for max_norm in (0.0, -1.0):
                 grads = Gradients(params.layout, g)
                 assert clip_gradients(grads, max_norm) is grads
+    # a finite gradient whose dot product with itself overflows is scaled to
+    # the bound along its own direction, not zeroed
+    grads = Gradients(Layout({"w": (2,)}), np.array([1e160, -2e160]))
+    assert grads.norm() == pytest.approx(math.sqrt(5.0) * 1e160, rel=1e-15)
+    clipped = clip_gradients(grads, 5.0)
+    assert np.sqrt(np.dot(clipped.flat, clipped.flat)) == pytest.approx(5.0, rel=1e-15)
+    np.testing.assert_allclose(clipped.flat, [math.sqrt(5.0), -2.0 * math.sqrt(5.0)],
+                               rtol=1e-15, atol=0)
 
 
 def test_zero_learning_rate_keeps_parameters():
@@ -564,7 +573,7 @@ def test_node_loss_from_logits_survives_softmax_underflow():
     tape.watch(logits)
     with tape:
         loss = node_loss_from_logits(logits, {0: 0, 1: 1}, [1, 2], g=3)
-    grad = backward(tape, loss)[logits].data
+    grad = backward(tape, loss).reshape(logits.shape)
     assert loss.item() == pytest.approx((800.0 + math.log(2.0) + math.log(3.0)) / 2)
     assert np.all(np.isfinite(grad))
     # d/dz of -log softmax(z)[gt] is softmax(z) - onehot(gt), halved by the mean
@@ -613,7 +622,7 @@ def test_relevance_kernel_gets_gradient_only_from_link_term(dims, variant, monke
         params.watch_all(tape)
         with tape:
             total, _ = sequence_loss(sample, params, "sgdet", variant, 1, 1.0)
-        phi_grads[lam] = backward(tape, total)[params["temporal.phi"]].data
+        phi_grads[lam] = params.layout.views(backward(tape, total))["temporal.phi"]
     assert np.abs(phi_grads[0.0]).max() < 1e-12
     assert np.abs(phi_grads[1.0]).max() > 1e-6
 
@@ -621,7 +630,7 @@ def test_relevance_kernel_gets_gradient_only_from_link_term(dims, variant, monke
 def test_non_finite_gradient_aborts_naming_the_parameter(monkeypatch):
     cfg = tiny_cfg(epochs=1, batch_size=2)
     data = tiny_dataset(cfg)
-    names = ModelParams.init(cfg.dims, seed=cfg.train.seed, gcn_layers=cfg.train.gcn_layers).names()
+    layout = ModelParams.init(cfg.dims, seed=cfg.train.seed, gcn_layers=cfg.train.gcn_layers).layout
     real_backward = stsg.training.backward
     calls = []
 
@@ -629,11 +638,8 @@ def test_non_finite_gradient_aborts_naming_the_parameter(monkeypatch):
         grads = real_backward(tape, loss)
         calls.append(1)
         if len(calls) == 2:
-            # watch_all watches the parameters in name order
-            target = tape._watched[names.index("label.b")]
-            bad = grads[target].data.copy()
-            bad[0] = np.inf
-            grads[target] = Tensor(bad)
+            # watch_all watches the parameters in layout order
+            grads[layout.offsets[layout.names.index("label.b")]] = np.inf
         return grads
 
     monkeypatch.setattr(stsg.training, "backward", poisoned)
@@ -668,8 +674,7 @@ def taped_batch_loss(sequences, params, mode, variant, k):
     params.watch_all(tape)
     with tape:
         total, _ = batch_loss(packed, targets, forward_batch(packed, params, k), 1.0)
-    grads = backward(tape, total)
-    return total.item(), {name: grads[t].data for name, t in params.items()}, len(tape)
+    return total.item(), params.layout.views(backward(tape, total)), len(tape)
 
 
 def seed7_sequences(count, frames=None):
@@ -843,20 +848,95 @@ def test_tracking_links_are_found_once_per_sequence(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["predcls", "sgdet"])
 def test_joined_data_only_arrays_equal_those_of_the_joined_rows(mode):
+    # batches of 2 over 3 sequences end in a partial batch of one, the
+    # prepared sequence as it is; the last sequence has a frame of one node
+    # and an empty frame
     dims = Dims()
     seqs = seed7_sequences(3)
-    for variant in ("sparse", "dense", "tracking"):
-        packed, targets = join([prepare(seq, mode, variant, dims) for seq in seqs])
-        curr, prev = packed.cand_curr.ids, packed.cand_prev.ids
-        if variant == "sparse":
-            assert packed.links is None
-        elif variant == "dense":
-            assert np.array_equal(packed.links, np.arange(len(curr)))
+    f = frame_columns(seqs[2])[1]
+    seqs[2] = edit_frames(seqs[2], {1: make_frame(f["gt"][:1], f["labels"][:1], [],
+                                                  f["det"][:1], dims),
+                                    2: empty_frame(dims)})
+    for variant in VARIANTS:
+        prepared = [prepare(seq, mode, variant, dims) for seq in seqs]
+        for batch in (prepared, prepared[:2], prepared[2:]):
+            packed, targets = join(batch)
+            curr, prev = packed.cand_curr.ids, packed.cand_prev.ids
+            if variant in ("spatial", "sparse"):
+                assert packed.links is None
+                assert len(curr) == 0 or variant == "sparse"
+            elif variant == "dense":
+                assert np.array_equal(packed.links, np.arange(len(curr)))
+            else:
+                labels = np.argmax(packed.feats[:, 4:4 + dims.g], axis=1)
+                want = stsg.temporal.tracking_links(packed.feats[:, :4], labels, curr, prev)
+                assert np.array_equal(packed.links, np.flatnonzero(want))
+                assert len(packed.links) > 0
+            counts = np.bincount(packed.node_frame.ids, minlength=packed.n_frames)
+            assert np.array_equal(packed.frame_counts, counts.reshape(-1, 1).astype(np.float64))
+            assert packed.frame_counts.dtype == np.float64
+            # each weight also carries the mean over the batch's sequences
+            scale = 1.0 / len(batch)
+            for name in ("rel_weight", "node_weight", "link_weight"):
+                want = np.concatenate([getattr(t, name) for _, t in batch]) * scale
+                assert np.array_equal(getattr(targets, name), want), name
+            want = np.concatenate([t.rel_sign for _, t in batch])
+            assert np.array_equal(targets.rel_sign, want)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_prepared_plans_are_views_of_their_stacked_rows(variant):
+    # the prepared data is held once: every plan of a prepared sequence, and
+    # of a batch of them, is a view of the stacked array of its family
+    dims = Dims()
+    prepared = [prepare(seq, "sgdet", variant, dims) for seq in seed7_sequences(2)]
+    for packed in (prepared[0][0], join(prepared)[0]):
+        rows = packed.rows
+        plans = [(packed.node_frame, "node_frame", "frame_runs"),
+                 (packed.subj, "pairs", "pair_runs"), (packed.obj, "pairs", "pair_runs")]
+        if variant == "spatial":
+            assert set(rows) == {"node_frame", "frame_runs", "pairs", "pair_runs"}
         else:
-            labels = np.argmax(packed.feats[:, 4:4 + dims.g], axis=1)
-            want = stsg.temporal.tracking_links(packed.feats[:, :4], labels, curr, prev)
-            assert np.array_equal(packed.links, np.flatnonzero(want))
-            assert len(packed.links) > 0
-        counts = np.bincount(packed.node_frame.ids, minlength=packed.n_frames)
-        assert np.array_equal(packed.frame_counts, counts.reshape(-1, 1).astype(np.float64))
-        assert packed.frame_counts.dtype == np.float64
+            plans += [(packed.cand_curr, "cands", "curr_runs"),
+                      (packed.cand_prev, "cands", "prev_runs")]
+        for plan, ids, runs in plans:
+            order, starts, segments = plan.runs()
+            assert np.shares_memory(plan.ids, rows[ids]), ids
+            assert order is None or np.shares_memory(order, rows[ids]), ids
+            assert np.shares_memory(starts, rows[runs]), runs
+            assert np.shares_memory(segments, rows[runs]), runs
+        assert (packed.links is not None) == (variant in ("dense", "tracking"))
+        assert packed.links is None or np.shares_memory(packed.links, rows["links"])
+        assert (packed.link_frame is not None) == (variant == "dense")
+        assert packed.link_frame is None or np.shares_memory(packed.link_frame.ids,
+                                                             rows["cands"])
+
+
+def test_flat_gradient_is_the_per_tensor_reverse_sweep_bit_for_bit():
+    # each leaf's slice of backward's vector holds the bits of the per-tensor
+    # sweep: its first contribution as it is and later ones added in the
+    # same order; label.w is read by the label head and by a second product,
+    # and a leaf the loss never reaches reads exact zeros
+    params = ModelParams.init(Dims(), seed=0)
+    packed, targets = join([prepare(seq, "sgdet", "sparse", params.dims)
+                            for seq in seed7_sequences(2)])
+    unused = Tensor(np.full((2, 3), -1.0))
+    tape = Tape()
+    params.watch_all(tape)
+    tape.watch(unused)
+    with tape:
+        out = forward_batch(packed, params, 1)
+        total, _ = batch_loss(packed, targets, out, 1.0)
+        total = prim.add(total, prim.reduce_sum(ad.matmul(out.gcn, params["label.w"])))
+    label_w = params["label.w"]
+    assert sum(any(t is label_w for t in inputs) for _, inputs, _ in tape._records) == 2
+    flat = backward(tape, total)
+    want = reference_backward(tape, total)
+    got = leaf_grads(tape, flat)
+    assert list(got) == tape._watched
+    for t in tape._watched:
+        assert got[t].shape == want[t].shape and got[t].tobytes() == want[t].tobytes()
+    assert got[unused].tobytes() == np.zeros((2, 3)).tobytes()
+    assert np.abs(got[label_w]).max() > 0.0
+
+
