@@ -164,10 +164,10 @@ class Gradients:
             flat = self.flat
             norm = np.sqrt(np.vdot(flat, flat))
             if norm == np.inf:
-                top = np.max(np.abs(flat))
-                if np.isfinite(top):
+                top = float(np.max(np.abs(flat)))
+                if math.isfinite(top):
                     unit = flat / top
-                    norm = top * np.sqrt(np.dot(unit, unit))
+                    norm = top * math.sqrt(np.vdot(unit, unit))
             self._norm = float(norm)
         return self._norm
 
