@@ -158,21 +158,39 @@ class Gradients:
         """The global L2 norm, from one dot product of the flat vector,
         computed at the first call and kept. Where that product overflows
         and every entry is finite, the norm comes from the vector scaled by
-        its largest magnitude, and scaled back."""
+        its largest magnitude (`_unit`), and scaled back; it is inf only
+        where the norm itself lies beyond the float range."""
         if self._norm is None:
             # vdot is np.dot's product, bit for bit, without its overflow warning
             flat = self.flat
             norm = np.sqrt(np.vdot(flat, flat))
             if norm == np.inf:
-                top = float(np.max(np.abs(flat)))
-                if math.isfinite(top):
-                    unit = flat / top
+                top, unit = self._unit()
+                if unit is not None:
                     norm = top * math.sqrt(np.vdot(unit, unit))
             self._norm = float(norm)
         return self._norm
+
+    def _unit(self) -> tuple[float, np.ndarray | None]:
+        """(max|g|, g / max|g|), whose norm lies in [1, sqrt(size)]; the
+        second is None where an entry is not finite."""
+        top = float(np.max(np.abs(self.flat)))
+        return top, self.flat / top if math.isfinite(top) else None
 
     def items(self):
         return self.layout.views(self.flat).items()
 
     def scaled(self, factor: float) -> "Gradients":
         return Gradients(self.layout, self.flat * factor)
+
+    def scaled_to(self, norm: float) -> "Gradients":
+        """The gradient along its own direction at the given L2 norm: scaled
+        by norm / self.norm(), or, where that norm lies beyond the float
+        range and every entry is finite, the vector scaled by its largest
+        magnitude scaled again to `norm`."""
+        own = self.norm()
+        if own == math.inf:
+            _, unit = self._unit()
+            if unit is not None:
+                return Gradients(self.layout, unit * (norm / math.sqrt(np.vdot(unit, unit))))
+        return self.scaled(norm / own)

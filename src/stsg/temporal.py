@@ -119,12 +119,10 @@ class Packed:
     candidate links and node frames are segment plans over packed node
     (or frame) indices, built with the data, so no forward or backward call
     sorts them again; frames are counted over the frames that have nodes.
-    Everything here is built once per sequence (`pack`). Training then
-    stores a sequence's integer data as a few stacked arrays, one per row
-    count (`rows`, `training.prepare`); every plan of such a packed
-    sequence, or of a batch joined from them (`training.join`), is a row
-    view of those arrays with its runs found, so a training step
-    recomputes none of it.
+    Everything here is built once per sequence (`pack`); training prepares
+    each sequence's plans with their runs once and joins them into batches
+    (`training.prepare`, `training.join`), so a training step recomputes
+    none of it.
     """
 
     mode: str
@@ -143,14 +141,6 @@ class Packed:
     links: np.ndarray | None = None   # (L,) candidates linked whatever the parameters
                                       #      (dense: all, tracking: `tracking_links`);
                                       #      None where the relevance picks them
-    link_frame: ad.SegmentPlan | None = None   # (C,) frame of each candidate's current
-                                      #      node, where every candidate is linked
-                                      #      (dense, prepared); else None
-    rows: dict[str, np.ndarray] | None = None  # the stacked integer arrays the plans
-                                      #      view (`training.FAMILIES`); None unprepared
-    shifts: dict[str, np.ndarray] | None = None  # (k, 1) for each (k, r) array of rows:
-                                      #      what a prepared sequence's counts add to the
-                                      #      rows after its own in a batch; None in a batch
 
     @property
     def n_nodes(self) -> int:
@@ -246,17 +236,15 @@ def forward_batch(packed: Packed, params: ModelParams, k: int = 1) -> BatchOutpu
             chosen = packed.links
         if len(chosen):
             plan = ad.SegmentPlan.derived
-            if packed.link_frame is not None:
-                # every candidate is linked: the links' plans are the candidates'
+            if variant == "dense":
+                # every candidate is a link: the links' plans are the candidates'
                 curr_idx, prev_idx = packed.cand_curr, packed.cand_prev
-                frame_idx = packed.link_frame
             else:
                 # the selected links' plans, shared by the forward and backward
                 # calls: rows of the packed plans, so in range without a check
-                curr_ids = cand_curr[chosen]
-                curr_idx = plan(curr_ids, n)
+                curr_idx = plan(cand_curr[chosen], n)
                 prev_idx = plan(packed.cand_prev.ids[chosen], n)
-                frame_idx = plan(packed.node_frame.ids[curr_ids], packed.n_frames)
+            frame_idx = plan(packed.node_frame.ids[curr_idx.ids], packed.n_frames)
             tau = encode_temporal_pairs(updated, packed.node_frame, frame_idx,
                                         curr_idx, prev_idx, params, packed.frame_counts)
             gamma_sel = ad.gather_rows(gamma, plan(chosen, len(cand_curr)))

@@ -17,15 +17,14 @@ before the first step (`prepare`): the packed node rows, frozen so that the
 forward pass wraps them uncopied; the segment plans with their runs, held
 as a few stacked integer arrays, one per row count (`FAMILIES`), which
 every plan views; the node count of each frame; the links that tracking
-and dense select whatever the parameters, and for dense, whose links are
-every candidate, the frame of each; and the loss weights with the sign of
-each relation term, one (2, P·H) array. A step then joins its sequences
-(`join`: each stacked array is one concatenation, and the rows after a
-sequence are shifted by its node, frame, pair or candidate count in one
-add), runs the forward pass and the loss on
-the tape, takes the gradient back as one flat vector in the parameters'
-layout, checks it, clips it and updates the parameters: only work that
-depends on the parameters.
+and dense select whatever the parameters; and the loss weights with the
+sign of each relation term, one (2, P·H) array. A step then joins its
+sequences (`join`: each stacked array is one concatenation, and the rows
+after a sequence are shifted by its node, frame, pair or candidate count
+in one add), runs the forward pass and the loss on the tape, takes the
+gradient back as one flat vector in the parameters' layout, checks it,
+clips it and updates the parameters: only work that depends on the
+parameters.
 """
 
 from __future__ import annotations
@@ -169,8 +168,7 @@ FAMILIES = {
     "frame_runs": "nf",    # (2, F') runs of node_frame: reduceat starts, segments
     "pairs": "nnp",        # (3, P) subj, obj, obj's stable sort order
     "pair_runs": "pnpn",   # (4, R) runs of subj, then of obj (the same nodes)
-    "cands": "nncf",       # (3, C) cand_curr, cand_prev, cand_prev's sort order;
-                           #   dense: (4, C), with the frame of each candidate
+    "cands": "nnc",        # (3, C) cand_curr, cand_prev, cand_prev's sort order
     "curr_runs": "cn",     # (2, R') runs of cand_curr
     "prev_runs": "cn",     # (2, R'') runs of cand_prev
     "links": "c",          # (1, L) the fixed links (dense, tracking)
@@ -179,8 +177,21 @@ _NO_IDS = np.zeros(0, dtype=np.intp)
 _NO_IDS.setflags(write=False)
 
 
+@dataclass
+class Prepared:
+    """One sequence's data-only step inputs (`prepare`): its packed inputs
+    and targets, the stacked integer arrays of FAMILIES that every plan of
+    `packed` views, and for each (k, r) array the (k, 1) counts of the
+    sequence that a join adds to the rows after its own."""
+
+    packed: Packed
+    targets: Targets
+    rows: dict[str, np.ndarray]
+    shifts: dict[str, np.ndarray]
+
+
 def _with_rows(template: Packed, sizes, feats, frame_counts, rows: dict[str, np.ndarray],
-               obj_sorted: bool, prev_sorted: bool, shifts=None) -> Packed:
+               obj_sorted: bool, prev_sorted: bool) -> Packed:
     """The packed inputs whose plans are row views of `rows` (FAMILIES),
     with their runs; obj's and cand_prev's sort orders are None where
     their ids run in order."""
@@ -203,12 +214,10 @@ def _with_rows(template: Packed, sizes, feats, frame_counts, rows: dict[str, np.
         subj=plan(pairs[0], n, (None, pair_runs[0], pair_runs[1])),
         obj=plan(pairs[1], n, (None if obj_sorted else pairs[2], pair_runs[2], pair_runs[3])),
         cand_curr=cand_curr, cand_prev=cand_prev,
-        links=None if links is None else links[0],
-        link_frame=plan(cands[3], n_frames) if cands is not None and len(cands) > 3 else None,
-        rows=rows, shifts=shifts)
+        links=None if links is None else links[0])
 
 
-def prepare(sequence: SceneSequence, mode: str, variant: str, dims) -> tuple[Packed, Targets]:
+def prepare(sequence: SceneSequence, mode: str, variant: str, dims) -> Prepared:
     """Everything about one sequence that depends on the data, not the
     parameters (`Packed`, `Targets`), down to the runs of its plans that the
     backward pass reduces over. Its integer data is stored as the stacked
@@ -224,22 +233,22 @@ def prepare(sequence: SceneSequence, mode: str, variant: str, dims) -> tuple[Pac
             "pair_runs": np.stack([*subj[1:], *obj[1:]])}
     prev_sorted = True
     if variant != "spatial":
-        curr, prev = packed.cand_curr.ids, packed.cand_prev.ids
+        prev = packed.cand_prev.ids
         prev_runs = packed.cand_prev.runs()
         prev_sorted = prev_runs[0] is None
-        cands = [curr, prev, np.arange(len(prev)) if prev_sorted else prev_runs[0]]
-        if variant == "dense":
-            cands.append(packed.node_frame.ids[curr])
-        rows |= {"cands": np.stack(cands), "curr_runs": np.stack(packed.cand_curr.runs()[1:]),
+        rows |= {"cands": np.stack([packed.cand_curr.ids, prev,
+                                    np.arange(len(prev)) if prev_sorted else prev_runs[0]]),
+                 "curr_runs": np.stack(packed.cand_curr.runs()[1:]),
                  "prev_runs": np.stack(prev_runs[1:])}
     if packed.links is not None:
         rows["links"] = packed.links[None]
     counts = dict(zip("nfpc", (packed.n_nodes, packed.n_frames, len(packed.subj),
                                len(packed.cand_curr))))
-    shifts = {name: np.array([[counts[unit]] for unit in FAMILIES[name][:len(a)]], dtype=np.intp)
-              for name, a in rows.items()}
-    return _with_rows(packed, packed.sizes, packed.feats, packed.frame_counts, rows,
-                      obj[0] is None, prev_sorted, shifts), targets
+    shifts = {name: np.array([[counts[unit]] for unit in FAMILIES[name]], dtype=np.intp)
+              for name in rows}
+    packed = _with_rows(packed, packed.sizes, packed.feats, packed.frame_counts, rows,
+                        obj[0] is None, prev_sorted)
+    return Prepared(packed, targets, rows, shifts)
 
 
 def _joined_rows(arrays: list[np.ndarray], shifts: list[np.ndarray]) -> np.ndarray:
@@ -253,7 +262,7 @@ def _joined_rows(arrays: list[np.ndarray], shifts: list[np.ndarray]) -> np.ndarr
     return out
 
 
-def join(items: list[tuple[Packed, Targets]]) -> tuple[Packed, Targets]:
+def join(items: list[Prepared]) -> tuple[Packed, Targets]:
     """The packed inputs and targets of a batch of prepared sequences, in
     order; the batch loss is the mean of the sequences' losses. Each stacked
     array of FAMILIES is one concatenation, and its rows after each
@@ -261,20 +270,20 @@ def join(items: list[tuple[Packed, Targets]]) -> tuple[Packed, Targets]:
     or candidate count, one broadcast add. A batch of one is its
     sequence's, as it is."""
     if len(items) == 1:
-        return items[0]
-    parts = [p for p, _ in items]
-    first = parts[0]
-    rows = {name: _joined_rows([p.rows[name] for p in parts], [p.shifts[name] for p in parts])
-            for name in first.rows}
+        return items[0].packed, items[0].targets
+    parts = [item.packed for item in items]
+    rows = {name: _joined_rows([item.rows[name] for item in items],
+                               [item.shifts[name] for item in items])
+            for name in items[0].rows}
     feats = np.concatenate([p.feats for p in parts])
     feats.setflags(write=False)
     packed = _with_rows(
-        first, np.concatenate([p.sizes for p in parts]), feats,
+        parts[0], np.concatenate([p.sizes for p in parts]), feats,
         np.concatenate([p.frame_counts for p in parts]), rows,
         all(p.obj.runs()[0] is None for p in parts),
         all(p.cand_prev.runs()[0] is None for p in parts))
 
-    targets = [t for _, t in items]
+    targets = [item.targets for item in items]
     scale = 1.0 / len(items)
     relation = np.concatenate([t.relation for t in targets], axis=1)
     relation[0] *= scale
@@ -388,7 +397,8 @@ def grad_check(sequence: SceneSequence, params: ModelParams, mode: str = "sgcls"
     seeded subsample of at least max(500, one per tensor) entries. The error
     metric is |a - b| / max(1e-12, |a| + |b|).
     """
-    packed, targets = prepare(sequence, mode, variant, params.dims)
+    prepared = prepare(sequence, mode, variant, params.dims)
+    packed, targets = prepared.packed, prepared.targets
 
     def loss(p: ModelParams) -> Tensor:
         return batch_loss(packed, targets, forward_batch(packed, p, k), lambda_node)[0]
@@ -450,7 +460,7 @@ def clip_gradients(grads: Gradients, max_norm: float) -> Gradients:
     """
     if max_norm <= 0 or grads.norm() <= max_norm:
         return grads
-    return grads.scaled(max_norm / grads.norm())
+    return grads.scaled_to(max_norm)
 
 
 @dataclass
@@ -512,8 +522,11 @@ def train(dataset: list[SceneSequence], cfg: RunConfig, eval_fn=None) -> TrainRe
             grads = Gradients(params.layout, backward(tape, total))
             # a non-finite gradient would turn every parameter into NaN via
             # the clip factor, with no error until the next batch's loss; a
-            # finite norm rules it out, and one that overflowed does not
-            if not np.isfinite(grads.norm()) and not np.isfinite(grads.flat).all():
+            # finite norm rules it out. A norm beyond the float range, every
+            # entry finite, could not be logged as a number either
+            if not np.isfinite(grads.norm()):
+                if np.isfinite(grads.flat).all():
+                    raise TrainingError(f"gradient norm beyond the float range {where}")
                 name = next(n for n, g in grads.items() if not np.isfinite(g).all())
                 raise TrainingError(f"non-finite gradient in {name} {where}")
             clipped = clip_gradients(grads, tc.clip_norm)

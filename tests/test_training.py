@@ -52,7 +52,7 @@ LN2 = math.log(2.0)
 
 def sequence_loss(sequence, params, mode, variant, k, lambda_node):
     """The trained objective on a batch of one sequence."""
-    packed, targets = prepare(sequence, mode, variant, params.dims)
+    packed, targets = join([prepare(sequence, mode, variant, params.dims)])
     return batch_loss(packed, targets, forward_batch(packed, params, k), lambda_node)
 
 
@@ -144,7 +144,7 @@ def test_predcls_trained_total_is_relation_plus_link(dims, params):
 def test_sgdet_targets_use_iou_matching(dims):
     seq = random_sequence(RngStream(42), dims, n_frames=1)
     frame = seq.frames[0]
-    packed, targets = prepare(seq, "sgdet", "sparse", dims)
+    packed, targets = join([prepare(seq, "sgdet", "sparse", dims)])
     # conftest detections copy gt boxes, so every node matches its own gt
     assert node_identity(seq, packed).tolist() == list(range(len(frame.objects)))
     assert (targets.rel_sign < 0).sum() == len(frame.triplets)
@@ -484,6 +484,12 @@ def test_clip_decides_on_the_global_norm():
     assert np.sqrt(np.dot(clipped.flat, clipped.flat)) == pytest.approx(5.0, rel=1e-15)
     np.testing.assert_allclose(clipped.flat, [math.sqrt(5.0), -2.0 * math.sqrt(5.0)],
                                rtol=1e-15, atol=0)
+    # so is one whose norm itself lies beyond the float range
+    grads = Gradients(Layout({"w": (2,)}), np.array([1.5e308, 1.5e308]))
+    assert grads.norm() == math.inf
+    clipped = clip_gradients(grads, 5.0)
+    assert np.sqrt(np.dot(clipped.flat, clipped.flat)) == pytest.approx(5.0, rel=1e-15)
+    np.testing.assert_allclose(clipped.flat, [5.0 / math.sqrt(2.0)] * 2, rtol=1e-15, atol=0)
 
 
 def test_zero_learning_rate_keeps_parameters():
@@ -647,6 +653,26 @@ def test_non_finite_gradient_aborts_naming_the_parameter(monkeypatch):
         train(data, cfg)
 
 
+def test_gradient_norm_beyond_the_float_range_aborts(monkeypatch):
+    # every entry is finite, but the norm is not a number the train log can hold
+    cfg = tiny_cfg(epochs=1, batch_size=2)
+    data = tiny_dataset(cfg)
+    real_backward = stsg.training.backward
+    calls = []
+
+    def overflowing(tape, loss):
+        grads = real_backward(tape, loss)
+        calls.append(1)
+        if len(calls) == 2:
+            grads[:2] = 1.5e308
+        return grads
+
+    monkeypatch.setattr(stsg.training, "backward", overflowing)
+    with pytest.raises(TrainingError,
+                       match=r"gradient norm beyond the float range at epoch 1, batch 2"):
+        train(data, cfg)
+
+
 @pytest.mark.parametrize("link_weight", [0.0, LINK_WEIGHT])
 def test_diverging_ablation_cell_stays_finite(monkeypatch, link_weight):
     # sparse k=2, model seed 0, on the first 150 train sequences of the
@@ -729,7 +755,7 @@ def test_tape_records_per_step_are_pinned(mode, variant):
 
 def reference_sequence_loss(sequence, params, mode, variant, k, lambda_node, lambda_link):
     """The objective composed frame by frame from the reference per-frame losses."""
-    packed, _ = prepare(sequence, mode, variant, params.dims)
+    packed = prepare(sequence, mode, variant, params.dims).packed
     out = forward_batch(packed, params, k)
     frames = frame_predictions(packed, out, params.dims.g, sequence.frames)
     h = params.dims.h
@@ -878,24 +904,33 @@ def test_joined_data_only_arrays_equal_those_of_the_joined_rows(mode):
             # each weight also carries the mean over the batch's sequences
             scale = 1.0 / len(batch)
             for name in ("rel_weight", "node_weight", "link_weight"):
-                want = np.concatenate([getattr(t, name) for _, t in batch]) * scale
+                want = np.concatenate([getattr(p.targets, name) for p in batch]) * scale
                 assert np.array_equal(getattr(targets, name), want), name
-            want = np.concatenate([t.rel_sign for _, t in batch])
+            want = np.concatenate([p.targets.rel_sign for p in batch])
             assert np.array_equal(targets.rel_sign, want)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_prepared_plans_are_views_of_their_stacked_rows(variant):
-    # the prepared data is held once: every plan of a prepared sequence, and
-    # of a batch of them, is a view of the stacked array of its family
+    # the prepared data is held once: every plan of a prepared sequence is a
+    # view of the stacked array of its family, and so is every plan of a
+    # batch of them, of the array the join made of each family
     dims = Dims()
     prepared = [prepare(seq, "sgdet", variant, dims) for seq in seed7_sequences(2)]
-    for packed in (prepared[0][0], join(prepared)[0]):
-        rows = packed.rows
+    packed, _ = join(prepared)
+    batch_rows = {"node_frame": packed.node_frame.ids.base,
+                  "frame_runs": packed.node_frame.runs()[1].base,
+                  "pairs": packed.subj.ids.base, "pair_runs": packed.subj.runs()[1].base,
+                  "cands": packed.cand_curr.ids.base,
+                  "curr_runs": packed.cand_curr.runs()[1].base,
+                  "prev_runs": packed.cand_prev.runs()[1].base,
+                  "links": None if packed.links is None else packed.links.base}
+    for packed, rows in [(p.packed, p.rows) for p in prepared] + [(packed, batch_rows)]:
         plans = [(packed.node_frame, "node_frame", "frame_runs"),
                  (packed.subj, "pairs", "pair_runs"), (packed.obj, "pairs", "pair_runs")]
         if variant == "spatial":
-            assert set(rows) == {"node_frame", "frame_runs", "pairs", "pair_runs"}
+            assert rows is batch_rows or set(rows) == {"node_frame", "frame_runs", "pairs",
+                                                       "pair_runs"}
         else:
             plans += [(packed.cand_curr, "cands", "curr_runs"),
                       (packed.cand_prev, "cands", "prev_runs")]
@@ -907,9 +942,6 @@ def test_prepared_plans_are_views_of_their_stacked_rows(variant):
             assert np.shares_memory(segments, rows[runs]), runs
         assert (packed.links is not None) == (variant in ("dense", "tracking"))
         assert packed.links is None or np.shares_memory(packed.links, rows["links"])
-        assert (packed.link_frame is not None) == (variant == "dense")
-        assert packed.link_frame is None or np.shares_memory(packed.link_frame.ids,
-                                                             rows["cands"])
 
 
 def test_flat_gradient_is_the_per_tensor_reverse_sweep_bit_for_bit():
