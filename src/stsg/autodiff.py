@@ -73,14 +73,14 @@ class Tensor:
         t = object.__new__(cls)
         arr = np.ascontiguousarray(arr, dtype=np.float64)
         arr.setflags(write=False)
-        object.__setattr__(t, "data", arr)
+        t.data = arr
         return t
 
     @classmethod
     def _frozen(cls, arr: np.ndarray) -> "Tensor":
         # for an array that already is read-only, C-contiguous float64
         t = object.__new__(cls)
-        object.__setattr__(t, "data", arr)
+        t.data = arr
         return t
 
     @property
@@ -141,6 +141,19 @@ class Tape:
                 self._tracked_ids.add(key)
                 self._watched.append(t)
         self._size = size
+
+    def watch_laid_out(self, tensors, slices: tuple[slice, ...]) -> None:
+        """Watch distinct tensors on a tape that watches none yet, each owning
+        its slice of the flat gradient: consecutive slices from 0, one per
+        tensor, as `params.Layout.slices` lays them out. `watch` finds the
+        same slices one tensor at a time."""
+        leaves = dict(zip(map(id, tensors), slices))
+        if self._leaves or len(leaves) != len(slices):
+            raise ContractError("watch_laid_out: need distinct tensors on a tape that "
+                                "watches none yet, one slice each")
+        self._leaves, self._size = leaves, slices[-1].stop if slices else 0
+        self._tracked_ids = set(leaves)
+        self._watched = list(tensors)
 
     def __enter__(self) -> "Tape":
         _STACK.append(self)
@@ -272,18 +285,18 @@ def _logistic(x: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-x)) from exp(-|x|), which never overflows: 1 / (1 + e)
     where x >= 0 and e / (1 + e) below; NaN stays NaN."""
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def _softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = x - np.max(x, axis=axis, keepdims=True)
+    shifted = x - x.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    return e / e.sum(axis=axis, keepdims=True)
 
 
 def _log_softmax(av: np.ndarray, axis: int) -> np.ndarray:
-    shifted = av - np.max(av, axis=axis, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
+    shifted = av - av.max(axis=axis, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
 class SegmentPlan:
@@ -332,7 +345,7 @@ class SegmentPlan:
         the reduction of each segment in segments."""
         if self._runs is None:
             ids, order = self.ids, None
-            if np.any(ids[1:] < ids[:-1]):
+            if (ids[1:] < ids[:-1]).any():
                 order = np.argsort(ids, kind="stable")
                 ids = ids[order]
             first = np.empty(ids.size, dtype=bool)

@@ -173,7 +173,7 @@ def link_relevance(x: Tensor, curr, prev, phi: Tensor) -> Tensor:
     need = _tracked(inputs)
     proj = _linear(xv, pv)
     pc, pp = _rows(proj, curr.ids), _rows(proj, prev.ids)
-    out = Tensor._wrap(np.sum(pc * pp, axis=1))
+    out = Tensor._wrap((pc * pp).sum(axis=1))
     if need:
         def vjp(g):
             col = g[:, None]
@@ -316,7 +316,7 @@ def weighted_loss(weights: np.ndarray, logits: Tensor, sign: np.ndarray,
             grads = [(next(parts) * _logistic(z) * sign).reshape(logits.shape)]
             if label_logits is not None:
                 d = next(parts).reshape(labels.shape)
-                grads.append(d - np.exp(labels) * np.sum(d, axis=1, keepdims=True))
+                grads.append(d - np.exp(labels) * d.sum(axis=1, keepdims=True))
             if gamma is not None:
                 d = next(parts)
                 grads.append(d - np.exp(pieces[-1]) * _segment_sum(d, links)[links.ids])

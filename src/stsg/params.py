@@ -56,12 +56,17 @@ def model_shapes(dims: Dims, gcn_layers: int) -> dict[str, tuple[int, ...]]:
 class Layout:
     """Names, shapes and offsets of named tensors stacked in one flat vector."""
 
-    __slots__ = ("names", "shapes", "offsets")
+    __slots__ = ("names", "shapes", "offsets", "slices", "_views")
 
     def __init__(self, shapes: dict[str, tuple[int, ...]]):
         self.names = tuple(shapes)
         self.shapes = tuple(tuple(s) for s in shapes.values())
         self.offsets = tuple(accumulate((math.prod(s) for s in self.shapes), initial=0))
+        # each tensor's slice of the flat vector, in layout order
+        self.slices = tuple(slice(a, b) for a, b in zip(self.offsets, self.offsets[1:]))
+        # a vector's slice is its view as it is; other shapes reshape it
+        self._views = tuple((name, cut, shape if len(shape) != 1 else None)
+                            for name, cut, shape in zip(self.names, self.slices, self.shapes))
 
     @property
     def size(self) -> int:
@@ -71,8 +76,8 @@ class Layout:
         """Each tensor as a reshaped view of its slice of `flat`."""
         if flat.shape != (self.size,):
             raise ShapeError(f"params: flat vector of shape {flat.shape}, layout holds {self.size}")
-        return {name: flat[a:b].reshape(shape) for name, shape, a, b
-                in zip(self.names, self.shapes, self.offsets, self.offsets[1:])}
+        return {name: flat[cut] if shape is None else flat[cut].reshape(shape)
+                for name, cut, shape in self._views}
 
     def flatten(self, arrays) -> np.ndarray:
         """The flat vector of name -> array values (in layout order)."""
@@ -125,7 +130,7 @@ class ModelParams:
     def watch_all(self, tape: Tape) -> None:
         """Watch every tensor in layout order, so that the gradient vector
         `autodiff.backward` returns is in this layout too."""
-        tape.watch(*self._tensors.values())
+        tape.watch_laid_out(self._tensors.values(), self.layout.slices)
 
     def with_flat(self, flat: np.ndarray) -> "ModelParams":
         """The same layout holding other values."""
