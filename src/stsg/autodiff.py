@@ -32,7 +32,8 @@ node with one link -- takes the rows in plan order, which is what
 
 `backward` returns one flat vector: each watched leaf's gradient in its
 slice, in watch order. Model parameters are views of one flat vector
-(`params.ModelParams`), watched in its layout, so a training step wraps
+(`params.ModelParams`), watched in its layout (`Tape.watch_laid_out`
+takes the layout's slices as they are), so a training step wraps
 that vector as its gradient as it is, and the checks, the clip and the
 optimizer run on whole vectors.
 """
@@ -386,17 +387,18 @@ def _segment_reduce(ufunc, values: np.ndarray, plan: SegmentPlan, empty: float) 
     """ufunc-reduce the rows of `values` per segment of the plan; segments
     without rows hold `empty`."""
     out_shape = (plan.n,) + values.shape[1:]
-    if not len(plan):
+    rows = len(plan.ids)
+    if not rows:
         return np.full(out_shape, empty)
     order, starts, segments = plan.runs()
-    if len(starts) < len(plan):
+    if len(starts) < rows:
         reduced = ufunc.reduceat(values if order is None else values.take(order, axis=0),
                                  starts, axis=0)
     else:   # every run is one row, which reduceat would copy
         reduced = values.copy() if order is None else values.take(order, axis=0)
     if len(segments) == plan.n:   # every segment has rows
         return reduced
-    out = np.full(out_shape, empty)
+    out = np.zeros(out_shape) if empty == 0.0 else np.full(out_shape, empty)
     out[segments] = reduced
     return out
 

@@ -4,7 +4,9 @@ import hashlib
 
 import pytest
 
+from stsg.autodiff import Tape
 from stsg.config import Dims
+from stsg.errors import ContractError
 from stsg.params import ModelParams, model_shapes
 
 SMALL = Dims(g=3, c=4, h=2, d=5)
@@ -37,3 +39,31 @@ def test_init_layout_is_the_table(dims, gcn_layers):
     for name, tensor in params.items():
         if len(shapes[name]) == 1:
             assert not tensor.data.any(), name
+
+
+@pytest.mark.parametrize("gcn_layers", [1, 3])
+def test_watch_all_gives_each_tensor_the_slice_watch_would(gcn_layers):
+    # watch_all hands the tape the layout's slices; watching the same tensors
+    # one at a time finds the same slices, in the same order
+    params = ModelParams.init(SMALL, seed=0, gcn_layers=gcn_layers)
+    laid_out, one_by_one = Tape(), Tape()
+    params.watch_all(laid_out)
+    one_by_one.watch(*(t for _, t in params.items()))
+    assert laid_out._leaves == one_by_one._leaves
+    assert laid_out._watched == one_by_one._watched
+    assert laid_out._tracked_ids == one_by_one._tracked_ids
+    assert laid_out._size == one_by_one._size == params.count()
+    for name, tensor in params.items():
+        cut = laid_out._leaves[id(tensor)]
+        assert params.flat[cut].tobytes() == tensor.data.tobytes(), name
+
+
+def test_watch_laid_out_needs_a_fresh_tape_and_distinct_tensors():
+    params = ModelParams.init(SMALL, seed=0)
+    tensors = [t for _, t in params.items()]
+    tape = Tape()
+    tape.watch(tensors[0])
+    with pytest.raises(ContractError, match="watch_laid_out"):
+        tape.watch_laid_out(tensors, params.layout.slices)
+    with pytest.raises(ContractError, match="watch_laid_out"):
+        Tape().watch_laid_out([tensors[0]] * 2, params.layout.slices[:2])
