@@ -38,12 +38,14 @@ label scores and its ordered pairs' predicate probabilities (`pair_probs`,
 the base64 text of their little-endian float64 bytes, the predicate varying
 fastest), not a triplet list: a frame's served graph
 (`temporal.FrameGraph`), which evaluation ranks (`metrics`). One reader
-(`_predictions`) reads it: the header's config gives the dims (g bounds
-the labels, h sets the count of `pair_probs`), and each record's frames
-are checked as its line is decoded and become the graphs served, bit for
-bit. A label score must be in (0, 1], and a pair probability in [0, 1].
-Errors come in line order: the header's, then each record's in turn, then
-a count of records that is not the split's. A header that names a split must name the one evaluated.
+(`_predictions`) reads it, once: the header's config gives the dims (g
+bounds the labels, h sets the count of `pair_probs`); every line is
+decoded, then the frames of every record are checked at once and become
+the graphs served, bit for bit. A label score must be in (0, 1], and a pair
+probability in [0, 1]. Errors come in line order: the header's, then each
+record's in turn (where the file fails, its records are checked one by one
+to find the first), then a count of records that is not the split's. A
+header that names a split must name the one evaluated.
 """
 
 from __future__ import annotations
@@ -578,19 +580,26 @@ def _frame_graphs(frames: list, g: int, h: int) -> list[FrameGraph]:
         if n_label != nodes or n_score != nodes:
             raise DataFormatError(f"frame has {nodes} boxes but {n_label} labels and "
                                   f"{n_score} label scores")
-    per_frame = [_float64_rows(_field(frame, "pair_probs"), "pair_probs") for frame in frames]
-    probs = np.concatenate(per_frame)
-    n_probs = list(map(len, per_frame))
     starts, pair_starts, local = frame_offsets(n)
-    for nodes, p, count in zip(n, np.diff(pair_starts).tolist(), n_probs):
-        if count != p * h:
-            raise DataFormatError(f"frame has {nodes} nodes, so field 'pair_probs' must hold "
-                                  f"{p * h} probabilities, {h} for each of its {p} ordered "
-                                  f"pairs, got {count}")
+    ends = pair_starts * h
+    # each frame's values copied in as it is decoded, so that its bytes are
+    # freed before the next frame's; a wrong count is an error once every
+    # frame's text has decoded
+    probs, miscounted = np.empty(ends[-1]), None
+    for frame, nodes, p, a in zip(frames, n, np.diff(pair_starts).tolist(), ends.tolist()):
+        values = _float64_rows(_field(frame, "pair_probs"), "pair_probs")
+        if len(values) == p * h:
+            probs[a:a + p * h] = values
+        elif miscounted is None:
+            miscounted = nodes, p, len(values)
+    if miscounted is not None:
+        nodes, p, count = miscounted
+        raise DataFormatError(f"frame has {nodes} nodes, so field 'pair_probs' must hold "
+                              f"{p * h} probabilities, {h} for each of its {p} ordered "
+                              f"pairs, got {count}")
     outside = ~((probs >= 0) & (probs <= 1))   # a NaN too
     if outside.any():
         k = int(np.argmax(outside))
-        ends = pair_starts * h
         place = k - ends[np.searchsorted(ends, k, side="right") - 1]
         raise DataFormatError(f"entry {place} of field 'pair_probs' must be a probability "
                               f"in [0, 1], got {float(probs[k])!r}")
@@ -618,7 +627,7 @@ def _frame_graphs(frames: list, g: int, h: int) -> list[FrameGraph]:
 
 def ranked_from_frame_json(frame: FrameGraph, path: Path, lineno: int) -> FrameGraph:
     """A frame of a record from `load_predictions`, which the loader checked
-    as it read line `lineno` of `path`: its served graph, as it is."""
+    with every frame of `path`: its served graph, as it is."""
     return frame
 
 
@@ -647,12 +656,45 @@ def _collector_paused():
             gc.enable()
 
 
+def _decoded(records) -> tuple[list, DataFormatError | None]:
+    """The (line number, record) pairs `records` yields, and the error that
+    stopped it, None if none did."""
+    numbered = []
+    try:
+        for item in records:
+            numbered.append(item)
+    except DataFormatError as e:
+        return numbered, e
+    return numbered, None
+
+
+def _frames_at_once(records: list, g: int, h: int) -> bool:
+    """Set each record's `frames` to its frames' graphs, from one
+    `_frame_graphs` call over all of them, and return True; or return False,
+    no record changed, where a check fails. The records pass exactly when
+    each one's own frames do, so the first that fails is found record by
+    record."""
+    try:
+        frames = [_field(record, "frames", list) for record in records]
+        graphs = _frame_graphs(list(chain.from_iterable(frames)), g, h)
+    except (ConfigError, ContractError, DataFormatError):
+        return False
+    end = 0
+    for record, own in zip(records, frames):
+        end += len(own)
+        record["frames"] = graphs[end - len(own):end]
+    return True
+
+
 def _predictions(path: str | Path):
-    """Read a predictions file, with the collector paused: yield its header
-    and the dims its config gives (the defaults where it has none), then
-    (line number, record) for each record, its frames checked as the line
-    is decoded (`_frame_graphs`, with those dims) and `frames` set to their
-    graphs. Each error is located at its file and line."""
+    """Read a predictions file, once, with the collector paused: yield its
+    header and the dims its config gives (the defaults where it has none),
+    then (line number, record) for each record, `frames` set to its frames'
+    graphs (`_frame_graphs`, with those dims). Every line is decoded, then
+    every record's frames are checked at once; where a line does not decode
+    or a check fails, each record is checked in turn as it is yielded, and
+    the decoding error comes after the records before it. So each error is
+    located at its file and line, in line order."""
     path = Path(path)
     if not path.exists():
         raise DataFormatError(f"{path}: no such predictions file")
@@ -662,11 +704,17 @@ def _predictions(path: str | Path):
         with _located(f"{path}:1"):
             dims = runconfig_from_flat(_field(header, "config", dict, {})).dims
         yield header, dims
-        for lineno, record in records:
-            with _located(f"{path}:{lineno}"):
-                record["frames"] = _frame_graphs(_field(record, "frames", list),
-                                                 dims.g, dims.h)
+        numbered, undecoded = _decoded(records)
+        checked = undecoded is None and _frames_at_once([record for _, record in numbered],
+                                                        dims.g, dims.h)
+        for lineno, record in numbered:
+            if not checked:
+                with _located(f"{path}:{lineno}"):
+                    record["frames"] = _frame_graphs(_field(record, "frames", list),
+                                                     dims.g, dims.h)
             yield lineno, record
+        if undecoded is not None:
+            raise undecoded
 
 
 def load_predictions(path: str | Path) -> tuple[dict, list[dict]]:

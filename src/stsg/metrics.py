@@ -6,8 +6,9 @@ ordered pairs' predicate probabilities. A triplet scores subject-label
 score * object-label score * predicate probability; each ordered pair
 keeps its NO_CONSTRAINT_PER_PAIR most probable predicates (ties to the
 lower index), and the with-constraint setting keeps the best of them (the
-lower index on ties). Each frame's list is sorted on its own by (-score,
-subject, object, predicate). Mean recall and relation AP evaluate the
+lower index on ties). Each frame's list is sorted by (-score, subject,
+object, predicate), the frames of one list length together, as the rows
+of one matrix. Mean recall and relation AP evaluate the
 per-frame list capped at 50 triplets; plain recall@K does not cap.
 Detection-protocol matching requires label equality and both boxes at IoU
 >= 0.5 (an IoU of exactly 0.5 counts).
@@ -65,7 +66,8 @@ class FrameEval:
     """One frame's served graph plus its ground truth: its gt triplets,
     (subject, object, predicate) rows, and its gt objects, `OBJECT_DTYPE`
     records, each as an array (a frame's views, `scene.FrameView`) or a list
-    of rows; `_flatten` converts them once per corpus."""
+    of rows. `_flatten` concatenates a corpus's arrays, or converts its rows
+    in one pass where any frame gives lists."""
 
     graph: FrameGraph
     gt_triplets: np.ndarray | list
@@ -145,11 +147,17 @@ def _rank(graphs: list[FrameGraph], n_nodes: np.ndarray, depth: int,
         score = scores.ravel()
     predicate = kept if top is None else top[pair, kept]
     per_frame = n_nodes * (n_nodes - 1) * per_pair
-    cuts = _starts(per_frame).tolist() + [len(score)]
+    starts = _starts(per_frame)
     negated = -score
-    order = _cat([negated[a:b].argsort(kind="stable") + a
-                  for a, b in zip(cuts[:-1], cuts[1:])], np.intp)
-    rank = np.arange(len(order)) - np.repeat(cuts[:-1], per_frame)
+    # the frames of one list length as the rows of one matrix, each row
+    # sorted on its own: a stable sort gives each the order its own would.
+    # The lengths come from a set: numpy's first np.unique call in a process
+    # allocates about 1 MB, which made here adds to evaluation's peak memory
+    order = np.empty(len(score), np.intp)
+    for length in sorted(set(per_frame.tolist()) - {0}):
+        at = starts[per_frame == length][:, None] + np.arange(length)
+        order[at] = np.argsort(negated[at], axis=1, kind="stable") + at[:, :1]
+    rank = np.arange(len(order)) - np.repeat(starts, per_frame)
     cut = rank < depth
     rows = order[cut]
     pair = pair[rows]
@@ -164,11 +172,19 @@ def _flatten(frames: list[FrameEval], depth: int, constraint: bool) -> _Corpus:
     frame_ids = np.arange(len(frames))
     n_nodes = np.array([len(g.labels) for g in graphs], dtype=np.intp)
     frame, rank, subj, obj, predicate, score = _rank(graphs, n_nodes, depth, constraint)
-    gt_frame = np.repeat(frame_ids, [len(fe.gt_triplets) for fe in frames])
-    object_start = _starts([len(fe.gt_objects) for fe in frames])
-    gt = np.array(list(chain.from_iterable(fe.gt_triplets for fe in frames)),
-                  np.intp).reshape(-1, 3)
-    objects = np.array(list(chain.from_iterable(fe.gt_objects for fe in frames)), OBJECT_DTYPE)
+    triplets = [fe.gt_triplets for fe in frames]
+    objects = [fe.gt_objects for fe in frames]
+    gt_frame = np.repeat(frame_ids, list(map(len, triplets)))
+    object_start = _starts(list(map(len, objects)))
+    if all(isinstance(a, np.ndarray) for a in chain(triplets, objects)):   # a frame's views
+        gt = _cat(triplets, np.intp).reshape(-1, 3)
+        # field by field: a concatenation of the records copies them one by one
+        gt_labels = _cat([o["label"] for o in objects], np.intp)
+        gt_boxes = _cat([o["box"] for o in objects], np.float64).reshape(-1, 4)
+    else:   # lists of rows, converted in one pass over the corpus
+        gt = np.array(list(chain.from_iterable(triplets)), np.intp).reshape(-1, 3)
+        rows = np.array(list(chain.from_iterable(objects)), OBJECT_DTYPE)
+        gt_labels, gt_boxes = rows["label"], rows["box"]
     return _Corpus(
         frame=frame,
         rank=rank,
@@ -183,8 +199,8 @@ def _flatten(frames: list[FrameEval], depth: int, constraint: bool) -> _Corpus:
         gt_subj=gt[:, 0] + object_start[gt_frame],
         gt_obj=gt[:, 1] + object_start[gt_frame],
         gt_pred=gt[:, 2],
-        gt_labels=objects["label"],
-        gt_boxes=objects["box"],
+        gt_labels=gt_labels,
+        gt_boxes=gt_boxes,
         object_start=object_start,
     )
 

@@ -1313,10 +1313,42 @@ def test_blank_first_line_is_a_missing_header(tmp_path, dataset_dir, capsys, kin
     assert capsys.readouterr().err == f"error: {blanked}:1: missing {kind} header record\n"
 
 
+def _bad_label(records, i: int) -> str:
+    frame = next(f for f in records[i]["frames"] if f["labels"])
+    frame["labels"][0] = 2.5
+    return "label of node 0 must be an integer in [0, 8), got 2.5"
+
+
+def _other_seed(records, i: int) -> str:
+    seed = records[i]["seq_seed"]
+    records[i]["seq_seed"] = seed + 1
+    return f"sequence seed {seed + 1} does not match dataset seed {seed}"
+
+
+PREDICTION_FAULTS = ("frame", "seed", "json")
+
+
+def faulty_predictions(path: Path, seqs, faults: dict[int, str]) -> dict[int, str]:
+    """Write a predictions file of `seqs`' ground truth with each of
+    `faults`, record index to fault (`PREDICTION_FAULTS`: a bad label, a
+    seed not the sequence's, a line that is not JSON), on its record's line;
+    return each faulty line's error, by record index."""
+    records = gt_prediction_records(seqs)
+    edits = {"frame": _bad_label, "seed": _other_seed}
+    messages = {i: edits[fault](records, i) for i, fault in faults.items() if fault in edits}
+    io.write_predictions(path, {"mode": "sgdet", "config": {}}, records)
+    header, *lines = path.read_text().splitlines(keepends=True)
+    for i in (i for i, fault in faults.items() if fault == "json"):
+        lines[i] = '{"seq_seed": \n'   # cut short
+        messages[i] = "invalid JSON (Expecting value)"
+    path.write_text(header + "".join(lines))
+    return messages
+
+
 def test_eval_reads_the_predictions_file_once(tmp_path, dataset_dir, monkeypatch):
+    # a file that fails is checked record by record from the lines already
+    # decoded, not read again
     _, seqs = io.load_split(dataset_dir, "test")
-    preds = tmp_path / "p.jsonl"
-    io.write_predictions(preds, {"mode": "sgdet", "config": {}}, gt_prediction_records(seqs))
     calls = []
     read = io._jsonl     # the one reader of JSON-lines files
 
@@ -1325,9 +1357,53 @@ def test_eval_reads_the_predictions_file_once(tmp_path, dataset_dir, monkeypatch
         return read(path, kind)
 
     monkeypatch.setattr(io, "_jsonl", counted)
+    for fault in (None, *PREDICTION_FAULTS):
+        preds = tmp_path / f"{fault}.jsonl"
+        faulty_predictions(preds, seqs, {} if fault is None else {1: fault})
+        status = main(["eval", "--preds", str(preds), "--data", str(dataset_dir),
+                       "--split", "test", "--out", str(tmp_path / "r.json")])
+        assert status == (0 if fault is None else 1)
+        assert calls.count(preds) == 1
+
+
+@pytest.mark.parametrize("first, second", itertools.product(PREDICTION_FAULTS, repeat=2))
+def test_the_earlier_of_two_faulty_lines_is_reported(tmp_path, dataset_dir, capsys, first,
+                                                     second):
+    # every line is decoded and every frame checked at once; where that
+    # fails, the records are checked one by one, each before its seed, and a
+    # line that does not decode after them, so the earlier fault wins either way
+    _, seqs = io.load_split(dataset_dir, "test")
+    preds = tmp_path / "p.jsonl"
+    messages = faulty_predictions(preds, seqs, {1: first, 3: second})
     assert main(["eval", "--preds", str(preds), "--data", str(dataset_dir),
-                 "--split", "test", "--out", str(tmp_path / "r.json")]) == 0
-    assert calls.count(preds) == 1
+                 "--split", "test"]) == 1
+    assert capsys.readouterr().err == f"error: {preds}:3: {messages[1]}\n"
+
+
+@pytest.mark.parametrize("fault", [None, "frame"])
+def test_a_valid_file_is_checked_in_one_call(tmp_path, dataset_dir, monkeypatch, fault):
+    # one `_frame_graphs` call over every frame of the file; where a frame
+    # fails it, each record's frames in turn, up to the one that fails
+    _, seqs = io.load_split(dataset_dir, "test")
+    preds = tmp_path / "p.jsonl"
+    faulty_predictions(preds, seqs, {} if fault is None else {2: fault})
+    calls, check = [], io._frame_graphs
+
+    def counted(frames, g, h):
+        calls.append(len(frames))
+        return check(frames, g, h)
+
+    monkeypatch.setattr(io, "_frame_graphs", counted)
+    counts = [len(seq.frames) for seq in seqs]
+    if fault is None:
+        _, records = io.load_predictions(preds)
+        assert calls == [sum(counts)]
+        assert [len(r["frames"]) for r in records] == counts
+    else:
+        with pytest.raises(DataFormatError) as raised:
+            io.load_predictions(preds)
+        assert str(raised.value).startswith(f"{preds}:4: label of node 0")
+        assert calls == [sum(counts)] + counts[:3]
 
 
 def test_prediction_errors_name_the_file_line(tmp_path, dataset_dir, capsys):

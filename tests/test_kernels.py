@@ -164,13 +164,14 @@ def frame_graphs(probs, label_dists, boxes, sizes) -> list[FrameGraph]:
             for a, b, p, q in zip(nodes[:-1], nodes[1:], pairs[:-1], pairs[1:])]
 
 
-def ranked_frames(graphs, constraint: bool) -> list[RankedColumns]:
+def ranked_frames(graphs, constraint: bool, depth: int = 10**9) -> list[RankedColumns]:
     """Each frame's list from one ranking of the corpus (`metrics._flatten`),
-    node indices local to the frame."""
-    c = _flatten([FrameEval(g, [], []) for g in graphs], 10**9, constraint)
+    cut to its first `depth`, node indices local to the frame."""
+    c = _flatten([FrameEval(g, [], []) for g in graphs], depth, constraint)
     out = []
     for t, (g, start) in enumerate(zip(graphs, c.node_start.tolist())):
         at, nodes = c.frame == t, slice(start, start + len(g.labels))
+        assert_same_bits(c.rank[at], np.arange(at.sum()))
         out.append(RankedColumns(c.subj[at] - start, c.obj[at] - start, c.predicate[at],
                                  c.score[at], c.labels[nodes], c.boxes[nodes], g.label_scores))
     return out
@@ -215,6 +216,58 @@ def test_constrained_ranking_is_the_first_row_of_each_pair(h, seed):
             assert_same_bits(getattr(g, name), getattr(w, name)[first])
         for name in RANKED_COLUMNS[4:]:
             assert_same_bits(getattr(g, name), getattr(w, name))
+
+
+def repeated_apart(sizes) -> list[int]:
+    """The node counts above 1 that two frames share with another frame
+    between them."""
+    return [n for n in set(sizes.tolist())
+            if n > 1 and np.diff(np.flatnonzero(sizes == n)).max(initial=0) > 1]
+
+
+@pytest.mark.parametrize("depth", [1, 20, 50])
+@pytest.mark.parametrize("constraint", [False, True], ids=["no-constraint", "constraint"])
+@pytest.mark.parametrize("h", [3, 9])
+def test_a_ranking_cut_to_a_depth_is_each_frames_prefix(depth, constraint, h):
+    # frames of one list length are sorted as the rows of one matrix; the
+    # frames of a length repeat, apart from each other, and each list cut to
+    # `depth` is the first `depth` rows of the five-key sort's list (with
+    # the constraint, of each pair's first row)
+    probs, subj, obj, label_dists, boxes, sizes = ranking_inputs(h, 2)
+    assert repeated_apart(sizes)
+    got = ranked_frames(frame_graphs(probs, label_dists, boxes, sizes), constraint, depth)
+    want = five_key_rank_frames(probs, subj, obj, label_dists, boxes, sizes)
+    assert len(got) == len(want) == len(sizes)
+    for g, w, n in zip(got, want, sizes.tolist()):
+        rows = np.arange(len(w.score))
+        if constraint:
+            rows = np.sort(np.unique(w.subj * n + w.obj, return_index=True)[1])
+        rows = rows[:depth]
+        for name in RANKED_COLUMNS[:4]:
+            assert_same_bits(getattr(g, name), getattr(w, name)[rows])
+
+
+@pytest.mark.parametrize("h", [3, 9])
+def test_ranking_sorts_once_per_list_length(monkeypatch, h):
+    # one 2-D argsort of the frames of each list length, not one per frame;
+    # above NO_CONSTRAINT_PER_PAIR predicates, one more picks each pair's kept ones
+    probs, subj, obj, label_dists, boxes, sizes = ranking_inputs(h, 2)
+    graphs = frame_graphs(probs, label_dists, boxes, sizes)
+    shapes, argsort = [], np.argsort
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counted)
+    keep = min(metrics.NO_CONSTRAINT_PER_PAIR, h)
+    for constraint in (False, True):
+        shapes.clear()
+        _flatten([FrameEval(g, [], []) for g in graphs], 50, constraint)
+        lengths = sizes * (sizes - 1) * (1 if constraint else keep)
+        want = [(int((lengths == n).sum()), n) for n in np.unique(lengths[lengths > 0]).tolist()]
+        assert shapes == ([probs.shape] if keep < h else []) + want
+        assert len(want) < (lengths > 0).sum()
 
 
 @pytest.mark.parametrize("read", ["len", "column"])

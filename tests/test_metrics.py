@@ -31,7 +31,7 @@ from stsg.metrics import (
 )
 from stsg.params import ModelParams, model_shapes
 from stsg.rng import RngStream
-from stsg.scene import pairwise_iou
+from stsg.scene import OBJECT_DTYPE, pairwise_iou
 from stsg.temporal import forward_sequence
 
 
@@ -533,6 +533,36 @@ def test_evaluate_matches_loop_reference_on_served_frames(served, mode):
     corpus = edges + frames[:400] + edges + frames[400:] + edges
     for constraint in (False, True):
         assert evaluate(corpus, mode, constraint) == loop_evaluate(corpus, mode, constraint)
+
+
+def as_views(frames: list[FrameEval]) -> list[FrameEval]:
+    """The frames with their ground truth as views of one triplet array and
+    one `OBJECT_DTYPE` array, as a sequence's frames hold it (`scene.FrameView`)."""
+    def column(rows: list, dtype) -> tuple[np.ndarray, list[int]]:
+        cuts = np.cumsum([0, *map(len, rows)]).tolist()
+        whole = np.array(list(itertools.chain.from_iterable(rows)), dtype)
+        return whole, cuts
+
+    triplets, t = column([fe.gt_triplets for fe in frames], np.intp)
+    objects, o = column([fe.gt_objects for fe in frames], OBJECT_DTYPE)
+    triplets = triplets.reshape(-1, 3)
+    return [FrameEval(fe.graph, triplets[t[i]:t[i + 1]], objects[o[i]:o[i + 1]])
+            for i, fe in enumerate(frames)]
+
+
+@pytest.mark.parametrize("mode", ["predcls", "sgcls", "sgdet"])
+def test_evaluate_reads_gt_views_as_it_reads_lists_of_rows(served, mode):
+    # `stsg eval` passes a frame's views, which are concatenated whole, and
+    # the benchmark lists of rows, which are converted in one pass; a corpus
+    # that mixes the two is read as lists
+    edges = edge_frames(served[mode])
+    frames = edges + served[mode]
+    views = as_views(frames)
+    assert all(type(fe.gt_triplets) is list for fe in frames)
+    for constraint in (False, True):
+        want = evaluate(frames, mode, constraint)
+        assert evaluate(views, mode, constraint) == want
+        assert evaluate(edges + views[len(edges):], mode, constraint) == want
 
 
 @pytest.mark.parametrize("constraint", [False, True], ids=["no-constraint", "constraint"])
