@@ -78,6 +78,12 @@ class WorldConfig:
             raise ConfigError("world.frames: must be >= 1")
         if self.n_events != len(EVENT_NAMES):
             raise ConfigError(f"world.n_events: fixed event vocabulary has {len(EVENT_NAMES)} classes")
+        # the scenes' gt triplets use every predicate, and a split with one
+        # at or above dims.h is a file no command can read
+        if dims.h < len(PREDICATE_NAMES):
+            raise ConfigError(f"dims.h: the world's scenes use {len(PREDICATE_NAMES)} predicates "
+                              f"({', '.join(PREDICATE_NAMES)}), so dims.h must be >= "
+                              f"{len(PREDICATE_NAMES)}, got {dims.h}")
         if dims.g < 2:
             raise ConfigError("dims.g: world needs one agent class plus object classes")
         self.noise.validate()

@@ -25,6 +25,13 @@ makes the top-k matches a prefix, so recall@K and mean recall@K for every K
 are bincounts over one pass; and since a triplet only consumes gt of its
 own predicate, the detection-style pass over each frame's first 50 triplets
 holds every class's AP hit flags.
+
+Evaluation's keys are small non-negative integers (predicates, labels,
+(class, frame) cells), so it numbers them by counting (`_distinct`), not by
+sorting, and sorts predicates stably as the smallest unsigned type that
+holds them, which numpy radix-sorts. Score orders are stable sorts
+(`_stable_order`): numpy's default sort, SIMD where the CPU has it, with a
+stable re-sort of only the rows that hold equal scores.
 """
 
 from __future__ import annotations
@@ -108,6 +115,33 @@ def _cat(arrays: list[np.ndarray], dtype) -> np.ndarray:
     return np.concatenate(arrays).astype(dtype, copy=False) if arrays else np.zeros(0, dtype)
 
 
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`np.unique(values, return_inverse=True, return_counts=True)` of
+    non-negative integers, by counting: time and memory linear in
+    len(values) + max(values)."""
+    counts = np.bincount(values)
+    present = counts > 0
+    return (np.flatnonzero(present).astype(values.dtype, copy=False),
+            (np.cumsum(present) - 1)[values], counts[present])
+
+
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """`np.argsort(keys, axis=-1, kind="stable")`, bit for bit, of a 1-D or
+    2-D array: numpy's default sort (SIMD where the CPU has it), then a
+    stable sort of only the rows whose sorted keys have a neighbour that is
+    not strictly greater (an equal key, ±0.0 or NaN). Without ties every
+    correct sort gives the same order."""
+    order = np.argsort(keys, axis=-1)
+    ranked = np.take_along_axis(keys, order, axis=-1)
+    untied = (ranked[..., 1:] > ranked[..., :-1]).all(axis=-1)
+    if keys.ndim == 1:
+        return order if untied else np.argsort(keys, kind="stable")
+    rows = np.flatnonzero(~untied)
+    if len(rows):
+        order[rows] = np.argsort(keys[rows], axis=-1, kind="stable")
+    return order
+
+
 def _rank(graphs: list[FrameGraph], n_nodes: np.ndarray, depth: int,
           constraint: bool) -> tuple[np.ndarray, ...]:
     """Every frame's triplets in rank order, cut to its first `depth`: the
@@ -120,8 +154,8 @@ def _rank(graphs: list[FrameGraph], n_nodes: np.ndarray, depth: int,
     NO_CONSTRAINT_PER_PAIR most probable predicates in ascending order, and
     with the constraint the first of its best-scoring ones; so each frame's
     rows run by (subject, object, predicate), and a stable sort of the
-    frame on -score breaks ties in that order. Scores that are not finite
-    are an error.
+    frame on -score (`_stable_order`) breaks ties in that order. Scores
+    that are not finite are an error.
     """
     h = graphs[0].pair_probs.shape[1] if graphs else 1
     probs = _cat([g.pair_probs for g in graphs], np.float64).reshape(-1, h)
@@ -156,7 +190,7 @@ def _rank(graphs: list[FrameGraph], n_nodes: np.ndarray, depth: int,
     order = np.empty(len(score), np.intp)
     for length in sorted(set(per_frame.tolist()) - {0}):
         at = starts[per_frame == length][:, None] + np.arange(length)
-        order[at] = np.argsort(negated[at], axis=1, kind="stable") + at[:, :1]
+        order[at] = _stable_order(negated[at]) + at[:, :1]
     rank = np.arange(len(order)) - np.repeat(starts, per_frame)
     cut = rank < depth
     rows = order[cut]
@@ -211,6 +245,15 @@ def _number(values: np.ndarray, among: np.ndarray) -> np.ndarray:
     return np.where(among[at] == values, at, -1)
 
 
+def _small_number(values: np.ndarray, among: np.ndarray) -> np.ndarray:
+    """`_number` among distinct non-negative integers (`_distinct`'s values),
+    by a table of every integer up to their largest, plus one entry that
+    every value outside that range reads."""
+    table = np.full(among[-1] + 2, -1)
+    table[among] = np.arange(len(among))
+    return table[np.clip(values, -1, len(table) - 1)]
+
+
 def _join_key(frame, predicate, subj_label, obj_label, n_predicates: int,
               n_labels: int) -> np.ndarray:
     """(frame, predicate, subject label, object label), each numbered among
@@ -228,22 +271,28 @@ def _match(c: _Corpus, rows: np.ndarray, mode: str) -> np.ndarray:
     Compatible means equal predicate and labels, plus equal node indices in
     predcls/sgcls or both boxes at IoU >= IOU_THRESHOLD in sgdet. Candidates
     come from one sorted-key join on (frame, predicate, subject label, object
-    label), so every transient array is O(triplets + label-compatible pairs).
+    label): one binary search finds each row's key among the gt's distinct
+    keys, and a table their runs. Every transient array is O(triplets +
+    label-compatible pairs).
     """
     taken = np.full(len(rows), -1)
     if not len(rows) or not len(c.gt_pred):
         return taken
-    predicates, gt_pred = np.unique(c.gt_pred, return_inverse=True)
-    labels, gt_label = np.unique(c.gt_labels, return_inverse=True)
+    predicates, gt_pred, _ = _distinct(c.gt_pred)
+    labels, gt_label, _ = _distinct(c.gt_labels)
     sizes = len(predicates), len(labels)
     gt_key = _join_key(c.gt_frame, gt_pred, gt_label[c.gt_subj], gt_label[c.gt_obj], *sizes)
     by_key = np.argsort(gt_key, kind="stable")      # ties keep the gt index order
     sorted_key = gt_key[by_key]
-    node_label = _number(c.labels, labels)
-    key = _join_key(c.frame[rows], _number(c.predicate[rows], predicates),
+    # the runs of equal keys in sorted_key: each key's first place and length
+    run_start = np.flatnonzero(np.r_[True, sorted_key[1:] != sorted_key[:-1]])
+    run_length = np.diff(np.r_[run_start, len(sorted_key)])
+    node_label = _small_number(c.labels, labels)
+    key = _join_key(c.frame[rows], _small_number(c.predicate[rows], predicates),
                     node_label[c.subj[rows]], node_label[c.obj[rows]], *sizes)
-    lo = np.searchsorted(sorted_key, key, side="left")
-    counts = np.searchsorted(sorted_key, key, side="right") - lo
+    run = _number(key, sorted_key[run_start])
+    lo = run_start[run]
+    counts = np.where(run >= 0, run_length[run], 0)
     # every (row, gt) pair with equal keys, row-major and gt index ascending
     pair_row = np.repeat(np.arange(len(rows)), counts)
     pair_gt = by_key[np.arange(len(pair_row)) - np.repeat(_starts(counts) - lo, counts)]
@@ -299,10 +348,11 @@ def _mean_recalls(c: _Corpus, taken: np.ndarray, ks) -> list[float]:
     if not len(c.gt_pred):
         return [0.0 for _ in ks]
     n_frames = len(c.node_start)
-    classes, first, cls = np.unique(c.gt_pred, return_index=True, return_inverse=True)
+    classes, cls, _ = _distinct(c.gt_pred)
+    first = np.full(len(classes), len(cls))
+    np.minimum.at(first, cls, np.arange(len(cls)))
     # one cell per (class, frame) with gt of that class, class-major
-    cells, cell, total = np.unique(cls * n_frames + c.gt_frame, return_inverse=True,
-                                   return_counts=True)
+    cells, cell, total = _distinct(cls * n_frames + c.gt_frame)
     bounds = np.searchsorted(cells, np.arange(len(classes) + 1) * n_frames)
     order = np.searchsorted(classes, _class_order(c, classes, c.gt_frame[first]))
     spans = [(bounds[i], bounds[i + 1]) for i in order.tolist()]
@@ -360,13 +410,17 @@ def _class_aps(c: _Corpus, rows, taken) -> tuple[dict[int, float], dict[int, int
     subject, object); and the gt count per predicate. `rows` and their
     matches `taken` come from `_detection_pass`, in (frame, -score, subject,
     object) order, so a stable sort on -score and then one on the predicate
-    give (predicate, -score, frame, subject, object). A triplet only consumes
-    gt of its own predicate, so one pass holds the hit flags of every class."""
-    classes, counts = np.unique(c.gt_pred, return_counts=True)
+    give (predicate, -score, frame, subject, object). The predicates sort as
+    the smallest unsigned type that holds them, which for 8 and 16 bits numpy
+    sorts stably by radix. A triplet only consumes gt of its own predicate,
+    so one pass holds the hit flags of every class."""
+    classes, _, counts = _distinct(c.gt_pred)
     gt_count = dict(zip(classes.tolist(), counts.tolist()))
-    order = np.argsort(-c.score[rows], kind="stable")
-    order = order[np.argsort(c.predicate[rows[order]], kind="stable")]
-    pred, hit = c.predicate[rows[order]], taken[order] >= 0
+    order = _stable_order(-c.score[rows])
+    pred = c.predicate[rows[order]]
+    by_pred = np.argsort(pred.astype(np.min_scalar_type(pred.max(initial=0))), kind="stable")
+    order, pred = order[by_pred], pred[by_pred]
+    hit = taken[order] >= 0
     aps = {}
     for cls, n_pos in sorted(gt_count.items()):
         lo, hi = np.searchsorted(pred, [cls, cls + 1])

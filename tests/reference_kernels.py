@@ -4,9 +4,10 @@ match bit for bit (`test_kernels.py`, `test_layers.py`, `test_metrics.py`).
 Each does work whose result the current kernel no longer needs: the
 logistic scatters through boolean masks, the segment reduction fills and
 scatters even when every segment has rows, the rankings and the relation-AP
-pass sort on every key explicitly, Adam builds its moments and its step as
-new arrays, and the feature bank picks each class's node frame by frame and
-class by class.
+pass sort on every key explicitly, evaluation numbers its keys by
+`np.unique`, stable-sorts every score list and finds gt runs by two binary
+searches, Adam builds its moments and its step as new arrays, and the
+feature bank picks each class's node frame by frame and class by class.
 
 The model's stages, composed from the autodiff primitives (one tape record
 per product, gather or nonlinearity), are the references of the single-record
@@ -16,6 +17,8 @@ are the whole training step built from them.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 import primitives as prim
@@ -24,9 +27,13 @@ import stsg.temporal
 import stsg.training
 from fixtures import RankedColumns
 from stsg.autodiff import Tensor
-from stsg.metrics import (FRAME_TRIPLET_CAP, NO_CONSTRAINT_PER_PAIR, _match,
-                          average_precision_from_flags)
+from stsg.errors import ContractError
+from stsg.metrics import (FRAME_TRIPLET_CAP, IOU_THRESHOLD, NO_CONSTRAINT_PER_PAIR, RECALL_KS,
+                          _cat, _class_order, _flatten, _join_key, _match, _mean_ap, _number,
+                          _recalls, _starts, average_precision_from_flags)
 from stsg.params import linear
+from stsg.scene import box_iou
+from stsg.spatial import frame_pairs
 from stsg.temporal import BatchOutput, topk_links, tracking_links
 
 
@@ -110,6 +117,140 @@ def five_key_class_aps(c, rows, taken):
         lo, hi = np.searchsorted(pred, [cls, cls + 1])
         aps[cls] = average_precision_from_flags(hit[lo:hi], n_pos)
     return aps, gt_count
+
+
+def unique_sort_rank(graphs, n_nodes, depth, constraint):
+    """`metrics._rank` with each list-length group sorted by a stable argsort."""
+    h = graphs[0].pair_probs.shape[1] if graphs else 1
+    probs = _cat([g.pair_probs for g in graphs], np.float64).reshape(-1, h)
+    label_scores = _cat([g.label_scores for g in graphs], np.float64)
+    subj, obj = frame_pairs(n_nodes)
+    pair_scores = (label_scores[subj] * label_scores[obj])[:, None]
+    keep = min(NO_CONSTRAINT_PER_PAIR, h)
+    if keep == h:   # every predicate is kept, in ascending order
+        top = None
+        scores = pair_scores * probs
+    else:   # each pair's most probable predicates, in ascending order
+        top = np.sort(np.argsort(-probs, axis=1, kind="stable")[:, :keep], axis=1)
+        scores = pair_scores * np.take_along_axis(probs, top, axis=1)
+    if not np.isfinite(scores).all():
+        raise ContractError("evaluation: triplet scores must be finite")
+    per_pair = 1 if constraint else keep
+    pair = np.repeat(np.arange(len(scores)), per_pair)
+    if constraint:
+        kept = scores.argmax(axis=1)    # the first of equal best scores
+        score = scores[pair, kept]
+    else:
+        kept = np.tile(np.arange(keep), len(scores))
+        score = scores.ravel()
+    predicate = kept if top is None else top[pair, kept]
+    per_frame = n_nodes * (n_nodes - 1) * per_pair
+    starts = _starts(per_frame)
+    negated = -score
+    order = np.empty(len(score), np.intp)
+    for length in sorted(set(per_frame.tolist()) - {0}):
+        at = starts[per_frame == length][:, None] + np.arange(length)
+        order[at] = np.argsort(negated[at], axis=1, kind="stable") + at[:, :1]
+    rank = np.arange(len(order)) - np.repeat(starts, per_frame)
+    cut = rank < depth
+    rows = order[cut]
+    pair = pair[rows]
+    return (np.repeat(np.arange(len(graphs)), per_frame)[cut], rank[cut], subj[pair],
+            obj[pair], predicate[rows], score[rows])
+
+
+def unique_sort_match(c, rows, mode):
+    """`metrics._match` with the gt values numbered by `np.unique` and each
+    row's run of equal gt keys found by a left and a right binary search."""
+    taken = np.full(len(rows), -1)
+    if not len(rows) or not len(c.gt_pred):
+        return taken
+    predicates, gt_pred = np.unique(c.gt_pred, return_inverse=True)
+    labels, gt_label = np.unique(c.gt_labels, return_inverse=True)
+    sizes = len(predicates), len(labels)
+    gt_key = _join_key(c.gt_frame, gt_pred, gt_label[c.gt_subj], gt_label[c.gt_obj], *sizes)
+    by_key = np.argsort(gt_key, kind="stable")      # ties keep the gt index order
+    sorted_key = gt_key[by_key]
+    node_label = _number(c.labels, labels)
+    key = _join_key(c.frame[rows], _number(c.predicate[rows], predicates),
+                    node_label[c.subj[rows]], node_label[c.obj[rows]], *sizes)
+    lo = np.searchsorted(sorted_key, key, side="left")
+    counts = np.searchsorted(sorted_key, key, side="right") - lo
+    # every (row, gt) pair with equal keys, row-major and gt index ascending
+    pair_row = np.repeat(np.arange(len(rows)), counts)
+    pair_gt = by_key[np.arange(len(pair_row)) - np.repeat(_starts(counts) - lo, counts)]
+    triplet = rows[pair_row]
+    subj, obj, frame = c.subj[triplet], c.obj[triplet], c.frame[triplet]
+    gs, go = c.gt_subj[pair_gt], c.gt_obj[pair_gt]
+    if mode in ("predcls", "sgcls"):
+        shift = (c.node_start - c.object_start)[frame]   # node index -> gt-object index
+        ok = (subj - shift == gs) & (obj - shift == go)
+    else:
+        ok = ((box_iou(c.boxes[subj], c.gt_boxes[gs]) >= IOU_THRESHOLD)
+              & (box_iou(c.boxes[obj], c.gt_boxes[go]) >= IOU_THRESHOLD))
+    done, used = set(), set()
+    for r, g in zip(pair_row[ok].tolist(), pair_gt[ok].tolist()):
+        if r not in done and g not in used:
+            done.add(r)
+            used.add(g)
+            taken[r] = g
+    return taken
+
+
+def unique_sort_mean_recalls(c, taken, ks):
+    """`metrics._mean_recalls` with the classes and cells numbered by `np.unique`."""
+    if not len(c.gt_pred):
+        return [0.0 for _ in ks]
+    n_frames = len(c.node_start)
+    classes, first, cls = np.unique(c.gt_pred, return_index=True, return_inverse=True)
+    cells, cell, total = np.unique(cls * n_frames + c.gt_frame, return_inverse=True,
+                                   return_counts=True)
+    bounds = np.searchsorted(cells, np.arange(len(classes) + 1) * n_frames)
+    order = np.searchsorted(classes, _class_order(c, classes, c.gt_frame[first]))
+    spans = [(bounds[i], bounds[i + 1]) for i in order.tolist()]
+    out = []
+    for k in ks:
+        hit = taken[(c.rank < min(k, FRAME_TRIPLET_CAP)) & (taken >= 0)]
+        share = np.bincount(cell[hit], minlength=len(cells)) / total
+        out.append(float(np.mean([np.mean(share[lo:hi]) for lo, hi in spans])))
+    return out
+
+
+def unique_sort_class_aps(c, rows, taken):
+    """`metrics._class_aps` with the classes counted by `np.unique` and the
+    scores and the int64 predicates each sorted by a stable argsort."""
+    classes, counts = np.unique(c.gt_pred, return_counts=True)
+    gt_count = dict(zip(classes.tolist(), counts.tolist()))
+    order = np.argsort(-c.score[rows], kind="stable")
+    order = order[np.argsort(c.predicate[rows[order]], kind="stable")]
+    pred, hit = c.predicate[rows[order]], taken[order] >= 0
+    aps = {}
+    for cls, n_pos in sorted(gt_count.items()):
+        lo, hi = np.searchsorted(pred, [cls, cls + 1])
+        aps[cls] = average_precision_from_flags(hit[lo:hi], n_pos)
+    return aps, gt_count
+
+
+def unique_sort_evaluate(frames, mode, constraint):
+    """`metrics.evaluate` from the four functions above."""
+    depth = max(max(RECALL_KS), FRAME_TRIPLET_CAP)
+    graphs = [fe.graph for fe in frames]
+    n_nodes = np.array([len(g.labels) for g in graphs], dtype=np.intp)
+    columns = unique_sort_rank(graphs, n_nodes, depth, constraint)
+    c = replace(_flatten(frames, depth, constraint),
+                **dict(zip(("frame", "rank", "subj", "obj", "predicate", "score"), columns)))
+    taken = unique_sort_match(c, np.arange(len(c.score)), mode)
+    report = {"mode": mode, "constraint": constraint}
+    for k, value in zip(RECALL_KS, _recalls(c, taken, RECALL_KS)):
+        report[f"recall@{k}"] = value
+    for k, value in zip(RECALL_KS, unique_sort_mean_recalls(c, taken, RECALL_KS)):
+        report[f"mean_recall@{k}"] = value
+    rows = np.flatnonzero(c.rank < FRAME_TRIPLET_CAP)
+    hit = taken[rows] if mode == "sgdet" else unique_sort_match(c, rows, "sgdet")
+    aps, gt_count = unique_sort_class_aps(c, rows, hit)
+    report["map_rel"] = _mean_ap(aps, gt_count, weighted=False)
+    report["wmap_rel"] = _mean_ap(aps, gt_count, weighted=True)
+    return report
 
 
 def out_of_place_adam(x, g, m, v, t, lr, beta1, beta2, eps):

@@ -105,6 +105,33 @@ def test_malformed_line_names_location(tmp_path):
         load_config(path)
 
 
+def test_gen_refuses_fewer_predicate_classes_than_the_world_uses(tmp_path, capsys):
+    # the scenes' gt triplets use all six predicates: with dims.h = 3, gen
+    # wrote splits that train refused at their first predicate 3
+    path = tmp_path / "h3.cfg"
+    path.write_text(TINY_CFG + "dims.h = 3\n")
+    line = len(path.read_text().splitlines())
+    out = tmp_path / "ds"
+    assert main(["gen", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}:{line}: dims.h: the world's scenes use 6 predicates (near, holding, "
+        f"above, beneath, approaching, releasing), so dims.h must be >= 6, got 3\n")
+    assert not out.exists()
+
+
+def test_gen_with_more_predicate_classes_than_the_world_uses_loads(tmp_path):
+    path = tmp_path / "h9.cfg"
+    path.write_text(TINY_CFG + "dims.h = 9\n")
+    out = tmp_path / "ds"
+    assert main(["gen", "--config", str(path), "--out", str(out), "--seed", "7"]) == 0
+    dims = load_config(path).dims
+    for split in ("train", "val", "test"):
+        seqs = cli._load_split(out, split, dims)
+        assert max(int(t[2]) for seq in seqs for f in seq.frames for t in f.triplets) < 6
+    assert main(["train", "--config", str(path), "--data", str(out),
+                 "--out", str(tmp_path / "model.json"), "--epochs", "1"]) == 0
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 

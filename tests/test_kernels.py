@@ -1,11 +1,14 @@
 """The hot kernels against their earlier forms (`reference_kernels.py`), bit
-for bit: the logistic, the segment reduction, the two rankings, Adam and
-the feature bank's selection."""
+for bit: the logistic, the segment reduction, the two rankings, evaluation's
+stable order and key numbering, Adam and the feature bank's selection."""
 
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import primitives as prim
 import stsg.autodiff as ad
@@ -24,7 +27,7 @@ from stsg import metrics
 from stsg.autodiff import SegmentPlan, Tape, Tensor, backward
 from stsg.config import Dims, WorldConfig
 from stsg.featurebank import BANK_VARIANTS, build_feature_bank
-from stsg.metrics import FrameEval, _flatten
+from stsg.metrics import FrameEval, _distinct, _flatten, _stable_order
 from stsg.params import ModelParams
 from stsg.rng import RngStream
 from stsg.spatial import frame_pairs
@@ -247,27 +250,66 @@ def test_a_ranking_cut_to_a_depth_is_each_frames_prefix(depth, constraint, h):
             assert_same_bits(getattr(g, name), getattr(w, name)[rows])
 
 
-@pytest.mark.parametrize("h", [3, 9])
-def test_ranking_sorts_once_per_list_length(monkeypatch, h):
-    # one 2-D argsort of the frames of each list length, not one per frame;
-    # above NO_CONSTRAINT_PER_PAIR predicates, one more picks each pair's kept ones
-    probs, subj, obj, label_dists, boxes, sizes = ranking_inputs(h, 2)
+def tied_rows(scores: np.ndarray) -> int:
+    """How many rows of a 2-D array hold two equal values."""
+    return sum(len(np.unique(row)) < len(row) for row in scores)
+
+
+def assert_sorts_per_list_length(monkeypatch, h, probs, subj, obj, label_dists, boxes,
+                                 sizes) -> list[list[tuple]]:
+    """Ranking the frames makes one 2-D default-kind argsort of the frames of
+    each list length, then one stable argsort of exactly its rows that hold
+    equal scores; above NO_CONSTRAINT_PER_PAIR predicates, one stable
+    argsort before them picks each pair's kept ones. The stable score
+    sorts' shapes, unconstrained and constrained."""
     graphs = frame_graphs(probs, label_dists, boxes, sizes)
-    shapes, argsort = [], np.argsort
+    ranked = five_key_rank_frames(probs, subj, obj, label_dists, boxes, sizes)
+    calls, argsort = [], np.argsort
 
     def counted(a, *args, **kwargs):
-        shapes.append(np.shape(a))
+        calls.append((kwargs.get("kind"), np.shape(a)))
         return argsort(a, *args, **kwargs)
 
-    monkeypatch.setattr(np, "argsort", counted)
     keep = min(metrics.NO_CONSTRAINT_PER_PAIR, h)
+    stable = []
     for constraint in (False, True):
-        shapes.clear()
-        _flatten([FrameEval(g, [], []) for g in graphs], 50, constraint)
+        # each frame's scores, the constrained ones the first of each pair's
+        scores = [w.score[np.sort(np.unique(w.subj * n + w.obj, return_index=True)[1])]
+                  if constraint else w.score for w, n in zip(ranked, sizes.tolist())]
         lengths = sizes * (sizes - 1) * (1 if constraint else keep)
-        want = [(int((lengths == n).sum()), n) for n in np.unique(lengths[lengths > 0]).tolist()]
-        assert shapes == ([probs.shape] if keep < h else []) + want
-        assert len(want) < (lengths > 0).sum()
+        want = [("stable", probs.shape)] if keep < h else []
+        for n in np.unique(lengths[lengths > 0]).tolist():
+            group = np.array([s for s in scores if len(s) == n])
+            want.append((None, group.shape))
+            if tied_rows(group):
+                want.append(("stable", (tied_rows(group), n)))
+        stable.append([shape for kind, shape in want[keep < h:] if kind])
+        assert len(want) - len(stable[-1]) - (keep < h) < (lengths > 0).sum()
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "argsort", counted)
+            calls.clear()
+            _flatten([FrameEval(g, [], []) for g in graphs], 50, constraint)
+        assert calls == want
+    return stable
+
+
+@pytest.mark.parametrize("h", [3, 9])
+def test_ranking_sorts_once_per_list_length(monkeypatch, h):
+    # `ranking_inputs` plants ties between a pair's predicates, so the
+    # unconstrained lists re-sort some rows stably; the constraint keeps one
+    # of the tied predicates
+    unconstrained, constrained = assert_sorts_per_list_length(monkeypatch, h,
+                                                              *ranking_inputs(h, 2))
+    assert unconstrained and not constrained
+
+
+@pytest.mark.parametrize("h", [3, 9])
+def test_a_tie_free_ranking_makes_no_stable_score_sort(monkeypatch, h):
+    probs, subj, obj, label_dists, boxes, sizes = ranking_inputs(h, 2)
+    rng = np.random.default_rng(5)
+    probs, label_dists = rng.random(probs.shape), rng.random(label_dists.shape)
+    assert assert_sorts_per_list_length(monkeypatch, h, probs, subj, obj, label_dists, boxes,
+                                        sizes) == [[], []]
 
 
 @pytest.mark.parametrize("read", ["len", "column"])
@@ -298,6 +340,41 @@ def test_a_frame_sorts_on_its_first_triplet_read(monkeypatch, read, h):
         for name in RANKED_COLUMNS:
             assert_same_bits(getattr(g, name), getattr(other, name))
     assert calls == [len(sizes)]
+
+
+# a small pool, so that keys tie; ±0.0 compare equal, and NaN sorts last
+KEY_POOL = [0.0, -0.0, 1.0, -1.0, 0.5, np.nextafter(0.5, 1.0), 1e308, -np.inf, np.inf, np.nan]
+# numpy's default sort moves equal keys of a row longer than 16, here NaNs
+NAN_ROW = [1.0, np.nan, 0.5, 1.0, np.nan, np.nan, 0.5, 0.5, np.nan, 0.5, 0.5] + [np.nan] * 6
+
+
+@given(arrays(np.float64, array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=40),
+              elements=st.sampled_from(KEY_POOL)))
+@example(np.array([NAN_ROW, sorted(NAN_ROW)]))
+@example(np.zeros(0))
+@example(np.array([3.0]))
+@example(np.array([-0.0, 0.0, -0.0]))
+@example(np.array([[2.0, 2.0, 2.0], [0.5, 1.0, -0.0], [7.0, 7.0, 7.0]]))
+@example(np.zeros((3, 0)))
+@example(np.zeros((0, 4)))
+@example(np.ones((4, 1)))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_stable_order_is_the_stable_argsort(keys):
+    # 1-D and 2-D, rows of length 0 and 1 and all-equal rows among them
+    for k in (keys, keys.ravel()):
+        assert_same_bits(_stable_order(k), np.argsort(k, axis=-1, kind="stable"))
+
+
+@given(st.lists(st.sampled_from([0, 1, 2, 7, 255, 256, 4999]), max_size=40))
+@example([])
+@example([4999, 0, 4999])
+@example([5, 5, 5])
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_distinct_is_unique_with_inverse_and_counts(values):
+    # sparse values such as {0, 4999}, and the empty input
+    v = np.array(values, dtype=np.intp)
+    for got, want in zip(_distinct(v), np.unique(v, return_inverse=True, return_counts=True)):
+        assert_same_bits(got, want)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 9])

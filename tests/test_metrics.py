@@ -10,7 +10,7 @@ from fixtures import (G, H, _gt, _pred, exhaustive_max_matches, exhaustive_recal
                       match_frame, ranked_columns, relation_probs, served_corpus,
                       three_frame_fixture, triplet_list, triplet_rows)
 from reference_flops import reference_params_flops
-from reference_kernels import five_key_class_aps, four_key_detection_pass
+from reference_kernels import five_key_class_aps, four_key_detection_pass, unique_sort_evaluate
 from stsg.config import MODES, Dims
 from stsg.errors import ContractError
 from stsg.metrics import (
@@ -32,7 +32,7 @@ from stsg.metrics import (
 from stsg.params import ModelParams, model_shapes
 from stsg.rng import RngStream
 from stsg.scene import OBJECT_DTYPE, pairwise_iou
-from stsg.temporal import forward_sequence
+from stsg.temporal import FrameGraph, forward_sequence
 
 
 def random_frame_eval(rng, n=3, n_gt=2):
@@ -686,6 +686,72 @@ def test_detection_pass_matches_lexsort_on_tied_scores():
     for mode in ("predcls", "sgcls", "sgdet"):
         for constraint in (False, True):
             assert evaluate(frames, mode, constraint) == loop_evaluate(frames, mode, constraint)
+
+
+def saturated(frames: list[FrameEval]) -> list[FrameEval]:
+    """The frames with every predicate probability saturated to exactly 0.0
+    or 1.0 (1.0 above the corpus's 80th percentile): each pair's ones tie,
+    and in predcls, whose label scores are one-hot ones, every frame's."""
+    cut = np.quantile(np.concatenate([fe.graph.pair_probs.ravel() for fe in frames]), 0.8)
+    return [FrameEval(FrameGraph(fe.graph.labels, fe.graph.label_scores, fe.graph.boxes,
+                                 (fe.graph.pair_probs > cut).astype(np.float64)),
+                      fe.gt_triplets, fe.gt_objects)
+            for fe in frames]
+
+
+# where the 6 served predicates go among 300: 0 and 256 are one value as uint8
+WIDE_PREDICATES = np.array([0, 1, 255, 256, 257, 299])
+
+
+def widened(frames: list[FrameEval]) -> list[FrameEval]:
+    """The frames with 300 predicates: each served probability and gt
+    predicate moved to its place in WIDE_PREDICATES, and the other 294
+    probabilities drawn below 0.05, so that some pairs keep a few of them."""
+    rng = np.random.default_rng(3)
+    out = []
+    for fe in frames:
+        g = fe.graph
+        probs = rng.uniform(0.0, 0.05, (len(g.pair_probs), 300))
+        probs[:, WIDE_PREDICATES] = g.pair_probs
+        gt = [(s, o, int(WIDE_PREDICATES[p])) for s, o, p in fe.gt_triplets]
+        out.append(FrameEval(FrameGraph(g.labels, g.label_scores, g.boxes, probs), gt,
+                             fe.gt_objects))
+    return out
+
+
+@pytest.mark.parametrize("corpus", ["saturated", "wide"])
+@pytest.mark.parametrize("mode", ["predcls", "sgcls", "sgdet"])
+def test_evaluate_equals_the_unique_sort_reference(served, mode, corpus):
+    # evaluation numbers its keys by counting, radix-sorts the predicates and
+    # re-sorts stably only tied score rows: under scores that tie everywhere,
+    # and under predicates past a uint8's range, it equals the np.unique and
+    # stable-argsort code it replaced
+    frames = edge_frames(served[mode]) + served[mode][:300]
+    frames = saturated(frames) if corpus == "saturated" else widened(frames)
+    if corpus == "saturated":
+        assert {0.0, 1.0} == set(np.concatenate([fe.graph.pair_probs.ravel() for fe in frames]))
+    else:
+        c = _flatten(frames, FRAME_TRIPLET_CAP, False)
+        assert {0, 256, 299} <= set(c.gt_pred.tolist()) and (c.predicate >= 256).any()
+        assert not set(c.predicate.tolist()) <= set(WIDE_PREDICATES.tolist())
+    for constraint in (False, True):
+        report = evaluate(frames, mode, constraint)
+        assert report == unique_sort_evaluate(frames, mode, constraint)
+        assert report["recall@50"] > 0 and report["map_rel"] > 0
+
+
+def test_evaluate_makes_no_unique_call(served, monkeypatch):
+    # evaluation numbers its small non-negative keys by counting
+    def refuse(*args, **kwargs):
+        raise AssertionError("evaluation called np.unique")
+
+    monkeypatch.setattr(np, "unique", refuse)
+    for mode in MODES:
+        frames = edge_frames(served[mode]) + served[mode][:200]
+        for constraint in (False, True):
+            evaluate(frames, mode, constraint)
+            recall_at_k(frames, 20, mode, constraint)
+            mean_recall(frames, 20, mode, constraint)
 
 
 def test_ap_envelope_matches_loop_reference():
